@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use clarens_httpd::{
-    Handler, HttpClient, HttpServer, Method, PeerInfo, Request, Response, ServerConfig,
+    Handler, HttpClient, HttpServer, Method, Request, RequestContext, Response, ServerConfig,
 };
 use clarens_pki::cert::{verify_chain, Certificate, Credential};
 use clarens_wire::{soap, Fault, RpcCall, RpcResponse, Value};
@@ -126,7 +126,7 @@ impl Gt3Server {
 }
 
 impl Handler for Gt3Handler {
-    fn handle(&self, request: Request, _peer: Option<&PeerInfo>) -> Response {
+    fn handle(&self, request: Request, _ctx: RequestContext<'_>) -> Response {
         if request.method != Method::Post {
             return Response::error(405, "POST SOAP messages");
         }

@@ -34,16 +34,6 @@ fn bench_ablation(c: &mut Criterion) {
         b.iter(|| bare.call("system.ping", vec![]).unwrap())
     });
 
-    // Same session+ACL workload against an uncached server — the cost the
-    // epoch-invalidated caches remove.
-    let uncached_grid = clarens_bench::bench_grid_uncached();
-    let uncached_session = clarens_bench::bench_session(&uncached_grid);
-    let mut uncached = clarens::ClarensClient::new(uncached_grid.addr());
-    uncached.set_session(uncached_session);
-    group.bench_function("session_acl_echo_uncached", |b| {
-        b.iter(|| uncached.call("echo.echo", vec![Value::Int(1)]).unwrap())
-    });
-
     // Protocol comparison on the same method.
     for (name, protocol) in [
         ("proto_xmlrpc", Protocol::XmlRpc),
@@ -57,7 +47,6 @@ fn bench_ablation(c: &mut Criterion) {
         });
     }
     group.finish();
-    uncached_grid.cleanup();
     grid.cleanup();
 }
 

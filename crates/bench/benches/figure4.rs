@@ -23,21 +23,7 @@ fn bench_list_methods(c: &mut Criterion) {
             assert!(methods.as_array().unwrap().len() > 30);
         })
     });
-
-    // The same round trip with the authorization caches disabled — the
-    // paper's original "no caching" configuration.
-    let uncached_grid = clarens_bench::bench_grid_uncached();
-    let uncached_session = clarens_bench::bench_session(&uncached_grid);
-    let mut uncached = clarens::ClarensClient::new(uncached_grid.addr());
-    uncached.set_session(uncached_session);
-    group.bench_function("list_methods_roundtrip_uncached", |b| {
-        b.iter(|| {
-            let methods = uncached.call("system.list_methods", vec![]).unwrap();
-            assert!(methods.as_array().unwrap().len() > 30);
-        })
-    });
     group.finish();
-    uncached_grid.cleanup();
     grid.cleanup();
 }
 

@@ -308,7 +308,7 @@ pub fn measure_throughput_tls(
     }
 }
 
-/// Result of one keep-alive connection-sweep point (Ablation F).
+/// Result of one keep-alive connection-sweep point (`repro multiplex`).
 #[derive(Debug, Clone, Copy)]
 pub struct SweepPoint {
     /// Concurrent keep-alive connections attempted.
@@ -368,16 +368,15 @@ fn connect_patiently(addr: &str) -> std::io::Result<TcpStream> {
 
 /// Drive `connections` concurrent keep-alive connections against `addr`,
 /// each looping `system.ping` with `think` of client-side idle time between
-/// calls, for `duration`. This is the Ablation-F workload: the think time
-/// makes every connection idle most of the time, which is exactly the
-/// pattern that pins the thread-per-connection path (a worker blocks in
-/// `read` during each client's think) while the parked-connection path
-/// multiplexes all of them over a few workers.
+/// calls, for `duration`. This is the `repro multiplex` workload: the think
+/// time makes every connection idle most of the time, which is exactly the
+/// pattern that would pin a thread-per-connection server (a worker blocks
+/// in `read` during each client's think) while the parked-connection
+/// scheduler multiplexes all of them over a few workers.
 ///
-/// Clients that starve behind a pinned worker hit a 2-second read timeout
-/// and are counted in [`SweepPoint::stalled`] instead of panicking — with
-/// `workers` far below `connections`, starvation is the expected blocking-
-/// mode outcome, and surviving it is what the sweep measures.
+/// Clients that starve (or are shed with `503` past `max_connections`) hit
+/// a 2-second read timeout and are counted in [`SweepPoint::stalled`]
+/// instead of panicking.
 ///
 /// `mid_sample` runs on the calling thread halfway through the window;
 /// callers pass a probe of the parked-connections gauge so the point
@@ -535,7 +534,7 @@ impl IdleConnections {
 /// `target` once, then drains its response at roughly `bytes_per_sec`
 /// from a single background thread. The server-side counterpart of a WAN
 /// full of modem-grade consumers — each half-written response must park
-/// in the poller (Ablation G) instead of pinning a worker.
+/// in the poller (`repro bw`) instead of pinning a worker.
 pub struct SlowReaderSwarm {
     stop: Arc<AtomicBool>,
     drained: Arc<AtomicU64>,
@@ -635,25 +634,13 @@ pub fn measure_get_throughput(
     )
 }
 
-/// Start the Ablation-G grid: a small worker pool with the zero-copy
-/// file path on (`sendfile(2)`) or off (portable buffered copy).
-pub fn bench_grid_bulk(workers: usize, zero_copy: bool) -> TestGrid {
+/// Start a plaintext grid with `workers` workers. The connection-sweep,
+/// parked-idler and slow-reader experiments pass a deliberately small
+/// pool: serving hundreds of keep-alive connections or crawling readers
+/// from four workers is the point.
+pub fn bench_grid_workers(workers: usize) -> TestGrid {
     TestGrid::start_with(GridOptions {
         workers,
-        zero_copy,
-        ..Default::default()
-    })
-}
-
-/// Start the Ablation-F grid: a deliberately small worker pool with the
-/// connection scheduler on (`park_idle`) or off (thread-per-connection).
-/// The small pool is the point — parked mode serves hundreds of keep-alive
-/// connections from it, while the blocking path pins one worker per
-/// connection and starves the rest.
-pub fn bench_grid_sweep(workers: usize, park_idle: bool) -> TestGrid {
-    TestGrid::start_with(GridOptions {
-        workers,
-        park_idle,
         ..Default::default()
     })
 }
@@ -661,21 +648,7 @@ pub fn bench_grid_sweep(workers: usize, park_idle: bool) -> TestGrid {
 /// Start the standard benchmark grid: plaintext, permissive ACLs, enough
 /// workers for the paper's 79-client sweep.
 pub fn bench_grid() -> TestGrid {
-    TestGrid::start_with(GridOptions {
-        workers: 96,
-        ..Default::default()
-    })
-}
-
-/// Start the benchmark grid with the authorization caches disabled —
-/// the paper's original "No caching was performed on the server"
-/// configuration, kept for cached-vs-uncached comparison.
-pub fn bench_grid_uncached() -> TestGrid {
-    TestGrid::start_with(GridOptions {
-        workers: 96,
-        auth_cache: false,
-        ..Default::default()
-    })
+    bench_grid_workers(96)
 }
 
 /// Start the benchmark grid with request span timing disabled (counters
@@ -684,18 +657,6 @@ pub fn bench_grid_no_telemetry() -> TestGrid {
     TestGrid::start_with(GridOptions {
         workers: 96,
         telemetry: false,
-        ..Default::default()
-    })
-}
-
-/// Start the benchmark grid in the pre-optimization configuration: DOM
-/// reference encoders and no buffer recycling — the "before" side of the
-/// allocation ablation (Ablation E).
-pub fn bench_grid_dom() -> TestGrid {
-    TestGrid::start_with(GridOptions {
-        workers: 96,
-        streaming_encode: false,
-        buffer_pool: false,
         ..Default::default()
     })
 }
@@ -714,6 +675,18 @@ pub fn bench_session(grid: &TestGrid) -> String {
     let client = grid.logged_in_client(&grid.user);
     client.session_id().expect("session").to_owned()
 }
+
+/// Per-protocol allocation ceilings for the steady-state echo.echo gates
+/// (the `quick` smoke, Ablation H and `tests/alloc_count.rs`). The XML-RPC
+/// streaming path lands at ~18 allocations/request on the reference
+/// machine; clarens-binary skips the XML text handling entirely (no
+/// escaping buffers, no tag strings) and lands lower still. Both ceilings
+/// leave ~2x headroom for allocator/platform variation while catching a
+/// reintroduced per-request DOM or buffer churn (the pre-optimization XML
+/// path measured ~56).
+pub const MAX_ALLOCS_PER_ECHO_XMLRPC: f64 = 40.0;
+/// See [`MAX_ALLOCS_PER_ECHO_XMLRPC`].
+pub const MAX_ALLOCS_PER_ECHO_BINARY: f64 = 30.0;
 
 /// Server-side allocation profile of a steady-state request loop.
 #[derive(Debug, Clone, Copy)]
@@ -791,7 +764,7 @@ mod tests {
 
     #[test]
     fn keepalive_sweep_driver_smoke() {
-        let grid = bench_grid_sweep(2, true);
+        let grid = bench_grid_workers(2);
         let http = &grid.core().telemetry.http;
         let point = measure_keepalive_sweep(
             &grid.addr(),
@@ -809,7 +782,7 @@ mod tests {
 
     #[test]
     fn idle_connections_park_and_refresh() {
-        let grid = bench_grid_sweep(2, true);
+        let grid = bench_grid_workers(2);
         let mut idle = IdleConnections::open(&grid.addr(), 16);
         assert_eq!(idle.len(), 16);
         // All 16 are between requests now; give the poller a moment to

@@ -1,20 +1,18 @@
 //! Allocation accounting end-to-end: registers the counting allocator for
-//! this test process and measures the server-side allocations of a
-//! steady-state `echo.echo` loop, streaming encoders vs the DOM reference
-//! encoders.
+//! this test process and holds the server-side allocations of a
+//! steady-state `echo.echo` loop under the ceiling `repro quick` gates on.
 //!
 //! Everything runs inside ONE `#[test]` so no concurrent test thread
 //! pollutes the process-global counters.
 
-use clarens::testkit::{GridOptions, TestGrid};
-use clarens_bench::{alloc_count, bench_grid_dom, bench_session, measure_allocs_per_request};
+use clarens_bench::{alloc_count, bench_grid_workers, bench_session, measure_allocs_per_request};
 use clarens_wire::Protocol;
 
 #[global_allocator]
 static ALLOC: alloc_count::CountingAlloc = alloc_count::CountingAlloc;
 
 #[test]
-fn counting_allocator_and_streaming_reduction() {
+fn counting_allocator_and_steady_state_ceiling() {
     // --- allocator mechanics -------------------------------------------
     assert!(alloc_count::allocator_installed());
     let (before, _) = alloc_count::snapshot();
@@ -50,38 +48,27 @@ fn counting_allocator_and_streaming_reduction() {
         "exempt thread's allocation was counted"
     );
 
-    // --- streaming vs DOM, measured ------------------------------------
-    // Small worker counts: one keep-alive connection only ever exercises
+    // --- the request path, measured --------------------------------------
+    // Small worker count: one keep-alive connection only ever exercises
     // one worker, and idle workers' stacks are noise we don't need.
-    let streaming_grid = TestGrid::start_with(GridOptions {
-        workers: 4,
-        ..Default::default()
-    });
-    let session = bench_session(&streaming_grid);
-    let streaming =
-        measure_allocs_per_request(&streaming_grid.addr(), &session, 400, Protocol::XmlRpc);
-    streaming_grid.cleanup();
-
-    let dom_grid = bench_grid_dom();
-    let session = bench_session(&dom_grid);
-    let dom = measure_allocs_per_request(&dom_grid.addr(), &session, 400, Protocol::XmlRpc);
-    dom_grid.cleanup();
+    let grid = bench_grid_workers(4);
+    let session = bench_session(&grid);
+    let steady = measure_allocs_per_request(&grid.addr(), &session, 400, Protocol::XmlRpc);
+    grid.cleanup();
 
     println!(
-        "allocs/request: streaming {:.1} vs DOM {:.1}; bytes/request: {:.0} vs {:.0}",
-        streaming.allocs_per_call,
-        dom.allocs_per_call,
-        streaming.bytes_per_call,
-        dom.bytes_per_call
+        "allocs/request: {:.1}; bytes/request: {:.0}",
+        steady.allocs_per_call, steady.bytes_per_call
     );
-    // Acceptance criterion: the allocation-lean path (streaming encoders,
-    // streaming call decoder, buffer pool) must at least halve the
-    // steady-state allocations per request. Measured at 18 vs 56 on the
-    // reference machine — plenty of headroom on the 50% bar.
+    // The allocation-lean path (streaming encoders, streaming call decoder,
+    // buffer pool) measures ~18 allocations/request on the reference
+    // machine; the DOM codecs without recycling it replaced measured ~56
+    // (EXPERIMENTS.md, Ablation E). The ceiling sits between the two, so a
+    // reintroduced per-request DOM or buffer churn fails here.
     assert!(
-        streaming.allocs_per_call <= dom.allocs_per_call * 0.5,
-        "streaming path must halve DOM-path allocations ({:.1} vs {:.1})",
-        streaming.allocs_per_call,
-        dom.allocs_per_call
+        steady.allocs_per_call <= clarens_bench::MAX_ALLOCS_PER_ECHO_XMLRPC,
+        "steady-state allocations/request regressed: {:.1} > {}",
+        steady.allocs_per_call,
+        clarens_bench::MAX_ALLOCS_PER_ECHO_XMLRPC
     );
 }

@@ -362,7 +362,9 @@ impl AclEngine {
 
     /// Create an engine with the cache layer explicitly on or off. With
     /// caching off every check re-reads and re-parses the stored records,
-    /// which is the paper's original uncached behavior.
+    /// which is the paper's original uncached behavior. Servers always
+    /// cache; `false` is the reference that tests check the cached path
+    /// against.
     pub fn with_caching(store: Arc<Store>, caching: bool) -> Self {
         let method_gen = store.generation_handle(METHOD_ACL_BUCKET);
         let file_gen = store.generation_handle(FILE_ACL_BUCKET);

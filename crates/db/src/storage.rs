@@ -48,13 +48,10 @@ impl std::str::FromStr for StorageBackend {
 pub struct StorageOptions {
     /// Engine choice.
     pub backend: StorageBackend,
-    /// Make every append durable before acknowledging it (WAL engine
-    /// only; the mmap engine is durable at checkpoints by design).
+    /// Make every append durable before acknowledging it, concurrent
+    /// appenders sharing each fsync (WAL engine only; the mmap engine is
+    /// durable at checkpoints by design).
     pub sync: bool,
-    /// Batch concurrent durable appends behind one fsync (group commit).
-    /// Only meaningful with `sync`; turning it off reverts to one fsync
-    /// per append for A/B measurement.
-    pub group_commit: bool,
     /// Background-compact once the fraction of dead bytes in the log
     /// exceeds this ratio (`0.0` disables the janitor; manual
     /// [`crate::Store::compact`] always works).
@@ -71,7 +68,6 @@ impl Default for StorageOptions {
         StorageOptions {
             backend: StorageBackend::Wal,
             sync: false,
-            group_commit: true,
             compact_ratio: 0.5,
             compact_min_bytes: 256 * 1024,
             shards: 16,
@@ -82,8 +78,8 @@ impl Default for StorageOptions {
 /// Monotonic counters every engine maintains.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StorageCounters {
-    /// fsync/fdatasync calls issued (per-append syncs, group commits,
-    /// explicit syncs, compaction/checkpoint rewrites, recovery repairs).
+    /// fsync/fdatasync calls issued (group commits, explicit syncs,
+    /// compaction/checkpoint rewrites, recovery repairs).
     pub fsyncs: u64,
     /// Group-commit batches led (each one fsync covering ≥ 1 append).
     pub group_commits: u64,

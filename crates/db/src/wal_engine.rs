@@ -83,7 +83,6 @@ pub struct WalEngine {
     /// commit fast path.
     synced: AtomicU64,
     sync_on_append: bool,
-    group_commit: bool,
     compact_min_bytes: u64,
     /// Published committed length (bytes of whole flushed records), so
     /// gauges and replication reads never take the append lock.
@@ -131,7 +130,6 @@ impl WalEngine {
             group_cond: Condvar::new(),
             synced: AtomicU64::new(0),
             sync_on_append: options.sync,
-            group_commit: options.group_commit,
             compact_min_bytes: options.compact_min_bytes,
             committed: AtomicU64::new(file_len),
             epoch: AtomicU64::new(0),
@@ -340,7 +338,7 @@ impl WalEngine {
         self.committed.store(inner.file_len, Ordering::Release);
         self.epoch.fetch_add(1, Ordering::SeqCst);
         self.compactions.fetch_add(1, Ordering::Relaxed);
-        if self.sync_on_append && self.group_commit {
+        if self.sync_on_append {
             // Everything appended before the swap is in the new, fsynced
             // file: release any parked group members up to that LSN.
             let lsn = inner.lsn;
@@ -360,7 +358,7 @@ impl StorageEngine for WalEngine {
 
     fn append(&self, op: &LogOp) -> io::Result<()> {
         let record = encode_record(op);
-        let (lsn, file) = {
+        let lsn = {
             let mut inner = self.inner.lock();
             {
                 let mut sink: &File = &inner.file;
@@ -371,19 +369,12 @@ impl StorageEngine for WalEngine {
             self.committed.store(inner.file_len, Ordering::Release);
             self.bytes_written
                 .fetch_add(record.len() as u64, Ordering::Relaxed);
-            (inner.lsn, Arc::clone(&inner.file))
+            inner.lsn
         };
         if !self.sync_on_append {
             return Ok(());
         }
-        if self.group_commit {
-            self.commit(lsn)
-        } else {
-            clarens_faults::check_io(clarens_faults::sites::DB_WAL_FSYNC)?;
-            file.sync_data()?;
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        }
+        self.commit(lsn)
     }
 
     fn sync(&self, _state: &dyn crate::storage::SnapshotSource) -> io::Result<()> {
@@ -394,7 +385,7 @@ impl StorageEngine for WalEngine {
         clarens_faults::check_io(clarens_faults::sites::DB_WAL_FSYNC)?;
         file.sync_data()?;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        if self.sync_on_append && self.group_commit {
+        if self.sync_on_append {
             let _state = self.group.lock();
             self.synced.fetch_max(lsn, Ordering::AcqRel);
             self.group_cond.notify_all();

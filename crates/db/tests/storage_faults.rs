@@ -43,7 +43,6 @@ fn group_commit_fsync_failure_poisons_whole_batch() {
             &path,
             StorageOptions {
                 sync: true,
-                group_commit: true,
                 ..StorageOptions::default()
             },
         )

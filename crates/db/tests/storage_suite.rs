@@ -203,7 +203,6 @@ fn group_commit_batches_fsyncs() {
             &path,
             StorageOptions {
                 sync: true,
-                group_commit: true,
                 ..StorageOptions::default()
             },
         )

@@ -378,9 +378,9 @@ pub fn hits(site: &str) -> u64 {
 /// Catalog of compiled-in injection sites (kept here so DESIGN.md and the
 /// chaos harness have one authoritative list to reference).
 pub mod sites {
-    /// `Wal::append` payload write.
+    /// `log::write_framed` payload write (every WAL append).
     pub const DB_WAL_APPEND: &str = "db.wal.append";
-    /// `Wal` fsync (append-time and explicit).
+    /// `WalEngine` fsync (group commit and explicit sync).
     pub const DB_WAL_FSYNC: &str = "db.wal.fsync";
     /// Compaction's stop-the-world file swap (rename + epoch bump).
     pub const DB_COMPACT_SWAP: &str = "db.compact.swap";

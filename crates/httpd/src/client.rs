@@ -227,10 +227,10 @@ fn read_all<R: Read>(mut r: R) -> io::Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{Handler, HttpServer, PeerInfo, ServerConfig, TlsConfig};
+    use crate::server::{Handler, HttpServer, RequestContext, ServerConfig};
+    use crate::test_modes::{client_tls, Mode, CLIENT_DN, SERVER_DN};
     use crate::types::Response;
     use clarens_pki::cert::CertificateAuthority;
-    use clarens_pki::rsa;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -245,15 +245,11 @@ mod tests {
         }
     }
 
-    fn now() -> i64 {
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_secs() as i64
-    }
-
-    fn dn(text: &str) -> DistinguishedName {
-        DistinguishedName::parse(text).unwrap()
+    fn start(config: ServerConfig) -> HttpServer {
+        let handler = Arc::new(CountingHandler {
+            hits: AtomicU64::new(0),
+        });
+        HttpServer::bind("127.0.0.1:0", config, handler).unwrap()
     }
 
     struct CountingHandler {
@@ -261,9 +257,9 @@ mod tests {
     }
 
     impl Handler for CountingHandler {
-        fn handle(&self, request: crate::types::Request, peer: Option<&PeerInfo>) -> Response {
+        fn handle(&self, request: crate::types::Request, ctx: RequestContext<'_>) -> Response {
             let n = self.hits.fetch_add(1, Ordering::Relaxed);
-            let who = peer.map(|p| p.identity.to_string()).unwrap_or_default();
+            let who = ctx.peer.map(|p| p.identity.to_string()).unwrap_or_default();
             Response::ok(
                 "text/plain",
                 format!("hit={n} path={} peer={who}", request.path()),
@@ -273,14 +269,7 @@ mod tests {
 
     #[test]
     fn plaintext_client_reuses_connection() {
-        let server = HttpServer::bind(
-            "127.0.0.1:0",
-            test_config(),
-            Arc::new(CountingHandler {
-                hits: AtomicU64::new(0),
-            }),
-        )
-        .unwrap();
+        let server = start(test_config());
         let mut client = HttpClient::new(server.local_addr().to_string());
         for i in 0..10 {
             let resp = client.get(&format!("/p{i}")).unwrap();
@@ -294,14 +283,7 @@ mod tests {
 
     #[test]
     fn client_reconnects_after_server_close() {
-        let server = HttpServer::bind(
-            "127.0.0.1:0",
-            test_config(),
-            Arc::new(CountingHandler {
-                hits: AtomicU64::new(0),
-            }),
-        )
-        .unwrap();
+        let server = start(test_config());
         let mut client = HttpClient::new(server.local_addr().to_string());
         assert_eq!(client.get("/a").unwrap().status, 200);
         client.close();
@@ -312,59 +294,13 @@ mod tests {
 
     #[test]
     fn tls_end_to_end_with_mutual_auth() {
-        let t = now();
-        let mut rng = StdRng::seed_from_u64(42);
-        let ca = CertificateAuthority::new(&mut rng, dn("/O=grid/CN=CA"), t - 1000, 3650);
-        let server_kp = rsa::generate(&mut rng, rsa::DEFAULT_KEY_BITS);
-        let server_cred = Credential {
-            certificate: ca.issue(dn("/O=grid/CN=host"), &server_kp.public, t - 1000, 365),
-            key: server_kp.private,
-            chain: vec![],
-        };
-        let client_kp = rsa::generate(&mut rng, rsa::DEFAULT_KEY_BITS);
-        let client_cred = Credential {
-            certificate: ca.issue(
-                dn("/O=grid/OU=People/CN=alice"),
-                &client_kp.public,
-                t - 1000,
-                365,
-            ),
-            key: client_kp.private,
-            chain: vec![],
-        };
-
-        let config = ServerConfig {
-            tls: Some(TlsConfig {
-                credential: server_cred,
-                roots: vec![ca.certificate.clone()],
-            }),
-            ..test_config()
-        };
-        let server = HttpServer::bind(
-            "127.0.0.1:0",
-            config,
-            Arc::new(CountingHandler {
-                hits: AtomicU64::new(0),
-            }),
-        )
-        .unwrap();
-
-        let mut client = HttpClient::new_tls(
-            server.local_addr().to_string(),
-            ClientTls {
-                credential: client_cred,
-                roots: vec![ca.certificate.clone()],
-                now_fn: Box::new(now),
-            },
-        );
+        let server = start(Mode::Blocking.server_config(test_config()));
+        let mut client = HttpClient::new_tls(server.local_addr().to_string(), client_tls());
         let resp = client.get("/secure").unwrap();
         assert_eq!(resp.status, 200);
         let text = String::from_utf8_lossy(&resp.body).to_string();
-        assert!(text.contains("peer=/O=grid/OU=People/CN=alice"), "{text}");
-        assert_eq!(
-            client.server_identity().unwrap().to_string(),
-            "/O=grid/CN=host"
-        );
+        assert!(text.contains(&format!("peer={CLIENT_DN}")), "{text}");
+        assert_eq!(client.server_identity().unwrap().to_string(), SERVER_DN);
 
         // Keep-alive works over TLS too.
         let resp2 = client.get("/secure2").unwrap();
@@ -375,44 +311,19 @@ mod tests {
 
     #[test]
     fn tls_client_rejects_untrusted_server() {
-        let t = now();
-        let mut rng = StdRng::seed_from_u64(43);
-        let ca = CertificateAuthority::new(&mut rng, dn("/O=grid/CN=CA"), t - 1000, 3650);
-        let other_ca = CertificateAuthority::new(&mut rng, dn("/O=evil/CN=CA"), t - 1000, 3650);
-        let server_kp = rsa::generate(&mut rng, rsa::DEFAULT_KEY_BITS);
-        let server_cred = Credential {
-            certificate: ca.issue(dn("/O=grid/CN=host"), &server_kp.public, t - 1000, 365),
-            key: server_kp.private,
-            chain: vec![],
-        };
-        let client_kp = rsa::generate(&mut rng, rsa::DEFAULT_KEY_BITS);
-        let client_cred = Credential {
-            certificate: ca.issue(dn("/O=grid/CN=bob"), &client_kp.public, t - 1000, 365),
-            key: client_kp.private,
-            chain: vec![],
-        };
-        let config = ServerConfig {
-            tls: Some(TlsConfig {
-                credential: server_cred,
-                roots: vec![ca.certificate.clone()],
-            }),
-            ..test_config()
-        };
-        let server = HttpServer::bind(
-            "127.0.0.1:0",
-            config,
-            Arc::new(CountingHandler {
-                hits: AtomicU64::new(0),
-            }),
-        )
-        .unwrap();
-        // Client only trusts the *other* CA.
+        let server = start(Mode::Blocking.server_config(test_config()));
+        // Client only trusts a CA the server's certificate does not chain to.
+        let other_ca = CertificateAuthority::new(
+            &mut StdRng::seed_from_u64(43),
+            DistinguishedName::parse("/O=evil/CN=CA").unwrap(),
+            0,
+            36500,
+        );
         let mut client = HttpClient::new_tls(
             server.local_addr().to_string(),
             ClientTls {
-                credential: client_cred,
                 roots: vec![other_ca.certificate.clone()],
-                now_fn: Box::new(now),
+                ..client_tls()
             },
         );
         match client.get("/x") {

@@ -22,13 +22,13 @@ use std::time::Duration;
 use clarens_telemetry::{Phase, RequestTrace};
 
 use crate::parse::{
-    encode_head, read_file_at, read_request_pooled, truncated, write_response_pooled, ParseError,
+    encode_head, read_file_at, read_request_pooled, truncated, write_response_with, ParseError,
     COPY_BUFFER,
 };
 use crate::poller;
 use crate::scratch::Scratch;
 use crate::server::{
-    classify_io_error, BudgetGuard, Handler, InFlightGuard, LiveGuard, WorkerShared,
+    classify_io_error, BudgetGuard, Handler, InFlightGuard, LiveGuard, RequestContext, WorkerShared,
 };
 use crate::types::{Body, Method, Response};
 
@@ -132,14 +132,15 @@ enum PendingBody {
     None,
     /// In-memory body with a cursor.
     Bytes { buf: Vec<u8>, pos: usize },
-    /// File segment `[pos, end)`. `zero_copy` selects `sendfile(2)`; the
-    /// chunk fields stage buffered-fallback bytes that were read from the
-    /// file but not yet accepted by the socket.
+    /// File segment `[pos, end)`. `use_sendfile` stays set until the kernel
+    /// refuses `sendfile(2)` for this fd pair; the chunk fields stage
+    /// buffered-fallback bytes that were read from the file but not yet
+    /// accepted by the socket.
     File {
         file: std::fs::File,
         pos: u64,
         end: u64,
-        zero_copy: bool,
+        use_sendfile: bool,
         chunk: Vec<u8>,
         chunk_pos: usize,
         chunk_len: usize,
@@ -162,7 +163,6 @@ impl WriteState {
         response: Response,
         keep_alive: bool,
         head_only: bool,
-        zero_copy: bool,
         in_flight: Option<InFlightGuard>,
         scratch: &mut Scratch,
     ) -> io::Result<WriteState> {
@@ -187,7 +187,7 @@ impl WriteState {
                     file,
                     pos: offset,
                     end: offset + len,
-                    zero_copy,
+                    use_sendfile: true,
                     chunk: Vec::new(),
                     chunk_pos: 0,
                     chunk_len: 0,
@@ -279,7 +279,7 @@ impl WriteState {
                     file,
                     pos,
                     end,
-                    zero_copy,
+                    use_sendfile,
                     chunk,
                     chunk_pos,
                     chunk_len,
@@ -303,7 +303,7 @@ impl WriteState {
                         return Ok(true);
                     }
                     #[cfg(unix)]
-                    if *zero_copy && crate::zerocopy::available() {
+                    if *use_sendfile && crate::zerocopy::available() {
                         use std::os::unix::io::AsRawFd;
                         let want = (*end - *pos) as usize;
                         match crate::zerocopy::send_file(raw_fd(sock), file.as_raw_fd(), pos, want)
@@ -318,7 +318,7 @@ impl WriteState {
                             Err(e) if e.kind() == io::ErrorKind::Unsupported => {
                                 // Kernel refused this fd pair: finish the
                                 // segment through the buffered loop below.
-                                *zero_copy = false;
+                                *use_sendfile = false;
                             }
                             Err(e) => return Err(e),
                         }
@@ -508,7 +508,7 @@ fn flush_staged_blocking<H: Handler>(
 
 /// Drive `conn` until it parks, closes, or fails. This is the event-path
 /// sibling of `serve_stream`: identical request accounting, identical
-/// response bytes (both funnel through `write_response_pooled`), but reads
+/// response bytes (both funnel through `encode_head`), but reads
 /// never block — they either make progress or return the connection to the
 /// poller. Pipelined requests get their responses *coalesced*: while the
 /// input buffer still holds more requests, each in-memory response is
@@ -606,7 +606,7 @@ pub(crate) fn drive<H: Handler>(
                     t.finish_request(&trace, (shared.now_fn)());
                 }
                 let mut writer = NonblockingWriter::new(&conn.sock, shared.read_timeout);
-                let _ = write_response_pooled(&mut writer, response, false, false, scratch);
+                let _ = write_response_with(&mut writer, response, false, false, scratch, None);
                 return Disposition::Closed;
             }
             Parsed::Complete(request, consumed) => {
@@ -625,9 +625,14 @@ pub(crate) fn drive<H: Handler>(
                 }
                 conn.served += 1;
 
-                let response = shared
-                    .handler
-                    .handle_pooled(request, None, &mut trace, scratch);
+                let response = shared.handler.handle(
+                    request,
+                    RequestContext {
+                        peer: None,
+                        trace: &mut trace,
+                        scratch,
+                    },
+                );
                 if response.status >= 500 {
                     shared.stats.errors.fetch_add(1, Ordering::Relaxed);
                 }
@@ -654,9 +659,6 @@ pub(crate) fn drive<H: Handler>(
                     match staged {
                         Ok(()) => {
                             guards.push(in_flight);
-                            if !shared.buffer_pool {
-                                scratch.purge();
-                            }
                             continue;
                         }
                         Err(error) => {
@@ -677,7 +679,6 @@ pub(crate) fn drive<H: Handler>(
                                 response,
                                 keep_alive,
                                 head_only,
-                                shared.zero_copy,
                                 Some(in_flight),
                                 scratch,
                             )
@@ -712,9 +713,6 @@ pub(crate) fn drive<H: Handler>(
                         classify_io_error(&error, shared);
                         return Disposition::Closed;
                     }
-                }
-                if !shared.buffer_pool {
-                    scratch.purge();
                 }
                 if !keep_alive {
                     return Disposition::Closed;

@@ -10,8 +10,9 @@
 //! * [`server`] — a worker pool fed by an event-driven connection
 //!   scheduler: idle keep-alive connections are *parked* in [`poller`]
 //!   instead of pinning a worker thread, so live-connection capacity is
-//!   bounded by `max_connections`, not `workers` (the classic
-//!   thread-per-connection path stays selectable for A/B),
+//!   bounded by `max_connections`, not `workers` (TLS servers, whose
+//!   record layer cannot be parked, stay on the blocking
+//!   thread-per-connection path),
 //! * [`poller`] — a dependency-free readiness facade (epoll on Linux,
 //!   `poll(2)` elsewhere on Unix) with a self-pipe waker and a deadline
 //!   wheel for keep-alive idle expiry,
@@ -28,10 +29,19 @@ pub mod server;
 pub mod types;
 pub mod zerocopy;
 
+// The scenario fixture under `tests/common` is shared with the integration
+// tests, so it names this crate from the outside; the alias lets the unit
+// tests include the same file.
+#[cfg(test)]
+extern crate self as clarens_httpd;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_modes;
+
 pub use client::{ClientError, ClientTls, HttpClient};
-pub use parse::{
-    is_truncation, resolve_range, ClientResponse, ParseError, RangeOutcome, WriteOpts, WriteOutcome,
-};
+pub use parse::{is_truncation, resolve_range, ClientResponse, ParseError, RangeOutcome};
 pub use scratch::Scratch;
-pub use server::{Handler, HttpServer, PeerInfo, ServerConfig, ServerStats, TlsConfig};
+pub use server::{
+    Handler, HttpServer, PeerInfo, RequestContext, ServerConfig, ServerStats, TlsConfig,
+};
 pub use types::{http_date, Body, Headers, Method, Request, Response};

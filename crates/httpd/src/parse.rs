@@ -92,8 +92,8 @@ fn read_line_into<'a, R: BufRead>(
 }
 
 /// Parse a request from a buffered reader. `max_body` bounds decoded body
-/// size. Allocates working buffers fresh; the server's hot path goes
-/// through [`read_request_pooled`] instead.
+/// size. Allocates working buffers fresh; the server's workers parse with
+/// their own [`Scratch`] arena instead.
 pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Request, ParseError> {
     read_request_pooled(reader, max_body, &mut Scratch::new())
 }
@@ -101,7 +101,7 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
 /// Parse a request drawing the line and body buffers from a per-worker
 /// [`Scratch`] arena, so steady-state keep-alive parsing allocates nothing
 /// beyond the owned header/target strings.
-pub fn read_request_pooled<R: BufRead>(
+pub(crate) fn read_request_pooled<R: BufRead>(
     reader: &mut R,
     max_body: usize,
     scratch: &mut Scratch,
@@ -309,7 +309,14 @@ pub fn write_response<W: Write>(
     head_only: bool,
 ) -> io::Result<u64> {
     let body_len = if head_only { 0 } else { response.body.len() };
-    write_response_pooled(writer, response, keep_alive, head_only, &mut Scratch::new())?;
+    write_response_with(
+        writer,
+        response,
+        keep_alive,
+        head_only,
+        &mut Scratch::new(),
+        None,
+    )?;
     Ok(body_len)
 }
 
@@ -397,25 +404,13 @@ pub(crate) fn read_file_at(file: &std::fs::File, buf: &mut [u8], offset: u64) ->
     }
 }
 
-/// Options for [`write_response_opts`]: the raw socket fd when the writer
-/// is a plaintext socket (enables `sendfile(2)` for [`Body::File`]) and
-/// the `zero_copy` config knob.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WriteOpts {
-    /// Raw fd of the destination socket, if the writer IS that socket with
-    /// no encryption or buffering layered in between.
-    pub out_fd: Option<i32>,
-    /// Whether zero-copy transfer is enabled (config `zero_copy`).
-    pub zero_copy: bool,
-}
-
 /// Byte accounting from one response write.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct WriteOutcome {
+pub(crate) struct WriteOutcome {
     /// Total bytes written (head + body) for the `bytes_out` counter.
-    pub total: u64,
+    pub(crate) total: u64,
     /// Subset of the body that went through `sendfile(2)`.
-    pub sendfile: u64,
+    pub(crate) sendfile: u64,
 }
 
 /// Serialize and send a response using scratch buffers for the head and the
@@ -424,38 +419,20 @@ pub struct WriteOutcome {
 /// On success the status line, headers, and an in-memory body leave in one
 /// `writev` syscall instead of two `write`s; the body buffer is recycled
 /// into `scratch` afterwards so the next response on this worker encodes
-/// into it. Returns the **total** bytes written (head + body) for the
-/// `bytes_out` telemetry counter.
-pub fn write_response_pooled<W: Write>(
+/// into it.
+///
+/// `out_fd` is the raw fd of the destination socket when the writer IS that
+/// socket with no encryption or buffering layered in between: a
+/// [`Body::File`] then goes through `sendfile(2)` where the platform has it
+/// instead of the userspace copy loop. Blocking sockets only — the event
+/// path drives its own resumable state machine in `conn.rs`.
+pub(crate) fn write_response_with<W: Write>(
     writer: &mut W,
     response: Response,
     keep_alive: bool,
     head_only: bool,
     scratch: &mut Scratch,
-) -> io::Result<u64> {
-    write_response_opts(
-        writer,
-        response,
-        keep_alive,
-        head_only,
-        scratch,
-        WriteOpts::default(),
-    )
-    .map(|outcome| outcome.total)
-}
-
-/// [`write_response_pooled`] with a zero-copy escape hatch: when `opts`
-/// names the destination socket fd and zero-copy is on, a [`Body::File`]
-/// goes through `sendfile(2)` on Linux instead of a userspace copy loop.
-/// Blocking sockets only — the event path drives its own resumable state
-/// machine in `conn.rs`.
-pub fn write_response_opts<W: Write>(
-    writer: &mut W,
-    response: Response,
-    keep_alive: bool,
-    head_only: bool,
-    scratch: &mut Scratch,
-    opts: WriteOpts,
+    out_fd: Option<i32>,
 ) -> io::Result<WriteOutcome> {
     let mut head = scratch.take();
     encode_head(&response, keep_alive, &mut head)?;
@@ -492,7 +469,7 @@ pub fn write_response_opts<W: Write>(
                     offset,
                     len,
                     scratch,
-                    opts,
+                    out_fd,
                     &mut written,
                     &mut sendfile_bytes,
                 );
@@ -545,9 +522,8 @@ pub fn write_response_opts<W: Write>(
 }
 
 /// Send `[offset, offset + len)` of `file`: `sendfile(2)` when the caller
-/// handed us the socket fd and zero-copy is on, positioned-read copies
-/// otherwise (and as the fallback when the kernel refuses sendfile for
-/// this fd pair).
+/// handed us the socket fd, positioned-read copies otherwise (and as the
+/// fallback when the kernel refuses sendfile for this fd pair).
 #[allow(clippy::too_many_arguments)]
 fn write_file_segment<W: Write>(
     writer: &mut W,
@@ -555,15 +531,15 @@ fn write_file_segment<W: Write>(
     offset: u64,
     len: u64,
     scratch: &mut Scratch,
-    opts: WriteOpts,
+    out_fd: Option<i32>,
     written: &mut u64,
     sendfile_bytes: &mut u64,
 ) -> io::Result<()> {
     let mut pos = offset;
     let end = offset + len;
     #[cfg(unix)]
-    if opts.zero_copy && crate::zerocopy::available() {
-        if let Some(sock_fd) = opts.out_fd {
+    if crate::zerocopy::available() {
+        if let Some(sock_fd) = out_fd {
             use std::os::unix::io::AsRawFd;
             // The head is still in the writer's path; everything queued so
             // far must hit the socket before bytes bypass the writer.
@@ -1000,19 +976,46 @@ mod tests {
         let file = temp_file(&data);
         let resp = Response::file(200, "application/octet-stream", file, 0, data.len() as u64);
         let mut wire = Vec::new();
-        let outcome = write_response_opts(
-            &mut wire,
-            resp,
-            true,
-            false,
-            &mut Scratch::new(),
-            WriteOpts::default(),
-        )
-        .unwrap();
+        let outcome =
+            write_response_with(&mut wire, resp, true, false, &mut Scratch::new(), None).unwrap();
         assert_eq!(outcome.sendfile, 0); // no socket fd: buffered path
         let parsed = read_response(&mut BufReader::new(&wire[..]), usize::MAX).unwrap();
         assert_eq!(parsed.status, 200);
         assert_eq!(parsed.body, data);
+    }
+
+    /// Handed the fd of a plaintext socket, the blocking writer moves the
+    /// file body with `sendfile(2)` and the peer reads the same bytes the
+    /// buffered loop would have produced.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn file_body_rides_sendfile_when_given_the_socket_fd() {
+        use std::os::unix::io::AsRawFd;
+        let data: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        let peer = std::thread::spawn(move || {
+            read_response(&mut BufReader::new(client), usize::MAX).unwrap()
+        });
+        let resp = Response::file(
+            200,
+            "application/octet-stream",
+            temp_file(&data),
+            0,
+            data.len() as u64,
+        );
+        let out_fd = Some(server.as_raw_fd());
+        let outcome =
+            write_response_with(&mut server, resp, false, false, &mut Scratch::new(), out_fd)
+                .unwrap();
+        assert_eq!(outcome.sendfile, data.len() as u64);
+        assert!(
+            outcome.total > outcome.sendfile,
+            "total counts the head too"
+        );
+        drop(server);
+        assert_eq!(peer.join().unwrap().body, data);
     }
 
     #[test]

@@ -84,12 +84,6 @@ impl Scratch {
     pub fn pooled(&self) -> usize {
         self.pool.len()
     }
-
-    /// Drop all pooled buffers (used when recycling is disabled so every
-    /// `take` allocates fresh, reproducing the unpooled data path).
-    pub fn purge(&mut self) {
-        self.pool.clear();
-    }
 }
 
 #[cfg(test)]

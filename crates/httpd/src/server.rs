@@ -18,11 +18,11 @@
 //! prefork shape the paper measured, which is what Figure 4 tops out on)
 //! and concurrency capped at `max_connections`.
 //!
-//! The classic thread-per-connection path is kept selectable
-//! (`park_idle = false`, and always used for TLS connections, whose record
-//! layer buffers plaintext internally and therefore cannot be parked on
-//! socket readiness) and produces byte-identical responses; both paths
-//! funnel through the same parser and serializer.
+//! The classic thread-per-connection path remains for TLS servers (whose
+//! record layer buffers plaintext internally and therefore cannot be parked
+//! on socket readiness) and for hosts without a readiness backend; it
+//! produces byte-identical responses, since both paths funnel through the
+//! same parser and serializer.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
@@ -40,9 +40,7 @@ use clarens_pki::dn::DistinguishedName;
 use clarens_pki::SecureStream;
 
 use crate::conn::{self, Conn, Disposition};
-use crate::parse::{
-    read_request_pooled, write_response_opts, write_response_pooled, ParseError, WriteOpts,
-};
+use crate::parse::{read_request_pooled, write_response_with, ParseError};
 use crate::poller::{DeadlineWheel, Event, Poller};
 use crate::scratch::Scratch;
 use crate::types::{Method, Request, Response};
@@ -63,44 +61,31 @@ pub struct PeerInfo {
     pub chain: Vec<Certificate>,
 }
 
+/// What the server hands a [`Handler`] alongside each request.
+pub struct RequestContext<'a> {
+    /// The authenticated peer; `Some` only on TLS connections.
+    pub peer: Option<&'a PeerInfo>,
+    /// The request's trace, for handlers that time their internal phases
+    /// (auth, ACL walk, dispatch, serialization).
+    pub trace: &'a mut RequestTrace,
+    /// The worker's scratch arena: encode the response body into a buffer
+    /// taken from it (and recycle the request body once decoded) to keep
+    /// the steady state allocation-free.
+    pub scratch: &'a mut Scratch,
+}
+
 /// The application-side request handler.
 pub trait Handler: Send + Sync + 'static {
-    /// Handle one request. `peer` is `Some` only on TLS connections.
-    fn handle(&self, request: Request, peer: Option<&PeerInfo>) -> Response;
-
-    /// Handle one request with a trace riding along. Handlers that time
-    /// their internal phases (auth, ACL walk, dispatch, serialization)
-    /// override this; the default ignores the trace.
-    fn handle_traced(
-        &self,
-        request: Request,
-        peer: Option<&PeerInfo>,
-        _trace: &mut RequestTrace,
-    ) -> Response {
-        self.handle(request, peer)
-    }
-
-    /// Handle one request with the worker's scratch arena riding along.
-    /// Handlers on the allocation-lean path override this to encode the
-    /// response body into a recycled buffer (and recycle the request body
-    /// once decoded); the default ignores the arena.
-    fn handle_pooled(
-        &self,
-        request: Request,
-        peer: Option<&PeerInfo>,
-        trace: &mut RequestTrace,
-        _scratch: &mut Scratch,
-    ) -> Response {
-        self.handle_traced(request, peer, trace)
-    }
+    /// Handle one request.
+    fn handle(&self, request: Request, ctx: RequestContext<'_>) -> Response;
 }
 
 impl<F> Handler for F
 where
     F: Fn(Request, Option<&PeerInfo>) -> Response + Send + Sync + 'static,
 {
-    fn handle(&self, request: Request, peer: Option<&PeerInfo>) -> Response {
-        self(request, peer)
+    fn handle(&self, request: Request, ctx: RequestContext<'_>) -> Response {
+        self(request, ctx.peer)
     }
 }
 
@@ -114,9 +99,9 @@ pub struct TlsConfig {
 
 /// Server configuration.
 pub struct ServerConfig {
-    /// Number of worker threads. With parking on they are pure CPU
-    /// executors sized to cores; without it each serves one connection at
-    /// a time, like Apache prefork children.
+    /// Number of worker threads. On a plaintext server they are pure CPU
+    /// executors sized to cores; on a TLS server each serves one
+    /// connection at a time, like Apache prefork children.
     pub workers: usize,
     /// Maximum decoded request body.
     pub max_body: usize,
@@ -129,28 +114,14 @@ pub struct ServerConfig {
     pub now_fn: Arc<dyn Fn() -> i64 + Send + Sync>,
     /// Telemetry plane to record into. `None` = untraced (tests, tools).
     pub telemetry: Option<Arc<Telemetry>>,
-    /// Recycle per-worker scratch buffers across requests. Disable only to
-    /// measure the per-request-allocation baseline (every buffer is then
-    /// allocated fresh, like the pre-pooling data path).
-    pub buffer_pool: bool,
     /// Cap on simultaneously live connections (queued + active + parked).
     /// Connections beyond the cap are shed with `503` +
     /// `Connection: close` instead of growing the queue without bound.
     pub max_connections: usize,
-    /// Park idle keep-alive connections in the readiness poller instead of
-    /// blocking a worker in `read()` between requests. `false` selects the
-    /// classic thread-per-connection path (the A/B baseline; also what TLS
-    /// connections always use).
-    pub park_idle: bool,
     /// How long `shutdown()` waits for in-flight requests to complete
     /// before force-closing their connections. Idle (parked or between-
     /// request) connections are closed immediately either way.
     pub drain_timeout: Duration,
-    /// Send file-backed bodies with `sendfile(2)` on plaintext Linux
-    /// sockets instead of copying through a userspace buffer. Off (or on
-    /// unsupported targets/TLS) every path uses the buffered copy loop;
-    /// the wire bytes are identical either way.
-    pub zero_copy: bool,
 }
 
 impl Default for ServerConfig {
@@ -167,11 +138,8 @@ impl Default for ServerConfig {
                     .unwrap_or(0)
             }),
             telemetry: None,
-            buffer_pool: true,
             max_connections: 4096,
-            park_idle: true,
             drain_timeout: Duration::from_secs(5),
-            zero_copy: true,
         }
     }
 }
@@ -191,7 +159,7 @@ pub struct ServerStats {
 /// One unit of worker work: a connection with (potential) CPU work to do.
 pub(crate) enum WorkItem {
     /// A connection served on the classic path: the worker owns it until
-    /// it closes (TLS, or `park_idle = false`).
+    /// it closes (TLS, or no readiness backend on this host).
     Blocking(TcpStream, Option<BudgetGuard>),
     /// An event-path connection to drive until it parks or closes.
     Event(Box<Conn>),
@@ -322,7 +290,7 @@ impl HttpServer {
         // cannot be parked (the record layer buffers decrypted bytes the
         // poller cannot see), so a TLS server stays fully on the classic
         // path.
-        let conn_poller = if config.park_idle && config.tls.is_none() {
+        let conn_poller = if config.tls.is_none() {
             Poller::new().ok().map(Arc::new)
         } else {
             None
@@ -338,8 +306,6 @@ impl HttpServer {
             read_timeout: config.read_timeout,
             now_fn: config.now_fn,
             telemetry: config.telemetry,
-            buffer_pool: config.buffer_pool,
-            zero_copy: config.zero_copy,
             stop: Arc::clone(&stop),
             stats: Arc::clone(&stats),
             live: Arc::clone(&live),
@@ -489,8 +455,6 @@ pub(crate) struct WorkerShared<H: Handler> {
     pub(crate) read_timeout: Duration,
     pub(crate) now_fn: Arc<dyn Fn() -> i64 + Send + Sync>,
     pub(crate) telemetry: Option<Arc<Telemetry>>,
-    pub(crate) buffer_pool: bool,
-    pub(crate) zero_copy: bool,
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) stats: Arc<ServerStats>,
     pub(crate) live: Arc<LiveConnections>,
@@ -935,7 +899,8 @@ fn serve_stream<S: Transport, H: Handler>(
                     trace.status = status;
                     t.finish_request(&trace, (shared.now_fn)());
                 }
-                let _ = write_response_pooled(reader.get_mut(), response, false, false, scratch);
+                let _ =
+                    write_response_with(reader.get_mut(), response, false, false, scratch, None);
                 return Ok(());
             }
         };
@@ -952,25 +917,27 @@ fn serve_stream<S: Transport, H: Handler>(
         }
         served += 1;
 
-        let response = shared
-            .handler
-            .handle_pooled(request, peer.as_ref(), &mut trace, scratch);
+        let response = shared.handler.handle(
+            request,
+            RequestContext {
+                peer: peer.as_ref(),
+                trace: &mut trace,
+                scratch,
+            },
+        );
         if response.status >= 500 {
             shared.stats.errors.fetch_add(1, Ordering::Relaxed);
         }
         trace.status = response.status;
         let written = trace.span(Phase::Write, || {
             clarens_faults::check_io(clarens_faults::sites::HTTPD_WRITE).and_then(|()| {
-                write_response_opts(
+                write_response_with(
                     reader.get_mut(),
                     response,
                     keep_alive,
                     head_only,
                     scratch,
-                    WriteOpts {
-                        out_fd,
-                        zero_copy: shared.zero_copy,
-                    },
+                    out_fd,
                 )
             })
         });
@@ -988,9 +955,6 @@ fn serve_stream<S: Transport, H: Handler>(
             classify_io_error(&error, shared);
             return Err(ParseError::Io(error));
         }
-        if !shared.buffer_pool {
-            scratch.purge();
-        }
         if !keep_alive {
             return Ok(());
         }
@@ -1001,6 +965,7 @@ fn serve_stream<S: Transport, H: Handler>(
 mod tests {
     use super::*;
     use crate::parse::read_response;
+    use crate::test_modes::{send, Mode, Wire, BOTH_MODES, CLIENT_DN};
 
     fn echo_handler() -> Arc<impl Handler> {
         Arc::new(|req: Request, peer: Option<&PeerInfo>| {
@@ -1020,58 +985,63 @@ mod tests {
         })
     }
 
-    /// Short keep-alive timeout so `shutdown()` joins quickly in tests.
-    /// Every scenario runs under both concurrency models (`park` =
-    /// event-driven vs classic thread-per-connection) — the two paths must
-    /// be behaviorally indistinguishable from the wire.
-    fn test_config(park: bool) -> ServerConfig {
-        ServerConfig {
-            read_timeout: Duration::from_millis(200),
-            park_idle: park,
-            ..Default::default()
+    /// Who the echo handler sees on the other end under `mode`.
+    fn who(mode: Mode) -> &'static str {
+        match mode {
+            Mode::Event => "anonymous",
+            Mode::Blocking => CLIENT_DN,
         }
     }
 
-    const BOTH_MODES: [bool; 2] = [false, true];
-
-    fn start_plain(park: bool) -> HttpServer {
-        HttpServer::bind("127.0.0.1:0", test_config(park), echo_handler()).unwrap()
+    /// Short keep-alive timeout so `shutdown()` joins quickly in tests.
+    /// Every scenario runs under both concurrency models (event-driven vs
+    /// classic thread-per-connection) — the two paths must be behaviorally
+    /// indistinguishable from the wire.
+    fn test_config(mode: Mode) -> ServerConfig {
+        mode.server_config(ServerConfig {
+            read_timeout: Duration::from_millis(200),
+            ..Default::default()
+        })
     }
 
-    fn raw_roundtrip(addr: SocketAddr, request: &str) -> (u16, Vec<u8>) {
-        let mut sock = TcpStream::connect(addr).unwrap();
-        sock.write_all(request.as_bytes()).unwrap();
-        let mut reader = BufReader::new(sock);
+    fn start(mode: Mode) -> HttpServer {
+        HttpServer::bind("127.0.0.1:0", test_config(mode), echo_handler()).unwrap()
+    }
+
+    fn raw_roundtrip(mode: Mode, addr: SocketAddr, request: &str) -> (u16, Vec<u8>) {
+        let mut reader = BufReader::new(mode.request(addr, request).unwrap());
         let resp = read_response(&mut reader, usize::MAX).unwrap();
         (resp.status, resp.body)
     }
 
     #[test]
     fn serves_get() {
-        for park in BOTH_MODES {
-            let server = start_plain(park);
-            let (status, body) =
-                raw_roundtrip(server.local_addr(), "GET /x HTTP/1.1\r\nHost: h\r\n\r\n");
+        for mode in BOTH_MODES {
+            let server = start(mode);
+            let (status, body) = raw_roundtrip(
+                mode,
+                server.local_addr(),
+                "GET /x HTTP/1.1\r\nHost: h\r\n\r\n",
+            );
             assert_eq!(status, 200);
-            assert_eq!(body, b"GET /x anonymous 0");
+            assert_eq!(body, format!("GET /x {} 0", who(mode)).as_bytes());
             server.shutdown();
         }
     }
 
     #[test]
     fn keep_alive_multiple_requests() {
-        for park in BOTH_MODES {
-            let server = start_plain(park);
-            let mut sock = TcpStream::connect(server.local_addr()).unwrap();
-            for i in 0..5 {
-                let req = format!("GET /r{i} HTTP/1.1\r\nHost: h\r\n\r\n");
-                sock.write_all(req.as_bytes()).unwrap();
-            }
+        for mode in BOTH_MODES {
+            let server = start(mode);
+            let batch: String = (0..5)
+                .map(|i| format!("GET /r{i} HTTP/1.1\r\nHost: h\r\n\r\n"))
+                .collect();
+            let sock = mode.request(server.local_addr(), batch).unwrap();
             let mut reader = BufReader::new(sock);
             for i in 0..5 {
                 let resp = read_response(&mut reader, usize::MAX).unwrap();
                 assert_eq!(resp.status, 200);
-                assert_eq!(resp.body, format!("GET /r{i} anonymous 0").as_bytes());
+                assert_eq!(resp.body, format!("GET /r{i} {} 0", who(mode)).as_bytes());
                 assert!(resp.keep_alive);
             }
             assert_eq!(server.stats().requests.load(Ordering::Relaxed), 5);
@@ -1082,26 +1052,30 @@ mod tests {
 
     #[test]
     fn post_body_delivered() {
-        for park in BOTH_MODES {
-            let server = start_plain(park);
+        for mode in BOTH_MODES {
+            let server = start(mode);
             let (status, body) = raw_roundtrip(
+                mode,
                 server.local_addr(),
                 "POST /rpc HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nabcd",
             );
             assert_eq!(status, 200);
-            assert_eq!(body, b"POST /rpc anonymous 4");
+            assert_eq!(body, format!("POST /rpc {} 4", who(mode)).as_bytes());
             server.shutdown();
         }
     }
 
     #[test]
     fn bad_request_answered_not_dropped() {
-        for park in BOTH_MODES {
-            let server = start_plain(park);
-            let (status, _) = raw_roundtrip(server.local_addr(), "NONSENSE\r\n\r\n");
+        for mode in BOTH_MODES {
+            let server = start(mode);
+            let (status, _) = raw_roundtrip(mode, server.local_addr(), "NONSENSE\r\n\r\n");
             assert_eq!(status, 400);
-            let (status, _) =
-                raw_roundtrip(server.local_addr(), "BREW / HTTP/1.1\r\nHost: h\r\n\r\n");
+            let (status, _) = raw_roundtrip(
+                mode,
+                server.local_addr(),
+                "BREW / HTTP/1.1\r\nHost: h\r\n\r\n",
+            );
             assert_eq!(status, 501);
             server.shutdown();
         }
@@ -1109,11 +1083,10 @@ mod tests {
 
     #[test]
     fn connection_close_honored() {
-        for park in BOTH_MODES {
-            let server = start_plain(park);
-            let mut sock = TcpStream::connect(server.local_addr()).unwrap();
-            sock.write_all(b"GET / HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n")
-                .unwrap();
+        for mode in BOTH_MODES {
+            let server = start(mode);
+            let request = "GET / HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n";
+            let sock = mode.request(server.local_addr(), request).unwrap();
             let mut reader = BufReader::new(sock);
             let resp = read_response(&mut reader, usize::MAX).unwrap();
             assert!(!resp.keep_alive);
@@ -1126,21 +1099,22 @@ mod tests {
 
     #[test]
     fn concurrent_clients() {
-        for park in BOTH_MODES {
-            let server = start_plain(park);
+        for mode in BOTH_MODES {
+            let server = start(mode);
             let addr = server.local_addr();
             let mut handles = Vec::new();
             for t in 0..8 {
                 handles.push(std::thread::spawn(move || {
                     for i in 0..20 {
                         let (status, body) = raw_roundtrip(
+                            mode,
                             addr,
                             &format!(
                                 "GET /t{t}-{i} HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n"
                             ),
                         );
                         assert_eq!(status, 200);
-                        assert_eq!(body, format!("GET /t{t}-{i} anonymous 0").as_bytes());
+                        assert_eq!(body, format!("GET /t{t}-{i} {} 0", who(mode)).as_bytes());
                     }
                 }));
             }
@@ -1154,13 +1128,14 @@ mod tests {
 
     #[test]
     fn oversized_body_rejected() {
-        for park in BOTH_MODES {
+        for mode in BOTH_MODES {
             let config = ServerConfig {
                 max_body: 10,
-                ..test_config(park)
+                ..test_config(mode)
             };
             let server = HttpServer::bind("127.0.0.1:0", config, echo_handler()).unwrap();
             let (status, _) = raw_roundtrip(
+                mode,
                 server.local_addr(),
                 "POST / HTTP/1.1\r\nHost: h\r\nContent-Length: 1000\r\n\r\n",
             );
@@ -1171,35 +1146,32 @@ mod tests {
 
     #[test]
     fn io_errors_classified_idle_vs_reset() {
-        for park in BOTH_MODES {
+        for mode in BOTH_MODES {
             let telemetry = Telemetry::enabled();
             let config = ServerConfig {
                 telemetry: Some(Arc::clone(&telemetry)),
-                ..test_config(park)
+                ..test_config(mode)
             };
             let server = HttpServer::bind("127.0.0.1:0", config, echo_handler()).unwrap();
 
             // Idle past the read timeout: counted as an idle timeout (in
-            // park mode the deadline wheel expires it; in blocking mode
+            // event mode the deadline wheel expires it; in blocking mode
             // the worker's socket timeout fires).
-            let idle_sock = TcpStream::connect(server.local_addr()).unwrap();
+            let idle_sock = mode.connect(server.local_addr()).unwrap();
             std::thread::sleep(Duration::from_millis(400));
             drop(idle_sock);
 
             // Close mid-request (truncated body → UnexpectedEof): counted
             // as a peer reset, not a clean close.
-            let mut reset_sock = TcpStream::connect(server.local_addr()).unwrap();
-            reset_sock
-                .write_all(b"POST / HTTP/1.1\r\nHost: h\r\nContent-Length: 100\r\n\r\npartial")
-                .unwrap();
-            drop(reset_sock);
+            let partial = "POST / HTTP/1.1\r\nHost: h\r\nContent-Length: 100\r\n\r\npartial";
+            drop(mode.request(server.local_addr(), partial).unwrap());
             std::thread::sleep(Duration::from_millis(100));
 
-            assert_eq!(telemetry.http.idle_timeouts.get(), 1, "park={park}");
-            assert_eq!(telemetry.http.peer_resets.get(), 1, "park={park}");
+            assert_eq!(telemetry.http.idle_timeouts.get(), 1, "{mode:?}");
+            assert_eq!(telemetry.http.peer_resets.get(), 1, "{mode:?}");
             // Neither path counts as a completed request.
-            assert_eq!(telemetry.http.requests.get(), 0, "park={park}");
-            assert_eq!(telemetry.http.connections.get(), 2, "park={park}");
+            assert_eq!(telemetry.http.requests.get(), 0, "{mode:?}");
+            assert_eq!(telemetry.http.connections.get(), 2, "{mode:?}");
             server.shutdown();
         }
     }
@@ -1214,21 +1186,20 @@ mod tests {
         let telemetry = Telemetry::enabled();
         let config = ServerConfig {
             telemetry: Some(Arc::clone(&telemetry)),
-            ..test_config(false)
+            ..test_config(Mode::Blocking)
         };
         let server = HttpServer::bind("127.0.0.1:0", config, echo_handler()).unwrap();
-        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
-        let mut reader = BufReader::new(sock.try_clone().unwrap());
+        let sock: Box<dyn Wire> = Mode::Blocking.connect(server.local_addr()).unwrap();
+        let mut reader = BufReader::new(sock);
         // Strictly request-response paced: each parse span then includes a
         // blocking read-wait, so no sample can round down to the zero
         // microseconds that the phase histogram (correctly) drops.
         for i in 0..3 {
             let req = format!("GET /r{i} HTTP/1.1\r\nHost: h\r\n\r\n");
-            sock.write_all(req.as_bytes()).unwrap();
+            send(&mut **reader.get_mut(), req.as_bytes()).unwrap();
             assert_eq!(read_response(&mut reader, usize::MAX).unwrap().status, 200);
         }
         drop(reader);
-        drop(sock);
         server.shutdown();
         assert_eq!(telemetry.http.requests.get(), 3);
         assert_eq!(telemetry.http.keepalive_reuse.get(), 2);
@@ -1241,17 +1212,19 @@ mod tests {
 
     #[test]
     fn graceful_shutdown_drains_in_flight_requests() {
-        for park in BOTH_MODES {
+        for mode in BOTH_MODES {
             let handler = Arc::new(|_req: Request, _peer: Option<&PeerInfo>| {
                 std::thread::sleep(Duration::from_millis(300));
                 Response::ok("text/plain", "slow done")
             });
-            let server = HttpServer::bind("127.0.0.1:0", test_config(park), handler).unwrap();
+            let server = HttpServer::bind("127.0.0.1:0", test_config(mode), handler).unwrap();
             let addr = server.local_addr();
+            let (sent_tx, sent_rx) = std::sync::mpsc::channel();
             let client = std::thread::spawn(move || {
-                let mut sock = TcpStream::connect(addr).unwrap();
-                sock.write_all(b"GET /slow HTTP/1.1\r\nHost: h\r\n\r\n")
+                let sock = mode
+                    .request(addr, "GET /slow HTTP/1.1\r\nHost: h\r\n\r\n")
                     .unwrap();
+                sent_tx.send(()).unwrap();
                 let mut reader = BufReader::new(sock);
                 read_response(&mut reader, usize::MAX)
                     .map(|r| (r.status, r.body))
@@ -1260,28 +1233,29 @@ mod tests {
             // Let the request reach the handler, then shut down mid-flight:
             // the drain must let the response complete rather than severing
             // the socket.
+            sent_rx.recv().unwrap();
             std::thread::sleep(Duration::from_millis(100));
             server.shutdown();
             let result = client.join().unwrap();
             assert_eq!(
                 result,
                 Some((200, b"slow done".to_vec())),
-                "park={park}: in-flight request lost on shutdown"
+                "{mode:?}: in-flight request lost on shutdown"
             );
         }
     }
 
     #[test]
     fn head_omits_body() {
-        for park in BOTH_MODES {
-            let server = start_plain(park);
-            let mut sock = TcpStream::connect(server.local_addr()).unwrap();
-            sock.write_all(b"HEAD /h HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n")
-                .unwrap();
+        for mode in BOTH_MODES {
+            let server = start(mode);
+            let request = "HEAD /h HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n";
+            let sock = mode.request(server.local_addr(), request).unwrap();
             let mut text = String::new();
             BufReader::new(sock).read_to_string(&mut text).unwrap();
-            assert!(text.contains("content-length: 19")); // "HEAD /h anonymous 0"
-            assert!(!text.contains("anonymous"));
+            let body = format!("HEAD /h {} 0", who(mode));
+            assert!(text.contains(&format!("content-length: {}", body.len())));
+            assert!(!text.contains(who(mode)));
             server.shutdown();
         }
     }

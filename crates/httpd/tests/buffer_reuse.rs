@@ -13,8 +13,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use clarens_httpd::parse::read_response;
-use clarens_httpd::{Handler, HttpServer, PeerInfo, Request, Response, Scratch, ServerConfig};
-use clarens_telemetry::{RequestTrace, Telemetry};
+use clarens_httpd::{Handler, HttpServer, Request, RequestContext, Response, ServerConfig};
+use clarens_telemetry::Telemetry;
 
 /// Echoes the request body back from a buffer taken out of the worker's
 /// scratch arena, and recycles the request body — the most aggressive
@@ -22,20 +22,10 @@ use clarens_telemetry::{RequestTrace, Telemetry};
 struct PooledEcho;
 
 impl Handler for PooledEcho {
-    fn handle(&self, request: Request, _peer: Option<&PeerInfo>) -> Response {
-        Response::ok("application/octet-stream", request.body)
-    }
-
-    fn handle_pooled(
-        &self,
-        mut request: Request,
-        _peer: Option<&PeerInfo>,
-        _trace: &mut RequestTrace,
-        scratch: &mut Scratch,
-    ) -> Response {
-        let mut out = scratch.take();
+    fn handle(&self, mut request: Request, ctx: RequestContext<'_>) -> Response {
+        let mut out = ctx.scratch.take();
         out.extend_from_slice(&request.body);
-        scratch.recycle(std::mem::take(&mut request.body));
+        ctx.scratch.recycle(std::mem::take(&mut request.body));
         Response::ok("application/octet-stream", out)
     }
 }

@@ -2,24 +2,30 @@
 //! file bodies, Range slicing, truncation detection, and event-mode
 //! partial-write parking.
 //!
-//! The byte-identity matrix is the contract that lets the copy engine be
-//! swapped freely: {blocking, event} × {zero_copy on, off} must produce
-//! identical wire bytes for every request shape, including 206 partial
-//! content. The parking tests pin the tentpole property — a slow reader
-//! parks its half-written response in the poller instead of pinning a
-//! worker.
+//! The byte-identity matrix is the contract that lets the code pick the
+//! copy engine on its own: the event path's `sendfile(2)`, the blocking
+//! (TLS) path's buffered loop, and the public serializer writing into
+//! memory must produce identical bytes for every request shape, including
+//! 206 partial content. The parking tests pin the tentpole property — a
+//! slow reader parks its half-written response in the poller instead of
+//! pinning a worker.
+
+mod common;
 
 use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use clarens_httpd::parse::read_response;
+use clarens_httpd::parse::{read_request, read_response, write_response};
 use clarens_httpd::{
-    resolve_range, Handler, HttpServer, PeerInfo, RangeOutcome, Request, Response, ServerConfig,
+    resolve_range, Handler, HttpServer, Method, PeerInfo, RangeOutcome, Request, Response,
+    ServerConfig,
 };
 use clarens_telemetry::Telemetry;
+
+use common::{Mode, BOTH_MODES};
 
 use proptest::prelude::*;
 
@@ -34,145 +40,134 @@ fn payload_file(tag: &str, len: usize) -> (PathBuf, Vec<u8>) {
     (path, data)
 }
 
-/// A miniature file server: `GET /data` serves the payload file with
-/// Range support, exactly the shape `clarens-core`'s `serve_file` builds.
-fn file_handler(path: PathBuf) -> Arc<impl Handler> {
-    Arc::new(move |req: Request, _peer: Option<&PeerInfo>| {
-        let file = std::fs::File::open(&path).unwrap();
-        let len = file.metadata().unwrap().len();
-        match resolve_range(req.headers.get("range"), len) {
-            RangeOutcome::Whole => Response::file(200, "application/octet-stream", file, 0, len),
-            RangeOutcome::Partial { start, end } => {
-                let mut r = Response::file(
-                    206,
-                    "application/octet-stream",
-                    file,
-                    start,
-                    end - start + 1,
-                );
-                r.headers
-                    .set("content-range", format!("bytes {start}-{end}/{len}"));
-                r
-            }
-            RangeOutcome::Unsatisfiable => {
-                let mut r = Response::error(416, "range addresses no byte");
-                r.headers.set("content-range", format!("bytes */{len}"));
-                r
-            }
+/// What a miniature file server answers: `GET /data` serves the payload
+/// file with Range support, exactly the shape `clarens-core`'s `serve_file`
+/// builds.
+fn file_response(path: &Path, req: &Request) -> Response {
+    let file = std::fs::File::open(path).unwrap();
+    let len = file.metadata().unwrap().len();
+    match resolve_range(req.headers.get("range"), len) {
+        RangeOutcome::Whole => Response::file(200, "application/octet-stream", file, 0, len),
+        RangeOutcome::Partial { start, end } => {
+            let mut r = Response::file(
+                206,
+                "application/octet-stream",
+                file,
+                start,
+                end - start + 1,
+            );
+            r.headers
+                .set("content-range", format!("bytes {start}-{end}/{len}"));
+            r
         }
-    })
+        RangeOutcome::Unsatisfiable => {
+            let mut r = Response::error(416, "range addresses no byte");
+            r.headers.set("content-range", format!("bytes */{len}"));
+            r
+        }
+    }
 }
 
-fn config(park: bool, zero_copy: bool) -> ServerConfig {
+fn file_handler(path: PathBuf) -> Arc<impl Handler> {
+    Arc::new(move |req: Request, _peer: Option<&PeerInfo>| file_response(&path, &req))
+}
+
+fn config() -> ServerConfig {
     ServerConfig {
         read_timeout: Duration::from_millis(500),
-        park_idle: park,
-        zero_copy,
         ..Default::default()
     }
 }
 
-fn collect_wire_bytes(addr: SocketAddr, exchanges: &[String]) -> Vec<Vec<u8>> {
-    exchanges
-        .iter()
-        .map(|request| {
-            let mut sock = TcpStream::connect(addr).unwrap();
-            sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            sock.write_all(request.as_bytes()).unwrap();
-            let mut bytes = Vec::new();
-            sock.read_to_end(&mut bytes).unwrap();
-            bytes
-        })
-        .collect()
+/// The reference wire image of one exchange: every request in it answered
+/// through the public serializer into memory — no socket fd, so file bodies
+/// take the buffered copy loop.
+fn serialized_in_memory(path: &Path, exchange: &str) -> Vec<u8> {
+    let mut requests = BufReader::new(exchange.as_bytes());
+    let mut wire = Vec::new();
+    while let Ok(req) = read_request(&mut requests, usize::MAX) {
+        let (keep_alive, head_only) = (req.wants_keep_alive(), req.method == Method::Head);
+        write_response(&mut wire, file_response(path, &req), keep_alive, head_only).unwrap();
+    }
+    wire
 }
 
-/// {blocking, event} × {zero_copy on, off}: the raw response bytes must be
-/// identical for whole-file GETs, 206 slices (closed, suffix, open-ended),
-/// 416s, HEAD, and pipelined keep-alive — the copy engine must be
-/// invisible on the wire.
+/// Event path (sendfile), blocking TLS path (buffered loop) and the
+/// in-memory serializer: the raw response bytes must be identical for
+/// whole-file GETs, 206 slices (closed, suffix, open-ended), 416s, HEAD,
+/// and pipelined keep-alive — the copy engine must be invisible on the
+/// wire.
 #[test]
 fn copy_engines_are_byte_identical_on_the_wire() {
     let (path, data) = payload_file("identity", 300_000);
-    let exchanges: Vec<String> = [
-        "GET /data HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n".to_string(),
-        "GET /data HTTP/1.1\r\nHost: h\r\nRange: bytes=1000-4999\r\nConnection: close\r\n\r\n"
-            .to_string(),
-        "GET /data HTTP/1.1\r\nHost: h\r\nRange: bytes=-777\r\nConnection: close\r\n\r\n"
-            .to_string(),
-        "GET /data HTTP/1.1\r\nHost: h\r\nRange: bytes=299999-\r\nConnection: close\r\n\r\n"
-            .to_string(),
-        "GET /data HTTP/1.1\r\nHost: h\r\nRange: bytes=999999-\r\nConnection: close\r\n\r\n"
-            .to_string(),
-        "HEAD /data HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n".to_string(),
+    let exchanges = [
+        "GET /data HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n",
+        "GET /data HTTP/1.1\r\nHost: h\r\nRange: bytes=1000-4999\r\nConnection: close\r\n\r\n",
+        "GET /data HTTP/1.1\r\nHost: h\r\nRange: bytes=-777\r\nConnection: close\r\n\r\n",
+        "GET /data HTTP/1.1\r\nHost: h\r\nRange: bytes=299999-\r\nConnection: close\r\n\r\n",
+        "GET /data HTTP/1.1\r\nHost: h\r\nRange: bytes=999999-\r\nConnection: close\r\n\r\n",
+        "HEAD /data HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n",
         // Pipelined: a range then a whole file on one keep-alive connection.
         "GET /data HTTP/1.1\r\nHost: h\r\nRange: bytes=0-9\r\n\r\n\
-         GET /data HTTP/1.1\r\nHost: h\r\nRange: bytes=10-19\r\nConnection: close\r\n\r\n"
-            .to_string(),
-    ]
-    .to_vec();
+         GET /data HTTP/1.1\r\nHost: h\r\nRange: bytes=10-19\r\nConnection: close\r\n\r\n",
+    ];
 
-    let mut runs = Vec::new();
-    for park in [false, true] {
-        for zero_copy in [false, true] {
-            let server = HttpServer::bind(
-                "127.0.0.1:0",
-                config(park, zero_copy),
-                file_handler(path.clone()),
-            )
-            .unwrap();
-            runs.push((
-                park,
-                zero_copy,
-                collect_wire_bytes(server.local_addr(), &exchanges),
-            ));
-            server.shutdown();
-        }
-    }
-    let (_, _, baseline) = &runs[0];
+    let baseline: Vec<Vec<u8>> = exchanges
+        .iter()
+        .map(|exchange| serialized_in_memory(&path, exchange))
+        .collect();
     // Sanity: the whole-file exchange really carries the payload.
     assert!(baseline[0].windows(data.len()).any(|w| w == data));
-    for (park, zero_copy, wires) in &runs[1..] {
+    for mode in BOTH_MODES {
+        let server = HttpServer::bind(
+            "127.0.0.1:0",
+            mode.server_config(config()),
+            file_handler(path.clone()),
+        )
+        .unwrap();
+        let wires = mode.collect_wire_bytes(server.local_addr(), &exchanges);
+        server.shutdown();
         for (i, (a, b)) in baseline.iter().zip(wires.iter()).enumerate() {
-            assert_eq!(
-                a, b,
-                "exchange {i} differs from baseline under park={park} zero_copy={zero_copy}"
-            );
+            assert_eq!(a, b, "exchange {i} differs from baseline under {mode:?}");
         }
     }
 }
 
-/// With zero-copy enabled on Linux, file bytes are attributed to the
-/// `bytes_sendfile` counter; with it disabled, none are.
+/// On a plaintext Linux socket file bytes are attributed to the
+/// `bytes_sendfile` counter; under TLS, where every byte must pass through
+/// the record layer, none are.
 #[cfg(target_os = "linux")]
 #[test]
 fn sendfile_bytes_are_counted() {
     let (path, data) = payload_file("counted", 200_000);
-    for (zero_copy, park) in [(true, false), (true, true), (false, true)] {
+    for mode in BOTH_MODES {
         let telemetry = Telemetry::enabled();
         let server = HttpServer::bind(
             "127.0.0.1:0",
-            ServerConfig {
+            mode.server_config(ServerConfig {
                 telemetry: Some(Arc::clone(&telemetry)),
-                ..config(park, zero_copy)
-            },
+                ..config()
+            }),
             file_handler(path.clone()),
         )
         .unwrap();
-        let wire = collect_wire_bytes(
+        let wire = mode.collect_wire_bytes(
             server.local_addr(),
-            &["GET /data HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n".to_string()],
+            &["GET /data HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n"],
         );
         assert!(wire[0].windows(data.len()).any(|w| w == data));
-        if zero_copy {
-            assert_eq!(
-                telemetry.http.bytes_sendfile.get(),
-                data.len() as u64,
-                "park={park}: whole body should ride sendfile"
-            );
-        } else {
-            assert_eq!(telemetry.http.bytes_sendfile.get(), 0, "park={park}");
-        }
+        // The worker credits the counters after the last byte is written,
+        // so the client can get here first — shutdown joins the workers.
         server.shutdown();
+        let via_sendfile = telemetry.http.bytes_sendfile.get();
+        match mode {
+            Mode::Event => assert_eq!(
+                via_sendfile,
+                data.len() as u64,
+                "whole body should ride sendfile"
+            ),
+            Mode::Blocking => assert_eq!(via_sendfile, 0, "TLS must use the buffered loop"),
+        }
     }
 }
 
@@ -181,51 +176,50 @@ fn sendfile_bytes_are_counted() {
 /// as a stream truncation, in both concurrency modes.
 #[test]
 fn truncated_stream_closes_connection_and_is_counted() {
-    for park in [false, true] {
+    for mode in BOTH_MODES {
         let telemetry = Telemetry::enabled();
         let server = HttpServer::bind(
             "127.0.0.1:0",
-            ServerConfig {
+            mode.server_config(ServerConfig {
                 telemetry: Some(Arc::clone(&telemetry)),
-                ..config(park, true)
-            },
-            // Claims 100 KiB, delivers 10 KiB: a lying Content-Length.
+                ..config()
+            }),
+            // Claims 100 KiB, delivers 40 KiB: a lying Content-Length. (More
+            // than two secure-channel records, so a TLS client has the head
+            // before the stream runs dry.)
             Arc::new(|_req: Request, _peer: Option<&PeerInfo>| {
-                let reader = Box::new(std::io::Cursor::new(vec![0x41u8; 10_240]));
+                let reader = Box::new(std::io::Cursor::new(vec![0x41u8; 40_960]));
                 Response::stream("application/octet-stream", reader, 102_400)
             }),
         )
         .unwrap();
 
-        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
-        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         // Ask for keep-alive: the truncation must force a close anyway.
-        sock.write_all(b"GET /data HTTP/1.1\r\nHost: h\r\n\r\n")
-            .unwrap();
-        let mut wire = Vec::new();
-        sock.read_to_end(&mut wire).unwrap();
+        let wire = mode
+            .collect_wire_bytes(
+                server.local_addr(),
+                &["GET /data HTTP/1.1\r\nHost: h\r\n\r\n"],
+            )
+            .remove(0);
         let head_end = wire
             .windows(4)
             .position(|w| w == b"\r\n\r\n")
-            .expect("park={park}: header terminator");
+            .expect("header terminator");
         let head = std::str::from_utf8(&wire[..head_end]).unwrap();
-        assert!(
-            head.contains("content-length: 102400"),
-            "park={park}: {head}"
-        );
+        assert!(head.contains("content-length: 102400"), "{mode:?}: {head}");
         assert!(
             wire.len() - head_end - 4 < 102_400,
-            "park={park}: under-delivery expected"
+            "{mode:?}: under-delivery expected"
         );
         assert_eq!(
             telemetry.http.stream_truncations.get(),
             1,
-            "park={park}: truncation must be counted"
+            "{mode:?}: truncation must be counted"
         );
         assert_eq!(
             telemetry.http.peer_resets.get(),
             0,
-            "park={park}: a server-side truncation is not peer churn"
+            "{mode:?}: a server-side truncation is not peer churn"
         );
         server.shutdown();
     }
@@ -245,7 +239,7 @@ fn slow_reader_parks_write_and_frees_the_worker() {
             workers: 1,
             telemetry: Some(Arc::clone(&telemetry)),
             read_timeout: Duration::from_secs(30),
-            ..config(true, true)
+            ..config()
         },
         file_handler(path),
     )
@@ -306,7 +300,7 @@ fn stalled_writer_expires_as_write_stall() {
             workers: 1,
             telemetry: Some(Arc::clone(&telemetry)),
             read_timeout: Duration::from_millis(300),
-            ..config(true, true)
+            ..config()
         },
         file_handler(path),
     )

@@ -7,8 +7,10 @@
 //! event path is byte-identical on the wire to the classic
 //! thread-per-connection path it replaces.
 
+mod common;
+
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -16,6 +18,8 @@ use std::time::{Duration, Instant};
 use clarens_httpd::parse::read_response;
 use clarens_httpd::{Handler, HttpServer, PeerInfo, Request, Response, ServerConfig};
 use clarens_telemetry::Telemetry;
+
+use common::{Mode, BOTH_MODES};
 
 fn echo_handler() -> Arc<impl Handler> {
     Arc::new(|req: Request, _peer: Option<&PeerInfo>| {
@@ -34,10 +38,9 @@ fn body_echo_handler() -> Arc<impl Handler> {
     })
 }
 
-fn config(park: bool) -> ServerConfig {
+fn config() -> ServerConfig {
     ServerConfig {
         read_timeout: Duration::from_millis(500),
-        park_idle: park,
         ..Default::default()
     }
 }
@@ -50,9 +53,9 @@ fn roundtrip_on(sock: &mut TcpStream, request: &str) -> (u16, Vec<u8>, bool) {
 }
 
 /// A client stuck mid-header must not occupy the only worker: with
-/// `workers = 1` and parking on, other clients keep getting served while
-/// the slow client dribbles its request in, and the slow client still gets
-/// its answer in the end.
+/// `workers = 1`, other clients keep getting served while the slow client
+/// dribbles its request in, and the slow client still gets its answer in
+/// the end.
 #[test]
 fn slowloris_does_not_pin_the_single_worker() {
     let server = HttpServer::bind(
@@ -60,7 +63,7 @@ fn slowloris_does_not_pin_the_single_worker() {
         ServerConfig {
             workers: 1,
             read_timeout: Duration::from_secs(10),
-            ..config(true)
+            ..config()
         },
         echo_handler(),
     )
@@ -108,7 +111,7 @@ fn keepalive_churn_512_connections_buffer_isolation() {
             workers: 4,
             telemetry: Some(Arc::clone(&telemetry)),
             read_timeout: Duration::from_secs(30),
-            ..config(true)
+            ..config()
         },
         body_echo_handler(),
     )
@@ -176,7 +179,7 @@ fn parked_connection_gauge_and_idle_expiry() {
         ServerConfig {
             telemetry: Some(Arc::clone(&telemetry)),
             read_timeout: Duration::from_millis(300),
-            ..config(true)
+            ..config()
         },
         echo_handler(),
     )
@@ -214,7 +217,7 @@ fn connection_budget_sheds_with_503() {
             max_connections: 2,
             telemetry: Some(Arc::clone(&telemetry)),
             read_timeout: Duration::from_secs(10),
-            ..config(true)
+            ..config()
         },
         echo_handler(),
     )
@@ -251,18 +254,18 @@ fn connection_budget_sheds_with_503() {
     server.shutdown();
 }
 
-/// Shutdown with zero traffic must be immediate in both modes: the
+/// Shutdown with zero traffic must be immediate on both schedulers: the
 /// acceptor and poller are woken explicitly (no dummy connection, no
 /// timeout race).
 #[test]
 fn shutdown_is_deterministic_under_zero_traffic() {
-    for park in [false, true] {
+    for mode in BOTH_MODES {
         let server = HttpServer::bind(
             "127.0.0.1:0",
-            ServerConfig {
+            mode.server_config(ServerConfig {
                 read_timeout: Duration::from_secs(600),
-                ..config(park)
-            },
+                ..config()
+            }),
             echo_handler(),
         )
         .unwrap();
@@ -270,7 +273,7 @@ fn shutdown_is_deterministic_under_zero_traffic() {
         server.shutdown();
         assert!(
             started.elapsed() < Duration::from_secs(1),
-            "park={park}: shutdown took {:?}",
+            "{mode:?}: shutdown took {:?}",
             started.elapsed()
         );
     }
@@ -279,7 +282,7 @@ fn shutdown_is_deterministic_under_zero_traffic() {
 /// Shutdown is also prompt with connections parked.
 #[test]
 fn shutdown_closes_parked_connections() {
-    let server = HttpServer::bind("127.0.0.1:0", config(true), echo_handler()).unwrap();
+    let server = HttpServer::bind("127.0.0.1:0", config(), echo_handler()).unwrap();
     let mut socks = Vec::new();
     for _ in 0..8 {
         let mut sock = TcpStream::connect(server.local_addr()).unwrap();
@@ -313,7 +316,7 @@ fn shutdown_closes_parked_connections() {
 /// only, never bytes or ordering.
 #[test]
 fn deep_pipeline_responses_arrive_in_order() {
-    let server = HttpServer::bind("127.0.0.1:0", config(true), body_echo_handler()).unwrap();
+    let server = HttpServer::bind("127.0.0.1:0", config(), body_echo_handler()).unwrap();
     let mut sock = TcpStream::connect(server.local_addr()).unwrap();
     sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     const DEPTH: usize = 64;
@@ -348,7 +351,7 @@ fn deep_pipeline_responses_arrive_in_order() {
 /// boundary must hold, and a trailing `Connection: close` still closes.
 #[test]
 fn mixed_pipeline_flushes_in_order() {
-    let server = HttpServer::bind("127.0.0.1:0", config(true), echo_handler()).unwrap();
+    let server = HttpServer::bind("127.0.0.1:0", config(), echo_handler()).unwrap();
     let mut sock = TcpStream::connect(server.local_addr()).unwrap();
     sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let batch = "GET /a HTTP/1.1\r\nHost: h\r\n\r\n\
@@ -390,20 +393,6 @@ fn mixed_pipeline_flushes_in_order() {
     server.shutdown();
 }
 
-fn collect_wire_bytes(addr: SocketAddr, exchanges: &[&str]) -> Vec<Vec<u8>> {
-    exchanges
-        .iter()
-        .map(|request| {
-            let mut sock = TcpStream::connect(addr).unwrap();
-            sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            sock.write_all(request.as_bytes()).unwrap();
-            let mut bytes = Vec::new();
-            sock.read_to_end(&mut bytes).unwrap();
-            bytes
-        })
-        .collect()
-}
-
 /// The two concurrency models must be indistinguishable on the wire: for a
 /// spread of request shapes (GET, POST, HEAD, pipelined keep-alive, bad
 /// request), the raw response bytes are identical.
@@ -417,12 +406,13 @@ fn event_and_blocking_paths_are_byte_identical() {
         "GET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /b HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n",
         "NONSENSE\r\n\r\n",
     ];
-    let mut per_mode = Vec::new();
-    for park in [false, true] {
-        let server = HttpServer::bind("127.0.0.1:0", config(park), echo_handler()).unwrap();
-        per_mode.push(collect_wire_bytes(server.local_addr(), &exchanges));
+    let per_mode = [Mode::Blocking, Mode::Event].map(|mode| {
+        let server =
+            HttpServer::bind("127.0.0.1:0", mode.server_config(config()), echo_handler()).unwrap();
+        let wires = mode.collect_wire_bytes(server.local_addr(), &exchanges);
         server.shutdown();
-    }
+        wires
+    });
     for (i, (blocking, event)) in per_mode[0].iter().zip(per_mode[1].iter()).enumerate() {
         assert_eq!(
             blocking, event,

@@ -6,13 +6,16 @@
 //! tests serialize on a mutex, since each arming window is global to
 //! the process.
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
+mod common;
+
+use std::io::BufReader;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use clarens_httpd::parse::read_response;
 use clarens_httpd::{Handler, HttpServer, PeerInfo, Request, Response, ServerConfig};
+
+use common::{send, Mode, BOTH_MODES};
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -27,20 +30,17 @@ fn echo_handler() -> Arc<impl Handler> {
     })
 }
 
-fn config(park: bool) -> ServerConfig {
-    ServerConfig {
+fn start(mode: Mode) -> HttpServer {
+    let config = mode.server_config(ServerConfig {
         read_timeout: Duration::from_millis(200),
-        park_idle: park,
         ..Default::default()
-    }
+    });
+    HttpServer::bind("127.0.0.1:0", config, echo_handler()).unwrap()
 }
 
-fn roundtrip(addr: std::net::SocketAddr, target: &str) -> Option<(u16, Vec<u8>)> {
-    let mut sock = TcpStream::connect(addr).ok()?;
-    sock.set_read_timeout(Some(Duration::from_secs(2))).ok();
-    sock.write_all(format!("GET {target} HTTP/1.1\r\nHost: h\r\n\r\n").as_bytes())
-        .ok()?;
-    let mut reader = BufReader::new(sock);
+fn roundtrip(mode: Mode, addr: std::net::SocketAddr, target: &str) -> Option<(u16, Vec<u8>)> {
+    let request = format!("GET {target} HTTP/1.1\r\nHost: h\r\n\r\n");
+    let mut reader = BufReader::new(mode.request(addr, request).ok()?);
     read_response(&mut reader, usize::MAX)
         .map(|r| (r.status, r.body))
         .ok()
@@ -49,20 +49,20 @@ fn roundtrip(addr: std::net::SocketAddr, target: &str) -> Option<(u16, Vec<u8>)>
 #[test]
 fn injected_accept_failure_drops_connection_then_recovers() {
     let _serial = serial();
-    for park in [false, true] {
-        let server = HttpServer::bind("127.0.0.1:0", config(park), echo_handler()).unwrap();
+    for mode in BOTH_MODES {
+        let server = start(mode);
         let addr = server.local_addr();
         {
             let _guard = clarens_faults::with(clarens_faults::sites::HTTPD_ACCEPT, "err|times=1");
             // The aborted connection is never served: the client sees EOF
             // (or a reset) instead of a response.
-            assert_eq!(roundtrip(addr, "/dropped"), None, "park={park}");
+            assert_eq!(roundtrip(mode, addr, "/dropped"), None, "{mode:?}");
         }
         // Budget exhausted: the next connection is served normally.
         assert_eq!(
-            roundtrip(addr, "/served"),
+            roundtrip(mode, addr, "/served"),
             Some((200, b"ok /served".to_vec())),
-            "park={park}"
+            "{mode:?}"
         );
         server.shutdown();
     }
@@ -71,24 +71,23 @@ fn injected_accept_failure_drops_connection_then_recovers() {
 #[test]
 fn injected_read_failure_closes_connection_then_recovers() {
     let _serial = serial();
-    for park in [false, true] {
-        let server = HttpServer::bind("127.0.0.1:0", config(park), echo_handler()).unwrap();
+    for mode in BOTH_MODES {
+        let server = start(mode);
         let addr = server.local_addr();
         {
             let _guard = clarens_faults::with(clarens_faults::sites::HTTPD_READ, "err|times=1");
             // The read failpoint fires on the server's first read of the
             // connection, which is torn down without a response.
-            let mut sock = TcpStream::connect(addr).unwrap();
-            sock.set_read_timeout(Some(Duration::from_secs(2))).ok();
-            let _ = sock.write_all(b"GET /x HTTP/1.1\r\nHost: h\r\n\r\n");
+            let mut sock = mode.connect(addr).unwrap();
+            let _ = send(&mut *sock, b"GET /x HTTP/1.1\r\nHost: h\r\n\r\n");
             let mut probe = Vec::new();
             let n = sock.read_to_end(&mut probe).unwrap_or(0);
-            assert_eq!(n, 0, "park={park}: expected EOF, got {probe:?}");
+            assert_eq!(n, 0, "{mode:?}: expected EOF, got {probe:?}");
         }
         assert_eq!(
-            roundtrip(addr, "/after"),
+            roundtrip(mode, addr, "/after"),
             Some((200, b"ok /after".to_vec())),
-            "park={park}"
+            "{mode:?}"
         );
         server.shutdown();
     }
@@ -97,20 +96,20 @@ fn injected_read_failure_closes_connection_then_recovers() {
 #[test]
 fn injected_write_failure_severs_response_then_recovers() {
     let _serial = serial();
-    for park in [false, true] {
-        let server = HttpServer::bind("127.0.0.1:0", config(park), echo_handler()).unwrap();
+    for mode in BOTH_MODES {
+        let server = start(mode);
         let addr = server.local_addr();
         {
             let _guard = clarens_faults::with(clarens_faults::sites::HTTPD_WRITE, "err|times=1");
             // The request is handled but its response write fails; the
             // client observes a closed connection with no (complete)
             // response.
-            assert_eq!(roundtrip(addr, "/lost"), None, "park={park}");
+            assert_eq!(roundtrip(mode, addr, "/lost"), None, "{mode:?}");
         }
         assert_eq!(
-            roundtrip(addr, "/after"),
+            roundtrip(mode, addr, "/after"),
             Some((200, b"ok /after".to_vec())),
-            "park={park}"
+            "{mode:?}"
         );
         // Both requests were parsed and counted.
         assert_eq!(
@@ -119,7 +118,7 @@ fn injected_write_failure_severs_response_then_recovers() {
                 .requests
                 .load(std::sync::atomic::Ordering::Relaxed),
             2,
-            "park={park}"
+            "{mode:?}"
         );
         server.shutdown();
     }
