@@ -1,11 +1,17 @@
 //! Allocation accounting end-to-end: registers the counting allocator for
 //! this test process and holds the server-side allocations of a
-//! steady-state `echo.echo` loop under the ceiling `repro quick` gates on.
+//! steady-state `echo.echo` loop under the ceiling `repro quick` gates on,
+//! and those of one session admission under its own.
 //!
 //! Everything runs inside ONE `#[test]` so no concurrent test thread
 //! pollutes the process-global counters.
 
+use std::sync::Arc;
+
+use clarens::session::SessionManager;
 use clarens_bench::{alloc_count, bench_grid_workers, bench_session, measure_allocs_per_request};
+use clarens_db::Store;
+use clarens_pki::dn::DistinguishedName;
 use clarens_wire::Protocol;
 
 #[global_allocator]
@@ -46,6 +52,27 @@ fn counting_allocator_and_steady_state_ceiling() {
     assert!(
         after_bytes.saturating_sub(bytes) < (1 << 20),
         "exempt thread's allocation was counted"
+    );
+
+    // --- session admission, measured ------------------------------------
+    // Before the request path: that one exempts this thread from counting.
+    let sessions = SessionManager::new(Arc::new(Store::in_memory()), 3600);
+    let dn = DistinguishedName::parse("/O=grid/OU=People/CN=alloc gate").unwrap();
+    for _ in 0..100 {
+        sessions.create(&dn, 1000);
+    }
+    let (a0, _) = alloc_count::snapshot();
+    alloc_count::set_counting(true);
+    for _ in 0..1000 {
+        std::hint::black_box(sessions.create(&dn, 1000));
+    }
+    alloc_count::set_counting(false);
+    let per_create = (alloc_count::snapshot().0 - a0) as f64 / 1000.0;
+    println!("allocs/session create: {per_create:.1}");
+    assert!(
+        per_create <= clarens_bench::MAX_ALLOCS_PER_SESSION_CREATE,
+        "allocations per SessionManager::create regressed: {per_create:.1} > {}",
+        clarens_bench::MAX_ALLOCS_PER_SESSION_CREATE
     );
 
     // --- the request path, measured --------------------------------------

@@ -136,8 +136,7 @@ impl Service for ImService {
                 let queued = ctx
                     .core
                     .store
-                    .scan_prefix(IM_BUCKET, &Self::mailbox_prefix(&to))
-                    .len();
+                    .count_prefix(IM_BUCKET, &Self::mailbox_prefix(&to));
                 if queued >= MAX_QUEUE {
                     return Err(Fault::service(format!(
                         "recipient mailbox full ({MAX_QUEUE} messages)"
@@ -162,10 +161,7 @@ impl Service for ImService {
                 let max = params::int(params_in, 0, "max")?.clamp(0, 256) as usize;
                 let prefix = Self::mailbox_prefix(&me);
                 let mut out = Vec::new();
-                for (key, bytes) in ctx.core.store.scan_prefix(IM_BUCKET, &prefix) {
-                    if out.len() >= max {
-                        break;
-                    }
+                for (key, bytes) in ctx.core.store.scan_prefix_limit(IM_BUCKET, &prefix, max) {
                     if let Ok(text) = String::from_utf8(bytes) {
                         if let Ok(value) = clarens_wire::json::parse(&text) {
                             out.push(value);
@@ -183,8 +179,8 @@ impl Service for ImService {
                 Ok(Value::Int(
                     ctx.core
                         .store
-                        .scan_prefix(IM_BUCKET, &Self::mailbox_prefix(&me))
-                        .len() as i64,
+                        .count_prefix(IM_BUCKET, &Self::mailbox_prefix(&me))
+                        as i64,
                 ))
             }
             other => Err(Fault::new(

@@ -17,15 +17,21 @@
 //! delete) makes every cached entry stale, so a revoked session can never
 //! be served from cache — at worst a concurrent write causes a spurious
 //! reload.
+//!
+//! Admission ([`SessionManager::create`]) does only what a new session
+//! needs: the id is 32 bytes of the thread's ChaCha20 keystream
+//! ([`clarens_pki::keystream`]) in hex, the record goes through the one
+//! direct writer ([`Session::write_record`]), and the cache write-through
+//! is speculative — nobody has asked for the session yet — so it never
+//! evicts anything to make room for itself.
 
+use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rand::RngExt;
-
 use clarens_db::Store;
 use clarens_pki::dn::DistinguishedName;
-use clarens_pki::sha256;
+use clarens_pki::{keystream, sha256};
 use clarens_wire::{json, Value};
 
 use crate::cache::{CacheStats, Sharded};
@@ -51,16 +57,28 @@ pub struct Session {
 }
 
 impl Session {
-    fn to_value(&self) -> Value {
-        Value::structure([
-            ("dn", Value::from(self.dn.clone())),
-            ("created", Value::Int(self.created)),
-            ("expires", Value::Int(self.expires)),
-            (
-                "proxy",
-                self.proxy.clone().map(Value::from).unwrap_or(Value::Nil),
-            ),
-        ])
+    /// A fresh id: 32 keystream bytes, hex. Never raw PRNG output — the
+    /// process generator's state can be solved from what it emits.
+    fn mint_id() -> String {
+        let mut raw = [0u8; 32];
+        keystream::fill(&mut raw);
+        sha256::to_hex(&raw)
+    }
+
+    /// The stored record, `{"created":N,"dn":"…","expires":N,"proxy":null|"…"}`:
+    /// byte for byte what `json::to_string` makes of the same four fields as
+    /// a `Value::structure` (keys in `BTreeMap` order), which is what older
+    /// records and replicated ones look like and what [`Session::from_value`]
+    /// reads back.
+    fn write_record(&self, out: &mut Vec<u8>) {
+        let _ = write!(out, "{{\"created\":{},\"dn\":", self.created);
+        json::write_string_into(out, &self.dn);
+        let _ = write!(out, ",\"expires\":{},\"proxy\":", self.expires);
+        match &self.proxy {
+            Some(proxy) => json::write_string_into(out, proxy),
+            None => out.extend_from_slice(b"null"),
+        }
+        out.push(b'}');
     }
 
     fn from_value(id: &str, value: &Value) -> Option<Session> {
@@ -128,45 +146,57 @@ impl SessionManager {
 
     /// Create a new session for `dn`, returning it.
     pub fn create(&self, dn: &DistinguishedName, now: i64) -> Session {
-        let mut rng = rand::rng();
-        let raw: [u8; 32] = rng.random();
-        let id = sha256::to_hex(&sha256::sha256(&raw));
         let session = Session {
-            id: id.clone(),
+            id: Session::mint_id(),
             dn: dn.to_string(),
             created: now,
             expires: now + self.ttl,
             proxy: None,
         };
-        self.persist(&session);
-        if self.caching {
-            // Write through with the post-persist generation: the entry is
-            // immediately servable and any later bucket write supersedes it.
-            let entry = ResolvedSession {
-                identity: Some(Arc::new(dn.clone())),
-                session: Arc::new(session.clone()),
-            };
-            self.cache
-                .insert(id, self.generation.load(Ordering::SeqCst), entry);
-        }
+        self.persist(&session, || Some(Arc::new(dn.clone())));
         session
     }
 
-    fn persist(&self, session: &Session) {
-        let result =
-            clarens_faults::check_io(clarens_faults::sites::SESSION_PERSIST).and_then(|()| {
-                self.store.put(
-                    SESSIONS_BUCKET,
-                    &session.id,
-                    json::to_string(&session.to_value()).into_bytes(),
-                )
-            });
-        if let Err(e) = result {
-            // The session stays valid in memory (the write-through cache
-            // below serves it); it just won't survive a restart. Degrade
-            // loudly instead of silently: the paper sells restart-surviving
+    /// Write `session` to the store, then through to the cache under the
+    /// post-persist generation: the entry is immediately servable and any
+    /// later bucket write supersedes it.
+    ///
+    /// The write-through is speculative — nothing has resolved this record
+    /// since it changed — so it takes a free slot or replaces its own key
+    /// but never evicts, and `identity` is only built when the entry is
+    /// stored. When the store refused the record the cache holds the only
+    /// copy, so then it always lands.
+    fn persist(
+        &self,
+        session: &Session,
+        identity: impl FnOnce() -> Option<Arc<DistinguishedName>>,
+    ) {
+        let mut record = Vec::with_capacity(
+            64 + session.dn.len() + session.proxy.as_ref().map_or(0, String::len),
+        );
+        session.write_record(&mut record);
+        let persisted = clarens_faults::check_io(clarens_faults::sites::SESSION_PERSIST)
+            .and_then(|()| self.store.put(SESSIONS_BUCKET, &session.id, record));
+        if let Err(e) = &persisted {
+            // The session stays valid in memory (the write-through below
+            // serves it); it just won't survive a restart. Degrade loudly
+            // instead of silently: the paper sells restart-surviving
             // sessions, so a lost persist is worth an operator's attention.
             clarens_telemetry::warn!("session {} not persisted: {e}", session.id);
+        }
+        if !self.caching {
+            return;
+        }
+        let generation = self.generation.load(Ordering::SeqCst);
+        let entry = || ResolvedSession {
+            identity: identity(),
+            session: Arc::new(session.clone()),
+        };
+        if persisted.is_ok() {
+            self.cache
+                .insert_if_room(session.id.as_str(), generation, entry);
+        } else {
+            self.cache.insert(session.id.clone(), generation, entry());
         }
     }
 
@@ -227,15 +257,9 @@ impl SessionManager {
         let mut session = self.validate(id, now)?;
         session.proxy = Some(proxy_text.to_owned());
         session.expires = now + self.ttl;
-        self.persist(&session);
-        if self.caching {
-            let entry = ResolvedSession {
-                identity: DistinguishedName::parse(&session.dn).ok().map(Arc::new),
-                session: Arc::new(session.clone()),
-            };
-            self.cache
-                .insert(id.to_owned(), self.generation.load(Ordering::SeqCst), entry);
-        }
+        self.persist(&session, || {
+            DistinguishedName::parse(&session.dn).ok().map(Arc::new)
+        });
         Some(session)
     }
 
@@ -392,6 +416,54 @@ mod tests {
         let entry = mgr.resolve(&session.id, 2500).unwrap();
         assert_eq!(entry.session.proxy.as_deref(), Some("PROXY"));
         assert_eq!(entry.session.expires, 5600);
+    }
+
+    /// Fill every shard of the manager's cache with unrelated entries.
+    fn fill_cache(mgr: &SessionManager) {
+        let filler = mgr.resolve(&mgr.create(&dn(), 0).id, 1).unwrap();
+        // Three times the cache's capacity in uniformly spread keys: every
+        // shard is offered ~12 000 entries for its 4096 slots.
+        for i in 0..3 * 16 * 4096 {
+            mgr.cache
+                .insert_if_room(format!("filler-{i}").as_str(), 0, || filler.clone());
+        }
+    }
+
+    #[test]
+    fn speculative_write_through_skips_a_full_shard_but_a_failed_persist_lands() {
+        let store = Arc::new(Store::in_memory());
+        let mgr = SessionManager::new(Arc::clone(&store), 3600);
+        fill_cache(&mgr);
+        let persisted = mgr.count();
+
+        // The store refuses the record: the cache holds the only copy, so
+        // the write-through evicts to take a slot and the session resolves.
+        let orphan = {
+            let _fault = clarens_faults::with_thread(clarens_faults::sites::SESSION_PERSIST, "err");
+            mgr.create(&dn(), 1000)
+        };
+        assert_eq!(mgr.count(), persisted);
+        let lookups = store.stats().lookups;
+        let entry = mgr
+            .resolve(&orphan.id, 2000)
+            .expect("served from the cache");
+        assert_eq!(*entry.session, orphan);
+        assert_eq!(entry.identity.as_deref(), Some(&dn()));
+        assert_eq!(store.stats().lookups, lookups);
+        let attached = {
+            let _fault = clarens_faults::with_thread(clarens_faults::sites::SESSION_PERSIST, "err");
+            mgr.attach_proxy(&orphan.id, "PROXY", 2000).unwrap()
+        };
+        assert_eq!(mgr.validate(&orphan.id, 2500), Some(attached));
+
+        // A persisted session is only a guess at what will be asked for:
+        // in a full shard it is not cached, and its first resolve reads
+        // the store.
+        fill_cache(&mgr);
+        let session = mgr.create(&dn(), 1000);
+        let lookups = store.stats().lookups;
+        assert_eq!(*mgr.resolve(&session.id, 2000).unwrap().session, session);
+        assert_eq!(store.stats().lookups, lookups + 1);
     }
 
     #[test]

@@ -515,6 +515,25 @@ fn im_service_edges() {
         )
         .unwrap();
     }
+    // Peek reads the head of the mailbox in send order without consuming
+    // it, and count sees every message; each is one bounded store scan.
+    let scans = f.core.store.stats().scans;
+    let head = call(&f, Some(&user), "im.peek", vec![Value::Int(2)]).unwrap();
+    let bodies: Vec<_> = head
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|m| m.get("body").unwrap().as_str().unwrap().to_owned())
+        .collect();
+    assert_eq!(bodies, ["note0", "note1"]);
+    let none = call(&f, Some(&user), "im.peek", vec![Value::Int(0)]).unwrap();
+    assert!(none.as_array().unwrap().is_empty());
+    let count = call(&f, Some(&user), "im.count", vec![]).unwrap();
+    assert_eq!(count, Value::Int(3));
+    assert_eq!(f.core.store.stats().scans, scans + 3);
+    let other = call(&f, Some(&admin), "im.count", vec![]).unwrap();
+    assert_eq!(other, Value::Int(0));
+
     let batch = call(&f, Some(&user), "im.poll", vec![Value::Int(2)]).unwrap();
     assert_eq!(batch.as_array().unwrap().len(), 2);
     let rest = call(&f, Some(&user), "im.poll", vec![Value::Int(10)]).unwrap();

@@ -21,6 +21,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::io;
+use std::ops::Bound;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,6 +47,15 @@ const JANITOR_TICK: Duration = Duration::from_millis(200);
 /// all live records to estimate the log's garbage ratio without I/O.
 fn frame_size(bucket_len: usize, key_len: usize, value_len: usize) -> u64 {
     (4 + 1 + 2 + 2 + 4 + 4 + bucket_len + key_len + value_len) as u64
+}
+
+/// The entries of one bucket whose keys start with `prefix`, in key order.
+fn prefixed<'a>(
+    map: &'a BTreeMap<String, Vec<u8>>,
+    prefix: &'a str,
+) -> impl Iterator<Item = (&'a String, &'a Vec<u8>)> {
+    map.range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+        .take_while(move |(k, _)| k.starts_with(prefix))
 }
 
 /// Store statistics (monotonic counters).
@@ -338,28 +348,35 @@ impl Store {
     pub fn put(&self, bucket: &str, key: &str, value: impl Into<Vec<u8>>) -> io::Result<()> {
         let value = value.into();
         self.writes.fetch_add(1, Ordering::Relaxed);
-        let op = LogOp::Put {
-            bucket: bucket.to_owned(),
-            key: key.to_owned(),
-            value,
-        };
-        self.wal_append(&op)?;
-        let LogOp::Put {
-            bucket: owned_bucket,
-            key: owned_key,
-            value,
-        } = op
-        else {
-            unreachable!()
+        // Without an engine there is nothing to append to (and nothing that
+        // could have degraded), so no `LogOp` is built just to be dropped.
+        // With one, the key is still allocated once: the logged copy moves
+        // into the map.
+        let (owned_key, value) = if self.engine.is_some() {
+            let op = LogOp::Put {
+                bucket: bucket.to_owned(),
+                key: key.to_owned(),
+                value,
+            };
+            self.wal_append(&op)?;
+            let LogOp::Put { key, value, .. } = op else {
+                unreachable!()
+            };
+            (key, value)
+        } else {
+            (key.to_owned(), value)
         };
         let added = frame_size(bucket.len(), key.len(), value.len());
         let generation = self.generation_handle(bucket);
         let old_len = {
             let mut shard = self.shards.shard(bucket).write();
-            let old = shard
-                .entry(owned_bucket)
-                .or_default()
-                .insert(owned_key, value);
+            // Look the bucket up by `&str` first: only the first write to a
+            // bucket pays for an owned name.
+            let map = match shard.get_mut(bucket) {
+                Some(map) => map,
+                None => shard.entry(bucket.to_owned()).or_default(),
+            };
+            let old = map.insert(owned_key, value);
             generation.fetch_add(1, Ordering::SeqCst);
             old.map(|o| o.len())
         };
@@ -394,11 +411,12 @@ impl Store {
     /// Delete a key. Returns whether it existed.
     pub fn delete(&self, bucket: &str, key: &str) -> io::Result<bool> {
         self.writes.fetch_add(1, Ordering::Relaxed);
-        let op = LogOp::Delete {
-            bucket: bucket.to_owned(),
-            key: key.to_owned(),
-        };
-        self.wal_append(&op)?;
+        if self.engine.is_some() {
+            self.wal_append(&LogOp::Delete {
+                bucket: bucket.to_owned(),
+                key: key.to_owned(),
+            })?;
+        }
         let generation = self.generation_handle(bucket);
         let old_len = {
             let mut shard = self.shards.shard(bucket).write();
@@ -415,16 +433,36 @@ impl Store {
     /// All `(key, value)` pairs in a bucket whose keys start with `prefix`
     /// (ordered by key).
     pub fn scan_prefix(&self, bucket: &str, prefix: &str) -> Vec<(String, Vec<u8>)> {
+        self.scan_prefix_limit(bucket, prefix, usize::MAX)
+    }
+
+    /// The first `limit` pairs of [`Store::scan_prefix`], in the same
+    /// order; pairs past the limit are never copied.
+    pub fn scan_prefix_limit(
+        &self,
+        bucket: &str,
+        prefix: &str,
+        limit: usize,
+    ) -> Vec<(String, Vec<u8>)> {
         self.scans.fetch_add(1, Ordering::Relaxed);
         let shard = self.shards.shard(bucket).read();
         match shard.get(bucket) {
             None => Vec::new(),
-            Some(map) => map
-                .range(prefix.to_owned()..)
-                .take_while(|(k, _)| k.starts_with(prefix))
+            Some(map) => prefixed(map, prefix)
+                .take(limit)
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
         }
+    }
+
+    /// Number of keys in a bucket that start with `prefix`, without copying
+    /// any of them.
+    pub fn count_prefix(&self, bucket: &str, prefix: &str) -> usize {
+        self.scans.fetch_add(1, Ordering::Relaxed);
+        let shard = self.shards.shard(bucket).read();
+        shard
+            .get(bucket)
+            .map_or(0, |map| prefixed(map, prefix).count())
     }
 
     /// All keys in a bucket (ordered).
@@ -739,6 +777,28 @@ mod tests {
         assert!(store.scan_prefix("methods", "zzz").is_empty());
         assert!(store.scan_prefix("nobucket", "x").is_empty());
         assert_eq!(store.scan_prefix("methods", "").len(), 5);
+    }
+
+    #[test]
+    fn bounded_scan_and_count_agree_with_the_full_scan() {
+        let store = Store::in_memory();
+        for key in ["a|1", "a|2", "a|3", "a}", "b|1", "a"] {
+            store.put("box", key, key.as_bytes().to_vec()).unwrap();
+        }
+        let full = store.scan_prefix("box", "a|");
+        assert_eq!(full.len(), 3);
+        for limit in 0..5 {
+            let scans = store.stats().scans;
+            let head = store.scan_prefix_limit("box", "a|", limit);
+            assert_eq!(head, full[..limit.min(3)]);
+            assert_eq!(store.stats().scans, scans + 1);
+        }
+        let scans = store.stats().scans;
+        assert_eq!(store.count_prefix("box", "a|"), 3);
+        assert_eq!(store.count_prefix("box", ""), 6);
+        assert_eq!(store.count_prefix("box", "c"), 0);
+        assert_eq!(store.count_prefix("nobucket", ""), 0);
+        assert_eq!(store.stats().scans, scans + 4);
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! * [`sha256`], [`md5`], [`hmac`] — digest and MAC primitives with official
 //!   test vectors,
 //! * [`chacha20`] — the record cipher for the secure channel,
+//! * [`keystream`] — a per-thread ChaCha20 keystream that session ids are
+//!   cut from,
 //! * [`rsa`] — key generation, PKCS#1 v1.5 signing and encryption with CRT,
 //! * [`dn`] — slash-form distinguished names with the prefix-matching rule
 //!   VO management uses,
@@ -31,6 +33,7 @@ pub mod chacha20;
 pub mod channel;
 pub mod dn;
 pub mod hmac;
+pub mod keystream;
 pub mod md5;
 pub mod pem;
 pub mod rsa;

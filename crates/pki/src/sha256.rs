@@ -168,10 +168,11 @@ pub fn sha256(data: &[u8]) -> [u8; DIGEST_LEN] {
 /// Hex rendering of a digest (used for session ids and `file.md5`-style
 /// integrity strings).
 pub fn to_hex(digest: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(digest.len() * 2);
     for &b in digest {
-        out.push(char::from_digit((b >> 4) as u32, 16).unwrap());
-        out.push(char::from_digit((b & 0xF) as u32, 16).unwrap());
+        out.push(DIGITS[(b >> 4) as usize] as char);
+        out.push(DIGITS[(b & 0xF) as usize] as char);
     }
     out
 }
