@@ -45,11 +45,10 @@
 //!              (`clarens_fenced_writes_total` > 0) and demotion on heal
 //!   storage    Storage-engine ablation (DESIGN.md §12): 16-writer durable
 //!              append throughput under group commit (gate: fsyncs/op <=
-//!              0.25), shard lock-striping sweep, append-latency percentiles
-//!              while the janitor compacts in the background (no-stall gate),
-//!              cold restart of a churned 100k-session store — uncompacted
-//!              replay vs compacted vs mmap snapshot (gate: compacted is
-//!              faster) — and write amplification per backend
+//!              0.25), append-latency percentiles while the janitor compacts
+//!              in the background (no-stall gate), cold restart of a churned
+//!              100k-session store — uncompacted replay vs compacted (gate:
+//!              compacted is faster) — and write amplification
 
 use std::time::{Duration, Instant};
 
@@ -373,9 +372,8 @@ fn discovery() {
         }
     }
     let store = Arc::new(clarens_db::Store::in_memory());
-    // TTL as a server would run it (the `discovery_ttl_s` default): the
-    // sweeper evicts descriptors whose stations stop heartbeating; the
-    // fresh ones published above are far inside the window.
+    // The sweeper evicts descriptors whose stations stop heartbeating;
+    // the fresh ones published above are far inside the window.
     let aggregator = DiscoveryAggregator::new(stations.clone(), store)
         .with_ttl(90, Arc::new(clarens::testkit::now));
     assert!(monalisa_sim::station::wait_until(
@@ -2134,37 +2132,34 @@ fn failover(point: Duration) {
     );
 }
 
-/// Storage-engine ablation (DESIGN.md §12). Exercises the tentpole
-/// mechanisms of the pluggable engine in isolation, on a scratch database
-/// under the system temp dir:
+/// Storage-engine ablation (DESIGN.md §12). Exercises the mechanisms of the
+/// WAL engine in isolation, on a scratch database under the system temp
+/// dir (phase letters are EXPERIMENTS.md's; its phase B has no arm here):
 ///
 ///   A  durable-append throughput at 16 writers under group commit
 ///      (gate: fsyncs/op <= 0.25; EXPERIMENTS.md records the comparison
 ///      against one fsync per append);
-///   B  bucket-shard lock striping, 8 writers on disjoint buckets
-///      (informational sweep over shard counts, in-memory so the WAL
-///      append path does not mask the lock);
 ///   C  append latency percentiles while the janitor compacts the log in
 ///      the background (gate: no append ever stalls >= 500 ms — the swap
 ///      window only copies a bounded final tail);
 ///   D  cold restart of a 100k-session store after 3x overwrite churn:
-///      uncompacted replay vs compacted replay vs mmap snapshot load
-///      (gate: compacted restart beats uncompacted replay);
+///      uncompacted replay vs compacted replay (gate: compacted restart
+///      beats uncompacted replay);
 ///   E  write amplification (bytes handed to the filesystem / live bytes)
-///      for the WAL and mmap backends on the same churned workload.
+///      on a churned workload synced once per round.
 fn storage(point: Duration) {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
-    use clarens_db::{StorageBackend, StorageOptions, Store};
+    use clarens_db::{StorageOptions, Store};
 
     let argv: Vec<String> = std::env::args().collect();
     let quick = argv.iter().any(|a| a == "--quick");
 
     header(if quick {
-        "Storage engine ablation (quick) — group commit, shards, compaction, restart"
+        "Storage engine ablation (quick) — group commit, compaction, restart"
     } else {
-        "Storage engine ablation — group commit, shards, compaction, restart"
+        "Storage engine ablation — group commit, compaction, restart"
     });
 
     let root = std::env::temp_dir().join(format!("clarens-repro-storage-{}", std::process::id()));
@@ -2249,53 +2244,6 @@ fn storage(point: Duration) {
         group_fpo <= 0.25,
         "group commit must amortize fsyncs to <= 0.25/op at 16 writers (got {group_fpo:.3})"
     );
-
-    // ---------------- B: bucket-shard lock striping ----------------
-    println!("\n[B] lock striping, 8 writers on disjoint buckets (in-memory)");
-    let shard_window = if quick {
-        Duration::from_millis(250)
-    } else {
-        window.min(Duration::from_secs(1))
-    };
-    let striped = |shards: usize| -> f64 {
-        let store = Arc::new(Store::in_memory_with_shards(shards));
-        let stop = Arc::new(AtomicBool::new(false));
-        let done = Arc::new(AtomicU64::new(0));
-        let threads: Vec<_> = (0..8)
-            .map(|t| {
-                let store = Arc::clone(&store);
-                let stop = Arc::clone(&stop);
-                let done = Arc::clone(&done);
-                std::thread::spawn(move || {
-                    let bucket = format!("bucket-{t}");
-                    let value = vec![0x33u8; 64];
-                    let mut n = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let key = format!("k{}", n % 64);
-                        store
-                            .put(&bucket, &key, value.clone())
-                            .expect("striped put");
-                        n += 1;
-                    }
-                    done.fetch_add(n, Ordering::Relaxed);
-                })
-            })
-            .collect();
-        let t0 = Instant::now();
-        std::thread::sleep(shard_window);
-        stop.store(true, Ordering::Relaxed);
-        for t in threads {
-            t.join().expect("striped writer");
-        }
-        done.load(Ordering::Relaxed) as f64 / t0.elapsed().as_secs_f64()
-    };
-    println!("{:>10} {:>14}", "shards", "puts/sec");
-    let mut striped_rates = Vec::new();
-    for &n in &[1usize, 4, 16] {
-        let rate = striped(n);
-        println!("{:>10} {:>14.0}", n, rate);
-        striped_rates.push(rate);
-    }
 
     // ---------------- C: append latency under background compaction ------
     println!("\n[C] append latency while the janitor compacts (1 KiB churn, sync: false)");
@@ -2446,22 +2394,6 @@ fn storage(point: Duration) {
         .get("sessions", &format!("s{:06}", sessions - 1))
         .is_some());
     drop(store);
-    // The compacted WAL doubles as the mmap backend's snapshot format, so
-    // the same file serves the third backend measurement.
-    let t0 = Instant::now();
-    let store = Store::open_with(
-        &restart_path,
-        StorageOptions {
-            backend: StorageBackend::Mmap,
-            sync: false,
-            compact_ratio: 0.0,
-            ..StorageOptions::default()
-        },
-    )
-    .expect("load mmap snapshot");
-    let mmap_load = t0.elapsed();
-    assert!(store.get("sessions", "s000000").is_some());
-    drop(store);
     println!("write amplification before compaction: {wal_amp_pre:.2}x");
     println!("{:>26} {:>14}", "restart path", "time (ms)");
     println!(
@@ -2474,11 +2406,6 @@ fn storage(point: Duration) {
         "compacted replay",
         compacted.as_secs_f64() * 1e3
     );
-    println!(
-        "{:>26} {:>14.1}",
-        "mmap snapshot load",
-        mmap_load.as_secs_f64() * 1e3
-    );
     assert!(
         compacted < uncompacted,
         "a compacted {sessions}-session store must cold-restart faster than the \
@@ -2487,14 +2414,12 @@ fn storage(point: Duration) {
         uncompacted.as_secs_f64() * 1e3
     );
 
-    // ---------------- E: write amplification per backend ------------------
-    println!("\n[E] write amplification, 20k records x3 overwrite churn, checkpoint per round");
-    let amp = |backend: StorageBackend| -> f64 {
-        let path = root.join(format!("e-{backend:?}.db"));
+    // ---------------- E: write amplification ------------------
+    println!("\n[E] write amplification, 20k records x3 overwrite churn, sync per round");
+    let amp = {
         let store = Store::open_with(
-            &path,
+            root.join("e-amp.wal"),
             StorageOptions {
-                backend,
                 sync: false,
                 compact_ratio: 0.0,
                 ..StorageOptions::default()
@@ -2508,14 +2433,11 @@ fn storage(point: Duration) {
                     .put("amp", &format!("k{s:05}"), value.clone())
                     .expect("amp put");
             }
-            store.sync().expect("amp checkpoint");
+            store.sync().expect("amp sync");
         }
         store.storage_counters().bytes_written as f64 / store.live_bytes().max(1) as f64
     };
-    println!("{:>10} {:>22}", "backend", "bytes written / live");
-    for backend in [StorageBackend::Wal, StorageBackend::Mmap] {
-        println!("{:>10} {:>21.2}x", format!("{backend:?}"), amp(backend));
-    }
+    println!("bytes written / live: {amp:.2}x");
 
     let _ = std::fs::remove_dir_all(&root);
     println!(
@@ -2526,5 +2448,4 @@ fn storage(point: Duration) {
         compacted.as_secs_f64() * 1e3,
         uncompacted.as_secs_f64() * 1e3
     );
-    let _ = striped_rates;
 }

@@ -1,21 +1,21 @@
-//! In-tree deterministic mutation fuzzer for the wire and HTTP decoders.
+//! In-tree deterministic mutation fuzzer for the wire, HTTP and WAL decoders.
 //!
 //! The container this reproduction builds in has no nightly toolchain and
 //! no `cargo-fuzz`, so coverage-guided libFuzzer runs happen elsewhere
 //! (the targets under `fuzz/fuzz_targets/` call the same entry points).
 //! This module is the harness CI actually executes: a seeded
 //! corpus-mutation loop in plain stable Rust, reproducible from `--seed`,
-//! driving the shared entries in `clarens_wire::fuzz` and
-//! `clarens_httpd::fuzz`.
+//! driving the shared entries in `clarens_wire::fuzz`,
+//! `clarens_httpd::fuzz` and `clarens_db::fuzz`.
 //!
 //! The corpus seeds mirror the proptest strategies: every protocol's
 //! encoder output over a spread of [`Value`] shapes, plus hand-picked
-//! valid/malformed HTTP requests. Mutations are the classic byte-level
-//! set — bit flips, byte splats, truncation, duplication, cross-splice,
-//! random insertion — applied 1-4 times per iteration. A property
-//! violation panics inside the entry (fast-vs-DOM divergence, round-trip
-//! non-idempotence, parser crash), which aborts the harness with a
-//! reproducible seed in the message.
+//! valid/malformed HTTP requests and a short write-ahead log. Mutations
+//! are the classic byte-level set — bit flips, byte splats, truncation,
+//! duplication, cross-splice, random insertion — applied 1-4 times per
+//! iteration. A property violation panics inside the entry (fast-vs-DOM
+//! divergence, round-trip non-idempotence, parser crash), which aborts the
+//! harness with a reproducible seed in the message.
 
 use std::time::{Duration, Instant};
 
@@ -34,14 +34,17 @@ pub enum FuzzTarget {
     BinaryFrame,
     /// The HTTP/1.1 request parser.
     HttpParser,
+    /// The WAL frame reader behind recovery and replication chunks.
+    WalFrames,
 }
 
 impl FuzzTarget {
     /// Every target, in the order CI runs them.
-    pub const ALL: [FuzzTarget; 3] = [
+    pub const ALL: [FuzzTarget; 4] = [
         FuzzTarget::XmlrpcDivergence,
         FuzzTarget::BinaryFrame,
         FuzzTarget::HttpParser,
+        FuzzTarget::WalFrames,
     ];
 
     /// Stable name used on the `repro fuzz` command line and in reports.
@@ -50,6 +53,7 @@ impl FuzzTarget {
             FuzzTarget::XmlrpcDivergence => "xmlrpc-divergence",
             FuzzTarget::BinaryFrame => "binary-frame",
             FuzzTarget::HttpParser => "http-parser",
+            FuzzTarget::WalFrames => "wal-frames",
         }
     }
 
@@ -63,6 +67,7 @@ impl FuzzTarget {
             FuzzTarget::XmlrpcDivergence => clarens_wire::fuzz::xmlrpc_divergence,
             FuzzTarget::BinaryFrame => clarens_wire::fuzz::binary_frame,
             FuzzTarget::HttpParser => clarens_httpd::fuzz::http_request,
+            FuzzTarget::WalFrames => clarens_db::fuzz::wal_frames,
         }
     }
 }
@@ -168,6 +173,33 @@ fn seed_corpus(target: FuzzTarget) -> Vec<Vec<u8>> {
             ] {
                 corpus.push(req.to_vec());
             }
+        }
+        FuzzTarget::WalFrames => {
+            use clarens_db::log::{encode_record, LogOp};
+            let records: Vec<Vec<u8>> = [
+                LogOp::Put {
+                    bucket: "sessions".into(),
+                    key: "0123abcd".into(),
+                    value: br#"{"dn":"/O=Grid/CN=alice","expires":1234567890}"#.to_vec(),
+                },
+                LogOp::EpochFence { epoch: 2 },
+                LogOp::Delete {
+                    bucket: "sessions".into(),
+                    key: "0123abcd".into(),
+                },
+                LogOp::Put {
+                    bucket: "vo".into(),
+                    key: String::new(),
+                    value: Vec::new(),
+                },
+            ]
+            .iter()
+            .map(encode_record)
+            .collect();
+            // Each record alone, then the whole log for the mutator's
+            // truncations and slice removals to tear.
+            corpus.extend(records.iter().cloned());
+            corpus.push(records.concat());
         }
     }
     corpus

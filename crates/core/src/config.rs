@@ -59,14 +59,9 @@ pub struct ClarensConfig {
     pub workers: usize,
     /// Path for the persistent store; `None` = in-memory.
     pub db_path: Option<PathBuf>,
-    /// Storage engine backing the persistent store (DESIGN.md §12):
-    /// `wal` (default) is the group-commit write-ahead log, the only
-    /// backend that can serve replication followers; `mmap` is the
-    /// checkpointing snapshot engine for follower/read-mostly nodes.
-    pub storage_backend: clarens_db::StorageBackend,
     /// Make every store write durable (fsync) before acknowledging it;
     /// concurrent writers share each fsync (group commit). Off by default:
-    /// the store then persists at sync/checkpoint granularity and on clean
+    /// the store then persists at explicit-sync granularity and on clean
     /// shutdown, like the paper's server.
     pub db_sync: bool,
     /// Background-compact the store once the fraction of dead bytes in
@@ -97,10 +92,6 @@ pub struct ClarensConfig {
     /// fail with transport errors (jittered exponential backoff between
     /// attempts). `0` disables retries.
     pub client_retries: u32,
-    /// Discovery descriptors older than this many seconds are evicted as
-    /// stale (the publisher re-announces every heartbeat, so the default
-    /// tolerates ~3 missed heartbeats). `0` disables eviction.
-    pub discovery_ttl_s: u64,
     /// This server's federation role (DESIGN.md §11). Standalone by
     /// default; `leader` serves its WAL to followers, `follower` ships the
     /// leader's WAL into its own store.
@@ -142,7 +133,6 @@ impl Default for ClarensConfig {
             auth_skew: 300,
             workers: 16,
             db_path: None,
-            storage_backend: clarens_db::StorageBackend::Wal,
             db_sync: false,
             compact_ratio: 0.5,
             telemetry: true,
@@ -151,7 +141,6 @@ impl Default for ClarensConfig {
             max_connections: 4096,
             request_deadline_ms: 5_000,
             client_retries: 2,
-            discovery_ttl_s: 90,
             federation_role: FederationRole::Standalone,
             federation_leader: None,
             replication_poll_ms: 50,
@@ -198,11 +187,6 @@ impl ClarensConfig {
                 "auth_skew" => config.auth_skew = field(key, value, lineno)?,
                 "workers" => config.workers = field(key, value, lineno)?,
                 "db_path" => config.db_path = Some(PathBuf::from(value)),
-                "storage_backend" => {
-                    config.storage_backend = value
-                        .parse()
-                        .map_err(|e| format!("line {}: {e}", lineno + 1))?
-                }
                 "db_sync" => config.db_sync = field(key, value, lineno)?,
                 "compact_ratio" => {
                     let ratio: f64 = field(key, value, lineno)?;
@@ -220,7 +204,6 @@ impl ClarensConfig {
                 "max_connections" => config.max_connections = field(key, value, lineno)?,
                 "request_deadline_ms" => config.request_deadline_ms = field(key, value, lineno)?,
                 "client_retries" => config.client_retries = field(key, value, lineno)?,
-                "discovery_ttl_s" => config.discovery_ttl_s = field(key, value, lineno)?,
                 "federation_role" => {
                     config.federation_role = value
                         .parse()
@@ -305,7 +288,7 @@ db_path: /var/clarens/clarens.db
 
     /// The shipped example parses to its deployment settings over the
     /// built-in defaults (every tuning key it documents is set to its
-    /// default), and the keys of the retired ablation switches are rejected.
+    /// default), and the keys of the retired switches are rejected.
     #[test]
     fn example_file_parses_to_documented_defaults() {
         let config = ClarensConfig::parse(include_str!("../../../clarens.conf.example")).unwrap();
@@ -332,6 +315,8 @@ db_path: /var/clarens/clarens.db
             ("zero", "copy"),
             ("group", "commit"),
             ("park", "idle"),
+            ("storage", "backend"),
+            ("discovery", "ttl_s"),
         ] {
             let err = ClarensConfig::parse(&format!("{head}_{tail}: true")).unwrap_err();
             assert_eq!(err, format!("line 1: unknown key \"{head}_{tail}\""));
@@ -372,17 +357,11 @@ db_path: /var/clarens/clarens.db
         let config = ClarensConfig::parse("").unwrap();
         assert_eq!(config.request_deadline_ms, 5_000);
         assert_eq!(config.client_retries, 2);
-        assert_eq!(config.discovery_ttl_s, 90);
-        let config = ClarensConfig::parse(
-            "request_deadline_ms: 250\nclient_retries: 5\ndiscovery_ttl_s: 30",
-        )
-        .unwrap();
+        let config = ClarensConfig::parse("request_deadline_ms: 250\nclient_retries: 5").unwrap();
         assert_eq!(config.request_deadline_ms, 250);
         assert_eq!(config.client_retries, 5);
-        assert_eq!(config.discovery_ttl_s, 30);
         assert!(ClarensConfig::parse("request_deadline_ms: forever").is_err());
         assert!(ClarensConfig::parse("client_retries: no").is_err());
-        assert!(ClarensConfig::parse("discovery_ttl_s: never").is_err());
     }
 
     #[test]
@@ -439,13 +418,9 @@ db_path: /var/clarens/clarens.db
     #[test]
     fn storage_knobs() {
         let config = ClarensConfig::parse("").unwrap();
-        assert_eq!(config.storage_backend, clarens_db::StorageBackend::Wal);
         assert!(!config.db_sync);
         assert_eq!(config.compact_ratio, 0.5);
-        let config =
-            ClarensConfig::parse("storage_backend: mmap\ndb_sync: true\ncompact_ratio: 0.8")
-                .unwrap();
-        assert_eq!(config.storage_backend, clarens_db::StorageBackend::Mmap);
+        let config = ClarensConfig::parse("db_sync: true\ncompact_ratio: 0.8").unwrap();
         assert!(config.db_sync);
         assert_eq!(config.compact_ratio, 0.8);
         assert_eq!(
@@ -454,7 +429,6 @@ db_path: /var/clarens/clarens.db
                 .compact_ratio,
             0.0
         );
-        assert!(ClarensConfig::parse("storage_backend: rocksdb").is_err());
         assert!(ClarensConfig::parse("db_sync: maybe").is_err());
         assert!(ClarensConfig::parse("compact_ratio: 1.5").is_err());
         assert!(ClarensConfig::parse("compact_ratio: heavy").is_err());

@@ -70,7 +70,6 @@ impl ClarensCore {
             Some(path) => Store::open_with(
                 path,
                 clarens_db::StorageOptions {
-                    backend: config.storage_backend,
                     sync: config.db_sync,
                     compact_ratio: config.compact_ratio,
                     ..clarens_db::StorageOptions::default()

@@ -9,6 +9,8 @@
 //!
 //! Protocol invariants (enforced by `Store::wal_read`):
 //! - only whole, CRC-valid frames are ever shipped;
+//! - a chunk is empty only when the cursor is caught up (a record longer
+//!   than the byte budget ships whole, on its own);
 //! - the epoch bumps when compaction rewrites the log, and a stale cursor
 //!   restarts from offset 0 (the compacted log doubles as a full-state
 //!   snapshot, so replay converges);
@@ -24,8 +26,9 @@ use clarens_wire::{Fault, Value};
 
 use crate::registry::{params, CallContext, MethodInfo, Service};
 
-/// Largest chunk a single fetch may return (1 MiB) — bounds response
-/// allocation regardless of what the follower asks for.
+/// Byte budget of a single fetch (1 MiB) — bounds response allocation
+/// regardless of what the follower asks for. One record longer than the
+/// budget still ships, whole and alone, so a follower always advances.
 pub const MAX_FETCH_BYTES: i64 = 1 << 20;
 
 /// The `replication` service (registered on federation leaders).

@@ -13,13 +13,15 @@
 //! assert_eq!(store.get("sessions", "abc123").unwrap(), b"/O=org/CN=alice");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod crc32;
+pub mod fuzz;
 pub mod log;
-pub mod mmap_engine;
 pub mod storage;
 pub mod store;
 pub mod wal_engine;
 
 pub use log::{decode_stream, frame_prefix, LogOp};
-pub use storage::{SnapshotSource, StorageBackend, StorageCounters, StorageEngine, StorageOptions};
+pub use storage::{StorageCounters, StorageOptions};
 pub use store::{is_degraded_error, Store, StoreStats, WalChunk, DEGRADED_MSG};

@@ -8,13 +8,18 @@
 //!            [u32 value_len][value]          (value only for Put)
 //! ```
 //!
+//! This module is the only place that knows that layout: [`encode_record`]
+//! writes a frame, [`read_frame`] reads one, and every consumer (recovery,
+//! the compaction replay, [`frame_prefix`], [`decode_stream`]) walks a log
+//! through `read_frame`.
+//!
 //! Recovery replays records until EOF or the first corrupt/truncated
 //! record — a torn tail (crash mid-write) truncates cleanly rather than
 //! corrupting the store, which is what lets Clarens sessions "survive
 //! server failures or restarts transparently" (paper §2).
 
 use std::fs::File;
-use std::io::{self, BufReader, Read, Seek, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 
 use crate::crc32::crc32;
@@ -25,7 +30,7 @@ const MAX_VALUE: usize = 256 * 1024 * 1024;
 
 /// Largest structurally possible frame payload; length fields beyond this
 /// are corruption, not data.
-pub(crate) const MAX_FRAME_PAYLOAD: usize = MAX_VALUE + 2 * MAX_NAME + 16;
+const MAX_FRAME_PAYLOAD: usize = MAX_VALUE + 2 * MAX_NAME + 16;
 
 /// A logged operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,14 +151,23 @@ fn read_name(payload: &[u8], pos: &mut usize) -> Option<String> {
     Some(name)
 }
 
+/// On-disk size of the frame around a `payload_len`-byte payload.
+const fn frame_size(payload_len: usize) -> usize {
+    4 + payload_len + 4
+}
+
 /// Frame one operation as it appears on disk:
 /// `[u32 payload_len][payload][u32 crc32(payload)]`.
 pub fn encode_record(op: &LogOp) -> Vec<u8> {
-    let payload = encode_op(op);
-    let mut record = Vec::with_capacity(payload.len() + 8);
+    frame_payload(&encode_op(op))
+}
+
+/// Wrap an already-encoded payload in its length prefix and CRC.
+pub(crate) fn frame_payload(payload: &[u8]) -> Vec<u8> {
+    let mut record = Vec::with_capacity(frame_size(payload.len()));
     record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    record.extend_from_slice(&payload);
-    record.extend_from_slice(&crc32(&payload).to_le_bytes());
+    record.extend_from_slice(payload);
+    record.extend_from_slice(&crc32(payload).to_le_bytes());
     record
 }
 
@@ -161,9 +175,9 @@ pub fn encode_record(op: &LogOp) -> Vec<u8> {
 /// uses this to track live bytes (and thus the WAL garbage ratio) from the
 /// key/value lengths alone.
 pub fn put_record_size(bucket: &str, key: &str, value_len: usize) -> u64 {
-    // frame len + op byte + 2 name-length prefixes + value-length prefix
-    // + CRC, plus the names and the value themselves.
-    (4 + 1 + 2 + 2 + 4 + 4 + bucket.len() + key.len() + value_len) as u64
+    // op byte + 2 name-length prefixes + value-length prefix, plus the
+    // names and the value themselves.
+    frame_size(1 + 2 + bucket.len() + 2 + key.len() + 4 + value_len) as u64
 }
 
 /// Write one framed record to completion. `write` may consume fewer bytes
@@ -197,45 +211,74 @@ pub fn write_framed(writer: &mut dyn Write, record: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
+/// What [`read_frame`] found at the reader's position.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Frame {
+    /// A whole, CRC-valid frame; its payload is in the caller's buffer.
+    Payload,
+    /// The stream ended exactly on a frame boundary.
+    End,
+    /// A partial frame, an impossible length field or a CRC mismatch.
+    Torn,
+}
+
+/// Read the next frame from `reader`, leaving its payload in `payload`
+/// (cleared first; reuse one buffer across calls). Only real I/O errors
+/// are `Err` — running out of bytes mid-frame is [`Frame::Torn`].
+pub(crate) fn read_frame(reader: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<Frame> {
+    // `take` + `read_to_end` grows the buffer only as bytes arrive, so a
+    // corrupt length field cannot force an allocation the stream does not
+    // back.
+    payload.clear();
+    match reader.by_ref().take(4).read_to_end(payload)? {
+        0 => return Ok(Frame::End),
+        4 => {}
+        _ => return Ok(Frame::Torn),
+    }
+    let len = u32::from_le_bytes(payload[..].try_into().unwrap()) as usize;
+    payload.clear();
+    if len > MAX_FRAME_PAYLOAD
+        || reader.by_ref().take(len as u64 + 4).read_to_end(payload)? < len + 4
+    {
+        return Ok(Frame::Torn);
+    }
+    let crc = u32::from_le_bytes(payload[len..].try_into().unwrap());
+    payload.truncate(len);
+    Ok(if crc32(payload) == crc {
+        Frame::Payload
+    } else {
+        Frame::Torn
+    })
+}
+
 /// Length of the longest prefix of `data` that consists of whole,
 /// CRC-valid records. WAL shippers trim replication chunks with this so a
 /// read that raced an in-flight append never ships a partial frame, and
 /// followers use it to reject a corrupted chunk wholesale.
 pub fn frame_prefix(data: &[u8]) -> usize {
-    let mut pos = 0usize;
-    loop {
-        if data.len() < pos + 4 {
-            return pos;
-        }
-        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-        if len > MAX_FRAME_PAYLOAD || data.len() < pos + 4 + len + 4 {
-            return pos;
-        }
-        let payload = &data[pos + 4..pos + 4 + len];
-        let crc = u32::from_le_bytes(data[pos + 4 + len..pos + 8 + len].try_into().unwrap());
-        if crc32(payload) != crc {
-            return pos;
-        }
-        pos += 4 + len + 4;
+    let mut rest = data;
+    let mut payload = Vec::new();
+    let mut whole = 0;
+    while let Ok(Frame::Payload) = read_frame(&mut rest, &mut payload) {
+        whole = data.len() - rest.len();
     }
+    whole
 }
 
 /// Decode a byte run of framed records into operations. Returns `None` if
 /// the run is anything other than a whole number of CRC-valid, structurally
 /// sound records — a replication follower must apply a chunk entirely or
 /// not at all.
-pub fn decode_stream(data: &[u8]) -> Option<Vec<LogOp>> {
-    if frame_prefix(data) != data.len() {
-        return None;
-    }
+pub fn decode_stream(mut data: &[u8]) -> Option<Vec<LogOp>> {
+    let mut payload = Vec::new();
     let mut ops = Vec::new();
-    let mut pos = 0usize;
-    while pos < data.len() {
-        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-        ops.push(decode_op(&data[pos + 4..pos + 4 + len])?);
-        pos += 4 + len + 4;
+    loop {
+        match read_frame(&mut data, &mut payload).ok()? {
+            Frame::Payload => ops.push(decode_op(&payload)?),
+            Frame::End => return Some(ops),
+            Frame::Torn => return None,
+        }
     }
-    Some(ops)
 }
 
 /// The outcome of a recovery scan.
@@ -251,76 +294,34 @@ pub struct Recovery {
     pub valid_len: u64,
 }
 
-/// Replay a log file. Missing file ⇒ empty recovery.
+/// Replay a log file, streaming it frame by frame (the whole log is never
+/// held in memory beside the decoded ops). Missing file ⇒ empty recovery.
 pub fn recover(path: &Path) -> io::Result<Recovery> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return Ok(Recovery {
-                ops: Vec::new(),
-                torn_tail: false,
-                valid_len: 0,
-            })
-        }
+    let mut recovery = Recovery {
+        ops: Vec::new(),
+        torn_tail: false,
+        valid_len: 0,
+    };
+    let mut reader = match File::open(path) {
+        Ok(f) => BufReader::new(f),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(recovery),
         Err(e) => return Err(e),
     };
-    let size = file.metadata()?.len();
-    let mut reader = BufReader::new(file);
-    let mut ops = Vec::new();
-    let mut offset = 0u64;
+    let mut payload = Vec::new();
     loop {
-        let mut len_buf = [0u8; 4];
-        match reader.read_exact(&mut len_buf) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                // Clean EOF if we were at a record boundary; a few stray
-                // bytes constitute a torn tail.
-                let torn = offset + 4 > size && offset != size;
-                let torn = torn || (size - offset > 0 && size - offset < 4);
-                return Ok(Recovery {
-                    ops,
-                    torn_tail: torn,
-                    valid_len: offset,
-                });
-            }
-            Err(e) => return Err(e),
-        }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if len > MAX_FRAME_PAYLOAD {
-            return Ok(Recovery {
-                ops,
-                torn_tail: true,
-                valid_len: offset,
-            });
-        }
-        let mut payload = vec![0u8; len];
-        let mut crc_buf = [0u8; 4];
-        if reader.read_exact(&mut payload).is_err() || reader.read_exact(&mut crc_buf).is_err() {
-            return Ok(Recovery {
-                ops,
-                torn_tail: true,
-                valid_len: offset,
-            });
-        }
-        if crc32(&payload) != u32::from_le_bytes(crc_buf) {
-            return Ok(Recovery {
-                ops,
-                torn_tail: true,
-                valid_len: offset,
-            });
-        }
-        match decode_op(&payload) {
-            Some(op) => ops.push(op),
-            None => {
-                return Ok(Recovery {
-                    ops,
-                    torn_tail: true,
-                    valid_len: offset,
-                })
-            }
-        }
-        offset += 4 + len as u64 + 4;
-        let _ = reader.stream_position();
+        // A CRC-valid frame whose payload does not decode is as torn as a
+        // short one: the valid prefix ends before it.
+        let op = match read_frame(&mut reader, &mut payload)? {
+            Frame::Payload => decode_op(&payload),
+            Frame::End => return Ok(recovery),
+            Frame::Torn => None,
+        };
+        let Some(op) = op else {
+            recovery.torn_tail = true;
+            return Ok(recovery);
+        };
+        recovery.ops.push(op);
+        recovery.valid_len += frame_size(payload.len()) as u64;
     }
 }
 
@@ -369,6 +370,27 @@ mod tests {
         for op in &ops {
             assert_eq!(decode_op(&encode_op(op)).unwrap(), *op);
         }
+    }
+
+    /// Logs already on disk, replication followers and the benchmark's
+    /// restart check all depend on these exact bytes.
+    #[test]
+    fn record_format_is_pinned() {
+        assert_eq!(
+            encode_record(&put("sessions", "abc", b"hi")),
+            b"\x16\0\0\0\x01\x08\0sessions\x03\0abc\x02\0\0\0hi\xdb\xb7\xf6\xe4"
+        );
+        assert_eq!(
+            encode_record(&LogOp::Delete {
+                bucket: "acl".into(),
+                key: "file.read".into(),
+            }),
+            b"\x11\0\0\0\x02\x03\0acl\x09\0file.read\x93\xe6\xf5\xf3"
+        );
+        assert_eq!(
+            encode_record(&LogOp::EpochFence { epoch: 7 }),
+            b"\x09\0\0\0\x03\x07\0\0\0\0\0\0\0\x72\x21\x41\xd5"
+        );
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! methods in the server" (§4). It offers:
 //!
 //! * named buckets, each an ordered map of `String → Vec<u8>`, lock-striped
-//!   across [`StorageOptions::shards`] shards by bucket hash so writes to
-//!   different buckets (sessions vs. VO vs. ACL) never contend,
-//! * optional durability through a pluggable [`StorageEngine`] (group-commit
-//!   WAL by default, checkpointing mmap snapshot as the alternative),
+//!   across [`SHARDS`] shards by bucket hash so writes to different buckets
+//!   (sessions vs. VO vs. ACL) never contend,
+//! * optional durability through a group-commit write-ahead log
+//!   ([`WalEngine`]),
 //! * crash recovery with torn-tail truncation and background log compaction
 //!   (a janitor thread triggered by the WAL garbage ratio),
 //! * prefix scans (hierarchical ACL/VO keys are path-like),
@@ -29,11 +29,8 @@ use std::time::Duration;
 
 use parking_lot::RwLock;
 
-use crate::log::LogOp;
-use crate::mmap_engine::MmapEngine;
-use crate::storage::{
-    SnapshotSource, StorageBackend, StorageCounters, StorageEngine, StorageOptions,
-};
+use crate::log::{put_record_size, LogOp};
+use crate::storage::{StorageCounters, StorageOptions};
 use crate::wal_engine::WalEngine;
 
 /// Inner map type: bucket name → ordered key/value map.
@@ -42,12 +39,9 @@ type Buckets = BTreeMap<String, BTreeMap<String, Vec<u8>>>;
 /// How often the janitor re-evaluates the garbage ratio.
 const JANITOR_TICK: Duration = Duration::from_millis(200);
 
-/// On-disk frame size of a `Put` record, from component lengths (see
-/// [`crate::log::put_record_size`]); the store tracks the summed size of
-/// all live records to estimate the log's garbage ratio without I/O.
-fn frame_size(bucket_len: usize, key_len: usize, value_len: usize) -> u64 {
-    (4 + 1 + 2 + 2 + 4 + 4 + bucket_len + key_len + value_len) as u64
-}
+/// Number of lock-striped bucket shards (`repro storage` swept 1/4/16 at
+/// PR 8; see EXPERIMENTS.md).
+const SHARDS: usize = 16;
 
 /// The entries of one bucket whose keys start with `prefix`, in key order.
 fn prefixed<'a>(
@@ -72,23 +66,19 @@ pub struct StoreStats {
     pub syncs: u64,
     /// Group-commit batches (each one fsync covering ≥ 1 append).
     pub group_commits: u64,
-    /// Compactions / checkpoints completed.
+    /// Compactions completed.
     pub compactions: u64,
 }
 
-/// The lock-striped bucket maps. Shared with the janitor thread, which
-/// needs a consistent snapshot source that outlives any one borrow of the
-/// store.
+/// The lock-striped bucket maps.
 struct ShardSet {
-    shards: Box<[RwLock<Buckets>]>,
+    shards: [RwLock<Buckets>; SHARDS],
 }
 
 impl ShardSet {
-    fn new(n: usize) -> ShardSet {
+    fn new() -> ShardSet {
         ShardSet {
-            shards: (0..n.max(1))
-                .map(|_| RwLock::new(BTreeMap::new()))
-                .collect(),
+            shards: std::array::from_fn(|_| RwLock::new(BTreeMap::new())),
         }
     }
 
@@ -105,27 +95,11 @@ impl ShardSet {
     }
 }
 
-impl SnapshotSource for ShardSet {
-    fn emit_ops(&self, emit: &mut crate::storage::EmitOp<'_>) -> io::Result<()> {
-        // Hold every shard's read lock for the whole emit: the cut must
-        // be a single consistent point in time.
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        for guard in &guards {
-            for (bucket, map) in guard.iter() {
-                for (key, value) in map {
-                    emit(bucket, key, value)?;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 /// A concurrent, optionally-persistent KV store.
 pub struct Store {
-    shards: Arc<ShardSet>,
+    shards: ShardSet,
     /// `None` for purely in-memory stores.
-    engine: Option<Arc<dyn StorageEngine>>,
+    engine: Option<Arc<WalEngine>>,
     lookups: AtomicU64,
     scans: AtomicU64,
     writes: AtomicU64,
@@ -189,24 +163,11 @@ pub fn is_degraded_error(err: &io::Error) -> bool {
 impl Store {
     /// A purely in-memory store (no durability).
     pub fn in_memory() -> Self {
-        Self::assemble(None, Vec::new(), &StorageOptions::default())
+        Self::assemble(None, Vec::new(), 0.0)
     }
 
-    /// An in-memory store with an explicit shard count (used by the
-    /// lock-striping ablation; the default is [`StorageOptions::shards`]).
-    pub fn in_memory_with_shards(shards: usize) -> Self {
-        Self::assemble(
-            None,
-            Vec::new(),
-            &StorageOptions {
-                shards,
-                ..StorageOptions::default()
-            },
-        )
-    }
-
-    /// Open a persistent store at `path` with default options (WAL
-    /// backend, no per-append fsync, janitor compaction at 50% garbage).
+    /// Open a persistent store at `path` with default options (no
+    /// per-append fsync, janitor compaction at 50% garbage).
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         Self::open_with(path, StorageOptions::default())
     }
@@ -222,44 +183,33 @@ impl Store {
         )
     }
 
-    /// Open a persistent store with explicit [`StorageOptions`]: backend
-    /// choice, durability mode, group commit, shard count, and the
-    /// background-compaction trigger.
+    /// Open a persistent store with explicit [`StorageOptions`]: durability
+    /// mode and the background-compaction trigger.
     pub fn open_with(path: impl Into<PathBuf>, options: StorageOptions) -> io::Result<Self> {
-        let path = path.into();
-        let (engine, ops): (Arc<dyn StorageEngine>, Vec<LogOp>) = match options.backend {
-            StorageBackend::Wal => {
-                let (engine, ops) = WalEngine::open(path, &options)?;
-                (Arc::new(engine), ops)
-            }
-            StorageBackend::Mmap => {
-                let (engine, ops) = MmapEngine::open(path, &options)?;
-                (Arc::new(engine), ops)
-            }
-        };
-        Ok(Self::assemble(Some(engine), ops, &options))
+        let (engine, ops) = WalEngine::open(path.into(), &options)?;
+        Ok(Self::assemble(
+            Some(Arc::new(engine)),
+            ops,
+            options.compact_ratio,
+        ))
     }
 
-    fn assemble(
-        engine: Option<Arc<dyn StorageEngine>>,
-        ops: Vec<LogOp>,
-        options: &StorageOptions,
-    ) -> Store {
-        let shards = Arc::new(ShardSet::new(options.shards));
+    fn assemble(engine: Option<Arc<WalEngine>>, ops: Vec<LogOp>, compact_ratio: f64) -> Store {
+        let shards = ShardSet::new();
         let mut live = 0u64;
         let mut fence = 0u64;
         for op in ops {
             match op {
                 LogOp::Put { bucket, key, value } => {
                     let shard = shards.shard(&bucket);
-                    live += frame_size(bucket.len(), key.len(), value.len());
-                    let removed = frame_size(bucket.len(), key.len(), 0);
+                    live += put_record_size(&bucket, &key, value.len());
+                    let removed = put_record_size(&bucket, &key, 0);
                     if let Some(old) = shard.write().entry(bucket).or_default().insert(key, value) {
                         live -= removed + old.len() as u64;
                     }
                 }
                 LogOp::Delete { bucket, key } => {
-                    let removed = frame_size(bucket.len(), key.len(), 0);
+                    let removed = put_record_size(&bucket, &key, 0);
                     if let Some(old) = shards
                         .shard(&bucket)
                         .write()
@@ -275,15 +225,14 @@ impl Store {
         let degraded = Arc::new(AtomicBool::new(false));
         let live_bytes = Arc::new(AtomicU64::new(live));
         let (janitor_stop, janitor) = match &engine {
-            Some(engine) if options.compact_ratio > 0.0 => {
+            Some(engine) if compact_ratio > 0.0 => {
                 let stop = Arc::new(AtomicBool::new(false));
                 let thread = spawn_janitor(
                     Arc::clone(engine),
-                    Arc::clone(&shards),
                     Arc::clone(&degraded),
                     Arc::clone(&live_bytes),
                     Arc::clone(&stop),
-                    options.compact_ratio,
+                    compact_ratio,
                 );
                 (Some(stop), Some(thread))
             }
@@ -366,7 +315,7 @@ impl Store {
         } else {
             (key.to_owned(), value)
         };
-        let added = frame_size(bucket.len(), key.len(), value.len());
+        let added = put_record_size(bucket, key, value.len());
         let generation = self.generation_handle(bucket);
         let old_len = {
             let mut shard = self.shards.shard(bucket).write();
@@ -382,7 +331,7 @@ impl Store {
         };
         self.live_add(added);
         if let Some(old_len) = old_len {
-            self.live_sub(frame_size(bucket.len(), key.len(), old_len));
+            self.live_sub(put_record_size(bucket, key, old_len));
         }
         Ok(())
     }
@@ -425,7 +374,7 @@ impl Store {
             old.map(|o| o.len())
         };
         if let Some(old_len) = old_len {
-            self.live_sub(frame_size(bucket.len(), key.len(), old_len));
+            self.live_sub(put_record_size(bucket, key, old_len));
         }
         Ok(old_len.is_some())
     }
@@ -518,7 +467,7 @@ impl Store {
     pub fn compact(&self) -> io::Result<()> {
         match &self.engine {
             None => Ok(()),
-            Some(engine) => engine.compact(&*self.shards),
+            Some(engine) => engine.compact(),
         }
     }
 
@@ -563,8 +512,9 @@ impl Store {
     /// by comparing the returned `offset`/`epoch` against what it asked
     /// for. Only fully-framed, CRC-valid records are ever returned, and
     /// the read is excluded from the compaction file swap, so a chunk's
-    /// bytes always belong to the epoch it reports. Errors for in-memory
-    /// stores and for engines that do not ship a log.
+    /// bytes always belong to the epoch it reports. A chunk is empty only
+    /// when the cursor is caught up: a record longer than `max_bytes` is
+    /// returned whole, on its own. Errors for in-memory stores.
     pub fn wal_read(&self, epoch: u64, offset: u64, max_bytes: usize) -> io::Result<WalChunk> {
         match &self.engine {
             None => Err(io::Error::other(
@@ -574,8 +524,7 @@ impl Store {
         }
     }
 
-    /// Force pending state to disk (an fsync for the WAL engine, a full
-    /// checkpoint for the mmap engine).
+    /// Force pending appends to disk (one fsync of the log).
     pub fn sync(&self) -> io::Result<()> {
         let Some(engine) = &self.engine else {
             return Ok(());
@@ -583,7 +532,7 @@ impl Store {
         if self.is_degraded() {
             return Err(Self::degraded_error());
         }
-        match engine.sync(&*self.shards) {
+        match engine.sync() {
             Ok(()) => Ok(()),
             Err(e) => {
                 self.degraded.store(true, Ordering::SeqCst);
@@ -614,11 +563,6 @@ impl Store {
         }
         let mut generations = self.generations.write();
         Arc::clone(generations.entry(bucket.to_owned()).or_default())
-    }
-
-    /// Short name of the storage backend ("wal", "mmap", or "memory").
-    pub fn backend(&self) -> &'static str {
-        self.engine.as_ref().map_or("memory", |e| e.name())
     }
 
     /// Estimated on-disk bytes of a minimal snapshot of live state (the
@@ -666,8 +610,7 @@ impl Drop for Store {
 /// Compaction errors are swallowed (the old file stays intact; the next
 /// tick retries) and a degraded store is left alone entirely.
 fn spawn_janitor(
-    engine: Arc<dyn StorageEngine>,
-    shards: Arc<ShardSet>,
+    engine: Arc<WalEngine>,
     degraded: Arc<AtomicBool>,
     live_bytes: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
@@ -689,7 +632,7 @@ fn spawn_janitor(
                     continue;
                 }
                 if engine.wants_compaction(live_bytes.load(Ordering::Relaxed), ratio) {
-                    let _ = engine.compact(&*shards);
+                    let _ = engine.compact();
                 }
             }
         })
@@ -1185,14 +1128,43 @@ mod tests {
             }]
         );
 
-        // A byte budget smaller than one record yields an empty chunk (no
-        // torn frames), and a larger one yields whole records only.
-        let partial = store.wal_read(0, 0, 3).unwrap();
-        assert!(partial.data.is_empty());
-        let one = store.wal_read(0, 0, chunk.data.len() - 1).unwrap();
-        assert_eq!(decode_stream(&one.data).unwrap().len(), 1);
-        assert!(one.next_offset() < chunk.len);
+        // A byte budget that cuts a record short yields whole records
+        // only — and never fewer than one, however small the budget.
+        for budget in [3, chunk.data.len() - 1] {
+            let one = store.wal_read(0, 0, budget).unwrap();
+            assert_eq!(decode_stream(&one.data).unwrap().len(), 1);
+            assert!(one.next_offset() < chunk.len);
+        }
 
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A record larger than the fetch budget (one big VO group, say) must
+    /// not wedge a follower: an empty chunk means "caught up", so the
+    /// oversized record is shipped whole.
+    #[test]
+    fn wal_cursor_passes_a_record_larger_than_the_budget() {
+        use crate::log::decode_stream;
+        let path = temp_path("cursor-oversized");
+        let store = Store::open(&path).unwrap();
+        store.put("vo", "small", b"x".to_vec()).unwrap();
+        store.put("vo", "big", vec![7u8; 3 << 20]).unwrap();
+        store.put("vo", "after", b"y".to_vec()).unwrap();
+
+        let committed = store.wal_offset();
+        let mut cursor = 0;
+        let mut ops = Vec::new();
+        for _ in 0..8 {
+            let chunk = store.wal_read(0, cursor, 1 << 20).unwrap();
+            assert_eq!(chunk.offset, cursor);
+            ops.extend(decode_stream(&chunk.data).expect("whole frames only"));
+            cursor = chunk.next_offset();
+        }
+        assert_eq!(
+            cursor, committed,
+            "the cursor never got past the big record"
+        );
+        assert_eq!(ops.len(), 3);
         std::fs::remove_file(&path).unwrap();
     }
 

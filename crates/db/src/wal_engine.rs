@@ -1,5 +1,6 @@
-//! The default storage engine: an append-only write-ahead log with group
-//! commit and background compaction.
+//! The storage engine behind a persistent [`crate::Store`]: an append-only
+//! write-ahead log with group commit and background compaction. The record
+//! format itself lives in [`crate::log`].
 //!
 //! **Group commit.** In durable mode every acknowledged append must be
 //! fsynced, but fsync latency is the whole cost — so concurrent appenders
@@ -41,9 +42,11 @@ use std::sync::Condvar;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::crc32::crc32;
-use crate::log::{encode_record, frame_prefix, recover, write_framed, LogOp};
-use crate::storage::{StorageCounters, StorageEngine, StorageOptions};
+use crate::log::{
+    decode_op, encode_record, frame_payload, frame_prefix, read_frame, recover, write_framed,
+    Frame, LogOp,
+};
+use crate::storage::{StorageCounters, StorageOptions};
 use crate::store::WalChunk;
 
 /// Once the uncopied tail is at most this many bytes, compaction takes
@@ -217,25 +220,14 @@ impl WalEngine {
             std::collections::BTreeMap::new();
         let mut fence: Option<u64> = None;
         let corrupt = || io::Error::other("WAL corrupt inside committed prefix");
+        let mut payload = Vec::new();
         loop {
-            let mut len_buf = [0u8; 4];
-            match reader.read_exact(&mut len_buf) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-                Err(e) => return Err(e),
+            match read_frame(&mut reader, &mut payload)? {
+                Frame::Payload => {}
+                Frame::End => break,
+                Frame::Torn => return Err(corrupt()),
             }
-            let len = u32::from_le_bytes(len_buf) as usize;
-            if len > crate::log::MAX_FRAME_PAYLOAD {
-                return Err(corrupt());
-            }
-            let mut payload = vec![0u8; len];
-            let mut crc_buf = [0u8; 4];
-            reader.read_exact(&mut payload).map_err(|_| corrupt())?;
-            reader.read_exact(&mut crc_buf).map_err(|_| corrupt())?;
-            if crc32(&payload) != u32::from_le_bytes(crc_buf) {
-                return Err(corrupt());
-            }
-            match crate::log::decode_op(&payload).ok_or_else(corrupt)? {
+            match decode_op(&payload).ok_or_else(corrupt)? {
                 LogOp::Put { bucket, key, value } => {
                     live.insert((bucket, key), value);
                 }
@@ -349,14 +341,12 @@ impl WalEngine {
         }
         Ok(())
     }
-}
 
-impl StorageEngine for WalEngine {
-    fn name(&self) -> &'static str {
-        "wal"
-    }
-
-    fn append(&self, op: &LogOp) -> io::Result<()> {
+    /// Append one record; in durable mode, return only once it is fsynced
+    /// (sharing the fsync with concurrent appenders). An error means the
+    /// operation must not be applied to memory (the store degrades to
+    /// read-only).
+    pub fn append(&self, op: &LogOp) -> io::Result<()> {
         let record = encode_record(op);
         let lsn = {
             let mut inner = self.inner.lock();
@@ -377,7 +367,8 @@ impl StorageEngine for WalEngine {
         self.commit(lsn)
     }
 
-    fn sync(&self, _state: &dyn crate::storage::SnapshotSource) -> io::Result<()> {
+    /// Fsync the log.
+    pub fn sync(&self) -> io::Result<()> {
         let (lsn, file) = {
             let inner = self.inner.lock();
             (inner.lsn, Arc::clone(&inner.file))
@@ -393,7 +384,9 @@ impl StorageEngine for WalEngine {
         Ok(())
     }
 
-    fn compact(&self, _state: &dyn crate::storage::SnapshotSource) -> io::Result<()> {
+    /// Rewrite the log as a minimal snapshot of live state. Safe to call
+    /// concurrently with appends; concurrent calls coalesce.
+    pub fn compact(&self) -> io::Result<()> {
         if self.compacting.swap(true, Ordering::SeqCst) {
             return Ok(()); // a compaction is already in flight
         }
@@ -405,7 +398,9 @@ impl StorageEngine for WalEngine {
         result
     }
 
-    fn wants_compaction(&self, live_bytes: u64, ratio: f64) -> bool {
+    /// Should the janitor compact now? `live_bytes` is the store's estimate
+    /// of the on-disk size of a minimal snapshot.
+    pub fn wants_compaction(&self, live_bytes: u64, ratio: f64) -> bool {
         let len = self.committed.load(Ordering::Acquire);
         if len < self.compact_min_bytes || live_bytes >= len {
             return false;
@@ -413,19 +408,20 @@ impl StorageEngine for WalEngine {
         (len - live_bytes) as f64 / len as f64 >= ratio
     }
 
-    fn committed_len(&self) -> u64 {
+    /// Committed length of the log in bytes (the replication high-water
+    /// mark).
+    pub fn committed_len(&self) -> u64 {
         self.committed.load(Ordering::Acquire)
     }
 
-    fn epoch(&self) -> u64 {
+    /// Incarnation of the log file; bumps whenever a compaction
+    /// invalidates previously handed-out offsets.
+    pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    fn ships_log(&self) -> bool {
-        true
-    }
-
-    fn read_log(&self, epoch: u64, offset: u64, max_bytes: usize) -> io::Result<WalChunk> {
+    /// Read a replication chunk (see [`crate::Store::wal_read`]).
+    pub fn read_log(&self, epoch: u64, offset: u64, max_bytes: usize) -> io::Result<WalChunk> {
         // The read lock pins the (file, epoch) pairing: a compaction swap
         // takes the write side, so we can never read the new file's bytes
         // and label them with the old epoch.
@@ -437,23 +433,26 @@ impl StorageEngine for WalEngine {
         } else {
             offset
         };
-        let budget = (committed - start).min(max_bytes as u64) as usize;
-        let mut data = vec![0u8; budget];
-        if budget > 0 {
+        let mut data = Vec::new();
+        if start < committed {
             let mut file = File::open(&self.path)?;
             file.seek(SeekFrom::Start(start))?;
-            let mut filled = 0;
-            while filled < budget {
-                match file.read(&mut data[filled..]) {
-                    Ok(0) => break,
-                    Ok(n) => filled += n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
+            let budget = (committed - start).min(max_bytes as u64);
+            data.reserve_exact(budget as usize);
+            (&file).take(budget).read_to_end(&mut data)?;
+            data.truncate(frame_prefix(&data));
+            if data.is_empty() {
+                // The frame at `start` is longer than the budget. A
+                // follower reads an empty chunk as "caught up" and would
+                // ask for this offset forever, so ship that one frame
+                // whole instead.
+                file.seek(SeekFrom::Start(start))?;
+                let mut payload = Vec::new();
+                let mut rest = (&file).take(committed - start);
+                if read_frame(&mut rest, &mut payload)? == Frame::Payload {
+                    data = frame_payload(&payload);
                 }
             }
-            data.truncate(filled);
-            let whole = frame_prefix(&data);
-            data.truncate(whole);
         }
         Ok(WalChunk {
             epoch: cur_epoch,
@@ -463,7 +462,8 @@ impl StorageEngine for WalEngine {
         })
     }
 
-    fn counters(&self) -> StorageCounters {
+    /// Snapshot of the engine's counters.
+    pub fn counters(&self) -> StorageCounters {
         StorageCounters {
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
             group_commits: self.group_commits.load(Ordering::Relaxed),

@@ -1,12 +1,12 @@
-//! The store's functional contract, exercised identically through every
-//! storage backend behind the [`clarens_db::StorageEngine`] trait, plus
-//! the cross-backend compatibility guarantee (both engines persist the
-//! same CRC-framed record format, so a database can be reopened under
-//! either).
+//! The persistent store's functional contract: CRUD, restart survival,
+//! compaction, concurrent writers, group commit, and recovery from a crash
+//! at every byte of the log's tail.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use clarens_db::{StorageBackend, StorageOptions, Store};
+use clarens_db::log::{encode_record, frame_prefix};
+use clarens_db::{LogOp, StorageOptions, Store};
 
 fn temp_path(name: &str) -> PathBuf {
     let path =
@@ -15,180 +15,93 @@ fn temp_path(name: &str) -> PathBuf {
     path
 }
 
-fn options(backend: StorageBackend) -> StorageOptions {
-    StorageOptions {
-        backend,
-        ..StorageOptions::default()
-    }
-}
-
-const BACKENDS: [StorageBackend; 2] = [StorageBackend::Wal, StorageBackend::Mmap];
-
-fn backend_name(backend: StorageBackend) -> &'static str {
-    match backend {
-        StorageBackend::Wal => "wal",
-        StorageBackend::Mmap => "mmap",
-    }
+#[test]
+fn crud_round_trip() {
+    let path = temp_path("crud");
+    let store = Store::open(&path).unwrap();
+    store.put("b", "k", b"v1".to_vec()).unwrap();
+    store.put("b", "k", b"v2".to_vec()).unwrap();
+    assert_eq!(store.get("b", "k").unwrap(), b"v2");
+    assert!(store.delete("b", "k").unwrap());
+    assert!(!store.contains("b", "k"));
+    store.put("acl", "path/a", b"1".to_vec()).unwrap();
+    store.put("acl", "path/b", b"2".to_vec()).unwrap();
+    assert_eq!(store.scan_prefix("acl", "path/").len(), 2);
+    drop(store);
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
-fn crud_round_trip_every_backend() {
-    for backend in BACKENDS {
-        let path = temp_path(&format!("crud-{}", backend_name(backend)));
-        let store = Store::open_with(&path, options(backend)).unwrap();
-        assert_eq!(store.backend(), backend_name(backend));
-        store.put("b", "k", b"v1".to_vec()).unwrap();
-        store.put("b", "k", b"v2".to_vec()).unwrap();
-        assert_eq!(store.get("b", "k").unwrap(), b"v2");
-        assert!(store.delete("b", "k").unwrap());
-        assert!(!store.contains("b", "k"));
-        store.put("acl", "path/a", b"1".to_vec()).unwrap();
-        store.put("acl", "path/b", b"2".to_vec()).unwrap();
-        assert_eq!(store.scan_prefix("acl", "path/").len(), 2);
-        drop(store);
-        // The mmap backend writes no file until its first checkpoint.
-        let _ = std::fs::remove_file(&path);
-    }
-}
-
-#[test]
-fn persistence_across_reopen_every_backend() {
-    for backend in BACKENDS {
-        let path = temp_path(&format!("reopen-{}", backend_name(backend)));
-        {
-            let store = Store::open_with(&path, options(backend)).unwrap();
-            store.put("sessions", "s1", b"alice".to_vec()).unwrap();
-            store.put("sessions", "s2", b"bob".to_vec()).unwrap();
-            store.delete("sessions", "s1").unwrap();
-            // For the WAL engine sync() fsyncs the log; for the mmap
-            // engine it cuts a checkpoint — either way state must
-            // survive the process.
-            store.sync().unwrap();
-        }
-        {
-            let store = Store::open_with(&path, options(backend)).unwrap();
-            assert_eq!(store.get("sessions", "s1"), None);
-            assert_eq!(store.get("sessions", "s2").unwrap(), b"bob");
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-}
-
-#[test]
-fn compaction_preserves_state_every_backend() {
-    for backend in BACKENDS {
-        let path = temp_path(&format!("compact-{}", backend_name(backend)));
-        let store = Store::open_with(&path, options(backend)).unwrap();
-        for i in 0..50 {
-            store.put("b", "hot", format!("v{i}").into_bytes()).unwrap();
-            store.put("b", &format!("cold-{i}"), vec![i as u8]).unwrap();
-        }
-        let epoch_before = store.wal_epoch();
-        store.compact().unwrap();
-        assert_eq!(store.wal_epoch(), epoch_before + 1);
-        assert_eq!(store.stats().compactions, 1);
-        assert_eq!(store.get("b", "hot").unwrap(), b"v49");
-        assert_eq!(store.len("b"), 51);
-        // Appends keep landing after the rewrite.
-        store.put("b", "post", b"x".to_vec()).unwrap();
-        store.sync().unwrap();
-        drop(store);
-        let store = Store::open_with(&path, options(backend)).unwrap();
-        assert_eq!(store.get("b", "post").unwrap(), b"x");
-        assert_eq!(store.len("b"), 52);
-        drop(store);
-        std::fs::remove_file(&path).unwrap();
-    }
-}
-
-#[test]
-fn concurrent_writers_every_backend() {
-    use std::sync::Arc;
-    for backend in BACKENDS {
-        let path = temp_path(&format!("threads-{}", backend_name(backend)));
-        let store = Arc::new(Store::open_with(&path, options(backend)).unwrap());
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let store = Arc::clone(&store);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..100 {
-                    store
-                        .put(&format!("bucket-{t}"), &format!("k{i}"), vec![t as u8])
-                        .unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        for t in 0..4 {
-            assert_eq!(store.len(&format!("bucket-{t}")), 100);
-        }
-        store.sync().unwrap();
-        drop(store);
-        let store = Store::open_with(&path, options(backend)).unwrap();
-        assert_eq!(store.bucket_names().len(), 4);
-        drop(store);
-        std::fs::remove_file(&path).unwrap();
-    }
-}
-
-/// The snapshot format is a compacted WAL, so a database written by one
-/// backend opens under the other — in both directions.
-#[test]
-fn backend_switch_round_trip() {
-    let path = temp_path("switch");
+fn persistence_across_reopen() {
+    let path = temp_path("reopen");
     {
-        let store = Store::open_with(&path, options(StorageBackend::Wal)).unwrap();
-        for i in 0..20 {
-            store.put("b", &format!("k{i}"), vec![i as u8]).unwrap();
-        }
-        store.delete("b", "k0").unwrap();
+        let store = Store::open(&path).unwrap();
+        store.put("sessions", "s1", b"alice".to_vec()).unwrap();
+        store.put("sessions", "s2", b"bob".to_vec()).unwrap();
+        store.delete("sessions", "s1").unwrap();
         store.sync().unwrap();
     }
     {
-        // wal → mmap: the mmap engine tolerates the un-compacted log's
-        // superseded records (it replays frames in order).
-        let store = Store::open_with(&path, options(StorageBackend::Mmap)).unwrap();
-        assert_eq!(store.get("b", "k0"), None);
-        assert_eq!(store.get("b", "k19").unwrap(), vec![19u8]);
-        assert_eq!(store.len("b"), 19);
-        store.put("b", "from-mmap", b"x".to_vec()).unwrap();
-        store.sync().unwrap(); // checkpoint: rewrites as a pure snapshot
-    }
-    {
-        // mmap → wal: the checkpoint is a valid (compacted) WAL.
-        let store = Store::open_with(&path, options(StorageBackend::Wal)).unwrap();
-        assert_eq!(store.get("b", "from-mmap").unwrap(), b"x");
-        assert_eq!(store.len("b"), 20);
-        store.put("b", "from-wal", b"y".to_vec()).unwrap();
-        store.sync().unwrap();
-    }
-    {
-        let store = Store::open_with(&path, options(StorageBackend::Mmap)).unwrap();
-        assert_eq!(store.get("b", "from-wal").unwrap(), b"y");
+        let store = Store::open(&path).unwrap();
+        assert_eq!(store.get("sessions", "s1"), None);
+        assert_eq!(store.get("sessions", "s2").unwrap(), b"bob");
     }
     std::fs::remove_file(&path).unwrap();
 }
 
-/// Durability contracts that differ by design: the mmap engine refuses to
-/// ship a replication log, the WAL engine serves one.
 #[test]
-fn log_shipping_is_wal_only() {
-    let wal_path = temp_path("ship-wal");
-    let mmap_path = temp_path("ship-mmap");
-    let wal = Store::open_with(&wal_path, options(StorageBackend::Wal)).unwrap();
-    let mmap = Store::open_with(&mmap_path, options(StorageBackend::Mmap)).unwrap();
-    wal.put("b", "k", b"v".to_vec()).unwrap();
-    mmap.put("b", "k", b"v".to_vec()).unwrap();
-    assert!(!wal.wal_read(0, 0, 1 << 20).unwrap().data.is_empty());
-    let err = mmap.wal_read(0, 0, 1 << 20).unwrap_err();
-    assert!(err.to_string().contains("does not ship"), "{err}");
-    drop(wal);
-    drop(mmap);
-    std::fs::remove_file(&wal_path).unwrap();
-    // The mmap store never checkpointed, so it has no file on disk.
-    let _ = std::fs::remove_file(&mmap_path);
+fn compaction_preserves_state() {
+    let path = temp_path("compact");
+    let store = Store::open(&path).unwrap();
+    for i in 0..50 {
+        store.put("b", "hot", format!("v{i}").into_bytes()).unwrap();
+        store.put("b", &format!("cold-{i}"), vec![i as u8]).unwrap();
+    }
+    let epoch_before = store.wal_epoch();
+    store.compact().unwrap();
+    assert_eq!(store.wal_epoch(), epoch_before + 1);
+    assert_eq!(store.stats().compactions, 1);
+    assert_eq!(store.get("b", "hot").unwrap(), b"v49");
+    assert_eq!(store.len("b"), 51);
+    // Appends keep landing after the rewrite.
+    store.put("b", "post", b"x".to_vec()).unwrap();
+    store.sync().unwrap();
+    drop(store);
+    let store = Store::open(&path).unwrap();
+    assert_eq!(store.get("b", "post").unwrap(), b"x");
+    assert_eq!(store.len("b"), 52);
+    drop(store);
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn concurrent_writers() {
+    use std::sync::Arc;
+    let path = temp_path("threads");
+    let store = Arc::new(Store::open(&path).unwrap());
+    let mut handles = Vec::new();
+    for t in 0..4 {
+        let store = Arc::clone(&store);
+        handles.push(std::thread::spawn(move || {
+            for i in 0..100 {
+                store
+                    .put(&format!("bucket-{t}"), &format!("k{i}"), vec![t as u8])
+                    .unwrap();
+            }
+        }));
+    }
+    for h in handles {
+        h.join().unwrap();
+    }
+    for t in 0..4 {
+        assert_eq!(store.len(&format!("bucket-{t}")), 100);
+    }
+    store.sync().unwrap();
+    drop(store);
+    let store = Store::open(&path).unwrap();
+    assert_eq!(store.bucket_names().len(), 4);
+    drop(store);
+    std::fs::remove_file(&path).unwrap();
 }
 
 /// Group commit in durable mode: N concurrent writers must converge on
@@ -238,5 +151,107 @@ fn group_commit_batches_fsyncs() {
     let store = Store::open(&path).unwrap();
     assert_eq!(store.len("b"), (writers * per_writer) as usize);
     drop(store);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Crash at every byte (ROADMAP aim 3, storage side): whatever a crash
+/// leaves of the log's tail — any truncation inside the last three frames,
+/// any one damaged byte in the last — the store reopens to exactly the
+/// state of the whole-frame prefix, repairs the file to that prefix, and
+/// appends cleanly on top of it.
+#[test]
+fn crash_at_every_byte_recovers_the_whole_frame_prefix() {
+    let put = |bucket: &str, key: &str, value: &[u8]| LogOp::Put {
+        bucket: bucket.into(),
+        key: key.into(),
+        value: value.to_vec(),
+    };
+    let delete = |bucket: &str, key: &str| LogOp::Delete {
+        bucket: bucket.into(),
+        key: key.into(),
+    };
+    let ops = [
+        put("sessions", "s1", b"alice"),
+        put("sessions", "s2", b"bob"),
+        put("vo", "cms", b"members"),
+        LogOp::EpochFence { epoch: 1 },
+        delete("sessions", "s1"),
+        put("acl", "file.read", b"allow"),
+        put("sessions", "s2", b"bob-renewed"),
+        delete("vo", "absent"),
+        put("sessions", "s3", b""),
+        delete("acl", "file.read"),
+        LogOp::EpochFence { epoch: 2 },
+        put("sessions", "s4", b"dave"),
+    ];
+    let log: Vec<u8> = ops.iter().flat_map(encode_record).collect();
+    // ends[n] = byte length of the first n frames.
+    let ends: Vec<usize> = std::iter::once(0)
+        .chain(ops.iter().scan(0, |end, op| {
+            *end += encode_record(op).len();
+            Some(*end)
+        }))
+        .collect();
+    type State = (BTreeMap<(String, String), Vec<u8>>, u64);
+    let model = |frames: usize| -> State {
+        let mut state = State::default();
+        for op in &ops[..frames] {
+            match op.clone() {
+                LogOp::Put { bucket, key, value } => {
+                    state.0.insert((bucket, key), value);
+                }
+                LogOp::Delete { bucket, key } => {
+                    state.0.remove(&(bucket, key));
+                }
+                LogOp::EpochFence { epoch } => state.1 = state.1.max(epoch),
+            }
+        }
+        state
+    };
+    let observed = |store: &Store| -> State {
+        let mut state = State::default();
+        for bucket in store.bucket_names() {
+            for (key, value) in store.scan_prefix(&bucket, "") {
+                state.0.insert((bucket.clone(), key), value);
+            }
+        }
+        state.1 = store.fence_epoch();
+        state
+    };
+    // No janitor: its thread only slows the ~200 opens down.
+    let options = StorageOptions {
+        compact_ratio: 0.0,
+        ..StorageOptions::default()
+    };
+    let path = temp_path("crash-every-byte");
+    let check = |bytes: &[u8], frames: usize| {
+        assert_eq!(frame_prefix(bytes), ends[frames]);
+        std::fs::write(&path, bytes).unwrap();
+        let store = Store::open_with(&path, options).unwrap();
+        assert_eq!(observed(&store), model(frames), "{} bytes", bytes.len());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), ends[frames] as u64);
+        store.put("post", "crash", b"ok".to_vec()).unwrap();
+        drop(store);
+        let store = Store::open_with(&path, options).unwrap();
+        let mut expected = model(frames);
+        expected
+            .0
+            .insert(("post".into(), "crash".into()), b"ok".to_vec());
+        assert_eq!(observed(&store), expected, "{} bytes", bytes.len());
+    };
+    let n = ops.len();
+    for cut in ends[n - 3]..=log.len() {
+        check(
+            &log[..cut],
+            ends.iter().rposition(|&end| end <= cut).unwrap(),
+        );
+    }
+    for at in ends[n - 1]..log.len() {
+        for mask in [0x01, 0x80, 0xff] {
+            let mut damaged = log.clone();
+            damaged[at] ^= mask;
+            check(&damaged, n - 1);
+        }
+    }
     std::fs::remove_file(&path).unwrap();
 }
