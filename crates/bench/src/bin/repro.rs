@@ -22,10 +22,11 @@
 //!   quick      CI smoke: short workload, then assert GET /metrics serves
 //!              non-zero request counts (snapshot to $METRICS_SNAPSHOT),
 //!              the allocation ceiling holds, 256 parked keep-alive
-//!              connections do not slow active traffic, a plaintext GET
-//!              moves its body through sendfile (`bytes_sendfile` > 0),
-//!              and a slow-reader swarm survives a short-write fault
-//!              schedule
+//!              connections do not slow active traffic, a TLS keep-alive
+//!              connection parks in the poller (`poll_wakeups` > 0, no
+//!              handshake failures), a plaintext GET moves its body
+//!              through sendfile (`bytes_sendfile` > 0), and a slow-reader
+//!              swarm survives a short-write fault schedule
 //!   chaos      Figure-4 workload under a seeded randomized fault schedule
 //!              (`--seed N`, plus whatever $CLARENS_FAULTS arms): asserts
 //!              zero wrong answers, reads survive a degraded (read-only)
@@ -586,6 +587,34 @@ fn quick() {
     drop(idlers);
     base_grid.cleanup();
     load_grid.cleanup();
+
+    // Secure-channel gate: TLS connections ride the same scheduler. The
+    // calls after the first arrive on a parked connection, which only the
+    // poller can wake — and no handshake may have failed on the way.
+    let tls_grid = clarens_bench::bench_grid_tls();
+    let mut tls_client = tls_grid.tls_client(&tls_grid.user);
+    for i in 0..10 {
+        let v = tls_client
+            .call("echo.echo", vec![Value::Int(i)])
+            .expect("TLS echo");
+        assert_eq!(v, Value::Int(i));
+        // Let the connection park before the next request arrives.
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let tls_http = &tls_grid.core().telemetry.http;
+    println!(
+        "secure-channel gate: 10 echo calls on one TLS connection, {} poll wakeups, \
+         {} handshake failures",
+        tls_http.poll_wakeups.get(),
+        tls_http.handshake_failures.get()
+    );
+    assert!(
+        tls_http.poll_wakeups.get() > 0,
+        "a TLS keep-alive connection must park in the poller between requests"
+    );
+    assert_eq!(tls_http.handshake_failures.get(), 0);
+    drop(tls_client);
+    tls_grid.cleanup();
 
     // Bulk-data gate: a plaintext GET must hand its body to sendfile(2).
     // The code picks the copy engine itself (socket fd + Linux), so the
@@ -1444,10 +1473,11 @@ fn binproto(point: Duration) {
 }
 
 /// `repro fuzz [--secs N] [--seed S] [--target NAME]` — the in-tree
-/// deterministic mutation fuzzer over the streaming decoders (see
-/// `clarens_bench::fuzzer`). CI's binproto-smoke job runs this for two
-/// minutes; the cargo-fuzz targets under `fuzz/` drive the same entry
-/// points coverage-guided where nightly is available.
+/// deterministic mutation fuzzer over the streaming decoders and the
+/// secure channel's record machine (see `clarens_bench::fuzzer`). CI's
+/// binproto-smoke job runs this for two minutes; the cargo-fuzz targets
+/// under `fuzz/` drive the same entry points coverage-guided where nightly
+/// is available.
 fn fuzz_cmd() {
     use clarens_bench::fuzzer::{self, FuzzTarget};
 

@@ -1,4 +1,5 @@
-//! In-tree deterministic mutation fuzzer for the wire, HTTP and WAL decoders.
+//! In-tree deterministic mutation fuzzer for the wire, HTTP, WAL and
+//! secure-channel decoders.
 //!
 //! The container this reproduction builds in has no nightly toolchain and
 //! no `cargo-fuzz`, so coverage-guided libFuzzer runs happen elsewhere
@@ -6,11 +7,12 @@
 //! This module is the harness CI actually executes: a seeded
 //! corpus-mutation loop in plain stable Rust, reproducible from `--seed`,
 //! driving the shared entries in `clarens_wire::fuzz`,
-//! `clarens_httpd::fuzz` and `clarens_db::fuzz`.
+//! `clarens_httpd::fuzz`, `clarens_db::fuzz` and `clarens_pki::fuzz`.
 //!
 //! The corpus seeds mirror the proptest strategies: every protocol's
 //! encoder output over a spread of [`Value`] shapes, plus hand-picked
-//! valid/malformed HTTP requests and a short write-ahead log. Mutations
+//! valid/malformed HTTP requests, a short write-ahead log and one complete
+//! secure-channel handshake. Mutations
 //! are the classic byte-level set — bit flips, byte splats, truncation,
 //! duplication, cross-splice, random insertion — applied 1-4 times per
 //! iteration. A property violation panics inside the entry (fast-vs-DOM
@@ -36,15 +38,18 @@ pub enum FuzzTarget {
     HttpParser,
     /// The WAL frame reader behind recovery and replication chunks.
     WalFrames,
+    /// The secure channel's handshake and record machine.
+    SecureRecords,
 }
 
 impl FuzzTarget {
     /// Every target, in the order CI runs them.
-    pub const ALL: [FuzzTarget; 4] = [
+    pub const ALL: [FuzzTarget; 5] = [
         FuzzTarget::XmlrpcDivergence,
         FuzzTarget::BinaryFrame,
         FuzzTarget::HttpParser,
         FuzzTarget::WalFrames,
+        FuzzTarget::SecureRecords,
     ];
 
     /// Stable name used on the `repro fuzz` command line and in reports.
@@ -54,6 +59,7 @@ impl FuzzTarget {
             FuzzTarget::BinaryFrame => "binary-frame",
             FuzzTarget::HttpParser => "http-parser",
             FuzzTarget::WalFrames => "wal-frames",
+            FuzzTarget::SecureRecords => "secure-records",
         }
     }
 
@@ -68,6 +74,7 @@ impl FuzzTarget {
             FuzzTarget::BinaryFrame => clarens_wire::fuzz::binary_frame,
             FuzzTarget::HttpParser => clarens_httpd::fuzz::http_request,
             FuzzTarget::WalFrames => clarens_db::fuzz::wal_frames,
+            FuzzTarget::SecureRecords => clarens_pki::fuzz::secure_records,
         }
     }
 }
@@ -200,6 +207,16 @@ fn seed_corpus(target: FuzzTarget) -> Vec<Vec<u8>> {
             // truncations and slice removals to tear.
             corpus.extend(records.iter().cloned());
             corpus.push(records.concat());
+        }
+        FuzzTarget::SecureRecords => {
+            // A transcript the entry's accepting end completes (mutations
+            // of it reach the key exchange and the first record), a lone
+            // hello, and short plaintexts for the sealed-stream half.
+            let transcript = clarens_pki::fuzz::handshake_transcript();
+            corpus.push(transcript[..44].to_vec());
+            corpus.push(transcript);
+            corpus.push(b"GET /clarens HTTP/1.1\r\nHost: h\r\n\r\n".to_vec());
+            corpus.push(vec![0xA5; 3 * 1024]);
         }
     }
     corpus

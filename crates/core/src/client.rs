@@ -302,9 +302,7 @@ impl ClarensClient {
                 // A post-execution rejection of a non-idempotent call must
                 // not be replayed: the write may already have taken effect
                 // (and may yet survive via replication).
-                Err(ClientError::Fault(fault))
-                    if idempotent || !fault.executed_maybe() =>
-                {
+                Err(ClientError::Fault(fault)) if idempotent || !fault.executed_maybe() => {
                     fault.leader_hint()
                 }
                 _ => None,

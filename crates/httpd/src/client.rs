@@ -294,7 +294,7 @@ mod tests {
 
     #[test]
     fn tls_end_to_end_with_mutual_auth() {
-        let server = start(Mode::Blocking.server_config(test_config()));
+        let server = start(Mode::Tls.server_config(test_config()));
         let mut client = HttpClient::new_tls(server.local_addr().to_string(), client_tls());
         let resp = client.get("/secure").unwrap();
         assert_eq!(resp.status, 200);
@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn tls_client_rejects_untrusted_server() {
-        let server = start(Mode::Blocking.server_config(test_config()));
+        let server = start(Mode::Tls.server_config(test_config()));
         // Client only trusts a CA the server's certificate does not chain to.
         let other_ca = CertificateAuthority::new(
             &mut StdRng::seed_from_u64(43),

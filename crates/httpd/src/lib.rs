@@ -10,9 +10,9 @@
 //! * [`server`] — a worker pool fed by an event-driven connection
 //!   scheduler: idle keep-alive connections are *parked* in [`poller`]
 //!   instead of pinning a worker thread, so live-connection capacity is
-//!   bounded by `max_connections`, not `workers` (TLS servers, whose
-//!   record layer cannot be parked, stay on the blocking
-//!   thread-per-connection path),
+//!   bounded by `max_connections`, not `workers` — on TLS servers too,
+//!   whose connections carry the secure channel as a state machine
+//!   between socket and parse buffer,
 //! * [`poller`] — a dependency-free readiness facade (epoll on Linux,
 //!   `poll(2)` elsewhere on Unix) with a self-pipe waker and a deadline
 //!   wheel for keep-alive idle expiry,

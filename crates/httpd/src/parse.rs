@@ -309,14 +309,7 @@ pub fn write_response<W: Write>(
     head_only: bool,
 ) -> io::Result<u64> {
     let body_len = if head_only { 0 } else { response.body.len() };
-    write_response_with(
-        writer,
-        response,
-        keep_alive,
-        head_only,
-        &mut Scratch::new(),
-        None,
-    )?;
+    write_response_with(writer, response, keep_alive, head_only, &mut Scratch::new())?;
     Ok(body_len)
 }
 
@@ -357,9 +350,9 @@ pub fn is_truncation(error: &io::Error) -> bool {
 }
 
 /// Encode the status line + headers (including `content-length`,
-/// `connection` and `server`) into `head`. Shared by the blocking writer
-/// and the event-mode parking writer so both paths emit byte-identical
-/// responses.
+/// `connection` and `server`) into `head`. Shared by the plain serializer
+/// below and the server's resumable writer in `conn.rs`, so both emit
+/// byte-identical responses.
 pub(crate) fn encode_head(
     response: &Response,
     keep_alive: bool,
@@ -404,192 +397,84 @@ pub(crate) fn read_file_at(file: &std::fs::File, buf: &mut [u8], offset: u64) ->
     }
 }
 
-/// Byte accounting from one response write.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct WriteOutcome {
-    /// Total bytes written (head + body) for the `bytes_out` counter.
-    pub(crate) total: u64,
-    /// Subset of the body that went through `sendfile(2)`.
-    pub(crate) sendfile: u64,
-}
-
 /// Serialize and send a response using scratch buffers for the head and the
-/// copy loop, and a single vectored write for head + body.
+/// copy loop, and a single vectored write for head + body: the plain,
+/// blocking serializer. The server's own connections go through the
+/// resumable state machine in `conn.rs` instead (which is also where
+/// `sendfile(2)` lives); this one writes error responses, sheds, and the
+/// reference image tests and the benchmark compare the server against.
 ///
 /// On success the status line, headers, and an in-memory body leave in one
 /// `writev` syscall instead of two `write`s; the body buffer is recycled
 /// into `scratch` afterwards so the next response on this worker encodes
 /// into it.
-///
-/// `out_fd` is the raw fd of the destination socket when the writer IS that
-/// socket with no encryption or buffering layered in between: a
-/// [`Body::File`] then goes through `sendfile(2)` where the platform has it
-/// instead of the userspace copy loop. Blocking sockets only — the event
-/// path drives its own resumable state machine in `conn.rs`.
 pub(crate) fn write_response_with<W: Write>(
     writer: &mut W,
     response: Response,
     keep_alive: bool,
     head_only: bool,
     scratch: &mut Scratch,
-    out_fd: Option<i32>,
-) -> io::Result<WriteOutcome> {
+) -> io::Result<()> {
     let mut head = scratch.take();
     encode_head(&response, keep_alive, &mut head)?;
 
-    let head_len = head.len() as u64;
-    let mut sendfile_bytes = 0u64;
-    let body_written: io::Result<u64> = match response.body {
+    let written = match response.body {
         Body::Bytes(bytes) => {
             let body_slice: &[u8] = if head_only { &[] } else { &bytes };
-            let result =
-                write_all_vectored(writer, &head, body_slice).map(|()| body_slice.len() as u64);
+            let result = write_all_vectored(writer, &head, body_slice);
             scratch.recycle(bytes);
             result
         }
-        Body::Sized(len) => {
-            // Metadata-only body: legal for HEAD (and trivially for a zero
-            // length); anything else would under-deliver the framing.
-            if head_only || len == 0 {
-                writer.write_all(&head).map(|()| 0)
-            } else {
-                Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "Body::Sized has no bytes to send",
-                ))
+        // Metadata-only body: legal for HEAD (and trivially for a zero
+        // length); anything else would under-deliver the framing.
+        Body::Sized(len) if !head_only && len > 0 => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "Body::Sized has no bytes to send",
+        )),
+        body => writer.write_all(&head).and_then(|()| match body {
+            Body::File { file, offset, len } if !head_only => {
+                copy_body(writer, scratch, len, |buf, done| {
+                    read_file_at(&file, buf, offset + done)
+                })
             }
-        }
-        Body::File { file, offset, len } => {
-            let mut result = writer.write_all(&head);
-            let mut written = 0u64;
-            if result.is_ok() && !head_only {
-                result = write_file_segment(
-                    writer,
-                    &file,
-                    offset,
-                    len,
-                    scratch,
-                    out_fd,
-                    &mut written,
-                    &mut sendfile_bytes,
-                );
+            Body::Stream { mut reader, len } if !head_only => {
+                copy_body(writer, scratch, len, |buf, _| reader.read(buf))
             }
-            result.map(|()| written)
-        }
-        Body::Stream { mut reader, len } => {
-            // Fixed buffer (recycled across responses), no intermediate
-            // allocation proportional to the file size.
-            let mut result = writer.write_all(&head);
-            let mut written = 0u64;
-            let mut buf = scratch.take();
-            if result.is_ok() && !head_only {
-                buf.resize(COPY_BUFFER, 0);
-                let mut remaining = len;
-                while remaining > 0 {
-                    let want = (remaining as usize).min(buf.len());
-                    match reader.read(&mut buf[..want]) {
-                        Ok(0) => {
-                            result = Err(truncated(remaining));
-                            break;
-                        }
-                        Ok(n) => {
-                            if let Err(e) = writer.write_all(&buf[..n]) {
-                                result = Err(e);
-                                break;
-                            }
-                            remaining -= n as u64;
-                            written += n as u64;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) => {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                }
-            }
-            scratch.recycle(buf);
-            result.map(|()| written)
-        }
+            _ => Ok(()),
+        }),
     };
     scratch.recycle(head);
-    let body_written = body_written?;
-    writer.flush()?;
-    Ok(WriteOutcome {
-        total: head_len + body_written,
-        sendfile: sendfile_bytes,
-    })
+    written?;
+    writer.flush()
 }
 
-/// Send `[offset, offset + len)` of `file`: `sendfile(2)` when the caller
-/// handed us the socket fd, positioned-read copies otherwise (and as the
-/// fallback when the kernel refuses sendfile for this fd pair).
-#[allow(clippy::too_many_arguments)]
-fn write_file_segment<W: Write>(
+/// Copy a body of `len` bytes from `read` (handed the buffer to fill and
+/// the count already copied) to `writer` through one recycled fixed-size
+/// buffer — no allocation proportional to the body. A source that runs dry
+/// early is a truncation.
+fn copy_body<W: Write>(
     writer: &mut W,
-    file: &std::fs::File,
-    offset: u64,
-    len: u64,
     scratch: &mut Scratch,
-    out_fd: Option<i32>,
-    written: &mut u64,
-    sendfile_bytes: &mut u64,
+    len: u64,
+    mut read: impl FnMut(&mut [u8], u64) -> io::Result<usize>,
 ) -> io::Result<()> {
-    let mut pos = offset;
-    let end = offset + len;
-    #[cfg(unix)]
-    if crate::zerocopy::available() {
-        if let Some(sock_fd) = out_fd {
-            use std::os::unix::io::AsRawFd;
-            // The head is still in the writer's path; everything queued so
-            // far must hit the socket before bytes bypass the writer.
-            writer.flush()?;
-            let file_fd = file.as_raw_fd();
-            while pos < end {
-                let want = ((end - pos) as usize).min(usize::MAX / 2);
-                match crate::zerocopy::send_file(sock_fd, file_fd, &mut pos, want) {
-                    Ok(0) => return Err(truncated(end - pos)),
-                    Ok(n) => {
-                        *written += n as u64;
-                        *sendfile_bytes += n as u64;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) if e.kind() == io::ErrorKind::Unsupported && pos == offset => {
-                        // Kernel refused this fd pair before any byte moved:
-                        // fall through to the buffered loop below.
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            if pos == end {
-                return Ok(());
-            }
-        }
-    }
     let mut buf = scratch.take();
     buf.resize(COPY_BUFFER, 0);
+    let mut done = 0u64;
     let mut result = Ok(());
-    while pos < end {
-        let want = ((end - pos) as usize).min(buf.len());
-        match read_file_at(file, &mut buf[..want], pos) {
-            Ok(0) => {
-                result = Err(truncated(end - pos));
-                break;
-            }
+    while done < len {
+        let want = ((len - done) as usize).min(buf.len());
+        result = match read(&mut buf[..want], done) {
+            Ok(0) => Err(truncated(len - done)),
             Ok(n) => {
-                if let Err(e) = writer.write_all(&buf[..n]) {
-                    result = Err(e);
-                    break;
-                }
-                pos += n as u64;
-                *written += n as u64;
+                done += n as u64;
+                writer.write_all(&buf[..n])
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                result = Err(e);
-                break;
-            }
+            Err(e) => Err(e),
+        };
+        if result.is_err() {
+            break;
         }
     }
     scratch.recycle(buf);
@@ -976,46 +861,10 @@ mod tests {
         let file = temp_file(&data);
         let resp = Response::file(200, "application/octet-stream", file, 0, data.len() as u64);
         let mut wire = Vec::new();
-        let outcome =
-            write_response_with(&mut wire, resp, true, false, &mut Scratch::new(), None).unwrap();
-        assert_eq!(outcome.sendfile, 0); // no socket fd: buffered path
+        write_response(&mut wire, resp, true, false).unwrap();
         let parsed = read_response(&mut BufReader::new(&wire[..]), usize::MAX).unwrap();
         assert_eq!(parsed.status, 200);
         assert_eq!(parsed.body, data);
-    }
-
-    /// Handed the fd of a plaintext socket, the blocking writer moves the
-    /// file body with `sendfile(2)` and the peer reads the same bytes the
-    /// buffered loop would have produced.
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn file_body_rides_sendfile_when_given_the_socket_fd() {
-        use std::os::unix::io::AsRawFd;
-        let data: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (mut server, _) = listener.accept().unwrap();
-        let peer = std::thread::spawn(move || {
-            read_response(&mut BufReader::new(client), usize::MAX).unwrap()
-        });
-        let resp = Response::file(
-            200,
-            "application/octet-stream",
-            temp_file(&data),
-            0,
-            data.len() as u64,
-        );
-        let out_fd = Some(server.as_raw_fd());
-        let outcome =
-            write_response_with(&mut server, resp, false, false, &mut Scratch::new(), out_fd)
-                .unwrap();
-        assert_eq!(outcome.sendfile, data.len() as u64);
-        assert!(
-            outcome.total > outcome.sendfile,
-            "total counts the head too"
-        );
-        drop(server);
-        assert_eq!(peer.join().unwrap().body, data);
     }
 
     #[test]

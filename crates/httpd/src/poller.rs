@@ -10,12 +10,13 @@
 //!
 //! Three parts:
 //!
-//! * [`Poller`] — epoll on Linux, a `poll(2)`-rebuild fallback on other
-//!   Unixes, and an unsupported stub elsewhere (the server then falls back
-//!   to the classic thread-per-connection path). Connection sockets are
-//!   registered **one-shot**: after a readiness event fires the fd stays
-//!   registered but disarmed, so a worker can own the socket with no risk
-//!   of concurrent events, and re-parking is a cheap re-arm.
+//! * [`Poller`] — epoll on Linux, a `poll(2)`-rebuild backend on other
+//!   Unixes; elsewhere `Poller::new` fails with `Unsupported`, and so does
+//!   `HttpServer::bind`, since this is the only scheduler there is.
+//!   Connection sockets are registered **one-shot**: after a readiness
+//!   event fires the fd stays registered but disarmed, so a worker can own
+//!   the socket with no risk of concurrent events, and re-parking is a
+//!   cheap re-arm.
 //! * A self-pipe **waker**: `wake()` is async-signal-safe-ish (one `write`
 //!   on a non-blocking pipe) and may be called from any thread — this is
 //!   what makes shutdown deterministic under zero traffic, replacing the
@@ -29,7 +30,7 @@
 //! stays in [`crate::conn`], and only the poller thread mutates
 //! registrations, so no interest-list locking is needed on the hot path.
 
-#![allow(dead_code)] // non-Linux fallbacks keep the same surface
+#![allow(dead_code)] // the backends keep the same surface
 
 use std::time::{Duration, Instant};
 
@@ -181,28 +182,6 @@ mod sys {
         }
     }
 
-    /// Block until `fd` is readable (poll-fallback helper and tests).
-    pub fn wait_readable(fd: RawFd, timeout: Duration) -> io::Result<bool> {
-        let mut pfd = PollFd {
-            fd,
-            events: POLLIN,
-            revents: 0,
-        };
-        loop {
-            let rc = unsafe { poll(&mut pfd, 1, timeout_ms(Some(timeout))) };
-            if rc > 0 {
-                return Ok(true);
-            }
-            if rc == 0 {
-                return Ok(false);
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
-        }
-    }
-
     /// `poll(2)` over a token-tagged interest set (non-Linux backend).
     /// The third tuple field selects write interest (a parked writer)
     /// instead of the default read interest.
@@ -240,23 +219,7 @@ mod sys {
 }
 
 #[cfg(unix)]
-pub use sys::{wait_readable, wait_writable};
-
-#[cfg(not(unix))]
-pub fn wait_writable(_fd: RawFd, _timeout: Duration) -> std::io::Result<()> {
-    Err(std::io::Error::new(
-        std::io::ErrorKind::Unsupported,
-        "readiness polling unsupported on this platform",
-    ))
-}
-
-#[cfg(not(unix))]
-pub fn wait_readable(_fd: RawFd, _timeout: Duration) -> std::io::Result<bool> {
-    Err(std::io::Error::new(
-        std::io::ErrorKind::Unsupported,
-        "readiness polling unsupported on this platform",
-    ))
-}
+pub use sys::wait_writable;
 
 // ---------------------------------------------------------------------------
 // Linux backend: epoll with one-shot connection registrations.
@@ -592,8 +555,8 @@ mod backend {
 }
 
 // ---------------------------------------------------------------------------
-// Stub backend: no readiness support; the server detects the construction
-// failure and keeps every connection on the blocking worker path.
+// No backend off Unix. The type has no values, so `new` can only fail and
+// the compiler checks that nothing else is ever reached.
 // ---------------------------------------------------------------------------
 
 #[cfg(not(unix))]
@@ -603,44 +566,42 @@ mod backend {
 
     use super::RawFd;
 
-    pub struct Poller;
+    pub enum Poller {}
 
     impl Poller {
         pub fn new() -> io::Result<Poller> {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "connection parking requires a Unix readiness backend",
+                "the connection scheduler needs a Unix readiness backend (epoll or poll)",
             ))
         }
 
         pub fn add(&self, _fd: RawFd, _token: u64, _oneshot: bool) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
+            match *self {}
         }
 
         pub fn rearm(&self, _fd: RawFd, _token: u64) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
+            match *self {}
         }
 
         pub fn add_writable(&self, _fd: RawFd, _token: u64) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
+            match *self {}
         }
 
         pub fn rearm_writable(&self, _fd: RawFd, _token: u64) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
+            match *self {}
         }
 
-        pub fn delete(&self, _fd: RawFd) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
+        pub fn wake(&self) {
+            match *self {}
         }
-
-        pub fn wake(&self) {}
 
         pub fn wait(
             &self,
             _timeout: Option<Duration>,
             _out: &mut Vec<super::Event>,
         ) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
+            match *self {}
         }
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! The concurrency model (see DESIGN.md "Concurrency model") decouples
 //! connections from threads. Workers are pure CPU executors pulling
-//! [`WorkItem`]s off one queue; the acceptor feeds fresh connections into
+//! connections off one queue; the acceptor feeds fresh connections into
 //! that queue; and a poller thread ([`crate::poller`]) holds every idle
 //! keep-alive connection *parked* on an epoll set, re-dispatching each one
 //! to the queue when bytes arrive and expiring it through a deadline wheel
@@ -18,14 +18,13 @@
 //! prefork shape the paper measured, which is what Figure 4 tops out on)
 //! and concurrency capped at `max_connections`.
 //!
-//! The classic thread-per-connection path remains for TLS servers (whose
-//! record layer buffers plaintext internally and therefore cannot be parked
-//! on socket readiness) and for hosts without a readiness backend; it
-//! produces byte-identical responses, since both paths funnel through the
-//! same parser and serializer.
+//! TLS servers run on the same scheduler: the secure channel is a state
+//! machine each connection carries ([`crate::conn`]), so an encrypted
+//! connection parks on socket readiness — mid-handshake included — exactly
+//! as a plaintext one does.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -33,21 +32,16 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use clarens_telemetry::{Phase, RequestTrace, Telemetry};
+use clarens_telemetry::{RequestTrace, Telemetry};
 
 use clarens_pki::cert::{Certificate, Credential};
 use clarens_pki::dn::DistinguishedName;
-use clarens_pki::SecureStream;
+use clarens_pki::SecureChannel;
 
-use crate::conn::{self, Conn, Disposition};
-use crate::parse::{read_request_pooled, write_response_with, ParseError};
+use crate::conn::{self, Conn, Disposition, Tls};
 use crate::poller::{DeadlineWheel, Event, Poller};
 use crate::scratch::Scratch;
-use crate::types::{Method, Request, Response};
-
-/// A bidirectional byte stream the server can serve HTTP over.
-pub trait Transport: Read + Write + Send {}
-impl<T: Read + Write + Send> Transport for T {}
+use crate::types::{Request, Response};
 
 /// Information about an authenticated peer, available when the connection
 /// came in over the secure channel.
@@ -99,9 +93,9 @@ pub struct TlsConfig {
 
 /// Server configuration.
 pub struct ServerConfig {
-    /// Number of worker threads. On a plaintext server they are pure CPU
-    /// executors sized to cores; on a TLS server each serves one
-    /// connection at a time, like Apache prefork children.
+    /// Number of worker threads: pure CPU executors, sized to cores. They
+    /// parse, run handlers, do the secure channel's crypto and write; a
+    /// connection waiting on its peer holds none of them.
     pub workers: usize,
     /// Maximum decoded request body.
     pub max_body: usize,
@@ -156,15 +150,6 @@ pub struct ServerStats {
     pub errors: AtomicU64,
 }
 
-/// One unit of worker work: a connection with (potential) CPU work to do.
-pub(crate) enum WorkItem {
-    /// A connection served on the classic path: the worker owns it until
-    /// it closes (TLS, or no readiness backend on this host).
-    Blocking(TcpStream, Option<BudgetGuard>),
-    /// An event-path connection to drive until it parks or closes.
-    Event(Box<Conn>),
-}
-
 /// RAII slot in the live-connection budget.
 pub(crate) struct BudgetGuard {
     count: Arc<AtomicUsize>,
@@ -183,14 +168,6 @@ pub(crate) struct Parker {
     poller: Arc<Poller>,
 }
 
-enum AcceptWake {
-    /// Acceptor blocks in its own poller; wake it through the self-pipe.
-    Poller(Arc<Poller>),
-    /// Acceptor blocks in `accept(2)` (poller construction failed); wake
-    /// it the old way, with a throwaway connection.
-    Connect,
-}
-
 /// A running HTTP server.
 pub struct HttpServer {
     addr: SocketAddr,
@@ -200,10 +177,11 @@ pub struct HttpServer {
     workers: Vec<std::thread::JoinHandle<()>>,
     stats: Arc<ServerStats>,
     /// Raw handles of live connections, force-closed on shutdown so that
-    /// workers blocked in keep-alive reads wake immediately.
+    /// overrunning writes fail fast and parked sockets see HUP.
     live: Arc<LiveConnections>,
-    accept_wake: AcceptWake,
-    conn_poller: Option<Arc<Poller>>,
+    /// The acceptor's own poller, purely for a wakeable accept loop.
+    accept_poller: Arc<Poller>,
+    conn_poller: Arc<Poller>,
     /// Requests currently between parse-complete and write-complete;
     /// shutdown drains this to zero (bounded) before force-closing.
     in_flight: Arc<AtomicUsize>,
@@ -235,7 +213,7 @@ impl Drop for InFlightGuard {
 /// Registry of raw socket handles for live connections. Entries are
 /// removed (and the clone dropped) when their connection finishes, so the
 /// peer observes EOF normally; on server shutdown all remaining handles
-/// are force-closed to wake blocked keep-alive reads.
+/// are force-closed.
 #[derive(Default)]
 pub(crate) struct LiveConnections {
     next_id: AtomicU64,
@@ -272,7 +250,9 @@ impl Drop for LiveGuard {
 }
 
 impl HttpServer {
-    /// Bind and start serving on `addr` (e.g. `"127.0.0.1:0"`).
+    /// Bind and start serving on `addr` (e.g. `"127.0.0.1:0"`). Fails with
+    /// the readiness backend's error where there is none (`Unsupported`
+    /// off Unix): there is no other scheduler to fall back to.
     pub fn bind<H: Handler>(
         addr: &str,
         config: ServerConfig,
@@ -284,36 +264,30 @@ impl HttpServer {
         let stats = Arc::new(ServerStats::default());
         let live = Arc::new(LiveConnections::default());
         let conn_count = Arc::new(AtomicUsize::new(0));
-        let (tx, rx): (Sender<WorkItem>, Receiver<WorkItem>) = unbounded();
-
-        // Event mode needs a working readiness backend; TLS connections
-        // cannot be parked (the record layer buffers decrypted bytes the
-        // poller cannot see), so a TLS server stays fully on the classic
-        // path.
-        let conn_poller = if config.tls.is_none() {
-            Poller::new().ok().map(Arc::new)
-        } else {
-            None
-        };
-        let event_mode = conn_poller.is_some();
+        let (tx, rx): (Sender<Box<Conn>>, Receiver<Box<Conn>>) = unbounded();
+        let conn_poller = Arc::new(Poller::new()?);
+        // The acceptor's own poller makes its loop wakeable: the listener
+        // is non-blocking and registered level-triggered, so `wait` returns
+        // whenever connections are pending or `wake()` is called.
+        let accept_poller = Arc::new(Poller::new()?);
+        listener.set_nonblocking(true)?;
+        accept_poller.add(conn::raw_fd_listener(&listener), 0, false)?;
         let (park_tx, park_rx): (Sender<Box<Conn>>, Receiver<Box<Conn>>) = unbounded();
 
         let in_flight = Arc::new(AtomicUsize::new(0));
         let shared = Arc::new(WorkerShared {
             handler,
-            tls: config.tls,
             max_body: config.max_body,
             read_timeout: config.read_timeout,
-            now_fn: config.now_fn,
+            now_fn: Arc::clone(&config.now_fn),
             telemetry: config.telemetry,
             stop: Arc::clone(&stop),
             stats: Arc::clone(&stats),
-            live: Arc::clone(&live),
             in_flight: Arc::clone(&in_flight),
-            parker: conn_poller.as_ref().map(|p| Parker {
+            parker: Parker {
                 tx: park_tx,
-                poller: Arc::clone(p),
-            }),
+                poller: Arc::clone(&conn_poller),
+            },
         });
 
         let mut workers = Vec::with_capacity(config.workers);
@@ -328,8 +302,8 @@ impl HttpServer {
             );
         }
 
-        let poller_thread = conn_poller.as_ref().map(|p| {
-            let poller = Arc::clone(p);
+        let poller_thread = {
+            let poller = Arc::clone(&conn_poller);
             let work_tx = tx.clone();
             let stop = Arc::clone(&stop);
             let telemetry = shared.telemetry.clone();
@@ -338,51 +312,39 @@ impl HttpServer {
                 .name("clarens-poller".into())
                 .spawn(move || poller_loop(poller, park_rx, work_tx, stop, telemetry, read_timeout))
                 .expect("spawn poller")
-        });
-
-        // The acceptor gets its own poller purely for a wakeable accept
-        // loop; if that fails (non-Unix host) it falls back to blocking
-        // `accept` plus the connect-to-self wake.
-        let accept_poller = Poller::new().ok().map(Arc::new);
-        let accept_wake = match &accept_poller {
-            Some(p) => AcceptWake::Poller(Arc::clone(p)),
-            None => AcceptWake::Connect,
         };
 
-        let accept_stop = Arc::clone(&stop);
-        let accept_stats = Arc::clone(&stats);
-        let accept_telemetry = shared.telemetry.clone();
-        let accept_live = Arc::clone(&live);
-        let max_connections = config.max_connections.max(1);
+        let accept = AcceptLoop {
+            listener,
+            poller: Arc::clone(&accept_poller),
+            stop: Arc::clone(&stop),
+            stats: Arc::clone(&stats),
+            telemetry: shared.telemetry.clone(),
+            live: Arc::clone(&live),
+            conn_count,
+            max_connections: config.max_connections.max(1),
+            tls: config
+                .tls
+                .map(|tls| (Arc::new(tls.credential), tls.roots.into())),
+            now_fn: config.now_fn,
+            tx,
+        };
+        // Dropping the acceptor's (and later the poller's) sender lets
+        // workers drain and exit.
         let acceptor = std::thread::Builder::new()
             .name("clarens-acceptor".into())
-            .spawn(move || {
-                accept_loop(AcceptLoop {
-                    listener,
-                    poller: accept_poller,
-                    stop: accept_stop,
-                    stats: accept_stats,
-                    telemetry: accept_telemetry,
-                    live: accept_live,
-                    conn_count,
-                    max_connections,
-                    event_mode,
-                    tx,
-                });
-                // Dropping the acceptor's (and later the poller's) sender
-                // lets workers drain and exit.
-            })
+            .spawn(move || accept_loop(accept))
             .expect("spawn acceptor");
 
         Ok(HttpServer {
             addr: local_addr,
             stop,
             acceptor: Some(acceptor),
-            poller_thread,
+            poller_thread: Some(poller_thread),
             workers,
             stats,
             live,
-            accept_wake,
+            accept_poller,
             conn_poller,
             in_flight,
             drain_timeout: config.drain_timeout,
@@ -409,15 +371,8 @@ impl HttpServer {
 
     fn shutdown_inner(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        match &self.accept_wake {
-            AcceptWake::Poller(p) => p.wake(),
-            AcceptWake::Connect => {
-                let _ = TcpStream::connect(self.addr);
-            }
-        }
-        if let Some(p) = &self.conn_poller {
-            p.wake();
-        }
+        self.accept_poller.wake();
+        self.conn_poller.wake();
         // Graceful drain: requests already past the parser get a bounded
         // window to finish handling and write their response. Connections
         // that are merely idle hold no in-flight marker, so a quiet server
@@ -426,9 +381,8 @@ impl HttpServer {
         while self.in_flight.load(Ordering::Acquire) > 0 && Instant::now() < drain_deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        // Force-close remaining live connections (blocking-path keep-alive
-        // reads and overrunning writes return immediately; parked sockets
-        // see HUP).
+        // Force-close remaining live connections (overrunning writes
+        // return immediately; parked sockets see HUP).
         self.live.close_all();
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
@@ -450,29 +404,30 @@ impl Drop for HttpServer {
 
 pub(crate) struct WorkerShared<H: Handler> {
     pub(crate) handler: Arc<H>,
-    pub(crate) tls: Option<TlsConfig>,
     pub(crate) max_body: usize,
     pub(crate) read_timeout: Duration,
     pub(crate) now_fn: Arc<dyn Fn() -> i64 + Send + Sync>,
     pub(crate) telemetry: Option<Arc<Telemetry>>,
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) stats: Arc<ServerStats>,
-    pub(crate) live: Arc<LiveConnections>,
     pub(crate) in_flight: Arc<AtomicUsize>,
-    pub(crate) parker: Option<Parker>,
+    pub(crate) parker: Parker,
 }
 
 struct AcceptLoop {
     listener: TcpListener,
-    poller: Option<Arc<Poller>>,
+    poller: Arc<Poller>,
     stop: Arc<AtomicBool>,
     stats: Arc<ServerStats>,
     telemetry: Option<Arc<Telemetry>>,
     live: Arc<LiveConnections>,
     conn_count: Arc<AtomicUsize>,
     max_connections: usize,
-    event_mode: bool,
-    tx: Sender<WorkItem>,
+    /// What each connection's secure channel is built from; `None` on a
+    /// plaintext server.
+    tls: Option<(Arc<Credential>, Arc<[Certificate]>)>,
+    now_fn: Arc<dyn Fn() -> i64 + Send + Sync>,
+    tx: Sender<Box<Conn>>,
 }
 
 fn accept_loop(ctx: AcceptLoop) {
@@ -503,88 +458,60 @@ fn accept_loop(ctx: AcceptLoop) {
         let budget = BudgetGuard {
             count: Arc::clone(&ctx.conn_count),
         };
-        let item = if ctx.event_mode && sock.set_nonblocking(true).is_ok() {
-            sock.set_nodelay(true).ok();
-            let id = next_id;
-            next_id += 1;
-            WorkItem::Event(Box::new(Conn {
-                _live: ctx.live.register(&sock),
-                sock,
-                inbuf: Vec::new(),
-                served: 0,
-                id,
-                registered: false,
-                pending_write: None,
-                _budget: Some(budget),
-            }))
-        } else {
-            // Classic path; `serve_connection` expects a blocking socket.
-            sock.set_nonblocking(false).ok();
-            WorkItem::Blocking(sock, Some(budget))
-        };
+        if sock.set_nonblocking(true).is_err() {
+            // A socket that cannot be driven without blocking is dropped.
+            return true;
+        }
+        sock.set_nodelay(true).ok();
+        let id = next_id;
+        next_id += 1;
+        let tls = ctx.tls.as_ref().map(|(credential, roots)| {
+            let (credential, roots) = (Arc::clone(credential), Arc::clone(roots));
+            let channel =
+                SecureChannel::server(credential, roots, (ctx.now_fn)(), &mut rand::rng());
+            Box::new(Tls {
+                channel,
+                peer: None,
+            })
+        });
+        let conn = Box::new(Conn {
+            _live: ctx.live.register(&sock),
+            sock,
+            inbuf: Vec::new(),
+            served: 0,
+            id,
+            registered: false,
+            pending_write: None,
+            tls,
+            _budget: Some(budget),
+        });
         if let Some(t) = &ctx.telemetry {
             t.http.queue_depth.inc();
         }
-        ctx.tx.send(item).is_ok()
+        ctx.tx.send(conn).is_ok()
     };
 
-    match &ctx.poller {
-        Some(poller) => {
-            // Wakeable accept loop: non-blocking listener registered
-            // level-triggered, so `wait` returns whenever connections are
-            // pending or `wake()` is called.
-            if ctx.listener.set_nonblocking(true).is_err()
-                || poller
-                    .add(conn::raw_fd_listener(&ctx.listener), 0, false)
-                    .is_err()
-            {
-                return blocking_accept_loop(&ctx.listener, &ctx.stop, admit);
-            }
-            let mut events: Vec<Event> = Vec::new();
-            loop {
-                if ctx.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                events.clear();
-                let _ = poller.wait(None, &mut events);
-                if ctx.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                loop {
-                    match ctx.listener.accept() {
-                        Ok((sock, _)) => {
-                            if !admit(sock) {
-                                return;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => break, // transient (e.g. ECONNABORTED)
-                    }
-                }
-            }
-        }
-        None => blocking_accept_loop(&ctx.listener, &ctx.stop, admit),
-    }
-}
-
-fn blocking_accept_loop(
-    listener: &TcpListener,
-    stop: &AtomicBool,
-    mut admit: impl FnMut(TcpStream) -> bool,
-) {
-    listener.set_nonblocking(false).ok();
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
+    let mut events: Vec<Event> = Vec::new();
+    loop {
+        if ctx.stop.load(Ordering::SeqCst) {
             return;
         }
-        match stream {
-            Ok(sock) => {
-                if !admit(sock) {
-                    return;
+        events.clear();
+        let _ = ctx.poller.wait(None, &mut events);
+        if ctx.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        loop {
+            match ctx.listener.accept() {
+                Ok((sock, _)) => {
+                    if !admit(sock) {
+                        return;
+                    }
                 }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break, // transient (e.g. ECONNABORTED)
             }
-            Err(_) => continue,
         }
     }
 }
@@ -613,7 +540,7 @@ fn shed(mut sock: TcpStream, telemetry: &Option<Arc<Telemetry>>) {
 fn poller_loop(
     poller: Arc<Poller>,
     park_rx: Receiver<Box<Conn>>,
-    work_tx: Sender<WorkItem>,
+    work_tx: Sender<Box<Conn>>,
     stop: Arc<AtomicBool>,
     telemetry: Option<Arc<Telemetry>>,
     read_timeout: Duration,
@@ -710,7 +637,7 @@ fn poller_loop(
                     t.http.poll_wakeups.inc();
                     t.http.queue_depth.inc();
                 }
-                if work_tx.send(WorkItem::Event(p.conn)).is_err() {
+                if work_tx.send(p.conn).is_err() {
                     return;
                 }
             }
@@ -759,11 +686,11 @@ fn poller_loop(
     }
 }
 
-fn worker_loop<H: Handler>(rx: Receiver<WorkItem>, shared: Arc<WorkerShared<H>>) {
+fn worker_loop<H: Handler>(rx: Receiver<Box<Conn>>, shared: Arc<WorkerShared<H>>) {
     // The worker's scratch arena lives as long as the thread: buffers
     // recycle across requests *and* connections.
     let mut scratch = Scratch::new();
-    while let Ok(item) = rx.recv() {
+    while let Ok(conn) = rx.recv() {
         if let Some(t) = &shared.telemetry {
             t.http.queue_depth.dec();
         }
@@ -771,65 +698,13 @@ fn worker_loop<H: Handler>(rx: Receiver<WorkItem>, shared: Arc<WorkerShared<H>>)
             // Drain and drop: queued sockets close unserved.
             continue;
         }
-        match item {
-            WorkItem::Blocking(sock, budget) => {
-                let _budget = budget;
-                let _ = serve_connection(sock, &shared, &mut scratch);
-            }
-            WorkItem::Event(conn) => match conn::drive(conn, &shared, &mut scratch) {
-                Disposition::Park(conn) => {
-                    if let Some(parker) = &shared.parker {
-                        if parker.tx.send(conn).is_ok() {
-                            parker.poller.wake();
-                        }
-                    }
-                }
-                Disposition::Closed => {}
-            },
-        }
-    }
-}
-
-fn serve_connection<H: Handler>(
-    sock: TcpStream,
-    shared: &WorkerShared<H>,
-    scratch: &mut Scratch,
-) -> Result<(), ParseError> {
-    sock.set_read_timeout(Some(shared.read_timeout)).ok();
-    sock.set_nodelay(true).ok();
-
-    // Register for forced shutdown; the guard unregisters (dropping the
-    // cloned handle) when this connection finishes.
-    let _live_guard = shared.live.register(&sock);
-
-    match &shared.tls {
-        None => {
-            // Plaintext: the socket fd is visible through the BufReader, so
-            // the write path may hand file bodies straight to sendfile(2).
-            let out_fd = Some(conn::raw_fd(&sock));
-            serve_stream(sock, None, shared, scratch, out_fd)
-        }
-        Some(tls) => {
-            let now = (shared.now_fn)();
-            let mut rng = rand::rng();
-            match SecureStream::accept(sock, &tls.credential, &tls.roots, now, &mut rng) {
-                Ok((stream, chain)) => {
-                    let peer = PeerInfo {
-                        identity: stream.peer_identity().clone(),
-                        certificate: stream.peer_certificate().clone(),
-                        chain,
-                    };
-                    // TLS frames every byte, so zero-copy is off the table.
-                    serve_stream(stream, Some(peer), shared, scratch, None)
-                }
-                Err(error) => {
-                    if let Some(t) = &shared.telemetry {
-                        t.http.handshake_failures.inc();
-                    }
-                    clarens_telemetry::debug!("TLS handshake failed: {error:?}");
-                    Ok(())
+        match conn::drive(conn, &shared, &mut scratch) {
+            Disposition::Park(conn) => {
+                if shared.parker.tx.send(conn).is_ok() {
+                    shared.parker.poller.wake();
                 }
             }
+            Disposition::Closed => {}
         }
     }
 }
@@ -863,109 +738,12 @@ pub(crate) fn classify_io_error<H: Handler>(error: &io::Error, shared: &WorkerSh
     }
 }
 
-fn serve_stream<S: Transport, H: Handler>(
-    stream: S,
-    peer: Option<PeerInfo>,
-    shared: &WorkerShared<H>,
-    scratch: &mut Scratch,
-    out_fd: Option<i32>,
-) -> Result<(), ParseError> {
-    let mut reader = BufReader::new(stream);
-    let mut served = 0u64;
-    loop {
-        // The trace opens before the read, so for keep-alive connections
-        // the parse phase includes time spent waiting for the next request
-        // (negligible under the closed-loop benchmark workloads).
-        let mut trace = match &shared.telemetry {
-            Some(t) => t.begin_request(),
-            None => RequestTrace::disabled(),
-        };
-        let reuses_before = scratch.reuses();
-        let request = match trace.span(Phase::Parse, || {
-            clarens_faults::check_io(clarens_faults::sites::HTTPD_READ)
-                .map_err(ParseError::Io)
-                .and_then(|()| read_request_pooled(&mut reader, shared.max_body, scratch))
-        }) {
-            Ok(req) => req,
-            Err(ParseError::Eof) => return Ok(()), // clean close between requests
-            Err(ParseError::Io(error)) => {
-                classify_io_error(&error, shared);
-                return Ok(());
-            }
-            Err(ParseError::Protocol(status, message)) => {
-                shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-                let response = Response::error(status, &message);
-                if let Some(t) = &shared.telemetry {
-                    trace.status = status;
-                    t.finish_request(&trace, (shared.now_fn)());
-                }
-                let _ =
-                    write_response_with(reader.get_mut(), response, false, false, scratch, None);
-                return Ok(());
-            }
-        };
-        // From here to write-completion this request is in flight:
-        // shutdown will wait (bounded) for the guard to drop.
-        let _in_flight = InFlightGuard::enter(&shared.in_flight);
-        let keep_alive = request.wants_keep_alive() && !shared.stop.load(Ordering::SeqCst);
-        let head_only = request.method == Method::Head;
-        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        if served > 0 {
-            if let Some(t) = &shared.telemetry {
-                t.http.keepalive_reuse.inc();
-            }
-        }
-        served += 1;
-
-        let response = shared.handler.handle(
-            request,
-            RequestContext {
-                peer: peer.as_ref(),
-                trace: &mut trace,
-                scratch,
-            },
-        );
-        if response.status >= 500 {
-            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        trace.status = response.status;
-        let written = trace.span(Phase::Write, || {
-            clarens_faults::check_io(clarens_faults::sites::HTTPD_WRITE).and_then(|()| {
-                write_response_with(
-                    reader.get_mut(),
-                    response,
-                    keep_alive,
-                    head_only,
-                    scratch,
-                    out_fd,
-                )
-            })
-        });
-        if let Some(t) = &shared.telemetry {
-            if let Ok(outcome) = &written {
-                t.http.bytes_out.add(outcome.total);
-                t.http.bytes_sendfile.add(outcome.sendfile);
-            }
-            t.http
-                .buffer_pool_reuse
-                .add(scratch.reuses().wrapping_sub(reuses_before));
-            t.finish_request(&trace, (shared.now_fn)());
-        }
-        if let Err(error) = written {
-            classify_io_error(&error, shared);
-            return Err(ParseError::Io(error));
-        }
-        if !keep_alive {
-            return Ok(());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parse::read_response;
-    use crate::test_modes::{send, Mode, Wire, BOTH_MODES, CLIENT_DN};
+    use crate::test_modes::{send, Mode, BOTH_MODES, CLIENT_DN};
+    use std::io::{BufReader, Read};
 
     fn echo_handler() -> Arc<impl Handler> {
         Arc::new(|req: Request, peer: Option<&PeerInfo>| {
@@ -988,15 +766,14 @@ mod tests {
     /// Who the echo handler sees on the other end under `mode`.
     fn who(mode: Mode) -> &'static str {
         match mode {
-            Mode::Event => "anonymous",
-            Mode::Blocking => CLIENT_DN,
+            Mode::Plain => "anonymous",
+            Mode::Tls => CLIENT_DN,
         }
     }
 
     /// Short keep-alive timeout so `shutdown()` joins quickly in tests.
-    /// Every scenario runs under both concurrency models (event-driven vs
-    /// classic thread-per-connection) — the two paths must be behaviorally
-    /// indistinguishable from the wire.
+    /// Every scenario runs over both transports — with and without the
+    /// secure channel the server must be indistinguishable from the wire.
     fn test_config(mode: Mode) -> ServerConfig {
         mode.server_config(ServerConfig {
             read_timeout: Duration::from_millis(200),
@@ -1154,9 +931,8 @@ mod tests {
             };
             let server = HttpServer::bind("127.0.0.1:0", config, echo_handler()).unwrap();
 
-            // Idle past the read timeout: counted as an idle timeout (in
-            // event mode the deadline wheel expires it; in blocking mode
-            // the worker's socket timeout fires).
+            // Idle past the read timeout: the deadline wheel expires it,
+            // counted as an idle timeout.
             let idle_sock = mode.connect(server.local_addr()).unwrap();
             std::thread::sleep(Duration::from_millis(400));
             drop(idle_sock);
@@ -1178,36 +954,31 @@ mod tests {
 
     #[test]
     fn telemetry_counts_requests_and_keepalive_reuse() {
-        // Runs on the blocking path: the phase-histogram assertions need
-        // the parse span to include read-wait time (the event path parses
-        // from memory in sub-microsecond time, which rounds to a zero
-        // sample). Event-path counter coverage lives in
-        // tests/event_mode.rs.
-        let telemetry = Telemetry::enabled();
-        let config = ServerConfig {
-            telemetry: Some(Arc::clone(&telemetry)),
-            ..test_config(Mode::Blocking)
-        };
-        let server = HttpServer::bind("127.0.0.1:0", config, echo_handler()).unwrap();
-        let sock: Box<dyn Wire> = Mode::Blocking.connect(server.local_addr()).unwrap();
-        let mut reader = BufReader::new(sock);
-        // Strictly request-response paced: each parse span then includes a
-        // blocking read-wait, so no sample can round down to the zero
-        // microseconds that the phase histogram (correctly) drops.
-        for i in 0..3 {
-            let req = format!("GET /r{i} HTTP/1.1\r\nHost: h\r\n\r\n");
-            send(&mut **reader.get_mut(), req.as_bytes()).unwrap();
-            assert_eq!(read_response(&mut reader, usize::MAX).unwrap().status, 200);
+        for mode in BOTH_MODES {
+            let telemetry = Telemetry::enabled();
+            let config = ServerConfig {
+                telemetry: Some(Arc::clone(&telemetry)),
+                ..test_config(mode)
+            };
+            let server = HttpServer::bind("127.0.0.1:0", config, echo_handler()).unwrap();
+            let mut reader = BufReader::new(mode.connect(server.local_addr()).unwrap());
+            // Strictly request-response paced, so each request is one
+            // trace and the two after the first are keep-alive reuse.
+            for i in 0..3 {
+                let req = format!("GET /r{i} HTTP/1.1\r\nHost: h\r\n\r\n");
+                send(&mut **reader.get_mut(), req.as_bytes()).unwrap();
+                assert_eq!(read_response(&mut reader, usize::MAX).unwrap().status, 200);
+            }
+            drop(reader);
+            server.shutdown();
+            assert_eq!(telemetry.http.requests.get(), 3, "{mode:?}");
+            assert_eq!(telemetry.http.keepalive_reuse.get(), 2, "{mode:?}");
+            // Every request was timed end to end. (The parse phase works
+            // from memory and can round to the zero microseconds the phase
+            // histograms drop, so only the total is pinned.)
+            let phases = telemetry.phase_snapshots();
+            assert_eq!(phases.last().unwrap().1.count, 3, "{mode:?}");
         }
-        drop(reader);
-        server.shutdown();
-        assert_eq!(telemetry.http.requests.get(), 3);
-        assert_eq!(telemetry.http.keepalive_reuse.get(), 2);
-        // Spans were timed: parse and write histograms saw every request.
-        let phases = telemetry.phase_snapshots();
-        assert_eq!(phases[Phase::Parse as usize].1.count, 3);
-        assert_eq!(phases[Phase::Write as usize].1.count, 3);
-        assert_eq!(phases.last().unwrap().1.count, 3);
     }
 
     #[test]

@@ -14,8 +14,8 @@ mod sys {
     use std::os::raw::c_int;
 
     extern "C" {
-        // ssize_t sendfile(int out_fd, int in_fd, off_t *offset, size_t count);
-        pub fn sendfile(out_fd: c_int, in_fd: c_int, offset: *mut i64, count: usize) -> isize;
+        // ssize_t sendfile(int out, int in, off_t *offset, size_t count);
+        pub fn sendfile(sock_fd: c_int, file_fd: c_int, offset: *mut i64, count: usize) -> isize;
     }
 }
 

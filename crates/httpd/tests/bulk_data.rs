@@ -1,33 +1,83 @@
-//! Behavioral tests for the zero-copy bulk-data path: sendfile-backed
-//! file bodies, Range slicing, truncation detection, and event-mode
-//! partial-write parking.
+//! Behavioral tests for the bulk-data path: sendfile-backed file bodies,
+//! Range slicing, truncation detection, and partial-write parking.
 //!
 //! The byte-identity matrix is the contract that lets the code pick the
-//! copy engine on its own: the event path's `sendfile(2)`, the blocking
-//! (TLS) path's buffered loop, and the public serializer writing into
-//! memory must produce identical bytes for every request shape, including
-//! 206 partial content. The parking tests pin the tentpole property — a
-//! slow reader parks its half-written response in the poller instead of
-//! pinning a worker.
+//! copy engine on its own: `sendfile(2)` on a plaintext connection, chunks
+//! sealed into records on a TLS one, and the public serializer writing
+//! into memory must produce identical bytes for every request shape,
+//! including 206 partial content. The parking tests pin the scheduler
+//! property — a slow reader parks its half-written response in the poller
+//! instead of pinning a worker — on both transports, and the staging test
+//! pins that a sealed body is never held in memory whole.
 
 mod common;
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::io::{BufReader, Read};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use clarens_httpd::parse::{read_request, read_response, write_response};
+use clarens_httpd::parse::{read_request, read_response, write_response, COPY_BUFFER};
 use clarens_httpd::{
     resolve_range, Handler, HttpServer, Method, PeerInfo, RangeOutcome, Request, Response,
     ServerConfig,
 };
 use clarens_telemetry::Telemetry;
 
-use common::{Mode, BOTH_MODES};
+use common::{send, Mode, BOTH_MODES};
 
 use proptest::prelude::*;
+
+/// Largest single allocation made by a thread that raised [`WATCHED`]: how
+/// the staging test sees what a server worker holds in memory.
+static LARGEST_WATCHED_ALLOC: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static WATCHED: Cell<bool> = const { Cell::new(false) };
+}
+
+struct WatchingAlloc;
+
+fn watch(size: usize) {
+    // The slot may be gone while a dying thread's destructors allocate.
+    if WATCHED.try_with(Cell::get).unwrap_or(false) {
+        LARGEST_WATCHED_ALLOC.fetch_max(size, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the bookkeeping touches one atomic and
+// a `const`-initialised thread-local, neither of which allocates.
+unsafe impl GlobalAlloc for WatchingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        watch(layout.size());
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        watch(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        watch(new_size);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: WatchingAlloc = WatchingAlloc;
 
 /// A deterministic payload file shared by the tests (per-test file name,
 /// so parallel tests never collide).
@@ -92,8 +142,8 @@ fn serialized_in_memory(path: &Path, exchange: &str) -> Vec<u8> {
     wire
 }
 
-/// Event path (sendfile), blocking TLS path (buffered loop) and the
-/// in-memory serializer: the raw response bytes must be identical for
+/// Plaintext (sendfile), TLS (sealed chunks, compared after decryption)
+/// and the in-memory serializer: the response bytes must be identical for
 /// whole-file GETs, 206 slices (closed, suffix, open-ended), 416s, HEAD,
 /// and pipelined keep-alive — the copy engine must be invisible on the
 /// wire.
@@ -161,19 +211,19 @@ fn sendfile_bytes_are_counted() {
         server.shutdown();
         let via_sendfile = telemetry.http.bytes_sendfile.get();
         match mode {
-            Mode::Event => assert_eq!(
+            Mode::Plain => assert_eq!(
                 via_sendfile,
                 data.len() as u64,
                 "whole body should ride sendfile"
             ),
-            Mode::Blocking => assert_eq!(via_sendfile, 0, "TLS must use the buffered loop"),
+            Mode::Tls => assert_eq!(via_sendfile, 0, "sealed bytes cannot be spliced"),
         }
     }
 }
 
 /// A stream body that under-delivers against its declared Content-Length
 /// must close the connection (never desync keep-alive framing) and count
-/// as a stream truncation, in both concurrency modes.
+/// as a stream truncation, on both transports.
 #[test]
 fn truncated_stream_closes_connection_and_is_counted() {
     for mode in BOTH_MODES {
@@ -225,66 +275,69 @@ fn truncated_stream_closes_connection_and_is_counted() {
     }
 }
 
-/// The tentpole property: a reader too slow to drain a multi-megabyte
-/// response parks the half-written response in the poller instead of
-/// pinning the only worker; a second client is served meanwhile, and the
-/// slow reader still receives every byte.
+/// A reader too slow to drain a multi-megabyte response parks the
+/// half-written response in the poller instead of pinning the only worker;
+/// a second client is served meanwhile, and the slow reader still receives
+/// every byte. Under TLS what parks mid-body is a sealed chunk.
 #[test]
 fn slow_reader_parks_write_and_frees_the_worker() {
     let (path, data) = payload_file("parked", 8 << 20);
-    let telemetry = Telemetry::enabled();
-    let server = HttpServer::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 1,
-            telemetry: Some(Arc::clone(&telemetry)),
-            read_timeout: Duration::from_secs(30),
-            ..config()
-        },
-        file_handler(path),
-    )
-    .unwrap();
-    let addr = server.local_addr();
-
-    // The slow reader requests 8 MiB and then... reads nothing. The kernel
-    // buffers fill, the write hits EWOULDBLOCK, and the connection must
-    // park with its cursor instead of holding the worker.
-    let mut slow = TcpStream::connect(addr).unwrap();
-    slow.set_read_timeout(Some(Duration::from_secs(30)))
+    for mode in BOTH_MODES {
+        let telemetry = Telemetry::enabled();
+        let server = HttpServer::bind(
+            "127.0.0.1:0",
+            mode.server_config(ServerConfig {
+                workers: 1,
+                telemetry: Some(Arc::clone(&telemetry)),
+                read_timeout: Duration::from_secs(30),
+                ..config()
+            }),
+            file_handler(path.clone()),
+        )
         .unwrap();
-    slow.write_all(b"GET /data HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n")
-        .unwrap();
+        let addr = server.local_addr();
 
-    // Wait until the writer is actually parked (bounded).
-    let started = Instant::now();
-    while telemetry.http.parked_writers.get() == 0 {
+        // The slow reader requests 8 MiB and then... reads nothing. The
+        // kernel buffers fill, the write hits EWOULDBLOCK, and the
+        // connection must park with its cursor instead of holding the
+        // worker.
+        let mut slow = mode
+            .request(
+                addr,
+                "GET /data HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n",
+            )
+            .unwrap();
+
+        // Wait until the writer is actually parked (bounded).
+        let started = Instant::now();
+        while telemetry.http.parked_writers.get() == 0 {
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "{mode:?}: writer never parked; parked_writers stayed 0"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+
+        // The single worker is free: a fast client gets its answer promptly.
+        let request =
+            "GET /data HTTP/1.1\r\nHost: h\r\nRange: bytes=0-9\r\nConnection: close\r\n\r\n";
+        let mut reader = BufReader::new(mode.request(addr, request).unwrap());
+        let resp = read_response(&mut reader, usize::MAX).unwrap();
+        assert_eq!(resp.status, 206, "fast client starved behind a slow reader");
+        assert_eq!(resp.body, &data[..10]);
+
+        // The slow reader finally drains: every byte arrives, in order.
+        let mut wire = Vec::new();
+        slow.read_to_end(&mut wire).unwrap();
+        let head_end = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+        assert_eq!(wire.len() - head_end, data.len());
         assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "writer never parked; parked_writers stayed 0"
+            wire[head_end..] == data,
+            "{mode:?}: slow reader got corrupted bytes"
         );
-        std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(telemetry.http.write_stalls.get(), 0);
+        server.shutdown();
     }
-
-    // The single worker is free: a fast client gets its answer promptly.
-    let mut fast = TcpStream::connect(addr).unwrap();
-    fast.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-    fast.write_all(
-        b"GET /data HTTP/1.1\r\nHost: h\r\nRange: bytes=0-9\r\nConnection: close\r\n\r\n",
-    )
-    .unwrap();
-    let mut reader = BufReader::new(fast);
-    let resp = read_response(&mut reader, usize::MAX).unwrap();
-    assert_eq!(resp.status, 206, "fast client starved behind a slow reader");
-    assert_eq!(resp.body, &data[..10]);
-
-    // The slow reader finally drains: every byte arrives, in order.
-    let mut wire = Vec::new();
-    slow.read_to_end(&mut wire).unwrap();
-    let head_end = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
-    assert_eq!(wire.len() - head_end, data.len());
-    assert_eq!(&wire[head_end..], data, "slow reader got corrupted bytes");
-    assert_eq!(telemetry.http.write_stalls.get(), 0);
-    server.shutdown();
 }
 
 /// A parked writer whose peer never drains expires from the deadline wheel
@@ -293,40 +346,96 @@ fn slow_reader_parks_write_and_frees_the_worker() {
 #[test]
 fn stalled_writer_expires_as_write_stall() {
     let (path, _) = payload_file("stalled", 8 << 20);
-    let telemetry = Telemetry::enabled();
+    for mode in BOTH_MODES {
+        let telemetry = Telemetry::enabled();
+        let server = HttpServer::bind(
+            "127.0.0.1:0",
+            mode.server_config(ServerConfig {
+                workers: 1,
+                telemetry: Some(Arc::clone(&telemetry)),
+                read_timeout: Duration::from_millis(300),
+                ..config()
+            }),
+            file_handler(path.clone()),
+        )
+        .unwrap();
+
+        let _slow = mode
+            .request(
+                server.local_addr(),
+                "GET /data HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n",
+            )
+            .unwrap();
+        // Never read. The write parks, overstays the deadline, and is
+        // evicted.
+        let started = Instant::now();
+        while telemetry.http.write_stalls.get() == 0 {
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "{mode:?}: stalled writer was never expired (parked_writers={}, idle_timeouts={})",
+                telemetry.http.parked_writers.get(),
+                telemetry.http.idle_timeouts.get(),
+            );
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        assert_eq!(telemetry.http.write_stalls.get(), 1);
+        assert_eq!(
+            telemetry.http.idle_timeouts.get(),
+            0,
+            "a write stall must not masquerade as idle churn"
+        );
+        server.shutdown();
+    }
+}
+
+/// A file body is sealed a chunk at a time: serving 8 MiB over TLS, the
+/// worker never makes an allocation anywhere near the size of the body.
+/// The ceiling is a staging buffer's worth — `COPY_BUFFER` of plaintext
+/// and its record overhead — doubled once by `Vec` growth when a pooled
+/// `COPY_BUFFER` buffer is reused for the slightly larger sealed chunk.
+#[test]
+fn tls_body_is_sealed_in_chunks_never_whole() {
+    let (path, data) = payload_file("staged", 8 << 20);
     let server = HttpServer::bind(
         "127.0.0.1:0",
-        ServerConfig {
+        Mode::Tls.server_config(ServerConfig {
             workers: 1,
-            telemetry: Some(Arc::clone(&telemetry)),
-            read_timeout: Duration::from_millis(300),
+            read_timeout: Duration::from_secs(30),
             ..config()
-        },
-        file_handler(path),
+        }),
+        Arc::new(move |req: Request, _peer: Option<&PeerInfo>| {
+            // From here on, this worker's allocations are watched.
+            WATCHED.with(|w| w.set(true));
+            file_response(&path, &req)
+        }),
     )
     .unwrap();
 
-    let mut slow = TcpStream::connect(server.local_addr()).unwrap();
-    slow.write_all(b"GET /data HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n")
-        .unwrap();
-    // Never read. The write parks, overstays the deadline, and is evicted.
-    let started = Instant::now();
-    while telemetry.http.write_stalls.get() == 0 {
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "stalled writer was never expired (parked_writers={}, idle_timeouts={})",
-            telemetry.http.parked_writers.get(),
-            telemetry.http.idle_timeouts.get(),
-        );
-        std::thread::sleep(Duration::from_millis(25));
+    let mut sock = Mode::Tls.connect(server.local_addr()).unwrap();
+    send(
+        &mut *sock,
+        b"GET /data HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n",
+    )
+    .unwrap();
+    // Read as slowly as a 4 KiB buffer makes us, so the write parks
+    // mid-body over and over.
+    let mut wire = Vec::with_capacity(data.len() + 512);
+    let mut buf = [0u8; 4096];
+    loop {
+        match sock.read(&mut buf).unwrap() {
+            0 => break,
+            n => wire.extend_from_slice(&buf[..n]),
+        }
     }
-    assert_eq!(telemetry.http.write_stalls.get(), 1);
-    assert_eq!(
-        telemetry.http.idle_timeouts.get(),
-        0,
-        "a write stall must not masquerade as idle churn"
-    );
+    assert!(wire.ends_with(&data), "body corrupted");
     server.shutdown();
+
+    let largest = LARGEST_WATCHED_ALLOC.load(Ordering::Relaxed);
+    assert!(largest > 0, "the worker was never watched");
+    assert!(
+        largest < 3 * COPY_BUFFER,
+        "a worker allocated {largest} bytes at once serving a sealed body"
+    );
 }
 
 proptest! {

@@ -1,12 +1,11 @@
 //! Scenario fixture shared by this crate's unit and integration tests: the
-//! two connection schedulers a server can end up on, and a client that
-//! reaches each.
+//! two transports a server can speak, and a client that reaches each.
 //!
-//! A plaintext server runs the event-driven scheduler. A TLS server is the
-//! one configuration that still runs the blocking thread-per-connection
-//! path (`serve_stream`), because the record layer buffers plaintext the
-//! poller cannot see. Scenarios that must hold on both run once per
-//! [`Mode`].
+//! Both run the one event-driven scheduler. On a TLS server each
+//! connection carries the secure channel's state machine between its
+//! socket and its parse buffer, and seals responses on the way out; every
+//! scheduler property — parking, pipelining, shedding, draining — must
+//! hold with and without it, so scenarios run once per [`Mode`].
 #![allow(dead_code)]
 
 use std::io::{self, Read, Write};
@@ -21,24 +20,25 @@ use clarens_pki::{rsa, SecureStream};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Which scheduler a scenario's server runs.
+/// Which transport a scenario's server speaks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
-    /// Plaintext: connections park in the readiness poller between requests.
-    Event,
-    /// TLS: a worker owns each connection until it closes.
-    Blocking,
+    /// Plaintext HTTP; file bodies leave through `sendfile(2)`.
+    Plain,
+    /// The secure channel: mutual authentication, every byte in a sealed
+    /// record.
+    Tls,
 }
 
-pub const BOTH_MODES: [Mode; 2] = [Mode::Blocking, Mode::Event];
+pub const BOTH_MODES: [Mode; 2] = [Mode::Tls, Mode::Plain];
 
 /// A byte stream to the server, whichever transport carries it.
 pub trait Wire: Read + Write + Send {}
 impl<T: Read + Write + Send> Wire for T {}
 
-/// Subject of the credential [`Mode::Blocking`] clients present.
+/// Subject of the credential [`Mode::Tls`] clients present.
 pub const CLIENT_DN: &str = "/O=grid/OU=People/CN=alice";
-/// Subject of the credential [`Mode::Blocking`] servers present.
+/// Subject of the credential [`Mode::Tls`] servers present.
 pub const SERVER_DN: &str = "/O=grid/CN=host";
 
 struct Pki {
@@ -79,7 +79,7 @@ fn pki() -> &'static Pki {
     })
 }
 
-/// Client-side TLS settings a [`Mode::Blocking`] server accepts.
+/// Client-side TLS settings a [`Mode::Tls`] server accepts.
 pub fn client_tls() -> ClientTls {
     ClientTls {
         credential: pki().client.clone(),
@@ -89,11 +89,11 @@ pub fn client_tls() -> ClientTls {
 }
 
 impl Mode {
-    /// `base`, adjusted so the server lands on this mode's scheduler.
+    /// `base`, adjusted so the server speaks this mode's transport.
     pub fn server_config(self, base: ServerConfig) -> ServerConfig {
         match self {
-            Mode::Event => base,
-            Mode::Blocking => ServerConfig {
+            Mode::Plain => base,
+            Mode::Tls => ServerConfig {
                 tls: Some(TlsConfig {
                     credential: pki().server.clone(),
                     roots: vec![pki().root.clone()],
@@ -103,14 +103,14 @@ impl Mode {
         }
     }
 
-    /// Connect the way this mode's server expects (for `Blocking`, through
-    /// a completed handshake). Reads time out after five seconds.
+    /// Connect the way this mode's server expects (for `Tls`, through a
+    /// completed handshake). Reads time out after five seconds.
     pub fn connect(self, addr: SocketAddr) -> io::Result<Box<dyn Wire>> {
         let sock = TcpStream::connect(addr)?;
         sock.set_read_timeout(Some(Duration::from_secs(5)))?;
         match self {
-            Mode::Event => Ok(Box::new(sock)),
-            Mode::Blocking => {
+            Mode::Plain => Ok(Box::new(sock)),
+            Mode::Tls => {
                 let pki = pki();
                 let stream = SecureStream::connect(
                     sock,

@@ -77,12 +77,16 @@ fn injected_read_failure_closes_connection_then_recovers() {
         {
             let _guard = clarens_faults::with(clarens_faults::sites::HTTPD_READ, "err|times=1");
             // The read failpoint fires on the server's first read of the
-            // connection, which is torn down without a response.
-            let mut sock = mode.connect(addr).unwrap();
-            let _ = send(&mut *sock, b"GET /x HTTP/1.1\r\nHost: h\r\n\r\n");
-            let mut probe = Vec::new();
-            let n = sock.read_to_end(&mut probe).unwrap_or(0);
-            assert_eq!(n, 0, "{mode:?}: expected EOF, got {probe:?}");
+            // connection, which is torn down without a response. Under
+            // TLS that first read is of the ClientHello, so the client
+            // does not even get a channel.
+            if let Ok(mut sock) = mode.connect(addr) {
+                assert_eq!(mode, Mode::Plain, "handshake survived a failed read");
+                let _ = send(&mut *sock, b"GET /x HTTP/1.1\r\nHost: h\r\n\r\n");
+                let mut probe = Vec::new();
+                let n = sock.read_to_end(&mut probe).unwrap_or(0);
+                assert_eq!(n, 0, "{mode:?}: expected EOF, got {probe:?}");
+            }
         }
         assert_eq!(
             roundtrip(mode, addr, "/after"),

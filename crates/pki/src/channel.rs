@@ -14,10 +14,15 @@
 //!   authenticated with HMAC-SHA256; sequence numbers prevent replay and
 //!   reordering.
 //!
-//! [`SecureStream`] implements [`std::io::Read`] and [`std::io::Write`] so
-//! the HTTP server can treat plaintext and secure transports uniformly.
+//! [`SecureChannel`] is the protocol as a state machine that owns no
+//! socket: the caller feeds it whatever bytes arrived, writes whatever
+//! bytes it hands back, and may stop between any two calls — which is what
+//! lets the HTTP server park an encrypted connection on socket readiness
+//! like a plaintext one. [`SecureStream`] is the blocking adapter over it
+//! for clients: it implements [`std::io::Read`] and [`std::io::Write`].
 
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 use rand::{Rng, RngExt};
 
@@ -32,10 +37,21 @@ pub const MAX_RECORD: usize = 16 * 1024;
 /// Maximum serialized handshake message (bounds allocation on hostile
 /// peers).
 const MAX_HANDSHAKE: usize = 256 * 1024;
+/// Maximum sealed record a peer may send.
+const MAX_SEALED: usize = MAX_RECORD + MAC_LEN + 16;
 /// Protocol magic for hello messages.
 const MAGIC: &[u8; 8] = b"CLARENS1";
 /// MAC length on each record.
 const MAC_LEN: usize = 32;
+/// Every frame starts with its payload length, big-endian.
+const PREFIX_LEN: usize = 4;
+/// The first record each side seals, proving it derived the same keys.
+const FINISHED: &[u8] = b"finished";
+/// The premaster secret the client transports under the server's RSA key.
+const PREMASTER_LEN: usize = 48;
+/// PKCS#1 padding bytes a client draws up front; enough for a server key
+/// of `8 * (MAX_RSA_PADDING + PREMASTER_LEN + 3)` bits.
+const MAX_RSA_PADDING: usize = 1024;
 
 /// Channel establishment or I/O errors.
 #[derive(Debug)]
@@ -75,65 +91,63 @@ impl From<CertError> for ChannelError {
     }
 }
 
-/// Length-prefixed plaintext frame I/O used during the handshake.
-fn write_frame<S: Write>(stream: &mut S, payload: &[u8]) -> io::Result<()> {
-    stream.write_all(&(payload.len() as u32).to_be_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()
+fn handshake_error(message: impl Into<String>) -> ChannelError {
+    ChannelError::Handshake(message.into())
 }
 
-fn read_frame<S: Read>(stream: &mut S, max: usize) -> Result<Vec<u8>, ChannelError> {
-    let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > max {
-        return Err(ChannelError::Handshake(format!(
+/// Append `payload` to `out` as one length-prefixed frame.
+fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Payload length announced by a frame's prefix, checked against `limit`.
+fn frame_len(prefix: &[u8], limit: usize) -> Result<usize, ChannelError> {
+    let len = u32::from_be_bytes(prefix[..PREFIX_LEN].try_into().unwrap()) as usize;
+    if len > limit {
+        return Err(handshake_error(format!(
             "frame of {len} bytes exceeds limit"
         )));
     }
-    let mut buf = vec![0u8; len];
-    stream.read_exact(&mut buf)?;
-    Ok(buf)
+    Ok(len)
+}
+
+/// Split one `u32`-length-prefixed field off the front of `data`.
+fn take_field<'a>(data: &mut &'a [u8], what: &str) -> Result<&'a [u8], ChannelError> {
+    let truncated = || handshake_error(format!("truncated {what}"));
+    let (len, rest) = data.split_first_chunk::<4>().ok_or_else(truncated)?;
+    let len = u32::from_be_bytes(*len) as usize;
+    if rest.len() < len {
+        return Err(truncated());
+    }
+    let (field, rest) = rest.split_at(len);
+    *data = rest;
+    Ok(field)
 }
 
 /// Serialize a certificate chain (leaf first) for the wire.
-fn encode_chain(leaf: &Certificate, rest: &[Certificate]) -> Vec<u8> {
-    let mut out = Vec::new();
-    let total = 1 + rest.len();
-    out.extend_from_slice(&(total as u32).to_be_bytes());
+fn encode_chain(out: &mut Vec<u8>, leaf: &Certificate, rest: &[Certificate]) {
+    out.extend_from_slice(&(1 + rest.len() as u32).to_be_bytes());
     for cert in std::iter::once(leaf).chain(rest) {
-        let text = cert.to_text();
-        out.extend_from_slice(&(text.len() as u32).to_be_bytes());
-        out.extend_from_slice(text.as_bytes());
+        push_frame(out, cert.to_text().as_bytes());
     }
-    out
 }
 
-fn decode_chain(data: &[u8]) -> Result<Vec<Certificate>, ChannelError> {
-    if data.len() < 4 {
-        return Err(ChannelError::Handshake("truncated chain".into()));
-    }
-    let count = u32::from_be_bytes(data[0..4].try_into().unwrap()) as usize;
+/// Parse a chain off the front of `data`, leaving what follows it.
+fn decode_chain(data: &mut &[u8]) -> Result<Vec<Certificate>, ChannelError> {
+    let (count, rest) = data
+        .split_first_chunk::<4>()
+        .ok_or_else(|| handshake_error("truncated chain"))?;
+    *data = rest;
+    let count = u32::from_be_bytes(*count) as usize;
     if count == 0 || count > 16 {
-        return Err(ChannelError::Handshake(format!(
-            "implausible chain length {count}"
-        )));
+        return Err(handshake_error(format!("implausible chain length {count}")));
     }
-    let mut offset = 4;
     let mut chain = Vec::with_capacity(count);
     for _ in 0..count {
-        if data.len() < offset + 4 {
-            return Err(ChannelError::Handshake("truncated chain entry".into()));
-        }
-        let len = u32::from_be_bytes(data[offset..offset + 4].try_into().unwrap()) as usize;
-        offset += 4;
-        if data.len() < offset + len {
-            return Err(ChannelError::Handshake("truncated certificate".into()));
-        }
-        let text = std::str::from_utf8(&data[offset..offset + len])
-            .map_err(|_| ChannelError::Handshake("certificate not UTF-8".into()))?;
-        chain.push(Certificate::from_text(text).map_err(ChannelError::Cert)?);
-        offset += len;
+        let text = std::str::from_utf8(take_field(data, "certificate")?)
+            .map_err(|_| handshake_error("certificate not UTF-8"))?;
+        chain.push(Certificate::from_text(text)?);
     }
     Ok(chain)
 }
@@ -142,20 +156,16 @@ fn decode_chain(data: &[u8]) -> Result<Vec<Certificate>, ChannelError> {
 struct Direction {
     key: [u8; 32],
     nonce_base: [u8; 12],
-    mac_key: Vec<u8>,
+    mac_key: [u8; 32],
     sequence: u64,
 }
 
 impl Direction {
     fn from_material(material: &[u8]) -> Self {
-        let mut key = [0u8; 32];
-        key.copy_from_slice(&material[0..32]);
-        let mut nonce_base = [0u8; 12];
-        nonce_base.copy_from_slice(&material[32..44]);
         Direction {
-            key,
-            nonce_base,
-            mac_key: material[44..76].to_vec(),
+            key: material[0..32].try_into().unwrap(),
+            nonce_base: material[32..44].try_into().unwrap(),
+            mac_key: material[44..76].try_into().unwrap(),
             sequence: 0,
         }
     }
@@ -170,240 +180,570 @@ impl Direction {
         nonce
     }
 
-    fn seal(&mut self, plaintext: &[u8]) -> Vec<u8> {
-        let mut ciphertext = plaintext.to_vec();
-        ChaCha20::new(&self.key, &self.record_nonce(), 0).apply(&mut ciphertext);
-        let mut mac = HmacSha256::new(&self.mac_key);
-        mac.update(&self.sequence.to_be_bytes());
-        mac.update(&(ciphertext.len() as u32).to_be_bytes());
-        mac.update(&ciphertext);
-        let tag = mac.finalize();
-        self.sequence += 1;
-        let mut record = ciphertext;
-        record.extend_from_slice(&tag);
-        record
-    }
-
-    fn open(&mut self, record: &[u8]) -> Result<Vec<u8>, ChannelError> {
-        if record.len() < MAC_LEN {
-            return Err(ChannelError::BadRecord);
-        }
-        let (ciphertext, tag) = record.split_at(record.len() - MAC_LEN);
+    fn tag(&self, ciphertext: &[u8]) -> [u8; MAC_LEN] {
         let mut mac = HmacSha256::new(&self.mac_key);
         mac.update(&self.sequence.to_be_bytes());
         mac.update(&(ciphertext.len() as u32).to_be_bytes());
         mac.update(ciphertext);
-        if !verify_mac(&mac.finalize(), tag) {
+        mac.finalize()
+    }
+
+    /// Append `plaintext` to `out` as one sealed, framed record.
+    fn seal(&mut self, plaintext: &[u8], out: &mut Vec<u8>) {
+        debug_assert!(plaintext.len() <= MAX_RECORD);
+        out.extend_from_slice(&((plaintext.len() + MAC_LEN) as u32).to_be_bytes());
+        let start = out.len();
+        out.extend_from_slice(plaintext);
+        ChaCha20::new(&self.key, &self.record_nonce(), 0).apply(&mut out[start..]);
+        let tag = self.tag(&out[start..]);
+        out.extend_from_slice(&tag);
+        self.sequence += 1;
+    }
+
+    /// Authenticate `record` (a frame's payload) and append what it carries
+    /// to `plaintext`; nothing is appended unless the tag verifies.
+    fn open(&mut self, record: &[u8], plaintext: &mut Vec<u8>) -> Result<(), ChannelError> {
+        let split = record
+            .len()
+            .checked_sub(MAC_LEN)
+            .ok_or(ChannelError::BadRecord)?;
+        let (ciphertext, tag) = record.split_at(split);
+        if !verify_mac(&self.tag(ciphertext), tag) {
             return Err(ChannelError::BadRecord);
         }
-        let mut plaintext = ciphertext.to_vec();
-        ChaCha20::new(&self.key, &self.record_nonce(), 0).apply(&mut plaintext);
+        let start = plaintext.len();
+        plaintext.extend_from_slice(ciphertext);
+        ChaCha20::new(&self.key, &self.record_nonce(), 0).apply(&mut plaintext[start..]);
         self.sequence += 1;
-        Ok(plaintext)
+        Ok(())
     }
 }
 
-/// An established, mutually-authenticated encrypted stream.
-pub struct SecureStream<S> {
-    stream: S,
-    /// Identity (end-entity DN) of the peer, post proxy resolution.
-    peer_identity: DistinguishedName,
-    /// The leaf certificate the peer presented.
-    peer_certificate: Certificate,
+/// Record keys for both directions, as this end uses them.
+struct Keys {
     send: Direction,
     recv: Direction,
-    /// Decrypted bytes not yet consumed by `read`.
+}
+
+impl Keys {
+    /// `context` is the two hello randoms, client's first.
+    fn derive(premaster: &[u8], context: &[u8; 64], client: bool) -> Keys {
+        let master = hmac_sha256(premaster, context);
+        let direction = |label| Direction::from_material(&derive_key(&master, label, context, 76));
+        let (send, recv) = match client {
+            true => ("client write", "server write"),
+            false => ("server write", "client write"),
+        };
+        Keys {
+            send: direction(send),
+            recv: direction(recv),
+        }
+    }
+}
+
+/// Who is on the other end of an established channel.
+#[derive(Debug, Clone)]
+pub struct Peer {
+    /// Effective identity: for a client, the end-entity DN below any proxy
+    /// certificates; for a server, its leaf subject.
+    pub identity: DistinguishedName,
+    /// The chain the peer presented, leaf first.
+    pub chain: Vec<Certificate>,
+}
+
+/// What the handshake is waiting for. `context` collects the two hello
+/// randoms, client's first, as each becomes known.
+enum Step {
+    /// Client: hello sent. The premaster and the PKCS#1 padding around it
+    /// are drawn already, so no rng is needed once the server's key is in.
+    ServerHello {
+        context: [u8; 64],
+        premaster: [u8; PREMASTER_LEN],
+        padding: Vec<u8>,
+    },
+    /// Server: nothing received yet.
+    ClientHello { context: [u8; 64] },
+    /// Server: hello sent, waiting for the key exchange.
+    KeyExchange { context: [u8; 64] },
+    /// Keys derived; the peer's first record must be [`FINISHED`]. The
+    /// client answers it with its own, the server has sent its already.
+    Finished { peer: Peer, reply: bool },
+}
+
+/// Everything only the handshake needs; dropped on establishment.
+struct Handshake {
+    credential: Arc<Credential>,
+    roots: Arc<[Certificate]>,
+    now: i64,
+    /// Running hash of the handshake messages; the client signs it.
+    transcript: Sha256,
+    step: Step,
+}
+
+impl Handshake {
+    /// Queue one handshake message and fold it into the transcript.
+    fn send(&mut self, output: &mut Vec<u8>, message: &[u8]) {
+        self.transcript.update(message);
+        push_frame(output, message);
+    }
+}
+
+/// Feeds pre-drawn bytes to [`crate::rsa::PublicKey::encrypt`], which draws
+/// its padding one `u8` at a time.
+struct Replay<'a>(std::slice::Iter<'a, u8>);
+
+impl Rng for Replay<'_> {
+    fn next_u64(&mut self) -> u64 {
+        u64::from(*self.0.next().expect("padding sized to the key"))
+    }
+}
+
+/// One end of a secure channel, as a state machine that owns no socket.
+///
+/// [`feed`](Self::feed) it the bytes that arrived, in slices of any size:
+/// it consumes every whole handshake frame and record — appending opened
+/// plaintext to the caller's buffer — and keeps at most a strict prefix of
+/// one frame (the length prefix plus fewer than `MAX_HANDSHAKE` payload
+/// bytes before keys are derived, fewer than `MAX_RECORD + MAC_LEN + 16`
+/// after). Write whatever [`take_output`](Self::take_output) returns.
+/// [`take_peer`](Self::take_peer) yields the authenticated peer once, when
+/// the handshake completes; from then on [`seal`](Self::seal) turns
+/// plaintext into records. When the byte stream ends,
+/// [`at_frame_boundary`](Self::at_frame_boundary) tells a clean close from
+/// a truncation.
+pub struct SecureChannel {
+    /// `Some` until the handshake completes.
+    handshake: Option<Box<Handshake>>,
+    /// `Some` from key derivation on; `None` again after a failed feed.
+    keys: Option<Keys>,
+    /// Set on establishment, until taken.
+    peer: Option<Peer>,
+    /// A strict prefix of the next frame, length prefix included.
+    partial: Vec<u8>,
+    /// Handshake bytes not yet taken for writing.
+    output: Vec<u8>,
+}
+
+impl SecureChannel {
+    /// The connecting end: verifies the server against `roots` and
+    /// presents `credential`. Draws the hello random, the premaster and
+    /// the RSA padding from `rng`, in that order, and queues the hello.
+    pub fn client<R: Rng + ?Sized>(
+        credential: Arc<Credential>,
+        roots: Arc<[Certificate]>,
+        now: i64,
+        rng: &mut R,
+    ) -> SecureChannel {
+        let mut hello = [0u8; 40];
+        hello[..8].copy_from_slice(MAGIC);
+        rng.fill_bytes(&mut hello[8..]);
+        let mut context = [0u8; 64];
+        context[..32].copy_from_slice(&hello[8..]);
+        let premaster: [u8; PREMASTER_LEN] = rng.random();
+        // PKCS#1 type-2 padding is the next non-zero bytes of the stream.
+        // How many the server's key needs is unknown until its hello, so
+        // draw for the largest key accepted.
+        let mut padding = Vec::with_capacity(MAX_RSA_PADDING);
+        while padding.len() < MAX_RSA_PADDING {
+            let byte: u8 = rng.random();
+            if byte != 0 {
+                padding.push(byte);
+            }
+        }
+        let step = Step::ServerHello {
+            context,
+            premaster,
+            padding,
+        };
+        let mut channel = SecureChannel::handshaking(credential, roots, now, step);
+        let handshake = channel.handshake.as_mut().expect("just built");
+        handshake.send(&mut channel.output, &hello);
+        channel
+    }
+
+    /// The accepting end: presents `credential` and verifies the client
+    /// against `roots`. Draws the hello random from `rng`.
+    pub fn server<R: Rng + ?Sized>(
+        credential: Arc<Credential>,
+        roots: Arc<[Certificate]>,
+        now: i64,
+        rng: &mut R,
+    ) -> SecureChannel {
+        let mut context = [0u8; 64];
+        rng.fill_bytes(&mut context[32..]);
+        SecureChannel::handshaking(credential, roots, now, Step::ClientHello { context })
+    }
+
+    fn handshaking(
+        credential: Arc<Credential>,
+        roots: Arc<[Certificate]>,
+        now: i64,
+        step: Step,
+    ) -> SecureChannel {
+        let transcript = Sha256::new();
+        let handshake = Handshake {
+            credential,
+            roots,
+            now,
+            transcript,
+            step,
+        };
+        SecureChannel::new(Some(Box::new(handshake)), None)
+    }
+
+    /// An established end with keys cut straight from `send` and `recv`
+    /// material, for the fuzz entry: no RSA on the way in.
+    pub(crate) fn with_keys(send: &[u8; 76], recv: &[u8; 76]) -> SecureChannel {
+        let keys = Keys {
+            send: Direction::from_material(send),
+            recv: Direction::from_material(recv),
+        };
+        SecureChannel::new(None, Some(keys))
+    }
+
+    fn new(handshake: Option<Box<Handshake>>, keys: Option<Keys>) -> SecureChannel {
+        SecureChannel {
+            handshake,
+            keys,
+            peer: None,
+            partial: Vec::new(),
+            output: Vec::new(),
+        }
+    }
+
+    /// Has the handshake completed?
+    pub fn is_established(&self) -> bool {
+        self.handshake.is_none() && self.keys.is_some()
+    }
+
+    /// The authenticated peer: `Some` once, after the feed that completed
+    /// the handshake.
+    pub fn take_peer(&mut self) -> Option<Peer> {
+        self.peer.take()
+    }
+
+    /// Handshake bytes this end wants written (empty when there are none).
+    pub fn take_output(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.output)
+    }
+
+    /// Is the machine between frames? When the byte stream ends, `true`
+    /// means the peer closed cleanly and `false` that the stream was cut
+    /// inside a length prefix, a handshake message or a record.
+    pub fn at_frame_boundary(&self) -> bool {
+        self.partial.is_empty()
+    }
+
+    /// Bytes of the incomplete frame held back, length prefix included.
+    pub(crate) fn buffered(&self) -> usize {
+        self.partial.len()
+    }
+
+    /// Largest frame payload the peer may send in the current state.
+    pub(crate) fn frame_limit(&self) -> usize {
+        if self.keys.is_some() {
+            MAX_SEALED
+        } else {
+            MAX_HANDSHAKE
+        }
+    }
+
+    /// Consume `input`: every whole frame in it is processed — handshake
+    /// messages advance the handshake, records are opened and their
+    /// plaintext appended to `plaintext` — and a trailing partial frame is
+    /// kept for the next call. After an error the channel is dead: nothing
+    /// further is ever appended.
+    pub fn feed(&mut self, input: &[u8], plaintext: &mut Vec<u8>) -> Result<(), ChannelError> {
+        if self.handshake.is_none() && self.keys.is_none() {
+            return Err(handshake_error("channel already failed"));
+        }
+        let result = self.feed_frames(input, plaintext);
+        if result.is_err() {
+            self.handshake = None;
+            self.keys = None;
+        }
+        result
+    }
+
+    fn feed_frames(
+        &mut self,
+        mut input: &[u8],
+        plaintext: &mut Vec<u8>,
+    ) -> Result<(), ChannelError> {
+        loop {
+            // The frame at the head of the stream starts in `partial` if
+            // one is held back, in `input` otherwise; its span is known
+            // once its length prefix is in.
+            let head = match self.partial.is_empty() {
+                true => input,
+                false => &self.partial,
+            };
+            let span = match head.len() >= PREFIX_LEN {
+                true => Some(PREFIX_LEN + frame_len(head, self.frame_limit())?),
+                false => None,
+            };
+            match span {
+                // Whole in the caller's slice: processed in place, no copy.
+                Some(span) if self.partial.is_empty() && input.len() >= span => {
+                    let (frame, rest) = input.split_at(span);
+                    input = rest;
+                    self.on_frame(&frame[PREFIX_LEN..], plaintext)?;
+                }
+                Some(span) if self.partial.len() == span => {
+                    let frame = std::mem::take(&mut self.partial);
+                    let result = self.on_frame(&frame[PREFIX_LEN..], plaintext);
+                    self.partial = frame;
+                    self.partial.clear();
+                    result?;
+                }
+                // Hold back exactly what the frame still lacks — its
+                // prefix first, then its payload — and no byte more.
+                _ if input.is_empty() => return Ok(()),
+                _ => {
+                    let lacking = span.unwrap_or(PREFIX_LEN) - self.partial.len();
+                    let (taken, rest) = input.split_at(lacking.min(input.len()));
+                    self.partial.extend_from_slice(taken);
+                    input = rest;
+                }
+            }
+        }
+    }
+
+    fn on_frame(&mut self, frame: &[u8], plaintext: &mut Vec<u8>) -> Result<(), ChannelError> {
+        match self.handshake.take() {
+            Some(handshake) => self.on_handshake_frame(handshake, frame, plaintext),
+            None => {
+                let keys = self.keys.as_mut().expect("established");
+                keys.recv.open(frame, plaintext)
+            }
+        }
+    }
+
+    /// Advance the handshake by one message. `scratch` is any buffer: the
+    /// Finished record is opened onto its end and taken off again.
+    fn on_handshake_frame(
+        &mut self,
+        mut hs: Box<Handshake>,
+        frame: &[u8],
+        scratch: &mut Vec<u8>,
+    ) -> Result<(), ChannelError> {
+        hs.step = match hs.step {
+            Step::ClientHello { mut context } => {
+                if frame.len() != 40 || &frame[..8] != MAGIC {
+                    return Err(handshake_error("bad client hello"));
+                }
+                hs.transcript.update(frame);
+                context[..32].copy_from_slice(&frame[8..]);
+                // -> ServerHello { random, chain }
+                let mut hello = MAGIC.to_vec();
+                hello.extend_from_slice(&context[32..]);
+                encode_chain(&mut hello, &hs.credential.certificate, &hs.credential.chain);
+                hs.send(&mut self.output, &hello);
+                Step::KeyExchange { context }
+            }
+            Step::ServerHello {
+                mut context,
+                premaster,
+                padding,
+            } => {
+                hs.transcript.update(frame);
+                if frame.len() < 40 || &frame[..8] != MAGIC {
+                    return Err(handshake_error("bad server hello"));
+                }
+                context[32..].copy_from_slice(&frame[8..40]);
+                let chain = decode_chain(&mut &frame[40..])?;
+                verify_chain(&chain, &hs.roots, hs.now)?;
+                let server_key = &chain[0].public_key;
+                if server_key.modulus_len() > padding.len() + PREMASTER_LEN + 3 {
+                    return Err(handshake_error("server key too large"));
+                }
+                // -> ClientKeyExchange { E_server(premaster), chain, sig }
+                let encrypted = server_key
+                    .encrypt(&mut Replay(padding.iter()), &premaster)
+                    .map_err(|e| handshake_error(format!("premaster encryption: {e}")))?;
+                let mut msg = Vec::new();
+                push_frame(&mut msg, &encrypted);
+                encode_chain(&mut msg, &hs.credential.certificate, &hs.credential.chain);
+                // Sign the transcript so far plus the premaster ciphertext:
+                // binds the client identity to this session.
+                let mut to_sign = hs.transcript.clone();
+                to_sign.update(&encrypted);
+                push_frame(&mut msg, &hs.credential.key.sign(&to_sign.finalize()));
+                push_frame(&mut self.output, &msg);
+                self.keys = Some(Keys::derive(&premaster, &context, true));
+                let peer = Peer {
+                    identity: chain[0].subject.clone(),
+                    chain,
+                };
+                Step::Finished { peer, reply: true }
+            }
+            Step::KeyExchange { context } => {
+                let mut rest = frame;
+                let encrypted = take_field(&mut rest, "premaster")?;
+                let premaster = hs
+                    .credential
+                    .key
+                    .decrypt(encrypted)
+                    .map_err(|e| handshake_error(format!("premaster decryption: {e}")))?;
+                if premaster.len() != PREMASTER_LEN {
+                    return Err(handshake_error("bad premaster length"));
+                }
+                let chain = decode_chain(&mut rest)?;
+                let signature = take_field(&mut rest, "signature")?;
+                let identity = verify_chain(&chain, &hs.roots, hs.now)?;
+                let mut to_sign = hs.transcript.clone();
+                to_sign.update(encrypted);
+                chain[0]
+                    .public_key
+                    .verify(&to_sign.finalize(), signature)
+                    .map_err(|_| handshake_error("client transcript signature invalid"))?;
+                let keys = self.keys.insert(Keys::derive(&premaster, &context, false));
+                keys.send.seal(FINISHED, &mut self.output);
+                let peer = Peer { identity, chain };
+                Step::Finished { peer, reply: false }
+            }
+            Step::Finished { peer, reply } => {
+                let keys = self.keys.as_mut().expect("keys precede Finished");
+                let start = scratch.len();
+                keys.recv.open(frame, scratch)?;
+                let finished = &scratch[start..] == FINISHED;
+                scratch.truncate(start);
+                if !finished {
+                    return Err(handshake_error("bad finished message"));
+                }
+                if reply {
+                    keys.send.seal(FINISHED, &mut self.output);
+                }
+                self.peer = Some(peer);
+                return Ok(());
+            }
+        };
+        self.handshake = Some(hs);
+        Ok(())
+    }
+
+    /// Seal `plaintext` into `out` as framed records of at most
+    /// [`MAX_RECORD`] bytes each; an empty `plaintext` appends nothing.
+    ///
+    /// # Panics
+    /// If the handshake has not completed.
+    pub fn seal(&mut self, plaintext: &[u8], out: &mut Vec<u8>) {
+        let keys = match &mut self.keys {
+            Some(keys) if self.handshake.is_none() => keys,
+            _ => panic!("seal on a channel that is not established"),
+        };
+        out.reserve(
+            plaintext.len() + plaintext.len().div_ceil(MAX_RECORD) * (PREFIX_LEN + MAC_LEN),
+        );
+        for record in plaintext.chunks(MAX_RECORD) {
+            keys.send.seal(record, out);
+        }
+    }
+}
+
+/// An established, mutually-authenticated encrypted stream: the blocking
+/// adapter that drives a [`SecureChannel`] over a `Read + Write` socket.
+pub struct SecureStream<S> {
+    stream: S,
+    channel: SecureChannel,
+    peer: Peer,
+    /// Opened plaintext not yet consumed by `read`.
     read_buffer: Vec<u8>,
     read_offset: usize,
+    /// Why the channel died, held back until the plaintext that was
+    /// authenticated before it has been read.
+    read_error: Option<io::Error>,
     /// Plaintext pending encryption on flush.
     write_buffer: Vec<u8>,
+    /// Ciphertext staging, allocated once: `inbound` is what one socket
+    /// read can fill, `outbound` the records of one write.
+    inbound: Vec<u8>,
+    outbound: Vec<u8>,
+}
+
+/// `read` that retries on `Interrupted`, as `read_exact` would.
+fn read_some<S: Read>(stream: &mut S, buf: &mut [u8]) -> io::Result<usize> {
+    loop {
+        match stream.read(buf) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            other => return other,
+        }
+    }
 }
 
 impl<S: Read + Write> SecureStream<S> {
     /// Client side: connect over `stream`, verifying the server against
     /// `roots` and presenting `credential`.
     pub fn connect<R: Rng + ?Sized>(
-        mut stream: S,
+        stream: S,
         credential: &Credential,
         roots: &[Certificate],
         now: i64,
         rng: &mut R,
     ) -> Result<Self, ChannelError> {
-        let mut transcript = Sha256::new();
-
-        // -> ClientHello
-        let client_random: [u8; 32] = rng.random();
-        let mut hello = MAGIC.to_vec();
-        hello.extend_from_slice(&client_random);
-        write_frame(&mut stream, &hello)?;
-        transcript.update(&hello);
-
-        // <- ServerHello { random, chain }
-        let server_hello = read_frame(&mut stream, MAX_HANDSHAKE)?;
-        transcript.update(&server_hello);
-        if server_hello.len() < 8 + 32 || &server_hello[0..8] != MAGIC {
-            return Err(ChannelError::Handshake("bad server hello".into()));
-        }
-        let server_random: [u8; 32] = server_hello[8..40].try_into().unwrap();
-        let server_chain = decode_chain(&server_hello[40..])?;
-        verify_chain(&server_chain, roots, now)?;
-        let server_cert = server_chain[0].clone();
-
-        // -> ClientKeyExchange { E_server(premaster), chain, sig(transcript) }
-        let premaster: [u8; 48] = rng.random();
-        let encrypted = server_cert
-            .public_key
-            .encrypt(rng, &premaster)
-            .map_err(|e| ChannelError::Handshake(format!("premaster encryption: {e}")))?;
-        let mut msg = Vec::new();
-        msg.extend_from_slice(&(encrypted.len() as u32).to_be_bytes());
-        msg.extend_from_slice(&encrypted);
-        msg.extend_from_slice(&encode_chain(&credential.certificate, &credential.chain));
-        // Sign the transcript so far plus the premaster ciphertext: binds
-        // the client identity to this session.
-        let mut to_sign = transcript.clone();
-        to_sign.update(&encrypted);
-        let signature = credential.key.sign(&to_sign.finalize());
-        msg.extend_from_slice(&(signature.len() as u32).to_be_bytes());
-        msg.extend_from_slice(&signature);
-        write_frame(&mut stream, &msg)?;
-        transcript.update(&msg);
-
-        // Key derivation.
-        let mut context = Vec::with_capacity(64);
-        context.extend_from_slice(&client_random);
-        context.extend_from_slice(&server_random);
-        let master = hmac_sha256(&premaster, &context);
-        let client_material = derive_key(&master, "client write", &context, 76);
-        let server_material = derive_key(&master, "server write", &context, 76);
-
-        // <- Finished (first encrypted record must open correctly)
-        let mut chan = SecureStream {
-            stream,
-            peer_identity: server_chain[0].subject.clone(),
-            peer_certificate: server_cert,
-            send: Direction::from_material(&client_material),
-            recv: Direction::from_material(&server_material),
-            read_buffer: Vec::new(),
-            read_offset: 0,
-            write_buffer: Vec::new(),
-        };
-        let finished = chan.read_record()?;
-        if finished != b"finished" {
-            return Err(ChannelError::Handshake("bad finished message".into()));
-        }
-        chan.write_record(b"finished")?;
-        Ok(chan)
+        let channel = SecureChannel::client(Arc::new(credential.clone()), roots.into(), now, rng);
+        Self::establish(stream, channel)
     }
 
     /// Server side: accept a connection, presenting `credential` and
     /// verifying the client against `roots`. Returns the stream and the
     /// full client chain (the session layer stores it for delegation).
     pub fn accept<R: Rng + ?Sized>(
-        mut stream: S,
+        stream: S,
         credential: &Credential,
         roots: &[Certificate],
         now: i64,
         rng: &mut R,
     ) -> Result<(Self, Vec<Certificate>), ChannelError> {
-        let mut transcript = Sha256::new();
+        let channel = SecureChannel::server(Arc::new(credential.clone()), roots.into(), now, rng);
+        let secure = Self::establish(stream, channel)?;
+        let chain = secure.peer.chain.clone();
+        Ok((secure, chain))
+    }
 
-        // <- ClientHello
-        let hello = read_frame(&mut stream, MAX_HANDSHAKE)?;
-        transcript.update(&hello);
-        if hello.len() != 8 + 32 || &hello[0..8] != MAGIC {
-            return Err(ChannelError::Handshake("bad client hello".into()));
+    /// Run the handshake to completion: write what the machine wants
+    /// written, read, feed, repeat.
+    fn establish(mut stream: S, mut channel: SecureChannel) -> Result<Self, ChannelError> {
+        let mut read_buffer = Vec::new();
+        let mut inbound = vec![0u8; PREFIX_LEN + MAX_SEALED];
+        loop {
+            let output = channel.take_output();
+            if !output.is_empty() {
+                stream.write_all(&output)?;
+                stream.flush()?;
+            }
+            if let Some(peer) = channel.take_peer() {
+                return Ok(SecureStream {
+                    stream,
+                    channel,
+                    peer,
+                    read_buffer,
+                    read_offset: 0,
+                    read_error: None,
+                    write_buffer: Vec::new(),
+                    inbound,
+                    outbound: Vec::new(),
+                });
+            }
+            let n = read_some(&mut stream, &mut inbound)?;
+            if n == 0 {
+                return Err(ChannelError::Io(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "stream ended during the handshake",
+                )));
+            }
+            channel.feed(&inbound[..n], &mut read_buffer)?;
         }
-        let client_random: [u8; 32] = hello[8..40].try_into().unwrap();
-
-        // -> ServerHello
-        let server_random: [u8; 32] = rng.random();
-        let mut server_hello = MAGIC.to_vec();
-        server_hello.extend_from_slice(&server_random);
-        server_hello.extend_from_slice(&encode_chain(&credential.certificate, &credential.chain));
-        write_frame(&mut stream, &server_hello)?;
-        transcript.update(&server_hello);
-
-        // <- ClientKeyExchange
-        let msg = read_frame(&mut stream, MAX_HANDSHAKE)?;
-        if msg.len() < 4 {
-            return Err(ChannelError::Handshake("truncated key exchange".into()));
-        }
-        let enc_len = u32::from_be_bytes(msg[0..4].try_into().unwrap()) as usize;
-        if msg.len() < 4 + enc_len {
-            return Err(ChannelError::Handshake("truncated premaster".into()));
-        }
-        let encrypted = &msg[4..4 + enc_len];
-        let premaster = credential
-            .key
-            .decrypt(encrypted)
-            .map_err(|e| ChannelError::Handshake(format!("premaster decryption: {e}")))?;
-        if premaster.len() != 48 {
-            return Err(ChannelError::Handshake("bad premaster length".into()));
-        }
-
-        // Client chain + signature.
-        let rest = &msg[4 + enc_len..];
-        let client_chain = decode_chain(rest)?;
-        // Find where the chain ended to locate the signature.
-        let mut offset = 4;
-        for _ in 0..u32::from_be_bytes(rest[0..4].try_into().unwrap()) {
-            let len = u32::from_be_bytes(rest[offset..offset + 4].try_into().unwrap()) as usize;
-            offset += 4 + len;
-        }
-        if rest.len() < offset + 4 {
-            return Err(ChannelError::Handshake("missing signature".into()));
-        }
-        let sig_len = u32::from_be_bytes(rest[offset..offset + 4].try_into().unwrap()) as usize;
-        offset += 4;
-        if rest.len() < offset + sig_len {
-            return Err(ChannelError::Handshake("truncated signature".into()));
-        }
-        let signature = &rest[offset..offset + sig_len];
-
-        let client_identity = verify_chain(&client_chain, roots, now)?;
-        let mut to_sign = transcript.clone();
-        to_sign.update(encrypted);
-        client_chain[0]
-            .public_key
-            .verify(&to_sign.finalize(), signature)
-            .map_err(|_| ChannelError::Handshake("client transcript signature invalid".into()))?;
-        transcript.update(&msg);
-
-        // Key derivation (mirror of the client).
-        let mut context = Vec::with_capacity(64);
-        context.extend_from_slice(&client_random);
-        context.extend_from_slice(&server_random);
-        let master = hmac_sha256(&premaster, &context);
-        let client_material = derive_key(&master, "client write", &context, 76);
-        let server_material = derive_key(&master, "server write", &context, 76);
-
-        let mut chan = SecureStream {
-            stream,
-            peer_identity: client_identity,
-            peer_certificate: client_chain[0].clone(),
-            send: Direction::from_material(&server_material),
-            recv: Direction::from_material(&client_material),
-            read_buffer: Vec::new(),
-            read_offset: 0,
-            write_buffer: Vec::new(),
-        };
-        chan.write_record(b"finished")?;
-        let finished = chan.read_record()?;
-        if finished != b"finished" {
-            return Err(ChannelError::Handshake("bad finished message".into()));
-        }
-        Ok((chan, client_chain))
     }
 
     /// The peer's effective identity DN (end entity below any proxies).
     pub fn peer_identity(&self) -> &DistinguishedName {
-        &self.peer_identity
+        &self.peer.identity
     }
 
     /// The leaf certificate the peer presented.
     pub fn peer_certificate(&self) -> &Certificate {
-        &self.peer_certificate
+        &self.peer.chain[0]
     }
 
     /// Unwrap the inner stream (for shutdown).
@@ -416,43 +756,42 @@ impl<S: Read + Write> SecureStream<S> {
         &self.stream
     }
 
-    fn write_record(&mut self, plaintext: &[u8]) -> Result<(), ChannelError> {
-        debug_assert!(plaintext.len() <= MAX_RECORD);
-        let record = self.send.seal(plaintext);
-        write_frame(&mut self.stream, &record)?;
-        Ok(())
-    }
-
-    fn read_record(&mut self) -> Result<Vec<u8>, ChannelError> {
-        let record = read_frame(&mut self.stream, MAX_RECORD + MAC_LEN + 16)?;
-        self.recv.open(&record)
+    /// Seal the first `len` buffered plaintext bytes and write the records.
+    fn write_records(&mut self, len: usize) -> io::Result<()> {
+        self.outbound.clear();
+        self.channel
+            .seal(&self.write_buffer[..len], &mut self.outbound);
+        self.write_buffer.drain(..len);
+        self.stream
+            .write_all(&self.outbound)
+            .map_err(|e| io::Error::new(io::ErrorKind::BrokenPipe, e))
     }
 }
 
 impl<S: Read + Write> Read for SecureStream<S> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.read_offset == self.read_buffer.len() {
-            match self.read_record() {
-                Ok(plaintext) => {
-                    self.read_buffer = plaintext;
-                    self.read_offset = 0;
-                    if self.read_buffer.is_empty() {
-                        return Ok(0);
-                    }
-                }
-                Err(ChannelError::Io(e)) => {
-                    // EOF on a record boundary is a clean close.
-                    if e.kind() == io::ErrorKind::UnexpectedEof {
-                        return Ok(0);
-                    }
-                    return Err(e);
-                }
-                Err(other) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        other.to_string(),
+        // A record may carry no plaintext, so keep reading until one does.
+        while self.read_offset == self.read_buffer.len() {
+            if let Some(error) = self.read_error.take() {
+                return Err(error);
+            }
+            self.read_buffer.clear();
+            self.read_offset = 0;
+            let n = read_some(&mut self.stream, &mut self.inbound)?;
+            if n == 0 {
+                // EOF on a frame boundary is a clean close; anywhere else
+                // the stream was cut and the record layer must say so.
+                return if self.channel.at_frame_boundary() {
+                    Ok(0)
+                } else {
+                    Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "stream ended inside a record",
                     ))
-                }
+                };
+            }
+            if let Err(e) = self.channel.feed(&self.inbound[..n], &mut self.read_buffer) {
+                self.read_error = Some(io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
             }
         }
         let n = buf.len().min(self.read_buffer.len() - self.read_offset);
@@ -466,19 +805,16 @@ impl<S: Read + Write> Write for SecureStream<S> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.write_buffer.extend_from_slice(buf);
         // Flush full records eagerly to bound memory.
-        while self.write_buffer.len() >= MAX_RECORD {
-            let chunk: Vec<u8> = self.write_buffer.drain(..MAX_RECORD).collect();
-            self.write_record(&chunk)
-                .map_err(|e| io::Error::new(io::ErrorKind::BrokenPipe, e.to_string()))?;
+        let full = self.write_buffer.len() / MAX_RECORD * MAX_RECORD;
+        if full > 0 {
+            self.write_records(full)?;
         }
         Ok(buf.len())
     }
 
     fn flush(&mut self) -> io::Result<()> {
         if !self.write_buffer.is_empty() {
-            let chunk = std::mem::take(&mut self.write_buffer);
-            self.write_record(&chunk)
-                .map_err(|e| io::Error::new(io::ErrorKind::BrokenPipe, e.to_string()))?;
+            self.write_records(self.write_buffer.len())?;
         }
         self.stream.flush()
     }
@@ -663,6 +999,128 @@ mod tests {
         let mut more = [0u8; 1];
         let err = server.read(&mut more).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A socket whose writes can be diverted into a buffer instead of
+    /// reaching the peer, to get at the raw bytes of a sealed record.
+    struct Tap {
+        sock: TcpStream,
+        held: std::sync::Arc<std::sync::Mutex<Option<Vec<u8>>>>,
+    }
+
+    impl Read for Tap {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.sock.read(buf)
+        }
+    }
+
+    impl Write for Tap {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            match &mut *self.held.lock().unwrap() {
+                Some(held) => {
+                    held.extend_from_slice(buf);
+                    Ok(buf.len())
+                }
+                None => self.sock.write(buf),
+            }
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The record layer exists to tell a cut stream from a closed one: a
+    /// TCP stream that ends anywhere inside a record — its length prefix
+    /// included — must not read as a clean EOF.
+    #[test]
+    fn truncation_inside_a_record_is_not_a_clean_close() {
+        let pki = test_pki(9);
+        let roots = vec![pki.ca.certificate.clone()];
+        let mut cut = 0;
+        loop {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let (server_cred, server_roots) = (pki.server.clone(), roots.clone());
+            let server = std::thread::spawn(move || {
+                let (sock, _) = listener.accept().unwrap();
+                let mut rng = StdRng::seed_from_u64(1000);
+                let (mut stream, _) =
+                    SecureStream::accept(sock, &server_cred, &server_roots, NOW + 10, &mut rng)
+                        .unwrap();
+                let mut plaintext = Vec::new();
+                stream.read_to_end(&mut plaintext).map(|_| plaintext)
+            });
+            let held = std::sync::Arc::new(std::sync::Mutex::new(None));
+            let tap = Tap {
+                sock: TcpStream::connect(addr).unwrap(),
+                held: std::sync::Arc::clone(&held),
+            };
+            let mut rng = StdRng::seed_from_u64(2000);
+            let mut client =
+                SecureStream::connect(tap, &pki.client, &roots, NOW + 10, &mut rng).unwrap();
+            // Seal one record into the tap, then put only its first `cut`
+            // bytes on the wire and close.
+            *held.lock().unwrap() = Some(Vec::new());
+            client.write_all(b"hello").unwrap();
+            client.flush().unwrap();
+            let record = held.lock().unwrap().take().unwrap();
+            let mut sock = client.into_inner().sock;
+            sock.write_all(&record[..cut]).unwrap();
+            drop(sock);
+
+            let outcome = server.join().unwrap();
+            if cut == 0 {
+                assert_eq!(outcome.unwrap(), b"");
+            } else if cut == record.len() {
+                assert_eq!(outcome.unwrap(), b"hello");
+                return;
+            } else {
+                let error = outcome.expect_err("a cut record read as a clean close");
+                assert_eq!(error.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+            }
+            cut += 1;
+        }
+    }
+
+    /// A record may carry no plaintext; that is not the end of the stream.
+    #[test]
+    fn zero_length_record_is_not_eof() {
+        let (a, b) = ([1u8; 76], [2u8; 76]);
+        let mut sender = SecureChannel::with_keys(&a, &b);
+        let mut wire = Vec::new();
+        let keys = sender.keys.as_mut().unwrap();
+        keys.send.seal(b"", &mut wire);
+        keys.send.seal(b"after", &mut wire);
+        assert_eq!(wire.len(), 2 * (PREFIX_LEN + MAC_LEN) + 5);
+
+        let mut receiver = SecureChannel::with_keys(&b, &a);
+        let mut plaintext = Vec::new();
+        receiver
+            .feed(&wire[..PREFIX_LEN + MAC_LEN], &mut plaintext)
+            .unwrap();
+        assert!(plaintext.is_empty() && receiver.at_frame_boundary());
+
+        // Through the adapter: the first `read` skips the empty record
+        // instead of reporting end-of-stream.
+        let mut stream = SecureStream {
+            stream: io::Cursor::new(wire),
+            channel: SecureChannel::with_keys(&b, &a),
+            peer: Peer {
+                identity: dn("/CN=peer"),
+                chain: vec![],
+            },
+            read_buffer: Vec::new(),
+            read_offset: 0,
+            read_error: None,
+            write_buffer: Vec::new(),
+            inbound: vec![0; 64],
+            outbound: Vec::new(),
+        };
+        let mut buf = [0u8; 16];
+        assert_eq!(stream.read(&mut buf).unwrap(), 5);
+        assert_eq!(&buf[..5], b"after");
+        assert_eq!(stream.read(&mut buf).unwrap(), 0);
     }
 
     #[test]

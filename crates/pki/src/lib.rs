@@ -16,8 +16,10 @@
 //!   VO management uses,
 //! * [`cert`] — certificates, CAs, *proxy certificates* with delegation
 //!   chains (paper §2.6),
-//! * [`channel`] — a miniature mutually-authenticated TLS-like transport
-//!   ([`channel::SecureStream`] implements `Read`/`Write`).
+//! * [`channel`] — a miniature mutually-authenticated TLS-like transport:
+//!   [`channel::SecureChannel`] is the handshake and record protocol as a
+//!   state machine that owns no socket, [`channel::SecureStream`] the
+//!   blocking `Read`/`Write` adapter over it.
 //!
 //! ## Security disclaimer
 //!
@@ -32,6 +34,7 @@ pub mod cert;
 pub mod chacha20;
 pub mod channel;
 pub mod dn;
+pub mod fuzz;
 pub mod hmac;
 pub mod keystream;
 pub mod md5;
@@ -40,5 +43,5 @@ pub mod rsa;
 pub mod sha256;
 
 pub use cert::{CertKind, Certificate, CertificateAuthority, Credential};
-pub use channel::{ChannelError, SecureStream};
+pub use channel::{ChannelError, SecureChannel, SecureStream};
 pub use dn::DistinguishedName;
