@@ -1473,8 +1473,9 @@ fn binproto(point: Duration) {
 }
 
 /// `repro fuzz [--secs N] [--seed S] [--target NAME]` — the in-tree
-/// deterministic mutation fuzzer over the streaming decoders and the
-/// secure channel's record machine (see `clarens_bench::fuzzer`). CI's
+/// deterministic mutation fuzzer over the streaming decoders, the secure
+/// channel's record machine and the pki kernels (see
+/// `clarens_bench::fuzzer`). CI's
 /// binproto-smoke job runs this for two minutes; the cargo-fuzz targets
 /// under `fuzz/` drive the same entry points coverage-guided where nightly
 /// is available.

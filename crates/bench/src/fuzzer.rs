@@ -1,5 +1,5 @@
 //! In-tree deterministic mutation fuzzer for the wire, HTTP, WAL and
-//! secure-channel decoders.
+//! secure-channel decoders, and for the pki kernels.
 //!
 //! The container this reproduction builds in has no nightly toolchain and
 //! no `cargo-fuzz`, so coverage-guided libFuzzer runs happen elsewhere
@@ -40,16 +40,19 @@ pub enum FuzzTarget {
     WalFrames,
     /// The secure channel's handshake and record machine.
     SecureRecords,
+    /// Montgomery `modpow` and block-wise ChaCha20 against their references.
+    PkiKernels,
 }
 
 impl FuzzTarget {
     /// Every target, in the order CI runs them.
-    pub const ALL: [FuzzTarget; 5] = [
+    pub const ALL: [FuzzTarget; 6] = [
         FuzzTarget::XmlrpcDivergence,
         FuzzTarget::BinaryFrame,
         FuzzTarget::HttpParser,
         FuzzTarget::WalFrames,
         FuzzTarget::SecureRecords,
+        FuzzTarget::PkiKernels,
     ];
 
     /// Stable name used on the `repro fuzz` command line and in reports.
@@ -60,6 +63,7 @@ impl FuzzTarget {
             FuzzTarget::HttpParser => "http-parser",
             FuzzTarget::WalFrames => "wal-frames",
             FuzzTarget::SecureRecords => "secure-records",
+            FuzzTarget::PkiKernels => "pki-kernels",
         }
     }
 
@@ -75,6 +79,7 @@ impl FuzzTarget {
             FuzzTarget::HttpParser => clarens_httpd::fuzz::http_request,
             FuzzTarget::WalFrames => clarens_db::fuzz::wal_frames,
             FuzzTarget::SecureRecords => clarens_pki::fuzz::secure_records,
+            FuzzTarget::PkiKernels => clarens_pki::fuzz::pki_kernels,
         }
     }
 }
@@ -217,6 +222,27 @@ fn seed_corpus(target: FuzzTarget) -> Vec<Vec<u8>> {
             corpus.push(transcript);
             corpus.push(b"GET /clarens HTTP/1.1\r\nHost: h\r\n\r\n".to_vec());
             corpus.push(vec![0xA5; 3 * 1024]);
+        }
+        FuzzTarget::PkiKernels => {
+            // Layout: three length bytes, base, exponent, modulus, then
+            // key, nonce, counter and plaintext (see the entry). An
+            // RSA-half-sized odd modulus under a full-window exponent and a
+            // double-width base; an even modulus; a 17-limb one under a
+            // short exponent; and a block counter that wraps mid-message.
+            let operands = |base: u8, exponent: u8, modulus: u8, fill: u8| {
+                let mut input = vec![base, exponent, modulus];
+                let len = base as usize % 128 * 17 / 8 + exponent as usize + modulus as usize;
+                input.extend((0..len).map(|i| fill.wrapping_mul(i as u8 | 1).wrapping_add(i as u8)));
+                input
+            };
+            corpus.push(operands(30, 16, 32, 0x6D));
+            corpus.push(operands(0x80 | 15, 16, 32, 0x42));
+            corpus.push(operands(64, 3, 136, 0xB7));
+            let mut wrapping = operands(4, 2, 8, 0x11);
+            wrapping.extend_from_slice(&[0x5C; 32 + 12]);
+            wrapping.extend_from_slice(&(u32::MAX - 1).to_le_bytes());
+            wrapping.extend((0..400u32).map(|i| (i % 253) as u8));
+            corpus.push(wrapping);
         }
     }
     corpus

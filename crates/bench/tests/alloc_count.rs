@@ -1,7 +1,8 @@
 //! Allocation accounting end-to-end: registers the counting allocator for
 //! this test process and holds the server-side allocations of a
 //! steady-state `echo.echo` loop under the ceiling `repro quick` gates on,
-//! and those of one session admission under its own.
+//! those of one session admission under its own, and the pki kernels'
+//! (an RSA signature, a sealed and opened record, the digests) under theirs.
 //!
 //! Everything runs inside ONE `#[test]` so no concurrent test thread
 //! pollutes the process-global counters.
@@ -11,11 +12,80 @@ use std::sync::Arc;
 use clarens::session::SessionManager;
 use clarens_bench::{alloc_count, bench_grid_workers, bench_session, measure_allocs_per_request};
 use clarens_db::Store;
+use clarens_pki::cert::{Certificate, CertificateAuthority, Credential};
 use clarens_pki::dn::DistinguishedName;
+use clarens_pki::{rsa, SecureChannel};
 use clarens_wire::Protocol;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 #[global_allocator]
 static ALLOC: alloc_count::CountingAlloc = alloc_count::CountingAlloc;
+
+/// Allocations made on any counted thread while `f` runs.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let (before, _) = alloc_count::snapshot();
+    alloc_count::set_counting(true);
+    f();
+    alloc_count::set_counting(false);
+    alloc_count::snapshot().0 - before
+}
+
+/// The pki kernels work in place: a signature allocates its operands and a
+/// scratch block per exponentiation (the division-based `modpow` allocated
+/// per multiplication, thousands per signature), a record sealed or opened
+/// into a buffer that has held one allocates nothing, nor do the digests.
+fn pki_kernel_allocations() {
+    const NOW: i64 = 1_118_836_800;
+    let mut rng = StdRng::seed_from_u64(0xA110C);
+    let dn = |text: &str| DistinguishedName::parse(text).unwrap();
+    let ca = CertificateAuthority::new(&mut rng, dn("/O=alloc/CN=CA"), NOW, 3650);
+    let mut issue = |subject: &str| {
+        let kp = rsa::generate(&mut rng, 512);
+        Arc::new(Credential {
+            certificate: ca.issue(dn(subject), &kp.public, NOW, 365),
+            key: kp.private,
+            chain: vec![],
+        })
+    };
+    let (host, alice) = (issue("/O=alloc/CN=host"), issue("/O=alloc/CN=alice"));
+
+    let digest = clarens_pki::sha256::sha256(b"to be signed");
+    let per_sign = allocations_during(|| {
+        std::hint::black_box(alice.key.sign(&digest));
+    });
+    println!("allocs/RSA-512 signature: {per_sign}");
+    assert!(per_sign <= 32, "allocations per signature: {per_sign} > 32");
+
+    let roots: Arc<[Certificate]> = vec![ca.certificate.clone()].into();
+    let mut client = SecureChannel::client(alice, Arc::clone(&roots), NOW, &mut rng);
+    let mut server = SecureChannel::server(host, roots, NOW, &mut rng);
+    let (mut wire, mut plaintext) = (Vec::new(), Vec::new());
+    while !server.is_established() {
+        server.feed(&client.take_output(), &mut plaintext).unwrap();
+        client.feed(&server.take_output(), &mut plaintext).unwrap();
+    }
+    let record = vec![0xA5u8; clarens_pki::channel::MAX_RECORD];
+    for warmed in [false, true] {
+        wire.clear();
+        plaintext.clear();
+        let per_record = allocations_during(|| {
+            client.seal(&record, &mut wire);
+            server.feed(&wire, &mut plaintext).unwrap();
+        });
+        assert_eq!(plaintext, record);
+        if warmed {
+            assert_eq!(per_record, 0, "allocations per sealed and opened 16 KiB");
+        }
+    }
+
+    let megabyte = vec![0x42u8; 1 << 20];
+    let per_digest = allocations_during(|| {
+        std::hint::black_box(clarens_pki::md5::md5(&megabyte));
+        std::hint::black_box(clarens_pki::sha256::sha256(&megabyte));
+    });
+    assert_eq!(per_digest, 0, "allocations per 1 MiB of MD5 + SHA-256");
+}
 
 #[test]
 fn counting_allocator_and_steady_state_ceiling() {
@@ -74,6 +144,9 @@ fn counting_allocator_and_steady_state_ceiling() {
         "allocations per SessionManager::create regressed: {per_create:.1} > {}",
         clarens_bench::MAX_ALLOCS_PER_SESSION_CREATE
     );
+
+    // --- the pki kernels, measured ----------------------------------------
+    pki_kernel_allocations();
 
     // --- the request path, measured --------------------------------------
     // Small worker count: one keep-alive connection only ever exercises

@@ -3,9 +3,10 @@
 //! The Clarens reproduction cannot link OpenSSL, so the RSA layer in
 //! [`crate::rsa`] is built on this module: little-endian `u64`-limb
 //! arithmetic with schoolbook multiplication, Knuth Algorithm D division,
-//! square-and-multiply modular exponentiation, the extended Euclidean
-//! algorithm, and Miller–Rabin primality testing. Sizes of interest are
-//! 512–2048 bits, where schoolbook complexity is perfectly adequate.
+//! windowed Montgomery modular exponentiation ([`Modulus`]), the extended
+//! Euclidean algorithm, and Miller–Rabin primality testing. Sizes of
+//! interest are 512–2048 bits, where schoolbook complexity is perfectly
+//! adequate.
 //!
 //! This code favours clarity and testability over constant-time execution;
 //! it is a *simulation* of the paper's PKI (see DESIGN.md) and must not be
@@ -393,8 +394,27 @@ impl BigUint {
         self.mul(other).rem(modulus)
     }
 
-    /// Modular exponentiation (square-and-multiply, left-to-right).
+    /// Remainder by a single limb, in one pass and without allocating.
+    /// Panics on division by zero.
+    pub fn rem_u64(&self, divisor: u64) -> u64 {
+        assert!(divisor != 0, "division by zero");
+        let mut rem = 0u128;
+        for &limb in self.limbs.iter().rev() {
+            rem = ((rem << 64) | limb as u128) % divisor as u128;
+        }
+        rem as u64
+    }
+
+    /// Modular exponentiation. For more than one exponentiation under the
+    /// same modulus, build the [`Modulus`] once and call [`Modulus::pow`].
     pub fn modpow(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
+        Modulus::new(modulus.clone()).pow(self, exponent)
+    }
+
+    /// Left-to-right square-and-multiply with a full division per step: what
+    /// [`Modulus::pow`] falls back to for an even modulus, and the reference
+    /// the Montgomery path is tested against.
+    pub(crate) fn modpow_by_division(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "modpow with zero modulus");
         if modulus.is_one() {
             return BigUint::zero();
@@ -490,6 +510,12 @@ impl BigUint {
     }
 
     /// Miller–Rabin probabilistic primality test with `rounds` random bases.
+    ///
+    /// Which values `rng` is asked for, and in which order, decides the key a
+    /// seeded [`crate::rsa::generate`] yields: the sieve below rejects
+    /// without drawing, every candidate that passes it draws one base per
+    /// round until a round fails. Lengthening [`SMALL_PRIMES`] or changing
+    /// how a base is drawn therefore changes every seeded key in the tree.
     pub fn is_probable_prime<R: Rng + ?Sized>(&self, rng: &mut R, rounds: usize) -> bool {
         if self.is_zero() || self.is_one() {
             return false;
@@ -503,11 +529,10 @@ impl BigUint {
         }
         // Trial division by small primes.
         for &p in SMALL_PRIMES {
-            let pb = BigUint::from_u64(p);
-            if self == &pb {
+            if self.to_u64() == Some(p) {
                 return true;
             }
-            if self.rem(&pb).is_zero() {
+            if self.rem_u64(p) == 0 {
                 return false;
             }
         }
@@ -515,17 +540,18 @@ impl BigUint {
         let n_minus_1 = self.sub(&BigUint::one());
         let s = trailing_zeros(&n_minus_1);
         let d = n_minus_1.shr(s);
+        // Base in [2, n-2].
+        let upper = self.sub(&BigUint::from_u64(3));
+        let modulus = Modulus::new(self.clone());
 
         'witness: for _ in 0..rounds {
-            // Base in [2, n-2].
-            let upper = self.sub(&BigUint::from_u64(3));
             let a = BigUint::random_below(rng, &upper).add(&two);
-            let mut x = a.modpow(&d, self);
+            let mut x = modulus.pow(&a, &d);
             if x.is_one() || x == n_minus_1 {
                 continue 'witness;
             }
             for _ in 0..s.saturating_sub(1) {
-                x = x.mulmod(&x, self);
+                x = modulus.mul(&x, &x);
                 if x == n_minus_1 {
                     continue 'witness;
                 }
@@ -535,29 +561,278 @@ impl BigUint {
         true
     }
 
-    /// Generate a random probable prime with exactly `bits` bits.
+    /// Generate a random probable prime with exactly `bits` bits: candidates
+    /// are `bits` random bits with the top bit (exact size) and the low bit
+    /// (odd) forced, tested with 20 Miller–Rabin rounds.
     pub fn random_prime<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> BigUint {
         assert!(bits >= 8, "prime size too small");
         loop {
             let mut candidate = BigUint::random_bits(rng, bits);
-            // Force the top bit (exact size) and low bit (odd).
-            candidate = candidate
-                .clone()
-                .add(&BigUint::one().shl(bits - 1))
-                .rem(&BigUint::one().shl(bits));
-            if candidate.bit_length() < bits {
-                candidate = candidate.add(&BigUint::one().shl(bits - 1));
-            }
-            if candidate.is_even() {
-                candidate = candidate.add(&BigUint::one());
-            }
-            if candidate.bit_length() != bits {
-                continue;
-            }
+            candidate.limbs.resize(bits.div_ceil(64), 0);
+            candidate.limbs[(bits - 1) / 64] |= 1 << ((bits - 1) % 64);
+            candidate.limbs[0] |= 1;
             if candidate.is_probable_prime(rng, 20) {
                 return candidate;
             }
         }
+    }
+}
+
+/// A modulus prepared for repeated modular multiplication and
+/// exponentiation.
+///
+/// For an odd modulus `n` of `k` limbs the work is done in Montgomery form
+/// with `R = 2^(64k)`: a value `x` is held as `x·R mod n`, and the product
+/// of two such values comes out of one fused multiply-and-reduce pass over
+/// fixed-width limb slices, with no division and no allocation. The two
+/// constants that pass needs (`-n⁻¹ mod 2^64` and `R² mod n`) are computed
+/// here, once. An even modulus has no Montgomery form; for it every
+/// operation falls back to schoolbook multiplication and Knuth division, so
+/// the type is total.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Modulus {
+    n: BigUint,
+    /// `None` for an even modulus (zero included).
+    montgomery: Option<Montgomery>,
+}
+
+/// The per-modulus constants of Montgomery multiplication.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Montgomery {
+    /// `-n⁻¹ mod 2^64`.
+    n0_inv: u64,
+    /// `R² mod n`, exactly as many limbs as `n`.
+    r2: Vec<u64>,
+}
+
+/// Exponents up to this many bits are raised bit by bit: a 4-bit window's
+/// table costs 14 multiplications, more than it saves on an exponent like
+/// RSA's public 65537.
+const SHORT_EXPONENT_BITS: usize = 64;
+
+impl Modulus {
+    /// Prepare `n`. Zero is accepted (a certificate off the wire may carry
+    /// anything) but every operation under it panics, like division by zero.
+    pub fn new(n: BigUint) -> Modulus {
+        let montgomery = n.is_odd().then(|| {
+            let k = n.limbs.len();
+            // Newton's iteration doubles the correct low bits each round;
+            // n0·n0 ≡ 1 (mod 8) starts it with three.
+            let n0 = n.limbs[0];
+            let mut inv = n0;
+            for _ in 0..5 {
+                inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
+            }
+            let mut r2 = BigUint::one().shl(128 * k).rem(&n).limbs;
+            r2.resize(k, 0);
+            Montgomery {
+                n0_inv: inv.wrapping_neg(),
+                r2,
+            }
+        });
+        Modulus { n, montgomery }
+    }
+
+    /// The modulus itself.
+    pub fn value(&self) -> &BigUint {
+        &self.n
+    }
+
+    /// `a · b mod n`, for operands of any size.
+    pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        let Some(montgomery) = &self.montgomery else {
+            return a.mulmod(b, &self.n);
+        };
+        let k = self.n.limbs.len();
+        let mut scratch = vec![0u64; 4 * k + 1];
+        let (a_form, rest) = scratch.split_at_mut(k);
+        let (b_form, rest) = rest.split_at_mut(k);
+        let mut work = Workspace::new(&self.n.limbs, montgomery, rest);
+        work.encode(&a.limbs, a_form);
+        work.encode(&b.limbs, b_form);
+        work.mul_into(a_form, b_form);
+        work.decode(a_form)
+    }
+
+    /// `base ^ exponent mod n`: left-to-right over fixed 4-bit windows of the
+    /// exponent (single bits for a short one), one scratch allocation for
+    /// the whole exponentiation.
+    pub fn pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
+        let Some(montgomery) = &self.montgomery else {
+            return base.modpow_by_division(exponent, &self.n);
+        };
+        let k = self.n.limbs.len();
+        let bits = exponent.bit_length();
+        let width = if bits > SHORT_EXPONENT_BITS { 4 } else { 1 };
+        let entries = 1usize << width;
+
+        let mut scratch = vec![0u64; (entries + 3) * k + 1];
+        let (table, rest) = scratch.split_at_mut(entries * k);
+        let (acc, rest) = rest.split_at_mut(k);
+        let mut work = Workspace::new(&self.n.limbs, montgomery, rest);
+
+        // table[i] = base^i in Montgomery form.
+        work.encode(&[1], &mut table[..k]);
+        work.encode(&base.limbs, &mut table[k..2 * k]);
+        for i in 2..entries {
+            let (known, next) = table.split_at_mut(i * k);
+            next[..k].copy_from_slice(&known[(i - 1) * k..]);
+            work.mul_into(&mut next[..k], &known[k..2 * k]);
+        }
+
+        // The top window holds the top set bit, so it is never zero; an
+        // exponent of zero has no windows at all.
+        let window =
+            |i: usize| (exponent.limbs[i * width / 64] >> (i * width % 64)) as usize % entries;
+        let windows = bits.div_ceil(width);
+        let first = if windows == 0 { 0 } else { window(windows - 1) };
+        acc.copy_from_slice(&table[first * k..(first + 1) * k]);
+        for i in (0..windows.saturating_sub(1)).rev() {
+            for _ in 0..width {
+                work.square(acc);
+            }
+            match window(i) {
+                0 => {}
+                entry => work.mul_into(acc, &table[entry * k..(entry + 1) * k]),
+            }
+        }
+        work.decode(acc)
+    }
+}
+
+/// An odd modulus, its constants and the scratch limbs one [`Modulus::mul`]
+/// or [`Modulus::pow`] works in. Every slice handed to its methods is `k`
+/// limbs, `k` being the modulus' length.
+struct Workspace<'a> {
+    n: &'a [u64],
+    n0_inv: u64,
+    r2: &'a [u64],
+    /// `k` limbs: an operand padded to full width.
+    padded: &'a mut [u64],
+    /// `k + 1` limbs: where a product is accumulated.
+    product: &'a mut [u64],
+}
+
+impl<'a> Workspace<'a> {
+    /// `scratch` must be `2k + 1` limbs.
+    fn new(n: &'a [u64], constants: &'a Montgomery, scratch: &'a mut [u64]) -> Workspace<'a> {
+        let (padded, product) = scratch.split_at_mut(n.len());
+        assert_eq!(product.len(), n.len() + 1);
+        Workspace {
+            n,
+            n0_inv: constants.n0_inv,
+            r2: &constants.r2,
+            padded,
+            product,
+        }
+    }
+
+    /// `x ← x · y · R⁻¹ mod n`.
+    fn mul_into(&mut self, x: &mut [u64], y: &[u64]) {
+        montgomery_product(x, y, self.n, self.n0_inv, self.product);
+        x.copy_from_slice(&self.product[..self.n.len()]);
+    }
+
+    /// `x ← x · x · R⁻¹ mod n`.
+    fn square(&mut self, x: &mut [u64]) {
+        montgomery_product(x, x, self.n, self.n0_inv, self.product);
+        x.copy_from_slice(&self.product[..self.n.len()]);
+    }
+
+    /// `out ← value · R mod n` for a value of any length, by Horner's rule
+    /// over `k`-limb digits from the top: multiplying a digit (anything
+    /// below `R`) by `R²` puts it in Montgomery form fully reduced, and
+    /// multiplying the running value's form by `R²` shifts it up one digit.
+    fn encode(&mut self, value: &[u64], out: &mut [u64]) {
+        let k = self.n.len();
+        out.fill(0);
+        for (i, digit) in value.chunks(k).rev().enumerate() {
+            if i > 0 {
+                self.mul_into(out, self.r2);
+            }
+            self.padded[..digit.len()].copy_from_slice(digit);
+            self.padded[digit.len()..].fill(0);
+            montgomery_product(self.padded, self.r2, self.n, self.n0_inv, self.product);
+            // Both below n: the sum is below 2n.
+            let carry = add_limbs(out, &self.product[..k]);
+            if carry || !less_than(out, self.n) {
+                sub_limbs(out, self.n);
+            }
+        }
+    }
+
+    /// The value `x` is the Montgomery form of: `x · R⁻¹ mod n`.
+    fn decode(&mut self, x: &[u64]) -> BigUint {
+        self.padded.fill(0);
+        self.padded[0] = 1;
+        montgomery_product(x, self.padded, self.n, self.n0_inv, self.product);
+        let mut out = BigUint {
+            limbs: self.product[..self.n.len()].to_vec(),
+        };
+        out.normalize();
+        out
+    }
+}
+
+/// `t[..k] ← a · b · R⁻¹ mod n`, with `R = 2^(64k)`, `a < R` and `b < n`
+/// (or the other way round): for each limb of `b`, add `a · b[i]` and the
+/// multiple of `n` that zeroes the low limb in one fused pass, shifting down
+/// a limb as it goes (Montgomery 1985; the finely integrated operand
+/// scanning of Koç, Acar and Kaliski 1996). The running sum stays below
+/// `2n`, so `k + 1` limbs hold it and one subtraction finishes.
+fn montgomery_product(a: &[u64], b: &[u64], n: &[u64], n0_inv: u64, t: &mut [u64]) {
+    let k = n.len();
+    let (a, b, t) = (&a[..k], &b[..k], &mut t[..k + 1]);
+    t.fill(0);
+    for &bi in b {
+        let bi = bi as u128;
+        let x = t[0] as u128 + a[0] as u128 * bi;
+        let m = (x as u64).wrapping_mul(n0_inv) as u128;
+        // The low limb of `x + m·n[0]` is zero by the choice of `m`.
+        let y = (x as u64) as u128 + m * n[0] as u128;
+        let (mut carry_a, mut carry_n) = (x >> 64, y >> 64);
+        for j in 1..k {
+            let x = t[j] as u128 + a[j] as u128 * bi + carry_a;
+            carry_a = x >> 64;
+            let y = (x as u64) as u128 + m * n[j] as u128 + carry_n;
+            carry_n = y >> 64;
+            t[j - 1] = y as u64;
+        }
+        let top = t[k] as u128 + carry_a + carry_n;
+        t[k - 1] = top as u64;
+        t[k] = (top >> 64) as u64;
+    }
+    if t[k] != 0 || !less_than(&t[..k], n) {
+        sub_limbs(&mut t[..k], n);
+    }
+}
+
+/// `a < b` for limb slices of equal length.
+fn less_than(a: &[u64], b: &[u64]) -> bool {
+    a.iter().rev().lt(b.iter().rev())
+}
+
+/// `a ← a + b` over equal lengths; returns the carry out.
+fn add_limbs(a: &mut [u64], b: &[u64]) -> bool {
+    let mut carry = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (sum, c1) = x.overflowing_add(y);
+        let (sum, c2) = sum.overflowing_add(carry as u64);
+        *x = sum;
+        carry = c1 | c2;
+    }
+    carry
+}
+
+/// `a ← a − b` over equal lengths, wrapping: a borrow out of the top limb
+/// cancels the carry the caller saw into it.
+fn sub_limbs(a: &mut [u64], b: &[u64]) {
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (diff, b1) = x.overflowing_sub(y);
+        let (diff, b2) = diff.overflowing_sub(borrow as u64);
+        *x = diff;
+        borrow = b1 | b2;
     }
 }
 
@@ -815,6 +1090,100 @@ mod tests {
                 n(expect as u64),
                 "{base}^{exp} mod {modulus}"
             );
+        }
+    }
+
+    /// An odd modulus of exactly `limbs` limbs.
+    fn odd_modulus(rng: &mut StdRng, limbs: usize) -> BigUint {
+        let mut m = BigUint::random_bits(rng, 64 * limbs);
+        m.limbs.resize(limbs, 0);
+        m.limbs[limbs - 1] |= 1 << 63;
+        m.limbs[0] |= 1;
+        m
+    }
+
+    #[test]
+    fn montgomery_matches_the_division_reference() {
+        let mut rng = StdRng::seed_from_u64(0x4D6F6E74);
+        for limbs in 1..=17 {
+            for round in 0..6 {
+                let m = odd_modulus(&mut rng, limbs);
+                let modulus = Modulus::new(m.clone());
+                // Bases below the modulus, just above it, and up to twice
+                // its width and a limb more (more than one Horner digit).
+                let base_bits = [64 * limbs - 1, 64 * limbs, 128 * limbs, 128 * limbs + 64];
+                let base = BigUint::random_bits(&mut rng, base_bits[round % 4]).add(&m);
+                let exponents = [
+                    BigUint::zero(),
+                    BigUint::one(),
+                    BigUint::one().shl(130).sub(&BigUint::one()),
+                    BigUint::from_u64(65_537),
+                    BigUint::random_bits(&mut rng, 64),
+                    BigUint::random_bits(&mut rng, 65),
+                    BigUint::random_bits(&mut rng, 1 + round * 37),
+                ];
+                for e in &exponents {
+                    assert_eq!(
+                        modulus.pow(&base, e),
+                        base.modpow_by_division(e, &m),
+                        "{base}^{e} mod {m}"
+                    );
+                }
+                let other = BigUint::random_bits(&mut rng, base_bits[(round + 1) % 4]);
+                assert_eq!(modulus.mul(&base, &other), base.mulmod(&other, &m));
+                assert_eq!(modulus.mul(&base, &BigUint::zero()), BigUint::zero());
+            }
+        }
+    }
+
+    #[test]
+    fn modulus_edge_cases() {
+        let mut rng = StdRng::seed_from_u64(0xE7E4);
+        // Modulus one: everything is zero.
+        let one = Modulus::new(BigUint::one());
+        assert_eq!(one.pow(&n(5), &n(3)), BigUint::zero());
+        assert_eq!(one.pow(&n(5), &BigUint::zero()), BigUint::zero());
+        assert_eq!(one.mul(&n(5), &n(7)), BigUint::zero());
+        // The largest single-limb and the smallest odd moduli.
+        for m in [u64::MAX, 3] {
+            let modulus = Modulus::new(n(m));
+            for _ in 0..20 {
+                let (a, e) = (rng.random::<u64>(), rng.random::<u64>() >> 40);
+                assert_eq!(
+                    modulus.pow(&n(a), &n(e)),
+                    n(a).modpow_by_division(&n(e), &n(m))
+                );
+            }
+        }
+        // An even modulus takes the division arm, through both entries.
+        for limbs in [1usize, 2, 5] {
+            let m = odd_modulus(&mut rng, limbs).add(&BigUint::one());
+            let base = BigUint::random_bits(&mut rng, 64 * limbs + 7);
+            let e = BigUint::random_bits(&mut rng, 70);
+            let expect = base.modpow_by_division(&e, &m);
+            assert_eq!(Modulus::new(m.clone()).pow(&base, &e), expect);
+            assert_eq!(base.modpow(&e, &m), expect);
+            assert_eq!(Modulus::new(m.clone()).mul(&base, &e), base.mulmod(&e, &m));
+        }
+        assert_eq!(Modulus::new(n(15)).value(), &n(15));
+    }
+
+    #[test]
+    #[should_panic(expected = "zero modulus")]
+    fn pow_under_a_zero_modulus_panics() {
+        let _ = Modulus::new(BigUint::zero()).pow(&n(2), &n(2));
+    }
+
+    #[test]
+    fn rem_u64_matches_divrem() {
+        let mut rng = StdRng::seed_from_u64(0x52454D);
+        assert_eq!(BigUint::zero().rem_u64(7), 0);
+        for _ in 0..200 {
+            let bits = 1 + (rng.random::<u32>() % 600) as usize;
+            let a = BigUint::random_bits(&mut rng, bits);
+            for d in [3u64, 251, 1 << 32, u64::MAX, rng.random::<u64>() | 1] {
+                assert_eq!(n(a.rem_u64(d)), a.rem(&n(d)), "{a} mod {d}");
+            }
         }
     }
 

@@ -121,8 +121,8 @@ impl Certificate {
             "version: 1\nserial: {serial}\nsubject: {subject}\nissuer: {issuer}\n\
              not-before: {not_before}\nnot-after: {not_after}\n\
              key-n: {}\nkey-e: {}\nkind: {}\n",
-            public_key.n.to_hex(),
-            public_key.e.to_hex(),
+            public_key.n().to_hex(),
+            public_key.e().to_hex(),
             kind.label(),
         )
         .into_bytes()
@@ -262,10 +262,10 @@ impl Certificate {
             issuer: issuer.ok_or_else(|| missing("issuer"))?,
             not_before: not_before.ok_or_else(|| missing("not-before"))?,
             not_after: not_after.ok_or_else(|| missing("not-after"))?,
-            public_key: PublicKey {
-                n: key_n.ok_or_else(|| missing("key-n"))?,
-                e: key_e.ok_or_else(|| missing("key-e"))?,
-            },
+            public_key: PublicKey::new(
+                key_n.ok_or_else(|| missing("key-n"))?,
+                key_e.ok_or_else(|| missing("key-e"))?,
+            ),
             kind: kind.ok_or_else(|| missing("kind"))?,
             signature: signature.ok_or_else(|| missing("signature"))?,
         })

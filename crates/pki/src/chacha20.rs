@@ -15,9 +15,24 @@ const BLOCK_LEN: usize = 64;
 /// A ChaCha20 cipher instance positioned at a block counter.
 pub struct ChaCha20 {
     state: [u32; 16],
+    /// The block a ragged `apply` stopped in the middle of.
     keystream: [u8; BLOCK_LEN],
     /// Offset into `keystream` of the next unused byte (BLOCK_LEN = empty).
     offset: usize,
+}
+
+/// The quarter round of RFC 8439 §2.1 on four of the sixteen locals.
+macro_rules! quarter_round {
+    ($a:ident, $b:ident, $c:ident, $d:ident) => {
+        $a = $a.wrapping_add($b);
+        $d = ($d ^ $a).rotate_left(16);
+        $c = $c.wrapping_add($d);
+        $b = ($b ^ $c).rotate_left(12);
+        $a = $a.wrapping_add($b);
+        $d = ($d ^ $a).rotate_left(8);
+        $c = $c.wrapping_add($d);
+        $b = ($b ^ $c).rotate_left(7);
+    };
 }
 
 impl ChaCha20 {
@@ -26,22 +41,13 @@ impl ChaCha20 {
     pub fn new(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> Self {
         let mut state = [0u32; 16];
         // "expand 32-byte k"
-        state[0] = 0x61707865;
-        state[1] = 0x3320646e;
-        state[2] = 0x79622d32;
-        state[3] = 0x6b206574;
-        for i in 0..8 {
-            state[4 + i] =
-                u32::from_le_bytes([key[i * 4], key[i * 4 + 1], key[i * 4 + 2], key[i * 4 + 3]]);
+        state[..4].copy_from_slice(&[0x61707865, 0x3320646e, 0x79622d32, 0x6b206574]);
+        for (word, bytes) in state[4..12].iter_mut().zip(key.as_chunks::<4>().0) {
+            *word = u32::from_le_bytes(*bytes);
         }
         state[12] = counter;
-        for i in 0..3 {
-            state[13 + i] = u32::from_le_bytes([
-                nonce[i * 4],
-                nonce[i * 4 + 1],
-                nonce[i * 4 + 2],
-                nonce[i * 4 + 3],
-            ]);
+        for (word, bytes) in state[13..].iter_mut().zip(nonce.as_chunks::<4>().0) {
+            *word = u32::from_le_bytes(*bytes);
         }
         ChaCha20 {
             state,
@@ -50,50 +56,87 @@ impl ChaCha20 {
         }
     }
 
+    /// The next keystream block as sixteen words, advancing the counter
+    /// (which wraps within its own word, as in the RFC).
     #[inline]
-    fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-        state[a] = state[a].wrapping_add(state[b]);
-        state[d] = (state[d] ^ state[a]).rotate_left(16);
-        state[c] = state[c].wrapping_add(state[d]);
-        state[b] = (state[b] ^ state[c]).rotate_left(12);
-        state[a] = state[a].wrapping_add(state[b]);
-        state[d] = (state[d] ^ state[a]).rotate_left(8);
-        state[c] = state[c].wrapping_add(state[d]);
-        state[b] = (state[b] ^ state[c]).rotate_left(7);
-    }
-
-    /// Generate the next keystream block and advance the counter.
-    fn refill(&mut self) {
-        let mut working = self.state;
+    fn next_block(&mut self) -> [u32; 16] {
+        let [s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14, s15] = self.state;
+        let (mut x0, mut x1, mut x2, mut x3) = (s0, s1, s2, s3);
+        let (mut x4, mut x5, mut x6, mut x7) = (s4, s5, s6, s7);
+        let (mut x8, mut x9, mut x10, mut x11) = (s8, s9, s10, s11);
+        let (mut x12, mut x13, mut x14, mut x15) = (s12, s13, s14, s15);
         for _ in 0..10 {
             // Column rounds.
-            Self::quarter_round(&mut working, 0, 4, 8, 12);
-            Self::quarter_round(&mut working, 1, 5, 9, 13);
-            Self::quarter_round(&mut working, 2, 6, 10, 14);
-            Self::quarter_round(&mut working, 3, 7, 11, 15);
+            quarter_round!(x0, x4, x8, x12);
+            quarter_round!(x1, x5, x9, x13);
+            quarter_round!(x2, x6, x10, x14);
+            quarter_round!(x3, x7, x11, x15);
             // Diagonal rounds.
-            Self::quarter_round(&mut working, 0, 5, 10, 15);
-            Self::quarter_round(&mut working, 1, 6, 11, 12);
-            Self::quarter_round(&mut working, 2, 7, 8, 13);
-            Self::quarter_round(&mut working, 3, 4, 9, 14);
+            quarter_round!(x0, x5, x10, x15);
+            quarter_round!(x1, x6, x11, x12);
+            quarter_round!(x2, x7, x8, x13);
+            quarter_round!(x3, x4, x9, x14);
         }
-        for (i, &w) in working.iter().enumerate() {
-            let word = w.wrapping_add(self.state[i]);
-            self.keystream[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
-        }
-        self.state[12] = self.state[12].wrapping_add(1);
-        self.offset = 0;
+        self.state[12] = s12.wrapping_add(1);
+        [
+            x0.wrapping_add(s0),
+            x1.wrapping_add(s1),
+            x2.wrapping_add(s2),
+            x3.wrapping_add(s3),
+            x4.wrapping_add(s4),
+            x5.wrapping_add(s5),
+            x6.wrapping_add(s6),
+            x7.wrapping_add(s7),
+            x8.wrapping_add(s8),
+            x9.wrapping_add(s9),
+            x10.wrapping_add(s10),
+            x11.wrapping_add(s11),
+            x12.wrapping_add(s12),
+            x13.wrapping_add(s13),
+            x14.wrapping_add(s14),
+            x15.wrapping_add(s15),
+        ]
     }
 
-    /// XOR the keystream into `data` in place (encryption == decryption).
+    /// XOR the keystream into `data` in place (encryption == decryption):
+    /// whole blocks a word at a time, and byte by byte only what is left of
+    /// a block an earlier call stopped in, and this call's own tail.
     pub fn apply(&mut self, data: &mut [u8]) {
-        for byte in data {
-            if self.offset == BLOCK_LEN {
-                self.refill();
+        let head = (BLOCK_LEN - self.offset).min(data.len());
+        let (head, data) = data.split_at_mut(head);
+        self.apply_buffered(head);
+
+        let (blocks, tail) = data.as_chunks_mut::<BLOCK_LEN>();
+        for block in blocks {
+            let keystream = self.next_block();
+            for (bytes, word) in block.as_chunks_mut::<4>().0.iter_mut().zip(keystream) {
+                *bytes = (u32::from_le_bytes(*bytes) ^ word).to_le_bytes();
             }
-            *byte ^= self.keystream[self.offset];
-            self.offset += 1;
         }
+
+        if !tail.is_empty() {
+            let keystream = self.next_block();
+            for (bytes, word) in self
+                .keystream
+                .as_chunks_mut::<4>()
+                .0
+                .iter_mut()
+                .zip(keystream)
+            {
+                *bytes = word.to_le_bytes();
+            }
+            self.offset = 0;
+            self.apply_buffered(tail);
+        }
+    }
+
+    /// XOR `data`, no longer than what the buffered block has left, with it.
+    fn apply_buffered(&mut self, data: &mut [u8]) {
+        let keystream = &self.keystream[self.offset..self.offset + data.len()];
+        for (byte, key) in data.iter_mut().zip(keystream) {
+            *byte ^= key;
+        }
+        self.offset += data.len();
     }
 }
 
@@ -152,6 +195,36 @@ mod tests {
             cipher.apply(chunk);
         }
         assert_eq!(streamed, oneshot);
+    }
+
+    #[test]
+    fn every_chunking_matches_the_bytewise_reference() {
+        use crate::fuzz::reference_chacha20;
+        let key: [u8; 32] = std::array::from_fn(|i| (i * 11 + 5) as u8);
+        let nonce: [u8; 12] = std::array::from_fn(|i| (i * 17 + 1) as u8);
+        let plain: Vec<u8> = (0..1100u32).map(|i| (i * 13 % 256) as u8).collect();
+        // A counter that wraps three blocks in, too.
+        for counter in [0, 7, u32::MAX - 2] {
+            let mut expect = plain.clone();
+            reference_chacha20(&key, &nonce, counter, &mut expect);
+            for size in [1usize, 3, 63, 64, 65, 127, 128, 129, 255, 256, 257] {
+                let mut cipher = ChaCha20::new(&key, &nonce, counter);
+                let mut data = plain.clone();
+                for chunk in data.chunks_mut(size) {
+                    cipher.apply(chunk);
+                }
+                assert_eq!(data, expect, "counter {counter}, chunks of {size}");
+            }
+            // Uneven pieces: a ragged head, whole blocks, a ragged tail.
+            let mut cipher = ChaCha20::new(&key, &nonce, counter);
+            let mut data = plain.clone();
+            let (head, rest) = data.split_at_mut(5);
+            let (middle, tail) = rest.split_at_mut(59 + 4 * 64 + 9);
+            for piece in [head, middle, tail] {
+                cipher.apply(piece);
+            }
+            assert_eq!(data, expect, "counter {counter}, uneven pieces");
+        }
     }
 
     #[test]

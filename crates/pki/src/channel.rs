@@ -156,7 +156,9 @@ fn decode_chain(data: &mut &[u8]) -> Result<Vec<Certificate>, ChannelError> {
 struct Direction {
     key: [u8; 32],
     nonce_base: [u8; 12],
-    mac_key: [u8; 32],
+    /// HMAC keyed with the direction's MAC key, no message absorbed: every
+    /// record's tag starts from a clone of it.
+    mac: HmacSha256,
     sequence: u64,
 }
 
@@ -165,7 +167,7 @@ impl Direction {
         Direction {
             key: material[0..32].try_into().unwrap(),
             nonce_base: material[32..44].try_into().unwrap(),
-            mac_key: material[44..76].try_into().unwrap(),
+            mac: HmacSha256::new(&material[44..76]),
             sequence: 0,
         }
     }
@@ -181,7 +183,7 @@ impl Direction {
     }
 
     fn tag(&self, ciphertext: &[u8]) -> [u8; MAC_LEN] {
-        let mut mac = HmacSha256::new(&self.mac_key);
+        let mut mac = self.mac.clone();
         mac.update(&self.sequence.to_be_bytes());
         mac.update(&(ciphertext.len() as u32).to_be_bytes());
         mac.update(ciphertext);
@@ -1121,6 +1123,58 @@ mod tests {
         assert_eq!(stream.read(&mut buf).unwrap(), 5);
         assert_eq!(&buf[..5], b"after");
         assert_eq!(stream.read(&mut buf).unwrap(), 0);
+    }
+
+    /// The record format through the reference kernels only: byte-wise
+    /// RFC 8439 ChaCha20, and HMAC by its RFC 2104 definition over the
+    /// looped FIPS 180-4 SHA-256, key schedule redone per record.
+    fn reference_seal(material: &[u8; 76], sequence: u64, plaintext: &[u8]) -> Vec<u8> {
+        let mut nonce: [u8; 12] = material[32..44].try_into().unwrap();
+        for (n, s) in nonce[4..].iter_mut().zip(sequence.to_be_bytes()) {
+            *n ^= s;
+        }
+        let mut ciphertext = plaintext.to_vec();
+        crate::fuzz::reference_chacha20(
+            material[..32].try_into().unwrap(),
+            &nonce,
+            0,
+            &mut ciphertext,
+        );
+        let mut authenticated = sequence.to_be_bytes().to_vec();
+        authenticated.extend_from_slice(&(ciphertext.len() as u32).to_be_bytes());
+        authenticated.extend_from_slice(&ciphertext);
+        let tag = crate::hmac::tests::reference_hmac(&material[44..], &authenticated);
+        let mut record = ((ciphertext.len() + MAC_LEN) as u32).to_be_bytes().to_vec();
+        record.extend_from_slice(&ciphertext);
+        record.extend_from_slice(&tag);
+        record
+    }
+
+    /// Same bytes on the wire: for every record size, what the kernels seal
+    /// is byte for byte what the reference kernels seal — so either side
+    /// opens the other's records — and a stream of reference-sealed records
+    /// opens under the kernels.
+    #[test]
+    fn records_match_the_reference_kernels_at_every_size() {
+        let material: [u8; 76] = std::array::from_fn(|i| (i * 37 + 11) as u8);
+        let mut sender = SecureChannel::with_keys(&material, &[0; 76]);
+        let mut receiver = SecureChannel::with_keys(&[0; 76], &material);
+        let (mut sealed, mut opened) = (Vec::new(), Vec::new());
+        for (sequence, size) in (0..=MAX_RECORD).step_by(251).enumerate() {
+            let plaintext: Vec<u8> = (0..size).map(|i| (i * 7 + sequence) as u8).collect();
+            let reference = reference_seal(&material, sequence as u64, &plaintext);
+            sealed.clear();
+            sender.seal(&plaintext, &mut sealed);
+            // An empty `seal` appends no record; the direction does.
+            if size == 0 {
+                let keys = sender.keys.as_mut().unwrap();
+                keys.send.seal(&plaintext, &mut sealed);
+            }
+            assert_eq!(sealed, reference, "record of {size} bytes");
+            opened.clear();
+            receiver.feed(&reference, &mut opened).unwrap();
+            assert_eq!(opened, plaintext, "record of {size} bytes");
+        }
     }
 
     #[test]

@@ -14,10 +14,17 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
 }
 
 /// Incremental HMAC-SHA256.
+///
+/// A value that has absorbed no message yet is the *keyed midstate*: both
+/// hashes have compressed their pad block, so a clone of it starts a MAC
+/// under the same key for the price of a copy. The record layer keys one per
+/// direction and clones it per record.
 #[derive(Clone)]
 pub struct HmacSha256 {
+    /// `H(key ^ ipad ‖ …`, absorbing the message.
     inner: Sha256,
-    outer_key: [u8; BLOCK_LEN],
+    /// `H(key ^ opad ‖ …`, waiting for the inner digest.
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -25,22 +32,18 @@ impl HmacSha256 {
     pub fn new(key: &[u8]) -> Self {
         let mut key_block = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
-            let digest = sha256(key);
-            key_block[..DIGEST_LEN].copy_from_slice(&digest);
+            key_block[..DIGEST_LEN].copy_from_slice(&sha256(key));
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = key_block[i] ^ 0x36;
-            opad[i] = key_block[i] ^ 0x5c;
-        }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
+        let keyed = |pad: u8| {
+            let mut hash = Sha256::new();
+            hash.update(&key_block.map(|byte| byte ^ pad));
+            hash
+        };
         HmacSha256 {
-            inner,
-            outer_key: opad,
+            inner: keyed(0x36),
+            outer: keyed(0x5c),
         }
     }
 
@@ -50,12 +53,9 @@ impl HmacSha256 {
     }
 
     /// Produce the MAC.
-    pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key);
-        outer.update(&inner_digest);
-        outer.finalize()
+    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+        self.outer.update(&self.inner.finalize());
+        self.outer.finalize()
     }
 }
 
@@ -74,18 +74,21 @@ pub fn verify_mac(expected: &[u8], actual: &[u8]) -> bool {
 /// HKDF-Expand-style derivation: produce `len` bytes of key material from
 /// `secret`, bound to `label` and `context`.
 pub fn derive_key(secret: &[u8], label: &str, context: &[u8], len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(len);
-    let mut previous: Vec<u8> = Vec::new();
+    let keyed = HmacSha256::new(secret);
+    let mut out = Vec::with_capacity(len.next_multiple_of(DIGEST_LEN));
+    // Each block is chained to the one before it; the first to nothing.
+    let mut previous = [0u8; DIGEST_LEN];
     let mut counter = 1u8;
     while out.len() < len {
-        let mut mac = HmacSha256::new(secret);
-        mac.update(&previous);
+        let mut mac = keyed.clone();
+        if !out.is_empty() {
+            mac.update(&previous);
+        }
         mac.update(label.as_bytes());
         mac.update(context);
         mac.update(&[counter]);
-        let block = mac.finalize();
-        previous = block.to_vec();
-        out.extend_from_slice(&block);
+        previous = mac.finalize();
+        out.extend_from_slice(&previous);
         counter = counter.wrapping_add(1);
     }
     out.truncate(len);
@@ -93,9 +96,27 @@ pub fn derive_key(secret: &[u8], label: &str, context: &[u8], len: usize) -> Vec
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::sha256::tests::reference_sha256;
     use crate::sha256::to_hex;
+
+    /// RFC 2104 as written — `H((K ^ opad) ‖ H((K ^ ipad) ‖ message))`, the
+    /// key schedule redone per call — over the loop-form SHA-256: no line
+    /// shared with the kernels it checks.
+    pub(crate) fn reference_hmac(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut block = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            block[..DIGEST_LEN].copy_from_slice(&reference_sha256(key));
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = block.map(|b| b ^ 0x36).to_vec();
+        inner.extend_from_slice(message);
+        let mut outer = block.map(|b| b ^ 0x5c).to_vec();
+        outer.extend_from_slice(&reference_sha256(&inner));
+        reference_sha256(&outer)
+    }
 
     /// RFC 4231 test vectors for HMAC-SHA256.
     #[test]
@@ -145,6 +166,51 @@ mod tests {
             mac.update(chunk);
         }
         assert_eq!(mac.finalize(), oneshot);
+    }
+
+    /// A keyed value that has absorbed nothing is a midstate: each clone of
+    /// it MACs one message as a fresh `HmacSha256::new(key)` would. Keys on
+    /// both sides of the block size, RFC 4231 case 2 among them.
+    #[test]
+    fn cloned_midstate_matches_a_fresh_key_schedule() {
+        let keyed = HmacSha256::new(b"Jefe");
+        let mut mac = keyed.clone();
+        mac.update(b"what do ya want ");
+        mac.update(b"for nothing?");
+        assert_eq!(
+            to_hex(&mac.finalize()),
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        );
+        for key_len in [0usize, 1, 32, 63, 64, 65, 131, 200] {
+            let key: Vec<u8> = (0..key_len).map(|i| (i * 3 + 1) as u8).collect();
+            let keyed = HmacSha256::new(&key);
+            for msg_len in [0usize, 1, 55, 56, 64, 119, 300] {
+                let msg: Vec<u8> = (0..msg_len).map(|i| (i * 7) as u8).collect();
+                let expect = reference_hmac(&key, &msg);
+                let mut mac = keyed.clone();
+                mac.update(&msg);
+                assert_eq!(mac.finalize(), expect, "key {key_len}, message {msg_len}");
+                assert_eq!(hmac_sha256(&key, &msg), expect);
+            }
+        }
+    }
+
+    /// The expansion chains each block to the one before it; its output is
+    /// pinned so the chaining (and the 76-byte direction material cut from
+    /// it) cannot drift.
+    #[test]
+    fn derive_key_output_is_pinned() {
+        let first = hmac_sha256(b"secret", b"labelctx\x01");
+        let mut second_input = first.to_vec();
+        second_input.extend_from_slice(b"labelctx\x02");
+        let second = hmac_sha256(b"secret", &second_input);
+        let mut third_input = second.to_vec();
+        third_input.extend_from_slice(b"labelctx\x03");
+        let third = hmac_sha256(b"secret", &third_input);
+        let expect = [first, second, third].concat();
+        assert_eq!(derive_key(b"secret", "label", b"ctx", 76), expect[..76]);
+        assert_eq!(derive_key(b"secret", "label", b"ctx", 96), expect);
+        assert!(derive_key(b"secret", "label", b"ctx", 0).is_empty());
     }
 
     #[test]

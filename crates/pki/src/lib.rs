@@ -5,7 +5,8 @@
 //! authentication". This crate rebuilds the pieces of that stack the
 //! framework actually depends on, with no external crypto dependencies:
 //!
-//! * [`bigint`] — multi-precision arithmetic (Knuth division, Miller–Rabin),
+//! * [`bigint`] — multi-precision arithmetic (Knuth division, Montgomery
+//!   exponentiation, Miller–Rabin),
 //! * [`sha256`], [`md5`], [`hmac`] — digest and MAC primitives with official
 //!   test vectors,
 //! * [`chacha20`] — the record cipher for the secure channel,

@@ -107,11 +107,11 @@ pub fn encode_certificate(cert: &Certificate) -> String {
 pub fn encode_private_key(key: &PrivateKey) -> String {
     let body = format!(
         "n: {}\ne: {}\nd: {}\np: {}\nq: {}\n",
-        key.public.n.to_hex(),
-        key.public.e.to_hex(),
-        key.d.to_hex(),
-        key.p.to_hex(),
-        key.q.to_hex(),
+        key.public.n().to_hex(),
+        key.public.e().to_hex(),
+        key.d().to_hex(),
+        key.p().to_hex(),
+        key.q().to_hex(),
     );
     encode_block(KEY_LABEL, &body)
 }
@@ -145,23 +145,8 @@ pub fn decode_private_key(body: &str) -> Result<PrivateKey, PemError> {
     if p.mul(&q) != n {
         return Err(PemError("inconsistent key: p*q != n".into()));
     }
-    let one = BigUint::one();
-    let p1 = p.sub(&one);
-    let q1 = q.sub(&one);
-    let dp = d.rem(&p1);
-    let dq = d.rem(&q1);
-    let qinv = q
-        .modinv(&p)
-        .ok_or_else(|| PemError("inconsistent key: q has no inverse mod p".into()))?;
-    Ok(PrivateKey {
-        public: PublicKey { n, e },
-        d,
-        p,
-        q,
-        dp,
-        dq,
-        qinv,
-    })
+    PrivateKey::new(PublicKey::new(n, e), d, p, q)
+        .ok_or_else(|| PemError("inconsistent key: no CRT parameters for p, q".into()))
 }
 
 /// Serialize a credential: the leaf certificate, its chain, and the key.

@@ -12,7 +12,7 @@
 
 use rand::{Rng, RngExt};
 
-use crate::bigint::BigUint;
+use crate::bigint::{BigUint, Modulus};
 use crate::sha256::sha256;
 
 /// Default modulus size for generated keys (bits). 512 keeps handshakes
@@ -48,13 +48,13 @@ impl std::fmt::Display for RsaError {
 
 impl std::error::Error for RsaError {}
 
-/// An RSA public key.
+/// An RSA public key. The modulus is held prepared for exponentiation
+/// ([`Modulus`]), so the per-modulus constants are computed once per key,
+/// not once per operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublicKey {
-    /// Modulus.
-    pub n: BigUint,
-    /// Public exponent.
-    pub e: BigUint,
+    n: Modulus,
+    e: BigUint,
 }
 
 /// An RSA private key (with CRT parameters).
@@ -62,18 +62,15 @@ pub struct PublicKey {
 pub struct PrivateKey {
     /// The public half.
     pub public: PublicKey,
-    /// Private exponent.
-    pub d: BigUint,
-    /// First prime.
-    pub p: BigUint,
-    /// Second prime.
-    pub q: BigUint,
+    d: BigUint,
+    p: Modulus,
+    q: Modulus,
     /// `d mod (p-1)`.
-    pub dp: BigUint,
+    dp: BigUint,
     /// `d mod (q-1)`.
-    pub dq: BigUint,
+    dq: BigUint,
     /// `q^{-1} mod p`.
-    pub qinv: BigUint,
+    qinv: BigUint,
 }
 
 /// A generated key pair.
@@ -86,14 +83,33 @@ pub struct KeyPair {
 }
 
 impl PublicKey {
+    /// A key from its modulus and public exponent. Anything is accepted (a
+    /// peer's certificate supplies both); a nonsensical key verifies nothing.
+    pub fn new(n: BigUint, e: BigUint) -> PublicKey {
+        PublicKey {
+            n: Modulus::new(n),
+            e,
+        }
+    }
+
+    /// Modulus.
+    pub fn n(&self) -> &BigUint {
+        self.n.value()
+    }
+
+    /// Public exponent.
+    pub fn e(&self) -> &BigUint {
+        &self.e
+    }
+
     /// Modulus size in bytes.
     pub fn modulus_len(&self) -> usize {
-        self.n.bit_length().div_ceil(8)
+        self.n().bit_length().div_ceil(8)
     }
 
     /// Raw RSA public operation `m^e mod n`.
     fn raw(&self, m: &BigUint) -> BigUint {
-        m.modpow(&self.e, &self.n)
+        self.n.pow(m, &self.e)
     }
 
     /// Encrypt with RSAES-PKCS1-v1_5 (type 2 padding).
@@ -132,7 +148,7 @@ impl PublicKey {
             return Err(RsaError::InvalidLength);
         }
         let s = BigUint::from_bytes_be(signature);
-        if s >= self.n {
+        if &s >= self.n() {
             return Err(RsaError::InvalidLength);
         }
         let em = self.raw(&s).to_bytes_be_padded(k);
@@ -146,20 +162,59 @@ impl PublicKey {
 }
 
 impl PrivateKey {
+    /// A key from its public half, private exponent and primes; the CRT
+    /// parameters are derived here. `None` when they do not exist (`p` or `q`
+    /// below two, or `q` not invertible modulo `p`).
+    pub fn new(public: PublicKey, d: BigUint, p: BigUint, q: BigUint) -> Option<PrivateKey> {
+        let one = BigUint::one();
+        if p <= one || q <= one {
+            return None;
+        }
+        let dp = d.rem(&p.sub(&one));
+        let dq = d.rem(&q.sub(&one));
+        let qinv = q.modinv(&p)?;
+        Some(PrivateKey {
+            public,
+            d,
+            p: Modulus::new(p),
+            q: Modulus::new(q),
+            dp,
+            dq,
+            qinv,
+        })
+    }
+
+    /// Private exponent.
+    pub fn d(&self) -> &BigUint {
+        &self.d
+    }
+
+    /// First prime.
+    pub fn p(&self) -> &BigUint {
+        self.p.value()
+    }
+
+    /// Second prime.
+    pub fn q(&self) -> &BigUint {
+        self.q.value()
+    }
+
     /// Raw RSA private operation using the CRT.
     fn raw(&self, c: &BigUint) -> BigUint {
         // m1 = c^dp mod p ; m2 = c^dq mod q
-        let m1 = c.modpow(&self.dp, &self.p);
-        let m2 = c.modpow(&self.dq, &self.q);
-        // h = qinv * (m1 - m2) mod p  (lift m2 to avoid underflow)
-        let m1_lifted = if m1 >= m2 {
-            m1.sub(&m2)
+        let m1 = self.p.pow(c, &self.dp);
+        let m2 = self.q.pow(c, &self.dq);
+        // h = qinv * (m1 - m2) mod p, as the difference of two products
+        // already reduced, so no step can go negative.
+        let h1 = self.p.mul(&self.qinv, &m1);
+        let h2 = self.p.mul(&self.qinv, &m2);
+        let h = if h1 >= h2 {
+            h1.sub(&h2)
         } else {
-            m1.add(&self.p).sub(&m2.rem(&self.p))
+            h1.add(self.p()).sub(&h2)
         };
-        let h = self.qinv.mulmod(&m1_lifted.rem(&self.p), &self.p);
         // m = m2 + h*q
-        m2.add(&h.mul(&self.q))
+        m2.add(&h.mul(self.q()))
     }
 
     /// Decrypt RSAES-PKCS1-v1_5.
@@ -169,7 +224,7 @@ impl PrivateKey {
             return Err(RsaError::InvalidLength);
         }
         let c = BigUint::from_bytes_be(ciphertext);
-        if c >= self.public.n {
+        if &c >= self.public.n() {
             return Err(RsaError::InvalidLength);
         }
         let em = self.raw(&c).to_bytes_be_padded(k);
@@ -233,31 +288,15 @@ pub fn generate<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> KeyPair {
         if n.bit_length() != bits {
             continue;
         }
-        let one = BigUint::one();
-        let p1 = p.sub(&one);
-        let q1 = q.sub(&one);
-        let phi = p1.mul(&q1);
+        let phi = p.sub(&BigUint::one()).mul(&q.sub(&BigUint::one()));
         let d = match e.modinv(&phi) {
             Some(d) => d,
             None => continue, // gcd(e, phi) != 1; rare — pick new primes
         };
-        let dp = d.rem(&p1);
-        let dq = d.rem(&q1);
-        let qinv = match q.modinv(&p) {
-            Some(x) => x,
-            None => continue,
-        };
-        let public = PublicKey { n, e: e.clone() };
-        let private = PrivateKey {
-            public: public.clone(),
-            d,
-            p,
-            q,
-            dp,
-            dq,
-            qinv,
-        };
-        return KeyPair { public, private };
+        let public = PublicKey::new(n, e.clone());
+        if let Some(private) = PrivateKey::new(public.clone(), d, p, q) {
+            return KeyPair { public, private };
+        }
     }
 }
 
@@ -275,17 +314,14 @@ mod tests {
     #[test]
     fn keygen_invariants() {
         let kp = keypair();
-        assert_eq!(kp.public.n.bit_length(), DEFAULT_KEY_BITS);
-        assert_eq!(kp.public.e, BigUint::from_u64(PUBLIC_EXPONENT));
+        assert_eq!(kp.public.n().bit_length(), DEFAULT_KEY_BITS);
+        assert_eq!(kp.public.e(), &BigUint::from_u64(PUBLIC_EXPONENT));
         // d·e ≡ 1 (mod φ)
-        let phi = kp
-            .private
-            .p
-            .sub(&BigUint::one())
-            .mul(&kp.private.q.sub(&BigUint::one()));
-        assert_eq!(kp.private.d.mulmod(&kp.public.e, &phi), BigUint::one());
+        let (p, q) = (kp.private.p(), kp.private.q());
+        let phi = p.sub(&BigUint::one()).mul(&q.sub(&BigUint::one()));
+        assert_eq!(kp.private.d().mulmod(kp.public.e(), &phi), BigUint::one());
         // p·q = n
-        assert_eq!(kp.private.p.mul(&kp.private.q), kp.public.n);
+        assert_eq!(&p.mul(q), kp.public.n());
     }
 
     #[test]
@@ -371,9 +407,9 @@ mod tests {
         let kp = keypair();
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..5 {
-            let m = BigUint::random_below(&mut rng, &kp.public.n);
+            let m = BigUint::random_below(&mut rng, kp.public.n());
             let crt = kp.private.raw(&m);
-            let plain = m.modpow(&kp.private.d, &kp.public.n);
+            let plain = m.modpow_by_division(kp.private.d(), kp.public.n());
             assert_eq!(crt, plain);
         }
     }

@@ -23,6 +23,13 @@ pub const SERVER_SEED: u64 = 1000;
 /// to that commit's clients and servers.
 pub const GOLDEN_SHA256: &str = "4aa640f331238e7e9f50a15e55f3b8f4455f12f250be1d77d36e6b3cf791b0e2";
 
+/// SHA-256 over the armored private-key blocks (`n`, `e`, `d`, `p`, `q`) of
+/// four 512-bit keys generated in a row from
+/// `StdRng::seed_from_u64(0xC1A2E5)`, recorded at commit `33a3c7b`
+/// (division-based `modpow`, `BigUint` trial division).
+pub const GOLDEN_KEYS_SHA256: &str =
+    "bd375f52acd837e3b5a1c1b814b2bcccd9f769018dfb661bfa27e5a733def98d";
+
 pub struct Pki {
     pub root: Certificate,
     pub server: Credential,

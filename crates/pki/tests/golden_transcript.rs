@@ -1,7 +1,9 @@
 //! Wire compatibility with commit `4bde7e3`: the blocking `SecureStream`
 //! surface, seeded on both ends, must put exactly the recorded bytes on
-//! the wire. This file uses nothing that commit lacks, so it can be
-//! copied there and run to re-derive [`common::GOLDEN_SHA256`].
+//! the wire; and key compatibility with commit `33a3c7b`: a seeded rng must
+//! yield exactly the recorded keys. This file uses nothing those commits
+//! lack, so it can be copied there and run to re-derive
+//! [`common::GOLDEN_SHA256`] and [`common::GOLDEN_KEYS_SHA256`].
 
 mod common;
 
@@ -14,7 +16,10 @@ use clarens_pki::SecureStream;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use common::{client_messages, pki, server_messages, CLIENT_SEED, GOLDEN_SHA256, NOW, SERVER_SEED};
+use common::{
+    client_messages, pki, server_messages, CLIENT_SEED, GOLDEN_KEYS_SHA256, GOLDEN_SHA256, NOW,
+    SERVER_SEED,
+};
 
 /// One end of an in-process duplex: blocking reads from the peer's writes,
 /// every written byte appended to `log`.
@@ -110,4 +115,19 @@ fn seeded_conversation_matches_the_recorded_transcript() {
     let mut transcript = client_log.lock().unwrap().clone();
     transcript.extend_from_slice(&server_log.lock().unwrap());
     assert_eq!(to_hex(&sha256(&transcript)), GOLDEN_SHA256);
+}
+
+/// `BigUint::random_prime` consumes rng draws per candidate and per
+/// Miller–Rabin witness, so the sieve, the round count and the draw order
+/// decide which key a seed yields. Every fixture in the tree (this one, the
+/// benchmark's, `TestGrid`'s) is such a seeded key: they must not move.
+#[test]
+fn seeded_key_generation_matches_the_recorded_keys() {
+    let mut rng = StdRng::seed_from_u64(0xC1A2E5);
+    let mut armored = String::new();
+    for _ in 0..4 {
+        let key = clarens_pki::rsa::generate(&mut rng, 512).private;
+        armored.push_str(&clarens_pki::pem::encode_private_key(&key));
+    }
+    assert_eq!(to_hex(&sha256(armored.as_bytes())), GOLDEN_KEYS_SHA256);
 }

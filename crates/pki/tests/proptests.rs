@@ -1,6 +1,8 @@
 //! Property-based tests for the PKI substrate: algebraic laws for the
-//! big-integer arithmetic that RSA correctness depends on, and round-trip
-//! laws for DNs and certificates.
+//! big-integer arithmetic that RSA correctness depends on, the kernels
+//! (Montgomery exponentiation, block-wise digests and cipher, keyed HMAC
+//! midstates) against definitions built from public operations, and
+//! round-trip laws for DNs and certificates.
 
 use proptest::prelude::*;
 
@@ -87,6 +89,37 @@ proptest! {
         prop_assert_eq!(lhs, rhs);
     }
 
+    /// `modpow` (Montgomery for an odd modulus) against a square-and-multiply
+    /// ladder over `mulmod` (schoolbook product, Knuth division): odd moduli
+    /// of 1–17 limbs, bases past the modulus, both sides of the window
+    /// switch at 64 exponent bits.
+    #[test]
+    fn modpow_matches_a_mulmod_ladder(
+        base in biguint_strategy(290),
+        exponent in biguint_strategy(20),
+        modulus in biguint_strategy(137),
+        odd in any::<bool>(),
+    ) {
+        let modulus = if odd { modulus.add(&modulus).add(&BigUint::one()) } else { modulus };
+        let modulus = if modulus.is_zero() { BigUint::from_u64(2) } else { modulus };
+        let mut expect = BigUint::one().rem(&modulus);
+        for i in (0..exponent.bit_length()).rev() {
+            expect = expect.mulmod(&expect, &modulus);
+            if exponent.bit(i) {
+                expect = expect.mulmod(&base, &modulus);
+            }
+        }
+        prop_assert_eq!(base.modpow(&exponent, &modulus), expect.clone());
+        let prepared = clarens_pki::bigint::Modulus::new(modulus.clone());
+        prop_assert_eq!(prepared.pow(&base, &exponent), expect);
+        prop_assert_eq!(prepared.mul(&base, &exponent), base.mulmod(&exponent, &modulus));
+    }
+
+    #[test]
+    fn rem_u64_matches_rem(a in biguint_strategy(80), d in 1u64..=u64::MAX) {
+        prop_assert_eq!(BigUint::from_u64(a.rem_u64(d)), a.rem(&BigUint::from_u64(d)));
+    }
+
     #[test]
     fn gcd_divides_both(a in biguint_strategy(16), b in biguint_strategy(16)) {
         let g = a.gcd(&b);
@@ -143,6 +176,84 @@ proptest! {
         let d2 = clarens_pki::sha256::sha256(&data);
         prop_assert_eq!(d1, d2);
         prop_assert_eq!(d1.len(), 32);
+    }
+
+    /// However a message is cut into `update` calls, the digest is the
+    /// one-shot digest.
+    #[test]
+    fn digests_do_not_depend_on_the_chunking(
+        data in proptest::collection::vec(any::<u8>(), 0..600),
+        cuts in proptest::collection::vec(1usize..200, 0..8),
+    ) {
+        let mut md5 = clarens_pki::md5::Md5::new();
+        let mut sha = clarens_pki::sha256::Sha256::new();
+        let mut rest = &data[..];
+        for cut in cuts {
+            let (piece, after) = rest.split_at(cut.min(rest.len()));
+            md5.update(piece);
+            sha.update(piece);
+            rest = after;
+        }
+        md5.update(rest);
+        sha.update(rest);
+        prop_assert_eq!(md5.finalize(), clarens_pki::md5::md5(&data));
+        prop_assert_eq!(sha.finalize(), clarens_pki::sha256::sha256(&data));
+    }
+
+    /// The keyed-midstate HMAC against RFC 2104's definition spelled with
+    /// the one-shot hash, and a clone of a keyed value against a fresh one.
+    #[test]
+    fn hmac_matches_its_definition(
+        key in proptest::collection::vec(any::<u8>(), 0..200),
+        message in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        use clarens_pki::hmac::{hmac_sha256, HmacSha256};
+        use clarens_pki::sha256::sha256;
+        let mut block = [0u8; 64];
+        if key.len() > 64 {
+            block[..32].copy_from_slice(&sha256(&key));
+        } else {
+            block[..key.len()].copy_from_slice(&key);
+        }
+        let mut inner = block.map(|b| b ^ 0x36).to_vec();
+        inner.extend_from_slice(&message);
+        let mut outer = block.map(|b| b ^ 0x5c).to_vec();
+        outer.extend_from_slice(&sha256(&inner));
+        let expect = sha256(&outer);
+        prop_assert_eq!(hmac_sha256(&key, &message), expect);
+
+        let keyed = HmacSha256::new(&key);
+        for _ in 0..2 {
+            let mut mac = keyed.clone();
+            let (front, back) = message.split_at(message.len() / 3);
+            mac.update(front);
+            mac.update(back);
+            prop_assert_eq!(mac.finalize(), expect);
+        }
+    }
+
+    /// However a stream is cut into `apply` calls, it is the one-shot
+    /// stream — block counters next to the wrap included.
+    #[test]
+    fn chacha20_does_not_depend_on_the_chunking(
+        data in proptest::collection::vec(any::<u8>(), 0..700),
+        cuts in proptest::collection::vec(1usize..260, 0..8),
+        key in proptest::array::uniform32(any::<u8>()),
+        back in 0u32..4,
+    ) {
+        let (nonce, counter) = ([5u8; 12], u32::MAX - back);
+        let mut expect = data.clone();
+        clarens_pki::chacha20::xor_stream(&key, &nonce, counter, &mut expect);
+        let mut cipher = clarens_pki::chacha20::ChaCha20::new(&key, &nonce, counter);
+        let mut got = data.clone();
+        let mut rest = &mut got[..];
+        for cut in cuts {
+            let (piece, after) = rest.split_at_mut(cut.min(rest.len()));
+            cipher.apply(piece);
+            rest = after;
+        }
+        cipher.apply(rest);
+        prop_assert_eq!(got, expect);
     }
 
     #[test]
