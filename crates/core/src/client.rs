@@ -5,10 +5,11 @@
 //! Plays the role of the paper's Python client library ("a set of useful
 //! client implementations for physics analysis", §7).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use clarens_httpd::{ClientTls, HttpClient, Method, Request};
+use clarens_httpd::{ClientError as HttpError, ClientTls, HttpClient, Method, Request};
 use clarens_pki::cert::{Certificate, Credential};
 use clarens_wire::{Fault, Protocol, RpcCall, Value};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -50,6 +51,9 @@ impl From<Fault> for ClientError {
 /// Base pause before the first retry; doubles per attempt, with jitter.
 const BACKOFF_BASE: Duration = Duration::from_millis(10);
 
+/// Ceiling of a single retry pause.
+const BACKOFF_CAP: Duration = Duration::from_secs(10);
+
 /// How many `NOT_LEADER` routing hints a single call will chase before
 /// surfacing the fault. Hints can go stale mid-election (node A says B,
 /// B says C), but a healthy cluster converges in one hop; a cycle longer
@@ -85,36 +89,188 @@ fn is_idempotent(method: &str) -> bool {
         )
 }
 
+/// Jittered exponential backoff: the pause policy of everything that
+/// retries over the network, and the client stack's one sleep site.
+/// Attempt `n` waits a random duration in `[c / 2, c]` with
+/// `c = min(base·2ⁿ⁻¹, cap)`, decorrelating clients that fail
+/// simultaneously (a retry-storm guard). Seeded, so a schedule replays.
+pub struct Backoff {
+    base: Duration,
+    cap: Duration,
+    rng: StdRng,
+}
+
+impl Backoff {
+    /// A schedule starting at `base`, never pausing longer than `cap`.
+    pub fn new(base: Duration, cap: Duration, seed: u64) -> Self {
+        Backoff {
+            base,
+            cap,
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+
+    /// The pause before retry number `attempt` (counted from 1).
+    pub fn delay(&mut self, attempt: u32) -> Duration {
+        let ceiling = self
+            .base
+            .saturating_mul(1 << attempt.saturating_sub(1).min(16))
+            .min(self.cap)
+            .as_millis() as u64;
+        let jitter = self.rng.next_u64() % (ceiling / 2 + 1);
+        Duration::from_millis(ceiling - jitter)
+    }
+
+    /// Sleep for [`delay`](Self::delay)`(attempt)`, cut short at `limit`
+    /// (what is left of the caller's deadline). Returns the time slept.
+    pub fn pause(&mut self, attempt: u32, limit: Option<Duration>) -> Duration {
+        let delay = self.delay(attempt);
+        let pause = limit.map_or(delay, |limit| delay.min(limit));
+        std::thread::sleep(pause);
+        pause
+    }
+}
+
+/// What is left of `budget`, counted from the first time this is asked:
+/// the call loop's one clock read.
+fn budget_left(started: &mut Option<Instant>, budget: Option<Duration>) -> Option<Duration> {
+    let budget = budget?;
+    let now = Instant::now();
+    Some(budget.saturating_sub(now.duration_since(*started.get_or_insert(now))))
+}
+
+/// What one exchange carries.
+enum Payload<'a> {
+    /// An RPC call, POSTed in the protocol the peer speaks.
+    Rpc(&'a RpcCall),
+    /// A plain GET of this target; a 200 body comes back as `Value::Bytes`.
+    Get(&'a str),
+}
+
+/// What one exchange produced: the peer's answer (a value, or its fault /
+/// HTTP status / undecodable payload), or — when none came — how far the
+/// transport says the request got.
+type Outcome = Result<Result<Value, ClientError>, HttpError>;
+
+fn settle(outcome: Outcome) -> Result<Value, ClientError> {
+    outcome.unwrap_or_else(|lost| Err(ClientError::Transport(lost.to_string())))
+}
+
+/// Everything [`classify`] weighs besides the outcome itself.
+struct Attempt<'a> {
+    /// The address the exchange went to.
+    at: &'a str,
+    idempotent: bool,
+    /// The exchange rode a kept connection, not a fresh one.
+    reused: bool,
+    /// The exchange spoke the binary protocol.
+    binary: bool,
+    hops_left: u32,
+    retries_left: u32,
+    budget_left: bool,
+}
+
+/// What the call loop does after one exchange.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    /// The value is the answer.
+    Done,
+    /// Send again at once on a fresh connection: nothing was sent.
+    Resend,
+    /// The peer has the binary protocol off: speak XML-RPC to it from now
+    /// on and send again.
+    Downgrade,
+    /// Send to the leader the fault named, and remember it.
+    Follow(String, u64),
+    /// Back off, then send again on the retry budget.
+    Pause,
+    /// Hand the outcome to the caller. The leader hint of a `NOT_LEADER`
+    /// fault is taken in all the same.
+    Surface(Option<(String, u64)>),
+}
+
+/// The replay policy (DESIGN.md §10.1), and the only client-side code that
+/// reads leader hints, `executed=maybe`, status 415 or how a transport
+/// failed. A request is sent again only when the method is idempotent or
+/// the peer provably never received it.
+fn classify(outcome: &Outcome, attempt: &Attempt<'_>) -> Verdict {
+    use Verdict::*;
+    let retry = |safe: bool| (safe && attempt.retries_left > 0).then_some(Pause);
+    let hint = match outcome {
+        Ok(Err(ClientError::Fault(fault))) => fault.leader_hint(),
+        _ => None,
+    };
+    // What to do to send the request again; `None`: it must not be.
+    let again = match (outcome, &hint) {
+        (Ok(Ok(_)), _) => return Done,
+        (Ok(Err(ClientError::Fault(fault))), Some((leader, epoch))) => {
+            // The pre-dispatch fence rejects a write *before* the handler
+            // runs, so an ordinary `NOT_LEADER` is safe to replay even for
+            // a mutation. `executed=maybe` is the leader losing its lease
+            // *after* applying the write: its fate is unknown, and only
+            // the caller can decide whether issuing it again is safe.
+            if fault.executed_maybe() && !attempt.idempotent {
+                None
+            } else if leader.is_empty() || leader == attempt.at {
+                // Nobody else claims the lease (election in flight).
+                retry(true)
+            } else {
+                (attempt.hops_left > 0).then(|| Follow(leader.clone(), *epoch))
+            }
+        }
+        (Ok(Err(ClientError::Http(415, _))), _) if attempt.binary => Some(Downgrade),
+        // Any other fault or status is a completed exchange: the answer.
+        (Ok(Err(_)), _) => None,
+        (Err(HttpError::Stale), _) if attempt.reused => Some(Resend),
+        (Err(HttpError::NotSent(_) | HttpError::Stale), _) => retry(true),
+        (Err(HttpError::TimedOut | HttpError::BadResponse(_)), _) => retry(attempt.idempotent),
+    };
+    match again {
+        // Past the deadline nothing is sent again.
+        Some(verdict) if attempt.budget_left => verdict,
+        _ => Surface(hint),
+    }
+}
+
+/// One server this client has talked to.
+struct Peer {
+    http: HttpClient,
+    /// Answered 415 to the binary protocol; spoken to in XML-RPC since.
+    xml_only: bool,
+}
+
 /// A Clarens client bound to one server.
 pub struct ClarensClient {
-    http: HttpClient,
+    addr: String,
+    /// Every server this client has talked to, by `host:port` — the bound
+    /// address, each leader a hint named, each address a router supplied —
+    /// so all of them keep their keep-alive (and TLS) connections across
+    /// calls.
+    peers: HashMap<String, Peer>,
     protocol: Protocol,
     endpoint: String,
     session: Option<String>,
     credential: Option<Credential>,
     now_fn: Arc<dyn Fn() -> i64 + Send + Sync>,
-    /// Transport-error retries per call (idempotent methods only).
+    /// Resends per call on the retry budget.
     retries: u32,
-    /// Overall per-call budget covering every attempt and backoff pause.
+    /// Overall per-call budget: every attempt, hop and pause of one call.
     call_deadline: Option<Duration>,
-    /// Jitter source; seedable so tests get a deterministic schedule.
-    rng: StdRng,
-    /// Total retry attempts performed over the client's lifetime.
+    backoff: Backoff,
+    /// Total resends performed over the client's lifetime.
     retries_performed: u64,
     protocol_fallbacks: u64,
     /// Extra headers attached to every RPC POST (e.g. `x-clarens-hops`
     /// when a proxy node forwards a call on a caller's behalf).
     extra_headers: Vec<(String, String)>,
-    /// Trust roots kept from `new_tls`, so a `NOT_LEADER` redirect can
-    /// rebuild an equivalent secure client for the hinted leader. `None`
-    /// on plaintext clients.
+    /// Trust roots of a secure-channel client; `None` on plaintext ones.
     tls_roots: Option<Vec<Certificate>>,
     /// Calls re-routed to a hinted leader after a `NOT_LEADER` fault.
     leader_redirects: u64,
-    /// The last leader hint successfully followed: `(host:port, epoch)`.
-    /// Lets a routing layer (e.g. `BalancedClient`) learn where the
-    /// leader is without a discovery round trip.
-    last_leader: Option<(String, u64)>,
+    /// The leader the last hint named, `(host:port, epoch)`. Replicated
+    /// writes aim at it first instead of bouncing off a follower; it is
+    /// forgotten when it stops answering.
+    leader: Option<(String, u64)>,
 }
 
 fn system_now() -> i64 {
@@ -128,7 +284,8 @@ impl ClarensClient {
     /// Plaintext client speaking XML-RPC (the paper's default protocol).
     pub fn new(addr: impl Into<String>) -> Self {
         ClarensClient {
-            http: HttpClient::new(addr),
+            addr: addr.into(),
+            peers: HashMap::new(),
             protocol: Protocol::XmlRpc,
             endpoint: "/clarens".into(),
             session: None,
@@ -136,13 +293,13 @@ impl ClarensClient {
             now_fn: Arc::new(system_now),
             retries: 2,
             call_deadline: None,
-            rng: StdRng::seed_from_u64(rand::rng().next_u64()),
+            backoff: Backoff::new(BACKOFF_BASE, BACKOFF_CAP, rand::rng().next_u64()),
             retries_performed: 0,
             protocol_fallbacks: 0,
             extra_headers: Vec::new(),
             tls_roots: None,
             leader_redirects: 0,
-            last_leader: None,
+            leader: None,
         }
     }
 
@@ -153,20 +310,10 @@ impl ClarensClient {
         credential: Credential,
         roots: Vec<Certificate>,
     ) -> Self {
-        let cred_clone = credential.clone();
-        let roots_clone = roots.clone();
         ClarensClient {
-            http: HttpClient::new_tls(
-                addr,
-                ClientTls {
-                    credential,
-                    roots,
-                    now_fn: Box::new(system_now),
-                },
-            ),
-            credential: Some(cred_clone),
-            tls_roots: Some(roots_clone),
-            ..ClarensClient::new(String::new())
+            credential: Some(credential),
+            tls_roots: Some(roots),
+            ..ClarensClient::new(addr)
         }
     }
 
@@ -188,16 +335,19 @@ impl ClarensClient {
         self
     }
 
-    /// Number of transport-error retries per call (idempotent methods
-    /// only; default 2, matching the `client_retries` config knob).
+    /// Resends per call on the retry budget (default 2, matching the
+    /// `client_retries` config knob). The budget is shared by everything
+    /// one call may retry: transport failures and hint-less `NOT_LEADER`.
     pub fn with_retries(mut self, retries: u32) -> Self {
         self.retries = retries;
         self
     }
 
-    /// Overall per-call deadline covering all attempts and backoff
-    /// pauses. Also bounds how long a single read may stall, so a hung
-    /// server cannot block the caller indefinitely.
+    /// Overall per-call deadline. It is started once per call and what is
+    /// left of it bounds the connect, every socket read and write, and
+    /// every backoff pause of every attempt and leader hop, so one call
+    /// returns within the deadline plus a scheduling quantum whatever the
+    /// retry count.
     pub fn with_call_deadline(mut self, deadline: Duration) -> Self {
         self.call_deadline = Some(deadline);
         self
@@ -205,7 +355,7 @@ impl ClarensClient {
 
     /// Seed the backoff-jitter RNG for a deterministic retry schedule.
     pub fn with_retry_seed(mut self, seed: u64) -> Self {
-        self.rng = StdRng::seed_from_u64(seed);
+        self.backoff = Backoff::new(BACKOFF_BASE, BACKOFF_CAP, seed);
         self
     }
 
@@ -217,12 +367,13 @@ impl ClarensClient {
         self
     }
 
-    /// Total retry attempts this client has performed.
+    /// Total resends this client has performed: every request that went
+    /// out again after a failed exchange or a hint-less `NOT_LEADER`.
     pub fn retries_performed(&self) -> u64 {
         self.retries_performed
     }
 
-    /// How many times the client downgraded binary -> XML-RPC after a 415.
+    /// How many servers the client downgraded binary -> XML-RPC after a 415.
     pub fn protocol_fallbacks(&self) -> u64 {
         self.protocol_fallbacks
     }
@@ -232,17 +383,21 @@ impl ClarensClient {
         self.leader_redirects
     }
 
-    /// The last leader hint successfully followed (`host:port`, epoch).
+    /// The leader the last hint named (`host:port`, epoch), unless it has
+    /// stopped answering since.
     pub fn last_leader(&self) -> Option<(&str, u64)> {
-        self.last_leader
+        self.leader
             .as_ref()
             .map(|(addr, epoch)| (addr.as_str(), *epoch))
     }
 
-    /// The protocol currently spoken (may differ from the constructor's
-    /// choice after a 415 downgrade).
+    /// The protocol spoken to the bound server (may differ from the
+    /// constructor's choice after a 415 downgrade).
     pub fn protocol(&self) -> Protocol {
-        self.protocol
+        match self.peers.get(&self.addr) {
+            Some(peer) if peer.xml_only => Protocol::XmlRpc,
+            _ => self.protocol,
+        }
     }
 
     /// The current session id, if logged in.
@@ -256,193 +411,198 @@ impl ClarensClient {
         self.session = Some(id.into());
     }
 
-    /// Invoke `method` with `params`.
+    /// Invoke `method` with `params` on the bound server.
     ///
-    /// Transport failures on idempotent methods are retried up to the
-    /// configured count with jittered exponential backoff; the per-call
-    /// deadline (if set) caps the total time across all attempts.
-    ///
-    /// A client speaking the binary protocol against a server that has it
-    /// disabled gets `415 Unsupported Media Type` back; the client then
-    /// downgrades itself to XML-RPC and replays the call, so callers never
-    /// see the negotiation (DESIGN.md §13).
-    /// A `NOT_LEADER` fault (a replicated write sent to a follower or a
-    /// fenced leader) is chased transparently: the fault carries a
-    /// `leader=HOST:PORT` hint, and the call is replayed against that
-    /// node with the same session, up to [`MAX_LEADER_HOPS`] hops. A
-    /// hint-less fault (mid-election, no leader known yet) is retried in
-    /// place with backoff. The pre-dispatch fence fires *before* the
-    /// handler runs, so an ordinary `NOT_LEADER` means nothing was
-    /// executed and the replay is safe even for mutations — but a fault
-    /// carrying `executed=maybe` (the leader lost its lease *after*
-    /// applying the write, while waiting for the replicated ack) means
-    /// the operation's fate is unknown; such faults are only replayed for
-    /// idempotent methods and otherwise surface to the caller, which
-    /// alone can decide whether re-issuing the mutation is safe.
+    /// What happens after a failed exchange — resend, retry with backoff,
+    /// chase a `NOT_LEADER` hint, downgrade binary -> XML-RPC on a 415, or
+    /// surface the error — is decided by one loop under one deadline; the
+    /// replay table is in DESIGN.md §10.1. Callers never see the
+    /// negotiation, and a mutation whose fate is unknown (timed out, or
+    /// rejected with `executed=maybe`) is never sent twice.
     pub fn call(&mut self, method: &str, params: Vec<Value>) -> Result<Value, ClientError> {
+        self.call_via(self.addr.clone(), method, params, &mut || None)
+    }
+
+    /// [`call`](Self::call) for a routing layer: the call starts at `home`
+    /// instead of the bound address, and when `home` fails at the
+    /// transport level and the call may be sent again, `reroute` may name
+    /// the address to carry on at (`None`: stay). Hops, retries and the
+    /// deadline stay those of the one call.
+    pub fn call_via(
+        &mut self,
+        home: String,
+        method: &str,
+        params: Vec<Value>,
+        reroute: &mut dyn FnMut() -> Option<String>,
+    ) -> Result<Value, ClientError> {
         let call = RpcCall {
             method: method.to_owned(),
             params,
             id: Some(Value::Int(1)),
         };
-        let idempotent = is_idempotent(method);
-        let started = Instant::now();
-        let mut result = match self.call_rpc(&call, idempotent) {
-            Err(ClientError::Http(415, _)) if self.protocol == Protocol::Binary => {
-                self.protocol = Protocol::XmlRpc;
-                self.protocol_fallbacks += 1;
-                self.call_rpc(&call, idempotent)
-            }
-            other => other,
+        self.run(home, Payload::Rpc(&call), reroute)
+    }
+
+    /// The call loop: exchange, classify, act — until a verdict ends it.
+    fn run(
+        &mut self,
+        mut home: String,
+        payload: Payload<'_>,
+        reroute: &mut dyn FnMut() -> Option<String>,
+    ) -> Result<Value, ClientError> {
+        // A GET is always safe to replay, and served by every node.
+        let (idempotent, leader_first) = match payload {
+            Payload::Rpc(call) => (
+                is_idempotent(&call.method),
+                crate::services::is_replicated_write(&call.method),
+            ),
+            Payload::Get(_) => (true, false),
         };
-        let mut hops = 0u32;
-        let mut blind_retries = 0u32;
+        let mut at = match &self.leader {
+            Some((leader, _)) if leader_first => leader.clone(),
+            _ => home.clone(),
+        };
+        let (mut hops, mut retried) = (0u32, 0u32);
+        let mut started = None;
+        let mut left = budget_left(&mut started, self.call_deadline);
         loop {
-            let hint = match &result {
-                // A post-execution rejection of a non-idempotent call must
-                // not be replayed: the write may already have taken effect
-                // (and may yet survive via replication).
-                Err(ClientError::Fault(fault)) if idempotent || !fault.executed_maybe() => {
-                    fault.leader_hint()
+            let (outcome, reused, binary) = self.exchange(&at, &payload, left);
+            left = budget_left(&mut started, self.call_deadline);
+            let verdict = classify(
+                &outcome,
+                &Attempt {
+                    at: &at,
+                    idempotent,
+                    reused,
+                    binary,
+                    hops_left: MAX_LEADER_HOPS - hops,
+                    retries_left: self.retries.saturating_sub(retried),
+                    budget_left: left.is_none_or(|left| !left.is_zero()),
+                },
+            );
+            match verdict {
+                Verdict::Done => return settle(outcome),
+                Verdict::Surface(hint) => {
+                    if let Some((leader, epoch)) = hint {
+                        self.learn(leader, epoch);
+                    } else if outcome.is_err() && at != home {
+                        self.leader = None;
+                    }
+                    return settle(outcome);
                 }
-                _ => None,
+                Verdict::Resend => self.retries_performed += 1,
+                Verdict::Downgrade => {
+                    if let Some(peer) = self.peers.get_mut(&at) {
+                        peer.xml_only = true;
+                    }
+                    self.protocol_fallbacks += 1;
+                }
+                Verdict::Follow(leader, epoch) => {
+                    hops += 1;
+                    self.leader_redirects += 1;
+                    self.learn(leader.clone(), epoch);
+                    at = leader;
+                }
+                Verdict::Pause => {
+                    retried += 1;
+                    self.retries_performed += 1;
+                    if at != home {
+                        // The leader we aimed at is gone or deposed: stop
+                        // aiming at it and ask the home node again.
+                        self.leader = None;
+                    } else if outcome.is_err() {
+                        home = reroute().unwrap_or(home);
+                    }
+                    at.clone_from(&home);
+                    let slept = self.backoff.pause(retried, left);
+                    left = left.map(|left| left.saturating_sub(slept));
+                }
+            }
+        }
+    }
+
+    /// Take in a leader hint: remember the leader it names, or — when it
+    /// names none — that there is none to aim at. A hint older than what
+    /// is known loses.
+    fn learn(&mut self, leader: String, epoch: u64) {
+        let stale = matches!(&self.leader, Some((_, known)) if *known > epoch);
+        if !stale {
+            self.leader = (!leader.is_empty()).then_some((leader, epoch));
+        }
+    }
+
+    /// One encode → transport → decode exchange with the server at `at`,
+    /// every socket wait bounded by `bound`. Also reports whether it rode
+    /// a kept connection and whether it spoke the binary protocol.
+    fn exchange(
+        &mut self,
+        at: &str,
+        payload: &Payload<'_>,
+        bound: Option<Duration>,
+    ) -> (Outcome, bool, bool) {
+        if !self.peers.contains_key(at) {
+            let http = match (&self.credential, &self.tls_roots) {
+                (Some(credential), Some(roots)) => HttpClient::new_tls(
+                    at,
+                    ClientTls {
+                        credential: credential.clone(),
+                        roots: roots.clone(),
+                        now_fn: Box::new(system_now),
+                    },
+                ),
+                _ => HttpClient::new(at),
             };
-            let Some((leader, _epoch)) = hint else { break };
-            let remaining = self
-                .call_deadline
-                .map(|budget| budget.saturating_sub(started.elapsed()));
-            if remaining.is_some_and(|r| r.is_zero()) {
-                break;
-            }
-            if !leader.is_empty() && hops < MAX_LEADER_HOPS {
-                hops += 1;
-                self.leader_redirects += 1;
-                let mut redirect = self.redirect_client(&leader, remaining);
-                result = redirect.call_rpc(&call, idempotent);
-                if result.is_ok() {
-                    self.last_leader = Some((leader, _epoch));
-                }
-            } else if leader.is_empty() && blind_retries < self.retries {
-                // Nobody claims the lease yet (election in flight): pause
-                // and replay against the same node, on the retry budget.
-                blind_retries += 1;
-                self.retries_performed += 1;
-                let pause = self.backoff(blind_retries);
-                std::thread::sleep(match remaining {
-                    Some(r) => pause.min(r),
-                    None => pause,
-                });
-                result = self.call_rpc(&call, idempotent);
-            } else {
-                break;
-            }
+            self.peers.insert(
+                at.to_owned(),
+                Peer {
+                    http,
+                    xml_only: false,
+                },
+            );
         }
-        result
-    }
-
-    /// Build a client equivalent to this one (protocol, session, headers,
-    /// transport flavour) but bound to `leader`, for one redirect hop.
-    fn redirect_client(&self, leader: &str, remaining: Option<Duration>) -> ClarensClient {
-        let mut client = match (&self.credential, &self.tls_roots) {
-            (Some(credential), Some(roots)) => {
-                ClarensClient::new_tls(leader.to_owned(), credential.clone(), roots.clone())
-            }
-            _ => ClarensClient::new(leader.to_owned()),
+        let peer = self.peers.get_mut(at).expect("inserted above");
+        let protocol = if peer.xml_only {
+            Protocol::XmlRpc
+        } else {
+            self.protocol
         };
-        client.protocol = self.protocol;
-        client.session = self.session.clone();
-        client.credential = self.credential.clone();
-        client.now_fn = Arc::clone(&self.now_fn);
-        client.retries = self.retries;
-        client.call_deadline = remaining.or(self.call_deadline);
-        client.extra_headers = self.extra_headers.clone();
-        client
-    }
-
-    /// One encode → transport → decode exchange in the current protocol.
-    fn call_rpc(&mut self, call: &RpcCall, idempotent: bool) -> Result<Value, ClientError> {
-        let body = clarens_wire::encode_call(self.protocol, call);
-        let mut request = Request::new(Method::Post, self.endpoint.clone());
-        request
-            .headers
-            .set("content-type", self.protocol.content_type());
-        if let Some(session) = &self.session {
-            request.headers.set("x-clarens-session", session.clone());
+        let request = match payload {
+            Payload::Rpc(call) => {
+                let mut request = Request::new(Method::Post, self.endpoint.clone());
+                request.headers.set("content-type", protocol.content_type());
+                if let Some(session) = &self.session {
+                    request.headers.set("x-clarens-session", session.clone());
+                }
+                for (name, value) in &self.extra_headers {
+                    request.headers.set(name, value.clone());
+                }
+                request.body = clarens_wire::encode_call(protocol, call);
+                request
+            }
+            Payload::Get(target) => {
+                let mut request = Request::new(Method::Get, *target);
+                request.headers.set("host", "clarens");
+                request
+            }
+        };
+        if let Some(bound) = bound {
+            peer.http.set_read_timeout(bound);
         }
-        for (name, value) in &self.extra_headers {
-            request.headers.set(name, value.clone());
-        }
-        request.body = body;
-
-        let response = self.transport_with_retries(&request, idempotent)?;
-        if response.status != 200 {
-            return Err(ClientError::Http(
+        let reused = peer.http.is_connected();
+        let outcome = peer.http.request(&request).map(|response| match payload {
+            _ if response.status != 200 => Err(ClientError::Http(
                 response.status,
                 String::from_utf8_lossy(&response.body).into_owned(),
-            ));
-        }
-        clarens_wire::decode_response(self.protocol, &response.body)
-            .map_err(|e| ClientError::Protocol(e.to_string()))?
-            .into_result()
-            .map_err(|e| match e {
-                clarens_wire::WireError::Fault(f) => ClientError::Fault(f),
-                other => ClientError::Protocol(other.to_string()),
-            })
-    }
-
-    /// Issue one HTTP exchange, retrying transport failures when the
-    /// operation is safe to replay, under the per-call deadline.
-    fn transport_with_retries(
-        &mut self,
-        request: &Request,
-        retryable: bool,
-    ) -> Result<clarens_httpd::ClientResponse, ClientError> {
-        let deadline = self.call_deadline.map(|budget| Instant::now() + budget);
-        let mut attempt = 0u32;
-        loop {
-            if let Some(d) = deadline {
-                let remaining = d.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Err(ClientError::Transport("call deadline exceeded".into()));
-                }
-                // Bound each socket read by the remaining budget so a
-                // stalled server surfaces as a timeout, not a hang.
-                self.http.set_read_timeout(remaining);
-            }
-            match self.http.request(request) {
-                Ok(response) => return Ok(response),
-                Err(e) => {
-                    if !retryable || attempt >= self.retries {
-                        return Err(ClientError::Transport(e.to_string()));
-                    }
-                    attempt += 1;
-                    self.retries_performed += 1;
-                    self.http.close();
-                    let pause = self.backoff(attempt);
-                    match deadline {
-                        Some(d) => {
-                            let remaining = d.saturating_duration_since(Instant::now());
-                            if remaining.is_zero() {
-                                return Err(ClientError::Transport(e.to_string()));
-                            }
-                            std::thread::sleep(pause.min(remaining));
-                        }
-                        None => std::thread::sleep(pause),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Exponential backoff with full jitter: attempt `n` waits a random
-    /// duration in `[base·2ⁿ⁻¹ / 2, base·2ⁿ⁻¹]`, decorrelating clients
-    /// that fail simultaneously (a retry-storm guard).
-    fn backoff(&mut self, attempt: u32) -> Duration {
-        let ceiling = BACKOFF_BASE
-            .saturating_mul(1 << (attempt - 1).min(10))
-            .as_millis() as u64;
-        let jitter = self.rng.next_u64() % (ceiling / 2 + 1);
-        Duration::from_millis(ceiling - jitter)
+            )),
+            Payload::Get(_) => Ok(Value::Bytes(response.body)),
+            Payload::Rpc(_) => clarens_wire::decode_response(protocol, &response.body)
+                .and_then(|decoded| decoded.into_result())
+                .map_err(|e| match e {
+                    clarens_wire::WireError::Fault(f) => ClientError::Fault(f),
+                    other => ClientError::Protocol(other.to_string()),
+                }),
+        });
+        (outcome, reused, protocol == Protocol::Binary)
     }
 
     /// Authenticate with the attached credential via `system.auth`,
@@ -541,23 +701,21 @@ impl ClarensClient {
         }
     }
 
+    /// GET `target` from the bound server through the call loop.
+    pub(crate) fn get(&mut self, target: &str) -> Result<Vec<u8>, ClientError> {
+        match self.run(self.addr.clone(), Payload::Get(target), &mut || None)? {
+            Value::Bytes(body) => Ok(body),
+            other => unreachable!("a GET settles as bytes, not {other:?}"),
+        }
+    }
+
     /// HTTP GET download (the streaming path), returning the body.
     pub fn http_get_file(&mut self, virtual_path: &str) -> Result<Vec<u8>, ClientError> {
         let mut target = format!("/file{}", clarens_wire::percent::encode_path(virtual_path));
         if let Some(session) = &self.session {
             target.push_str(&format!("?session={session}"));
         }
-        let mut request = Request::new(Method::Get, target);
-        request.headers.set("host", "clarens");
-        // GET of an immutable file is always safe to replay.
-        let response = self.transport_with_retries(&request, true)?;
-        if response.status != 200 {
-            return Err(ClientError::Http(
-                response.status,
-                String::from_utf8_lossy(&response.body).into_owned(),
-            ));
-        }
-        Ok(response.body)
+        self.get(&target)
     }
 
     /// Fetch a portal page (HTML) for inspection.
@@ -567,24 +725,28 @@ impl ClarensClient {
             let sep = if target.contains('?') { '&' } else { '?' };
             target.push_str(&format!("{sep}session={session}"));
         }
-        let mut request = Request::new(Method::Get, target);
-        request.headers.set("host", "clarens");
-        let response = self.transport_with_retries(&request, true)?;
-        Ok((
-            response.status,
-            String::from_utf8_lossy(&response.body).into_owned(),
-        ))
+        match self.get(&target) {
+            Ok(body) => Ok((200, String::from_utf8_lossy(&body).into_owned())),
+            Err(ClientError::Http(status, body)) => Ok((status, body)),
+            Err(other) => Err(other),
+        }
     }
 
-    /// Drop the underlying connection (next call reconnects).
+    /// Drop the kept connections (next call reconnects).
     pub fn close_connection(&mut self) {
-        self.http.close();
+        for peer in self.peers.values_mut() {
+            peer.http.close();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    use clarens_wire::RpcResponse;
 
     #[test]
     fn whitelist_admits_reads_and_rejects_mutations() {
@@ -622,11 +784,11 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_for_a_seed_and_exponentially_bounded() {
-        let mut a = ClarensClient::new("127.0.0.1:1").with_retry_seed(7);
-        let mut b = ClarensClient::new("127.0.0.1:1").with_retry_seed(7);
+        let schedule = |seed| Backoff::new(BACKOFF_BASE, BACKOFF_CAP, seed);
+        let (mut a, mut b) = (schedule(7), schedule(7));
         for attempt in 1..=6 {
-            let pa = a.backoff(attempt);
-            let pb = b.backoff(attempt);
+            let pa = a.delay(attempt);
+            let pb = b.delay(attempt);
             assert_eq!(pa, pb, "same seed must give the same schedule");
             let ceiling = BACKOFF_BASE * (1 << (attempt - 1));
             assert!(pa <= ceiling, "attempt {attempt}: {pa:?} > {ceiling:?}");
@@ -637,16 +799,218 @@ mod tests {
         }
         // Different seeds should decorrelate (not a hard guarantee per
         // draw, but across six draws a collision on all is ~impossible).
-        let mut c = ClarensClient::new("127.0.0.1:1").with_retry_seed(8);
-        let diverged = (1..=6).any(|n| a.backoff(n) != c.backoff(n));
+        let mut c = schedule(8);
+        let diverged = (1..=6).any(|n| a.delay(n) != c.delay(n));
         assert!(diverged, "different seeds produced identical schedules");
+        // The cap holds however long the failure streak.
+        assert!(schedule(9).delay(40) <= BACKOFF_CAP);
+    }
+
+    const LEADER: &str = "10.0.0.2:8080";
+
+    fn outcomes() -> Vec<(&'static str, Outcome)> {
+        let fault = |f: Fault| Ok(Err(ClientError::Fault(f)));
+        vec![
+            ("ok", Ok(Ok(Value::Int(1)))),
+            ("fault", fault(Fault::service("boom"))),
+            ("hint", fault(Fault::not_leader(LEADER, 7))),
+            ("empty hint", fault(Fault::not_leader("", 7))),
+            ("maybe", fault(Fault::not_leader_executed(LEADER, 7))),
+            ("415", Ok(Err(ClientError::Http(415, String::new())))),
+            ("not sent", Err(HttpError::NotSent("refused".into()))),
+            ("stale", Err(HttpError::Stale)),
+            ("timeout", Err(HttpError::TimedOut)),
+            ("malformed", Err(HttpError::BadResponse("eof".into()))),
+        ]
+    }
+
+    /// The replay table of DESIGN.md §10.1, row by row, over every
+    /// combination of method kind, connection age and remaining budgets.
+    #[test]
+    fn classifier_replay_table() {
+        use Verdict::*;
+        let hint = || Some((LEADER.to_owned(), 7));
+        for (name, outcome) in outcomes() {
+            for bits in 0..64u32 {
+                let flag = |bit: u32| bits & (1 << bit) != 0;
+                let (idempotent, reused, binary) = (flag(0), flag(1), flag(2));
+                let (hops, retries, budget) = (flag(3), flag(4), flag(5));
+                let verdict = classify(
+                    &outcome,
+                    &Attempt {
+                        at: "10.0.0.1:8080",
+                        idempotent,
+                        reused,
+                        binary,
+                        hops_left: if hops { 3 } else { 0 },
+                        retries_left: if retries { 2 } else { 0 },
+                        budget_left: budget,
+                    },
+                );
+                let surface = || match name {
+                    "hint" | "maybe" => Surface(hint()),
+                    "empty hint" => Surface(Some((String::new(), 7))),
+                    _ => Surface(None),
+                };
+                let pause = |safe: bool| {
+                    if safe && retries && budget {
+                        Pause
+                    } else {
+                        surface()
+                    }
+                };
+                let follow = || {
+                    if hops && budget {
+                        Follow(LEADER.to_owned(), 7)
+                    } else {
+                        surface()
+                    }
+                };
+                let expected = match name {
+                    "ok" => Done,
+                    "fault" => surface(),
+                    "hint" => follow(),
+                    "empty hint" => pause(true),
+                    // A mutation the old leader may have applied always
+                    // surfaces, and the hint is still learned.
+                    "maybe" if !idempotent => Surface(hint()),
+                    "maybe" => follow(),
+                    "415" if binary && budget => Downgrade,
+                    "415" => surface(),
+                    // Never received: any method may go again, once per
+                    // stale connection for free, else on the retry budget.
+                    "stale" if reused && budget => Resend,
+                    "stale" if reused => surface(),
+                    "stale" | "not sent" => pause(true),
+                    // Fate unknown: a mutation always surfaces.
+                    "timeout" | "malformed" => pause(idempotent),
+                    other => unreachable!("{other}"),
+                };
+                assert_eq!(verdict, expected, "{name}, flags {bits:06b}");
+            }
+        }
+        // A node that names itself leader while fencing writes has no
+        // settled leader to offer: retried in place, never followed.
+        let own = Ok(Err(ClientError::Fault(Fault::not_leader(LEADER, 7))));
+        let at_leader = Attempt {
+            at: LEADER,
+            idempotent: false,
+            reused: true,
+            binary: false,
+            hops_left: 3,
+            retries_left: 2,
+            budget_left: true,
+        };
+        assert_eq!(classify(&own, &at_leader), Pause);
+    }
+
+    /// What a scripted peer does with a request it has read.
+    enum Reply {
+        /// Answer 200 with this value or fault, in the request's protocol.
+        Rpc(Result<Value, Fault>),
+        /// Answer 200 with this value, then close the connection without
+        /// announcing it.
+        RpcThenClose(Value),
+        /// Leave it unanswered and hold the connection open.
+        Stall,
+        /// Leave it unanswered and close the connection.
+        HangUp,
+    }
+
+    /// A loopback peer that reads every request whole, counts it, and
+    /// answers as scripted. One connection at a time.
+    struct ScriptedPeer {
+        addr: String,
+        seen: Arc<AtomicUsize>,
+        /// Connections served to their end and closed.
+        closed: Arc<AtomicUsize>,
+        stop: Arc<AtomicBool>,
+        thread: Option<std::thread::JoinHandle<()>>,
+    }
+
+    impl ScriptedPeer {
+        fn start(script: impl Fn(Protocol) -> Reply + Send + 'static) -> ScriptedPeer {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let seen = Arc::new(AtomicUsize::new(0));
+            let closed = Arc::new(AtomicUsize::new(0));
+            let stop = Arc::new(AtomicBool::new(false));
+            let thread = {
+                let (seen, closed, stop) = (seen.clone(), closed.clone(), stop.clone());
+                std::thread::spawn(move || {
+                    for sock in listener.incoming() {
+                        if stop.load(Ordering::SeqCst) {
+                            return;
+                        }
+                        serve(sock.unwrap(), &script, &seen);
+                        closed.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+            };
+            ScriptedPeer {
+                addr,
+                seen,
+                closed,
+                stop,
+                thread: Some(thread),
+            }
+        }
+
+        fn seen(&self) -> usize {
+            self.seen.load(Ordering::SeqCst)
+        }
+    }
+
+    impl Drop for ScriptedPeer {
+        fn drop(&mut self) {
+            self.stop.store(true, Ordering::SeqCst);
+            // Wake the accept loop so it sees the flag.
+            let _ = TcpStream::connect(&self.addr);
+            if let Some(thread) = self.thread.take() {
+                let _ = thread.join();
+            }
+        }
+    }
+
+    /// Serve one connection until the client closes it.
+    fn serve(sock: TcpStream, script: &impl Fn(Protocol) -> Reply, seen: &AtomicUsize) {
+        let mut reader = std::io::BufReader::new(sock);
+        while let Ok(request) = clarens_httpd::parse::read_request(&mut reader, 1 << 20) {
+            let binary =
+                request.headers.get("content-type") == Some(Protocol::Binary.content_type());
+            let protocol = if binary {
+                Protocol::Binary
+            } else {
+                Protocol::XmlRpc
+            };
+            seen.fetch_add(1, Ordering::SeqCst);
+            let (response, close) = match script(protocol) {
+                Reply::Rpc(Ok(value)) => (RpcResponse::Success(value), false),
+                Reply::Rpc(Err(fault)) => (RpcResponse::Fault(fault), false),
+                Reply::RpcThenClose(value) => (RpcResponse::Success(value), true),
+                Reply::Stall => continue,
+                Reply::HangUp => return,
+            };
+            let body = clarens_wire::encode_response(protocol, &response, None);
+            let response = clarens_httpd::Response::ok(protocol.content_type(), body);
+            let sent =
+                clarens_httpd::parse::write_response(reader.get_mut(), response, true, false);
+            if sent.is_err() || close {
+                return;
+            }
+        }
+    }
+
+    fn client(peer: &ScriptedPeer, retries: u32) -> ClarensClient {
+        ClarensClient::new(peer.addr.clone())
+            .with_retries(retries)
+            .with_retry_seed(1)
     }
 
     #[test]
-    fn retries_recover_from_transient_connect_failures() {
-        // No listener on this port: every attempt fails, and the retry
-        // counter should reflect the configured budget for an idempotent
-        // method, and stay at zero for a mutating one.
+    fn unsent_requests_are_retried_for_any_method() {
+        // No listener on this port: nothing is ever written, so even a
+        // mutation may go again, and every resend is counted.
         let mut client = ClarensClient::new("127.0.0.1:9")
             .with_retries(2)
             .with_retry_seed(1)
@@ -654,9 +1018,158 @@ mod tests {
         let err = client.call("echo.echo", vec![Value::from("x")]);
         assert!(matches!(err, Err(ClientError::Transport(_))));
         assert_eq!(client.retries_performed(), 2);
-
         let err = client.call("file.put", vec![]);
         assert!(matches!(err, Err(ClientError::Transport(_))));
-        assert_eq!(client.retries_performed(), 2, "mutation must not retry");
+        assert_eq!(client.retries_performed(), 4);
+    }
+
+    #[test]
+    fn a_written_mutation_is_sent_once_and_a_read_once_per_retry() {
+        let peer = ScriptedPeer::start(|_| Reply::HangUp);
+        let mut client = client(&peer, 2);
+        let err = client.call("im.send", vec![Value::from("dn"), Value::from("hi")]);
+        assert!(matches!(err, Err(ClientError::Transport(_))), "{err:?}");
+        assert_eq!(peer.seen(), 1, "a mutation of unknown fate went out again");
+        assert_eq!(client.retries_performed(), 0);
+
+        let err = client.call("echo.echo", vec![Value::Int(1)]);
+        assert!(matches!(err, Err(ClientError::Transport(_))), "{err:?}");
+        assert_eq!(
+            peer.seen(),
+            1 + 3,
+            "an idempotent call goes 1 + retries times"
+        );
+        assert_eq!(client.retries_performed(), 2, "every resend is counted");
+    }
+
+    #[test]
+    fn call_deadline_bounds_the_whole_call_whatever_the_retry_count() {
+        let peer = ScriptedPeer::start(|_| Reply::Stall);
+        for (retries, method) in [(0, "echo.echo"), (4, "echo.echo"), (4, "im.send")] {
+            let before = peer.seen();
+            let mut client = client(&peer, retries).with_call_deadline(Duration::from_millis(300));
+            let started = Instant::now();
+            let err = client.call(method, vec![Value::Int(1)]);
+            let took = started.elapsed();
+            assert!(matches!(err, Err(ClientError::Transport(_))), "{err:?}");
+            assert!(
+                took >= Duration::from_millis(290) && took < Duration::from_millis(450),
+                "{method} with {retries} retries took {took:?} under a 300 ms deadline"
+            );
+            assert_eq!(peer.seen() - before, 1, "the stall ate the whole budget");
+        }
+    }
+
+    /// A loopback address that swallows connection attempts: a listener
+    /// nobody accepts from, its accept queue filled until a connect goes
+    /// unanswered. `None` where the queue cannot be filled (fd limit).
+    fn black_hole() -> Option<(TcpListener, Vec<TcpStream>)> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut queued = Vec::new();
+        loop {
+            match TcpStream::connect_timeout(&addr, Duration::from_millis(50)) {
+                Ok(sock) => queued.push(sock),
+                Err(e) if e.kind() == std::io::ErrorKind::TimedOut => {
+                    return Some((listener, queued))
+                }
+                Err(_) => return None,
+            }
+        }
+    }
+
+    #[test]
+    fn connect_is_bounded_by_the_call_deadline() {
+        let Some((listener, _queued)) = black_hole() else {
+            eprintln!("skipped: could not fill a listen queue here");
+            return;
+        };
+        let mut client = ClarensClient::new(listener.local_addr().unwrap().to_string())
+            .with_retries(2)
+            .with_call_deadline(Duration::from_millis(200));
+        let started = Instant::now();
+        let err = client.call("echo.echo", vec![Value::Int(1)]);
+        let took = started.elapsed();
+        assert!(matches!(err, Err(ClientError::Transport(_))), "{err:?}");
+        assert!(
+            took >= Duration::from_millis(190) && took < Duration::from_millis(400),
+            "an unanswered connect took {took:?} under a 200 ms deadline"
+        );
+    }
+
+    #[test]
+    fn stale_keep_alive_connection_is_replaced_for_any_method_and_counted() {
+        // The peer answers, then closes the connection the client keeps.
+        let peer = ScriptedPeer::start(|_| Reply::RpcThenClose(Value::Int(1)));
+        let mut client = client(&peer, 0);
+        client.call("im.send", vec![]).unwrap();
+        while peer.closed.load(Ordering::SeqCst) < 1 {
+            std::thread::yield_now();
+        }
+        // Nothing of the second call is written to the dead connection, so
+        // it goes out on a fresh one — with no retry budget at all.
+        client.call("im.send", vec![]).unwrap();
+        assert_eq!(peer.seen(), 2);
+        assert_eq!(client.retries_performed(), 1);
+    }
+
+    #[test]
+    fn hops_and_retries_are_one_budget_per_call() {
+        // The follower names a leader that is itself mid-election: every
+        // round trip costs one hop and one retry, and the call ends when
+        // either runs out — 1 + retries + hops exchanges at most.
+        let leader = ScriptedPeer::start(|_| Reply::Rpc(Err(Fault::not_leader("", 3))));
+        let hint = leader.addr.clone();
+        let follower = ScriptedPeer::start(move |_| Reply::Rpc(Err(Fault::not_leader(&hint, 3))));
+        let mut client = client(&follower, 2);
+        let err = client.call("im.send", vec![]);
+        assert!(matches!(err, Err(ClientError::Fault(_))), "{err:?}");
+        assert_eq!(
+            follower.seen() + leader.seen(),
+            1 + 2 + MAX_LEADER_HOPS as usize
+        );
+        assert_eq!(client.retries_performed(), 2);
+        assert_eq!(client.leader_redirects(), MAX_LEADER_HOPS as u64);
+        assert_eq!(client.last_leader(), None, "a deposed leader is forgotten");
+    }
+
+    #[test]
+    fn executed_maybe_surfaces_a_mutation_and_still_teaches_the_leader() {
+        let peer = ScriptedPeer::start(|_| Reply::Rpc(Err(Fault::not_leader_executed(LEADER, 9))));
+        let mut client = client(&peer, 2);
+        match client.call("im.send", vec![]) {
+            Err(ClientError::Fault(fault)) => assert!(fault.executed_maybe()),
+            other => panic!("expected the fault to surface, got {other:?}"),
+        }
+        assert_eq!(peer.seen(), 1);
+        assert_eq!(client.leader_redirects(), 0);
+        assert_eq!(client.last_leader(), Some((LEADER, 9)));
+    }
+
+    #[test]
+    fn binary_client_hinted_to_an_xml_only_leader_finishes_over_xmlrpc() {
+        use crate::testkit::{GridOptions, TestGrid};
+        let leader = TestGrid::start_with(GridOptions {
+            binary_protocol: false,
+            ..Default::default()
+        });
+        let hint = leader.addr();
+        let follower = ScriptedPeer::start(move |_| Reply::Rpc(Err(Fault::not_leader(&hint, 1))));
+        let mut client = client(&follower, 0)
+            .with_protocol(Protocol::Binary)
+            .with_credential(leader.user.clone());
+        // `system.auth` is a replicated write: fenced by the follower,
+        // refused in binary by the leader, accepted in XML-RPC.
+        client.login().expect("login via hint and downgrade");
+        assert_eq!(client.leader_redirects(), 1);
+        assert_eq!(client.protocol_fallbacks(), 1);
+        assert_eq!(client.last_leader(), Some((leader.addr().as_str(), 1)));
+        // The next write aims at the remembered leader, in XML-RPC, over
+        // the connection the hop left there.
+        client.call("system.logout", vec![]).unwrap();
+        assert_eq!(follower.seen(), 1);
+        assert_eq!(client.leader_redirects(), 1);
+        assert_eq!(client.protocol_fallbacks(), 1);
+        leader.cleanup();
     }
 }

@@ -88,9 +88,10 @@ pub struct ClarensConfig {
     /// expiry the caller gets a `DEADLINE` (504-style) RPC fault instead
     /// of an indefinite wait. `0` disables deadlines.
     pub request_deadline_ms: u64,
-    /// Retry attempts the bundled client makes for idempotent calls that
-    /// fail with transport errors (jittered exponential backoff between
-    /// attempts). `0` disables retries.
+    /// Resends per call the bundled client makes on its retry budget
+    /// (jittered exponential backoff between attempts): idempotent calls
+    /// after any transport failure, any call the server provably never
+    /// received (DESIGN.md §10.1). `0` disables retries.
     pub client_retries: u32,
     /// This server's federation role (DESIGN.md §11). Standalone by
     /// default; `leader` serves its WAL to followers, `follower` ships the

@@ -16,7 +16,11 @@ use monalisa_sim::{
 use clarens_wire::fault::codes;
 use clarens_wire::{Fault, Value};
 
+use crate::client::Backoff;
 use crate::registry::{params, CallContext, MethodInfo, Service, METHODS_BUCKET};
+
+/// First pause after a failed UDP publish; doubles up to 32x.
+const PUBLISH_BACKOFF: std::time::Duration = std::time::Duration::from_millis(4);
 
 /// The `discovery` service.
 pub struct DiscoveryService {
@@ -157,6 +161,8 @@ impl Service for DiscoveryService {
                     ("p99_us".into(), latency.p99().to_string()),
                 ];
                 let modules = ctx.core.registry.read().modules();
+                let mut backoff =
+                    Backoff::new(PUBLISH_BACKOFF, PUBLISH_BACKOFF * 32, ctx.now as u64);
                 let mut published = 0i64;
                 for module in modules {
                     let methods: Vec<String> = ctx
@@ -186,9 +192,7 @@ impl Service for DiscoveryService {
                             Err(_) if attempt < retries => {
                                 attempt += 1;
                                 ctx.core.telemetry.resilience.retries.inc();
-                                std::thread::sleep(std::time::Duration::from_millis(
-                                    2u64 << attempt.min(6),
-                                ));
+                                backoff.pause(attempt, ctx.remaining_budget());
                             }
                             Err(e) => {
                                 return Err(Fault::service(format!(

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use monalisa_sim::{DiscoveryAggregator, ServiceQuery};
+use monalisa_sim::{DiscoveryAggregator, ServiceDescriptor, ServiceQuery};
 use rand::RngExt;
 
 use clarens_pki::cert::{verify_chain, Certificate};
@@ -58,16 +58,6 @@ impl ProxyService {
             aggregator: Some(aggregator),
         }
     }
-}
-
-/// Extract `host:port` from a descriptor URL like
-/// `http://tier2.example.edu:8080/clarens`.
-fn host_port(url: &str) -> Option<&str> {
-    let rest = url
-        .strip_prefix("http://")
-        .or_else(|| url.strip_prefix("https://"))?;
-    let hp = &rest[..rest.find('/').unwrap_or(rest.len())];
-    (!hp.is_empty()).then_some(hp)
 }
 
 /// Seal `payload` under `password`, bound to `dn`.
@@ -325,14 +315,10 @@ impl ProxyService {
         hits.retain(|d| d.url != ctx.core.config.server_url);
         let best = hits
             .into_iter()
-            .min_by_key(|d| {
-                d.attributes
-                    .get("p95_us")
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .unwrap_or(u64::MAX)
-            })
+            .min_by_key(ServiceDescriptor::p95_us)
             .ok_or_else(|| Fault::service(format!("no federation node exports {target}")))?;
-        let addr = host_port(&best.url)
+        let addr = best
+            .host_port()
             .ok_or_else(|| Fault::service(format!("unroutable descriptor url {}", best.url)))?;
 
         let mut client =

@@ -21,6 +21,7 @@ use clarens_wire::fault::codes;
 use clarens_wire::{Fault, Value};
 
 use crate::acl::FileAccess;
+use crate::client::ClarensClient;
 use crate::paths;
 use crate::registry::{params, CallContext, MethodInfo, Service};
 
@@ -247,47 +248,34 @@ impl Service for SrmService {
                     .map(|(h, t)| (h.to_owned(), format!("/{t}")))
                     .ok_or_else(|| Fault::bad_params("source_url missing path"))?;
 
-                // Robust transfer: bounded retries with MD5 verification.
-                let mut last_error = String::new();
-                for _attempt in 0..3 {
-                    let mut http = clarens_httpd::HttpClient::new(host.clone());
-                    let mut request =
-                        clarens_httpd::Request::new(clarens_httpd::Method::Get, target.clone());
-                    request.headers.set("host", host.clone());
-                    match http.request(&request) {
-                        Ok(response) if response.status == 200 => {
-                            let body = response.body;
-                            let digest = clarens_pki::md5::md5_hex(&body);
-                            if !expected_md5.is_empty() && digest != expected_md5 {
-                                last_error =
-                                    format!("md5 mismatch: got {digest}, want {expected_md5}");
-                                continue;
-                            }
-                            let real = paths::resolve(&self.root, &dest)
-                                .ok_or_else(|| Fault::bad_params("illegal dest path"))?;
-                            if let Some(parent) = real.parent() {
-                                std::fs::create_dir_all(parent)
-                                    .map_err(|e| crate::store_fault("srm store", &e))?;
-                            }
-                            std::fs::write(&real, &body)
-                                .map_err(|e| crate::store_fault("srm store", &e))?;
-                            return Ok(Value::structure([
-                                ("bytes", Value::Int(body.len() as i64)),
-                                ("md5", Value::from(digest)),
-                                ("dest", Value::from(canonical_dest)),
-                            ]));
-                        }
-                        Ok(response) => {
-                            last_error = format!("HTTP {}", response.status);
-                        }
-                        Err(e) => {
-                            last_error = e.to_string();
-                        }
-                    }
+                // Robust transfer: the client's call loop retries transport
+                // failures under what is left of this request's budget; the
+                // body is stored only if it verifies.
+                let mut source = ClarensClient::new(host);
+                if let Some(budget) = ctx.remaining_budget() {
+                    source = source.with_call_deadline(budget);
                 }
-                Err(Fault::service(format!(
-                    "transfer failed after 3 attempts: {last_error}"
-                )))
+                let body = source
+                    .get(&target)
+                    .map_err(|e| Fault::service(format!("transfer failed: {e}")))?;
+                let digest = clarens_pki::md5::md5_hex(&body);
+                if !expected_md5.is_empty() && digest != expected_md5 {
+                    return Err(Fault::service(format!(
+                        "transfer failed: md5 mismatch: got {digest}, want {expected_md5}"
+                    )));
+                }
+                let real = paths::resolve(&self.root, &dest)
+                    .ok_or_else(|| Fault::bad_params("illegal dest path"))?;
+                if let Some(parent) = real.parent() {
+                    std::fs::create_dir_all(parent)
+                        .map_err(|e| crate::store_fault("srm store", &e))?;
+                }
+                std::fs::write(&real, &body).map_err(|e| crate::store_fault("srm store", &e))?;
+                Ok(Value::structure([
+                    ("bytes", Value::Int(body.len() as i64)),
+                    ("md5", Value::from(digest)),
+                    ("dest", Value::from(canonical_dest)),
+                ]))
             }
             other => Err(Fault::new(
                 codes::NO_SUCH_METHOD,

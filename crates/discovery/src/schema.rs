@@ -36,6 +36,27 @@ impl ServiceDescriptor {
         format!("{}|{}", self.url, self.service)
     }
 
+    /// The `host:port` part of [`url`](Self::url), e.g. `tier2.caltech.edu:8080`
+    /// — what a client connects to. `None` for a url it cannot route.
+    pub fn host_port(&self) -> Option<&str> {
+        let rest = self
+            .url
+            .strip_prefix("http://")
+            .or_else(|| self.url.strip_prefix("https://"))?;
+        let hp = &rest[..rest.find('/').unwrap_or(rest.len())];
+        (!hp.is_empty()).then_some(hp)
+    }
+
+    /// The published `p95_us` latency attribute — the load signal balanced
+    /// clients and `proxy.call` steer by. A server that published none
+    /// ranks last.
+    pub fn p95_us(&self) -> u64 {
+        self.attributes
+            .get("p95_us")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(u64::MAX)
+    }
+
     /// Encode to the wire value (JSON object on the UDP datagram).
     pub fn to_value(&self) -> Value {
         Value::structure([
@@ -311,6 +332,25 @@ mod tests {
             attributes: [("site".to_string(), "caltech".to_string())].into(),
             timestamp: 1_118_836_800,
         }
+    }
+
+    #[test]
+    fn host_port_parses_descriptor_urls() {
+        let host_port = |url: &str| {
+            let d = ServiceDescriptor {
+                url: url.into(),
+                ..descriptor()
+            };
+            d.host_port().map(str::to_owned)
+        };
+        assert_eq!(
+            host_port("http://127.0.0.1:8080/clarens").as_deref(),
+            Some("127.0.0.1:8080")
+        );
+        assert_eq!(host_port("https://host:1/x").as_deref(), Some("host:1"));
+        assert_eq!(host_port("http://bare-host").as_deref(), Some("bare-host"));
+        assert_eq!(host_port("ftp://x"), None);
+        assert_eq!(host_port("http:///path"), None);
     }
 
     #[test]

@@ -27,13 +27,14 @@
 //! The balancer also carries a preferred wire protocol. A fleet speaking
 //! clarens-binary against a mixed federation remembers, per endpoint,
 //! which nodes answered `415 Unsupported Media Type` and speaks XML-RPC
-//! to those from the start on later re-pins.
+//! to those from the start on later re-pins (the inner client keeps that
+//! next to each node's connection).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use clarens::client::{ClarensClient, ClientError};
+use clarens::client::{Backoff, ClarensClient, ClientError};
 use clarens_wire::{Protocol, Value};
 use monalisa_sim::station::query_station;
 use monalisa_sim::{ServiceDescriptor, ServiceQuery};
@@ -43,18 +44,35 @@ use rand::{Rng, SeedableRng};
 /// How long a failed endpoint stays blacklisted before it may be retried.
 const BLACKLIST_COOLDOWN: Duration = Duration::from_secs(2);
 
-/// Per-call transport attempts before giving up (each against a freshly
-/// re-resolved endpoint).
-const MAX_ATTEMPTS: usize = 4;
+/// Endpoints one call may try: the pinned one plus this many minus one
+/// re-resolved after transport failures. Also how often an empty
+/// resolution is repeated before the call gives up.
+const MAX_ATTEMPTS: u32 = 4;
+
+/// Pause after an empty resolution; doubles up to 8x.
+const RESOLVE_BACKOFF: Duration = Duration::from_millis(25);
 
 /// A federation client that routes every call via discovery.
+///
+/// What happens after a failed exchange is not decided here: the one
+/// [`ClarensClient`] inside runs every call through its call loop
+/// (DESIGN.md §10.1) — hint chase, leader-first writes, 415 downgrade,
+/// retries, deadline — and keeps a connection per node. The balancer only
+/// answers *which address next*.
 pub struct BalancedClient {
+    client: ClarensClient,
+    router: Router,
+}
+
+/// The balancer's own state: discovery resolution, endpoint choice,
+/// blacklist and re-pin schedule.
+struct Router {
     stations: Vec<SocketAddr>,
     session: String,
-    call_deadline: Duration,
     rng: StdRng,
-    /// The endpoint currently in use: url plus its connected client.
-    current: Option<(String, ClarensClient)>,
+    backoff: Backoff,
+    /// The endpoint currently pinned.
+    current: Option<ServiceDescriptor>,
     /// Endpoints that recently failed, with the time of the failure.
     blacklist: HashMap<String, Instant>,
     /// Drop the pin and re-resolve after this many successful calls, so a
@@ -64,25 +82,9 @@ pub struct BalancedClient {
     calls_since_pin: u64,
     resolutions: u64,
     failovers: u64,
-    /// Preferred wire protocol for new endpoint connections.
-    protocol: Protocol,
-    /// Endpoints that answered 415 to the binary protocol; spoken to in
-    /// XML-RPC directly on later pins.
-    xmlrpc_only: HashSet<String>,
-    /// Binary -> XML-RPC downgrades observed across all endpoints.
-    protocol_fallbacks: u64,
     /// Route by rendezvous-hashing the session over live endpoints
     /// instead of p2c (cache-warm session affinity).
     affinity: bool,
-    /// Believed leader (`host:port`, epoch): replicated writes go here
-    /// directly instead of bouncing off a follower's NOT_LEADER fault.
-    /// Learned from redirect hints; dropped when the leader stops
-    /// answering.
-    leader: Option<(String, u64)>,
-    /// Connected client pinned to the believed leader (writes only).
-    leader_client: Option<ClarensClient>,
-    /// Times a write was re-aimed because of a NOT_LEADER hint.
-    write_reroutes: u64,
 }
 
 impl BalancedClient {
@@ -90,31 +92,36 @@ impl BalancedClient {
     /// (already minted, replication-propagated) session. `seed` makes the
     /// candidate-choice jitter deterministic for reproducible runs.
     pub fn new(stations: Vec<SocketAddr>, session: impl Into<String>, seed: u64) -> Self {
+        let session = session.into();
+        // The client is bound to no address of its own: every call is
+        // routed. Its retry budget is the re-resolutions of one call.
+        let mut client = ClarensClient::new(String::new())
+            .with_retries(MAX_ATTEMPTS - 1)
+            .with_retry_seed(seed)
+            .with_call_deadline(Duration::from_secs(2));
+        client.set_session(session.clone());
         BalancedClient {
-            stations,
-            session: session.into(),
-            call_deadline: Duration::from_secs(2),
-            rng: StdRng::seed_from_u64(seed),
-            current: None,
-            blacklist: HashMap::new(),
-            repin_every: None,
-            calls_since_pin: 0,
-            resolutions: 0,
-            failovers: 0,
-            protocol: Protocol::XmlRpc,
-            xmlrpc_only: HashSet::new(),
-            protocol_fallbacks: 0,
-            affinity: false,
-            leader: None,
-            leader_client: None,
-            write_reroutes: 0,
+            client,
+            router: Router {
+                stations,
+                session,
+                rng: StdRng::seed_from_u64(seed),
+                backoff: Backoff::new(RESOLVE_BACKOFF, RESOLVE_BACKOFF * 8, seed),
+                current: None,
+                blacklist: HashMap::new(),
+                repin_every: None,
+                calls_since_pin: 0,
+                resolutions: 0,
+                failovers: 0,
+                affinity: false,
+            },
         }
     }
 
-    /// Prefer `protocol` when connecting to endpoints. Binary-speaking
+    /// Prefer `protocol` when talking to endpoints. Binary-speaking
     /// clients downgrade per endpoint on 415 (see the module docs).
     pub fn with_protocol(mut self, protocol: Protocol) -> Self {
-        self.protocol = protocol;
+        self.client = self.client.with_protocol(protocol);
         self
     }
 
@@ -124,13 +131,15 @@ impl BalancedClient {
     /// ultimately p2c among equals — there are none with distinct urls)
     /// when the preferred node is blacklisted.
     pub fn with_session_affinity(mut self) -> Self {
-        self.affinity = true;
+        self.router.affinity = true;
         self
     }
 
-    /// Override the per-attempt call deadline (default 2 s).
+    /// Override the per-call deadline (default 2 s). It covers the whole
+    /// call — every endpoint tried, leader hop and pause — not each
+    /// attempt; only the discovery queries of a resolution run outside it.
     pub fn with_call_deadline(mut self, deadline: Duration) -> Self {
-        self.call_deadline = deadline;
+        self.client = self.client.with_call_deadline(deadline);
         self
     }
 
@@ -139,232 +148,110 @@ impl BalancedClient {
     /// but a fleet re-pinning periodically converges on an even spread as
     /// the servers' published latency attributes catch up with the load.
     pub fn with_repin_every(mut self, calls: u64) -> Self {
-        self.repin_every = Some(calls.max(1));
+        self.router.repin_every = Some(calls.max(1));
         self
     }
 
     /// Times this client resolved an endpoint via discovery.
     pub fn resolutions(&self) -> u64 {
-        self.resolutions
+        self.router.resolutions
     }
 
     /// Times a failed endpoint was abandoned for a re-resolved one.
     pub fn failovers(&self) -> u64 {
-        self.failovers
+        self.router.failovers
     }
 
-    /// Binary -> XML-RPC protocol downgrades observed (415 negotiation).
+    /// Binary -> XML-RPC protocol downgrades observed (415 negotiation),
+    /// one per endpoint that has the binary protocol off.
     pub fn protocol_fallbacks(&self) -> u64 {
-        self.protocol_fallbacks
+        self.client.protocol_fallbacks()
     }
 
     /// The url currently pinned, if any (tests/bench introspection).
     pub fn current_url(&self) -> Option<&str> {
-        self.current.as_ref().map(|(url, _)| url.as_str())
+        self.router.current.as_ref().map(|d| d.url.as_str())
     }
 
     /// Times a write call was re-aimed at a hinted leader.
     pub fn write_reroutes(&self) -> u64 {
-        self.write_reroutes
+        self.client.leader_redirects()
     }
 
     /// The leader this client currently believes in, if any.
     pub fn believed_leader(&self) -> Option<&str> {
-        self.leader.as_ref().map(|(addr, _)| addr.as_str())
+        self.client.last_leader().map(|(addr, _)| addr)
     }
 
-    /// Invoke `method`, resolving (and re-resolving on transport failure)
-    /// through discovery. A server-side fault is a completed exchange and
-    /// is returned as-is; only transport-level failures trigger failover.
+    /// Invoke `method` on the pinned endpoint, resolving one through
+    /// discovery first if none is pinned. A server-side fault is a
+    /// completed exchange and is returned as-is; a transport failure
+    /// blacklists the endpoint and, when the call may be sent again
+    /// (idempotent, or provably never received), carries on at a
+    /// re-resolved one within the same call.
     ///
     /// Replicated writes (session/VO/ACL/proxy/IM mutations) are
-    /// leader-aware: once a NOT_LEADER hint teaches this client where the
+    /// leader-aware: once a NOT_LEADER hint teaches the client where the
     /// leader is, writes go straight there; when leadership moves, the
-    /// next hint re-aims them, within the same attempt budget.
+    /// next hint re-aims them.
     pub fn call(&mut self, method: &str, params: Vec<Value>) -> Result<Value, ClientError> {
-        if clarens::services::is_replicated_write(method) {
-            return self.call_write(method, params);
+        let BalancedClient { client, router } = self;
+        let home = router.pinned(method)?;
+        let result = client.call_via(home, method, params, &mut || router.fail_over(method));
+        match &result {
+            Ok(_) => router.calls_since_pin += 1,
+            Err(ClientError::Fault(_)) => {}
+            // Whatever surfaced a transport failure is suspect.
+            Err(_) => router.abandon(),
         }
-        let mut voluntary = false;
-        if let Some(limit) = self.repin_every {
-            if self.calls_since_pin >= limit && self.current.is_some() {
-                self.current = None;
-                voluntary = true;
-            }
-        }
-        let mut last_err = None;
-        for attempt in 0..MAX_ATTEMPTS {
-            if self.current.is_none() {
-                match self.resolve(method, voluntary) {
-                    Ok(endpoint) => self.current = Some(endpoint),
-                    Err(e) => {
-                        last_err = Some(e);
-                        // Candidates may reappear as blacklist cooldowns
-                        // lapse; a short pause before the next attempt.
-                        std::thread::sleep(Duration::from_millis(25 << attempt.min(3)));
-                        continue;
-                    }
-                }
-            }
-            let (url, client) = self.current.as_mut().expect("endpoint pinned");
-            match client.call(method, params.clone()) {
-                Ok(value) => {
-                    // The inner client downgrades itself on 415; remember
-                    // the endpoint so later pins skip the failed handshake.
-                    if client.protocol_fallbacks() > 0 && self.xmlrpc_only.insert(url.clone()) {
-                        self.protocol_fallbacks += 1;
-                    }
-                    let hint = client
-                        .last_leader()
-                        .map(|(addr, epoch)| (addr.to_owned(), epoch));
-                    self.calls_since_pin += 1;
-                    self.learn_leader(hint);
-                    return Ok(value);
-                }
-                Err(ClientError::Fault(fault)) => return Err(ClientError::Fault(fault)),
-                Err(transport) => {
-                    // Endpoint is suspect: blacklist it and re-resolve.
-                    self.blacklist.insert(url.clone(), Instant::now());
-                    self.current = None;
-                    voluntary = false;
-                    self.failovers += 1;
-                    last_err = Some(transport);
-                }
-            }
-        }
-        Err(last_err
-            .unwrap_or_else(|| ClientError::Transport(format!("no endpoint serves {method}"))))
+        result
     }
+}
 
-    /// Adopt a freshly observed leader hint (higher epochs win; equal
-    /// epochs refresh the address).
-    fn learn_leader(&mut self, hint: Option<(String, u64)>) {
-        if let Some((addr, epoch)) = hint {
-            let stale = matches!(&self.leader, Some((_, known)) if *known > epoch);
-            if !addr.is_empty() && !stale {
-                if self.leader.as_ref().map(|(a, _)| a.as_str()) != Some(addr.as_str()) {
-                    self.leader_client = None;
+impl Router {
+    /// The address of the pinned endpoint, pinning one first if there is
+    /// none or its rotation is due.
+    fn pinned(&mut self, method: &str) -> Result<String, ClientError> {
+        let voluntary = self.current.is_some()
+            && self
+                .repin_every
+                .is_some_and(|limit| self.calls_since_pin >= limit);
+        if voluntary {
+            self.current = None;
+        }
+        let mut attempt = 0;
+        loop {
+            if let Some(addr) = self.current.as_ref().and_then(|d| d.host_port()) {
+                return Ok(addr.to_owned());
+            }
+            attempt += 1;
+            match self.resolve(method, voluntary) {
+                Ok(endpoint) => self.current = Some(endpoint),
+                Err(e) if attempt == MAX_ATTEMPTS => return Err(e),
+                // Candidates may reappear as blacklist cooldowns lapse.
+                Err(_) => {
+                    self.backoff.pause(attempt, None);
                 }
-                self.leader = Some((addr, epoch));
             }
         }
     }
 
-    /// Leader-aware path for replicated writes. Aim at the believed
-    /// leader when one is known (falling back to ordinary discovery
-    /// resolution when not); on a NOT_LEADER fault adopt the carried
-    /// hint and re-aim; on a transport failure drop the belief, blacklist
-    /// the endpoint, and let the next attempt re-learn via any node.
-    fn call_write(&mut self, method: &str, params: Vec<Value>) -> Result<Value, ClientError> {
-        let mut last_err = None;
-        for attempt in 0..MAX_ATTEMPTS {
-            // Ensure a client aimed at the believed leader, if any.
-            if self.leader_client.is_none() {
-                if let Some((addr, _)) = &self.leader {
-                    let mut client = ClarensClient::new(addr.clone())
-                        .with_protocol(self.protocol)
-                        .with_retries(0)
-                        .with_call_deadline(self.call_deadline);
-                    client.set_session(self.session.clone());
-                    self.leader_client = Some(client);
-                }
-            }
-            if let Some(client) = self.leader_client.as_mut() {
-                match client.call(method, params.clone()) {
-                    Ok(value) => {
-                        let hint = client
-                            .last_leader()
-                            .map(|(addr, epoch)| (addr.to_owned(), epoch));
-                        self.learn_leader(hint);
-                        return Ok(value);
-                    }
-                    Err(ClientError::Fault(fault)) => match fault.leader_hint() {
-                        // `executed=maybe`: the old leader applied the
-                        // write before losing its lease. Learn where the
-                        // leader went, but surface the fault — replaying
-                        // a replicated write (always a mutation) here
-                        // could execute it twice.
-                        Some((hint, epoch)) if fault.executed_maybe() => {
-                            self.leader_client = None;
-                            self.leader = None;
-                            self.learn_leader(Some((hint, epoch)));
-                            return Err(ClientError::Fault(fault));
-                        }
-                        Some((hint, epoch)) => {
-                            // Leadership moved (or is in flight): re-aim
-                            // and retry within the attempt budget.
-                            self.leader_client = None;
-                            self.leader = None;
-                            self.write_reroutes += 1;
-                            self.learn_leader(Some((hint, epoch)));
-                            last_err = Some(ClientError::Fault(fault));
-                            std::thread::sleep(Duration::from_millis(25 << attempt.min(3)));
-                            continue;
-                        }
-                        None => return Err(ClientError::Fault(fault)),
-                    },
-                    Err(transport) => {
-                        // The believed leader is gone: forget it and fall
-                        // through to discovery, which will hint us anew.
-                        if let Some((addr, _)) = self.leader.take() {
-                            self.blacklist
-                                .insert(format!("http://{addr}/clarens"), Instant::now());
-                        }
-                        self.leader_client = None;
-                        last_err = Some(transport);
-                        continue;
-                    }
-                }
-            }
-            // No leader belief: resolve like any call — the inner client
-            // chases NOT_LEADER hints itself, and we learn from it.
-            if self.current.is_none() {
-                match self.resolve(method, false) {
-                    Ok(endpoint) => self.current = Some(endpoint),
-                    Err(e) => {
-                        last_err = Some(e);
-                        std::thread::sleep(Duration::from_millis(25 << attempt.min(3)));
-                        continue;
-                    }
-                }
-            }
-            let (url, client) = self.current.as_mut().expect("endpoint pinned");
-            match client.call(method, params.clone()) {
-                Ok(value) => {
-                    let hint = client
-                        .last_leader()
-                        .map(|(addr, epoch)| (addr.to_owned(), epoch));
-                    self.learn_leader(hint);
-                    return Ok(value);
-                }
-                Err(ClientError::Fault(fault)) => match fault.leader_hint() {
-                    // Same post-execution rule as the leader-aimed path.
-                    Some((hint, epoch)) if fault.executed_maybe() => {
-                        self.learn_leader(Some((hint, epoch)));
-                        return Err(ClientError::Fault(fault));
-                    }
-                    Some((hint, epoch)) => {
-                        self.write_reroutes += 1;
-                        self.learn_leader(Some((hint, epoch)));
-                        last_err = Some(ClientError::Fault(fault));
-                        std::thread::sleep(Duration::from_millis(25 << attempt.min(3)));
-                        continue;
-                    }
-                    None => return Err(ClientError::Fault(fault)),
-                },
-                Err(transport) => {
-                    self.blacklist.insert(url.clone(), Instant::now());
-                    self.current = None;
-                    self.failovers += 1;
-                    last_err = Some(transport);
-                }
-            }
+    /// Blacklist the pinned endpoint and drop the pin.
+    fn abandon(&mut self) {
+        if let Some(endpoint) = self.current.take() {
+            self.blacklist.insert(endpoint.url, Instant::now());
+            self.failovers += 1;
         }
-        Err(last_err
-            .unwrap_or_else(|| ClientError::Transport(format!("no leader serves {method}"))))
     }
 
-    /// Resolve `method` to a connected client via the station network.
+    /// The pinned endpoint failed mid-call: abandon it and name another.
+    fn fail_over(&mut self, method: &str) -> Option<String> {
+        self.abandon();
+        self.current = self.resolve(method, false).ok();
+        self.current.as_ref()?.host_port().map(str::to_owned)
+    }
+
+    /// Resolve `method` to a routable endpoint via the station network.
     ///
     /// A `voluntary` re-pin (periodic rotation, nothing failed) picks
     /// uniformly at random: the published latency attributes are
@@ -375,17 +262,13 @@ impl BalancedClient {
     /// steering below still handles initial placement and failover, where
     /// a persistently slow or dying node is exactly what the attributes
     /// do capture.
-    fn resolve(
-        &mut self,
-        method: &str,
-        voluntary: bool,
-    ) -> Result<(String, ClarensClient), ClientError> {
+    fn resolve(&mut self, method: &str, voluntary: bool) -> Result<ServiceDescriptor, ClientError> {
         let query = ServiceQuery::by_method(method);
         let mut candidates: Vec<ServiceDescriptor> = Vec::new();
         for station in &self.stations {
             if let Ok(hits) = query_station(*station, &query) {
                 for hit in hits {
-                    if !candidates.iter().any(|d| d.url == hit.url) {
+                    if hit.host_port().is_some() && !candidates.iter().any(|d| d.url == hit.url) {
                         candidates.push(hit);
                     }
                 }
@@ -410,37 +293,17 @@ impl BalancedClient {
                 .expect("candidates non-empty")
         } else {
             // Power-of-two-choices on published p95 latency.
-            let p95 = |d: &ServiceDescriptor| {
-                d.attributes
-                    .get("p95_us")
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .unwrap_or(u64::MAX)
-            };
             let first = (self.rng.next_u64() % candidates.len() as u64) as usize;
             let second = (self.rng.next_u64() % candidates.len() as u64) as usize;
-            if voluntary || p95(&candidates[first]) <= p95(&candidates[second]) {
+            if voluntary || candidates[first].p95_us() <= candidates[second].p95_us() {
                 first
             } else {
                 second
             }
         };
-        let descriptor = candidates.swap_remove(pick);
-        let addr = host_port(&descriptor.url).ok_or_else(|| {
-            ClientError::Protocol(format!("unroutable descriptor url {}", descriptor.url))
-        })?;
-        let protocol = if self.xmlrpc_only.contains(&descriptor.url) {
-            Protocol::XmlRpc
-        } else {
-            self.protocol
-        };
-        let mut client = ClarensClient::new(addr)
-            .with_protocol(protocol)
-            .with_retries(0)
-            .with_call_deadline(self.call_deadline);
-        client.set_session(self.session.clone());
         self.resolutions += 1;
         self.calls_since_pin = 0;
-        Ok((descriptor.url, client))
+        Ok(candidates.swap_remove(pick))
     }
 }
 
@@ -458,15 +321,6 @@ fn rendezvous_score(session: &str, url: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Extract `host:port` from a descriptor url.
-fn host_port(url: &str) -> Option<&str> {
-    let rest = url
-        .strip_prefix("http://")
-        .or_else(|| url.strip_prefix("https://"))?;
-    let hp = &rest[..rest.find('/').unwrap_or(rest.len())];
-    (!hp.is_empty()).then_some(hp)
 }
 
 #[cfg(test)]
@@ -512,17 +366,5 @@ mod tests {
                 assert_ne!(after, dead);
             }
         }
-    }
-
-    #[test]
-    fn host_port_parses_descriptor_urls() {
-        assert_eq!(
-            host_port("http://127.0.0.1:8080/clarens"),
-            Some("127.0.0.1:8080")
-        );
-        assert_eq!(host_port("https://host:1/x"), Some("host:1"));
-        assert_eq!(host_port("http://bare-host"), Some("bare-host"));
-        assert_eq!(host_port("ftp://x"), None);
-        assert_eq!(host_port("http:///path"), None);
     }
 }

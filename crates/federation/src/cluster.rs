@@ -266,6 +266,7 @@ fn spawn_heartbeat(addr: String, stop: Arc<AtomicBool>) -> std::thread::JoinHand
                 .with_retries(0)
                 .with_call_deadline(Duration::from_secs(2));
             let mut logged_in = false;
+            let mut misses = 0;
             while !stop.load(Ordering::SeqCst) {
                 if !logged_in {
                     // On a follower, `system.auth` is fenced and the
@@ -273,9 +274,14 @@ fn spawn_heartbeat(addr: String, stop: Arc<AtomicBool>) -> std::thread::JoinHand
                     // the minted session replicates back within a poll
                     // or two, after which publish succeeds.
                     logged_in = client.login().is_ok();
+                    misses = 0;
                 }
                 if logged_in && client.call("discovery.publish", vec![]).is_err() {
-                    logged_in = false;
+                    // A fresh session has usually not replicated back yet
+                    // on the first beat: minting another one each time
+                    // would lose that race forever. Give it a beat.
+                    misses += 1;
+                    logged_in = misses < 2;
                 }
                 std::thread::sleep(HEARTBEAT);
             }

@@ -33,14 +33,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use clarens::client::{ClarensClient, ClientError};
+use clarens::client::{Backoff, ClarensClient, ClientError};
 use clarens::config::FederationRole;
 use clarens::core::ClarensCore;
 use clarens_db::{decode_stream, LogOp};
 use clarens_pki::cert::Credential;
 use clarens_wire::Value;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Fetch budget per poll (matches the leader-side `MAX_FETCH_BYTES` cap).
 const FETCH_BYTES: i64 = 1 << 20;
@@ -130,7 +128,9 @@ fn run(
     chunks: &AtomicU64,
 ) {
     let pause = Duration::from_millis(poll_ms.max(1));
-    let mut rng = StdRng::seed_from_u64(poll_ms ^ 0x5EED_F0110);
+    // Fetch and login failures pause on the shared jittered schedule,
+    // from one poll interval up to the cap.
+    let mut backoff = Backoff::new(pause, BACKOFF_CAP.max(pause), poll_ms ^ 0x5EED_F0110);
     let mut leader = initial_leader;
     if leader.is_empty() {
         leader = core.federation.leader();
@@ -140,18 +140,6 @@ fn run(
     let mut epoch = 0u64;
     let mut offset = 0u64;
     let mut failures = 0u32;
-
-    // Jittered exponential backoff for fetch/login failures: attempt n
-    // sleeps a random duration in [base·2ⁿ⁻¹/2, base·2ⁿ⁻¹], capped.
-    let backoff = |failures: u32, rng: &mut StdRng| {
-        let ceiling = pause
-            .saturating_mul(1 << failures.saturating_sub(1).min(6))
-            .min(BACKOFF_CAP)
-            .max(pause);
-        let ceiling_ms = ceiling.as_millis() as u64;
-        let jitter = rng.next_u64() % (ceiling_ms / 2 + 1);
-        std::thread::sleep(Duration::from_millis(ceiling_ms - jitter));
-    };
 
     while !stop.load(Ordering::SeqCst) {
         // A leader does not replicate from anyone; idle until demoted.
@@ -184,7 +172,7 @@ fn run(
                 // re-resolve the address in case leadership moved.
                 core.telemetry.federation.replication_fetch_errors.inc();
                 failures += 1;
-                backoff(failures, &mut rng);
+                backoff.pause(failures, None);
                 continue;
             }
         }
@@ -214,7 +202,7 @@ fn run(
                 logged_in = false;
                 core.telemetry.federation.replication_fetch_errors.inc();
                 failures += 1;
-                backoff(failures, &mut rng);
+                backoff.pause(failures, None);
                 continue;
             }
             Err(_) => {
@@ -224,7 +212,7 @@ fn run(
                 // a failover re-points us without waiting out the cap.
                 core.telemetry.federation.replication_fetch_errors.inc();
                 failures += 1;
-                backoff(failures, &mut rng);
+                backoff.pause(failures, None);
                 continue;
             }
         };

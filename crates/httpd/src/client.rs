@@ -2,9 +2,14 @@
 //! channel, mirroring the Python client the paper's Figure-4 test used
 //! ("a single process opening connections to the server and completing
 //! requests asynchronously").
+//!
+//! [`HttpClient::request`] is one exchange. It never sends a request twice:
+//! a failure says how far the request got ([`ClientError`]), and the caller
+//! that knows whether the operation is idempotent decides what happens next
+//! (`clarens::client`, DESIGN.md §10.1).
 
-use std::io::{self, BufReader, Read};
-use std::net::TcpStream;
+use std::io::{BufReader, ErrorKind};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use clarens_pki::cert::{Certificate, Credential};
@@ -29,41 +34,73 @@ enum Connection {
     Secure(Box<BufReader<SecureStream<TcpStream>>>),
 }
 
-/// Client errors.
+impl Connection {
+    fn socket(&self) -> &TcpStream {
+        match self {
+            Connection::Plain(reader) => reader.get_ref(),
+            Connection::Secure(reader) => reader.get_ref().get_ref(),
+        }
+    }
+
+    /// Is this idle keep-alive connection still usable? Between exchanges
+    /// the peer owes us nothing, so a readable socket means it closed the
+    /// connection (or broke framing); only "would block" is healthy.
+    fn idle_and_open(&self) -> bool {
+        let sock = self.socket();
+        if sock.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let quiet = matches!(
+            sock.peek(&mut [0u8; 1]),
+            Err(e) if e.kind() == ErrorKind::WouldBlock
+        );
+        sock.set_nonblocking(false).is_ok() && quiet
+    }
+}
+
+/// Why an exchange failed, by how far the request got — which is what
+/// decides whether it may be sent again.
 #[derive(Debug)]
 pub enum ClientError {
-    /// Socket-level failure.
-    Io(io::Error),
-    /// Malformed response.
-    Protocol(String),
-    /// Secure channel failure.
-    Tls(String),
+    /// Connect, handshake or write failed: the peer never received the
+    /// whole request, so it cannot have acted on it.
+    NotSent(String),
+    /// A reused keep-alive connection was found closed by the liveness
+    /// peek before anything was written. The connection is dropped; the
+    /// next request opens a new one.
+    Stale,
+    /// The request was written, but no complete response arrived within
+    /// the timeout. The peer may or may not have acted on it.
+    TimedOut,
+    /// The request was written, but the response was cut short or
+    /// malformed. The peer may or may not have acted on it.
+    BadResponse(String),
 }
 
 impl std::fmt::Display for ClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ClientError::Io(e) => write!(f, "client I/O: {e}"),
-            ClientError::Protocol(m) => write!(f, "client protocol: {m}"),
-            ClientError::Tls(m) => write!(f, "client TLS: {m}"),
+            ClientError::NotSent(m) => write!(f, "request not sent: {m}"),
+            ClientError::Stale => write!(f, "keep-alive connection closed by peer"),
+            ClientError::TimedOut => write!(f, "timed out waiting for the response"),
+            ClientError::BadResponse(m) => write!(f, "bad response: {m}"),
         }
     }
 }
 
 impl std::error::Error for ClientError {}
 
-impl From<io::Error> for ClientError {
-    fn from(e: io::Error) -> Self {
-        ClientError::Io(e)
-    }
+fn not_sent(e: impl std::fmt::Display) -> ClientError {
+    ClientError::NotSent(e.to_string())
 }
 
-impl From<ParseError> for ClientError {
-    fn from(e: ParseError) -> Self {
-        match e {
-            ParseError::Io(io) => ClientError::Io(io),
-            other => ClientError::Protocol(other.to_string()),
+/// A failure after the request was written, while reading the response.
+fn unanswered(e: ParseError) -> ClientError {
+    match e {
+        ParseError::Io(io) if matches!(io.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            ClientError::TimedOut
         }
+        other => ClientError::BadResponse(other.to_string()),
     }
 }
 
@@ -74,7 +111,8 @@ pub struct HttpClient {
     connection: Option<Connection>,
     /// Server identity from the TLS handshake (None for plaintext).
     server_identity: Option<DistinguishedName>,
-    read_timeout: Duration,
+    /// Bound on the connect and on every socket read and write.
+    timeout: Duration,
     max_body: usize,
 }
 
@@ -86,7 +124,7 @@ impl HttpClient {
             tls: None,
             connection: None,
             server_identity: None,
-            read_timeout: Duration::from_secs(30),
+            timeout: Duration::from_secs(30),
             max_body: crate::parse::DEFAULT_MAX_BODY,
         }
     }
@@ -105,30 +143,48 @@ impl HttpClient {
         self.server_identity.as_ref()
     }
 
-    /// Change the read timeout, applying it to the live connection (if
-    /// any) as well as future ones. Callers with a per-call deadline set
-    /// this to the remaining budget before each request so a stalled
-    /// server cannot hang them past the deadline.
+    /// Whether a keep-alive connection is held, i.e. whether the next
+    /// request reuses one instead of connecting.
+    pub fn is_connected(&self) -> bool {
+        self.connection.is_some()
+    }
+
+    /// Change the timeout, applying it to the live connection (if any) as
+    /// well as future ones. It bounds the connect and each socket read and
+    /// write, so callers with a per-call deadline set this to the
+    /// remaining budget before each request and neither an unreachable
+    /// nor a stalled server can hang them past the deadline.
     pub fn set_read_timeout(&mut self, timeout: Duration) {
         // A zero timeout is rejected by the socket API; clamp up.
-        self.read_timeout = timeout.max(Duration::from_millis(1));
+        self.timeout = timeout.max(Duration::from_millis(1));
         if let Some(conn) = &self.connection {
-            let sock = match conn {
-                Connection::Plain(reader) => reader.get_ref(),
-                Connection::Secure(reader) => reader.get_ref().get_ref(),
-            };
-            sock.set_read_timeout(Some(self.read_timeout)).ok();
+            self.bound(conn.socket());
         }
     }
 
-    /// The currently configured read timeout.
+    /// The currently configured timeout.
     pub fn read_timeout(&self) -> Duration {
-        self.read_timeout
+        self.timeout
+    }
+
+    fn bound(&self, sock: &TcpStream) {
+        sock.set_read_timeout(Some(self.timeout)).ok();
+        sock.set_write_timeout(Some(self.timeout)).ok();
     }
 
     fn connect(&mut self) -> Result<(), ClientError> {
-        let sock = TcpStream::connect(&self.addr)?;
-        sock.set_read_timeout(Some(self.read_timeout)).ok();
+        let addrs: Vec<_> = self.addr.to_socket_addrs().map_err(not_sent)?.collect();
+        // A name with several addresses shares the one bound among them.
+        let each = self.timeout / addrs.len().max(1) as u32;
+        let mut result = Err(not_sent(format!("{} resolves to no address", self.addr)));
+        for addr in &addrs {
+            result = TcpStream::connect_timeout(addr, each).map_err(not_sent);
+            if result.is_ok() {
+                break;
+            }
+        }
+        let sock = result?;
+        self.bound(&sock);
         sock.set_nodelay(true).ok();
         match &self.tls {
             None => {
@@ -139,7 +195,7 @@ impl HttpClient {
                 let mut rng = rand::rng();
                 let stream =
                     SecureStream::connect(sock, &tls.credential, &tls.roots, now, &mut rng)
-                        .map_err(|e| ClientError::Tls(e.to_string()))?;
+                        .map_err(not_sent)?;
                 self.server_identity = Some(stream.peer_identity().clone());
                 self.connection = Some(Connection::Secure(Box::new(BufReader::new(stream))));
             }
@@ -147,44 +203,31 @@ impl HttpClient {
         Ok(())
     }
 
-    /// Send a request, transparently (re)connecting, and read the response.
+    /// One exchange: send `request` on the kept connection (or a new one)
+    /// and read the response. Nothing is ever sent twice; the error says
+    /// how far the request got.
     pub fn request(&mut self, request: &Request) -> Result<ClientResponse, ClientError> {
-        // One retry: a dead keep-alive connection surfaces as an error on
-        // the first write/read, after which we reconnect once.
-        for attempt in 0..2 {
-            if self.connection.is_none() {
-                self.connect()?;
+        match &self.connection {
+            Some(conn) if !conn.idle_and_open() => {
+                self.connection = None;
+                return Err(ClientError::Stale);
             }
-            match self.try_request(request) {
-                Ok(resp) => {
-                    if !resp.keep_alive {
-                        self.connection = None;
-                    }
-                    return Ok(resp);
-                }
-                Err(e) => {
-                    self.connection = None;
-                    if attempt == 1 {
-                        return Err(e);
-                    }
-                }
-            }
+            Some(_) => {}
+            None => self.connect()?,
         }
-        unreachable!("loop returns on second attempt");
-    }
-
-    fn try_request(&mut self, request: &Request) -> Result<ClientResponse, ClientError> {
         let max_body = self.max_body;
-        match self.connection.as_mut().expect("connected") {
-            Connection::Plain(reader) => {
-                write_request(reader.get_mut(), request)?;
-                Ok(read_response(reader, max_body)?)
-            }
-            Connection::Secure(reader) => {
-                write_request(reader.get_mut(), request)?;
-                Ok(read_response(reader.as_mut(), max_body)?)
-            }
+        let result = match self.connection.as_mut().expect("connected above") {
+            Connection::Plain(reader) => write_request(reader.get_mut(), request)
+                .map_err(not_sent)
+                .and_then(|()| read_response(reader, max_body).map_err(unanswered)),
+            Connection::Secure(reader) => write_request(reader.get_mut(), request)
+                .map_err(not_sent)
+                .and_then(|()| read_response(reader.as_mut(), max_body).map_err(unanswered)),
+        };
+        if !matches!(&result, Ok(response) if response.keep_alive) {
+            self.connection = None;
         }
+        result
     }
 
     /// Convenience: GET a path.
@@ -213,15 +256,6 @@ impl HttpClient {
     pub fn close(&mut self) {
         self.connection = None;
     }
-}
-
-// The raw-stream read helper is used by tests; quiet the lint when the
-// crate is built without them.
-#[allow(dead_code)]
-fn read_all<R: Read>(mut r: R) -> io::Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    r.read_to_end(&mut buf)?;
-    Ok(buf)
 }
 
 #[cfg(test)]
@@ -293,6 +327,58 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_exchange_is_never_resent_and_says_how_far_it_got() {
+        use std::io::{Read, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (seen_tx, seen) = std::sync::mpsc::channel();
+        // Connection 1: read the request, answer nothing, hang up.
+        // Connection 2: read it, stall until the client gives up.
+        // Connection 3: answer, then close without announcing it.
+        // Connection 4: answer.
+        let peer = std::thread::spawn(move || {
+            for script in ["hang up", "stall", "answer and close", "answer"] {
+                let (mut sock, _) = listener.accept().unwrap();
+                let mut buf = [0u8; 1024];
+                let n = sock.read(&mut buf).unwrap();
+                assert!(buf[..n].ends_with(b"\r\n\r\n"));
+                seen_tx.send(script).unwrap();
+                match script {
+                    "hang up" => {}
+                    "stall" => assert_eq!(sock.read(&mut buf).unwrap(), 0),
+                    _ => sock
+                        .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok")
+                        .unwrap(),
+                }
+            }
+        });
+        let mut client = HttpClient::new(addr);
+        client.set_read_timeout(Duration::from_millis(100));
+        assert!(matches!(client.get("/1"), Err(ClientError::BadResponse(_))));
+        assert!(matches!(client.get("/2"), Err(ClientError::TimedOut)));
+        assert_eq!(client.get("/3").unwrap().body, b"ok");
+        // The kept connection is closed under the client: the peek finds
+        // out before a byte is written, and only the next request connects.
+        peer_closed(&client);
+        assert!(matches!(client.get("/4"), Err(ClientError::Stale)));
+        assert!(!client.is_connected());
+        assert_eq!(client.get("/4").unwrap().body, b"ok");
+        peer.join().unwrap();
+        assert_eq!(seen.try_iter().count(), 4, "one request per connection");
+
+        // Nothing listens here any more: nothing can have been received.
+        assert!(matches!(client.get("/5"), Err(ClientError::Stale)));
+        assert!(matches!(client.get("/5"), Err(ClientError::NotSent(_))));
+    }
+
+    /// Wait until the peer's close has reached the client's kept socket.
+    fn peer_closed(client: &HttpClient) {
+        let sock = client.connection.as_ref().unwrap().socket();
+        sock.set_read_timeout(None).unwrap();
+        assert_eq!(sock.peek(&mut [0u8; 1]).unwrap(), 0);
+    }
+
+    #[test]
     fn tls_end_to_end_with_mutual_auth() {
         let server = start(Mode::Tls.server_config(test_config()));
         let mut client = HttpClient::new_tls(server.local_addr().to_string(), client_tls());
@@ -327,8 +413,8 @@ mod tests {
             },
         );
         match client.get("/x") {
-            Err(ClientError::Tls(_)) | Err(ClientError::Io(_)) => {}
-            other => panic!("expected TLS failure, got {other:?}"),
+            Err(ClientError::NotSent(_)) => {}
+            other => panic!("expected a failed handshake, got {other:?}"),
         }
         server.shutdown();
     }
