@@ -64,13 +64,6 @@ pub struct ClarensConfig {
     /// the store then persists at explicit-sync granularity and on clean
     /// shutdown, like the paper's server.
     pub db_sync: bool,
-    /// Background-compact the store once the fraction of dead bytes in
-    /// the log exceeds this ratio (0 disables the compaction janitor).
-    pub compact_ratio: f64,
-    /// Enable request span timing (phase/method latency histograms, slow
-    /// traces). Counters stay live even when this is off; the knob only
-    /// gates the per-request clock reads.
-    pub telemetry: bool,
     /// Requests slower than this many microseconds are captured in the
     /// slow-trace ring served by `system.trace_tail`.
     pub slow_trace_us: u64,
@@ -135,8 +128,6 @@ impl Default for ClarensConfig {
             workers: 16,
             db_path: None,
             db_sync: false,
-            compact_ratio: 0.5,
-            telemetry: true,
             slow_trace_us: 10_000,
             binary_protocol: true,
             max_connections: 4096,
@@ -189,17 +180,6 @@ impl ClarensConfig {
                 "workers" => config.workers = field(key, value, lineno)?,
                 "db_path" => config.db_path = Some(PathBuf::from(value)),
                 "db_sync" => config.db_sync = field(key, value, lineno)?,
-                "compact_ratio" => {
-                    let ratio: f64 = field(key, value, lineno)?;
-                    if !(0.0..=1.0).contains(&ratio) {
-                        return Err(format!(
-                            "line {}: compact_ratio must be within 0..=1",
-                            lineno + 1
-                        ));
-                    }
-                    config.compact_ratio = ratio;
-                }
-                "telemetry" => config.telemetry = field(key, value, lineno)?,
                 "slow_trace_us" => config.slow_trace_us = field(key, value, lineno)?,
                 "binary_protocol" => config.binary_protocol = field(key, value, lineno)?,
                 "max_connections" => config.max_connections = field(key, value, lineno)?,
@@ -310,27 +290,27 @@ db_path: /var/clarens/clarens.db
         // Spelled in halves so a tree-wide search for a retired name comes
         // back empty.
         for (head, tail) in [
-            ("buffer", "pool"),
-            ("streaming", "encode"),
-            ("auth", "cache"),
-            ("zero", "copy"),
-            ("group", "commit"),
-            ("park", "idle"),
-            ("storage", "backend"),
-            ("discovery", "ttl_s"),
+            ("buffer_", "pool"),
+            ("streaming_", "encode"),
+            ("auth_", "cache"),
+            ("zero_", "copy"),
+            ("group_", "commit"),
+            ("park_", "idle"),
+            ("storage_", "backend"),
+            ("discovery_", "ttl_s"),
+            ("tele", "metry"),
+            ("compact_", "ratio"),
         ] {
-            let err = ClarensConfig::parse(&format!("{head}_{tail}: true")).unwrap_err();
-            assert_eq!(err, format!("line 1: unknown key \"{head}_{tail}\""));
+            let err = ClarensConfig::parse(&format!("{head}{tail}: true")).unwrap_err();
+            assert_eq!(err, format!("line 1: unknown key \"{head}{tail}\""));
         }
     }
 
     #[test]
     fn telemetry_knobs() {
         let config = ClarensConfig::parse("").unwrap();
-        assert!(config.telemetry);
         assert_eq!(config.slow_trace_us, 10_000);
-        let config = ClarensConfig::parse("telemetry: false\nslow_trace_us: 2500").unwrap();
-        assert!(!config.telemetry);
+        let config = ClarensConfig::parse("slow_trace_us: 2500").unwrap();
         assert_eq!(config.slow_trace_us, 2500);
         assert!(ClarensConfig::parse("slow_trace_us: slow").is_err());
     }
@@ -420,19 +400,9 @@ db_path: /var/clarens/clarens.db
     fn storage_knobs() {
         let config = ClarensConfig::parse("").unwrap();
         assert!(!config.db_sync);
-        assert_eq!(config.compact_ratio, 0.5);
-        let config = ClarensConfig::parse("db_sync: true\ncompact_ratio: 0.8").unwrap();
+        let config = ClarensConfig::parse("db_sync: true").unwrap();
         assert!(config.db_sync);
-        assert_eq!(config.compact_ratio, 0.8);
-        assert_eq!(
-            ClarensConfig::parse("compact_ratio: 0")
-                .unwrap()
-                .compact_ratio,
-            0.0
-        );
         assert!(ClarensConfig::parse("db_sync: maybe").is_err());
-        assert!(ClarensConfig::parse("compact_ratio: 1.5").is_err());
-        assert!(ClarensConfig::parse("compact_ratio: heavy").is_err());
     }
 
     #[test]

@@ -67,21 +67,13 @@ impl ClarensCore {
             .validate()
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         let store = Arc::new(match &config.db_path {
-            Some(path) => Store::open_with(
-                path,
-                clarens_db::StorageOptions {
-                    sync: config.db_sync,
-                    compact_ratio: config.compact_ratio,
-                    ..clarens_db::StorageOptions::default()
-                },
-            )?,
+            Some(path) => Store::open_with_sync(path, config.db_sync)?,
             None => Store::in_memory(),
         });
         let sessions = SessionManager::new(Arc::clone(&store), config.session_ttl);
         let vo = VoManager::new(Arc::clone(&store), &config.admin_dns);
         let acl = AclEngine::new(Arc::clone(&store));
         let telemetry = Telemetry::new(
-            config.telemetry,
             config.slow_trace_us,
             clarens_telemetry::DEFAULT_RING_CAPACITY,
         );

@@ -52,7 +52,9 @@ pub struct TestGrid {
 
 /// Options for building a [`TestGrid`].
 pub struct GridOptions {
-    /// RNG seed for deterministic credentials.
+    /// Names this grid's scratch directory (with the process id and a
+    /// per-process counter). The credentials do not depend on it: the PKI
+    /// is built once per process from a fixed seed.
     pub seed: u64,
     /// Enable the TLS transport.
     pub tls: bool,
@@ -62,8 +64,6 @@ pub struct GridOptions {
     pub workers: usize,
     /// Persist the DB at this path (None = in-memory).
     pub db_path: Option<PathBuf>,
-    /// Enable request span timing (disable to measure the untimed path).
-    pub telemetry: bool,
     /// Accept the negotiated clarens-binary protocol (disable to exercise
     /// the 415 negotiation + client XML-RPC fallback path).
     pub binary_protocol: bool,
@@ -81,7 +81,6 @@ impl Default for GridOptions {
             permissive_acls: true,
             workers: 16,
             db_path: None,
-            telemetry: true,
             binary_protocol: true,
             max_connections: 4096,
             request_deadline_ms: 5_000,
@@ -171,7 +170,6 @@ impl TestGrid {
             shell_user_map: format!("uma: dn={}\nada: group=admins\n", user.certificate.subject),
             workers: options.workers,
             db_path: options.db_path,
-            telemetry: options.telemetry,
             binary_protocol: options.binary_protocol,
             max_connections: options.max_connections,
             request_deadline_ms: options.request_deadline_ms,

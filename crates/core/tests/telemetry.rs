@@ -181,35 +181,6 @@ fn trace_tail_returns_slow_requests() {
     grid.cleanup();
 }
 
-/// Counters-only mode: `telemetry: false` keeps request/method counts
-/// flowing (the CI smoke test depends on them) but records no latency
-/// samples and no slow traces.
-#[test]
-fn disabled_timing_still_counts_requests() {
-    let grid = TestGrid::start_with(GridOptions {
-        telemetry: false,
-        ..Default::default()
-    });
-    grid.core().telemetry.set_slow_threshold_us(0);
-    let mut user = grid.logged_in_client(&grid.user);
-    for i in 0..4 {
-        user.call("echo.echo", vec![Value::Int(i)]).unwrap();
-    }
-    let telemetry = &grid.core().telemetry;
-    assert!(!telemetry.timing_enabled());
-    wait_until(|| telemetry.http.requests.get() >= 5);
-    let echo = telemetry
-        .methods_snapshot()
-        .into_iter()
-        .find(|(name, _)| name == "echo.echo")
-        .expect("echo.echo stats");
-    assert_eq!(echo.1.calls.get(), 4);
-    assert_eq!(echo.1.latency.snapshot().count, 0);
-    assert_eq!(telemetry.total_snapshot().count, 0);
-    assert_eq!(telemetry.trace_tail(10).len(), 0);
-    grid.cleanup();
-}
-
 /// The migrated `system.stats` keeps its shape and now reports WAL syncs.
 #[test]
 fn stats_reports_wal_syncs() {

@@ -23,5 +23,5 @@ pub mod store;
 pub mod wal_engine;
 
 pub use log::{decode_stream, frame_prefix, LogOp};
-pub use storage::{StorageCounters, StorageOptions};
+pub use storage::StorageCounters;
 pub use store::{is_degraded_error, Store, StoreStats, WalChunk, DEGRADED_MSG};

@@ -1,30 +1,5 @@
-//! Tuning knobs and counters of the persistent store (the engine itself is
+//! Counters of the persistent store (the engine itself is
 //! [`crate::wal_engine::WalEngine`]).
-
-/// Tuning knobs for opening a persistent store.
-#[derive(Debug, Clone, Copy)]
-pub struct StorageOptions {
-    /// Make every append durable before acknowledging it, concurrent
-    /// appenders sharing each fsync.
-    pub sync: bool,
-    /// Background-compact once the fraction of dead bytes in the log
-    /// exceeds this ratio (`0.0` disables the janitor; manual
-    /// [`crate::Store::compact`] always works).
-    pub compact_ratio: f64,
-    /// Don't compact logs smaller than this many bytes, however garbage-
-    /// heavy — rewriting tiny files buys nothing and thrashes.
-    pub compact_min_bytes: u64,
-}
-
-impl Default for StorageOptions {
-    fn default() -> Self {
-        StorageOptions {
-            sync: false,
-            compact_ratio: 0.5,
-            compact_min_bytes: 256 * 1024,
-        }
-    }
-}
 
 /// Monotonic counters the engine maintains.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

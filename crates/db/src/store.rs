@@ -30,7 +30,7 @@ use std::time::Duration;
 use parking_lot::RwLock;
 
 use crate::log::{put_record_size, LogOp};
-use crate::storage::{StorageCounters, StorageOptions};
+use crate::storage::StorageCounters;
 use crate::wal_engine::WalEngine;
 
 /// Inner map type: bucket name → ordered key/value map.
@@ -163,38 +163,24 @@ pub fn is_degraded_error(err: &io::Error) -> bool {
 impl Store {
     /// A purely in-memory store (no durability).
     pub fn in_memory() -> Self {
-        Self::assemble(None, Vec::new(), 0.0)
+        Self::assemble(None, Vec::new())
     }
 
-    /// Open a persistent store at `path` with default options (no
-    /// per-append fsync, janitor compaction at 50% garbage).
+    /// Open a persistent store at `path` with no per-append fsync. A
+    /// janitor thread compacts the log in the background.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
-        Self::open_with(path, StorageOptions::default())
+        Self::open_with_sync(path, false)
     }
 
-    /// Like [`Store::open`] but fsyncing every append when `sync` is true.
+    /// Like [`Store::open`], but when `sync` is true every append is
+    /// durable before it is acknowledged, concurrent appenders sharing
+    /// each fsync.
     pub fn open_with_sync(path: impl Into<PathBuf>, sync: bool) -> io::Result<Self> {
-        Self::open_with(
-            path,
-            StorageOptions {
-                sync,
-                ..StorageOptions::default()
-            },
-        )
+        let (engine, ops) = WalEngine::open(path.into(), sync)?;
+        Ok(Self::assemble(Some(Arc::new(engine)), ops))
     }
 
-    /// Open a persistent store with explicit [`StorageOptions`]: durability
-    /// mode and the background-compaction trigger.
-    pub fn open_with(path: impl Into<PathBuf>, options: StorageOptions) -> io::Result<Self> {
-        let (engine, ops) = WalEngine::open(path.into(), &options)?;
-        Ok(Self::assemble(
-            Some(Arc::new(engine)),
-            ops,
-            options.compact_ratio,
-        ))
-    }
-
-    fn assemble(engine: Option<Arc<WalEngine>>, ops: Vec<LogOp>, compact_ratio: f64) -> Store {
+    fn assemble(engine: Option<Arc<WalEngine>>, ops: Vec<LogOp>) -> Store {
         let shards = ShardSet::new();
         let mut live = 0u64;
         let mut fence = 0u64;
@@ -224,20 +210,19 @@ impl Store {
         }
         let degraded = Arc::new(AtomicBool::new(false));
         let live_bytes = Arc::new(AtomicU64::new(live));
-        let (janitor_stop, janitor) = match &engine {
-            Some(engine) if compact_ratio > 0.0 => {
+        let (janitor_stop, janitor) = engine
+            .as_ref()
+            .map(|engine| {
                 let stop = Arc::new(AtomicBool::new(false));
                 let thread = spawn_janitor(
                     Arc::clone(engine),
                     Arc::clone(&degraded),
                     Arc::clone(&live_bytes),
                     Arc::clone(&stop),
-                    compact_ratio,
                 );
-                (Some(stop), Some(thread))
-            }
-            _ => (None, None),
-        };
+                (stop, thread)
+            })
+            .unzip();
         Store {
             shards,
             engine,
@@ -606,7 +591,7 @@ impl Drop for Store {
 
 /// The background compaction loop: wake every [`JANITOR_TICK`], compare
 /// the engine's committed length against the store's live-byte estimate,
-/// and compact when the garbage ratio crosses the configured threshold.
+/// and compact when [`WalEngine::wants_compaction`] says so.
 /// Compaction errors are swallowed (the old file stays intact; the next
 /// tick retries) and a degraded store is left alone entirely.
 fn spawn_janitor(
@@ -614,7 +599,6 @@ fn spawn_janitor(
     degraded: Arc<AtomicBool>,
     live_bytes: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
-    ratio: f64,
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name("clarens-db-janitor".into())
@@ -631,7 +615,7 @@ fn spawn_janitor(
                 if degraded.load(Ordering::SeqCst) {
                     continue;
                 }
-                if engine.wants_compaction(live_bytes.load(Ordering::Relaxed), ratio) {
+                if engine.wants_compaction(live_bytes.load(Ordering::Relaxed)) {
                     let _ = engine.compact();
                 }
             }
@@ -857,19 +841,11 @@ mod tests {
     fn janitor_compacts_in_background() {
         let path = temp_path("janitor");
         {
-            let store = Store::open_with(
-                &path,
-                StorageOptions {
-                    compact_ratio: 0.5,
-                    compact_min_bytes: 4 * 1024,
-                    ..StorageOptions::default()
-                },
-            )
-            .unwrap();
-            // Churn one hot key far past the garbage threshold, then wait
-            // for the janitor to notice.
+            let store = Store::open(&path).unwrap();
+            // Churn one hot key past the janitor's 256 KiB floor (and so
+            // far past its garbage ratio), then wait for it to notice.
             let value = vec![7u8; 512];
-            for _ in 0..200 {
+            for _ in 0..600 {
                 store.put("b", "hot", value.clone()).unwrap();
             }
             let deadline = std::time::Instant::now() + Duration::from_secs(10);

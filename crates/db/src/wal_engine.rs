@@ -46,7 +46,7 @@ use crate::log::{
     decode_op, encode_record, frame_payload, frame_prefix, read_frame, recover, write_framed,
     Frame, LogOp,
 };
-use crate::storage::{StorageCounters, StorageOptions};
+use crate::storage::StorageCounters;
 use crate::store::WalChunk;
 
 /// Once the uncopied tail is at most this many bytes, compaction takes
@@ -55,6 +55,14 @@ const FINAL_TAIL_MAX: u64 = 64 * 1024;
 
 /// Chunk size for tail copies during compaction.
 const COPY_CHUNK: usize = 64 * 1024;
+
+/// The janitor compacts once this fraction of the log is dead bytes
+/// (overwritten or deleted records).
+const COMPACT_RATIO: f64 = 0.5;
+
+/// Logs smaller than this are never compacted, however garbage-heavy:
+/// rewriting tiny files buys nothing and thrashes.
+const COMPACT_MIN_BYTES: u64 = 256 * 1024;
 
 struct WalInner {
     /// Shared handle so fsync (and compaction) can run on a clone of the
@@ -86,7 +94,6 @@ pub struct WalEngine {
     /// commit fast path.
     synced: AtomicU64,
     sync_on_append: bool,
-    compact_min_bytes: u64,
     /// Published committed length (bytes of whole flushed records), so
     /// gauges and replication reads never take the append lock.
     committed: AtomicU64,
@@ -104,8 +111,9 @@ pub struct WalEngine {
 impl WalEngine {
     /// Open (creating if needed) the log at `path`, repairing a torn tail
     /// in place, and return the engine plus the recovered operations in
-    /// append order.
-    pub fn open(path: PathBuf, options: &StorageOptions) -> io::Result<(WalEngine, Vec<LogOp>)> {
+    /// append order. With `sync`, every append is durable before it is
+    /// acknowledged, concurrent appenders sharing each fsync.
+    pub fn open(path: PathBuf, sync: bool) -> io::Result<(WalEngine, Vec<LogOp>)> {
         let recovery = recover(&path)?;
         let mut startup_fsyncs = 0;
         if recovery.torn_tail {
@@ -115,7 +123,7 @@ impl WalEngine {
             // when the store is configured for durable appends.
             let file = OpenOptions::new().write(true).open(&path)?;
             file.set_len(recovery.valid_len)?;
-            if options.sync {
+            if sync {
                 file.sync_data()?;
                 startup_fsyncs = 1;
             }
@@ -132,8 +140,7 @@ impl WalEngine {
             group: Mutex::new(GroupState::default()),
             group_cond: Condvar::new(),
             synced: AtomicU64::new(0),
-            sync_on_append: options.sync,
-            compact_min_bytes: options.compact_min_bytes,
+            sync_on_append: sync,
             committed: AtomicU64::new(file_len),
             epoch: AtomicU64::new(0),
             swap: RwLock::new(()),
@@ -400,12 +407,12 @@ impl WalEngine {
 
     /// Should the janitor compact now? `live_bytes` is the store's estimate
     /// of the on-disk size of a minimal snapshot.
-    pub fn wants_compaction(&self, live_bytes: u64, ratio: f64) -> bool {
+    pub fn wants_compaction(&self, live_bytes: u64) -> bool {
         let len = self.committed.load(Ordering::Acquire);
-        if len < self.compact_min_bytes || live_bytes >= len {
+        if len < COMPACT_MIN_BYTES || live_bytes >= len {
             return false;
         }
-        (len - live_bytes) as f64 / len as f64 >= ratio
+        (len - live_bytes) as f64 / len as f64 >= COMPACT_RATIO
     }
 
     /// Committed length of the log in bytes (the replication high-water

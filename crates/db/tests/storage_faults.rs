@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use clarens_db::log::decode_stream;
-use clarens_db::{is_degraded_error, LogOp, StorageOptions, Store};
+use clarens_db::{is_degraded_error, LogOp, Store};
 
 fn temp_path(name: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!(
@@ -38,16 +38,7 @@ fn temp_path(name: &str) -> PathBuf {
 #[test]
 fn group_commit_fsync_failure_poisons_whole_batch() {
     let path = temp_path("poison");
-    let store = Arc::new(
-        Store::open_with(
-            &path,
-            StorageOptions {
-                sync: true,
-                ..StorageOptions::default()
-            },
-        )
-        .unwrap(),
-    );
+    let store = Arc::new(Store::open_with_sync(&path, true).unwrap());
     // Prove the store works before the fault.
     store.put("b", "pre", b"ok".to_vec()).unwrap();
     assert_eq!(store.stats().syncs, 1);

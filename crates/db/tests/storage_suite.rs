@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use clarens_db::log::{encode_record, frame_prefix};
-use clarens_db::{LogOp, StorageOptions, Store};
+use clarens_db::{LogOp, Store};
 
 fn temp_path(name: &str) -> PathBuf {
     let path =
@@ -111,16 +111,7 @@ fn concurrent_writers() {
 fn group_commit_batches_fsyncs() {
     use std::sync::Arc;
     let path = temp_path("group");
-    let store = Arc::new(
-        Store::open_with(
-            &path,
-            StorageOptions {
-                sync: true,
-                ..StorageOptions::default()
-            },
-        )
-        .unwrap(),
-    );
+    let store = Arc::new(Store::open_with_sync(&path, true).unwrap());
     let writers = 8;
     let per_writer = 25;
     let mut handles = Vec::new();
@@ -218,21 +209,16 @@ fn crash_at_every_byte_recovers_the_whole_frame_prefix() {
         state.1 = store.fence_epoch();
         state
     };
-    // No janitor: its thread only slows the ~200 opens down.
-    let options = StorageOptions {
-        compact_ratio: 0.0,
-        ..StorageOptions::default()
-    };
     let path = temp_path("crash-every-byte");
     let check = |bytes: &[u8], frames: usize| {
         assert_eq!(frame_prefix(bytes), ends[frames]);
         std::fs::write(&path, bytes).unwrap();
-        let store = Store::open_with(&path, options).unwrap();
+        let store = Store::open(&path).unwrap();
         assert_eq!(observed(&store), model(frames), "{} bytes", bytes.len());
         assert_eq!(std::fs::metadata(&path).unwrap().len(), ends[frames] as u64);
         store.put("post", "crash", b"ok".to_vec()).unwrap();
         drop(store);
-        let store = Store::open_with(&path, options).unwrap();
+        let store = Store::open(&path).unwrap();
         let mut expected = model(frames);
         expected
             .0

@@ -10,10 +10,11 @@ mod common;
 
 use std::io::BufReader;
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use clarens_httpd::parse::read_response;
 use clarens_httpd::{Handler, HttpServer, PeerInfo, Request, Response, ServerConfig};
+use clarens_telemetry::Telemetry;
 
 use common::{send, Mode, BOTH_MODES};
 
@@ -124,6 +125,92 @@ fn injected_write_failure_severs_response_then_recovers() {
             2,
             "{mode:?}"
         );
+        server.shutdown();
+    }
+}
+
+/// A probabilistic write fault beside a parked slow reader: every response
+/// either arrives whole and right or not at all, the reader's half-written
+/// body is untouched, and the server serves cleanly once disarmed.
+#[test]
+fn short_writes_beside_a_parked_slow_reader_never_corrupt_a_body() {
+    let _serial = serial();
+    let big: Vec<u8> = (0..8u32 << 20)
+        .map(|i| (i.wrapping_mul(31) >> 3) as u8)
+        .collect();
+    for mode in BOTH_MODES {
+        let telemetry = Telemetry::enabled();
+        let body = big.clone();
+        let handler = Arc::new(move |req: Request, _peer: Option<&PeerInfo>| {
+            if req.target == "/big" {
+                Response::ok("application/octet-stream", body.clone())
+            } else {
+                Response::ok("text/plain", format!("ok {}", req.target))
+            }
+        });
+        let config = mode.server_config(ServerConfig {
+            workers: 2,
+            telemetry: Some(Arc::clone(&telemetry)),
+            read_timeout: Duration::from_secs(30),
+            ..Default::default()
+        });
+        let server = HttpServer::bind("127.0.0.1:0", config, handler).unwrap();
+        let addr = server.local_addr();
+
+        // The slow reader asks for 8 MiB and reads nothing: its response
+        // parks half-written before the fault is armed.
+        let mut slow = mode
+            .request(addr, "GET /big HTTP/1.1\r\nHost: h\r\n\r\n")
+            .unwrap();
+        let started = Instant::now();
+        while telemetry.http.parked_writers.get() == 0 {
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "{mode:?}: the slow reader's response never parked"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+
+        // One keep-alive client; a severed response costs it a reconnect.
+        let (mut served, mut severed) = (0, 0);
+        {
+            let _guard =
+                clarens_faults::with(clarens_faults::sites::HTTPD_WRITE, "short:512|p=0.05");
+            let mut conn = None;
+            for i in 0..200 {
+                let reader =
+                    conn.get_or_insert_with(|| BufReader::new(mode.connect(addr).unwrap()));
+                let request = format!("GET /n{i} HTTP/1.1\r\nHost: h\r\n\r\n");
+                send(&mut **reader.get_mut(), request.as_bytes()).unwrap();
+                match read_response(reader, usize::MAX) {
+                    Ok(answer) => {
+                        assert_eq!(answer.status, 200, "{mode:?}");
+                        assert_eq!(answer.body, format!("ok /n{i}").into_bytes(), "{mode:?}");
+                        served += 1;
+                    }
+                    Err(_) => {
+                        severed += 1;
+                        conn = None;
+                    }
+                }
+            }
+        }
+        assert!(severed > 0, "{mode:?}: the failpoint never fired");
+        assert!(
+            served > severed,
+            "{mode:?}: {served} served, {severed} severed"
+        );
+
+        // Disarmed: the next request is answered, and the slow reader
+        // drains every byte of its body, in order.
+        assert_eq!(
+            roundtrip(mode, addr, "/after"),
+            Some((200, b"ok /after".to_vec())),
+            "{mode:?}"
+        );
+        let got = read_response(&mut BufReader::new(&mut *slow), usize::MAX).unwrap();
+        assert_eq!(got.status, 200, "{mode:?}");
+        assert!(got.body == big, "{mode:?}: slow reader got corrupted bytes");
         server.shutdown();
     }
 }

@@ -29,8 +29,7 @@ use parking_lot::RwLock;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MethodStats, MethodTable};
 pub use trace::{Phase, RequestTrace, SlowTrace, TraceRing, PHASE_COUNT, PHASE_NAMES};
 
-/// HTTP/transport-layer counters. Always live (they are single atomic
-/// adds), independent of whether span timing is enabled.
+/// HTTP/transport-layer counters (single atomic adds).
 #[derive(Debug, Default)]
 pub struct HttpCounters {
     /// TCP connections accepted.
@@ -155,9 +154,6 @@ pub const DEFAULT_RING_CAPACITY: usize = 64;
 /// One server's telemetry: the shared instance every layer records into
 /// and every export surface reads from.
 pub struct Telemetry {
-    /// Span timing enabled? Counters stay live either way; this gates the
-    /// clock reads and histogram updates on the hot path.
-    timing: bool,
     /// Transport counters.
     pub http: HttpCounters,
     /// Resilience counters (deadlines, retries, degraded-mode rejects).
@@ -183,11 +179,10 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Build a telemetry plane. `timing` gates per-request span clocks;
-    /// `slow_us` is the slow-trace threshold (microseconds).
-    pub fn new(timing: bool, slow_us: u64, ring_capacity: usize) -> Arc<Telemetry> {
+    /// Build a telemetry plane. `slow_us` is the slow-trace threshold
+    /// (microseconds).
+    pub fn new(slow_us: u64, ring_capacity: usize) -> Arc<Telemetry> {
         Arc::new(Telemetry {
-            timing,
             http: HttpCounters::default(),
             resilience: ResilienceCounters::default(),
             federation: FederationCounters::default(),
@@ -201,19 +196,14 @@ impl Telemetry {
         })
     }
 
-    /// A default-configured plane with timing on.
+    /// A default-configured plane.
     pub fn enabled() -> Arc<Telemetry> {
-        Telemetry::new(true, DEFAULT_SLOW_US, DEFAULT_RING_CAPACITY)
+        Telemetry::new(DEFAULT_SLOW_US, DEFAULT_RING_CAPACITY)
     }
 
-    /// Is span timing active?
-    pub fn timing_enabled(&self) -> bool {
-        self.timing
-    }
-
-    /// Begin a request trace (timing per this plane's configuration).
+    /// Begin a timed request trace.
     pub fn begin_request(&self) -> RequestTrace {
-        RequestTrace::start(self.timing)
+        RequestTrace::start()
     }
 
     /// Adjust the slow-trace threshold at runtime (µs).
@@ -521,7 +511,7 @@ mod tests {
 
     #[test]
     fn finish_request_feeds_all_aggregates() {
-        let t = Telemetry::new(true, 0, 8); // threshold 0: everything is "slow"
+        let t = Telemetry::new(0, 8); // threshold 0: everything is "slow"
         traced_request(&t, "echo.echo", [1, 2, 3, 4, 5, 6]);
         traced_request(&t, "echo.echo", [1, 2, 3, 4, 5, 6]);
         traced_request(&t, "system.ping", [1, 0, 0, 1, 1, 1]);
@@ -542,22 +532,6 @@ mod tests {
         assert_eq!(phases[1].1.count, 2);
         assert_eq!(phases.last().unwrap().0, "total");
         assert_eq!(phases.last().unwrap().1.count, 3);
-    }
-
-    #[test]
-    fn timing_disabled_still_counts() {
-        let t = Telemetry::new(false, 0, 8);
-        let mut trace = t.begin_request();
-        assert!(!trace.timing());
-        trace.method = Some("echo.echo".into());
-        trace.protocol = Some("jsonrpc");
-        trace.status = 200;
-        t.finish_request(&trace, 0);
-        assert_eq!(t.http.requests.get(), 1);
-        assert_eq!(t.methods_snapshot()[0].1.calls.get(), 1);
-        // But no latency samples and no slow traces.
-        assert_eq!(t.total_snapshot().count, 0);
-        assert_eq!(t.trace_tail(10).len(), 0);
     }
 
     #[test]
@@ -627,7 +601,7 @@ mod tests {
 
     #[test]
     fn slow_threshold_gates_ring() {
-        let t = Telemetry::new(true, u64::MAX, 8);
+        let t = Telemetry::new(u64::MAX, 8);
         traced_request(&t, "echo.echo", [1, 1, 1, 1, 1, 1]);
         assert_eq!(t.trace_tail(10).len(), 0);
         t.set_slow_threshold_us(0);

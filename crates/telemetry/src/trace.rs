@@ -39,7 +39,8 @@ pub const PHASE_NAMES: [&str; PHASE_COUNT] =
 /// One request's trace, filled in as the request moves through the layers.
 #[derive(Debug)]
 pub struct RequestTrace {
-    /// Start of the request window (`None` when timing is disabled).
+    /// Start of the request window (`None` for a [`RequestTrace::disabled`]
+    /// trace).
     t0: Option<Instant>,
     /// Accumulated microseconds per phase.
     pub phase_us: [u64; PHASE_COUNT],
@@ -55,22 +56,25 @@ pub struct RequestTrace {
 }
 
 impl RequestTrace {
-    /// Start a trace. With `timing` false every span degenerates to a
-    /// plain call — no clock reads — so the disabled path costs nothing.
-    pub fn start(timing: bool) -> RequestTrace {
+    /// Start a timed trace.
+    pub fn start() -> RequestTrace {
         RequestTrace {
-            t0: timing.then(Instant::now),
+            t0: Some(Instant::now()),
+            ..RequestTrace::disabled()
+        }
+    }
+
+    /// A trace that records nothing, for a server with no telemetry plane
+    /// attached: every span is a plain call, no clock reads.
+    pub fn disabled() -> RequestTrace {
+        RequestTrace {
+            t0: None,
             phase_us: [0; PHASE_COUNT],
             method: None,
             protocol: None,
             status: 0,
             fault: false,
         }
-    }
-
-    /// A trace that records nothing (for untraced entry points).
-    pub fn disabled() -> RequestTrace {
-        RequestTrace::start(false)
     }
 
     /// Is span timing active?
@@ -211,7 +215,7 @@ mod tests {
     /// so the phase sum never exceeds the total, and phases only grow.
     #[test]
     fn span_timing_monotonic() {
-        let mut trace = RequestTrace::start(true);
+        let mut trace = RequestTrace::start();
         trace.span(Phase::Parse, || {
             std::thread::sleep(std::time::Duration::from_millis(2))
         });
