@@ -10,8 +10,8 @@
 //!      the election.
 //!   2. **Split-brain injection.** The elected leader's discovery uplink
 //!      is cut while its RPC plane stays up; once a rival claims epoch
-//!      N+1, a burst of writes is aimed directly at the deposed leader.
-//!      Gates: 100% of the stale writes are rejected with NOT_LEADER
+//!      N+1, a burst of writes is aimed at the deposed leader, half of
+//!      them directly and half through its `proxy.call`. Gates: 100% of the stale writes are rejected with NOT_LEADER
 //!      (`clarens_fenced_writes_total` > 0), none leak into the
 //!      replicated store, and on healing the old leader demotes and
 //!      resyncs (`clarens_demotions_total` >= 1).
@@ -249,13 +249,21 @@ pub fn run(args: &Args) {
             .with_retries(0)
             .with_call_deadline(Duration::from_secs(2));
         stale_client.set_session(session.clone());
-        match stale_client.call(
-            "im.send",
-            vec![
-                Value::Str(user_dn.clone()),
-                Value::Str(format!("stale-{n}")),
-            ],
-        ) {
+        let send = vec![
+            Value::Str(user_dn.clone()),
+            Value::Str(format!("stale-{n}")),
+        ];
+        // Every other write arrives through `proxy.call`: the fence is the
+        // gate's, so the route must make no difference.
+        let sent = if n % 2 == 0 {
+            stale_client.call("im.send", send)
+        } else {
+            stale_client.call(
+                "proxy.call",
+                vec![Value::Str("im.send".into()), Value::Array(send)],
+            )
+        };
+        match sent {
             Ok(_) => accepted += 1,
             Err(clarens::ClientError::Fault(f)) if f.code == codes::NOT_LEADER => fenced += 1,
             Err(_) => other_err += 1,

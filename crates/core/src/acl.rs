@@ -116,14 +116,6 @@ impl Acl {
         }
     }
 
-    /// Convenience: deny a single group.
-    pub fn deny_group(group: impl Into<String>) -> Acl {
-        Acl {
-            deny_groups: vec![group.into()],
-            ..Default::default()
-        }
-    }
-
     fn matches_allow(&self, dn: &DistinguishedName, vo: &VoManager) -> bool {
         dn_match(dn, &self.allow_dns) || self.allow_groups.iter().any(|g| vo.is_member(g, dn))
     }

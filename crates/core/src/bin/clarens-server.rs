@@ -15,7 +15,9 @@
 use std::collections::HashMap;
 use std::process::exit;
 
-use clarens::{register_builtin_services, ClarensConfig, ClarensCore, ClarensServer};
+use clarens::{
+    register_builtin_services, ClarensConfig, ClarensCore, ClarensServer, FederationRole,
+};
 use clarens_httpd::TlsConfig;
 use clarens_pki::pem;
 use clarens_telemetry::{error, info, warn};
@@ -97,6 +99,19 @@ fn main() {
         }
         None => ClarensConfig::default(),
     };
+    // A follower is kept current by a replicator thread and elections are
+    // run by an election thread; both live in `clarens-federation`, which
+    // this binary does not link. Started anyway, the node would fence
+    // every replicated write forever and never catch up.
+    if config.federation_role == FederationRole::Follower || config.leader_lease_ms > 0 {
+        eprintln!(
+            "clarens-server cannot honour `federation_role: follower` or a non-zero \
+             `leader_lease_ms`: it starts no replicator and no election thread. \
+             Start such a node with clarens_federation::FederationNode; this binary \
+             serves `federation_role: standalone` and a static `leader`."
+        );
+        exit(2);
+    }
 
     let core = ClarensCore::new(config, roots.clone(), credential.clone()).unwrap_or_else(|e| {
         error!("cannot open store: {e}");

@@ -6,7 +6,6 @@
 //! client implementations for physics analysis", §7).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use clarens_httpd::{ClientError as HttpError, ClientTls, HttpClient, Method, Request};
@@ -60,33 +59,13 @@ const BACKOFF_CAP: Duration = Duration::from_secs(10);
 /// than this means the cluster has no settled leader yet.
 const MAX_LEADER_HOPS: u32 = 3;
 
-/// Transport-retry whitelist: only methods whose re-execution cannot
-/// duplicate a side effect are retried after an I/O failure, because a
-/// transport error leaves the first attempt's fate unknown (the request
-/// may have been applied before the connection died).
+/// May `method` be sent again after an I/O failure? A transport error
+/// leaves the first attempt's fate unknown (the request may have been
+/// applied before the connection died), so only a method whose record
+/// says re-execution cannot duplicate a side effect is. A name no built-in
+/// table declares is not.
 fn is_idempotent(method: &str) -> bool {
-    if let Some(rest) = method.strip_prefix("file.") {
-        // Read-only file operations; excludes put/mkdir/rm.
-        return matches!(rest, "read" | "ls" | "stat" | "find" | "size" | "md5");
-    }
-    if let Some(rest) = method.strip_prefix("system.") {
-        // auth mints a session and logout destroys one — both side effects.
-        return !matches!(rest, "auth" | "logout");
-    }
-    // Pure echoes; discovery queries; publish overwrites the same
-    // descriptor, so replaying it is harmless. Replication fetches are
-    // cursor-addressed reads of an append-only log — replaying one
-    // re-serves the same bytes.
-    method.starts_with("echo.")
-        || matches!(
-            method,
-            "discovery.find"
-                | "discovery.find_remote"
-                | "discovery.status"
-                | "discovery.publish"
-                | "replication.fetch"
-                | "replication.status"
-        )
+    crate::services::builtin(method).is_some_and(|m| m.idempotent)
 }
 
 /// Jittered exponential backoff: the pause policy of everything that
@@ -251,7 +230,6 @@ pub struct ClarensClient {
     endpoint: String,
     session: Option<String>,
     credential: Option<Credential>,
-    now_fn: Arc<dyn Fn() -> i64 + Send + Sync>,
     /// Resends per call on the retry budget.
     retries: u32,
     /// Overall per-call budget: every attempt, hop and pause of one call.
@@ -290,7 +268,6 @@ impl ClarensClient {
             endpoint: "/clarens".into(),
             session: None,
             credential: None,
-            now_fn: Arc::new(system_now),
             retries: 2,
             call_deadline: None,
             backoff: Backoff::new(BACKOFF_BASE, BACKOFF_CAP, rand::rng().next_u64()),
@@ -326,12 +303,6 @@ impl ClarensClient {
     /// Attach a credential for `login()` over plaintext connections.
     pub fn with_credential(mut self, credential: Credential) -> Self {
         self.credential = Some(credential);
-        self
-    }
-
-    /// Override the clock (deterministic tests).
-    pub fn with_now_fn(mut self, now_fn: Arc<dyn Fn() -> i64 + Send + Sync>) -> Self {
-        self.now_fn = now_fn;
         self
     }
 
@@ -454,7 +425,7 @@ impl ClarensClient {
         let (idempotent, leader_first) = match payload {
             Payload::Rpc(call) => (
                 is_idempotent(&call.method),
-                crate::services::is_replicated_write(&call.method),
+                crate::services::builtin(&call.method).is_some_and(|m| m.replicated),
             ),
             Payload::Get(_) => (true, false),
         };
@@ -612,7 +583,7 @@ impl ClarensClient {
             .credential
             .clone()
             .ok_or_else(|| ClientError::Protocol("no credential attached".into()))?;
-        let now = (self.now_fn)();
+        let now = system_now();
         let signature = credential.key.sign(auth_challenge(now).as_bytes());
         let mut chain_texts = vec![Value::from(credential.certificate.to_text())];
         for link in &credential.chain {
@@ -685,22 +656,6 @@ impl ClarensClient {
             .ok_or_else(|| ClientError::Protocol("file.read did not return bytes".into()))
     }
 
-    /// Download a whole file by looping `file.read` (the chunked-pull
-    /// pattern of the original clients).
-    pub fn file_download(&mut self, name: &str, chunk: i64) -> Result<Vec<u8>, ClientError> {
-        let mut out = Vec::new();
-        let mut offset = 0i64;
-        loop {
-            let piece = self.file_read(name, offset, chunk)?;
-            let n = piece.len();
-            out.extend_from_slice(&piece);
-            if (n as i64) < chunk {
-                return Ok(out);
-            }
-            offset += n as i64;
-        }
-    }
-
     /// GET `target` from the bound server through the call loop.
     pub(crate) fn get(&mut self, target: &str) -> Result<Vec<u8>, ClientError> {
         match self.run(self.addr.clone(), Payload::Get(target), &mut || None)? {
@@ -731,13 +686,6 @@ impl ClarensClient {
             Err(other) => Err(other),
         }
     }
-
-    /// Drop the kept connections (next call reconnects).
-    pub fn close_connection(&mut self) {
-        for peer in self.peers.values_mut() {
-            peer.http.close();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -745,6 +693,7 @@ mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     use clarens_wire::RpcResponse;
 

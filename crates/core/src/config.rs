@@ -96,7 +96,8 @@ pub struct ClarensConfig {
     /// ignored otherwise.
     pub federation_leader: Option<String>,
     /// How often a follower polls the leader for new WAL records, in
-    /// milliseconds. Bounds replication lag on a quiet log.
+    /// milliseconds. Bounds replication lag on a quiet log. Read by
+    /// `clarens_federation::Replicator`.
     pub replication_poll_ms: u64,
     /// Maximum `proxy.call` forwarding depth. Each hop increments the
     /// `x-clarens-hops` header; a request arriving at the limit is refused
@@ -111,7 +112,8 @@ pub struct ClarensConfig {
     pub leader_lease_ms: u64,
     /// Upper bound of the random delay a candidate waits before claiming
     /// leadership, so near-simultaneous candidates don't stampede. The
-    /// actual delay is seeded per node.
+    /// actual delay is seeded per node. Read, like the lease, by
+    /// `clarens_federation::ElectionManager`.
     pub election_jitter_ms: u64,
 }
 

@@ -24,7 +24,7 @@ use crate::acl::{Acl, FileAccess};
 use crate::core::ClarensCore;
 use crate::paths;
 use crate::portal;
-use crate::registry::CallContext;
+use crate::registry::{self, CallContext};
 use crate::services;
 use crate::session::Session;
 
@@ -87,21 +87,10 @@ impl ClarensServer {
 /// by examples, tests, and benchmarks; production deployments configure
 /// ACLs explicitly via the `acl` service.
 pub fn install_permissive_acls(core: &ClarensCore) {
-    for module in [
-        "system",
-        "echo",
-        "file",
-        "vo",
-        "acl",
-        "discovery",
-        "proxy",
-        "shell",
-        "im",
-        "srm",
-        "job",
-        "replication",
-    ] {
-        core.acl.set_method_acl(module, &Acl::allow_dn("*"));
+    // Every built-in module, whether or not this core registered it (and
+    // whether it did so before or after this call).
+    for info in services::BUILTIN.iter().filter_map(|table| table.first()) {
+        core.acl.set_method_acl(info.module(), &Acl::allow_dn("*"));
     }
     core.acl.set_file_acl(
         "/",
@@ -300,7 +289,9 @@ impl ClarensHandler {
         Response::ok(protocol.content_type(), body)
     }
 
-    /// The full per-call path: session check, ACL check, dispatch.
+    /// One RPC: resolve who is calling from the request (the paper's first
+    /// access check), then hand the call to the gate, [`registry::invoke`],
+    /// which owns every guard from there on.
     fn dispatch(
         &self,
         request: &Request,
@@ -311,99 +302,28 @@ impl ClarensHandler {
     ) -> RpcResponse {
         let now = self.core.now();
         let resolved = trace.span(Phase::Auth, || self.resolve_identity(request, peer, now));
-
-        if !services::is_public(method) {
-            let Some(identity) = &resolved.identity else {
-                return RpcResponse::Fault(Fault::not_authenticated(format!(
-                    "{method} requires an authenticated session"
-                )));
-            };
-            // The paper's second access check: "whether the client has
-            // access to the particular method being called". A session
-            // already carries the rendered DN string, which the decision
-            // cache can key on without re-rendering the identity.
-            let allowed = trace.span(Phase::Acl, || match &resolved.session {
-                Some(session) => {
-                    self.core
-                        .acl
-                        .check_method_keyed(method, identity, &session.dn, &self.core.vo)
-                }
-                None => self.core.acl.check_method(method, identity, &self.core.vo),
-            });
-            if !allowed {
-                return RpcResponse::Fault(Fault::access_denied(format!(
-                    "{identity} may not call {method}"
-                )));
-            }
-        }
-
-        // Epoch fence (DESIGN.md §14): replicated writes are only
-        // acknowledged by the current leader. A follower, a deposed
-        // leader, or a leader whose lease lapsed (split-brain partition)
-        // answers NOT_LEADER with a routing hint instead of mutating
-        // state that the rest of the cluster will never see.
-        if services::is_replicated_write(method)
-            && self.core.federation.is_federated()
-            && !self.core.federation.is_writable()
-        {
-            self.core.telemetry.federation.fenced_writes.inc();
-            return RpcResponse::Fault(Fault::not_leader(
-                &self.core.federation.leader(),
-                self.core.federation.epoch(),
-            ));
-        }
-
-        let service = match self.core.registry.read().resolve(method) {
-            Some(service) => service,
-            None => {
-                return RpcResponse::Fault(Fault::new(
-                    codes::NO_SUCH_METHOD,
-                    format!("no service exports {method}"),
-                ))
-            }
-        };
         let deadline_ms = self.core.config.request_deadline_ms;
-        let deadline = (deadline_ms > 0)
-            .then(|| std::time::Instant::now() + std::time::Duration::from_millis(deadline_ms));
-        // Forwarding depth travels as a header so the hop budget survives
-        // node boundaries; an absent or unparsable header means a direct
-        // call.
-        let hops = request
-            .headers
-            .get("x-clarens-hops")
-            .and_then(|h| h.trim().parse().ok())
-            .unwrap_or(0);
         let ctx = CallContext {
             core: &self.core,
             identity: resolved.identity,
             session: resolved.session,
-            peer_chain: peer.map(|p| p.chain.clone()).unwrap_or_default(),
             now,
-            deadline,
-            hops,
+            deadline: (deadline_ms > 0)
+                .then(|| std::time::Instant::now() + std::time::Duration::from_millis(deadline_ms)),
+            // Forwarding depth travels as a header so the hop budget
+            // survives node boundaries; an absent or unparsable header
+            // means a direct call.
+            hops: request
+                .headers
+                .get("x-clarens-hops")
+                .and_then(|h| h.trim().parse().ok())
+                .unwrap_or(0),
         };
-        let result = trace.span(Phase::Dispatch, || service.call(&ctx, method, &params));
-        // A handler that overran its budget gets the 504-style fault even
-        // if it eventually produced a value: the caller's own deadline has
-        // long passed, and reporting success would hide the stall.
-        if let Some(d) = deadline {
-            if std::time::Instant::now() >= d {
-                self.core.telemetry.resilience.deadline_exceeded.inc();
-                return RpcResponse::Fault(Fault::deadline(format!(
-                    "{method} exceeded the {deadline_ms} ms request deadline"
-                )));
-            }
-        }
-        match result {
-            Ok(value) => {
-                if services::is_replicated_write(method) {
-                    if let Err(fault) = self.replicated_ack_barrier(method, deadline) {
-                        return RpcResponse::Fault(fault);
-                    }
-                }
-                RpcResponse::Success(value)
-            }
+        match registry::invoke(&ctx, method, &params, trace) {
+            Ok(value) => RpcResponse::Success(value),
             Err(fault) => {
+                // Counted here, once per request: a proxied call passes
+                // the gate twice and would be counted twice there.
                 if fault.code == codes::DEADLINE {
                     self.core.telemetry.resilience.deadline_exceeded.inc();
                 } else if fault.code == codes::DEGRADED {
@@ -411,60 +331,6 @@ impl ClarensHandler {
                 }
                 RpcResponse::Fault(fault)
             }
-        }
-    }
-
-    /// Replicated-ack write barrier (DESIGN.md §14). On an
-    /// election-managed leader, a replicated write is only acknowledged
-    /// once a follower's fetch cursor has passed this node's committed
-    /// WAL length — a fetch at offset X proves the follower applied every
-    /// record below X, so an acknowledged write survives this node's
-    /// death. Statically-configured leaders (elections off) and clusters
-    /// with no actively polling follower skip the wait: there is nobody
-    /// to hand leadership to, so leader-local durability is the best
-    /// available guarantee.
-    fn replicated_ack_barrier(
-        &self,
-        method: &str,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<(), Fault> {
-        let fed = &self.core.federation;
-        if !fed.lease_managed() || !fed.is_writable() {
-            // The handler already ran — the pre-dispatch fence passed and
-            // the lease lapsed during execution. `executed=maybe` keeps
-            // clients from blindly replaying the mutation at the new
-            // leader: the write may survive via replication, and a replay
-            // would double-execute it.
-            if fed.lease_managed() && fed.is_federated() {
-                self.core.telemetry.federation.fenced_writes.inc();
-                return Err(Fault::not_leader_executed(&fed.leader(), fed.epoch()));
-            }
-            return Ok(());
-        }
-        if !fed.follower_active_within(std::time::Duration::from_secs(2)) {
-            return Ok(());
-        }
-        let target = self.core.store.wal_offset();
-        let hard_cap = std::time::Instant::now()
-            + std::time::Duration::from_millis(self.core.config.leader_lease_ms.max(100));
-        loop {
-            if fed.follower_cursor() >= target {
-                return Ok(());
-            }
-            if !fed.is_writable() {
-                // Lease lapsed mid-wait: a rival may already be leader and
-                // this write may not survive — refuse the ack, marked as
-                // post-execution so clients don't replay the mutation.
-                self.core.telemetry.federation.fenced_writes.inc();
-                return Err(Fault::not_leader_executed(&fed.leader(), fed.epoch()));
-            }
-            let now = std::time::Instant::now();
-            if now >= hard_cap || deadline.is_some_and(|d| now >= d) {
-                return Err(Fault::service(format!(
-                    "{method} applied locally but no follower confirmed replication in time"
-                )));
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
 

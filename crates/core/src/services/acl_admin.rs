@@ -6,11 +6,10 @@
 //! protection mechanism, so editing them is the most privileged operation
 //! on the server.
 
-use clarens_wire::fault::codes;
 use clarens_wire::{Fault, Value};
 
 use crate::acl::{Acl, FileAcl, Order};
-use crate::registry::{params, CallContext, MethodInfo, Service};
+use crate::registry::{params, unhandled, CallContext, MethodInfo, Service};
 
 /// The `acl` service.
 pub struct AclAdminService;
@@ -60,45 +59,54 @@ pub fn acl_to_value(acl: &Acl) -> Value {
     ])
 }
 
-impl Service for AclAdminService {
-    fn module(&self) -> &str {
-        "acl"
-    }
+/// The `acl` methods.
+pub static METHODS: &[MethodInfo] = &[
+    MethodInfo::new(
+        "acl.set_method",
+        "acl.set_method(node, acl)",
+        "Attach an ACL to a method-hierarchy node (site admin)",
+        2,
+    )
+    .replicated(),
+    MethodInfo::new(
+        "acl.clear_method",
+        "acl.clear_method(node)",
+        "Remove a method ACL node (site admin)",
+        1,
+    )
+    .replicated(),
+    MethodInfo::new(
+        "acl.get_method",
+        "acl.get_method(node)",
+        "Read a method ACL node",
+        1,
+    ),
+    MethodInfo::new("acl.list", "acl.list()", "All method ACL nodes", 0),
+    MethodInfo::new(
+        "acl.set_file",
+        "acl.set_file(node, read_acl, write_acl)",
+        "Attach a file ACL to a path node (site admin)",
+        3,
+    )
+    .replicated(),
+    MethodInfo::new(
+        "acl.clear_file",
+        "acl.clear_file(node)",
+        "Remove a file ACL node (site admin)",
+        1,
+    )
+    .replicated(),
+    MethodInfo::new(
+        "acl.check",
+        "acl.check(method, dn)",
+        "Would the given DN be allowed to call the method?",
+        2,
+    ),
+];
 
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo::new(
-                "acl.set_method",
-                "acl.set_method(node, acl)",
-                "Attach an ACL to a method-hierarchy node (site admin)",
-            ),
-            MethodInfo::new(
-                "acl.clear_method",
-                "acl.clear_method(node)",
-                "Remove a method ACL node (site admin)",
-            ),
-            MethodInfo::new(
-                "acl.get_method",
-                "acl.get_method(node)",
-                "Read a method ACL node",
-            ),
-            MethodInfo::new("acl.list", "acl.list()", "All method ACL nodes"),
-            MethodInfo::new(
-                "acl.set_file",
-                "acl.set_file(node, read_acl, write_acl)",
-                "Attach a file ACL to a path node (site admin)",
-            ),
-            MethodInfo::new(
-                "acl.clear_file",
-                "acl.clear_file(node)",
-                "Remove a file ACL node (site admin)",
-            ),
-            MethodInfo::new(
-                "acl.check",
-                "acl.check(method, dn)",
-                "Would the given DN be allowed to call the method?",
-            ),
-        ]
+impl Service for AclAdminService {
+    fn methods(&self) -> &'static [MethodInfo] {
+        METHODS
     }
 
     fn call(
@@ -119,7 +127,6 @@ impl Service for AclAdminService {
         };
         match method {
             "acl.set_method" => {
-                params::expect_len(params_in, 2, method)?;
                 require_admin(ctx)?;
                 let node = params::string(params_in, 0, "node")?;
                 let acl = acl_from_value(&params_in[1])?;
@@ -127,14 +134,12 @@ impl Service for AclAdminService {
                 Ok(Value::Bool(true))
             }
             "acl.clear_method" => {
-                params::expect_len(params_in, 1, method)?;
                 require_admin(ctx)?;
                 let node = params::string(params_in, 0, "node")?;
                 ctx.core.acl.clear_method_acl(&node);
                 Ok(Value::Bool(true))
             }
             "acl.get_method" => {
-                params::expect_len(params_in, 1, method)?;
                 ctx.require_identity()?;
                 let node = params::string(params_in, 0, "node")?;
                 match ctx.core.acl.method_acl(&node) {
@@ -143,7 +148,6 @@ impl Service for AclAdminService {
                 }
             }
             "acl.list" => {
-                params::expect_len(params_in, 0, method)?;
                 ctx.require_identity()?;
                 Ok(Value::Array(
                     ctx.core
@@ -155,7 +159,6 @@ impl Service for AclAdminService {
                 ))
             }
             "acl.set_file" => {
-                params::expect_len(params_in, 3, method)?;
                 require_admin(ctx)?;
                 let node = params::string(params_in, 0, "node")?;
                 let file_acl = FileAcl {
@@ -166,14 +169,12 @@ impl Service for AclAdminService {
                 Ok(Value::Bool(true))
             }
             "acl.clear_file" => {
-                params::expect_len(params_in, 1, method)?;
                 require_admin(ctx)?;
                 let node = params::string(params_in, 0, "node")?;
                 ctx.core.acl.clear_file_acl(&node);
                 Ok(Value::Bool(true))
             }
             "acl.check" => {
-                params::expect_len(params_in, 2, method)?;
                 ctx.require_identity()?;
                 let target = params::string(params_in, 0, "method")?;
                 let dn_text = params::string(params_in, 1, "dn")?;
@@ -185,10 +186,7 @@ impl Service for AclAdminService {
                     &ctx.core.vo,
                 )))
             }
-            other => Err(Fault::new(
-                codes::NO_SUCH_METHOD,
-                format!("no method {other}"),
-            )),
+            other => Err(unhandled(other)),
         }
     }
 }

@@ -13,11 +13,10 @@ use monalisa_sim::{
     DiscoveryAggregator, Publication, ServiceDescriptor, ServiceQuery, UdpPublisher,
 };
 
-use clarens_wire::fault::codes;
 use clarens_wire::{Fault, Value};
 
 use crate::client::Backoff;
-use crate::registry::{params, CallContext, MethodInfo, Service, METHODS_BUCKET};
+use crate::registry::{unhandled, CallContext, MethodInfo, Service, METHODS_BUCKET};
 
 /// First pause after a failed UDP publish; doubles up to 32x.
 const PUBLISH_BACKOFF: std::time::Duration = std::time::Duration::from_millis(4);
@@ -81,34 +80,43 @@ impl DiscoveryService {
     }
 }
 
-impl Service for DiscoveryService {
-    fn module(&self) -> &str {
-        "discovery"
-    }
+/// The `discovery` methods.
+pub static METHODS: &[MethodInfo] = &[
+    MethodInfo::new(
+        "discovery.find",
+        "discovery.find(query)",
+        "Find services via the aggregated local database (fast path)",
+        0,
+    )
+    .up_to(1)
+    .idempotent(),
+    MethodInfo::new(
+        "discovery.find_remote",
+        "discovery.find_remote(query)",
+        "Find services by synchronous fan-out to station servers (slow path)",
+        0,
+    )
+    .up_to(1)
+    .idempotent(),
+    MethodInfo::new(
+        "discovery.publish",
+        "discovery.publish()",
+        "Publish this server's service descriptors to the station network (site admin)",
+        0,
+    )
+    .idempotent(),
+    MethodInfo::new(
+        "discovery.status",
+        "discovery.status()",
+        "Aggregation statistics",
+        0,
+    )
+    .idempotent(),
+];
 
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo::new(
-                "discovery.find",
-                "discovery.find(query)",
-                "Find services via the aggregated local database (fast path)",
-            ),
-            MethodInfo::new(
-                "discovery.find_remote",
-                "discovery.find_remote(query)",
-                "Find services by synchronous fan-out to station servers (slow path)",
-            ),
-            MethodInfo::new(
-                "discovery.publish",
-                "discovery.publish()",
-                "Publish this server's service descriptors to the station network (site admin)",
-            ),
-            MethodInfo::new(
-                "discovery.status",
-                "discovery.status()",
-                "Aggregation statistics",
-            ),
-        ]
+impl Service for DiscoveryService {
+    fn methods(&self) -> &'static [MethodInfo] {
+        METHODS
     }
 
     fn call(
@@ -119,7 +127,6 @@ impl Service for DiscoveryService {
     ) -> Result<Value, Fault> {
         match method {
             "discovery.find" | "discovery.find_remote" => {
-                params::expect_range(params_in, 0, 1, method)?;
                 ctx.require_identity()?;
                 let query = Self::query_from_params(params_in)?;
                 let hits = if method == "discovery.find" {
@@ -132,7 +139,6 @@ impl Service for DiscoveryService {
                 ))
             }
             "discovery.publish" => {
-                params::expect_len(params_in, 0, method)?;
                 let dn = ctx.require_identity()?;
                 if !ctx.core.vo.is_site_admin(dn) {
                     return Err(Fault::access_denied("publishing requires site admin"));
@@ -175,7 +181,7 @@ impl Service for DiscoveryService {
                     let descriptor = ServiceDescriptor {
                         url: ctx.core.config.server_url.clone(),
                         server_dn: ctx.core.credential.certificate.subject.to_string(),
-                        service: module,
+                        service: module.to_owned(),
                         methods,
                         attributes: load_attributes.iter().cloned().collect(),
                         timestamp: ctx.now,
@@ -206,7 +212,6 @@ impl Service for DiscoveryService {
                 Ok(Value::Int(published))
             }
             "discovery.status" => {
-                params::expect_len(params_in, 0, method)?;
                 ctx.require_identity()?;
                 Ok(Value::structure([
                     (
@@ -216,10 +221,7 @@ impl Service for DiscoveryService {
                     ("updates", Value::Int(self.aggregator.update_count() as i64)),
                 ]))
             }
-            other => Err(Fault::new(
-                codes::NO_SUCH_METHOD,
-                format!("no method {other}"),
-            )),
+            other => Err(unhandled(other)),
         }
     }
 }

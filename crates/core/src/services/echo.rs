@@ -2,38 +2,42 @@
 //! benchmarking (the paper's footnote 4 compares "a trivial method" on
 //! Globus Toolkit 3 against Clarens; `echo.echo` is that method here).
 
-use clarens_wire::fault::codes;
 use clarens_wire::{Fault, Value};
 
-use crate::registry::{params, CallContext, MethodInfo, Service};
+use crate::registry::{params, unhandled, CallContext, MethodInfo, Service};
 
 /// The `echo` service.
 pub struct EchoService;
 
-impl Service for EchoService {
-    fn module(&self) -> &str {
-        "echo"
-    }
+/// The `echo` methods.
+pub static METHODS: &[MethodInfo] = &[
+    MethodInfo::new(
+        "echo.echo",
+        "echo.echo(value)",
+        "Return the argument unchanged",
+        1,
+    )
+    .idempotent(),
+    MethodInfo::new("echo.sum", "echo.sum(a, b)", "Integer addition", 2).idempotent(),
+    MethodInfo::new(
+        "echo.concat",
+        "echo.concat(parts)",
+        "Concatenate an array of strings",
+        1,
+    )
+    .idempotent(),
+    MethodInfo::new(
+        "echo.payload",
+        "echo.payload(nbytes)",
+        "Return nbytes of deterministic data (bandwidth testing)",
+        1,
+    )
+    .idempotent(),
+];
 
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo::new(
-                "echo.echo",
-                "echo.echo(value)",
-                "Return the argument unchanged",
-            ),
-            MethodInfo::new("echo.sum", "echo.sum(a, b)", "Integer addition"),
-            MethodInfo::new(
-                "echo.concat",
-                "echo.concat(parts)",
-                "Concatenate an array of strings",
-            ),
-            MethodInfo::new(
-                "echo.payload",
-                "echo.payload(nbytes)",
-                "Return nbytes of deterministic data (bandwidth testing)",
-            ),
-        ]
+impl Service for EchoService {
+    fn methods(&self) -> &'static [MethodInfo] {
+        METHODS
     }
 
     fn call(
@@ -43,12 +47,8 @@ impl Service for EchoService {
         params_in: &[Value],
     ) -> Result<Value, Fault> {
         match method {
-            "echo.echo" => {
-                params::expect_len(params_in, 1, method)?;
-                Ok(params_in[0].clone())
-            }
+            "echo.echo" => Ok(params_in[0].clone()),
             "echo.sum" => {
-                params::expect_len(params_in, 2, method)?;
                 let a = params::int(params_in, 0, "a")?;
                 let b = params::int(params_in, 1, "b")?;
                 a.checked_add(b)
@@ -56,7 +56,6 @@ impl Service for EchoService {
                     .ok_or_else(|| Fault::bad_params("integer overflow"))
             }
             "echo.concat" => {
-                params::expect_len(params_in, 1, method)?;
                 let parts = params_in[0]
                     .as_array()
                     .ok_or_else(|| Fault::bad_params("parameter 0 must be an array"))?;
@@ -70,7 +69,6 @@ impl Service for EchoService {
                 Ok(Value::from(out))
             }
             "echo.payload" => {
-                params::expect_len(params_in, 1, method)?;
                 let n = params::int(params_in, 0, "nbytes")?;
                 if !(0..=64 * 1024 * 1024).contains(&n) {
                     return Err(Fault::bad_params("nbytes out of range"));
@@ -78,10 +76,7 @@ impl Service for EchoService {
                 let data: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
                 Ok(Value::Bytes(data))
             }
-            other => Err(Fault::new(
-                codes::NO_SUCH_METHOD,
-                format!("no method {other}"),
-            )),
+            other => Err(unhandled(other)),
         }
     }
 }

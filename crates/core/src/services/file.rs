@@ -13,13 +13,12 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
 use clarens_pki::md5::Md5;
-use clarens_wire::fault::codes;
 use clarens_wire::{Fault, Value};
 use parking_lot::Mutex;
 
 use crate::acl::FileAccess;
 use crate::paths;
-use crate::registry::{params, CallContext, MethodInfo, Service};
+use crate::registry::{params, unhandled, CallContext, MethodInfo, Service};
 
 /// Cap on a single `file.read` (larger transfers loop, exactly like the
 /// paper's chunked client pulls).
@@ -88,43 +87,62 @@ fn io_fault(context: &str, e: std::io::Error) -> Fault {
     }
 }
 
-impl Service for FileService {
-    fn module(&self) -> &str {
-        "file"
-    }
+/// The `file` methods.
+pub static METHODS: &[MethodInfo] = &[
+    MethodInfo::new(
+        "file.read",
+        "file.read(name, offset, nbytes)",
+        "Read up to nbytes from a file at offset; returns base64 bytes",
+        3,
+    )
+    .idempotent(),
+    MethodInfo::new(
+        "file.ls",
+        "file.ls(dir)",
+        "Directory listing with types and sizes",
+        1,
+    )
+    .idempotent(),
+    MethodInfo::new(
+        "file.stat",
+        "file.stat(path)",
+        "File or directory metadata",
+        1,
+    )
+    .idempotent(),
+    MethodInfo::new(
+        "file.md5",
+        "file.md5(path)",
+        "MD5 integrity hash of a file",
+        1,
+    )
+    .idempotent(),
+    MethodInfo::new(
+        "file.find",
+        "file.find(dir, pattern)",
+        "Recursively find paths whose name contains pattern",
+        2,
+    )
+    .idempotent(),
+    MethodInfo::new(
+        "file.put",
+        "file.put(name, data, append)",
+        "Write (or append) bytes to a file",
+        3,
+    ),
+    MethodInfo::new(
+        "file.mkdir",
+        "file.mkdir(dir)",
+        "Create a directory (and parents)",
+        1,
+    ),
+    MethodInfo::new("file.rm", "file.rm(path)", "Remove a file", 1),
+    MethodInfo::new("file.size", "file.size(path)", "File size in bytes", 1).idempotent(),
+];
 
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo::new(
-                "file.read",
-                "file.read(name, offset, nbytes)",
-                "Read up to nbytes from a file at offset; returns base64 bytes",
-            ),
-            MethodInfo::new(
-                "file.ls",
-                "file.ls(dir)",
-                "Directory listing with types and sizes",
-            ),
-            MethodInfo::new("file.stat", "file.stat(path)", "File or directory metadata"),
-            MethodInfo::new("file.md5", "file.md5(path)", "MD5 integrity hash of a file"),
-            MethodInfo::new(
-                "file.find",
-                "file.find(dir, pattern)",
-                "Recursively find paths whose name contains pattern",
-            ),
-            MethodInfo::new(
-                "file.put",
-                "file.put(name, data, append)",
-                "Write (or append) bytes to a file",
-            ),
-            MethodInfo::new(
-                "file.mkdir",
-                "file.mkdir(dir)",
-                "Create a directory (and parents)",
-            ),
-            MethodInfo::new("file.rm", "file.rm(path)", "Remove a file"),
-            MethodInfo::new("file.size", "file.size(path)", "File size in bytes"),
-        ]
+impl Service for FileService {
+    fn methods(&self) -> &'static [MethodInfo] {
+        METHODS
     }
 
     fn call(
@@ -135,7 +153,6 @@ impl Service for FileService {
     ) -> Result<Value, Fault> {
         match method {
             "file.read" => {
-                params::expect_len(params_in, 3, method)?;
                 let name = params::string(params_in, 0, "name")?;
                 let offset = params::int(params_in, 1, "offset")?;
                 let nbytes = params::int(params_in, 2, "nbytes")?;
@@ -175,7 +192,6 @@ impl Service for FileService {
                 Ok(Value::Bytes(buf))
             }
             "file.ls" => {
-                params::expect_len(params_in, 1, method)?;
                 let dir = params::string(params_in, 0, "dir")?;
                 let (_, real) = self.authorize(ctx, &dir, FileAccess::Read)?;
                 let mut entries = Vec::new();
@@ -203,7 +219,6 @@ impl Service for FileService {
                 Ok(Value::Array(entries))
             }
             "file.stat" => {
-                params::expect_len(params_in, 1, method)?;
                 let path = params::string(params_in, 0, "path")?;
                 let (canonical, real) = self.authorize(ctx, &path, FileAccess::Read)?;
                 let meta = std::fs::metadata(&real).map_err(|e| io_fault(&path, e))?;
@@ -224,7 +239,6 @@ impl Service for FileService {
                 ]))
             }
             "file.md5" => {
-                params::expect_len(params_in, 1, method)?;
                 let path = params::string(params_in, 0, "path")?;
                 let (_, real) = self.authorize(ctx, &path, FileAccess::Read)?;
                 let mut file = std::fs::File::open(&real).map_err(|e| io_fault(&path, e))?;
@@ -262,7 +276,6 @@ impl Service for FileService {
                 Ok(Value::from(hex))
             }
             "file.find" => {
-                params::expect_len(params_in, 2, method)?;
                 let dir = params::string(params_in, 0, "dir")?;
                 let pattern = params::string(params_in, 1, "pattern")?;
                 let (canonical, real) = self.authorize(ctx, &dir, FileAccess::Read)?;
@@ -273,7 +286,6 @@ impl Service for FileService {
                 Ok(Value::Array(hits.into_iter().map(Value::from).collect()))
             }
             "file.put" => {
-                params::expect_len(params_in, 3, method)?;
                 let name = params::string(params_in, 0, "name")?;
                 let data = params::bytes(params_in, 1, "data")?;
                 let append = params_in[2]
@@ -294,30 +306,24 @@ impl Service for FileService {
                 Ok(Value::Int(data.len() as i64))
             }
             "file.mkdir" => {
-                params::expect_len(params_in, 1, method)?;
                 let dir = params::string(params_in, 0, "dir")?;
                 let (_, real) = self.authorize(ctx, &dir, FileAccess::Write)?;
                 std::fs::create_dir_all(&real).map_err(|e| io_fault(&dir, e))?;
                 Ok(Value::Bool(true))
             }
             "file.rm" => {
-                params::expect_len(params_in, 1, method)?;
                 let path = params::string(params_in, 0, "path")?;
                 let (_, real) = self.authorize(ctx, &path, FileAccess::Write)?;
                 std::fs::remove_file(&real).map_err(|e| io_fault(&path, e))?;
                 Ok(Value::Bool(true))
             }
             "file.size" => {
-                params::expect_len(params_in, 1, method)?;
                 let path = params::string(params_in, 0, "path")?;
                 let (_, real) = self.authorize(ctx, &path, FileAccess::Read)?;
                 let meta = std::fs::metadata(&real).map_err(|e| io_fault(&path, e))?;
                 Ok(Value::Int(meta.len() as i64))
             }
-            other => Err(Fault::new(
-                codes::NO_SUCH_METHOD,
-                format!("no method {other}"),
-            )),
+            other => Err(unhandled(other)),
         }
     }
 }

@@ -16,10 +16,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use clarens_wire::fault::codes;
 use clarens_wire::{Fault, Value};
 
-use crate::registry::{params, CallContext, MethodInfo, Service};
+use crate::registry::{params, unhandled, CallContext, MethodInfo, Service};
 
 /// DB bucket for queued messages. Keys are `<recipient-dn>|<seq:020>` so a
 /// prefix scan per recipient yields messages in send order.
@@ -82,34 +81,39 @@ fn message_value(from: &str, body: &str, timestamp: i64, seq: u64) -> Value {
     ])
 }
 
-impl Service for ImService {
-    fn module(&self) -> &str {
-        "im"
-    }
+/// The `im` methods.
+pub static METHODS: &[MethodInfo] = &[
+    MethodInfo::new(
+        "im.send",
+        "im.send(to_dn, body)",
+        "Queue a message for another identity; returns the sequence number",
+        2,
+    )
+    .replicated(),
+    MethodInfo::new(
+        "im.poll",
+        "im.poll(max)",
+        "Receive (and consume) up to max queued messages for the caller",
+        1,
+    )
+    .replicated(),
+    MethodInfo::new(
+        "im.peek",
+        "im.peek(max)",
+        "Read up to max queued messages without consuming them",
+        1,
+    ),
+    MethodInfo::new(
+        "im.count",
+        "im.count()",
+        "Number of queued messages for the caller",
+        0,
+    ),
+];
 
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo::new(
-                "im.send",
-                "im.send(to_dn, body)",
-                "Queue a message for another identity; returns the sequence number",
-            ),
-            MethodInfo::new(
-                "im.poll",
-                "im.poll(max)",
-                "Receive (and consume) up to max queued messages for the caller",
-            ),
-            MethodInfo::new(
-                "im.peek",
-                "im.peek(max)",
-                "Read up to max queued messages without consuming them",
-            ),
-            MethodInfo::new(
-                "im.count",
-                "im.count()",
-                "Number of queued messages for the caller",
-            ),
-        ]
+impl Service for ImService {
+    fn methods(&self) -> &'static [MethodInfo] {
+        METHODS
     }
 
     fn call(
@@ -120,7 +124,6 @@ impl Service for ImService {
     ) -> Result<Value, Fault> {
         match method {
             "im.send" => {
-                params::expect_len(params_in, 2, method)?;
                 let sender = ctx.require_identity()?.to_string();
                 let to = params::string(params_in, 0, "to_dn")?;
                 let body = params::string(params_in, 1, "body")?;
@@ -156,7 +159,6 @@ impl Service for ImService {
                 Ok(Value::Int(seq as i64))
             }
             "im.poll" | "im.peek" => {
-                params::expect_len(params_in, 1, method)?;
                 let me = ctx.require_identity()?.to_string();
                 let max = params::int(params_in, 0, "max")?.clamp(0, 256) as usize;
                 let prefix = Self::mailbox_prefix(&me);
@@ -174,7 +176,6 @@ impl Service for ImService {
                 Ok(Value::Array(out))
             }
             "im.count" => {
-                params::expect_len(params_in, 0, method)?;
                 let me = ctx.require_identity()?.to_string();
                 Ok(Value::Int(
                     ctx.core
@@ -183,10 +184,7 @@ impl Service for ImService {
                         as i64,
                 ))
             }
-            other => Err(Fault::new(
-                codes::NO_SUCH_METHOD,
-                format!("no method {other}"),
-            )),
+            other => Err(unhandled(other)),
         }
     }
 }

@@ -13,10 +13,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use clarens_wire::fault::codes;
 use clarens_wire::{Fault, Value};
 
-use crate::registry::{params, CallContext, MethodInfo, Service};
+use crate::registry::{params, unhandled, CallContext, MethodInfo, Service};
 use crate::services::shell::{interp, UserMap};
 
 /// One submitted job.
@@ -103,31 +102,33 @@ impl JobService {
     }
 }
 
-impl Service for JobService {
-    fn module(&self) -> &str {
-        "job"
-    }
+/// The `job` methods.
+pub static METHODS: &[MethodInfo] = &[
+    MethodInfo::new(
+        "job.submit",
+        "job.submit(command)",
+        "Run a command asynchronously in the caller's sandbox; returns a job id",
+        1,
+    ),
+    MethodInfo::new(
+        "job.status",
+        "job.status(id)",
+        "Job state plus output once finished",
+        1,
+    ),
+    MethodInfo::new("job.list", "job.list()", "The caller's jobs", 0),
+    MethodInfo::new(
+        "job.wait",
+        "job.wait(id, timeout_ms)",
+        "Block (bounded) until the job finishes; returns its record",
+        2,
+    ),
+    MethodInfo::new("job.remove", "job.remove(id)", "Forget a finished job", 1),
+];
 
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo::new(
-                "job.submit",
-                "job.submit(command)",
-                "Run a command asynchronously in the caller's sandbox; returns a job id",
-            ),
-            MethodInfo::new(
-                "job.status",
-                "job.status(id)",
-                "Job state plus output once finished",
-            ),
-            MethodInfo::new("job.list", "job.list()", "The caller's jobs"),
-            MethodInfo::new(
-                "job.wait",
-                "job.wait(id, timeout_ms)",
-                "Block (bounded) until the job finishes; returns its record",
-            ),
-            MethodInfo::new("job.remove", "job.remove(id)", "Forget a finished job"),
-        ]
+impl Service for JobService {
+    fn methods(&self) -> &'static [MethodInfo] {
+        METHODS
     }
 
     fn call(
@@ -138,7 +139,6 @@ impl Service for JobService {
     ) -> Result<Value, Fault> {
         match method {
             "job.submit" => {
-                params::expect_len(params_in, 1, method)?;
                 let command = params::string(params_in, 0, "command")?;
                 let owner = ctx.require_identity()?.to_string();
                 let sandbox = self.sandbox_for(ctx)?;
@@ -175,8 +175,6 @@ impl Service for JobService {
                 Ok(Value::Int(id as i64))
             }
             "job.status" | "job.wait" | "job.remove" => {
-                let expected = if method == "job.wait" { 2 } else { 1 };
-                params::expect_len(params_in, expected, method)?;
                 let owner = ctx.require_identity()?.to_string();
                 let id = params::int(params_in, 0, "id")? as u64;
 
@@ -223,7 +221,6 @@ impl Service for JobService {
                 Ok(Self::job_value(id, record))
             }
             "job.list" => {
-                params::expect_len(params_in, 0, method)?;
                 let owner = ctx.require_identity()?.to_string();
                 let mut jobs = self.jobs.lock();
                 let mut out: Vec<Value> = jobs
@@ -234,10 +231,7 @@ impl Service for JobService {
                 out.sort_by_key(|v| v.get("id").and_then(Value::as_int).unwrap_or(0));
                 Ok(Value::Array(out))
             }
-            other => Err(Fault::new(
-                codes::NO_SUCH_METHOD,
-                format!("no method {other}"),
-            )),
+            other => Err(unhandled(other)),
         }
     }
 }

@@ -32,53 +32,28 @@ pub use srm::SrmService;
 pub use system::SystemService;
 pub use vo_admin::VoAdminService;
 
-/// Methods callable without an authenticated identity (they establish or
-/// bootstrap identity). Everything else requires a session or TLS identity
-/// plus an ACL grant.
-pub const PUBLIC_METHODS: &[&str] = &[
-    "system.auth",
-    "system.version",
-    "system.ping",
-    "system.health",
-    "proxy.login",
+use crate::registry::MethodInfo;
+
+/// The method tables of every built-in module: the records
+/// [`register_builtin_services`](crate::register_builtin_services) can put
+/// behind the gate, whichever of them a given core's config enables.
+pub static BUILTIN: [&[MethodInfo]; 12] = [
+    system::METHODS,
+    echo::METHODS,
+    file::METHODS,
+    vo_admin::METHODS,
+    acl_admin::METHODS,
+    discovery::METHODS,
+    proxy::METHODS,
+    shell::METHODS,
+    im::METHODS,
+    srm::METHODS,
+    job::METHODS,
+    replication::METHODS,
 ];
 
-/// Is `method` public?
-pub fn is_public(method: &str) -> bool {
-    PUBLIC_METHODS.contains(&method)
-}
-
-/// Methods that mutate the *replicated* store (sessions, VO groups, ACLs,
-/// stored proxies, IM mailboxes). On a federated node these may only be
-/// acknowledged by the current leader — a follower or a fenced/deposed
-/// leader answers `NOT_LEADER` with a routing hint instead (DESIGN.md
-/// §14). Node-local services (file, shell, job, srm) mutate the local
-/// filesystem, not the shipped log, and are deliberately absent.
-pub const REPLICATED_WRITE_METHODS: &[&str] = &[
-    "system.auth",
-    "system.logout",
-    "proxy.login",
-    "proxy.store",
-    "proxy.attach",
-    "proxy.remove",
-    "vo.create_group",
-    "vo.delete_group",
-    "vo.add_member",
-    "vo.remove_member",
-    "vo.add_admin",
-    "vo.remove_admin",
-    "acl.set_method",
-    "acl.clear_method",
-    "acl.set_file",
-    "acl.clear_file",
-    "im.send",
-    // `im.poll` consumes (deletes) delivered messages, so the consume
-    // must happen on the leader to take effect cluster-wide.
-    "im.poll",
-];
-
-/// Does `method` mutate replicated state (and therefore require the
-/// leader)?
-pub fn is_replicated_write(method: &str) -> bool {
-    REPLICATED_WRITE_METHODS.contains(&method)
+/// The record of a built-in method, for code with no registry to ask (a
+/// client deciding what it may replay).
+pub fn builtin(method: &str) -> Option<&'static MethodInfo> {
+    BUILTIN.iter().copied().flatten().find(|m| m.name == method)
 }

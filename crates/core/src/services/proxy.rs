@@ -13,9 +13,10 @@
 //! is detected.
 //!
 //! The service also hosts `proxy.call`, the federation routing hop: a
-//! request for a module this node does not export is forwarded to the
-//! discovery-resolved node that does, with a hop-limit header bounding
-//! pathological bouncing between misconfigured nodes.
+//! target this node exports runs here through the same gate as a direct
+//! call; one it does not is forwarded to the discovery-resolved node that
+//! does, with a hop-limit header bounding pathological bouncing between
+//! misconfigured nodes.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,11 +28,11 @@ use clarens_pki::cert::{verify_chain, Certificate};
 use clarens_pki::chacha20;
 use clarens_pki::dn::DistinguishedName;
 use clarens_pki::hmac::{derive_key, hmac_sha256, verify_mac};
-use clarens_wire::fault::codes;
+use clarens_telemetry::RequestTrace;
 use clarens_wire::{Fault, Value};
 
 use crate::client::{ClarensClient, ClientError};
-use crate::registry::{params, CallContext, MethodInfo, Service};
+use crate::registry::{self, params, unhandled, CallContext, MethodInfo, Service};
 
 /// DB bucket for stored proxies (key: owner DN string).
 pub const PROXIES_BUCKET: &str = "proxies";
@@ -129,44 +130,55 @@ fn parse_chain_from_payload(payload: &str) -> Result<Vec<Certificate>, Fault> {
     Ok(chain)
 }
 
-impl Service for ProxyService {
-    fn module(&self) -> &str {
-        "proxy"
-    }
+/// The `proxy` methods.
+pub static METHODS: &[MethodInfo] = &[
+    MethodInfo::new(
+        "proxy.store",
+        "proxy.store(password, payload)",
+        "Store a proxy credential sealed under a password",
+        2,
+    )
+    .replicated(),
+    MethodInfo::new(
+        "proxy.retrieve",
+        "proxy.retrieve(password)",
+        "Retrieve the caller's stored proxy credential",
+        1,
+    ),
+    MethodInfo::new(
+        "proxy.login",
+        "proxy.login(dn, password)",
+        "Create a session from a stored proxy, knowing only DN and password",
+        2,
+    )
+    .public()
+    .replicated(),
+    MethodInfo::new(
+        "proxy.attach",
+        "proxy.attach(password)",
+        "Attach the stored proxy to the current session (renewal/delegation)",
+        1,
+    )
+    .replicated(),
+    MethodInfo::new(
+        "proxy.remove",
+        "proxy.remove()",
+        "Delete the caller's stored proxy",
+        0,
+    )
+    .replicated(),
+    MethodInfo::new(
+        "proxy.call",
+        "proxy.call(method, params)",
+        "Invoke a method on whichever federation node exports it",
+        1,
+    )
+    .up_to(2),
+];
 
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo::new(
-                "proxy.store",
-                "proxy.store(password, payload)",
-                "Store a proxy credential sealed under a password",
-            ),
-            MethodInfo::new(
-                "proxy.retrieve",
-                "proxy.retrieve(password)",
-                "Retrieve the caller's stored proxy credential",
-            ),
-            MethodInfo::new(
-                "proxy.login",
-                "proxy.login(dn, password)",
-                "Create a session from a stored proxy, knowing only DN and password",
-            ),
-            MethodInfo::new(
-                "proxy.attach",
-                "proxy.attach(password)",
-                "Attach the stored proxy to the current session (renewal/delegation)",
-            ),
-            MethodInfo::new(
-                "proxy.remove",
-                "proxy.remove()",
-                "Delete the caller's stored proxy",
-            ),
-            MethodInfo::new(
-                "proxy.call",
-                "proxy.call(method, params)",
-                "Invoke a method on whichever federation node exports it",
-            ),
-        ]
+impl Service for ProxyService {
+    fn methods(&self) -> &'static [MethodInfo] {
+        METHODS
     }
 
     fn call(
@@ -177,7 +189,6 @@ impl Service for ProxyService {
     ) -> Result<Value, Fault> {
         match method {
             "proxy.store" => {
-                params::expect_len(params_in, 2, method)?;
                 let password = params::string(params_in, 0, "password")?;
                 let payload = params::string(params_in, 1, "payload")?;
                 let dn = ctx.require_identity()?.to_string();
@@ -191,14 +202,12 @@ impl Service for ProxyService {
                 Ok(Value::Bool(true))
             }
             "proxy.retrieve" => {
-                params::expect_len(params_in, 1, method)?;
                 let password = params::string(params_in, 0, "password")?;
                 let dn = ctx.require_identity()?.to_string();
                 let payload = self.open_stored(ctx, &dn, &password)?;
                 Ok(Value::from(payload))
             }
             "proxy.login" => {
-                params::expect_len(params_in, 2, method)?;
                 let dn_text = params::string(params_in, 0, "dn")?;
                 let password = params::string(params_in, 1, "password")?;
                 let dn = DistinguishedName::parse(&dn_text)
@@ -221,7 +230,6 @@ impl Service for ProxyService {
                 ]))
             }
             "proxy.attach" => {
-                params::expect_len(params_in, 1, method)?;
                 let password = params::string(params_in, 0, "password")?;
                 let session = ctx
                     .session
@@ -236,7 +244,6 @@ impl Service for ProxyService {
                 Ok(Value::Bool(true))
             }
             "proxy.remove" => {
-                params::expect_len(params_in, 0, method)?;
                 let dn = ctx.require_identity()?.to_string();
                 let existed = ctx
                     .core
@@ -246,26 +253,26 @@ impl Service for ProxyService {
                 Ok(Value::Bool(existed))
             }
             "proxy.call" => self.route_call(ctx, params_in),
-            other => Err(Fault::new(
-                codes::NO_SUCH_METHOD,
-                format!("no method {other}"),
-            )),
+            other => Err(unhandled(other)),
         }
     }
 }
 
 impl ProxyService {
-    /// `proxy.call(method, params)`: dispatch locally when this node
-    /// exports the target module, otherwise forward one hop to the
-    /// lowest-latency node discovery says does.
+    /// `proxy.call(method, params)`: run the target here when this node
+    /// exports it, otherwise forward one hop to the lowest-latency node
+    /// discovery says does.
     ///
-    /// The dispatch layer only ACL-checked `proxy.call` itself, so the
-    /// target method is re-checked here before any dispatch — routing must
-    /// not become an ACL bypass. The caller's session id rides along on
-    /// the forwarded request; once session records replicate across the
-    /// federation, the remote node resolves it like its own.
+    /// Run here means through [`registry::invoke`], the same gate a direct
+    /// call passes — so a proxied call meets the target's own ACL, fence,
+    /// arity, deadline and ack barrier, and answers exactly what the
+    /// direct call would. The gate looks the target up and drops the
+    /// registry guard before the handler runs, so this nested pass cannot
+    /// deadlock against the outer one. A forwarded call is gated by the
+    /// node that runs it; the caller's session id rides along, and once
+    /// session records replicate across the federation the remote node
+    /// resolves it like its own.
     fn route_call(&self, ctx: &CallContext<'_>, params_in: &[Value]) -> Result<Value, Fault> {
-        params::expect_range(params_in, 1, 2, "proxy.call")?;
         let target = params::string(params_in, 0, "method")?;
         let args: Vec<Value> = match params_in.get(1) {
             None => Vec::new(),
@@ -277,24 +284,22 @@ impl ProxyService {
                 )))
             }
         };
-        let dn = ctx.require_identity()?;
         if target.starts_with("proxy.call") || target.is_empty() {
             return Err(Fault::bad_params("proxy.call cannot route itself"));
         }
+        if ctx.core.registry.read().lookup(&target).is_some() {
+            // Timed inside the outer handler's span already.
+            return registry::invoke(ctx, &target, &args, &mut RequestTrace::disabled());
+        }
+
+        // This node will carry the call to another: refuse what its own
+        // ACLs deny — routing must not become an ACL bypass.
+        let dn = ctx.require_identity()?;
         if !ctx.core.acl.check_method(&target, dn, &ctx.core.vo) {
             return Err(Fault::access_denied(format!(
                 "access denied to {target} for {dn}"
             )));
         }
-
-        // Local fast path: this node owns the module. The registry guard
-        // drops at the end of the statement, so the nested dispatch cannot
-        // deadlock against it.
-        let local = ctx.core.registry.read().resolve(&target);
-        if let Some(service) = local {
-            return service.call(ctx, &target, &args);
-        }
-
         let federation = &ctx.core.telemetry.federation;
         if ctx.hops >= ctx.core.config.proxy_max_hops {
             federation.hop_limit_rejects.inc();

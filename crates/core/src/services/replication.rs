@@ -21,10 +21,9 @@
 //! gated on site admin — the follower authenticates with the federation's
 //! shared admin credential.
 
-use clarens_wire::fault::codes;
 use clarens_wire::{Fault, Value};
 
-use crate::registry::{params, CallContext, MethodInfo, Service};
+use crate::registry::{params, unhandled, CallContext, MethodInfo, Service};
 
 /// Byte budget of a single fetch (1 MiB) — bounds response allocation
 /// regardless of what the follower asks for. One record longer than the
@@ -44,24 +43,27 @@ fn require_site_admin(ctx: &CallContext<'_>) -> Result<(), Fault> {
     Ok(())
 }
 
-impl Service for ReplicationService {
-    fn module(&self) -> &str {
-        "replication"
-    }
+/// The `replication` methods.
+pub static METHODS: &[MethodInfo] = &[
+    MethodInfo::new(
+        "replication.fetch",
+        "replication.fetch(epoch, offset, max_bytes)",
+        "Read framed WAL bytes from the given cursor (site admin)",
+        3,
+    )
+    .idempotent(),
+    MethodInfo::new(
+        "replication.status",
+        "replication.status()",
+        "Leader WAL epoch and committed length (site admin)",
+        0,
+    )
+    .idempotent(),
+];
 
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo::new(
-                "replication.fetch",
-                "replication.fetch(epoch, offset, max_bytes)",
-                "Read framed WAL bytes from the given cursor (site admin)",
-            ),
-            MethodInfo::new(
-                "replication.status",
-                "replication.status()",
-                "Leader WAL epoch and committed length (site admin)",
-            ),
-        ]
+impl Service for ReplicationService {
+    fn methods(&self) -> &'static [MethodInfo] {
+        METHODS
     }
 
     fn call(
@@ -72,7 +74,6 @@ impl Service for ReplicationService {
     ) -> Result<Value, Fault> {
         match method {
             "replication.fetch" => {
-                params::expect_len(params_in, 3, method)?;
                 require_site_admin(ctx)?;
                 // Epoch fence: only the current leader may serve the log.
                 // A deposed leader answering fetches would feed followers
@@ -136,7 +137,6 @@ impl Service for ReplicationService {
                 ]))
             }
             "replication.status" => {
-                params::expect_len(params_in, 0, method)?;
                 require_site_admin(ctx)?;
                 Ok(Value::structure([
                     ("epoch", Value::Int(ctx.core.store.wal_epoch() as i64)),
@@ -155,10 +155,7 @@ impl Service for ReplicationService {
                     ),
                 ]))
             }
-            other => Err(Fault::new(
-                codes::NO_SUCH_METHOD,
-                format!("no method {other}"),
-            )),
+            other => Err(unhandled(other)),
         }
     }
 }

@@ -20,11 +20,10 @@
 use std::path::{Path, PathBuf};
 
 use clarens_pki::dn::DistinguishedName;
-use clarens_wire::fault::codes;
 use clarens_wire::{Fault, Value};
 
 use crate::paths;
-use crate::registry::{params, CallContext, MethodInfo, Service};
+use crate::registry::{params, unhandled, CallContext, MethodInfo, Service};
 use crate::vo::VoManager;
 
 /// One `.clarens_user_map` mapping tuple: "a system user name string,
@@ -133,24 +132,25 @@ impl ShellService {
     }
 }
 
-impl Service for ShellService {
-    fn module(&self) -> &str {
-        "shell"
-    }
+/// The `shell` methods.
+pub static METHODS: &[MethodInfo] = &[
+    MethodInfo::new(
+        "shell.cmd",
+        "shell.cmd(command)",
+        "Run a sandboxed command as the mapped system user",
+        1,
+    ),
+    MethodInfo::new(
+        "shell.cmd_info",
+        "shell.cmd_info()",
+        "The mapped system user and sandbox directory",
+        0,
+    ),
+];
 
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo::new(
-                "shell.cmd",
-                "shell.cmd(command)",
-                "Run a sandboxed command as the mapped system user",
-            ),
-            MethodInfo::new(
-                "shell.cmd_info",
-                "shell.cmd_info()",
-                "The mapped system user and sandbox directory",
-            ),
-        ]
+impl Service for ShellService {
+    fn methods(&self) -> &'static [MethodInfo] {
+        METHODS
     }
 
     fn call(
@@ -161,7 +161,6 @@ impl Service for ShellService {
     ) -> Result<Value, Fault> {
         match method {
             "shell.cmd" => {
-                params::expect_len(params_in, 1, method)?;
                 let command = params::string(params_in, 0, "command")?;
                 let (_user, sandbox) = self.sandbox_for(ctx)?;
                 let outcome = interp::run(&sandbox, &command);
@@ -172,7 +171,6 @@ impl Service for ShellService {
                 ]))
             }
             "shell.cmd_info" => {
-                params::expect_len(params_in, 0, method)?;
                 let (user, _sandbox) = self.sandbox_for(ctx)?;
                 // The *virtual* sandbox path (visible to the file service
                 // when its root is the shell root).
@@ -181,10 +179,7 @@ impl Service for ShellService {
                     ("sandbox", Value::from(format!("/{user}"))),
                 ]))
             }
-            other => Err(Fault::new(
-                codes::NO_SUCH_METHOD,
-                format!("no method {other}"),
-            )),
+            other => Err(unhandled(other)),
         }
     }
 }

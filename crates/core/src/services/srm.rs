@@ -23,7 +23,7 @@ use clarens_wire::{Fault, Value};
 use crate::acl::FileAccess;
 use crate::client::ClarensClient;
 use crate::paths;
-use crate::registry::{params, CallContext, MethodInfo, Service};
+use crate::registry::{params, unhandled, CallContext, MethodInfo, Service};
 
 /// DB bucket for stage requests (token → request record).
 pub const SRM_BUCKET: &str = "srm.requests";
@@ -75,39 +75,24 @@ impl SrmService {
     }
 }
 
-impl Service for SrmService {
-    fn module(&self) -> &str {
-        "srm"
-    }
+/// The `srm` methods. None is `replicated`: a stage request belongs to the
+/// node that holds the file, so any node runs them. `srm.stage` and
+/// `srm.release` nevertheless put into [`SRM_BUCKET`], a bucket of the
+/// shipped store like any other — run on a leader the record ships to every
+/// follower; run on a follower it is appended to that follower's own log
+/// only, beside what it applies from the leader's stream (ROADMAP item 3
+/// lists the schedule the simulator must judge).
+pub static METHODS: &[MethodInfo] = &[
+    MethodInfo::new("srm.stage", "srm.stage(path)", "Request a file be staged from mass storage; returns a request token", 1),
+    MethodInfo::new("srm.status", "srm.status(token)", "Stage-request status: staging | online | released", 1),
+    MethodInfo::new("srm.get", "srm.get(token, offset, nbytes)", "Read from a staged (online) file", 3),
+    MethodInfo::new("srm.release", "srm.release(token)", "Release a staged file (it returns to tape)", 1),
+    MethodInfo::new("srm.pull", "srm.pull(source_url, dest_path, expected_md5)", "Third-party transfer: fetch a remote Clarens file into local storage (MD5-verified, retried)", 3),
+];
 
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo::new(
-                "srm.stage",
-                "srm.stage(path)",
-                "Request a file be staged from mass storage; returns a request token",
-            ),
-            MethodInfo::new(
-                "srm.status",
-                "srm.status(token)",
-                "Stage-request status: staging | online | released",
-            ),
-            MethodInfo::new(
-                "srm.get",
-                "srm.get(token, offset, nbytes)",
-                "Read from a staged (online) file",
-            ),
-            MethodInfo::new(
-                "srm.release",
-                "srm.release(token)",
-                "Release a staged file (it returns to tape)",
-            ),
-            MethodInfo::new(
-                "srm.pull",
-                "srm.pull(source_url, dest_path, expected_md5)",
-                "Third-party transfer: fetch a remote Clarens file into local storage (MD5-verified, retried)",
-            ),
-        ]
+impl Service for SrmService {
+    fn methods(&self) -> &'static [MethodInfo] {
+        METHODS
     }
 
     fn call(
@@ -118,7 +103,6 @@ impl Service for SrmService {
     ) -> Result<Value, Fault> {
         match method {
             "srm.stage" => {
-                params_helper::expect(params_in, 1, method)?;
                 let path = params::string(params_in, 0, "path")?;
                 let dn = ctx.require_identity()?;
                 let canonical = paths::canonical(&path)
@@ -161,7 +145,6 @@ impl Service for SrmService {
                 ]))
             }
             "srm.status" => {
-                params_helper::expect(params_in, 1, method)?;
                 ctx.require_identity()?;
                 let token = params::string(params_in, 0, "token")?;
                 let request = self.load_request(ctx, &token)?;
@@ -171,7 +154,6 @@ impl Service for SrmService {
                 ]))
             }
             "srm.get" => {
-                params_helper::expect(params_in, 3, method)?;
                 let dn = ctx.require_identity()?;
                 let token = params::string(params_in, 0, "token")?;
                 let offset = params::int(params_in, 1, "offset")?;
@@ -192,9 +174,12 @@ impl Service for SrmService {
                     .get("path")
                     .and_then(Value::as_str)
                     .ok_or_else(|| Fault::new(codes::INTERNAL, "corrupt request"))?;
-                // Delegate to the file-service semantics for the read.
+                // Delegate to the file-service semantics for the read. The
+                // one `Service::call` outside the gate: the name and shape
+                // are fixed here, not the caller's, and `srm.get` itself
+                // passed the gate; `file.read` still applies its file ACL.
                 let file_service = super::FileService::new(self.root.clone());
-                crate::registry::Service::call(
+                Service::call(
                     &file_service,
                     ctx,
                     "file.read",
@@ -202,7 +187,6 @@ impl Service for SrmService {
                 )
             }
             "srm.release" => {
-                params_helper::expect(params_in, 1, method)?;
                 let dn = ctx.require_identity()?;
                 let token = params::string(params_in, 0, "token")?;
                 let request = self.load_request(ctx, &token)?;
@@ -222,7 +206,6 @@ impl Service for SrmService {
                 Ok(Value::Bool(true))
             }
             "srm.pull" => {
-                params_helper::expect(params_in, 3, method)?;
                 let dn = ctx.require_identity()?;
                 let source_url = params::string(params_in, 0, "source_url")?;
                 let dest = params::string(params_in, 1, "dest_path")?;
@@ -277,19 +260,7 @@ impl Service for SrmService {
                     ("dest", Value::from(canonical_dest)),
                 ]))
             }
-            other => Err(Fault::new(
-                codes::NO_SUCH_METHOD,
-                format!("no method {other}"),
-            )),
+            other => Err(unhandled(other)),
         }
-    }
-}
-
-/// Tiny local alias so the match arms read uniformly.
-mod params_helper {
-    use clarens_wire::{Fault, Value};
-
-    pub fn expect(params: &[Value], n: usize, method: &str) -> Result<(), Fault> {
-        crate::registry::params::expect_len(params, n, method)
     }
 }

@@ -9,7 +9,7 @@ use clarens_pki::cert::{verify_chain, Certificate};
 use clarens_wire::fault::codes;
 use clarens_wire::{Fault, Value};
 
-use crate::registry::{params, CallContext, MethodInfo, Service, METHODS_BUCKET};
+use crate::registry::{params, unhandled, CallContext, MethodInfo, Service, METHODS_BUCKET};
 
 /// The `system` service.
 pub struct SystemService;
@@ -17,70 +17,97 @@ pub struct SystemService;
 /// Version string reported by `system.version`.
 pub const VERSION: &str = concat!("clarens-rs/", env!("CARGO_PKG_VERSION"));
 
-impl Service for SystemService {
-    fn module(&self) -> &str {
-        "system"
-    }
+/// The `system` methods.
+pub static METHODS: &[MethodInfo] = &[
+    MethodInfo::new(
+        "system.list_methods",
+        "system.list_methods()",
+        "List all registered method names",
+        0,
+    )
+    .idempotent(),
+    MethodInfo::new(
+        "system.get_method_info",
+        "system.get_method_info(name)",
+        "Signature and documentation for one method",
+        1,
+    )
+    .idempotent(),
+    MethodInfo::new(
+        "system.auth",
+        "system.auth(chain, timestamp, signature)",
+        "Authenticate with a certificate chain and challenge signature; returns a session",
+        3,
+    )
+    .public()
+    .replicated(),
+    MethodInfo::new(
+        "system.whoami",
+        "system.whoami()",
+        "The caller's identity DN",
+        0,
+    )
+    .idempotent(),
+    MethodInfo::new(
+        "system.logout",
+        "system.logout()",
+        "Destroy the current session",
+        0,
+    )
+    .replicated(),
+    MethodInfo::new(
+        "system.version",
+        "system.version()",
+        "Server version string",
+        0,
+    )
+    .public()
+    .idempotent(),
+    MethodInfo::new("system.ping", "system.ping()", "Liveness probe", 0)
+        .public()
+        .idempotent(),
+    MethodInfo::new(
+        "system.health",
+        "system.health()",
+        "Readiness: role, leader epoch, replication cursor/lag, degraded flag",
+        0,
+    )
+    .public()
+    .idempotent(),
+    MethodInfo::new(
+        "system.session_count",
+        "system.session_count()",
+        "Number of live sessions (admin)",
+        0,
+    )
+    .idempotent(),
+    MethodInfo::new(
+        "system.stats",
+        "system.stats()",
+        "DB and authorization-cache counters (admin)",
+        0,
+    )
+    .idempotent(),
+    MethodInfo::new(
+        "system.metrics",
+        "system.metrics()",
+        "Full telemetry snapshot: HTTP counters, per-phase and per-method latency (admin)",
+        0,
+    )
+    .idempotent(),
+    MethodInfo::new(
+        "system.trace_tail",
+        "system.trace_tail([limit])",
+        "Most recent slow-request traces, newest first (admin)",
+        0,
+    )
+    .up_to(1)
+    .idempotent(),
+];
 
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo::new(
-                "system.list_methods",
-                "system.list_methods()",
-                "List all registered method names",
-            ),
-            MethodInfo::new(
-                "system.get_method_info",
-                "system.get_method_info(name)",
-                "Signature and documentation for one method",
-            ),
-            MethodInfo::new(
-                "system.auth",
-                "system.auth(chain, timestamp, signature)",
-                "Authenticate with a certificate chain and challenge signature; returns a session",
-            ),
-            MethodInfo::new(
-                "system.whoami",
-                "system.whoami()",
-                "The caller's identity DN",
-            ),
-            MethodInfo::new(
-                "system.logout",
-                "system.logout()",
-                "Destroy the current session",
-            ),
-            MethodInfo::new(
-                "system.version",
-                "system.version()",
-                "Server version string",
-            ),
-            MethodInfo::new("system.ping", "system.ping()", "Liveness probe"),
-            MethodInfo::new(
-                "system.health",
-                "system.health()",
-                "Readiness: role, leader epoch, replication cursor/lag, degraded flag",
-            ),
-            MethodInfo::new(
-                "system.session_count",
-                "system.session_count()",
-                "Number of live sessions (admin)",
-            ),
-            MethodInfo::new(
-                "system.stats",
-                "system.stats()",
-                "DB and authorization-cache counters (admin)",
-            ),
-            MethodInfo::new(
-                "system.metrics",
-                "system.metrics()",
-                "Full telemetry snapshot: HTTP counters, per-phase and per-method latency (admin)",
-            ),
-            MethodInfo::new(
-                "system.trace_tail",
-                "system.trace_tail([limit])",
-                "Most recent slow-request traces, newest first (admin)",
-            ),
-        ]
+impl Service for SystemService {
+    fn methods(&self) -> &'static [MethodInfo] {
+        METHODS
     }
 
     fn call(
@@ -91,7 +118,6 @@ impl Service for SystemService {
     ) -> Result<Value, Fault> {
         match method {
             "system.list_methods" => {
-                params::expect_len(params_in, 0, method)?;
                 // Deliberately uncached: a fresh DB scan per request, as
                 // the paper stresses ("No caching was performed on the
                 // server").
@@ -99,7 +125,6 @@ impl Service for SystemService {
                 Ok(Value::Array(names.into_iter().map(Value::from).collect()))
             }
             "system.get_method_info" => {
-                params::expect_len(params_in, 1, method)?;
                 let name = params::string(params_in, 0, "name")?;
                 let bytes = ctx.core.store.get(METHODS_BUCKET, &name).ok_or_else(|| {
                     Fault::new(codes::NO_SUCH_METHOD, format!("no method {name}"))
@@ -110,27 +135,14 @@ impl Service for SystemService {
                     .map_err(|_| Fault::new(codes::INTERNAL, "corrupt method record"))
             }
             "system.auth" => self.auth(ctx, params_in),
-            "system.whoami" => {
-                params::expect_len(params_in, 0, method)?;
-                Ok(Value::from(ctx.require_identity()?.to_string()))
-            }
-            "system.logout" => {
-                params::expect_len(params_in, 0, method)?;
-                match &ctx.session {
-                    Some(session) => Ok(Value::Bool(ctx.core.sessions.logout(&session.id))),
-                    None => Ok(Value::Bool(false)),
-                }
-            }
-            "system.version" => {
-                params::expect_len(params_in, 0, method)?;
-                Ok(Value::from(VERSION))
-            }
-            "system.ping" => {
-                params::expect_len(params_in, 0, method)?;
-                Ok(Value::from("pong"))
-            }
+            "system.whoami" => Ok(Value::from(ctx.require_identity()?.to_string())),
+            "system.logout" => match &ctx.session {
+                Some(session) => Ok(Value::Bool(ctx.core.sessions.logout(&session.id))),
+                None => Ok(Value::Bool(false)),
+            },
+            "system.version" => Ok(Value::from(VERSION)),
+            "system.ping" => Ok(Value::from("pong")),
             "system.health" => {
-                params::expect_len(params_in, 0, method)?;
                 // Public (like ping): the election manager on peer nodes
                 // queries this to rank promotion candidates by exact WAL
                 // cursor, and operators point probes at it. Reports only
@@ -166,7 +178,6 @@ impl Service for SystemService {
                 ]))
             }
             "system.session_count" => {
-                params::expect_len(params_in, 0, method)?;
                 let dn = ctx.require_identity()?;
                 if !ctx.core.vo.is_site_admin(dn) {
                     return Err(Fault::access_denied("session_count requires site admin"));
@@ -174,7 +185,6 @@ impl Service for SystemService {
                 Ok(Value::Int(ctx.core.sessions.count() as i64))
             }
             "system.stats" => {
-                params::expect_len(params_in, 0, method)?;
                 let dn = ctx.require_identity()?;
                 if !ctx.core.vo.is_site_admin(dn) {
                     return Err(Fault::access_denied("stats requires site admin"));
@@ -216,7 +226,6 @@ impl Service for SystemService {
                 ]))
             }
             "system.metrics" => {
-                params::expect_len(params_in, 0, method)?;
                 let dn = ctx.require_identity()?;
                 if !ctx.core.vo.is_site_admin(dn) {
                     return Err(Fault::access_denied("metrics requires site admin"));
@@ -224,9 +233,6 @@ impl Service for SystemService {
                 Ok(metrics_snapshot(&ctx.core.telemetry))
             }
             "system.trace_tail" => {
-                if params_in.len() > 1 {
-                    return Err(Fault::bad_params("trace_tail takes at most one parameter"));
-                }
                 let dn = ctx.require_identity()?;
                 if !ctx.core.vo.is_site_admin(dn) {
                     return Err(Fault::access_denied("trace_tail requires site admin"));
@@ -242,10 +248,7 @@ impl Service for SystemService {
                 let tail = ctx.core.telemetry.trace_tail(limit);
                 Ok(Value::Array(tail.iter().map(slow_trace_value).collect()))
             }
-            other => Err(Fault::new(
-                codes::NO_SUCH_METHOD,
-                format!("no method {other}"),
-            )),
+            other => Err(unhandled(other)),
         }
     }
 }
@@ -259,7 +262,6 @@ impl SystemService {
     /// against the server's trust roots; proxy chains authenticate as the
     /// underlying user (paper §2.6 delegation semantics).
     fn auth(&self, ctx: &CallContext<'_>, params_in: &[Value]) -> Result<Value, Fault> {
-        params::expect_len(params_in, 3, "system.auth")?;
         let chain_values = params_in[0]
             .as_array()
             .ok_or_else(|| Fault::bad_params("parameter 0 (chain) must be an array"))?;

@@ -1,10 +1,9 @@
 //! The VO management service: the RPC surface over [`crate::vo`]
 //! (paper §2.1 — group/member administration for virtual organizations).
 
-use clarens_wire::fault::codes;
 use clarens_wire::{Fault, Value};
 
-use crate::registry::{params, CallContext, MethodInfo, Service};
+use crate::registry::{params, unhandled, CallContext, MethodInfo, Service};
 use crate::vo::VoError;
 
 /// The `vo` service.
@@ -20,55 +19,68 @@ impl From<VoError> for Fault {
     }
 }
 
-impl Service for VoAdminService {
-    fn module(&self) -> &str {
-        "vo"
-    }
+/// The `vo` methods.
+pub static METHODS: &[MethodInfo] = &[
+    MethodInfo::new(
+        "vo.create_group",
+        "vo.create_group(name)",
+        "Create a VO group",
+        1,
+    )
+    .replicated(),
+    MethodInfo::new(
+        "vo.delete_group",
+        "vo.delete_group(name)",
+        "Delete a VO group and its subgroups",
+        1,
+    )
+    .replicated(),
+    MethodInfo::new(
+        "vo.add_member",
+        "vo.add_member(group, dn)",
+        "Add a member DN (prefix) to a group",
+        2,
+    )
+    .replicated(),
+    MethodInfo::new(
+        "vo.remove_member",
+        "vo.remove_member(group, dn)",
+        "Remove a member DN from a group",
+        2,
+    )
+    .replicated(),
+    MethodInfo::new(
+        "vo.add_admin",
+        "vo.add_admin(group, dn)",
+        "Add a group admin",
+        2,
+    )
+    .replicated(),
+    MethodInfo::new(
+        "vo.remove_admin",
+        "vo.remove_admin(group, dn)",
+        "Remove a group admin",
+        2,
+    )
+    .replicated(),
+    MethodInfo::new("vo.list_groups", "vo.list_groups()", "All group names", 0),
+    MethodInfo::new(
+        "vo.group_info",
+        "vo.group_info(name)",
+        "Members and admins of a group",
+        1,
+    ),
+    MethodInfo::new(
+        "vo.is_member",
+        "vo.is_member(group, dn)",
+        "Hierarchical membership test",
+        2,
+    ),
+];
 
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo::new(
-                "vo.create_group",
-                "vo.create_group(name)",
-                "Create a VO group",
-            ),
-            MethodInfo::new(
-                "vo.delete_group",
-                "vo.delete_group(name)",
-                "Delete a VO group and its subgroups",
-            ),
-            MethodInfo::new(
-                "vo.add_member",
-                "vo.add_member(group, dn)",
-                "Add a member DN (prefix) to a group",
-            ),
-            MethodInfo::new(
-                "vo.remove_member",
-                "vo.remove_member(group, dn)",
-                "Remove a member DN from a group",
-            ),
-            MethodInfo::new(
-                "vo.add_admin",
-                "vo.add_admin(group, dn)",
-                "Add a group admin",
-            ),
-            MethodInfo::new(
-                "vo.remove_admin",
-                "vo.remove_admin(group, dn)",
-                "Remove a group admin",
-            ),
-            MethodInfo::new("vo.list_groups", "vo.list_groups()", "All group names"),
-            MethodInfo::new(
-                "vo.group_info",
-                "vo.group_info(name)",
-                "Members and admins of a group",
-            ),
-            MethodInfo::new(
-                "vo.is_member",
-                "vo.is_member(group, dn)",
-                "Hierarchical membership test",
-            ),
-        ]
+impl Service for VoAdminService {
+    fn methods(&self) -> &'static [MethodInfo] {
+        METHODS
     }
 
     fn call(
@@ -80,19 +92,16 @@ impl Service for VoAdminService {
         let vo = &ctx.core.vo;
         match method {
             "vo.create_group" => {
-                params::expect_len(params_in, 1, method)?;
                 let name = params::string(params_in, 0, "name")?;
                 vo.create_group(ctx.require_identity()?, &name)?;
                 Ok(Value::Bool(true))
             }
             "vo.delete_group" => {
-                params::expect_len(params_in, 1, method)?;
                 let name = params::string(params_in, 0, "name")?;
                 vo.delete_group(ctx.require_identity()?, &name)?;
                 Ok(Value::Bool(true))
             }
             "vo.add_member" | "vo.remove_member" | "vo.add_admin" | "vo.remove_admin" => {
-                params::expect_len(params_in, 2, method)?;
                 let group = params::string(params_in, 0, "group")?;
                 let dn = params::string(params_in, 1, "dn")?;
                 let actor = ctx.require_identity()?;
@@ -105,14 +114,12 @@ impl Service for VoAdminService {
                 Ok(Value::Bool(true))
             }
             "vo.list_groups" => {
-                params::expect_len(params_in, 0, method)?;
                 ctx.require_identity()?;
                 Ok(Value::Array(
                     vo.list_groups().into_iter().map(Value::from).collect(),
                 ))
             }
             "vo.group_info" => {
-                params::expect_len(params_in, 1, method)?;
                 ctx.require_identity()?;
                 let name = params::string(params_in, 0, "name")?;
                 let group = vo
@@ -130,7 +137,6 @@ impl Service for VoAdminService {
                 ]))
             }
             "vo.is_member" => {
-                params::expect_len(params_in, 2, method)?;
                 ctx.require_identity()?;
                 let group = params::string(params_in, 0, "group")?;
                 let dn_text = params::string(params_in, 1, "dn")?;
@@ -138,10 +144,7 @@ impl Service for VoAdminService {
                     .map_err(|e| Fault::bad_params(e.to_string()))?;
                 Ok(Value::Bool(vo.is_member(&group, &dn)))
             }
-            other => Err(Fault::new(
-                codes::NO_SUCH_METHOD,
-                format!("no method {other}"),
-            )),
+            other => Err(unhandled(other)),
         }
     }
 }

@@ -21,7 +21,7 @@
 //! Admission ([`SessionManager::create`]) does only what a new session
 //! needs: the id is 32 bytes of the thread's ChaCha20 keystream
 //! ([`clarens_pki::keystream`]) in hex, the record goes through the one
-//! direct writer ([`Session::write_record`]), and the cache write-through
+//! direct writer (`Session::write_record`), and the cache write-through
 //! is speculative — nobody has asked for the session yet — so it never
 //! evicts anything to make room for itself.
 

@@ -244,7 +244,6 @@ fn follower_session_cache_converges_across_leader_compaction() {
         std::sync::Arc::clone(follower.core()),
         leader.addr(),
         leader.admin.clone(),
-        5,
     );
 
     // A session minted on the leader authenticates on the follower once
@@ -380,13 +379,11 @@ fn follower_repoints_and_resyncs_across_promotion() {
         std::sync::Arc::clone(a.core()),
         leader.addr(),
         leader.admin.clone(),
-        5,
     );
     let repl_b = Replicator::start(
         std::sync::Arc::clone(b.core()),
         leader.addr(),
         leader.admin.clone(),
-        5,
     );
 
     // Leader-side state: a session, and echo gated behind a VO group the
@@ -412,7 +409,10 @@ fn follower_repoints_and_resyncs_across_promotion() {
         probe.set_session(session.clone());
         assert!(
             wait_until(Duration::from_secs(10), || {
-                probe.call("echo.echo", vec![Value::Int(1)]).is_ok()
+                // The ACL is the last record written: once it is here, so
+                // are the session and the group before it in the log.
+                grid.core().acl.method_acl("echo") == Some(Acl::allow_group("fenced"))
+                    && probe.call("echo.echo", vec![Value::Int(1)]).is_ok()
             }),
             "follower never converged on the leader's session/VO/ACL state"
         );

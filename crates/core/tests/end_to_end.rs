@@ -983,6 +983,76 @@ fn job_submission_lifecycle() {
 trait Wire: std::io::Read + std::io::Write {}
 impl<T: std::io::Read + std::io::Write> Wire for T {}
 
+/// The replicated-ack barrier holds a write the only known follower has
+/// not fetched — and holds it just the same when the write arrives through
+/// `proxy.call`: a lone election-managed leader, lease in hand, whose one
+/// observed fetch is behind its log, refuses to acknowledge either.
+#[test]
+fn ack_barrier_holds_direct_and_proxied_writes_alike() {
+    let db = std::env::temp_dir().join(format!("clarens-barrier-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&db);
+    let grid = TestGrid::start_with(GridOptions {
+        // The barrier compares against the WAL offset: needs a log.
+        db_path: Some(db.clone()),
+        ..Default::default()
+    });
+    // Logging in is a replicated write itself: do it before there is a
+    // follower to wait for.
+    let mut admin = grid.logged_in_client(&grid.admin);
+    let fed = &grid.core().federation;
+    fed.set_role(clarens::config::FederationRole::Leader);
+    fed.manage_lease();
+    fed.renew_lease(60_000);
+    fed.observe_follower_fetch(0);
+    assert!(grid.core().store.wal_offset() > 0);
+
+    let mut held = |method: &str, params: Vec<Value>| {
+        let started = std::time::Instant::now();
+        match admin.call(method, params) {
+            Err(ClientError::Fault(f)) => {
+                assert_eq!(f.code, codes::SERVICE, "{f:?}");
+                assert!(
+                    f.message
+                        .contains("applied locally but no follower confirmed replication in time"),
+                    "{f:?}"
+                );
+            }
+            other => panic!("{method} acknowledged a write no follower holds: {other:?}"),
+        }
+        // One lease (unset here: the 100 ms floor), not the 5 s deadline.
+        let took = started.elapsed();
+        assert!(took >= std::time::Duration::from_millis(100), "{took:?}");
+        assert!(took < std::time::Duration::from_secs(2), "{took:?}");
+    };
+    held("vo.create_group", vec![Value::from("direct")]);
+    held(
+        "proxy.call",
+        vec![
+            Value::from("vo.create_group"),
+            Value::Array(vec![Value::from("proxied")]),
+        ],
+    );
+
+    // A follower that has caught up releases both.
+    fed.observe_follower_fetch(u64::MAX);
+    let member = || vec![Value::from("direct"), Value::from("/O=doesciencegrid.org")];
+    assert_eq!(
+        admin.call("vo.add_member", member()).unwrap(),
+        Value::Bool(true)
+    );
+    assert_eq!(
+        admin
+            .call(
+                "proxy.call",
+                vec![Value::from("vo.remove_member"), Value::Array(member())]
+            )
+            .unwrap(),
+        Value::Bool(true)
+    );
+    grid.cleanup();
+    let _ = std::fs::remove_file(&db);
+}
+
 /// Open a raw byte stream to the grid and send `request` down it: a plain
 /// socket, or (on a TLS grid) the secure channel with `grid.user`'s
 /// credential.

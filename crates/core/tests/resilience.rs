@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use clarens::acl::Acl;
-use clarens::registry::{CallContext, MethodInfo, Service};
+use clarens::registry::{unhandled, CallContext, MethodInfo, Service};
 use clarens::testkit::{GridOptions, TestGrid};
 use clarens::ClientError;
 use clarens_wire::fault::codes;
@@ -18,24 +18,24 @@ use clarens_wire::{Fault, Value};
 /// deadline cooperatively and bails out early.
 struct Sleeper;
 
-impl Service for Sleeper {
-    fn module(&self) -> &str {
-        "sleeptest"
-    }
+static SLEEPER_METHODS: [MethodInfo; 2] = [
+    MethodInfo::new(
+        "sleeptest.nap",
+        "sleeptest.nap(ms)",
+        "Sleep, ignoring the budget",
+        1,
+    ),
+    MethodInfo::new(
+        "sleeptest.politenap",
+        "sleeptest.politenap(ms)",
+        "Sleep in slices, checking the deadline",
+        1,
+    ),
+];
 
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo::new(
-                "sleeptest.nap",
-                "sleeptest.nap(ms)",
-                "Sleep, ignoring the budget",
-            ),
-            MethodInfo::new(
-                "sleeptest.politenap",
-                "sleeptest.politenap(ms)",
-                "Sleep in slices, checking the deadline",
-            ),
-        ]
+impl Service for Sleeper {
+    fn methods(&self) -> &'static [MethodInfo] {
+        &SLEEPER_METHODS
     }
 
     fn call(&self, ctx: &CallContext<'_>, method: &str, params: &[Value]) -> Result<Value, Fault> {
@@ -56,7 +56,7 @@ impl Service for Sleeper {
                 }
                 Ok(Value::Int(ms as i64))
             }
-            other => Err(Fault::new(codes::NO_SUCH_METHOD, other.to_owned())),
+            other => Err(unhandled(other)),
         }
     }
 }

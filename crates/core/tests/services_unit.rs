@@ -6,11 +6,12 @@ use std::sync::Arc;
 
 use clarens::config::ClarensConfig;
 use clarens::core::ClarensCore;
-use clarens::registry::CallContext;
+use clarens::registry::{invoke, CallContext};
 use clarens::{install_permissive_acls, register_builtin_services};
 use clarens_pki::cert::{CertificateAuthority, Credential};
 use clarens_pki::dn::DistinguishedName;
 use clarens_pki::rsa;
+use clarens_telemetry::RequestTrace;
 use clarens_wire::fault::codes;
 use clarens_wire::Value;
 use rand::rngs::StdRng;
@@ -24,6 +25,10 @@ struct Fixture {
 }
 
 fn fixture(name: &str) -> Fixture {
+    fixture_with(name, |_| {})
+}
+
+fn fixture_with(name: &str, tweak: impl FnOnce(&mut ClarensConfig)) -> Fixture {
     let now = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .unwrap()
@@ -57,13 +62,14 @@ fn fixture(name: &str) -> Fixture {
     std::fs::create_dir_all(data_dir.join("files")).unwrap();
     std::fs::create_dir_all(data_dir.join("shell")).unwrap();
 
-    let config = ClarensConfig {
+    let mut config = ClarensConfig {
         admin_dns: vec![admin_dn.to_string()],
         file_root: Some(data_dir.join("files")),
         shell_root: Some(data_dir.join("shell")),
         shell_user_map: "plainuser: dn=/O=unit/OU=People/CN=plain\n".into(),
         ..Default::default()
     };
+    tweak(&mut config);
     let core = ClarensCore::new(config, vec![ca.certificate.clone()], server).unwrap();
     register_builtin_services(&core, None);
     install_permissive_acls(&core);
@@ -81,22 +87,17 @@ fn call(
     method: &str,
     params: Vec<Value>,
 ) -> Result<Value, clarens_wire::Fault> {
-    let service = fixture
-        .core
-        .registry
-        .read()
-        .resolve(method)
-        .unwrap_or_else(|| panic!("no service for {method}"));
     let ctx = CallContext {
         core: &fixture.core,
         identity: identity.cloned().map(std::sync::Arc::new),
         session: None,
-        peer_chain: vec![],
         now: fixture.core.now(),
         deadline: None,
         hops: 0,
     };
-    service.call(&ctx, method, &params)
+    // Through the gate, so a wrong-arity or unknown-name assertion tests
+    // what a client would see.
+    invoke(&ctx, method, &params, &mut RequestTrace::disabled())
 }
 
 #[test]
@@ -568,16 +569,17 @@ fn md5_streams_large_files_and_honors_deadlines() {
     // fault — the hash loop never runs to completion on borrowed time.
     // A different file, so the digest cached above cannot short-circuit.
     std::fs::write(f.data_dir.join("files/big2.dat"), &payload[1..]).unwrap();
-    let service = f.core.registry.read().resolve("file.md5").unwrap();
     let ctx = CallContext {
         core: &f.core,
         identity: Some(std::sync::Arc::new(user)),
         session: None,
-        peer_chain: vec![],
         now: f.core.now(),
         deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
         hops: 0,
     };
+    // Straight at the handler: the gate's own overrun check would mask
+    // whether the hash loop looks at the clock.
+    let (_, service) = f.core.registry.read().lookup("file.md5").unwrap();
     let err = service
         .call(&ctx, "file.md5", &[Value::from("/big2.dat")])
         .unwrap_err();
@@ -619,5 +621,196 @@ fn follower_without_leader_or_elections_is_refused() {
         ..Default::default()
     })
     .is_ok());
+    let _ = std::fs::remove_dir_all(&f.data_dir);
+}
+
+/// A core with every built-in module registered and a log on disk.
+fn full_fixture(name: &str) -> Fixture {
+    use clarens::services::DiscoveryService;
+    use monalisa_sim::DiscoveryAggregator;
+    let f = fixture_with(name, |config| {
+        // A static leader registers `replication` and fences nothing.
+        config.federation_role = clarens::config::FederationRole::Leader;
+        let dir = config.file_root.as_ref().unwrap().parent().unwrap();
+        config.db_path = Some(dir.join("store.wal"));
+    });
+    let aggregator = DiscoveryAggregator::new(vec![], Arc::new(clarens_db::Store::in_memory()));
+    f.core
+        .register(Arc::new(DiscoveryService::new(Arc::new(aggregator), None)));
+    f
+}
+
+/// The class of every built-in method, against the three lists the
+/// records replaced — the public names, the replicated writes and what the
+/// client's `is_idempotent` admitted — as they stood at `774a3b5`.
+#[test]
+fn records_reproduce_the_three_lists() {
+    const PUBLIC: [&str; 5] = [
+        "system.auth",
+        "system.version",
+        "system.ping",
+        "system.health",
+        "proxy.login",
+    ];
+    const REPLICATED: [&str; 18] = [
+        "system.auth",
+        "system.logout",
+        "proxy.login",
+        "proxy.store",
+        "proxy.attach",
+        "proxy.remove",
+        "vo.create_group",
+        "vo.delete_group",
+        "vo.add_member",
+        "vo.remove_member",
+        "vo.add_admin",
+        "vo.remove_admin",
+        "acl.set_method",
+        "acl.clear_method",
+        "acl.set_file",
+        "acl.clear_file",
+        "im.send",
+        "im.poll",
+    ];
+    const IDEMPOTENT: [&str; 26] = [
+        "file.read",
+        "file.ls",
+        "file.stat",
+        "file.find",
+        "file.size",
+        "file.md5",
+        "system.list_methods",
+        "system.get_method_info",
+        "system.whoami",
+        "system.version",
+        "system.ping",
+        "system.health",
+        "system.session_count",
+        "system.stats",
+        "system.metrics",
+        "system.trace_tail",
+        "echo.echo",
+        "echo.sum",
+        "echo.concat",
+        "echo.payload",
+        "discovery.find",
+        "discovery.find_remote",
+        "discovery.status",
+        "discovery.publish",
+        "replication.fetch",
+        "replication.status",
+    ];
+    let records: Vec<_> = clarens::services::BUILTIN
+        .iter()
+        .copied()
+        .flatten()
+        .collect();
+    assert_eq!(records.len(), 69);
+    for list in [&PUBLIC[..], &REPLICATED[..], &IDEMPOTENT[..]] {
+        for name in list {
+            assert!(records.iter().any(|m| m.name == *name), "{name} is gone");
+        }
+    }
+    for m in &records {
+        assert_eq!(m.public, PUBLIC.contains(&m.name), "{} public", m.name);
+        assert_eq!(
+            m.replicated,
+            REPLICATED.contains(&m.name),
+            "{} replicated",
+            m.name
+        );
+        assert_eq!(
+            m.idempotent,
+            IDEMPOTENT.contains(&m.name),
+            "{} idempotent",
+            m.name
+        );
+    }
+
+    // What a fully configured core registers is exactly those records,
+    // each name once.
+    let f = full_fixture("records");
+    let registered = f.core.store.keys(clarens::registry::METHODS_BUCKET);
+    assert_eq!(registered.len(), records.len());
+    for name in &registered {
+        assert_eq!(
+            records.iter().filter(|m| m.name == name).count(),
+            1,
+            "{name}"
+        );
+        assert!(f.core.registry.read().lookup(name).is_some(), "{name}");
+    }
+    let _ = std::fs::remove_dir_all(&f.data_dir);
+}
+
+/// Who writes the shipped log: a method whose record is not `replicated`
+/// leaves `wal_offset` where it was. Each is called once, with arguments
+/// it accepts. `srm.stage` and `srm.release` are the two that do not hold
+/// (they record the stage request in a store bucket; ROADMAP item 3).
+#[test]
+fn only_replicated_methods_move_the_shipped_log() {
+    let f = full_fixture("shipped-log");
+    std::fs::write(f.data_dir.join("files/f.txt"), b"contents").unwrap();
+    let dn = Value::from(f.user_dn.to_string());
+    let mut token = Value::Nil;
+    let mut job = Value::Nil;
+    let mut moved = Vec::new();
+    for m in clarens::services::BUILTIN.iter().copied().flatten() {
+        if m.replicated {
+            continue;
+        }
+        let s = Value::from;
+        let args = match m.name {
+            "system.get_method_info" => vec![s("echo.echo")],
+            "echo.echo" | "echo.payload" | "im.peek" => vec![Value::Int(4)],
+            "echo.sum" => vec![Value::Int(1), Value::Int(2)],
+            "echo.concat" => vec![Value::Array(vec![s("a"), s("b")])],
+            "file.read" => vec![s("/f.txt"), Value::Int(0), Value::Int(4)],
+            "file.ls" => vec![s("/")],
+            "file.stat" | "file.md5" | "file.size" | "srm.stage" => vec![s("/f.txt")],
+            "file.find" => vec![s("/"), s("f")],
+            "file.put" => vec![s("/g.txt"), Value::Bytes(vec![1, 2]), Value::Bool(false)],
+            "file.mkdir" => vec![s("/d")],
+            "file.rm" => vec![s("/g.txt")],
+            "vo.group_info" => vec![s("admins")],
+            "vo.is_member" => vec![s("admins"), dn.clone()],
+            "acl.get_method" => vec![s("echo")],
+            "acl.check" => vec![s("echo.echo"), dn.clone()],
+            "proxy.retrieve" => vec![s("password")],
+            "proxy.call" => vec![s("echo.echo"), Value::Array(vec![Value::Int(1)])],
+            "shell.cmd" | "job.submit" => vec![s("echo hi")],
+            "srm.status" | "srm.release" => vec![token.clone()],
+            "srm.get" => vec![token.clone(), Value::Int(0), Value::Int(4)],
+            // Nothing listens there: the transfer fails, which is an answer.
+            "srm.pull" => vec![s("http://127.0.0.1:1/file/f.txt"), s("/pulled"), s("")],
+            "job.status" | "job.remove" => vec![job.clone()],
+            "job.wait" => vec![job.clone(), Value::Int(5_000)],
+            "replication.fetch" => vec![Value::Int(0), Value::Int(0), Value::Int(1024)],
+            _ => {
+                assert_eq!(m.min_params, 0, "{} needs arguments here", m.name);
+                vec![]
+            }
+        };
+        // The shell map knows the plain user; the admin passes every
+        // other service-level check.
+        let who = match m.module() {
+            "shell" | "job" => &f.user_dn,
+            _ => &f.admin_dn,
+        };
+        let before = f.core.store.wal_offset();
+        let answer = call(&f, Some(who), m.name, args);
+        if f.core.store.wal_offset() != before {
+            moved.push(m.name);
+        }
+        // A fault for want of a peer, a publisher or a stored proxy is an
+        // answer; one about the call's shape means this table is wrong.
+        match &answer {
+            Err(fault) => assert!(fault.code == codes::SERVICE, "{}: {fault:?}", m.name),
+            Ok(value) if m.name == "srm.stage" => token = value.get("token").unwrap().clone(),
+            Ok(value) if m.name == "job.submit" => job = value.clone(),
+            Ok(_) => {}
+        }
+    }
+    assert_eq!(moved, ["srm.stage", "srm.release"]);
     let _ = std::fs::remove_dir_all(&f.data_dir);
 }

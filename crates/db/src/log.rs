@@ -9,7 +9,7 @@
 //! ```
 //!
 //! This module is the only place that knows that layout: [`encode_record`]
-//! writes a frame, [`read_frame`] reads one, and every consumer (recovery,
+//! writes a frame, `read_frame` reads one, and every consumer (recovery,
 //! the compaction replay, [`frame_prefix`], [`decode_stream`]) walks a log
 //! through `read_frame`.
 //!

@@ -6,7 +6,7 @@
 //! methods in the server" (§4). It offers:
 //!
 //! * named buckets, each an ordered map of `String → Vec<u8>`, lock-striped
-//!   across [`SHARDS`] shards by bucket hash so writes to different buckets
+//!   across `SHARDS` shards by bucket hash so writes to different buckets
 //!   (sessions vs. VO vs. ACL) never contend,
 //! * optional durability through a group-commit write-ahead log
 //!   ([`WalEngine`]),

@@ -5,7 +5,7 @@
 //! **Group commit.** In durable mode every acknowledged append must be
 //! fsynced, but fsync latency is the whole cost — so concurrent appenders
 //! share it. An appender writes its record under the log mutex (capturing
-//! a logical LSN), then enters [`WalEngine::commit`]: the first arrival
+//! a logical LSN), then enters `WalEngine::commit`: the first arrival
 //! becomes the batch leader, issues one `fdatasync` covering everything
 //! written so far, and publishes the new durable watermark; everyone else
 //! parks on a condvar and returns as soon as the watermark passes their
@@ -24,7 +24,7 @@
 //! already on disk), then loops copying the freshly appended tail without
 //! any lock until the remainder is small, and only then blocks appenders
 //! for one final tail copy + atomic rename. The append stall is bounded
-//! by [`FINAL_TAIL_MAX`] bytes, not by the log size. The rename bumps the
+//! by `FINAL_TAIL_MAX` bytes, not by the log size. The rename bumps the
 //! file epoch so replication cursors resync; the swap (rename + handle
 //! reopen + epoch bump) happens under a writer lock that
 //! [`WalEngine::read_log`] read-locks, so a concurrent reader can never

@@ -241,14 +241,6 @@ pub fn clear(site: &str) {
     }
 }
 
-/// Disarm every site.
-pub fn clear_all() {
-    let mut registry = REGISTRY.write();
-    let n = registry.len() as u32;
-    registry.clear();
-    STATE.fetch_sub(n * SITE_UNIT, Ordering::SeqCst);
-}
-
 /// RAII activation: the site is disarmed when the guard drops. Tests use
 /// this so a panic cannot leak an armed failpoint into the next test.
 pub struct Guard {

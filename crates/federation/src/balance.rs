@@ -173,11 +173,6 @@ impl BalancedClient {
         self.router.current.as_ref().map(|d| d.url.as_str())
     }
 
-    /// Times a write call was re-aimed at a hinted leader.
-    pub fn write_reroutes(&self) -> u64 {
-        self.client.leader_redirects()
-    }
-
     /// The leader this client currently believes in, if any.
     pub fn believed_leader(&self) -> Option<&str> {
         self.client.last_leader().map(|(addr, _)| addr)

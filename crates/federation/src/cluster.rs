@@ -17,7 +17,7 @@ use monalisa_sim::station::wait_until;
 use monalisa_sim::{DiscoveryAggregator, ServiceQuery, StationServer, UdpPublisher};
 
 use crate::balance::BalancedClient;
-use crate::election::{ElectionManager, ElectionOptions};
+use crate::election::ElectionManager;
 use crate::pki::federation_pki;
 use crate::replicator::Replicator;
 
@@ -167,7 +167,6 @@ impl FederationNode {
                     Arc::clone(&server.core),
                     options.leader.clone().unwrap_or_default(),
                     pki.admin.clone(),
-                    options.replication_poll_ms,
                 ))
             } else {
                 None
@@ -179,11 +178,7 @@ impl FederationNode {
                         addr.clone(),
                         stations.iter().map(|s| s.local_addr()).collect(),
                         stations.iter().map(|s| s.query_addr()).collect(),
-                        ElectionOptions {
-                            lease_ms: options.leader_lease_ms,
-                            jitter_ms: options.election_jitter_ms,
-                            seed: options.index as u64 + 1,
-                        },
+                        options.index as u64 + 1,
                     )
                     .expect("start election manager"),
                 )
@@ -381,15 +376,6 @@ impl FederationCluster {
             "discovery did not converge to {want} nodes"
         );
         cluster
-    }
-
-    /// The node currently leading, if any (highest epoch wins while a
-    /// demotion is still propagating).
-    pub fn try_leader(&self) -> Option<&FederationNode> {
-        self.nodes
-            .iter()
-            .filter(|n| n.core().federation.role() == FederationRole::Leader)
-            .max_by_key(|n| n.core().federation.epoch())
     }
 
     /// The current leader, following the epoch across failovers: after

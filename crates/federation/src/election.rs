@@ -10,7 +10,7 @@
 //!   millisecond-resolution `renewed_ms` liveness stamp), and — while it
 //!   holds the leadership — a `cluster-leader` **lease descriptor**
 //!   carrying `leader_epoch`, `lease_ms`, and `renewed_ms`;
-//! * renews its local lease in [`FederationState`] **only after the
+//! * renews its local lease in [`clarens::FederationState`] **only after the
 //!   publish succeeds** — a partitioned leader that cannot reach any
 //!   station stops renewing, its lease decays, and the dispatch fence
 //!   stops acknowledging writes *before* a rival can be elected
@@ -43,7 +43,7 @@
 //! which may be skewed arbitrarily from the observer's — so lease age is
 //! never computed by subtracting it from the local clock. Instead each
 //! observer tracks, per descriptor, the local monotonic instant at which
-//! it last saw the `renewed_ms` value *change* ([`Freshness`]); a lease
+//! it last saw the `renewed_ms` value *change* (`Freshness`); a lease
 //! has lapsed when that locally-measured age exceeds 1.5 intervals. The
 //! leader self-fences on the same monotonic basis (`renew_lease`), so no
 //! clock comparison ever crosses hosts and NTP drift cannot open a
@@ -73,17 +73,6 @@ const LEASE_SERVICE: &str = "cluster-leader";
 /// is treated as dead when ranking election candidates.
 const MEMBER_FRESH_LEASES: u64 = 2;
 
-/// Election settings for one node.
-#[derive(Clone)]
-pub struct ElectionOptions {
-    /// Lease duration in ms (the `leader_lease_ms` knob). Must be > 0.
-    pub lease_ms: u64,
-    /// Upper bound of the random pre-claim pause (`election_jitter_ms`).
-    pub jitter_ms: u64,
-    /// Seed for the jitter RNG (deterministic drills).
-    pub seed: u64,
-}
-
 /// A running election-manager thread.
 pub struct ElectionManager {
     stop: Arc<AtomicBool>,
@@ -94,15 +83,21 @@ pub struct ElectionManager {
 impl ElectionManager {
     /// Start managing elections for `core`, which serves RPC on `addr`.
     /// `udp_stations` receive lease/member publications; `query_stations`
-    /// are the TCP query addresses of the same stations.
+    /// are the TCP query addresses of the same stations. The lease and the
+    /// bound of the random pre-claim pause are `core.config`'s
+    /// `leader_lease_ms` (must be > 0) and `election_jitter_ms`;
+    /// `jitter_seed` seeds that pause (deterministic drills).
     pub fn start(
         core: Arc<ClarensCore>,
         addr: String,
         udp_stations: Vec<SocketAddr>,
         query_stations: Vec<SocketAddr>,
-        options: ElectionOptions,
+        jitter_seed: u64,
     ) -> std::io::Result<ElectionManager> {
-        assert!(options.lease_ms > 0, "elections need a non-zero lease");
+        assert!(
+            core.config.leader_lease_ms > 0,
+            "elections need a non-zero lease"
+        );
         let publisher = UdpPublisher::new(udp_stations)?;
         let stop = Arc::new(AtomicBool::new(false));
         let partitioned = Arc::new(AtomicBool::new(false));
@@ -117,7 +112,7 @@ impl ElectionManager {
                         &addr,
                         &publisher,
                         &query_stations,
-                        &options,
+                        jitter_seed,
                         &stop,
                         &partitioned,
                     )
@@ -251,13 +246,13 @@ fn run(
     addr: &str,
     publisher: &UdpPublisher,
     query_stations: &[SocketAddr],
-    options: &ElectionOptions,
+    jitter_seed: u64,
     stop: &AtomicBool,
     partitioned: &AtomicBool,
 ) {
-    let lease_ms = options.lease_ms;
+    let lease_ms = core.config.leader_lease_ms;
     let tick = Duration::from_millis((lease_ms / 4).max(5));
-    let mut rng = StdRng::seed_from_u64(options.seed);
+    let mut rng = StdRng::seed_from_u64(jitter_seed);
     let mut freshness = Freshness::default();
     // Local instant since which a reachable station network has shown no
     // lease descriptor at all (cluster never had a leader, or stations
@@ -380,7 +375,6 @@ fn run(
                             addr,
                             publisher,
                             query_stations,
-                            options,
                             &mut rng,
                             &mut freshness,
                             stop,
@@ -400,7 +394,6 @@ fn run(
                         addr,
                         publisher,
                         query_stations,
-                        options,
                         &mut rng,
                         &mut freshness,
                         stop,
@@ -429,20 +422,18 @@ fn peer_health(addr: &str) -> Option<(bool, u64)> {
     Some((role == "leader", applied))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn try_promote(
     core: &Arc<ClarensCore>,
     addr: &str,
     publisher: &UdpPublisher,
     query_stations: &[SocketAddr],
-    options: &ElectionOptions,
     rng: &mut StdRng,
     freshness: &mut Freshness,
     stop: &AtomicBool,
 ) {
-    let lease_ms = options.lease_ms;
+    let lease_ms = core.config.leader_lease_ms;
     // Decorrelate candidates so the common case is one claimant.
-    let jitter = rng.next_u64() % options.jitter_ms.max(1);
+    let jitter = rng.next_u64() % core.config.election_jitter_ms.max(1);
     std::thread::sleep(Duration::from_millis(jitter));
     if stop.load(Ordering::SeqCst) {
         return;

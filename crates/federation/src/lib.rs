@@ -10,7 +10,7 @@
 //!   published load/latency attributes (power-of-two-choices on `p95_us`),
 //!   and re-resolves with endpoint blacklisting when a node dies mid-call.
 //! * **Proxy routing** — every node exports `proxy.call` (see the core
-//!   `proxy` service): a request for a module the node does not own is
+//!   `proxy` service): a request for a method the node does not export is
 //!   forwarded one hop to the discovery-resolved owner, with an
 //!   `x-clarens-hops` header bounding pathological bouncing.
 //! * **WAL-shipping replication** — [`Replicator`] runs on follower nodes,
@@ -37,6 +37,6 @@ pub mod replicator;
 
 pub use balance::BalancedClient;
 pub use cluster::{FederationCluster, FederationNode, NodeOptions};
-pub use election::{ElectionManager, ElectionOptions};
+pub use election::ElectionManager;
 pub use pki::{federation_pki, FederationPki};
 pub use replicator::Replicator;

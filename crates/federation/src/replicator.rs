@@ -18,7 +18,7 @@
 //!   the published `db.replication_lag` gauge is `len - applied_offset`.
 //!
 //! Failover behaviour (DESIGN.md §14): the loop re-reads the believed
-//! leader from [`FederationState`] every cycle. When the election manager
+//! leader from [`clarens::FederationState`] every cycle. When the election manager
 //! re-points it, the replicator reconnects and resyncs from `(0, 0)` —
 //! the new leader's log is a different byte stream, and its compacted
 //! form is a full-state snapshot, so replay from the top converges
@@ -61,14 +61,9 @@ impl Replicator {
     /// (replication is site-admin gated: the WAL carries session
     /// secrets). `leader` seeds the leader address; thereafter the loop
     /// follows `core.federation` — pass an empty string to resolve purely
-    /// dynamically (election-managed nodes). Polls every `poll_ms` when
-    /// idle.
-    pub fn start(
-        core: Arc<ClarensCore>,
-        leader: String,
-        admin: Credential,
-        poll_ms: u64,
-    ) -> Replicator {
+    /// dynamically (election-managed nodes). Polls every
+    /// `core.config.replication_poll_ms` when idle.
+    pub fn start(core: Arc<ClarensCore>, leader: String, admin: Credential) -> Replicator {
         let stop = Arc::new(AtomicBool::new(false));
         let applied = Arc::new(AtomicU64::new(0));
         let chunks = Arc::new(AtomicU64::new(0));
@@ -78,7 +73,7 @@ impl Replicator {
             let chunks = Arc::clone(&chunks);
             std::thread::Builder::new()
                 .name(format!("replicator-{leader}"))
-                .spawn(move || run(&core, leader, admin, poll_ms, &stop, &applied, &chunks))
+                .spawn(move || run(&core, leader, admin, &stop, &applied, &chunks))
                 .expect("spawn replicator thread")
         };
         Replicator {
@@ -122,11 +117,11 @@ fn run(
     core: &Arc<ClarensCore>,
     initial_leader: String,
     admin: Credential,
-    poll_ms: u64,
     stop: &AtomicBool,
     applied: &AtomicU64,
     chunks: &AtomicU64,
 ) {
+    let poll_ms = core.config.replication_poll_ms;
     let pause = Duration::from_millis(poll_ms.max(1));
     // Fetch and login failures pause on the shared jittered schedule,
     // from one poll interval up to the cap.

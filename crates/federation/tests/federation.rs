@@ -8,10 +8,42 @@ use std::time::{Duration, Instant};
 use clarens::client::ClientError;
 use clarens::config::FederationRole;
 use clarens_federation::{federation_pki, FederationCluster, FederationNode, NodeOptions};
+use clarens_httpd::{HttpClient, Method, Request};
 use clarens_wire::fault::codes;
-use clarens_wire::Value;
+use clarens_wire::{Fault, Protocol, RpcCall, Value};
 use monalisa_sim::station::wait_until;
 use monalisa_sim::StationServer;
+
+/// One XML-RPC exchange with no client policy on top: what *this node*
+/// answers, not where a hint-chasing `ClarensClient` ends up.
+fn raw_call(addr: &str, session: &str, method: &str, params: Vec<Value>) -> Result<Value, Fault> {
+    let call = RpcCall {
+        method: method.to_owned(),
+        params,
+        id: None,
+    };
+    let mut request = Request::new(Method::Post, "/clarens");
+    request
+        .headers
+        .set("content-type", Protocol::XmlRpc.content_type());
+    request.headers.set("x-clarens-session", session);
+    request.body = clarens_wire::encode_call(Protocol::XmlRpc, &call);
+    let response = HttpClient::new(addr).request(&request).expect("exchange");
+    assert_eq!(response.status, 200);
+    match clarens_wire::decode_response(Protocol::XmlRpc, &response.body)
+        .expect("decodable response")
+        .into_result()
+    {
+        Ok(value) => Ok(value),
+        Err(clarens_wire::WireError::Fault(fault)) => Err(fault),
+        Err(other) => panic!("not an RPC answer: {other}"),
+    }
+}
+
+/// `proxy.call(method, params)` as its parameter list.
+fn proxied(method: &str, params: Vec<Value>) -> Vec<Value> {
+    vec![Value::Str(method.into()), Value::Array(params)]
+}
 
 #[test]
 fn two_node_replication_converges() {
@@ -47,6 +79,43 @@ fn two_node_replication_converges() {
         "replication lag never drained"
     );
     assert!(cluster.leader().core().telemetry.gauge("db.wal_offset") > Some(0));
+
+    // A replicated write proxied through the follower is a replicated
+    // write on the follower: fenced like the direct call, run nowhere.
+    // (A site admin asks, so only the fence stands between the call and
+    // the group.)
+    let mut admin = cluster
+        .leader()
+        .client()
+        .with_credential(federation_pki().admin.clone());
+    let admin_session = admin.login().expect("admin login");
+    let follower = &cluster.nodes[1];
+    assert!(
+        wait_until(Duration::from_secs(10), || {
+            raw_call(&follower.addr, &admin_session, "system.whoami", vec![]).is_ok()
+        }),
+        "admin session never reached the follower"
+    );
+    let fenced_before = follower.core().telemetry.federation.fenced_writes.get();
+    let group = || vec![Value::Str("proxied".into())];
+    let direct = raw_call(&follower.addr, &admin_session, "vo.create_group", group())
+        .expect_err("a follower ran a direct replicated write");
+    let via_proxy = raw_call(
+        &follower.addr,
+        &admin_session,
+        "proxy.call",
+        proxied("vo.create_group", group()),
+    )
+    .expect_err("a follower ran a proxied replicated write");
+    assert_eq!(via_proxy.code, codes::NOT_LEADER, "{via_proxy:?}");
+    assert_eq!(via_proxy.leader_hint(), direct.leader_hint());
+    assert_eq!(
+        follower.core().telemetry.federation.fenced_writes.get(),
+        fenced_before + 2
+    );
+    for node in &cluster.nodes {
+        assert!(node.core().vo.group("proxied").is_none());
+    }
     cluster.cleanup();
 }
 
@@ -347,6 +416,31 @@ fn split_brain_fences_stale_leader_and_demotes_on_heal() {
     assert!(
         stale.core().telemetry.federation.fenced_writes.get() > fenced_before,
         "fence counter never ticked"
+    );
+    // The same write through `proxy.call` meets the same fence: same
+    // fault, same hint, one more tick.
+    let send = || {
+        vec![
+            Value::Str(user_dn.clone()),
+            Value::Str("split-brain".into()),
+        ]
+    };
+    let fenced_before = stale.core().telemetry.federation.fenced_writes.get();
+    let direct = raw_call(&stale.addr, &session, "im.send", send())
+        .expect_err("stale leader accepted a direct write");
+    let via_proxy = raw_call(
+        &stale.addr,
+        &session,
+        "proxy.call",
+        proxied("im.send", send()),
+    )
+    .expect_err("stale leader accepted a proxied write");
+    assert_eq!(via_proxy.code, codes::NOT_LEADER, "{via_proxy:?}");
+    assert_eq!(via_proxy.leader_hint(), direct.leader_hint());
+    assert_eq!(
+        stale.core().telemetry.federation.fenced_writes.get(),
+        fenced_before + 2,
+        "a proxied fenced write must tick the counter like a direct one"
     );
     // 100% of stale writes rejected: the message exists on no node.
     let mut count_probe = cluster.leader().client();

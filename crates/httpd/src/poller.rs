@@ -27,7 +27,7 @@
 //!   validates each expiry against its live table before closing anything.
 //!
 //! Everything here speaks raw `RawFd`s and `u64` tokens; connection state
-//! stays in [`crate::conn`], and only the poller thread mutates
+//! stays in `crate::conn`, and only the poller thread mutates
 //! registrations, so no interest-list locking is needed on the hot path.
 
 #![allow(dead_code)] // the backends keep the same surface

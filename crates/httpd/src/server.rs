@@ -19,7 +19,7 @@
 //! and concurrency capped at `max_connections`.
 //!
 //! TLS servers run on the same scheduler: the secure channel is a state
-//! machine each connection carries ([`crate::conn`]), so an encrypted
+//! machine each connection carries (`crate::conn`), so an encrypted
 //! connection parks on socket readiness — mid-handshake included — exactly
 //! as a plaintext one does.
 

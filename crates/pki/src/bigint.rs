@@ -384,11 +384,6 @@ impl BigUint {
         self.divrem(modulus).1
     }
 
-    /// Modular addition.
-    pub fn addmod(&self, other: &BigUint, modulus: &BigUint) -> BigUint {
-        self.add(other).rem(modulus)
-    }
-
     /// Modular multiplication.
     pub fn mulmod(&self, other: &BigUint, modulus: &BigUint) -> BigUint {
         self.mul(other).rem(modulus)
@@ -514,7 +509,7 @@ impl BigUint {
     /// Which values `rng` is asked for, and in which order, decides the key a
     /// seeded [`crate::rsa::generate`] yields: the sieve below rejects
     /// without drawing, every candidate that passes it draws one base per
-    /// round until a round fails. Lengthening [`SMALL_PRIMES`] or changing
+    /// round until a round fails. Lengthening `SMALL_PRIMES` or changing
     /// how a base is drawn therefore changes every seeded key in the tree.
     pub fn is_probable_prime<R: Rng + ?Sized>(&self, rng: &mut R, rounds: usize) -> bool {
         if self.is_zero() || self.is_one() {

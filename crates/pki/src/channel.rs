@@ -743,11 +743,6 @@ impl<S: Read + Write> SecureStream<S> {
         &self.peer.identity
     }
 
-    /// The leaf certificate the peer presented.
-    pub fn peer_certificate(&self) -> &Certificate {
-        &self.peer.chain[0]
-    }
-
     /// Unwrap the inner stream (for shutdown).
     pub fn into_inner(self) -> S {
         self.stream

@@ -243,11 +243,6 @@ impl DnBuilder {
         self.push(AttributeType::CommonName, v)
     }
 
-    /// Add a domain component.
-    pub fn domain_component(self, v: impl Into<String>) -> Self {
-        self.push(AttributeType::DomainComponent, v)
-    }
-
     /// Finish; panics if no component was added (empty DNs are invalid).
     pub fn build(self) -> DistinguishedName {
         assert!(

@@ -256,7 +256,7 @@ fn take_array<const N: usize>(data: &mut &[u8]) -> [u8; N] {
 ///   division-based ladder and `mulmod`;
 /// * then key, nonce, block counter, and the rest as the plaintext, whose own
 ///   bytes cut it into `apply` calls of 1..=200 bytes: [`ChaCha20`] ≡
-///   [`reference_chacha20`].
+///   `reference_chacha20`.
 pub fn pki_kernels(mut data: &[u8]) {
     let data = &mut data;
     let [base_len, exponent_len, modulus_len] = take_array::<3>(data);

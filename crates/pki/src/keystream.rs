@@ -11,7 +11,7 @@
 //! whatever entropy exists rather than a primary source with a fallback:
 //! where the OS pool is missing the first half stays zero and the key rests
 //! on the process generator alone, as every id did before this module.
-//! The stream re-keys itself from its own output every [`REKEY_BYTES`], so
+//! The stream re-keys itself from its own output every `REKEY_BYTES`, so
 //! the 32-bit block counter never wraps and a captured state does not
 //! reveal ids minted before the last re-key.
 

@@ -8,7 +8,7 @@
 //! * [`metrics`] — a sharded, lock-free registry of counters, gauges, and
 //!   log2-bucketed latency histograms, cheap enough for the request hot
 //!   path (a handful of relaxed atomics per update);
-//! * [`trace`] — request-scoped spans over the paper's pipeline (accept →
+//! * [`mod@trace`] — request-scoped spans over the paper's pipeline (accept →
 //!   parse → session check → ACL walk → dispatch → serialize → write) and
 //!   a fixed ring of slow-request traces;
 //! * [`log`] — a tiny leveled logger (env-controlled, off by default so

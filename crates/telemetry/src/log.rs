@@ -89,11 +89,6 @@ pub fn init_from_env_or(default: Level) {
     set_level(level);
 }
 
-/// Initialize from `CLARENS_LOG` (off when unset).
-pub fn init_from_env() {
-    init_from_env_or(Level::Off);
-}
-
 /// Emit one record (used by the macros; call through them).
 pub fn log(l: Level, target: &str, args: fmt::Arguments<'_>) {
     if !enabled(l) {
