@@ -113,27 +113,6 @@ impl<K: Hash + Eq, V: Clone, T: Copy + Eq> Sharded<K, V, T> {
         shard.insert(key, (tag, value));
     }
 
-    /// Insert (or replace) an entry under `tag` unless that would evict:
-    /// when the shard is full and does not hold `key`, nothing changes and
-    /// `false` comes back. For entries written ahead of any lookup, which
-    /// have no claim on a slot that a lookup filled. `value` runs only when
-    /// its result is stored.
-    pub fn insert_if_room<Q>(&self, key: &Q, tag: T, value: impl FnOnce() -> V) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
-    {
-        let mut shard = self.shard(key).lock();
-        if let Some(slot) = shard.get_mut(key) {
-            *slot = (tag, value());
-        } else if shard.len() < CAP_PER_SHARD {
-            shard.insert(key.to_owned(), (tag, value()));
-        } else {
-            return false;
-        }
-        true
-    }
-
     /// Remove one entry (explicit invalidation for write-through caches).
     pub fn remove<Q>(&self, key: &Q)
     where
@@ -156,6 +135,12 @@ impl<K: Hash + Eq, V: Clone, T: Copy + Eq> Sharded<K, V, T> {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
+    }
+
+    /// Entries held, stale ones included.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.shards.iter().map(|shard| shard.lock().len()).sum()
     }
 }
 
@@ -228,39 +213,18 @@ mod tests {
     }
 
     #[test]
-    fn no_evict_insert_on_a_full_shard_changes_nothing() {
-        let cache: Sharded<u64, u64> = Sharded::new();
-        let residents = shard_mates(&cache, 0, CAP_PER_SHARD);
-        for k in &residents {
-            assert!(cache.insert_if_room(k, 7, || *k));
-        }
-        let mut built = false;
-        let inserted = cache.insert_if_room(&0, 7, || {
-            built = true;
-            0
-        });
-        assert!(!inserted && !built);
-        assert_eq!(cache.get(&0, 7), None);
-        assert!(residents.iter().all(|k| cache.get(k, 7) == Some(*k)));
-        // The evicting insert still makes room the old way.
-        cache.insert(0, 7, 0);
-        assert_eq!(cache.get(&0, 7), Some(0));
-        assert!(residents.iter().all(|k| cache.get(k, 7).is_none()));
-    }
-
-    #[test]
-    fn a_replaced_key_is_not_an_eviction() {
+    fn a_full_shard_clears_for_a_new_key_but_not_for_a_replaced_one() {
         let cache: Sharded<u64, u64> = Sharded::new();
         let residents = shard_mates(&cache, 0, CAP_PER_SHARD);
         for k in &residents {
             cache.insert(*k, 7, *k);
         }
-        let (first, second) = (residents[0], residents[1]);
-        assert!(cache.insert_if_room(&first, 8, || 100));
-        cache.insert(second, 8, 200);
-        assert_eq!(cache.get(&first, 8), Some(100));
-        assert_eq!(cache.get(&second, 8), Some(200));
-        assert!(residents[2..].iter().all(|k| cache.get(k, 7) == Some(*k)));
+        cache.insert(residents[0], 8, 100);
+        assert_eq!(cache.get(&residents[0], 8), Some(100));
+        assert!(residents[1..].iter().all(|k| cache.get(k, 7) == Some(*k)));
+        cache.insert(0, 7, 0);
+        assert_eq!(cache.get(&0, 7), Some(0));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

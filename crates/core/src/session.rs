@@ -11,19 +11,20 @@
 //! The store stays the source of truth — a freshly constructed manager
 //! starts with an empty cache and reloads sessions from the DB, which is
 //! exactly the restart-survival property above. On top of that sits a
-//! write-through cache of [`ResolvedSession`] records (the session plus
-//! its DN parsed once), tagged with the `sessions` bucket generation:
-//! any write to the bucket (create, logout, proxy attach, sweep, expiry
-//! delete) makes every cached entry stale, so a revoked session can never
-//! be served from cache — at worst a concurrent write causes a spurious
-//! reload.
+//! cache of [`ResolvedSession`] records (the session plus its DN parsed
+//! once), filled by [`SessionManager::resolve`] on a miss and tagged with
+//! the `sessions` bucket generation: any write to the bucket (create,
+//! logout, proxy attach, sweep, expiry delete) makes every cached entry
+//! stale, so a revoked session can never be served from cache — at worst a
+//! concurrent write causes a spurious reload.
 //!
 //! Admission ([`SessionManager::create`]) does only what a new session
 //! needs: the id is 32 bytes of the thread's ChaCha20 keystream
-//! ([`clarens_pki::keystream`]) in hex, the record goes through the one
-//! direct writer (`Session::write_record`), and the cache write-through
-//! is speculative — nobody has asked for the session yet — so it never
-//! evicts anything to make room for itself.
+//! ([`clarens_pki::keystream`]) in hex and the record goes through the one
+//! direct writer (`Session::write_record`) into the store. It writes
+//! nothing to the cache — the next login would make that entry stale
+//! unread — unless the store refused the record, in which case the cache
+//! holds the only copy.
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,6 +108,15 @@ pub struct ResolvedSession {
     pub identity: Option<Arc<DistinguishedName>>,
 }
 
+impl ResolvedSession {
+    fn parse(session: Session) -> ResolvedSession {
+        ResolvedSession {
+            identity: DistinguishedName::parse(&session.dn).ok().map(Arc::new),
+            session: Arc::new(session),
+        }
+    }
+}
+
 /// The session manager.
 pub struct SessionManager {
     store: Arc<Store>,
@@ -153,50 +163,34 @@ impl SessionManager {
             expires: now + self.ttl,
             proxy: None,
         };
-        self.persist(&session, || Some(Arc::new(dn.clone())));
+        self.persist(&session);
         session
     }
 
-    /// Write `session` to the store, then through to the cache under the
-    /// post-persist generation: the entry is immediately servable and any
-    /// later bucket write supersedes it.
-    ///
-    /// The write-through is speculative — nothing has resolved this record
-    /// since it changed — so it takes a free slot or replaces its own key
-    /// but never evicts, and `identity` is only built when the entry is
-    /// stored. When the store refused the record the cache holds the only
-    /// copy, so then it always lands.
-    fn persist(
-        &self,
-        session: &Session,
-        identity: impl FnOnce() -> Option<Arc<DistinguishedName>>,
-    ) {
+    /// Write `session` to the store. The cache is not touched: the next
+    /// write to the bucket (the next login) makes an entry built here
+    /// stale, usually before anyone reads it, so `resolve` caches the
+    /// session on first use instead. When the store refused the record the
+    /// cache holds the only copy, so then it goes in.
+    fn persist(&self, session: &Session) {
         let mut record = Vec::with_capacity(
             64 + session.dn.len() + session.proxy.as_ref().map_or(0, String::len),
         );
         session.write_record(&mut record);
         let persisted = clarens_faults::check_io(clarens_faults::sites::SESSION_PERSIST)
             .and_then(|()| self.store.put(SESSIONS_BUCKET, &session.id, record));
-        if let Err(e) = &persisted {
-            // The session stays valid in memory (the write-through below
-            // serves it); it just won't survive a restart. Degrade loudly
-            // instead of silently: the paper sells restart-surviving
-            // sessions, so a lost persist is worth an operator's attention.
-            clarens_telemetry::warn!("session {} not persisted: {e}", session.id);
-        }
-        if !self.caching {
+        let Err(e) = persisted else {
             return;
-        }
-        let generation = self.generation.load(Ordering::SeqCst);
-        let entry = || ResolvedSession {
-            identity: identity(),
-            session: Arc::new(session.clone()),
         };
-        if persisted.is_ok() {
-            self.cache
-                .insert_if_room(session.id.as_str(), generation, entry);
-        } else {
-            self.cache.insert(session.id.clone(), generation, entry());
+        // The session stays valid in memory (the cache entry below serves
+        // it); it just won't survive a restart. Degrade loudly instead of
+        // silently: the paper sells restart-surviving sessions, so a lost
+        // persist is worth an operator's attention.
+        clarens_telemetry::warn!("session {} not persisted: {e}", session.id);
+        if self.caching {
+            let generation = self.generation.load(Ordering::SeqCst);
+            let entry = ResolvedSession::parse(session.clone());
+            self.cache.insert(session.id.clone(), generation, entry);
         }
     }
 
@@ -230,19 +224,11 @@ impl SessionManager {
                 }
                 return Some(entry);
             }
-            let session = self.load(id, now)?;
-            let entry = ResolvedSession {
-                identity: DistinguishedName::parse(&session.dn).ok().map(Arc::new),
-                session: Arc::new(session),
-            };
+            let entry = ResolvedSession::parse(self.load(id, now)?);
             self.cache.insert(id.to_owned(), generation, entry.clone());
             return Some(entry);
         }
-        let session = self.load(id, now)?;
-        Some(ResolvedSession {
-            identity: DistinguishedName::parse(&session.dn).ok().map(Arc::new),
-            session: Arc::new(session),
-        })
+        Some(ResolvedSession::parse(self.load(id, now)?))
     }
 
     /// Validate a session id: returns the session if it exists and has not
@@ -257,9 +243,7 @@ impl SessionManager {
         let mut session = self.validate(id, now)?;
         session.proxy = Some(proxy_text.to_owned());
         session.expires = now + self.ttl;
-        self.persist(&session, || {
-            DistinguishedName::parse(&session.dn).ok().map(Arc::new)
-        });
+        self.persist(&session);
         Some(session)
     }
 
@@ -372,18 +356,27 @@ mod tests {
     }
 
     #[test]
-    fn repeat_validation_is_served_from_cache() {
+    fn creates_fill_the_store_and_leave_the_cache_empty() {
+        let mgr = manager();
+        for _ in 0..10_000 {
+            mgr.create(&dn(), 1000);
+        }
+        assert_eq!(mgr.count(), 10_000);
+        assert_eq!(mgr.cache.len(), 0);
+    }
+
+    #[test]
+    fn first_resolve_reads_the_store_once_and_the_second_is_a_hit() {
         let store = Arc::new(Store::in_memory());
         let mgr = SessionManager::new(Arc::clone(&store), 3600);
         let session = mgr.create(&dn(), 1000);
-        let lookups_before = store.stats().lookups;
-        // Write-through on create plus cache hits on validate: the store
-        // is never consulted.
+        let lookups = store.stats().lookups;
         let entry = mgr.resolve(&session.id, 2000).unwrap();
         assert_eq!(entry.identity.as_ref().unwrap().to_string(), session.dn);
+        assert_eq!(store.stats().lookups, lookups + 1);
         assert!(mgr.validate(&session.id, 2500).is_some());
-        assert_eq!(store.stats().lookups, lookups_before);
-        assert_eq!(mgr.cache_stats().hits, 2);
+        assert_eq!(store.stats().lookups, lookups + 1);
+        assert_eq!(mgr.cache_stats(), CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]
@@ -418,52 +411,31 @@ mod tests {
         assert_eq!(entry.session.expires, 5600);
     }
 
-    /// Fill every shard of the manager's cache with unrelated entries.
-    fn fill_cache(mgr: &SessionManager) {
-        let filler = mgr.resolve(&mgr.create(&dn(), 0).id, 1).unwrap();
-        // Three times the cache's capacity in uniformly spread keys: every
-        // shard is offered ~12 000 entries for its 4096 slots.
-        for i in 0..3 * 16 * 4096 {
-            mgr.cache
-                .insert_if_room(format!("filler-{i}").as_str(), 0, || filler.clone());
-        }
-    }
-
     #[test]
-    fn speculative_write_through_skips_a_full_shard_but_a_failed_persist_lands() {
+    fn a_refused_persist_is_served_from_the_cache() {
         let store = Arc::new(Store::in_memory());
         let mgr = SessionManager::new(Arc::clone(&store), 3600);
-        fill_cache(&mgr);
-        let persisted = mgr.count();
+        let refused = || clarens_faults::with_thread(clarens_faults::sites::SESSION_PERSIST, "err");
 
-        // The store refuses the record: the cache holds the only copy, so
-        // the write-through evicts to take a slot and the session resolves.
+        // The store refuses the record: the cache holds the only copy.
         let orphan = {
-            let _fault = clarens_faults::with_thread(clarens_faults::sites::SESSION_PERSIST, "err");
+            let _fault = refused();
             mgr.create(&dn(), 1000)
         };
-        assert_eq!(mgr.count(), persisted);
+        assert_eq!(mgr.count(), 0);
         let lookups = store.stats().lookups;
         let entry = mgr
             .resolve(&orphan.id, 2000)
             .expect("served from the cache");
         assert_eq!(*entry.session, orphan);
         assert_eq!(entry.identity.as_deref(), Some(&dn()));
-        assert_eq!(store.stats().lookups, lookups);
         let attached = {
-            let _fault = clarens_faults::with_thread(clarens_faults::sites::SESSION_PERSIST, "err");
+            let _fault = refused();
             mgr.attach_proxy(&orphan.id, "PROXY", 2000).unwrap()
         };
+        assert_eq!(attached.proxy.as_deref(), Some("PROXY"));
         assert_eq!(mgr.validate(&orphan.id, 2500), Some(attached));
-
-        // A persisted session is only a guess at what will be asked for:
-        // in a full shard it is not cached, and its first resolve reads
-        // the store.
-        fill_cache(&mgr);
-        let session = mgr.create(&dn(), 1000);
-        let lookups = store.stats().lookups;
-        assert_eq!(*mgr.resolve(&session.id, 2000).unwrap().session, session);
-        assert_eq!(store.stats().lookups, lookups + 1);
+        assert_eq!(store.stats().lookups, lookups);
     }
 
     #[test]

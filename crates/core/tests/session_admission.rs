@@ -358,12 +358,12 @@ fn cached_manager_answers_exactly_like_the_uncached_one() {
                 model.sweep();
             }
         }
-        // One more create than the cache has slots: by pigeonhole at least
-        // one of its 16 shards is offered more than its 4096 entries, so
-        // the write-through meets a full shard and the resolves that
-        // follow have to evict.
+        // One more resolved session than the cache has slots: by pigeonhole
+        // at least one of its 16 shards is offered more than its 4096
+        // entries, so a resolve meets a full shard and has to evict.
         for _ in 0..16 * 4096 + 1 {
             model.create();
+            model.resolve(model.twins.len() - 1);
         }
         assert_eq!(model.cached.count(), model.plain.count());
         for _ in 0..4000 {

@@ -29,7 +29,6 @@ use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use clarens_pki::channel::Peer;
 use clarens_pki::SecureChannel;
 use clarens_telemetry::{Phase, RequestTrace};
 
@@ -774,12 +773,10 @@ fn fill(conn: &mut Conn, scratch: &mut Scratch) -> Fill {
                     None => conn.inbuf.extend_from_slice(&chunk[..n]),
                     Some(tls) => {
                         let fed = tls.channel.feed(&chunk[..n], &mut conn.inbuf);
-                        if let Some(Peer { identity, chain }) = tls.channel.take_peer() {
-                            let certificate = chain[0].clone();
+                        if let Some(mut peer) = tls.channel.take_peer() {
                             tls.peer = Some(PeerInfo {
-                                identity,
-                                certificate,
-                                chain,
+                                certificate: peer.chain.swap_remove(0),
+                                identity: peer.identity,
                             });
                         }
                         if let Err(e) = fed {

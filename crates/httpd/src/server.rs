@@ -51,8 +51,6 @@ pub struct PeerInfo {
     pub identity: DistinguishedName,
     /// The leaf certificate presented.
     pub certificate: Certificate,
-    /// The full presented chain (leaf first).
-    pub chain: Vec<Certificate>,
 }
 
 /// What the server hands a [`Handler`] alongside each request.
