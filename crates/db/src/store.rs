@@ -25,7 +25,7 @@ use std::ops::Bound;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 
@@ -584,6 +584,7 @@ impl Drop for Store {
             stop.store(true, Ordering::SeqCst);
         }
         if let Some(thread) = self.janitor.take() {
+            thread.thread().unpark();
             let _ = thread.join();
         }
     }
@@ -593,7 +594,8 @@ impl Drop for Store {
 /// the engine's committed length against the store's live-byte estimate,
 /// and compact when [`WalEngine::wants_compaction`] says so.
 /// Compaction errors are swallowed (the old file stays intact; the next
-/// tick retries) and a degraded store is left alone entirely.
+/// tick retries) and a degraded store is left alone entirely. The tick is
+/// a `park_timeout`, so `Store::drop` ends it at once with an `unpark`.
 fn spawn_janitor(
     engine: Arc<WalEngine>,
     degraded: Arc<AtomicBool>,
@@ -602,22 +604,25 @@ fn spawn_janitor(
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name("clarens-db-janitor".into())
-        .spawn(move || {
-            let slice = Duration::from_millis(25);
-            let slices = (JANITOR_TICK.as_millis() / slice.as_millis()).max(1) as u32;
+        .spawn(move || loop {
+            let tick = Instant::now() + JANITOR_TICK;
+            // Parking can end early (an unpark, or spuriously): check the
+            // flag, then sleep out the rest of the tick.
             loop {
-                for _ in 0..slices {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    std::thread::sleep(slice);
+                if stop.load(Ordering::SeqCst) {
+                    return;
                 }
-                if degraded.load(Ordering::SeqCst) {
-                    continue;
+                let left = tick.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break;
                 }
-                if engine.wants_compaction(live_bytes.load(Ordering::Relaxed)) {
-                    let _ = engine.compact();
-                }
+                std::thread::park_timeout(left);
+            }
+            if degraded.load(Ordering::SeqCst) {
+                continue;
+            }
+            if engine.wants_compaction(live_bytes.load(Ordering::Relaxed)) {
+                let _ = engine.compact();
             }
         })
         .expect("spawn janitor thread")
@@ -848,8 +853,8 @@ mod tests {
             for _ in 0..600 {
                 store.put("b", "hot", value.clone()).unwrap();
             }
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            while store.stats().compactions == 0 && std::time::Instant::now() < deadline {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while store.stats().compactions == 0 && Instant::now() < deadline {
                 std::thread::sleep(Duration::from_millis(20));
             }
             assert!(
@@ -866,6 +871,26 @@ mod tests {
         {
             let store = Store::open(&path).unwrap();
             assert_eq!(store.get("b", "post").unwrap(), b"x");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Dropping a durable store stops its janitor at once instead of
+    /// waiting out the janitor's current sleep.
+    #[test]
+    fn dropping_a_durable_store_does_not_wait_for_the_janitor() {
+        let path = temp_path("drop-wake");
+        for _ in 0..5 {
+            let store = Store::open_with_sync(&path, true).unwrap();
+            store.put("b", "k", b"v".to_vec()).unwrap();
+            std::thread::sleep(Duration::from_millis(7));
+            let started = Instant::now();
+            drop(store);
+            assert!(
+                started.elapsed() < Duration::from_millis(5),
+                "drop took {:?}",
+                started.elapsed()
+            );
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -14,6 +14,7 @@
 //!   station (the no-cache baseline).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 
 use clarens_db::Store;
@@ -141,8 +142,8 @@ impl DiscoveryAggregator {
                                     );
                                     updates.fetch_add(1, Ordering::Relaxed);
                                 }
-                                Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+                                Err(RecvTimeoutError::Timeout) => continue,
+                                Err(RecvTimeoutError::Disconnected) => break,
                             }
                         }
                     })

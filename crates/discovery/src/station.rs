@@ -5,15 +5,15 @@
 //! the MonALISA network" (paper §2.4, Figure 3). A [`StationServer`] binds
 //! a real UDP socket, ingests [`Publication`] datagrams, keeps the current
 //! state, and pushes updates to subscribers (the JINI-network role is
-//! played by crossbeam channels).
+//! played by `std::sync::mpsc` channels, one per subscriber).
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 
 use crate::schema::{MonitorSample, Publication, ServiceDescriptor, ServiceQuery};
@@ -150,7 +150,7 @@ impl StationServer {
     /// MonALISA network" arrow in Figure 3). Existing state is replayed
     /// first so late subscribers converge.
     pub fn subscribe(&self) -> Receiver<Publication> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         for descriptor in self.state.services.read().values() {
             let _ = tx.send(Publication::Service(descriptor.clone()));
         }

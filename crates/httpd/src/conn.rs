@@ -27,7 +27,7 @@
 use std::io::{self, Cursor, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use clarens_pki::SecureChannel;
 use clarens_telemetry::{Phase, RequestTrace};
@@ -81,6 +81,10 @@ pub(crate) struct Conn {
     /// sendfile offset) when the socket drains, instead of pinning a worker.
     /// Handshake replies leave the same way.
     pub(crate) pending_write: Option<WriteState>,
+    /// When the connection expires if it stays parked: stamped by the
+    /// worker each time it parks, and kept across a hand-back from a
+    /// worker to the poller.
+    pub(crate) deadline: Instant,
     /// The secure channel; `None` on a plaintext server.
     pub(crate) tls: Option<Box<Tls>>,
     /// Connection-budget slot, released when the connection drops.

@@ -20,7 +20,9 @@
 //! * A self-pipe **waker**: `wake()` is async-signal-safe-ish (one `write`
 //!   on a non-blocking pipe) and may be called from any thread — this is
 //!   what makes shutdown deterministic under zero traffic, replacing the
-//!   old connect-to-yourself hack.
+//!   old connect-to-yourself hack. Each worker owns one too, and sleeps in
+//!   a two-fd `poll` (`wait_readable`) on it and on the socket it kept,
+//!   outside the epoll set.
 //! * [`DeadlineWheel`] — a hashed timing wheel for keep-alive idle
 //!   deadlines. Insert/advance are O(1) amortized; entries are *candidates*
 //!   (a re-dispatched connection leaves a stale entry behind), so the owner
@@ -112,47 +114,107 @@ mod sys {
         Ok(())
     }
 
-    pub(super) fn make_pipe() -> io::Result<(RawFd, RawFd)> {
-        let mut fds = [0 as c_int; 2];
-        if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        // Both ends non-blocking: `wake()` never stalls on a full pipe, and
-        // draining never stalls on an empty one.
-        set_nonblocking(fds[0])?;
-        set_nonblocking(fds[1])?;
-        Ok((fds[0], fds[1]))
-    }
-
     pub(super) fn close_fd(fd: RawFd) {
         unsafe {
             close(fd);
         }
     }
 
-    pub(super) fn pipe_write_byte(fd: RawFd) {
-        let byte = 1u8;
-        // EAGAIN means the pipe already holds unconsumed wake bytes, which
-        // is exactly as good as writing another.
-        unsafe {
-            let _ = write(fd, &byte, 1);
-        }
+    /// A self-pipe: [`WakePipe::wake`] from any thread leaves its read end
+    /// readable until its owner calls [`WakePipe::drain`].
+    pub struct WakePipe {
+        read: RawFd,
+        write: RawFd,
     }
 
-    pub(super) fn pipe_drain(fd: RawFd) {
-        let mut buf = [0u8; 64];
-        loop {
-            let n = unsafe { read(fd, buf.as_mut_ptr(), buf.len()) };
-            if n < (buf.len() as isize) {
-                return; // drained (or EAGAIN/EOF)
+    impl WakePipe {
+        pub fn new() -> io::Result<WakePipe> {
+            let mut fds = [0 as c_int; 2];
+            // SAFETY: `pipe` writes exactly two ints into the array passed.
+            if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            let pipe = WakePipe {
+                read: fds[0],
+                write: fds[1],
+            };
+            // Both ends non-blocking: `wake()` never stalls on a full pipe,
+            // and draining never stalls on an empty one.
+            set_nonblocking(pipe.read)?;
+            set_nonblocking(pipe.write)?;
+            Ok(pipe)
+        }
+
+        /// The end to wait on.
+        pub fn fd(&self) -> RawFd {
+            self.read
+        }
+
+        pub fn wake(&self) {
+            // EAGAIN means the pipe already holds unconsumed wake bytes,
+            // which is exactly as good as writing another.
+            // SAFETY: one byte read from a live local; `self.write` is open
+            // until drop.
+            unsafe {
+                let _ = write(self.write, &1u8, 1);
+            }
+        }
+
+        pub fn drain(&self) {
+            let mut buf = [0u8; 64];
+            loop {
+                // SAFETY: at most `buf.len()` bytes written into `buf`.
+                let n = unsafe { read(self.read, buf.as_mut_ptr(), buf.len()) };
+                if n < (buf.len() as isize) {
+                    return; // drained (or EAGAIN/EOF)
+                }
             }
         }
     }
 
+    impl Drop for WakePipe {
+        fn drop(&mut self) {
+            close_fd(self.read);
+            close_fd(self.write);
+        }
+    }
+
+    /// Milliseconds for `poll(2)`, rounded up so a wait never ends before
+    /// its deadline.
     fn timeout_ms(timeout: Option<Duration>) -> c_int {
         match timeout {
             None => -1,
-            Some(d) => d.as_millis().min(i32::MAX as u128) as c_int,
+            Some(d) => d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as c_int,
+        }
+    }
+
+    /// Block until `sock` is readable or hung up, `pipe` is woken, or
+    /// `timeout` passes; `Ok(true)` when the socket is ready. `sock` may be
+    /// `None` (wait on the pipe alone). A woken pipe is drained.
+    pub fn wait_readable(
+        sock: Option<RawFd>,
+        pipe: &WakePipe,
+        timeout: Option<Duration>,
+    ) -> io::Result<bool> {
+        let mut fds = [sock.unwrap_or(-1), pipe.read].map(|fd| PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        });
+        loop {
+            // SAFETY: `fds` holds the two entries passed; a negative fd is
+            // ignored by `poll`.
+            let rc = unsafe { poll(fds.as_mut_ptr(), 2, timeout_ms(timeout)) };
+            if rc >= 0 {
+                if fds[1].revents != 0 {
+                    pipe.drain();
+                }
+                return Ok(fds[0].revents != 0);
+            }
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
+            }
         }
     }
 
@@ -220,6 +282,8 @@ mod sys {
 
 #[cfg(unix)]
 pub use sys::wait_writable;
+#[cfg(unix)]
+pub(crate) use sys::{wait_readable, WakePipe};
 
 // ---------------------------------------------------------------------------
 // Linux backend: epoll with one-shot connection registrations.
@@ -276,30 +340,19 @@ mod backend {
     /// epoll-backed readiness source with a self-pipe waker.
     pub struct Poller {
         epfd: RawFd,
-        wake_read: RawFd,
-        wake_write: RawFd,
+        waker: sys::WakePipe,
     }
 
     impl Poller {
         pub fn new() -> io::Result<Poller> {
+            let waker = sys::WakePipe::new()?;
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
             }
-            let (wake_read, wake_write) = match sys::make_pipe() {
-                Ok(pair) => pair,
-                Err(e) => {
-                    sys::close_fd(epfd);
-                    return Err(e);
-                }
-            };
-            let poller = Poller {
-                epfd,
-                wake_read,
-                wake_write,
-            };
+            let poller = Poller { epfd, waker };
             // The wake pipe is level-triggered and persistent.
-            poller.ctl(EPOLL_CTL_ADD, wake_read, EPOLLIN, super::WAKE_TOKEN)?;
+            poller.ctl(EPOLL_CTL_ADD, poller.waker.fd(), EPOLLIN, super::WAKE_TOKEN)?;
             Ok(poller)
         }
 
@@ -363,7 +416,7 @@ mod backend {
 
         /// Wake a blocked [`Poller::wait`] from any thread.
         pub fn wake(&self) {
-            sys::pipe_write_byte(self.wake_write);
+            self.waker.wake();
         }
 
         /// Wait for events (`None` = indefinitely). Wake-pipe events are
@@ -401,7 +454,7 @@ mod backend {
                 let token = ev.data;
                 let bits = ev.events;
                 if token == super::WAKE_TOKEN {
-                    sys::pipe_drain(self.wake_read);
+                    self.waker.drain();
                     continue;
                 }
                 out.push(super::Event {
@@ -416,8 +469,6 @@ mod backend {
     impl Drop for Poller {
         fn drop(&mut self) {
             sys::close_fd(self.epfd);
-            sys::close_fd(self.wake_read);
-            sys::close_fd(self.wake_write);
         }
     }
 }
@@ -447,17 +498,14 @@ mod backend {
 
     pub struct Poller {
         interest: Mutex<Vec<Registration>>,
-        wake_read: RawFd,
-        wake_write: RawFd,
+        waker: sys::WakePipe,
     }
 
     impl Poller {
         pub fn new() -> io::Result<Poller> {
-            let (wake_read, wake_write) = sys::make_pipe()?;
             Ok(Poller {
                 interest: Mutex::new(Vec::new()),
-                wake_read,
-                wake_write,
+                waker: sys::WakePipe::new()?,
             })
         }
 
@@ -510,7 +558,7 @@ mod backend {
         }
 
         pub fn wake(&self) {
-            sys::pipe_write_byte(self.wake_write);
+            self.waker.wake();
         }
 
         pub fn wait(
@@ -518,7 +566,8 @@ mod backend {
             timeout: Option<Duration>,
             out: &mut Vec<super::Event>,
         ) -> io::Result<()> {
-            let mut set: Vec<(RawFd, u64, bool)> = vec![(self.wake_read, super::WAKE_TOKEN, false)];
+            let mut set: Vec<(RawFd, u64, bool)> =
+                vec![(self.waker.fd(), super::WAKE_TOKEN, false)];
             set.extend(
                 self.interest
                     .lock()
@@ -532,7 +581,7 @@ mod backend {
             let mut interest = self.interest.lock().unwrap();
             for event in raw {
                 if event.token == super::WAKE_TOKEN {
-                    sys::pipe_drain(self.wake_read);
+                    self.waker.drain();
                     continue;
                 }
                 if let Some(r) = interest.iter_mut().find(|r| r.token == event.token) {
@@ -543,13 +592,6 @@ mod backend {
                 out.push(event);
             }
             Ok(())
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            sys::close_fd(self.wake_read);
-            sys::close_fd(self.wake_write);
         }
     }
 }
@@ -604,9 +646,32 @@ mod backend {
             match *self {}
         }
     }
+
+    /// Never built: a server needs a [`Poller`] first.
+    pub enum WakePipe {}
+
+    impl WakePipe {
+        pub fn new() -> io::Result<WakePipe> {
+            Err(io::ErrorKind::Unsupported.into())
+        }
+
+        pub fn wake(&self) {
+            match *self {}
+        }
+    }
+
+    pub fn wait_readable(
+        _sock: Option<RawFd>,
+        pipe: &WakePipe,
+        _timeout: Option<Duration>,
+    ) -> io::Result<bool> {
+        match *pipe {}
+    }
 }
 
 pub use backend::Poller;
+#[cfg(not(unix))]
+pub(crate) use backend::{wait_readable, WakePipe};
 
 // ---------------------------------------------------------------------------
 // Deadline wheel.

@@ -16,21 +16,24 @@
 //! costs a few hundred bytes of state instead of a blocked worker thread —
 //! the difference between concurrency capped at `workers` (the Apache
 //! prefork shape the paper measured, which is what Figure 4 tops out on)
-//! and concurrency capped at `max_connections`.
+//! and concurrency capped at `max_connections`. The one shortcut: a worker
+//! with nothing queued keeps the connection it just served, sleeping on
+//! that socket and its own wake pipe, so a sequential client's next
+//! request skips the poller → queue → worker hop; the first push that
+//! finds no idle worker takes it back to the poller.
 //!
 //! TLS servers run on the same scheduler: the secure channel is a state
 //! machine each connection carries (`crate::conn`), so an encrypted
 //! connection parks on socket readiness — mid-handshake included — exactly
 //! as a plaintext one does.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use clarens_telemetry::{RequestTrace, Telemetry};
 
@@ -39,7 +42,7 @@ use clarens_pki::dn::DistinguishedName;
 use clarens_pki::SecureChannel;
 
 use crate::conn::{self, Conn, Disposition, Tls};
-use crate::poller::{DeadlineWheel, Event, Poller};
+use crate::poller::{self, DeadlineWheel, Event, Poller, WakePipe};
 use crate::scratch::Scratch;
 use crate::types::{Request, Response};
 
@@ -166,6 +169,133 @@ pub(crate) struct Parker {
     poller: Arc<Poller>,
 }
 
+impl Parker {
+    /// Hand `conn` to the poller (once the poller has exited, it just
+    /// closes).
+    fn park(&self, conn: Box<Conn>) {
+        if self.tx.send(conn).is_ok() {
+            self.poller.wake();
+        }
+    }
+}
+
+/// The worker queue: connections waiting for a worker, and the workers
+/// asleep waiting for one — idle, or beside a connection they kept.
+struct WorkQueue {
+    state: parking_lot::Mutex<QueueState>,
+    /// One wake pipe per worker, so a push wakes exactly the worker it
+    /// picked: no thundering herd however many workers sleep.
+    pipes: Vec<WakePipe>,
+}
+
+struct QueueState {
+    conns: VecDeque<Box<Conn>>,
+    /// Sleeping workers by index. A push wakes the idle one that slept
+    /// last if there is one, else the keeper that has waited longest —
+    /// its connection is the least recently used — which hands its
+    /// connection back to the poller.
+    idle: Vec<usize>,
+    keeping: VecDeque<usize>,
+    /// Set by shutdown once nothing pushes any more.
+    closed: bool,
+}
+
+/// Why a worker stopped sleeping beside its kept connection.
+enum Woken {
+    /// The connection's own bytes (or hang-up) arrived.
+    Bytes,
+    /// Work is queued (or the queue closed): the connection goes back to
+    /// the poller.
+    Work,
+    /// The connection's idle deadline passed.
+    Deadline,
+}
+
+impl WorkQueue {
+    fn new(workers: usize) -> io::Result<WorkQueue> {
+        Ok(WorkQueue {
+            state: parking_lot::Mutex::new(QueueState {
+                conns: VecDeque::new(),
+                idle: Vec::new(),
+                keeping: VecDeque::new(),
+                closed: false,
+            }),
+            pipes: (0..workers)
+                .map(|_| WakePipe::new())
+                .collect::<io::Result<_>>()?,
+        })
+    }
+
+    fn push(&self, conn: Box<Conn>) {
+        let mut state = self.state.lock();
+        state.conns.push_back(conn);
+        let sleeper = state.idle.pop().or_else(|| state.keeping.pop_front());
+        drop(state);
+        if let Some(worker) = sleeper {
+            self.pipes[worker].wake();
+        }
+    }
+
+    /// The next connection for worker `me`, sleeping while there is none;
+    /// `None` once the queue is closed and empty.
+    fn pop(&self, me: usize) -> Option<Box<Conn>> {
+        loop {
+            {
+                let mut state = self.state.lock();
+                state.idle.retain(|&worker| worker != me);
+                if let Some(conn) = state.conns.pop_front() {
+                    return Some(conn);
+                }
+                if state.closed {
+                    return None;
+                }
+                state.idle.push(me);
+            }
+            let _ = poller::wait_readable(None, &self.pipes[me], None);
+        }
+    }
+
+    /// Worker `me` sleeps beside `conn`, idle and off the poller, until one
+    /// of the three things in [`Woken`] happens. A push that picked this
+    /// worker counts as work even when the socket woke it at the same
+    /// moment: the queue is owed a look.
+    fn keep(&self, me: usize, conn: &Conn) -> Woken {
+        let pipe = &self.pipes[me];
+        loop {
+            {
+                let mut state = self.state.lock();
+                if !state.conns.is_empty() || state.closed {
+                    return Woken::Work;
+                }
+                state.keeping.push_back(me);
+            }
+            let left = conn.deadline.saturating_duration_since(Instant::now());
+            let ready = poller::wait_readable(Some(conn::raw_fd(&conn.sock)), pipe, Some(left));
+            let mut state = self.state.lock();
+            match state.keeping.iter().position(|&worker| worker == me) {
+                Some(i) => state.keeping.remove(i),
+                None => return Woken::Work,
+            };
+            drop(state);
+            match ready {
+                Ok(true) => return Woken::Bytes,
+                Err(_) => return Woken::Work,
+                Ok(false) if Instant::now() >= conn.deadline => return Woken::Deadline,
+                Ok(false) => {} // a late wake byte: sleep again
+            }
+        }
+    }
+
+    /// Wake every worker for good: shutdown, after the acceptor and the
+    /// poller have stopped pushing.
+    fn close(&self) {
+        self.state.lock().closed = true;
+        for pipe in &self.pipes {
+            pipe.wake();
+        }
+    }
+}
+
 /// A running HTTP server.
 pub struct HttpServer {
     addr: SocketAddr,
@@ -180,6 +310,7 @@ pub struct HttpServer {
     /// The acceptor's own poller, purely for a wakeable accept loop.
     accept_poller: Arc<Poller>,
     conn_poller: Arc<Poller>,
+    queue: Arc<WorkQueue>,
     /// Requests currently between parse-complete and write-complete;
     /// shutdown drains this to zero (bounded) before force-closing.
     in_flight: Arc<AtomicUsize>,
@@ -262,7 +393,8 @@ impl HttpServer {
         let stats = Arc::new(ServerStats::default());
         let live = Arc::new(LiveConnections::default());
         let conn_count = Arc::new(AtomicUsize::new(0));
-        let (tx, rx): (Sender<Box<Conn>>, Receiver<Box<Conn>>) = unbounded();
+        let worker_count = config.workers.max(1);
+        let queue = Arc::new(WorkQueue::new(worker_count)?);
         let conn_poller = Arc::new(Poller::new()?);
         // The acceptor's own poller makes its loop wakeable: the listener
         // is non-blocking and registered level-triggered, so `wait` returns
@@ -270,7 +402,7 @@ impl HttpServer {
         let accept_poller = Arc::new(Poller::new()?);
         listener.set_nonblocking(true)?;
         accept_poller.add(conn::raw_fd_listener(&listener), 0, false)?;
-        let (park_tx, park_rx): (Sender<Box<Conn>>, Receiver<Box<Conn>>) = unbounded();
+        let (park_tx, park_rx) = mpsc::channel();
 
         let in_flight = Arc::new(AtomicUsize::new(0));
         let shared = Arc::new(WorkerShared {
@@ -286,29 +418,29 @@ impl HttpServer {
                 tx: park_tx,
                 poller: Arc::clone(&conn_poller),
             },
+            queue: Arc::clone(&queue),
         });
 
-        let mut workers = Vec::with_capacity(config.workers);
-        for i in 0..config.workers.max(1) {
-            let rx = rx.clone();
+        let mut workers = Vec::with_capacity(worker_count);
+        for i in 0..worker_count {
             let shared = Arc::clone(&shared);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("clarens-worker-{i}"))
-                    .spawn(move || worker_loop(rx, shared))
+                    .spawn(move || worker_loop(i, shared))
                     .expect("spawn worker"),
             );
         }
 
         let poller_thread = {
             let poller = Arc::clone(&conn_poller);
-            let work_tx = tx.clone();
+            let queue = Arc::clone(&queue);
             let stop = Arc::clone(&stop);
             let telemetry = shared.telemetry.clone();
             let read_timeout = config.read_timeout;
             std::thread::Builder::new()
                 .name("clarens-poller".into())
-                .spawn(move || poller_loop(poller, park_rx, work_tx, stop, telemetry, read_timeout))
+                .spawn(move || poller_loop(poller, park_rx, queue, stop, telemetry, read_timeout))
                 .expect("spawn poller")
         };
 
@@ -325,10 +457,8 @@ impl HttpServer {
                 .tls
                 .map(|tls| (Arc::new(tls.credential), tls.roots.into())),
             now_fn: config.now_fn,
-            tx,
+            queue: Arc::clone(&queue),
         };
-        // Dropping the acceptor's (and later the poller's) sender lets
-        // workers drain and exit.
         let acceptor = std::thread::Builder::new()
             .name("clarens-acceptor".into())
             .spawn(move || accept_loop(accept))
@@ -344,6 +474,7 @@ impl HttpServer {
             live,
             accept_poller,
             conn_poller,
+            queue,
             in_flight,
             drain_timeout: config.drain_timeout,
         })
@@ -388,6 +519,8 @@ impl HttpServer {
         if let Some(poller) = self.poller_thread.take() {
             let _ = poller.join();
         }
+        // Nothing pushes any more: workers drain what is queued and exit.
+        self.queue.close();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -410,6 +543,7 @@ pub(crate) struct WorkerShared<H: Handler> {
     pub(crate) stats: Arc<ServerStats>,
     pub(crate) in_flight: Arc<AtomicUsize>,
     pub(crate) parker: Parker,
+    queue: Arc<WorkQueue>,
 }
 
 struct AcceptLoop {
@@ -425,21 +559,20 @@ struct AcceptLoop {
     /// plaintext server.
     tls: Option<(Arc<Credential>, Arc<[Certificate]>)>,
     now_fn: Arc<dyn Fn() -> i64 + Send + Sync>,
-    tx: Sender<Box<Conn>>,
+    queue: Arc<WorkQueue>,
 }
 
 fn accept_loop(ctx: AcceptLoop) {
     // The acceptor is the sole allocator of connection ids (poller tokens).
     let mut next_id: u64 = 0;
-    let mut admit = |sock: TcpStream| -> bool {
+    let mut admit = |sock: TcpStream| {
         // Fault injection: a failed accept behaves like ECONNABORTED —
         // the connection is dropped before any accounting sees it.
         if matches!(
             clarens_faults::eval(clarens_faults::sites::HTTPD_ACCEPT),
             Some(clarens_faults::Injected::Err) | Some(clarens_faults::Injected::ShortWrite(_))
         ) {
-            drop(sock);
-            return true;
+            return;
         }
         ctx.stats.connections.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = &ctx.telemetry {
@@ -451,14 +584,14 @@ fn accept_loop(ctx: AcceptLoop) {
         if prev >= ctx.max_connections {
             ctx.conn_count.fetch_sub(1, Ordering::AcqRel);
             shed(sock, &ctx.telemetry);
-            return true;
+            return;
         }
         let budget = BudgetGuard {
             count: Arc::clone(&ctx.conn_count),
         };
         if sock.set_nonblocking(true).is_err() {
             // A socket that cannot be driven without blocking is dropped.
-            return true;
+            return;
         }
         sock.set_nodelay(true).ok();
         let id = next_id;
@@ -480,13 +613,14 @@ fn accept_loop(ctx: AcceptLoop) {
             id,
             registered: false,
             pending_write: None,
+            deadline: Instant::now(),
             tls,
             _budget: Some(budget),
         });
         if let Some(t) = &ctx.telemetry {
             t.http.queue_depth.inc();
         }
-        ctx.tx.send(conn).is_ok()
+        ctx.queue.push(conn);
     };
 
     let mut events: Vec<Event> = Vec::new();
@@ -501,11 +635,7 @@ fn accept_loop(ctx: AcceptLoop) {
         }
         loop {
             match ctx.listener.accept() {
-                Ok((sock, _)) => {
-                    if !admit(sock) {
-                        return;
-                    }
-                }
+                Ok((sock, _)) => admit(sock),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break, // transient (e.g. ECONNABORTED)
@@ -534,18 +664,19 @@ fn shed(mut sock: TcpStream, telemetry: &Option<Arc<Telemetry>>) {
 /// The poller thread: owns every parked connection, its epoll set, and the
 /// deadline wheel. Three duties per iteration: absorb newly parked
 /// connections from the park channel, re-dispatch readable ones to the
-/// worker queue, and expire those idle past the keep-alive timeout.
+/// worker queue, and expire those past their deadline (stamped by the
+/// worker that parked them, so a connection a worker kept and handed back
+/// expires when it would have there).
 fn poller_loop(
     poller: Arc<Poller>,
     park_rx: Receiver<Box<Conn>>,
-    work_tx: Sender<Box<Conn>>,
+    queue: Arc<WorkQueue>,
     stop: Arc<AtomicBool>,
     telemetry: Option<Arc<Telemetry>>,
     read_timeout: Duration,
 ) {
     struct Parked {
         conn: Box<Conn>,
-        deadline: Instant,
         seq: u64,
         /// Waiting for the socket to become writable (response parked
         /// mid-write) rather than readable (idle keep-alive).
@@ -559,12 +690,17 @@ fn poller_loop(
     // Park sequence numbers distinguish a connection's current park from
     // stale wheel candidates left by its earlier parks.
     let mut seq: u64 = 0;
-    // Writers among `parked` (for the parked_writers gauge and the
-    // write_stall expiry class).
-    let mut writers: usize = 0;
+    // The gauge a parked connection counts in: `parked_writers`, or
+    // `parked`, which workers keeping an idle connection count in too.
+    let gauge = |writer: bool| {
+        telemetry.as_ref().map(|t| match writer {
+            true => &t.http.parked_writers,
+            false => &t.http.parked,
+        })
+    };
 
     loop {
-        while let Some(mut conn) = park_rx.try_recv() {
+        while let Ok(mut conn) = park_rx.try_recv() {
             let fd = conn::raw_fd(&conn.sock);
             let writer = conn.pending_write.is_some();
             let armed = if conn.registered {
@@ -589,27 +725,14 @@ fn poller_loop(
                 continue;
             }
             seq += 1;
-            let deadline = Instant::now() + read_timeout;
-            wheel.insert(conn.id, seq, deadline);
-            if writer {
-                writers += 1;
+            wheel.insert(conn.id, seq, conn.deadline);
+            if let Some(g) = gauge(writer) {
+                g.inc();
             }
-            parked.insert(
-                conn.id,
-                Parked {
-                    conn,
-                    deadline,
-                    seq,
-                    writer,
-                },
-            );
+            parked.insert(conn.id, Parked { conn, seq, writer });
         }
         if stop.load(Ordering::SeqCst) {
             break;
-        }
-        if let Some(t) = &telemetry {
-            t.http.parked.set(parked.len() as u64);
-            t.http.parked_writers.set(writers as u64);
         }
 
         // With nothing parked there is no deadline to honor: sleep until a
@@ -628,16 +751,14 @@ fn poller_loop(
 
         for event in events.drain(..) {
             if let Some(p) = parked.remove(&event.token) {
-                if p.writer {
-                    writers -= 1;
+                if let Some(g) = gauge(p.writer) {
+                    g.dec();
                 }
                 if let Some(t) = &telemetry {
                     t.http.poll_wakeups.inc();
                     t.http.queue_depth.inc();
                 }
-                if work_tx.send(p.conn).is_err() {
-                    return;
-                }
+                queue.push(p.conn);
             }
         }
 
@@ -645,64 +766,101 @@ fn poller_loop(
         due.clear();
         wheel.advance(now, &mut due);
         for &(token, candidate_seq) in &due {
-            let verdict = match parked.get(&token) {
-                Some(p) if p.seq == candidate_seq => Some(now >= p.deadline),
-                _ => None, // stale candidate from an earlier park
-            };
-            match verdict {
-                Some(true) => {
-                    if let Some(p) = parked.remove(&token) {
+            match parked.get(&token) {
+                Some(p) if p.seq == candidate_seq && now < p.conn.deadline => {
+                    // Early candidate (wheel tick granularity); requeue.
+                    wheel.insert(token, candidate_seq, p.conn.deadline);
+                }
+                Some(p) if p.seq == candidate_seq => {
+                    if let Some(t) = &telemetry {
                         if p.writer {
-                            writers -= 1;
-                        }
-                        if let Some(t) = &telemetry {
-                            if p.writer {
-                                // A consumer too slow to drain its response
-                                // within the deadline: a stalled writer, not
-                                // keep-alive churn.
-                                t.http.write_stalls.inc();
-                            } else {
-                                // The server's own idle timeout, not a peer
-                                // reset.
-                                t.http.idle_timeouts.inc();
-                            }
+                            // A consumer too slow to drain its response
+                            // within the deadline: a stalled writer, not
+                            // keep-alive churn.
+                            t.http.parked_writers.dec();
+                            t.http.write_stalls.inc();
+                        } else {
+                            // The server's own idle timeout, not a peer
+                            // reset.
+                            t.http.parked.dec();
+                            t.http.idle_timeouts.inc();
                         }
                     }
+                    // Counted before it closes, so a peer that sees EOF
+                    // sees the count.
+                    parked.remove(&token);
                 }
-                Some(false) => {
-                    // Early candidate (wheel tick granularity); requeue.
-                    let deadline = parked[&token].deadline;
-                    wheel.insert(token, candidate_seq, deadline);
-                }
-                None => {}
+                _ => {} // stale candidate from an earlier park
             }
         }
     }
     // Shutdown: dropping the map closes every parked socket.
-    if let Some(t) = &telemetry {
-        t.http.parked.set(0);
+    for p in parked.values() {
+        if let Some(g) = gauge(p.writer) {
+            g.dec();
+        }
     }
 }
 
-fn worker_loop<H: Handler>(rx: Receiver<Box<Conn>>, shared: Arc<WorkerShared<H>>) {
+fn worker_loop<H: Handler>(me: usize, shared: Arc<WorkerShared<H>>) {
     // The worker's scratch arena lives as long as the thread: buffers
     // recycle across requests *and* connections.
     let mut scratch = Scratch::new();
-    while let Ok(conn) = rx.recv() {
-        if let Some(t) = &shared.telemetry {
-            t.http.queue_depth.dec();
-        }
+    let telemetry = shared.telemetry.as_deref();
+    // The idle connection this worker just served and kept, if any.
+    let mut kept: Option<Box<Conn>> = None;
+    loop {
+        let conn = match kept.take() {
+            Some(conn) => {
+                if let Some(t) = telemetry {
+                    t.http.parked.inc();
+                }
+                let woken = shared.queue.keep(me, &conn);
+                if let Some(t) = telemetry {
+                    t.http.parked.dec();
+                }
+                match woken {
+                    Woken::Bytes => {
+                        if let Some(t) = telemetry {
+                            t.http.worker_wakeups.inc();
+                        }
+                        conn
+                    }
+                    Woken::Work => {
+                        shared.parker.park(conn);
+                        continue;
+                    }
+                    Woken::Deadline => {
+                        if let Some(t) = telemetry {
+                            t.http.idle_timeouts.inc();
+                        }
+                        continue; // dropping it closes the socket
+                    }
+                }
+            }
+            None => match shared.queue.pop(me) {
+                Some(conn) => {
+                    if let Some(t) = telemetry {
+                        t.http.queue_depth.dec();
+                    }
+                    conn
+                }
+                None => return,
+            },
+        };
         if shared.stop.load(Ordering::SeqCst) {
             // Drain and drop: queued sockets close unserved.
             continue;
         }
-        match conn::drive(conn, &shared, &mut scratch) {
-            Disposition::Park(conn) => {
-                if shared.parker.tx.send(conn).is_ok() {
-                    shared.parker.poller.wake();
-                }
+        if let Disposition::Park(mut conn) = conn::drive(conn, &shared, &mut scratch) {
+            conn.deadline = Instant::now() + shared.read_timeout;
+            // An idle connection stays with this worker unless work is
+            // queued; one with a write in flight waits on the poller.
+            if conn.pending_write.is_none() {
+                kept = Some(conn);
+            } else {
+                shared.parker.park(conn);
             }
-            Disposition::Closed => {}
         }
     }
 }

@@ -287,6 +287,83 @@ fn parked_connection_gauge_and_idle_expiry() {
     }
 }
 
+/// A sequential keep-alive client is served by the worker that kept its
+/// connection: each request wakes that worker directly, never the poller.
+/// With more clients than workers, a kept connection goes back to the
+/// poller whenever other work is queued, and every request is still
+/// answered, in order, on its own connection.
+#[test]
+fn kept_connections_skip_the_poller_and_hand_back_under_load() {
+    for mode in BOTH_MODES {
+        let telemetry = Telemetry::enabled();
+        let server = HttpServer::bind(
+            "127.0.0.1:0",
+            mode.server_config(ServerConfig {
+                workers: 2,
+                telemetry: Some(Arc::clone(&telemetry)),
+                read_timeout: Duration::from_secs(10),
+                ..config()
+            }),
+            echo_handler(),
+        )
+        .unwrap();
+        let addr = server.local_addr();
+
+        let mut client = Client::open(mode, addr);
+        for i in 0..200 {
+            // Each request finds its connection idle on the server, as a
+            // client that pauses between calls does.
+            let started = Instant::now();
+            while telemetry.http.parked.get() == 0 {
+                assert!(started.elapsed() < Duration::from_secs(5), "{mode:?}");
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            let (status, body, keep_alive) =
+                client.roundtrip(&format!("GET /seq{i} HTTP/1.1\r\nHost: h\r\n\r\n"));
+            assert_eq!(status, 200, "{mode:?}");
+            assert_eq!(body, format!("GET /seq{i} 0").as_bytes(), "{mode:?}");
+            assert!(keep_alive);
+        }
+        let (polled, kept) = (
+            telemetry.http.poll_wakeups.get(),
+            telemetry.http.worker_wakeups.get(),
+        );
+        assert!(
+            polled <= 2,
+            "{mode:?}: {polled} requests went through the poller"
+        );
+        assert!(
+            kept >= 190,
+            "{mode:?}: only {kept} requests woke their worker"
+        );
+        drop(client);
+
+        // Eight clients round-robin on two workers: a request never finds
+        // its connection among the two kept (a push evicts the one kept
+        // longest), so every request is a hand-back and a poller wake-up.
+        let mut clients: Vec<Client> = (0..8).map(|_| Client::open(mode, addr)).collect();
+        for round in 0..50 {
+            for (c, client) in clients.iter_mut().enumerate() {
+                let (status, body, _) =
+                    client.roundtrip(&format!("GET /c{c}-r{round} HTTP/1.1\r\nHost: h\r\n\r\n"));
+                assert_eq!(status, 200, "{mode:?}");
+                assert_eq!(body, format!("GET /c{c}-r{round} 0").as_bytes(), "{mode:?}");
+            }
+        }
+        assert_eq!(
+            server.stats().requests.load(Ordering::Relaxed),
+            200 + 8 * 50
+        );
+        assert!(
+            telemetry.http.poll_wakeups.get() - polled >= 8 * 49,
+            "{mode:?}: kept connections were not handed back ({} poller wake-ups)",
+            telemetry.http.poll_wakeups.get() - polled
+        );
+        assert_eq!(telemetry.http.idle_timeouts.get(), 0, "{mode:?}");
+        server.shutdown();
+    }
+}
+
 /// Once `max_connections` live connections exist, the next one is shed with
 /// `503` + `Connection: close` instead of growing the queue, and the shed
 /// is counted. The shed answer is plaintext on either transport: the

@@ -65,8 +65,8 @@ pub struct HttpCounters {
     /// Scratch-arena buffer takes served from the per-worker pool instead
     /// of allocating (see `clarens-httpd`'s `Scratch`).
     pub buffer_pool_reuse: Counter,
-    /// Keep-alive connections currently parked in the readiness poller
-    /// (idle between requests, holding no worker thread).
+    /// Keep-alive connections currently idle between requests: parked in
+    /// the readiness poller, or kept by the worker that last served them.
     pub parked: Gauge,
     /// Work items (fresh or re-dispatched connections) currently queued
     /// for a worker.
@@ -74,6 +74,9 @@ pub struct HttpCounters {
     /// Parked connections re-dispatched to the worker queue because the
     /// poller saw them become readable.
     pub poll_wakeups: Counter,
+    /// Idle connections a worker kept after serving them, woken on that
+    /// worker by their own bytes: requests that skipped the poller.
+    pub worker_wakeups: Counter,
     /// Connections shed with `503` + `Connection: close` because the
     /// `max_connections` budget was exhausted.
     pub sheds: Counter,
@@ -363,6 +366,7 @@ impl Telemetry {
             ),
             ("clarens_http_queue_depth", h.queue_depth.get()),
             ("clarens_http_poll_wakeups_total", h.poll_wakeups.get()),
+            ("clarens_http_worker_wakeups_total", h.worker_wakeups.get()),
             ("clarens_http_sheds_total", h.sheds.get()),
             (
                 "clarens_deadline_exceeded_total",
