@@ -11,9 +11,10 @@
 use std::path::PathBuf;
 
 /// Role a server plays in a multi-node federation (DESIGN.md §11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FederationRole {
     /// Not federated: no replication in either direction (default).
+    #[default]
     Standalone,
     /// Serves its WAL to followers via `replication.fetch`.
     Leader,

@@ -36,7 +36,6 @@ use std::time::{Duration, Instant};
 
 use clarens::client::{Backoff, ClarensClient, ClientError};
 use clarens_wire::{Protocol, Value};
-use monalisa_sim::station::query_station;
 use monalisa_sim::{ServiceDescriptor, ServiceQuery};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -258,21 +257,11 @@ impl Router {
     /// a persistently slow or dying node is exactly what the attributes
     /// do capture.
     fn resolve(&mut self, method: &str, voluntary: bool) -> Result<ServiceDescriptor, ClientError> {
-        let query = ServiceQuery::by_method(method);
-        let mut candidates: Vec<ServiceDescriptor> = Vec::new();
-        for station in &self.stations {
-            if let Ok(hits) = query_station(*station, &query) {
-                for hit in hits {
-                    if hit.host_port().is_some() && !candidates.iter().any(|d| d.url == hit.url) {
-                        candidates.push(hit);
-                    }
-                }
-            }
-        }
+        let (mut candidates, _) = crate::discover(&self.stations, &ServiceQuery::by_method(method));
         let now = Instant::now();
         self.blacklist
             .retain(|_, failed_at| now.duration_since(*failed_at) < BLACKLIST_COOLDOWN);
-        candidates.retain(|d| !self.blacklist.contains_key(&d.url));
+        candidates.retain(|d| d.host_port().is_some() && !self.blacklist.contains_key(&d.url));
         if candidates.is_empty() {
             return Err(ClientError::Transport(format!(
                 "discovery found no live endpoint for {method}"

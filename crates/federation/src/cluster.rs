@@ -4,7 +4,7 @@
 
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -20,6 +20,7 @@ use crate::balance::BalancedClient;
 use crate::election::ElectionManager;
 use crate::pki::federation_pki;
 use crate::replicator::Replicator;
+use crate::Worker;
 
 /// How often a node re-publishes its descriptors (with fresh load
 /// attributes) to the station network.
@@ -87,8 +88,7 @@ pub struct FederationNode {
     pub addr: String,
     /// The node's aggregated discovery view (shared with its proxy router).
     pub aggregator: Arc<DiscoveryAggregator>,
-    heartbeat_stop: Arc<AtomicBool>,
-    heartbeat: Option<std::thread::JoinHandle<()>>,
+    heartbeat: Worker,
     replicator: Option<Replicator>,
     election: Option<ElectionManager>,
 }
@@ -155,8 +155,7 @@ impl FederationNode {
                 }
             };
             let url = server.core.config.server_url.clone();
-            let heartbeat_stop = Arc::new(AtomicBool::new(false));
-            let heartbeat = Some(spawn_heartbeat(addr.clone(), Arc::clone(&heartbeat_stop)));
+            let heartbeat = spawn_heartbeat(addr.clone());
             let elections = options.leader_lease_ms > 0;
             // Static mode: followers replicate from the configured
             // leader. Election mode: every node runs the loop — it idles
@@ -190,7 +189,6 @@ impl FederationNode {
                 url,
                 addr,
                 aggregator,
-                heartbeat_stop,
                 heartbeat,
                 replicator,
                 election,
@@ -213,10 +211,7 @@ impl FederationNode {
 
     /// Ops the replication follower loop has applied (0 on leaders).
     pub fn replication_applied(&self) -> u64 {
-        self.replicator
-            .as_ref()
-            .map(Replicator::applied)
-            .unwrap_or(0)
+        self.replicator.as_ref().map_or(0, Replicator::applied)
     }
 
     /// Is this node currently the (writable) leader?
@@ -235,15 +230,8 @@ impl FederationNode {
     /// Kill the node: stop heartbeats, elections, and replication, shut
     /// the server down. Sockets close immediately — in-flight requests
     /// fail like a crashed process's would.
-    pub fn kill(mut self) {
-        self.heartbeat_stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.heartbeat.take() {
-            let _ = t.join();
-        }
-        drop(self.election.take());
-        if let Some(r) = self.replicator.take() {
-            r.stop();
-        }
+    pub fn kill(self) {
+        drop((self.heartbeat, self.election, self.replicator));
         self.server.shutdown();
     }
 }
@@ -251,37 +239,33 @@ impl FederationNode {
 /// Re-publish this node's descriptors (with fresh load attributes) every
 /// heartbeat, through the node's own RPC surface — the same
 /// `discovery.publish` an operator's cron job would call.
-fn spawn_heartbeat(addr: String, stop: Arc<AtomicBool>) -> std::thread::JoinHandle<()> {
+fn spawn_heartbeat(addr: String) -> Worker {
     let admin = federation_pki().admin.clone();
-    std::thread::Builder::new()
-        .name(format!("heartbeat-{addr}"))
-        .spawn(move || {
-            let mut client = ClarensClient::new(addr)
-                .with_credential(admin)
-                .with_retries(0)
-                .with_call_deadline(Duration::from_secs(2));
-            let mut logged_in = false;
-            let mut misses = 0;
-            while !stop.load(Ordering::SeqCst) {
-                if !logged_in {
-                    // On a follower, `system.auth` is fenced and the
-                    // client chases the NOT_LEADER hint to the leader;
-                    // the minted session replicates back within a poll
-                    // or two, after which publish succeeds.
-                    logged_in = client.login().is_ok();
-                    misses = 0;
-                }
-                if logged_in && client.call("discovery.publish", vec![]).is_err() {
-                    // A fresh session has usually not replicated back yet
-                    // on the first beat: minting another one each time
-                    // would lose that race forever. Give it a beat.
-                    misses += 1;
-                    logged_in = misses < 2;
-                }
-                std::thread::sleep(HEARTBEAT);
+    Worker::spawn(format!("heartbeat-{addr}"), move |stop| {
+        let mut client = ClarensClient::new(addr)
+            .with_credential(admin)
+            .with_retries(0)
+            .with_call_deadline(Duration::from_secs(2));
+        let mut logged_in = false;
+        let mut misses = 0;
+        while !stop.load(Ordering::SeqCst) {
+            if !logged_in {
+                // On a follower, `system.auth` is fenced and the client
+                // chases the NOT_LEADER hint to the leader; the minted
+                // session replicates back within a poll or two.
+                logged_in = client.login().is_ok();
+                misses = 0;
             }
-        })
-        .expect("spawn heartbeat thread")
+            if logged_in && client.call("discovery.publish", vec![]).is_err() {
+                // A fresh session has usually not replicated back yet
+                // on the first beat: minting another one each time
+                // would lose that race forever. Give it a beat.
+                misses += 1;
+                logged_in = misses < 2;
+            }
+            std::thread::sleep(HEARTBEAT);
+        }
+    })
 }
 
 /// A whole in-process federation: one station, node 0 the initial leader
@@ -385,14 +369,7 @@ impl FederationCluster {
     pub fn leader(&self) -> &FederationNode {
         let deadline = Instant::now() + Duration::from_secs(15);
         loop {
-            let best = self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| n.core().federation.role() == FederationRole::Leader)
-                .max_by_key(|(_, n)| n.core().federation.epoch())
-                .map(|(i, _)| i);
-            if let Some(index) = best {
+            if let Some(index) = self.leader_index() {
                 return &self.nodes[index];
             }
             assert!(
@@ -414,13 +391,7 @@ impl FederationCluster {
                 let mut client = ClarensClient::new(self.leader().addr.clone())
                     .with_credential(federation_pki().user.clone())
                     .with_call_deadline(Duration::from_secs(2));
-                match client.login() {
-                    Ok(id) => {
-                        session = Some(id);
-                        true
-                    }
-                    Err(_) => false,
-                }
+                client.login().map(|id| session = Some(id)).is_ok()
             }),
             "could not mint a session on the leader"
         );

@@ -1,83 +1,381 @@
 //! Lease-based leader election through the discovery network
 //! (DESIGN.md §14).
 //!
-//! No separate consensus service: the station network the federation
-//! already runs for service discovery doubles as the election medium.
-//! Every node runs one [`ElectionManager`] thread that, each tick
-//! (lease/4):
-//!
-//! * publishes a `cluster` **member descriptor** (its address and a
-//!   millisecond-resolution `renewed_ms` liveness stamp), and — while it
-//!   holds the leadership — a `cluster-leader` **lease descriptor**
-//!   carrying `leader_epoch`, `lease_ms`, and `renewed_ms`;
-//! * renews its local lease in [`clarens::FederationState`] **only after the
-//!   publish succeeds** — a partitioned leader that cannot reach any
-//!   station stops renewing, its lease decays, and the dispatch fence
-//!   stops acknowledging writes *before* a rival can be elected
-//!   (split-brain self-fencing);
-//! * queries the stations for lease descriptors. A higher epoch than its
-//!   own demotes a leader on the spot (`clarens_demotions_total`) and
-//!   re-points a follower; an **equal** epoch published by a different
-//!   address — two candidates slipped through the same election window —
-//!   is resolved deterministically: the lower address keeps the lease,
-//!   the higher one demotes and resyncs; a lease that has not been seen
-//!   to renew for 1.5 leases starts an election, as does observing *no*
-//!   lease descriptor at all for that long while at least one station is
-//!   answering (fresh deployment, or stations restarted and lost their
-//!   retained state).
-//!
-//! An election is: jittered pause (decorrelates candidates), recheck
-//! that nobody renewed or claimed a higher epoch meanwhile, then rank
-//! the live members by their **exact** replication cursor via the public
-//! `system.health` RPC — stale station adverts are good enough for
-//! liveness but not for choosing the most-caught-up log. The candidate
-//! defers to any live peer with a higher cursor (ties break on lowest
-//! address); otherwise it promotes: seal the local log with an
-//! `EpochFence(N+1)` record, flip the role, and publish the new lease
-//! immediately so rivals stand down (`clarens_elections_total`).
-//!
-//! Leases use the descriptors' `renewed_ms` attribute, not the
-//! descriptor timestamp: timestamps are whole seconds, far coarser than
-//! a lease interval, and stations retain stale descriptors indefinitely.
-//! Crucially, `renewed_ms` is stamped with the *publisher's* wall clock,
-//! which may be skewed arbitrarily from the observer's — so lease age is
-//! never computed by subtracting it from the local clock. Instead each
-//! observer tracks, per descriptor, the local monotonic instant at which
-//! it last saw the `renewed_ms` value *change* (`Freshness`); a lease
-//! has lapsed when that locally-measured age exceeds 1.5 intervals. The
-//! leader self-fences on the same monotonic basis (`renew_lease`), so no
-//! clock comparison ever crosses hosts and NTP drift cannot open a
-//! two-writable-leaders window.
+//! The policy is the [`Election`] step machine — no clock, socket or
+//! thread in it; the [`ElectionManager`] thread is its driver. Each tick
+//! (lease/4) a node publishes its `cluster` member advert and, while it
+//! leads, its `cluster-leader` lease, then reads the leases back. A leader
+//! renews only after its publish lands and no rival lease moved within a
+//! lapse (1.5 leases); a higher epoch, or an equal one at a lower address,
+//! demotes it. A lease lapsed, or none seen for a lapse from a reachable
+//! station, starts an election: pause, recheck, rank the live members by
+//! `system.health`. Stamps are aged on the observer's clock from when they
+//! changed, never subtracted from it.
 
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use clarens::config::FederationRole;
+use clarens::config::FederationRole::{self, Follower, Leader};
 use clarens::core::ClarensCore;
 use clarens::ClarensClient;
 use clarens_wire::Value;
-use monalisa_sim::station::query_station;
 use monalisa_sim::{Publication, ServiceDescriptor, ServiceQuery, UdpPublisher};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::Worker;
+
 /// Service name of the per-node liveness descriptor.
-const MEMBER_SERVICE: &str = "cluster";
-
+pub const MEMBER_SERVICE: &str = "cluster";
 /// Service name of the leader lease descriptor.
-const LEASE_SERVICE: &str = "cluster-leader";
+pub const LEASE_SERVICE: &str = "cluster-leader";
 
-/// A member whose `renewed_ms` is older than this many lease intervals
-/// is treated as dead when ranking election candidates.
-const MEMBER_FRESH_LEASES: u64 = 2;
+/// What the machine reads of its node at every tick.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Node {
+    /// Current role.
+    pub role: FederationRole,
+    /// Leader epoch the node believes in.
+    pub epoch: u64,
+    /// Leader-log offset applied: the election rank.
+    pub applied: u64,
+    /// Highest `EpochFence` in the node's log.
+    pub fence: u64,
+}
+
+/// What the driver feeds the machine.
+#[derive(Clone, Debug)]
+pub enum Input {
+    /// A wake fell due; carries the node's current state.
+    Tick(Node),
+    /// Whether an [`Effect::Publish`] reached the stations.
+    Published(bool),
+    /// Answer to [`Effect::Query`]: the freshest descriptor per url, and
+    /// whether any station answered at all.
+    Found(Vec<ServiceDescriptor>, bool),
+    /// Answer to [`Effect::Probe`]: per peer that answered, `(addr,
+    /// is_leader, applied)`.
+    Health(Vec<(String, bool, u64)>),
+}
+
+/// What the machine asks the driver to do.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Effect {
+    /// Publish a descriptor; answered by [`Input::Published`].
+    Publish(ServiceDescriptor),
+    /// Query the stations for a service; answered by [`Input::Found`].
+    Query(&'static str),
+    /// Ask each peer for `system.health`; answered by [`Input::Health`].
+    Probe(Vec<String>),
+    /// Tick again at this time.
+    Wake(u64),
+    /// Seal the log with this epoch's fence and become the leader.
+    Promote(u64),
+    /// Stop leading; follow this leader ("" if unknown) at this epoch.
+    Demote(String, u64),
+    /// Follow this leader at this epoch.
+    Follow(String, u64),
+    /// Keep the lease for this many more milliseconds.
+    Renew(u64),
+}
+
+/// Where the machine is between steps.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Phase {
+    Idle,
+    /// Awaiting the lease query; the time of the lease publish before it.
+    Observe(Option<u64>),
+    Pause(u64),
+    Recheck,
+    Members,
+    Ranking,
+}
+
+/// The election policy of one node (see the module docs).
+pub struct Election {
+    addr: String,
+    lease_ms: u64,
+    /// A lease (or the absence of any lease) older than this has lapsed.
+    lapse: u64,
+    jitter_ms: u64,
+    rng: StdRng,
+    node: Node,
+    phase: Phase,
+    /// The current step's time, and the effects it has asked for.
+    now: u64,
+    out: Vec<Effect>,
+    /// Did every publish since the last tick succeed?
+    published: bool,
+    /// While leading: when this node's lease last reached the stations.
+    landed: Option<u64>,
+    /// Per descriptor key: the last `renewed_ms` seen and when it changed.
+    seen: HashMap<String, (u64, u64)>,
+    /// Since when a reachable station network has shown no lease at all.
+    leaderless_since: Option<u64>,
+}
+
+impl Election {
+    /// The machine of the node serving RPC on `addr`; `jitter_seed` seeds
+    /// the pre-claim pause, drawn below `jitter_ms`.
+    pub fn new(addr: &str, lease_ms: u64, jitter_ms: u64, jitter_seed: u64) -> Election {
+        Election {
+            addr: addr.to_owned(),
+            lease_ms,
+            lapse: lease_ms + lease_ms / 2,
+            jitter_ms: jitter_ms.max(1),
+            rng: StdRng::seed_from_u64(jitter_seed),
+            node: Node::default(),
+            phase: Phase::Idle,
+            now: 0,
+            out: Vec::new(),
+            published: false,
+            landed: None,
+            seen: HashMap::new(),
+            leaderless_since: None,
+        }
+    }
+
+    /// Advance the machine by one input at local time `now` (ms).
+    pub fn step(&mut self, now: u64, input: Input) -> Vec<Effect> {
+        self.now = now;
+        match (input, self.phase) {
+            (Input::Tick(node), phase) => {
+                self.node = node;
+                match phase {
+                    Phase::Pause(until) if now < until => self.out.push(Effect::Wake(until)),
+                    Phase::Pause(_) => self.query(Phase::Recheck, LEASE_SERVICE),
+                    _ => self.tick(),
+                }
+            }
+            (Input::Published(ok), _) => self.published &= ok,
+            (Input::Found(leases, up), Phase::Observe(at)) => self.observe(&leases, up, at),
+            (Input::Found(leases, _), Phase::Recheck) => {
+                // A rival won this round, or the leader renewed meanwhile.
+                match best_lease(&leases) {
+                    Some(d) if attr(d, "leader_epoch") > self.epoch() => self.idle(),
+                    Some(d) if self.age(d) <= self.lapse => self.idle(),
+                    _ => self.query(Phase::Members, MEMBER_SERVICE),
+                }
+            }
+            (Input::Found(members, up), Phase::Members) => self.members(&members, up),
+            (Input::Health(replies), Phase::Ranking) => {
+                // Defer to a leader, a longer cursor, or an equal one at a
+                // lower address.
+                let mine = (self.node.applied, Reverse(self.addr.as_str()));
+                let ahead = |(peer, leads, theirs): &(String, bool, u64)| {
+                    *leads || (*theirs, Reverse(peer.as_str())) > mine
+                };
+                match replies.iter().any(ahead) {
+                    true => self.idle(),
+                    false => self.win(),
+                }
+            }
+            _ => {}
+        }
+        std::mem::take(&mut self.out)
+    }
+
+    fn tick(&mut self) {
+        // A configured leader claims the first epoch on startup.
+        if self.node.role == Leader && self.node.epoch == 0 {
+            self.promote();
+        }
+        // A lease the stations have not seen renewed for a lapse may have a
+        // successor already: step down rather than come back writable.
+        let landed = *self.landed.get_or_insert(self.now);
+        if self.node.role == Leader && self.now.saturating_sub(landed) > self.lapse {
+            self.follow("", self.node.epoch);
+        }
+        self.published = true;
+        self.publish(MEMBER_SERVICE, "applied", self.node.applied);
+        self.publish_lease();
+    }
+
+    /// A leader publishes its lease; every tick ends in a lease query.
+    fn publish_lease(&mut self) {
+        let at = (self.node.role == Leader).then_some(self.now);
+        if at.is_some() {
+            self.publish(LEASE_SERVICE, "leader_epoch", self.node.epoch);
+        }
+        self.query(Phase::Observe(at), LEASE_SERVICE);
+    }
+
+    fn observe(&mut self, leases: &[ServiceDescriptor], up: bool, at: Option<u64>) {
+        let (mine, me, now) = (self.epoch(), self.addr.clone(), self.now);
+        let best = best_lease(leases).map(|d| (attr(d, "leader_epoch"), addr_of(d), d));
+        if best.is_some() || !up {
+            self.leaderless_since = None;
+        }
+        if self.node.role == Leader {
+            // Deposed by a higher epoch, or by an equal epoch held by a
+            // lower address (two candidates slipped through one window).
+            let equal = leases.iter().map(|d| (attr(d, "leader_epoch"), addr_of(d)));
+            let lower = |&(e, a): &(u64, &str)| e == mine && !a.is_empty() && a < me.as_str();
+            let rival = match best {
+                Some((epoch, leader, _)) if epoch > mine && leader != me => Some((epoch, leader)),
+                _ => equal.filter(lower).min(),
+            };
+            match (rival, at) {
+                (Some((epoch, leader)), _) => self.follow(leader, epoch),
+                (None, Some(at)) => self.renew(leases, up, at),
+                (None, None) => {}
+            }
+            return self.idle();
+        }
+        let Some((epoch, leader, best)) = best else {
+            // No lease at all from a reachable station network: nobody has
+            // led, or the stations lost their state. Blind: no basis.
+            let since = up.then(|| *self.leaderless_since.get_or_insert(now));
+            return self.stand(since.is_some_and(|t| now.saturating_sub(t) > self.lapse));
+        };
+        // Never adopt this node's own retained lease: a follower that
+        // believes itself leader hints clients into a redirect loop.
+        if epoch >= mine && !leader.is_empty() && leader != me {
+            self.follow(leader, epoch);
+        }
+        let lapsed = self.age(best) > self.lapse;
+        self.stand(lapsed);
+    }
+
+    /// Renew the lease published at `at` if it reached the stations and
+    /// no other lease was seen to change within a lapse — even one a
+    /// restarted station has since lost.
+    fn renew(&mut self, leases: &[ServiceDescriptor], up: bool, at: u64) {
+        if self.published {
+            self.landed = Some(at);
+        }
+        leases.iter().for_each(|d| _ = self.age(d));
+        let own = format!("http://{}/clarens|{LEASE_SERVICE}", self.addr);
+        let since = self.now.saturating_sub(self.lapse);
+        let moved = |(key, (_, changed)): (&String, &(u64, u64))| {
+            key.ends_with(LEASE_SERVICE) && *key != own && *changed >= since
+        };
+        if self.published && up && !self.seen.iter().any(moved) {
+            let left = (at + self.lease_ms).saturating_sub(self.now);
+            self.out.push(Effect::Renew(left));
+        }
+    }
+
+    fn members(&mut self, members: &[ServiceDescriptor], up: bool) {
+        // Blind — no station answered, or one that lost its state (this
+        // node's own advert is missing): a promotion could claim over a
+        // better-placed peer it cannot see.
+        if !up || !members.iter().any(|d| addr_of(d) == self.addr) {
+            return self.idle();
+        }
+        // A member advert unrenewed for two leases is presumed dead.
+        let (fresh, me) = (2 * self.lease_ms, self.addr.clone());
+        let live = members.iter().filter(|d| self.age(d) <= fresh);
+        let mut peers: Vec<_> = live.map(|d| addr_of(d).to_owned()).collect();
+        peers.retain(|peer| !peer.is_empty() && *peer != me);
+        if peers.is_empty() {
+            return self.win();
+        }
+        self.phase = Phase::Ranking;
+        self.out.push(Effect::Probe(peers));
+    }
+
+    fn win(&mut self) {
+        self.promote();
+        self.published = true;
+        self.publish_lease();
+    }
+
+    fn promote(&mut self) {
+        (self.node.epoch, self.node.role) = (self.epoch() + 1, Leader);
+        self.out.push(Effect::Promote(self.node.epoch));
+    }
+
+    fn follow(&mut self, leader: &str, epoch: u64) {
+        (self.node.epoch, self.landed) = (self.node.epoch.max(epoch), None);
+        self.out.push(match self.node.role {
+            Leader => Effect::Demote(leader.to_owned(), epoch),
+            _ => Effect::Follow(leader.to_owned(), epoch),
+        });
+        self.node.role = Follower;
+    }
+
+    /// Stand for election if the lease `lapsed`, else wait for the next
+    /// tick. A candidacy that stands down must watch a whole lapse of seeing
+    /// no lease again before it may stand anew.
+    fn stand(&mut self, lapsed: bool) {
+        if !lapsed {
+            return self.idle();
+        }
+        self.leaderless_since = None;
+        let until = self.now + self.rng.next_u64() % self.jitter_ms;
+        self.phase = Phase::Pause(until);
+        self.out.push(Effect::Wake(until));
+    }
+
+    fn idle(&mut self) {
+        let tick = (self.lease_ms / 4).max(5);
+        self.phase = Phase::Idle;
+        self.out.push(Effect::Wake(self.now + tick));
+    }
+
+    fn query(&mut self, phase: Phase, service: &'static str) {
+        self.phase = phase;
+        self.out.push(Effect::Query(service));
+    }
+
+    /// Publish this node's `service` descriptor, stamped now.
+    fn publish(&mut self, service: &str, key: &str, value: u64) {
+        let stamp = [("renewed_ms", self.now), (key, value)];
+        let mut attributes: BTreeMap<_, _> = stamp.map(|(k, v)| (k.into(), v.to_string())).into();
+        attributes.insert("addr".into(), self.addr.clone());
+        self.out.push(Effect::Publish(ServiceDescriptor {
+            url: format!("http://{}/clarens", self.addr),
+            server_dn: String::new(),
+            service: service.to_owned(),
+            methods: Vec::new(),
+            attributes,
+            timestamp: (self.now / 1000) as i64,
+        }));
+    }
+
+    /// Local time since this node saw the descriptor's stamp change. A
+    /// descriptor seen for the first time has age zero: a node that just
+    /// started gives a possibly-dead leader a full lapse interval first.
+    fn age(&mut self, d: &ServiceDescriptor) -> u64 {
+        let stamp = attr(d, "renewed_ms");
+        let entry = self.seen.entry(d.key()).or_insert((stamp, self.now));
+        if entry.0 != stamp {
+            *entry = (stamp, self.now);
+        }
+        self.now.saturating_sub(entry.1)
+    }
+
+    /// The newest epoch this node knows of: a restarted node has
+    /// forgotten the epoch it believed in, but its log keeps the fence.
+    fn epoch(&self) -> u64 {
+        self.node.epoch.max(self.node.fence)
+    }
+}
+
+/// Highest epoch wins; among equal epochs the freshest renewal.
+fn best_lease(leases: &[ServiceDescriptor]) -> Option<&ServiceDescriptor> {
+    leases
+        .iter()
+        .max_by_key(|d| (attr(d, "leader_epoch"), attr(d, "renewed_ms")))
+}
+
+fn attr(d: &ServiceDescriptor, key: &str) -> u64 {
+    d.attributes.get(key).map_or(0, |v| v.parse().unwrap_or(0))
+}
+
+fn addr_of(d: &ServiceDescriptor) -> &str {
+    d.attributes.get("addr").map_or("", String::as_str)
+}
 
 /// A running election-manager thread.
 pub struct ElectionManager {
-    stop: Arc<AtomicBool>,
-    partitioned: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    cut: Arc<AtomicBool>,
+    _worker: Worker,
 }
 
 impl ElectionManager {
@@ -94,418 +392,116 @@ impl ElectionManager {
         query_stations: Vec<SocketAddr>,
         jitter_seed: u64,
     ) -> std::io::Result<ElectionManager> {
-        assert!(
-            core.config.leader_lease_ms > 0,
-            "elections need a non-zero lease"
-        );
+        let (lease_ms, jitter_ms) = (core.config.leader_lease_ms, core.config.election_jitter_ms);
+        assert!(lease_ms > 0, "elections need a non-zero lease");
         let publisher = UdpPublisher::new(udp_stations)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let partitioned = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let stop = Arc::clone(&stop);
-            let partitioned = Arc::clone(&partitioned);
-            std::thread::Builder::new()
-                .name(format!("election-{addr}"))
-                .spawn(move || {
-                    run(
-                        &core,
-                        &addr,
-                        &publisher,
-                        &query_stations,
-                        jitter_seed,
-                        &stop,
-                        &partitioned,
-                    )
-                })
-                .expect("spawn election thread")
-        };
-        Ok(ElectionManager {
-            stop,
-            partitioned,
-            thread: Some(thread),
-        })
+        let io = (publisher, query_stations, Arc::default());
+        let cut = Arc::clone(&io.2);
+        let machine = Election::new(&addr, lease_ms, jitter_ms, jitter_seed);
+        let name = format!("election-{addr}");
+        let _worker = Worker::spawn(name, move |stop| run(&core, &addr, machine, &io, stop));
+        Ok(ElectionManager { cut, _worker })
     }
 
     /// Simulate a network partition of this node's election traffic: no
-    /// publications go out and no station state comes in, exactly as if
-    /// the node's uplink to the discovery network were cut. The RPC
-    /// plane stays up — which is the point: the split-brain drill shows
-    /// the lease fence rejecting writes the partitioned leader still
-    /// receives.
+    /// publications go out and no station state comes in. The RPC plane
+    /// stays up — the split-brain drill shows the lease fence rejecting
+    /// writes the partitioned leader still receives.
     pub fn set_partitioned(&self, on: bool) {
-        self.partitioned.store(on, Ordering::SeqCst);
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.cut.store(on, Ordering::SeqCst);
     }
 }
 
-impl Drop for ElectionManager {
-    fn drop(&mut self) {
-        self.halt();
-    }
-}
+/// The election I/O: the publisher, the stations' query addresses, and
+/// the switch that cuts this node off from them.
+type Io = (UdpPublisher, Vec<SocketAddr>, Arc<AtomicBool>);
 
-fn unix_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-/// The freshest view of one descriptor service across all stations,
-/// deduplicated by url (each station keeps only the newest per key, but
-/// different nodes publish under different urls). The flag is true when
-/// at least one station answered the query: an empty result from a
-/// reachable station network means "no such descriptor exists", while an
-/// empty result with every station unreachable means this node is blind
-/// and must not draw conclusions (in particular, must not stand for
-/// election on the strength of not seeing a lease).
-fn query_all(stations: &[SocketAddr], service: &str) -> (Vec<ServiceDescriptor>, bool) {
-    let query = ServiceQuery::by_service(service);
-    let mut out: Vec<ServiceDescriptor> = Vec::new();
-    let mut reachable = false;
-    for station in stations {
-        if let Ok(hits) = query_station(*station, &query) {
-            reachable = true;
-            for hit in hits {
-                match out.iter_mut().find(|d| d.url == hit.url) {
-                    Some(existing) => {
-                        if renewed_ms(&hit) > renewed_ms(existing) {
-                            *existing = hit;
-                        }
-                    }
-                    None => out.push(hit),
-                }
-            }
-        }
-    }
-    (out, reachable)
-}
-
-/// Local-clock freshness tracking for published descriptors.
-///
-/// `renewed_ms` stamps come from the publisher's wall clock and are only
-/// compared with each other (is this observation newer than the last?).
-/// Age is measured on the observer's own monotonic clock: the elapsed
-/// time since this node last saw the stamp advance. A descriptor seen
-/// for the first time has age zero — a node that just started gives a
-/// possibly-dead leader a full lapse interval of local observation
-/// before moving against it, which is the conservative direction.
-#[derive(Default)]
-struct Freshness {
-    seen: std::collections::HashMap<String, (u64, std::time::Instant)>,
-}
-
-impl Freshness {
-    fn age(&mut self, d: &ServiceDescriptor) -> Duration {
-        let stamp = renewed_ms(d);
-        let now = std::time::Instant::now();
-        let entry = self.seen.entry(d.url.clone()).or_insert((stamp, now));
-        if stamp != entry.0 {
-            *entry = (stamp, now);
-        }
-        entry.1.elapsed()
-    }
-}
-
-/// A lease (or the absence of any lease) older than this is lapsed.
-fn lapse_after(lease_ms: u64) -> Duration {
-    Duration::from_millis(lease_ms + lease_ms / 2)
-}
-
-fn attr_u64(d: &ServiceDescriptor, key: &str) -> u64 {
-    d.attributes
-        .get(key)
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0)
-}
-
-fn renewed_ms(d: &ServiceDescriptor) -> u64 {
-    attr_u64(d, "renewed_ms")
-}
-
-/// Build this node's member or lease descriptor.
-fn descriptor(service: &str, addr: &str, attrs: Vec<(String, String)>) -> ServiceDescriptor {
-    ServiceDescriptor {
-        url: format!("http://{addr}/clarens"),
-        server_dn: String::new(),
-        service: service.to_owned(),
-        methods: Vec::new(),
-        attributes: attrs.into_iter().collect(),
-        timestamp: (unix_ms() / 1000) as i64,
-    }
-}
-
-fn run(
-    core: &Arc<ClarensCore>,
-    addr: &str,
-    publisher: &UdpPublisher,
-    query_stations: &[SocketAddr],
-    jitter_seed: u64,
-    stop: &AtomicBool,
-    partitioned: &AtomicBool,
-) {
-    let lease_ms = core.config.leader_lease_ms;
-    let tick = Duration::from_millis((lease_ms / 4).max(5));
-    let mut rng = StdRng::seed_from_u64(jitter_seed);
-    let mut freshness = Freshness::default();
-    // Local instant since which a reachable station network has shown no
-    // lease descriptor at all (cluster never had a leader, or stations
-    // restarted and lost their retained state). None while a lease is
-    // visible or while the stations are unreachable.
-    let mut leaderless_since: Option<std::time::Instant> = None;
-
-    // A configured leader claims the first epoch on startup, continuing
-    // from whatever fence its persistent log already carries (so a
-    // restarted deployment never reuses an epoch).
-    if core.federation.role() == FederationRole::Leader && core.federation.epoch() == 0 {
-        let epoch = core.store.fence_epoch() + 1;
-        let _ = core.store.append_fence(epoch);
-        core.federation.observe_epoch(epoch);
-        core.federation.set_leader(addr);
-        core.federation.manage_lease();
-        core.telemetry.federation.elections.inc();
-    }
-
+/// The driver: the clock, the sleep and the election I/O. The clock is the
+/// wall clock read once plus monotonic time since, so stamps track wall
+/// time and never jump.
+fn run(core: &ClarensCore, addr: &str, mut machine: Election, io: &Io, stop: &AtomicBool) {
+    let (publisher, stations, cut) = io;
+    let unix = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
+    let wall = unix.map_or(0, |d| d.as_millis() as u64);
+    let started = std::time::Instant::now();
+    let (mut inputs, mut wake) = (VecDeque::new(), 0);
     while !stop.load(Ordering::SeqCst) {
-        let cut_off = partitioned.load(Ordering::SeqCst);
-        let now = unix_ms();
-
-        // --- Publish -------------------------------------------------
-        if !cut_off {
-            let member = descriptor(
-                MEMBER_SERVICE,
-                addr,
-                vec![
-                    ("addr".into(), addr.to_owned()),
-                    ("renewed_ms".into(), now.to_string()),
-                    ("applied".into(), core.federation.applied().to_string()),
-                ],
-            );
-            let _ = publisher.publish(&Publication::Service(member));
-        }
-        if core.federation.role() == FederationRole::Leader {
-            let lease = descriptor(
-                LEASE_SERVICE,
-                addr,
-                vec![
-                    ("addr".into(), addr.to_owned()),
-                    ("leader_epoch".into(), core.federation.epoch().to_string()),
-                    ("lease_ms".into(), lease_ms.to_string()),
-                    ("renewed_ms".into(), now.to_string()),
-                ],
-            );
-            // Renew only after the lease actually reached a station: a
-            // leader that cannot publish must not keep acking writes.
-            if !cut_off && publisher.publish(&Publication::Service(lease)).is_ok() {
-                core.federation.renew_lease(lease_ms);
-            }
-        }
-
-        // --- Observe -------------------------------------------------
-        if !cut_off {
-            let (leases, stations_reachable) = query_all(query_stations, LEASE_SERVICE);
-            if let Some(best) = leases.iter().max_by_key(|d| {
-                // Highest epoch wins; among equal epochs the freshest
-                // renewal is authoritative.
-                (attr_u64(d, "leader_epoch"), renewed_ms(d))
-            }) {
-                leaderless_since = None;
-                let best_epoch = attr_u64(best, "leader_epoch");
-                let best_addr = best.attributes.get("addr").cloned().unwrap_or_default();
-                let my_epoch = core.federation.epoch();
-                if best_epoch > my_epoch && best_addr != addr {
-                    // A rival claimed a newer epoch: a (possibly revived)
-                    // leader demotes itself and resyncs as a follower;
-                    // a follower just re-points.
-                    core.federation.observe_epoch(best_epoch);
-                    if core.federation.role() == FederationRole::Leader {
-                        core.federation.set_role(FederationRole::Follower);
-                        core.federation.unmanage_lease();
-                        core.telemetry.federation.demotions.inc();
-                    }
-                    core.federation.set_leader(&best_addr);
-                } else if core.federation.role() == FederationRole::Leader {
-                    // Equal-epoch conflict: a rival published a lease for
-                    // the epoch this node holds — two candidates slipped
-                    // through the same election window (e.g. each skipped
-                    // the other as unreachable while ranking). Equal
-                    // epochs never fence each other, so without a
-                    // deterministic tie-break both would stay writable
-                    // forever and the logs would diverge. Resolution
-                    // mirrors the election's deference rule: the lowest
-                    // address keeps the lease, everyone else demotes and
-                    // resyncs from it.
-                    let rival = leases.iter().find_map(|d| {
-                        let a = d.attributes.get("addr")?;
-                        (attr_u64(d, "leader_epoch") == my_epoch
-                            && !a.is_empty()
-                            && a.as_str() != addr
-                            && a.as_str() < addr)
-                            .then(|| a.clone())
-                    });
-                    if let Some(rival_addr) = rival {
-                        core.federation.set_role(FederationRole::Follower);
-                        core.federation.unmanage_lease();
-                        core.federation.set_leader(&rival_addr);
-                        core.telemetry.federation.demotions.inc();
-                    }
-                } else if core.federation.role() == FederationRole::Follower {
-                    // Never adopt this node's own retained lease (a relic
-                    // of a leadership it has since lost): a follower that
-                    // believes *itself* leader would hint clients into a
-                    // redirect loop.
-                    if best_epoch >= my_epoch && !best_addr.is_empty() && best_addr != addr {
-                        core.federation.observe_epoch(best_epoch);
-                        core.federation.set_leader(&best_addr);
-                    }
-                    // Lease lapse: this node has watched the best-known
-                    // lease go unrenewed for 1.5 intervals of *local*
-                    // time — its holder is dead or cut off. Stand for
-                    // election. (Local observation, not a comparison with
-                    // the leader's clock: see the module docs.)
-                    if freshness.age(best) > lapse_after(lease_ms) {
-                        try_promote(
-                            core,
-                            addr,
-                            publisher,
-                            query_stations,
-                            &mut rng,
-                            &mut freshness,
-                            stop,
-                        );
-                    }
-                }
-            } else if stations_reachable && core.federation.role() == FederationRole::Follower {
-                // The stations answer but hold no lease descriptor at
-                // all: nobody has ever led (or the stations lost their
-                // retained state in a restart). Treat a full lapse
-                // interval of observing that as a lapsed lease, or the
-                // cluster stays leaderless forever.
-                let since = *leaderless_since.get_or_insert_with(std::time::Instant::now);
-                if since.elapsed() > lapse_after(lease_ms) {
-                    try_promote(
-                        core,
-                        addr,
-                        publisher,
-                        query_stations,
-                        &mut rng,
-                        &mut freshness,
-                        stop,
-                    );
-                }
-            } else {
-                // Blind (no station reachable): no basis for any action.
-                leaderless_since = None;
-            }
-        }
-
-        std::thread::sleep(tick);
-    }
-}
-
-/// `system.health` of a peer: `(is_leader, applied_cursor)`, or None if
-/// the peer is unreachable (it is then ignored for ranking — a dead node
-/// cannot be more caught-up).
-fn peer_health(addr: &str) -> Option<(bool, u64)> {
-    let mut client = ClarensClient::new(addr)
-        .with_retries(0)
-        .with_call_deadline(Duration::from_millis(250));
-    let health = client.call("system.health", vec![]).ok()?;
-    let role = health.get("role").and_then(Value::as_str).unwrap_or("");
-    let applied = health.get("applied").and_then(Value::as_int).unwrap_or(0) as u64;
-    Some((role == "leader", applied))
-}
-
-fn try_promote(
-    core: &Arc<ClarensCore>,
-    addr: &str,
-    publisher: &UdpPublisher,
-    query_stations: &[SocketAddr],
-    rng: &mut StdRng,
-    freshness: &mut Freshness,
-    stop: &AtomicBool,
-) {
-    let lease_ms = core.config.leader_lease_ms;
-    // Decorrelate candidates so the common case is one claimant.
-    let jitter = rng.next_u64() % core.config.election_jitter_ms.max(1);
-    std::thread::sleep(Duration::from_millis(jitter));
-    if stop.load(Ordering::SeqCst) {
-        return;
-    }
-
-    // Recheck: did the leader renew, or a rival claim, during the pause?
-    let (leases, _) = query_all(query_stations, LEASE_SERVICE);
-    if let Some(best) = leases
-        .iter()
-        .max_by_key(|d| (attr_u64(d, "leader_epoch"), renewed_ms(d)))
-    {
-        if attr_u64(best, "leader_epoch") > core.federation.epoch() {
-            return; // a rival already won this round
-        }
-        if freshness.age(best) <= lapse_after(lease_ms) {
-            return; // the leader came back (locally-observed renewal)
-        }
-    }
-
-    // Rank against every live member by exact replication cursor. The
-    // member adverts supply the candidate set; the ranking itself uses a
-    // live `system.health` call, because adverts are a tick stale and
-    // the whole point is promoting the most-caught-up log.
-    let mine = core.federation.applied();
-    let (members, stations_reachable) = query_all(query_stations, MEMBER_SERVICE);
-    if !stations_reachable {
-        // Blind: with no station answering, the candidate set is unknown
-        // and a promotion here could claim over a better-placed (or
-        // already-leading) peer it simply cannot see.
-        return;
-    }
-    for member in members {
-        let peer = member.attributes.get("addr").cloned().unwrap_or_default();
-        if peer.is_empty() || peer == addr {
+        let now = wall + started.elapsed().as_millis() as u64;
+        if inputs.is_empty() && now < wake {
+            std::thread::sleep(Duration::from_millis(wake - now));
             continue;
         }
-        if freshness.age(&member) > Duration::from_millis(lease_ms * MEMBER_FRESH_LEASES) {
-            continue; // advert never renewed under local observation: presumed dead
-        }
-        let Some((is_leader, theirs)) = peer_health(&peer) else {
-            continue; // unreachable: cannot be a better candidate
+        let (fed, cut) = (&core.federation, cut.load(Ordering::SeqCst));
+        let node = Node {
+            role: fed.role(),
+            epoch: fed.epoch(),
+            applied: fed.applied(),
+            fence: core.store.fence_epoch(),
         };
-        if is_leader {
-            return; // someone already promoted
-        }
-        if theirs > mine || (theirs == mine && peer.as_str() < addr) {
-            return; // defer to the better-placed candidate
+        let input = inputs.pop_front().unwrap_or(Input::Tick(node));
+        for effect in machine.step(now, input) {
+            match effect {
+                Effect::Publish(d) => {
+                    let sent = !cut && publisher.publish(&Publication::Service(d)).is_ok();
+                    inputs.push_back(Input::Published(sent));
+                }
+                Effect::Query(service) => {
+                    let reached = if cut { &[][..] } else { &stations[..] };
+                    let (hits, up) = crate::discover(reached, &ServiceQuery::by_service(service));
+                    inputs.push_back(Input::Found(hits, up));
+                }
+                Effect::Probe(peers) => inputs.push_back(Input::Health(
+                    peers.into_iter().filter_map(health).collect(),
+                )),
+                Effect::Wake(at) => wake = at,
+                effect => apply(core, addr, effect),
+            }
         }
     }
+}
 
-    // Promote: seal the local log under the new epoch, become writable,
-    // and publish the claim immediately so rivals stand down.
-    let epoch = core.federation.epoch() + 1;
-    let _ = core.store.append_fence(epoch);
-    let _ = core.store.sync();
-    core.federation.observe_epoch(epoch);
-    core.federation.set_role(FederationRole::Leader);
-    core.federation.set_leader(addr);
-    core.federation.reset_follower_cursor();
-    core.federation.manage_lease();
-    core.telemetry.federation.elections.inc();
-    let lease = descriptor(
-        LEASE_SERVICE,
-        addr,
-        vec![
-            ("addr".into(), addr.to_owned()),
-            ("leader_epoch".into(), epoch.to_string()),
-            ("lease_ms".into(), lease_ms.to_string()),
-            ("renewed_ms".into(), unix_ms().to_string()),
-        ],
-    );
-    if publisher.publish(&Publication::Service(lease)).is_ok() {
-        core.federation.renew_lease(lease_ms);
+/// The one applier of each state-changing effect.
+fn apply(core: &ClarensCore, addr: &str, effect: Effect) {
+    let fed = &core.federation;
+    match effect {
+        Effect::Promote(epoch) => {
+            // The fence is durable before the node is writable, so a
+            // restart can never reuse the epoch.
+            let _ = core.store.append_fence(epoch);
+            let _ = core.store.sync();
+            fed.observe_epoch(epoch);
+            fed.set_role(Leader);
+            fed.set_leader(addr);
+            fed.reset_follower_cursor();
+            fed.manage_lease();
+            core.telemetry.federation.elections.inc();
+        }
+        Effect::Demote(leader, epoch) => {
+            fed.set_role(Follower);
+            fed.unmanage_lease();
+            // A leader's cursor into its own log is the log's length: one
+            // that steps down with no successor ranks by all it holds.
+            let own = core.store.wal_offset();
+            fed.set_applied(if leader.is_empty() { own } else { 0 });
+            core.telemetry.federation.demotions.inc();
+            apply(core, addr, Effect::Follow(leader, epoch));
+        }
+        Effect::Follow(leader, epoch) => {
+            fed.observe_epoch(epoch);
+            fed.set_leader(&leader);
+        }
+        Effect::Renew(ms) => fed.renew_lease(ms),
+        _ => {}
     }
+}
+
+/// `system.health` of a peer: `(addr, is_leader, applied)`, or None if
+/// the peer is unreachable (a dead node cannot be more caught-up).
+fn health(peer: String) -> Option<(String, bool, u64)> {
+    let client = ClarensClient::new(&peer).with_retries(0);
+    let mut client = client.with_call_deadline(Duration::from_millis(250));
+    let h = client.call("system.health", vec![]).ok()?;
+    let leads = h.get("role").and_then(Value::as_str) == Some("leader");
+    let applied = h.get("applied").and_then(Value::as_int).unwrap_or(0) as u64;
+    Some((peer, leads, applied))
 }

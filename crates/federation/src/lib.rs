@@ -40,3 +40,49 @@ pub use cluster::{FederationCluster, FederationNode, NodeOptions};
 pub use election::ElectionManager;
 pub use pki::{federation_pki, FederationPki};
 pub use replicator::Replicator;
+
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+use monalisa_sim::station::query_station;
+use monalisa_sim::{ServiceDescriptor, ServiceQuery};
+
+/// Ask every station `query`: the freshest descriptor per url (by timestamp,
+/// then `renewed_ms`) in first-seen order, and whether any station answered
+/// (none is blind; an empty answer means "none exists").
+fn discover(stations: &[SocketAddr], query: &ServiceQuery) -> (Vec<ServiceDescriptor>, bool) {
+    let ask = |station: &SocketAddr| query_station(*station, query);
+    let answers: Vec<_> = stations.iter().flat_map(ask).collect();
+    let renewed = |d: &ServiceDescriptor| d.attributes.get("renewed_ms")?.parse::<u64>().ok();
+    let mut hits: Vec<ServiceDescriptor> = Vec::new();
+    for d in answers.concat() {
+        match hits.iter_mut().find(|h| h.url == d.url) {
+            Some(h) if (h.timestamp, renewed(h)) < (d.timestamp, renewed(&d)) => *h = d,
+            Some(_) => {}
+            None => hits.push(d),
+        }
+    }
+    (hits, !answers.is_empty())
+}
+
+/// A named background thread, told to stop and joined when dropped.
+struct Worker(Arc<AtomicBool>, Option<std::thread::JoinHandle<()>>);
+
+impl Worker {
+    /// Run `body` on a new thread until the flag it is handed is set.
+    fn spawn(name: String, body: impl FnOnce(&AtomicBool) + Send + 'static) -> Worker {
+        let stop = Arc::new(AtomicBool::new(false));
+        let halt = Arc::clone(&stop);
+        let thread = std::thread::Builder::new().name(name);
+        let thread = thread.spawn(move || body(&halt));
+        Worker(stop, Some(thread.expect("spawn thread")))
+    }
+}
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+        let _ = self.1.take().map(std::thread::JoinHandle::join);
+    }
+}

@@ -2,17 +2,14 @@
 //! proxy routing to the module owner, discovery-driven failover, and
 //! lease-based leader elections (promotion, split-brain fencing).
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use clarens::client::ClientError;
-use clarens::config::FederationRole;
-use clarens_federation::{federation_pki, FederationCluster, FederationNode, NodeOptions};
+use clarens_federation::{federation_pki, FederationCluster};
 use clarens_httpd::{HttpClient, Method, Request};
 use clarens_wire::fault::codes;
 use clarens_wire::{Fault, Protocol, RpcCall, Value};
 use monalisa_sim::station::wait_until;
-use monalisa_sim::StationServer;
 
 /// One XML-RPC exchange with no client policy on top: what *this node*
 /// answers, not where a hint-chasing `ClarensClient` ends up.
@@ -287,92 +284,6 @@ fn leader_failover_promotes_follower_without_losing_acked_writes() {
         "balanced writes never learned the new leader"
     );
     cluster.cleanup();
-}
-
-#[test]
-fn equal_epoch_rivals_resolve_to_a_single_leader() {
-    let cluster = FederationCluster::start_elections(2, 300, 60);
-    let leader_index = cluster.leader_index().expect("startup leader");
-    let epoch = cluster.nodes[leader_index].core().federation.epoch();
-    assert!(epoch >= 1, "startup leader should claim an epoch");
-
-    // Force the other node into a rival leadership at the SAME epoch —
-    // the state two concurrent candidates reach when both pass the
-    // pre-claim recheck (e.g. each skipped the other as unreachable
-    // while ranking). Equal epochs never fence each other, so without a
-    // deterministic tie-break both would stay writable forever.
-    let rival = 1 - leader_index;
-    {
-        let fed = &cluster.nodes[rival].core().federation;
-        fed.observe_epoch(epoch);
-        fed.set_leader(&cluster.nodes[rival].addr);
-        fed.set_role(FederationRole::Leader);
-        fed.manage_lease();
-    }
-
-    // The conflict resolves by address: the lower address keeps the
-    // lease, the higher one demotes and re-points at the survivor.
-    let survivor = if cluster.nodes[0].addr < cluster.nodes[1].addr {
-        0
-    } else {
-        1
-    };
-    let loser = 1 - survivor;
-    assert!(
-        wait_until(Duration::from_secs(10), || {
-            cluster.nodes[survivor].is_leader() && !cluster.nodes[loser].is_leader()
-        }),
-        "equal-epoch rivals never resolved to a single leader"
-    );
-    let loser_core = cluster.nodes[loser].core();
-    assert!(
-        loser_core.telemetry.federation.demotions.get() >= 1,
-        "the losing rival never counted its demotion"
-    );
-    assert_eq!(
-        loser_core.federation.leader(),
-        cluster.nodes[survivor].addr,
-        "the demoted rival must re-point at the surviving leader"
-    );
-    cluster.cleanup();
-}
-
-#[test]
-fn leaderless_station_network_still_elects() {
-    // The configured leader never comes up (dead address) and the
-    // station network holds no cluster-leader descriptor at all — the
-    // "stations restarted and lost their retained state" shape. The
-    // follower must treat a sustained leaderless view as a lapsed lease
-    // and stand for election, not wait forever for a lease to appear.
-    let station = Arc::new(StationServer::spawn("boot-station", "127.0.0.1:0").expect("station"));
-    let scratch = std::env::temp_dir().join(format!(
-        "clarens-bootstrap-{}-{}",
-        std::process::id(),
-        line!()
-    ));
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(&scratch).expect("scratch dir");
-    let node = FederationNode::start(
-        NodeOptions {
-            index: 1,
-            role: FederationRole::Follower,
-            leader: Some("127.0.0.1:1".into()),
-            db_path: Some(scratch.join("node.wal")),
-            leader_lease_ms: 300,
-            election_jitter_ms: 60,
-            ..Default::default()
-        },
-        vec![Arc::clone(&station)],
-    )
-    .expect("follower node");
-    assert!(
-        wait_until(Duration::from_secs(10), || {
-            node.is_leader() && node.core().federation.epoch() >= 1
-        }),
-        "a leaderless cluster never elected a leader"
-    );
-    node.kill();
-    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 #[test]
