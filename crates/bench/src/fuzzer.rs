@@ -40,7 +40,8 @@ pub enum FuzzTarget {
     WalFrames,
     /// The secure channel's handshake and record machine.
     SecureRecords,
-    /// Montgomery `modpow` and block-wise ChaCha20 against their references.
+    /// Montgomery `modpow`, block-wise ChaCha20 and DN parsing against
+    /// their references.
     PkiKernels,
 }
 
@@ -243,6 +244,14 @@ fn seed_corpus(target: FuzzTarget) -> Vec<Vec<u8>> {
             wrapping.extend_from_slice(&(u32::MAX - 1).to_le_bytes());
             wrapping.extend((0..400u32).map(|i| (i % 253) as u8));
             corpus.push(wrapping);
+            // DN text for the DN leg, which reads the input's UTF-8 prefix.
+            for dn in [
+                "/O=doesciencegrid.org/OU=Services/CN=host\\/www.mysite.edu",
+                "/DC=org/DC=doegrids/OU=People/CN=Joe User/emailAddress=joe@x\\=y",
+                "/CN=a\\\\b/uid=é€中 x/C=\\\\",
+            ] {
+                corpus.push(dn.as_bytes().to_vec());
+            }
         }
     }
     corpus

@@ -1,9 +1,9 @@
 //! Allocation accounting end-to-end: registers the counting allocator for
 //! this test process and holds the server-side allocations of a
 //! steady-state `echo.echo` loop under a ceiling per protocol (XML-RPC and
-//! clarens-binary), those of one session admission under its own, and the
-//! pki kernels'
-//! (an RSA signature, a sealed and opened record, the digests) under theirs.
+//! clarens-binary), those of one session admission and of one DN parse
+//! under their own, and the pki kernels' (an RSA signature, a sealed and
+//! opened record, the digests) under theirs.
 //!
 //! Everything runs inside ONE `#[test]` so no concurrent test thread
 //! pollutes the process-global counters.
@@ -145,6 +145,16 @@ fn counting_allocator_and_steady_state_ceiling() {
         "allocations per SessionManager::create regressed: {per_create:.1} > {}",
         clarens_bench::MAX_ALLOCS_PER_SESSION_CREATE
     );
+
+    // --- DN text, measured ------------------------------------------------
+    // The attribute `Vec` and one string per value; a known type allocates
+    // nothing.
+    let text = dn.to_string();
+    let per_parse = allocations_during(|| {
+        std::hint::black_box(DistinguishedName::parse(&text).unwrap());
+    });
+    println!("allocs/DN parse (3 attributes): {per_parse}");
+    assert!(per_parse <= 4, "allocations per DN parse: {per_parse} > 4");
 
     // --- the pki kernels, measured ----------------------------------------
     pki_kernel_allocations();

@@ -20,18 +20,18 @@
 //!
 //! Admission ([`SessionManager::create`]) does only what a new session
 //! needs: the id is 32 bytes of the thread's ChaCha20 keystream
-//! ([`clarens_pki::keystream`]) in hex and the record goes through the one
-//! direct writer (`Session::write_record`) into the store. It writes
-//! nothing to the cache — the next login would make that entry stale
-//! unread — unless the store refused the record, in which case the cache
-//! holds the only copy.
+//! ([`clarens_pki::keystream`]) in hex, the DN is formatted once into a
+//! buffer sized for it, and the record goes through the one direct writer
+//! (`Session::write_record`) into the store. It writes nothing to the
+//! cache — the next login would make that entry stale unread — unless the
+//! store refused the record, in which case the cache holds the only copy.
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use clarens_db::Store;
-use clarens_pki::dn::DistinguishedName;
+use clarens_pki::dn::{Attribute, DistinguishedName};
 use clarens_pki::{keystream, sha256};
 use clarens_wire::{json, Value};
 
@@ -156,9 +156,12 @@ impl SessionManager {
 
     /// Create a new session for `dn`, returning it.
     pub fn create(&self, dn: &DistinguishedName, now: i64) -> Session {
+        let len = |a: &Attribute| 2 + a.kind.tag().len() + a.value.len();
+        let mut text = String::with_capacity(dn.attributes.iter().map(len).sum());
+        let _ = std::fmt::write(&mut text, format_args!("{dn}"));
         let session = Session {
             id: Session::mint_id(),
-            dn: dn.to_string(),
+            dn: text,
             created: now,
             expires: now + self.ttl,
             proxy: None,
@@ -377,6 +380,21 @@ mod tests {
         assert!(mgr.validate(&session.id, 2500).is_some());
         assert_eq!(store.stats().lookups, lookups + 1);
         assert_eq!(mgr.cache_stats(), CacheStats { hits: 1, misses: 1 });
+    }
+
+    /// A session stores its DN as text, so the text must read back as the
+    /// same identity: `a\b` is not `ab`, and a value ending in `\` parses.
+    #[test]
+    fn a_dn_with_backslashes_resolves_to_itself() {
+        let mgr = manager();
+        let escaped = DistinguishedName::parse("/O=org/CN=a\\\\b").unwrap();
+        assert_eq!(escaped.common_name(), Some("a\\b"));
+        let trailing = DistinguishedName::builder().common_name("dir\\").build();
+        for dn in [escaped, trailing] {
+            let session = mgr.create(&dn, 1000);
+            let entry = mgr.resolve(&session.id, 2000).unwrap();
+            assert_eq!(entry.identity.as_deref(), Some(&dn), "{}", session.dn);
+        }
     }
 
     #[test]

@@ -34,7 +34,30 @@ use crate::storage::StorageCounters;
 use crate::wal_engine::WalEngine;
 
 /// Inner map type: bucket name → ordered key/value map.
-type Buckets = BTreeMap<String, BTreeMap<String, Vec<u8>>>;
+type Buckets = BTreeMap<String, BTreeMap<Key, Vec<u8>>>;
+
+/// A bucket key behind its first 8 bytes, zero-padded, read big-endian: monotone
+/// in string order, so the derived order is `text`'s and `Borrow<str>` is sound.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    head: u64,
+    text: String,
+}
+
+impl Key {
+    fn new(text: String) -> Key {
+        let mut head = [0u8; 8];
+        head.iter_mut().zip(text.bytes()).for_each(|(h, b)| *h = b);
+        let head = u64::from_be_bytes(head);
+        Key { head, text }
+    }
+}
+
+impl std::borrow::Borrow<str> for Key {
+    fn borrow(&self) -> &str {
+        &self.text
+    }
+}
 
 /// How often the janitor re-evaluates the garbage ratio.
 const JANITOR_TICK: Duration = Duration::from_millis(200);
@@ -45,11 +68,11 @@ const SHARDS: usize = 16;
 
 /// The entries of one bucket whose keys start with `prefix`, in key order.
 fn prefixed<'a>(
-    map: &'a BTreeMap<String, Vec<u8>>,
+    map: &'a BTreeMap<Key, Vec<u8>>,
     prefix: &'a str,
-) -> impl Iterator<Item = (&'a String, &'a Vec<u8>)> {
+) -> impl Iterator<Item = (&'a Key, &'a Vec<u8>)> {
     map.range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-        .take_while(move |(k, _)| k.starts_with(prefix))
+        .take_while(move |(k, _)| k.text.starts_with(prefix))
 }
 
 /// Store statistics (monotonic counters).
@@ -190,6 +213,7 @@ impl Store {
                     let shard = shards.shard(&bucket);
                     live += put_record_size(&bucket, &key, value.len());
                     let removed = put_record_size(&bucket, &key, 0);
+                    let key = Key::new(key);
                     if let Some(old) = shard.write().entry(bucket).or_default().insert(key, value) {
                         live -= removed + old.len() as u64;
                     }
@@ -200,7 +224,7 @@ impl Store {
                         .shard(&bucket)
                         .write()
                         .get_mut(&bucket)
-                        .and_then(|b| b.remove(&key))
+                        .and_then(|b| b.remove(key.as_str()))
                     {
                         live -= removed + old.len() as u64;
                     }
@@ -310,7 +334,7 @@ impl Store {
                 Some(map) => map,
                 None => shard.entry(bucket.to_owned()).or_default(),
             };
-            let old = map.insert(owned_key, value);
+            let old = map.insert(Key::new(owned_key), value);
             generation.fetch_add(1, Ordering::SeqCst);
             old.map(|o| o.len())
         };
@@ -384,7 +408,7 @@ impl Store {
             None => Vec::new(),
             Some(map) => prefixed(map, prefix)
                 .take(limit)
-                .map(|(k, v)| (k.clone(), v.clone()))
+                .map(|(k, v)| (k.text.clone(), v.clone()))
                 .collect(),
         }
     }
@@ -406,7 +430,7 @@ impl Store {
             .shard(bucket)
             .read()
             .get(bucket)
-            .map(|b| b.keys().cloned().collect())
+            .map(|b| b.keys().map(|k| k.text.clone()).collect())
             .unwrap_or_default()
     }
 
@@ -639,6 +663,23 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&path);
         path
+    }
+
+    /// Pairs whose heads tie ("a" and "a\0" pad to the same 8 bytes) or
+    /// whose order is decided past the head or by a multi-byte lead byte.
+    #[test]
+    fn key_order_is_str_order() {
+        for (x, y) in [
+            ("a", "a\0"),
+            ("abcdefgh", "abcdefgh\0"),
+            ("abcdefghX", "abcdefghY"),
+            ("é", "f"),
+        ] {
+            let (kx, ky) = (Key::new(x.into()), Key::new(y.into()));
+            assert_eq!(kx.cmp(&ky), x.cmp(y), "{x:?} vs {y:?}");
+            assert_eq!(ky.cmp(&kx), y.cmp(x), "{y:?} vs {x:?}");
+            assert_ne!(kx.head.cmp(&ky.head), x.cmp(y).reverse(), "{x:?} vs {y:?}");
+        }
     }
 
     #[test]

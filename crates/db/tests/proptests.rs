@@ -94,19 +94,35 @@ proptest! {
         let _ = decode_op(&payload);
     }
 
+    /// The store orders keys by an 8-byte head before the text, so the
+    /// keys here share heads ("abcdefgh…", "/O=grid/…"), run past 8 bytes,
+    /// are prefixes of one another, and hold `\0` and multi-byte chars; the
+    /// model is the `BTreeSet<String>` they were drawn into.
     #[test]
     fn scan_prefix_equals_filter(
-        keys in proptest::collection::btree_set("[a-z.]{1,6}", 0..20),
-        prefix in "[a-z.]{0,3}",
+        keys in proptest::collection::btree_set(
+            "(abcdefgh|abcdefg|/O=grid/|é)?[ab\u{0}é.]{0,10}",
+            0..24,
+        ),
+        prefix in "(abcdefgh|/O=grid/|abc|é)?[ab\u{0}é.]{0,3}",
     ) {
         let store = Store::in_memory();
-        for k in &keys {
+        for k in keys.iter().rev() {
             store.put("b", k, k.as_bytes().to_vec()).unwrap();
         }
         let scanned: Vec<String> =
             store.scan_prefix("b", &prefix).into_iter().map(|(k, _)| k).collect();
         let expected: Vec<String> =
             keys.iter().filter(|k| k.starts_with(&prefix)).cloned().collect();
+        prop_assert_eq!(store.count_prefix("b", &prefix), expected.len());
         prop_assert_eq!(scanned, expected);
+        prop_assert_eq!(store.keys("b"), keys.iter().cloned().collect::<Vec<_>>());
+        for k in &keys {
+            prop_assert_eq!(store.get("b", k), Some(k.as_bytes().to_vec()));
+        }
+        prop_assert_eq!(
+            store.get("b", &prefix),
+            keys.contains(&prefix).then(|| prefix.as_bytes().to_vec())
+        );
     }
 }

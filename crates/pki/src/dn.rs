@@ -44,15 +44,16 @@ pub enum AttributeType {
 impl AttributeType {
     /// Parse the short attribute tag.
     pub fn from_tag(tag: &str) -> Self {
-        match tag.to_ascii_uppercase().as_str() {
-            "C" => AttributeType::Country,
-            "ST" => AttributeType::State,
-            "L" => AttributeType::Locality,
-            "O" => AttributeType::Organization,
-            "OU" => AttributeType::OrganizationalUnit,
-            "CN" => AttributeType::CommonName,
-            "EMAIL" | "EMAILADDRESS" | "E" => AttributeType::Email,
-            "DC" => AttributeType::DomainComponent,
+        let is = |known: &str| tag.eq_ignore_ascii_case(known);
+        match () {
+            _ if is("C") => AttributeType::Country,
+            _ if is("ST") => AttributeType::State,
+            _ if is("L") => AttributeType::Locality,
+            _ if is("O") => AttributeType::Organization,
+            _ if is("OU") => AttributeType::OrganizationalUnit,
+            _ if is("CN") => AttributeType::CommonName,
+            _ if is("EMAIL") || is("EMAILADDRESS") || is("E") => AttributeType::Email,
+            _ if is("DC") => AttributeType::DomainComponent,
             _ => AttributeType::Other(tag.to_owned()),
         }
     }
@@ -78,7 +79,7 @@ impl AttributeType {
 pub struct Attribute {
     /// The attribute type.
     pub kind: AttributeType,
-    /// The attribute value (verbatim; escaped `\/` unescaped).
+    /// The attribute value, unescaped.
     pub value: String,
 }
 
@@ -102,51 +103,42 @@ impl fmt::Display for DnError {
 impl std::error::Error for DnError {}
 
 impl DistinguishedName {
-    /// Parse a one-line slash-separated DN. Values may contain escaped
-    /// slashes (`\/`).
+    /// Parse a one-line slash-separated DN. A backslash escapes the
+    /// character after it (`\/`, `\\`), in a type or a value.
     pub fn parse(text: &str) -> Result<Self, DnError> {
         let text = text.trim();
-        if !text.starts_with('/') {
+        let Some(mut rest) = text.strip_prefix('/') else {
             return Err(DnError(format!("must start with '/': {text:?}")));
+        };
+        if rest.bytes().rev().take_while(|&b| b == b'\\').count() % 2 == 1 {
+            return Err(DnError("trailing backslash".into()));
         }
-        let mut attributes = Vec::new();
-        // Split on unescaped '/'.
-        let mut components: Vec<String> = Vec::new();
-        let mut current = String::new();
-        let mut chars = text[1..].chars();
-        while let Some(c) = chars.next() {
-            match c {
-                '\\' => match chars.next() {
-                    Some(escaped) => current.push(escaped),
-                    None => return Err(DnError("trailing backslash".into())),
-                },
-                '/' => {
-                    components.push(std::mem::take(&mut current));
-                }
-                c => current.push(c),
+        let mut attributes = Vec::with_capacity(1 + rest.matches('/').count());
+        loop {
+            // To the first unescaped '/'; each escape has its second byte.
+            let (bytes, mut end) = (rest.as_bytes(), 0);
+            while end < bytes.len() && bytes[end] != b'/' {
+                end += if bytes[end] == b'\\' { 2 } else { 1 };
             }
-        }
-        components.push(current);
-
-        for comp in components {
-            if comp.is_empty() {
+            let component = unescape(&rest[..end]);
+            if component.is_empty() {
                 return Err(DnError("empty component".into()));
             }
-            let (tag, value) = comp
+            let (tag, value) = component
                 .split_once('=')
-                .ok_or_else(|| DnError(format!("component {comp:?} has no '='")))?;
+                .ok_or_else(|| DnError(format!("component {component:?} has no '='")))?;
             if tag.is_empty() {
-                return Err(DnError(format!("component {comp:?} has empty type")));
+                return Err(DnError(format!("component {component:?} has empty type")));
             }
             attributes.push(Attribute {
                 kind: AttributeType::from_tag(tag),
                 value: value.to_owned(),
             });
+            if end == rest.len() {
+                return Ok(DistinguishedName { attributes });
+            }
+            rest = &rest[end + 1..];
         }
-        if attributes.is_empty() {
-            return Err(DnError("no components".into()));
-        }
-        Ok(DistinguishedName { attributes })
     }
 
     /// Build a DN programmatically.
@@ -192,10 +184,31 @@ impl DistinguishedName {
     }
 }
 
+fn unescape(raw: &str) -> std::borrow::Cow<'_, str> {
+    if !raw.contains('\\') {
+        return raw.into();
+    }
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        out.extend(if c == '\\' { chars.next() } else { Some(c) });
+    }
+    out.into()
+}
+
 impl fmt::Display for DistinguishedName {
+    /// `/TYPE=value` each, `/` and `\` escaped so that `parse` reads it back.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for attr in &self.attributes {
-            write!(f, "/{}={}", attr.kind.tag(), attr.value.replace('/', "\\/"))?;
+            for (lead, text) in [("/", attr.kind.tag()), ("=", &attr.value)] {
+                f.write_str(lead)?;
+                let mut run = 0;
+                for (at, _) in text.match_indices(['/', '\\']) {
+                    write!(f, "{}\\", &text[run..at])?;
+                    run = at;
+                }
+                f.write_str(&text[run..])?;
+            }
         }
         Ok(())
     }
@@ -379,5 +392,28 @@ mod tests {
         let dn: DistinguishedName = "/O=x/CN=y".parse().unwrap();
         assert_eq!(dn.common_name(), Some("y"));
         assert!("garbage".parse::<DistinguishedName>().is_err());
+    }
+
+    proptest::proptest! {
+        /// A DN reads back from its own text. Values hold `/`, `\`, `=`,
+        /// interior spaces and multi-byte characters (the parser trims the
+        /// line, so not edge spaces); types are known, lower-case, unknown,
+        /// or hold `/` and `\` themselves.
+        #[test]
+        fn text_round_trips(components in proptest::collection::vec(
+            (
+                "(C|ST|L|O|OU|CN|DC|Email|e|cn|UID|x/y|a\\\\b)",
+                "([a-z/\\\\=é€中]([a-z/\\\\= é€中]{0,8}[a-z/\\\\=é€中])?)?",
+            ),
+            1..5,
+        )) {
+            let dn = DistinguishedName {
+                attributes: components
+                    .into_iter()
+                    .map(|(tag, value)| Attribute { kind: AttributeType::from_tag(&tag), value })
+                    .collect(),
+            };
+            proptest::prop_assert_eq!(DistinguishedName::parse(&dn.to_string()), Ok(dn));
+        }
     }
 }

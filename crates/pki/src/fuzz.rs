@@ -1,5 +1,5 @@
-//! Shared fuzz entry points for the secure channel's record machine and
-//! for the arithmetic and cipher kernels under it.
+//! Shared fuzz entry points for the secure channel's record machine, for
+//! the arithmetic and cipher kernels under it, and for DN text.
 //!
 //! Same contract as `clarens_wire::fuzz`: raw bytes in — whatever a peer
 //! (or whoever sits on the path) put on the socket — and the machine must
@@ -17,7 +17,7 @@ use crate::bigint::{BigUint, Modulus};
 use crate::cert::{Certificate, CertificateAuthority, Credential};
 use crate::chacha20::{ChaCha20, KEY_LEN, NONCE_LEN};
 use crate::channel::{ChannelError, SecureChannel};
-use crate::dn::DistinguishedName;
+use crate::dn::{Attribute, AttributeType, DistinguishedName, DnError};
 use crate::rsa;
 
 const NOW: i64 = 1_118_836_800;
@@ -232,6 +232,83 @@ pub(crate) fn reference_chacha20(
     }
 }
 
+/// DN parsing as a character loop that unescapes the whole line into owned
+/// components first, then splits each at its first `=` and upper-cases the
+/// type to name it: the reference [`DistinguishedName::parse`] is held to,
+/// error messages included.
+pub(crate) fn reference_parse(text: &str) -> Result<DistinguishedName, DnError> {
+    let text = text.trim();
+    if !text.starts_with('/') {
+        return Err(DnError(format!("must start with '/': {text:?}")));
+    }
+    let mut attributes = Vec::new();
+    // Split on unescaped '/'.
+    let mut components: Vec<String> = Vec::new();
+    let mut current = String::new();
+    let mut chars = text[1..].chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '\\' => match chars.next() {
+                Some(escaped) => current.push(escaped),
+                None => return Err(DnError("trailing backslash".into())),
+            },
+            '/' => {
+                components.push(std::mem::take(&mut current));
+            }
+            c => current.push(c),
+        }
+    }
+    components.push(current);
+
+    for comp in components {
+        if comp.is_empty() {
+            return Err(DnError("empty component".into()));
+        }
+        let (tag, value) = comp
+            .split_once('=')
+            .ok_or_else(|| DnError(format!("component {comp:?} has no '='")))?;
+        if tag.is_empty() {
+            return Err(DnError(format!("component {comp:?} has empty type")));
+        }
+        let kind = match tag.to_ascii_uppercase().as_str() {
+            "C" => AttributeType::Country,
+            "ST" => AttributeType::State,
+            "L" => AttributeType::Locality,
+            "O" => AttributeType::Organization,
+            "OU" => AttributeType::OrganizationalUnit,
+            "CN" => AttributeType::CommonName,
+            "EMAIL" | "EMAILADDRESS" | "E" => AttributeType::Email,
+            "DC" => AttributeType::DomainComponent,
+            _ => AttributeType::Other(tag.to_owned()),
+        };
+        attributes.push(Attribute {
+            kind,
+            value: value.to_owned(),
+        });
+    }
+    if attributes.is_empty() {
+        return Err(DnError("no components".into()));
+    }
+    Ok(DistinguishedName { attributes })
+}
+
+/// The longest valid UTF-8 prefix of `data`, as DN text: `parse` ≡
+/// [`reference_parse`], and a DN that parses reads back from its own text.
+fn dn_text(data: &[u8]) {
+    let valid = std::str::from_utf8(data).map_or_else(|e| e.valid_up_to(), str::len);
+    let text = std::str::from_utf8(&data[..valid]).expect("a valid prefix");
+    let parsed = DistinguishedName::parse(text);
+    assert_eq!(parsed, reference_parse(text), "parse({text:?})");
+    if let Ok(dn) = parsed {
+        let shown = dn.to_string();
+        assert_eq!(
+            DistinguishedName::parse(&shown),
+            Ok(dn),
+            "{text:?} shown as {shown:?}"
+        );
+    }
+}
+
 /// Front of `data`, at most `len` bytes of it, split off.
 fn take<'a>(data: &mut &'a [u8], len: usize) -> &'a [u8] {
     let (front, rest) = data.split_at(len.min(data.len()));
@@ -256,8 +333,12 @@ fn take_array<const N: usize>(data: &mut &[u8]) -> [u8; N] {
 ///   division-based ladder and `mulmod`;
 /// * then key, nonce, block counter, and the rest as the plaintext, whose own
 ///   bytes cut it into `apply` calls of 1..=200 bytes: [`ChaCha20`] ≡
-///   `reference_chacha20`.
+///   `reference_chacha20`;
+/// * and the whole input's valid UTF-8 prefix as DN text:
+///   [`DistinguishedName::parse`] ≡ `reference_parse`, and what parses
+///   survives `parse(to_string())`.
 pub fn pki_kernels(mut data: &[u8]) {
+    dn_text(data);
     let data = &mut data;
     let [base_len, exponent_len, modulus_len] = take_array::<3>(data);
     let base = BigUint::from_bytes_be(take(data, base_len as usize % 128 * 17 / 8));
@@ -317,6 +398,32 @@ mod tests {
         let transcript = handshake_transcript();
         secure_records(&transcript);
         secure_records(&transcript[..transcript.len() - 1]);
+    }
+
+    /// The DN leg on text the parser and its reference must agree on: the
+    /// paper's DNs, escapes of `/`, `\` and `=`, a type with an escape,
+    /// every error, and multi-byte text cut mid-character.
+    #[test]
+    fn dn_leg_agrees_with_the_reference() {
+        for text in [
+            "/O=doesciencegrid.org/OU=Services/CN=host\\/www.mysite.edu",
+            "  /DC=org/DC=doegrids/OU=People/CN=Joe User ",
+            "/CN=a\\\\b/emailAddress=x\\=y=z/C\\N=c/e=\\\\",
+            "/CN\\=v/uid=/x\\/y=1",
+            "/O=a/\\==v",
+            "/O=a//CN=b",
+            "/O=a/",
+            "/Oa",
+            "/=v",
+            "/O=a\\",
+            "/O=a\\\\\\",
+            "no-slash",
+            "",
+            "/CN=é€中 x/OU=\\é",
+        ] {
+            dn_text(text.as_bytes());
+        }
+        dn_text(&"/CN=中".as_bytes()[..6]);
     }
 
     #[test]

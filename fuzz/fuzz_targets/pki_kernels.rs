@@ -1,7 +1,8 @@
 //! libFuzzer wrapper over the pki kernel equivalences: Montgomery `pow` and
 //! `mul` against the division-based ladder and `mulmod` on operands the
-//! input spells, and block-wise ChaCha20 under input-chosen chunkings
-//! against the byte-wise RFC 8439 reference.
+//! input spells, block-wise ChaCha20 under input-chosen chunkings against
+//! the byte-wise RFC 8439 reference, and DN parsing of the input's UTF-8
+//! prefix against the character-loop reference.
 
 #![no_main]
 
