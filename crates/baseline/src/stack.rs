@@ -23,8 +23,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{rngs::StdRng, SeedableRng};
 
 use clarens_httpd::{
     Handler, HttpClient, HttpServer, Method, Request, RequestContext, Response, ServerConfig,

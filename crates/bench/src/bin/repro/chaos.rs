@@ -11,8 +11,7 @@ use clarens::testkit::{GridOptions, TestGrid};
 use clarens_bench::bench_session;
 use clarens_faults::sites;
 use clarens_wire::Value;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::args::Args;
 use crate::header;

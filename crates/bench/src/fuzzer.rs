@@ -24,8 +24,7 @@ use std::time::{Duration, Instant};
 use clarens_wire::datetime::DateTime;
 use clarens_wire::fault::Fault;
 use clarens_wire::{Protocol, RpcCall, RpcResponse, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Which decoder a fuzz run drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -17,8 +17,7 @@ use clarens_pki::cert::{Certificate, CertificateAuthority, Credential};
 use clarens_pki::dn::DistinguishedName;
 use clarens_pki::{rsa, SecureChannel};
 use clarens_wire::Protocol;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{rngs::StdRng, SeedableRng};
 
 #[global_allocator]
 static ALLOC: alloc_count::CountingAlloc = alloc_count::CountingAlloc;

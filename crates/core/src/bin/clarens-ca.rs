@@ -15,6 +15,7 @@ use std::process::exit;
 
 use clarens_pki::cert::{CertificateAuthority, Credential};
 use clarens_pki::dn::DistinguishedName;
+use clarens_pki::keystream::SecretRng;
 use clarens_pki::{pem, rsa};
 
 fn now() -> i64 {
@@ -131,9 +132,8 @@ fn main() {
                 .get("days")
                 .map(|d| d.parse().unwrap_or(3650))
                 .unwrap_or(3650);
-            let mut rng = rand::rng();
             eprintln!("generating CA key pair...");
-            let ca = CertificateAuthority::new(&mut rng, dn, now() - 300, days);
+            let ca = CertificateAuthority::new(&mut SecretRng, dn, now() - 300, days);
             let credential = Credential {
                 certificate: ca.certificate.clone(),
                 key: ca.key.clone(),
@@ -163,9 +163,8 @@ fn main() {
                 .map(|d| d.parse().unwrap_or(365))
                 .unwrap_or(365);
             let ca = load_ca(&ca_dir);
-            let mut rng = rand::rng();
             eprintln!("generating subject key pair...");
-            let kp = rsa::generate(&mut rng, rsa::DEFAULT_KEY_BITS);
+            let kp = rsa::generate(&mut SecretRng, rsa::DEFAULT_KEY_BITS);
             let cert = ca.issue(dn, &kp.public, now() - 300, days);
             save_serial(&ca_dir, &ca);
             let credential = Credential {
@@ -191,9 +190,8 @@ fn main() {
                 eprintln!("cannot parse credential: {e}");
                 exit(1);
             });
-            let mut rng = rand::rng();
             eprintln!("generating proxy key pair...");
-            let proxy = credential.delegate_proxy(&mut rng, now() - 60, hours * 3600);
+            let proxy = credential.delegate_proxy(&mut SecretRng, now() - 60, hours * 3600);
             write(&out, &pem::encode_credential(&proxy));
             println!(
                 "proxy for {} valid {}h: {}",

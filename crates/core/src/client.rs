@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 
 use clarens_httpd::{ClientError as HttpError, ClientTls, HttpClient, Method, Request};
 use clarens_pki::cert::{Certificate, Credential};
+use clarens_pki::keystream::SecretRng;
 use clarens_wire::{Fault, Protocol, RpcCall, Value};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -270,7 +271,7 @@ impl ClarensClient {
             credential: None,
             retries: 2,
             call_deadline: None,
-            backoff: Backoff::new(BACKOFF_BASE, BACKOFF_CAP, rand::rng().next_u64()),
+            backoff: Backoff::new(BACKOFF_BASE, BACKOFF_CAP, SecretRng.next_u64()),
             retries_performed: 0,
             protocol_fallbacks: 0,
             extra_headers: Vec::new(),

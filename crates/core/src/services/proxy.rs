@@ -22,12 +22,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use monalisa_sim::{DiscoveryAggregator, ServiceDescriptor, ServiceQuery};
-use rand::RngExt;
 
 use clarens_pki::cert::{verify_chain, Certificate};
-use clarens_pki::chacha20;
 use clarens_pki::dn::DistinguishedName;
 use clarens_pki::hmac::{derive_key, hmac_sha256, verify_mac};
+use clarens_pki::{chacha20, keystream};
 use clarens_telemetry::RequestTrace;
 use clarens_wire::{Fault, Value};
 
@@ -74,7 +73,8 @@ fn keys(password: &str, dn: &str) -> ([u8; 32], Vec<u8>) {
 /// Layout: `nonce(12) || ciphertext || mac(32)`.
 pub fn seal(password: &str, dn: &str, payload: &[u8]) -> Vec<u8> {
     let (key, mac_key) = keys(password, dn);
-    let nonce: [u8; 12] = rand::rng().random();
+    let mut nonce = [0u8; 12];
+    keystream::fill(&mut nonce);
     let mut ciphertext = payload.to_vec();
     chacha20::xor_stream(&key, &nonce, 0, &mut ciphertext);
     let mut out = nonce.to_vec();

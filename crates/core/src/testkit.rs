@@ -13,8 +13,7 @@ use clarens_httpd::TlsConfig;
 use clarens_pki::cert::{CertificateAuthority, Credential};
 use clarens_pki::dn::DistinguishedName;
 use clarens_pki::rsa;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{rngs::StdRng, SeedableRng};
 
 use crate::client::ClarensClient;
 use crate::config::ClarensConfig;

@@ -8,8 +8,7 @@ use clarens::ClientError;
 use clarens_pki::rsa;
 use clarens_wire::fault::codes;
 use clarens_wire::{Protocol, Value};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{rngs::StdRng, SeedableRng};
 
 #[test]
 fn public_methods_work_without_auth() {
@@ -1065,7 +1064,7 @@ fn send_raw(grid: &TestGrid, tls: bool, request: &str) -> Box<dyn Wire> {
                 &grid.user,
                 std::slice::from_ref(&grid.ca.certificate),
                 now(),
-                &mut rand::rng(),
+                &mut StdRng::seed_from_u64(0xC11E),
             )
             .unwrap(),
         )

@@ -15,8 +15,7 @@ use clarens_pki::rsa;
 use clarens_telemetry::RequestTrace;
 use clarens_wire::fault::codes;
 use clarens_wire::Value;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{rngs::StdRng, SeedableRng};
 
 struct Fixture {
     core: Arc<ClarensCore>,

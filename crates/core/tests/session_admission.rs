@@ -6,8 +6,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use clarens::session::{Session, SessionManager, SESSIONS_BUCKET};
 use clarens_db::Store;

@@ -265,6 +265,10 @@ fn serve_query(state: &StationState, sock: &mut std::net::TcpStream) -> std::io:
     sock.flush()
 }
 
+/// Largest reply [`query_station`] accepts. The length prefix comes from
+/// the station, so it is checked before anything is allocated for it.
+const MAX_QUERY_REPLY: usize = 16 << 20;
+
 /// Client side of the TCP query protocol: one connection per query.
 pub fn query_station(
     addr: SocketAddr,
@@ -280,6 +284,12 @@ pub fn query_station(
     let mut len_buf = [0u8; 4];
     sock.read_exact(&mut len_buf)?;
     let len = u32::from_be_bytes(len_buf) as usize;
+    if len > MAX_QUERY_REPLY {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("station announces a {len}-byte reply (limit {MAX_QUERY_REPLY})"),
+        ));
+    }
     let mut body = vec![0u8; len];
     sock.read_exact(&mut body)?;
     let text = std::str::from_utf8(&body)
@@ -482,6 +492,32 @@ mod tests {
         let none = query_station(station.query_addr(), &ServiceQuery::by_service("nope")).unwrap();
         assert!(none.is_empty());
         station.shutdown();
+    }
+
+    #[test]
+    fn an_oversized_reply_is_refused_before_it_is_allocated() {
+        use std::io::{Read, Write};
+        // A station that answers any query with a u32::MAX length prefix
+        // and then holds its socket open, sending nothing more.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done_tx, done) = channel::<()>();
+        let station = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let mut len = [0u8; 4];
+            sock.read_exact(&mut len).unwrap();
+            let mut query = vec![0u8; u32::from_be_bytes(len) as usize];
+            sock.read_exact(&mut query).unwrap();
+            sock.write_all(&u32::MAX.to_be_bytes()).unwrap();
+            let _ = done.recv();
+        });
+        let started = std::time::Instant::now();
+        let err = query_station(addr, &ServiceQuery::default()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        // The read timeout is 2 s: an answer this fast did not wait for a body.
+        assert!(started.elapsed() < Duration::from_secs(1));
+        done_tx.send(()).unwrap();
+        station.join().unwrap();
     }
 
     #[test]

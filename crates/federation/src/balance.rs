@@ -37,8 +37,7 @@ use std::time::{Duration, Instant};
 use clarens::client::{Backoff, ClarensClient, ClientError};
 use clarens_wire::{Protocol, Value};
 use monalisa_sim::{ServiceDescriptor, ServiceQuery};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// How long a failed endpoint stays blacklisted before it may be retried.
 const BLACKLIST_COOLDOWN: Duration = Duration::from_secs(2);

@@ -24,8 +24,7 @@ use clarens::core::ClarensCore;
 use clarens::ClarensClient;
 use clarens_wire::Value;
 use monalisa_sim::{Publication, ServiceDescriptor, ServiceQuery, UdpPublisher};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::Worker;
 

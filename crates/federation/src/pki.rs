@@ -12,8 +12,7 @@ use std::sync::{Mutex, OnceLock};
 use clarens_pki::cert::{CertificateAuthority, Credential};
 use clarens_pki::dn::DistinguishedName;
 use clarens_pki::rsa;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{rngs::StdRng, SeedableRng};
 
 fn dn(text: &str) -> DistinguishedName {
     DistinguishedName::parse(text).expect("valid DN")

@@ -23,8 +23,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use clarens::config::FederationRole;
 use clarens_federation::election::{Effect, Election, Input, Node, LEASE_SERVICE};
 use monalisa_sim::ServiceDescriptor;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const LEASE: u64 = 400;
 const JITTER: u64 = 100;

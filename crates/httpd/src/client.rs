@@ -14,6 +14,7 @@ use std::time::Duration;
 
 use clarens_pki::cert::{Certificate, Credential};
 use clarens_pki::dn::DistinguishedName;
+use clarens_pki::keystream::SecretRng;
 use clarens_pki::SecureStream;
 
 use crate::parse::{read_response, write_request, ClientResponse, ParseError};
@@ -192,9 +193,8 @@ impl HttpClient {
             }
             Some(tls) => {
                 let now = (tls.now_fn)();
-                let mut rng = rand::rng();
                 let stream =
-                    SecureStream::connect(sock, &tls.credential, &tls.roots, now, &mut rng)
+                    SecureStream::connect(sock, &tls.credential, &tls.roots, now, &mut SecretRng)
                         .map_err(not_sent)?;
                 self.server_identity = Some(stream.peer_identity().clone());
                 self.connection = Some(Connection::Secure(Box::new(BufReader::new(stream))));
@@ -265,8 +265,7 @@ mod tests {
     use crate::test_modes::{client_tls, Mode, CLIENT_DN, SERVER_DN};
     use crate::types::Response;
     use clarens_pki::cert::CertificateAuthority;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{rngs::StdRng, SeedableRng};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;

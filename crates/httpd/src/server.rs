@@ -39,6 +39,7 @@ use clarens_telemetry::{RequestTrace, Telemetry};
 
 use clarens_pki::cert::{Certificate, Credential};
 use clarens_pki::dn::DistinguishedName;
+use clarens_pki::keystream::SecretRng;
 use clarens_pki::SecureChannel;
 
 use crate::conn::{self, Conn, Disposition, Tls};
@@ -598,8 +599,7 @@ fn accept_loop(ctx: AcceptLoop) {
         next_id += 1;
         let tls = ctx.tls.as_ref().map(|(credential, roots)| {
             let (credential, roots) = (Arc::clone(credential), Arc::clone(roots));
-            let channel =
-                SecureChannel::server(credential, roots, (ctx.now_fn)(), &mut rand::rng());
+            let channel = SecureChannel::server(credential, roots, (ctx.now_fn)(), &mut SecretRng);
             Box::new(Tls {
                 channel,
                 peer: None,

@@ -17,8 +17,7 @@ use clarens_httpd::{ClientTls, ServerConfig, TlsConfig};
 use clarens_pki::cert::{Certificate, CertificateAuthority, Credential};
 use clarens_pki::dn::DistinguishedName;
 use clarens_pki::{rsa, SecureStream};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{rngs::StdRng, SeedableRng};
 
 /// Which transport a scenario's server speaks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,6 +87,11 @@ pub fn client_tls() -> ClientTls {
     }
 }
 
+/// The credential [`Mode::Tls`] servers present.
+pub fn server_credential() -> Credential {
+    pki().server.clone()
+}
+
 impl Mode {
     /// `base`, adjusted so the server speaks this mode's transport.
     pub fn server_config(self, base: ServerConfig) -> ServerConfig {
@@ -117,7 +121,7 @@ impl Mode {
                     &pki.client,
                     std::slice::from_ref(&pki.root),
                     now(),
-                    &mut rand::rng(),
+                    &mut StdRng::seed_from_u64(0xC11E),
                 )
                 .map_err(|e| io::Error::other(e.to_string()))?;
                 Ok(Box::new(stream))

@@ -915,8 +915,7 @@ impl fmt::Display for BigUint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{rngs::StdRng, SeedableRng};
 
     fn n(v: u64) -> BigUint {
         BigUint::from_u64(v)

@@ -574,8 +574,7 @@ pub fn verify_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{rngs::StdRng, SeedableRng};
 
     const NOW: i64 = 1_118_836_800; // 2005-06-15
 

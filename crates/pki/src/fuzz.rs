@@ -10,8 +10,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{rngs::StdRng, SeedableRng};
 
 use crate::bigint::{BigUint, Modulus};
 use crate::cert::{Certificate, CertificateAuthority, Credential};

@@ -1,19 +1,19 @@
-//! A per-thread ChaCha20 keystream for unguessable identifiers.
+//! The one source of secret bytes: a per-thread ChaCha20 keystream.
 //!
-//! Session ids are bearer tokens, so the bytes behind them must not be
-//! predictable from ids an attacker has already seen. The process PRNG
-//! (`rand::rng()`, xoshiro256**) does not qualify: its whole state can be
-//! solved from a few outputs. A ChaCha20 keystream under a secret key does,
-//! and costs one block function per two 32-byte ids.
+//! Session ids, RSA keys, handshake randoms and premasters, proxy-store
+//! nonces and the client's backoff seed are all drawn here, through
+//! [`fill`] or through [`SecretRng`], which hands the same stream to any
+//! API that takes an [`Rng`]. A deterministic generator such as the
+//! vendored `StdRng` (xoshiro256**) does not qualify for any of them: its
+//! whole state can be solved from a few outputs, so a secret drawn after a
+//! value the peer sees — a premaster after a hello random — is no secret.
+//! Seeded `StdRng` stays what tests, fuzzers and benchmarks pass on purpose.
 //!
-//! Each thread derives its key once, as `sha256(32 bytes of /dev/urandom,
-//! if readable ‖ 32 bytes of rand::rng())`. That is one derivation over
-//! whatever entropy exists rather than a primary source with a fallback:
-//! where the OS pool is missing the first half stays zero and the key rests
-//! on the process generator alone, as every id did before this module.
-//! The stream re-keys itself from its own output every `REKEY_BYTES`, so
-//! the 32-bit block counter never wraps and a captured state does not
-//! reveal ids minted before the last re-key.
+//! Each thread keys its stream once, on its first draw, with 32 bytes read
+//! from `/dev/urandom`. There is no fallback: if the device cannot be read,
+//! that draw panics. The stream re-keys itself from its own output every
+//! `REKEY_BYTES`, so the 32-bit block counter never wraps and a captured
+//! state does not reveal bytes drawn before the last re-key.
 
 use std::cell::RefCell;
 use std::io::Read;
@@ -21,7 +21,9 @@ use std::io::Read;
 use rand::Rng;
 
 use crate::chacha20::{ChaCha20, KEY_LEN, NONCE_LEN};
-use crate::sha256::sha256;
+
+/// Where every thread's key comes from.
+const DEVICE: &str = "/dev/urandom";
 
 /// Output bytes between re-keys.
 const REKEY_BYTES: usize = 1 << 16;
@@ -40,12 +42,13 @@ impl Keystream {
         }
     }
 
-    fn seeded() -> Keystream {
-        let mut seed = [0u8; 2 * KEY_LEN];
-        let (os, process) = seed.split_at_mut(KEY_LEN);
-        let _ = std::fs::File::open("/dev/urandom").and_then(|mut f| f.read_exact(os));
-        rand::rng().fill_bytes(process);
-        Keystream::new(&sha256(&seed))
+    /// A stream keyed from `device`; panics, naming it, if it cannot be read.
+    fn keyed_from(device: &str) -> Keystream {
+        let mut key = [0u8; KEY_LEN];
+        std::fs::File::open(device)
+            .and_then(|mut f| f.read_exact(&mut key))
+            .unwrap_or_else(|e| panic!("cannot read {device} to key the secret keystream: {e}"));
+        Keystream::new(&key)
     }
 
     fn fill(&mut self, out: &mut [u8]) {
@@ -63,12 +66,29 @@ impl Keystream {
 }
 
 thread_local! {
-    static STREAM: RefCell<Keystream> = RefCell::new(Keystream::seeded());
+    static STREAM: RefCell<Keystream> = RefCell::new(Keystream::keyed_from(DEVICE));
 }
 
 /// Overwrite `out` with the next bytes of the calling thread's keystream.
 pub fn fill(out: &mut [u8]) {
     STREAM.with(|stream| stream.borrow_mut().fill(out));
+}
+
+/// The calling thread's keystream as an [`Rng`]: what every production
+/// site that draws key material, a nonce or a handshake random passes.
+#[derive(Clone, Copy, Debug)]
+pub struct SecretRng;
+
+impl Rng for SecretRng {
+    fn next_u64(&mut self) -> u64 {
+        let mut bytes = [0u8; 8];
+        fill(&mut bytes);
+        u64::from_le_bytes(bytes)
+    }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        fill(dest);
+    }
 }
 
 #[cfg(test)]
@@ -125,5 +145,29 @@ mod tests {
         let mut again = [0u8; 32];
         fill(&mut again);
         assert_ne!(here, again);
+    }
+
+    #[test]
+    fn secret_rng_and_fill_draw_one_stream() {
+        let key = [9u8; KEY_LEN];
+        let mut expected = [0u8; 64];
+        xor_stream(&key, &[0; NONCE_LEN], 0, &mut expected);
+        let got = std::thread::spawn(move || {
+            STREAM.with(|stream| *stream.borrow_mut() = Keystream::new(&key));
+            let mut got = [0u8; 64];
+            got[..8].copy_from_slice(&SecretRng.next_u64().to_le_bytes());
+            SecretRng.fill_bytes(&mut got[8..40]);
+            fill(&mut got[40..]);
+            got
+        })
+        .join()
+        .unwrap();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot read /nonexistent/urandom")]
+    fn an_unreadable_device_fails_closed() {
+        Keystream::keyed_from("/nonexistent/urandom");
     }
 }

@@ -10,8 +10,10 @@
 //! * [`sha256`], [`md5`], [`hmac`] — digest and MAC primitives with official
 //!   test vectors,
 //! * [`chacha20`] — the record cipher for the secure channel,
-//! * [`keystream`] — a per-thread ChaCha20 keystream that session ids are
-//!   cut from,
+//! * [`keystream`] — the one source of secret bytes: a per-thread ChaCha20
+//!   keystream keyed from `/dev/urandom`. Session ids are cut from it, and
+//!   [`keystream::SecretRng`] hands it to every `R: Rng` API that mints a
+//!   key, a nonce or a handshake random,
 //! * [`rsa`] — key generation, PKCS#1 v1.5 signing and encryption with CRT,
 //! * [`dn`] — slash-form distinguished names with the prefix-matching rule
 //!   VO management uses,

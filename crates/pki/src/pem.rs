@@ -213,8 +213,7 @@ mod tests {
     use crate::cert::CertificateAuthority;
     use crate::dn::DistinguishedName;
     use crate::rsa;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{rngs::StdRng, SeedableRng};
 
     const NOW: i64 = 1_118_836_800;
 

@@ -303,8 +303,7 @@ pub fn generate<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> KeyPair {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{rngs::StdRng, SeedableRng};
 
     fn keypair() -> KeyPair {
         let mut rng = StdRng::seed_from_u64(20050615);

@@ -6,8 +6,7 @@
 use clarens_pki::cert::{Certificate, CertificateAuthority, Credential};
 use clarens_pki::dn::DistinguishedName;
 use clarens_pki::rsa;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{rngs::StdRng, SeedableRng};
 
 /// 2005-06-15, the validity anchor of every certificate below.
 pub const NOW: i64 = 1_118_836_800;

@@ -13,8 +13,7 @@ use std::sync::{Arc, Mutex};
 
 use clarens_pki::sha256::{sha256, to_hex};
 use clarens_pki::SecureStream;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{rngs::StdRng, SeedableRng};
 
 use common::{
     client_messages, pki, server_messages, CLIENT_SEED, GOLDEN_KEYS_SHA256, GOLDEN_SHA256, NOW,

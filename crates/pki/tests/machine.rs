@@ -8,8 +8,7 @@ use std::sync::Arc;
 use clarens_pki::channel::Peer;
 use clarens_pki::sha256::{sha256, to_hex};
 use clarens_pki::SecureChannel;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use common::{
     client_messages, pki, server_messages, Pki, CLIENT_SEED, GOLDEN_SHA256, NOW, SERVER_SEED,

@@ -275,8 +275,7 @@ proptest! {
 mod rsa_props {
     use super::*;
     use clarens_pki::rsa;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{rngs::StdRng, SeedableRng};
     use std::sync::OnceLock;
 
     fn shared_keypair() -> &'static rsa::KeyPair {

@@ -8,8 +8,7 @@ use clarens::testkit::{now, GridOptions, TestGrid};
 use clarens::ClientError;
 use clarens_wire::fault::codes;
 use clarens_wire::Value;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Raw bytes in, response (or closed connection) out.
 fn raw_exchange(addr: &str, payload: &[u8]) -> Vec<u8> {
