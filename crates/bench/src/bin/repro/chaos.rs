@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 use clarens::testkit::{GridOptions, TestGrid};
 use clarens_bench::bench_session;
 use clarens_faults::sites;
+use clarens_wire::fault::codes;
 use clarens_wire::Value;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -39,6 +40,8 @@ pub fn run(args: &Args) {
         ..Default::default()
     });
     let session = bench_session(&grid);
+    // Logged in before any fault is armed, for the degraded-mode drill.
+    let mut admin = grid.logged_in_client(&grid.admin).with_retries(6);
     let injected_before = clarens_faults::injected_total();
 
     const CLIENTS: usize = 8;
@@ -159,6 +162,28 @@ pub fn run(args: &Args) {
     assert!(
         clarens_db::is_degraded_error(&refusal),
         "refusal must carry the documented degraded error: {refusal}"
+    );
+    // ...and so are RPC mutations: an admin's ACL edit answers the DEGRADED
+    // fault (code 9) and leaves the node as it was. An edge fault can eat
+    // the answer to a call that is not resent, so ask until one arrives.
+    let acl_before = grid.core().acl.method_acl("echo");
+    let eve = Value::from(grid.user.certificate.subject.to_string());
+    let deny = Value::structure([("deny_dns", Value::Array(vec![eve]))]);
+    let answer = (0..20).find_map(|_| {
+        match admin.call("acl.set_method", vec![Value::from("echo"), deny.clone()]) {
+            Err(clarens::ClientError::Fault(fault)) => Some(Err(fault)),
+            Err(_) => None,
+            Ok(value) => Some(Ok(value)),
+        }
+    });
+    match answer {
+        Some(Err(fault)) => assert_eq!(fault.code, codes::DEGRADED, "{fault:?}"),
+        other => panic!("acl.set_method on a degraded store answered {other:?}"),
+    }
+    assert_eq!(
+        grid.core().acl.method_acl("echo"),
+        acl_before,
+        "a refused ACL edit changed the node"
     );
 
     std::thread::sleep(window / 2);

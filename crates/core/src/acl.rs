@@ -23,6 +23,7 @@
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -389,18 +390,19 @@ impl AclEngine {
             .merged(self.file_decisions.stats())
     }
 
-    /// Attach an ACL to a method-hierarchy node.
-    pub fn set_method_acl(&self, node: &str, acl: &Acl) {
-        let _ = self.store.put(
+    /// Attach an ACL to a method-hierarchy node. Fails, changing nothing,
+    /// when the store refuses the write (a degraded store).
+    pub fn set_method_acl(&self, node: &str, acl: &Acl) -> io::Result<()> {
+        self.store.put(
             METHOD_ACL_BUCKET,
             node,
             json::to_string(&acl.to_value()).into_bytes(),
-        );
+        )
     }
 
     /// Remove a method ACL node.
-    pub fn clear_method_acl(&self, node: &str) {
-        let _ = self.store.delete(METHOD_ACL_BUCKET, node);
+    pub fn clear_method_acl(&self, node: &str) -> io::Result<()> {
+        self.store.delete(METHOD_ACL_BUCKET, node).map(drop)
     }
 
     /// Read back a method ACL node.
@@ -414,18 +416,19 @@ impl AclEngine {
         self.store.keys(METHOD_ACL_BUCKET)
     }
 
-    /// Attach a file ACL to a path node.
-    pub fn set_file_acl(&self, node: &str, acl: &FileAcl) {
-        let _ = self.store.put(
+    /// Attach a file ACL to a path node. Fails, changing nothing, when the
+    /// store refuses the write.
+    pub fn set_file_acl(&self, node: &str, acl: &FileAcl) -> io::Result<()> {
+        self.store.put(
             FILE_ACL_BUCKET,
             node,
             json::to_string(&acl.to_value()).into_bytes(),
-        );
+        )
     }
 
     /// Remove a file ACL node.
-    pub fn clear_file_acl(&self, node: &str) {
-        let _ = self.store.delete(FILE_ACL_BUCKET, node);
+    pub fn clear_file_acl(&self, node: &str) -> io::Result<()> {
+        self.store.delete(FILE_ACL_BUCKET, node).map(drop)
     }
 
     /// Read back a file ACL node.
@@ -690,7 +693,9 @@ mod tests {
         let (engine, vo, _) = setup();
         let alice = dn("/O=grid/OU=People/CN=alice");
         // Grant at the module level...
-        engine.set_method_acl("file", &Acl::allow_dn("/O=grid/OU=People/CN=alice"));
+        engine
+            .set_method_acl("file", &Acl::allow_dn("/O=grid/OU=People/CN=alice"))
+            .unwrap();
         // ..."automatically has access to a lower level method".
         assert!(engine.check_method("file.read", &alice, &vo));
         assert!(engine.check_method("file.ls", &alice, &vo));
@@ -703,9 +708,13 @@ mod tests {
     fn lower_level_deny_overrides_higher_grant() {
         let (engine, vo, _) = setup();
         let alice = dn("/O=grid/OU=People/CN=alice");
-        engine.set_method_acl("file", &Acl::allow_dn("/O=grid/OU=People/CN=alice"));
+        engine
+            .set_method_acl("file", &Acl::allow_dn("/O=grid/OU=People/CN=alice"))
+            .unwrap();
         // "unless specifically denied at the lower level"
-        engine.set_method_acl("file.delete", &Acl::deny_dn("/O=grid/OU=People/CN=alice"));
+        engine
+            .set_method_acl("file.delete", &Acl::deny_dn("/O=grid/OU=People/CN=alice"))
+            .unwrap();
         assert!(engine.check_method("file.read", &alice, &vo));
         assert!(!engine.check_method("file.delete", &alice, &vo));
     }
@@ -714,8 +723,12 @@ mod tests {
     fn lower_allow_beats_higher_deny() {
         let (engine, vo, _) = setup();
         let bob = dn("/O=grid/CN=bob");
-        engine.set_method_acl("admin", &Acl::deny_dn("/O=grid/CN=bob"));
-        engine.set_method_acl("admin.status", &Acl::allow_dn("/O=grid/CN=bob"));
+        engine
+            .set_method_acl("admin", &Acl::deny_dn("/O=grid/CN=bob"))
+            .unwrap();
+        engine
+            .set_method_acl("admin.status", &Acl::allow_dn("/O=grid/CN=bob"))
+            .unwrap();
         // Lowest applicable level decides first.
         assert!(engine.check_method("admin.status", &bob, &vo));
         assert!(!engine.check_method("admin.shutdown", &bob, &vo));
@@ -729,7 +742,9 @@ mod tests {
         let alice = dn("/O=grid/CN=alice");
         vo.add_member(&admin, "cms", &alice.to_string()).unwrap();
 
-        engine.set_method_acl("proof", &Acl::allow_group("cms.analysis"));
+        engine
+            .set_method_acl("proof", &Acl::allow_group("cms.analysis"))
+            .unwrap();
         // alice is a member of cms, hence (hierarchically) of cms.analysis.
         assert!(engine.check_method("proof.query", &alice, &vo));
         let outsider = dn("/O=other/CN=eve");
@@ -747,14 +762,14 @@ mod tests {
             deny_dns: vec!["/O=grid/CN=dual".into()],
             ..Default::default()
         };
-        engine.set_method_acl("m1", &both_allowdeny);
+        engine.set_method_acl("m1", &both_allowdeny).unwrap();
         assert!(!engine.check_method("m1.x", &user, &vo)); // deny wins
 
         let both_denyallow = Acl {
             order: Order::DenyAllow,
             ..both_allowdeny.clone()
         };
-        engine.set_method_acl("m2", &both_denyallow);
+        engine.set_method_acl("m2", &both_denyallow).unwrap();
         assert!(engine.check_method("m2.x", &user, &vo)); // allow wins
     }
 
@@ -762,13 +777,15 @@ mod tests {
     fn file_acl_read_write_distinct() {
         let (engine, vo, _) = setup();
         let alice = dn("/O=grid/CN=alice");
-        engine.set_file_acl(
-            "/data",
-            &FileAcl {
-                read: Acl::allow_dn("/O=grid"),
-                write: Acl::allow_dn("/O=grid/CN=librarian"),
-            },
-        );
+        engine
+            .set_file_acl(
+                "/data",
+                &FileAcl {
+                    read: Acl::allow_dn("/O=grid"),
+                    write: Acl::allow_dn("/O=grid/CN=librarian"),
+                },
+            )
+            .unwrap();
         assert!(engine.check_file("/data/run1/f.root", FileAccess::Read, &alice, &vo));
         assert!(!engine.check_file("/data/run1/f.root", FileAccess::Write, &alice, &vo));
         let librarian = dn("/O=grid/CN=librarian");
@@ -779,20 +796,24 @@ mod tests {
     fn file_acl_subdir_deny() {
         let (engine, vo, _) = setup();
         let alice = dn("/O=grid/CN=alice");
-        engine.set_file_acl(
-            "/",
-            &FileAcl {
-                read: Acl::allow_dn("/O=grid"),
-                ..Default::default()
-            },
-        );
-        engine.set_file_acl(
-            "/private",
-            &FileAcl {
-                read: Acl::deny_dn("/O=grid/CN=alice"),
-                ..Default::default()
-            },
-        );
+        engine
+            .set_file_acl(
+                "/",
+                &FileAcl {
+                    read: Acl::allow_dn("/O=grid"),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        engine
+            .set_file_acl(
+                "/private",
+                &FileAcl {
+                    read: Acl::deny_dn("/O=grid/CN=alice"),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
         assert!(engine.check_file("/public/f", FileAccess::Read, &alice, &vo));
         assert!(!engine.check_file("/private/f", FileAccess::Read, &alice, &vo));
     }
@@ -807,29 +828,31 @@ mod tests {
             deny_dns: vec!["/O=b/CN=x".into()],
             deny_groups: vec!["g3".into()],
         };
-        engine.set_method_acl("mod.sub", &acl);
+        engine.set_method_acl("mod.sub", &acl).unwrap();
         assert_eq!(engine.method_acl("mod.sub").unwrap(), acl);
         assert_eq!(engine.method_acl_nodes(), vec!["mod.sub"]);
-        engine.clear_method_acl("mod.sub");
+        engine.clear_method_acl("mod.sub").unwrap();
         assert!(engine.method_acl("mod.sub").is_none());
 
         let facl = FileAcl {
             read: Acl::allow_group("g"),
             write: Acl::deny_dn("/O=x"),
         };
-        engine.set_file_acl("/d", &facl);
+        engine.set_file_acl("/d", &facl).unwrap();
         assert_eq!(engine.file_acl("/d").unwrap(), facl);
-        engine.clear_file_acl("/d");
+        engine.clear_file_acl("/d").unwrap();
         assert!(engine.file_acl("/d").is_none());
     }
 
     #[test]
     fn wildcard_matches_any_authenticated_dn() {
         let (engine, vo, _) = setup();
-        engine.set_method_acl("open", &Acl::allow_dn("*"));
+        engine.set_method_acl("open", &Acl::allow_dn("*")).unwrap();
         assert!(engine.check_method("open.anything", &dn("/O=anywhere/CN=anyone"), &vo));
         // A lower-level deny still overrides the wildcard grant.
-        engine.set_method_acl("open.secret", &Acl::deny_dn("/O=anywhere/CN=anyone"));
+        engine
+            .set_method_acl("open.secret", &Acl::deny_dn("/O=anywhere/CN=anyone"))
+            .unwrap();
         assert!(!engine.check_method("open.secret", &dn("/O=anywhere/CN=anyone"), &vo));
     }
 
@@ -837,7 +860,9 @@ mod tests {
     fn decision_cache_hits_on_repeat_checks() {
         let (engine, vo, _) = setup();
         let alice = dn("/O=grid/CN=alice");
-        engine.set_method_acl("file", &Acl::allow_dn("/O=grid"));
+        engine
+            .set_method_acl("file", &Acl::allow_dn("/O=grid"))
+            .unwrap();
         assert!(engine.check_method("file.read", &alice, &vo));
         let first = engine.decision_cache_stats();
         assert_eq!(first.hits, 0);
@@ -852,14 +877,16 @@ mod tests {
         let (engine, vo, _) = setup();
         let alice = dn("/O=grid/CN=alice");
         let rendered = alice.to_string();
-        engine.set_method_acl("file", &Acl::allow_dn("/O=grid"));
+        engine
+            .set_method_acl("file", &Acl::allow_dn("/O=grid"))
+            .unwrap();
         // A keyed check (session path: pre-rendered DN string) lands on
         // the same cache entry as a plain check of the same identity.
         assert!(engine.check_method("file.read", &alice, &vo));
         assert!(engine.check_method_keyed("file.read", &alice, &rendered, &vo));
         assert_eq!(engine.decision_cache_stats().hits, 1);
         // Revocation applies to the keyed path too.
-        engine.clear_method_acl("file");
+        engine.clear_method_acl("file").unwrap();
         assert!(!engine.check_method_keyed("file.read", &alice, &rendered, &vo));
     }
 
@@ -867,15 +894,19 @@ mod tests {
     fn revocation_invalidates_cached_decision() {
         let (engine, vo, _) = setup();
         let alice = dn("/O=grid/CN=alice");
-        engine.set_method_acl("file", &Acl::allow_dn("/O=grid/CN=alice"));
+        engine
+            .set_method_acl("file", &Acl::allow_dn("/O=grid/CN=alice"))
+            .unwrap();
         // Warm both cache layers.
         assert!(engine.check_method("file.read", &alice, &vo));
         assert!(engine.check_method("file.read", &alice, &vo));
         // Revoke: the very next check must see it (no stale-grant window).
-        engine.clear_method_acl("file");
+        engine.clear_method_acl("file").unwrap();
         assert!(!engine.check_method("file.read", &alice, &vo));
         // And re-granting is equally immediate.
-        engine.set_method_acl("file", &Acl::allow_dn("/O=grid/CN=alice"));
+        engine
+            .set_method_acl("file", &Acl::allow_dn("/O=grid/CN=alice"))
+            .unwrap();
         assert!(engine.check_method("file.read", &alice, &vo));
     }
 
@@ -884,7 +915,9 @@ mod tests {
         let (engine, vo, admin) = setup();
         let alice = dn("/O=grid/CN=alice");
         vo.create_group(&admin, "cms").unwrap();
-        engine.set_method_acl("proof", &Acl::allow_group("cms"));
+        engine
+            .set_method_acl("proof", &Acl::allow_group("cms"))
+            .unwrap();
         assert!(!engine.check_method("proof.query", &alice, &vo));
         // A VO-side grant flips the cached deny immediately...
         vo.add_member(&admin, "cms", &alice.to_string()).unwrap();
@@ -898,20 +931,22 @@ mod tests {
     fn file_decision_cache_keeps_read_write_distinct() {
         let (engine, vo, _) = setup();
         let alice = dn("/O=grid/CN=alice");
-        engine.set_file_acl(
-            "/data",
-            &FileAcl {
-                read: Acl::allow_dn("/O=grid"),
-                write: Acl::default(),
-            },
-        );
+        engine
+            .set_file_acl(
+                "/data",
+                &FileAcl {
+                    read: Acl::allow_dn("/O=grid"),
+                    write: Acl::default(),
+                },
+            )
+            .unwrap();
         // Repeat each check so both answers come from the decision cache.
         for _ in 0..2 {
             assert!(engine.check_file("/data/f", FileAccess::Read, &alice, &vo));
             assert!(!engine.check_file("/data/f", FileAccess::Write, &alice, &vo));
         }
         // File-side revocation is immediate too.
-        engine.clear_file_acl("/data");
+        engine.clear_file_acl("/data").unwrap();
         assert!(!engine.check_file("/data/f", FileAccess::Read, &alice, &vo));
     }
 
@@ -921,10 +956,12 @@ mod tests {
         let vo = VoManager::new(Arc::clone(&store), &[]);
         let engine = AclEngine::with_caching(store, false);
         let alice = dn("/O=grid/CN=alice");
-        engine.set_method_acl("file", &Acl::allow_dn("/O=grid"));
+        engine
+            .set_method_acl("file", &Acl::allow_dn("/O=grid"))
+            .unwrap();
         assert!(engine.check_method("file.read", &alice, &vo));
         assert!(engine.check_method("file.read", &alice, &vo));
-        engine.clear_method_acl("file");
+        engine.clear_method_acl("file").unwrap();
         assert!(!engine.check_method("file.read", &alice, &vo));
         assert_eq!(engine.decision_cache_stats(), CacheStats::default());
         assert_eq!(engine.node_cache_stats(), CacheStats::default());

@@ -122,6 +122,9 @@ impl ClarensCore {
             .register_gauge("db.wal_syncs", move || store.stats().syncs);
         let store = Arc::clone(&self.store);
         self.telemetry
+            .register_gauge("db.wal_extends", move || store.storage_counters().extends);
+        let store = Arc::clone(&self.store);
+        self.telemetry
             .register_gauge("db.group_commits", move || store.stats().group_commits);
         let store = Arc::clone(&self.store);
         self.telemetry

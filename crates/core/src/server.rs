@@ -85,14 +85,16 @@ impl ClarensServer {
 /// call the non-administrative modules (service-level checks still guard
 /// admin operations), and read anywhere under `/` in the file tree. Used
 /// by examples, tests, and benchmarks; production deployments configure
-/// ACLs explicitly via the `acl` service.
+/// ACLs explicitly via the `acl` service. A write the store refuses (it is
+/// degraded, and says so on `db.degraded`) leaves that node without its
+/// grant, which denies.
 pub fn install_permissive_acls(core: &ClarensCore) {
     // Every built-in module, whether or not this core registered it (and
     // whether it did so before or after this call).
     for info in services::BUILTIN.iter().filter_map(|table| table(0)) {
-        core.acl.set_method_acl(info.module(), &Acl::allow_dn("*"));
+        let _ = core.acl.set_method_acl(info.module(), &Acl::allow_dn("*"));
     }
-    core.acl.set_file_acl(
+    let _ = core.acl.set_file_acl(
         "/",
         &crate::acl::FileAcl {
             read: Acl::allow_dn("*"),

@@ -30,6 +30,14 @@ fn string_list(acl: &BTreeMap<String, Value>, key: &str) -> Result<Vec<String>, 
     strings.ok_or_else(|| Fault::bad_params(format!("{key} must be an array of strings")))
 }
 
+/// `true` once the store took an ACL write. A refused one is a fault:
+/// `DEGRADED` when the store is read-only.
+fn stored(write: std::io::Result<()>) -> Result<Value, Fault> {
+    write
+        .map(|()| Value::Bool(true))
+        .map_err(|e| crate::store_fault("acl store", &e))
+}
+
 /// Decode an ACL from its RPC struct form. A malformed field is refused,
 /// never read as empty: an ACL with a list dropped would admit whom it was
 /// meant to deny.
@@ -57,8 +65,7 @@ impl Service for AclAdminService {
             &[string("node"), structure("acl")],
             |_, ctx, args| {
                 let acl = acl_from_value(args.structure(1)?)?;
-                ctx.core.acl.set_method_acl(args.str(0)?, &acl);
-                Ok(Value::Bool(true))
+                stored(ctx.core.acl.set_method_acl(args.str(0)?, &acl))
             },
         )
         .admin()
@@ -67,10 +74,7 @@ impl Service for AclAdminService {
             "acl.clear_method",
             "Remove a method ACL node (site admin)",
             &[string("node")],
-            |_, ctx, args| {
-                ctx.core.acl.clear_method_acl(args.str(0)?);
-                Ok(Value::Bool(true))
-            },
+            |_, ctx, args| stored(ctx.core.acl.clear_method_acl(args.str(0)?)),
         )
         .admin()
         .replicated(),
@@ -100,8 +104,7 @@ impl Service for AclAdminService {
                     read: acl_from_value(args.structure(1)?)?,
                     write: acl_from_value(args.structure(2)?)?,
                 };
-                ctx.core.acl.set_file_acl(args.str(0)?, &file_acl);
-                Ok(Value::Bool(true))
+                stored(ctx.core.acl.set_file_acl(args.str(0)?, &file_acl))
             },
         )
         .admin()
@@ -110,10 +113,7 @@ impl Service for AclAdminService {
             "acl.clear_file",
             "Remove a file ACL node (site admin)",
             &[string("node")],
-            |_, ctx, args| {
-                ctx.core.acl.clear_file_acl(args.str(0)?);
-                Ok(Value::Bool(true))
-            },
+            |_, ctx, args| stored(ctx.core.acl.clear_file_acl(args.str(0)?)),
         )
         .admin()
         .replicated(),

@@ -67,20 +67,26 @@ fn mailbox_prefix(dn: &str) -> String {
 }
 
 /// Up to `max` of the caller's queued messages, in send order; `consume`
-/// deletes each one read.
+/// deletes each one read and returns exactly the ones it deleted. The
+/// first delete the store refuses ends the batch, and is the answer only
+/// when nothing was delivered: a message is never both gone and
+/// undelivered.
 fn messages(ctx: &CallContext<'_>, max: i64, consume: bool) -> Result<Value, Fault> {
     let prefix = mailbox_prefix(&ctx.require_identity()?.to_string());
     let max = max.clamp(0, 256) as usize;
     let mut out = Vec::new();
     for (key, bytes) in ctx.core.store.scan_prefix_limit(IM_BUCKET, &prefix, max) {
-        if let Ok(text) = String::from_utf8(bytes) {
-            if let Ok(value) = clarens_wire::json::parse(&text) {
-                out.push(value);
-                if consume {
-                    let _ = ctx.core.store.delete(IM_BUCKET, &key);
+        let parsed = String::from_utf8(bytes).map(|text| clarens_wire::json::parse(&text));
+        let Ok(Ok(value)) = parsed else { continue };
+        if consume {
+            if let Err(e) = ctx.core.store.delete(IM_BUCKET, &key) {
+                if out.is_empty() {
+                    return Err(crate::store_fault("im queue", &e));
                 }
+                break;
             }
         }
+        out.push(value);
     }
     Ok(Value::Array(out))
 }

@@ -233,6 +233,7 @@ impl SystemService {
                     ("scans", gauge("db.scans")),
                     ("writes", gauge("db.writes")),
                     ("wal_syncs", gauge("db.wal_syncs")),
+                    ("wal_extends", gauge("db.wal_extends")),
                     ("group_commits", gauge("db.group_commits")),
                     ("compactions", gauge("db.compactions")),
                     ("live_bytes", gauge("db.live_bytes")),

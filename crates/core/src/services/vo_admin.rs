@@ -17,6 +17,7 @@ impl From<VoError> for Fault {
             VoError::NotAuthorized(m) => Fault::access_denied(m),
             VoError::BadGroup(m) => Fault::bad_params(m),
             VoError::Conflict(m) => Fault::service(m),
+            VoError::Store(e) => crate::store_fault("vo store", &e),
         }
     }
 }

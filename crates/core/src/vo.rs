@@ -24,6 +24,7 @@
 //! any group write makes every cached record stale on its next lookup,
 //! so revocations are visible on the very next check.
 
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -80,7 +81,7 @@ impl Group {
 }
 
 /// VO errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub enum VoError {
     /// Actor lacks the privilege for the operation.
     NotAuthorized(String),
@@ -88,6 +89,8 @@ pub enum VoError {
     BadGroup(String),
     /// Group already exists / does not exist.
     Conflict(String),
+    /// The store refused the write (a degraded store is read-only).
+    Store(io::Error),
 }
 
 impl std::fmt::Display for VoError {
@@ -96,11 +99,18 @@ impl std::fmt::Display for VoError {
             VoError::NotAuthorized(m) => write!(f, "not authorized: {m}"),
             VoError::BadGroup(m) => write!(f, "bad group: {m}"),
             VoError::Conflict(m) => write!(f, "conflict: {m}"),
+            VoError::Store(e) => write!(f, "vo store: {e}"),
         }
     }
 }
 
 impl std::error::Error for VoError {}
+
+impl From<io::Error> for VoError {
+    fn from(e: io::Error) -> Self {
+        VoError::Store(e)
+    }
+}
 
 /// Does `dn` match any of the (prefix) entries?
 fn dn_matches_any(dn: &DistinguishedName, entries: &[String]) -> bool {
@@ -189,7 +199,9 @@ impl VoManager {
             members: admin_dns.to_vec(),
             admins: admin_dns.to_vec(),
         };
-        manager.save(ADMINS_GROUP, &root);
+        // A store that refuses this write is degraded: it refuses every
+        // later one as well, and those surface the error.
+        let _ = manager.save(ADMINS_GROUP, &root);
         manager
     }
 
@@ -213,12 +225,12 @@ impl VoManager {
         loaded
     }
 
-    fn save(&self, name: &str, group: &Group) {
-        let _ = self.store.put(
+    fn save(&self, name: &str, group: &Group) -> io::Result<()> {
+        self.store.put(
             VO_BUCKET,
             name,
             json::to_string(&group.to_value()).into_bytes(),
-        );
+        )
     }
 
     /// Load a group record.
@@ -321,8 +333,7 @@ impl VoManager {
                 }
             }
         }
-        self.save(name, &Group::default());
-        Ok(())
+        Ok(self.save(name, &Group::default())?)
     }
 
     /// Delete a group and all its subgroups. Requires admin of the group's
@@ -344,11 +355,12 @@ impl VoManager {
                 "{actor} may not delete {name:?}"
             )));
         }
-        // Delete the group and every subgroup beneath it.
-        let _ = self.store.delete(VO_BUCKET, name);
+        // Delete the group and every subgroup beneath it, stopping at the
+        // first delete the store refuses.
+        self.store.delete(VO_BUCKET, name)?;
         let prefix = format!("{name}.");
         for (key, _) in self.store.scan_prefix(VO_BUCKET, &prefix) {
-            let _ = self.store.delete(VO_BUCKET, &key);
+            self.store.delete(VO_BUCKET, &key)?;
         }
         Ok(())
     }
@@ -421,8 +433,7 @@ impl VoManager {
             )));
         }
         mutate(&mut group);
-        self.save(group_name, &group);
-        Ok(())
+        Ok(self.save(group_name, &group)?)
     }
 }
 

@@ -27,10 +27,16 @@ fn method_acl_revocation_is_immediate() {
     }
     // Revoke: the next request must already see the deny — no stale-grant
     // window, even though the decision was cached a moment ago.
-    grid.core().acl.set_method_acl("echo", &Acl::deny_dn("*"));
+    grid.core()
+        .acl
+        .set_method_acl("echo", &Acl::deny_dn("*"))
+        .unwrap();
     assert_denied(client.call("echo.echo", vec![Value::Int(9)]));
     // Re-granting is equally immediate.
-    grid.core().acl.set_method_acl("echo", &Acl::allow_dn("*"));
+    grid.core()
+        .acl
+        .set_method_acl("echo", &Acl::allow_dn("*"))
+        .unwrap();
     client.call("echo.echo", vec![Value::Int(10)]).unwrap();
     grid.cleanup();
 }
@@ -45,7 +51,8 @@ fn vo_membership_revocation_is_immediate() {
     // Gate echo behind a VO group instead of the permissive wildcard.
     core.vo.create_group(&admin, "testers").unwrap();
     core.acl
-        .set_method_acl("echo", &Acl::allow_group("testers"));
+        .set_method_acl("echo", &Acl::allow_group("testers"))
+        .unwrap();
 
     let mut client = grid.logged_in_client(&grid.user);
     assert_denied(client.call("echo.echo", vec![Value::Int(1)]));
@@ -66,13 +73,16 @@ fn file_acl_revocation_is_immediate_on_get_path() {
     let mut client = grid.logged_in_client(&grid.user);
 
     assert_eq!(client.http_get_file("/sec/data.txt").unwrap(), b"payload");
-    grid.core().acl.set_file_acl(
-        "/sec",
-        &FileAcl {
-            read: Acl::deny_dn("*"),
-            write: Acl::default(),
-        },
-    );
+    grid.core()
+        .acl
+        .set_file_acl(
+            "/sec",
+            &FileAcl {
+                read: Acl::deny_dn("*"),
+                write: Acl::default(),
+            },
+        )
+        .unwrap();
     match client.http_get_file("/sec/data.txt") {
         Err(ClientError::Http(403, body)) => {
             // GET errors keep the paper's XML error format.
@@ -80,7 +90,7 @@ fn file_acl_revocation_is_immediate_on_get_path() {
         }
         other => panic!("expected 403, got {other:?}"),
     }
-    grid.core().acl.clear_file_acl("/sec");
+    grid.core().acl.clear_file_acl("/sec").unwrap();
     assert_eq!(client.http_get_file("/sec/data.txt").unwrap(), b"payload");
     grid.cleanup();
 }
@@ -401,7 +411,8 @@ fn follower_repoints_and_resyncs_across_promotion() {
     leader
         .core()
         .acl
-        .set_method_acl("echo", &Acl::allow_group("fenced"));
+        .set_method_acl("echo", &Acl::allow_group("fenced"))
+        .unwrap();
 
     // Both followers converge and warm their caches.
     for grid in [&a, &b] {

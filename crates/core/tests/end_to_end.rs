@@ -322,13 +322,15 @@ fn file_acl_enforced_on_get_and_rpc() {
     grid.write_file("/secret/keys.txt", b"very secret");
     let core = grid.core();
     // Deny uma read under /secret (overrides the permissive root grant).
-    core.acl.set_file_acl(
-        "/secret",
-        &FileAcl {
-            read: Acl::deny_dn(grid.user.certificate.subject.to_string()),
-            write: Acl::default(),
-        },
-    );
+    core.acl
+        .set_file_acl(
+            "/secret",
+            &FileAcl {
+                read: Acl::deny_dn(grid.user.certificate.subject.to_string()),
+                write: Acl::default(),
+            },
+        )
+        .unwrap();
     let mut user = grid.logged_in_client(&grid.user);
     match user.file_read("/secret/keys.txt", 0, 10) {
         Err(ClientError::Fault(f)) => assert_eq!(f.code, codes::ACCESS_DENIED),

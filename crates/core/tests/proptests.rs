@@ -62,16 +62,16 @@ proptest! {
         let mut node = method.clone();
         while let Some(pos) = node.rfind('.') {
             node = node[..pos].to_owned();
-            engine.set_method_acl(&node, &Acl::allow_dn("*"));
+            engine.set_method_acl(&node, &Acl::allow_dn("*")).unwrap();
         }
-        engine.set_method_acl(&method, &Acl::allow_dn("*"));
+        engine.set_method_acl(&method, &Acl::allow_dn("*")).unwrap();
         prop_assert!(engine.check_method(&method, &dn, &vo));
         // ...then deny this DN at the exact method.
         engine.set_method_acl(
             &method,
             &Acl { deny_dns: vec![dn.to_string()], allow_dns: vec!["*".into()],
                    order: Order::AllowDeny, ..Default::default() },
-        );
+        ).unwrap();
         prop_assert!(!engine.check_method(&method, &dn, &vo));
     }
 
@@ -83,7 +83,7 @@ proptest! {
         suffix in proptest::collection::vec("[a-z]{1,5}", 1..3),
     ) {
         let (engine, vo) = fresh_engine();
-        engine.set_method_acl(&module, &Acl::allow_dn(dn.to_string()));
+        engine.set_method_acl(&module, &Acl::allow_dn(dn.to_string())).unwrap();
         let method = format!("{module}.{}", suffix.join("."));
         prop_assert!(engine.check_method(&method, &dn, &vo));
         // A different module stays denied.
@@ -101,7 +101,7 @@ proptest! {
         let (engine, vo) = fresh_engine();
         // A DN guaranteed not to be a prefix of `dn`.
         let other = format!("/C=XX/O=unrelated-{}", dn.attributes.len());
-        engine.set_method_acl(&method, &Acl::allow_dn(other));
+        engine.set_method_acl(&method, &Acl::allow_dn(other)).unwrap();
         prop_assert!(!engine.check_method(&method, &dn, &vo));
     }
 

@@ -58,7 +58,8 @@ fn sleepy_grid() -> TestGrid {
     grid.core().register(Arc::new(Sleeper));
     grid.core()
         .acl
-        .set_method_acl("sleeptest", &Acl::allow_dn("*"));
+        .set_method_acl("sleeptest", &Acl::allow_dn("*"))
+        .unwrap();
     grid
 }
 

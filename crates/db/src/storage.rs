@@ -14,4 +14,7 @@ pub struct StorageCounters {
     /// Total bytes handed to the filesystem (appends + rewrite copies);
     /// divided by live bytes this is the engine's write amplification.
     pub bytes_written: u64,
+    /// Times the log file was extended ahead of its end: once per 1 MiB
+    /// of appends, and once more after each compaction swap.
+    pub extends: u64,
 }

@@ -26,12 +26,18 @@
 //! for one final tail copy + atomic rename. The append stall is bounded
 //! by `FINAL_TAIL_MAX` bytes, not by the log size. The rename bumps the
 //! file epoch so replication cursors resync; the swap (rename + handle
-//! reopen + epoch bump) happens under a writer lock that
+//! swap + epoch bump) happens under a writer lock that
 //! [`WalEngine::read_log`] read-locks, so a concurrent reader can never
 //! observe the new file under the old epoch (or vice versa).
+//!
+//! **Growth in steps; one writer per file.** Frames are written in place
+//! at `file_len`, into space extended `EXTEND_STEP` bytes ahead, so a
+//! durable ack's `fdatasync` commits no size change. Readers stop at
+//! `file_len`; `Drop` truncates to it; a file lock keeps other engines out.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,9 +59,6 @@ use crate::store::WalChunk;
 /// the append lock and finishes; this bounds the append stall.
 const FINAL_TAIL_MAX: u64 = 64 * 1024;
 
-/// Chunk size for tail copies during compaction.
-const COPY_CHUNK: usize = 64 * 1024;
-
 /// The janitor compacts once this fraction of the log is dead bytes
 /// (overwritten or deleted records).
 const COMPACT_RATIO: f64 = 0.5;
@@ -64,12 +67,18 @@ const COMPACT_RATIO: f64 = 0.5;
 /// rewriting tiny files buys nothing and thrashes.
 const COMPACT_MIN_BYTES: u64 = 256 * 1024;
 
+/// The log file grows ahead of its end in steps of this many bytes, so a
+/// synced append writes into space the file already has.
+const EXTEND_STEP: u64 = 1024 * 1024;
+
 struct WalInner {
     /// Shared handle so fsync (and compaction) can run on a clone of the
     /// `Arc` without holding the append lock.
     file: Arc<File>,
-    /// Physical length of the current log file.
+    /// Length of the log: the bytes of whole records in the current file.
     file_len: u64,
+    /// Size of the file: `file_len` rounded up to an `EXTEND_STEP`.
+    file_size: u64,
     /// Logical append counter. Monotone across compactions (which reset
     /// `file_len`), so group-commit watermarks survive a file swap.
     lsn: u64,
@@ -98,7 +107,7 @@ pub struct WalEngine {
     /// gauges and replication reads never take the append lock.
     committed: AtomicU64,
     epoch: AtomicU64,
-    /// Excludes `read_log` from the rename→reopen→epoch-bump window.
+    /// Excludes `read_log` from the rename→handle-swap→epoch-bump window.
     swap: RwLock<()>,
     /// Coalesces concurrent compactions (janitor + manual).
     compacting: AtomicBool,
@@ -106,35 +115,63 @@ pub struct WalEngine {
     group_commits: AtomicU64,
     compactions: AtomicU64,
     bytes_written: AtomicU64,
+    extends: AtomicU64,
+}
+
+/// The log file as a `Write` at an offset that advances, for `write_framed`.
+struct WriteAt<'a>(&'a File, u64);
+
+impl Write for WriteAt<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.0.write_at(buf, self.1)?;
+        self.1 += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Take the one-writer lock on a log file (see module docs).
+fn lock_writer(file: &File, path: &Path) -> io::Result<()> {
+    let held = |e| io::Error::other(format!("{} already open: {e}", path.display()));
+    file.try_lock().map_err(held)
 }
 
 impl WalEngine {
     /// Open (creating if needed) the log at `path`, repairing a torn tail
     /// in place, and return the engine plus the recovered operations in
     /// append order. With `sync`, every append is durable before it is
-    /// acknowledged, concurrent appenders sharing each fsync.
+    /// acknowledged, concurrent appenders sharing each fsync. Fails if
+    /// another engine holds the file.
     pub fn open(path: PathBuf, sync: bool) -> io::Result<(WalEngine, Vec<LogOp>)> {
+        let file = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(&path)?;
+        lock_writer(&file, &path)?;
         let recovery = recover(&path)?;
         let mut startup_fsyncs = 0;
         if recovery.torn_tail {
-            // A crash tore the last record: truncate to the valid prefix
-            // so the next append starts on a frame boundary. This is an
-            // O(1) repair — no rewrite — and it only pays for an fsync
-            // when the store is configured for durable appends.
-            let file = OpenOptions::new().write(true).open(&path)?;
+            // A crash tore the last record or left an extension's zeros
+            // (an empty frame, no operation): truncate to the valid prefix
+            // so the next append starts on a frame boundary. An O(1)
+            // repair, paying an fsync only when appends are durable.
             file.set_len(recovery.valid_len)?;
             if sync {
                 file.sync_data()?;
                 startup_fsyncs = 1;
             }
         }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let file_len = file.metadata()?.len();
+        let file_len = recovery.valid_len;
         let engine = WalEngine {
             path,
             inner: Mutex::new(WalInner {
                 file: Arc::new(file),
                 file_len,
+                file_size: file_len,
                 lsn: 0,
             }),
             group: Mutex::new(GroupState::default()),
@@ -149,6 +186,7 @@ impl WalEngine {
             group_commits: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
+            extends: AtomicU64::new(0),
         };
         Ok((engine, recovery.ops))
     }
@@ -268,19 +306,10 @@ impl WalEngine {
         end: u64,
     ) -> io::Result<()> {
         src.seek(SeekFrom::Start(*mark))?;
-        let mut remaining = end - *mark;
-        let mut buf = vec![0u8; COPY_CHUNK.min(remaining as usize).max(1)];
-        while remaining > 0 {
-            let want = buf.len().min(remaining as usize);
-            let n = match src.read(&mut buf[..want]) {
-                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                Ok(n) => n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            dst.write_all(&buf[..n])?;
-            self.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
-            remaining -= n as u64;
+        let copied = io::copy(&mut src.take(end - *mark), dst)?;
+        self.bytes_written.fetch_add(copied, Ordering::Relaxed);
+        if copied < end - *mark {
+            return Err(io::ErrorKind::UnexpectedEof.into());
         }
         *mark = end;
         Ok(())
@@ -293,7 +322,10 @@ impl WalEngine {
         // Phase 1: snapshot the committed prefix (no locks held — the
         // bytes below `mark` are immutable while the file lives).
         let live = Self::replay_prefix(&self.path, mark)?;
-        let mut writer = BufWriter::new(File::create(&tmp)?);
+        // Locked before the rename makes it the log: never seen unlocked.
+        let snapshot = File::create(&tmp)?;
+        lock_writer(&snapshot, &tmp)?;
+        let mut writer = BufWriter::new(snapshot);
         for op in &live {
             let record = encode_record(op);
             writer.write_all(&record)?;
@@ -316,8 +348,8 @@ impl WalEngine {
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
 
         // Phase 3: the only stop-the-world window — copy the final tail
-        // (≤ FINAL_TAIL_MAX bytes), rename, reopen, bump the epoch. The
-        // swap write-lock keeps `read_log` from straddling the rename.
+        // (≤ FINAL_TAIL_MAX bytes), rename, swap handles, bump the epoch.
+        // The swap write-lock keeps `read_log` from straddling the rename.
         let _swap = self.swap.write();
         let mut inner = self.inner.lock();
         let end = inner.file_len;
@@ -327,12 +359,13 @@ impl WalEngine {
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         // Failpoint: hold the swap window open (or fail it) on demand.
         clarens_faults::check_io(clarens_faults::sites::DB_COMPACT_SWAP)?;
+        let file = writer
+            .into_inner()
+            .map_err(io::IntoInnerError::into_error)?;
+        let len = file.metadata()?.len();
         std::fs::rename(&tmp, &self.path)?;
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        inner.file_len = file.metadata()?.len();
+        // The snapshot's handle is the log's now, at its exact length.
+        (inner.file_len, inner.file_size) = (len, len);
         inner.file = Arc::new(file);
         self.committed.store(inner.file_len, Ordering::Release);
         self.epoch.fetch_add(1, Ordering::SeqCst);
@@ -350,18 +383,22 @@ impl WalEngine {
     }
 
     /// Append one record; in durable mode, return only once it is fsynced
-    /// (sharing the fsync with concurrent appenders). An error means the
-    /// operation must not be applied to memory (the store degrades to
-    /// read-only).
+    /// (sharing the fsync with concurrent appenders). An error — a failed
+    /// extension included — means the operation must not be applied to
+    /// memory (the store degrades to read-only).
     pub fn append(&self, op: &LogOp) -> io::Result<()> {
         let record = encode_record(op);
         let lsn = {
             let mut inner = self.inner.lock();
-            {
-                let mut sink: &File = &inner.file;
-                write_framed(&mut sink, &record)?;
+            let end = inner.file_len + record.len() as u64;
+            if end > inner.file_size {
+                let size = end.next_multiple_of(EXTEND_STEP);
+                inner.file.set_len(size)?;
+                inner.file_size = size;
+                self.extends.fetch_add(1, Ordering::Relaxed);
             }
-            inner.file_len += record.len() as u64;
+            write_framed(&mut WriteAt(&inner.file, inner.file_len), &record)?;
+            inner.file_len = end;
             inner.lsn += 1;
             self.committed.store(inner.file_len, Ordering::Release);
             self.bytes_written
@@ -476,6 +513,15 @@ impl WalEngine {
             group_commits: self.group_commits.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
+            extends: self.extends.load(Ordering::Relaxed),
         }
+    }
+}
+
+impl Drop for WalEngine {
+    /// A closed log is exactly its frames (after a crash, recovery cuts).
+    fn drop(&mut self) {
+        let inner = self.inner.get_mut();
+        let _ = inner.file.set_len(inner.file_len);
     }
 }

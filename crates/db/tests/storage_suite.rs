@@ -147,7 +147,8 @@ fn group_commit_batches_fsyncs() {
 
 /// Crash at every byte (ROADMAP aim 3, storage side): whatever a crash
 /// leaves of the log's tail — any truncation inside the last three frames,
-/// any one damaged byte in the last — the store reopens to exactly the
+/// any one damaged byte in the last, each also followed by the zeros of a
+/// crash inside an extension step — the store reopens to exactly the
 /// state of the whole-frame prefix, repairs the file to that prefix, and
 /// appends cleanly on top of it.
 #[test]
@@ -210,20 +211,27 @@ fn crash_at_every_byte_recovers_the_whole_frame_prefix() {
         state
     };
     let path = temp_path("crash-every-byte");
+    let post = encode_record(&put("post", "crash", b"ok")).len();
     let check = |bytes: &[u8], frames: usize| {
         assert_eq!(frame_prefix(bytes), ends[frames]);
-        std::fs::write(&path, bytes).unwrap();
-        let store = Store::open(&path).unwrap();
-        assert_eq!(observed(&store), model(frames), "{} bytes", bytes.len());
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), ends[frames] as u64);
-        store.put("post", "crash", b"ok".to_vec()).unwrap();
-        drop(store);
-        let store = Store::open(&path).unwrap();
-        let mut expected = model(frames);
-        expected
-            .0
-            .insert(("post".into(), "crash".into()), b"ok".to_vec());
-        assert_eq!(observed(&store), expected, "{} bytes", bytes.len());
+        for zeros in [0, 8, 4096] {
+            let image = [bytes, &vec![0; zeros]].concat();
+            let at = format!("{} bytes + {zeros} zeros", bytes.len());
+            std::fs::write(&path, &image).unwrap();
+            let store = Store::open(&path).unwrap();
+            assert_eq!(observed(&store), model(frames), "{at}");
+            let len = || std::fs::metadata(&path).unwrap().len() as usize;
+            assert_eq!(len(), ends[frames], "{at}");
+            store.put("post", "crash", b"ok".to_vec()).unwrap();
+            drop(store);
+            assert_eq!(len(), ends[frames] + post, "{at}: closed log is its frames");
+            let store = Store::open(&path).unwrap();
+            let mut expected = model(frames);
+            expected
+                .0
+                .insert(("post".into(), "crash".into()), b"ok".to_vec());
+            assert_eq!(observed(&store), expected, "{at}");
+        }
     };
     let n = ops.len();
     for cut in ends[n - 3]..=log.len() {
@@ -239,5 +247,52 @@ fn crash_at_every_byte_recovers_the_whole_frame_prefix() {
             check(&damaged, n - 1);
         }
     }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Synced appends write into space the file already has: 2 000 puts of
+/// ~600 bytes (≈ 1.3 MB of log) extend the file at most twice, each put
+/// still pays exactly one fsync, and a closed log is exactly its frames.
+#[test]
+fn synced_appends_extend_the_file_in_steps() {
+    let path = temp_path("extend");
+    let store = Store::open_with_sync(&path, true).unwrap();
+    let value = vec![7u8; 600];
+    for i in 0..2_000 {
+        store.put("b", &format!("k{i:04}"), value.clone()).unwrap();
+    }
+    let counters = store.storage_counters();
+    assert!(counters.extends <= 2, "{counters:?}");
+    assert_eq!(counters.fsyncs, 2_000, "{counters:?}");
+    let offset = store.wal_offset();
+    assert!(std::fs::metadata(&path).unwrap().len() > offset);
+    drop(store);
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), offset);
+    let store = Store::open(&path).unwrap();
+    assert_eq!(store.len("b"), 2_000);
+    drop(store);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// One writer per log: positional appends and the close-time truncation
+/// would destroy a second engine's frames, so a second open of a held WAL
+/// fails at once and succeeds once the first store is gone.
+#[test]
+fn a_held_wal_refuses_a_second_store() {
+    let path = temp_path("one-writer");
+    let store = Store::open(&path).unwrap();
+    store.put("b", "k", b"v".to_vec()).unwrap();
+    assert!(Store::open(&path).is_err());
+    assert!(Store::open_with_sync(&path, true).is_err());
+    // The refused opens touched nothing.
+    store.put("b", "k2", b"v2".to_vec()).unwrap();
+    drop(store);
+    let store = Store::open(&path).unwrap();
+    assert_eq!(store.get("b", "k").unwrap(), b"v");
+    assert_eq!(store.get("b", "k2").unwrap(), b"v2");
+    // The lock follows the log through a compaction swap.
+    store.compact().unwrap();
+    assert!(Store::open(&path).is_err());
+    drop(store);
     std::fs::remove_file(&path).unwrap();
 }

@@ -52,20 +52,24 @@ fn main() {
         ..Default::default()
     };
     let core = grid.core();
-    core.acl.set_file_acl(
-        "/data/cms",
-        &FileAcl {
-            read: cms_only.clone(),
-            write: cms_only,
-        },
-    );
-    core.acl.set_file_acl(
-        "/",
-        &FileAcl {
-            read: Acl::allow_dn("*"),
-            write: Acl::default(),
-        },
-    );
+    core.acl
+        .set_file_acl(
+            "/data/cms",
+            &FileAcl {
+                read: cms_only.clone(),
+                write: cms_only,
+            },
+        )
+        .unwrap();
+    core.acl
+        .set_file_acl(
+            "/",
+            &FileAcl {
+                read: Acl::allow_dn("*"),
+                write: Acl::default(),
+            },
+        )
+        .unwrap();
     println!("File ACLs installed: /data/cms -> group cms only; / -> read for all\n");
 
     // --- A physicist (uma, under the People branch) analyses the data.
