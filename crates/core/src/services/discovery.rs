@@ -85,7 +85,11 @@ impl Service for DiscoveryService {
             "discovery.find",
             "Find services via the aggregated local database (fast path)",
             &[any("query").optional()],
-            |svc: &Self, _, args| Ok(descriptors(svc.aggregator.query_local(&query(args)?))),
+            |svc: &Self, ctx, args| {
+                Ok(descriptors(
+                    svc.aggregator.query_local(&query(args)?, ctx.now),
+                ))
+            },
         )
         .idempotent(),
         Method::new(

@@ -267,7 +267,7 @@ impl ProxyService {
         // Resolve the owner via discovery; never bounce back to ourselves.
         // Among candidates, prefer the lowest published p95 latency — the
         // same load attribute balanced clients steer by.
-        let mut hits = aggregator.query_local(&ServiceQuery::by_method(target));
+        let mut hits = aggregator.query_local(&ServiceQuery::by_method(target), ctx.now);
         hits.retain(|d| d.url != ctx.core.config.server_url);
         let best = hits
             .into_iter()

@@ -97,7 +97,7 @@ fn every_row_is_refused_alike_on_all_four_protocols() {
     // Every module: the two a standalone grid leaves out as well.
     let core = grid.core();
     core.register(Arc::new(ReplicationService));
-    let aggregator = DiscoveryAggregator::new(vec![], Arc::new(clarens_db::Store::in_memory()));
+    let aggregator = DiscoveryAggregator::new(vec![]);
     core.register(Arc::new(DiscoveryService::new(Arc::new(aggregator), None)));
 
     let login = |credential, protocol| -> ClarensClient {

@@ -638,7 +638,7 @@ fn full_fixture(name: &str) -> Fixture {
         let dir = config.file_root.as_ref().unwrap().parent().unwrap();
         config.db_path = Some(dir.join("store.wal"));
     });
-    let aggregator = DiscoveryAggregator::new(vec![], Arc::new(clarens_db::Store::in_memory()));
+    let aggregator = DiscoveryAggregator::new(vec![]);
     f.core
         .register(Arc::new(DiscoveryService::new(Arc::new(aggregator), None)));
     f

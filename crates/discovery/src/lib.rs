@@ -9,14 +9,19 @@
 //! measure it:
 //!
 //! * [`schema`] — GLUE-style descriptors (services, farm/node/key samples),
-//! * [`station`] — UDP-fed station servers with pub-sub fan-out,
-//! * [`aggregator`] — the discovery server with a local-DB fast path and a
-//!   fan-out slow path, so the paper's speed claim can be benchmarked.
+//! * [`table`] — the descriptor table every piece of discovery keeps, with
+//!   its newest-wins, restart-supersede and TTL rules,
+//! * [`station`] — UDP-fed station servers that write into their
+//!   subscribers' tables,
+//! * [`aggregator`] — the discovery server with a local-table fast path and
+//!   a fan-out slow path, so the paper's speed claim can be benchmarked.
 
 pub mod aggregator;
 pub mod schema;
 pub mod station;
+pub mod table;
 
 pub use aggregator::DiscoveryAggregator;
 pub use schema::{MonitorSample, Publication, ServiceDescriptor, ServiceQuery};
 pub use station::{StationServer, UdpPublisher};
+pub use table::Table;

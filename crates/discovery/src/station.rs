@@ -3,26 +3,27 @@
 //! "Clarens servers can publish service information using a UDP-based
 //! application to so called station servers that in turn republish it to
 //! the MonALISA network" (paper §2.4, Figure 3). A [`StationServer`] binds
-//! a real UDP socket, ingests [`Publication`] datagrams, keeps the current
-//! state, and pushes updates to subscribers (the JINI-network role is
-//! played by `std::sync::mpsc` channels, one per subscriber).
+//! a real UDP socket and ingests [`Publication`] datagrams into its
+//! [`Table`]. Every publication the table takes is offered to the
+//! subscribers' tables too — the JINI-network role — which the station
+//! holds weakly, so a dropped subscriber has unsubscribed. Both threads
+//! block, the ingest in `recv_from` and the query listener in `accept`;
+//! shutting down wakes each of them once.
 
-use std::collections::HashMap;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::schema::{MonitorSample, Publication, ServiceDescriptor, ServiceQuery};
+use crate::table::Table;
 
 /// Shared station state.
 struct StationState {
-    services: RwLock<HashMap<String, ServiceDescriptor>>,
-    samples: RwLock<HashMap<String, MonitorSample>>,
-    subscribers: RwLock<Vec<Sender<Publication>>>,
+    table: RwLock<Table>,
+    subscribers: Mutex<Vec<Weak<RwLock<Table>>>>,
     received: AtomicU64,
     rejected: AtomicU64,
 }
@@ -35,92 +36,75 @@ pub struct StationServer {
     query_addr: SocketAddr,
     state: Arc<StationState>,
     stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-    query_thread: Option<std::thread::JoinHandle<()>>,
+    /// The ingest socket, kept to send the datagram that wakes its thread.
+    wake: UdpSocket,
+    threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl StationServer {
     /// Bind a UDP socket on `addr` (use port 0 for an ephemeral port) and
-    /// start the ingest thread.
+    /// start the ingest and query threads.
     pub fn spawn(name: impl Into<String>, addr: &str) -> std::io::Result<StationServer> {
         let socket = UdpSocket::bind(addr)?;
-        socket.set_read_timeout(Some(Duration::from_millis(50)))?;
         let local = socket.local_addr()?;
+        let wake = socket.try_clone()?;
+        // TCP query endpoint: the synchronous lookup path a cache-less
+        // discovery client has to take (one connection per query, like a
+        // 2005-era JINI lookup). Protocol: 4-byte BE length + JSON query
+        // in; 4-byte BE length + JSON descriptor array out.
+        let query_listener = TcpListener::bind("127.0.0.1:0")?;
+        let query_addr = query_listener.local_addr()?;
         let state = Arc::new(StationState {
-            services: RwLock::new(HashMap::new()),
-            samples: RwLock::new(HashMap::new()),
-            subscribers: RwLock::new(Vec::new()),
+            table: RwLock::default(),
+            subscribers: Mutex::default(),
             received: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
         });
         let stop = Arc::new(AtomicBool::new(false));
 
-        let thread_state = Arc::clone(&state);
-        let thread_stop = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
+        let (thread_state, thread_stop) = (Arc::clone(&state), Arc::clone(&stop));
+        let ingest_thread = std::thread::Builder::new()
             .name(format!("station-{local}"))
             .spawn(move || {
                 let mut buf = vec![0u8; 64 * 1024];
-                while !thread_stop.load(Ordering::SeqCst) {
-                    match socket.recv_from(&mut buf) {
-                        Ok((len, _peer)) => {
-                            // Fault injection: simulate datagram loss on the
-                            // receive side (real UDP loss is silent, so a
-                            // dropped datagram is neither received nor
-                            // rejected — it just never happened).
-                            if matches!(
-                                clarens_faults::eval(clarens_faults::sites::DISCOVERY_UDP_RECV),
-                                Some(clarens_faults::Injected::Err)
-                                    | Some(clarens_faults::Injected::ShortWrite(_))
-                            ) {
-                                continue;
-                            }
-                            match Publication::from_datagram(&buf[..len]) {
-                                Ok(publication) => {
-                                    thread_state.received.fetch_add(1, Ordering::Relaxed);
-                                    ingest(&thread_state, publication);
-                                }
-                                Err(_) => {
-                                    thread_state.rejected.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
+                while let Ok((len, _peer)) = socket.recv_from(&mut buf) {
+                    if thread_stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    // Fault injection: simulate datagram loss on the
+                    // receive side (real UDP loss is silent, so a dropped
+                    // datagram is neither received nor rejected — it just
+                    // never happened).
+                    if matches!(
+                        clarens_faults::eval(clarens_faults::sites::DISCOVERY_UDP_RECV),
+                        Some(clarens_faults::Injected::Err)
+                            | Some(clarens_faults::Injected::ShortWrite(_))
+                    ) {
+                        continue;
+                    }
+                    match Publication::from_datagram(&buf[..len]) {
+                        Ok(publication) => {
+                            thread_state.received.fetch_add(1, Ordering::Relaxed);
+                            ingest(&thread_state, &publication);
                         }
-                        Err(e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                        {
-                            continue
+                        Err(_) => {
+                            thread_state.rejected.fetch_add(1, Ordering::Relaxed);
                         }
-                        Err(_) => break,
                     }
                 }
             })
             .expect("spawn station thread");
 
-        // TCP query endpoint: the synchronous lookup path a cache-less
-        // discovery client has to take (one connection per query, like a
-        // 2005-era JINI lookup). Protocol: 4-byte BE length + JSON query
-        // in; 4-byte BE length + JSON descriptor array out.
-        let query_listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-        let query_addr = query_listener.local_addr()?;
-        query_listener.set_nonblocking(true)?;
-        let query_state = Arc::clone(&state);
-        let query_stop = Arc::clone(&stop);
+        let (query_state, query_stop) = (Arc::clone(&state), Arc::clone(&stop));
         let query_thread = std::thread::Builder::new()
             .name(format!("station-query-{query_addr}"))
             .spawn(move || {
-                while !query_stop.load(Ordering::SeqCst) {
-                    match query_listener.accept() {
-                        Ok((mut sock, _)) => {
-                            sock.set_nonblocking(false).ok();
-                            sock.set_read_timeout(Some(Duration::from_secs(2))).ok();
-                            let _ = serve_query(&query_state, &mut sock);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
+                while let Ok((mut sock, _)) = query_listener.accept() {
+                    if query_stop.load(Ordering::SeqCst) {
+                        break;
                     }
+                    sock.set_read_timeout(Some(Duration::from_secs(2))).ok();
+                    let _ = serve_query(&query_state, &mut sock);
                 }
             })
             .expect("spawn station query thread");
@@ -131,8 +115,8 @@ impl StationServer {
             query_addr,
             state,
             stop,
-            thread: Some(thread),
-            query_thread: Some(query_thread),
+            wake,
+            threads: vec![ingest_thread, query_thread],
         })
     }
 
@@ -146,45 +130,35 @@ impl StationServer {
         self.query_addr
     }
 
-    /// Subscribe to the station's update stream (the "republish to the
-    /// MonALISA network" arrow in Figure 3). Existing state is replayed
-    /// first so late subscribers converge.
-    pub fn subscribe(&self) -> Receiver<Publication> {
-        let (tx, rx) = channel();
-        for descriptor in self.state.services.read().values() {
-            let _ = tx.send(Publication::Service(descriptor.clone()));
-        }
-        for sample in self.state.samples.read().values() {
-            let _ = tx.send(Publication::Sample(sample.clone()));
-        }
-        self.state.subscribers.write().push(tx);
-        rx
+    /// Offer every publication this station takes to `subscriber` as well
+    /// (the "republish to the MonALISA network" arrow in Figure 3). The
+    /// station's state is replayed into it and the subscription registered
+    /// under one lock, so nothing published in between is missed. The
+    /// station holds `subscriber` weakly: dropping it unsubscribes.
+    pub fn subscribe(&self, subscriber: &Arc<RwLock<Table>>) {
+        let table = self.state.table.read();
+        subscriber.write().merge(&table);
+        self.state
+            .subscribers
+            .lock()
+            .push(Arc::downgrade(subscriber));
     }
 
     /// Direct (synchronous) query against this station's state — what a
     /// discovery server without a local cache has to do per lookup.
     pub fn query(&self, query: &ServiceQuery) -> Vec<ServiceDescriptor> {
-        self.state
-            .services
-            .read()
-            .values()
-            .filter(|d| query.matches(d))
-            .cloned()
-            .collect()
+        self.state.table.read().query(query).cloned().collect()
     }
 
     /// Current monitoring value for a metric path, if known.
     pub fn sample(&self, farm: &str, node: &str, key: &str) -> Option<MonitorSample> {
-        self.state
-            .samples
-            .read()
-            .get(&format!("{farm}/{node}/{key}"))
-            .cloned()
+        let path = format!("{farm}/{node}/{key}");
+        self.state.table.read().sample(&path).cloned()
     }
 
     /// Number of live service entries.
     pub fn service_count(&self) -> usize {
-        self.state.services.read().len()
+        self.state.table.read().service_count()
     }
 
     /// Datagrams accepted / rejected so far.
@@ -197,47 +171,37 @@ impl StationServer {
 
     /// Drop entries older than `ttl_secs` relative to `now`.
     pub fn expire(&self, now: i64, ttl_secs: i64) {
-        self.state
-            .services
-            .write()
-            .retain(|_, d| now - d.timestamp <= ttl_secs);
-        self.state
-            .samples
-            .write()
-            .retain(|_, s| now - s.timestamp <= ttl_secs);
+        self.state.table.write().expire(now, ttl_secs);
     }
 
     /// Inject a publication directly (in-process path used by tests and by
     /// co-located servers, bypassing UDP).
     pub fn publish_local(&self, publication: Publication) {
         self.state.received.fetch_add(1, Ordering::Relaxed);
-        ingest(&self.state, publication);
+        ingest(&self.state, &publication);
     }
 
     /// Stop the ingest and query threads.
-    pub fn shutdown(mut self) {
-        self.stop_threads();
-    }
-
-    fn stop_threads(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.query_thread.take() {
-            let _ = t.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for StationServer {
     fn drop(&mut self) {
-        self.stop_threads();
+        self.stop.store(true, Ordering::SeqCst);
+        // Wake each blocked thread once: a datagram to the ingest socket
+        // from itself, a connection to the query listener.
+        let _ = self.wake.send_to(&[], self.addr);
+        let _ = TcpStream::connect(self.query_addr);
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
     }
 }
 
 /// Serve one TCP query request.
-fn serve_query(state: &StationState, sock: &mut std::net::TcpStream) -> std::io::Result<()> {
+fn serve_query(state: &StationState, sock: &mut TcpStream) -> std::io::Result<()> {
     use std::io::{Read, Write};
     let mut len_buf = [0u8; 4];
     sock.read_exact(&mut len_buf)?;
@@ -252,12 +216,11 @@ fn serve_query(state: &StationState, sock: &mut std::net::TcpStream) -> std::io:
         .and_then(|t| clarens_wire::json::parse(t).ok())
         .and_then(|v| ServiceQuery::from_value(&v).ok())
         .unwrap_or_default();
-    let hits: Vec<clarens_wire::Value> = state
-        .services
+    let hits = state
+        .table
         .read()
-        .values()
-        .filter(|d| query.matches(d))
-        .map(|d| d.to_value())
+        .query(&query)
+        .map(ServiceDescriptor::to_value)
         .collect();
     let payload = clarens_wire::json::to_string(&clarens_wire::Value::Array(hits)).into_bytes();
     sock.write_all(&(payload.len() as u32).to_be_bytes())?;
@@ -275,7 +238,7 @@ pub fn query_station(
     query: &ServiceQuery,
 ) -> std::io::Result<Vec<ServiceDescriptor>> {
     use std::io::{Read, Write};
-    let mut sock = std::net::TcpStream::connect(addr)?;
+    let mut sock = TcpStream::connect(addr)?;
     sock.set_read_timeout(Some(Duration::from_secs(2)))?;
     let payload = clarens_wire::json::to_string(&query.to_value()).into_bytes();
     sock.write_all(&(payload.len() as u32).to_be_bytes())?;
@@ -305,33 +268,21 @@ pub fn query_station(
     Ok(hits)
 }
 
-fn ingest(state: &StationState, publication: Publication) {
-    match &publication {
-        Publication::Service(descriptor) => {
-            let mut services = state.services.write();
-            // Keep the newest timestamp per key.
-            match services.get(&descriptor.key()) {
-                Some(existing) if existing.timestamp > descriptor.timestamp => return,
-                _ => {
-                    services.insert(descriptor.key(), descriptor.clone());
-                }
-            }
-        }
-        Publication::Sample(sample) => {
-            let mut samples = state.samples.write();
-            match samples.get(&sample.key_path()) {
-                Some(existing) if existing.timestamp > sample.timestamp => return,
-                _ => {
-                    samples.insert(sample.key_path(), sample.clone());
-                }
-            }
-        }
+/// Take `publication` into the station's table and, if it was taken, into
+/// every live subscriber's, pruning the dropped ones — all under the
+/// station's lock, which [`StationServer::subscribe`] holds too.
+fn ingest(state: &StationState, publication: &Publication) {
+    let mut table = state.table.write();
+    if table.offer(publication) {
+        let mut subscribers = state.subscribers.lock();
+        subscribers.retain(|subscriber| {
+            let Some(subscriber) = subscriber.upgrade() else {
+                return false;
+            };
+            subscriber.write().offer(publication);
+            true
+        });
     }
-    // Fan out to subscribers, dropping any that have gone away.
-    state
-        .subscribers
-        .write()
-        .retain(|tx| tx.send(publication.clone()).is_ok());
 }
 
 /// The publisher side: a Clarens server uses this to announce its services
@@ -435,18 +386,24 @@ mod tests {
     fn subscription_replays_and_streams() {
         let station = StationServer::spawn("s1", "127.0.0.1:0").unwrap();
         station.publish_local(Publication::Service(descriptor("early", 1)));
-        let rx = station.subscribe();
-        // Replay of pre-existing state.
-        match rx.recv_timeout(Duration::from_secs(1)).unwrap() {
-            Publication::Service(d) => assert_eq!(d.service, "early"),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Live updates.
+        let subscriber = Arc::new(RwLock::new(Table::default()));
+        station.subscribe(&subscriber);
+        let services = |table: &RwLock<Table>| -> Vec<String> {
+            let all = ServiceQuery::default();
+            table
+                .read()
+                .query(&all)
+                .map(|d| d.service.clone())
+                .collect()
+        };
+        // Replay of pre-existing state, then live updates.
+        assert_eq!(services(&subscriber), ["early"]);
         station.publish_local(Publication::Service(descriptor("late", 2)));
-        match rx.recv_timeout(Duration::from_secs(1)).unwrap() {
-            Publication::Service(d) => assert_eq!(d.service, "late"),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(services(&subscriber), ["early", "late"]);
+        // A dropped subscriber is pruned at the next publication.
+        drop(subscriber);
+        station.publish_local(Publication::Service(descriptor("later", 3)));
+        assert!(station.state.subscribers.lock().is_empty());
         station.shutdown();
     }
 
@@ -501,7 +458,7 @@ mod tests {
         // and then holds its socket open, sending nothing more.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let (done_tx, done) = channel::<()>();
+        let (done_tx, done) = std::sync::mpsc::channel::<()>();
         let station = std::thread::spawn(move || {
             let (mut sock, _) = listener.accept().unwrap();
             let mut len = [0u8; 4];

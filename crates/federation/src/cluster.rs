@@ -131,17 +131,8 @@ impl FederationNode {
                 vec![pki.ca.certificate.clone()],
                 pki.server_credential(options.index),
             )?;
-            let aggregator = Arc::new(
-                DiscoveryAggregator::new(stations.clone(), Arc::clone(&core.store)).with_ttl(
-                    AGGREGATOR_TTL_SECS,
-                    Arc::new(|| {
-                        std::time::SystemTime::now()
-                            .duration_since(std::time::UNIX_EPOCH)
-                            .map(|d| d.as_secs() as i64)
-                            .unwrap_or(0)
-                    }),
-                ),
-            );
+            let aggregator =
+                Arc::new(DiscoveryAggregator::new(stations.clone()).with_ttl(AGGREGATOR_TTL_SECS));
             let publisher = UdpPublisher::new(stations.iter().map(|s| s.local_addr()).collect())?;
             let discovery = DiscoveryService::new(Arc::clone(&aggregator), Some(publisher));
             register_builtin_services(&core, Some(discovery));
@@ -351,8 +342,9 @@ impl FederationCluster {
         assert!(
             wait_until(Duration::from_secs(15), || {
                 cluster.nodes.iter().all(|node| {
+                    let echo = ServiceQuery::by_method("echo.echo");
                     node.aggregator
-                        .query_local(&ServiceQuery::by_method("echo.echo"))
+                        .query_local(&echo, clarens::testkit::now())
                         .len()
                         == want
                 })

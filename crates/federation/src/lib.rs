@@ -46,24 +46,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use monalisa_sim::station::query_station;
-use monalisa_sim::{ServiceDescriptor, ServiceQuery};
+use monalisa_sim::{ServiceDescriptor, ServiceQuery, Table};
 
-/// Ask every station `query`: the freshest descriptor per url (by timestamp,
-/// then `renewed_ms`) in first-seen order, and whether any station answered
-/// (none is blind; an empty answer means "none exists").
+/// Ask every station `query`: the newest descriptor per key, merged by
+/// [`Table::newest`], and whether any station answered (none is blind; an
+/// empty answer means "none exists").
 fn discover(stations: &[SocketAddr], query: &ServiceQuery) -> (Vec<ServiceDescriptor>, bool) {
     let ask = |station: &SocketAddr| query_station(*station, query);
     let answers: Vec<_> = stations.iter().flat_map(ask).collect();
-    let renewed = |d: &ServiceDescriptor| d.attributes.get("renewed_ms")?.parse::<u64>().ok();
-    let mut hits: Vec<ServiceDescriptor> = Vec::new();
-    for d in answers.concat() {
-        match hits.iter_mut().find(|h| h.url == d.url) {
-            Some(h) if (h.timestamp, renewed(h)) < (d.timestamp, renewed(&d)) => *h = d,
-            Some(_) => {}
-            None => hits.push(d),
-        }
-    }
-    (hits, !answers.is_empty())
+    let answered = !answers.is_empty();
+    (Table::newest(answers.into_iter().flatten()), answered)
 }
 
 /// A named background thread, told to stop and joined when dropped.

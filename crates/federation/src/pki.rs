@@ -2,10 +2,13 @@
 //! admin (the replication/heartbeat credential), one regular user, and
 //! per-node server credentials.
 //!
-//! Server DNs must be distinct per node — the discovery mirror treats two
-//! descriptors with the same `(server_dn, service)` under different urls
-//! as a restart of one server and drops the older, so a shared server DN
-//! would collapse the whole federation into one advertised endpoint.
+//! Server DNs must be distinct per node — the discovery table
+//! (`monalisa_sim::Table`) treats two descriptors with the same non-empty
+//! `(server_dn, service)` under different urls as a restart of one server
+//! and drops the older, so a shared server DN would collapse the whole
+//! federation into one advertised endpoint. The election's member and
+//! lease adverts carry an empty DN, which names no server and supersedes
+//! nothing, so every node's advert stays listed.
 
 use std::sync::{Mutex, OnceLock};
 

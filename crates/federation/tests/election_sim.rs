@@ -2,8 +2,8 @@
 //!
 //! One single-threaded scheduler drives 3–5 [`Election`] machines by
 //! calling `step` directly — no socket, no thread, no clock. The station
-//! is a map that keeps the newest descriptor per key, as `StationServer`
-//! does; health replies are read from the machines' own nodes; each
+//! is the discovery `Table` itself, with the newest-wins and supersede
+//! rules `StationServer` applies; health replies are read from the machines' own nodes; each
 //! node's applied cursor is advanced by a modelled replicator, and a write
 //! counts as acked only once a follower's cursor covers it (the ack
 //! barrier). The schedule — per-node clock offset and rate drift, message
@@ -18,11 +18,11 @@
 //! A violation panics with the seed and the timeline that led to it.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use clarens::config::FederationRole;
 use clarens_federation::election::{Effect, Election, Input, Node, LEASE_SERVICE};
-use monalisa_sim::ServiceDescriptor;
+use monalisa_sim::{Publication, ServiceQuery, Table};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const LEASE: u64 = 400;
@@ -142,7 +142,7 @@ struct Sim {
     seq: u64,
     events: BinaryHeap<Reverse<(u64, u64, Event)>>,
     nodes: Vec<Member>,
-    station: BTreeMap<String, ServiceDescriptor>,
+    station: Table,
     faults: Faults,
     pending: Vec<Pending>,
     /// Acked writes: id, the leader that acked it, when.
@@ -203,7 +203,7 @@ impl Sim {
             seq: 0,
             events: BinaryHeap::new(),
             nodes,
-            station: BTreeMap::new(),
+            station: Table::default(),
             faults,
             pending: Vec::new(),
             acked: Vec::new(),
@@ -349,15 +349,9 @@ impl Sim {
                 let input = match reply {
                     Reply::Published(ok) => Input::Published(ok),
                     Reply::Found(service, reached) => {
-                        let hits = self.station.values().filter(|d| d.service == service);
-                        Input::Found(
-                            if reached {
-                                hits.cloned().collect()
-                            } else {
-                                Vec::new()
-                            },
-                            reached,
-                        )
+                        let query = ServiceQuery::by_service(service);
+                        let hits = self.station.query(&query).filter(|_| reached);
+                        Input::Found(hits.cloned().collect(), reached)
                     }
                     // Only live peers answer.
                     Reply::Health(peers) => Input::Health(
@@ -431,7 +425,7 @@ impl Sim {
             Event::Wipe => {
                 self.timeline
                     .push(format!("t={:>5} station restarts", self.t));
-                self.station.clear();
+                self.station = Table::default();
                 self.station_down_until = self.t + pick(&mut self.rng, LEASE / 4, LEASE);
             }
         }
@@ -457,14 +451,7 @@ impl Sim {
             Effect::Publish(d) => {
                 let ok = self.nodes[i].cut == Cut::No && !self.faulty();
                 if ok {
-                    let key = d.key();
-                    if self
-                        .station
-                        .get(&key)
-                        .is_none_or(|old| old.timestamp <= d.timestamp)
-                    {
-                        self.station.insert(key, d);
-                    }
+                    self.station.offer(&Publication::Service(d));
                 }
                 self.reply(i, Reply::Published(ok));
             }
@@ -723,7 +710,8 @@ fn leaderless_station_network_still_elects() {
         let leaders: Vec<_> = (0..n).filter(|&i| sim.writable(i, sim.t)).collect();
         assert_eq!(leaders.len(), 1, "{}", sim.timeline.join("\n"));
         assert!(sim.nodes[leaders[0]].epoch >= 1);
-        assert!(sim.station.keys().any(|k| k.ends_with(LEASE_SERVICE)));
+        let leases = ServiceQuery::by_service(LEASE_SERVICE);
+        assert!(sim.station.query(&leases).next().is_some());
     }
 }
 

@@ -116,6 +116,21 @@ fn two_node_replication_converges() {
     cluster.cleanup();
 }
 
+/// Discovery is node-local: heartbeats refresh every node's aggregated
+/// view, but an idle federation writes nothing to the shipped log and
+/// ships nothing to its followers.
+#[test]
+fn an_idle_federation_leaves_the_shipped_log_alone() {
+    let cluster = FederationCluster::start(3);
+    let leader = cluster.leader();
+    let written = || leader.core().store.storage_counters().bytes_written;
+    let applied = || cluster.nodes[1..].iter().map(|n| n.replication_applied());
+    let before = (written(), applied().collect::<Vec<_>>());
+    std::thread::sleep(Duration::from_secs(1));
+    assert_eq!((written(), applied().collect::<Vec<_>>()), before);
+    cluster.cleanup();
+}
+
 #[test]
 fn proxy_call_routes_to_module_owner() {
     let cluster = FederationCluster::start(2);

@@ -11,7 +11,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use clarens_db::Store;
 use monalisa_sim::station::wait_until;
 use monalisa_sim::{
     DiscoveryAggregator, MonitorSample, Publication, ServiceDescriptor, ServiceQuery,
@@ -78,10 +77,9 @@ fn main() {
     }
     println!("\nPublished {published} service descriptors (plus monitoring samples) over UDP.");
 
-    // The discovery server subscribes to all stations and mirrors into a
-    // local DB (the JINI-client role of Figure 3).
-    let store = Arc::new(Store::in_memory());
-    let aggregator = DiscoveryAggregator::new(stations.clone(), Arc::clone(&store));
+    // The discovery server subscribes its local table to all stations (the
+    // JINI-client role of Figure 3).
+    let aggregator = DiscoveryAggregator::new(stations.clone());
     let target = 90; // 30 sites x 3 services
     assert!(
         wait_until(Duration::from_secs(5), || aggregator.local_service_count()
@@ -95,7 +93,7 @@ fn main() {
 
     // Query both ways and compare.
     let query = ServiceQuery::by_service("proof").with_attribute("experiment", "cms");
-    let local_hits = aggregator.query_local(&query);
+    let local_hits = aggregator.query_local(&query, now());
     let remote_hits = aggregator.query_remote(&query);
     println!(
         "\nQuery: proof services of experiment=cms -> {} hits (local) / {} (remote fan-out)",
@@ -110,7 +108,7 @@ fn main() {
     const N: usize = 300;
     let t0 = Instant::now();
     for _ in 0..N {
-        let _ = aggregator.query_local(&query);
+        let _ = aggregator.query_local(&query, now());
     }
     let local_time = t0.elapsed();
     let t0 = Instant::now();
@@ -136,7 +134,7 @@ fn main() {
         stations.iter().map(|s| s.service_count()).sum::<usize>()
     );
 
-    aggregator.shutdown();
+    drop(aggregator);
     for station in stations {
         if let Ok(s) = Arc::try_unwrap(station) {
             s.shutdown()

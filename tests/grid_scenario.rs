@@ -8,7 +8,6 @@ use std::time::Duration;
 
 use clarens::testkit::{now, GridOptions, TestGrid};
 use clarens::ClarensClient;
-use clarens_db::Store;
 use monalisa_sim::station::wait_until;
 use monalisa_sim::{
     DiscoveryAggregator, Publication, ServiceDescriptor, ServiceQuery, StationServer, UdpPublisher,
@@ -46,15 +45,14 @@ fn discover_then_download_across_two_servers() {
     }
 
     // A discovery server aggregates into its local DB.
-    let aggregator =
-        DiscoveryAggregator::new(vec![Arc::clone(&station)], Arc::new(Store::in_memory()));
+    let aggregator = DiscoveryAggregator::new(vec![Arc::clone(&station)]);
     assert!(wait_until(Duration::from_secs(5), || aggregator
         .local_service_count()
         == 2));
 
     // The client asks discovery for a file service at site-b...
-    let hits = aggregator
-        .query_local(&ServiceQuery::by_method("file.read").with_attribute("site", "site-b"));
+    let site_b_files = ServiceQuery::by_method("file.read").with_attribute("site", "site-b");
+    let hits = aggregator.query_local(&site_b_files, now());
     assert_eq!(hits.len(), 1);
     let url = hits[0].url.clone();
     let addr = url.strip_prefix("http://").unwrap().to_owned();
@@ -70,7 +68,6 @@ fn discover_then_download_across_two_servers() {
     // The other site's data is NOT on the discovered server.
     assert!(client.file_read("/dataset/alpha.dat", 0, 16).is_err());
 
-    aggregator.shutdown();
     site_a.cleanup();
     site_b.cleanup();
 }
@@ -94,13 +91,8 @@ fn discovery_service_exposed_over_rpc() {
         seed: 3,
         ..Default::default()
     });
-    let aggregator = Arc::new(DiscoveryAggregator::new(
-        vec![Arc::clone(&station)],
-        Arc::new(Store::in_memory()),
-    ));
-    assert!(wait_until(Duration::from_secs(5), || aggregator
-        .local_service_count()
-        == 1));
+    let aggregator = Arc::new(DiscoveryAggregator::new(vec![Arc::clone(&station)]));
+    assert_eq!(aggregator.local_service_count(), 1);
     grid.core()
         .register(Arc::new(clarens::services::DiscoveryService::new(
             Arc::clone(&aggregator),
