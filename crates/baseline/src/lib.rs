@@ -12,6 +12,8 @@
 //!
 //! See DESIGN.md ("GT3-gap") for the substitution rationale.
 
+#![forbid(unsafe_code)]
+
 pub mod stack;
 pub mod wsdd;
 

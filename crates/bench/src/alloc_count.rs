@@ -47,25 +47,32 @@ impl CountingAlloc {
     }
 }
 
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the bookkeeping touches atomics and a
+// `const`-initialised thread-local, none of which allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         INSTALLED.store(true, Ordering::Relaxed);
         Self::record(layout.size());
-        System.alloc(layout)
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         Self::record(layout.size());
-        System.alloc_zeroed(layout)
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         Self::record(new_size);
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 

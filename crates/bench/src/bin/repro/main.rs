@@ -37,6 +37,8 @@
 //! repo benchmark's business (`benchmark/`, BENCHMARK.json), not this
 //! binary's.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod chaos;
 mod discovery;

@@ -7,6 +7,8 @@
 //! the paper draws (Figure 4's client sweep, the GT3 footnote, local-DB
 //! discovery) and the drills that assert behaviour under faults.
 
+#![deny(unsafe_code)]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -15,6 +17,7 @@ use clarens::testkit::{GridOptions, TestGrid};
 use clarens::ClarensClient;
 use clarens_wire::{Protocol, Value};
 
+#[allow(unsafe_code)] // a `GlobalAlloc` impl cannot be written without it
 pub mod alloc_count;
 pub mod fuzzer;
 

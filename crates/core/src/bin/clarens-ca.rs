@@ -9,6 +9,8 @@
 //! clarens-ca show  --file pat.cred
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::exit;

@@ -14,6 +14,8 @@
 //! result is printed as pretty JSON. On login, the session id is printed
 //! to stderr so follow-up calls can reuse it with `--session`.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::process::exit;
 

@@ -12,6 +12,8 @@
 //! down: only `system.auth`/`system.ping`/`system.version`/`proxy.login`
 //! answer until an admin installs ACLs via the `acl` service.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::process::exit;
 

@@ -27,6 +27,8 @@
 //! register services ([`server::register_builtin_services`]), start a
 //! [`server::ClarensServer`], and talk to it with a [`client::ClarensClient`].
 
+#![forbid(unsafe_code)]
+
 pub mod acl;
 pub mod cache;
 pub mod client;

@@ -93,7 +93,7 @@ impl Service for SrmService {
     // nevertheless put into `SRM_BUCKET`, a bucket of the shipped store
     // like any other — run on a leader the record ships to every follower;
     // run on a follower it is appended to that follower's own log only,
-    // beside what it applies from the leader's stream (ROADMAP item 1 lists
+    // beside what it applies from the leader's stream (ROADMAP item 8 lists
     // the schedule the simulator must judge).
     const METHODS: &'static [Method<Self>] = &[
         Method::new(

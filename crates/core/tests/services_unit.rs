@@ -901,7 +901,7 @@ fn malformed_acls_are_refused_and_leave_the_node_alone() {
 /// Who writes the shipped log: a method whose record is not `replicated`
 /// leaves `wal_offset` where it was. Each is called once, with arguments
 /// it accepts. `srm.stage` and `srm.release` are the two that do not hold
-/// (they record the stage request in a store bucket; ROADMAP item 3).
+/// (they record the stage request in a store bucket; ROADMAP item 8).
 #[test]
 fn only_replicated_methods_move_the_shipped_log() {
     let f = full_fixture("shipped-log");

@@ -16,6 +16,8 @@
 //! * [`aggregator`] — the discovery server with a local-table fast path and
 //!   a fan-out slow path, so the paper's speed claim can be benchmarked.
 
+#![forbid(unsafe_code)]
+
 pub mod aggregator;
 pub mod schema;
 pub mod station;

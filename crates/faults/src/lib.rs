@@ -29,6 +29,8 @@
 //! and a per-site counter so telemetry (and the chaos harness) can report
 //! exactly how many faults were injected.
 
+#![forbid(unsafe_code)]
+
 use std::io;
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::time::Duration;

@@ -29,6 +29,8 @@
 //! one station network, one leader + N-1 followers) for the integration
 //! tests and the `repro federation` benchmark.
 
+#![forbid(unsafe_code)]
+
 pub mod balance;
 pub mod cluster;
 pub mod election;

@@ -433,7 +433,7 @@ mod tests {
         assert_eq!(stale[0], Effect::Fenced);
     }
 
-    /// Open schedule (ROADMAP item 1): a resync from `(0, 0)` replays the
+    /// Open schedule (ROADMAP item 8): a resync from `(0, 0)` replays the
     /// new leader's puts but deletes nothing, so a key a deposed leader's
     /// tail left on this follower outlives the resync although the new
     /// leader's log never had it. Not reachable for an *acked* write, but

@@ -715,7 +715,7 @@ fn leaderless_station_network_still_elects() {
     }
 }
 
-/// Open schedule (ROADMAP item 1): a second leader loss inside a resync
+/// Open schedule (ROADMAP item 8): a second leader loss inside a resync
 /// window. A follower that re-points resets its cursor to 0 while its
 /// store still holds an acked write that its half-resynced peers lack;
 /// they outrank it, and the write is lost. A ranking by cursor cannot see

@@ -26,6 +26,8 @@
 
 use std::io::{self, Cursor, IoSlice, Read, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
+use std::os::unix::fs::FileExt;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -33,8 +35,7 @@ use clarens_pki::SecureChannel;
 use clarens_telemetry::{Phase, RequestTrace};
 
 use crate::parse::{
-    encode_head, read_file_at, read_request_pooled, truncated, write_response_with, ParseError,
-    COPY_BUFFER,
+    encode_head, read_request_pooled, truncated, write_response_with, ParseError, COPY_BUFFER,
 };
 use crate::poller;
 use crate::scratch::Scratch;
@@ -309,16 +310,15 @@ impl WriteState {
                 PendingBody::Bytes { buf, pos } => {
                     return write_some(sock, buf, pos, &mut self.written)
                 }
-                #[cfg(unix)]
                 PendingBody::File {
                     file,
                     pos,
                     end,
                     use_sendfile,
-                } if *use_sendfile && crate::zerocopy::available() => {
-                    use std::os::unix::io::AsRawFd;
+                } if *use_sendfile => {
                     let want = (*end - *pos) as usize;
-                    match crate::zerocopy::send_file(raw_fd(sock), file.as_raw_fd(), pos, want) {
+                    match crate::zerocopy::send_file(sock.as_raw_fd(), file.as_raw_fd(), pos, want)
+                    {
                         Ok(0) => return Err(truncated(*end - *pos)),
                         Ok(n) => {
                             self.written += n as u64;
@@ -335,7 +335,7 @@ impl WriteState {
                 }
                 PendingBody::File { file, pos, end, .. } => {
                     let left = *end - *pos;
-                    let read = |buf: &mut [u8]| read_file_at(file, buf, *pos);
+                    let read = |buf: &mut [u8]| file.read_at(buf, *pos);
                     let staged =
                         stage(&mut self.chunk, left, channel.as_deref_mut(), scratch, read);
                     if let Ok((n, _)) = staged {
@@ -831,27 +831,12 @@ impl<'a> NonblockingWriter<'a> {
     }
 }
 
-#[cfg(unix)]
-fn wait_writable(sock: &TcpStream, timeout: Duration) -> io::Result<()> {
-    use std::os::unix::io::AsRawFd;
-    poller::wait_writable(sock.as_raw_fd(), timeout)
-}
-
-#[cfg(not(unix))]
-fn wait_writable(_sock: &TcpStream, _timeout: Duration) -> io::Result<()> {
-    // Never runs: `Poller::new` fails off Unix, and with it `bind`.
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "readiness polling unsupported on this platform",
-    ))
-}
-
 impl Write for NonblockingWriter<'_> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         loop {
             match (&mut &*self.sock).write(buf) {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    wait_writable(self.sock, self.timeout)?
+                    poller::wait_writable(self.sock.as_raw_fd(), self.timeout)?
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 other => return other,
@@ -863,30 +848,6 @@ impl Write for NonblockingWriter<'_> {
         // TCP sockets have no userspace buffer to flush.
         Ok(())
     }
-}
-
-/// Raw fd of a socket, for poller registration.
-#[cfg(unix)]
-pub(crate) fn raw_fd(sock: &TcpStream) -> poller::RawFd {
-    use std::os::unix::io::AsRawFd;
-    sock.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-pub(crate) fn raw_fd(_sock: &TcpStream) -> poller::RawFd {
-    -1
-}
-
-/// Raw fd of a listener, for the acceptor's wakeable poll loop.
-#[cfg(unix)]
-pub(crate) fn raw_fd_listener(listener: &std::net::TcpListener) -> poller::RawFd {
-    use std::os::unix::io::AsRawFd;
-    listener.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-pub(crate) fn raw_fd_listener(_listener: &std::net::TcpListener) -> poller::RawFd {
-    -1
 }
 
 #[cfg(test)]

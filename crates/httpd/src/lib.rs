@@ -13,11 +13,22 @@
 //!   bounded by `max_connections`, not `workers` — on TLS servers too,
 //!   whose connections carry the secure channel as a state machine
 //!   between socket and parse buffer,
-//! * [`poller`] — a dependency-free readiness facade (epoll on Linux,
-//!   `poll(2)` elsewhere on Unix) with a self-pipe waker and a deadline
-//!   wheel for keep-alive idle expiry,
+//! * [`poller`] — a dependency-free readiness facade (epoll) with a
+//!   self-pipe waker and a deadline wheel for keep-alive idle expiry,
 //! * [`client`] — a keep-alive client used by examples, tests, and the
 //!   Figure-4 benchmark driver.
+//!
+//! Linux is the one platform: the poller is epoll and file bodies ride
+//! `sendfile(2)`. Every C call sits behind a safe function in one private
+//! module, the only code here the `unsafe_code` lint lets through.
+
+#![deny(unsafe_code)]
+
+// CI builds and tests Linux only, and its build container cannot add a
+// target, so code for any other platform would compile in no build that
+// runs it.
+#[cfg(not(target_os = "linux"))]
+compile_error!("clarens-httpd builds for Linux only (epoll, sendfile(2), pipe2(2))");
 
 pub mod client;
 mod conn;
@@ -26,6 +37,8 @@ pub mod parse;
 pub mod poller;
 pub mod scratch;
 pub mod server;
+#[allow(unsafe_code)]
+mod sys;
 pub mod types;
 pub mod zerocopy;
 

@@ -5,6 +5,7 @@
 //! hard limits so a hostile peer cannot exhaust memory.
 
 use std::io::{self, BufRead, IoSlice, Read, Write};
+use std::os::unix::fs::FileExt;
 
 use crate::scratch::Scratch;
 use crate::types::{reason, Body, Headers, Method, Request, Response};
@@ -380,23 +381,6 @@ pub(crate) fn encode_head(
     Ok(())
 }
 
-/// Positioned read that leaves the file cursor untouched (the parked-writer
-/// machinery resumes from a saved offset, never from the cursor).
-pub(crate) fn read_file_at(file: &std::fs::File, buf: &mut [u8], offset: u64) -> io::Result<usize> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        file.read_at(buf, offset)
-    }
-    #[cfg(not(unix))]
-    {
-        use std::io::{Seek, SeekFrom};
-        let mut f = file;
-        f.seek(SeekFrom::Start(offset))?;
-        f.read(buf)
-    }
-}
-
 /// Serialize and send a response using scratch buffers for the head and the
 /// copy loop, and a single vectored write for head + body: the plain,
 /// blocking serializer. The server's own connections go through the
@@ -434,7 +418,7 @@ pub(crate) fn write_response_with<W: Write>(
         body => writer.write_all(&head).and_then(|()| match body {
             Body::File { file, offset, len } if !head_only => {
                 copy_body(writer, scratch, len, |buf, done| {
-                    read_file_at(&file, buf, offset + done)
+                    file.read_at(buf, offset + done)
                 })
             }
             Body::Stream { mut reader, len } if !head_only => {

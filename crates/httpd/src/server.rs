@@ -30,6 +30,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
@@ -271,7 +272,7 @@ impl WorkQueue {
                 state.keeping.push_back(me);
             }
             let left = conn.deadline.saturating_duration_since(Instant::now());
-            let ready = poller::wait_readable(Some(conn::raw_fd(&conn.sock)), pipe, Some(left));
+            let ready = poller::wait_readable(Some(conn.sock.as_raw_fd()), pipe, Some(left));
             let mut state = self.state.lock();
             match state.keeping.iter().position(|&worker| worker == me) {
                 Some(i) => state.keeping.remove(i),
@@ -380,9 +381,8 @@ impl Drop for LiveGuard {
 }
 
 impl HttpServer {
-    /// Bind and start serving on `addr` (e.g. `"127.0.0.1:0"`). Fails with
-    /// the readiness backend's error where there is none (`Unsupported`
-    /// off Unix): there is no other scheduler to fall back to.
+    /// Bind and start serving on `addr` (e.g. `"127.0.0.1:0"`). Fails if
+    /// the listener, an epoll instance or a wake pipe cannot be opened.
     pub fn bind<H: Handler>(
         addr: &str,
         config: ServerConfig,
@@ -402,7 +402,7 @@ impl HttpServer {
         // whenever connections are pending or `wake()` is called.
         let accept_poller = Arc::new(Poller::new()?);
         listener.set_nonblocking(true)?;
-        accept_poller.add(conn::raw_fd_listener(&listener), 0, false)?;
+        accept_poller.add(listener.as_raw_fd(), 0, false)?;
         let (park_tx, park_rx) = mpsc::channel();
 
         let in_flight = Arc::new(AtomicUsize::new(0));
@@ -701,7 +701,7 @@ fn poller_loop(
 
     loop {
         while let Ok(mut conn) = park_rx.try_recv() {
-            let fd = conn::raw_fd(&conn.sock);
+            let fd = conn.sock.as_raw_fd();
             let writer = conn.pending_write.is_some();
             let armed = if conn.registered {
                 if writer {

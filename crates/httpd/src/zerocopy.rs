@@ -1,28 +1,14 @@
 //! Zero-copy file-to-socket transfer via `sendfile(2)`.
 //!
 //! The paper's bulk-data claim is that Clarens "hands network I/O off to
-//! the web server" (§2.3); on Linux we can go one step further and hand it
-//! to the kernel — `sendfile` moves file pages to the socket without ever
-//! touching a userspace buffer. Raw `extern "C"` declaration in the same
-//! style as the epoll bindings in `poller.rs`: std already links the
-//! platform libc, so no crate dependency is needed.
+//! the web server" (§2.3); on Linux, the one platform the crate builds
+//! for, we can go one step further and hand it to the kernel — `sendfile`
+//! moves file pages to the socket without ever touching a userspace
+//! buffer. The call itself is bound in `crate::sys`.
 
 use std::io;
 
-#[cfg(target_os = "linux")]
-mod sys {
-    use std::os::raw::c_int;
-
-    extern "C" {
-        // ssize_t sendfile(int out, int in, off_t *offset, size_t count);
-        pub fn sendfile(sock_fd: c_int, file_fd: c_int, offset: *mut i64, count: usize) -> isize;
-    }
-}
-
-/// Is the zero-copy path compiled in on this target?
-pub fn available() -> bool {
-    cfg!(target_os = "linux")
-}
+use crate::poller::RawFd;
 
 /// Transfer up to `count` bytes of `file_fd` starting at `*offset` into
 /// `sock_fd`, advancing `*offset` by the bytes sent. The file's own cursor
@@ -34,39 +20,26 @@ pub fn available() -> bool {
 /// is full, and `Err(Unsupported)` when the kernel refuses this fd pair
 /// (EINVAL/ENOSYS — e.g. an exotic filesystem) so the caller can fall back
 /// to the buffered copy loop.
-#[cfg(target_os = "linux")]
-pub fn send_file(sock_fd: i32, file_fd: i32, offset: &mut u64, count: usize) -> io::Result<usize> {
+pub fn send_file(
+    sock_fd: RawFd,
+    file_fd: RawFd,
+    offset: &mut u64,
+    count: usize,
+) -> io::Result<usize> {
     let mut off = *offset as i64;
-    let rc = unsafe { sys::sendfile(sock_fd, file_fd, &mut off, count) };
-    if rc < 0 {
-        let err = io::Error::last_os_error();
-        const EINVAL: i32 = 22;
-        const ENOSYS: i32 = 38;
-        return Err(match err.raw_os_error() {
+    const EINVAL: i32 = 22;
+    const ENOSYS: i32 = 38;
+    let sent = crate::sys::send_file(sock_fd, file_fd, &mut off, count).map_err(|err| {
+        match err.raw_os_error() {
             Some(EINVAL) | Some(ENOSYS) => io::Error::new(io::ErrorKind::Unsupported, err),
             _ => err, // EAGAIN surfaces as ErrorKind::WouldBlock
-        });
-    }
+        }
+    })?;
     *offset = off as u64;
-    Ok(rc as usize)
+    Ok(sent)
 }
 
-/// Portable stub: report the path unsupported so callers use the buffered
-/// fallback.
-#[cfg(not(target_os = "linux"))]
-pub fn send_file(
-    _sock_fd: i32,
-    _file_fd: i32,
-    _offset: &mut u64,
-    _count: usize,
-) -> io::Result<usize> {
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "sendfile(2) is only wired up on Linux",
-    ))
-}
-
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Read;

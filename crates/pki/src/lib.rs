@@ -32,6 +32,8 @@
 //! constant-time nor side-channel hardened, and defaults to short RSA keys
 //! for test speed. Do not use it to protect real data.
 
+#![forbid(unsafe_code)]
+
 pub mod bigint;
 pub mod cert;
 pub mod chacha20;

@@ -17,6 +17,8 @@
 //!   the export surfaces (`GET /metrics`, `system.metrics`,
 //!   `system.trace_tail`) share.
 
+#![forbid(unsafe_code)]
+
 pub mod log;
 pub mod metrics;
 pub mod trace;

@@ -19,6 +19,8 @@
 //! the crate's `tests/` directory) because every byte on the wire in the
 //! reproduction flows through here.
 
+#![forbid(unsafe_code)]
+
 pub mod base64;
 pub mod binary;
 pub mod datetime;

@@ -1,4 +1,7 @@
 //! Umbrella crate re-exporting the Clarens reproduction workspace.
+
+#![forbid(unsafe_code)]
+
 pub use clarens;
 pub use clarens_db;
 pub use clarens_httpd;
