@@ -17,6 +17,15 @@
 //! and a peer that stalls in the middle of it is a parked connection under
 //! the deadline wheel like any other.
 //!
+//! Responses to pipelined requests are coalesced: while more requests are
+//! buffered, each in-memory response is staged instead of written, and
+//! the staged batch rides the next write in flight — alone when the input
+//! runs dry, in front of the next response that cannot be staged, or in
+//! front of a protocol error's answer (or at shutdown) as the last write.
+//! Every socket write is [`WriteState::advance`], which never blocks: on
+//! `EWOULDBLOCK` the connection parks with write interest, and a peer that
+//! never drains expires under the deadline wheel as a `write_stall`.
+//!
 //! Invariant: a connection is only ever parked when its input buffer holds
 //! no complete request (either empty or a strict prefix of one) and its
 //! secure channel holds at most a strict prefix of one frame (`feed`
@@ -29,7 +38,7 @@ use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::os::unix::fs::FileExt;
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use clarens_pki::SecureChannel;
 use clarens_telemetry::{Phase, RequestTrace};
@@ -37,7 +46,6 @@ use clarens_telemetry::{Phase, RequestTrace};
 use crate::parse::{
     encode_head, read_request_pooled, truncated, write_response_with, ParseError, COPY_BUFFER,
 };
-use crate::poller;
 use crate::scratch::Scratch;
 use crate::server::{
     classify_io_error, BudgetGuard, Handler, InFlightGuard, LiveGuard, PeerInfo, RequestContext,
@@ -50,9 +58,10 @@ const READ_CHUNK: usize = 16 * 1024;
 /// Cap on bytes absorbed in one fill burst before re-parsing, so one
 /// fire-hose peer cannot monopolize a worker between parse attempts.
 const MAX_FILL_BURST: usize = 256 * 1024;
-/// Cap on coalesced response bytes staged for pipelined requests before a
-/// flush is forced, so a client that never stops pipelining cannot grow
-/// the staging buffer without bound.
+/// Cap on coalesced response bytes staged for pipelined requests: past it
+/// the next response is written with the batch in front of it, so a client
+/// that never stops pipelining cannot grow the staging buffer without
+/// bound.
 const MAX_STAGED_BYTES: usize = 64 * 1024;
 
 /// The server end of one connection's secure channel.
@@ -96,12 +105,22 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    /// On a TLS connection, replace the plaintext in `buf` with its sealed
-    /// records; a plaintext connection sends `buf` as it is.
-    fn seal(&mut self, buf: &mut Vec<u8>, scratch: &mut Scratch) {
-        if let Some(tls) = &mut self.tls {
-            seal_in_place(&mut tls.channel, buf, scratch);
+    /// Make the staged batch — sealed, on a TLS connection — the write in
+    /// flight, with the in-flight guards of the requests it answers. With
+    /// `keep_alive` false the connection closes once the batch is out.
+    fn send_staged(
+        &mut self,
+        outq: &mut Vec<u8>,
+        guards: &mut Vec<InFlightGuard>,
+        keep_alive: bool,
+        scratch: &mut Scratch,
+    ) {
+        let mut batch = std::mem::take(outq);
+        if let Some(tls) = self.tls.as_mut().filter(|_| !batch.is_empty()) {
+            seal_in_place(&mut tls.channel, &mut batch, scratch);
         }
+        let guards = std::mem::take(guards);
+        self.pending_write = Some(WriteState::staged(batch, guards, keep_alive));
     }
 }
 
@@ -188,16 +207,21 @@ enum PendingBody {
 }
 
 impl WriteState {
-    /// Encode the response head and capture the body with a zeroed cursor.
+    /// Encode the response head and capture the body with a zeroed cursor,
+    /// behind `batch` — the pipelined responses staged before this one,
+    /// which leave first — and holding the in-flight guards of every
+    /// request the write answers. Both are taken only once the response
+    /// is known to be sendable; on an error they stay with the caller.
     /// Buffers come from `scratch` so the steady state allocates nothing.
-    /// With a `channel`, the head leaves sealed, an in-memory body in the
-    /// same records; file and stream bodies are sealed chunk by chunk as
-    /// [`WriteState::advance`] stages them.
+    /// With a `channel`, the batch and then the head leave sealed, an
+    /// in-memory body in the head's records; file and stream bodies are
+    /// sealed chunk by chunk as [`WriteState::advance`] stages them.
     fn new(
         response: Response,
         keep_alive: bool,
         head_only: bool,
-        in_flight: Option<InFlightGuard>,
+        batch: &mut Vec<u8>,
+        in_flight: &mut Vec<InFlightGuard>,
         scratch: &mut Scratch,
         channel: Option<&mut SecureChannel>,
     ) -> io::Result<WriteState> {
@@ -235,19 +259,31 @@ impl WriteState {
                 },
             }
         };
-        if let Some(channel) = channel {
-            seal_in_place(channel, &mut head, scratch);
-        }
-        let mut state = WriteState::staged(head, in_flight.into_iter().collect());
+        let head = match channel {
+            Some(channel) => {
+                let mut sealed = scratch.take();
+                channel.seal(batch, &mut sealed);
+                channel.seal(&head, &mut sealed);
+                batch.clear();
+                scratch.recycle(head);
+                sealed
+            }
+            None if batch.is_empty() => head,
+            None => {
+                batch.extend_from_slice(&head);
+                scratch.recycle(head);
+                std::mem::take(batch)
+            }
+        };
+        let mut state = WriteState::staged(head, std::mem::take(in_flight), keep_alive);
         state.body = body;
-        state.keep_alive = keep_alive;
         Ok(state)
     }
 
     /// Wrap a buffer of bytes ready for the socket — coalesced pipelined
     /// responses, handshake replies — as a write in flight: all head, no
-    /// body, connection stays open.
-    fn staged(head: Vec<u8>, in_flight: Vec<InFlightGuard>) -> WriteState {
+    /// body.
+    fn staged(head: Vec<u8>, in_flight: Vec<InFlightGuard>, keep_alive: bool) -> WriteState {
         WriteState {
             head,
             head_pos: 0,
@@ -255,7 +291,7 @@ impl WriteState {
             chunk: Vec::new(),
             chunk_pos: 0,
             chunk_len: 0,
-            keep_alive: true,
+            keep_alive,
             written: 0,
             sendfile: 0,
             _in_flight: in_flight,
@@ -481,41 +517,13 @@ fn stage_response(response: Response, outq: &mut Vec<u8>, scratch: &mut Scratch)
     Ok(())
 }
 
-/// Blocking-ish flush for the paths that cannot park (a non-coalescible
-/// response queued behind staged ones, protocol failure, shutdown):
-/// bounded by the read timeout.
-fn flush_staged_blocking<H: Handler>(
-    conn: &mut Conn,
-    outq: &mut Vec<u8>,
-    guards: &mut Vec<InFlightGuard>,
-    shared: &WorkerShared<H>,
-    scratch: &mut Scratch,
-) -> io::Result<()> {
-    let result = if outq.is_empty() {
-        Ok(())
-    } else {
-        conn.seal(outq, scratch);
-        let mut writer = NonblockingWriter::new(&conn.sock, shared.read_timeout);
-        let result = writer.write_all(outq);
-        if result.is_ok() {
-            if let Some(t) = &shared.telemetry {
-                t.http.bytes_out.add(outq.len() as u64);
-            }
-        }
-        result
-    };
-    outq.clear();
-    guards.clear();
-    result
-}
-
 /// Drive `conn` until it parks, closes, or fails: the one place requests
 /// on a connection are looped over. Reads never block — they either make
 /// progress or return the connection to the poller.
 /// Pipelined requests get their responses *coalesced*: while the
 /// input buffer still holds more requests, each in-memory response is
-/// staged instead of written, and the whole batch leaves in one syscall
-/// when the buffer runs dry — one peer wakeup per batch, not per response.
+/// staged instead of written, and the whole batch leaves with the next
+/// write — one peer wakeup per batch, not per response.
 pub(crate) fn drive<H: Handler>(
     mut conn: Box<Conn>,
     shared: &WorkerShared<H>,
@@ -552,8 +560,9 @@ pub(crate) fn drive<H: Handler>(
             }
         }
         if shared.stop.load(Ordering::SeqCst) {
-            let _ = flush_staged_blocking(&mut conn, &mut outq, &mut guards, shared, scratch);
-            return Disposition::Closed;
+            // Anything staged still leaves, as the last write.
+            conn.send_staged(&mut outq, &mut guards, false, scratch);
+            continue;
         }
         let mut trace = match &shared.telemetry {
             Some(t) => t.begin_request(),
@@ -572,10 +581,7 @@ pub(crate) fn drive<H: Handler>(
                 // if the socket pushes back, the remainder (guards
                 // included) parks and the poller waits for writability.
                 if !outq.is_empty() {
-                    conn.seal(&mut outq, scratch);
-                    let batch = std::mem::take(&mut outq);
-                    conn.pending_write =
-                        Some(WriteState::staged(batch, std::mem::take(&mut guards)));
+                    conn.send_staged(&mut outq, &mut guards, true, scratch);
                     continue;
                 }
                 // The trace never finishes and records nothing. Pull more
@@ -621,11 +627,12 @@ pub(crate) fn drive<H: Handler>(
                     trace.status = status;
                     t.finish_request(&trace, (shared.now_fn)());
                 }
-                // The error leaves behind any earlier pipelined responses.
+                // The error leaves behind any earlier pipelined responses,
+                // as the last write.
                 let response = Response::error(status, &message);
                 let _ = write_response_with(&mut outq, response, false, false, scratch);
-                let _ = flush_staged_blocking(&mut conn, &mut outq, &mut guards, shared, scratch);
-                return Disposition::Closed;
+                conn.send_staged(&mut outq, &mut guards, false, scratch);
+                continue;
             }
             Parsed::Complete(request, consumed) => {
                 conn.inbuf.drain(..consumed);
@@ -686,12 +693,9 @@ pub(crate) fn drive<H: Handler>(
                     }
                 }
                 // Not coalescible (file/stream body, HEAD, close, or the
-                // staging cap): anything staged leaves first, in order.
-                if flush_staged_blocking(&mut conn, &mut outq, &mut guards, shared, scratch)
-                    .is_err()
-                {
-                    return Disposition::Closed;
-                }
+                // staging cap): the response leaves behind anything staged,
+                // in one write in flight.
+                guards.push(in_flight);
                 let progress = trace.span(Phase::Write, || {
                     match clarens_faults::check_io(clarens_faults::sites::HTTPD_WRITE).and_then(
                         |()| {
@@ -699,7 +703,8 @@ pub(crate) fn drive<H: Handler>(
                                 response,
                                 keep_alive,
                                 head_only,
-                                Some(in_flight),
+                                &mut outq,
+                                &mut guards,
                                 scratch,
                                 conn.tls.as_mut().map(|tls| &mut tls.channel),
                             )
@@ -731,8 +736,11 @@ pub(crate) fn drive<H: Handler>(
                         return Disposition::Park(conn);
                     }
                     WriteProgress::Failed(error) => {
+                        // A response that cannot be sent still lets the
+                        // batch staged before it out, as the last write.
                         classify_io_error(&error, shared);
-                        return Disposition::Closed;
+                        conn.send_staged(&mut outq, &mut guards, false, scratch);
+                        continue;
                     }
                 }
                 if !keep_alive {
@@ -811,43 +819,10 @@ fn fill(conn: &mut Conn, scratch: &mut Scratch) -> Fill {
     if let Some(tls) = &mut conn.tls {
         let replies = tls.channel.take_output();
         if !replies.is_empty() {
-            conn.pending_write = Some(WriteState::staged(replies, Vec::new()));
+            conn.pending_write = Some(WriteState::staged(replies, Vec::new(), true));
         }
     }
     outcome
-}
-
-/// `Write` adapter over a non-blocking socket: on `WouldBlock` it waits for
-/// writability (bounded by `timeout`) and retries, so `write_all` behaves
-/// as it does on a blocking socket.
-pub(crate) struct NonblockingWriter<'a> {
-    sock: &'a TcpStream,
-    timeout: Duration,
-}
-
-impl<'a> NonblockingWriter<'a> {
-    pub(crate) fn new(sock: &'a TcpStream, timeout: Duration) -> NonblockingWriter<'a> {
-        NonblockingWriter { sock, timeout }
-    }
-}
-
-impl Write for NonblockingWriter<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        loop {
-            match (&mut &*self.sock).write(buf) {
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    poller::wait_writable(self.sock.as_raw_fd(), self.timeout)?
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                other => return other,
-            }
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        // TCP sockets have no userspace buffer to flush.
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -114,23 +114,6 @@ pub(crate) fn wait_readable(
     Ok(fds[0].revents != 0)
 }
 
-/// Block until `fd` is writable (used by the parked path's response
-/// writer when the socket's send buffer fills).
-pub fn wait_writable(fd: RawFd, timeout: Duration) -> io::Result<()> {
-    let mut pfd = [PollFd {
-        fd,
-        events: sys::POLLOUT,
-        revents: 0,
-    }];
-    match sys::poll_fds(&mut pfd, Some(timeout))? {
-        0 => Err(io::Error::new(
-            io::ErrorKind::TimedOut,
-            "socket not writable before timeout",
-        )),
-        _ => Ok(()),
-    }
-}
-
 /// epoll-backed readiness source with a self-pipe waker.
 pub struct Poller {
     epfd: OwnedFd,

@@ -23,7 +23,6 @@ pub const EPOLLONESHOT: u32 = 1 << 30;
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 
 pub const POLLIN: c_short = 0x001;
-pub const POLLOUT: c_short = 0x004;
 
 const O_NONBLOCK: c_int = 0o4000;
 const O_CLOEXEC: c_int = 0o2000000;

@@ -112,6 +112,12 @@ impl Mode {
     pub fn connect(self, addr: SocketAddr) -> io::Result<Box<dyn Wire>> {
         let sock = TcpStream::connect(addr)?;
         sock.set_read_timeout(Some(Duration::from_secs(5)))?;
+        self.over(sock)
+    }
+
+    /// Speak this mode's transport over `sock`, a stream already connected
+    /// to the server (for `Tls`, through a completed handshake).
+    pub fn over(self, sock: impl Wire + 'static) -> io::Result<Box<dyn Wire>> {
         match self {
             Mode::Plain => Ok(Box::new(sock)),
             Mode::Tls => {

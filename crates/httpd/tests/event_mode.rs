@@ -3,7 +3,9 @@
 //! These pin the properties that motivated it: a slow client cannot pin a
 //! worker, hundreds of idle keep-alive connections cost no threads and
 //! corrupt no buffers, the connection budget sheds gracefully, shutdown is
-//! deterministic with zero traffic, pipelined responses keep their order —
+//! deterministic with zero traffic, pipelined responses keep their order
+//! and their staged batch rides the next write in flight, so a client
+//! that pipelines and stops reading parks instead of pinning a worker —
 //! and all of it holds the same over plaintext and over the secure
 //! channel, whose decrypted bytes are identical to the plaintext ones.
 
@@ -11,7 +13,7 @@ mod common;
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -510,15 +512,54 @@ fn deep_pipeline_responses_arrive_in_order() {
     }
 }
 
-/// A non-coalescible request (HEAD) in the middle of a pipeline forces the
-/// staged responses out first — ordering across the coalesce/direct-write
-/// boundary must hold, and a trailing `Connection: close` still closes.
+/// A socket that counts the bytes read from it, before any decryption.
+struct Counted(TcpStream, Arc<AtomicU64>);
+
+impl Read for Counted {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.0.read(buf)?;
+        self.1.fetch_add(n as u64, Ordering::Relaxed);
+        Ok(n)
+    }
+}
+
+impl Write for Counted {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.flush()
+    }
+}
+
+/// A non-coalescible request (HEAD) in the middle of a pipeline sends the
+/// staged responses ahead of its own, and a malformed request behind
+/// staged responses sends them ahead of its `400` and closes: ordering
+/// across the coalesce/direct-write boundary must hold, a trailing
+/// `Connection: close` still closes, and `bytes_out` counts exactly the
+/// bytes the clients read off their sockets, handshakes included.
 #[test]
 fn mixed_pipeline_flushes_in_order() {
     for mode in BOTH_MODES {
-        let server =
-            HttpServer::bind("127.0.0.1:0", mode.server_config(config()), echo_handler()).unwrap();
-        let mut client = Client::open(mode, server.local_addr());
+        let telemetry = Telemetry::enabled();
+        let server = HttpServer::bind(
+            "127.0.0.1:0",
+            mode.server_config(ServerConfig {
+                telemetry: Some(Arc::clone(&telemetry)),
+                ..config()
+            }),
+            echo_handler(),
+        )
+        .unwrap();
+        let read = Arc::new(AtomicU64::new(0));
+        let open = || {
+            let sock = TcpStream::connect(server.local_addr()).unwrap();
+            sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let wire = mode.over(Counted(sock, Arc::clone(&read))).unwrap();
+            Client(BufReader::new(wire))
+        };
+        let mut client = open();
         let batch = "GET /a HTTP/1.1\r\nHost: h\r\n\r\n\
                      GET /b HTTP/1.1\r\nHost: h\r\n\r\n\
                      HEAD /c HTTP/1.1\r\nHost: h\r\n\r\n\
@@ -551,6 +592,28 @@ fn mixed_pipeline_flushes_in_order() {
             }
         }
         client.assert_closed();
+
+        let mut client = open();
+        client.send(
+            b"GET /f HTTP/1.1\r\nHost: h\r\n\r\n\
+              GET /g HTTP/1.1\r\nHost: h\r\n\r\n\
+              NONSENSE\r\n\r\n",
+        );
+        for target in ["/f", "/g"] {
+            let resp = read_response(&mut client.0, usize::MAX).unwrap();
+            assert_eq!(resp.status, 200, "{mode:?} {target}");
+            assert_eq!(resp.body, format!("GET {target} 0").as_bytes());
+        }
+        let resp = read_response(&mut client.0, usize::MAX).unwrap();
+        assert_eq!(resp.status, 400, "{mode:?}");
+        assert!(!resp.keep_alive, "{mode:?}");
+        client.assert_closed();
+
+        assert_eq!(
+            telemetry.http.bytes_out.get(),
+            read.load(Ordering::Relaxed),
+            "{mode:?}"
+        );
         server.shutdown();
     }
 }
@@ -578,5 +641,82 @@ fn plaintext_and_tls_responses_are_byte_identical() {
     });
     for (i, (tls, plain)) in per_mode[0].iter().zip(per_mode[1].iter()).enumerate() {
         assert_eq!(tls, plain, "exchange {i} differs between TLS and plaintext");
+    }
+}
+
+/// A pipelining client that stops reading must not pin the only worker.
+/// Client A sends batches of small echoes, each ended by a HEAD (which
+/// cannot be coalesced, so the staged echoes leave in front of its
+/// response), and never reads. Once A's socket is full, the write in
+/// flight parks on the poller like any other: a fresh client B is
+/// answered promptly, and A's connection ends at its deadline as a
+/// `write_stall`. Almost every byte A is owed leaves in a batch, so the
+/// socket nearly always fills while a batch is going out — the write a
+/// blocking flush would hold the worker on — and two rounds make that all
+/// but certain.
+#[test]
+fn pipeline_that_stops_reading_cannot_pin_the_single_worker() {
+    const ROUNDS: u64 = 2;
+    let echo = format!(
+        "POST /e HTTP/1.1\r\nHost: h\r\nContent-Length: 1000\r\n\r\n{}",
+        "x".repeat(1000)
+    );
+    let batch = format!("{}HEAD /h HTTP/1.1\r\nHost: h\r\n\r\n", echo.repeat(3));
+    let stream: Arc<[u8]> = batch.repeat(64).into_bytes().into();
+    for mode in BOTH_MODES {
+        let telemetry = Telemetry::enabled();
+        let server = HttpServer::bind(
+            "127.0.0.1:0",
+            mode.server_config(ServerConfig {
+                workers: 1,
+                telemetry: Some(Arc::clone(&telemetry)),
+                read_timeout: Duration::from_secs(2),
+                ..config()
+            }),
+            body_echo_handler(),
+        )
+        .unwrap();
+        let addr = server.local_addr();
+        let requests = || server.stats().requests.load(Ordering::Relaxed);
+        let mut writers = Vec::new();
+        for round in 0..ROUNDS {
+            let mut a = mode.connect(addr).unwrap();
+            let stream = Arc::clone(&stream);
+            let writer = std::thread::spawn(move || while send(&mut *a, &stream).is_ok() {});
+            writers.push(writer);
+            // A's socket is full once the request count holds still for
+            // half a second.
+            let started = Instant::now();
+            let mut seen = requests();
+            let mut still = 0;
+            while still < 10 {
+                std::thread::sleep(Duration::from_millis(50));
+                assert!(started.elapsed() < Duration::from_secs(20), "{mode:?}");
+                let now = requests();
+                still = if now == seen { still + 1 } else { 0 };
+                seen = now;
+            }
+
+            // B's request follows its handshake at once (no Nagle delay).
+            let started = Instant::now();
+            let sock = TcpStream::connect(addr).unwrap();
+            sock.set_nodelay(true).unwrap();
+            sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let (status, body, _) = Client(BufReader::new(mode.over(sock).unwrap()))
+                .roundtrip("POST /b HTTP/1.1\r\nHost: h\r\nContent-Length: 2\r\n\r\nhi");
+            let waited = started.elapsed();
+            assert_eq!((status, body.as_slice()), (200, &b"hi"[..]), "{mode:?}");
+            assert!(
+                waited < Duration::from_millis(200),
+                "{mode:?} round {round}: B waited {waited:?} behind a pipeline that stopped reading"
+            );
+        }
+        // Each A's parked write expires at its deadline and the server
+        // closes A, which ends its writer.
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        assert_eq!(telemetry.http.write_stalls.get(), ROUNDS, "{mode:?}");
+        server.shutdown();
     }
 }
