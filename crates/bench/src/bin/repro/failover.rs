@@ -31,16 +31,15 @@ use crate::header;
 pub fn run(args: &Args) {
     let (quick, seed) = (args.quick, args.seed.unwrap_or(1));
     let lease_ms: u64 = if quick { 500 } else { 750 };
-    let jitter_ms: u64 = 100;
     header(&format!(
         "Leader failover — lease-based election, epoch fencing, write rerouting (seed {seed})"
     ));
-    println!("3 nodes under lease-based elections (lease {lease_ms} ms, jitter {jitter_ms} ms).");
+    println!("3 nodes under lease-based elections (lease {lease_ms} ms, jitter < lease / 5).");
     println!("Phase 1 kills the elected leader under a live login/read workload; phase 2");
     println!("partitions the leader's election traffic and aims writes straight at it.\n");
 
     // --- Phase 1: leader kill under load ---------------------------------
-    let mut cluster = FederationCluster::start_elections(3, lease_ms, jitter_ms);
+    let mut cluster = FederationCluster::start_elections(3, lease_ms);
     let session = cluster.user_session();
     let addrs: Vec<String> = cluster.nodes.iter().map(|n| n.addr.clone()).collect();
     let old_index = cluster.leader_index().expect("initial leader");
@@ -219,7 +218,7 @@ pub fn run(args: &Args) {
     // --- Phase 2: split-brain injection ----------------------------------
     println!("\nsplit-brain injection: partition the leader's election traffic, elect a");
     println!("rival, aim {} writes straight at the deposed leader", 20);
-    let cluster = FederationCluster::start_elections(3, lease_ms, jitter_ms);
+    let cluster = FederationCluster::start_elections(3, lease_ms);
     let session = cluster.user_session();
     let stale_index = cluster.leader_index().expect("initial leader");
     let stale_epoch = cluster.nodes[stale_index].core().federation.epoch();

@@ -143,8 +143,6 @@ struct Attempt<'a> {
     idempotent: bool,
     /// The exchange rode a kept connection, not a fresh one.
     reused: bool,
-    /// The exchange spoke the binary protocol.
-    binary: bool,
     hops_left: u32,
     retries_left: u32,
     budget_left: bool,
@@ -157,9 +155,6 @@ enum Verdict {
     Done,
     /// Send again at once on a fresh connection: nothing was sent.
     Resend,
-    /// The peer has the binary protocol off: speak XML-RPC to it from now
-    /// on and send again.
-    Downgrade,
     /// Send to the leader the fault named, and remember it.
     Follow(String, u64),
     /// Back off, then send again on the retry budget.
@@ -170,9 +165,9 @@ enum Verdict {
 }
 
 /// The replay policy (DESIGN.md §10.1), and the only client-side code that
-/// reads leader hints, `executed=maybe`, status 415 or how a transport
-/// failed. A request is sent again only when the method is idempotent or
-/// the peer provably never received it.
+/// reads leader hints, `executed=maybe` or how a transport failed. A
+/// request is sent again only when the method is idempotent or the peer
+/// provably never received it.
 fn classify(outcome: &Outcome, attempt: &Attempt<'_>) -> Verdict {
     use Verdict::*;
     let retry = |safe: bool| (safe && attempt.retries_left > 0).then_some(Pause);
@@ -198,7 +193,6 @@ fn classify(outcome: &Outcome, attempt: &Attempt<'_>) -> Verdict {
                 (attempt.hops_left > 0).then(|| Follow(leader.clone(), *epoch))
             }
         }
-        (Ok(Err(ClientError::Http(415, _))), _) if attempt.binary => Some(Downgrade),
         // Any other fault or status is a completed exchange: the answer.
         (Ok(Err(_)), _) => None,
         (Err(HttpError::Stale), _) if attempt.reused => Some(Resend),
@@ -212,13 +206,6 @@ fn classify(outcome: &Outcome, attempt: &Attempt<'_>) -> Verdict {
     }
 }
 
-/// One server this client has talked to.
-struct Peer {
-    http: HttpClient,
-    /// Answered 415 to the binary protocol; spoken to in XML-RPC since.
-    xml_only: bool,
-}
-
 /// A Clarens client bound to one server.
 pub struct ClarensClient {
     addr: String,
@@ -226,7 +213,7 @@ pub struct ClarensClient {
     /// address, each leader a hint named, each address a router supplied —
     /// so all of them keep their keep-alive (and TLS) connections across
     /// calls.
-    peers: HashMap<String, Peer>,
+    peers: HashMap<String, HttpClient>,
     protocol: Protocol,
     endpoint: String,
     session: Option<String>,
@@ -238,7 +225,6 @@ pub struct ClarensClient {
     backoff: Backoff,
     /// Total resends performed over the client's lifetime.
     retries_performed: u64,
-    protocol_fallbacks: u64,
     /// Extra headers attached to every RPC POST (e.g. `x-clarens-hops`
     /// when a proxy node forwards a call on a caller's behalf).
     extra_headers: Vec<(String, String)>,
@@ -273,7 +259,6 @@ impl ClarensClient {
             call_deadline: None,
             backoff: Backoff::new(BACKOFF_BASE, BACKOFF_CAP, SecretRng.next_u64()),
             retries_performed: 0,
-            protocol_fallbacks: 0,
             extra_headers: Vec::new(),
             tls_roots: None,
             leader_redirects: 0,
@@ -307,9 +292,9 @@ impl ClarensClient {
         self
     }
 
-    /// Resends per call on the retry budget (default 2, matching the
-    /// `client_retries` config knob). The budget is shared by everything
-    /// one call may retry: transport failures and hint-less `NOT_LEADER`.
+    /// Resends per call on the retry budget (default 2). The budget is
+    /// shared by everything one call may retry: transport failures and
+    /// hint-less `NOT_LEADER`.
     pub fn with_retries(mut self, retries: u32) -> Self {
         self.retries = retries;
         self
@@ -345,11 +330,6 @@ impl ClarensClient {
         self.retries_performed
     }
 
-    /// How many servers the client downgraded binary -> XML-RPC after a 415.
-    pub fn protocol_fallbacks(&self) -> u64 {
-        self.protocol_fallbacks
-    }
-
     /// How many calls were re-routed to a hinted leader after `NOT_LEADER`.
     pub fn leader_redirects(&self) -> u64 {
         self.leader_redirects
@@ -363,13 +343,9 @@ impl ClarensClient {
             .map(|(addr, epoch)| (addr.as_str(), *epoch))
     }
 
-    /// The protocol spoken to the bound server (may differ from the
-    /// constructor's choice after a 415 downgrade).
+    /// The protocol this client speaks, as chosen at construction.
     pub fn protocol(&self) -> Protocol {
-        match self.peers.get(&self.addr) {
-            Some(peer) if peer.xml_only => Protocol::XmlRpc,
-            _ => self.protocol,
-        }
+        self.protocol
     }
 
     /// The current session id, if logged in.
@@ -386,11 +362,10 @@ impl ClarensClient {
     /// Invoke `method` with `params` on the bound server.
     ///
     /// What happens after a failed exchange — resend, retry with backoff,
-    /// chase a `NOT_LEADER` hint, downgrade binary -> XML-RPC on a 415, or
-    /// surface the error — is decided by one loop under one deadline; the
-    /// replay table is in DESIGN.md §10.1. Callers never see the
-    /// negotiation, and a mutation whose fate is unknown (timed out, or
-    /// rejected with `executed=maybe`) is never sent twice.
+    /// chase a `NOT_LEADER` hint, or surface the error — is decided by one
+    /// loop under one deadline; the replay table is in DESIGN.md §10.1. A
+    /// mutation whose fate is unknown (timed out, or rejected with
+    /// `executed=maybe`) is never sent twice.
     pub fn call(&mut self, method: &str, params: Vec<Value>) -> Result<Value, ClientError> {
         self.call_via(self.addr.clone(), method, params, &mut || None)
     }
@@ -438,7 +413,7 @@ impl ClarensClient {
         let mut started = None;
         let mut left = budget_left(&mut started, self.call_deadline);
         loop {
-            let (outcome, reused, binary) = self.exchange(&at, &payload, left);
+            let (outcome, reused) = self.exchange(&at, &payload, left);
             left = budget_left(&mut started, self.call_deadline);
             let verdict = classify(
                 &outcome,
@@ -446,7 +421,6 @@ impl ClarensClient {
                     at: &at,
                     idempotent,
                     reused,
-                    binary,
                     hops_left: MAX_LEADER_HOPS - hops,
                     retries_left: self.retries.saturating_sub(retried),
                     budget_left: left.is_none_or(|left| !left.is_zero()),
@@ -463,12 +437,6 @@ impl ClarensClient {
                     return settle(outcome);
                 }
                 Verdict::Resend => self.retries_performed += 1,
-                Verdict::Downgrade => {
-                    if let Some(peer) = self.peers.get_mut(&at) {
-                        peer.xml_only = true;
-                    }
-                    self.protocol_fallbacks += 1;
-                }
                 Verdict::Follow(leader, epoch) => {
                     hops += 1;
                     self.leader_redirects += 1;
@@ -505,13 +473,13 @@ impl ClarensClient {
 
     /// One encode → transport → decode exchange with the server at `at`,
     /// every socket wait bounded by `bound`. Also reports whether it rode
-    /// a kept connection and whether it spoke the binary protocol.
+    /// a kept connection.
     fn exchange(
         &mut self,
         at: &str,
         payload: &Payload<'_>,
         bound: Option<Duration>,
-    ) -> (Outcome, bool, bool) {
+    ) -> (Outcome, bool) {
         if !self.peers.contains_key(at) {
             let http = match (&self.credential, &self.tls_roots) {
                 (Some(credential), Some(roots)) => HttpClient::new_tls(
@@ -524,20 +492,10 @@ impl ClarensClient {
                 ),
                 _ => HttpClient::new(at),
             };
-            self.peers.insert(
-                at.to_owned(),
-                Peer {
-                    http,
-                    xml_only: false,
-                },
-            );
+            self.peers.insert(at.to_owned(), http);
         }
-        let peer = self.peers.get_mut(at).expect("inserted above");
-        let protocol = if peer.xml_only {
-            Protocol::XmlRpc
-        } else {
-            self.protocol
-        };
+        let http = self.peers.get_mut(at).expect("inserted above");
+        let protocol = self.protocol;
         let request = match payload {
             Payload::Rpc(call) => {
                 let mut request = Request::new(Method::Post, self.endpoint.clone());
@@ -558,10 +516,10 @@ impl ClarensClient {
             }
         };
         if let Some(bound) = bound {
-            peer.http.set_read_timeout(bound);
+            http.set_read_timeout(bound);
         }
-        let reused = peer.http.is_connected();
-        let outcome = peer.http.request(&request).map(|response| match payload {
+        let reused = http.is_connected();
+        let outcome = http.request(&request).map(|response| match payload {
             _ if response.status != 200 => Err(ClientError::Http(
                 response.status,
                 String::from_utf8_lossy(&response.body).into_owned(),
@@ -574,7 +532,7 @@ impl ClarensClient {
                     other => ClientError::Protocol(other.to_string()),
                 }),
         });
-        (outcome, reused, protocol == Protocol::Binary)
+        (outcome, reused)
     }
 
     /// Authenticate with the attached credential via `system.auth`,
@@ -781,17 +739,16 @@ mod tests {
         use Verdict::*;
         let hint = || Some((LEADER.to_owned(), 7));
         for (name, outcome) in outcomes() {
-            for bits in 0..64u32 {
+            for bits in 0..32u32 {
                 let flag = |bit: u32| bits & (1 << bit) != 0;
-                let (idempotent, reused, binary) = (flag(0), flag(1), flag(2));
-                let (hops, retries, budget) = (flag(3), flag(4), flag(5));
+                let (idempotent, reused) = (flag(0), flag(1));
+                let (hops, retries, budget) = (flag(2), flag(3), flag(4));
                 let verdict = classify(
                     &outcome,
                     &Attempt {
                         at: "10.0.0.1:8080",
                         idempotent,
                         reused,
-                        binary,
                         hops_left: if hops { 3 } else { 0 },
                         retries_left: if retries { 2 } else { 0 },
                         budget_left: budget,
@@ -818,15 +775,14 @@ mod tests {
                 };
                 let expected = match name {
                     "ok" => Done,
-                    "fault" => surface(),
+                    // Any other fault or status is the answer.
+                    "fault" | "415" => surface(),
                     "hint" => follow(),
                     "empty hint" => pause(true),
                     // A mutation the old leader may have applied always
                     // surfaces, and the hint is still learned.
                     "maybe" if !idempotent => Surface(hint()),
                     "maybe" => follow(),
-                    "415" if binary && budget => Downgrade,
-                    "415" => surface(),
                     // Never received: any method may go again, once per
                     // stale connection for free, else on the retry budget.
                     "stale" if reused && budget => Resend,
@@ -836,7 +792,7 @@ mod tests {
                     "timeout" | "malformed" => pause(idempotent),
                     other => unreachable!("{other}"),
                 };
-                assert_eq!(verdict, expected, "{name}, flags {bits:06b}");
+                assert_eq!(verdict, expected, "{name}, flags {bits:05b}");
             }
         }
         // A node that names itself leader while fencing writes has no
@@ -846,7 +802,6 @@ mod tests {
             at: LEADER,
             idempotent: false,
             reused: true,
-            binary: false,
             hops_left: 3,
             retries_left: 2,
             budget_left: true,
@@ -1097,29 +1052,24 @@ mod tests {
     }
 
     #[test]
-    fn binary_client_hinted_to_an_xml_only_leader_finishes_over_xmlrpc() {
-        use crate::testkit::{GridOptions, TestGrid};
-        let leader = TestGrid::start_with(GridOptions {
-            binary_protocol: false,
-            ..Default::default()
-        });
+    fn binary_client_hinted_to_a_leader_finishes_there_in_binary() {
+        let leader = crate::testkit::TestGrid::start();
         let hint = leader.addr();
         let follower = ScriptedPeer::start(move |_| Reply::Rpc(Err(Fault::not_leader(&hint, 1))));
         let mut client = client(&follower, 0)
             .with_protocol(Protocol::Binary)
             .with_credential(leader.user.clone());
         // `system.auth` is a replicated write: fenced by the follower,
-        // refused in binary by the leader, accepted in XML-RPC.
-        client.login().expect("login via hint and downgrade");
+        // accepted by the leader the hint names.
+        client.login().expect("login via hint");
         assert_eq!(client.leader_redirects(), 1);
-        assert_eq!(client.protocol_fallbacks(), 1);
         assert_eq!(client.last_leader(), Some((leader.addr().as_str(), 1)));
-        // The next write aims at the remembered leader, in XML-RPC, over
-        // the connection the hop left there.
+        // The next write aims at the remembered leader, over the
+        // connection the hop left there.
         client.call("system.logout", vec![]).unwrap();
         assert_eq!(follower.seen(), 1);
         assert_eq!(client.leader_redirects(), 1);
-        assert_eq!(client.protocol_fallbacks(), 1);
+        assert_eq!(client.protocol(), Protocol::Binary);
         leader.cleanup();
     }
 }

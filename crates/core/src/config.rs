@@ -68,11 +68,6 @@ pub struct ClarensConfig {
     /// Requests slower than this many microseconds are captured in the
     /// slow-trace ring served by `system.trace_tail`.
     pub slow_trace_us: u64,
-    /// Accept the negotiated `clarens-binary` protocol
-    /// (`application/x-clarens-cbor` length-prefixed CBOR frames). On by
-    /// default; when disabled the server answers 415 and clients fall back
-    /// to XML-RPC (DESIGN.md §13).
-    pub binary_protocol: bool,
     /// Cap on simultaneously live HTTP connections; connections beyond it
     /// are shed with `503` + `Connection: close` instead of queueing
     /// without bound.
@@ -82,11 +77,6 @@ pub struct ClarensConfig {
     /// expiry the caller gets a `DEADLINE` (504-style) RPC fault instead
     /// of an indefinite wait. `0` disables deadlines.
     pub request_deadline_ms: u64,
-    /// Resends per call the bundled client makes on its retry budget
-    /// (jittered exponential backoff between attempts): idempotent calls
-    /// after any transport failure, any call the server provably never
-    /// received (DESIGN.md §10.1). `0` disables retries.
-    pub client_retries: u32,
     /// This server's federation role (DESIGN.md §11). Standalone by
     /// default; `leader` serves its WAL to followers, `follower` ships the
     /// leader's WAL into its own store.
@@ -96,10 +86,6 @@ pub struct ClarensConfig {
     /// on (`leader_lease_ms > 0`), which find the leader themselves;
     /// ignored otherwise.
     pub federation_leader: Option<String>,
-    /// How often a follower polls the leader for new WAL records, in
-    /// milliseconds. Bounds replication lag on a quiet log. Read by
-    /// `clarens_federation::Replicator`.
-    pub replication_poll_ms: u64,
     /// Maximum `proxy.call` forwarding depth. Each hop increments the
     /// `x-clarens-hops` header; a request arriving at the limit is refused
     /// instead of looping between misconfigured nodes.
@@ -111,11 +97,6 @@ pub struct ClarensConfig {
     /// `0` disables elections (statically configured leadership, the
     /// pre-failover behaviour).
     pub leader_lease_ms: u64,
-    /// Upper bound of the random delay a candidate waits before claiming
-    /// leadership, so near-simultaneous candidates don't stampede. The
-    /// actual delay is seeded per node. Read, like the lease, by
-    /// `clarens_federation::ElectionManager`.
-    pub election_jitter_ms: u64,
 }
 
 impl Default for ClarensConfig {
@@ -132,16 +113,12 @@ impl Default for ClarensConfig {
             db_path: None,
             db_sync: false,
             slow_trace_us: 10_000,
-            binary_protocol: true,
             max_connections: 4096,
             request_deadline_ms: 5_000,
-            client_retries: 2,
             federation_role: FederationRole::Standalone,
             federation_leader: None,
-            replication_poll_ms: 50,
             proxy_max_hops: 2,
             leader_lease_ms: 0,
-            election_jitter_ms: 100,
         }
     }
 }
@@ -184,20 +161,16 @@ impl ClarensConfig {
                 "db_path" => config.db_path = Some(PathBuf::from(value)),
                 "db_sync" => config.db_sync = field(key, value, lineno)?,
                 "slow_trace_us" => config.slow_trace_us = field(key, value, lineno)?,
-                "binary_protocol" => config.binary_protocol = field(key, value, lineno)?,
                 "max_connections" => config.max_connections = field(key, value, lineno)?,
                 "request_deadline_ms" => config.request_deadline_ms = field(key, value, lineno)?,
-                "client_retries" => config.client_retries = field(key, value, lineno)?,
                 "federation_role" => {
                     config.federation_role = value
                         .parse()
                         .map_err(|e| format!("line {}: {e}", lineno + 1))?
                 }
                 "federation_leader" => config.federation_leader = Some(value.to_owned()),
-                "replication_poll_ms" => config.replication_poll_ms = field(key, value, lineno)?,
                 "proxy_max_hops" => config.proxy_max_hops = field(key, value, lineno)?,
                 "leader_lease_ms" => config.leader_lease_ms = field(key, value, lineno)?,
-                "election_jitter_ms" => config.election_jitter_ms = field(key, value, lineno)?,
                 other => return Err(format!("line {}: unknown key {other:?}", lineno + 1)),
             }
         }
@@ -319,15 +292,6 @@ db_path: /var/clarens/clarens.db
     }
 
     #[test]
-    fn binary_protocol_knob() {
-        let config = ClarensConfig::default();
-        assert!(config.binary_protocol);
-        let config = ClarensConfig::parse("binary_protocol: false").unwrap();
-        assert!(!config.binary_protocol);
-        assert!(ClarensConfig::parse("binary_protocol: maybe").is_err());
-    }
-
-    #[test]
     fn concurrency_knobs() {
         let config = ClarensConfig::parse("").unwrap();
         assert_eq!(config.max_connections, 4096);
@@ -340,12 +304,9 @@ db_path: /var/clarens/clarens.db
     fn resilience_knobs() {
         let config = ClarensConfig::parse("").unwrap();
         assert_eq!(config.request_deadline_ms, 5_000);
-        assert_eq!(config.client_retries, 2);
-        let config = ClarensConfig::parse("request_deadline_ms: 250\nclient_retries: 5").unwrap();
+        let config = ClarensConfig::parse("request_deadline_ms: 250").unwrap();
         assert_eq!(config.request_deadline_ms, 250);
-        assert_eq!(config.client_retries, 5);
         assert!(ClarensConfig::parse("request_deadline_ms: forever").is_err());
-        assert!(ClarensConfig::parse("client_retries: no").is_err());
     }
 
     #[test]
@@ -353,11 +314,10 @@ db_path: /var/clarens/clarens.db
         let config = ClarensConfig::parse("").unwrap();
         assert_eq!(config.federation_role, FederationRole::Standalone);
         assert!(config.federation_leader.is_none());
-        assert_eq!(config.replication_poll_ms, 50);
         assert_eq!(config.proxy_max_hops, 2);
         let config = ClarensConfig::parse(
             "federation_role: follower\nfederation_leader: leader.example.edu:8080\n\
-             replication_poll_ms: 25\nproxy_max_hops: 4",
+             proxy_max_hops: 4",
         )
         .unwrap();
         assert_eq!(config.federation_role, FederationRole::Follower);
@@ -365,7 +325,6 @@ db_path: /var/clarens/clarens.db
             config.federation_leader.as_deref(),
             Some("leader.example.edu:8080")
         );
-        assert_eq!(config.replication_poll_ms, 25);
         assert_eq!(config.proxy_max_hops, 4);
         assert_eq!(
             ClarensConfig::parse("federation_role: leader")
@@ -383,7 +342,6 @@ db_path: /var/clarens/clarens.db
             ClarensConfig::parse("federation_role: follower\nleader_lease_ms: 500").unwrap();
         assert!(bootstrap.federation_leader.is_none());
         assert!(ClarensConfig::parse("federation_role: primary").is_err());
-        assert!(ClarensConfig::parse("replication_poll_ms: often").is_err());
         assert!(ClarensConfig::parse("proxy_max_hops: none").is_err());
     }
 
@@ -391,12 +349,9 @@ db_path: /var/clarens/clarens.db
     fn election_knobs() {
         let config = ClarensConfig::parse("").unwrap();
         assert_eq!(config.leader_lease_ms, 0); // elections off by default
-        assert_eq!(config.election_jitter_ms, 100);
-        let config = ClarensConfig::parse("leader_lease_ms: 750\nelection_jitter_ms: 40").unwrap();
+        let config = ClarensConfig::parse("leader_lease_ms: 750").unwrap();
         assert_eq!(config.leader_lease_ms, 750);
-        assert_eq!(config.election_jitter_ms, 40);
         assert!(ClarensConfig::parse("leader_lease_ms: forever").is_err());
-        assert!(ClarensConfig::parse("election_jitter_ms: some").is_err());
     }
 
     #[test]
@@ -416,5 +371,17 @@ db_path: /var/clarens/clarens.db
             ClarensConfig::parse("workers: 4\nsession_ttl: soon").unwrap_err(),
             "line 2: bad session_ttl"
         );
+        // A file that still sets a removed key is refused by the key's
+        // name (spelled in halves, as in
+        // `example_file_parses_to_documented_defaults`).
+        for (head, tail, value) in [
+            ("binary_", "protocol", "true"),
+            ("client_", "retries", "2"),
+            ("replication_", "poll_ms", "50"),
+            ("election_", "jitter_ms", "100"),
+        ] {
+            let err = ClarensConfig::parse(&format!("{head}{tail}: {value}")).unwrap_err();
+            assert_eq!(err, format!("line 1: unknown key \"{head}{tail}\""));
+        }
     }
 }

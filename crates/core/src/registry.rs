@@ -30,6 +30,10 @@ use crate::session::Session;
 /// DB bucket mirroring registered method descriptors.
 pub const METHODS_BUCKET: &str = "methods";
 
+/// Buckets that describe this node rather than the federation's shared
+/// state: a follower never applies its leader's writes to them.
+pub const NODE_LOCAL_BUCKETS: &[&str] = &[METHODS_BUCKET];
+
 /// Most parameters a row may declare: a handler cannot read past them.
 const MAX_PARAMS: usize = 3;
 

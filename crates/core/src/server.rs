@@ -230,12 +230,6 @@ impl ClarensHandler {
         let Some(protocol) = protocol else {
             return Response::error(400, "cannot determine RPC protocol");
         };
-        // The binary protocol is negotiated, never assumed: a deployment
-        // that disables it answers 415 and the client falls back to XML-RPC
-        // (see `ClarensClient`; DESIGN.md §13 has the negotiation rules).
-        if protocol == Protocol::Binary && !self.core.config.binary_protocol {
-            return Response::error(415, "binary protocol disabled; use XML-RPC");
-        }
         trace.protocol = Some(match protocol {
             Protocol::XmlRpc => "xmlrpc",
             Protocol::Soap => "soap",

@@ -15,12 +15,8 @@ use monalisa_sim::{
 
 use clarens_wire::{Fault, Value};
 
-use crate::client::Backoff;
 use crate::registry::param::any;
 use crate::registry::{Args, CallContext, Method, Service, METHODS_BUCKET};
-
-/// First pause after a failed UDP publish; doubles up to 32x.
-const PUBLISH_BACKOFF: std::time::Duration = std::time::Duration::from_millis(4);
 
 /// The `discovery` service.
 pub struct DiscoveryService {
@@ -147,7 +143,6 @@ impl DiscoveryService {
         ]
         .map(|(name, value)| (name.to_owned(), value.to_string()));
         let modules = ctx.core.registry.read().modules();
-        let mut backoff = Backoff::new(PUBLISH_BACKOFF, PUBLISH_BACKOFF * 32, ctx.now as u64);
         let mut published = 0i64;
         for module in modules {
             let methods: Vec<String> = ctx
@@ -165,27 +160,11 @@ impl DiscoveryService {
                 attributes: load_attributes.iter().cloned().collect(),
                 timestamp: ctx.now,
             };
-            // UDP publish is idempotent (stations keep the newest
-            // timestamp per key), so transient send failures are retried
-            // with a short backoff before giving up.
-            let publication = Publication::Service(descriptor);
-            let retries = ctx.core.config.client_retries;
-            let mut attempt = 0;
-            loop {
-                match publisher.publish(&publication) {
-                    Ok(()) => break,
-                    Err(_) if attempt < retries => {
-                        attempt += 1;
-                        ctx.core.telemetry.resilience.retries.inc();
-                        backoff.pause(attempt, ctx.remaining_budget());
-                    }
-                    Err(e) => {
-                        return Err(Fault::service(format!(
-                            "publish failed after {attempt} retries: {e}"
-                        )))
-                    }
-                }
-            }
+            // Sent once: a lost datagram is made good by the next publish
+            // (stations keep the newest timestamp per key).
+            publisher
+                .publish(&Publication::Service(descriptor))
+                .map_err(|e| Fault::service(format!("publish failed: {e}")))?;
             published += 1;
         }
         Ok(Value::Int(published))

@@ -130,9 +130,6 @@ pub struct GridOptions {
     pub workers: usize,
     /// Persist the DB at this path (None = in-memory).
     pub db_path: Option<PathBuf>,
-    /// Accept the negotiated clarens-binary protocol (disable to exercise
-    /// the 415 negotiation + client XML-RPC fallback path).
-    pub binary_protocol: bool,
     /// Cap on simultaneously live HTTP connections (beyond it: 503 shed).
     pub max_connections: usize,
     /// Per-request deadline in milliseconds (`0` disables deadlines).
@@ -147,7 +144,6 @@ impl Default for GridOptions {
             permissive_acls: true,
             workers: 16,
             db_path: None,
-            binary_protocol: true,
             max_connections: 4096,
             request_deadline_ms: 5_000,
         }
@@ -196,7 +192,6 @@ impl TestGrid {
             shell_user_map: format!("uma: dn={}\nada: group=admins\n", user.certificate.subject),
             workers: options.workers,
             db_path: options.db_path,
-            binary_protocol: options.binary_protocol,
             max_connections: options.max_connections,
             request_deadline_ms: options.request_deadline_ms,
             ..Default::default()

@@ -9,7 +9,7 @@
 //! the lossless-type cases (Bytes, DateTime) run binary-vs-XML-RPC, which
 //! both carry the full algebra.
 
-use clarens::testkit::{GridOptions, TestGrid};
+use clarens::testkit::TestGrid;
 use clarens::ClientError;
 use clarens_wire::fault::codes;
 use clarens_wire::{Protocol, Value};
@@ -143,28 +143,6 @@ fn binary_matches_xmlrpc_on_lossless_types() {
         assert_eq!(via_xml, payload);
         assert_eq!(via_bin, payload);
     }
-    grid.cleanup();
-}
-
-#[test]
-fn disabled_binary_negotiates_down_to_xmlrpc() {
-    let grid = TestGrid::start_with(GridOptions {
-        binary_protocol: false,
-        ..Default::default()
-    });
-    let mut client = grid
-        .logged_in_client(&grid.user)
-        .with_protocol(Protocol::Binary);
-    // The first call hits 415, downgrades, and replays transparently.
-    assert_eq!(
-        client.call("echo.echo", vec![Value::Int(7)]).unwrap(),
-        Value::Int(7)
-    );
-    assert_eq!(client.protocol_fallbacks(), 1);
-    assert_eq!(client.protocol(), Protocol::XmlRpc);
-    // Later calls speak XML-RPC directly — no repeated negotiation.
-    client.call("echo.echo", vec![Value::Int(8)]).unwrap();
-    assert_eq!(client.protocol_fallbacks(), 1);
     grid.cleanup();
 }
 

@@ -23,12 +23,6 @@
 //! the preferred node dies it is blacklisted and the hash re-ranks over
 //! the survivors — deterministic failover, and only the dead node's
 //! sessions move (the rendezvous property; no global reshuffle).
-//!
-//! The balancer also carries a preferred wire protocol. A fleet speaking
-//! clarens-binary against a mixed federation remembers, per endpoint,
-//! which nodes answered `415 Unsupported Media Type` and speaks XML-RPC
-//! to those from the start on later re-pins (the inner client keeps that
-//! next to each node's connection).
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -54,8 +48,8 @@ const RESOLVE_BACKOFF: Duration = Duration::from_millis(25);
 ///
 /// What happens after a failed exchange is not decided here: the one
 /// [`ClarensClient`] inside runs every call through its call loop
-/// (DESIGN.md §10.1) — hint chase, leader-first writes, 415 downgrade,
-/// retries, deadline — and keeps a connection per node. The balancer only
+/// (DESIGN.md §10.1) — hint chase, leader-first writes, retries,
+/// deadline — and keeps a connection per node. The balancer only
 /// answers *which address next*.
 pub struct BalancedClient {
     client: ClarensClient,
@@ -116,8 +110,7 @@ impl BalancedClient {
         }
     }
 
-    /// Prefer `protocol` when talking to endpoints. Binary-speaking
-    /// clients downgrade per endpoint on 415 (see the module docs).
+    /// Speak `protocol` to every endpoint (default XML-RPC).
     pub fn with_protocol(mut self, protocol: Protocol) -> Self {
         self.client = self.client.with_protocol(protocol);
         self
@@ -158,12 +151,6 @@ impl BalancedClient {
     /// Times a failed endpoint was abandoned for a re-resolved one.
     pub fn failovers(&self) -> u64 {
         self.router.failovers
-    }
-
-    /// Binary -> XML-RPC protocol downgrades observed (415 negotiation),
-    /// one per endpoint that has the binary protocol off.
-    pub fn protocol_fallbacks(&self) -> u64 {
-        self.client.protocol_fallbacks()
     }
 
     /// The url currently pinned, if any (tests/bench introspection).

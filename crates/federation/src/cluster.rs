@@ -51,13 +51,9 @@ pub struct NodeOptions {
     pub file_root: Option<PathBuf>,
     /// HTTP worker threads.
     pub workers: usize,
-    /// Follower poll interval for `replication.fetch`.
-    pub replication_poll_ms: u64,
     /// Leader-lease duration in ms; 0 keeps the pre-failover static
     /// roles (no election thread, leader always writable).
     pub leader_lease_ms: u64,
-    /// Upper bound of the random pre-claim election pause.
-    pub election_jitter_ms: u64,
 }
 
 impl Default for NodeOptions {
@@ -69,9 +65,7 @@ impl Default for NodeOptions {
             db_path: None,
             file_root: None,
             workers: 4,
-            replication_poll_ms: 25,
             leader_lease_ms: 0,
-            election_jitter_ms: 100,
         }
     }
 }
@@ -121,9 +115,7 @@ impl FederationNode {
                 file_root: options.file_root.clone(),
                 federation_role: options.role,
                 federation_leader: options.leader.clone(),
-                replication_poll_ms: options.replication_poll_ms,
                 leader_lease_ms: options.leader_lease_ms,
-                election_jitter_ms: options.election_jitter_ms,
                 ..Default::default()
             };
             let core = ClarensCore::new(
@@ -276,18 +268,18 @@ impl FederationCluster {
     /// Start an `n`-node federation with static roles (node 0 leads
     /// forever) and wait for discovery to converge.
     pub fn start(n: usize) -> FederationCluster {
-        FederationCluster::start_with(n, 0, 100)
+        FederationCluster::start_with(n, 0)
     }
 
     /// Start an `n`-node federation with lease-based elections: every
     /// node gets a persistent store (any follower may be promoted and
     /// must then serve its own WAL) and an election manager.
-    pub fn start_elections(n: usize, lease_ms: u64, jitter_ms: u64) -> FederationCluster {
+    pub fn start_elections(n: usize, lease_ms: u64) -> FederationCluster {
         assert!(lease_ms > 0, "elections need a non-zero lease");
-        FederationCluster::start_with(n, lease_ms, jitter_ms)
+        FederationCluster::start_with(n, lease_ms)
     }
 
-    fn start_with(n: usize, lease_ms: u64, jitter_ms: u64) -> FederationCluster {
+    fn start_with(n: usize, lease_ms: u64) -> FederationCluster {
         assert!(n >= 1, "a federation needs at least one node");
         let station =
             Arc::new(StationServer::spawn("fed-station", "127.0.0.1:0").expect("station"));
@@ -306,7 +298,6 @@ impl FederationCluster {
                 db_path: Some(scratch.join("leader.wal")),
                 file_root: Some(scratch.join("files")),
                 leader_lease_ms: lease_ms,
-                election_jitter_ms: jitter_ms,
                 ..Default::default()
             },
             vec![Arc::clone(&station)],
@@ -323,7 +314,6 @@ impl FederationCluster {
                         leader: Some(leader_addr.clone()),
                         db_path: (lease_ms > 0).then(|| scratch.join(format!("node{index}.wal"))),
                         leader_lease_ms: lease_ms,
-                        election_jitter_ms: jitter_ms,
                         ..Default::default()
                     },
                     vec![Arc::clone(&station)],

@@ -380,10 +380,10 @@ pub struct ElectionManager {
 impl ElectionManager {
     /// Start managing elections for `core`, which serves RPC on `addr`.
     /// `udp_stations` receive lease/member publications; `query_stations`
-    /// are the TCP query addresses of the same stations. The lease and the
-    /// bound of the random pre-claim pause are `core.config`'s
-    /// `leader_lease_ms` (must be > 0) and `election_jitter_ms`;
-    /// `jitter_seed` seeds that pause (deterministic drills).
+    /// are the TCP query addresses of the same stations. The lease is
+    /// `core.config.leader_lease_ms` (must be > 0); the random pre-claim
+    /// pause is bounded by a fifth of it and seeded by `jitter_seed`
+    /// (deterministic drills).
     pub fn start(
         core: Arc<ClarensCore>,
         addr: String,
@@ -391,12 +391,12 @@ impl ElectionManager {
         query_stations: Vec<SocketAddr>,
         jitter_seed: u64,
     ) -> std::io::Result<ElectionManager> {
-        let (lease_ms, jitter_ms) = (core.config.leader_lease_ms, core.config.election_jitter_ms);
+        let lease_ms = core.config.leader_lease_ms;
         assert!(lease_ms > 0, "elections need a non-zero lease");
         let publisher = UdpPublisher::new(udp_stations)?;
         let io = (publisher, query_stations, Arc::default());
         let cut = Arc::clone(&io.2);
-        let machine = Election::new(&addr, lease_ms, jitter_ms, jitter_seed);
+        let machine = Election::new(&addr, lease_ms, lease_ms / 5, jitter_seed);
         let name = format!("election-{addr}");
         let _worker = Worker::spawn(name, move |stop| run(&core, &addr, machine, &io, stop));
         Ok(ElectionManager { cut, _worker })

@@ -17,12 +17,16 @@ use std::time::Duration;
 use clarens::client::{Backoff, ClarensClient, ClientError};
 use clarens::config::FederationRole;
 use clarens::core::ClarensCore;
+use clarens::registry::NODE_LOCAL_BUCKETS;
 use clarens_db::{decode_stream, LogOp};
 use clarens_pki::cert::Credential;
 use clarens_wire::Value;
 
 use crate::Worker;
 
+/// How often a caught-up follower polls the leader, in milliseconds: it
+/// lags the leader by about this much on a quiet log.
+pub const POLL_MS: u64 = 25;
 /// Fetch budget per poll (matches the leader-side `MAX_FETCH_BYTES` cap).
 const FETCH_BYTES: i64 = 1 << 20;
 /// Fetch-error backoff ceiling: no retry storm, a prompt failover.
@@ -68,7 +72,6 @@ pub enum Effect {
 
 /// The follower policy of one node (see the module docs).
 pub struct Follower {
-    poll_ms: u64,
     backoff: Backoff,
     failures: u32,
     leader: String,
@@ -79,12 +82,12 @@ pub struct Follower {
 }
 
 impl Follower {
-    /// A follower of `leader` ("" to wait for one) polling every `poll_ms`.
-    pub fn new(leader: &str, poll_ms: u64) -> Follower {
-        let base = Duration::from_millis(poll_ms.max(1));
+    /// A follower of `leader` ("" to wait for one) polling every
+    /// [`POLL_MS`].
+    pub fn new(leader: &str) -> Follower {
+        let base = Duration::from_millis(POLL_MS);
         Follower {
-            poll_ms: poll_ms.max(1),
-            backoff: Backoff::new(base, BACKOFF_CAP.max(base), poll_ms ^ 0x5EED_F0110),
+            backoff: Backoff::new(base, BACKOFF_CAP, POLL_MS ^ 0x5EED_F0110),
             failures: 0,
             leader: leader.to_owned(),
             logged_in: false,
@@ -149,7 +152,7 @@ impl Follower {
             return vec![adopt, progress, self.poll(now)];
         }
         // More may be waiting: fetch again at once while behind.
-        let next = Effect::Wake(if lag > 0 { now } else { now + self.poll_ms });
+        let next = Effect::Wake(if lag > 0 { now } else { now + POLL_MS });
         vec![adopt, Effect::Apply(ops), progress, next]
     }
 
@@ -160,7 +163,7 @@ impl Follower {
     }
 
     fn poll(&self, now: u64) -> Effect {
-        Effect::Wake(now + self.poll_ms)
+        Effect::Wake(now + POLL_MS)
     }
 }
 
@@ -173,12 +176,12 @@ impl Replicator {
     /// (replication is site-admin gated: the WAL carries session
     /// secrets). `leader` seeds the leader address; thereafter the loop
     /// follows `core.federation` — pass an empty string to resolve purely
-    /// dynamically (election-managed nodes). Polls every
-    /// `core.config.replication_poll_ms` when idle.
+    /// dynamically (election-managed nodes). Polls every [`POLL_MS`] when
+    /// idle.
     pub fn start(core: Arc<ClarensCore>, leader: String, admin: Credential) -> Replicator {
         let counts = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
         let tally = Arc::clone(&counts);
-        let machine = Follower::new(&leader, core.config.replication_poll_ms);
+        let machine = Follower::new(&leader);
         let body = move |stop: &AtomicBool| run(&core, machine, &admin, stop, &tally);
         Replicator(counts, Worker::spawn(format!("replicator-{leader}"), body))
     }
@@ -243,6 +246,12 @@ fn apply(core: &ClarensCore, effect: Effect, counts: &[AtomicU64; 2]) {
             counts[1].fetch_add(1, Ordering::Relaxed);
             for op in ops {
                 let result = match op {
+                    // The leader's own method table is not this node's.
+                    LogOp::Put { bucket, .. } | LogOp::Delete { bucket, .. }
+                        if NODE_LOCAL_BUCKETS.contains(&bucket.as_str()) =>
+                    {
+                        continue
+                    }
                     LogOp::Put { bucket, key, value } => core.store.put(&bucket, &key, value),
                     LogOp::Delete { bucket, key } => core.store.delete(&bucket, &key).map(drop),
                     // Persisted: a later promotion of this node continues the
@@ -288,7 +297,6 @@ mod tests {
     use super::*;
     use clarens_db::log::encode_record;
 
-    const POLL: u64 = 25;
     const FOLLOWER: FederationRole = FederationRole::Follower;
 
     fn put(key: &str) -> LogOp {
@@ -316,7 +324,7 @@ mod tests {
 
     /// A follower of `leader`, logged in and about to fetch at `(0, 0)`.
     fn following(leader: &str) -> Follower {
-        let mut f = Follower::new("", POLL);
+        let mut f = Follower::new("");
         let tick = f.step(0, Input::Tick(FOLLOWER, leader.into()));
         assert_eq!(
             tick,
@@ -353,11 +361,11 @@ mod tests {
             assert_eq!(next_fetch(&mut f, *at, "L"), [Effect::Fetch(0, 0)]);
         }
         assert!(
-            wakes[0] >= POLL / 2,
+            wakes[0] >= POLL_MS / 2,
             "first corrupt chunk re-fetched after {wakes:?}"
         );
         assert!(
-            wakes[1] >= POLL,
+            wakes[1] >= POLL_MS,
             "second corrupt chunk re-fetched after {wakes:?}"
         );
     }
@@ -385,7 +393,7 @@ mod tests {
     fn a_chunk_from_an_older_leader_epoch_is_dropped_and_counted() {
         let mut f = following("L");
         let effects = f.step(10, Input::Chunk(4, served(3, 0, 0, &[put("tail")])));
-        assert_eq!(effects, [Effect::Fenced, Effect::Wake(10 + POLL)]);
+        assert_eq!(effects, [Effect::Fenced, Effect::Wake(10 + POLL_MS)]);
         assert_eq!(next_fetch(&mut f, 40, "L"), [Effect::Fetch(0, 0)]);
     }
 
@@ -395,7 +403,7 @@ mod tests {
         let effects = f.step(10, Input::Hint(("new".into(), 2)));
         assert_eq!(
             effects,
-            [Effect::Adopt("new".into(), 2), Effect::Wake(10 + POLL)]
+            [Effect::Adopt("new".into(), 2), Effect::Wake(10 + POLL_MS)]
         );
         // The applier records the hint as the believed leader; the next
         // tick follows it with a fresh session.

@@ -139,6 +139,25 @@ fn proxy_call_routes_to_module_owner() {
     // Only the leader exports the file module; the follower must forward.
     let mut client = cluster.nodes[1].client();
     client.set_session(session.clone());
+
+    // Replication has reached the follower, yet it advertises only what
+    // it exports itself, not its leader's method table.
+    let mut exported: Vec<String> = {
+        let registry = cluster.nodes[1].core().registry.read();
+        clarens::services::records()
+            .filter(|info| registry.lookup(info.name).is_some())
+            .map(|info| info.name.to_owned())
+            .collect()
+    };
+    exported.sort();
+    let mut listed = client.list_methods().expect("follower list_methods");
+    listed.sort();
+    assert_eq!(listed, exported);
+    assert!(!listed.iter().any(|name| name.starts_with("file.")));
+    match client.call("system.get_method_info", vec![Value::from("file.ls")]) {
+        Err(ClientError::Fault(fault)) => assert_eq!(fault.code, codes::NO_SUCH_METHOD),
+        other => panic!("follower described file.ls: {other:?}"),
+    }
     let listing = client
         .call(
             "proxy.call",
@@ -206,7 +225,7 @@ fn balanced_client_fails_over_when_its_node_dies() {
 
 #[test]
 fn leader_failover_promotes_follower_without_losing_acked_writes() {
-    let mut cluster = FederationCluster::start_elections(3, 500, 100);
+    let mut cluster = FederationCluster::start_elections(3, 500);
     // The session is an acked replicated write: `user_session` returns
     // only after every node authenticates it.
     let session = cluster.user_session();
@@ -303,7 +322,7 @@ fn leader_failover_promotes_follower_without_losing_acked_writes() {
 
 #[test]
 fn split_brain_fences_stale_leader_and_demotes_on_heal() {
-    let cluster = FederationCluster::start_elections(3, 400, 80);
+    let cluster = FederationCluster::start_elections(3, 400);
     let session = cluster.user_session();
     let stale_index = cluster.leader_index().expect("initial leader");
     let old_epoch = cluster.nodes[stale_index].core().federation.epoch();

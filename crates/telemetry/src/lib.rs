@@ -84,16 +84,13 @@ pub struct HttpCounters {
     pub sheds: Counter,
 }
 
-/// Resilience counters: the unhappy paths the fault-injection harness
-/// exercises. Always live, like [`HttpCounters`].
+/// Resilience counters: requests the server refuses rather than serve
+/// late or unsafely. Always live, like [`HttpCounters`].
 #[derive(Debug, Default)]
 pub struct ResilienceCounters {
     /// Requests answered with the 504-style DEADLINE fault because the
     /// per-request budget expired.
     pub deadline_exceeded: Counter,
-    /// Server-side retry attempts (e.g. discovery re-publish after a lost
-    /// UDP send).
-    pub retries: Counter,
     /// Mutating calls refused because a subsystem is running degraded
     /// (e.g. the store went read-only after a WAL failure).
     pub degraded_rejects: Counter,
@@ -374,7 +371,6 @@ impl Telemetry {
                 "clarens_deadline_exceeded_total",
                 self.resilience.deadline_exceeded.get(),
             ),
-            ("clarens_retries_total", self.resilience.retries.get()),
             (
                 "clarens_degraded_rejects_total",
                 self.resilience.degraded_rejects.get(),
@@ -569,11 +565,9 @@ mod tests {
         traced_request(&t, "echo.echo", [1, 1, 1, 1, 1, 1]);
 
         t.resilience.deadline_exceeded.inc();
-        t.resilience.retries.inc();
         let text = t.render_prometheus();
         assert!(text.contains("clarens_requests_total 1"));
         assert!(text.contains("clarens_deadline_exceeded_total 1"));
-        assert!(text.contains("clarens_retries_total 1"));
         assert!(text.contains("clarens_degraded_rejects_total 0"));
         assert!(text.contains("clarens_db_lookups 41"));
         assert!(text.contains("clarens_cache_sessions_hits 7"));
