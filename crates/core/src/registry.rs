@@ -31,8 +31,10 @@ use crate::session::Session;
 pub const METHODS_BUCKET: &str = "methods";
 
 /// Buckets that describe this node rather than the federation's shared
-/// state: a follower never applies its leader's writes to them.
-pub const NODE_LOCAL_BUCKETS: &[&str] = &[METHODS_BUCKET];
+/// state: a follower never applies its leader's writes to them. The method
+/// table lists what this node exports; a stage request belongs to the node
+/// that holds the file.
+pub const NODE_LOCAL_BUCKETS: &[&str] = &[METHODS_BUCKET, crate::services::srm::SRM_BUCKET];
 
 /// Most parameters a row may declare: a handler cannot read past them.
 const MAX_PARAMS: usize = 3;

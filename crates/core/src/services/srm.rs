@@ -89,12 +89,11 @@ fn state_of(request: &Value, now: i64) -> &'static str {
 
 impl Service for SrmService {
     // None is `replicated`: a stage request belongs to the node that holds
-    // the file, so any node runs them. `srm.stage` and `srm.release`
-    // nevertheless put into `SRM_BUCKET`, a bucket of the shipped store
-    // like any other — run on a leader the record ships to every follower;
-    // run on a follower it is appended to that follower's own log only,
-    // beside what it applies from the leader's stream (ROADMAP item 8 lists
-    // the schedule the simulator must judge).
+    // the file, so any node runs them. `srm.stage` and `srm.release` put
+    // into `SRM_BUCKET`, which the staging node's own log records and, on a
+    // leader, ships; but it is one of `registry::NODE_LOCAL_BUCKETS`, so a
+    // follower never applies its leader's stage requests — each node's
+    // bucket holds only the requests made to it.
     const METHODS: &'static [Method<Self>] = &[
         Method::new(
             "srm.stage",

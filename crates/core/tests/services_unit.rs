@@ -900,8 +900,10 @@ fn malformed_acls_are_refused_and_leave_the_node_alone() {
 
 /// Who writes the shipped log: a method whose record is not `replicated`
 /// leaves `wal_offset` where it was. Each is called once, with arguments
-/// it accepts. `srm.stage` and `srm.release` are the two that do not hold
-/// (they record the stage request in a store bucket; ROADMAP item 8).
+/// it accepts. `srm.stage` and `srm.release` are the two that do not hold:
+/// they record the stage request in the staging node's own store, whose
+/// log still moves, although a follower skips that bucket when it applies
+/// its leader's stream (`registry::NODE_LOCAL_BUCKETS`).
 #[test]
 fn only_replicated_methods_move_the_shipped_log() {
     let f = full_fixture("shipped-log");

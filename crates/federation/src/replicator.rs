@@ -246,7 +246,8 @@ fn apply(core: &ClarensCore, effect: Effect, counts: &[AtomicU64; 2]) {
             counts[1].fetch_add(1, Ordering::Relaxed);
             for op in ops {
                 let result = match op {
-                    // The leader's own method table is not this node's.
+                    // The leader's method table and stage requests are
+                    // not this node's.
                     LogOp::Put { bucket, .. } | LogOp::Delete { bucket, .. }
                         if NODE_LOCAL_BUCKETS.contains(&bucket.as_str()) =>
                     {
@@ -439,6 +440,33 @@ mod tests {
         next_fetch(&mut f, 40, "L");
         let stale = f.step(41, Input::Chunk(3, served(2, 0, 99, &[put("b")])));
         assert_eq!(stale[0], Effect::Fenced);
+    }
+
+    /// A leader's chunk puts into its method table and its stage requests
+    /// beside shared state: the follower applies only the shared state.
+    #[test]
+    fn a_follower_skips_its_leaders_node_local_buckets() {
+        use clarens::registry::METHODS_BUCKET;
+        use clarens::services::srm::SRM_BUCKET;
+        let pki = clarens::testkit::grid_pki();
+        let roots = vec![pki.ca.certificate.clone()];
+        let core = ClarensCore::new(Default::default(), roots, pki.server.clone()).unwrap();
+        let op = |bucket: &str| LogOp::Put {
+            bucket: bucket.into(),
+            key: "k".into(),
+            value: b"leader".to_vec(),
+        };
+        let ops = [op(SRM_BUCKET), op(METHODS_BUCKET), op("shared")];
+        let mut f = following("L");
+        let counts = Default::default();
+        for effect in f.step(10, Input::Chunk(1, served(1, 0, 0, &ops))) {
+            if matches!(effect, Effect::Apply(_)) {
+                apply(&core, effect, &counts);
+            }
+        }
+        assert!(core.store.get(SRM_BUCKET, "k").is_none());
+        assert!(core.store.get(METHODS_BUCKET, "k").is_none());
+        assert!(core.store.get("shared", "k").is_some());
     }
 
     /// Open schedule (ROADMAP item 8): a resync from `(0, 0)` replays the

@@ -14,8 +14,8 @@
 //! see the difference; responses are sealed where bytes meet the socket.
 //! The handshake is the same loop with an empty parse buffer — its replies
 //! leave as a pending write, its RSA runs on whichever worker is driving,
-//! and a peer that stalls in the middle of it is a parked connection under
-//! the deadline wheel like any other.
+//! and a peer that stalls in the middle of it is a parked connection whose
+//! deadline closes it like any other.
 //!
 //! Responses to pipelined requests are coalesced: while more requests are
 //! buffered, each in-memory response is staged instead of written, and
@@ -24,7 +24,7 @@
 //! front of a protocol error's answer (or at shutdown) as the last write.
 //! Every socket write is [`WriteState::advance`], which never blocks: on
 //! `EWOULDBLOCK` the connection parks with write interest, and a peer that
-//! never drains expires under the deadline wheel as a `write_stall`.
+//! never drains expires at its deadline as a `write_stall`.
 //!
 //! Invariant: a connection is only ever parked when its input buffer holds
 //! no complete request (either empty or a strict prefix of one) and its

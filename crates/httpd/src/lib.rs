@@ -8,13 +8,13 @@
 //!   chunked bodies, hard limits, and streaming response writes (the
 //!   `sendfile()`-style path the file service uses),
 //! * [`server`] — a worker pool fed by an event-driven connection
-//!   scheduler: idle keep-alive connections are *parked* in [`poller`]
-//!   instead of pinning a worker thread, so live-connection capacity is
-//!   bounded by `max_connections`, not `workers` — on TLS servers too,
-//!   whose connections carry the secure channel as a state machine
-//!   between socket and parse buffer,
-//! * [`poller`] — a dependency-free readiness facade (epoll) with a
-//!   self-pipe waker and a deadline wheel for keep-alive idle expiry,
+//!   scheduler: one event loop accepts connections and *parks* idle
+//!   keep-alive ones instead of pinning a worker thread to each, so
+//!   live-connection capacity is bounded by `max_connections`, not
+//!   `workers` — on TLS servers too, whose connections carry the secure
+//!   channel as a state machine between socket and parse buffer,
+//! * `poller` (private) — a dependency-free readiness facade (epoll) with
+//!   a self-pipe waker,
 //! * [`client`] — a keep-alive client used by examples, tests, and the
 //!   Figure-4 benchmark driver.
 //!
@@ -34,7 +34,7 @@ pub mod client;
 mod conn;
 pub mod fuzz;
 pub mod parse;
-pub mod poller;
+pub(crate) mod poller;
 pub mod scratch;
 pub mod server;
 #[allow(unsafe_code)]

@@ -5,26 +5,27 @@
 //! Figure 4 tops out at tens of clients because every live connection owns
 //! a whole process (here: a worker thread) even while idle between
 //! keep-alive requests. This module is the piece that breaks that coupling:
-//! a thin, dependency-free readiness facade the server uses to *park* idle
-//! connections off the worker pool and wake them only when bytes arrive.
+//! a thin, dependency-free readiness facade the server uses to accept
+//! connections and to *park* idle ones off the worker pool, waking them
+//! only when bytes arrive.
 //!
-//! Three parts:
+//! Two parts:
 //!
 //! * [`Poller`] — epoll, the one backend: the crate builds for Linux only.
-//!   Connection sockets are registered **one-shot**: after a readiness
-//!   event fires the fd stays registered but disarmed, so a worker can own
-//!   the socket with no risk of concurrent events, and re-parking is a
-//!   cheap re-arm.
+//!   The server's one instance watches its listener (level-triggered) and
+//!   every parked connection socket, registered **one-shot**: after a
+//!   readiness event fires the fd stays registered but disarmed, so a
+//!   worker can own the socket with no risk of concurrent events, and
+//!   re-parking is a cheap re-arm.
 //! * A self-pipe **waker**: `wake()` is async-signal-safe-ish (one `write`
 //!   on a non-blocking pipe) and may be called from any thread — this is
 //!   what makes shutdown deterministic under zero traffic, replacing the
 //!   old connect-to-yourself hack. Each worker owns one too, and sleeps in
 //!   a two-fd `poll` (`wait_readable`) on it and on the socket it kept,
 //!   outside the epoll set.
-//! * [`DeadlineWheel`] — a hashed timing wheel for keep-alive idle
-//!   deadlines. Insert/advance are O(1) amortized; entries are *candidates*
-//!   (a re-dispatched connection leaves a stale entry behind), so the owner
-//!   validates each expiry against its live table before closing anything.
+//!
+//! Deadlines are not kept here: the poller thread orders them itself and
+//! passes the time to the first one as [`Poller::wait`]'s timeout.
 //!
 //! Everything here speaks raw `RawFd`s and `u64` tokens; connection state
 //! stays in `crate::conn`, and only the poller thread mutates
@@ -34,7 +35,7 @@
 use std::fs::File;
 use std::io::{self, Read as _, Write as _};
 use std::os::fd::{AsRawFd, OwnedFd};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub use std::os::fd::RawFd;
 
@@ -43,16 +44,6 @@ use crate::sys::{self, EpollEvent, PollFd};
 /// Token reserved for the internal wake pipe. Connection tokens are
 /// allocated from 0 upward, so the reservation never collides.
 pub const WAKE_TOKEN: u64 = u64::MAX;
-
-/// One readiness event: the token the fd was registered with, plus whether
-/// the peer hung up (the owner still reads to EOF either way).
-#[derive(Debug, Clone, Copy)]
-pub struct Event {
-    /// Registration token (`WAKE_TOKEN` events are consumed internally).
-    pub token: u64,
-    /// Peer closed its end (EPOLLRDHUP/EPOLLHUP/EPOLLERR).
-    pub hangup: bool,
-}
 
 /// A self-pipe: [`WakePipe::wake`] from any thread leaves its read end
 /// readable until its owner calls [`WakePipe::drain`]. Both ends are
@@ -180,152 +171,27 @@ impl Poller {
         self.waker.wake();
     }
 
-    /// Wait for events (`None` = indefinitely; a timeout is never cut
-    /// short). Wake-pipe events are drained and not reported; callers
-    /// re-check their own state after every return.
-    pub fn wait(&self, timeout: Option<Duration>, out: &mut Vec<Event>) -> io::Result<()> {
+    /// Wait for events and append the tokens of the ready fds to `out`
+    /// (`None` = indefinitely; a timeout is never cut short). Wake-pipe
+    /// events are drained and not reported; callers re-check their own
+    /// state after every return.
+    pub fn wait(&self, timeout: Option<Duration>, out: &mut Vec<u64>) -> io::Result<()> {
         let mut events = [EpollEvent { events: 0, data: 0 }; 64];
         let n = sys::epoll_wait_into(self.epfd.as_raw_fd(), &mut events, timeout)?;
         for ev in &events[..n] {
-            let (token, bits) = (ev.data, ev.events);
-            if token == WAKE_TOKEN {
-                self.waker.drain();
-                continue;
+            match ev.data {
+                WAKE_TOKEN => self.waker.drain(),
+                token => out.push(token),
             }
-            out.push(Event {
-                token,
-                hangup: bits & (sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) != 0,
-            });
         }
         Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Deadline wheel.
-// ---------------------------------------------------------------------------
-
-/// A hashed timing wheel for keep-alive idle deadlines.
-///
-/// All deadlines share one horizon (the server's `read_timeout`), so the
-/// wheel covers a single rotation: `slots × tick > horizon`. Entries are
-/// `(token, seq)` *candidates* — a connection that was re-dispatched before
-/// its deadline leaves its entry behind, and the owner must validate the
-/// sequence number (and the actual deadline) against its parked table
-/// before expiring anything. This keeps insert O(1) with no deletion
-/// bookkeeping on the wake path.
-pub struct DeadlineWheel {
-    slots: Vec<Vec<(u64, u64)>>,
-    tick: Duration,
-    last: Instant,
-    cursor: usize,
-}
-
-impl DeadlineWheel {
-    /// Build a wheel whose rotation covers `horizon` (plus slack). The tick
-    /// is `horizon / 32` clamped to [5 ms, 500 ms], so a 200 ms test
-    /// timeout expires within ~6 ms of schedule and a 30 s production
-    /// timeout costs one wakeup per 500 ms (when anything is parked).
-    pub fn new(horizon: Duration) -> DeadlineWheel {
-        let tick = (horizon / 32)
-            .max(Duration::from_millis(5))
-            .min(Duration::from_millis(500));
-        let slots = (horizon.as_nanos() / tick.as_nanos().max(1)) as usize + 2;
-        DeadlineWheel {
-            slots: (0..slots).map(|_| Vec::new()).collect(),
-            tick,
-            last: Instant::now(),
-            cursor: 0,
-        }
-    }
-
-    /// Tick granularity (tests).
-    pub fn tick(&self) -> Duration {
-        self.tick
-    }
-
-    /// Schedule a candidate expiry for `(token, seq)` at `deadline`.
-    pub fn insert(&mut self, token: u64, seq: u64, deadline: Instant) {
-        let ahead = deadline.saturating_duration_since(self.last);
-        let ticks = ((ahead.as_nanos() / self.tick.as_nanos().max(1)) as usize + 1)
-            .min(self.slots.len() - 1);
-        let slot = (self.cursor + ticks) % self.slots.len();
-        self.slots[slot].push((token, seq));
-    }
-
-    /// Advance the wheel to `now`, draining every passed slot's candidates
-    /// into `due`. Bounded by one full rotation per call.
-    pub fn advance(&mut self, now: Instant, due: &mut Vec<(u64, u64)>) {
-        let mut steps = 0;
-        while now.saturating_duration_since(self.last) >= self.tick {
-            self.last += self.tick;
-            self.cursor = (self.cursor + 1) % self.slots.len();
-            due.append(&mut self.slots[self.cursor]);
-            steps += 1;
-            if steps >= self.slots.len() {
-                // Lapped (the poller thread stalled for a whole rotation):
-                // everything is due; resynchronize the time base.
-                self.last = now;
-                for slot in &mut self.slots {
-                    due.append(slot);
-                }
-                return;
-            }
-        }
-    }
-
-    /// Time until the next tick boundary (poll timeout when parked
-    /// connections exist). Never zero, so a busy loop cannot form.
-    pub fn next_tick_in(&self, now: Instant) -> Duration {
-        self.tick
-            .saturating_sub(now.saturating_duration_since(self.last))
-            .max(Duration::from_millis(1))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wheel_expires_after_horizon() {
-        let mut wheel = DeadlineWheel::new(Duration::from_millis(200));
-        let now = Instant::now();
-        wheel.insert(7, 1, now + Duration::from_millis(200));
-        let mut due = Vec::new();
-        // Just before the deadline: nothing due.
-        wheel.advance(now + Duration::from_millis(150), &mut due);
-        assert!(due.is_empty(), "expired {due:?} before the deadline");
-        // Well past: the candidate surfaces.
-        wheel.advance(now + Duration::from_millis(400), &mut due);
-        assert_eq!(due, vec![(7, 1)]);
-    }
-
-    #[test]
-    fn wheel_keeps_candidates_distinct_by_seq() {
-        let mut wheel = DeadlineWheel::new(Duration::from_millis(100));
-        let now = Instant::now();
-        wheel.insert(1, 1, now + Duration::from_millis(50));
-        wheel.insert(1, 2, now + Duration::from_millis(50));
-        let mut due = Vec::new();
-        wheel.advance(now + Duration::from_millis(200), &mut due);
-        due.sort_unstable();
-        assert_eq!(due, vec![(1, 1), (1, 2)]);
-    }
-
-    #[test]
-    fn wheel_survives_a_lap() {
-        let mut wheel = DeadlineWheel::new(Duration::from_millis(100));
-        let now = Instant::now();
-        wheel.insert(9, 3, now + Duration::from_millis(80));
-        let mut due = Vec::new();
-        // Stall for many rotations; the entry must still surface exactly once.
-        wheel.advance(now + Duration::from_secs(10), &mut due);
-        assert_eq!(due, vec![(9, 3)]);
-        due.clear();
-        wheel.advance(now + Duration::from_secs(20), &mut due);
-        assert!(due.is_empty());
-    }
+    use std::time::Instant;
 
     #[test]
     fn poller_wake_and_readiness() {
@@ -359,8 +225,7 @@ mod tests {
         waker
             .wait(Some(Duration::from_secs(2)), &mut events)
             .expect("wait");
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 42);
+        assert_eq!(events, [42]);
         events.clear();
         waker
             .wait(Some(Duration::from_millis(50)), &mut events)
@@ -413,14 +278,13 @@ mod tests {
         poller
             .wait(Some(Duration::from_secs(5)), &mut events)
             .expect("wait");
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 7);
+        assert_eq!(events, [7]);
     }
 
     #[test]
     fn wait_never_ends_before_its_timeout() {
         // epoll counts whole milliseconds: 1.5 ms must become 2, not 1,
-        // or the poller wakes before the wheel's tick and finds nothing due.
+        // or the poller wakes before the first deadline and finds nothing due.
         let poller = Poller::new().expect("poller");
         let mut events = Vec::new();
         let timeout = Duration::from_micros(1500);

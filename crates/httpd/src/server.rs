@@ -8,27 +8,28 @@
 //!
 //! The concurrency model (see DESIGN.md "Concurrency model") decouples
 //! connections from threads. Workers are pure CPU executors pulling
-//! connections off one queue; the acceptor feeds fresh connections into
-//! that queue; and a poller thread ([`crate::poller`]) holds every idle
-//! keep-alive connection *parked* on an epoll set, re-dispatching each one
-//! to the queue when bytes arrive and expiring it through a deadline wheel
-//! when the keep-alive idle timeout lapses. An idle connection therefore
-//! costs a few hundred bytes of state instead of a blocked worker thread —
-//! the difference between concurrency capped at `workers` (the Apache
-//! prefork shape the paper measured, which is what Figure 4 tops out on)
-//! and concurrency capped at `max_connections`. The one shortcut: a worker
-//! with nothing queued keeps the connection it just served, sleeping on
-//! that socket and its own wake pipe, so a sequential client's next
-//! request skips the poller → queue → worker hop; the first push that
-//! finds no idle worker takes it back to the poller.
+//! connections off one queue; one poller thread runs the server's only
+//! event loop on one epoll set (`crate::poller`): it accepts fresh
+//! connections into that queue, holds every idle keep-alive connection
+//! *parked*, re-dispatches each one to the queue when bytes arrive, and
+//! closes it when the keep-alive idle timeout lapses — the loop sleeps
+//! exactly until the first of an ordered set of deadlines. An idle
+//! connection therefore costs a few hundred bytes of state instead of a
+//! blocked worker thread — the difference between concurrency capped at
+//! `workers` (the Apache prefork shape the paper measured, which is what
+//! Figure 4 tops out on) and concurrency capped at `max_connections`. The
+//! one shortcut: a worker with nothing queued keeps the connection it just
+//! served, sleeping on that socket and its own wake pipe, so a sequential
+//! client's next request skips the poller → queue → worker hop; the first
+//! push that finds no idle worker takes it back to the poller.
 //!
 //! TLS servers run on the same scheduler: the secure channel is a state
 //! machine each connection carries (`crate::conn`), so an encrypted
 //! connection parks on socket readiness — mid-handshake included — exactly
 //! as a plaintext one does.
 
-use std::collections::{HashMap, VecDeque};
-use std::io;
+use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -44,8 +45,9 @@ use clarens_pki::keystream::SecretRng;
 use clarens_pki::SecureChannel;
 
 use crate::conn::{self, Conn, Disposition, Tls};
-use crate::poller::{self, DeadlineWheel, Event, Poller, WakePipe};
+use crate::poller::{self, Poller, WakePipe};
 use crate::scratch::Scratch;
+use crate::sys;
 use crate::types::{Request, Response};
 
 /// Information about an authenticated peer, available when the connection
@@ -103,7 +105,7 @@ pub struct ServerConfig {
     /// Maximum decoded request body.
     pub max_body: usize,
     /// Socket read timeout for keep-alive connections (parked connections
-    /// idle past this are expired by the deadline wheel).
+    /// idle past this are closed by the poller at their deadline).
     pub read_timeout: Duration,
     /// Enable the secure channel. `None` = plaintext HTTP.
     pub tls: Option<TlsConfig>,
@@ -288,8 +290,8 @@ impl WorkQueue {
         }
     }
 
-    /// Wake every worker for good: shutdown, after the acceptor and the
-    /// poller have stopped pushing.
+    /// Wake every worker for good: shutdown, after the poller has stopped
+    /// pushing.
     fn close(&self) {
         self.state.lock().closed = true;
         for pipe in &self.pipes {
@@ -302,15 +304,12 @@ impl WorkQueue {
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
     poller_thread: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     stats: Arc<ServerStats>,
     /// Raw handles of live connections, force-closed on shutdown so that
     /// overrunning writes fail fast and parked sockets see HUP.
     live: Arc<LiveConnections>,
-    /// The acceptor's own poller, purely for a wakeable accept loop.
-    accept_poller: Arc<Poller>,
     conn_poller: Arc<Poller>,
     queue: Arc<WorkQueue>,
     /// Requests currently between parse-complete and write-complete;
@@ -393,16 +392,13 @@ impl HttpServer {
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ServerStats::default());
         let live = Arc::new(LiveConnections::default());
-        let conn_count = Arc::new(AtomicUsize::new(0));
         let worker_count = config.workers.max(1);
         let queue = Arc::new(WorkQueue::new(worker_count)?);
         let conn_poller = Arc::new(Poller::new()?);
-        // The acceptor's own poller makes its loop wakeable: the listener
-        // is non-blocking and registered level-triggered, so `wait` returns
-        // whenever connections are pending or `wake()` is called.
-        let accept_poller = Arc::new(Poller::new()?);
+        // The listener is non-blocking and registered level-triggered, so
+        // the event loop's `wait` returns whenever connections are pending.
         listener.set_nonblocking(true)?;
-        accept_poller.add(listener.as_raw_fd(), 0, false)?;
+        conn_poller.add(listener.as_raw_fd(), LISTENER, false)?;
         let (park_tx, park_rx) = mpsc::channel();
 
         let in_flight = Arc::new(AtomicUsize::new(0));
@@ -434,46 +430,25 @@ impl HttpServer {
         }
 
         let poller_thread = {
-            let poller = Arc::clone(&conn_poller);
-            let queue = Arc::clone(&queue);
-            let stop = Arc::clone(&stop);
-            let telemetry = shared.telemetry.clone();
-            let read_timeout = config.read_timeout;
+            let shared = Arc::clone(&shared);
+            let live = Arc::clone(&live);
+            let max_connections = config.max_connections.max(1);
+            let tls = config
+                .tls
+                .map(|tls| (Arc::new(tls.credential), tls.roots.into()));
             std::thread::Builder::new()
                 .name("clarens-poller".into())
-                .spawn(move || poller_loop(poller, park_rx, queue, stop, telemetry, read_timeout))
+                .spawn(move || poller_loop(shared, listener, park_rx, live, max_connections, tls))
                 .expect("spawn poller")
         };
-
-        let accept = AcceptLoop {
-            listener,
-            poller: Arc::clone(&accept_poller),
-            stop: Arc::clone(&stop),
-            stats: Arc::clone(&stats),
-            telemetry: shared.telemetry.clone(),
-            live: Arc::clone(&live),
-            conn_count,
-            max_connections: config.max_connections.max(1),
-            tls: config
-                .tls
-                .map(|tls| (Arc::new(tls.credential), tls.roots.into())),
-            now_fn: config.now_fn,
-            queue: Arc::clone(&queue),
-        };
-        let acceptor = std::thread::Builder::new()
-            .name("clarens-acceptor".into())
-            .spawn(move || accept_loop(accept))
-            .expect("spawn acceptor");
 
         Ok(HttpServer {
             addr: local_addr,
             stop,
-            acceptor: Some(acceptor),
             poller_thread: Some(poller_thread),
             workers,
             stats,
             live,
-            accept_poller,
             conn_poller,
             queue,
             in_flight,
@@ -493,15 +468,14 @@ impl HttpServer {
 
     /// Stop accepting and join all threads. Outstanding keep-alive
     /// connections are closed after their current request. Deterministic
-    /// under zero traffic: both the acceptor and the poller are woken
-    /// explicitly (no dummy connection, no timeout race).
+    /// under zero traffic: the poller is woken explicitly (no dummy
+    /// connection, no timeout race).
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        self.accept_poller.wake();
         self.conn_poller.wake();
         // Graceful drain: requests already past the parser get a bounded
         // window to finish handling and write their response. Connections
@@ -514,9 +488,6 @@ impl HttpServer {
         // Force-close remaining live connections (overrunning writes
         // return immediately; parked sockets see HUP).
         self.live.close_all();
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
         if let Some(poller) = self.poller_thread.take() {
             let _ = poller.join();
         }
@@ -547,25 +518,71 @@ pub(crate) struct WorkerShared<H: Handler> {
     queue: Arc<WorkQueue>,
 }
 
-struct AcceptLoop {
-    listener: TcpListener,
-    poller: Arc<Poller>,
-    stop: Arc<AtomicBool>,
-    stats: Arc<ServerStats>,
-    telemetry: Option<Arc<Telemetry>>,
-    live: Arc<LiveConnections>,
-    conn_count: Arc<AtomicUsize>,
-    max_connections: usize,
-    /// What each connection's secure channel is built from; `None` on a
-    /// plaintext server.
-    tls: Option<(Arc<Credential>, Arc<[Certificate]>)>,
-    now_fn: Arc<dyn Fn() -> i64 + Send + Sync>,
-    queue: Arc<WorkQueue>,
+/// The listener's poller token: the wake pipe holds `u64::MAX` and
+/// connection ids count up from 0.
+const LISTENER: u64 = poller::WAKE_TOKEN - 1;
+
+/// How long the listener stays out of the epoll set after `accept` failed
+/// with the connection still pending (descriptors or memory exhausted):
+/// level-triggered, it would otherwise report the same connection at once.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
+
+/// Answer an over-budget connection with `503` + `Connection: close` and
+/// drop it, without ever reading the request (the peer may not have sent
+/// one yet, and we will not hold a slot waiting for it). One non-blocking
+/// write: a fresh socket's send buffer takes the whole answer, and the
+/// event loop never waits on a peer.
+fn shed(mut sock: TcpStream, telemetry: &Option<Arc<Telemetry>>) {
+    if let Some(t) = telemetry {
+        t.http.sheds.inc();
+    }
+    let mut answer = Vec::new();
+    let busy = Response::error(503, "connection limit reached, retry later");
+    let _ = crate::parse::write_response(&mut answer, busy, false, false);
+    let _ = sock.write(&answer);
 }
 
-fn accept_loop(ctx: AcceptLoop) {
-    // The acceptor is the sole allocator of connection ids (poller tokens).
+/// The server's one event loop: owns the listener, every parked
+/// connection, their epoll set and the ordered set of deadlines. Each
+/// iteration absorbs newly parked connections from the park channel,
+/// sleeps until readiness or the first deadline, admits new sockets,
+/// re-dispatches readable parked ones to the worker queue, and expires
+/// those past their deadline (stamped by the worker that parked them, so a
+/// connection a worker kept and handed back expires when it would have
+/// there).
+fn poller_loop<H: Handler>(
+    shared: Arc<WorkerShared<H>>,
+    listener: TcpListener,
+    park_rx: Receiver<Box<Conn>>,
+    live: Arc<LiveConnections>,
+    max_connections: usize,
+    tls: Option<(Arc<Credential>, Arc<[Certificate]>)>,
+) {
+    struct Parked {
+        conn: Box<Conn>,
+        /// Waiting for the socket to become writable (response parked
+        /// mid-write) rather than readable (idle keep-alive).
+        writer: bool,
+    }
+
+    let (poller, telemetry) = (&shared.parker.poller, &shared.telemetry);
+    let mut parked: HashMap<u64, Parked> = HashMap::new();
+    // Every parked connection's deadline by token, and the listener's
+    // back-off while it is out of the epoll set.
+    let mut deadlines: BTreeSet<(Instant, u64)> = BTreeSet::new();
+    let mut events: Vec<u64> = Vec::new();
+    // Only this loop claims budget slots; a closing connection frees one.
+    let conn_count = Arc::new(AtomicUsize::new(0));
+    // The loop is the sole allocator of connection ids (poller tokens).
     let mut next_id: u64 = 0;
+    // The gauge a parked connection counts in: `parked_writers`, or
+    // `parked`, which workers keeping an idle connection count in too.
+    let gauge = |writer: bool| {
+        telemetry.as_ref().map(|t| match writer {
+            true => &t.http.parked_writers,
+            false => &t.http.parked,
+        })
+    };
     let mut admit = |sock: TcpStream| {
         // Fault injection: a failed accept behaves like ECONNABORTED —
         // the connection is dropped before any accounting sees it.
@@ -575,38 +592,35 @@ fn accept_loop(ctx: AcceptLoop) {
         ) {
             return;
         }
-        ctx.stats.connections.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = &ctx.telemetry {
+        shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+        if let Some(t) = telemetry {
             t.http.connections.inc();
         }
-        // Budget check: `fetch_add` claims a slot; over-budget claims are
-        // rolled back and the connection shed instead of queued.
-        let prev = ctx.conn_count.fetch_add(1, Ordering::AcqRel);
-        if prev >= ctx.max_connections {
-            ctx.conn_count.fetch_sub(1, Ordering::AcqRel);
-            shed(sock, &ctx.telemetry);
-            return;
-        }
-        let budget = BudgetGuard {
-            count: Arc::clone(&ctx.conn_count),
-        };
         if sock.set_nonblocking(true).is_err() {
             // A socket that cannot be driven without blocking is dropped.
             return;
         }
+        if conn_count.load(Ordering::Acquire) >= max_connections {
+            return shed(sock, telemetry);
+        }
+        conn_count.fetch_add(1, Ordering::AcqRel);
+        let budget = BudgetGuard {
+            count: Arc::clone(&conn_count),
+        };
         sock.set_nodelay(true).ok();
         let id = next_id;
         next_id += 1;
-        let tls = ctx.tls.as_ref().map(|(credential, roots)| {
+        let tls = tls.as_ref().map(|(credential, roots)| {
             let (credential, roots) = (Arc::clone(credential), Arc::clone(roots));
-            let channel = SecureChannel::server(credential, roots, (ctx.now_fn)(), &mut SecretRng);
+            let channel =
+                SecureChannel::server(credential, roots, (shared.now_fn)(), &mut SecretRng);
             Box::new(Tls {
                 channel,
                 peer: None,
             })
         });
         let conn = Box::new(Conn {
-            _live: ctx.live.register(&sock),
+            _live: live.register(&sock),
             sock,
             inbuf: Vec::new(),
             served: 0,
@@ -617,86 +631,10 @@ fn accept_loop(ctx: AcceptLoop) {
             tls,
             _budget: Some(budget),
         });
-        if let Some(t) = &ctx.telemetry {
+        if let Some(t) = telemetry {
             t.http.queue_depth.inc();
         }
-        ctx.queue.push(conn);
-    };
-
-    let mut events: Vec<Event> = Vec::new();
-    loop {
-        if ctx.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        events.clear();
-        let _ = ctx.poller.wait(None, &mut events);
-        if ctx.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        loop {
-            match ctx.listener.accept() {
-                Ok((sock, _)) => admit(sock),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break, // transient (e.g. ECONNABORTED)
-            }
-        }
-    }
-}
-
-/// Answer an over-budget connection with `503` + `Connection: close` and
-/// drop it, without ever reading the request (the peer may not have sent
-/// one yet, and we will not hold a slot waiting for it).
-fn shed(mut sock: TcpStream, telemetry: &Option<Arc<Telemetry>>) {
-    if let Some(t) = telemetry {
-        t.http.sheds.inc();
-    }
-    sock.set_nonblocking(false).ok();
-    sock.set_write_timeout(Some(Duration::from_secs(1))).ok();
-    let _ = crate::parse::write_response(
-        &mut sock,
-        Response::error(503, "connection limit reached, retry later"),
-        false,
-        false,
-    );
-}
-
-/// The poller thread: owns every parked connection, its epoll set, and the
-/// deadline wheel. Three duties per iteration: absorb newly parked
-/// connections from the park channel, re-dispatch readable ones to the
-/// worker queue, and expire those past their deadline (stamped by the
-/// worker that parked them, so a connection a worker kept and handed back
-/// expires when it would have there).
-fn poller_loop(
-    poller: Arc<Poller>,
-    park_rx: Receiver<Box<Conn>>,
-    queue: Arc<WorkQueue>,
-    stop: Arc<AtomicBool>,
-    telemetry: Option<Arc<Telemetry>>,
-    read_timeout: Duration,
-) {
-    struct Parked {
-        conn: Box<Conn>,
-        seq: u64,
-        /// Waiting for the socket to become writable (response parked
-        /// mid-write) rather than readable (idle keep-alive).
-        writer: bool,
-    }
-
-    let mut parked: HashMap<u64, Parked> = HashMap::new();
-    let mut wheel = DeadlineWheel::new(read_timeout);
-    let mut events: Vec<Event> = Vec::new();
-    let mut due: Vec<(u64, u64)> = Vec::new();
-    // Park sequence numbers distinguish a connection's current park from
-    // stale wheel candidates left by its earlier parks.
-    let mut seq: u64 = 0;
-    // The gauge a parked connection counts in: `parked_writers`, or
-    // `parked`, which workers keeping an idle connection count in too.
-    let gauge = |writer: bool| {
-        telemetry.as_ref().map(|t| match writer {
-            true => &t.http.parked_writers,
-            false => &t.http.parked,
-        })
+        shared.queue.push(conn);
     };
 
     loop {
@@ -724,73 +662,82 @@ fn poller_loop(
                 // Cannot watch it → cannot ever wake it; close now.
                 continue;
             }
-            seq += 1;
-            wheel.insert(conn.id, seq, conn.deadline);
+            deadlines.insert((conn.deadline, conn.id));
             if let Some(g) = gauge(writer) {
                 g.inc();
             }
-            parked.insert(conn.id, Parked { conn, seq, writer });
-        }
-        if stop.load(Ordering::SeqCst) {
-            break;
+            parked.insert(conn.id, Parked { conn, writer });
         }
 
-        // With nothing parked there is no deadline to honor: sleep until a
-        // wake (new park or shutdown). Otherwise sleep to the next wheel
-        // tick.
-        let timeout = if parked.is_empty() {
-            None
-        } else {
-            Some(wheel.next_tick_in(Instant::now()))
-        };
+        // Sleep until the first deadline; with none, until readiness or a
+        // wake (new park or shutdown).
+        let timeout = deadlines
+            .first()
+            .map(|&(at, _)| at.saturating_duration_since(Instant::now()));
         events.clear();
         if poller.wait(timeout, &mut events).is_err() {
             // Defensive: never spin hot on a persistent backend error.
             std::thread::sleep(Duration::from_millis(1));
         }
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
 
-        for event in events.drain(..) {
-            if let Some(p) = parked.remove(&event.token) {
+        for &token in &events {
+            if token == LISTENER {
+                loop {
+                    match listener.accept() {
+                        Ok((sock, _)) => admit(sock),
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        Err(e) => {
+                            let code = e.raw_os_error().unwrap_or(0);
+                            if sys::ACCEPT_EXHAUSTED.contains(&code)
+                                && poller.delete(listener.as_raw_fd()).is_ok()
+                            {
+                                deadlines.insert((Instant::now() + ACCEPT_BACKOFF, LISTENER));
+                            }
+                            // `WouldBlock` (drained) or an error that took
+                            // its connection with it (e.g. ECONNABORTED).
+                            break;
+                        }
+                    }
+                }
+            } else if let Some(p) = parked.remove(&token) {
+                deadlines.remove(&(p.conn.deadline, token));
                 if let Some(g) = gauge(p.writer) {
                     g.dec();
                 }
-                if let Some(t) = &telemetry {
+                if let Some(t) = telemetry {
                     t.http.poll_wakeups.inc();
                     t.http.queue_depth.inc();
                 }
-                queue.push(p.conn);
+                shared.queue.push(p.conn);
             }
         }
 
         let now = Instant::now();
-        due.clear();
-        wheel.advance(now, &mut due);
-        for &(token, candidate_seq) in &due {
-            match parked.get(&token) {
-                Some(p) if p.seq == candidate_seq && now < p.conn.deadline => {
-                    // Early candidate (wheel tick granularity); requeue.
-                    wheel.insert(token, candidate_seq, p.conn.deadline);
+        while let Some(&(at, token)) = deadlines.first().filter(|&&(at, _)| at <= now) {
+            deadlines.remove(&(at, token));
+            if token == LISTENER {
+                if poller.add(listener.as_raw_fd(), LISTENER, false).is_err() {
+                    deadlines.insert((now + ACCEPT_BACKOFF, LISTENER));
                 }
-                Some(p) if p.seq == candidate_seq => {
-                    if let Some(t) = &telemetry {
-                        if p.writer {
-                            // A consumer too slow to drain its response
-                            // within the deadline: a stalled writer, not
-                            // keep-alive churn.
-                            t.http.parked_writers.dec();
-                            t.http.write_stalls.inc();
-                        } else {
-                            // The server's own idle timeout, not a peer
-                            // reset.
-                            t.http.parked.dec();
-                            t.http.idle_timeouts.inc();
-                        }
+            } else if let Some(p) = parked.remove(&token) {
+                if let Some(t) = telemetry {
+                    if p.writer {
+                        // A consumer too slow to drain its response within
+                        // the deadline: a stalled writer, not keep-alive
+                        // churn.
+                        t.http.parked_writers.dec();
+                        t.http.write_stalls.inc();
+                    } else {
+                        // The server's own idle timeout, not a peer reset.
+                        t.http.parked.dec();
+                        t.http.idle_timeouts.inc();
                     }
-                    // Counted before it closes, so a peer that sees EOF
-                    // sees the count.
-                    parked.remove(&token);
                 }
-                _ => {} // stale candidate from an earlier park
+                // Counted before it closes (the drop here), so a peer that
+                // sees EOF sees the count.
             }
         }
     }
@@ -1087,7 +1034,7 @@ mod tests {
             };
             let server = HttpServer::bind("127.0.0.1:0", config, echo_handler()).unwrap();
 
-            // Idle past the read timeout: the deadline wheel expires it,
+            // Idle past the read timeout: the poller expires it,
             // counted as an idle timeout.
             let idle_sock = mode.connect(server.local_addr()).unwrap();
             std::thread::sleep(Duration::from_millis(400));

@@ -16,13 +16,16 @@ pub const EPOLL_CTL_DEL: c_int = 2;
 pub const EPOLL_CTL_MOD: c_int = 3;
 pub const EPOLLIN: u32 = 0x001;
 pub const EPOLLOUT: u32 = 0x004;
-pub const EPOLLERR: u32 = 0x008;
-pub const EPOLLHUP: u32 = 0x010;
 pub const EPOLLRDHUP: u32 = 0x2000;
 pub const EPOLLONESHOT: u32 = 1 << 30;
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 
 pub const POLLIN: c_short = 0x001;
+
+/// The `accept(2)` errors that leave the pending connection in the
+/// backlog, out of descriptors or memory: `ENOMEM`, `ENFILE`, `EMFILE`,
+/// `ENOBUFS`.
+pub const ACCEPT_EXHAUSTED: [i32; 4] = [12, 23, 24, 105];
 
 const O_NONBLOCK: c_int = 0o4000;
 const O_CLOEXEC: c_int = 0o2000000;

@@ -340,8 +340,8 @@ fn slow_reader_parks_write_and_frees_the_worker() {
     }
 }
 
-/// A parked writer whose peer never drains expires from the deadline wheel
-/// as a `write_stall` — a distinct failure class from keep-alive idle
+/// A parked writer whose peer never drains expires at its deadline as a
+/// `write_stall` — a distinct failure class from keep-alive idle
 /// churn.
 #[test]
 fn stalled_writer_expires_as_write_stall() {

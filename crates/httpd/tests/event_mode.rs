@@ -122,7 +122,7 @@ fn slowloris_does_not_pin_the_single_worker() {
 /// that says nothing, one that sends half a ClientHello and one that
 /// handshakes and then trickles half a request are all just parked
 /// connections: a well-behaved client is answered promptly beside them,
-/// and the deadline wheel expires all three as idle.
+/// and each expires at its deadline as idle.
 #[test]
 fn tls_stallers_cannot_pin_the_single_worker() {
     let telemetry = Telemetry::enabled();
@@ -277,7 +277,7 @@ fn parked_connection_gauge_and_idle_expiry() {
         std::thread::sleep(Duration::from_millis(100));
         assert_eq!(telemetry.http.parked.get(), 1, "{mode:?}");
 
-        // Overstay the keep-alive timeout: the wheel expires it as idle
+        // Overstay the keep-alive timeout: the poller expires it as idle
         // churn.
         std::thread::sleep(Duration::from_millis(500));
         assert_eq!(telemetry.http.idle_timeouts.get(), 1, "{mode:?}");
@@ -419,8 +419,8 @@ fn connection_budget_sheds_with_503() {
 }
 
 /// Shutdown with zero traffic must be immediate on either transport: the
-/// acceptor and poller are woken explicitly (no dummy connection, no
-/// timeout race).
+/// one event loop is woken explicitly (no dummy connection, no timeout
+/// race).
 #[test]
 fn shutdown_is_deterministic_under_zero_traffic() {
     for mode in BOTH_MODES {

@@ -13,13 +13,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use clarens_httpd::parse::read_response;
-use clarens_httpd::poller::DeadlineWheel;
 use clarens_httpd::{HttpServer, PeerInfo, Request, Response, ServerConfig};
 use clarens_telemetry::Telemetry;
 
 use common::{send, Mode, Wire, BOTH_MODES};
 
 const TIMEOUT: Duration = Duration::from_millis(300);
+/// How late past its deadline an idle connection may close: scheduling
+/// noise on a loaded host, not a timer's granularity.
+const SLACK: Duration = TIMEOUT.checked_div(32).unwrap();
 
 fn start(mode: Mode, workers: usize, telemetry: &Arc<Telemetry>) -> HttpServer {
     let handler =
@@ -63,10 +65,9 @@ fn closed_at(reader: &mut BufReader<Box<dyn Wire>>) -> Instant {
 
 /// One request, then silence: the socket reads EOF no earlier than
 /// `read_timeout` after the request and no later than `read_timeout` plus
-/// one wheel tick after its response, and the expiry is counted once.
+/// `SLACK` after its response, and the expiry is counted once.
 #[test]
 fn idle_connection_expires_at_its_deadline() {
-    let tick = DeadlineWheel::new(TIMEOUT).tick();
     for mode in BOTH_MODES {
         for workers in [1, 2] {
             let telemetry = Telemetry::enabled();
@@ -80,7 +81,7 @@ fn idle_connection_expires_at_its_deadline() {
                 closed - sent
             );
             assert!(
-                closed - answered <= TIMEOUT + tick,
+                closed - answered <= TIMEOUT + SLACK,
                 "{case}: closed {:?} after the response",
                 closed - answered
             );

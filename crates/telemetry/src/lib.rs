@@ -57,7 +57,7 @@ pub struct HttpCounters {
     /// filled: the write cursor is saved and the poller re-arms for
     /// writability instead of a worker spinning on the socket.
     pub parked_writers: Gauge,
-    /// Parked writers expired by the deadline wheel because the peer never
+    /// Parked writers expired at their deadline because the peer never
     /// drained its receive window in time (slow-consumer eviction).
     pub write_stalls: Counter,
     /// Streamed response bodies that under-delivered against their declared
