@@ -55,7 +55,8 @@ pub struct ClarensCore {
 
 impl ClarensCore {
     /// Assemble a core. Opens (or creates) the persistent store per the
-    /// config, repopulates the `admins` VO group, and installs nothing else
+    /// config, empties its methods bucket (registering services refills
+    /// it), repopulates the `admins` VO group, and installs nothing else
     /// — services are registered separately. A config that fails
     /// [`ClarensConfig::validate`] is refused with `InvalidInput`.
     pub fn new(
@@ -70,6 +71,11 @@ impl ClarensCore {
             Some(path) => Store::open_with_sync(path, config.db_sync)?,
             None => Store::in_memory(),
         });
+        // The methods bucket mirrors this run's registry: a row an earlier
+        // run registered would advertise a method nothing serves. Best
+        // effort, like the registry's puts: a store that cannot write
+        // still serves reads.
+        let _ = store.clear_bucket(crate::registry::METHODS_BUCKET);
         let sessions = SessionManager::new(Arc::clone(&store), config.session_ttl);
         let vo = VoManager::new(Arc::clone(&store), &config.admin_dns);
         let acl = AclEngine::new(Arc::clone(&store));

@@ -59,7 +59,6 @@ impl ClarensServer {
             read_timeout,
             telemetry: Some(Arc::clone(&core.telemetry)),
             max_connections: core.config.max_connections,
-            ..Default::default()
         };
         let http = HttpServer::bind(addr, config, handler)?;
         Ok(ClarensServer { core, http })

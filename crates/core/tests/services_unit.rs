@@ -739,6 +739,41 @@ fn records_reproduce_the_three_lists() {
     let _ = std::fs::remove_dir_all(&f.data_dir);
 }
 
+/// A node restarted with fewer services lists only what it exports now:
+/// the methods bucket starts empty on every start, so a persistent store
+/// keeps no row from an earlier run (which `system.list_methods`, the
+/// portal and `discovery.publish` would advertise as callable).
+#[test]
+fn a_restart_with_fewer_services_lists_only_its_own() {
+    use clarens::registry::METHODS_BUCKET;
+    let Fixture { core, data_dir, .. } = fixture_with("restart-methods", |config| {
+        let dir = config.file_root.as_ref().unwrap().parent().unwrap();
+        config.db_path = Some(dir.join("store.wal"));
+    });
+    let before = core.store.keys(METHODS_BUCKET);
+    assert!(before.iter().any(|name| name == "file.ls"));
+    let db_path = core.config.db_path.clone();
+    drop(core); // the store's file lock goes with it
+
+    // No file or shell root: the file, srm, shell and job modules are gone.
+    let pki = grid_pki();
+    let config = ClarensConfig {
+        db_path,
+        ..Default::default()
+    };
+    let core =
+        ClarensCore::new(config, vec![pki.ca.certificate.clone()], pki.server.clone()).unwrap();
+    register_builtin_services(&core, None);
+    let listed = core.store.keys(METHODS_BUCKET);
+    let registry = core.registry.read();
+    assert!(registry.lookup("file.ls").is_none());
+    for name in &before {
+        let exported = registry.lookup(name).is_some();
+        assert_eq!(listed.contains(name), exported, "{name}");
+    }
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
 /// The published contract: every derived signature and every doc string,
 /// against the literals the rows carried at `7ee9331`. Three signatures
 /// change, each to the bracketed optional tail `system.trace_tail([limit])`

@@ -211,8 +211,9 @@ impl FederationNode {
     }
 
     /// Kill the node: stop heartbeats, elections, and replication, shut
-    /// the server down. Sockets close immediately — in-flight requests
-    /// fail like a crashed process's would.
+    /// the server down. New connections are refused and idle ones close
+    /// at once; requests already in flight are answered first (within
+    /// `clarens_httpd::server::DRAIN_TIMEOUT`), as on a clean stop.
     pub fn kill(self) {
         drop((self.heartbeat, self.election, self.replicator));
         self.server.shutdown();

@@ -17,7 +17,7 @@ use clarens_pki::dn::DistinguishedName;
 use clarens_pki::keystream::SecretRng;
 use clarens_pki::SecureStream;
 
-use crate::parse::{read_response, write_request, ClientResponse, ParseError};
+use crate::parse::{read_response, write_request, ClientResponse, ParseError, DEFAULT_MAX_BODY};
 use crate::types::{Method, Request};
 
 /// TLS settings for the client side.
@@ -114,7 +114,6 @@ pub struct HttpClient {
     server_identity: Option<DistinguishedName>,
     /// Bound on the connect and on every socket read and write.
     timeout: Duration,
-    max_body: usize,
 }
 
 impl HttpClient {
@@ -126,7 +125,6 @@ impl HttpClient {
             connection: None,
             server_identity: None,
             timeout: Duration::from_secs(30),
-            max_body: crate::parse::DEFAULT_MAX_BODY,
         }
     }
 
@@ -215,14 +213,15 @@ impl HttpClient {
             Some(_) => {}
             None => self.connect()?,
         }
-        let max_body = self.max_body;
         let result = match self.connection.as_mut().expect("connected above") {
             Connection::Plain(reader) => write_request(reader.get_mut(), request)
                 .map_err(not_sent)
-                .and_then(|()| read_response(reader, max_body).map_err(unanswered)),
+                .and_then(|()| read_response(reader, DEFAULT_MAX_BODY).map_err(unanswered)),
             Connection::Secure(reader) => write_request(reader.get_mut(), request)
                 .map_err(not_sent)
-                .and_then(|()| read_response(reader.as_mut(), max_body).map_err(unanswered)),
+                .and_then(|()| {
+                    read_response(reader.as_mut(), DEFAULT_MAX_BODY).map_err(unanswered)
+                }),
         };
         if !matches!(&result, Ok(response) if response.keep_alive) {
             self.connection = None;

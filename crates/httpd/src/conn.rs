@@ -1,12 +1,12 @@
 //! The per-connection state machine of the event-driven scheduler.
 //!
 //! A connection is an explicit object — socket, accumulated input bytes,
-//! request count, the secure channel's server end on a TLS server,
-//! budget/shutdown guards — that shuttles between a worker (while there is
-//! CPU work to do) and the poller (while waiting for bytes). A worker
-//! *drives* the connection: parse whatever is buffered, serve complete
-//! requests, read more without blocking, and hand the connection back to
-//! the poller the moment the socket runs dry.
+//! request count, the secure channel's server end on a TLS server, budget
+//! slot — that shuttles between a worker (while there is CPU work to do)
+//! and the poller (while waiting for bytes). A worker *drives* the
+//! connection: parse whatever is buffered, serve complete requests, read
+//! more without blocking, and hand the connection back to the poller the
+//! moment the socket runs dry.
 //!
 //! On a TLS connection the [`SecureChannel`] sits between the socket and
 //! the parse buffer: `fill` feeds it what the socket had and it appends
@@ -45,11 +45,11 @@ use clarens_telemetry::{Phase, RequestTrace};
 
 use crate::parse::{
     encode_head, read_request_pooled, truncated, write_response_with, ParseError, COPY_BUFFER,
+    DEFAULT_MAX_BODY,
 };
 use crate::scratch::Scratch;
 use crate::server::{
-    classify_io_error, BudgetGuard, Handler, InFlightGuard, LiveGuard, PeerInfo, RequestContext,
-    WorkerShared,
+    classify_io_error, BudgetGuard, Handler, InFlightGuard, PeerInfo, RequestContext, WorkerShared,
 };
 use crate::types::{Body, Method, Response};
 
@@ -99,9 +99,6 @@ pub(crate) struct Conn {
     pub(crate) tls: Option<Box<Tls>>,
     /// Connection-budget slot, released when the connection drops.
     pub(crate) _budget: Option<BudgetGuard>,
-    /// Shutdown registration: force-closed by `HttpServer::shutdown` so
-    /// in-flight writes fail fast.
-    pub(crate) _live: Option<LiveGuard>,
 }
 
 impl Conn {
@@ -155,9 +152,10 @@ enum Fill {
 }
 
 /// A response mid-flight on a nonblocking socket: everything needed to
-/// resume after the socket's send buffer drains. Holds the in-flight guard
-/// so graceful shutdown waits (bounded by `drain_timeout`) for parked
-/// writers just as it does for running handlers.
+/// resume after the socket's send buffer drains. Holds the in-flight guard,
+/// so a stopping server's event loop keeps dispatching the connection until
+/// the response is out (or `DRAIN_TIMEOUT` passes), just as it waits for
+/// running handlers.
 pub(crate) struct WriteState {
     /// Encoded status line + headers (scratch-pooled; recycled at
     /// completion). On a TLS connection: sealed, in-memory body included.
@@ -178,8 +176,9 @@ pub(crate) struct WriteState {
     written: u64,
     /// Subset of `written` that went through `sendfile(2)`.
     sendfile: u64,
-    /// Keeps the response(s) inside the shutdown drain window — one guard
-    /// per request for a coalesced batch of pipelined responses.
+    /// Keeps the server's event loop draining until the response(s) are
+    /// out — one guard per request for a coalesced batch of pipelined
+    /// responses.
     _in_flight: Vec<InFlightGuard>,
 }
 
@@ -559,7 +558,7 @@ pub(crate) fn drive<H: Handler>(
                 }
             }
         }
-        if shared.stop.load(Ordering::SeqCst) {
+        if shared.stop.requested() {
             // Anything staged still leaves, as the last write.
             conn.send_staged(&mut outq, &mut guards, false, scratch);
             continue;
@@ -570,7 +569,7 @@ pub(crate) fn drive<H: Handler>(
         };
         let reuses_before = scratch.reuses();
         let attempt = trace.span(Phase::Parse, || {
-            try_parse(&conn.inbuf, shared.max_body, scratch)
+            try_parse(&conn.inbuf, DEFAULT_MAX_BODY, scratch)
         });
         match attempt {
             Parsed::Incomplete => {
@@ -639,8 +638,8 @@ pub(crate) fn drive<H: Handler>(
                 // Parsed and about to be handled: in flight until the
                 // response write finishes (shutdown drains these) — the
                 // guard rides inside the write state across parks.
-                let in_flight = InFlightGuard::enter(&shared.in_flight);
-                let keep_alive = request.wants_keep_alive() && !shared.stop.load(Ordering::SeqCst);
+                let in_flight = InFlightGuard::enter(&shared.stop);
+                let keep_alive = request.wants_keep_alive() && !shared.stop.requested();
                 let head_only = request.method == Method::Head;
                 shared.stats.requests.fetch_add(1, Ordering::Relaxed);
                 if conn.served > 0 {

@@ -96,14 +96,13 @@ pub struct TlsConfig {
     pub roots: Vec<Certificate>,
 }
 
-/// Server configuration.
+/// Server configuration. The drain bound ([`DRAIN_TIMEOUT`]) and the body
+/// bound ([`crate::parse::DEFAULT_MAX_BODY`]) are fixed.
 pub struct ServerConfig {
     /// Number of worker threads: pure CPU executors, sized to cores. They
     /// parse, run handlers, do the secure channel's crypto and write; a
     /// connection waiting on its peer holds none of them.
     pub workers: usize,
-    /// Maximum decoded request body.
-    pub max_body: usize,
     /// Socket read timeout for keep-alive connections (parked connections
     /// idle past this are closed by the poller at their deadline).
     pub read_timeout: Duration,
@@ -117,17 +116,12 @@ pub struct ServerConfig {
     /// Connections beyond the cap are shed with `503` +
     /// `Connection: close` instead of growing the queue without bound.
     pub max_connections: usize,
-    /// How long `shutdown()` waits for in-flight requests to complete
-    /// before force-closing their connections. Idle (parked or between-
-    /// request) connections are closed immediately either way.
-    pub drain_timeout: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 16,
-            max_body: crate::parse::DEFAULT_MAX_BODY,
             read_timeout: Duration::from_secs(30),
             tls: None,
             now_fn: Arc::new(|| {
@@ -138,10 +132,13 @@ impl Default for ServerConfig {
             }),
             telemetry: None,
             max_connections: 4096,
-            drain_timeout: Duration::from_secs(5),
         }
     }
 }
+
+/// How long `shutdown` lets responses already in flight finish: a peer
+/// still not reading by then is closed, counted as a `write_stall`.
+pub const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Monotonic server counters (exposed so benches can report served
 /// request totals like the paper's "316 million requests ... completed").
@@ -303,79 +300,51 @@ impl WorkQueue {
 /// A running HTTP server.
 pub struct HttpServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     poller_thread: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     stats: Arc<ServerStats>,
-    /// Raw handles of live connections, force-closed on shutdown so that
-    /// overrunning writes fail fast and parked sockets see HUP.
-    live: Arc<LiveConnections>,
-    conn_poller: Arc<Poller>,
     queue: Arc<WorkQueue>,
-    /// Requests currently between parse-complete and write-complete;
-    /// shutdown drains this to zero (bounded) before force-closing.
-    in_flight: Arc<AtomicUsize>,
-    drain_timeout: Duration,
+}
+
+/// How a server stops: the flag `shutdown` sets, the requests in flight
+/// (parse-complete to write-complete) a stopping event loop waits for, and
+/// that loop's poller, which the last of them to finish wakes — so nothing
+/// polls the count.
+pub(crate) struct Stop {
+    requested: AtomicBool,
+    in_flight: AtomicUsize,
+    poller: Arc<Poller>,
+}
+
+impl Stop {
+    pub(crate) fn requested(&self) -> bool {
+        self.requested.load(Ordering::SeqCst)
+    }
 }
 
 /// RAII marker for a request being actively processed (parsed, handled,
-/// written). Shutdown waits for these to finish before it starts tearing
-/// sockets out from under workers.
+/// written): a stopping server drains these.
 pub(crate) struct InFlightGuard {
-    count: Arc<AtomicUsize>,
+    stop: Arc<Stop>,
 }
 
 impl InFlightGuard {
-    pub(crate) fn enter(count: &Arc<AtomicUsize>) -> InFlightGuard {
-        count.fetch_add(1, Ordering::AcqRel);
+    pub(crate) fn enter(stop: &Arc<Stop>) -> InFlightGuard {
+        stop.in_flight.fetch_add(1, Ordering::SeqCst);
         InFlightGuard {
-            count: Arc::clone(count),
+            stop: Arc::clone(stop),
         }
     }
 }
 
 impl Drop for InFlightGuard {
     fn drop(&mut self) {
-        self.count.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Registry of raw socket handles for live connections. Entries are
-/// removed (and the clone dropped) when their connection finishes, so the
-/// peer observes EOF normally; on server shutdown all remaining handles
-/// are force-closed.
-#[derive(Default)]
-pub(crate) struct LiveConnections {
-    next_id: AtomicU64,
-    sockets: parking_lot::Mutex<std::collections::HashMap<u64, TcpStream>>,
-}
-
-impl LiveConnections {
-    fn register(self: &Arc<Self>, sock: &TcpStream) -> Option<LiveGuard> {
-        let clone = sock.try_clone().ok()?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.sockets.lock().insert(id, clone);
-        Some(LiveGuard {
-            id,
-            live: Arc::clone(self),
-        })
-    }
-
-    fn close_all(&self) {
-        for (_, sock) in self.sockets.lock().drain() {
-            let _ = sock.shutdown(std::net::Shutdown::Both);
+        // Sequentially consistent with the loop's read of the flag, then
+        // the count: either the loop sees zero or this drop sees the stop.
+        if self.stop.in_flight.fetch_sub(1, Ordering::SeqCst) == 1 && self.stop.requested() {
+            self.stop.poller.wake();
         }
-    }
-}
-
-pub(crate) struct LiveGuard {
-    id: u64,
-    live: Arc<LiveConnections>,
-}
-
-impl Drop for LiveGuard {
-    fn drop(&mut self) {
-        self.live.sockets.lock().remove(&self.id);
     }
 }
 
@@ -389,9 +358,7 @@ impl HttpServer {
     ) -> io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ServerStats::default());
-        let live = Arc::new(LiveConnections::default());
         let worker_count = config.workers.max(1);
         let queue = Arc::new(WorkQueue::new(worker_count)?);
         let conn_poller = Arc::new(Poller::new()?);
@@ -400,17 +367,19 @@ impl HttpServer {
         listener.set_nonblocking(true)?;
         conn_poller.add(listener.as_raw_fd(), LISTENER, false)?;
         let (park_tx, park_rx) = mpsc::channel();
+        let stop = Arc::new(Stop {
+            requested: AtomicBool::new(false),
+            in_flight: AtomicUsize::new(0),
+            poller: Arc::clone(&conn_poller),
+        });
 
-        let in_flight = Arc::new(AtomicUsize::new(0));
         let shared = Arc::new(WorkerShared {
             handler,
-            max_body: config.max_body,
             read_timeout: config.read_timeout,
             now_fn: Arc::clone(&config.now_fn),
             telemetry: config.telemetry,
             stop: Arc::clone(&stop),
             stats: Arc::clone(&stats),
-            in_flight: Arc::clone(&in_flight),
             parker: Parker {
                 tx: park_tx,
                 poller: Arc::clone(&conn_poller),
@@ -431,14 +400,13 @@ impl HttpServer {
 
         let poller_thread = {
             let shared = Arc::clone(&shared);
-            let live = Arc::clone(&live);
             let max_connections = config.max_connections.max(1);
             let tls = config
                 .tls
                 .map(|tls| (Arc::new(tls.credential), tls.roots.into()));
             std::thread::Builder::new()
                 .name("clarens-poller".into())
-                .spawn(move || poller_loop(shared, listener, park_rx, live, max_connections, tls))
+                .spawn(move || poller_loop(shared, listener, park_rx, max_connections, tls))
                 .expect("spawn poller")
         };
 
@@ -448,11 +416,7 @@ impl HttpServer {
             poller_thread: Some(poller_thread),
             workers,
             stats,
-            live,
-            conn_poller,
             queue,
-            in_flight,
-            drain_timeout: config.drain_timeout,
         })
     }
 
@@ -466,28 +430,21 @@ impl HttpServer {
         &self.stats
     }
 
-    /// Stop accepting and join all threads. Outstanding keep-alive
-    /// connections are closed after their current request. Deterministic
-    /// under zero traffic: the poller is woken explicitly (no dummy
+    /// Stop accepting, let what is in flight finish, and join all threads.
+    /// The event loop closes the listener at once (a later connect is
+    /// refused) and idle keep-alive connections with it, then keeps
+    /// running until every request already past the parser has been
+    /// answered in full — its handler returned and its response, parked
+    /// mid-write or not, written — or [`DRAIN_TIMEOUT`] passes. A quiet
+    /// server returns at once: the loop is woken explicitly (no dummy
     /// connection, no timeout race).
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.conn_poller.wake();
-        // Graceful drain: requests already past the parser get a bounded
-        // window to finish handling and write their response. Connections
-        // that are merely idle hold no in-flight marker, so a quiet server
-        // still shuts down instantly.
-        let drain_deadline = Instant::now() + self.drain_timeout;
-        while self.in_flight.load(Ordering::Acquire) > 0 && Instant::now() < drain_deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Force-close remaining live connections (overrunning writes
-        // return immediately; parked sockets see HUP).
-        self.live.close_all();
+        self.stop.requested.store(true, Ordering::SeqCst);
+        self.stop.poller.wake();
         if let Some(poller) = self.poller_thread.take() {
             let _ = poller.join();
         }
@@ -507,13 +464,11 @@ impl Drop for HttpServer {
 
 pub(crate) struct WorkerShared<H: Handler> {
     pub(crate) handler: Arc<H>,
-    pub(crate) max_body: usize,
     pub(crate) read_timeout: Duration,
     pub(crate) now_fn: Arc<dyn Fn() -> i64 + Send + Sync>,
     pub(crate) telemetry: Option<Arc<Telemetry>>,
-    pub(crate) stop: Arc<AtomicBool>,
+    pub(crate) stop: Arc<Stop>,
     pub(crate) stats: Arc<ServerStats>,
-    pub(crate) in_flight: Arc<AtomicUsize>,
     pub(crate) parker: Parker,
     queue: Arc<WorkQueue>,
 }
@@ -521,6 +476,10 @@ pub(crate) struct WorkerShared<H: Handler> {
 /// The listener's poller token: the wake pipe holds `u64::MAX` and
 /// connection ids count up from 0.
 const LISTENER: u64 = poller::WAKE_TOKEN - 1;
+
+/// The token of the drain deadline, the one entry a stopping loop adds to
+/// its deadlines.
+const DRAINED: u64 = LISTENER - 1;
 
 /// How long the listener stays out of the epoll set after `accept` failed
 /// with the connection still pending (descriptors or memory exhausted):
@@ -550,11 +509,15 @@ fn shed(mut sock: TcpStream, telemetry: &Option<Arc<Telemetry>>) {
 /// those past their deadline (stamped by the worker that parked them, so a
 /// connection a worker kept and handed back expires when it would have
 /// there).
+///
+/// It is also how a server stops. On the stop flag it closes the listener
+/// and its idle parked connections, adds a [`DRAIN_TIMEOUT`] deadline,
+/// and goes on absorbing parks and dispatching writable parked writers
+/// until nothing is in flight or that deadline comes due.
 fn poller_loop<H: Handler>(
     shared: Arc<WorkerShared<H>>,
     listener: TcpListener,
     park_rx: Receiver<Box<Conn>>,
-    live: Arc<LiveConnections>,
     max_connections: usize,
     tls: Option<(Arc<Credential>, Arc<[Certificate]>)>,
 ) {
@@ -566,9 +529,13 @@ fn poller_loop<H: Handler>(
     }
 
     let (poller, telemetry) = (&shared.parker.poller, &shared.telemetry);
+    // `None` once stopping: closing the listener takes it out of the
+    // epoll set, and later connects are refused.
+    let mut listener = Some(listener);
     let mut parked: HashMap<u64, Parked> = HashMap::new();
-    // Every parked connection's deadline by token, and the listener's
-    // back-off while it is out of the epoll set.
+    // Every parked connection's deadline by token, the listener's
+    // back-off while it is out of the epoll set, and, once stopping, the
+    // drain's.
     let mut deadlines: BTreeSet<(Instant, u64)> = BTreeSet::new();
     let mut events: Vec<u64> = Vec::new();
     // Only this loop claims budget slots; a closing connection frees one.
@@ -620,7 +587,6 @@ fn poller_loop<H: Handler>(
             })
         });
         let conn = Box::new(Conn {
-            _live: live.register(&sock),
             sock,
             inbuf: Vec::new(),
             served: 0,
@@ -637,10 +603,13 @@ fn poller_loop<H: Handler>(
         shared.queue.push(conn);
     };
 
-    loop {
+    'serve: loop {
         while let Ok(mut conn) = park_rx.try_recv() {
             let fd = conn.sock.as_raw_fd();
             let writer = conn.pending_write.is_some();
+            if listener.is_none() && !writer {
+                continue; // idle while stopping: close
+            }
             let armed = if conn.registered {
                 if writer {
                     poller.rearm_writable(fd, conn.id)
@@ -668,6 +637,9 @@ fn poller_loop<H: Handler>(
             }
             parked.insert(conn.id, Parked { conn, writer });
         }
+        if listener.is_none() && shared.stop.in_flight.load(Ordering::SeqCst) == 0 {
+            break; // drained
+        }
 
         // Sleep until the first deadline; with none, until readiness or a
         // wake (new park or shutdown).
@@ -679,12 +651,24 @@ fn poller_loop<H: Handler>(
             // Defensive: never spin hot on a persistent backend error.
             std::thread::sleep(Duration::from_millis(1));
         }
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
+        if listener.is_some() && shared.stop.requested() {
+            // Stopping: no new connections, and idle ones close now.
+            listener = None;
+            parked.retain(|&token, p| {
+                if !p.writer {
+                    deadlines.remove(&(p.conn.deadline, token));
+                    if let Some(g) = gauge(false) {
+                        g.dec();
+                    }
+                }
+                p.writer
+            });
+            deadlines.insert((Instant::now() + DRAIN_TIMEOUT, DRAINED));
         }
 
         for &token in &events {
             if token == LISTENER {
+                let Some(listener) = &listener else { continue };
                 loop {
                     match listener.accept() {
                         Ok((sock, _)) => admit(sock),
@@ -719,9 +703,17 @@ fn poller_loop<H: Handler>(
         while let Some(&(at, token)) = deadlines.first().filter(|&&(at, _)| at <= now) {
             deadlines.remove(&(at, token));
             if token == LISTENER {
+                let Some(listener) = &listener else { continue };
                 if poller.add(listener.as_raw_fd(), LISTENER, false).is_err() {
                     deadlines.insert((now + ACCEPT_BACKOFF, LISTENER));
                 }
+            } else if token == DRAINED {
+                // Peers still not reading what is parked for them.
+                if let Some(t) = telemetry {
+                    let stalled = parked.values().filter(|p| p.writer).count();
+                    t.http.write_stalls.add(stalled as u64);
+                }
+                break 'serve;
             } else if let Some(p) = parked.remove(&token) {
                 if let Some(t) = telemetry {
                     if p.writer {
@@ -741,7 +733,7 @@ fn poller_loop<H: Handler>(
             }
         }
     }
-    // Shutdown: dropping the map closes every parked socket.
+    // Stopped: dropping the map closes every socket still parked.
     for p in parked.values() {
         if let Some(g) = gauge(p.writer) {
             g.dec();
@@ -749,6 +741,11 @@ fn poller_loop<H: Handler>(
     }
 }
 
+/// One worker: drive connections from the queue, or the one it kept,
+/// until shutdown closes the queue. Once the server is stopping it starts
+/// no request: a connection with no write in flight closes unserved, and
+/// one with a response on its way gets it finished while the event loop
+/// drains.
 fn worker_loop<H: Handler>(me: usize, shared: Arc<WorkerShared<H>>) {
     // The worker's scratch arena lives as long as the thread: buffers
     // recycle across requests *and* connections.
@@ -795,8 +792,9 @@ fn worker_loop<H: Handler>(me: usize, shared: Arc<WorkerShared<H>>) {
                 None => return,
             },
         };
-        if shared.stop.load(Ordering::SeqCst) {
-            // Drain and drop: queued sockets close unserved.
+        if shared.stop.requested() && conn.pending_write.is_none() {
+            // Stopping: a connection with no write in flight closes
+            // unserved; one with a response on its way finishes it.
             continue;
         }
         if let Disposition::Park(mut conn) = conn::drive(conn, &shared, &mut scratch) {
@@ -1009,15 +1007,12 @@ mod tests {
     #[test]
     fn oversized_body_rejected() {
         for mode in BOTH_MODES {
-            let config = ServerConfig {
-                max_body: 10,
-                ..test_config(mode)
-            };
-            let server = HttpServer::bind("127.0.0.1:0", config, echo_handler()).unwrap();
+            let server = start(mode);
+            let too_long = crate::parse::DEFAULT_MAX_BODY + 1;
             let (status, _) = raw_roundtrip(
                 mode,
                 server.local_addr(),
-                "POST / HTTP/1.1\r\nHost: h\r\nContent-Length: 1000\r\n\r\n",
+                &format!("POST / HTTP/1.1\r\nHost: h\r\nContent-Length: {too_long}\r\n\r\n"),
             );
             assert_eq!(status, 413);
             server.shutdown();
