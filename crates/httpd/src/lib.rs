@@ -13,8 +13,9 @@
 //!   live-connection capacity is bounded by `max_connections`, not
 //!   `workers` — on TLS servers too, whose connections carry the secure
 //!   channel as a state machine between socket and parse buffer,
-//! * `poller` (private) — a dependency-free readiness facade (epoll) with
-//!   a self-pipe waker,
+//! * `event_loop` (private) — that loop's every decision as a step
+//!   machine with no I/O in it, which a seeded search drives directly;
+//!   `poller` (private) — the epoll facade and self-pipe waker under it,
 //! * [`client`] — a keep-alive client used by examples, tests, and the
 //!   Figure-4 benchmark driver.
 //!
@@ -32,6 +33,7 @@ compile_error!("clarens-httpd builds for Linux only (epoll, sendfile(2), pipe2(2
 
 pub mod client;
 mod conn;
+mod event_loop;
 pub mod fuzz;
 pub mod parse;
 pub(crate) mod poller;

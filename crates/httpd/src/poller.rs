@@ -1,36 +1,25 @@
-//! Readiness polling over raw file descriptors — the event layer under the
-//! parked-connection scheduler.
+//! Readiness polling over raw file descriptors: the I/O under the event
+//! loop's step machine (`crate::event_loop`), which decides and keeps every
+//! deadline; its driver (`server::run_loop`) makes these calls.
 //!
 //! The paper's PClarens rode on Apache's process-per-connection model; its
 //! Figure 4 tops out at tens of clients because every live connection owns
 //! a whole process (here: a worker thread) even while idle between
 //! keep-alive requests. This module is the piece that breaks that coupling:
-//! a thin, dependency-free readiness facade the server uses to accept
-//! connections and to *park* idle ones off the worker pool, waking them
-//! only when bytes arrive.
 //!
-//! Two parts:
+//! * [`Poller`] — epoll, the one backend. The server's one instance watches
+//!   its listener (level-triggered) and every parked connection socket,
+//!   armed **one-shot**: after its event fires the fd stays registered but
+//!   disarmed, so a worker owns the socket with no risk of concurrent
+//!   events, and re-parking is a cheap re-arm.
+//! * A self-pipe **waker** any thread may call (one `write` on a
+//!   non-blocking pipe): parks and shutdown wake the loop with it, and each
+//!   worker sleeps on its own in a two-fd `poll` (`wait_readable`) beside
+//!   the socket it kept, outside the epoll set.
 //!
-//! * [`Poller`] — epoll, the one backend: the crate builds for Linux only.
-//!   The server's one instance watches its listener (level-triggered) and
-//!   every parked connection socket, registered **one-shot**: after a
-//!   readiness event fires the fd stays registered but disarmed, so a
-//!   worker can own the socket with no risk of concurrent events, and
-//!   re-parking is a cheap re-arm.
-//! * A self-pipe **waker**: `wake()` is async-signal-safe-ish (one `write`
-//!   on a non-blocking pipe) and may be called from any thread — this is
-//!   what makes shutdown deterministic under zero traffic, replacing the
-//!   old connect-to-yourself hack. Each worker owns one too, and sleeps in
-//!   a two-fd `poll` (`wait_readable`) on it and on the socket it kept,
-//!   outside the epoll set.
-//!
-//! Deadlines are not kept here: the poller thread orders them itself and
-//! passes the time to the first one as [`Poller::wait`]'s timeout.
-//!
-//! Everything here speaks raw `RawFd`s and `u64` tokens; connection state
-//! stays in `crate::conn`, and only the poller thread mutates
-//! registrations, so no interest-list locking is needed on the hot path.
-//! The system calls themselves sit behind safe functions in `crate::sys`.
+//! Only the loop's thread changes registrations, so no interest-list
+//! locking is needed. The system calls sit behind safe functions in
+//! `crate::sys`.
 
 use std::fs::File;
 use std::io::{self, Read as _, Write as _};
@@ -131,39 +120,30 @@ impl Poller {
         sys::epoll_modify(self.epfd.as_raw_fd(), op, fd, events, token)
     }
 
-    /// Register `fd` for readability. `oneshot` registrations disarm after
-    /// the first event and must be [`Poller::rearm`]ed.
-    pub fn add(&self, fd: RawFd, token: u64, oneshot: bool) -> io::Result<()> {
-        let mut events = sys::EPOLLIN | sys::EPOLLRDHUP;
-        if oneshot {
-            events |= sys::EPOLLONESHOT;
-        }
-        self.ctl(sys::EPOLL_CTL_ADD, fd, events, token)
+    /// Register `fd` for readability, level-triggered: the listener.
+    pub fn add(&self, fd: RawFd, token: u64) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_ADD, fd, sys::EPOLLIN, token)
     }
 
-    /// Re-arm a one-shot registration after the owner handled its event.
-    pub fn rearm(&self, fd: RawFd, token: u64) -> io::Result<()> {
-        let events = sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLONESHOT;
-        self.ctl(sys::EPOLL_CTL_MOD, fd, events, token)
+    /// Arm `fd` one-shot for readability or, for a `writer` (a response
+    /// parked mid-write after `EWOULDBLOCK`), writability: added the first
+    /// time, re-armed once `registered`. After its event fires the fd stays
+    /// registered but disarmed until armed again.
+    pub fn arm(&self, fd: RawFd, token: u64, writer: bool, registered: bool) -> io::Result<()> {
+        let interest = if writer { sys::EPOLLOUT } else { sys::EPOLLIN };
+        let events = interest | sys::EPOLLRDHUP | sys::EPOLLONESHOT;
+        let op = if registered {
+            sys::EPOLL_CTL_MOD
+        } else {
+            sys::EPOLL_CTL_ADD
+        };
+        self.ctl(op, fd, events, token)
     }
 
-    /// Register `fd` for writability (one-shot): a connection parked
-    /// mid-response after `EWOULDBLOCK`, waiting for the socket's send
-    /// buffer to drain.
-    pub fn add_writable(&self, fd: RawFd, token: u64) -> io::Result<()> {
-        let events = sys::EPOLLOUT | sys::EPOLLRDHUP | sys::EPOLLONESHOT;
-        self.ctl(sys::EPOLL_CTL_ADD, fd, events, token)
-    }
-
-    /// Flip an existing registration to one-shot write interest.
-    pub fn rearm_writable(&self, fd: RawFd, token: u64) -> io::Result<()> {
-        let events = sys::EPOLLOUT | sys::EPOLLRDHUP | sys::EPOLLONESHOT;
-        self.ctl(sys::EPOLL_CTL_MOD, fd, events, token)
-    }
-
-    /// Drop a registration (closing the fd also does this implicitly).
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-        self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0)
+    /// Drop a registration, if there is one (closing the fd also does
+    /// this implicitly).
+    pub fn delete(&self, fd: RawFd) {
+        let _ = self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0);
     }
 
     /// Wake a blocked [`Poller::wait`] from any thread.
@@ -171,13 +151,22 @@ impl Poller {
         self.waker.wake();
     }
 
-    /// Wait for events and append the tokens of the ready fds to `out`
+    /// Wait for events and put the tokens of the ready fds in `out`
     /// (`None` = indefinitely; a timeout is never cut short). Wake-pipe
     /// events are drained and not reported; callers re-check their own
-    /// state after every return.
+    /// state after every return. A wait that fails still lasts its
+    /// timeout, on the wake pipe alone, so a caller that retries does not
+    /// spin; with no timeout it returns at once.
     pub fn wait(&self, timeout: Option<Duration>, out: &mut Vec<u64>) -> io::Result<()> {
         let mut events = [EpollEvent { events: 0, data: 0 }; 64];
-        let n = sys::epoll_wait_into(self.epfd.as_raw_fd(), &mut events, timeout)?;
+        out.clear();
+        let n = sys::epoll_wait_into(self.epfd.as_raw_fd(), &mut events, timeout).inspect_err(
+            |_| {
+                if timeout.is_some() {
+                    let _ = wait_readable(None, &self.waker, timeout);
+                }
+            },
+        )?;
         for ev in &events[..n] {
             match ev.data {
                 WAKE_TOKEN => self.waker.drain(),
@@ -218,21 +207,20 @@ mod tests {
         let mut client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server_side, _) = listener.accept().unwrap();
         waker
-            .add(server_side.as_raw_fd(), 42, true)
+            .arm(server_side.as_raw_fd(), 42, false, false)
             .expect("register");
         client.write_all(b"ping").unwrap();
-        events.clear();
         waker
             .wait(Some(Duration::from_secs(2)), &mut events)
             .expect("wait");
         assert_eq!(events, [42]);
-        events.clear();
         waker
             .wait(Some(Duration::from_millis(50)), &mut events)
             .expect("wait");
         assert!(events.is_empty(), "one-shot fd fired twice: {events:?}");
-        waker.rearm(server_side.as_raw_fd(), 42).expect("rearm");
-        events.clear();
+        waker
+            .arm(server_side.as_raw_fd(), 42, false, true)
+            .expect("rearm");
         waker
             .wait(Some(Duration::from_secs(2)), &mut events)
             .expect("wait");
@@ -261,8 +249,8 @@ mod tests {
             }
         }
         poller
-            .add_writable(server_side.as_raw_fd(), 7)
-            .expect("add_writable");
+            .arm(server_side.as_raw_fd(), 7, true, false)
+            .expect("arm writable");
         let mut events = Vec::new();
         poller
             .wait(Some(Duration::from_millis(100)), &mut events)

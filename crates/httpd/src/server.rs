@@ -1,50 +1,44 @@
-//! The HTTP server: a worker pool fed by an event-driven connection
-//! scheduler.
+//! The HTTP server: a worker pool fed by one event loop.
 //!
 //! Architecturally this plays the role of "Apache + mod_python" in Figure 1
 //! of the paper: it accepts connections, does SSL "transparently... with no
 //! special coding needed in [the service layer] to decrypt (encrypt)
 //! requests (responses)", and hands parsed requests to a [`Handler`].
 //!
-//! The concurrency model (see DESIGN.md "Concurrency model") decouples
-//! connections from threads. Workers are pure CPU executors pulling
-//! connections off one queue; one poller thread runs the server's only
-//! event loop on one epoll set (`crate::poller`): it accepts fresh
-//! connections into that queue, holds every idle keep-alive connection
-//! *parked*, re-dispatches each one to the queue when bytes arrive, and
-//! closes it when the keep-alive idle timeout lapses — the loop sleeps
-//! exactly until the first of an ordered set of deadlines. An idle
-//! connection therefore costs a few hundred bytes of state instead of a
-//! blocked worker thread — the difference between concurrency capped at
-//! `workers` (the Apache prefork shape the paper measured, which is what
-//! Figure 4 tops out on) and concurrency capped at `max_connections`. The
-//! one shortcut: a worker with nothing queued keeps the connection it just
-//! served, sleeping on that socket and its own wake pipe, so a sequential
-//! client's next request skips the poller → queue → worker hop; the first
-//! push that finds no idle worker takes it back to the poller.
-//!
-//! TLS servers run on the same scheduler: the secure channel is a state
-//! machine each connection carries (`crate::conn`), so an encrypted
-//! connection parks on socket readiness — mid-handshake included — exactly
-//! as a plaintext one does.
+//! Connections are decoupled from threads (DESIGN.md §4 "Concurrency
+//! model"). Workers are CPU executors pulling connections off one queue.
+//! One thread runs the event loop: `crate::event_loop::Loop` decides, and
+//! `run_loop` here drives it over one epoll set (`crate::poller`). It
+//! accepts into the queue, holds each idle or mid-write connection
+//! *parked* until its socket is ready or its deadline passes, and is how a
+//! server stops. An idle connection costs a few hundred bytes instead of a
+//! blocked worker, so concurrency is capped by `max_connections`, not
+//! `workers` (the Apache prefork shape Figure 4 tops out on). The one
+//! shortcut: a worker with nothing queued keeps the connection it just
+//! served, sleeping on that socket and its own wake pipe, until a push
+//! finds no idle worker and takes it back to the loop. TLS connections
+//! park the same way, mid-handshake included: the secure channel is a
+//! state machine each connection carries (`crate::conn`).
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use clarens_telemetry::{RequestTrace, Telemetry};
+use clarens_telemetry::{Gauge, RequestTrace, Telemetry};
 
+use clarens_faults::Injected;
 use clarens_pki::cert::{Certificate, Credential};
 use clarens_pki::dn::DistinguishedName;
 use clarens_pki::keystream::SecretRng;
 use clarens_pki::SecureChannel;
 
 use crate::conn::{self, Conn, Disposition, Tls};
+use crate::event_loop::{Accept, Effect, Input, Listener, Loop, Why, LISTENER};
 use crate::poller::{self, Poller, WakePipe};
 use crate::scratch::Scratch;
 use crate::sys;
@@ -183,7 +177,7 @@ impl Parker {
 /// The worker queue: connections waiting for a worker, and the workers
 /// asleep waiting for one — idle, or beside a connection they kept.
 struct WorkQueue {
-    state: parking_lot::Mutex<QueueState>,
+    state: Mutex<QueueState>,
     /// One wake pipe per worker, so a push wakes exactly the worker it
     /// picked: no thundering herd however many workers sleep.
     pipes: Vec<WakePipe>,
@@ -215,7 +209,7 @@ enum Woken {
 impl WorkQueue {
     fn new(workers: usize) -> io::Result<WorkQueue> {
         Ok(WorkQueue {
-            state: parking_lot::Mutex::new(QueueState {
+            state: Mutex::new(QueueState {
                 conns: VecDeque::new(),
                 idle: Vec::new(),
                 keeping: VecDeque::new(),
@@ -227,8 +221,14 @@ impl WorkQueue {
         })
     }
 
+    /// The queue's state, unpoisoned: every critical section leaves it
+    /// whole, so a panic in one breaks nothing.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn push(&self, conn: Box<Conn>) {
-        let mut state = self.state.lock();
+        let mut state = self.lock();
         state.conns.push_back(conn);
         let sleeper = state.idle.pop().or_else(|| state.keeping.pop_front());
         drop(state);
@@ -242,7 +242,7 @@ impl WorkQueue {
     fn pop(&self, me: usize) -> Option<Box<Conn>> {
         loop {
             {
-                let mut state = self.state.lock();
+                let mut state = self.lock();
                 state.idle.retain(|&worker| worker != me);
                 if let Some(conn) = state.conns.pop_front() {
                     return Some(conn);
@@ -264,7 +264,7 @@ impl WorkQueue {
         let pipe = &self.pipes[me];
         loop {
             {
-                let mut state = self.state.lock();
+                let mut state = self.lock();
                 if !state.conns.is_empty() || state.closed {
                     return Woken::Work;
                 }
@@ -272,7 +272,7 @@ impl WorkQueue {
             }
             let left = conn.deadline.saturating_duration_since(Instant::now());
             let ready = poller::wait_readable(Some(conn.sock.as_raw_fd()), pipe, Some(left));
-            let mut state = self.state.lock();
+            let mut state = self.lock();
             match state.keeping.iter().position(|&worker| worker == me) {
                 Some(i) => state.keeping.remove(i),
                 None => return Woken::Work,
@@ -290,7 +290,7 @@ impl WorkQueue {
     /// Wake every worker for good: shutdown, after the poller has stopped
     /// pushing.
     fn close(&self) {
-        self.state.lock().closed = true;
+        self.lock().closed = true;
         for pipe in &self.pipes {
             pipe.wake();
         }
@@ -365,7 +365,7 @@ impl HttpServer {
         // The listener is non-blocking and registered level-triggered, so
         // the event loop's `wait` returns whenever connections are pending.
         listener.set_nonblocking(true)?;
-        conn_poller.add(listener.as_raw_fd(), LISTENER, false)?;
+        conn_poller.add(listener.as_raw_fd(), LISTENER)?;
         let (park_tx, park_rx) = mpsc::channel();
         let stop = Arc::new(Stop {
             requested: AtomicBool::new(false),
@@ -406,7 +406,7 @@ impl HttpServer {
                 .map(|tls| (Arc::new(tls.credential), tls.roots.into()));
             std::thread::Builder::new()
                 .name("clarens-poller".into())
-                .spawn(move || poller_loop(shared, listener, park_rx, max_connections, tls))
+                .spawn(move || run_loop(shared, listener, park_rx, max_connections, tls))
                 .expect("spawn poller")
         };
 
@@ -473,25 +473,13 @@ pub(crate) struct WorkerShared<H: Handler> {
     queue: Arc<WorkQueue>,
 }
 
-/// The listener's poller token: the wake pipe holds `u64::MAX` and
-/// connection ids count up from 0.
-const LISTENER: u64 = poller::WAKE_TOKEN - 1;
-
-/// The token of the drain deadline, the one entry a stopping loop adds to
-/// its deadlines.
-const DRAINED: u64 = LISTENER - 1;
-
-/// How long the listener stays out of the epoll set after `accept` failed
-/// with the connection still pending (descriptors or memory exhausted):
-/// level-triggered, it would otherwise report the same connection at once.
-const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
-
 /// Answer an over-budget connection with `503` + `Connection: close` and
 /// drop it, without ever reading the request (the peer may not have sent
 /// one yet, and we will not hold a slot waiting for it). One non-blocking
 /// write: a fresh socket's send buffer takes the whole answer, and the
 /// event loop never waits on a peer.
-fn shed(mut sock: TcpStream, telemetry: &Option<Arc<Telemetry>>) {
+fn shed(sock: Option<TcpStream>, telemetry: &Option<Arc<Telemetry>>) {
+    let Some(mut sock) = sock else { return };
     if let Some(t) = telemetry {
         t.http.sheds.inc();
     }
@@ -501,243 +489,195 @@ fn shed(mut sock: TcpStream, telemetry: &Option<Arc<Telemetry>>) {
     let _ = sock.write(&answer);
 }
 
-/// The server's one event loop: owns the listener, every parked
-/// connection, their epoll set and the ordered set of deadlines. Each
-/// iteration absorbs newly parked connections from the park channel,
-/// sleeps until readiness or the first deadline, admits new sockets,
-/// re-dispatches readable parked ones to the worker queue, and expires
-/// those past their deadline (stamped by the worker that parked them, so a
-/// connection a worker kept and handed back expires when it would have
-/// there).
-///
-/// It is also how a server stops. On the stop flag it closes the listener
-/// and its idle parked connections, adds a [`DRAIN_TIMEOUT`] deadline,
-/// and goes on absorbing parks and dispatching writable parked writers
-/// until nothing is in flight or that deadline comes due.
-fn poller_loop<H: Handler>(
+/// The server's one event loop. `event_loop::Loop` makes every decision;
+/// this owns the epoll set, the listener, the parked connections, the park
+/// channel and the clock, and only translates: readiness, `accept` results
+/// and parks become inputs, and effects become system calls and counters.
+fn run_loop<H: Handler>(
     shared: Arc<WorkerShared<H>>,
     listener: TcpListener,
     park_rx: Receiver<Box<Conn>>,
     max_connections: usize,
     tls: Option<(Arc<Credential>, Arc<[Certificate]>)>,
 ) {
-    struct Parked {
-        conn: Box<Conn>,
-        /// Waiting for the socket to become writable (response parked
-        /// mid-write) rather than readable (idle keep-alive).
-        writer: bool,
-    }
-
-    let (poller, telemetry) = (&shared.parker.poller, &shared.telemetry);
-    // `None` once stopping: closing the listener takes it out of the
-    // epoll set, and later connects are refused.
-    let mut listener = Some(listener);
-    let mut parked: HashMap<u64, Parked> = HashMap::new();
-    // Every parked connection's deadline by token, the listener's
-    // back-off while it is out of the epoll set, and, once stopping, the
-    // drain's.
-    let mut deadlines: BTreeSet<(Instant, u64)> = BTreeSet::new();
-    let mut events: Vec<u64> = Vec::new();
+    let (poller, stop) = (&shared.parker.poller, &shared.stop);
+    let (mut machine, mut listener, mut sock) = (Loop::new(max_connections), Some(listener), None);
+    let mut parked: HashMap<u64, Box<Conn>> = HashMap::new();
+    let (mut inputs, mut effects, mut events) = (VecDeque::from([Input::Tick(0)]), vec![], vec![]);
     // Only this loop claims budget slots; a closing connection frees one.
-    let conn_count = Arc::new(AtomicUsize::new(0));
-    // The loop is the sole allocator of connection ids (poller tokens).
-    let mut next_id: u64 = 0;
-    // The gauge a parked connection counts in: `parked_writers`, or
-    // `parked`, which workers keeping an idle connection count in too.
-    let gauge = |writer: bool| {
-        telemetry.as_ref().map(|t| match writer {
-            true => &t.http.parked_writers,
-            false => &t.http.parked,
-        })
-    };
-    let mut admit = |sock: TcpStream| {
-        // Fault injection: a failed accept behaves like ECONNABORTED —
-        // the connection is dropped before any accounting sees it.
-        if matches!(
-            clarens_faults::eval(clarens_faults::sites::HTTPD_ACCEPT),
-            Some(clarens_faults::Injected::Err) | Some(clarens_faults::Injected::ShortWrite(_))
-        ) {
-            return;
-        }
-        shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = telemetry {
-            t.http.connections.inc();
-        }
-        if sock.set_nonblocking(true).is_err() {
-            // A socket that cannot be driven without blocking is dropped.
-            return;
-        }
-        if conn_count.load(Ordering::Acquire) >= max_connections {
-            return shed(sock, telemetry);
-        }
-        conn_count.fetch_add(1, Ordering::AcqRel);
-        let budget = BudgetGuard {
-            count: Arc::clone(&conn_count),
-        };
-        sock.set_nodelay(true).ok();
-        let id = next_id;
-        next_id += 1;
-        let tls = tls.as_ref().map(|(credential, roots)| {
-            let (credential, roots) = (Arc::clone(credential), Arc::clone(roots));
-            let channel =
-                SecureChannel::server(credential, roots, (shared.now_fn)(), &mut SecretRng);
-            Box::new(Tls {
-                channel,
-                peer: None,
-            })
-        });
-        let conn = Box::new(Conn {
-            sock,
-            inbuf: Vec::new(),
-            served: 0,
-            id,
-            registered: false,
-            pending_write: None,
-            deadline: Instant::now(),
-            tls,
-            _budget: Some(budget),
-        });
-        if let Some(t) = telemetry {
-            t.http.queue_depth.inc();
-        }
-        shared.queue.push(conn);
-    };
-
-    'serve: loop {
-        while let Ok(mut conn) = park_rx.try_recv() {
-            let fd = conn.sock.as_raw_fd();
-            let writer = conn.pending_write.is_some();
-            if listener.is_none() && !writer {
-                continue; // idle while stopping: close
-            }
-            let armed = if conn.registered {
-                if writer {
-                    poller.rearm_writable(fd, conn.id)
-                } else {
-                    poller.rearm(fd, conn.id)
+    let live = Arc::new(AtomicUsize::new(0));
+    while let Some(input) = inputs.pop_front() {
+        machine.step(Instant::now(), input, &mut effects);
+        for effect in effects.drain(..) {
+            // The machine accepts and moves the listener only while it is open.
+            let fd = listener.as_ref().map_or(-1, |l| l.as_raw_fd());
+            match effect {
+                Effect::Accept => {
+                    let accepted = listener.as_ref().map(|l| l.accept());
+                    inputs.push_front(Input::Accepted(accept(accepted, &mut sock, &shared, &live)));
                 }
-            } else {
-                let added = if writer {
-                    poller.add_writable(fd, conn.id)
-                } else {
-                    poller.add(fd, conn.id, true)
-                };
-                if added.is_ok() {
-                    conn.registered = true;
+                Effect::Admit(id) => admit(sock.take(), id, &live, &shared, &tls),
+                Effect::Shed => shed(sock.take(), &shared.telemetry),
+                // A full interest list is memory exhausted, as in `accept`.
+                Effect::Listener(Listener::Open) if poller.add(fd, LISTENER).is_err() => {
+                    inputs.push_front(Input::Accepted(Accept::Exhausted));
                 }
-                added
-            };
-            if armed.is_err() {
-                // Cannot watch it → cannot ever wake it; close now.
-                continue;
-            }
-            deadlines.insert((conn.deadline, conn.id));
-            if let Some(g) = gauge(writer) {
-                g.inc();
-            }
-            parked.insert(conn.id, Parked { conn, writer });
-        }
-        if listener.is_none() && shared.stop.in_flight.load(Ordering::SeqCst) == 0 {
-            break; // drained
-        }
-
-        // Sleep until the first deadline; with none, until readiness or a
-        // wake (new park or shutdown).
-        let timeout = deadlines
-            .first()
-            .map(|&(at, _)| at.saturating_duration_since(Instant::now()));
-        events.clear();
-        if poller.wait(timeout, &mut events).is_err() {
-            // Defensive: never spin hot on a persistent backend error.
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        if listener.is_some() && shared.stop.requested() {
-            // Stopping: no new connections, and idle ones close now.
-            listener = None;
-            parked.retain(|&token, p| {
-                if !p.writer {
-                    deadlines.remove(&(p.conn.deadline, token));
-                    if let Some(g) = gauge(false) {
-                        g.dec();
+                Effect::Listener(Listener::Open) => {}
+                Effect::Listener(Listener::Backoff) => poller.delete(fd),
+                Effect::Listener(Listener::Closed) => listener = None,
+                Effect::Dispatch(token) | Effect::Close(token, _) => {
+                    if let Some(conn) = parked.remove(&token) {
+                        unparked(conn, effect, &shared);
                     }
                 }
-                p.writer
-            });
-            deadlines.insert((Instant::now() + DRAIN_TIMEOUT, DRAINED));
-        }
-
-        for &token in &events {
-            if token == LISTENER {
-                let Some(listener) = &listener else { continue };
-                loop {
-                    match listener.accept() {
-                        Ok((sock, _)) => admit(sock),
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(e) => {
-                            let code = e.raw_os_error().unwrap_or(0);
-                            if sys::ACCEPT_EXHAUSTED.contains(&code)
-                                && poller.delete(listener.as_raw_fd()).is_ok()
-                            {
-                                deadlines.insert((Instant::now() + ACCEPT_BACKOFF, LISTENER));
-                            }
-                            // `WouldBlock` (drained) or an error that took
-                            // its connection with it (e.g. ECONNABORTED).
-                            break;
-                        }
+                Effect::Wait(until) => {
+                    let timeout = until.map(|at| at.saturating_duration_since(Instant::now()));
+                    if poller.wait(timeout, &mut events).is_err() {
+                        inputs.push_back(Input::WaitFailed);
                     }
-                }
-            } else if let Some(p) = parked.remove(&token) {
-                deadlines.remove(&(p.conn.deadline, token));
-                if let Some(g) = gauge(p.writer) {
-                    g.dec();
-                }
-                if let Some(t) = telemetry {
-                    t.http.poll_wakeups.inc();
-                    t.http.queue_depth.inc();
-                }
-                shared.queue.push(p.conn);
-            }
-        }
-
-        let now = Instant::now();
-        while let Some(&(at, token)) = deadlines.first().filter(|&&(at, _)| at <= now) {
-            deadlines.remove(&(at, token));
-            if token == LISTENER {
-                let Some(listener) = &listener else { continue };
-                if poller.add(listener.as_raw_fd(), LISTENER, false).is_err() {
-                    deadlines.insert((now + ACCEPT_BACKOFF, LISTENER));
-                }
-            } else if token == DRAINED {
-                // Peers still not reading what is parked for them.
-                if let Some(t) = telemetry {
-                    let stalled = parked.values().filter(|p| p.writer).count();
-                    t.http.write_stalls.add(stalled as u64);
-                }
-                break 'serve;
-            } else if let Some(p) = parked.remove(&token) {
-                if let Some(t) = telemetry {
-                    if p.writer {
-                        // A consumer too slow to drain its response within
-                        // the deadline: a stalled writer, not keep-alive
-                        // churn.
-                        t.http.parked_writers.dec();
-                        t.http.write_stalls.inc();
-                    } else {
-                        // The server's own idle timeout, not a peer reset.
-                        t.http.parked.dec();
-                        t.http.idle_timeouts.inc();
+                    if stop.requested() {
+                        inputs.push_back(Input::Stop);
                     }
+                    inputs.extend(events.iter().map(|&token| match token {
+                        LISTENER => Input::ListenerReady,
+                        token => Input::Ready(token),
+                    }));
+                    let parks = park_rx.try_iter();
+                    inputs.extend(parks.filter_map(|conn| watch(conn, &mut parked, &shared)));
+                    // After the flag: either this read sees the last request
+                    // end, or that request's end wakes the loop.
+                    inputs.push_back(Input::Tick(stop.in_flight.load(Ordering::SeqCst)));
                 }
-                // Counted before it closes (the drop here), so a peer that
-                // sees EOF sees the count.
+                Effect::Exit => return,
             }
         }
     }
-    // Stopped: dropping the map closes every socket still parked.
-    for p in parked.values() {
-        if let Some(g) = gauge(p.writer) {
-            g.dec();
+}
+
+/// One `accept` as the event loop's input. A socket waits in `sock` for the
+/// loop's verdict, once it has passed what every accepted socket does.
+fn accept<H: Handler>(
+    accepted: Option<io::Result<(TcpStream, SocketAddr)>>,
+    sock: &mut Option<TcpStream>,
+    shared: &WorkerShared<H>,
+    live: &AtomicUsize,
+) -> Accept {
+    match accepted {
+        Some(Ok((accepted, _))) => {
+            // Fault injection: a failed accept behaves like ECONNABORTED,
+            // the connection dropped before any accounting sees it.
+            let fault = clarens_faults::eval(clarens_faults::sites::HTTPD_ACCEPT);
+            if matches!(fault, Some(Injected::Err | Injected::ShortWrite(_))) {
+                return Accept::Other;
+            }
+            shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+            if let Some(t) = &shared.telemetry {
+                t.http.connections.inc();
+            }
+            // A socket that cannot be driven without blocking is dropped.
+            if accepted.set_nonblocking(true).is_err() {
+                return Accept::Other;
+            }
+            *sock = Some(accepted);
+            Accept::Socket(live.load(Ordering::Acquire))
         }
+        Some(Err(e)) if e.kind() == io::ErrorKind::WouldBlock => Accept::WouldBlock,
+        Some(Err(e)) if sys::ACCEPT_EXHAUSTED.contains(&e.raw_os_error().unwrap_or(0)) => {
+            Accept::Exhausted
+        }
+        _ => Accept::Other,
+    }
+}
+
+/// Admit `sock` as connection `id`: claim its budget slot, give a TLS
+/// server's connection its secure channel, and queue it for a worker.
+fn admit<H: Handler>(
+    sock: Option<TcpStream>,
+    id: u64,
+    live: &Arc<AtomicUsize>,
+    shared: &WorkerShared<H>,
+    tls: &Option<(Arc<Credential>, Arc<[Certificate]>)>,
+) {
+    let Some(sock) = sock else { return };
+    live.fetch_add(1, Ordering::AcqRel);
+    let budget = BudgetGuard {
+        count: Arc::clone(live),
+    };
+    sock.set_nodelay(true).ok();
+    let tls = tls.as_ref().map(|(credential, roots)| {
+        let (credential, roots) = (Arc::clone(credential), Arc::clone(roots));
+        let channel = SecureChannel::server(credential, roots, (shared.now_fn)(), &mut SecretRng);
+        Box::new(Tls {
+            channel,
+            peer: None,
+        })
+    });
+    let conn = Box::new(Conn {
+        sock,
+        inbuf: Vec::new(),
+        served: 0,
+        id,
+        registered: false,
+        pending_write: None,
+        deadline: Instant::now(),
+        tls,
+        _budget: Some(budget),
+    });
+    if let Some(t) = &shared.telemetry {
+        t.http.queue_depth.inc();
+    }
+    shared.queue.push(conn);
+}
+
+/// Arm a connection a worker parked, one-shot for what it waits on, and
+/// hold it: its input, or `None` if it cannot be watched (it could never
+/// wake, so it closes here).
+fn watch<H: Handler>(
+    mut conn: Box<Conn>,
+    parked: &mut HashMap<u64, Box<Conn>>,
+    shared: &WorkerShared<H>,
+) -> Option<Input> {
+    let (token, writer, deadline) = (conn.id, conn.pending_write.is_some(), conn.deadline);
+    let fd = conn.sock.as_raw_fd();
+    (shared.parker.poller)
+        .arm(fd, token, writer, conn.registered)
+        .ok()?;
+    conn.registered = true;
+    if let Some(t) = &shared.telemetry {
+        parked_gauge(t, writer).inc();
+    }
+    parked.insert(token, conn);
+    Some(Input::Parked(token, writer, deadline))
+}
+
+/// A connection leaves the event loop's parked set: counted (before a
+/// close drops it, so a peer that sees EOF sees the count), and queued for
+/// a worker if dispatched.
+fn unparked<H: Handler>(conn: Box<Conn>, effect: Effect, shared: &WorkerShared<H>) {
+    if let Some(t) = &shared.telemetry {
+        parked_gauge(t, conn.pending_write.is_some()).dec();
+        match effect {
+            Effect::Dispatch(_) => {
+                t.http.poll_wakeups.inc();
+                t.http.queue_depth.inc();
+            }
+            Effect::Close(_, Why::Idle) => t.http.idle_timeouts.inc(),
+            Effect::Close(_, Why::Stalled) => t.http.write_stalls.inc(),
+            _ => {}
+        }
+    }
+    if let Effect::Dispatch(_) = effect {
+        shared.queue.push(conn);
+    }
+}
+
+/// The gauge a connection parked on the event loop counts in:
+/// `parked_writers`, or `parked`, which workers keeping an idle connection
+/// count in too.
+fn parked_gauge(t: &Telemetry, writer: bool) -> &Gauge {
+    match writer {
+        true => &t.http.parked_writers,
+        false => &t.http.parked,
     }
 }
 
