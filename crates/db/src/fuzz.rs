@@ -3,8 +3,9 @@
 //! Same contract as `clarens_wire::fuzz`: raw bytes in (a log file after a
 //! crash, a replication chunk off the network), and the reader must accept
 //! or reject them gracefully. Driven by the cargo-fuzz target in
-//! `fuzz/fuzz_targets/`, the in-tree `repro fuzz` harness, and a bounded
-//! pass in `cargo test`.
+//! `fuzz/fuzz_targets/`, the in-tree `repro fuzz` harness, and that
+//! harness's bounded pass in `cargo test`
+//! (`crates/bench/tests/fuzz_smoke.rs`).
 
 use crate::log::{decode_op, decode_stream, encode_record, frame_prefix, read_frame, Frame};
 

@@ -3,7 +3,8 @@
 //! Same contract as `clarens_wire::fuzz`: raw attacker bytes in, and the
 //! parser must reject or accept them gracefully — no panic, no unbounded
 //! allocation. Driven by the cargo-fuzz target in `fuzz/fuzz_targets/`,
-//! the in-tree `repro fuzz` harness, and a bounded pass in `cargo test`.
+//! the in-tree `repro fuzz` harness, and that harness's bounded pass in
+//! `cargo test` (`crates/bench/tests/fuzz_smoke.rs`).
 
 use std::io::BufReader;
 

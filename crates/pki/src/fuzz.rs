@@ -6,7 +6,8 @@
 //! reject or accept them gracefully; the kernels must agree with their
 //! references on whatever operands the bytes spell. Driven by the
 //! cargo-fuzz targets in `fuzz/fuzz_targets/`, the in-tree `repro fuzz`
-//! harness, and a bounded pass in `cargo test`.
+//! harness, and that harness's bounded pass in `cargo test`
+//! (`crates/bench/tests/fuzz_smoke.rs`).
 
 use std::sync::{Arc, OnceLock};
 

@@ -7,37 +7,37 @@
 //! 1. `fuzz/fuzz_targets/*.rs` — cargo-fuzz/libFuzzer targets (coverage
 //!    guided; run where a nightly toolchain and `cargo-fuzz` are available),
 //! 2. `repro fuzz` — the in-tree deterministic seeded mutation harness that
-//!    CI runs (`binproto-smoke`), which needs no extra tooling,
-//! 3. `tests/fuzz_smoke.rs` — a short bounded pass inside `cargo test` so
-//!    the entries can never bit-rot.
+//!    CI runs (job `drills`), which needs no extra tooling,
+//! 3. `crates/bench/tests/fuzz_smoke.rs` — a short bounded pass of that
+//!    harness inside `cargo test` so the entries can never bit-rot.
 //!
-//! Beyond "don't crash", the entries assert semantic properties:
-//! fast-vs-DOM *divergence* for the streaming XML-RPC decoder (the fast path
-//! must be indistinguishable from the reference DOM decoder), and
-//! re-encode/re-decode idempotence for the binary frame codec.
+//! Beyond "don't crash", the entries assert semantic properties: the
+//! streaming XML-RPC call decoder against its DOM oracle (the two must be
+//! indistinguishable), and re-encode/re-decode idempotence for the binary
+//! frame codec.
 
 use crate::{binary, xmlrpc};
 
-/// Fuzz the streaming XML-RPC call decoder against the DOM reference.
+/// Fuzz the streaming XML-RPC call decoder against the DOM oracle.
 ///
-/// `xmlrpc::decode_call` runs a conservative streaming fast path and falls
-/// back to the DOM on anything it cannot mirror, so for every input the two
-/// must agree on success/failure and on the decoded call. A divergence here
-/// means the fast path accepted something the DOM rejects (or decoded it
-/// differently) — exactly the bug class fuzzing is for.
+/// `xmlrpc::decode_call` reads the XML reader's events with the rules
+/// `xmlrpc::decode_call_dom` applies to the tree, so for every input the
+/// two must agree on success/failure and on the decoded call. A divergence
+/// here means the decoder accepted something the DOM rejects, rejected
+/// something it accepts, or decoded it differently.
 pub fn xmlrpc_divergence(data: &[u8]) {
     let Ok(text) = std::str::from_utf8(data) else {
         return;
     };
-    let fast = xmlrpc::decode_call(text);
+    let streamed = xmlrpc::decode_call(text);
     let dom = xmlrpc::decode_call_dom(text);
-    match (&fast, &dom) {
-        (Ok(a), Ok(b)) => assert_eq!(a, b, "fast/DOM decoded calls diverge"),
-        (Ok(call), Err(e)) => panic!("fast path accepted what DOM rejects: {call:?} vs {e}"),
-        (Err(e), Ok(call)) => panic!("fast path rejected what DOM accepts: {e} vs {call:?}"),
+    match (&streamed, &dom) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "decoder/DOM decoded calls diverge"),
+        (Ok(call), Err(e)) => panic!("decoder accepted what DOM rejects: {call:?} vs {e}"),
+        (Err(e), Ok(call)) => panic!("decoder rejected what DOM accepts: {e} vs {call:?}"),
         (Err(_), Err(_)) => {}
     }
-    // The response decoder has no fast path but must still never panic.
+    // The response decoder has one (DOM) path but must still never panic.
     let _ = xmlrpc::decode_response(text);
 }
 

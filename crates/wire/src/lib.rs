@@ -177,41 +177,20 @@ pub fn decode_call(protocol: Protocol, body: &[u8]) -> Result<RpcCall, WireError
     }
 }
 
-/// Decode a call using only the DOM reference decoders, bypassing any
-/// streaming fast path. The pre-optimization baseline for the allocation
-/// ablation; behaviour is identical to [`decode_call`] by construction
-/// (the fast path defers to the DOM on anything it cannot mirror). The
-/// binary protocol has no DOM form — its streaming decoder is the only
-/// decoder — so `Binary` maps to the same path.
-pub fn decode_call_dom(protocol: Protocol, body: &[u8]) -> Result<RpcCall, WireError> {
-    if protocol == Protocol::Binary {
-        return binary::decode_call(body);
-    }
-    let text = std::str::from_utf8(body).map_err(|_| WireError::parse("body is not UTF-8"))?;
-    match protocol {
-        Protocol::XmlRpc => xmlrpc::decode_call_dom(text),
-        Protocol::Soap => soap::decode_call(text),
-        Protocol::JsonRpc => jsonrpc::decode_call(text),
-        Protocol::Binary => unreachable!("handled above"),
-    }
-}
-
-/// Encode a response in the given protocol. `id` is echoed for JSON-RPC.
+/// Encode a response in the given protocol (`id` is echoed for JSON-RPC)
+/// into a new buffer, with the server's encoder, [`encode_response_into`].
 pub fn encode_response(protocol: Protocol, response: &RpcResponse, id: Option<&Value>) -> Vec<u8> {
-    match protocol {
-        Protocol::XmlRpc => xmlrpc::encode_response(response).into_bytes(),
-        Protocol::Soap => soap::encode_response(response).into_bytes(),
-        Protocol::JsonRpc => jsonrpc::encode_response(response, id).into_bytes(),
-        Protocol::Binary => binary::encode_response(response),
-    }
+    let mut out = Vec::new();
+    encode_response_into(protocol, response, id, &mut out);
+    out
 }
 
 /// Encode a response in the given protocol directly into `out`, appending.
 ///
-/// The streaming twin of [`encode_response`]: no `Element` tree, no
-/// intermediate `String`s, base64 streamed straight from `Value::Bytes` into
-/// the buffer. Output is byte-identical to the DOM encoders (property-tested
-/// in `tests/stream_identity.rs`); callers pass a recycled buffer to make
+/// No `Element` tree, no intermediate `String`s, base64 streamed straight
+/// from `Value::Bytes` into the buffer. Output is byte-identical to the
+/// per-protocol DOM encoders (property-tested in
+/// `tests/stream_identity.rs`); the server passes a recycled buffer to make
 /// the serialize phase allocation-free in steady state.
 pub fn encode_response_into(
     protocol: Protocol,

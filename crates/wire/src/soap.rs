@@ -41,7 +41,7 @@ pub fn encode_call(call: &RpcCall) -> String {
         .to_document()
 }
 
-/// Encode a response envelope.
+/// Encode a response envelope (the reference for [`encode_response_into`]).
 pub fn encode_response(response: &RpcResponse) -> String {
     let body_child = match response {
         RpcResponse::Success(value) => Element::new("m:Response")

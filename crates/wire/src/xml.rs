@@ -1,4 +1,4 @@
-//! A small XML 1.0 parser and writer.
+//! A small XML 1.0 reader and writer.
 //!
 //! Scope: what RPC payloads need — elements, attributes, character data,
 //! entity references, CDATA sections, comments, and the XML declaration.
@@ -7,7 +7,12 @@
 //! instructions (skipped). Namespace *syntax* is preserved
 //! (`SOAP-ENV:Envelope` keeps its prefix); [`Element::local_name`] strips
 //! the prefix, which is all the SOAP subset needs.
+//!
+//! One lexer decides what is well-formed: the pull reader `Reader`, whose
+//! events borrow from the document. [`parse`] builds an [`Element`] tree
+//! from those events; the XML-RPC call decoder reads them directly.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::WireError;
@@ -15,6 +20,9 @@ use crate::WireError;
 /// Maximum element nesting depth, for the same adversarial-input reason as
 /// [`crate::json::MAX_DEPTH`].
 pub const MAX_DEPTH: usize = 256;
+
+/// Open elements whose names a reader keeps without allocating.
+const INLINE_DEPTH: usize = 16;
 
 /// An XML element.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,34 +209,280 @@ fn escape_into(text: &str, out: &mut String, attr: bool) {
 
 /// Parse an XML document and return the root element.
 pub fn parse(text: &str) -> Result<Element, WireError> {
-    let mut p = XmlParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_prolog()?;
-    let root = p.parse_element(0)?;
-    p.skip_misc();
-    if p.pos != p.bytes.len() {
-        return Err(WireError::parse(format!(
-            "trailing content after root element at offset {}",
-            p.pos
-        )));
-    }
-    Ok(root)
+    let mut reader = Reader::new(text);
+    let root = reader.root()?;
+    build(&mut reader, root)
 }
 
-struct XmlParser<'a> {
-    bytes: &'a [u8],
+/// The element `tag` opened, read up to its end tag.
+fn build(reader: &mut Reader<'_>, tag: Tag<'_>) -> Result<Element, WireError> {
+    let mut attrs = Cursor {
+        text: tag.attrs,
+        pos: 0,
+    };
+    let mut element = Element {
+        name: tag.name.to_owned(),
+        attributes: std::iter::from_fn(|| attrs.attribute().ok().flatten())
+            .map(|(k, v)| (k.to_owned(), v.into_owned()))
+            .collect(),
+        children: Vec::new(),
+    };
+    loop {
+        match reader.next()? {
+            Event::Start(child) => element.children.push(Node::Element(build(reader, child)?)),
+            Event::Text(text) => element.children.push(Node::Text(text.into_owned())),
+            Event::End => return Ok(element),
+        }
+    }
+}
+
+/// What [`Reader::next`] found.
+pub(crate) enum Event<'a> {
+    /// A start tag. A `<name/>` element's `End` follows at once.
+    Start(Tag<'a>),
+    /// The end of the innermost open element.
+    End,
+    /// The text between two tags, never empty: entities decoded, CDATA and
+    /// text around a comment or PI merged, borrowed unless that copied it.
+    Text(Cow<'a, str>),
+}
+
+/// A start tag.
+pub(crate) struct Tag<'a> {
+    /// The element's name as written.
+    pub(crate) name: &'a str,
+    /// The name with any namespace prefix removed.
+    pub(crate) local: &'a str,
+    /// The attribute list as written, already checked by the reader.
+    attrs: &'a str,
+}
+
+/// A pull reader over one document: [`Reader::root`]'s start tag, then
+/// [`Reader::next`]'s events up to the root's end. Everything that makes a
+/// document well-formed or not is decided here — tag matching, entities,
+/// comments, PIs, CDATA, the DOCTYPE skip, [`MAX_DEPTH`] and what may
+/// follow the root — so every consumer accepts the same documents.
+pub(crate) struct Reader<'a> {
+    cursor: Cursor<'a>,
+    /// The open elements' names, outermost first: the first [`INLINE_DEPTH`]
+    /// here, so that ordinary documents allocate nothing, the rest in `deeper`.
+    open: [&'a str; INLINE_DEPTH],
+    deeper: Vec<&'a str>,
+    depth: usize,
+    /// The last start tag was `<name/>`: its `End` comes next.
+    empty: bool,
+}
+
+impl<'a> Reader<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Reader {
+            cursor: Cursor { text, pos: 0 },
+            open: [""; INLINE_DEPTH],
+            deeper: Vec::new(),
+            depth: 0,
+            empty: false,
+        }
+    }
+
+    /// Read the prolog and the root's start tag.
+    pub(crate) fn root(&mut self) -> Result<Tag<'a>, WireError> {
+        self.cursor.skip_misc(true)?;
+        self.start()
+    }
+
+    /// The next event inside the root. The root's `End` is returned only
+    /// once nothing but comments, PIs and whitespace follows it; after
+    /// that, every call returns `End`.
+    #[inline]
+    pub(crate) fn next(&mut self) -> Result<Event<'a>, WireError> {
+        if std::mem::take(&mut self.empty) {
+            return self.close();
+        }
+        if self.depth == 0 {
+            return Ok(Event::End);
+        }
+        let mut text = Cow::Borrowed("");
+        loop {
+            let rest = self.cursor.rest();
+            match rest.as_bytes() {
+                [] => {
+                    return Err(WireError::parse(format!(
+                        "EOF inside element <{}>",
+                        self.innermost()
+                    )))
+                }
+                [b'<', b'!', ..] if rest.starts_with("<!--") => self.cursor.skip_past("-->")?,
+                [b'<', b'!', ..] if rest.starts_with("<![CDATA[") => {
+                    let cdata = &rest["<![CDATA[".len()..];
+                    let len =
+                        find(cdata, "]]>").ok_or_else(|| WireError::parse("unterminated CDATA"))?;
+                    join(&mut text, Cow::Borrowed(&cdata[..len]));
+                    self.cursor.pos += "<![CDATA[".len() + len + "]]>".len();
+                }
+                [b'<', b'?', ..] => self.cursor.skip_past("?>")?,
+                [b'<', ..] if !text.is_empty() => return Ok(Event::Text(text)),
+                [b'<', b'/', ..] => return self.end(),
+                [b'<', ..] => return self.start().map(Event::Start),
+                _ => {
+                    let len = rest.bytes().position(|b| b == b'<').unwrap_or(rest.len());
+                    join(&mut text, decode_entities(&rest[..len])?);
+                    self.cursor.pos += len;
+                    // Only a comment, PI or CDATA section can extend the run.
+                    if !matches!(rest.as_bytes().get(len + 1), Some(b'!' | b'?')) {
+                        return Ok(Event::Text(text));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The local name of the innermost open element's next child, the text
+    /// before it skipped, or `None` once that element has ended.
+    #[inline]
+    pub(crate) fn child(&mut self) -> Result<Option<&'a str>, WireError> {
+        loop {
+            match self.next()? {
+                Event::Start(tag) => return Ok(Some(tag.local)),
+                Event::Text(_) => {}
+                Event::End => return Ok(None),
+            }
+        }
+    }
+
+    /// Read past the end of the innermost open element.
+    pub(crate) fn skip(&mut self) -> Result<(), WireError> {
+        while self.child()?.is_some() {
+            self.skip()?;
+        }
+        Ok(())
+    }
+
+    /// The rest of the innermost open element's direct text, child
+    /// elements skipped: what [`Element::text_content`] gives.
+    pub(crate) fn text(&mut self) -> Result<Cow<'a, str>, WireError> {
+        let mut text = Cow::Borrowed("");
+        loop {
+            match self.next()? {
+                Event::Start(_) => self.skip()?,
+                Event::Text(more) => join(&mut text, more),
+                Event::End => return Ok(text),
+            }
+        }
+    }
+
+    fn innermost(&self) -> &'a str {
+        self.deeper
+            .last()
+            .copied()
+            .unwrap_or_else(|| self.open[self.depth - 1])
+    }
+
+    /// The start tag at the cursor; its element becomes the innermost.
+    #[inline]
+    fn start(&mut self) -> Result<Tag<'a>, WireError> {
+        if self.depth > MAX_DEPTH {
+            return Err(WireError::parse("maximum XML nesting depth exceeded"));
+        }
+        if self.cursor.peek() != Some(b'<') {
+            return Err(WireError::parse(format!(
+                "expected '<' at offset {}",
+                self.cursor.pos
+            )));
+        }
+        self.cursor.pos += 1;
+        let (name, local) = self.cursor.name()?;
+        let from = self.cursor.pos;
+        if self.cursor.peek() != Some(b'>') {
+            while self.cursor.attribute()?.is_some() {}
+        }
+        let attrs = &self.cursor.text[from..self.cursor.pos];
+        match self.cursor.peek() {
+            Some(b'>') => self.cursor.pos += 1,
+            Some(_) if self.cursor.rest().starts_with("/>") => {
+                self.cursor.pos += 2;
+                self.empty = true;
+            }
+            Some(_) => return Err(WireError::parse("expected '>' after '/'")),
+            None => return Err(WireError::parse("EOF inside start tag")),
+        }
+        match self.open.get_mut(self.depth) {
+            Some(slot) => *slot = name,
+            None => self.deeper.push(name),
+        }
+        self.depth += 1;
+        Ok(Tag { name, local, attrs })
+    }
+
+    /// The end tag at the cursor, which must be the innermost element's.
+    #[inline]
+    fn end(&mut self) -> Result<Event<'a>, WireError> {
+        self.cursor.pos += 2;
+        let open = self.innermost();
+        let rest = self.cursor.rest();
+        // `Cursor::name`'s scan compared with `open`, without the scan.
+        let next = rest.as_bytes().get(open.len());
+        if rest.starts_with(open) && !next.is_some_and(|&b| NAME_BYTES[b as usize]) {
+            self.cursor.pos += open.len();
+        } else {
+            let (name, _) = self.cursor.name()?;
+            return Err(WireError::parse(format!(
+                "mismatched end tag: expected </{open}>, found </{name}>"
+            )));
+        }
+        self.cursor.skip_ws();
+        if self.cursor.peek() != Some(b'>') {
+            return Err(WireError::parse("expected '>' in end tag"));
+        }
+        self.cursor.pos += 1;
+        self.close()
+    }
+
+    /// End the innermost element; ending the root ends the document.
+    #[inline]
+    fn close(&mut self) -> Result<Event<'a>, WireError> {
+        self.deeper.pop();
+        self.depth -= 1;
+        if self.depth == 0 {
+            self.cursor.skip_misc(false)?;
+            if !self.cursor.rest().is_empty() {
+                return Err(WireError::parse(format!(
+                    "trailing content after root element at offset {}",
+                    self.cursor.pos
+                )));
+            }
+        }
+        Ok(Event::End)
+    }
+}
+
+/// The bytes a name is made of: ASCII letters and digits, `:_-.`, and
+/// every byte of a non-ASCII character.
+const NAME_BYTES: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        let byte = b as u8;
+        table[b] = byte.is_ascii_alphanumeric()
+            || matches!(byte, b':' | b'_' | b'-' | b'.')
+            || byte >= 0x80;
+        b += 1;
+    }
+    table
+};
+
+/// A position in a document, and the lexing the reader's constructs share.
+struct Cursor<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl<'a> XmlParser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+impl<'a> Cursor<'a> {
+    fn rest(&self) -> &'a str {
+        &self.text[self.pos..]
     }
 
-    fn starts_with(&self, s: &str) -> bool {
-        self.bytes[self.pos..].starts_with(s.as_bytes())
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -237,27 +491,23 @@ impl<'a> XmlParser<'a> {
         }
     }
 
-    fn skip_until(&mut self, end: &str) -> Result<(), WireError> {
-        match find_subslice(&self.bytes[self.pos..], end.as_bytes()) {
-            Some(off) => {
-                self.pos += off + end.len();
-                Ok(())
-            }
-            None => Err(WireError::parse(format!(
-                "unterminated construct, expected {end:?}"
-            ))),
-        }
+    fn skip_past(&mut self, end: &str) -> Result<(), WireError> {
+        let off = find(self.rest(), end)
+            .ok_or_else(|| WireError::parse(format!("unterminated construct, expected {end:?}")))?;
+        self.pos += off + end.len();
+        Ok(())
     }
 
-    /// Skip declaration, comments, PIs, and a DOCTYPE before the root.
-    fn skip_prolog(&mut self) -> Result<(), WireError> {
+    /// Skip whitespace, comments and PIs — and, before the root, a DOCTYPE.
+    fn skip_misc(&mut self, before_root: bool) -> Result<(), WireError> {
         loop {
             self.skip_ws();
-            if self.starts_with("<?") {
-                self.skip_until("?>")?;
-            } else if self.starts_with("<!--") {
-                self.skip_until("-->")?;
-            } else if self.starts_with("<!DOCTYPE") {
+            let rest = self.rest();
+            if rest.starts_with("<?") {
+                self.skip_past("?>")?;
+            } else if rest.starts_with("<!--") {
+                self.skip_past("-->")?;
+            } else if before_root && rest.starts_with("<!DOCTYPE") {
                 // Skip to the matching '>' accounting for an internal subset.
                 self.pos += "<!DOCTYPE".len();
                 let mut depth = 1usize;
@@ -276,185 +526,80 @@ impl<'a> XmlParser<'a> {
         }
     }
 
-    /// Skip trailing comments/PIs/whitespace after the root element.
-    fn skip_misc(&mut self) {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<!--") {
-                if self.skip_until("-->").is_err() {
-                    return;
-                }
-            } else if self.starts_with("<?") {
-                if self.skip_until("?>").is_err() {
-                    return;
-                }
-            } else {
-                return;
-            }
-        }
-    }
-
-    fn parse_name(&mut self) -> Result<String, WireError> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            let c = b as char;
-            if c.is_ascii_alphanumeric() || matches!(c, ':' | '_' | '-' | '.') || b >= 0x80 {
-                self.pos += 1;
-            } else {
+    /// The name at the cursor, and its local part (after its last `:`).
+    #[inline]
+    fn name(&mut self) -> Result<(&'a str, &'a str), WireError> {
+        let rest = self.rest();
+        let (mut len, mut local) = (0, 0);
+        for &b in rest.as_bytes() {
+            if !NAME_BYTES[b as usize] {
                 break;
             }
+            len += 1;
+            if b == b':' {
+                local = len;
+            }
         }
-        if self.pos == start {
+        if len == 0 {
             return Err(WireError::parse(format!(
                 "expected name at offset {}",
                 self.pos
             )));
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map(|s| s.to_owned())
-            .map_err(|_| WireError::parse("invalid UTF-8 in name"))
+        self.pos += len;
+        Ok((&rest[..len], &rest[local..len]))
     }
 
-    fn parse_element(&mut self, depth: usize) -> Result<Element, WireError> {
-        if depth > MAX_DEPTH {
-            return Err(WireError::parse("maximum XML nesting depth exceeded"));
+    /// The next `name="value"` of a start tag, or `None` at the tag's `/`
+    /// or `>` or at the end of the text.
+    fn attribute(&mut self) -> Result<Option<(&'a str, Cow<'a, str>)>, WireError> {
+        self.skip_ws();
+        if matches!(self.peek(), None | Some(b'/' | b'>')) {
+            return Ok(None);
         }
-        if self.peek() != Some(b'<') {
+        let (name, _) = self.name()?;
+        self.skip_ws();
+        if self.peek() != Some(b'=') {
             return Err(WireError::parse(format!(
-                "expected '<' at offset {}",
-                self.pos
+                "expected '=' after attribute {name:?}"
             )));
         }
         self.pos += 1;
-        let name = self.parse_name()?;
-        let mut element = Element::new(name);
-
-        // Attributes.
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'/') => {
-                    self.pos += 1;
-                    if self.peek() != Some(b'>') {
-                        return Err(WireError::parse("expected '>' after '/'"));
-                    }
-                    self.pos += 1;
-                    return Ok(element);
-                }
-                Some(b'>') => {
-                    self.pos += 1;
-                    break;
-                }
-                Some(_) => {
-                    let attr_name = self.parse_name()?;
-                    self.skip_ws();
-                    if self.peek() != Some(b'=') {
-                        return Err(WireError::parse(format!(
-                            "expected '=' after attribute {attr_name:?}"
-                        )));
-                    }
-                    self.pos += 1;
-                    self.skip_ws();
-                    let quote = match self.peek() {
-                        Some(q @ (b'"' | b'\'')) => q,
-                        _ => return Err(WireError::parse("expected quoted attribute value")),
-                    };
-                    self.pos += 1;
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == quote {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    if self.peek() != Some(quote) {
-                        return Err(WireError::parse("unterminated attribute value"));
-                    }
-                    let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| WireError::parse("invalid UTF-8 in attribute"))?;
-                    self.pos += 1;
-                    element.attributes.push((attr_name, decode_entities(raw)?));
-                }
-                None => return Err(WireError::parse("EOF inside start tag")),
-            }
-        }
-
-        // Content.
-        let mut text_buf = String::new();
-        loop {
-            if self.starts_with("</") {
-                if !text_buf.is_empty() {
-                    element
-                        .children
-                        .push(Node::Text(std::mem::take(&mut text_buf)));
-                }
-                self.pos += 2;
-                let end_name = self.parse_name()?;
-                if end_name != element.name {
-                    return Err(WireError::parse(format!(
-                        "mismatched end tag: expected </{}>, found </{}>",
-                        element.name, end_name
-                    )));
-                }
-                self.skip_ws();
-                if self.peek() != Some(b'>') {
-                    return Err(WireError::parse("expected '>' in end tag"));
-                }
-                self.pos += 1;
-                return Ok(element);
-            } else if self.starts_with("<!--") {
-                self.skip_until("-->")?;
-            } else if self.starts_with("<![CDATA[") {
-                self.pos += "<![CDATA[".len();
-                let end = find_subslice(&self.bytes[self.pos..], b"]]>")
-                    .ok_or_else(|| WireError::parse("unterminated CDATA"))?;
-                let raw = std::str::from_utf8(&self.bytes[self.pos..self.pos + end])
-                    .map_err(|_| WireError::parse("invalid UTF-8 in CDATA"))?;
-                text_buf.push_str(raw);
-                self.pos += end + 3;
-            } else if self.starts_with("<?") {
-                self.skip_until("?>")?;
-            } else if self.peek() == Some(b'<') {
-                if !text_buf.is_empty() {
-                    element
-                        .children
-                        .push(Node::Text(std::mem::take(&mut text_buf)));
-                }
-                let child = self.parse_element(depth + 1)?;
-                element.children.push(Node::Element(child));
-            } else if self.peek().is_none() {
-                return Err(WireError::parse(format!(
-                    "EOF inside element <{}>",
-                    element.name
-                )));
-            } else {
-                // Text run until the next '<'.
-                let start = self.pos;
-                while let Some(b) = self.peek() {
-                    if b == b'<' {
-                        break;
-                    }
-                    self.pos += 1;
-                }
-                let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| WireError::parse("invalid UTF-8 in text"))?;
-                text_buf.push_str(&decode_entities(raw)?);
-            }
-        }
+        self.skip_ws();
+        let quote = match self.peek() {
+            Some(q @ (b'"' | b'\'')) => q as char,
+            _ => return Err(WireError::parse("expected quoted attribute value")),
+        };
+        self.pos += 1;
+        let len = self
+            .rest()
+            .find(quote)
+            .ok_or_else(|| WireError::parse("unterminated attribute value"))?;
+        let raw = &self.rest()[..len];
+        self.pos += len + 1;
+        Ok(Some((name, decode_entities(raw)?)))
     }
 }
 
-fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    if needle.is_empty() || haystack.len() < needle.len() {
-        return None;
+/// `str::find` for XML syntax's short needles, with no searcher to set up.
+fn find(haystack: &str, needle: &str) -> Option<usize> {
+    let (bytes, first) = (haystack.as_bytes(), needle.as_bytes()[0]);
+    (0..bytes.len()).find(|&at| bytes[at] == first && bytes[at..].starts_with(needle.as_bytes()))
+}
+
+/// Add `more` to `text`, copying only to join two non-empty pieces.
+fn join<'a>(text: &mut Cow<'a, str>, more: Cow<'a, str>) {
+    if text.is_empty() {
+        *text = more;
+    } else if !more.is_empty() {
+        text.to_mut().push_str(&more);
     }
-    haystack.windows(needle.len()).position(|w| w == needle)
 }
 
 /// Decode the five predefined entities and numeric character references.
-pub(crate) fn decode_entities(text: &str) -> Result<String, WireError> {
-    if !text.contains('&') {
-        return Ok(text.to_owned());
+fn decode_entities(text: &str) -> Result<Cow<'_, str>, WireError> {
+    if !text.as_bytes().contains(&b'&') {
+        return Ok(Cow::Borrowed(text));
     }
     let mut out = String::with_capacity(text.len());
     let mut rest = text;
@@ -496,7 +641,7 @@ pub(crate) fn decode_entities(text: &str) -> Result<String, WireError> {
         rest = &rest[semi + 1..];
     }
     out.push_str(rest);
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]

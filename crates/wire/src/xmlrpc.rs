@@ -7,10 +7,13 @@
 //! `base64`, `struct`, `array`, and the widely-implemented `<nil/>`
 //! extension.
 
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+
 use crate::datetime::DateTime;
 use crate::fault::{Fault, WireError};
 use crate::value::Value;
-use crate::xml::{self, Element};
+use crate::xml::{self, Element, Event, Reader};
 use crate::{RpcCall, RpcResponse};
 
 /// Encode a method call as an XML-RPC `<methodCall>` document.
@@ -25,7 +28,8 @@ pub fn encode_call(call: &RpcCall) -> String {
         .to_document()
 }
 
-/// Encode a response (`<params>` on success, `<fault>` on failure).
+/// Encode a response (`<params>` on success, `<fault>` on failure): the
+/// reference for [`encode_response_into`], which the server runs.
 pub fn encode_response(response: &RpcResponse) -> String {
     let root = match response {
         RpcResponse::Success(value) => Element::new("methodResponse")
@@ -216,23 +220,121 @@ fn format_double(d: f64) -> String {
     }
 }
 
-/// Decode a `<methodCall>` document.
-///
-/// The common wire profile (what every mainstream XML-RPC client emits:
-/// no attributes, comments, CDATA, or namespace prefixes) is parsed by a
-/// streaming decoder that builds no intermediate `Element` tree; anything
-/// outside that profile — including malformed documents, so error messages
-/// stay identical — falls back to [`decode_call_dom`].
+/// Decode a `<methodCall>` document from the XML reader's events, with no
+/// element tree, by [`decode_call_dom`]'s rules: local names, the first
+/// child of each name, direct text only, a `<value>`'s first child element
+/// as its type; any other child, attribute or text is ignored.
 pub fn decode_call(text: &str) -> Result<RpcCall, WireError> {
-    if let Some(call) = fast::decode_call(text) {
-        return Ok(call);
+    let mut xml = Reader::new(text);
+    let root = xml.root()?;
+    if root.local != "methodCall" {
+        return Err(WireError::protocol(format!(
+            "expected <methodCall>, found <{}>",
+            root.name
+        )));
     }
-    decode_call_dom(text)
+    let (mut method, mut params) = (None, None);
+    while let Some(name) = xml.child()? {
+        match name {
+            "methodName" if method.is_none() => method = Some(xml.text()?),
+            "params" if params.is_none() => params = Some(read_params(&mut xml)?),
+            _ => xml.skip()?,
+        }
+    }
+    let method = method
+        .ok_or_else(|| WireError::protocol("missing <methodName>"))?
+        .trim()
+        .to_owned();
+    if method.is_empty() {
+        return Err(WireError::protocol("empty methodName"));
+    }
+    Ok(RpcCall {
+        method,
+        params: params.unwrap_or_default(),
+        id: None,
+    })
 }
 
-/// DOM reference decoder for `<methodCall>` documents. [`decode_call`]
-/// delegates here for anything the streaming fast path does not accept;
-/// property tests assert the two agree on the fast path's profile.
+/// The values of an open `<params>`' `<param>`s.
+fn read_params(xml: &mut Reader<'_>) -> Result<Vec<Value>, WireError> {
+    let mut params = Vec::new();
+    while let Some(name) = xml.child()? {
+        if name != "param" {
+            xml.skip()?;
+            continue;
+        }
+        let mut value = None;
+        while let Some(name) = xml.child()? {
+            match name {
+                "value" if value.is_none() => value = Some(read_value(xml)?),
+                _ => xml.skip()?,
+            }
+        }
+        params.push(value.ok_or_else(|| WireError::protocol("<param> without <value>"))?);
+    }
+    Ok(params)
+}
+
+/// The value of an open `<value>`: its first child element is the type
+/// and the rest is ignored; with no child element, its text is a string.
+fn read_value(xml: &mut Reader<'_>) -> Result<Value, WireError> {
+    let mut bare = Cow::Borrowed("");
+    let kind = loop {
+        match xml.next()? {
+            Event::Start(tag) => break tag.local,
+            Event::Text(text) => bare = text,
+            Event::End => return Ok(Value::Str(bare.into_owned())),
+        }
+    };
+    let value = match kind {
+        "array" => {
+            let mut items = None;
+            while let Some(name) = xml.child()? {
+                if items.is_some() || name != "data" {
+                    xml.skip()?;
+                    continue;
+                }
+                let mut values = Vec::new();
+                while let Some(name) = xml.child()? {
+                    match name {
+                        "value" => values.push(read_value(xml)?),
+                        _ => xml.skip()?,
+                    }
+                }
+                items = Some(values);
+            }
+            Value::Array(items.ok_or_else(|| WireError::protocol("<array> without <data>"))?)
+        }
+        "struct" => {
+            let mut map = BTreeMap::new();
+            while let Some(name) = xml.child()? {
+                if name != "member" {
+                    xml.skip()?;
+                    continue;
+                }
+                let (mut key, mut value) = (None, None);
+                while let Some(name) = xml.child()? {
+                    match name {
+                        "name" if key.is_none() => key = Some(xml.text()?),
+                        "value" if value.is_none() => value = Some(read_value(xml)?),
+                        _ => xml.skip()?,
+                    }
+                }
+                let key = key.ok_or_else(|| WireError::protocol("<member> without <name>"))?;
+                let value = value.ok_or_else(|| WireError::protocol("<member> without <value>"))?;
+                map.insert(key.into_owned(), value);
+            }
+            Value::Struct(map)
+        }
+        kind => scalar(kind, xml.text()?)?,
+    };
+    xml.skip()?;
+    Ok(value)
+}
+
+/// The DOM reference decoder for `<methodCall>` documents: the oracle
+/// [`decode_call`] is tested against (`fuzz::xmlrpc_divergence`, the
+/// property tests).
 pub fn decode_call_dom(text: &str) -> Result<RpcCall, WireError> {
     let root = xml::parse(text)?;
     if root.local_name() != "methodCall" {
@@ -256,247 +358,6 @@ pub fn decode_call_dom(text: &str) -> Result<RpcCall, WireError> {
         params,
         id: None,
     })
-}
-
-/// Streaming `<methodCall>` decoder: a single left-to-right pass with no
-/// `Element` tree. Strictly conservative — any construct it is not sure
-/// about (attributes, comments, CDATA, prefixes, out-of-order children,
-/// unparsable scalars) yields `None` and the caller re-parses with the DOM
-/// decoder, so accepted documents decode exactly as the reference would.
-mod fast {
-    use super::*;
-
-    pub(super) fn decode_call(text: &str) -> Option<RpcCall> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        // Prolog: whitespace and `<?...?>` declarations only; DOCTYPEs and
-        // comments are DOM territory.
-        loop {
-            p.skip_ws();
-            if p.bytes[p.pos..].starts_with(b"<?") {
-                let off = find(&p.bytes[p.pos..], b"?>")?;
-                p.pos += off + 2;
-            } else {
-                break;
-            }
-        }
-        p.eat(b"<methodCall>")?;
-        p.skip_ws();
-        p.eat(b"<methodName>")?;
-        let method = p.text_until_lt()?;
-        let method = method.trim();
-        if method.is_empty() {
-            return None; // DOM reports the proper protocol error.
-        }
-        let method = method.to_owned();
-        p.eat(b"</methodName>")?;
-        p.skip_ws();
-        let mut params = Vec::new();
-        if p.eat(b"<params/>").is_none() {
-            p.eat(b"<params>")?;
-            loop {
-                p.skip_ws();
-                if p.eat(b"</params>").is_some() {
-                    break;
-                }
-                p.eat(b"<param>")?;
-                p.skip_ws();
-                params.push(p.value(0)?);
-                p.skip_ws();
-                p.eat(b"</param>")?;
-            }
-        }
-        p.skip_ws();
-        p.eat(b"</methodCall>")?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return None;
-        }
-        Some(RpcCall {
-            method,
-            params,
-            id: None,
-        })
-    }
-
-    fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-        haystack.windows(needle.len()).position(|w| w == needle)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-                self.pos += 1;
-            }
-        }
-
-        /// Consume `token` exactly (no attributes, no intra-tag space).
-        fn eat(&mut self, token: &[u8]) -> Option<()> {
-            if self.bytes[self.pos..].starts_with(token) {
-                self.pos += token.len();
-                Some(())
-            } else {
-                None
-            }
-        }
-
-        /// Entity-decoded character data up to the next `<`. The input is
-        /// a `&str` and `<` is ASCII, so the slice stays on char
-        /// boundaries; unknown or malformed entities defer to the DOM.
-        fn text_until_lt(&mut self) -> Option<String> {
-            let start = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'<' {
-                    let raw = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
-                    return xml::decode_entities(raw).ok();
-                }
-                self.pos += 1;
-            }
-            None // EOF inside an element: malformed, let the DOM say so.
-        }
-
-        /// One `<value>...</value>`.
-        fn value(&mut self, depth: usize) -> Option<Value> {
-            if depth > xml::MAX_DEPTH {
-                return None;
-            }
-            if self.eat(b"<value/>").is_some() {
-                return Some(Value::Str(String::new()));
-            }
-            self.eat(b"<value>")?;
-            // Leading character data: either the whole (bare-string) value
-            // or insignificant whitespace before a typed element.
-            let leading = self.text_until_lt()?;
-            if self.eat(b"</value>").is_some() {
-                return Some(Value::Str(leading));
-            }
-            if !leading.trim().is_empty() {
-                // Text AND an element inside <value>: the DOM ignores the
-                // text; don't second-guess it here.
-                return None;
-            }
-            let value = self.typed_value(depth)?;
-            self.skip_ws();
-            self.eat(b"</value>")?;
-            Some(value)
-        }
-
-        /// The typed element inside a `<value>`.
-        fn typed_value(&mut self, depth: usize) -> Option<Value> {
-            if self.eat(b"<nil/>").is_some() || self.eat(b"<nil></nil>").is_some() {
-                return Some(Value::Nil);
-            }
-            if self.eat(b"<string>").is_some() {
-                let s = self.text_until_lt()?;
-                self.eat(b"</string>")?;
-                return Some(Value::Str(s));
-            }
-            if self.eat(b"<string/>").is_some() {
-                return Some(Value::Str(String::new()));
-            }
-            for tag in [&b"i4"[..], b"int", b"i8"] {
-                if let Some(text) = self.scalar(tag)? {
-                    return text.trim().parse::<i64>().ok().map(Value::Int);
-                }
-            }
-            if let Some(text) = self.scalar(b"boolean")? {
-                return match text.trim() {
-                    "1" | "true" => Some(Value::Bool(true)),
-                    "0" | "false" => Some(Value::Bool(false)),
-                    _ => None,
-                };
-            }
-            if let Some(text) = self.scalar(b"double")? {
-                return text.trim().parse::<f64>().ok().map(Value::Double);
-            }
-            if let Some(text) = self.scalar(b"base64")? {
-                return crate::base64::decode(&text).ok().map(Value::Bytes);
-            }
-            if let Some(text) = self.scalar(b"dateTime.iso8601")? {
-                // The DOM decoder parses the text untrimmed; match it.
-                return DateTime::parse(&text).ok().map(Value::DateTime);
-            }
-            if self.eat(b"<array>").is_some() {
-                self.skip_ws();
-                let mut items = Vec::new();
-                if self.eat(b"<data/>").is_none() {
-                    self.eat(b"<data>")?;
-                    loop {
-                        self.skip_ws();
-                        if self.eat(b"</data>").is_some() {
-                            break;
-                        }
-                        items.push(self.value(depth + 1)?);
-                    }
-                }
-                self.skip_ws();
-                self.eat(b"</array>")?;
-                return Some(Value::Array(items));
-            }
-            if self.eat(b"<struct/>").is_some() {
-                return Some(Value::Struct(std::collections::BTreeMap::new()));
-            }
-            if self.eat(b"<struct>").is_some() {
-                let mut map = std::collections::BTreeMap::new();
-                loop {
-                    self.skip_ws();
-                    if self.eat(b"</struct>").is_some() {
-                        break;
-                    }
-                    self.eat(b"<member>")?;
-                    self.skip_ws();
-                    let name = if self.eat(b"<name/>").is_some() {
-                        String::new()
-                    } else {
-                        self.eat(b"<name>")?;
-                        let name = self.text_until_lt()?;
-                        self.eat(b"</name>")?;
-                        name
-                    };
-                    self.skip_ws();
-                    let value = self.value(depth + 1)?;
-                    self.skip_ws();
-                    self.eat(b"</member>")?;
-                    map.insert(name, value);
-                }
-                return Some(Value::Struct(map));
-            }
-            None
-        }
-
-        /// `<tag>text</tag>` (or `<tag/>` for empty text). Outer `None`
-        /// means "malformed, fall back"; inner `None` means "not this tag".
-        #[allow(clippy::option_option)]
-        fn scalar(&mut self, tag: &[u8]) -> Option<Option<String>> {
-            let mut open = Vec::with_capacity(tag.len() + 2);
-            open.push(b'<');
-            open.extend_from_slice(tag);
-            if self.bytes[self.pos..].starts_with(&open)
-                && self.bytes.get(self.pos + open.len()) == Some(&b'>')
-            {
-                self.pos += open.len() + 1;
-                let text = self.text_until_lt()?;
-                self.eat(b"</")?;
-                self.eat(tag)?;
-                self.eat(b">")?;
-                Some(Some(text))
-            } else if self.bytes[self.pos..].starts_with(&open)
-                && self.bytes[self.pos + open.len()..].starts_with(b"/>")
-            {
-                self.pos += open.len() + 2;
-                Some(Some(String::new()))
-            } else {
-                Some(None)
-            }
-        }
-    }
 }
 
 fn decode_params(root: &Element) -> Result<Vec<Value>, WireError> {
@@ -562,8 +423,36 @@ pub fn decode_value(value_el: &Element) -> Result<Value, WireError> {
         // Bare text inside <value> is a string per the spec.
         None => return Ok(Value::Str(value_el.text_content())),
     };
-    let text = typed.text_content();
     match typed.local_name() {
+        "array" => {
+            let data = typed
+                .find("data")
+                .ok_or_else(|| WireError::protocol("<array> without <data>"))?;
+            let items: Result<_, _> = data.find_all("value").map(decode_value).collect();
+            items.map(Value::Array)
+        }
+        "struct" => {
+            let mut map = BTreeMap::new();
+            for member in typed.find_all("member") {
+                let name = member
+                    .find("name")
+                    .ok_or_else(|| WireError::protocol("<member> without <name>"))?
+                    .text_content();
+                let value = member
+                    .find("value")
+                    .ok_or_else(|| WireError::protocol("<member> without <value>"))?;
+                map.insert(name, decode_value(value)?);
+            }
+            Ok(Value::Struct(map))
+        }
+        kind => scalar(kind, Cow::Owned(typed.text_content())),
+    }
+}
+
+/// A scalar of XML-RPC type `kind` from its element's direct text.
+fn scalar(kind: &str, text: Cow<'_, str>) -> Result<Value, WireError> {
+    match kind {
+        "string" => Ok(Value::Str(text.into_owned())),
         "nil" => Ok(Value::Nil),
         "boolean" => match text.trim() {
             "1" | "true" => Ok(Value::Bool(true)),
@@ -580,37 +469,12 @@ pub fn decode_value(value_el: &Element) -> Result<Value, WireError> {
             .parse::<f64>()
             .map(Value::Double)
             .map_err(|_| WireError::parse(format!("invalid double {text:?}"))),
-        "string" => Ok(Value::Str(text)),
         "base64" => crate::base64::decode(&text)
             .map(Value::Bytes)
             .map_err(|e| WireError::parse(format!("invalid base64: {e}"))),
         "dateTime.iso8601" => DateTime::parse(&text)
             .map(Value::DateTime)
             .map_err(|e| WireError::parse(e.to_string())),
-        "array" => {
-            let data = typed
-                .find("data")
-                .ok_or_else(|| WireError::protocol("<array> without <data>"))?;
-            let mut items = Vec::new();
-            for child in data.find_all("value") {
-                items.push(decode_value(child)?);
-            }
-            Ok(Value::Array(items))
-        }
-        "struct" => {
-            let mut map = std::collections::BTreeMap::new();
-            for member in typed.find_all("member") {
-                let name = member
-                    .find("name")
-                    .ok_or_else(|| WireError::protocol("<member> without <name>"))?
-                    .text_content();
-                let value = member
-                    .find("value")
-                    .ok_or_else(|| WireError::protocol("<member> without <value>"))?;
-                map.insert(name, decode_value(value)?);
-            }
-            Ok(Value::Struct(map))
-        }
         other => Err(WireError::protocol(format!(
             "unknown XML-RPC type <{other}>"
         ))),
@@ -722,11 +586,10 @@ mod tests {
         }
     }
 
-    /// The streaming decoder must accept (not fall back on) everything our
-    /// own encoder emits — otherwise the fast path is dead code and the
-    /// allocation win silently evaporates.
+    /// Everything our own encoder emits decodes to the call it encodes,
+    /// as the DOM reference decodes it.
     #[test]
-    fn fast_path_accepts_canonical_documents() {
+    fn canonical_documents_decode_as_dom() {
         let calls = [
             RpcCall::new("system.list_methods", vec![]),
             RpcCall::new("echo.echo", vec![Value::Int(42)]),
@@ -764,66 +627,117 @@ mod tests {
         ];
         for call in calls {
             let doc = encode_call(&call);
-            let fast = fast::decode_call(&doc)
-                .unwrap_or_else(|| panic!("fast path rejected canonical doc: {doc}"));
-            assert_eq!(fast, call);
-            assert_eq!(decode_call_dom(&doc).unwrap(), call);
+            assert_eq!(decode_call(&doc).unwrap(), call, "{doc}");
+            assert_eq!(decode_call_dom(&doc).unwrap(), call, "{doc}");
         }
     }
 
-    /// Whitespace between tags (pretty-printed clients) stays on the fast
-    /// path; the result must match the DOM decoder exactly.
+    /// Whitespace between tags (pretty-printed clients) is ignored, and
+    /// bare whitespace inside `<value>` is a literal, untrimmed string.
     #[test]
-    fn fast_path_accepts_indented_documents() {
+    fn indented_documents_decode_as_dom() {
         let doc = "<?xml version=\"1.0\"?>\n<methodCall>\n  <methodName>echo.echo</methodName>\n  <params>\n    <param>\n      <value><i4>7</i4></value>\n    </param>\n    <param>\n      <value>  </value>\n    </param>\n  </params>\n</methodCall>\n";
-        let fast = fast::decode_call(doc).expect("fast path");
-        let dom = decode_call_dom(doc).unwrap();
-        assert_eq!(fast, dom);
-        assert_eq!(fast.params[0], Value::Int(7));
-        // Bare whitespace inside <value> is a literal (untrimmed) string.
-        assert_eq!(fast.params[1], Value::Str("  ".into()));
+        let call = decode_call(doc).unwrap();
+        assert_eq!(call, decode_call_dom(doc).unwrap());
+        assert_eq!(call.params[0], Value::Int(7));
+        assert_eq!(call.params[1], Value::Str("  ".into()));
     }
 
-    /// Off-profile constructs must fall back to the DOM decoder rather
-    /// than being guessed at: the dispatcher still decodes them, but via
-    /// [`decode_call_dom`].
+    /// Documents no mainstream client emits decode exactly as the DOM
+    /// reference decodes them, and malformed ones are rejected by both.
     #[test]
-    fn fast_path_falls_back_off_profile() {
+    fn off_profile_documents_decode_as_dom() {
+        let call = |params: &str| {
+            format!("<methodCall><methodName>m</methodName><params><param>{params}</param></params></methodCall>")
+        };
         let off_profile = [
             // Comments and DOCTYPE in the prolog.
-            "<!-- hi --><methodCall><methodName>m</methodName></methodCall>",
+            "<!-- hi --><methodCall><methodName>m</methodName></methodCall>".to_owned(),
+            "<!DOCTYPE methodCall [<!ELEMENT methodCall ANY>]><methodCall><methodName>m</methodName></methodCall>".to_owned(),
             // Attributes anywhere.
-            "<methodCall x=\"1\"><methodName>m</methodName></methodCall>",
-            "<methodCall><methodName>m</methodName><params><param><value><string a=\"b\">x</string></value></param></params></methodCall>",
-            // CDATA sections.
-            "<methodCall><methodName>m</methodName><params><param><value><string><![CDATA[x]]></string></value></param></params></methodCall>",
+            "<methodCall x=\"1\"><methodName>m</methodName></methodCall>".to_owned(),
+            call("<value><string a=\"b\">x</string></value>"),
+            // A namespace-prefixed root and children.
+            "<x:methodCall xmlns:x=\"urn:x\"><x:methodName>m</x:methodName><x:params><x:param><x:value><x:i4>3</x:i4></x:value></x:param></x:params></x:methodCall>".to_owned(),
+            // CDATA sections, in text-typed and number-typed elements.
+            call("<value><string><![CDATA[x]]></string></value>"),
+            call("<value><i4><![CDATA[12]]></i4></value>"),
+            "<methodCall><methodName><![CDATA[a.b]]></methodName></methodCall>".to_owned(),
+            // A PI and a comment inside <value>, beside a type and in text.
+            call("<value><?pi x?><!-- c --><i4>1</i4></value>"),
+            call("<value>a<!-- c -->b<?pi?>c</value>"),
             // Struct member with <value> before <name>.
-            "<methodCall><methodName>m</methodName><params><param><value><struct><member><value><i4>1</i4></value><name>k</name></member></struct></value></param></params></methodCall>",
+            call("<value><struct><member><value><i4>1</i4></value><name>k</name></member></struct></value>"),
             // Text mixed with a typed element inside <value>.
-            "<methodCall><methodName>m</methodName><params><param><value>junk<i4>1</i4></value></param></params></methodCall>",
+            call("<value>junk<i4>1</i4></value>"),
+            // Unknown and duplicate children: the first of each name counts.
+            "<methodCall><junk/><methodName>a</methodName><methodName>b</methodName><params><param><value>1</value></param></params><params><param><value><i4>x</i4></value></param></params></methodCall>".to_owned(),
+            call("<junk>1</junk><value><i4>1</i4></value><value><i4>not a number</i4></value>"),
+            call("<value><struct><member><junk/><name>k</name><name>j</name><value><i4>1</i4></value><value><bogus/></value></member></struct></value>"),
+            // <params> before <methodName>.
+            "<methodCall><params><param><value><i4>1</i4></value></param></params><methodName>m</methodName></methodCall>".to_owned(),
+            // Text beside <data>'s values, and a second <data>.
+            call("<value><array>a<data>b<value><i4>1</i4></value>c<junk/><value>d</value></data><data><value><bogus/></value></data></array></value>"),
+            // Child elements inside text-typed elements are skipped.
+            call("<value><string>a<b>x</b>c</string></value>"),
+            "<methodCall><methodName>a<b/>.c</methodName></methodCall>".to_owned(),
         ];
-        for doc in off_profile {
-            assert!(
-                fast::decode_call(doc).is_none(),
-                "fast path should defer to DOM for: {doc}"
-            );
-            // The dispatcher still handles it (DOM semantics).
-            decode_call(doc).unwrap();
+        for doc in &off_profile {
+            let dom = decode_call_dom(doc).unwrap_or_else(|e| panic!("DOM rejects {doc}: {e}"));
+            assert_eq!(decode_call(doc).unwrap(), dom, "{doc}");
         }
-        // Malformed documents: fast path defers so the DOM's error text
-        // is what callers see.
         let malformed = [
-            "<methodCall><methodName>m</methodName>",
-            "<methodCall><methodName></methodName></methodCall>",
-            "<methodCall><methodName>m</methodName><params><param><value><i4>NaN</i4></value></param></params></methodCall>",
+            "<methodCall><methodName>m</methodName>".to_owned(),
+            "<methodCall><methodName></methodName></methodCall>".to_owned(),
+            call("<value><i4>NaN</i4></value>"),
+            "<methodCall><methodName>m</methodName></methodCall><!-- unterminated".to_owned(),
+            "<methodCall><methodName>m</methodName></methodCall><!DOCTYPE x>".to_owned(),
+            "<methodCall><methodName>m</methodName></methodcall>".to_owned(),
+            "<methodCall a=\"&bogus;\"><methodName>m</methodName></methodCall>".to_owned(),
+            call("<value><array><data>&bogus;</data></array></value>"),
+            call("<junk><a></b></junk><value>1</value>"),
         ];
-        for doc in malformed {
-            assert!(fast::decode_call(doc).is_none(), "{doc}");
-            assert_eq!(
-                decode_call(doc).is_err(),
-                decode_call_dom(doc).is_err(),
-                "{doc}"
-            );
+        for doc in &malformed {
+            assert!(decode_call_dom(doc).is_err(), "DOM accepts {doc}");
+            assert!(decode_call(doc).is_err(), "accepted {doc}");
+        }
+    }
+
+    /// Nesting is bounded by element depth, as in the DOM: each array or
+    /// struct adds three elements, so 85 levels inside a `<param>` go past
+    /// `xml::MAX_DEPTH` and 84 do not.
+    #[test]
+    fn nesting_limit_matches_dom() {
+        let call = |open: &str, inner: &str, close: &str, levels: usize| {
+            format!(
+                "<methodCall><methodName>m</methodName><params><param>{}{inner}{}</param></params></methodCall>",
+                open.repeat(levels),
+                close.repeat(levels)
+            )
+        };
+        let arrays = |levels| {
+            call(
+                "<value><array><data>",
+                "",
+                "</data></array></value>",
+                levels,
+            )
+        };
+        let structs = |levels| {
+            call(
+                "<value><struct><member><name>k</name>",
+                "<value/>",
+                "</member></struct></value>",
+                levels,
+            )
+        };
+        for doc in [arrays(85), structs(85)] {
+            assert!(decode_call_dom(&doc).is_err());
+            assert!(decode_call(&doc).is_err(), "accepted past MAX_DEPTH");
+            crate::fuzz::xmlrpc_divergence(doc.as_bytes());
+        }
+        for doc in [arrays(84), structs(84)] {
+            assert_eq!(decode_call(&doc).unwrap(), decode_call_dom(&doc).unwrap());
         }
     }
 

@@ -83,6 +83,51 @@ fn method_name() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9_]{0,8}(\\.[a-z][a-z0-9_]{0,8}){0,2}"
 }
 
+/// `doc` (canonical `encode_call` output) decorated where `mask` says: a
+/// prefix on the root, and at each tag an attribute, a comment before it,
+/// or its preceding text re-written as a CDATA section.
+fn decorate(doc: &str, mask: u64) -> String {
+    let on = |i: usize, kind: usize| mask.rotate_right((3 * i + kind) as u32 % 64) & 1 == 1;
+    let doc = if mask >> 63 == 1 {
+        doc.replace("<methodCall>", "<p:methodCall xmlns:p=\"urn:p\">")
+            .replace("</methodCall>", "</p:methodCall>")
+    } else {
+        doc.to_owned()
+    };
+    let mut out = String::new();
+    let mut rest = doc.as_str();
+    for i in 0.. {
+        let Some(lt) = rest.find('<') else { break };
+        let text = &rest[..lt];
+        let raw = text
+            .replace("&lt;", "<")
+            .replace("&gt;", ">")
+            .replace("&amp;", "&");
+        if !text.trim().is_empty() && on(i, 0) && !raw.contains("]]>") {
+            out.push_str(&format!("<![CDATA[{raw}]]>"));
+        } else {
+            out.push_str(text);
+        }
+        if on(i, 1) {
+            out.push_str("<!-- c -->");
+        }
+        let gt = lt + rest[lt..].find('>').expect("tags close");
+        let tag = &rest[lt..=gt];
+        let start = !tag.starts_with("</") && !tag.starts_with("<?");
+        if start && on(i, 2) {
+            let name_end = tag.find(['/', '>', ' ']).expect("tags close");
+            out.push_str(&tag[..name_end]);
+            out.push_str(" a=\"x &amp; y\"");
+            out.push_str(&tag[name_end..]);
+        } else {
+            out.push_str(tag);
+        }
+        rest = &rest[gt + 1..];
+    }
+    out.push_str(rest);
+    out
+}
+
 proptest! {
     #[test]
     fn base64_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..256)) {
@@ -117,10 +162,10 @@ proptest! {
         prop_assert_eq!(clarens_wire::xmlrpc::decode_call(&doc).unwrap(), call);
     }
 
-    /// The streaming call decoder (dispatcher fast path) and the DOM
-    /// reference decoder must agree on every document our encoder emits.
+    /// The streaming call decoder and the DOM oracle agree on every
+    /// document our encoder emits.
     #[test]
-    fn xmlrpc_fast_and_dom_call_decoders_agree(
+    fn xmlrpc_call_decoder_matches_dom(
         method in method_name(),
         params in proptest::collection::vec(value_strategy(), 0..4),
     ) {
@@ -130,6 +175,21 @@ proptest! {
             clarens_wire::xmlrpc::decode_call(&doc).unwrap(),
             clarens_wire::xmlrpc::decode_call_dom(&doc).unwrap()
         );
+    }
+
+    /// ... and on those documents decorated as other clients might write
+    /// them, which still mean the same call.
+    #[test]
+    fn xmlrpc_decorated_call_decodes_as_dom(
+        method in method_name(),
+        params in proptest::collection::vec(value_strategy(), 0..4),
+        mask in any::<u64>(),
+    ) {
+        let call = RpcCall::new(method, params);
+        let doc = decorate(&clarens_wire::xmlrpc::encode_call(&call), mask);
+        let decoded = clarens_wire::xmlrpc::decode_call(&doc);
+        prop_assert_eq!(&decoded, &clarens_wire::xmlrpc::decode_call_dom(&doc), "{}", doc);
+        prop_assert_eq!(decoded.unwrap(), call);
     }
 
     #[test]
