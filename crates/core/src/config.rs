@@ -65,9 +65,6 @@ pub struct ClarensConfig {
     /// the store then persists at explicit-sync granularity and on clean
     /// shutdown, like the paper's server.
     pub db_sync: bool,
-    /// Requests slower than this many microseconds are captured in the
-    /// slow-trace ring served by `system.trace_tail`.
-    pub slow_trace_us: u64,
     /// Cap on simultaneously live HTTP connections; connections beyond it
     /// are shed with `503` + `Connection: close` instead of queueing
     /// without bound.
@@ -112,7 +109,6 @@ impl Default for ClarensConfig {
             workers: 16,
             db_path: None,
             db_sync: false,
-            slow_trace_us: 10_000,
             max_connections: 4096,
             request_deadline_ms: 5_000,
             federation_role: FederationRole::Standalone,
@@ -160,7 +156,6 @@ impl ClarensConfig {
                 "workers" => config.workers = field(key, value, lineno)?,
                 "db_path" => config.db_path = Some(PathBuf::from(value)),
                 "db_sync" => config.db_sync = field(key, value, lineno)?,
-                "slow_trace_us" => config.slow_trace_us = field(key, value, lineno)?,
                 "max_connections" => config.max_connections = field(key, value, lineno)?,
                 "request_deadline_ms" => config.request_deadline_ms = field(key, value, lineno)?,
                 "federation_role" => {
@@ -243,6 +238,30 @@ db_path: /var/clarens/clarens.db
         assert!(config.file_root.is_none());
     }
 
+    /// `clarens.conf.example` documents every field: each has a `key:` or
+    /// `#key:` line (`admin_dns` is the repeatable `admin`), and each such
+    /// line parses on its own.
+    #[test]
+    fn example_file_documents_every_field() {
+        let example = include_str!("../../../clarens.conf.example");
+        let fields = format!("{:#?}", ClarensConfig::default());
+        let fields = fields
+            .lines()
+            .filter_map(|l| l.strip_prefix("    ")?.split_once(": "));
+        for (field, _) in fields {
+            let key = format!("{}:", if field == "admin_dns" { "admin" } else { field });
+            let lines: Vec<&str> = example
+                .lines()
+                .map(|l| l.strip_prefix('#').unwrap_or(l))
+                .filter(|l| l.starts_with(&key))
+                .collect();
+            assert!(!lines.is_empty(), "clarens.conf.example has no {key} line");
+            for line in lines {
+                ClarensConfig::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            }
+        }
+    }
+
     /// The shipped example parses to its deployment settings over the
     /// built-in defaults (every tuning key it documents is set to its
     /// default), and the keys of the retired switches are rejected.
@@ -280,15 +299,6 @@ db_path: /var/clarens/clarens.db
             let err = ClarensConfig::parse(&format!("{head}{tail}: true")).unwrap_err();
             assert_eq!(err, format!("line 1: unknown key \"{head}{tail}\""));
         }
-    }
-
-    #[test]
-    fn telemetry_knobs() {
-        let config = ClarensConfig::parse("").unwrap();
-        assert_eq!(config.slow_trace_us, 10_000);
-        let config = ClarensConfig::parse("slow_trace_us: 2500").unwrap();
-        assert_eq!(config.slow_trace_us, 2500);
-        assert!(ClarensConfig::parse("slow_trace_us: slow").is_err());
     }
 
     #[test]
@@ -379,6 +389,7 @@ db_path: /var/clarens/clarens.db
             ("client_", "retries", "2"),
             ("replication_", "poll_ms", "50"),
             ("election_", "jitter_ms", "100"),
+            ("slow_trace_", "us", "2500"),
         ] {
             let err = ClarensConfig::parse(&format!("{head}{tail}: {value}")).unwrap_err();
             assert_eq!(err, format!("line 1: unknown key \"{head}{tail}\""));

@@ -79,10 +79,7 @@ impl ClarensCore {
         let sessions = SessionManager::new(Arc::clone(&store), config.session_ttl);
         let vo = VoManager::new(Arc::clone(&store), &config.admin_dns);
         let acl = AclEngine::new(Arc::clone(&store));
-        let telemetry = Telemetry::new(
-            config.slow_trace_us,
-            clarens_telemetry::DEFAULT_RING_CAPACITY,
-        );
+        let telemetry = Telemetry::enabled();
         let federation = crate::federation::FederationState::new(
             config.federation_role,
             config.federation_leader.as_deref(),

@@ -57,7 +57,7 @@ impl ClarensServer {
             tls,
             now_fn: Arc::clone(&core.now_fn),
             read_timeout,
-            telemetry: Some(Arc::clone(&core.telemetry)),
+            telemetry: Arc::clone(&core.telemetry),
             max_connections: core.config.max_connections,
         };
         let http = HttpServer::bind(addr, config, handler)?;
@@ -67,11 +67,6 @@ impl ClarensServer {
     /// Bound socket address.
     pub fn local_addr(&self) -> std::net::SocketAddr {
         self.http.local_addr()
-    }
-
-    /// HTTP-layer statistics.
-    pub fn stats(&self) -> &clarens_httpd::ServerStats {
-        self.http.stats()
     }
 
     /// Stop the server.

@@ -273,22 +273,12 @@ fn histogram_value(snap: &clarens_telemetry::HistogramSnapshot) -> Value {
 
 /// The full `system.metrics` response body.
 fn metrics_snapshot(telemetry: &clarens_telemetry::Telemetry) -> Value {
-    let http = &telemetry.http;
-    let http_value = Value::structure([
-        ("connections", Value::Int(http.connections.get() as i64)),
-        ("requests", Value::Int(http.requests.get() as i64)),
-        (
-            "keepalive_reuse",
-            Value::Int(http.keepalive_reuse.get() as i64),
-        ),
-        ("idle_timeouts", Value::Int(http.idle_timeouts.get() as i64)),
-        ("peer_resets", Value::Int(http.peer_resets.get() as i64)),
-        (
-            "handshake_failures",
-            Value::Int(http.handshake_failures.get() as i64),
-        ),
-        ("responses_5xx", Value::Int(http.responses_5xx.get() as i64)),
-    ]);
+    let http = Value::structure(
+        telemetry
+            .http
+            .rows()
+            .map(|(_, key, value)| (key, Value::Int(value as i64))),
+    );
     let protocols = Value::structure(telemetry.protocols_snapshot().into_iter().map(
         |(name, requests, faults)| {
             (
@@ -326,7 +316,7 @@ fn metrics_snapshot(telemetry: &clarens_telemetry::Telemetry) -> Value {
             .map(|(name, value)| (name, Value::Int(value as i64))),
     );
     Value::structure([
-        ("http", http_value),
+        ("http", http),
         ("protocols", protocols),
         ("phases", phases),
         ("methods", methods),

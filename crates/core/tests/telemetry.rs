@@ -1,6 +1,6 @@
 //! End-to-end tests for the observability plane: ACL gating of the export
 //! surfaces, per-method latency capture under real traffic, slow-trace
-//! collection, and the counters-only mode.
+//! collection, and the transport table on both export surfaces.
 
 use clarens::client::ClientError;
 use clarens::testkit::{GridOptions, TestGrid};
@@ -108,6 +108,33 @@ fn system_metrics_rpc_acl_gated_and_complete() {
     assert!(latency.get("max_us").unwrap().as_int().unwrap() > 0);
     let gauges = metrics.get("gauges").unwrap();
     assert!(gauges.get("db.lookups").unwrap().as_int().unwrap() > 0);
+    grid.cleanup();
+}
+
+/// Both export surfaces publish the whole transport table: each row of
+/// `HttpCounters::rows` is a `GET /metrics` line, in table order, and a key
+/// of `system.metrics`'s `http` struct, which holds nothing else.
+#[test]
+fn every_transport_counter_on_both_surfaces() {
+    let grid = TestGrid::start();
+    let mut admin = grid.logged_in_client(&grid.admin);
+    let (status, body) = admin.get_page("/metrics").unwrap();
+    assert_eq!(status, 200);
+    let metrics = admin.call("system.metrics", vec![]).unwrap();
+    let http = metrics.get("http").unwrap().as_struct().unwrap();
+    let rows = grid.core().telemetry.http.rows();
+    let mut names = body.lines().filter_map(|l| l.split(' ').next());
+    for (name, key, _) in rows {
+        assert!(
+            names.any(|n| n == name),
+            "/metrics lacks {name} (or out of order)"
+        );
+        assert!(
+            http.get(key).and_then(Value::as_int).is_some(),
+            "system.metrics lacks {key}"
+        );
+    }
+    assert_eq!(http.len(), rows.len());
     grid.cleanup();
 }
 

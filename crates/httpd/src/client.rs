@@ -264,6 +264,7 @@ mod tests {
     use crate::test_modes::{client_tls, Mode, CLIENT_DN, SERVER_DN};
     use crate::types::Response;
     use clarens_pki::cert::CertificateAuthority;
+    use clarens_telemetry::Telemetry;
     use rand::{rngs::StdRng, SeedableRng};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -277,11 +278,14 @@ mod tests {
         }
     }
 
-    fn start(config: ServerConfig) -> HttpServer {
+    /// Start a counting server, beside the plane its `config` records into.
+    fn start(config: ServerConfig) -> (HttpServer, Arc<Telemetry>) {
         let handler = Arc::new(CountingHandler {
             hits: AtomicU64::new(0),
         });
-        HttpServer::bind("127.0.0.1:0", config, handler).unwrap()
+        let telemetry = Arc::clone(&config.telemetry);
+        let server = HttpServer::bind("127.0.0.1:0", config, handler).unwrap();
+        (server, telemetry)
     }
 
     struct CountingHandler {
@@ -301,26 +305,28 @@ mod tests {
 
     #[test]
     fn plaintext_client_reuses_connection() {
-        let server = start(test_config());
+        let (server, telemetry) = start(test_config());
         let mut client = HttpClient::new(server.local_addr().to_string());
         for i in 0..10 {
             let resp = client.get(&format!("/p{i}")).unwrap();
             assert_eq!(resp.status, 200);
             assert!(String::from_utf8_lossy(&resp.body).contains(&format!("hit={i}")));
         }
-        // All ten requests over one connection.
-        assert_eq!(server.stats().connections.load(Ordering::Relaxed), 1);
+        // All ten requests over one connection. (A request is counted once
+        // its response is written: shutdown joins the worker that wrote it.)
         server.shutdown();
+        assert_eq!(telemetry.http.connections.get(), 1);
+        assert_eq!(telemetry.http.requests.get(), 10);
     }
 
     #[test]
     fn client_reconnects_after_server_close() {
-        let server = start(test_config());
+        let (server, telemetry) = start(test_config());
         let mut client = HttpClient::new(server.local_addr().to_string());
         assert_eq!(client.get("/a").unwrap().status, 200);
         client.close();
         assert_eq!(client.get("/b").unwrap().status, 200);
-        assert_eq!(server.stats().connections.load(Ordering::Relaxed), 2);
+        assert_eq!(telemetry.http.connections.get(), 2);
         server.shutdown();
     }
 
@@ -378,7 +384,7 @@ mod tests {
 
     #[test]
     fn tls_end_to_end_with_mutual_auth() {
-        let server = start(Mode::Tls.server_config(test_config()));
+        let (server, telemetry) = start(Mode::Tls.server_config(test_config()));
         let mut client = HttpClient::new_tls(server.local_addr().to_string(), client_tls());
         let resp = client.get("/secure").unwrap();
         assert_eq!(resp.status, 200);
@@ -389,13 +395,13 @@ mod tests {
         // Keep-alive works over TLS too.
         let resp2 = client.get("/secure2").unwrap();
         assert!(String::from_utf8_lossy(&resp2.body).contains("hit=1"));
-        assert_eq!(server.stats().connections.load(Ordering::Relaxed), 1);
+        assert_eq!(telemetry.http.connections.get(), 1);
         server.shutdown();
     }
 
     #[test]
     fn tls_client_rejects_untrusted_server() {
-        let server = start(Mode::Tls.server_config(test_config()));
+        let (server, _) = start(Mode::Tls.server_config(test_config()));
         // Client only trusts a CA the server's certificate does not chain to.
         let other_ca = CertificateAuthority::new(
             &mut StdRng::seed_from_u64(43),

@@ -37,11 +37,10 @@ use std::io::{self, Cursor, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::os::unix::fs::FileExt;
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use clarens_pki::SecureChannel;
-use clarens_telemetry::{Phase, RequestTrace};
+use clarens_telemetry::{HttpCounters, Phase};
 
 use crate::parse::{
     encode_head, read_request_pooled, truncated, write_response_with, ParseError, COPY_BUFFER,
@@ -164,7 +163,7 @@ pub(crate) struct WriteState {
     head_pos: usize,
     /// The body and its cursor.
     body: PendingBody,
-    /// `chunk[chunk_pos..chunk_len]`: file or stream body bytes already
+    /// `chunk[chunk_pos..chunk_len]`: file body bytes already
     /// consumed from their source — and sealed, under TLS — but not yet
     /// accepted by the socket. Survives parks.
     chunk: Vec<u8>,
@@ -197,12 +196,6 @@ enum PendingBody {
         end: u64,
         use_sendfile: bool,
     },
-    /// Opaque reader with `remaining` bytes promised, staged through the
-    /// chunk.
-    Stream {
-        reader: Box<dyn Read + Send>,
-        remaining: u64,
-    },
 }
 
 impl WriteState {
@@ -213,8 +206,8 @@ impl WriteState {
     /// is known to be sendable; on an error they stay with the caller.
     /// Buffers come from `scratch` so the steady state allocates nothing.
     /// With a `channel`, the batch and then the head leave sealed, an
-    /// in-memory body in the head's records; file and stream bodies are
-    /// sealed chunk by chunk as [`WriteState::advance`] stages them.
+    /// in-memory body in the head's records; a file body is sealed chunk
+    /// by chunk as [`WriteState::advance`] stages them.
     fn new(
         response: Response,
         keep_alive: bool,
@@ -251,10 +244,6 @@ impl WriteState {
                     pos: offset,
                     end: offset + len,
                     use_sendfile: channel.is_none(),
-                },
-                Body::Stream { reader, len } => PendingBody::Stream {
-                    reader,
-                    remaining: len,
                 },
             }
         };
@@ -337,10 +326,11 @@ impl WriteState {
             if !write_some(sock, staged, &mut self.chunk_pos, &mut self.written)? {
                 return Ok(false);
             }
-            // What is left of the body, and how to stage its next chunk (a
-            // positioned read for files: the cursor stays parked-safe).
-            let (left, staged) = match &mut self.body {
-                PendingBody::None | PendingBody::Stream { remaining: 0, .. } => return Ok(true),
+            // What is left of the body: a file segment not going by
+            // sendfile stages its next chunk by a positioned read, so the
+            // cursor stays parked-safe.
+            let (file, left, pos) = match &mut self.body {
+                PendingBody::None => return Ok(true),
                 PendingBody::File { pos, end, .. } if pos == end => return Ok(true),
                 PendingBody::Bytes { buf, pos } => {
                     return write_some(sock, buf, pos, &mut self.written)
@@ -368,39 +358,25 @@ impl WriteState {
                     }
                     continue;
                 }
-                PendingBody::File { file, pos, end, .. } => {
-                    let left = *end - *pos;
-                    let read = |buf: &mut [u8]| file.read_at(buf, *pos);
-                    let staged =
-                        stage(&mut self.chunk, left, channel.as_deref_mut(), scratch, read);
-                    if let Ok((n, _)) = staged {
-                        *pos += n as u64;
-                    }
-                    (left, staged)
-                }
-                PendingBody::Stream { reader, remaining } => {
-                    let left = *remaining;
-                    let read = |buf: &mut [u8]| reader.read(buf);
-                    let staged =
-                        stage(&mut self.chunk, left, channel.as_deref_mut(), scratch, read);
-                    if let Ok((n, _)) = staged {
-                        *remaining -= n as u64;
-                    }
-                    (left, staged)
-                }
+                PendingBody::File { file, pos, end, .. } => (file, *end - *pos, pos),
             };
-            match staged {
+            let read = |buf: &mut [u8]| file.read_at(buf, *pos);
+            match stage(&mut self.chunk, left, channel.as_deref_mut(), scratch, read) {
                 Ok((0, _)) => return Err(truncated(left)),
-                Ok((_, staged)) => (self.chunk_pos, self.chunk_len) = (0, staged),
+                Ok((n, staged)) => {
+                    *pos += n as u64;
+                    (self.chunk_pos, self.chunk_len) = (0, staged);
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
     }
 
-    /// Byte accounting for telemetry: `(total written, via sendfile)`.
-    fn accounted(&self) -> (u64, u64) {
-        (self.written, self.sendfile)
+    /// Count the response's bytes: all of them, and those `sendfile` moved.
+    fn count(&self, http: &HttpCounters) {
+        http.bytes_out.add(self.written);
+        http.bytes_sendfile.add(self.sendfile);
     }
 
     /// Return pooled buffers to the worker's arena once the response is
@@ -533,6 +509,8 @@ pub(crate) fn drive<H: Handler>(
     // amortizes its one allocation over the whole batch.
     let mut outq: Vec<u8> = Vec::new();
     let mut guards: Vec<InFlightGuard> = Vec::new();
+    let telemetry = &*shared.telemetry;
+    let http = &telemetry.http;
     loop {
         // A write in flight — a response parked mid-write, or handshake
         // replies `fill` just produced — goes before anything else, even
@@ -540,11 +518,7 @@ pub(crate) fn drive<H: Handler>(
         if let Some(state) = conn.pending_write.take() {
             match advance_pending(&mut conn, state, scratch) {
                 WriteProgress::Done(state) => {
-                    let (total, via_sendfile) = state.accounted();
-                    if let Some(t) = &shared.telemetry {
-                        t.http.bytes_out.add(total);
-                        t.http.bytes_sendfile.add(via_sendfile);
-                    }
+                    state.count(http);
                     let keep_alive = state.keep_alive;
                     state.recycle_into(scratch);
                     if !keep_alive {
@@ -553,7 +527,7 @@ pub(crate) fn drive<H: Handler>(
                 }
                 WriteProgress::Parked => return Disposition::Park(conn),
                 WriteProgress::Failed(error) => {
-                    classify_io_error(&error, shared);
+                    classify_io_error(&error, http);
                     return Disposition::Closed;
                 }
             }
@@ -563,10 +537,7 @@ pub(crate) fn drive<H: Handler>(
             conn.send_staged(&mut outq, &mut guards, false, scratch);
             continue;
         }
-        let mut trace = match &shared.telemetry {
-            Some(t) => t.begin_request(),
-            None => RequestTrace::disabled(),
-        };
+        let mut trace = telemetry.begin_request();
         let reuses_before = scratch.reuses();
         let attempt = trace.span(Phase::Parse, || {
             try_parse(&conn.inbuf, DEFAULT_MAX_BODY, scratch)
@@ -596,36 +567,29 @@ pub(crate) fn drive<H: Handler>(
                             .tls
                             .as_ref()
                             .is_some_and(|tls| !tls.channel.at_frame_boundary());
-                        if let Some(t) = &shared.telemetry {
-                            if cut && handshaking {
-                                t.http.handshake_failures.inc();
-                            } else if cut || !conn.inbuf.is_empty() {
-                                // Stream cut inside a record, or the peer
-                                // abandoned a half-sent request.
-                                t.http.peer_resets.inc();
-                            }
+                        if cut && handshaking {
+                            http.handshake_failures.inc();
+                        } else if cut || !conn.inbuf.is_empty() {
+                            // Stream cut inside a record, or the peer
+                            // abandoned a half-sent request.
+                            http.peer_resets.inc();
                         }
                         return Disposition::Closed;
                     }
                     Fill::Err(error) if handshaking => {
-                        if let Some(t) = &shared.telemetry {
-                            t.http.handshake_failures.inc();
-                        }
+                        http.handshake_failures.inc();
                         clarens_telemetry::debug!("TLS handshake failed: {error}");
                         return Disposition::Closed;
                     }
                     Fill::Err(error) => {
-                        classify_io_error(&error, shared);
+                        classify_io_error(&error, http);
                         return Disposition::Closed;
                     }
                 }
             }
             Parsed::Fail(status, message) => {
-                shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &shared.telemetry {
-                    trace.status = status;
-                    t.finish_request(&trace, (shared.now_fn)());
-                }
+                trace.status = status;
+                telemetry.finish_request(&trace, (shared.now_fn)());
                 // The error leaves behind any earlier pipelined responses,
                 // as the last write.
                 let response = Response::error(status, &message);
@@ -641,11 +605,8 @@ pub(crate) fn drive<H: Handler>(
                 let in_flight = InFlightGuard::enter(&shared.stop);
                 let keep_alive = request.wants_keep_alive() && !shared.stop.requested();
                 let head_only = request.method == Method::Head;
-                shared.stats.requests.fetch_add(1, Ordering::Relaxed);
                 if conn.served > 0 {
-                    if let Some(t) = &shared.telemetry {
-                        t.http.keepalive_reuse.inc();
-                    }
+                    http.keepalive_reuse.inc();
                 }
                 conn.served += 1;
 
@@ -657,9 +618,6 @@ pub(crate) fn drive<H: Handler>(
                         scratch,
                     },
                 );
-                if response.status >= 500 {
-                    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                }
                 trace.status = response.status;
                 // Coalescing fast path: more requests are already buffered
                 // and this response is plain bytes, so stage it and keep
@@ -674,24 +632,21 @@ pub(crate) fn drive<H: Handler>(
                         clarens_faults::check_io(clarens_faults::sites::HTTPD_WRITE)
                             .and_then(|()| stage_response(response, &mut outq, scratch))
                     });
-                    if let Some(t) = &shared.telemetry {
-                        t.http
-                            .buffer_pool_reuse
-                            .add(scratch.reuses().wrapping_sub(reuses_before));
-                        t.finish_request(&trace, (shared.now_fn)());
-                    }
+                    http.buffer_pool_reuse
+                        .add(scratch.reuses().wrapping_sub(reuses_before));
+                    telemetry.finish_request(&trace, (shared.now_fn)());
                     match staged {
                         Ok(()) => {
                             guards.push(in_flight);
                             continue;
                         }
                         Err(error) => {
-                            classify_io_error(&error, shared);
+                            classify_io_error(&error, http);
                             return Disposition::Closed;
                         }
                     }
                 }
-                // Not coalescible (file/stream body, HEAD, close, or the
+                // Not coalescible (file body, HEAD, close, or the
                 // staging cap): the response leaves behind anything staged,
                 // in one write in flight.
                 guards.push(in_flight);
@@ -713,17 +668,12 @@ pub(crate) fn drive<H: Handler>(
                         Err(error) => WriteProgress::Failed(error),
                     }
                 });
-                if let Some(t) = &shared.telemetry {
-                    if let WriteProgress::Done(state) = &progress {
-                        let (total, via_sendfile) = state.accounted();
-                        t.http.bytes_out.add(total);
-                        t.http.bytes_sendfile.add(via_sendfile);
-                    }
-                    t.http
-                        .buffer_pool_reuse
-                        .add(scratch.reuses().wrapping_sub(reuses_before));
-                    t.finish_request(&trace, (shared.now_fn)());
+                if let WriteProgress::Done(state) = &progress {
+                    state.count(http);
                 }
+                http.buffer_pool_reuse
+                    .add(scratch.reuses().wrapping_sub(reuses_before));
+                telemetry.finish_request(&trace, (shared.now_fn)());
                 match progress {
                     WriteProgress::Done(state) => {
                         state.recycle_into(scratch);
@@ -737,7 +687,7 @@ pub(crate) fn drive<H: Handler>(
                     WriteProgress::Failed(error) => {
                         // A response that cannot be sent still lets the
                         // batch staged before it out, as the last write.
-                        classify_io_error(&error, shared);
+                        classify_io_error(&error, http);
                         conn.send_staged(&mut outq, &mut guards, false, scratch);
                         continue;
                     }

@@ -5,7 +5,7 @@
 //! framework. This crate is that layer, built from scratch on `std::net`:
 //!
 //! * [`parse`] — HTTP/1.1 request/response parsing with Content-Length and
-//!   chunked bodies, hard limits, and streaming response writes (the
+//!   chunked bodies, hard limits, and file-body response writes (the
 //!   `sendfile()`-style path the file service uses),
 //! * [`server`] — a worker pool fed by an event-driven connection
 //!   scheduler: one event loop accepts connections and *parks* idle
@@ -56,7 +56,5 @@ mod test_modes;
 pub use client::{ClientError, ClientTls, HttpClient};
 pub use parse::{is_truncation, resolve_range, ClientResponse, ParseError, RangeOutcome};
 pub use scratch::Scratch;
-pub use server::{
-    Handler, HttpServer, PeerInfo, RequestContext, ServerConfig, ServerStats, TlsConfig,
-};
+pub use server::{Handler, HttpServer, PeerInfo, RequestContext, ServerConfig, TlsConfig};
 pub use types::{http_date, Body, Headers, Method, Request, Response};

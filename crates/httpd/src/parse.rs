@@ -417,12 +417,7 @@ pub(crate) fn write_response_with<W: Write>(
         )),
         body => writer.write_all(&head).and_then(|()| match body {
             Body::File { file, offset, len } if !head_only => {
-                copy_body(writer, scratch, len, |buf, done| {
-                    file.read_at(buf, offset + done)
-                })
-            }
-            Body::Stream { mut reader, len } if !head_only => {
-                copy_body(writer, scratch, len, |buf, _| reader.read(buf))
+                copy_file(writer, scratch, &file, offset, len)
             }
             _ => Ok(()),
         }),
@@ -432,15 +427,15 @@ pub(crate) fn write_response_with<W: Write>(
     writer.flush()
 }
 
-/// Copy a body of `len` bytes from `read` (handed the buffer to fill and
-/// the count already copied) to `writer` through one recycled fixed-size
-/// buffer — no allocation proportional to the body. A source that runs dry
-/// early is a truncation.
-fn copy_body<W: Write>(
+/// Copy `len` bytes of `file` from `offset` to `writer` through one
+/// recycled fixed-size buffer — no allocation proportional to the body. A
+/// file that ends early is a truncation.
+fn copy_file<W: Write>(
     writer: &mut W,
     scratch: &mut Scratch,
+    file: &std::fs::File,
+    offset: u64,
     len: u64,
-    mut read: impl FnMut(&mut [u8], u64) -> io::Result<usize>,
 ) -> io::Result<()> {
     let mut buf = scratch.take();
     buf.resize(COPY_BUFFER, 0);
@@ -448,7 +443,7 @@ fn copy_body<W: Write>(
     let mut result = Ok(());
     while done < len {
         let want = ((len - done) as usize).min(buf.len());
-        result = match read(&mut buf[..want], done) {
+        result = match file.read_at(&mut buf[..want], offset + done) {
             Ok(0) => Err(truncated(len - done)),
             Ok(n) => {
                 done += n as u64;
@@ -799,34 +794,6 @@ mod tests {
         assert!(text.contains("connection: close"));
     }
 
-    #[test]
-    fn streaming_body_written_fully() {
-        let data = vec![7u8; 200_000];
-        let mut wire = Vec::new();
-        let resp = Response::stream(
-            "application/octet-stream",
-            Box::new(std::io::Cursor::new(data.clone())),
-            data.len() as u64,
-        );
-        let written = write_response(&mut wire, resp, true, false).unwrap();
-        assert_eq!(written, data.len() as u64);
-        let parsed = read_response(&mut BufReader::new(&wire[..]), usize::MAX).unwrap();
-        assert_eq!(parsed.body, data);
-    }
-
-    #[test]
-    fn short_stream_is_error() {
-        let resp = Response::stream(
-            "application/octet-stream",
-            Box::new(std::io::Cursor::new(vec![1u8; 10])),
-            100,
-        );
-        let mut wire = Vec::new();
-        let err = write_response(&mut wire, resp, true, false).unwrap_err();
-        assert!(is_truncation(&err), "{err:?}");
-        assert!(err.to_string().contains("90 bytes short"), "{err}");
-    }
-
     fn temp_file(bytes: &[u8]) -> std::fs::File {
         let dir = std::env::temp_dir().join(format!(
             "clarens-parse-test-{}-{:?}",
@@ -845,7 +812,8 @@ mod tests {
         let file = temp_file(&data);
         let resp = Response::file(200, "application/octet-stream", file, 0, data.len() as u64);
         let mut wire = Vec::new();
-        write_response(&mut wire, resp, true, false).unwrap();
+        let written = write_response(&mut wire, resp, true, false).unwrap();
+        assert_eq!(written, data.len() as u64);
         let parsed = read_response(&mut BufReader::new(&wire[..]), usize::MAX).unwrap();
         assert_eq!(parsed.status, 200);
         assert_eq!(parsed.body, data);
@@ -872,6 +840,7 @@ mod tests {
         let mut wire = Vec::new();
         let err = write_response(&mut wire, resp, true, false).unwrap_err();
         assert!(is_truncation(&err), "{err:?}");
+        assert!(err.to_string().contains("400 bytes short"), "{err}");
     }
 
     #[test]

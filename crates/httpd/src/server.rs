@@ -24,12 +24,12 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use clarens_telemetry::{Gauge, RequestTrace, Telemetry};
+use clarens_telemetry::{Gauge, HttpCounters, RequestTrace, Telemetry};
 
 use clarens_faults::Injected;
 use clarens_pki::cert::{Certificate, Credential};
@@ -104,8 +104,10 @@ pub struct ServerConfig {
     pub tls: Option<TlsConfig>,
     /// Clock used for certificate validation (overridable in tests).
     pub now_fn: Arc<dyn Fn() -> i64 + Send + Sync>,
-    /// Telemetry plane to record into. `None` = untraced (tests, tools).
-    pub telemetry: Option<Arc<Telemetry>>,
+    /// The telemetry plane the server records into: transport counters,
+    /// phase timings and the slow-trace ring. A fresh plane by default; a
+    /// Clarens core attaches its own.
+    pub telemetry: Arc<Telemetry>,
     /// Cap on simultaneously live connections (queued + active + parked).
     /// Connections beyond the cap are shed with `503` +
     /// `Connection: close` instead of growing the queue without bound.
@@ -124,7 +126,7 @@ impl Default for ServerConfig {
                     .map(|d| d.as_secs() as i64)
                     .unwrap_or(0)
             }),
-            telemetry: None,
+            telemetry: Telemetry::enabled(),
             max_connections: 4096,
         }
     }
@@ -133,18 +135,6 @@ impl Default for ServerConfig {
 /// How long `shutdown` lets responses already in flight finish: a peer
 /// still not reading by then is closed, counted as a `write_stall`.
 pub const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Monotonic server counters (exposed so benches can report served
-/// request totals like the paper's "316 million requests ... completed").
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Requests served (any status).
-    pub requests: AtomicU64,
-    /// Requests that produced 5xx responses.
-    pub errors: AtomicU64,
-}
 
 /// RAII slot in the live-connection budget.
 pub(crate) struct BudgetGuard {
@@ -303,7 +293,6 @@ pub struct HttpServer {
     stop: Arc<Stop>,
     poller_thread: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    stats: Arc<ServerStats>,
     queue: Arc<WorkQueue>,
 }
 
@@ -358,7 +347,6 @@ impl HttpServer {
     ) -> io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let stats = Arc::new(ServerStats::default());
         let worker_count = config.workers.max(1);
         let queue = Arc::new(WorkQueue::new(worker_count)?);
         let conn_poller = Arc::new(Poller::new()?);
@@ -379,7 +367,6 @@ impl HttpServer {
             now_fn: Arc::clone(&config.now_fn),
             telemetry: config.telemetry,
             stop: Arc::clone(&stop),
-            stats: Arc::clone(&stats),
             parker: Parker {
                 tx: park_tx,
                 poller: Arc::clone(&conn_poller),
@@ -415,7 +402,6 @@ impl HttpServer {
             stop,
             poller_thread: Some(poller_thread),
             workers,
-            stats,
             queue,
         })
     }
@@ -423,11 +409,6 @@ impl HttpServer {
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Server counters.
-    pub fn stats(&self) -> &ServerStats {
-        &self.stats
     }
 
     /// Stop accepting, let what is in flight finish, and join all threads.
@@ -466,9 +447,8 @@ pub(crate) struct WorkerShared<H: Handler> {
     pub(crate) handler: Arc<H>,
     pub(crate) read_timeout: Duration,
     pub(crate) now_fn: Arc<dyn Fn() -> i64 + Send + Sync>,
-    pub(crate) telemetry: Option<Arc<Telemetry>>,
+    pub(crate) telemetry: Arc<Telemetry>,
     pub(crate) stop: Arc<Stop>,
-    pub(crate) stats: Arc<ServerStats>,
     pub(crate) parker: Parker,
     queue: Arc<WorkQueue>,
 }
@@ -478,11 +458,9 @@ pub(crate) struct WorkerShared<H: Handler> {
 /// one yet, and we will not hold a slot waiting for it). One non-blocking
 /// write: a fresh socket's send buffer takes the whole answer, and the
 /// event loop never waits on a peer.
-fn shed(sock: Option<TcpStream>, telemetry: &Option<Arc<Telemetry>>) {
+fn shed(sock: Option<TcpStream>, telemetry: &Telemetry) {
     let Some(mut sock) = sock else { return };
-    if let Some(t) = telemetry {
-        t.http.sheds.inc();
-    }
+    telemetry.http.sheds.inc();
     let mut answer = Vec::new();
     let busy = Response::error(503, "connection limit reached, retry later");
     let _ = crate::parse::write_response(&mut answer, busy, false, false);
@@ -570,10 +548,7 @@ fn accept<H: Handler>(
             if matches!(fault, Some(Injected::Err | Injected::ShortWrite(_))) {
                 return Accept::Other;
             }
-            shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = &shared.telemetry {
-                t.http.connections.inc();
-            }
+            shared.telemetry.http.connections.inc();
             // A socket that cannot be driven without blocking is dropped.
             if accepted.set_nonblocking(true).is_err() {
                 return Accept::Other;
@@ -623,9 +598,7 @@ fn admit<H: Handler>(
         tls,
         _budget: Some(budget),
     });
-    if let Some(t) = &shared.telemetry {
-        t.http.queue_depth.inc();
-    }
+    shared.telemetry.http.queue_depth.inc();
     shared.queue.push(conn);
 }
 
@@ -643,9 +616,7 @@ fn watch<H: Handler>(
         .arm(fd, token, writer, conn.registered)
         .ok()?;
     conn.registered = true;
-    if let Some(t) = &shared.telemetry {
-        parked_gauge(t, writer).inc();
-    }
+    parked_gauge(&shared.telemetry.http, writer).inc();
     parked.insert(token, conn);
     Some(Input::Parked(token, writer, deadline))
 }
@@ -654,30 +625,27 @@ fn watch<H: Handler>(
 /// close drops it, so a peer that sees EOF sees the count), and queued for
 /// a worker if dispatched.
 fn unparked<H: Handler>(conn: Box<Conn>, effect: Effect, shared: &WorkerShared<H>) {
-    if let Some(t) = &shared.telemetry {
-        parked_gauge(t, conn.pending_write.is_some()).dec();
-        match effect {
-            Effect::Dispatch(_) => {
-                t.http.poll_wakeups.inc();
-                t.http.queue_depth.inc();
-            }
-            Effect::Close(_, Why::Idle) => t.http.idle_timeouts.inc(),
-            Effect::Close(_, Why::Stalled) => t.http.write_stalls.inc(),
-            _ => {}
+    let http = &shared.telemetry.http;
+    parked_gauge(http, conn.pending_write.is_some()).dec();
+    match effect {
+        Effect::Dispatch(_) => {
+            http.poll_wakeups.inc();
+            http.queue_depth.inc();
+            shared.queue.push(conn);
         }
-    }
-    if let Effect::Dispatch(_) = effect {
-        shared.queue.push(conn);
+        Effect::Close(_, Why::Idle) => http.idle_timeouts.inc(),
+        Effect::Close(_, Why::Stalled) => http.write_stalls.inc(),
+        _ => {}
     }
 }
 
 /// The gauge a connection parked on the event loop counts in:
 /// `parked_writers`, or `parked`, which workers keeping an idle connection
 /// count in too.
-fn parked_gauge(t: &Telemetry, writer: bool) -> &Gauge {
+fn parked_gauge(http: &HttpCounters, writer: bool) -> &Gauge {
     match writer {
-        true => &t.http.parked_writers,
-        false => &t.http.parked,
+        true => &http.parked_writers,
+        false => &http.parked,
     }
 }
 
@@ -690,24 +658,18 @@ fn worker_loop<H: Handler>(me: usize, shared: Arc<WorkerShared<H>>) {
     // The worker's scratch arena lives as long as the thread: buffers
     // recycle across requests *and* connections.
     let mut scratch = Scratch::new();
-    let telemetry = shared.telemetry.as_deref();
+    let http = &shared.telemetry.http;
     // The idle connection this worker just served and kept, if any.
     let mut kept: Option<Box<Conn>> = None;
     loop {
         let conn = match kept.take() {
             Some(conn) => {
-                if let Some(t) = telemetry {
-                    t.http.parked.inc();
-                }
+                http.parked.inc();
                 let woken = shared.queue.keep(me, &conn);
-                if let Some(t) = telemetry {
-                    t.http.parked.dec();
-                }
+                http.parked.dec();
                 match woken {
                     Woken::Bytes => {
-                        if let Some(t) = telemetry {
-                            t.http.worker_wakeups.inc();
-                        }
+                        http.worker_wakeups.inc();
                         conn
                     }
                     Woken::Work => {
@@ -715,18 +677,14 @@ fn worker_loop<H: Handler>(me: usize, shared: Arc<WorkerShared<H>>) {
                         continue;
                     }
                     Woken::Deadline => {
-                        if let Some(t) = telemetry {
-                            t.http.idle_timeouts.inc();
-                        }
+                        http.idle_timeouts.inc();
                         continue; // dropping it closes the socket
                     }
                 }
             }
             None => match shared.queue.pop(me) {
                 Some(conn) => {
-                    if let Some(t) = telemetry {
-                        t.http.queue_depth.dec();
-                    }
+                    http.queue_depth.dec();
                     conn
                 }
                 None => return,
@@ -753,13 +711,11 @@ fn worker_loop<H: Handler>(me: usize, shared: Arc<WorkerShared<H>>) {
 /// Classify a keep-alive read/write I/O failure: the server's own idle
 /// timeout firing is normal churn, while everything else means the peer
 /// tore the connection down under us.
-pub(crate) fn classify_io_error<H: Handler>(error: &io::Error, shared: &WorkerShared<H>) {
+pub(crate) fn classify_io_error(error: &io::Error, http: &HttpCounters) {
     if crate::parse::is_truncation(error) {
         // The body source under-delivered against its declared
         // Content-Length — a server-side framing hazard, not peer churn.
-        if let Some(t) = &shared.telemetry {
-            t.http.stream_truncations.inc();
-        }
+        http.stream_truncations.inc();
         clarens_telemetry::debug!("response body truncated: {error}");
         return;
     }
@@ -767,14 +723,10 @@ pub(crate) fn classify_io_error<H: Handler>(error: &io::Error, shared: &WorkerSh
         error.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
     );
-    if let Some(t) = &shared.telemetry {
-        if idle {
-            t.http.idle_timeouts.inc();
-        } else {
-            t.http.peer_resets.inc();
-        }
-    }
-    if !idle {
+    if idle {
+        http.idle_timeouts.inc();
+    } else {
+        http.peer_resets.inc();
         clarens_telemetry::debug!("connection reset by peer: {error}");
     }
 }
@@ -850,7 +802,9 @@ mod tests {
     #[test]
     fn keep_alive_multiple_requests() {
         for mode in BOTH_MODES {
-            let server = start(mode);
+            let config = test_config(mode);
+            let telemetry = Arc::clone(&config.telemetry);
+            let server = HttpServer::bind("127.0.0.1:0", config, echo_handler()).unwrap();
             let batch: String = (0..5)
                 .map(|i| format!("GET /r{i} HTTP/1.1\r\nHost: h\r\n\r\n"))
                 .collect();
@@ -862,10 +816,37 @@ mod tests {
                 assert_eq!(resp.body, format!("GET /r{i} {} 0", who(mode)).as_bytes());
                 assert!(resp.keep_alive);
             }
-            assert_eq!(server.stats().requests.load(Ordering::Relaxed), 5);
-            assert_eq!(server.stats().connections.load(Ordering::Relaxed), 1);
+            // Counted once each response is written: shutdown joins the
+            // workers.
             server.shutdown();
+            assert_eq!(telemetry.http.requests.get(), 5);
+            assert_eq!(telemetry.http.connections.get(), 1);
         }
+    }
+
+    /// A bare server built from the default config records all the same:
+    /// its connection, requests and 5xx answers land in `config.telemetry`.
+    #[test]
+    fn default_config_records_into_its_plane() {
+        let config = ServerConfig::default();
+        let telemetry = Arc::clone(&config.telemetry);
+        let handler =
+            Arc::new(
+                |req: Request, _peer: Option<&PeerInfo>| match req.target.as_str() {
+                    "/fail" => Response::error(500, "boom"),
+                    _ => Response::ok("text/plain", "ok"),
+                },
+            );
+        let server = HttpServer::bind("127.0.0.1:0", config, handler).unwrap();
+        let batch = "GET /a HTTP/1.1\r\nHost: h\r\n\r\n\
+                     GET /fail HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n";
+        let sock = Mode::Plain.request(server.local_addr(), batch).unwrap();
+        BufReader::new(sock).read_to_end(&mut Vec::new()).unwrap();
+        server.shutdown();
+        assert_eq!(telemetry.http.connections.get(), 1);
+        assert_eq!(telemetry.http.requests.get(), 2);
+        assert_eq!(telemetry.http.responses_5xx.get(), 1);
+        assert_eq!(telemetry.total_snapshot().count, 2);
     }
 
     #[test]
@@ -918,7 +899,9 @@ mod tests {
     #[test]
     fn concurrent_clients() {
         for mode in BOTH_MODES {
-            let server = start(mode);
+            let config = test_config(mode);
+            let telemetry = Arc::clone(&config.telemetry);
+            let server = HttpServer::bind("127.0.0.1:0", config, echo_handler()).unwrap();
             let addr = server.local_addr();
             let mut handles = Vec::new();
             for t in 0..8 {
@@ -939,8 +922,9 @@ mod tests {
             for h in handles {
                 h.join().unwrap();
             }
-            assert_eq!(server.stats().requests.load(Ordering::Relaxed), 160);
             server.shutdown();
+            assert_eq!(telemetry.http.requests.get(), 160);
+            assert_eq!(telemetry.http.connections.get(), 160);
         }
     }
 
@@ -962,11 +946,8 @@ mod tests {
     #[test]
     fn io_errors_classified_idle_vs_reset() {
         for mode in BOTH_MODES {
-            let telemetry = Telemetry::enabled();
-            let config = ServerConfig {
-                telemetry: Some(Arc::clone(&telemetry)),
-                ..test_config(mode)
-            };
+            let config = test_config(mode);
+            let telemetry = Arc::clone(&config.telemetry);
             let server = HttpServer::bind("127.0.0.1:0", config, echo_handler()).unwrap();
 
             // Idle past the read timeout: the poller expires it,
@@ -993,11 +974,8 @@ mod tests {
     #[test]
     fn telemetry_counts_requests_and_keepalive_reuse() {
         for mode in BOTH_MODES {
-            let telemetry = Telemetry::enabled();
-            let config = ServerConfig {
-                telemetry: Some(Arc::clone(&telemetry)),
-                ..test_config(mode)
-            };
+            let config = test_config(mode);
+            let telemetry = Arc::clone(&config.telemetry);
             let server = HttpServer::bind("127.0.0.1:0", config, echo_handler()).unwrap();
             let mut reader = BufReader::new(mode.connect(server.local_addr()).unwrap());
             // Strictly request-response paced, so each request is one

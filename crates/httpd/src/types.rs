@@ -5,7 +5,6 @@
 //! by the server and client halves of this crate.
 
 use std::collections::BTreeMap;
-use std::io::Read;
 
 /// Request method. Clarens uses GET (file/portal) and POST (RPC); the rest
 /// are parsed so the server can answer 405 rather than 400.
@@ -155,21 +154,13 @@ impl Request {
     }
 }
 
-/// Response body: in-memory bytes, a streaming reader, or a file segment
-/// (the file service hands the network "I/O off to the web server" — §2.3 —
-/// which we model by streaming straight from the file handle, or on Linux
-/// by `sendfile(2)` without touching userspace at all).
+/// Response body: in-memory bytes, a file segment, or a bare length (the
+/// file service hands the network "I/O off to the web server" — §2.3 —
+/// which we model by sending straight from the file handle, by
+/// `sendfile(2)` on plaintext without touching userspace at all).
 pub enum Body {
     /// Fully buffered body.
     Bytes(Vec<u8>),
-    /// Streaming body with a known length (sent with Content-Length, copied
-    /// through a fixed buffer).
-    Stream {
-        /// Byte source.
-        reader: Box<dyn Read + Send>,
-        /// Exact number of bytes the reader will yield.
-        len: u64,
-    },
     /// A segment of an open file. Eligible for the zero-copy `sendfile(2)`
     /// path on plaintext Linux sockets; elsewhere it is copied through a
     /// fixed buffer with positioned reads (the file cursor is never moved,
@@ -192,7 +183,6 @@ impl std::fmt::Debug for Body {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Body::Bytes(b) => write!(f, "Body::Bytes({} bytes)", b.len()),
-            Body::Stream { len, .. } => write!(f, "Body::Stream({len} bytes)"),
             Body::File { offset, len, .. } => {
                 write!(f, "Body::File({len} bytes @ {offset})")
             }
@@ -206,7 +196,6 @@ impl Body {
     pub fn len(&self) -> u64 {
         match self {
             Body::Bytes(b) => b.len() as u64,
-            Body::Stream { len, .. } => *len,
             Body::File { len, .. } => *len,
             Body::Sized(len) => *len,
         }
@@ -253,17 +242,6 @@ impl Response {
             "text/plain",
             format!("{status} {}\n{message}\n", reason(status)),
         )
-    }
-
-    /// A streaming response of known length.
-    pub fn stream(content_type: &str, reader: Box<dyn Read + Send>, len: u64) -> Self {
-        let mut headers = Headers::new();
-        headers.set("content-type", content_type);
-        Response {
-            status: 200,
-            headers,
-            body: Body::Stream { reader, len },
-        }
     }
 
     /// A response serving `[offset, offset + len)` of an open file —
@@ -402,11 +380,6 @@ mod tests {
     fn body_lengths() {
         assert_eq!(Body::Bytes(vec![1, 2, 3]).len(), 3);
         assert!(Body::Bytes(vec![]).is_empty());
-        let stream = Body::Stream {
-            reader: Box::new(std::io::empty()),
-            len: 42,
-        };
-        assert_eq!(stream.len(), 42);
     }
 
     #[test]

@@ -30,7 +30,7 @@ impl Handler for PooledEcho {
     }
 }
 
-fn start_server(telemetry: Option<Arc<Telemetry>>) -> HttpServer {
+fn start_server(telemetry: Arc<Telemetry>) -> HttpServer {
     let config = ServerConfig {
         read_timeout: Duration::from_millis(200),
         telemetry,
@@ -52,7 +52,7 @@ fn post(body: &[u8]) -> Vec<u8> {
 #[test]
 fn second_request_never_sees_first_requests_bytes() {
     let telemetry = Telemetry::enabled();
-    let server = start_server(Some(Arc::clone(&telemetry)));
+    let server = start_server(Arc::clone(&telemetry));
     let mut sock = TcpStream::connect(server.local_addr()).unwrap();
 
     // A large, distinctive first body primes every recycled buffer with
@@ -89,7 +89,7 @@ fn second_request_never_sees_first_requests_bytes() {
 
 #[test]
 fn pipelined_burst_each_response_isolated() {
-    let server = start_server(None);
+    let server = start_server(Telemetry::enabled());
     let mut sock = TcpStream::connect(server.local_addr()).unwrap();
 
     // Alternate shrinking/odd-sized bodies so any stale-length bug shows.
@@ -113,7 +113,7 @@ fn pipelined_burst_each_response_isolated() {
 
 #[test]
 fn chunked_bodies_reassembled_through_pooled_path() {
-    let server = start_server(None);
+    let server = start_server(Telemetry::enabled());
     let mut sock = TcpStream::connect(server.local_addr()).unwrap();
 
     // First chunked request: three uneven chunks.
@@ -142,7 +142,7 @@ fn chunked_bodies_reassembled_through_pooled_path() {
 
 #[test]
 fn mixed_chunked_and_content_length_keep_alive() {
-    let server = start_server(None);
+    let server = start_server(Telemetry::enabled());
     let mut sock = TcpStream::connect(server.local_addr()).unwrap();
 
     sock.write_all(&post(b"plain-one")).unwrap();

@@ -195,7 +195,7 @@ fn sendfile_bytes_are_counted() {
         let server = HttpServer::bind(
             "127.0.0.1:0",
             mode.server_config(ServerConfig {
-                telemetry: Some(Arc::clone(&telemetry)),
+                telemetry: Arc::clone(&telemetry),
                 ..config()
             }),
             file_handler(path.clone()),
@@ -221,25 +221,28 @@ fn sendfile_bytes_are_counted() {
     }
 }
 
-/// A stream body that under-delivers against its declared Content-Length
+/// A file body that under-delivers against its declared Content-Length
 /// must close the connection (never desync keep-alive framing) and count
-/// as a stream truncation, on both transports.
+/// as a stream truncation, on both transports: on plaintext `sendfile`
+/// finds the end of the file, on TLS the staged positioned read does.
 #[test]
 fn truncated_stream_closes_connection_and_is_counted() {
+    let (file, _) = payload_file("truncated", 40_960);
     for mode in BOTH_MODES {
+        let path = file.clone();
         let telemetry = Telemetry::enabled();
         let server = HttpServer::bind(
             "127.0.0.1:0",
             mode.server_config(ServerConfig {
-                telemetry: Some(Arc::clone(&telemetry)),
+                telemetry: Arc::clone(&telemetry),
                 ..config()
             }),
-            // Claims 100 KiB, delivers 40 KiB: a lying Content-Length. (More
+            // Claims 100 KiB of a 40 KiB file: a lying Content-Length. (More
             // than two secure-channel records, so a TLS client has the head
-            // before the stream runs dry.)
-            Arc::new(|_req: Request, _peer: Option<&PeerInfo>| {
-                let reader = Box::new(std::io::Cursor::new(vec![0x41u8; 40_960]));
-                Response::stream("application/octet-stream", reader, 102_400)
+            // before the file runs dry.)
+            Arc::new(move |_req: Request, _peer: Option<&PeerInfo>| {
+                let file = std::fs::File::open(&path).unwrap();
+                Response::file(200, "application/octet-stream", file, 0, 102_400)
             }),
         )
         .unwrap();
@@ -288,7 +291,7 @@ fn slow_reader_parks_write_and_frees_the_worker() {
             "127.0.0.1:0",
             mode.server_config(ServerConfig {
                 workers: 1,
-                telemetry: Some(Arc::clone(&telemetry)),
+                telemetry: Arc::clone(&telemetry),
                 read_timeout: Duration::from_secs(30),
                 ..config()
             }),
@@ -352,7 +355,7 @@ fn stalled_writer_expires_as_write_stall() {
             "127.0.0.1:0",
             mode.server_config(ServerConfig {
                 workers: 1,
-                telemetry: Some(Arc::clone(&telemetry)),
+                telemetry: Arc::clone(&telemetry),
                 read_timeout: Duration::from_millis(300),
                 ..config()
             }),

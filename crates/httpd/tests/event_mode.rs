@@ -130,7 +130,7 @@ fn tls_stallers_cannot_pin_the_single_worker() {
         "127.0.0.1:0",
         Mode::Tls.server_config(ServerConfig {
             workers: 1,
-            telemetry: Some(Arc::clone(&telemetry)),
+            telemetry: Arc::clone(&telemetry),
             read_timeout: Duration::from_secs(2),
             ..config()
         }),
@@ -195,7 +195,7 @@ fn keepalive_churn_512_connections_buffer_isolation() {
             "127.0.0.1:0",
             mode.server_config(ServerConfig {
                 workers: 4,
-                telemetry: Some(Arc::clone(&telemetry)),
+                telemetry: Arc::clone(&telemetry),
                 read_timeout: Duration::from_secs(60),
                 ..config()
             }),
@@ -227,14 +227,7 @@ fn keepalive_churn_512_connections_buffer_isolation() {
             }
         }
 
-        assert_eq!(
-            server.stats().connections.load(Ordering::Relaxed),
-            CONNS as u64
-        );
-        assert_eq!(
-            server.stats().requests.load(Ordering::Relaxed),
-            (CONNS * ROUNDS) as u64
-        );
+        assert_eq!(telemetry.http.connections.get(), CONNS as u64);
         // Rounds 2 and 3 arrive on parked connections, so the poller must
         // have re-dispatched (at minimum) most of them at least once per
         // round.
@@ -248,7 +241,10 @@ fn keepalive_churn_512_connections_buffer_isolation() {
             (CONNS * (ROUNDS - 1)) as u64
         );
         assert_eq!(telemetry.http.handshake_failures.get(), 0);
+        // A request is counted once its response is written, so the client
+        // can get here first: shutdown joins the workers.
         server.shutdown();
+        assert_eq!(telemetry.http.requests.get(), (CONNS * ROUNDS) as u64);
     }
 }
 
@@ -261,7 +257,7 @@ fn parked_connection_gauge_and_idle_expiry() {
         let server = HttpServer::bind(
             "127.0.0.1:0",
             mode.server_config(ServerConfig {
-                telemetry: Some(Arc::clone(&telemetry)),
+                telemetry: Arc::clone(&telemetry),
                 read_timeout: Duration::from_millis(300),
                 ..config()
             }),
@@ -302,7 +298,7 @@ fn kept_connections_skip_the_poller_and_hand_back_under_load() {
             "127.0.0.1:0",
             mode.server_config(ServerConfig {
                 workers: 2,
-                telemetry: Some(Arc::clone(&telemetry)),
+                telemetry: Arc::clone(&telemetry),
                 read_timeout: Duration::from_secs(10),
                 ..config()
             }),
@@ -352,17 +348,15 @@ fn kept_connections_skip_the_poller_and_hand_back_under_load() {
                 assert_eq!(body, format!("GET /c{c}-r{round} 0").as_bytes(), "{mode:?}");
             }
         }
-        assert_eq!(
-            server.stats().requests.load(Ordering::Relaxed),
-            200 + 8 * 50
-        );
         assert!(
             telemetry.http.poll_wakeups.get() - polled >= 8 * 49,
             "{mode:?}: kept connections were not handed back ({} poller wake-ups)",
             telemetry.http.poll_wakeups.get() - polled
         );
         assert_eq!(telemetry.http.idle_timeouts.get(), 0, "{mode:?}");
+        // Counted once each response is written: shutdown joins the workers.
         server.shutdown();
+        assert_eq!(telemetry.http.requests.get(), 200 + 8 * 50);
     }
 }
 
@@ -379,7 +373,7 @@ fn connection_budget_sheds_with_503() {
             mode.server_config(ServerConfig {
                 workers: 2,
                 max_connections: 2,
-                telemetry: Some(Arc::clone(&telemetry)),
+                telemetry: Arc::clone(&telemetry),
                 read_timeout: Duration::from_secs(10),
                 ..config()
             }),
@@ -546,7 +540,7 @@ fn mixed_pipeline_flushes_in_order() {
         let server = HttpServer::bind(
             "127.0.0.1:0",
             mode.server_config(ServerConfig {
-                telemetry: Some(Arc::clone(&telemetry)),
+                telemetry: Arc::clone(&telemetry),
                 ..config()
             }),
             echo_handler(),
@@ -669,7 +663,7 @@ fn pipeline_that_stops_reading_cannot_pin_the_single_worker() {
             "127.0.0.1:0",
             mode.server_config(ServerConfig {
                 workers: 1,
-                telemetry: Some(Arc::clone(&telemetry)),
+                telemetry: Arc::clone(&telemetry),
                 read_timeout: Duration::from_secs(2),
                 ..config()
             }),
@@ -677,7 +671,7 @@ fn pipeline_that_stops_reading_cannot_pin_the_single_worker() {
         )
         .unwrap();
         let addr = server.local_addr();
-        let requests = || server.stats().requests.load(Ordering::Relaxed);
+        let requests = || telemetry.http.requests.get();
         let mut writers = Vec::new();
         for round in 0..ROUNDS {
             let mut a = mode.connect(addr).unwrap();

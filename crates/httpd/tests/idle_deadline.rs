@@ -30,7 +30,7 @@ fn start(mode: Mode, workers: usize, telemetry: &Arc<Telemetry>) -> HttpServer {
         "127.0.0.1:0",
         mode.server_config(ServerConfig {
             workers,
-            telemetry: Some(Arc::clone(telemetry)),
+            telemetry: Arc::clone(telemetry),
             read_timeout: TIMEOUT,
             ..Default::default()
         }),

@@ -62,7 +62,7 @@ fn idle_server_sleeps_on_one_loop_thread() {
         Arc::new(|req: Request, _peer: Option<&PeerInfo>| Response::ok("text/plain", req.target));
     let config = ServerConfig {
         workers,
-        telemetry: Some(Arc::clone(&telemetry)),
+        telemetry: Arc::clone(&telemetry),
         ..Default::default()
     };
     let server = HttpServer::bind("127.0.0.1:0", config, handler).unwrap();

@@ -54,7 +54,7 @@ fn start(mode: Mode, think: Duration) -> Fixture {
         }
     });
     let config = mode.server_config(ServerConfig {
-        telemetry: Some(Arc::clone(&telemetry)),
+        telemetry: Arc::clone(&telemetry),
         ..Default::default()
     });
     Fixture {

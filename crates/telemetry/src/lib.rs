@@ -60,7 +60,7 @@ pub struct HttpCounters {
     /// Parked writers expired at their deadline because the peer never
     /// drained its receive window in time (slow-consumer eviction).
     pub write_stalls: Counter,
-    /// Streamed response bodies that under-delivered against their declared
+    /// File bodies that under-delivered against their declared
     /// Content-Length; the connection is force-closed to avoid desyncing
     /// keep-alive framing.
     pub stream_truncations: Counter,
@@ -82,6 +82,35 @@ pub struct HttpCounters {
     /// Connections shed with `503` + `Connection: close` because the
     /// `max_connections` budget was exhausted.
     pub sheds: Counter,
+}
+
+impl HttpCounters {
+    /// Every counter as `(Prometheus name, RPC key, value)`, in `GET
+    /// /metrics` order: the one table `render_prometheus` and
+    /// `system.metrics` both read.
+    #[rustfmt::skip]
+    pub fn rows(&self) -> [(&'static str, &'static str, u64); 18] {
+        [
+            ("clarens_http_connections_total", "connections", self.connections.get()),
+            ("clarens_requests_total", "requests", self.requests.get()),
+            ("clarens_http_keepalive_reuse_total", "keepalive_reuse", self.keepalive_reuse.get()),
+            ("clarens_http_idle_timeouts_total", "idle_timeouts", self.idle_timeouts.get()),
+            ("clarens_http_peer_resets_total", "peer_resets", self.peer_resets.get()),
+            ("clarens_http_handshake_failures_total", "handshake_failures", self.handshake_failures.get()),
+            ("clarens_http_responses_5xx_total", "responses_5xx", self.responses_5xx.get()),
+            ("clarens_http_bytes_out_total", "bytes_out", self.bytes_out.get()),
+            ("clarens_http_bytes_sendfile_total", "bytes_sendfile", self.bytes_sendfile.get()),
+            ("clarens_buffer_pool_reuse_total", "buffer_pool_reuse", self.buffer_pool_reuse.get()),
+            ("clarens_http_parked_connections", "parked", self.parked.get()),
+            ("clarens_http_parked_writers", "parked_writers", self.parked_writers.get()),
+            ("clarens_http_write_stalls_total", "write_stalls", self.write_stalls.get()),
+            ("clarens_http_stream_truncations_total", "stream_truncations", self.stream_truncations.get()),
+            ("clarens_http_queue_depth", "queue_depth", self.queue_depth.get()),
+            ("clarens_http_poll_wakeups_total", "poll_wakeups", self.poll_wakeups.get()),
+            ("clarens_http_worker_wakeups_total", "worker_wakeups", self.worker_wakeups.get()),
+            ("clarens_http_sheds_total", "sheds", self.sheds.get()),
+        ]
+    }
 }
 
 /// Resilience counters: requests the server refuses rather than serve
@@ -338,74 +367,30 @@ impl Telemetry {
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(4096);
-        let h = &self.http;
-        for (name, value) in [
-            ("clarens_http_connections_total", h.connections.get()),
-            ("clarens_requests_total", h.requests.get()),
-            (
-                "clarens_http_keepalive_reuse_total",
-                h.keepalive_reuse.get(),
-            ),
-            ("clarens_http_idle_timeouts_total", h.idle_timeouts.get()),
-            ("clarens_http_peer_resets_total", h.peer_resets.get()),
-            (
-                "clarens_http_handshake_failures_total",
-                h.handshake_failures.get(),
-            ),
-            ("clarens_http_responses_5xx_total", h.responses_5xx.get()),
-            ("clarens_http_bytes_out_total", h.bytes_out.get()),
-            ("clarens_http_bytes_sendfile_total", h.bytes_sendfile.get()),
-            ("clarens_buffer_pool_reuse_total", h.buffer_pool_reuse.get()),
-            ("clarens_http_parked_connections", h.parked.get()),
-            ("clarens_http_parked_writers", h.parked_writers.get()),
-            ("clarens_http_write_stalls_total", h.write_stalls.get()),
-            (
-                "clarens_http_stream_truncations_total",
-                h.stream_truncations.get(),
-            ),
-            ("clarens_http_queue_depth", h.queue_depth.get()),
-            ("clarens_http_poll_wakeups_total", h.poll_wakeups.get()),
-            ("clarens_http_worker_wakeups_total", h.worker_wakeups.get()),
-            ("clarens_http_sheds_total", h.sheds.get()),
-            (
-                "clarens_deadline_exceeded_total",
-                self.resilience.deadline_exceeded.get(),
-            ),
-            (
-                "clarens_degraded_rejects_total",
-                self.resilience.degraded_rejects.get(),
-            ),
-            (
-                "clarens_forwarded_calls_total",
-                self.federation.forwarded.get(),
-            ),
-            (
-                "clarens_forward_failures_total",
-                self.federation.forward_failures.get(),
-            ),
-            (
-                "clarens_hop_limit_rejects_total",
-                self.federation.hop_limit_rejects.get(),
-            ),
+        let (r, f) = (&self.resilience, &self.federation);
+        let http = self.http.rows().map(|(name, _, value)| (name, value));
+        for (name, value) in http.into_iter().chain([
+            ("clarens_deadline_exceeded_total", r.deadline_exceeded.get()),
+            ("clarens_degraded_rejects_total", r.degraded_rejects.get()),
+            ("clarens_forwarded_calls_total", f.forwarded.get()),
+            ("clarens_forward_failures_total", f.forward_failures.get()),
+            ("clarens_hop_limit_rejects_total", f.hop_limit_rejects.get()),
             (
                 "clarens_replication_chunks_total",
-                self.federation.replication_chunks.get(),
+                f.replication_chunks.get(),
             ),
             (
                 "clarens_replication_resyncs_total",
-                self.federation.replication_resyncs.get(),
+                f.replication_resyncs.get(),
             ),
-            ("clarens_elections_total", self.federation.elections.get()),
-            ("clarens_demotions_total", self.federation.demotions.get()),
-            (
-                "clarens_fenced_writes_total",
-                self.federation.fenced_writes.get(),
-            ),
+            ("clarens_elections_total", f.elections.get()),
+            ("clarens_demotions_total", f.demotions.get()),
+            ("clarens_fenced_writes_total", f.fenced_writes.get()),
             (
                 "clarens_replication_fetch_errors_total",
-                self.federation.replication_fetch_errors.get(),
+                f.replication_fetch_errors.get(),
             ),
-        ] {
+        ]) {
             let _ = writeln!(out, "{name} {value}");
         }
         let forward = self.federation.forward_us.snapshot();
