@@ -2,17 +2,20 @@
 //! this test process and holds the server-side allocations of a
 //! steady-state `echo.echo` loop under a ceiling per protocol (XML-RPC and
 //! clarens-binary), those of one session admission and of one DN parse
-//! under their own, and the pki kernels' (an RSA signature, a sealed and
-//! opened record, the digests) under theirs.
+//! under their own, the pki kernels' (an RSA signature, a sealed and
+//! opened record, the digests) under theirs, and the bytes a server
+//! allocates for a request body that arrives in fragments under its own.
 //!
 //! Everything runs inside ONE `#[test]` so no concurrent test thread
 //! pollutes the process-global counters.
 
+use std::io::{BufReader, Write};
 use std::sync::Arc;
 
 use clarens::session::SessionManager;
 use clarens_bench::{alloc_count, bench_grid_workers, bench_session, measure_allocs_per_request};
 use clarens_db::Store;
+use clarens_httpd::{parse::read_response, serve_pipe, PeerInfo, Request, Response, ServerConfig};
 use clarens_pki::cert::{Certificate, CertificateAuthority, Credential};
 use clarens_pki::dn::DistinguishedName;
 use clarens_pki::{rsa, SecureChannel};
@@ -87,6 +90,35 @@ fn pki_kernel_allocations() {
     assert_eq!(per_digest, 0, "allocations per 1 MiB of MD5 + SHA-256");
 }
 
+/// A request body that arrives in fragments is parsed once it is whole:
+/// 1 MiB in 1 KiB fragments, each written and flushed on its own over a
+/// pipe (the server runs on this thread, so every count is the server's;
+/// the client writes from a buffer it already holds), allocates
+/// under 4 MiB. A server that parsed it again on every fragment would
+/// size the whole body each time: about 1 GiB.
+fn dripped_body_bytes() {
+    let handler = |request: Request, _: Option<&PeerInfo>| {
+        Response::ok("text/plain", request.body.len().to_string())
+    };
+    let pipe = serve_pipe(ServerConfig::default(), Arc::new(handler));
+    let body = 1 << 20;
+    let mut wire = format!("POST /drip HTTP/1.1\r\nhost: h\r\ncontent-length: {body}\r\n\r\n");
+    wire.extend(std::iter::repeat_n('x', body));
+    let mut client = pipe.connect().unwrap();
+    let (_, before) = alloc_count::snapshot();
+    alloc_count::set_counting(true);
+    for fragment in wire.as_bytes().chunks(1024) {
+        client.write_all(fragment).unwrap();
+        client.flush().unwrap();
+    }
+    alloc_count::set_counting(false);
+    let bytes = alloc_count::snapshot().1 - before;
+    let response = read_response(&mut BufReader::new(client), usize::MAX).unwrap();
+    assert_eq!(response.body, body.to_string().as_bytes());
+    println!("server bytes allocated for a 1 MiB body in 1 KiB fragments: {bytes}");
+    assert!(bytes < 4 << 20, "{bytes} bytes allocated for a 1 MiB body");
+}
+
 #[test]
 fn counting_allocator_and_steady_state_ceiling() {
     // --- allocator mechanics -------------------------------------------
@@ -157,6 +189,9 @@ fn counting_allocator_and_steady_state_ceiling() {
 
     // --- the pki kernels, measured ----------------------------------------
     pki_kernel_allocations();
+
+    // --- a body in fragments, measured ------------------------------------
+    dripped_body_bytes();
 
     // --- the request path, measured --------------------------------------
     // Small worker count: one keep-alive connection only ever exercises

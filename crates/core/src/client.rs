@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use clarens_httpd::{ClientError as HttpError, ClientTls, HttpClient, Method, Request};
+use clarens_httpd::{ClientError as HttpError, ClientTls, HttpClient, Method, Pipe, Request};
 use clarens_pki::cert::{Certificate, Credential};
 use clarens_pki::keystream::SecretRng;
 use clarens_wire::{Fault, Protocol, RpcCall, Value};
@@ -209,6 +209,8 @@ fn classify(outcome: &Outcome, attempt: &Attempt<'_>) -> Verdict {
 /// A Clarens client bound to one server.
 pub struct ClarensClient {
     addr: String,
+    /// Where connections to `addr` come from, for a pipe server.
+    pipe: Option<Pipe>,
     /// Every server this client has talked to, by `host:port` — the bound
     /// address, each leader a hint named, each address a router supplied —
     /// so all of them keep their keep-alive (and TLS) connections across
@@ -250,6 +252,7 @@ impl ClarensClient {
     pub fn new(addr: impl Into<String>) -> Self {
         ClarensClient {
             addr: addr.into(),
+            pipe: None,
             peers: HashMap::new(),
             protocol: Protocol::XmlRpc,
             endpoint: "/clarens".into(),
@@ -277,6 +280,20 @@ impl ClarensClient {
             credential: Some(credential),
             tls_roots: Some(roots),
             ..ClarensClient::new(addr)
+        }
+    }
+
+    /// A client of a pipe server (`clarens::server::ClarensServer::pipe`):
+    /// plaintext, or with `secure`'s credential and trust roots as
+    /// [`ClarensClient::new_tls`] does.
+    pub fn over_pipe(pipe: Pipe, secure: Option<(Credential, Vec<Certificate>)>) -> Self {
+        let client = match secure {
+            Some((credential, roots)) => ClarensClient::new_tls("pipe", credential, roots),
+            None => ClarensClient::new("pipe"),
+        };
+        ClarensClient {
+            pipe: Some(pipe),
+            ..client
         }
     }
 
@@ -481,16 +498,18 @@ impl ClarensClient {
         bound: Option<Duration>,
     ) -> (Outcome, bool) {
         if !self.peers.contains_key(at) {
-            let http = match (&self.credential, &self.tls_roots) {
-                (Some(credential), Some(roots)) => HttpClient::new_tls(
-                    at,
-                    ClientTls {
-                        credential: credential.clone(),
-                        roots: roots.clone(),
-                        now_fn: Box::new(system_now),
-                    },
-                ),
-                _ => HttpClient::new(at),
+            let tls = match (&self.credential, &self.tls_roots) {
+                (Some(credential), Some(roots)) => Some(ClientTls {
+                    credential: credential.clone(),
+                    roots: roots.clone(),
+                    now_fn: Box::new(system_now),
+                }),
+                _ => None,
+            };
+            let http = match (&self.pipe, tls) {
+                (Some(pipe), tls) if at == self.addr => HttpClient::over_pipe(pipe.clone(), tls),
+                (_, Some(tls)) => HttpClient::new_tls(at, tls),
+                (_, None) => HttpClient::new(at),
             };
             self.peers.insert(at.to_owned(), http);
         }

@@ -12,8 +12,8 @@ use std::io;
 use std::sync::Arc;
 
 use clarens_httpd::{
-    http_date, resolve_range, Body, Handler, HttpServer, Method, PeerInfo, RangeOutcome, Request,
-    RequestContext, Response, Scratch, ServerConfig, TlsConfig,
+    http_date, resolve_range, serve_pipe, Body, Handler, HttpServer, Method, PeerInfo, Pipe,
+    RangeOutcome, Request, RequestContext, Response, Scratch, ServerConfig, TlsConfig,
 };
 use clarens_pki::dn::DistinguishedName;
 use clarens_telemetry::{Phase, RequestTrace};
@@ -42,26 +42,18 @@ impl ClarensServer {
         addr: &str,
         tls: Option<TlsConfig>,
     ) -> io::Result<ClarensServer> {
-        let handler = Arc::new(ClarensHandler {
-            core: Arc::clone(&core),
-        });
-        // The read timeout tracks the configured request deadline (it used
-        // to be a lone hard-coded 5 s): a client that stalls mid-request is
-        // cut off on the same budget a stalled handler is.
-        let read_timeout = match core.config.request_deadline_ms {
-            0 => std::time::Duration::from_secs(3600),
-            ms => std::time::Duration::from_millis(ms),
-        };
-        let config = ServerConfig {
-            workers: core.config.workers,
-            tls,
-            now_fn: Arc::clone(&core.now_fn),
-            read_timeout,
-            telemetry: Arc::clone(&core.telemetry),
-            max_connections: core.config.max_connections,
-        };
+        let (config, handler) = serving(&core, tls);
         let http = HttpServer::bind(addr, config, handler)?;
         Ok(ClarensServer { core, http })
+    }
+
+    /// Serve `core` over a [`Pipe`] instead of a port
+    /// ([`clarens_httpd::serve_pipe`]): the same handler, gate and channel,
+    /// driven on whichever thread uses a client end, with no listener and
+    /// no thread.
+    pub fn pipe(core: Arc<ClarensCore>, tls: Option<TlsConfig>) -> Pipe {
+        let (config, handler) = serving(&core, tls);
+        serve_pipe(config, handler)
     }
 
     /// Bound socket address.
@@ -73,6 +65,29 @@ impl ClarensServer {
     pub fn shutdown(self) {
         self.http.shutdown();
     }
+}
+
+/// The HTTP configuration and handler that serve `core`.
+fn serving(core: &Arc<ClarensCore>, tls: Option<TlsConfig>) -> (ServerConfig, Arc<ClarensHandler>) {
+    let handler = Arc::new(ClarensHandler {
+        core: Arc::clone(core),
+    });
+    // The read timeout tracks the configured request deadline (it used
+    // to be a lone hard-coded 5 s): a client that stalls mid-request is
+    // cut off on the same budget a stalled handler is.
+    let read_timeout = match core.config.request_deadline_ms {
+        0 => std::time::Duration::from_secs(3600),
+        ms => std::time::Duration::from_millis(ms),
+    };
+    let config = ServerConfig {
+        workers: core.config.workers,
+        tls,
+        now_fn: Arc::clone(&core.now_fn),
+        read_timeout,
+        telemetry: Arc::clone(&core.telemetry),
+        max_connections: core.config.max_connections,
+    };
+    (config, handler)
 }
 
 /// Install a permissive default ACL set: every authenticated identity may

@@ -5,12 +5,20 @@
 //! server. [`TestGrid`] assembles all of it so integration tests, examples,
 //! and the benchmark harness share one canonical setup instead of
 //! re-deriving it.
+//!
+//! A grid listens on a loopback port ([`TestGrid::start_with`]), or is
+//! served over pipes ([`TestGrid::piped`]): every connection is then a Unix
+//! socketpair whose server end runs the server's own connection code
+//! (gate, handler, codec and secure channel) on the thread that uses the
+//! client end, so a suite that only checks what crosses the wire binds no
+//! port and starts no server thread (`clarens_httpd::serve_pipe`).
 
+use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use clarens_httpd::TlsConfig;
-use clarens_pki::cert::{CertificateAuthority, Credential};
+use clarens_httpd::{Pipe, Stream, TlsConfig};
+use clarens_pki::cert::{Certificate, CertificateAuthority, Credential};
 use clarens_pki::dn::DistinguishedName;
 use clarens_pki::{pem, rsa};
 
@@ -110,10 +118,19 @@ pub struct TestGrid {
     pub admin: Credential,
     /// A regular user.
     pub user: Credential,
-    /// The running server.
-    pub server: ClarensServer,
+    /// The core the server serves.
+    core: Arc<ClarensCore>,
+    server: Served,
     /// Scratch directory backing the file/shell services.
     pub data_dir: PathBuf,
+}
+
+/// How a [`TestGrid`]'s server is reached.
+enum Served {
+    /// Listening on a loopback port, with its worker and event-loop threads.
+    Port(ClarensServer),
+    /// Over socketpairs, driven on the thread that uses a client end.
+    Pipe(Pipe),
 }
 
 /// Options for building a [`TestGrid`].
@@ -156,8 +173,19 @@ impl TestGrid {
         TestGrid::start_with(GridOptions::default())
     }
 
-    /// Build with explicit options.
+    /// Build with explicit options, listening on a loopback port.
     pub fn start_with(options: GridOptions) -> TestGrid {
+        TestGrid::build(options, true)
+    }
+
+    /// Build with explicit options, served over pipes: no port is bound
+    /// and no server thread starts. Clients and [`TestGrid::connect`]
+    /// reach it; it has no [`TestGrid::addr`].
+    pub fn piped(options: GridOptions) -> TestGrid {
+        TestGrid::build(options, false)
+    }
+
+    fn build(options: GridOptions, port: bool) -> TestGrid {
         let pki = grid_pki();
         let ca = CertificateAuthority::with_keypair(
             rsa::KeyPair {
@@ -212,26 +240,62 @@ impl TestGrid {
             credential: server_credential.clone(),
             roots: vec![ca.certificate.clone()],
         });
-        let server = ClarensServer::start(core, "127.0.0.1:0", tls).expect("server");
+        let server = match port {
+            true => {
+                let server = ClarensServer::start(Arc::clone(&core), "127.0.0.1:0", tls);
+                Served::Port(server.expect("server"))
+            }
+            false => Served::Pipe(ClarensServer::pipe(Arc::clone(&core), tls)),
+        };
 
         TestGrid {
             ca,
             server_credential,
             admin,
             user,
+            core,
             server,
             data_dir,
         }
     }
 
     /// The server's address as a string.
+    ///
+    /// # Panics
+    /// On a grid served over pipes, which has none.
     pub fn addr(&self) -> String {
-        self.server.local_addr().to_string()
+        match &self.server {
+            Served::Port(server) => server.local_addr().to_string(),
+            Served::Pipe(_) => panic!("a piped grid has no address"),
+        }
+    }
+
+    /// A new raw byte stream to the server: a TCP connection, or a pipe's
+    /// client end.
+    pub fn connect(&self) -> io::Result<Stream> {
+        match &self.server {
+            Served::Port(server) => {
+                std::net::TcpStream::connect(server.local_addr()).map(Stream::from)
+            }
+            Served::Pipe(pipe) => pipe.connect(),
+        }
+    }
+
+    /// A client of the server, with `secure`'s credential and roots on the
+    /// secure channel.
+    fn client_of(&self, secure: Option<(Credential, Vec<Certificate>)>) -> ClarensClient {
+        match (&self.server, secure) {
+            (Served::Pipe(pipe), secure) => ClarensClient::over_pipe(pipe.clone(), secure),
+            (Served::Port(_), None) => ClarensClient::new(self.addr()),
+            (Served::Port(_), Some((credential, roots))) => {
+                ClarensClient::new_tls(self.addr(), credential, roots)
+            }
+        }
     }
 
     /// A plaintext client holding `credential` (not yet logged in).
     pub fn client(&self, credential: &Credential) -> ClarensClient {
-        ClarensClient::new(self.addr()).with_credential(credential.clone())
+        self.client_of(None).with_credential(credential.clone())
     }
 
     /// A plaintext client already logged in as `credential`.
@@ -243,16 +307,15 @@ impl TestGrid {
 
     /// A TLS client for `credential` (identity flows from the handshake).
     pub fn tls_client(&self, credential: &Credential) -> ClarensClient {
-        ClarensClient::new_tls(
-            self.addr(),
+        self.client_of(Some((
             credential.clone(),
             vec![self.ca.certificate.clone()],
-        )
+        )))
     }
 
     /// The shared core of the running server.
     pub fn core(&self) -> &Arc<ClarensCore> {
-        &self.server.core
+        &self.core
     }
 
     /// Write a file under the file-service root; returns its virtual path.
@@ -269,7 +332,9 @@ impl TestGrid {
     /// Remove the scratch directory (call at the end of a test).
     pub fn cleanup(self) {
         let dir = self.data_dir.clone();
-        self.server.shutdown();
+        if let Served::Port(server) = self.server {
+            server.shutdown();
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 }

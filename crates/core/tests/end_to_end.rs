@@ -1,6 +1,8 @@
 //! End-to-end integration tests for the Clarens core: real TCP, real
 //! protocols, the complete per-request path (session check → ACL check →
 //! dispatch), exactly the flow the paper's Figure-4 benchmark exercises.
+//! The secure-channel and raw-HTTP cases check only what crosses the wire,
+//! so their grids are served over pipes (`TestGrid::piped`), with no port.
 
 use clarens::acl::{Acl, FileAcl};
 use clarens::testkit::{dn, now, GridOptions, TestGrid};
@@ -478,7 +480,7 @@ fn proxy_store_login_attach_cycle() {
 
 #[test]
 fn tls_transport_authenticates_without_login() {
-    let grid = TestGrid::start_with(GridOptions {
+    let grid = TestGrid::piped(GridOptions {
         tls: true,
         seed: 0x715,
         ..Default::default()
@@ -497,7 +499,7 @@ fn tls_transport_authenticates_without_login() {
 
 #[test]
 fn proxy_credential_over_tls_acts_as_user() {
-    let grid = TestGrid::start_with(GridOptions {
+    let grid = TestGrid::piped(GridOptions {
         tls: true,
         seed: 0x716,
         ..Default::default()
@@ -1051,11 +1053,10 @@ fn ack_barrier_holds_direct_and_proxied_writes_alike() {
     let _ = std::fs::remove_file(&db);
 }
 
-/// Open a raw byte stream to the grid and send `request` down it: a plain
-/// socket, or (on a TLS grid) the secure channel with `grid.user`'s
-/// credential.
+/// Open a raw byte stream to the grid and send `request` down it: plain,
+/// or (on a TLS grid) the secure channel with `grid.user`'s credential.
 fn send_raw(grid: &TestGrid, tls: bool, request: &str) -> Box<dyn Wire> {
-    let sock = std::net::TcpStream::connect(grid.addr()).unwrap();
+    let sock = grid.connect().unwrap();
     let mut wire: Box<dyn Wire> = if tls {
         Box::new(
             clarens_pki::SecureStream::connect(
@@ -1117,7 +1118,7 @@ fn http_file_downloads_support_head_and_ranges() {
     // handling, HEAD metadata answers, and header decoration must be
     // byte-for-byte independent of which copy engine moves the body.
     for tls in [false, true] {
-        let grid = TestGrid::start_with(GridOptions {
+        let grid = TestGrid::piped(GridOptions {
             tls,
             ..Default::default()
         });

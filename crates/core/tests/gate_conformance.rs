@@ -3,7 +3,9 @@
 //! single-parameter type violation, and for an `admin` row a call by a
 //! non-admin — sent over XML-RPC, SOAP, JSON-RPC and clarens-binary. All
 //! four must answer the same fault code and message, and the shipped log
-//! must not move: the handler never ran.
+//! must not move: the handler never ran. The grid is served over pipes
+//! (`TestGrid::piped`): the real server code on the test's thread, with no
+//! port.
 
 use std::sync::Arc;
 
@@ -90,7 +92,7 @@ fn every_row_is_refused_alike_on_all_four_protocols() {
     let dir = std::env::temp_dir().join(format!("clarens-gate-conformance-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let grid = TestGrid::start_with(GridOptions {
+    let grid = TestGrid::piped(GridOptions {
         db_path: Some(dir.join("store.wal")),
         ..Default::default()
     });
@@ -161,7 +163,7 @@ fn every_row_is_refused_alike_on_all_four_protocols() {
 /// The messages the generated cases pin, spelled out once.
 #[test]
 fn refusals_have_one_shape() {
-    let grid = TestGrid::start();
+    let grid = TestGrid::piped(GridOptions::default());
     let mut user = grid.logged_in_client(&grid.user);
     let fault = |result: Result<Value, ClientError>| match result {
         Err(ClientError::Fault(fault)) => (fault.code, fault.message),

@@ -8,8 +8,11 @@
 //! the all-protocol suite sticks to the JSON-representable common subset;
 //! the lossless-type cases (Bytes, DateTime) run binary-vs-XML-RPC, which
 //! both carry the full algebra.
+//!
+//! Every grid here is served over pipes (`TestGrid::piped`): the real
+//! server code on the test's thread, with no port.
 
-use clarens::testkit::TestGrid;
+use clarens::testkit::{GridOptions, TestGrid};
 use clarens::ClientError;
 use clarens_wire::fault::codes;
 use clarens_wire::{Protocol, Value};
@@ -60,7 +63,7 @@ fn workload() -> Vec<(&'static str, Vec<Value>)> {
 
 #[test]
 fn identical_results_across_all_four_protocols() {
-    let grid = TestGrid::start();
+    let grid = TestGrid::piped(GridOptions::default());
     // Reference run: XML-RPC.
     let mut reference = grid.logged_in_client(&grid.user);
     let baseline: Vec<Value> = workload()
@@ -85,7 +88,7 @@ fn identical_results_across_all_four_protocols() {
 
 #[test]
 fn identical_fault_codes_across_all_four_protocols() {
-    let grid = TestGrid::start();
+    let grid = TestGrid::piped(GridOptions::default());
     for protocol in ALL_PROTOCOLS {
         // Unauthenticated call to a protected method.
         let mut anon = grid.client(&grid.user).with_protocol(protocol);
@@ -119,7 +122,7 @@ fn binary_matches_xmlrpc_on_lossless_types() {
     // Bytes and DateTime survive XML-RPC and binary as typed values
     // (JSON-RPC flattens them to strings, which is why they are not in
     // the all-protocol suite).
-    let grid = TestGrid::start();
+    let grid = TestGrid::piped(GridOptions::default());
     let payloads = [
         Value::Bytes((0..=255u8).collect()),
         Value::DateTime(clarens_wire::datetime::DateTime::new(2005, 6, 15, 14, 8, 55).unwrap()),
@@ -148,7 +151,7 @@ fn binary_matches_xmlrpc_on_lossless_types() {
 
 #[test]
 fn binary_requests_are_counted_in_telemetry() {
-    let grid = TestGrid::start();
+    let grid = TestGrid::piped(GridOptions::default());
     let mut client = grid
         .logged_in_client(&grid.user)
         .with_protocol(Protocol::Binary);

@@ -8,8 +8,7 @@
 //! that knows whether the operation is idempotent decides what happens next
 //! (`clarens::client`, DESIGN.md §10.1).
 
-use std::io::{BufReader, ErrorKind};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::time::Duration;
 
 use clarens_pki::cert::{Certificate, Credential};
@@ -18,6 +17,8 @@ use clarens_pki::keystream::SecretRng;
 use clarens_pki::SecureStream;
 
 use crate::parse::{read_response, write_request, ClientResponse, ParseError, DEFAULT_MAX_BODY};
+use crate::server::Pipe;
+use crate::stream::Stream;
 use crate::types::{Method, Request};
 
 /// TLS settings for the client side.
@@ -30,34 +31,24 @@ pub struct ClientTls {
     pub now_fn: Box<dyn Fn() -> i64 + Send + Sync>,
 }
 
-enum Connection {
-    Plain(BufReader<TcpStream>),
-    Secure(Box<BufReader<SecureStream<TcpStream>>>),
+/// A kept connection's bytes: the stream, or the secure channel over it.
+trait Wire: Read + Write + Send {
+    fn stream(&self) -> &Stream;
 }
 
-impl Connection {
-    fn socket(&self) -> &TcpStream {
-        match self {
-            Connection::Plain(reader) => reader.get_ref(),
-            Connection::Secure(reader) => reader.get_ref().get_ref(),
-        }
-    }
-
-    /// Is this idle keep-alive connection still usable? Between exchanges
-    /// the peer owes us nothing, so a readable socket means it closed the
-    /// connection (or broke framing); only "would block" is healthy.
-    fn idle_and_open(&self) -> bool {
-        let sock = self.socket();
-        if sock.set_nonblocking(true).is_err() {
-            return false;
-        }
-        let quiet = matches!(
-            sock.peek(&mut [0u8; 1]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock
-        );
-        sock.set_nonblocking(false).is_ok() && quiet
+impl Wire for Stream {
+    fn stream(&self) -> &Stream {
+        self
     }
 }
+
+impl Wire for SecureStream<Stream> {
+    fn stream(&self) -> &Stream {
+        self.get_ref()
+    }
+}
+
+type Connection = BufReader<Box<dyn Wire>>;
 
 /// Why an exchange failed, by how far the request got — which is what
 /// decides whether it may be sent again.
@@ -108,6 +99,8 @@ fn unanswered(e: ParseError) -> ClientError {
 /// A connection-reusing HTTP client bound to one server address.
 pub struct HttpClient {
     addr: String,
+    /// Where connections come from instead of `addr`, for a pipe server.
+    pipe: Option<Pipe>,
     tls: Option<ClientTls>,
     connection: Option<Connection>,
     /// Server identity from the TLS handshake (None for plaintext).
@@ -121,6 +114,7 @@ impl HttpClient {
     pub fn new(addr: impl Into<String>) -> Self {
         HttpClient {
             addr: addr.into(),
+            pipe: None,
             tls: None,
             connection: None,
             server_identity: None,
@@ -133,6 +127,17 @@ impl HttpClient {
         HttpClient {
             tls: Some(tls),
             ..HttpClient::new(addr)
+        }
+    }
+
+    /// A client of a pipe server ([`crate::serve_pipe`]): each connection
+    /// is a fresh socketpair whose server end this client's reads and
+    /// writes drive. With `tls`, on the secure channel.
+    pub fn over_pipe(pipe: Pipe, tls: Option<ClientTls>) -> Self {
+        HttpClient {
+            pipe: Some(pipe),
+            tls,
+            ..HttpClient::new("pipe")
         }
     }
 
@@ -157,7 +162,7 @@ impl HttpClient {
         // A zero timeout is rejected by the socket API; clamp up.
         self.timeout = timeout.max(Duration::from_millis(1));
         if let Some(conn) = &self.connection {
-            self.bound(conn.socket());
+            conn.get_ref().stream().set_timeout(self.timeout);
         }
     }
 
@@ -166,38 +171,24 @@ impl HttpClient {
         self.timeout
     }
 
-    fn bound(&self, sock: &TcpStream) {
-        sock.set_read_timeout(Some(self.timeout)).ok();
-        sock.set_write_timeout(Some(self.timeout)).ok();
-    }
-
     fn connect(&mut self) -> Result<(), ClientError> {
-        let addrs: Vec<_> = self.addr.to_socket_addrs().map_err(not_sent)?.collect();
-        // A name with several addresses shares the one bound among them.
-        let each = self.timeout / addrs.len().max(1) as u32;
-        let mut result = Err(not_sent(format!("{} resolves to no address", self.addr)));
-        for addr in &addrs {
-            result = TcpStream::connect_timeout(addr, each).map_err(not_sent);
-            if result.is_ok() {
-                break;
-            }
-        }
-        let sock = result?;
-        self.bound(&sock);
-        sock.set_nodelay(true).ok();
-        match &self.tls {
-            None => {
-                self.connection = Some(Connection::Plain(BufReader::new(sock)));
-            }
+        let stream = match &self.pipe {
+            Some(pipe) => pipe.connect(),
+            None => Stream::connect(&self.addr, self.timeout),
+        };
+        let stream = stream.map_err(not_sent)?;
+        let wire: Box<dyn Wire> = match &self.tls {
+            None => Box::new(stream),
             Some(tls) => {
                 let now = (tls.now_fn)();
                 let stream =
-                    SecureStream::connect(sock, &tls.credential, &tls.roots, now, &mut SecretRng)
+                    SecureStream::connect(stream, &tls.credential, &tls.roots, now, &mut SecretRng)
                         .map_err(not_sent)?;
                 self.server_identity = Some(stream.peer_identity().clone());
-                self.connection = Some(Connection::Secure(Box::new(BufReader::new(stream))));
+                Box::new(stream)
             }
-        }
+        };
+        self.connection = Some(BufReader::new(wire));
         Ok(())
     }
 
@@ -206,23 +197,17 @@ impl HttpClient {
     /// how far the request got.
     pub fn request(&mut self, request: &Request) -> Result<ClientResponse, ClientError> {
         match &self.connection {
-            Some(conn) if !conn.idle_and_open() => {
+            Some(conn) if !conn.get_ref().stream().idle_and_open() => {
                 self.connection = None;
                 return Err(ClientError::Stale);
             }
             Some(_) => {}
             None => self.connect()?,
         }
-        let result = match self.connection.as_mut().expect("connected above") {
-            Connection::Plain(reader) => write_request(reader.get_mut(), request)
-                .map_err(not_sent)
-                .and_then(|()| read_response(reader, DEFAULT_MAX_BODY).map_err(unanswered)),
-            Connection::Secure(reader) => write_request(reader.get_mut(), request)
-                .map_err(not_sent)
-                .and_then(|()| {
-                    read_response(reader.as_mut(), DEFAULT_MAX_BODY).map_err(unanswered)
-                }),
-        };
+        let reader = self.connection.as_mut().expect("connected above");
+        let result = write_request(reader.get_mut(), request)
+            .map_err(not_sent)
+            .and_then(|()| read_response(reader, DEFAULT_MAX_BODY).map_err(unanswered));
         if !matches!(&result, Ok(response) if response.keep_alive) {
             self.connection = None;
         }
@@ -377,9 +362,10 @@ mod tests {
 
     /// Wait until the peer's close has reached the client's kept socket.
     fn peer_closed(client: &HttpClient) {
-        let sock = client.connection.as_ref().unwrap().socket();
-        sock.set_read_timeout(None).unwrap();
-        assert_eq!(sock.peek(&mut [0u8; 1]).unwrap(), 0);
+        let stream = client.connection.as_ref().unwrap().get_ref().stream();
+        while stream.idle_and_open() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]

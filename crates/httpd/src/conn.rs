@@ -1,12 +1,13 @@
 //! The per-connection state machine of the event-driven scheduler.
 //!
-//! A connection is an explicit object — socket, accumulated input bytes,
-//! request count, the secure channel's server end on a TLS server, budget
-//! slot — that shuttles between a worker (while there is CPU work to do)
-//! and the poller (while waiting for bytes). A worker *drives* the
-//! connection: parse whatever is buffered, serve complete requests, read
-//! more without blocking, and hand the connection back to the poller the
-//! moment the socket runs dry.
+//! A connection is an explicit object — stream (a TCP socket, or a
+//! socketpair end a pipe serves), accumulated input bytes, request count,
+//! the secure channel's server end on a TLS server, budget slot — that
+//! shuttles between a worker (while there is CPU work to do) and the
+//! poller (while waiting for bytes). `drive` is the one loop over it,
+//! for a worker and a pipe alike: parse once enough is buffered, serve
+//! complete requests, read more without blocking, and park the moment
+//! the stream runs dry.
 //!
 //! On a TLS connection the [`SecureChannel`] sits between the socket and
 //! the parse buffer: `fill` feeds it what the socket had and it appends
@@ -34,8 +35,6 @@
 //! buffer.
 
 use std::io::{self, Cursor, IoSlice, Read, Write};
-use std::net::TcpStream;
-use std::os::fd::AsRawFd;
 use std::os::unix::fs::FileExt;
 use std::time::Instant;
 
@@ -43,13 +42,14 @@ use clarens_pki::SecureChannel;
 use clarens_telemetry::{HttpCounters, Phase};
 
 use crate::parse::{
-    encode_head, read_request_pooled, truncated, write_response_with, ParseError, COPY_BUFFER,
-    DEFAULT_MAX_BODY,
+    encode_head, read_request_pooled, truncated, write_response_with, BodyTruncated, ParseError,
+    COPY_BUFFER, DEFAULT_MAX_BODY,
 };
 use crate::scratch::Scratch;
 use crate::server::{
-    classify_io_error, BudgetGuard, Handler, InFlightGuard, PeerInfo, RequestContext, WorkerShared,
+    classify_io_error, BudgetGuard, Handler, InFlightGuard, PeerInfo, RequestContext, Serve,
 };
+use crate::stream::Stream;
 use crate::types::{Body, Method, Response};
 
 /// Bytes pulled off the socket per `read` call while filling.
@@ -70,14 +70,18 @@ pub(crate) struct Tls {
     pub(crate) peer: Option<PeerInfo>,
 }
 
-/// One keep-alive connection. Owns the (non-blocking) socket and every
+/// One keep-alive connection. Owns the (non-blocking) stream and every
 /// piece of per-connection state that must survive a park/resume cycle.
 pub(crate) struct Conn {
-    /// The non-blocking socket.
-    pub(crate) sock: TcpStream,
+    /// The non-blocking stream.
+    pub(crate) stream: Stream,
     /// Bytes read but not yet consumed by the parser (at most a strict
     /// prefix of one request whenever the connection parks).
     pub(crate) inbuf: Vec<u8>,
+    /// How many bytes `inbuf` must hold before a parse can complete (the
+    /// last attempt's verdict), so a body arriving in pieces is parsed once
+    /// it is whole, not once per piece.
+    pub(crate) need: usize,
     /// Requests served on this connection (drives `keepalive_reuse`).
     pub(crate) served: u64,
     /// Poller token; unique per connection for the server's lifetime.
@@ -120,21 +124,12 @@ impl Conn {
     }
 }
 
-/// What a worker does with a connection after driving it as far as the
-/// buffered bytes and the socket allow.
-pub(crate) enum Disposition {
-    /// Waiting for more bytes: hand the connection to the poller.
-    Park(Box<Conn>),
-    /// Finished (clean close, error, or shutdown): the socket closes when
-    /// the connection drops.
-    Closed,
-}
-
 enum Parsed {
     /// A full request plus the number of input bytes it consumed.
     Complete(crate::types::Request, usize),
-    /// The buffer holds a strict prefix of a request; need more bytes.
-    Incomplete,
+    /// The buffer holds a strict prefix of a request, which cannot end
+    /// before the buffer holds this many bytes.
+    Incomplete(usize),
     /// Protocol violation: answer with this status and close.
     Fail(u16, String),
 }
@@ -291,7 +286,7 @@ impl WriteState {
     /// the transfer fails. Never blocks the calling thread.
     fn advance(
         &mut self,
-        sock: &TcpStream,
+        sock: &mut Stream,
         mut channel: Option<&mut SecureChannel>,
         scratch: &mut Scratch,
     ) -> io::Result<bool> {
@@ -299,24 +294,19 @@ impl WriteState {
         // still leave in one syscall.
         while self.head_pos < self.head.len() {
             let head_rest = &self.head[self.head_pos..];
-            let wrote = match &self.body {
-                PendingBody::Bytes { buf, pos } => (&mut &*sock)
-                    .write_vectored(&[IoSlice::new(head_rest), IoSlice::new(&buf[*pos..])]),
-                _ => (&mut &*sock).write(head_rest),
+            let body_rest = match &self.body {
+                PendingBody::Bytes { buf, pos } => &buf[*pos..],
+                _ => &[],
             };
-            match wrote {
-                Ok(0) => return Err(write_zero()),
-                Ok(n) => {
-                    let from_head = n.min(head_rest.len());
-                    self.head_pos += from_head;
-                    self.written += n as u64;
-                    if let PendingBody::Bytes { pos, .. } = &mut self.body {
-                        *pos += n - from_head;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+            let both = [IoSlice::new(head_rest), IoSlice::new(body_rest)];
+            let Some(n) = write_step(sock, &both)? else {
+                return Ok(false);
+            };
+            let from_head = n.min(head_rest.len());
+            self.head_pos += from_head;
+            self.written += n as u64;
+            if let PendingBody::Bytes { pos, .. } = &mut self.body {
+                *pos += n - from_head;
             }
         }
         loop {
@@ -342,8 +332,7 @@ impl WriteState {
                     use_sendfile,
                 } if *use_sendfile => {
                     let want = (*end - *pos) as usize;
-                    match crate::zerocopy::send_file(sock.as_raw_fd(), file.as_raw_fd(), pos, want)
-                    {
+                    match sock.send_file(file, pos, want) {
                         Ok(0) => return Err(truncated(*end - *pos)),
                         Ok(n) => {
                             self.written += n as u64;
@@ -393,24 +382,33 @@ impl WriteState {
 /// Write `buf[*pos..]` to the socket: `Ok(true)` once it is all out,
 /// `Ok(false)` when the socket pushes back first.
 fn write_some(
-    sock: &TcpStream,
+    sock: &mut Stream,
     buf: &[u8],
     pos: &mut usize,
     written: &mut u64,
 ) -> io::Result<bool> {
     while *pos < buf.len() {
-        match (&mut &*sock).write(&buf[*pos..]) {
-            Ok(0) => return Err(write_zero()),
-            Ok(n) => {
-                *pos += n;
-                *written += n as u64;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+        let Some(n) = write_step(sock, &[IoSlice::new(&buf[*pos..])])? else {
+            return Ok(false);
+        };
+        *pos += n;
+        *written += n as u64;
+    }
+    Ok(true)
+}
+
+/// One write of `bufs`: how many bytes the socket took, or `None` when it
+/// pushes back.
+fn write_step(sock: &mut Stream, bufs: &[IoSlice<'_>]) -> io::Result<Option<usize>> {
+    loop {
+        match sock.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => return Ok(Some(n)),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    Ok(true)
 }
 
 /// Read the next chunk — up to `COPY_BUFFER` of the `left` body bytes —
@@ -452,10 +450,6 @@ fn seal_in_place(channel: &mut SecureChannel, buf: &mut Vec<u8>, scratch: &mut S
     scratch.recycle(sealed);
 }
 
-fn write_zero() -> io::Error {
-    io::Error::new(io::ErrorKind::WriteZero, "failed to write whole response")
-}
-
 /// How one call to [`WriteState::advance`] left the response.
 enum WriteProgress {
     /// Fully written; connection continues (or closes per keep-alive).
@@ -470,7 +464,7 @@ enum WriteProgress {
 /// inside `conn` with its cursors saved.
 fn advance_pending(conn: &mut Conn, mut state: WriteState, scratch: &mut Scratch) -> WriteProgress {
     let channel = conn.tls.as_mut().map(|tls| &mut tls.channel);
-    match state.advance(&conn.sock, channel, scratch) {
+    match state.advance(&mut conn.stream, channel, scratch) {
         Ok(true) => WriteProgress::Done(state),
         Ok(false) => {
             conn.pending_write = Some(state);
@@ -493,23 +487,25 @@ fn stage_response(response: Response, outq: &mut Vec<u8>, scratch: &mut Scratch)
 }
 
 /// Drive `conn` until it parks, closes, or fails: the one place requests
-/// on a connection are looped over. Reads never block — they either make
-/// progress or return the connection to the poller.
+/// on a connection are looped over, for a worker and a pipe alike. Reads
+/// never block — they either make progress or park the connection, which
+/// comes back to wait on its peer; `None` means it closed (clean close,
+/// error, or shutdown) and its socket with it.
 /// Pipelined requests get their responses *coalesced*: while the
 /// input buffer still holds more requests, each in-memory response is
 /// staged instead of written, and the whole batch leaves with the next
 /// write — one peer wakeup per batch, not per response.
-pub(crate) fn drive<H: Handler>(
+pub(crate) fn drive<H: Handler + ?Sized>(
     mut conn: Box<Conn>,
-    shared: &WorkerShared<H>,
+    serve: &Serve<H>,
     scratch: &mut Scratch,
-) -> Disposition {
+) -> Option<Box<Conn>> {
     // Staging buffer for coalesced pipelined responses. Lazily grown: the
     // non-pipelined steady state never touches it, and a pipelined batch
     // amortizes its one allocation over the whole batch.
     let mut outq: Vec<u8> = Vec::new();
     let mut guards: Vec<InFlightGuard> = Vec::new();
-    let telemetry = &*shared.telemetry;
+    let telemetry = &*serve.telemetry;
     let http = &telemetry.http;
     loop {
         // A write in flight — a response parked mid-write, or handshake
@@ -522,28 +518,32 @@ pub(crate) fn drive<H: Handler>(
                     let keep_alive = state.keep_alive;
                     state.recycle_into(scratch);
                     if !keep_alive {
-                        return Disposition::Closed;
+                        return None;
                     }
                 }
-                WriteProgress::Parked => return Disposition::Park(conn),
+                WriteProgress::Parked => return Some(conn),
                 WriteProgress::Failed(error) => {
                     classify_io_error(&error, http);
-                    return Disposition::Closed;
+                    return None;
                 }
             }
         }
-        if shared.stop.requested() {
+        if serve.stop.requested() {
             // Anything staged still leaves, as the last write.
             conn.send_staged(&mut outq, &mut guards, false, scratch);
             continue;
         }
         let mut trace = telemetry.begin_request();
         let reuses_before = scratch.reuses();
-        let attempt = trace.span(Phase::Parse, || {
-            try_parse(&conn.inbuf, DEFAULT_MAX_BODY, scratch)
-        });
+        let attempt = match conn.inbuf.len() < conn.need {
+            true => Parsed::Incomplete(conn.need),
+            false => trace.span(Phase::Parse, || {
+                try_parse(&conn.inbuf, DEFAULT_MAX_BODY, scratch)
+            }),
+        };
         match attempt {
-            Parsed::Incomplete => {
+            Parsed::Incomplete(need) => {
+                conn.need = need;
                 // Not a request yet: the pipeline (if any) has run dry, so
                 // the staged responses must leave before this connection
                 // waits on its peer — which is almost certainly blocked on
@@ -559,7 +559,7 @@ pub(crate) fn drive<H: Handler>(
                 let handshaking = conn.tls.as_ref().is_some_and(|tls| tls.peer.is_none());
                 match fill(&mut conn, scratch) {
                     Fill::Progress => continue,
-                    Fill::Park => return Disposition::Park(conn),
+                    Fill::Park => return Some(conn),
                     Fill::Eof => {
                         // EOF exactly at a message boundary — of the secure
                         // channel's frames and of HTTP — is a clean close.
@@ -574,22 +574,22 @@ pub(crate) fn drive<H: Handler>(
                             // abandoned a half-sent request.
                             http.peer_resets.inc();
                         }
-                        return Disposition::Closed;
+                        return None;
                     }
                     Fill::Err(error) if handshaking => {
                         http.handshake_failures.inc();
                         clarens_telemetry::debug!("TLS handshake failed: {error}");
-                        return Disposition::Closed;
+                        return None;
                     }
                     Fill::Err(error) => {
                         classify_io_error(&error, http);
-                        return Disposition::Closed;
+                        return None;
                     }
                 }
             }
             Parsed::Fail(status, message) => {
                 trace.status = status;
-                telemetry.finish_request(&trace, (shared.now_fn)());
+                telemetry.finish_request(&trace, (serve.now_fn)());
                 // The error leaves behind any earlier pipelined responses,
                 // as the last write.
                 let response = Response::error(status, &message);
@@ -599,18 +599,19 @@ pub(crate) fn drive<H: Handler>(
             }
             Parsed::Complete(request, consumed) => {
                 conn.inbuf.drain(..consumed);
+                conn.need = 1;
                 // Parsed and about to be handled: in flight until the
                 // response write finishes (shutdown drains these) — the
                 // guard rides inside the write state across parks.
-                let in_flight = InFlightGuard::enter(&shared.stop);
-                let keep_alive = request.wants_keep_alive() && !shared.stop.requested();
+                let in_flight = InFlightGuard::enter(&serve.stop);
+                let keep_alive = request.wants_keep_alive() && !serve.stop.requested();
                 let head_only = request.method == Method::Head;
                 if conn.served > 0 {
                     http.keepalive_reuse.inc();
                 }
                 conn.served += 1;
 
-                let response = shared.handler.handle(
+                let response = serve.handler.handle(
                     request,
                     RequestContext {
                         peer: conn.tls.as_ref().and_then(|tls| tls.peer.as_ref()),
@@ -634,7 +635,7 @@ pub(crate) fn drive<H: Handler>(
                     });
                     http.buffer_pool_reuse
                         .add(scratch.reuses().wrapping_sub(reuses_before));
-                    telemetry.finish_request(&trace, (shared.now_fn)());
+                    telemetry.finish_request(&trace, (serve.now_fn)());
                     match staged {
                         Ok(()) => {
                             guards.push(in_flight);
@@ -642,7 +643,7 @@ pub(crate) fn drive<H: Handler>(
                         }
                         Err(error) => {
                             classify_io_error(&error, http);
-                            return Disposition::Closed;
+                            return None;
                         }
                     }
                 }
@@ -673,7 +674,7 @@ pub(crate) fn drive<H: Handler>(
                 }
                 http.buffer_pool_reuse
                     .add(scratch.reuses().wrapping_sub(reuses_before));
-                telemetry.finish_request(&trace, (shared.now_fn)());
+                telemetry.finish_request(&trace, (serve.now_fn)());
                 match progress {
                     WriteProgress::Done(state) => {
                         state.recycle_into(scratch);
@@ -682,7 +683,7 @@ pub(crate) fn drive<H: Handler>(
                         // Socket full mid-response: the state (cursor and
                         // sendfile offset included) is saved on the
                         // connection; the poller waits for EPOLLOUT.
-                        return Disposition::Park(conn);
+                        return Some(conn);
                     }
                     WriteProgress::Failed(error) => {
                         // A response that cannot be sent still lets the
@@ -693,7 +694,7 @@ pub(crate) fn drive<H: Handler>(
                     }
                 }
                 if !keep_alive {
-                    return Disposition::Closed;
+                    return None;
                 }
             }
         }
@@ -703,15 +704,18 @@ pub(crate) fn drive<H: Handler>(
 /// Try to parse one request out of the accumulated bytes. Runs the public
 /// blocking parser over an in-memory cursor: running out of buffered bytes
 /// mid-message surfaces as `UnexpectedEof`, which here means "incomplete",
-/// not "error".
+/// not "error". A body cut short says how many bytes it lacks, so the
+/// request cannot end before the buffer holds them; anywhere else, one
+/// more byte may end it.
 fn try_parse(inbuf: &[u8], max_body: usize, scratch: &mut Scratch) -> Parsed {
-    if inbuf.is_empty() {
-        return Parsed::Incomplete;
-    }
     let mut cursor = Cursor::new(inbuf);
     match read_request_pooled(&mut cursor, max_body, scratch) {
         Ok(request) => Parsed::Complete(request, cursor.position() as usize),
-        Err(ParseError::Eof) | Err(ParseError::Io(_)) => Parsed::Incomplete,
+        Err(ParseError::Io(e)) => {
+            let short = e.get_ref().and_then(|e| e.downcast_ref::<BodyTruncated>());
+            Parsed::Incomplete(inbuf.len() + short.map_or(1, |short| short.missing as usize))
+        }
+        Err(ParseError::Eof) => Parsed::Incomplete(inbuf.len() + 1),
         Err(ParseError::Protocol(status, message)) => Parsed::Fail(status, message),
     }
 }
@@ -727,9 +731,15 @@ fn fill(conn: &mut Conn, scratch: &mut Scratch) -> Fill {
     chunk.resize(READ_CHUNK, 0);
     let mut appended = 0usize;
     let outcome = loop {
-        match (&conn.sock).read(&mut chunk) {
+        match conn.stream.read(&mut chunk) {
             Ok(0) => break Fill::Eof,
             Ok(n) => {
+                // Once the peer has sent half of what its request needs, the
+                // buffer grows straight to that rather than doubling past it.
+                let len = conn.inbuf.len() + n;
+                if len > conn.inbuf.capacity() && (len..=2 * len).contains(&conn.need) {
+                    conn.inbuf.reserve_exact(conn.need - conn.inbuf.len());
+                }
                 match &mut conn.tls {
                     None => conn.inbuf.extend_from_slice(&chunk[..n]),
                     Some(tls) => {
@@ -781,28 +791,22 @@ mod tests {
     #[test]
     fn try_parse_states() {
         let mut scratch = Scratch::new();
-        // Empty and prefix buffers are incomplete, not errors.
-        assert!(matches!(
-            try_parse(b"", 1024, &mut scratch),
-            Parsed::Incomplete
-        ));
-        assert!(matches!(
-            try_parse(b"GET / HT", 1024, &mut scratch),
-            Parsed::Incomplete
-        ));
-        assert!(matches!(
-            try_parse(b"GET / HTTP/1.1\r\nHost: h\r\n", 1024, &mut scratch),
-            Parsed::Incomplete
-        ));
-        // Partial body: still incomplete.
-        assert!(matches!(
-            try_parse(
-                b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
-                1024,
-                &mut scratch
-            ),
-            Parsed::Incomplete
-        ));
+        let need = |wire: &[u8], scratch: &mut Scratch| match try_parse(wire, 1024, scratch) {
+            Parsed::Incomplete(need) => need,
+            _ => panic!("expected an incomplete request"),
+        };
+        // Empty and prefix buffers are incomplete, not errors; one more
+        // byte may end a head.
+        assert_eq!(need(b"", &mut scratch), 1);
+        assert_eq!(need(b"GET / HT", &mut scratch), 9);
+        let head = b"GET / HTTP/1.1\r\nHost: h\r\n";
+        assert_eq!(need(head, &mut scratch), head.len() + 1);
+        // Partial body: still incomplete, until the whole body is in.
+        let wire = b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
+        assert_eq!(need(wire, &mut scratch), wire.len() + 7);
+        // Partial chunk: until the chunk's data is in.
+        let wire = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nab";
+        assert_eq!(need(wire, &mut scratch), wire.len() + 1);
         // A complete request reports exactly the bytes it consumed.
         let wire = b"GET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /b";
         match try_parse(wire, 1024, &mut scratch) {

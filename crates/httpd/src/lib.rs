@@ -5,17 +5,20 @@
 //! framework. This crate is that layer, built from scratch on `std::net`:
 //!
 //! * [`parse`] — HTTP/1.1 request/response parsing with Content-Length and
-//!   chunked bodies, hard limits, and file-body response writes (the
-//!   `sendfile()`-style path the file service uses),
+//!   chunked bodies, hard limits, and the blocking response serializer,
 //! * [`server`] — a worker pool fed by an event-driven connection
 //!   scheduler: one event loop accepts connections and *parks* idle
 //!   keep-alive ones instead of pinning a worker thread to each, so
 //!   live-connection capacity is bounded by `max_connections`, not
 //!   `workers` — on TLS servers too, whose connections carry the secure
-//!   channel as a state machine between socket and parse buffer,
+//!   channel as a state machine between socket and parse buffer; and
+//!   [`serve_pipe`], the same connection code served over socketpairs on
+//!   the caller's thread, with no port,
 //! * `event_loop` (private) — that loop's every decision as a step
 //!   machine with no I/O in it, which a seeded search drives directly;
 //!   `poller` (private) — the epoll facade and self-pipe waker under it,
+//! * [`stream`] — the one byte stream under server and client: a TCP
+//!   socket or one end of a socketpair,
 //! * [`client`] — a keep-alive client used by examples, tests, and the
 //!   Figure-4 benchmark driver.
 //!
@@ -39,10 +42,10 @@ pub mod parse;
 pub(crate) mod poller;
 pub mod scratch;
 pub mod server;
+pub mod stream;
 #[allow(unsafe_code)]
 mod sys;
 pub mod types;
-pub mod zerocopy;
 
 // The scenario fixture under `tests/common` is shared with the integration
 // tests, so it names this crate from the outside; the alias lets the unit
@@ -56,5 +59,8 @@ mod test_modes;
 pub use client::{ClientError, ClientTls, HttpClient};
 pub use parse::{is_truncation, resolve_range, ClientResponse, ParseError, RangeOutcome};
 pub use scratch::Scratch;
-pub use server::{Handler, HttpServer, PeerInfo, RequestContext, ServerConfig, TlsConfig};
+pub use server::{
+    serve_pipe, Handler, HttpServer, PeerInfo, Pipe, RequestContext, ServerConfig, TlsConfig,
+};
+pub use stream::Stream;
 pub use types::{http_date, Body, Headers, Method, Request, Response};

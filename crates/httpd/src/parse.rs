@@ -4,7 +4,7 @@
 //! status lines, header fields, `Content-Length` and `chunked` bodies, with
 //! hard limits so a hostile peer cannot exhaust memory.
 
-use std::io::{self, BufRead, IoSlice, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::os::unix::fs::FileExt;
 
 use crate::scratch::Scratch;
@@ -157,10 +157,6 @@ fn read_request_with<R: BufRead>(
     })
 }
 
-fn read_headers<R: BufRead>(reader: &mut R) -> Result<Headers, ParseError> {
-    read_headers_with(reader, &mut Vec::with_capacity(64))
-}
-
 fn read_headers_with<R: BufRead>(
     reader: &mut R,
     line_buf: &mut Vec<u8>,
@@ -206,20 +202,6 @@ fn read_headers_with<R: BufRead>(
     }
 }
 
-fn read_body<R: BufRead>(
-    reader: &mut R,
-    headers: &Headers,
-    max_body: usize,
-) -> Result<Vec<u8>, ParseError> {
-    read_body_with(
-        reader,
-        headers,
-        max_body,
-        &mut Vec::with_capacity(64),
-        Vec::new(),
-    )
-}
-
 /// Read the message body into `body` (an empty, possibly pre-capacitized
 /// recycled buffer) and return it.
 fn read_body_with<R: BufRead>(
@@ -249,8 +231,7 @@ fn read_body_with<R: BufRead>(
             if len > max_body {
                 return Err(ParseError::Protocol(413, format!("body of {len} bytes")));
             }
-            body.resize(len, 0);
-            reader.read_exact(&mut body).map_err(ParseError::Io)?;
+            read_exactly(reader, len, &mut body)?;
             Ok(body)
         }
     }
@@ -288,17 +269,32 @@ fn read_chunked_with<R: BufRead>(
                 }
             }
         }
-        let start = body.len();
-        body.resize(start + size, 0);
-        reader
-            .read_exact(&mut body[start..])
-            .map_err(ParseError::Io)?;
+        read_exactly(reader, size, &mut body)?;
         // Chunk data is followed by CRLF.
         let blank = read_line_into(reader, 8, line_buf)?;
         if !blank.is_empty() {
             return Err(ParseError::Protocol(400, "missing chunk terminator".into()));
         }
     }
+}
+
+/// Append the next `len` bytes of `reader` to `body` as it buffers them;
+/// a reader that ends first is a [`BodyTruncated`] error.
+fn read_exactly<R: BufRead>(reader: &mut R, len: usize, body: &mut Vec<u8>) -> io::Result<()> {
+    let end = body.len() + len;
+    while body.len() < end {
+        let buffered = match reader.fill_buf() {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            buffered => buffered?,
+        };
+        if buffered.is_empty() {
+            return Err(truncated((end - body.len()) as u64));
+        }
+        let n = buffered.len().min(end - body.len());
+        body.extend_from_slice(&buffered[..n]);
+        reader.consume(n);
+    }
+    Ok(())
 }
 
 /// Serialize and send a response. `head_only` suppresses the body (HEAD).
@@ -318,7 +314,9 @@ pub fn write_response<W: Write>(
 /// advertised `Content-Length`. The framing on the connection is
 /// unrecoverable at that point — the next response would land mid-body —
 /// so detectors force `Connection: close` and telemetry counts the event
-/// separately from peer resets.
+/// separately from peer resets. A request body read from a buffer that ends
+/// early carries it too: the server reads `missing` as how many more bytes
+/// the request needs.
 #[derive(Debug)]
 pub struct BodyTruncated {
     /// Bytes promised by `content-length` but never produced.
@@ -382,16 +380,13 @@ pub(crate) fn encode_head(
 }
 
 /// Serialize and send a response using scratch buffers for the head and the
-/// copy loop, and a single vectored write for head + body: the plain,
-/// blocking serializer. The server's own connections go through the
-/// resumable state machine in `conn.rs` instead (which is also where
-/// `sendfile(2)` lives); this one writes error responses, sheds, and the
-/// reference image tests and the benchmark compare the server against.
-///
-/// On success the status line, headers, and an in-memory body leave in one
-/// `writev` syscall instead of two `write`s; the body buffer is recycled
-/// into `scratch` afterwards so the next response on this worker encodes
-/// into it.
+/// copy loop: the plain, blocking serializer. The server's own connections
+/// go through the resumable state machine in `conn.rs` instead (which is
+/// also where `sendfile(2)` lives); this one writes into memory: error
+/// responses, sheds, and the reference images that tests and the
+/// benchmark compare the server against. The body buffer is recycled into
+/// `scratch` afterwards so the next response on this worker encodes into
+/// it.
 pub(crate) fn write_response_with<W: Write>(
     writer: &mut W,
     response: Response,
@@ -405,7 +400,9 @@ pub(crate) fn write_response_with<W: Write>(
     let written = match response.body {
         Body::Bytes(bytes) => {
             let body_slice: &[u8] = if head_only { &[] } else { &bytes };
-            let result = write_all_vectored(writer, &head, body_slice);
+            let result = writer
+                .write_all(&head)
+                .and_then(|()| writer.write_all(body_slice));
             scratch.recycle(bytes);
             result
         }
@@ -546,43 +543,6 @@ pub fn resolve_range(header: Option<&str>, len: u64) -> RangeOutcome {
     }
 }
 
-/// Write `head` then `body` completely, preferring a vectored write that
-/// sends both in one syscall. Writers without real `writev` support (the
-/// default `Write::write_vectored` writes only the first buffer, as does
-/// the TLS stream) degrade gracefully: the loop treats every return as a
-/// partial write and advances through both slices.
-fn write_all_vectored<W: Write>(
-    writer: &mut W,
-    mut head: &[u8],
-    mut body: &[u8],
-) -> io::Result<()> {
-    while !head.is_empty() || !body.is_empty() {
-        let wrote = if head.is_empty() {
-            writer.write(body)
-        } else if body.is_empty() {
-            writer.write(head)
-        } else {
-            writer.write_vectored(&[IoSlice::new(head), IoSlice::new(body)])
-        };
-        match wrote {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "failed to write whole response",
-                ))
-            }
-            Ok(n) => {
-                let from_head = n.min(head.len());
-                head = &head[from_head..];
-                body = &body[(n - from_head).min(body.len())..];
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
 /// Serialize and send a request (client side). The body always uses
 /// Content-Length framing.
 pub fn write_request<W: Write>(writer: &mut W, request: &Request) -> io::Result<()> {
@@ -639,12 +599,13 @@ pub fn read_response<R: BufRead>(
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| ParseError::Protocol(502, format!("bad status in {status_line:?}")))?;
-    let headers = read_headers(reader)?;
-    let body = read_body(reader, &headers, max_body)?;
+    let http11 = version == "HTTP/1.1";
+    let headers = read_headers_with(reader, &mut line_buf)?;
+    let body = read_body_with(reader, &headers, max_body, &mut line_buf, Vec::new())?;
     let keep_alive = headers
         .get("connection")
         .map(|c| !c.to_ascii_lowercase().contains("close"))
-        .unwrap_or(version == "HTTP/1.1");
+        .unwrap_or(http11);
     Ok(ClientResponse {
         status,
         headers,

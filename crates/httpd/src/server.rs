@@ -37,10 +37,11 @@ use clarens_pki::dn::DistinguishedName;
 use clarens_pki::keystream::SecretRng;
 use clarens_pki::SecureChannel;
 
-use crate::conn::{self, Conn, Disposition, Tls};
+use crate::conn::{self, Conn, Tls};
 use crate::event_loop::{Accept, Effect, Input, Listener, Loop, Why, LISTENER};
 use crate::poller::{self, Poller, WakePipe};
 use crate::scratch::Scratch;
+use crate::stream::Stream;
 use crate::sys;
 use crate::types::{Request, Response};
 
@@ -261,7 +262,7 @@ impl WorkQueue {
                 state.keeping.push_back(me);
             }
             let left = conn.deadline.saturating_duration_since(Instant::now());
-            let ready = poller::wait_readable(Some(conn.sock.as_raw_fd()), pipe, Some(left));
+            let ready = poller::wait_readable(Some(conn.stream.as_raw_fd()), pipe, Some(left));
             let mut state = self.lock();
             match state.keeping.iter().position(|&worker| worker == me) {
                 Some(i) => state.keeping.remove(i),
@@ -299,16 +300,22 @@ pub struct HttpServer {
 /// How a server stops: the flag `shutdown` sets, the requests in flight
 /// (parse-complete to write-complete) a stopping event loop waits for, and
 /// that loop's poller, which the last of them to finish wakes — so nothing
-/// polls the count.
+/// polls the count. A pipe server has no loop and never stops.
 pub(crate) struct Stop {
     requested: AtomicBool,
     in_flight: AtomicUsize,
-    poller: Arc<Poller>,
+    poller: Option<Arc<Poller>>,
 }
 
 impl Stop {
     pub(crate) fn requested(&self) -> bool {
         self.requested.load(Ordering::SeqCst)
+    }
+
+    fn wake(&self) {
+        if let Some(poller) = &self.poller {
+            poller.wake();
+        }
     }
 }
 
@@ -332,7 +339,7 @@ impl Drop for InFlightGuard {
         // Sequentially consistent with the loop's read of the flag, then
         // the count: either the loop sees zero or this drop sees the stop.
         if self.stop.in_flight.fetch_sub(1, Ordering::SeqCst) == 1 && self.stop.requested() {
-            self.stop.poller.wake();
+            self.stop.wake();
         }
     }
 }
@@ -355,18 +362,12 @@ impl HttpServer {
         listener.set_nonblocking(true)?;
         conn_poller.add(listener.as_raw_fd(), LISTENER)?;
         let (park_tx, park_rx) = mpsc::channel();
-        let stop = Arc::new(Stop {
-            requested: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
-            poller: Arc::clone(&conn_poller),
-        });
+        let serve = Serve::new(&config, handler, Some(Arc::clone(&conn_poller)));
+        let stop = Arc::clone(&serve.stop);
 
         let shared = Arc::new(WorkerShared {
-            handler,
+            serve,
             read_timeout: config.read_timeout,
-            now_fn: Arc::clone(&config.now_fn),
-            telemetry: config.telemetry,
-            stop: Arc::clone(&stop),
             parker: Parker {
                 tx: park_tx,
                 poller: Arc::clone(&conn_poller),
@@ -388,9 +389,7 @@ impl HttpServer {
         let poller_thread = {
             let shared = Arc::clone(&shared);
             let max_connections = config.max_connections.max(1);
-            let tls = config
-                .tls
-                .map(|tls| (Arc::new(tls.credential), tls.roots.into()));
+            let tls = server_tls(config.tls);
             std::thread::Builder::new()
                 .name("clarens-poller".into())
                 .spawn(move || run_loop(shared, listener, park_rx, max_connections, tls))
@@ -425,7 +424,7 @@ impl HttpServer {
 
     fn shutdown_inner(&mut self) {
         self.stop.requested.store(true, Ordering::SeqCst);
-        self.stop.poller.wake();
+        self.stop.wake();
         if let Some(poller) = self.poller_thread.take() {
             let _ = poller.join();
         }
@@ -443,14 +442,102 @@ impl Drop for HttpServer {
     }
 }
 
-pub(crate) struct WorkerShared<H: Handler> {
+/// What driving a connection reads (`conn::drive`).
+pub(crate) struct Serve<H: Handler + ?Sized> {
     pub(crate) handler: Arc<H>,
-    pub(crate) read_timeout: Duration,
-    pub(crate) now_fn: Arc<dyn Fn() -> i64 + Send + Sync>,
     pub(crate) telemetry: Arc<Telemetry>,
     pub(crate) stop: Arc<Stop>,
-    pub(crate) parker: Parker,
+    pub(crate) now_fn: Arc<dyn Fn() -> i64 + Send + Sync>,
+}
+
+impl<H: Handler + ?Sized> Serve<H> {
+    /// Serve with `config` and `handler`; a stop wakes `poller`.
+    fn new(config: &ServerConfig, handler: Arc<H>, poller: Option<Arc<Poller>>) -> Serve<H> {
+        let stop = Stop {
+            requested: AtomicBool::new(false),
+            in_flight: AtomicUsize::new(0),
+            poller,
+        };
+        Serve {
+            handler,
+            telemetry: Arc::clone(&config.telemetry),
+            stop: Arc::new(stop),
+            now_fn: Arc::clone(&config.now_fn),
+        }
+    }
+}
+
+/// A TLS server's identity, which every connection's channel presents.
+type ServerTls = Option<(Arc<Credential>, Arc<[Certificate]>)>;
+
+fn server_tls(tls: Option<TlsConfig>) -> ServerTls {
+    tls.map(|tls| (Arc::new(tls.credential), tls.roots.into()))
+}
+
+/// What the workers and the event loop share.
+pub(crate) struct WorkerShared<H: Handler> {
+    serve: Serve<H>,
+    read_timeout: Duration,
+    parker: Parker,
     queue: Arc<WorkQueue>,
+}
+
+/// Serve `handler` over a [`Pipe`] instead of a port: each connection is a
+/// socketpair whose client end holds the server's end and runs
+/// `conn::drive` on it, as a worker would, on the client's thread.
+/// `config.tls`, `now_fn` and `telemetry` apply; nothing queues or waits,
+/// so the rest does not.
+pub fn serve_pipe<H: Handler>(config: ServerConfig, handler: Arc<H>) -> Pipe {
+    let handler: Arc<dyn Handler> = handler;
+    Pipe(Arc::new(Piped {
+        serve: Serve::new(&config, handler, None),
+        tls: server_tls(config.tls),
+    }))
+}
+
+/// A server reached over socketpairs instead of a port ([`serve_pipe`]);
+/// clones share it.
+#[derive(Clone)]
+pub struct Pipe(Arc<Piped>);
+
+struct Piped {
+    serve: Serve<dyn Handler>,
+    tls: ServerTls,
+}
+
+impl Pipe {
+    /// A new connection: the client end of a fresh socketpair. The server's
+    /// end goes with it, driven whenever a read or write on the client end
+    /// would block, and on flush; it closes when the client end drops.
+    pub fn connect(&self) -> io::Result<Stream> {
+        let (mut client, end) = Stream::pair()?;
+        let Piped { serve, tls } = &*self.0;
+        serve.telemetry.http.connections.inc();
+        // No poller ever sees it, so its token is never read.
+        let conn = open(end, 0, tls, (serve.now_fn)(), None);
+        client.pump = Some(Box::new(Pump {
+            pipe: self.clone(),
+            conn: Some(conn),
+            scratch: Scratch::new(),
+        }));
+        Ok(client)
+    }
+}
+
+/// The server's end of one pipe connection, held by its client end.
+pub(crate) struct Pump {
+    pipe: Pipe,
+    /// `None` once it closed.
+    conn: Option<Box<Conn>>,
+    scratch: Scratch,
+}
+
+impl Pump {
+    /// Drive the connection until it waits on its client, or closes.
+    pub(crate) fn drive(&mut self) {
+        let (serve, conn) = (&self.pipe.0.serve, self.conn.take());
+        self.conn = conn.and_then(|conn| conn::drive(conn, serve, &mut self.scratch));
+    }
 }
 
 /// Answer an over-budget connection with `503` + `Connection: close` and
@@ -458,7 +545,7 @@ pub(crate) struct WorkerShared<H: Handler> {
 /// one yet, and we will not hold a slot waiting for it). One non-blocking
 /// write: a fresh socket's send buffer takes the whole answer, and the
 /// event loop never waits on a peer.
-fn shed(sock: Option<TcpStream>, telemetry: &Telemetry) {
+fn shed(sock: Option<Stream>, telemetry: &Telemetry) {
     let Some(mut sock) = sock else { return };
     telemetry.http.sheds.inc();
     let mut answer = Vec::new();
@@ -476,9 +563,9 @@ fn run_loop<H: Handler>(
     listener: TcpListener,
     park_rx: Receiver<Box<Conn>>,
     max_connections: usize,
-    tls: Option<(Arc<Credential>, Arc<[Certificate]>)>,
+    tls: ServerTls,
 ) {
-    let (poller, stop) = (&shared.parker.poller, &shared.stop);
+    let (poller, stop) = (&shared.parker.poller, &shared.serve.stop);
     let (mut machine, mut listener, mut sock) = (Loop::new(max_connections), Some(listener), None);
     let mut parked: HashMap<u64, Box<Conn>> = HashMap::new();
     let (mut inputs, mut effects, mut events) = (VecDeque::from([Input::Tick(0)]), vec![], vec![]);
@@ -495,7 +582,7 @@ fn run_loop<H: Handler>(
                     inputs.push_front(Input::Accepted(accept(accepted, &mut sock, &shared, &live)));
                 }
                 Effect::Admit(id) => admit(sock.take(), id, &live, &shared, &tls),
-                Effect::Shed => shed(sock.take(), &shared.telemetry),
+                Effect::Shed => shed(sock.take(), &shared.serve.telemetry),
                 // A full interest list is memory exhausted, as in `accept`.
                 Effect::Listener(Listener::Open) if poller.add(fd, LISTENER).is_err() => {
                     inputs.push_front(Input::Accepted(Accept::Exhausted));
@@ -536,7 +623,7 @@ fn run_loop<H: Handler>(
 /// loop's verdict, once it has passed what every accepted socket does.
 fn accept<H: Handler>(
     accepted: Option<io::Result<(TcpStream, SocketAddr)>>,
-    sock: &mut Option<TcpStream>,
+    sock: &mut Option<Stream>,
     shared: &WorkerShared<H>,
     live: &AtomicUsize,
 ) -> Accept {
@@ -548,12 +635,12 @@ fn accept<H: Handler>(
             if matches!(fault, Some(Injected::Err | Injected::ShortWrite(_))) {
                 return Accept::Other;
             }
-            shared.telemetry.http.connections.inc();
+            shared.serve.telemetry.http.connections.inc();
             // A socket that cannot be driven without blocking is dropped.
             if accepted.set_nonblocking(true).is_err() {
                 return Accept::Other;
             }
-            *sock = Some(accepted);
+            *sock = Some(Stream::from(accepted));
             Accept::Socket(live.load(Ordering::Acquire))
         }
         Some(Err(e)) if e.kind() == io::ErrorKind::WouldBlock => Accept::WouldBlock,
@@ -564,42 +651,55 @@ fn accept<H: Handler>(
     }
 }
 
-/// Admit `sock` as connection `id`: claim its budget slot, give a TLS
-/// server's connection its secure channel, and queue it for a worker.
+/// Admit `sock` as connection `id`: claim its budget slot, open it, and
+/// queue it for a worker.
 fn admit<H: Handler>(
-    sock: Option<TcpStream>,
+    sock: Option<Stream>,
     id: u64,
     live: &Arc<AtomicUsize>,
     shared: &WorkerShared<H>,
-    tls: &Option<(Arc<Credential>, Arc<[Certificate]>)>,
+    tls: &ServerTls,
 ) {
     let Some(sock) = sock else { return };
     live.fetch_add(1, Ordering::AcqRel);
     let budget = BudgetGuard {
         count: Arc::clone(live),
     };
-    sock.set_nodelay(true).ok();
+    let conn = open(sock, id, tls, (shared.serve.now_fn)(), Some(budget));
+    shared.serve.telemetry.http.queue_depth.inc();
+    shared.queue.push(conn);
+}
+
+/// Open connection `id` over `stream`, holding its budget slot; on a TLS
+/// server, with its channel's server end, validating certificates at
+/// `now`. The event loop and a pipe open every connection here.
+fn open(
+    stream: Stream,
+    id: u64,
+    tls: &ServerTls,
+    now: i64,
+    budget: Option<BudgetGuard>,
+) -> Box<Conn> {
     let tls = tls.as_ref().map(|(credential, roots)| {
         let (credential, roots) = (Arc::clone(credential), Arc::clone(roots));
-        let channel = SecureChannel::server(credential, roots, (shared.now_fn)(), &mut SecretRng);
+        let channel = SecureChannel::server(credential, roots, now, &mut SecretRng);
         Box::new(Tls {
             channel,
             peer: None,
         })
     });
-    let conn = Box::new(Conn {
-        sock,
+    Box::new(Conn {
+        stream,
         inbuf: Vec::new(),
+        need: 1,
         served: 0,
         id,
         registered: false,
         pending_write: None,
         deadline: Instant::now(),
         tls,
-        _budget: Some(budget),
-    });
-    shared.telemetry.http.queue_depth.inc();
-    shared.queue.push(conn);
+        _budget: budget,
+    })
 }
 
 /// Arm a connection a worker parked, one-shot for what it waits on, and
@@ -611,12 +711,12 @@ fn watch<H: Handler>(
     shared: &WorkerShared<H>,
 ) -> Option<Input> {
     let (token, writer, deadline) = (conn.id, conn.pending_write.is_some(), conn.deadline);
-    let fd = conn.sock.as_raw_fd();
+    let fd = conn.stream.as_raw_fd();
     (shared.parker.poller)
         .arm(fd, token, writer, conn.registered)
         .ok()?;
     conn.registered = true;
-    parked_gauge(&shared.telemetry.http, writer).inc();
+    parked_gauge(&shared.serve.telemetry.http, writer).inc();
     parked.insert(token, conn);
     Some(Input::Parked(token, writer, deadline))
 }
@@ -625,7 +725,7 @@ fn watch<H: Handler>(
 /// close drops it, so a peer that sees EOF sees the count), and queued for
 /// a worker if dispatched.
 fn unparked<H: Handler>(conn: Box<Conn>, effect: Effect, shared: &WorkerShared<H>) {
-    let http = &shared.telemetry.http;
+    let http = &shared.serve.telemetry.http;
     parked_gauge(http, conn.pending_write.is_some()).dec();
     match effect {
         Effect::Dispatch(_) => {
@@ -658,7 +758,7 @@ fn worker_loop<H: Handler>(me: usize, shared: Arc<WorkerShared<H>>) {
     // The worker's scratch arena lives as long as the thread: buffers
     // recycle across requests *and* connections.
     let mut scratch = Scratch::new();
-    let http = &shared.telemetry.http;
+    let http = &shared.serve.telemetry.http;
     // The idle connection this worker just served and kept, if any.
     let mut kept: Option<Box<Conn>> = None;
     loop {
@@ -690,12 +790,12 @@ fn worker_loop<H: Handler>(me: usize, shared: Arc<WorkerShared<H>>) {
                 None => return,
             },
         };
-        if shared.stop.requested() && conn.pending_write.is_none() {
+        if shared.serve.stop.requested() && conn.pending_write.is_none() {
             // Stopping: a connection with no write in flight closes
             // unserved; one with a response on its way finishes it.
             continue;
         }
-        if let Disposition::Park(mut conn) = conn::drive(conn, &shared, &mut scratch) {
+        if let Some(mut conn) = conn::drive(conn, &shared.serve, &mut scratch) {
             conn.deadline = Instant::now() + shared.read_timeout;
             // An idle connection stays with this worker unless work is
             // queued; one with a write in flight waits on the poller.

@@ -824,7 +824,7 @@ mod tests {
     use crate::dn::DistinguishedName;
     use crate::rsa;
     use rand::{rngs::StdRng, SeedableRng};
-    use std::net::{TcpListener, TcpStream};
+    use std::os::unix::net::UnixStream;
 
     const NOW: i64 = 1_118_836_800;
 
@@ -870,26 +870,23 @@ mod tests {
         }
     }
 
-    type ClientResult = Result<SecureStream<TcpStream>, ChannelError>;
-    type ServerResult = Result<(SecureStream<TcpStream>, Vec<Certificate>), ChannelError>;
+    type ClientResult = Result<SecureStream<UnixStream>, ChannelError>;
+    type ServerResult = Result<(SecureStream<UnixStream>, Vec<Certificate>), ChannelError>;
 
-    /// Run client and server handshakes over a real TCP socket pair.
+    /// Run client and server handshakes over the two ends of a socketpair.
     fn handshake_pair(
         pki: &TestPki,
         client_cred: &Credential,
         now: i64,
     ) -> (ClientResult, ServerResult) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
+        let (sock, server_sock) = UnixStream::pair().unwrap();
         let roots = vec![pki.ca.certificate.clone()];
         let server_cred = pki.server.clone();
         let server_roots = roots.clone();
         let server = std::thread::spawn(move || {
-            let (sock, _) = listener.accept().unwrap();
             let mut rng = StdRng::seed_from_u64(1000);
-            SecureStream::accept(sock, &server_cred, &server_roots, now, &mut rng)
+            SecureStream::accept(server_sock, &server_cred, &server_roots, now, &mut rng)
         });
-        let sock = TcpStream::connect(addr).unwrap();
         let mut rng = StdRng::seed_from_u64(2000);
         let client = SecureStream::connect(sock, client_cred, &roots, now, &mut rng);
         (client, server.join().unwrap())
@@ -1000,7 +997,7 @@ mod tests {
     /// A socket whose writes can be diverted into a buffer instead of
     /// reaching the peer, to get at the raw bytes of a sealed record.
     struct Tap {
-        sock: TcpStream,
+        sock: UnixStream,
         held: std::sync::Arc<std::sync::Mutex<Option<Vec<u8>>>>,
     }
 
@@ -1027,7 +1024,7 @@ mod tests {
     }
 
     /// The record layer exists to tell a cut stream from a closed one: a
-    /// TCP stream that ends anywhere inside a record — its length prefix
+    /// byte stream that ends anywhere inside a record — its length prefix
     /// included — must not read as a clean EOF.
     #[test]
     fn truncation_inside_a_record_is_not_a_clean_close() {
@@ -1035,21 +1032,24 @@ mod tests {
         let roots = vec![pki.ca.certificate.clone()];
         let mut cut = 0;
         loop {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
+            let (sock, server_sock) = UnixStream::pair().unwrap();
             let (server_cred, server_roots) = (pki.server.clone(), roots.clone());
             let server = std::thread::spawn(move || {
-                let (sock, _) = listener.accept().unwrap();
                 let mut rng = StdRng::seed_from_u64(1000);
-                let (mut stream, _) =
-                    SecureStream::accept(sock, &server_cred, &server_roots, NOW + 10, &mut rng)
-                        .unwrap();
+                let (mut stream, _) = SecureStream::accept(
+                    server_sock,
+                    &server_cred,
+                    &server_roots,
+                    NOW + 10,
+                    &mut rng,
+                )
+                .unwrap();
                 let mut plaintext = Vec::new();
                 stream.read_to_end(&mut plaintext).map(|_| plaintext)
             });
             let held = std::sync::Arc::new(std::sync::Mutex::new(None));
             let tap = Tap {
-                sock: TcpStream::connect(addr).unwrap(),
+                sock,
                 held: std::sync::Arc::clone(&held),
             };
             let mut rng = StdRng::seed_from_u64(2000);
@@ -1174,16 +1174,13 @@ mod tests {
     #[test]
     fn garbage_hello_rejected() {
         let pki = test_pki(7);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
+        let (mut sock, server_sock) = UnixStream::pair().unwrap();
         let roots = vec![pki.ca.certificate.clone()];
         let cred = pki.server.clone();
         let server = std::thread::spawn(move || {
-            let (sock, _) = listener.accept().unwrap();
             let mut rng = StdRng::seed_from_u64(1);
-            SecureStream::accept(sock, &cred, &roots, NOW, &mut rng)
+            SecureStream::accept(server_sock, &cred, &roots, NOW, &mut rng)
         });
-        let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&40u32.to_be_bytes()).unwrap();
         sock.write_all(&[0xAB; 40]).unwrap();
         assert!(matches!(
@@ -1195,16 +1192,13 @@ mod tests {
     #[test]
     fn oversized_handshake_frame_rejected() {
         let pki = test_pki(8);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
+        let (mut sock, server_sock) = UnixStream::pair().unwrap();
         let roots = vec![pki.ca.certificate.clone()];
         let cred = pki.server.clone();
         let server = std::thread::spawn(move || {
-            let (sock, _) = listener.accept().unwrap();
             let mut rng = StdRng::seed_from_u64(1);
-            SecureStream::accept(sock, &cred, &roots, NOW, &mut rng)
+            SecureStream::accept(server_sock, &cred, &roots, NOW, &mut rng)
         });
-        let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&(u32::MAX).to_be_bytes()).unwrap();
         assert!(matches!(
             server.join().unwrap(),
