@@ -94,7 +94,8 @@ fn pki_kernel_allocations() {
 /// 1 MiB in 1 KiB fragments, each written and flushed on its own over a
 /// pipe (the server runs on this thread, so every count is the server's;
 /// the client writes from a buffer it already holds), allocates
-/// under 4 MiB. A server that parsed it again on every fragment would
+/// under 4 MiB — as a `content-length` body, and as 1 024 chunks of a
+/// `chunked` one. A server that parsed it again on every fragment would
 /// size the whole body each time: about 1 GiB.
 fn dripped_body_bytes() {
     let handler = |request: Request, _: Option<&PeerInfo>| {
@@ -102,21 +103,32 @@ fn dripped_body_bytes() {
     };
     let pipe = serve_pipe(ServerConfig::default(), Arc::new(handler));
     let body = 1 << 20;
-    let mut wire = format!("POST /drip HTTP/1.1\r\nhost: h\r\ncontent-length: {body}\r\n\r\n");
-    wire.extend(std::iter::repeat_n('x', body));
-    let mut client = pipe.connect().unwrap();
-    let (_, before) = alloc_count::snapshot();
-    alloc_count::set_counting(true);
-    for fragment in wire.as_bytes().chunks(1024) {
-        client.write_all(fragment).unwrap();
-        client.flush().unwrap();
+    let mut sized = format!("POST /drip HTTP/1.1\r\nhost: h\r\ncontent-length: {body}\r\n\r\n");
+    sized.extend(std::iter::repeat_n('x', body));
+    let sized: Vec<&[u8]> = sized.as_bytes().chunks(1024).collect();
+    let head = b"POST /drip HTTP/1.1\r\nhost: h\r\ntransfer-encoding: chunked\r\n\r\n";
+    let chunk = [b"400\r\n".as_slice(), &[b'x'; 1024], b"\r\n"].concat();
+    let mut chunked = vec![head.as_slice()];
+    chunked.extend(std::iter::repeat_n(chunk.as_slice(), body / 1024));
+    chunked.push(b"0\r\n\r\n");
+    for (framing, fragments) in [("content-length", sized), ("chunked", chunked)] {
+        let mut client = pipe.connect().unwrap();
+        let (_, before) = alloc_count::snapshot();
+        alloc_count::set_counting(true);
+        for fragment in fragments {
+            client.write_all(fragment).unwrap();
+            client.flush().unwrap();
+        }
+        alloc_count::set_counting(false);
+        let bytes = alloc_count::snapshot().1 - before;
+        let response = read_response(&mut BufReader::new(client), usize::MAX).unwrap();
+        assert_eq!(response.body, body.to_string().as_bytes());
+        println!("server bytes allocated for a 1 MiB {framing} body in 1 KiB fragments: {bytes}");
+        assert!(
+            bytes < 4 << 20,
+            "{bytes} bytes allocated for a 1 MiB {framing} body"
+        );
     }
-    alloc_count::set_counting(false);
-    let bytes = alloc_count::snapshot().1 - before;
-    let response = read_response(&mut BufReader::new(client), usize::MAX).unwrap();
-    assert_eq!(response.body, body.to_string().as_bytes());
-    println!("server bytes allocated for a 1 MiB body in 1 KiB fragments: {bytes}");
-    assert!(bytes < 4 << 20, "{bytes} bytes allocated for a 1 MiB body");
 }
 
 #[test]

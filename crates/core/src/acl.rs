@@ -117,28 +117,6 @@ impl Acl {
         }
     }
 
-    fn matches_allow(&self, dn: &DistinguishedName, vo: &VoManager) -> bool {
-        dn_match(dn, &self.allow_dns) || self.allow_groups.iter().any(|g| vo.is_member(g, dn))
-    }
-
-    fn matches_deny(&self, dn: &DistinguishedName, vo: &VoManager) -> bool {
-        dn_match(dn, &self.deny_dns) || self.deny_groups.iter().any(|g| vo.is_member(g, dn))
-    }
-
-    fn evaluate(&self, dn: &DistinguishedName, vo: &VoManager) -> LevelDecision {
-        let allowed = self.matches_allow(dn, vo);
-        let denied = self.matches_deny(dn, vo);
-        match (allowed, denied) {
-            (false, false) => LevelDecision::Silent,
-            (true, false) => LevelDecision::Allow,
-            (false, true) => LevelDecision::Deny,
-            (true, true) => match self.order {
-                Order::AllowDeny => LevelDecision::Deny,
-                Order::DenyAllow => LevelDecision::Allow,
-            },
-        }
-    }
-
     /// The RPC struct form (`acl.get_method`) and the stored record.
     pub(crate) fn to_value(&self) -> Value {
         let list = |v: &[String]| Value::Array(v.iter().cloned().map(Value::from).collect());
@@ -177,15 +155,6 @@ impl Acl {
 /// default ACL sets; there is no anonymous access — a DN must exist).
 pub const ANY_DN: &str = "*";
 
-fn dn_match(dn: &DistinguishedName, entries: &[String]) -> bool {
-    entries.iter().any(|entry| {
-        entry == ANY_DN
-            || DistinguishedName::parse(entry)
-                .map(|prefix| dn.has_prefix(&prefix))
-                .unwrap_or(false)
-    })
-}
-
 /// One compiled DN entry: the wildcard, or a parsed prefix.
 #[derive(Debug, Clone)]
 enum DnEntry {
@@ -195,9 +164,8 @@ enum DnEntry {
     Prefix(DistinguishedName),
 }
 
-/// Parse a DN entry list once. Unparseable entries are dropped — exactly
-/// the matching behavior of [`dn_match`], which treats them as
-/// never-matching.
+/// Parse a DN entry list once. Unparseable entries are dropped: an entry
+/// that does not parse matches nothing.
 fn compile_entries(entries: &[String]) -> Vec<DnEntry> {
     entries
         .iter()
@@ -330,15 +298,13 @@ fn path_levels(path: &str) -> impl Iterator<Item = &str> {
 
 /// The ACL engine: stores ACLs in the DB and answers access questions.
 ///
-/// With caching enabled (the default), the engine keeps two layers of
-/// epoch-invalidated state: compiled per-node records tagged with the ACL
-/// bucket generation, and `(node, DN) → bool` decisions tagged with the
-/// ACL and VO bucket generations. Any `put`/`delete` to either bucket
-/// moves the corresponding generation, so no stale grant can survive a
-/// revocation.
+/// The engine keeps two layers of epoch-invalidated state: compiled
+/// per-node records tagged with the ACL bucket generation, and
+/// `(node, DN) → bool` decisions tagged with the ACL and VO bucket
+/// generations. Any `put`/`delete` to either bucket moves the
+/// corresponding generation, so no stale grant can survive a revocation.
 pub struct AclEngine {
     store: Arc<Store>,
-    caching: bool,
     method_gen: Arc<AtomicU64>,
     file_gen: Arc<AtomicU64>,
     vo_gen: Arc<AtomicU64>,
@@ -349,23 +315,13 @@ pub struct AclEngine {
 }
 
 impl AclEngine {
-    /// Create an engine over the shared store (caching enabled).
+    /// Create an engine over the shared store.
     pub fn new(store: Arc<Store>) -> Self {
-        AclEngine::with_caching(store, true)
-    }
-
-    /// Create an engine with the cache layer explicitly on or off. With
-    /// caching off every check re-reads and re-parses the stored records,
-    /// which is the paper's original uncached behavior. Servers always
-    /// cache; `false` is the reference that tests check the cached path
-    /// against.
-    pub fn with_caching(store: Arc<Store>, caching: bool) -> Self {
         let method_gen = store.generation_handle(METHOD_ACL_BUCKET);
         let file_gen = store.generation_handle(FILE_ACL_BUCKET);
         let vo_gen = store.generation_handle(VO_BUCKET);
         AclEngine {
             store,
-            caching,
             method_gen,
             file_gen,
             vo_gen,
@@ -443,10 +399,7 @@ impl AclEngine {
     /// paper's two per-request checks ("whether the client has access to
     /// the particular method being called").
     pub fn check_method(&self, method: &str, dn: &DistinguishedName, vo: &VoManager) -> bool {
-        if !self.caching {
-            return self.check_method_uncached(method, dn, vo);
-        }
-        self.check_method_cached(method, dn, dn, vo)
+        self.decide_method(method, dn, dn, vo)
     }
 
     /// Same as [`AclEngine::check_method`], but with the caller supplying
@@ -460,13 +413,10 @@ impl AclEngine {
         dn_key: &str,
         vo: &VoManager,
     ) -> bool {
-        if !self.caching {
-            return self.check_method_uncached(method, dn, vo);
-        }
-        self.check_method_cached(method, dn, dn_key, vo)
+        self.decide_method(method, dn, dn_key, vo)
     }
 
-    fn check_method_cached(
+    fn decide_method(
         &self,
         method: &str,
         dn: &DistinguishedName,
@@ -514,19 +464,6 @@ impl AclEngine {
         })
     }
 
-    fn check_method_uncached(&self, method: &str, dn: &DistinguishedName, vo: &VoManager) -> bool {
-        for level in method_levels(method) {
-            if let Some(acl) = self.method_acl(level) {
-                match acl.evaluate(dn, vo) {
-                    LevelDecision::Allow => return true,
-                    LevelDecision::Deny => return false,
-                    LevelDecision::Silent => continue,
-                }
-            }
-        }
-        false
-    }
-
     /// Compiled record for one method node, read through the node cache.
     /// `None` (the absence of an ACL) is cached too — most hierarchy
     /// levels have no ACL attached.
@@ -552,9 +489,6 @@ impl AclEngine {
         vo: &VoManager,
     ) -> bool {
         let path = rooted(path);
-        if !self.caching {
-            return self.check_file_uncached(&path, access, dn, vo);
-        }
         let tag = (
             self.file_gen.load(Ordering::SeqCst),
             self.vo_gen.load(Ordering::SeqCst),
@@ -591,29 +525,6 @@ impl AclEngine {
         decision
     }
 
-    fn check_file_uncached(
-        &self,
-        path: &str,
-        access: FileAccess,
-        dn: &DistinguishedName,
-        vo: &VoManager,
-    ) -> bool {
-        for level in path_levels(path) {
-            if let Some(file_acl) = self.file_acl(level) {
-                let acl = match access {
-                    FileAccess::Read => &file_acl.read,
-                    FileAccess::Write => &file_acl.write,
-                };
-                match acl.evaluate(dn, vo) {
-                    LevelDecision::Allow => return true,
-                    LevelDecision::Deny => return false,
-                    LevelDecision::Silent => continue,
-                }
-            }
-        }
-        false
-    }
-
     /// Compiled record for one file node, read through the node cache.
     fn compiled_file_acl(&self, node: &str, gen: u64) -> Option<Arc<CompiledFileAcl>> {
         if let Some(cached) = self.compiled_files.get(node, gen) {
@@ -633,7 +544,7 @@ impl AclEngine {
 
 /// Decision-cache key for `(node, DN)`, used by the file-decision cache
 /// (method decisions build the same shape into a reusable buffer, see
-/// `check_method_cached`). Length-prefixed so no crafted method or path
+/// `decide_method`). Length-prefixed so no crafted method or path
 /// string can collide with another caller's entry.
 fn decision_key(node: &str, dn: impl std::fmt::Display) -> String {
     let mut key = String::with_capacity(node.len() + 48);
@@ -948,23 +859,6 @@ mod tests {
         // File-side revocation is immediate too.
         engine.clear_file_acl("/data").unwrap();
         assert!(!engine.check_file("/data/f", FileAccess::Read, &alice, &vo));
-    }
-
-    #[test]
-    fn uncached_engine_behaves_identically_and_counts_nothing() {
-        let store = Arc::new(Store::in_memory());
-        let vo = VoManager::new(Arc::clone(&store), &[]);
-        let engine = AclEngine::with_caching(store, false);
-        let alice = dn("/O=grid/CN=alice");
-        engine
-            .set_method_acl("file", &Acl::allow_dn("/O=grid"))
-            .unwrap();
-        assert!(engine.check_method("file.read", &alice, &vo));
-        assert!(engine.check_method("file.read", &alice, &vo));
-        engine.clear_method_acl("file").unwrap();
-        assert!(!engine.check_method("file.read", &alice, &vo));
-        assert_eq!(engine.decision_cache_stats(), CacheStats::default());
-        assert_eq!(engine.node_cache_stats(), CacheStats::default());
     }
 
     #[test]

@@ -121,10 +121,9 @@ impl ResolvedSession {
 pub struct SessionManager {
     store: Arc<Store>,
     ttl: i64,
-    caching: bool,
     /// Generation handle of [`SESSIONS_BUCKET`].
     generation: Arc<AtomicU64>,
-    /// Write-through cache of resolved sessions, tagged with the bucket
+    /// Resolved sessions, cached on use and tagged with the bucket
     /// generation so any session write invalidates every entry.
     cache: Sharded<String, ResolvedSession>,
 }
@@ -132,18 +131,10 @@ pub struct SessionManager {
 impl SessionManager {
     /// Create a manager over the shared store.
     pub fn new(store: Arc<Store>, ttl: i64) -> Self {
-        SessionManager::with_caching(store, ttl, true)
-    }
-
-    /// Like [`SessionManager::new`], but with the resolved-session cache
-    /// explicitly enabled or disabled. Servers always cache; `false` is the
-    /// uncached reference that tests check the cached path against.
-    pub fn with_caching(store: Arc<Store>, ttl: i64, caching: bool) -> Self {
         let generation = store.generation_handle(SESSIONS_BUCKET);
         SessionManager {
             store,
             ttl,
-            caching,
             generation,
             cache: Sharded::new(),
         }
@@ -190,11 +181,9 @@ impl SessionManager {
         // silently: the paper sells restart-surviving sessions, so a lost
         // persist is worth an operator's attention.
         clarens_telemetry::warn!("session {} not persisted: {e}", session.id);
-        if self.caching {
-            let generation = self.generation.load(Ordering::SeqCst);
-            let entry = ResolvedSession::parse(session.clone());
-            self.cache.insert(session.id.clone(), generation, entry);
-        }
+        let generation = self.generation.load(Ordering::SeqCst);
+        let entry = ResolvedSession::parse(session.clone());
+        self.cache.insert(session.id.clone(), generation, entry);
     }
 
     /// Load a session from the store, enforcing expiry.
@@ -215,23 +204,20 @@ impl SessionManager {
     /// the paper's Figure-4 workload ("whether the client credentials are
     /// associated with a current session").
     pub fn resolve(&self, id: &str, now: i64) -> Option<ResolvedSession> {
-        if self.caching {
-            // Load the generation before consulting the cache: a write
-            // racing with us can only make the entry look stale.
-            let generation = self.generation.load(Ordering::SeqCst);
-            if let Some(entry) = self.cache.get(id, generation) {
-                if entry.session.expires <= now {
-                    self.cache.remove(id);
-                    let _ = self.store.delete(SESSIONS_BUCKET, id);
-                    return None;
-                }
-                return Some(entry);
+        // Load the generation before consulting the cache: a write racing
+        // with us can only make the entry look stale.
+        let generation = self.generation.load(Ordering::SeqCst);
+        if let Some(entry) = self.cache.get(id, generation) {
+            if entry.session.expires <= now {
+                self.cache.remove(id);
+                let _ = self.store.delete(SESSIONS_BUCKET, id);
+                return None;
             }
-            let entry = ResolvedSession::parse(self.load(id, now)?);
-            self.cache.insert(id.to_owned(), generation, entry.clone());
             return Some(entry);
         }
-        Some(ResolvedSession::parse(self.load(id, now)?))
+        let entry = ResolvedSession::parse(self.load(id, now)?);
+        self.cache.insert(id.to_owned(), generation, entry.clone());
+        Some(entry)
     }
 
     /// Validate a session id: returns the session if it exists and has not
@@ -454,15 +440,6 @@ mod tests {
         assert_eq!(attached.proxy.as_deref(), Some("PROXY"));
         assert_eq!(mgr.validate(&orphan.id, 2500), Some(attached));
         assert_eq!(store.stats().lookups, lookups);
-    }
-
-    #[test]
-    fn uncached_manager_counts_nothing() {
-        let mgr = SessionManager::with_caching(Arc::new(Store::in_memory()), 3600, false);
-        let session = mgr.create(&dn(), 0);
-        assert!(mgr.resolve(&session.id, 1).is_some());
-        assert!(mgr.validate(&session.id, 1).is_some());
-        assert_eq!(mgr.cache_stats(), CacheStats::default());
     }
 
     #[test]

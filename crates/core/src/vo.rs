@@ -112,18 +112,8 @@ impl From<io::Error> for VoError {
     }
 }
 
-/// Does `dn` match any of the (prefix) entries?
-fn dn_matches_any(dn: &DistinguishedName, entries: &[String]) -> bool {
-    entries.iter().any(|entry| {
-        DistinguishedName::parse(entry)
-            .map(|prefix| dn.has_prefix(&prefix))
-            .unwrap_or(false)
-    })
-}
-
 /// A group with its DN-prefix entries parsed once at load. Unparseable
-/// entries are dropped, which matches [`dn_matches_any`]: an entry that
-/// fails to parse can never match anything.
+/// entries are dropped: an entry that fails to parse matches nothing.
 struct CompiledGroup {
     members: Vec<DistinguishedName>,
     admins: Vec<DistinguishedName>,
@@ -169,7 +159,6 @@ fn valid_group_name(name: &str) -> bool {
 /// The VO manager.
 pub struct VoManager {
     store: Arc<Store>,
-    caching: bool,
     /// Generation handle of [`VO_BUCKET`]; every group write bumps it.
     generation: Arc<AtomicU64>,
     /// Compiled group records tagged with the bucket generation. The inner
@@ -181,17 +170,9 @@ impl VoManager {
     /// Create the manager and (re)populate the root `admins` group from the
     /// configured DNs — "populated statically ... on each server restart".
     pub fn new(store: Arc<Store>, admin_dns: &[String]) -> Self {
-        VoManager::with_caching(store, admin_dns, true)
-    }
-
-    /// Like [`VoManager::new`], but with the compiled-group cache
-    /// explicitly enabled or disabled. Servers always cache; `false` is the
-    /// uncached reference that tests check the cached path against.
-    pub fn with_caching(store: Arc<Store>, admin_dns: &[String], caching: bool) -> Self {
         let generation = store.generation_handle(VO_BUCKET);
         let manager = VoManager {
             store,
-            caching,
             generation,
             compiled: Sharded::new(),
         };
@@ -247,16 +228,9 @@ impl VoManager {
 
     /// Is `dn` a site administrator (member of the root `admins` group)?
     pub fn is_site_admin(&self, dn: &DistinguishedName) -> bool {
-        if self.caching {
-            let generation = self.generation.load(Ordering::SeqCst);
-            return self
-                .compiled(ADMINS_GROUP, generation)
-                .map(|g| compiled_matches(dn, &g.members) || compiled_matches(dn, &g.admins))
-                .unwrap_or(false);
-        }
-        self.group(ADMINS_GROUP)
-            .map(|g| dn_matches_any(dn, &g.members) || dn_matches_any(dn, &g.admins))
-            .unwrap_or(false)
+        let generation = self.generation.load(Ordering::SeqCst);
+        self.compiled(ADMINS_GROUP, generation)
+            .is_some_and(|g| compiled_matches(dn, &g.members) || compiled_matches(dn, &g.admins))
     }
 
     /// Is `dn` an administrator of `group` (directly, via an ancestor
@@ -265,18 +239,10 @@ impl VoManager {
         if self.is_site_admin(dn) {
             return true;
         }
-        if self.caching {
-            let generation = self.generation.load(Ordering::SeqCst);
-            return self_and_ancestors(group_name).any(|name| {
-                self.compiled(name, generation)
-                    .map(|g| compiled_matches(dn, &g.admins))
-                    .unwrap_or(false)
-            });
-        }
+        let generation = self.generation.load(Ordering::SeqCst);
         self_and_ancestors(group_name).any(|name| {
-            self.group(name)
-                .map(|g| dn_matches_any(dn, &g.admins))
-                .unwrap_or(false)
+            self.compiled(name, generation)
+                .is_some_and(|g| compiled_matches(dn, &g.admins))
         })
     }
 
@@ -287,18 +253,11 @@ impl VoManager {
         if self.is_site_admin(dn) {
             return true;
         }
-        if self.caching {
-            let generation = self.generation.load(Ordering::SeqCst);
-            return self_and_ancestors(group_name).any(|name| {
-                self.compiled(name, generation)
-                    .map(|g| compiled_matches(dn, &g.members) || compiled_matches(dn, &g.admins))
-                    .unwrap_or(false)
-            });
-        }
+        let generation = self.generation.load(Ordering::SeqCst);
         self_and_ancestors(group_name).any(|name| {
-            self.group(name)
-                .map(|g| dn_matches_any(dn, &g.members) || dn_matches_any(dn, &g.admins))
-                .unwrap_or(false)
+            self.compiled(name, generation).is_some_and(|g| {
+                compiled_matches(dn, &g.members) || compiled_matches(dn, &g.admins)
+            })
         })
     }
 
@@ -666,28 +625,13 @@ mod tests {
     }
 
     #[test]
-    fn unparseable_entries_never_match_cached_or_not() {
-        for caching in [true, false] {
-            let admin = "/O=grid/CN=root";
-            let vo =
-                VoManager::with_caching(Arc::new(Store::in_memory()), &[admin.into()], caching);
-            let admin = dn(admin);
-            vo.create_group(&admin, "A").unwrap();
-            // "*" is an ACL wildcard, but VO groups have no wildcard
-            // entries — and garbage entries are simply inert.
-            vo.add_member(&admin, "A", "*").unwrap();
-            vo.add_member(&admin, "A", "not a dn").unwrap();
-            assert!(!vo.is_member("A", &dn("/O=grid/CN=alice")));
-        }
-    }
-
-    #[test]
-    fn uncached_manager_counts_nothing() {
-        let admin = "/O=grid/CN=root";
-        let vo = VoManager::with_caching(Arc::new(Store::in_memory()), &[admin.into()], false);
-        let admin = dn(admin);
+    fn unparseable_entries_never_match() {
+        let (vo, admin) = setup();
         vo.create_group(&admin, "A").unwrap();
-        assert!(vo.is_member("A", &dn("/O=grid/CN=root/CN=proxy")));
-        assert_eq!(vo.cache_stats(), CacheStats::default());
+        // "*" is an ACL wildcard, but VO groups have no wildcard
+        // entries — and garbage entries are simply inert.
+        vo.add_member(&admin, "A", "*").unwrap();
+        vo.add_member(&admin, "A", "not a dn").unwrap();
+        assert!(!vo.is_member("A", &dn("/O=grid/CN=alice")));
     }
 }

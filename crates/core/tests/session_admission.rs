@@ -1,6 +1,11 @@
 //! Session admission keeps its contracts: the stored record is the bytes
 //! the `Value`-tree writer used to produce, ids keep their shape and never
-//! repeat, and a caching manager answers exactly like an uncached one.
+//! repeat, and the manager, cache and all, answers exactly as the naive
+//! session model of `authz_oracle/model.rs` does.
+
+#[path = "authz_oracle/model.rs"]
+#[allow(dead_code)]
+mod model;
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -141,7 +146,7 @@ fn is_session_id(id: &str) -> bool {
 fn ids_are_64_lowercase_hex_and_never_repeat() {
     let dn = DistinguishedName::parse("/O=org/CN=minter").unwrap();
     let mint = move |n: usize| {
-        let mgr = SessionManager::with_caching(Arc::new(Store::in_memory()), 60, false);
+        let mgr = SessionManager::new(Arc::new(Store::in_memory()), 60);
         (0..n).map(|_| mgr.create(&dn, 0).id).collect::<Vec<_>>()
     };
     let other_thread = std::thread::spawn({
@@ -168,56 +173,47 @@ fn ids_are_64_lowercase_hex_and_never_repeat() {
     assert!((0.49..0.51).contains(&share), "high-nibble share {share}");
 }
 
-/// One logical session: the same history applied to both managers, under
-/// the id each of them minted for it.
-struct Twin {
-    cached: String,
-    plain: String,
-}
-
-/// Two sessions agree when everything but the (independently minted) id
-/// does.
-fn same_session(a: &Session, b: &Session) -> bool {
-    (&a.dn, a.created, a.expires, &a.proxy) == (&b.dn, b.created, b.expires, &b.proxy)
-}
-
-fn same_answer(a: Option<&Session>, b: Option<&Session>) -> bool {
-    match (a, b) {
-        (Some(a), Some(b)) => same_session(a, b),
-        (None, None) => true,
-        _ => false,
-    }
-}
-
-struct Model {
+/// One seeded walk: the manager and the model see the same history, and
+/// every answer the manager gives is the model's.
+struct Walk {
     rng: StdRng,
-    cached_store: Arc<Store>,
-    plain_store: Arc<Store>,
-    cached: SessionManager,
-    plain: SessionManager,
-    dns: Vec<DistinguishedName>,
-    twins: Vec<Twin>,
+    store: Arc<Store>,
+    manager: SessionManager,
+    model: model::Sessions,
+    dns: Vec<model::Dn>,
+    /// Every id minted or replicated, live or not; newest last.
+    ids: Vec<String>,
     now: i64,
     steps: usize,
 }
 
 const TTL: i64 = 1000;
 
-impl Model {
-    fn new(seed: u64) -> Model {
-        let cached_store = Arc::new(Store::in_memory());
-        let plain_store = Arc::new(Store::in_memory());
-        Model {
+/// The fields a session answer carries, id aside.
+type Fields = (String, i64, i64, Option<String>);
+
+impl Walk {
+    fn new(seed: u64) -> Walk {
+        let rdn = |tag: &str, value: String| model::Rdn {
+            tag: tag.to_owned(),
+            value,
+        };
+        let store = Arc::new(Store::in_memory());
+        Walk {
             rng: StdRng::seed_from_u64(seed),
-            cached: SessionManager::new(Arc::clone(&cached_store), TTL),
-            plain: SessionManager::with_caching(Arc::clone(&plain_store), TTL, false),
-            cached_store,
-            plain_store,
+            manager: SessionManager::new(Arc::clone(&store), TTL),
+            store,
+            model: model::Sessions::default(),
             dns: (0..7)
-                .map(|i| DistinguishedName::parse(&format!("/O=grid/OU=site{}/CN=u{i}", i % 3)))
-                .collect::<Result<_, _>>()
-                .unwrap(),
-            twins: Vec::new(),
+                .map(|i| {
+                    vec![
+                        rdn("O", "grid".into()),
+                        rdn("OU", format!("site{}", i % 3)),
+                        rdn("CN", format!("u{i}")),
+                    ]
+                })
+                .collect(),
+            ids: Vec::new(),
             now: 10_000,
             steps: 0,
         }
@@ -229,155 +225,194 @@ impl Model {
 
     fn create(&mut self) {
         let which = self.below(self.dns.len());
-        let dn = self.dns[which].clone();
-        let a = self.cached.create(&dn, self.now);
-        let b = self.plain.create(&dn, self.now);
-        assert!(same_session(&a, &b), "step {}: create", self.steps);
-        self.twins.push(Twin {
-            cached: a.id,
-            plain: b.id,
-        });
+        let dn = &self.dns[which];
+        let created = self.manager.create(&model::to_real(dn), self.now);
+        assert!(is_session_id(&created.id), "step {}: id", self.steps);
+        let expected = model::Session {
+            dn: model::render_dn(dn),
+            identity: Some(dn.clone()),
+            created: self.now,
+            expires: self.now + TTL,
+            proxy: None,
+        };
+        assert_eq!(
+            fields(&created),
+            model_fields(expected.clone()),
+            "step {}: create",
+            self.steps
+        );
+        self.model
+            .records
+            .insert(created.id.clone(), model::Record::Valid(expected));
+        self.ids.push(created.id);
     }
 
-    fn resolve(&self, pick: usize) {
-        let step = self.steps;
-        let a = self.cached.resolve(&self.twins[pick].cached, self.now);
-        let b = self.plain.resolve(&self.twins[pick].plain, self.now);
-        assert!(
-            same_answer(
-                a.as_ref().map(|r| &*r.session),
-                b.as_ref().map(|r| &*r.session)
-            ),
-            "step {step}: resolve {a:?} vs {b:?}"
+    fn resolve(&mut self, pick: usize) {
+        let (step, id) = (self.steps, self.ids[pick].clone());
+        let real = self.manager.resolve(&id, self.now);
+        let expected = self.model.resolve(&id, self.now);
+        assert_eq!(
+            real.as_ref().map(|r| fields(&r.session)),
+            expected.clone().map(model_fields),
+            "step {step}: resolve {id}"
         );
         assert_eq!(
-            a.and_then(|r| r.identity),
-            b.and_then(|r| r.identity),
+            real.and_then(|r| r.identity).as_deref(),
+            expected
+                .and_then(|s| s.identity)
+                .map(|dn| model::to_real(&dn))
+                .as_ref(),
             "step {step}: resolved identity"
         );
     }
 
-    /// One random operation on one random logical session (live or not).
+    /// One random operation on one random session (live or not).
     fn step(&mut self) {
         self.steps += 1;
         let step = self.steps;
-        if self.twins.is_empty() {
+        if self.ids.is_empty() {
             return self.create();
         }
         // Bias towards recent sessions so cache hits happen at all.
         let pick = if self.below(2) == 0 {
-            self.twins.len() - 1 - self.below(self.twins.len().min(8))
+            self.ids.len() - 1 - self.below(self.ids.len().min(8))
         } else {
-            self.below(self.twins.len())
+            self.below(self.ids.len())
         };
-        let (cached_id, plain_id) = {
-            let twin = &self.twins[pick];
-            (twin.cached.clone(), twin.plain.clone())
-        };
+        let id = self.ids[pick].clone();
         let now = self.now;
         match self.below(100) {
             0..=14 => self.create(),
             15..=49 => self.resolve(pick),
             50..=59 => {
-                let a = self.cached.validate(&cached_id, now);
-                let b = self.plain.validate(&plain_id, now);
-                assert!(
-                    same_answer(a.as_ref(), b.as_ref()),
-                    "step {step}: validate {a:?} vs {b:?}"
+                let real = self.manager.validate(&id, now);
+                let expected = self.model.resolve(&id, now);
+                assert_eq!(
+                    real.as_ref().map(fields),
+                    expected.map(model_fields),
+                    "step {step}: validate"
                 );
             }
             60..=67 => {
                 let proxy = format!("proxy-{step}");
-                let a = self.cached.attach_proxy(&cached_id, &proxy, now);
-                let b = self.plain.attach_proxy(&plain_id, &proxy, now);
-                assert!(
-                    same_answer(a.as_ref(), b.as_ref()),
-                    "step {step}: attach_proxy {a:?} vs {b:?}"
+                let real = self.manager.attach_proxy(&id, &proxy, now);
+                let expected = self.model.attach(&id, &proxy, now, TTL);
+                assert_eq!(
+                    real.as_ref().map(fields),
+                    expected.map(model_fields),
+                    "step {step}: attach_proxy"
                 );
             }
             68..=73 => {
-                let a = self.cached.logout(&cached_id);
-                let b = self.plain.logout(&plain_id);
-                assert_eq!(a, b, "step {step}: logout");
+                let real = self.manager.logout(&id);
+                assert_eq!(real, self.model.logout(&id), "step {step}: logout");
             }
             74..=79 => {
                 // The replication path: another node's write lands in the
                 // bucket behind the manager's back, re-binding the id.
                 let which = self.below(self.dns.len());
-                let dn = self.dns[which].to_string();
+                let dn = self.dns[which].clone();
                 let expires = now + self.below(2 * TTL as usize) as i64 - TTL / 2;
-                let record = reference_record(&dn, now, expires, None);
-                self.cached_store
-                    .put(SESSIONS_BUCKET, &cached_id, record.clone())
-                    .unwrap();
-                self.plain_store
-                    .put(SESSIONS_BUCKET, &plain_id, record)
-                    .unwrap();
+                let text = model::render_dn(&dn);
+                let record = reference_record(&text, now, expires, None);
+                self.store.put(SESSIONS_BUCKET, &id, record).unwrap();
+                let session = model::Session {
+                    dn: text,
+                    identity: Some(dn),
+                    created: now,
+                    expires,
+                    proxy: None,
+                };
+                self.model.records.insert(id, model::Record::Valid(session));
             }
             80..=83 => {
-                let a = self
-                    .cached_store
-                    .delete(SESSIONS_BUCKET, &cached_id)
-                    .unwrap();
-                let b = self.plain_store.delete(SESSIONS_BUCKET, &plain_id).unwrap();
-                assert_eq!(a, b, "step {step}: replicated delete");
+                let real = self.store.delete(SESSIONS_BUCKET, &id).unwrap();
+                assert_eq!(
+                    real,
+                    self.model.logout(&id),
+                    "step {step}: replicated delete"
+                );
             }
             84..=85 => {
                 assert_eq!(
-                    self.cached.resolve("no-such-session", now).map(|_| ()),
+                    self.manager.resolve("no-such-session", now).map(|_| ()),
                     None
                 );
-                assert_eq!(self.plain.resolve("no-such-session", now).map(|_| ()), None);
             }
-            86..=97 => self.now += self.below(TTL as usize / 4) as i64,
+            86..=93 => self.now += self.below(TTL as usize / 4) as i64,
+            94..=97 => {
+                // Onto exactly the expiry of a recent session.
+                let recent = self.ids.iter().rev().take(8);
+                let live: Vec<i64> = recent
+                    .filter_map(|id| self.model.records.get(id)?.valid())
+                    .map(|s| s.expires)
+                    .filter(|&expires| expires > now)
+                    .collect();
+                if !live.is_empty() {
+                    self.now = live[self.below(live.len())];
+                }
+            }
             _ => self.now += TTL + 1,
         }
         assert_eq!(
-            self.cached.count(),
-            self.plain.count(),
+            self.manager.count(),
+            self.model.records.len(),
             "step {step}: count"
         );
     }
 
     fn sweep(&mut self) {
-        let a = self.cached.sweep(self.now);
-        let b = self.plain.sweep(self.now);
-        assert_eq!(a, b, "step {}: sweep", self.steps);
-        assert_eq!(self.cached.count(), self.plain.count());
+        let real = self.manager.sweep(self.now);
+        assert_eq!(
+            real,
+            self.model.sweep(self.now),
+            "step {}: sweep",
+            self.steps
+        );
+        assert_eq!(self.manager.count(), self.model.records.len());
     }
 }
 
+fn fields(session: &Session) -> Fields {
+    let s = session.clone();
+    (s.dn, s.created, s.expires, s.proxy)
+}
+
+fn model_fields(session: model::Session) -> Fields {
+    (session.dn, session.created, session.expires, session.proxy)
+}
+
 #[test]
-fn cached_manager_answers_exactly_like_the_uncached_one() {
+fn the_manager_answers_exactly_as_the_session_model_does() {
     for seed in [1, 2, 3] {
-        let mut model = Model::new(seed);
+        let mut walk = Walk::new(seed);
         for _ in 0..4000 {
-            model.step();
-            if model.steps.is_multiple_of(500) {
-                model.sweep();
+            walk.step();
+            if walk.steps.is_multiple_of(500) {
+                walk.sweep();
             }
         }
         // One more resolved session than the cache has slots: by pigeonhole
         // at least one of its 16 shards is offered more than its 4096
         // entries, so a resolve meets a full shard and has to evict.
         for _ in 0..16 * 4096 + 1 {
-            model.create();
-            model.resolve(model.twins.len() - 1);
+            walk.create();
+            walk.resolve(walk.ids.len() - 1);
         }
-        assert_eq!(model.cached.count(), model.plain.count());
+        assert_eq!(walk.manager.count(), walk.model.records.len());
         for _ in 0..4000 {
-            model.step();
+            walk.step();
         }
-        model.sweep();
+        walk.sweep();
         // Past every expiry both refuse everything, cached entry or not,
-        // and one sweep empties both stores.
-        model.now += 3 * TTL;
+        // and one sweep empties the store.
+        walk.now += 3 * TTL;
         for _ in 0..200 {
-            let pick = model.below(model.twins.len());
-            model.resolve(pick);
+            let pick = walk.below(walk.ids.len());
+            walk.resolve(pick);
         }
-        model.sweep();
-        assert_eq!(model.cached.count(), 0);
-        assert!(model.cached.cache_stats().hits > 0);
+        walk.sweep();
+        assert_eq!(walk.manager.count(), 0);
+        assert!(walk.manager.cache_stats().hits > 0);
     }
 }

@@ -125,6 +125,19 @@ fn an_idle_federation_leaves_the_shipped_log_alone() {
     let leader = cluster.leader();
     let written = || leader.core().store.storage_counters().bytes_written;
     let applied = || cluster.nodes[1..].iter().map(|n| n.replication_applied());
+    // Start-up writes (the followers' replication logins) are shipped
+    // first: sample only once every follower has applied the leader's
+    // whole log.
+    let caught_up = || {
+        let end = leader.core().store.wal_offset();
+        cluster.nodes[1..]
+            .iter()
+            .all(|n| n.core().federation.applied() >= end)
+    };
+    assert!(
+        wait_until(Duration::from_secs(15), caught_up),
+        "followers did not catch up with the leader's log"
+    );
     let before = (written(), applied().collect::<Vec<_>>());
     std::thread::sleep(Duration::from_secs(1));
     assert_eq!((written(), applied().collect::<Vec<_>>()), before);

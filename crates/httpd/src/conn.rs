@@ -34,7 +34,7 @@
 //! correct wake condition and pipelined requests can never stall in a
 //! buffer.
 
-use std::io::{self, Cursor, IoSlice, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::time::Instant;
 
@@ -42,8 +42,8 @@ use clarens_pki::SecureChannel;
 use clarens_telemetry::{HttpCounters, Phase};
 
 use crate::parse::{
-    encode_head, read_request_pooled, truncated, write_response_with, BodyTruncated, ParseError,
-    COPY_BUFFER, DEFAULT_MAX_BODY,
+    encode_head, read_buffered, truncated, write_response_with, BodyTruncated, ChunkScan,
+    ParseError, COPY_BUFFER, DEFAULT_MAX_BODY,
 };
 use crate::scratch::Scratch;
 use crate::server::{
@@ -82,6 +82,9 @@ pub(crate) struct Conn {
     /// last attempt's verdict), so a body arriving in pieces is parsed once
     /// it is whole, not once per piece.
     pub(crate) need: usize,
+    /// How far the framing of a `chunked` body still arriving has been
+    /// walked, so each read walks only the bytes that are new.
+    pub(crate) chunks: Option<ChunkScan>,
     /// Requests served on this connection (drives `keepalive_reuse`).
     pub(crate) served: u64,
     /// Poller token; unique per connection for the server's lifetime.
@@ -538,7 +541,7 @@ pub(crate) fn drive<H: Handler + ?Sized>(
         let attempt = match conn.inbuf.len() < conn.need {
             true => Parsed::Incomplete(conn.need),
             false => trace.span(Phase::Parse, || {
-                try_parse(&conn.inbuf, DEFAULT_MAX_BODY, scratch)
+                try_parse(&conn.inbuf, DEFAULT_MAX_BODY, scratch, &mut conn.chunks)
             }),
         };
         match attempt {
@@ -701,16 +704,18 @@ pub(crate) fn drive<H: Handler + ?Sized>(
     }
 }
 
-/// Try to parse one request out of the accumulated bytes. Runs the public
-/// blocking parser over an in-memory cursor: running out of buffered bytes
-/// mid-message surfaces as `UnexpectedEof`, which here means "incomplete",
-/// not "error". A body cut short says how many bytes it lacks, so the
-/// request cannot end before the buffer holds them; anywhere else, one
-/// more byte may end it.
-fn try_parse(inbuf: &[u8], max_body: usize, scratch: &mut Scratch) -> Parsed {
-    let mut cursor = Cursor::new(inbuf);
-    match read_request_pooled(&mut cursor, max_body, scratch) {
-        Ok(request) => Parsed::Complete(request, cursor.position() as usize),
+/// Try to parse one request out of the accumulated bytes. Running out of
+/// buffered bytes mid-message means "incomplete", not "error". A body cut
+/// short says how many bytes it lacks, so the request cannot end before
+/// the buffer holds them; anywhere else, one more byte may end it.
+fn try_parse(
+    inbuf: &[u8],
+    max_body: usize,
+    scratch: &mut Scratch,
+    chunks: &mut Option<ChunkScan>,
+) -> Parsed {
+    match read_buffered(inbuf, max_body, scratch, chunks) {
+        Ok((request, consumed)) => Parsed::Complete(request, consumed),
         Err(ParseError::Io(e)) => {
             let short = e.get_ref().and_then(|e| e.downcast_ref::<BodyTruncated>());
             Parsed::Incomplete(inbuf.len() + short.map_or(1, |short| short.missing as usize))
@@ -727,17 +732,22 @@ fn fill(conn: &mut Conn, scratch: &mut Scratch) -> Fill {
     if let Err(e) = clarens_faults::check_io(clarens_faults::sites::HTTPD_READ) {
         return Fill::Err(e);
     }
-    let mut chunk = scratch.take();
-    chunk.resize(READ_CHUNK, 0);
+    let chunk = scratch.read_buffer(READ_CHUNK);
     let mut appended = 0usize;
     let outcome = loop {
-        match conn.stream.read(&mut chunk) {
+        match conn.stream.read(chunk) {
             Ok(0) => break Fill::Eof,
             Ok(n) => {
                 // Once the peer has sent half of what its request needs, the
                 // buffer grows straight to that rather than doubling past it.
+                // Inside a chunked body `need` is only the current chunk's
+                // end, so there the buffer doubles.
                 let len = conn.inbuf.len() + n;
-                if len > conn.inbuf.capacity() && (len..=2 * len).contains(&conn.need) {
+                let request_end = conn.chunks.is_none();
+                if request_end
+                    && len > conn.inbuf.capacity()
+                    && (len..=2 * len).contains(&conn.need)
+                {
                     conn.inbuf.reserve_exact(conn.need - conn.inbuf.len());
                 }
                 match &mut conn.tls {
@@ -774,7 +784,6 @@ fn fill(conn: &mut Conn, scratch: &mut Scratch) -> Fill {
             Err(e) => break Fill::Err(e),
         }
     };
-    scratch.recycle(chunk);
     if let Some(tls) = &mut conn.tls {
         let replies = tls.channel.take_output();
         if !replies.is_empty() {
@@ -791,10 +800,11 @@ mod tests {
     #[test]
     fn try_parse_states() {
         let mut scratch = Scratch::new();
-        let need = |wire: &[u8], scratch: &mut Scratch| match try_parse(wire, 1024, scratch) {
-            Parsed::Incomplete(need) => need,
-            _ => panic!("expected an incomplete request"),
-        };
+        let need =
+            |wire: &[u8], scratch: &mut Scratch| match try_parse(wire, 1024, scratch, &mut None) {
+                Parsed::Incomplete(need) => need,
+                _ => panic!("expected an incomplete request"),
+            };
         // Empty and prefix buffers are incomplete, not errors; one more
         // byte may end a head.
         assert_eq!(need(b"", &mut scratch), 1);
@@ -809,7 +819,7 @@ mod tests {
         assert_eq!(need(wire, &mut scratch), wire.len() + 1);
         // A complete request reports exactly the bytes it consumed.
         let wire = b"GET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /b";
-        match try_parse(wire, 1024, &mut scratch) {
+        match try_parse(wire, 1024, &mut scratch, &mut None) {
             Parsed::Complete(request, consumed) => {
                 assert_eq!(request.target, "/a");
                 assert_eq!(&wire[consumed..], b"GET /b");
@@ -818,7 +828,7 @@ mod tests {
         }
         // Garbage is a protocol failure.
         assert!(matches!(
-            try_parse(b"NONSENSE\r\n\r\n", 1024, &mut scratch),
+            try_parse(b"NONSENSE\r\n\r\n", 1024, &mut scratch, &mut None),
             Parsed::Fail(400, _)
         ));
         // An oversized declared body fails fast without needing the bytes.
@@ -826,8 +836,72 @@ mod tests {
             try_parse(
                 b"POST / HTTP/1.1\r\nContent-Length: 99999\r\n\r\n",
                 1024,
-                &mut scratch
+                &mut scratch,
+                &mut None
             ),
+            Parsed::Fail(413, _)
+        ));
+    }
+
+    /// A chunked body arriving piece by piece: each attempt says what it
+    /// needs next, the walk keeps its place between attempts, and the
+    /// body is decoded once it is whole — or refused as soon as its
+    /// framing is wrong.
+    #[test]
+    fn a_chunked_body_is_walked_in_place_and_decoded_once() {
+        let mut scratch = Scratch::new();
+        let wire: &[u8] = b"POST /c HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n\
+            5;ext=1\r\nhello\r\n3\r\n, w\r\n0\r\nx-sum: 8\r\n\r\nGET /next";
+        let head = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+        let hello = head + b"5;ext=1\r\n".len();
+        let mut chunks = None;
+        let mut attempt = |len: usize, chunks: &mut Option<ChunkScan>| {
+            try_parse(&wire[..len], 1024, &mut scratch, chunks)
+        };
+        // Inside the head, one more byte may end it.
+        assert!(matches!(attempt(head - 1, &mut chunks), Parsed::Incomplete(n) if n == head));
+        assert!(chunks.is_none());
+        // Inside a chunk's data: its end.
+        let need = |parsed| match parsed {
+            Parsed::Incomplete(need) => need,
+            _ => panic!("expected an incomplete request"),
+        };
+        assert_eq!(need(attempt(hello + 2, &mut chunks)), hello + 5);
+        assert!(chunks.is_some());
+        // Inside a size line, its terminator, or the trailer: one more.
+        for len in [hello + 6, hello + 9, wire.len() - 13, wire.len() - 10] {
+            assert_eq!(need(attempt(len, &mut chunks)), len + 1, "at {len}");
+        }
+        match attempt(wire.len(), &mut chunks) {
+            Parsed::Complete(request, consumed) => {
+                assert_eq!(request.body, b"hello, w");
+                assert_eq!(&wire[consumed..], b"GET /next");
+            }
+            _ => panic!("expected a complete request"),
+        }
+        assert!(chunks.is_none());
+
+        // Bad framing fails at once, as the decoder reports it.
+        let bad = b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n2\r\nabX";
+        let mut chunks = None;
+        let short = &bad[..bad.len() - 2];
+        assert!(matches!(
+            try_parse(short, 1024, &mut scratch, &mut chunks),
+            Parsed::Incomplete(_)
+        ));
+        assert!(matches!(
+            try_parse(
+                &[bad.as_slice(), b"\r\n"].concat(),
+                1024,
+                &mut scratch,
+                &mut chunks
+            ),
+            Parsed::Fail(400, _)
+        ));
+        let big = b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n10\r\n0123456789abcdef\r\n800\r\n";
+        let mut chunks = None;
+        assert!(matches!(
+            try_parse(big, 1024, &mut scratch, &mut chunks),
             Parsed::Fail(413, _)
         ));
     }

@@ -96,28 +96,67 @@ fn read_line_into<'a, R: BufRead>(
 /// size. Allocates working buffers fresh; the server's workers parse with
 /// their own [`Scratch`] arena instead.
 pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Request, ParseError> {
-    read_request_pooled(reader, max_body, &mut Scratch::new())
+    let mut line_buf = Vec::new();
+    let mut request = read_head_with(reader, &mut line_buf)?;
+    request.body = read_body_with(
+        reader,
+        &request.headers,
+        max_body,
+        &mut line_buf,
+        Vec::new(),
+    )?;
+    Ok(request)
 }
 
-/// Parse a request drawing the line and body buffers from a per-worker
-/// [`Scratch`] arena, so steady-state keep-alive parsing allocates nothing
-/// beyond the owned header/target strings.
-pub(crate) fn read_request_pooled<R: BufRead>(
-    reader: &mut R,
+/// Parse the request at the start of `buf`, the bytes a connection has
+/// buffered, returning it with the bytes it took. Bytes that end before
+/// the request does are a [`BodyTruncated`] error that says how many more
+/// it needs at least (one, where any byte may end it).
+///
+/// A `chunked` body is not decoded until it is whole: `chunks` carries a
+/// [`ChunkScan`] of its framing across calls, so each call walks only the
+/// framing of bytes that are new, copies nothing, and the body is decoded
+/// once, by the same decoder [`read_request`] runs.
+pub(crate) fn read_buffered(
+    buf: &[u8],
     max_body: usize,
     scratch: &mut Scratch,
-) -> Result<Request, ParseError> {
+    chunks: &mut Option<ChunkScan>,
+) -> Result<(Request, usize), ParseError> {
+    let short = |need: usize| ParseError::Io(truncated((need - buf.len()) as u64));
+    // The body size a finished walk found, to decode into a buffer that
+    // size.
+    let mut walked = None;
+    if let Some(scan) = chunks {
+        if let Some(need) = scan.walk(buf, max_body) {
+            return Err(short(need));
+        }
+        walked = chunks.take().map(|scan| scan.decoded);
+    }
+    let mut cursor = io::Cursor::new(buf);
     let mut line_buf = scratch.take();
-    let result = read_request_with(reader, max_body, &mut line_buf, scratch);
+    let result = read_head_with(&mut cursor, &mut line_buf).and_then(|mut request| {
+        if walked.is_none() && is_chunked(&request.headers) {
+            let mut scan = ChunkScan::at(cursor.position() as usize);
+            if let Some(need) = scan.walk(buf, max_body) {
+                *chunks = Some(scan);
+                return Err(short(need));
+            }
+        }
+        let mut body = scratch.take();
+        body.reserve_exact(walked.unwrap_or(0));
+        request.body =
+            read_body_with(&mut cursor, &request.headers, max_body, &mut line_buf, body)?;
+        Ok(request)
+    });
     scratch.recycle(line_buf);
-    result
+    result.map(|request| (request, cursor.position() as usize))
 }
 
-fn read_request_with<R: BufRead>(
+/// The request line and headers; the body is left empty.
+fn read_head_with<R: BufRead>(
     reader: &mut R,
-    max_body: usize,
     line_buf: &mut Vec<u8>,
-    scratch: &mut Scratch,
 ) -> Result<Request, ParseError> {
     let (method, target, minor_version) = {
         let request_line = read_line_into(reader, MAX_REQUEST_LINE, line_buf)?;
@@ -144,16 +183,12 @@ fn read_request_with<R: BufRead>(
         }
         (method, target.to_owned(), minor_version)
     };
-
-    let headers = read_headers_with(reader, line_buf)?;
-    let body = read_body_with(reader, &headers, max_body, line_buf, scratch.take())?;
-
     Ok(Request {
         method,
         target,
         minor_version,
-        headers,
-        body,
+        headers: read_headers_with(reader, line_buf)?,
+        body: Vec::new(),
     })
 }
 
@@ -212,10 +247,10 @@ fn read_body_with<R: BufRead>(
     mut body: Vec<u8>,
 ) -> Result<Vec<u8>, ParseError> {
     debug_assert!(body.is_empty());
+    if is_chunked(headers) {
+        return read_chunked_with(reader, max_body, line_buf, body);
+    }
     if let Some(te) = headers.get("transfer-encoding") {
-        if te.to_ascii_lowercase().contains("chunked") {
-            return read_chunked_with(reader, max_body, line_buf, body);
-        }
         return Err(ParseError::Protocol(
             501,
             format!("transfer-encoding {te:?}"),
@@ -237,6 +272,22 @@ fn read_body_with<R: BufRead>(
     }
 }
 
+fn is_chunked(headers: &Headers) -> bool {
+    headers
+        .get("transfer-encoding")
+        .is_some_and(|te| te.to_ascii_lowercase().contains("chunked"))
+}
+
+/// Longest chunk-size line (extensions included).
+const CHUNK_SIZE_LINE: usize = 64;
+/// Longest line after a chunk's data (which must be empty).
+const CHUNK_END_LINE: usize = 8;
+
+/// A chunk-size line's size. Chunk extensions after `;` are ignored.
+fn chunk_size(line: &str) -> Option<usize> {
+    usize::from_str_radix(line.split(';').next().unwrap_or("").trim(), 16).ok()
+}
+
 fn read_chunked_with<R: BufRead>(
     reader: &mut R,
     max_body: usize,
@@ -245,19 +296,18 @@ fn read_chunked_with<R: BufRead>(
 ) -> Result<Vec<u8>, ParseError> {
     loop {
         let size = {
-            let size_line = read_line_into(reader, 64, line_buf).map_err(|e| match e {
-                ParseError::Eof => ParseError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF in chunk size",
-                )),
-                other => other,
-            })?;
-            // Chunk extensions after ';' are ignored.
-            let size_text = size_line.split(';').next().unwrap_or("").trim();
-            usize::from_str_radix(size_text, 16)
-                .map_err(|_| ParseError::Protocol(400, format!("bad chunk size {size_line:?}")))?
+            let size_line =
+                read_line_into(reader, CHUNK_SIZE_LINE, line_buf).map_err(|e| match e {
+                    ParseError::Eof => ParseError::Io(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "EOF in chunk size",
+                    )),
+                    other => other,
+                })?;
+            chunk_size(size_line)
+                .ok_or_else(|| ParseError::Protocol(400, format!("bad chunk size {size_line:?}")))?
         };
-        if body.len() + size > max_body {
+        if body.len().saturating_add(size) > max_body {
             return Err(ParseError::Protocol(413, "chunked body too large".into()));
         }
         if size == 0 {
@@ -271,9 +321,107 @@ fn read_chunked_with<R: BufRead>(
         }
         read_exactly(reader, size, &mut body)?;
         // Chunk data is followed by CRLF.
-        let blank = read_line_into(reader, 8, line_buf)?;
+        let blank = read_line_into(reader, CHUNK_END_LINE, line_buf)?;
         if !blank.is_empty() {
             return Err(ParseError::Protocol(400, "missing chunk terminator".into()));
+        }
+    }
+}
+
+/// How far a walk over a `chunked` body's framing has got: the offset of
+/// the next line to read — a chunk-size line, or a trailer line once the
+/// last chunk is in — and the body bytes of the chunks before it. The walk
+/// reads lines as [`read_chunked_with`] does and steps over chunk data by
+/// its declared size, so it copies nothing.
+#[derive(Debug)]
+pub(crate) struct ChunkScan {
+    next: usize,
+    decoded: usize,
+    trailer: bool,
+}
+
+/// What the line at some offset of a buffer is, as `read_line_into` with
+/// the same limit would find it.
+enum Line<'a> {
+    /// Terminated: the line, without its terminator, and the offset after it.
+    Whole(&'a [u8], usize),
+    /// Unterminated, and short enough that more bytes may end it.
+    Partial,
+    /// Too long, whatever follows.
+    TooLong,
+}
+
+fn line_at(buf: &[u8], at: usize, limit: usize) -> Line<'_> {
+    let window = &buf[at..buf.len().min(at + limit + 2)];
+    match window.iter().position(|&b| b == b'\n') {
+        Some(end) => {
+            let line = &window[..end];
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            match line.len() > limit {
+                true => Line::TooLong,
+                false => Line::Whole(line, at + end + 1),
+            }
+        }
+        None if window.len() > limit => Line::TooLong,
+        None => Line::Partial,
+    }
+}
+
+impl ChunkScan {
+    /// A walk from the first chunk-size line, at `body_start`.
+    fn at(body_start: usize) -> ChunkScan {
+        ChunkScan {
+            next: body_start,
+            decoded: 0,
+            trailer: false,
+        }
+    }
+
+    /// Walk on over `buf`, which holds every byte the last walk saw and
+    /// maybe more. `Some(need)`: the body cannot be whole before `buf`
+    /// holds `need` bytes, and the next walk starts where this one
+    /// stopped. `None`: the body and its trailer are whole, or its framing
+    /// is already wrong — the decoder is to run and say which.
+    fn walk(&mut self, buf: &[u8], max_body: usize) -> Option<usize> {
+        loop {
+            let limit = match self.trailer {
+                true => MAX_HEADER_BYTES,
+                false => CHUNK_SIZE_LINE,
+            };
+            let (line, after) = match line_at(buf, self.next, limit) {
+                Line::Whole(line, after) => (std::str::from_utf8(line).ok()?, after),
+                Line::Partial => return Some(buf.len() + 1),
+                Line::TooLong => return None,
+            };
+            if self.trailer {
+                if line.is_empty() {
+                    return None;
+                }
+                self.next = after;
+                continue;
+            }
+            let size = chunk_size(line)?;
+            if self.decoded.saturating_add(size) > max_body {
+                return None;
+            }
+            if size == 0 {
+                (self.next, self.trailer) = (after, true);
+                continue;
+            }
+            // The data, then an empty line; until both are in, the walk
+            // resumes at this chunk's size line.
+            let data_end = after + size;
+            if buf.len() < data_end {
+                return Some(data_end);
+            }
+            match line_at(buf, data_end, CHUNK_END_LINE) {
+                Line::Whole(b"", after) => {
+                    self.decoded += size;
+                    self.next = after;
+                }
+                Line::Partial => return Some(buf.len() + 1),
+                Line::Whole(..) | Line::TooLong => return None,
+            }
         }
     }
 }

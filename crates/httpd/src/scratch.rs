@@ -34,6 +34,8 @@ pub const MAX_POOL_BUFFERS: usize = 8;
 #[derive(Debug, Default)]
 pub struct Scratch {
     pool: Vec<Vec<u8>>,
+    /// The socket read buffer, zeroed once when first asked for.
+    read: Vec<u8>,
     takes: u64,
     reuses: u64,
 }
@@ -68,6 +70,16 @@ impl Scratch {
             return;
         }
         self.pool.push(buf);
+    }
+
+    /// A `len`-byte buffer for socket reads, the same one every time: it
+    /// is zeroed when it is first made (or grown), never again — a read
+    /// overwrites what it returns, and nothing reads past that.
+    pub(crate) fn read_buffer(&mut self, len: usize) -> &mut [u8] {
+        if self.read.len() < len {
+            self.read.resize(len, 0);
+        }
+        &mut self.read[..len]
     }
 
     /// Total `take` calls (allocation or reuse).

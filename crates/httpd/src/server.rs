@@ -692,6 +692,7 @@ fn open(
         stream,
         inbuf: Vec::new(),
         need: 1,
+        chunks: None,
         served: 0,
         id,
         registered: false,

@@ -1,5 +1,7 @@
-//! Split delivery ≡ whole delivery: a pipelined pair of requests cut at
-//! any byte offset is answered exactly as the uncut pair is, in plaintext
+//! Split delivery ≡ whole delivery: pipelined requests — one with a
+//! `content-length` body, one with a `chunked` body (a chunk extension and
+//! a trailer included), one without a body — cut at any byte offset are
+//! answered exactly as the uncut requests are, in plaintext
 //! and inside the secure channel (where the cut falls in the sealed
 //! bytes). This pins the connection's parking invariant (`conn.rs`): a
 //! connection parks only while it holds no complete request and at most a
@@ -20,7 +22,11 @@ use clarens_httpd::{serve_pipe, PeerInfo, Request, Response, ServerConfig, Strea
 use common::{send, Wire, BOTH_MODES};
 
 const PAIR: &[u8] = b"POST /a HTTP/1.1\r\nhost: h\r\ncontent-length: 5\r\n\r\nhello\
+                      POST /c HTTP/1.1\r\nhost: h\r\ntransfer-encoding: chunked\r\n\r\n\
+                      4;name=value\r\nchun\r\n3\r\nked\r\n0\r\nx-trailer: t\r\n\r\n\
                       GET /b?q=1 HTTP/1.1\r\nhost: h\r\n\r\n";
+/// Requests in [`PAIR`].
+const REQUESTS: usize = 3;
 
 /// The client end, shared with the test, with writes diverted into `held`
 /// while it is `Some`: how the sealed bytes of a request pair are taken,
@@ -56,7 +62,7 @@ impl Write for Tap {
 type Answer = (u16, Vec<(String, String)>, Vec<u8>, bool);
 
 fn answers(reader: &mut BufReader<Box<dyn Wire>>) -> Vec<Answer> {
-    (0..2)
+    (0..REQUESTS)
         .map(|_| {
             let response = read_response(reader, usize::MAX).expect("a whole response");
             let headers = response.headers.iter().filter(|(name, _)| *name != "date");
@@ -80,7 +86,8 @@ fn a_pipelined_pair_cut_anywhere_is_answered_as_if_whole() {
             answers(&mut reader)
         };
         assert_eq!(whole[0].2, b"/a hello", "{mode:?}");
-        assert_eq!(whole[1].2, b"/b?q=1 ", "{mode:?}");
+        assert_eq!(whole[1].2, b"/c chunked", "{mode:?}");
+        assert_eq!(whole[2].2, b"/b?q=1 ", "{mode:?}");
 
         // One connection: each round seals (under TLS) the pair afresh,
         // puts the bytes before the cut on the wire, lets the server run
