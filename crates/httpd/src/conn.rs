@@ -5,9 +5,11 @@
 //! the secure channel's server end on a TLS server, budget slot — that
 //! shuttles between a worker (while there is CPU work to do) and the
 //! poller (while waiting for bytes). `drive` is the one loop over it,
-//! for a worker and a pipe alike: parse once enough is buffered, serve
-//! complete requests, read more without blocking, and park the moment
-//! the stream runs dry.
+//! for a worker and a pipe alike: scan what is buffered, serve complete
+//! requests, read more without blocking, and park the moment the stream
+//! runs dry. The connection keeps the scan of the request at the front of
+//! its buffer (`parse::Scan`), so each read scans only the bytes that are
+//! new, and a request arriving in pieces costs what it costs whole.
 //!
 //! On a TLS connection the [`SecureChannel`] sits between the socket and
 //! the parse buffer: `fill` feeds it what the socket had and it appends
@@ -42,15 +44,14 @@ use clarens_pki::SecureChannel;
 use clarens_telemetry::{HttpCounters, Phase};
 
 use crate::parse::{
-    encode_head, read_buffered, truncated, write_response_with, BodyTruncated, ChunkScan,
-    ParseError, COPY_BUFFER, DEFAULT_MAX_BODY,
+    encode_head, truncated, write_response_with, Scan, Scanned, COPY_BUFFER, DEFAULT_MAX_BODY,
 };
 use crate::scratch::Scratch;
 use crate::server::{
     classify_io_error, BudgetGuard, Handler, InFlightGuard, PeerInfo, RequestContext, Serve,
 };
 use crate::stream::Stream;
-use crate::types::{Body, Method, Response};
+use crate::types::{Body, Method, Request, Response};
 
 /// Bytes pulled off the socket per `read` call while filling.
 const READ_CHUNK: usize = 16 * 1024;
@@ -78,13 +79,9 @@ pub(crate) struct Conn {
     /// Bytes read but not yet consumed by the parser (at most a strict
     /// prefix of one request whenever the connection parks).
     pub(crate) inbuf: Vec<u8>,
-    /// How many bytes `inbuf` must hold before a parse can complete (the
-    /// last attempt's verdict), so a body arriving in pieces is parsed once
-    /// it is whole, not once per piece.
-    pub(crate) need: usize,
-    /// How far the framing of a `chunked` body still arriving has been
-    /// walked, so each read walks only the bytes that are new.
-    pub(crate) chunks: Option<ChunkScan>,
+    /// How far the scan of the request at the front of `inbuf` has got,
+    /// so each read scans only the bytes that are new.
+    pub(crate) scan: Scan,
     /// Requests served on this connection (drives `keepalive_reuse`).
     pub(crate) served: u64,
     /// Poller token; unique per connection for the server's lifetime.
@@ -125,16 +122,6 @@ impl Conn {
         let guards = std::mem::take(guards);
         self.pending_write = Some(WriteState::staged(batch, guards, keep_alive));
     }
-}
-
-enum Parsed {
-    /// A full request plus the number of input bytes it consumed.
-    Complete(crate::types::Request, usize),
-    /// The buffer holds a strict prefix of a request, which cannot end
-    /// before the buffer holds this many bytes.
-    Incomplete(usize),
-    /// Protocol violation: answer with this status and close.
-    Fail(u16, String),
 }
 
 enum Fill {
@@ -538,15 +525,13 @@ pub(crate) fn drive<H: Handler + ?Sized>(
         }
         let mut trace = telemetry.begin_request();
         let reuses_before = scratch.reuses();
-        let attempt = match conn.inbuf.len() < conn.need {
-            true => Parsed::Incomplete(conn.need),
-            false => trace.span(Phase::Parse, || {
-                try_parse(&conn.inbuf, DEFAULT_MAX_BODY, scratch, &mut conn.chunks)
-            }),
-        };
-        match attempt {
-            Parsed::Incomplete(need) => {
-                conn.need = need;
+        let scanned = trace.span(Phase::Parse, || {
+            conn.scan
+                .scan::<Request>(&conn.inbuf, DEFAULT_MAX_BODY, scratch)
+        });
+        match scanned {
+            Scanned::Need(need) => {
+                debug_assert!(need > conn.inbuf.len(), "a strict prefix");
                 // Not a request yet: the pipeline (if any) has run dry, so
                 // the staged responses must leave before this connection
                 // waits on its peer — which is almost certainly blocked on
@@ -590,7 +575,7 @@ pub(crate) fn drive<H: Handler + ?Sized>(
                     }
                 }
             }
-            Parsed::Fail(status, message) => {
+            Scanned::Fail(status, message) => {
                 trace.status = status;
                 telemetry.finish_request(&trace, (serve.now_fn)());
                 // The error leaves behind any earlier pipelined responses,
@@ -600,9 +585,8 @@ pub(crate) fn drive<H: Handler + ?Sized>(
                 conn.send_staged(&mut outq, &mut guards, false, scratch);
                 continue;
             }
-            Parsed::Complete(request, consumed) => {
+            Scanned::Complete(request, consumed) => {
                 conn.inbuf.drain(..consumed);
-                conn.need = 1;
                 // Parsed and about to be handled: in flight until the
                 // response write finishes (shutdown drains these) — the
                 // guard rides inside the write state across parks.
@@ -704,27 +688,6 @@ pub(crate) fn drive<H: Handler + ?Sized>(
     }
 }
 
-/// Try to parse one request out of the accumulated bytes. Running out of
-/// buffered bytes mid-message means "incomplete", not "error". A body cut
-/// short says how many bytes it lacks, so the request cannot end before
-/// the buffer holds them; anywhere else, one more byte may end it.
-fn try_parse(
-    inbuf: &[u8],
-    max_body: usize,
-    scratch: &mut Scratch,
-    chunks: &mut Option<ChunkScan>,
-) -> Parsed {
-    match read_buffered(inbuf, max_body, scratch, chunks) {
-        Ok((request, consumed)) => Parsed::Complete(request, consumed),
-        Err(ParseError::Io(e)) => {
-            let short = e.get_ref().and_then(|e| e.downcast_ref::<BodyTruncated>());
-            Parsed::Incomplete(inbuf.len() + short.map_or(1, |short| short.missing as usize))
-        }
-        Err(ParseError::Eof) => Parsed::Incomplete(inbuf.len() + 1),
-        Err(ParseError::Protocol(status, message)) => Parsed::Fail(status, message),
-    }
-}
-
 /// Pull whatever the socket has without blocking — through the secure
 /// channel on a TLS connection, whose handshake replies are left in
 /// `pending_write` for the caller's next turn of the loop.
@@ -738,17 +701,14 @@ fn fill(conn: &mut Conn, scratch: &mut Scratch) -> Fill {
         match conn.stream.read(chunk) {
             Ok(0) => break Fill::Eof,
             Ok(n) => {
-                // Once the peer has sent half of what its request needs, the
-                // buffer grows straight to that rather than doubling past it.
-                // Inside a chunked body `need` is only the current chunk's
+                // Once the peer has sent half of a `Content-Length`
+                // request, the buffer grows straight to its end rather than
+                // doubling past it. A head or a chunked body has no known
                 // end, so there the buffer doubles.
                 let len = conn.inbuf.len() + n;
-                let request_end = conn.chunks.is_none();
-                if request_end
-                    && len > conn.inbuf.capacity()
-                    && (len..=2 * len).contains(&conn.need)
-                {
-                    conn.inbuf.reserve_exact(conn.need - conn.inbuf.len());
+                let end = conn.scan.body_end().unwrap_or(0);
+                if len > conn.inbuf.capacity() && (len..=2 * len).contains(&end) {
+                    conn.inbuf.reserve_exact(end - conn.inbuf.len());
                 }
                 match &mut conn.tls {
                     None => conn.inbuf.extend_from_slice(&chunk[..n]),
@@ -797,14 +757,18 @@ fn fill(conn: &mut Conn, scratch: &mut Scratch) -> Fill {
 mod tests {
     use super::*;
 
+    /// One scan of `wire` from its first byte, as `drive` starts one.
+    fn scan(wire: &[u8], scratch: &mut Scratch) -> Scanned<Request> {
+        Scan::default().scan(wire, 1024, scratch)
+    }
+
     #[test]
     fn try_parse_states() {
         let mut scratch = Scratch::new();
-        let need =
-            |wire: &[u8], scratch: &mut Scratch| match try_parse(wire, 1024, scratch, &mut None) {
-                Parsed::Incomplete(need) => need,
-                _ => panic!("expected an incomplete request"),
-            };
+        let need = |wire: &[u8], scratch: &mut Scratch| match scan(wire, scratch) {
+            Scanned::Need(need) => need,
+            _ => panic!("expected an incomplete request"),
+        };
         // Empty and prefix buffers are incomplete, not errors; one more
         // byte may end a head.
         assert_eq!(need(b"", &mut scratch), 1);
@@ -819,8 +783,8 @@ mod tests {
         assert_eq!(need(wire, &mut scratch), wire.len() + 1);
         // A complete request reports exactly the bytes it consumed.
         let wire = b"GET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /b";
-        match try_parse(wire, 1024, &mut scratch, &mut None) {
-            Parsed::Complete(request, consumed) => {
+        match scan(wire, &mut scratch) {
+            Scanned::Complete(request, consumed) => {
                 assert_eq!(request.target, "/a");
                 assert_eq!(&wire[consumed..], b"GET /b");
             }
@@ -828,18 +792,16 @@ mod tests {
         }
         // Garbage is a protocol failure.
         assert!(matches!(
-            try_parse(b"NONSENSE\r\n\r\n", 1024, &mut scratch, &mut None),
-            Parsed::Fail(400, _)
+            scan(b"NONSENSE\r\n\r\n", &mut scratch),
+            Scanned::Fail(400, _)
         ));
         // An oversized declared body fails fast without needing the bytes.
         assert!(matches!(
-            try_parse(
+            scan(
                 b"POST / HTTP/1.1\r\nContent-Length: 99999\r\n\r\n",
-                1024,
-                &mut scratch,
-                &mut None
+                &mut scratch
             ),
-            Parsed::Fail(413, _)
+            Scanned::Fail(413, _)
         ));
     }
 
@@ -854,55 +816,41 @@ mod tests {
             5;ext=1\r\nhello\r\n3\r\n, w\r\n0\r\nx-sum: 8\r\n\r\nGET /next";
         let head = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
         let hello = head + b"5;ext=1\r\n".len();
-        let mut chunks = None;
-        let mut attempt = |len: usize, chunks: &mut Option<ChunkScan>| {
-            try_parse(&wire[..len], 1024, &mut scratch, chunks)
-        };
-        // Inside the head, one more byte may end it.
-        assert!(matches!(attempt(head - 1, &mut chunks), Parsed::Incomplete(n) if n == head));
-        assert!(chunks.is_none());
-        // Inside a chunk's data: its end.
-        let need = |parsed| match parsed {
-            Parsed::Incomplete(need) => need,
+        let mut state = Scan::default();
+        let mut attempt = |len: usize| state.scan(&wire[..len], 1024, &mut scratch);
+        let need = |scanned: Scanned<Request>| match scanned {
+            Scanned::Need(need) => need,
             _ => panic!("expected an incomplete request"),
         };
-        assert_eq!(need(attempt(hello + 2, &mut chunks)), hello + 5);
-        assert!(chunks.is_some());
+        // Inside the head, one more byte may end it.
+        assert_eq!(need(attempt(head - 1)), head);
+        // Inside a chunk's data: its end.
+        assert_eq!(need(attempt(hello + 2)), hello + 5);
         // Inside a size line, its terminator, or the trailer: one more.
         for len in [hello + 6, hello + 9, wire.len() - 13, wire.len() - 10] {
-            assert_eq!(need(attempt(len, &mut chunks)), len + 1, "at {len}");
+            assert_eq!(need(attempt(len)), len + 1, "at {len}");
         }
-        match attempt(wire.len(), &mut chunks) {
-            Parsed::Complete(request, consumed) => {
+        match attempt(wire.len()) {
+            Scanned::Complete(request, consumed) => {
                 assert_eq!(request.body, b"hello, w");
                 assert_eq!(&wire[consumed..], b"GET /next");
             }
             _ => panic!("expected a complete request"),
         }
-        assert!(chunks.is_none());
 
-        // Bad framing fails at once, as the decoder reports it.
+        // Bad framing fails at once.
         let bad = b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n2\r\nabX";
-        let mut chunks = None;
+        let mut state = Scan::default();
         let short = &bad[..bad.len() - 2];
         assert!(matches!(
-            try_parse(short, 1024, &mut scratch, &mut chunks),
-            Parsed::Incomplete(_)
+            state.scan::<Request>(short, 1024, &mut scratch),
+            Scanned::Need(_)
         ));
         assert!(matches!(
-            try_parse(
-                &[bad.as_slice(), b"\r\n"].concat(),
-                1024,
-                &mut scratch,
-                &mut chunks
-            ),
-            Parsed::Fail(400, _)
+            state.scan::<Request>(&[bad.as_slice(), b"\r\n"].concat(), 1024, &mut scratch),
+            Scanned::Fail(400, _)
         ));
         let big = b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n10\r\n0123456789abcdef\r\n800\r\n";
-        let mut chunks = None;
-        assert!(matches!(
-            try_parse(big, 1024, &mut scratch, &mut chunks),
-            Parsed::Fail(413, _)
-        ));
+        assert!(matches!(scan(big, &mut scratch), Scanned::Fail(413, _)));
     }
 }

@@ -15,11 +15,21 @@ use crate::parse::read_request;
 /// the harness itself allocate gigabytes.
 const FUZZ_MAX_BODY: usize = 1 << 20;
 
-/// Feed one connection's worth of bytes to the request parser. Anything it
-/// accepts must expose self-consistent accessors (path/query never panic).
+/// Feed one connection's worth of bytes to the request parser, twice:
+/// whole, and through a reader that hands the scanner at most `k` bytes at
+/// a time (`k` from the first byte), as a server's connection receives
+/// them. Both must read the same; anything accepted must expose
+/// self-consistent accessors (path/query never panic).
 pub fn http_request(data: &[u8]) {
-    let mut reader = BufReader::new(data);
-    if let Ok(request) = read_request(&mut reader, FUZZ_MAX_BODY) {
+    let k = data.first().map_or(1, |&b| usize::from(b % 32) + 1);
+    let pieces = read_request(&mut BufReader::with_capacity(k, data), FUZZ_MAX_BODY);
+    let whole = read_request(&mut &data[..], FUZZ_MAX_BODY);
+    assert_eq!(
+        format!("{whole:?}"),
+        format!("{pieces:?}"),
+        "read {k} bytes at a time"
+    );
+    if let Ok(request) = whole {
         // Exercise the derived accessors on accepted requests.
         let _ = request.path();
         let _ = request.query();
@@ -42,5 +52,6 @@ mod tests {
         http_request(b"");
         http_request(&[0xff; 128]);
         http_request(b"POST / HTTP/1.1\r\nContent-Length: 99999999999999999999\r\n\r\n");
+        http_request(b"POST /a HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2;x\r\nab\r\n0\r\n\r\nGET /b HTTP/1.0\n\n");
     }
 }

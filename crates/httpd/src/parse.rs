@@ -3,8 +3,16 @@
 //! Implements the subset of RFC 7230 the Clarens stack needs: request and
 //! status lines, header fields, `Content-Length` and `chunked` bodies, with
 //! hard limits so a hostile peer cannot exhaust memory.
+//!
+//! One scanner reads every message: a `Scan` finds a message's lines in
+//! place in a byte slice, learns its framing from the head, and says
+//! `Complete(message, consumed)`, `Need(n)` or `Fail(status, reason)`. It
+//! keeps its place between calls, so a message arriving in pieces is
+//! scanned once, in linear time. The server's connections run it over their
+//! input buffers (`conn::drive`); [`read_request`] and [`read_response`]
+//! are one `BufRead` loop over it.
 
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, Write};
 use std::os::unix::fs::FileExt;
 
 use crate::scratch::Scratch;
@@ -51,181 +59,327 @@ impl From<io::Error> for ParseError {
     }
 }
 
-/// Read one CRLF- (or LF-) terminated line without the terminator.
-///
-/// Scans the reader's internal buffer via `read_until` rather than pulling
-/// one byte at a time — line reading is on the per-request hot path, and a
-/// byte-at-a-time loop pays a dispatched `read` call per header byte. The
-/// `take` bound keeps an unterminated line from buffering more than
-/// `limit` bytes (+2 allows the CRLF terminator on a maximal line).
-fn read_line_into<'a, R: BufRead>(
-    reader: &mut R,
-    limit: usize,
-    line: &'a mut Vec<u8>,
-) -> Result<&'a str, ParseError> {
-    line.clear();
-    let n = reader
-        .by_ref()
-        .take(limit as u64 + 2)
-        .read_until(b'\n', line)?;
-    if n == 0 {
-        return Err(ParseError::Eof);
-    }
-    if line.last() != Some(&b'\n') {
-        // No terminator: either the bound was hit (oversized line) or the
-        // stream ended mid-line.
-        if line.len() > limit {
-            return Err(ParseError::Protocol(431, "line too long".into()));
-        }
-        return Err(ParseError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "EOF mid-line",
-        )));
-    }
-    line.pop();
-    if line.last() == Some(&b'\r') {
-        line.pop();
-    }
-    if line.len() > limit {
-        return Err(ParseError::Protocol(431, "line too long".into()));
-    }
-    std::str::from_utf8(line).map_err(|_| ParseError::Protocol(400, "non-UTF-8 header line".into()))
+/// What a scan of the bytes buffered so far found.
+pub(crate) enum Scanned<M> {
+    /// A whole message, and the bytes it took.
+    Complete(M, usize),
+    /// A strict prefix of a message, which cannot end before the buffer
+    /// holds this many bytes.
+    Need(usize),
+    /// A protocol violation: answer with this status and close.
+    Fail(u16, String),
 }
 
-/// Parse a request from a buffered reader. `max_body` bounds decoded body
-/// size. Allocates working buffers fresh; the server's workers parse with
-/// their own [`Scratch`] arena instead.
-pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Request, ParseError> {
-    let mut line_buf = Vec::new();
-    let mut request = read_head_with(reader, &mut line_buf)?;
-    request.body = read_body_with(
-        reader,
-        &request.headers,
-        max_body,
-        &mut line_buf,
-        Vec::new(),
-    )?;
-    Ok(request)
+/// Why a message is refused: the status to answer with, and the reason.
+type Refusal = (u16, String);
+
+/// A message the scanner reads: a request on the server, a response on a
+/// client.
+pub(crate) trait Message: Sized {
+    /// The status that refuses a malformed `Content-Length` or chunk size,
+    /// or a `chunked` that is not the last transfer coding.
+    const BAD_FRAMING: u16;
+    /// What a start line says, borrowed from it.
+    type Start<'a>;
+    /// Parse a start line, allocating nothing.
+    fn start(line: &str) -> Result<Self::Start<'_>, Refusal>;
+    /// The message of a start line, its headers and its body.
+    fn build(start: Self::Start<'_>, headers: Headers, body: Vec<u8>) -> Self;
 }
 
-/// Parse the request at the start of `buf`, the bytes a connection has
-/// buffered, returning it with the bytes it took. Bytes that end before
-/// the request does are a [`BodyTruncated`] error that says how many more
-/// it needs at least (one, where any byte may end it).
-///
-/// A `chunked` body is not decoded until it is whole: `chunks` carries a
-/// [`ChunkScan`] of its framing across calls, so each call walks only the
-/// framing of bytes that are new, copies nothing, and the body is decoded
-/// once, by the same decoder [`read_request`] runs.
-pub(crate) fn read_buffered(
-    buf: &[u8],
-    max_body: usize,
-    scratch: &mut Scratch,
-    chunks: &mut Option<ChunkScan>,
-) -> Result<(Request, usize), ParseError> {
-    let short = |need: usize| ParseError::Io(truncated((need - buf.len()) as u64));
-    // The body size a finished walk found, to decode into a buffer that
-    // size.
-    let mut walked = None;
-    if let Some(scan) = chunks {
-        if let Some(need) = scan.walk(buf, max_body) {
-            return Err(short(need));
-        }
-        walked = chunks.take().map(|scan| scan.decoded);
-    }
-    let mut cursor = io::Cursor::new(buf);
-    let mut line_buf = scratch.take();
-    let result = read_head_with(&mut cursor, &mut line_buf).and_then(|mut request| {
-        if walked.is_none() && is_chunked(&request.headers) {
-            let mut scan = ChunkScan::at(cursor.position() as usize);
-            if let Some(need) = scan.walk(buf, max_body) {
-                *chunks = Some(scan);
-                return Err(short(need));
-            }
-        }
-        let mut body = scratch.take();
-        body.reserve_exact(walked.unwrap_or(0));
-        request.body =
-            read_body_with(&mut cursor, &request.headers, max_body, &mut line_buf, body)?;
-        Ok(request)
-    });
-    scratch.recycle(line_buf);
-    result.map(|request| (request, cursor.position() as usize))
-}
+impl Message for Request {
+    const BAD_FRAMING: u16 = 400;
+    /// The method, the target and the minor version.
+    type Start<'a> = (Method, &'a str, u8);
 
-/// The request line and headers; the body is left empty.
-fn read_head_with<R: BufRead>(
-    reader: &mut R,
-    line_buf: &mut Vec<u8>,
-) -> Result<Request, ParseError> {
-    let (method, target, minor_version) = {
-        let request_line = read_line_into(reader, MAX_REQUEST_LINE, line_buf)?;
-        let mut parts = request_line.split(' ');
-        let method_token = parts.next().unwrap_or("");
+    fn start(line: &str) -> Result<(Method, &str, u8), Refusal> {
+        let mut parts = line.split(' ');
+        let method = parts.next().unwrap_or("");
         let target = parts
             .next()
-            .ok_or_else(|| ParseError::Protocol(400, "missing request target".into()))?;
+            .ok_or_else(|| (400, "missing request target".to_owned()))?;
         let version = parts
             .next()
-            .ok_or_else(|| ParseError::Protocol(400, "missing HTTP version".into()))?;
+            .ok_or_else(|| (400, "missing HTTP version".to_owned()))?;
         if parts.next().is_some() {
-            return Err(ParseError::Protocol(400, "malformed request line".into()));
+            return Err((400, "malformed request line".into()));
         }
-        let method = Method::parse(method_token)
-            .ok_or_else(|| ParseError::Protocol(501, format!("method {method_token:?}")))?;
+        let method = Method::parse(method).ok_or_else(|| (501, format!("method {method:?}")))?;
         let minor_version = match version {
             "HTTP/1.1" => 1,
             "HTTP/1.0" => 0,
-            other => return Err(ParseError::Protocol(505, format!("version {other:?}"))),
+            other => return Err((505, format!("version {other:?}"))),
         };
-        if target.len() > MAX_REQUEST_LINE {
-            return Err(ParseError::Protocol(414, "target too long".into()));
+        Ok((method, target, minor_version))
+    }
+
+    fn build(
+        (method, target, minor_version): Self::Start<'_>,
+        headers: Headers,
+        body: Vec<u8>,
+    ) -> Self {
+        let target = target.to_owned();
+        Request {
+            method,
+            target,
+            minor_version,
+            headers,
+            body,
         }
-        (method, target.to_owned(), minor_version)
-    };
-    Ok(Request {
-        method,
-        target,
-        minor_version,
-        headers: read_headers_with(reader, line_buf)?,
-        body: Vec::new(),
-    })
+    }
 }
 
-fn read_headers_with<R: BufRead>(
-    reader: &mut R,
-    line_buf: &mut Vec<u8>,
-) -> Result<Headers, ParseError> {
-    let mut headers = Headers::new();
-    let mut total = 0usize;
-    loop {
-        let line = match read_line_into(reader, MAX_HEADER_BYTES, line_buf) {
-            Ok(l) => l,
-            Err(ParseError::Eof) => {
-                return Err(ParseError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF in headers",
-                )))
-            }
-            Err(e) => return Err(e),
+impl Message for ClientResponse {
+    const BAD_FRAMING: u16 = 502;
+    /// The status, and whether the version is HTTP/1.1.
+    type Start<'a> = (u16, bool);
+
+    fn start(line: &str) -> Result<(u16, bool), Refusal> {
+        let mut parts = line.splitn(3, ' ');
+        let version = parts.next().unwrap_or("");
+        if version != "HTTP/1.1" && version != "HTTP/1.0" {
+            return Err((502, format!("bad status line {line:?}")));
+        }
+        let status = parts
+            .next()
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| (502, format!("bad status in {line:?}")))?;
+        Ok((status, version == "HTTP/1.1"))
+    }
+
+    fn build((status, http11): (u16, bool), headers: Headers, body: Vec<u8>) -> Self {
+        let keep_alive = headers
+            .get("connection")
+            .map(|c| !c.to_ascii_lowercase().contains("close"))
+            .unwrap_or(http11);
+        ClientResponse {
+            status,
+            headers,
+            body,
+            keep_alive,
+        }
+    }
+}
+
+/// A header line's name and its trimmed value.
+fn header(line: &str) -> Result<(&str, &str), Refusal> {
+    let (name, value) = line
+        .split_once(':')
+        .ok_or_else(|| (400, format!("bad header line {line:?}")))?;
+    if name.is_empty() || name.contains(' ') {
+        return Err((400, format!("bad header name {name:?}")));
+    }
+    Ok((name, value.trim()))
+}
+
+/// Longest chunk-size line (extensions included).
+const CHUNK_SIZE_LINE: usize = 64;
+/// Longest line after a chunk's data (which must be empty).
+const CHUNK_END_LINE: usize = 8;
+
+/// A length or chunk size: digits of `radix` and nothing else (`parse`
+/// would also take a leading `+`).
+fn number(text: &str, radix: u32) -> Option<usize> {
+    match text.starts_with('+') {
+        true => None,
+        false => usize::from_str_radix(text, radix).ok(),
+    }
+}
+
+/// What comes next in a message.
+#[derive(Default, Clone, Copy)]
+enum Part {
+    /// The request or status line.
+    #[default]
+    Start,
+    /// A header line, or the blank line that ends the head.
+    Headers,
+    /// A body of this many bytes.
+    Body(usize),
+    /// A chunk-size line; chunk extensions after `;` are ignored.
+    Size,
+    /// A chunk's data, this many bytes.
+    Data(usize),
+    /// The empty line after a chunk's data.
+    DataEnd,
+    /// A trailer line, or the blank line that ends the message.
+    Trailer,
+}
+
+/// How far the scan of one message has got: every line before `next` is
+/// read and checked. It lives as long as the message takes to arrive, so
+/// each call scans only bytes the last one had not: a head in pieces is
+/// scanned once and allocates nothing until it is whole, and a body is
+/// copied out once.
+#[derive(Default)]
+pub(crate) struct Scan {
+    /// Offset of what `part` names.
+    next: usize,
+    part: Part,
+    /// Bytes of header lines so far.
+    header_bytes: usize,
+    /// Body bytes of the chunks before `next`.
+    decoded: usize,
+    /// The buffer cannot hold a whole message before it holds this many
+    /// bytes; no byte before `need - 1` ends the line at `next`.
+    need: usize,
+    /// Once the head is whole: its headers, and where the body starts.
+    head: Option<(Headers, usize)>,
+}
+
+impl Scan {
+    /// Scan on over `buf`, which starts at the message's first byte and
+    /// holds every byte the last call saw. Once the message is whole, the
+    /// scan starts over for the next one. `max_body` bounds the decoded
+    /// body; its buffer comes from `scratch`.
+    pub(crate) fn scan<M: Message>(
+        &mut self,
+        buf: &[u8],
+        max_body: usize,
+        scratch: &mut Scratch,
+    ) -> Scanned<M> {
+        let end = match self.walk::<M>(buf, max_body, None) {
+            Ok(Some(end)) => end,
+            Ok(None) => return Scanned::Need(self.need),
+            Err((status, reason)) => return Scanned::Fail(status, reason),
         };
-        if line.is_empty() {
-            return Ok(headers);
+        let done = std::mem::take(self);
+        let (headers, body_start) = done.head.expect("a whole message has a head");
+        let mut body = scratch.take();
+        if let Part::Body(_) = done.part {
+            body.extend_from_slice(&buf[body_start..end]);
+        } else {
+            // The walk that found the chunks whole decodes them.
+            body.reserve_exact(done.decoded);
+            let mut decode = Scan {
+                next: body_start,
+                part: Part::Size,
+                ..Scan::default()
+            };
+            let decoded = decode.walk::<M>(buf, max_body, Some(&mut body));
+            debug_assert_eq!(decoded, Ok(Some(end)));
         }
-        total += line.len();
-        if total > MAX_HEADER_BYTES {
-            return Err(ParseError::Protocol(431, "header block too large".into()));
+        let start = buf.split(|&b| b == b'\n').next().unwrap_or_default();
+        let start = std::str::from_utf8(start).unwrap_or_default();
+        match M::start(start.strip_suffix('\r').unwrap_or(start)) {
+            Ok(start) => Scanned::Complete(M::build(start, headers, body), end),
+            Err((status, reason)) => Scanned::Fail(status, reason),
         }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| ParseError::Protocol(400, format!("bad header line {line:?}")))?;
-        if name.is_empty() || name.contains(' ') {
-            return Err(ParseError::Protocol(
-                400,
-                format!("bad header name {name:?}"),
-            ));
+    }
+
+    /// Where a body of a known length ends, once the head is whole.
+    pub(crate) fn body_end(&self) -> Option<usize> {
+        matches!(self.part, Part::Body(_)).then_some(self.need)
+    }
+
+    /// Step over whole lines and data from `next`: `Some(end)` once the
+    /// message ends at `end`, `None` while it needs bytes `buf` lacks.
+    /// With `sink`, each chunk's data is appended to it.
+    fn walk<M: Message>(
+        &mut self,
+        buf: &[u8],
+        max_body: usize,
+        mut sink: Option<&mut Vec<u8>>,
+    ) -> Result<Option<usize>, Refusal> {
+        loop {
+            let limit = match self.part {
+                Part::Start => MAX_REQUEST_LINE,
+                Part::Headers | Part::Trailer => MAX_HEADER_BYTES,
+                Part::Size => CHUNK_SIZE_LINE,
+                Part::DataEnd => CHUNK_END_LINE,
+                Part::Body(len) | Part::Data(len) => {
+                    let end = self.next.saturating_add(len);
+                    if buf.len() < end {
+                        self.need = end;
+                        return Ok(None);
+                    }
+                    if let Part::Body(_) = self.part {
+                        return Ok(Some(end));
+                    }
+                    if let Some(body) = sink.as_deref_mut() {
+                        body.extend_from_slice(&buf[self.next..end]);
+                    }
+                    (self.next, self.decoded, self.part) = (end, self.decoded + len, Part::DataEnd);
+                    continue;
+                }
+            };
+            let searched = self.need.saturating_sub(1);
+            let Some((line, after)) = line_at(buf, self.next, searched, limit)? else {
+                self.need = buf.len() + 1;
+                return Ok(None);
+            };
+            self.part = match self.part {
+                Part::Start => {
+                    M::start(line)?;
+                    Part::Headers
+                }
+                Part::Headers if line.is_empty() => {
+                    let (headers, framing) = head(&buf[..after], max_body, M::BAD_FRAMING)?;
+                    self.head = Some((headers, after));
+                    framing
+                }
+                Part::Headers => {
+                    self.header_bytes += line.len();
+                    if self.header_bytes > MAX_HEADER_BYTES {
+                        return Err((431, "header block too large".into()));
+                    }
+                    header(line)?;
+                    Part::Headers
+                }
+                Part::Size => {
+                    let size = line.split_once(';').map_or(line, |(size, _)| size);
+                    let size = number(size.trim(), 16)
+                        .ok_or_else(|| (M::BAD_FRAMING, format!("bad chunk size {line:?}")))?;
+                    if self.decoded.saturating_add(size) > max_body {
+                        return Err((413, "chunked body too large".into()));
+                    }
+                    match size {
+                        0 => Part::Trailer,
+                        size => Part::Data(size),
+                    }
+                }
+                Part::DataEnd if line.is_empty() => Part::Size,
+                Part::DataEnd => return Err((400, "missing chunk terminator".into())),
+                Part::Trailer if line.is_empty() => return Ok(Some(after)),
+                part => part,
+            };
+            self.next = after;
         }
-        let value = value.trim();
+    }
+}
+
+/// The line at `at`: `Some((line, after))` once `buf` holds its end — the
+/// line without its LF or CRLF, and the offset after it — and `None` while
+/// more bytes may end it. Refused once it is longer than `limit`, whatever
+/// follows, or whole and not UTF-8. No byte before `searched` is an LF.
+fn line_at(
+    buf: &[u8],
+    at: usize,
+    searched: usize,
+    limit: usize,
+) -> Result<Option<(&str, usize)>, Refusal> {
+    let window = &buf[at..buf.len().min(at + limit + 2)];
+    let skip = searched.saturating_sub(at).min(window.len());
+    let end = window[skip..].iter().position(|&b| b == b'\n');
+    let line = &window[..end.map_or(window.len(), |end| skip + end)];
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    if line.len() > limit {
+        return Err((431, "line too long".into()));
+    }
+    let Some(end) = end else {
+        return Ok(None);
+    };
+    let line = std::str::from_utf8(line).map_err(|_| (400, "non-UTF-8 header line".to_owned()))?;
+    Ok(Some((line, at + skip + end + 1)))
+}
+
+/// The headers of a whole head, and how its body is framed. Every line of
+/// `head` was checked as the scan reached it.
+fn head(head: &[u8], max_body: usize, bad: u16) -> Result<(Headers, Part), Refusal> {
+    let head = std::str::from_utf8(head).map_err(|_| (400, "non-UTF-8 head".to_owned()))?;
+    let mut headers = Headers::new();
+    for line in head.lines().skip(1).take_while(|line| !line.is_empty()) {
+        let (name, value) = header(line)?;
         // Repeated headers: comma-join per RFC 7230 §3.2.2.
         match headers.get(name) {
             Some(existing) => {
@@ -235,214 +389,64 @@ fn read_headers_with<R: BufRead>(
             None => headers.set(name, value),
         }
     }
+    let framing = framing(&headers, max_body, bad)?;
+    Ok((headers, framing))
 }
 
-/// Read the message body into `body` (an empty, possibly pre-capacitized
-/// recycled buffer) and return it.
-fn read_body_with<R: BufRead>(
-    reader: &mut R,
-    headers: &Headers,
-    max_body: usize,
-    line_buf: &mut Vec<u8>,
-    mut body: Vec<u8>,
-) -> Result<Vec<u8>, ParseError> {
-    debug_assert!(body.is_empty());
-    if is_chunked(headers) {
-        return read_chunked_with(reader, max_body, line_buf, body);
-    }
+/// How a body is framed: `chunked` when it is the last transfer coding
+/// (RFC 7230 §3.3.3), else `Content-Length` (none is an empty body).
+fn framing(headers: &Headers, max_body: usize, bad: u16) -> Result<Part, Refusal> {
     if let Some(te) = headers.get("transfer-encoding") {
-        return Err(ParseError::Protocol(
-            501,
-            format!("transfer-encoding {te:?}"),
-        ));
-    }
-    match headers.get("content-length") {
-        None => Ok(body),
-        Some(text) => {
-            let len: usize = text
-                .trim()
-                .parse()
-                .map_err(|_| ParseError::Protocol(400, format!("bad content-length {text:?}")))?;
-            if len > max_body {
-                return Err(ParseError::Protocol(413, format!("body of {len} bytes")));
+        let chunked = |coding: &str| coding.trim().eq_ignore_ascii_case("chunked");
+        return match te.rsplit(',').next().is_some_and(chunked) {
+            true => Ok(Part::Size),
+            false if te.split(',').any(chunked) => {
+                Err((bad, format!("chunked not last in {te:?}")))
             }
-            read_exactly(reader, len, &mut body)?;
-            Ok(body)
-        }
-    }
-}
-
-fn is_chunked(headers: &Headers) -> bool {
-    headers
-        .get("transfer-encoding")
-        .is_some_and(|te| te.to_ascii_lowercase().contains("chunked"))
-}
-
-/// Longest chunk-size line (extensions included).
-const CHUNK_SIZE_LINE: usize = 64;
-/// Longest line after a chunk's data (which must be empty).
-const CHUNK_END_LINE: usize = 8;
-
-/// A chunk-size line's size. Chunk extensions after `;` are ignored.
-fn chunk_size(line: &str) -> Option<usize> {
-    usize::from_str_radix(line.split(';').next().unwrap_or("").trim(), 16).ok()
-}
-
-fn read_chunked_with<R: BufRead>(
-    reader: &mut R,
-    max_body: usize,
-    line_buf: &mut Vec<u8>,
-    mut body: Vec<u8>,
-) -> Result<Vec<u8>, ParseError> {
-    loop {
-        let size = {
-            let size_line =
-                read_line_into(reader, CHUNK_SIZE_LINE, line_buf).map_err(|e| match e {
-                    ParseError::Eof => ParseError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "EOF in chunk size",
-                    )),
-                    other => other,
-                })?;
-            chunk_size(size_line)
-                .ok_or_else(|| ParseError::Protocol(400, format!("bad chunk size {size_line:?}")))?
+            false => Err((501, format!("transfer-encoding {te:?}"))),
         };
-        if body.len().saturating_add(size) > max_body {
-            return Err(ParseError::Protocol(413, "chunked body too large".into()));
-        }
-        if size == 0 {
-            // Trailer section: read until the blank line.
-            loop {
-                let trailer = read_line_into(reader, MAX_HEADER_BYTES, line_buf)?;
-                if trailer.is_empty() {
-                    return Ok(body);
-                }
-            }
-        }
-        read_exactly(reader, size, &mut body)?;
-        // Chunk data is followed by CRLF.
-        let blank = read_line_into(reader, CHUNK_END_LINE, line_buf)?;
-        if !blank.is_empty() {
-            return Err(ParseError::Protocol(400, "missing chunk terminator".into()));
-        }
     }
-}
-
-/// How far a walk over a `chunked` body's framing has got: the offset of
-/// the next line to read — a chunk-size line, or a trailer line once the
-/// last chunk is in — and the body bytes of the chunks before it. The walk
-/// reads lines as [`read_chunked_with`] does and steps over chunk data by
-/// its declared size, so it copies nothing.
-#[derive(Debug)]
-pub(crate) struct ChunkScan {
-    next: usize,
-    decoded: usize,
-    trailer: bool,
-}
-
-/// What the line at some offset of a buffer is, as `read_line_into` with
-/// the same limit would find it.
-enum Line<'a> {
-    /// Terminated: the line, without its terminator, and the offset after it.
-    Whole(&'a [u8], usize),
-    /// Unterminated, and short enough that more bytes may end it.
-    Partial,
-    /// Too long, whatever follows.
-    TooLong,
-}
-
-fn line_at(buf: &[u8], at: usize, limit: usize) -> Line<'_> {
-    let window = &buf[at..buf.len().min(at + limit + 2)];
-    match window.iter().position(|&b| b == b'\n') {
-        Some(end) => {
-            let line = &window[..end];
-            let line = line.strip_suffix(b"\r").unwrap_or(line);
-            match line.len() > limit {
-                true => Line::TooLong,
-                false => Line::Whole(line, at + end + 1),
-            }
-        }
-        None if window.len() > limit => Line::TooLong,
-        None => Line::Partial,
+    let Some(text) = headers.get("content-length") else {
+        return Ok(Part::Body(0));
+    };
+    let len = number(text, 10).ok_or_else(|| (bad, format!("bad content-length {text:?}")))?;
+    if len > max_body {
+        return Err((413, format!("body of {len} bytes")));
     }
+    Ok(Part::Body(len))
 }
 
-impl ChunkScan {
-    /// A walk from the first chunk-size line, at `body_start`.
-    fn at(body_start: usize) -> ChunkScan {
-        ChunkScan {
-            next: body_start,
-            decoded: 0,
-            trailer: false,
-        }
-    }
-
-    /// Walk on over `buf`, which holds every byte the last walk saw and
-    /// maybe more. `Some(need)`: the body cannot be whole before `buf`
-    /// holds `need` bytes, and the next walk starts where this one
-    /// stopped. `None`: the body and its trailer are whole, or its framing
-    /// is already wrong — the decoder is to run and say which.
-    fn walk(&mut self, buf: &[u8], max_body: usize) -> Option<usize> {
-        loop {
-            let limit = match self.trailer {
-                true => MAX_HEADER_BYTES,
-                false => CHUNK_SIZE_LINE,
-            };
-            let (line, after) = match line_at(buf, self.next, limit) {
-                Line::Whole(line, after) => (std::str::from_utf8(line).ok()?, after),
-                Line::Partial => return Some(buf.len() + 1),
-                Line::TooLong => return None,
-            };
-            if self.trailer {
-                if line.is_empty() {
-                    return None;
-                }
-                self.next = after;
-                continue;
-            }
-            let size = chunk_size(line)?;
-            if self.decoded.saturating_add(size) > max_body {
-                return None;
-            }
-            if size == 0 {
-                (self.next, self.trailer) = (after, true);
-                continue;
-            }
-            // The data, then an empty line; until both are in, the walk
-            // resumes at this chunk's size line.
-            let data_end = after + size;
-            if buf.len() < data_end {
-                return Some(data_end);
-            }
-            match line_at(buf, data_end, CHUNK_END_LINE) {
-                Line::Whole(b"", after) => {
-                    self.decoded += size;
-                    self.next = after;
-                }
-                Line::Partial => return Some(buf.len() + 1),
-                Line::Whole(..) | Line::TooLong => return None,
-            }
-        }
-    }
+/// Parse a request from a buffered reader, taking exactly its bytes.
+/// `max_body` bounds decoded body size.
+pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Request, ParseError> {
+    read_message(reader, max_body)
 }
 
-/// Append the next `len` bytes of `reader` to `body` as it buffers them;
-/// a reader that ends first is a [`BodyTruncated`] error.
-fn read_exactly<R: BufRead>(reader: &mut R, len: usize, body: &mut Vec<u8>) -> io::Result<()> {
-    let end = body.len() + len;
-    while body.len() < end {
+/// Copy what `reader` buffers into one buffer and scan it until a message
+/// is whole, consuming exactly the message's bytes.
+fn read_message<M: Message, R: BufRead>(reader: &mut R, max_body: usize) -> Result<M, ParseError> {
+    let (mut scan, mut held, mut scratch) = (Scan::default(), Vec::new(), Scratch::new());
+    loop {
         let buffered = match reader.fill_buf() {
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             buffered => buffered?,
         };
-        if buffered.is_empty() {
-            return Err(truncated((end - body.len()) as u64));
+        let (taken, fresh) = (held.len(), buffered.len());
+        held.extend_from_slice(buffered);
+        match scan.scan(&held, max_body, &mut scratch) {
+            Scanned::Complete(message, used) => {
+                reader.consume(used - taken);
+                return Ok(message);
+            }
+            Scanned::Fail(status, reason) => return Err(ParseError::Protocol(status, reason)),
+            Scanned::Need(_) if fresh > 0 => reader.consume(fresh),
+            Scanned::Need(_) if taken == 0 => return Err(ParseError::Eof),
+            Scanned::Need(_) => {
+                let cut = io::Error::new(io::ErrorKind::UnexpectedEof, "EOF mid-message");
+                return Err(ParseError::Io(cut));
+            }
         }
-        let n = buffered.len().min(end - body.len());
-        body.extend_from_slice(&buffered[..n]);
-        reader.consume(n);
     }
-    Ok(())
 }
 
 /// Serialize and send a response. `head_only` suppresses the body (HEAD).
@@ -458,13 +462,11 @@ pub fn write_response<W: Write>(
     Ok(body_len)
 }
 
-/// Marker payload inside an `io::Error` for a body that ended before its
-/// advertised `Content-Length`. The framing on the connection is
+/// Marker payload inside an `io::Error` for a response body that ended
+/// before its advertised `Content-Length`. The framing on the connection is
 /// unrecoverable at that point — the next response would land mid-body —
 /// so detectors force `Connection: close` and telemetry counts the event
-/// separately from peer resets. A request body read from a buffer that ends
-/// early carries it too: the server reads `missing` as how many more bytes
-/// the request needs.
+/// separately from peer resets.
 #[derive(Debug)]
 pub struct BodyTruncated {
     /// Bytes promised by `content-length` but never produced.
@@ -483,7 +485,8 @@ impl std::fmt::Display for BodyTruncated {
 
 impl std::error::Error for BodyTruncated {}
 
-/// Build the truncation error for a body that came up `missing` bytes short.
+/// Build the truncation error for a response body that came up `missing`
+/// bytes short.
 pub(crate) fn truncated(missing: u64) -> io::Error {
     io::Error::new(io::ErrorKind::UnexpectedEof, BodyTruncated { missing })
 }
@@ -728,47 +731,94 @@ pub struct ClientResponse {
     pub keep_alive: bool,
 }
 
-/// Parse a response from a buffered reader (client side).
+/// Parse a response from a buffered reader (client side), taking exactly
+/// its bytes.
 pub fn read_response<R: BufRead>(
     reader: &mut R,
     max_body: usize,
 ) -> Result<ClientResponse, ParseError> {
-    let mut line_buf = Vec::with_capacity(64);
-    let status_line = read_line_into(reader, MAX_REQUEST_LINE, &mut line_buf)?;
-    let mut parts = status_line.splitn(3, ' ');
-    let version = parts.next().unwrap_or("");
-    if version != "HTTP/1.1" && version != "HTTP/1.0" {
-        return Err(ParseError::Protocol(
-            502,
-            format!("bad status line {status_line:?}"),
-        ));
-    }
-    let status: u16 = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ParseError::Protocol(502, format!("bad status in {status_line:?}")))?;
-    let http11 = version == "HTTP/1.1";
-    let headers = read_headers_with(reader, &mut line_buf)?;
-    let body = read_body_with(reader, &headers, max_body, &mut line_buf, Vec::new())?;
-    let keep_alive = headers
-        .get("connection")
-        .map(|c| !c.to_ascii_lowercase().contains("close"))
-        .unwrap_or(http11);
-    Ok(ClientResponse {
-        status,
-        headers,
-        body,
-        keep_alive,
-    })
+    read_message(reader, max_body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     fn parse(text: &[u8]) -> Result<Request, ParseError> {
         read_request(&mut BufReader::new(text), DEFAULT_MAX_BODY)
+    }
+
+    fn response(text: &[u8]) -> Result<ClientResponse, ParseError> {
+        read_response(&mut BufReader::new(text), DEFAULT_MAX_BODY)
+    }
+
+    fn status<T: std::fmt::Debug>(parsed: Result<T, ParseError>) -> u16 {
+        match parsed {
+            Err(ParseError::Protocol(status, _)) => status,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_signed_content_length_is_refused() {
+        let request = b"POST / HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc";
+        assert_eq!(status(parse(request)), 400);
+        assert_eq!(
+            status(response(b"HTTP/1.1 200 OK\r\ncontent-length: +2\r\n\r\nok")),
+            502
+        );
+        // Any malformed length in a response is the peer's fault.
+        assert_eq!(
+            status(response(b"HTTP/1.1 200 OK\r\ncontent-length: x\r\n\r\n")),
+            502
+        );
+    }
+
+    #[test]
+    fn a_signed_chunk_size_is_refused() {
+        let chunks = "transfer-encoding: chunked\r\n\r\n+3\r\nabc\r\n0\r\n\r\n";
+        let request = format!("POST / HTTP/1.1\r\n{chunks}");
+        assert_eq!(status(parse(request.as_bytes())), 400);
+        let reply = format!("HTTP/1.1 200 OK\r\n{chunks}");
+        assert_eq!(status(response(reply.as_bytes())), 502);
+    }
+
+    #[test]
+    fn chunked_counts_as_the_last_coding_in_any_case() {
+        let chunks = "\r\n\r\n3\r\nabc\r\n0\r\n\r\n";
+        for te in [
+            "CHUNKED",
+            "gzip, Chunked",
+            "gzip\r\ntransfer-encoding: chunked",
+        ] {
+            let request = format!("POST / HTTP/1.1\r\ntransfer-encoding: {te}{chunks}");
+            assert_eq!(parse(request.as_bytes()).unwrap().body, b"abc", "{te}");
+            let reply = format!("HTTP/1.1 200 OK\r\ntransfer-encoding: {te}{chunks}");
+            assert_eq!(response(reply.as_bytes()).unwrap().body, b"abc", "{te}");
+        }
+    }
+
+    #[test]
+    fn chunked_before_another_coding_is_refused() {
+        let chunks = "\r\n\r\n3\r\nabc\r\n0\r\n\r\n";
+        for te in ["chunked, gzip", "chunked\r\ntransfer-encoding: gzip"] {
+            let request = format!("POST / HTTP/1.1\r\ntransfer-encoding: {te}{chunks}");
+            assert_eq!(status(parse(request.as_bytes())), 400, "{te}");
+            let reply = format!("HTTP/1.1 200 OK\r\ntransfer-encoding: {te}{chunks}");
+            assert_eq!(status(response(reply.as_bytes())), 502, "{te}");
+        }
+    }
+
+    #[test]
+    fn any_other_coding_is_not_implemented() {
+        for te in ["gzip", "xchunked", "chunkedx"] {
+            let request = format!("POST / HTTP/1.1\r\ntransfer-encoding: {te}\r\n\r\n");
+            assert_eq!(status(parse(request.as_bytes())), 501, "{te}");
+            let reply = format!("HTTP/1.1 200 OK\r\ntransfer-encoding: {te}\r\n\r\n");
+            assert_eq!(status(response(reply.as_bytes())), 501, "{te}");
+        }
     }
 
     #[test]
@@ -1014,5 +1064,182 @@ mod tests {
         assert_eq!(parsed.method, Method::Post);
         assert_eq!(parsed.target, "/clarens/rpc");
         assert_eq!(parsed.body, req.body);
+    }
+
+    /// The body cap of the split-delivery checks: small, so a 413 is
+    /// generated often.
+    const SPLIT_MAX_BODY: usize = 48;
+
+    fn pick<'a>(rng: &mut TestRng, options: &[&'a str]) -> &'a str {
+        options[rng.below(options.len() as u64) as usize]
+    }
+
+    /// One generated request: well formed, or refused for one reason.
+    /// Lines end in CRLF or LF alone; bodies are `Content-Length` or
+    /// `chunked` (with extensions and trailers); header names repeat.
+    fn generated_request(rng: &mut TestRng) -> Vec<u8> {
+        let eol = |rng: &mut TestRng| pick(rng, &["\r\n", "\r\n", "\n"]);
+        let method = pick(rng, &["GET", "POST", "POST", "PUT", "HEAD", "BREW"]);
+        let version = pick(rng, &["HTTP/1.1", "HTTP/1.1", "HTTP/1.0", "HTTP/2.0"]);
+        let mut wire = match rng.below(24) {
+            0 => format!("{method} {version}"),
+            1 => format!("{method} /{} {version}", "t".repeat(MAX_REQUEST_LINE)),
+            n => format!("{method} /t{n}?q={} {version}", n * 7),
+        };
+        wire += eol(rng);
+        for _ in 0..rng.below(5) {
+            let name = pick(rng, &["host", "accept", "Accept", "x-a", "bad name", ""]);
+            let value = pick(rng, &["v", " spaced ", "a,b", ""]);
+            wire += &format!("{name}:{value}");
+            wire += eol(rng);
+        }
+        if rng.below(32) == 0 {
+            // Two lines that fit alone but not together.
+            let big = "y".repeat(MAX_HEADER_BYTES / 2 + 1);
+            wire += &format!("x-big: {big}\r\nx-big: {big}\r\n");
+        }
+        let mut body = Vec::new();
+        match rng.below(5) {
+            0 => {}
+            1 | 2 => {
+                let len = rng.below(SPLIT_MAX_BODY as u64 + 8) as usize;
+                let len = pick(rng, &["", "", "", "+", "x"]).to_owned() + &len.to_string();
+                wire += &format!("Content-Length: {len}");
+                wire += eol(rng);
+                body.resize(rng.below(SPLIT_MAX_BODY as u64 + 8) as usize, b'\n');
+            }
+            _ => {
+                let te = pick(
+                    rng,
+                    &[
+                        "chunked",
+                        "Chunked",
+                        "gzip, chunked",
+                        "chunked, gzip",
+                        "gzip",
+                    ],
+                );
+                wire += &format!("Transfer-Encoding: {te}");
+                wire += eol(rng);
+                for _ in 0..rng.below(4) {
+                    let size = 1 + rng.below(20) as usize;
+                    let sign = pick(rng, &["", "", "", "", "+"]);
+                    let ext = pick(rng, &["", "", ";ext=1", " ;x"]);
+                    body.extend(format!("{sign}{size:x}{ext}").bytes());
+                    body.extend(eol(rng).bytes());
+                    body.extend((0..size).map(|i| b"ab\r\nc"[i % 5]));
+                    body.extend(pick(rng, &["\r\n", "\r\n", "\n", "X\r\n"]).bytes());
+                }
+                body.extend(format!("0{}", eol(rng)).bytes());
+                for _ in 0..rng.below(3) {
+                    body.extend(format!("x-sum: 1{}", eol(rng)).bytes());
+                }
+                body.extend(eol(rng).bytes());
+            }
+        }
+        wire += eol(rng);
+        let mut wire = wire.into_bytes();
+        wire.extend(body);
+        wire
+    }
+
+    /// A generated request, or a pipelined pair of them.
+    struct Wire;
+
+    impl Strategy for Wire {
+        type Value = Vec<u8>;
+
+        fn generate(&self, rng: &mut TestRng) -> Vec<u8> {
+            let mut wire = generated_request(rng);
+            if rng.below(2) == 0 {
+                wire.extend(generated_request(rng));
+            }
+            wire
+        }
+    }
+
+    /// What a server's connection makes of `wire` arriving in pieces cut
+    /// at `cuts`: each request in order, then a refusal's status and
+    /// reason, or "cut" if the stream ends inside a request.
+    fn scanned_in_pieces(wire: &[u8], cuts: &[usize]) -> Vec<String> {
+        let (mut scan, mut scratch) = (Scan::default(), Scratch::new());
+        let (mut inbuf, mut outcomes, mut from) = (Vec::new(), Vec::new(), 0);
+        for to in cuts.iter().copied().chain([wire.len()]) {
+            inbuf.extend_from_slice(&wire[from..to]);
+            from = to;
+            loop {
+                match scan.scan::<Request>(&inbuf, SPLIT_MAX_BODY, &mut scratch) {
+                    Scanned::Complete(request, used) => {
+                        outcomes.push(format!("{request:?}"));
+                        inbuf.drain(..used);
+                    }
+                    Scanned::Fail(status, reason) => {
+                        outcomes.push(format!("{status} {reason}"));
+                        return outcomes;
+                    }
+                    Scanned::Need(need) => {
+                        assert!(need > inbuf.len(), "need {need} of {}", inbuf.len());
+                        break;
+                    }
+                }
+            }
+        }
+        if !inbuf.is_empty() {
+            outcomes.push("cut".into());
+        }
+        outcomes
+    }
+
+    /// The same, read by `read_request` from a `BufRead`.
+    fn read_all(wire: &[u8]) -> Vec<String> {
+        let (mut reader, mut outcomes) = (wire, Vec::new());
+        loop {
+            match read_request(&mut reader, SPLIT_MAX_BODY) {
+                Ok(request) => outcomes.push(format!("{request:?}")),
+                Err(ParseError::Protocol(status, reason)) => {
+                    outcomes.push(format!("{status} {reason}"));
+                    return outcomes;
+                }
+                Err(ParseError::Io(_)) => {
+                    outcomes.push("cut".into());
+                    return outcomes;
+                }
+                Err(ParseError::Eof) => return outcomes,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Split delivery is whole delivery: scanned in pieces, scanned
+        /// whole and read by `read_request`, a stream reads the same.
+        #[test]
+        fn split_delivery_reads_as_whole_delivery(
+            wire in Wire,
+            cuts in proptest::collection::vec(any::<usize>(), 0..8),
+        ) {
+            let mut cuts: Vec<usize> = cuts.iter().map(|cut| cut % (wire.len() + 1)).collect();
+            cuts.sort_unstable();
+            let whole = scanned_in_pieces(&wire, &[]);
+            prop_assert_eq!(&scanned_in_pieces(&wire, &cuts), &whole, "cut at {:?}", cuts);
+            prop_assert_eq!(&read_all(&wire), &whole);
+        }
+    }
+
+    /// The generator reaches every answer the scanner gives.
+    #[test]
+    fn generated_requests_reach_every_refusal() {
+        let mut rng = TestRng::seed(41);
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..2000 {
+            let wire = Wire.generate(&mut rng);
+            for outcome in scanned_in_pieces(&wire, &[]) {
+                seen.insert(outcome.split(' ').next().unwrap().to_owned());
+            }
+        }
+        for status in ["400", "413", "431", "501", "505", "Request", "cut"] {
+            assert!(seen.contains(status), "{status} never generated: {seen:?}");
+        }
     }
 }

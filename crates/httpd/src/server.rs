@@ -39,6 +39,7 @@ use clarens_pki::SecureChannel;
 
 use crate::conn::{self, Conn, Tls};
 use crate::event_loop::{Accept, Effect, Input, Listener, Loop, Why, LISTENER};
+use crate::parse::Scan;
 use crate::poller::{self, Poller, WakePipe};
 use crate::scratch::Scratch;
 use crate::stream::Stream;
@@ -691,8 +692,7 @@ fn open(
     Box::new(Conn {
         stream,
         inbuf: Vec::new(),
-        need: 1,
-        chunks: None,
+        scan: Scan::default(),
         served: 0,
         id,
         registered: false,
