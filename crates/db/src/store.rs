@@ -5,13 +5,14 @@
 //! and each Figure-4 request "incurs a database lookup for all registered
 //! methods in the server" (§4). It offers:
 //!
-//! * named buckets, each an ordered map of `String → Vec<u8>`, lock-striped
-//!   across `SHARDS` shards by bucket hash so writes to different buckets
-//!   (sessions vs. VO vs. ACL) never contend,
+//! * named buckets, each an ordered map of `String → Vec<u8>` behind its
+//!   own lock, so writes to different buckets (sessions vs. VO vs. ACL)
+//!   never contend,
 //! * optional durability through a group-commit write-ahead log
 //!   ([`WalEngine`]),
-//! * crash recovery with torn-tail truncation and background log compaction
-//!   (a janitor thread triggered by the WAL garbage ratio),
+//! * crash recovery with torn-tail truncation, and log compaction that
+//!   the write pushing the WAL's garbage past its threshold starts on a
+//!   short-lived thread,
 //! * prefix scans (hierarchical ACL/VO keys are path-like),
 //! * lookup counters, so the benchmark harness can report DB activity per
 //!   request like the paper describes,
@@ -19,22 +20,19 @@
 //!   the store can validate an entry with a single atomic load instead of a
 //!   lookup plus deserialization.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io;
 use std::ops::Bound;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::thread::JoinHandle;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::log::{put_record_size, LogOp};
 use crate::storage::StorageCounters;
-use crate::wal_engine::WalEngine;
-
-/// Inner map type: bucket name → ordered key/value map.
-type Buckets = BTreeMap<String, BTreeMap<Key, Vec<u8>>>;
+use crate::wal_engine::{WalEngine, COMPACT_MIN_BYTES};
 
 /// A bucket key behind its first 8 bytes, zero-padded, read big-endian: monotone
 /// in string order, so the derived order is `text`'s and `Borrow<str>` is sound.
@@ -58,13 +56,6 @@ impl std::borrow::Borrow<str> for Key {
         &self.text
     }
 }
-
-/// How often the janitor re-evaluates the garbage ratio.
-const JANITOR_TICK: Duration = Duration::from_millis(200);
-
-/// Number of lock-striped bucket shards (`repro storage` swept 1/4/16 at
-/// PR 8; see EXPERIMENTS.md).
-const SHARDS: usize = 16;
 
 /// The entries of one bucket whose keys start with `prefix`, in key order.
 fn prefixed<'a>(
@@ -93,62 +84,48 @@ pub struct StoreStats {
     pub compactions: u64,
 }
 
-/// The lock-striped bucket maps.
-struct ShardSet {
-    shards: [RwLock<Buckets>; SHARDS],
+/// One bucket: its ordered map, and the generation every write to it
+/// bumps inside the map's write lock, so a reader that loads the
+/// generation *before* reading data can never cache stale data under a
+/// current tag (spurious invalidation is the only possible race).
+#[derive(Default)]
+struct Bucket {
+    map: RwLock<BTreeMap<Key, Vec<u8>>>,
+    generation: Arc<AtomicU64>,
 }
 
-impl ShardSet {
-    fn new() -> ShardSet {
-        ShardSet {
-            shards: std::array::from_fn(|_| RwLock::new(BTreeMap::new())),
-        }
-    }
-
-    /// FNV-1a over the bucket name selects the shard; every key of one
-    /// bucket lives in one shard, so single-bucket operations take one
-    /// lock and cross-bucket writes stripe.
-    fn shard(&self, bucket: &str) -> &RwLock<Buckets> {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in bucket.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        &self.shards[(h % self.shards.len() as u64) as usize]
-    }
+/// The automatic compaction, as the write path sees it.
+#[derive(Default)]
+struct Compactor {
+    /// The last one started.
+    thread: Option<JoinHandle<()>>,
+    /// The log's epoch when it started, and the length the log must reach
+    /// in that epoch before another starts: a failed compaction leaves the
+    /// epoch as it was, so it is retried only after the log has grown by
+    /// another `COMPACT_MIN_BYTES`.
+    retry: (u64, u64),
 }
 
 /// A concurrent, optionally-persistent KV store.
 pub struct Store {
-    shards: ShardSet,
+    /// Every bucket by name. A bucket is made by its first write (or
+    /// generation handle) and lives as long as the store. Every access
+    /// takes this table's read lock, then the bucket's own lock.
+    buckets: RwLock<BTreeMap<String, Bucket>>,
     /// `None` for purely in-memory stores.
     engine: Option<Arc<WalEngine>>,
     lookups: AtomicU64,
     scans: AtomicU64,
     writes: AtomicU64,
-    /// Per-bucket generation counters. Bumped inside the shard write-lock
-    /// scope after every mutation, so a reader that loads a generation
-    /// *before* reading data can never cache stale data under a current
-    /// tag (the bump invalidates it; spurious invalidation is the only
-    /// possible race, never staleness).
-    generations: RwLock<HashMap<String, Arc<AtomicU64>>>,
-    /// Set once a WAL write or fsync fails. A failed append may have left
-    /// a partial record in the log, and after a failed fsync the kernel
-    /// may have dropped dirty pages — either way further appends could
-    /// frame-shift or silently lose durability, so the store degrades to
-    /// explicit read-only instead (paper's "sessions survive restarts"
-    /// promise requires the log to stay trustworthy).
-    degraded: Arc<AtomicBool>,
     /// Estimated on-disk bytes of a minimal snapshot of current state.
     /// `committed_len - live_bytes` is the log's garbage, which is what
-    /// triggers the janitor.
-    live_bytes: Arc<AtomicU64>,
+    /// starts a compaction.
+    live_bytes: AtomicU64,
     /// Highest leader-epoch fence seen, either appended locally (a node
     /// claiming leadership) or replayed from the log at open. Distinct
     /// from [`Store::wal_epoch`], which counts log-file incarnations.
     fence_epoch: AtomicU64,
-    janitor_stop: Option<Arc<AtomicBool>>,
-    janitor: Option<std::thread::JoinHandle<()>>,
+    compactor: Mutex<Compactor>,
 }
 
 /// One cursor-addressed slice of the write-ahead log, served to
@@ -189,8 +166,8 @@ impl Store {
         Self::assemble(None, Vec::new())
     }
 
-    /// Open a persistent store at `path` with no per-append fsync. A
-    /// janitor thread compacts the log in the background.
+    /// Open a persistent store at `path` with no per-append fsync. The
+    /// log is compacted in the background once half of it is garbage.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         Self::open_with_sync(path, false)
     }
@@ -203,95 +180,102 @@ impl Store {
         Ok(Self::assemble(Some(Arc::new(engine)), ops))
     }
 
+    /// A store holding the state `ops` leave, replayed through the same
+    /// `insert` and `remove` as every later write.
     fn assemble(engine: Option<Arc<WalEngine>>, ops: Vec<LogOp>) -> Store {
-        let shards = ShardSet::new();
-        let mut live = 0u64;
-        let mut fence = 0u64;
-        for op in ops {
-            match op {
-                LogOp::Put { bucket, key, value } => {
-                    let shard = shards.shard(&bucket);
-                    live += put_record_size(&bucket, &key, value.len());
-                    let removed = put_record_size(&bucket, &key, 0);
-                    let key = Key::new(key);
-                    if let Some(old) = shard.write().entry(bucket).or_default().insert(key, value) {
-                        live -= removed + old.len() as u64;
-                    }
-                }
-                LogOp::Delete { bucket, key } => {
-                    let removed = put_record_size(&bucket, &key, 0);
-                    if let Some(old) = shards
-                        .shard(&bucket)
-                        .write()
-                        .get_mut(&bucket)
-                        .and_then(|b| b.remove(key.as_str()))
-                    {
-                        live -= removed + old.len() as u64;
-                    }
-                }
-                LogOp::EpochFence { epoch } => fence = fence.max(epoch),
-            }
-        }
-        let degraded = Arc::new(AtomicBool::new(false));
-        let live_bytes = Arc::new(AtomicU64::new(live));
-        let (janitor_stop, janitor) = engine
-            .as_ref()
-            .map(|engine| {
-                let stop = Arc::new(AtomicBool::new(false));
-                let thread = spawn_janitor(
-                    Arc::clone(engine),
-                    Arc::clone(&degraded),
-                    Arc::clone(&live_bytes),
-                    Arc::clone(&stop),
-                );
-                (stop, thread)
-            })
-            .unzip();
-        Store {
-            shards,
+        let store = Store {
+            buckets: RwLock::new(BTreeMap::new()),
             engine,
             lookups: AtomicU64::new(0),
             scans: AtomicU64::new(0),
             writes: AtomicU64::new(0),
-            generations: RwLock::new(HashMap::new()),
-            degraded,
-            live_bytes,
-            fence_epoch: AtomicU64::new(fence),
-            janitor_stop,
-            janitor,
+            live_bytes: AtomicU64::new(0),
+            fence_epoch: AtomicU64::new(0),
+            compactor: Mutex::new(Compactor::default()),
+        };
+        for op in ops {
+            match op {
+                LogOp::Put { bucket, key, value } => store.insert(&bucket, key, value),
+                LogOp::Delete { bucket, key } => {
+                    store.remove(&bucket, &key);
+                }
+                LogOp::EpochFence { epoch } => {
+                    store.fence_epoch.fetch_max(epoch, Ordering::SeqCst);
+                }
+            }
         }
+        store
     }
 
-    /// Is the store poisoned into read-only degraded mode?
+    /// Is the store poisoned into read-only degraded mode? A persistent
+    /// store is, once a WAL write, an fsync or the directory sync of a
+    /// compaction has failed (see [`WalEngine::is_poisoned`]).
     pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::SeqCst)
+        self.engine.as_ref().is_some_and(|e| e.is_poisoned())
     }
 
     fn degraded_error() -> io::Error {
         io::Error::other(format!("{DEGRADED_MSG}: WAL write or fsync failed"))
     }
 
-    /// Log `op`, poisoning the store on failure. Reads keep working after
-    /// poisoning; writes get [`DEGRADED_MSG`] errors without touching the
-    /// (possibly frame-shifted) log again.
+    /// Log `op`. A failure poisons the engine: reads keep working, and
+    /// writes get [`DEGRADED_MSG`] errors without touching the (possibly
+    /// frame-shifted) log again.
     fn wal_append(&self, op: &LogOp) -> io::Result<()> {
-        if self.is_degraded() {
-            return Err(Self::degraded_error());
-        }
-        let Some(engine) = &self.engine else {
-            return Ok(());
-        };
-        match engine.append(op) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.degraded.store(true, Ordering::SeqCst);
-                Err(e)
-            }
+        match &self.engine {
+            None => Ok(()),
+            Some(engine) if engine.is_poisoned() => Err(Self::degraded_error()),
+            Some(engine) => engine.append(op),
         }
     }
 
-    fn live_add(&self, n: u64) {
-        self.live_bytes.fetch_add(n, Ordering::Relaxed);
+    /// `f` over `name`'s bucket, made empty if the store has none yet.
+    fn bucket<T>(&self, name: &str, f: impl FnOnce(&Bucket) -> T) -> T {
+        if let Some(bucket) = self.buckets.read().get(name) {
+            return f(bucket);
+        }
+        f(self.buckets.write().entry(name.to_owned()).or_default())
+    }
+
+    /// `f` over `bucket`'s map under its read lock; `None` if the store
+    /// has no such bucket. No reference count moves.
+    fn read<T>(&self, bucket: &str, f: impl FnOnce(&BTreeMap<Key, Vec<u8>>) -> T) -> Option<T> {
+        let buckets = self.buckets.read();
+        let map = buckets.get(bucket)?.map.read();
+        Some(f(&map))
+    }
+
+    /// `f` over `bucket`'s map under its write lock, then the generation
+    /// bump, inside that lock.
+    fn write<T>(&self, bucket: &str, f: impl FnOnce(&mut BTreeMap<Key, Vec<u8>>) -> T) -> T {
+        self.bucket(bucket, |b| {
+            let mut map = b.map.write();
+            let out = f(&mut map);
+            b.generation.fetch_add(1, Ordering::SeqCst);
+            out
+        })
+    }
+
+    /// Insert or overwrite in memory, keeping the live-byte count: the one
+    /// insert of `put` and of the replay at open.
+    fn insert(&self, bucket: &str, key: String, value: Vec<u8>) {
+        let added = put_record_size(bucket, &key, value.len());
+        let removed = put_record_size(bucket, &key, 0);
+        let old = self.write(bucket, |map| map.insert(Key::new(key), value));
+        self.live_bytes.fetch_add(added, Ordering::Relaxed);
+        if let Some(old) = old {
+            self.live_sub(removed + old.len() as u64);
+        }
+    }
+
+    /// Remove from memory, keeping the live-byte count: the one removal of
+    /// `delete` and of the replay at open. Returns whether the key existed.
+    fn remove(&self, bucket: &str, key: &str) -> bool {
+        let old = self.write(bucket, |map| map.remove(key));
+        if let Some(old) = &old {
+            self.live_sub(put_record_size(bucket, key, old.len()));
+        }
+        old.is_some()
     }
 
     fn live_sub(&self, n: u64) {
@@ -302,6 +286,37 @@ impl Store {
             });
     }
 
+    /// Start a compaction on a short-lived thread if this write pushed the
+    /// log's garbage past [`WalEngine::wants_compaction`]'s threshold,
+    /// unless one is running or the retry rule of [`Compactor`] holds it
+    /// back. Writers racing here skip rather than wait.
+    fn compact_if_due(&self) {
+        let Some(engine) = &self.engine else {
+            return;
+        };
+        if engine.is_poisoned() || !engine.wants_compaction(self.live_bytes()) {
+            return;
+        }
+        let Some(mut compactor) = self.compactor.try_lock() else {
+            return;
+        };
+        let (epoch, len) = (engine.epoch(), engine.committed_len());
+        let running = compactor.thread.as_ref().is_some_and(|t| !t.is_finished());
+        if running || (epoch == compactor.retry.0 && len < compactor.retry.1) {
+            return;
+        }
+        if let Some(done) = compactor.thread.take() {
+            let _ = done.join();
+        }
+        compactor.retry = (epoch, len + COMPACT_MIN_BYTES);
+        let engine = Arc::clone(engine);
+        // Best-effort: a failed compaction leaves the old log intact.
+        compactor.thread = std::thread::Builder::new()
+            .name("clarens-db-compact".into())
+            .spawn(move || _ = engine.compact())
+            .ok();
+    }
+
     /// Insert or overwrite a value.
     pub fn put(&self, bucket: &str, key: &str, value: impl Into<Vec<u8>>) -> io::Result<()> {
         let value = value.into();
@@ -310,60 +325,35 @@ impl Store {
         // could have degraded), so no `LogOp` is built just to be dropped.
         // With one, the key is still allocated once: the logged copy moves
         // into the map.
-        let (owned_key, value) = if self.engine.is_some() {
-            let op = LogOp::Put {
-                bucket: bucket.to_owned(),
-                key: key.to_owned(),
-                value,
-            };
-            self.wal_append(&op)?;
-            let LogOp::Put { key, value, .. } = op else {
-                unreachable!()
-            };
-            (key, value)
-        } else {
-            (key.to_owned(), value)
-        };
-        let added = put_record_size(bucket, key, value.len());
-        let generation = self.generation_handle(bucket);
-        let old_len = {
-            let mut shard = self.shards.shard(bucket).write();
-            // Look the bucket up by `&str` first: only the first write to a
-            // bucket pays for an owned name.
-            let map = match shard.get_mut(bucket) {
-                Some(map) => map,
-                None => shard.entry(bucket.to_owned()).or_default(),
-            };
-            let old = map.insert(Key::new(owned_key), value);
-            generation.fetch_add(1, Ordering::SeqCst);
-            old.map(|o| o.len())
-        };
-        self.live_add(added);
-        if let Some(old_len) = old_len {
-            self.live_sub(put_record_size(bucket, key, old_len));
+        if self.engine.is_none() {
+            self.insert(bucket, key.to_owned(), value);
+            return Ok(());
         }
+        let op = LogOp::Put {
+            bucket: bucket.to_owned(),
+            key: key.to_owned(),
+            value,
+        };
+        self.wal_append(&op)?;
+        let LogOp::Put { key, value, .. } = op else {
+            unreachable!()
+        };
+        self.insert(bucket, key, value);
+        self.compact_if_due();
         Ok(())
     }
 
     /// Point lookup.
     pub fn get(&self, bucket: &str, key: &str) -> Option<Vec<u8>> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.shards
-            .shard(bucket)
-            .read()
-            .get(bucket)?
-            .get(key)
-            .cloned()
+        self.read(bucket, |map| map.get(key).cloned()).flatten()
     }
 
     /// Does the key exist?
     pub fn contains(&self, bucket: &str, key: &str) -> bool {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.shards
-            .shard(bucket)
-            .read()
-            .get(bucket)
-            .is_some_and(|b| b.contains_key(key))
+        self.read(bucket, |map| map.contains_key(key))
+            .unwrap_or(false)
     }
 
     /// Delete a key. Returns whether it existed.
@@ -375,17 +365,9 @@ impl Store {
                 key: key.to_owned(),
             })?;
         }
-        let generation = self.generation_handle(bucket);
-        let old_len = {
-            let mut shard = self.shards.shard(bucket).write();
-            let old = shard.get_mut(bucket).and_then(|b| b.remove(key));
-            generation.fetch_add(1, Ordering::SeqCst);
-            old.map(|o| o.len())
-        };
-        if let Some(old_len) = old_len {
-            self.live_sub(put_record_size(bucket, key, old_len));
-        }
-        Ok(old_len.is_some())
+        let existed = self.remove(bucket, key);
+        self.compact_if_due();
+        Ok(existed)
     }
 
     /// All `(key, value)` pairs in a bucket whose keys start with `prefix`
@@ -403,44 +385,33 @@ impl Store {
         limit: usize,
     ) -> Vec<(String, Vec<u8>)> {
         self.scans.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shards.shard(bucket).read();
-        match shard.get(bucket) {
-            None => Vec::new(),
-            Some(map) => prefixed(map, prefix)
+        self.read(bucket, |map| {
+            prefixed(map, prefix)
                 .take(limit)
                 .map(|(k, v)| (k.text.clone(), v.clone()))
-                .collect(),
-        }
+                .collect()
+        })
+        .unwrap_or_default()
     }
 
     /// Number of keys in a bucket that start with `prefix`, without copying
     /// any of them.
     pub fn count_prefix(&self, bucket: &str, prefix: &str) -> usize {
         self.scans.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shards.shard(bucket).read();
-        shard
-            .get(bucket)
-            .map_or(0, |map| prefixed(map, prefix).count())
+        self.read(bucket, |map| prefixed(map, prefix).count())
+            .unwrap_or(0)
     }
 
     /// All keys in a bucket (ordered).
     pub fn keys(&self, bucket: &str) -> Vec<String> {
         self.scans.fetch_add(1, Ordering::Relaxed);
-        self.shards
-            .shard(bucket)
-            .read()
-            .get(bucket)
-            .map(|b| b.keys().map(|k| k.text.clone()).collect())
+        self.read(bucket, |map| map.keys().map(|k| k.text.clone()).collect())
             .unwrap_or_default()
     }
 
     /// Number of keys in a bucket.
     pub fn len(&self, bucket: &str) -> usize {
-        self.shards
-            .shard(bucket)
-            .read()
-            .get(bucket)
-            .map_or(0, |b| b.len())
+        self.read(bucket, BTreeMap::len).unwrap_or(0)
     }
 
     /// Is the bucket empty or absent?
@@ -448,16 +419,11 @@ impl Store {
         self.len(bucket) == 0
     }
 
-    /// Names of all buckets (sorted).
+    /// Names of the buckets that hold at least one key (sorted).
     pub fn bucket_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .shards
-            .shards
-            .iter()
-            .flat_map(|s| s.read().keys().cloned().collect::<Vec<_>>())
-            .collect();
-        names.sort();
-        names
+        let buckets = self.buckets.read();
+        let held = buckets.iter().filter(|(_, b)| !b.map.read().is_empty());
+        held.map(|(name, _)| name.clone()).collect()
     }
 
     /// Remove every key in a bucket.
@@ -472,7 +438,7 @@ impl Store {
     /// Rewrite the persistent image as a minimal snapshot of current state
     /// (drops superseded records). Runs concurrently with appends — only
     /// the final file swap briefly blocks writers. No-op for in-memory
-    /// stores; concurrent calls (manual + janitor) coalesce.
+    /// stores; concurrent calls (manual and automatic) coalesce.
     pub fn compact(&self) -> io::Result<()> {
         match &self.engine {
             None => Ok(()),
@@ -533,20 +499,13 @@ impl Store {
         }
     }
 
-    /// Force pending appends to disk (one fsync of the log).
+    /// Force pending appends to disk (one fsync of the log). A failure
+    /// degrades the store.
     pub fn sync(&self) -> io::Result<()> {
-        let Some(engine) = &self.engine else {
-            return Ok(());
-        };
-        if self.is_degraded() {
-            return Err(Self::degraded_error());
-        }
-        match engine.sync() {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.degraded.store(true, Ordering::SeqCst);
-                Err(e)
-            }
+        match &self.engine {
+            None => Ok(()),
+            Some(engine) if engine.is_poisoned() => Err(Self::degraded_error()),
+            Some(engine) => engine.sync(),
         }
     }
 
@@ -560,18 +519,17 @@ impl Store {
     /// bump the counter inside the write-lock scope after mutating, so a
     /// tag can never be newer than the data it guards.
     pub fn generation(&self, bucket: &str) -> u64 {
-        self.generation_handle(bucket).load(Ordering::SeqCst)
+        let buckets = self.buckets.read();
+        buckets
+            .get(bucket)
+            .map_or(0, |b| b.generation.load(Ordering::SeqCst))
     }
 
     /// Shared handle to a bucket's generation counter, for callers that
     /// validate on every request and want a single atomic load with no
     /// map lookup.
     pub fn generation_handle(&self, bucket: &str) -> Arc<AtomicU64> {
-        if let Some(handle) = self.generations.read().get(bucket) {
-            return Arc::clone(handle);
-        }
-        let mut generations = self.generations.write();
-        Arc::clone(generations.entry(bucket.to_owned()).or_default())
+        self.bucket(bucket, |b| Arc::clone(&b.generation))
     }
 
     /// Estimated on-disk bytes of a minimal snapshot of live state (the
@@ -603,57 +561,18 @@ impl Store {
 }
 
 impl Drop for Store {
+    /// Waits out a compaction still in flight.
     fn drop(&mut self) {
-        if let Some(stop) = self.janitor_stop.take() {
-            stop.store(true, Ordering::SeqCst);
-        }
-        if let Some(thread) = self.janitor.take() {
-            thread.thread().unpark();
+        if let Some(thread) = self.compactor.get_mut().thread.take() {
             let _ = thread.join();
         }
     }
 }
 
-/// The background compaction loop: wake every [`JANITOR_TICK`], compare
-/// the engine's committed length against the store's live-byte estimate,
-/// and compact when [`WalEngine::wants_compaction`] says so.
-/// Compaction errors are swallowed (the old file stays intact; the next
-/// tick retries) and a degraded store is left alone entirely. The tick is
-/// a `park_timeout`, so `Store::drop` ends it at once with an `unpark`.
-fn spawn_janitor(
-    engine: Arc<WalEngine>,
-    degraded: Arc<AtomicBool>,
-    live_bytes: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("clarens-db-janitor".into())
-        .spawn(move || loop {
-            let tick = Instant::now() + JANITOR_TICK;
-            // Parking can end early (an unpark, or spuriously): check the
-            // flag, then sleep out the rest of the tick.
-            loop {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                let left = tick.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                std::thread::park_timeout(left);
-            }
-            if degraded.load(Ordering::SeqCst) {
-                continue;
-            }
-            if engine.wants_compaction(live_bytes.load(Ordering::Relaxed)) {
-                let _ = engine.compact();
-            }
-        })
-        .expect("spawn janitor thread")
-}
-
 #[cfg(test)]
 mod tests {
+    use std::time::{Duration, Instant};
+
     use super::*;
 
     fn temp_path(name: &str) -> PathBuf {
@@ -886,12 +805,12 @@ mod tests {
     }
 
     #[test]
-    fn janitor_compacts_in_background() {
-        let path = temp_path("janitor");
+    fn a_write_past_the_garbage_threshold_compacts_in_background() {
+        let path = temp_path("threshold");
         {
             let store = Store::open(&path).unwrap();
-            // Churn one hot key past the janitor's 256 KiB floor (and so
-            // far past its garbage ratio), then wait for it to notice.
+            // Churn one hot key past the 256 KiB floor (and so far past the
+            // garbage ratio), then wait for the compaction it starts.
             let value = vec![7u8; 512];
             for _ in 0..600 {
                 store.put("b", "hot", value.clone()).unwrap();
@@ -902,7 +821,7 @@ mod tests {
             }
             assert!(
                 store.stats().compactions >= 1,
-                "janitor never compacted (wal={}, live={})",
+                "no compaction started (wal={}, live={})",
                 store.wal_offset(),
                 store.live_bytes()
             );
@@ -918,10 +837,10 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Dropping a durable store stops its janitor at once instead of
-    /// waiting out the janitor's current sleep.
+    /// Dropping a durable store returns at once: no thread of its own
+    /// sleeps beside it.
     #[test]
-    fn dropping_a_durable_store_does_not_wait_for_the_janitor() {
+    fn dropping_a_durable_store_returns_at_once() {
         let path = temp_path("drop-wake");
         for _ in 0..5 {
             let store = Store::open_with_sync(&path, true).unwrap();
@@ -1053,10 +972,10 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_cross_bucket_writes_stripe() {
-        // Eight writers on eight distinct buckets: with lock-striped
-        // shards they interleave freely; the assertion is pure
-        // correctness (each bucket converges to its own writer's state).
+    fn concurrent_cross_bucket_writes_converge() {
+        // Eight writers on eight distinct buckets, each behind its own
+        // lock, interleave freely; the assertion is pure correctness
+        // (each bucket converges to its own writer's state).
         let store = Arc::new(Store::in_memory());
         let mut handles = Vec::new();
         for t in 0..8 {
@@ -1077,6 +996,49 @@ mod tests {
             assert_eq!(store.get(&bucket, "k0").unwrap(), vec![t as u8]);
         }
         assert_eq!(store.bucket_names().len(), 8);
+    }
+
+    /// The buckets of a Clarens core: the `*_BUCKET` constants of the
+    /// `clarens` crate.
+    const CORE_BUCKETS: [&str; 8] = [
+        "sessions",
+        "vo.groups",
+        "acl.methods",
+        "acl.files",
+        "methods",
+        "proxies",
+        "im.messages",
+        "srm.requests",
+    ];
+
+    /// Each bucket has its own lock: while one core bucket's write lock is
+    /// held, another thread reads and writes the other seven within 1 s.
+    #[test]
+    fn a_held_bucket_holds_up_no_other_bucket() {
+        let store = Arc::new(Store::in_memory());
+        for name in CORE_BUCKETS {
+            store.put(name, "k", b"v".to_vec()).unwrap();
+        }
+        for held in CORE_BUCKETS {
+            let buckets = store.buckets.read();
+            let lock = buckets[held].map.write();
+            let (done, finished) = std::sync::mpsc::channel();
+            let other = Arc::clone(&store);
+            let worker = std::thread::spawn(move || {
+                for name in CORE_BUCKETS.into_iter().filter(|&name| name != held) {
+                    other.put(name, "k2", b"w".to_vec()).unwrap();
+                    assert_eq!(other.get(name, "k").unwrap(), b"v");
+                    assert_eq!(other.scan_prefix(name, "k").len(), 2);
+                    assert!(other.delete(name, "k2").unwrap());
+                }
+                done.send(()).unwrap();
+            });
+            let answered = finished.recv_timeout(Duration::from_secs(1));
+            drop(lock);
+            drop(buckets);
+            worker.join().unwrap();
+            assert!(answered.is_ok(), "holding {held:?} held up another bucket");
+        }
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! have dropped their dirty pages on the floor.
 //!
 //! **Background compaction.** The log grows with every overwrite; the
-//! janitor rewrites it as a minimal snapshot *off the hot path*. The
-//! rewrite replays the immutable committed prefix of the log itself
+//! store's write that makes [`WalEngine::wants_compaction`] true starts a
+//! rewrite as a minimal snapshot on a short-lived thread, *off the hot
+//! path*. The rewrite replays the immutable committed prefix of the log itself
 //! (never the in-memory maps: the store appends to the log *before*
 //! inserting into memory, so a memory snapshot can miss an op that is
 //! already on disk), then loops copying the freshly appended tail without
@@ -28,7 +29,10 @@
 //! file epoch so replication cursors resync; the swap (rename + handle
 //! swap + epoch bump) happens under a writer lock that
 //! [`WalEngine::read_log`] read-locks, so a concurrent reader can never
-//! observe the new file under the old epoch (or vice versa).
+//! observe the new file under the old epoch (or vice versa). A rename is
+//! durable only once its directory is fsynced, so the swap syncs the
+//! directory before any append to the new file is acknowledged; `open`
+//! does the same for a log it creates with `sync` on.
 //!
 //! **Growth in steps; one writer per file.** Frames are written in place
 //! at `file_len`, into space extended `EXTEND_STEP` bytes ahead, so a
@@ -59,13 +63,14 @@ use crate::store::WalChunk;
 /// the append lock and finishes; this bounds the append stall.
 const FINAL_TAIL_MAX: u64 = 64 * 1024;
 
-/// The janitor compacts once this fraction of the log is dead bytes
-/// (overwritten or deleted records).
+/// A log is compacted once this fraction of it is dead bytes (overwritten
+/// or deleted records).
 const COMPACT_RATIO: f64 = 0.5;
 
 /// Logs smaller than this are never compacted, however garbage-heavy:
-/// rewriting tiny files buys nothing and thrashes.
-const COMPACT_MIN_BYTES: u64 = 256 * 1024;
+/// rewriting tiny files buys nothing and thrashes. A failed automatic
+/// compaction is retried once the log has grown by this much again.
+pub(crate) const COMPACT_MIN_BYTES: u64 = 256 * 1024;
 
 /// The log file grows ahead of its end in steps of this many bytes, so a
 /// synced append writes into space the file already has.
@@ -88,8 +93,6 @@ struct WalInner {
 struct GroupState {
     /// A leader's fsync is in flight.
     leader: bool,
-    /// A group fsync failed: every later commit fails fast.
-    poisoned: bool,
 }
 
 /// Append-only WAL engine (see module docs).
@@ -109,8 +112,12 @@ pub struct WalEngine {
     epoch: AtomicU64,
     /// Excludes `read_log` from the rename→handle-swap→epoch-bump window.
     swap: RwLock<()>,
-    /// Coalesces concurrent compactions (janitor + manual).
+    /// Coalesces concurrent compactions (automatic and manual).
     compacting: AtomicBool,
+    /// Set once an append, an fsync or a compaction's directory sync
+    /// fails: every later commit fails, and the store refuses writes.
+    /// Set while holding `group`, so parked committers never miss it.
+    poisoned: AtomicBool,
     fsyncs: AtomicU64,
     group_commits: AtomicU64,
     compactions: AtomicU64,
@@ -139,6 +146,13 @@ fn lock_writer(file: &File, path: &Path) -> io::Result<()> {
     file.try_lock().map_err(held)
 }
 
+/// Fsync the directory holding `path`: what makes a file's creation or
+/// renaming there durable (Pillai et al., OSDI 2014).
+fn sync_dir(path: &Path) -> io::Result<()> {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+}
+
 impl WalEngine {
     /// Open (creating if needed) the log at `path`, repairing a torn tail
     /// in place, and return the engine plus the recovered operations in
@@ -146,12 +160,19 @@ impl WalEngine {
     /// acknowledged, concurrent appenders sharing each fsync. Fails if
     /// another engine holds the file.
     pub fn open(path: PathBuf, sync: bool) -> io::Result<(WalEngine, Vec<LogOp>)> {
+        let created = !path.try_exists()?;
         let file = OpenOptions::new()
             .create(true)
             .truncate(false)
             .write(true)
             .open(&path)?;
         lock_writer(&file, &path)?;
+        if created && sync {
+            // Without it a power cut may take the new log's name, and
+            // with it every append acknowledged as durable. Not counted in
+            // `fsyncs`, which counts the log's own syncs per append.
+            sync_dir(&path)?;
+        }
         let recovery = recover(&path)?;
         let mut startup_fsyncs = 0;
         if recovery.torn_tail {
@@ -182,6 +203,7 @@ impl WalEngine {
             epoch: AtomicU64::new(0),
             swap: RwLock::new(()),
             compacting: AtomicBool::new(false),
+            poisoned: AtomicBool::new(false),
             fsyncs: AtomicU64::new(startup_fsyncs),
             group_commits: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
@@ -204,7 +226,7 @@ impl WalEngine {
             if self.synced.load(Ordering::Acquire) >= lsn {
                 return Ok(());
             }
-            if state.poisoned {
+            if self.is_poisoned() {
                 return Err(io::Error::other(
                     "group commit poisoned by an earlier fsync failure",
                 ));
@@ -238,6 +260,9 @@ impl WalEngine {
             state = self.group.lock();
             state.leader = false;
             match result {
+                // A compaction may have poisoned the log meanwhile: then
+                // this sync vouches for nothing (the loop reports it).
+                Ok(()) if self.is_poisoned() => {}
                 Ok(()) => {
                     self.fsyncs.fetch_add(1, Ordering::Relaxed);
                     self.group_commits.fetch_add(1, Ordering::Relaxed);
@@ -247,7 +272,7 @@ impl WalEngine {
                     self.group_cond.notify_all();
                 }
                 Err(e) => {
-                    state.poisoned = true;
+                    self.poisoned.store(true, Ordering::SeqCst);
                     self.group_cond.notify_all();
                     return Err(e);
                 }
@@ -370,11 +395,20 @@ impl WalEngine {
         self.committed.store(inner.file_len, Ordering::Release);
         self.epoch.fetch_add(1, Ordering::SeqCst);
         self.compactions.fetch_add(1, Ordering::Relaxed);
+        // Until the directory is synced a power cut may bring the old log
+        // back, without whatever is acknowledged from the new one; so
+        // appenders stay blocked, and a failure releases no waiter.
+        let lsn = inner.lsn;
+        let dir_synced = sync_dir(&self.path);
+        drop(inner);
+        if let Err(e) = dir_synced {
+            self.poison();
+            return Err(e);
+        }
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
         if self.sync_on_append {
             // Everything appended before the swap is in the new, fsynced
             // file: release any parked group members up to that LSN.
-            let lsn = inner.lsn;
-            drop(inner);
             let _state = self.group.lock();
             self.synced.fetch_max(lsn, Ordering::AcqRel);
             self.group_cond.notify_all();
@@ -393,11 +427,12 @@ impl WalEngine {
             let end = inner.file_len + record.len() as u64;
             if end > inner.file_size {
                 let size = end.next_multiple_of(EXTEND_STEP);
-                inner.file.set_len(size)?;
+                inner.file.set_len(size).inspect_err(|_| self.poison())?;
                 inner.file_size = size;
                 self.extends.fetch_add(1, Ordering::Relaxed);
             }
-            write_framed(&mut WriteAt(&inner.file, inner.file_len), &record)?;
+            write_framed(&mut WriteAt(&inner.file, inner.file_len), &record)
+                .inspect_err(|_| self.poison())?;
             inner.file_len = end;
             inner.lsn += 1;
             self.committed.store(inner.file_len, Ordering::Release);
@@ -417,8 +452,9 @@ impl WalEngine {
             let inner = self.inner.lock();
             (inner.lsn, Arc::clone(&inner.file))
         };
-        clarens_faults::check_io(clarens_faults::sites::DB_WAL_FSYNC)?;
-        file.sync_data()?;
+        clarens_faults::check_io(clarens_faults::sites::DB_WAL_FSYNC)
+            .and_then(|()| file.sync_data())
+            .inspect_err(|_| self.poison())?;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         if self.sync_on_append {
             let _state = self.group.lock();
@@ -442,14 +478,27 @@ impl WalEngine {
         result
     }
 
-    /// Should the janitor compact now? `live_bytes` is the store's estimate
-    /// of the on-disk size of a minimal snapshot.
+    /// Is the log worth compacting now? `live_bytes` is the store's
+    /// estimate of the on-disk size of a minimal snapshot.
     pub fn wants_compaction(&self, live_bytes: u64) -> bool {
         let len = self.committed.load(Ordering::Acquire);
         if len < COMPACT_MIN_BYTES || live_bytes >= len {
             return false;
         }
         (len - live_bytes) as f64 / len as f64 >= COMPACT_RATIO
+    }
+
+    /// Has an append, an fsync or a compaction's directory sync failed?
+    /// A poisoned log takes no more writes (the store is degraded).
+    pub fn is_poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::SeqCst)
+    }
+
+    /// Poison the log, failing every parked and later commit.
+    fn poison(&self) {
+        let _state = self.group.lock();
+        self.poisoned.store(true, Ordering::SeqCst);
+        self.group_cond.notify_all();
     }
 
     /// Committed length of the log in bytes (the replication high-water

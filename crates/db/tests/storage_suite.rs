@@ -296,3 +296,21 @@ fn a_held_wal_refuses_a_second_store() {
     drop(store);
     std::fs::remove_file(&path).unwrap();
 }
+
+/// A compaction's rename is durable only once the log's directory is
+/// synced: one compaction costs three syncs (the snapshot before and
+/// after its final tail, then the directory).
+#[test]
+fn a_compaction_syncs_its_snapshot_and_the_directory() {
+    let path = temp_path("dir-sync");
+    let store = Store::open(&path).unwrap();
+    for i in 0..50 {
+        store.put("b", "hot", format!("v{i}").into_bytes()).unwrap();
+    }
+    assert_eq!(store.stats().syncs, 0);
+    store.compact().unwrap();
+    assert_eq!(store.stats().syncs, 3);
+    assert_eq!(store.stats().compactions, 1);
+    drop(store);
+    std::fs::remove_file(&path).unwrap();
+}

@@ -1,6 +1,8 @@
-//! The federation's shared PKI: one CA trusted by every node, one site
-//! admin (the replication/heartbeat credential), one regular user, and
-//! per-node server credentials.
+//! The federation's shared PKI: the committed grid PKI of
+//! [`clarens::testkit::grid_pki`] — its CA trusted by every node, its
+//! admin as the site admin (the replication/heartbeat credential), its
+//! user as the regular user — plus one server certificate per node over
+//! the grid's committed server key. No process searches for a key.
 //!
 //! Server DNs must be distinct per node — the discovery table
 //! (`monalisa_sim::Table`) treats two descriptors with the same non-empty
@@ -12,26 +14,16 @@
 
 use std::sync::{Mutex, OnceLock};
 
-use clarens_pki::cert::{CertificateAuthority, Credential};
+use clarens::testkit::grid_pki;
+use clarens_pki::cert::{CertificateAuthority, Credential, DAY};
 use clarens_pki::dn::DistinguishedName;
-use clarens_pki::rsa;
-use rand::{rngs::StdRng, SeedableRng};
+use clarens_pki::rsa::KeyPair;
 
-fn dn(text: &str) -> DistinguishedName {
-    DistinguishedName::parse(text).expect("valid DN")
-}
-
-fn now() -> i64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs() as i64)
-        .unwrap_or(0)
-}
-
-/// The process-wide federation PKI (RSA key generation dominates fixture
-/// cost, so it is built once and shared, like the core testkit's).
+/// The process-wide federation PKI, built once from the grid PKI.
 pub struct FederationPki {
-    /// The root CA every node trusts.
+    /// The root CA every node trusts: a copy of the grid CA (its key and
+    /// certificate). Node certificates are issued by the grid's own, so
+    /// serials under this key come from one counter.
     pub ca: CertificateAuthority,
     /// Site admin on every node (`admin_dns`): heartbeats, replication.
     pub admin: Credential,
@@ -46,21 +38,21 @@ impl FederationPki {
     /// DN embeds the index so every node advertises a distinct identity).
     pub fn server_credential(&self, index: usize) -> Credential {
         let mut servers = self.servers.lock().expect("pki lock");
+        let grid = grid_pki();
+        let server = &grid.server;
         while servers.len() <= index {
-            let i = servers.len();
-            let mut rng = StdRng::seed_from_u64(0xFED5EED ^ i as u64);
-            let kp = rsa::generate(&mut rng, rsa::DEFAULT_KEY_BITS);
-            let t = now();
+            let subject = format!(
+                "/O=doesciencegrid.org/OU=Services/CN=fed-node-{}.test",
+                servers.len()
+            );
+            let subject = DistinguishedName::parse(&subject).expect("valid DN");
+            let issued = &server.certificate;
+            let days = (issued.not_after - issued.not_before) / DAY;
             servers.push(Credential {
-                certificate: self.ca.issue(
-                    dn(&format!(
-                        "/O=doesciencegrid.org/OU=Services/CN=fed-node-{i}.test"
-                    )),
-                    &kp.public,
-                    t - 3600,
-                    365,
-                ),
-                key: kp.private,
+                certificate: grid
+                    .ca
+                    .issue(subject, &server.key.public, issued.not_before, days),
+                key: server.key.clone(),
                 chain: vec![],
             });
         }
@@ -72,28 +64,23 @@ impl FederationPki {
 pub fn federation_pki() -> &'static FederationPki {
     static PKI: OnceLock<FederationPki> = OnceLock::new();
     PKI.get_or_init(|| {
-        let t = now();
-        let mut rng = StdRng::seed_from_u64(0xFEDCA);
-        let ca = CertificateAuthority::new(
-            &mut rng,
-            dn("/O=doesciencegrid.org/CN=Federation CA"),
-            t - 3600,
-            3650,
+        let grid = grid_pki();
+        // The same key, name and validity re-sign the same certificate.
+        let root = &grid.ca.certificate;
+        let ca = CertificateAuthority::with_keypair(
+            KeyPair {
+                public: grid.ca.key.public.clone(),
+                private: grid.ca.key.clone(),
+            },
+            root.subject.clone(),
+            root.not_before,
+            (root.not_after - root.not_before) / DAY,
         );
-        let issue = |rng: &mut StdRng, subject: &str| -> Credential {
-            let kp = rsa::generate(rng, rsa::DEFAULT_KEY_BITS);
-            Credential {
-                certificate: ca.issue(dn(subject), &kp.public, t - 3600, 365),
-                key: kp.private,
-                chain: vec![],
-            }
-        };
-        let admin = issue(&mut rng, "/O=doesciencegrid.org/OU=People/CN=Fed Admin");
-        let user = issue(&mut rng, "/O=doesciencegrid.org/OU=People/CN=Fed User");
+        debug_assert_eq!(ca.certificate, *root);
         FederationPki {
             ca,
-            admin,
-            user,
+            admin: grid.admin.clone(),
+            user: grid.user.clone(),
             servers: Mutex::new(Vec::new()),
         }
     })

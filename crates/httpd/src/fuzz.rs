@@ -8,7 +8,7 @@
 
 use std::io::BufReader;
 
-use crate::parse::read_request;
+use crate::parse::{read_request, ParseError, MAX_HEADER_BYTES};
 
 /// Body cap used while fuzzing — large enough to exercise the
 /// Content-Length path, small enough that a hostile header cannot make
@@ -19,11 +19,14 @@ const FUZZ_MAX_BODY: usize = 1 << 20;
 /// whole, and through a reader that hands the scanner at most `k` bytes at
 /// a time (`k` from the first byte), as a server's connection receives
 /// them. Both must read the same; anything accepted must expose
-/// self-consistent accessors (path/query never panic).
+/// self-consistent accessors (path/query never panic). An accepted
+/// chunked request is then read again with an endless trailer in place
+/// of its last line, which must be refused.
 pub fn http_request(data: &[u8]) {
     let k = data.first().map_or(1, |&b| usize::from(b % 32) + 1);
     let pieces = read_request(&mut BufReader::with_capacity(k, data), FUZZ_MAX_BODY);
-    let whole = read_request(&mut &data[..], FUZZ_MAX_BODY);
+    let mut rest = data;
+    let whole = read_request(&mut rest, FUZZ_MAX_BODY);
     assert_eq!(
         format!("{whole:?}"),
         format!("{pieces:?}"),
@@ -38,6 +41,28 @@ pub fn http_request(data: &[u8]) {
             request.body.len() <= FUZZ_MAX_BODY,
             "parser exceeded its body cap"
         );
+        if request.headers.get("transfer-encoding").is_some() {
+            endless_trailer(&data[..data.len() - rest.len()], k);
+        }
+    }
+}
+
+/// `message`, a whole chunked request, with more than `MAX_HEADER_BYTES`
+/// of trailer lines (`k` × 31 bytes of padding each) where its final
+/// blank line was: a refusal (431), not a wait for more.
+fn endless_trailer(message: &[u8], k: usize) {
+    let head = message
+        .strip_suffix(b"\r\n")
+        .or(message.strip_suffix(b"\n"));
+    let mut wire = head.expect("a message ends in a line").to_vec();
+    let line = format!("x-pad: {}", "p".repeat(k * 31));
+    for _ in 0..=MAX_HEADER_BYTES / line.len() {
+        wire.extend_from_slice(line.as_bytes());
+        wire.extend_from_slice(b"\r\n");
+    }
+    match read_request(&mut &wire[..], FUZZ_MAX_BODY) {
+        Err(ParseError::Protocol(431, _)) => {}
+        other => panic!("an endless trailer read as {other:?}"),
     }
 }
 
@@ -53,5 +78,6 @@ mod tests {
         http_request(&[0xff; 128]);
         http_request(b"POST / HTTP/1.1\r\nContent-Length: 99999999999999999999\r\n\r\n");
         http_request(b"POST /a HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2;x\r\nab\r\n0\r\n\r\nGET /b HTTP/1.0\n\n");
+        http_request(b"POST /a HTTP/1.1\nTransfer-Encoding: chunked\n\n0\nx-sum: 1\n\n");
     }
 }

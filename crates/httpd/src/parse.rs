@@ -140,8 +140,11 @@ impl Message for ClientResponse {
         if version != "HTTP/1.1" && version != "HTTP/1.0" {
             return Err((502, format!("bad status line {line:?}")));
         }
+        // Exactly three digits (RFC 9112 §4): `parse` would also take a
+        // sign, a leading zero or any other width.
         let status = parts
             .next()
+            .filter(|s| s.len() == 3 && s.bytes().all(|b| b.is_ascii_digit()))
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| (502, format!("bad status in {line:?}")))?;
         Ok((status, version == "HTTP/1.1"))
@@ -318,13 +321,18 @@ impl Scan {
                     self.head = Some((headers, after));
                     framing
                 }
-                Part::Headers => {
+                Part::Trailer if line.is_empty() => return Ok(Some(after)),
+                // Trailer lines count toward the header limit too, or a
+                // trailer that never ends would grow the buffer unbounded.
+                part @ (Part::Headers | Part::Trailer) => {
                     self.header_bytes += line.len();
                     if self.header_bytes > MAX_HEADER_BYTES {
                         return Err((431, "header block too large".into()));
                     }
-                    header(line)?;
-                    Part::Headers
+                    if let Part::Headers = part {
+                        header(line)?;
+                    }
+                    part
                 }
                 Part::Size => {
                     let size = line.split_once(';').map_or(line, |(size, _)| size);
@@ -340,7 +348,6 @@ impl Scan {
                 }
                 Part::DataEnd if line.is_empty() => Part::Size,
                 Part::DataEnd => return Err((400, "missing chunk terminator".into())),
-                Part::Trailer if line.is_empty() => return Ok(Some(after)),
                 part => part,
             };
             self.next = after;
@@ -774,6 +781,66 @@ mod tests {
             status(response(b"HTTP/1.1 200 OK\r\ncontent-length: x\r\n\r\n")),
             502
         );
+    }
+
+    #[test]
+    fn a_response_status_is_exactly_three_digits() {
+        for line in [
+            "HTTP/1.1 +200 OK",
+            "HTTP/1.1 0200 OK",
+            "HTTP/1.1 20 OK",
+            "HTTP/1.1 2000 OK",
+            "HTTP/1.1  200 OK",
+            "HTTP/1.1 2O0 OK",
+        ] {
+            let reply = format!("{line}\r\ncontent-length: 0\r\n\r\n");
+            assert_eq!(status(response(reply.as_bytes())), 502, "{line:?}");
+        }
+        for (line, code) in [
+            ("HTTP/1.1 200 OK", 200),
+            ("HTTP/1.1 200", 200),
+            ("HTTP/1.0 404 Not Found", 404),
+            ("HTTP/1.1 404", 404),
+        ] {
+            let reply = format!("{line}\r\ncontent-length: 0\r\n\r\n");
+            assert_eq!(response(reply.as_bytes()).unwrap().status, code, "{line:?}");
+        }
+    }
+
+    /// A trailer that never ends is refused once the header limit is
+    /// passed: the scan never asks for more than `MAX_HEADER_BYTES` plus
+    /// one line past the last chunk.
+    #[test]
+    fn an_endless_trailer_is_refused_at_the_header_limit() {
+        let last_chunk = b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n";
+        let line = format!("x-pad: {}\r\n", "p".repeat(1016));
+        let mut wire = last_chunk.to_vec();
+        while wire.len() < last_chunk.len() + 40 * 1024 {
+            wire.extend_from_slice(line.as_bytes());
+        }
+        // The whole lines the limit holds, then the one that passes it.
+        let lines = MAX_HEADER_BYTES / (line.len() - 2) + 1;
+        let ceiling = last_chunk.len() + lines * line.len();
+        let (mut scan, mut scratch) = (Scan::default(), Scratch::new());
+        let mut fed = 0;
+        let refusal = loop {
+            fed = (fed + 97).min(wire.len());
+            match scan.scan::<Request>(&wire[..fed], DEFAULT_MAX_BODY, &mut scratch) {
+                Scanned::Need(need) => {
+                    assert!(
+                        need <= ceiling,
+                        "asked for {need} bytes (ceiling {ceiling})"
+                    );
+                    assert!(fed < wire.len(), "still waiting after {fed} bytes");
+                }
+                Scanned::Fail(status, _) => break status,
+                Scanned::Complete(..) => panic!("an unterminated trailer completed"),
+            }
+        };
+        assert_eq!(refusal, 431);
+        assert_eq!(status(parse(&wire)), 431);
+        let reply = [&b"HTTP/1.1 200 OK"[..], &wire[b"POST / HTTP/1.1".len()..]].concat();
+        assert_eq!(status(response(&reply)), 431);
     }
 
     #[test]
