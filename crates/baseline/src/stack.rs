@@ -29,7 +29,8 @@ use clarens_httpd::{
     Handler, HttpClient, HttpServer, Method, Request, RequestContext, Response, ServerConfig,
 };
 use clarens_pki::cert::{verify_chain, Certificate, Credential};
-use clarens_wire::{soap, Fault, RpcCall, RpcResponse, Value};
+use clarens_wire::dom::soap;
+use clarens_wire::{Fault, RpcCall, RpcResponse, Value};
 
 use crate::wsdd;
 
@@ -144,7 +145,7 @@ impl Handler for Gt3Handler {
 
         // (3) Handler-chain passes: Axis re-walked the DOM per handler.
         for _ in 0..self.config.handler_passes.saturating_sub(1) {
-            if clarens_wire::xml::parse(body).is_err() {
+            if clarens_wire::dom::parse(body).is_err() {
                 return Response::error(400, "unparseable envelope");
             }
         }

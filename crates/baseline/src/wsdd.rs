@@ -7,7 +7,7 @@
 //! descriptor for a configurable number of services and implements the
 //! parse + validate pass the baseline performs on every invocation.
 
-use clarens_wire::xml::{Element, Node};
+use clarens_wire::dom::{Element, Node};
 
 /// Generate a WSDD-like document describing `service_count` services, each
 /// with a handler pipeline and typemapping entries (the shape of real Axis
@@ -90,7 +90,7 @@ pub struct ValidationReport {
 /// when activating a service instance. Returns a report or a description
 /// of the first violation.
 pub fn parse_and_validate(document: &str) -> Result<ValidationReport, String> {
-    let root = clarens_wire::xml::parse(document).map_err(|e| e.to_string())?;
+    let root = clarens_wire::dom::parse(document).map_err(|e| e.to_string())?;
     if root.local_name() != "deployment" {
         return Err(format!("root must be <deployment>, found <{}>", root.name));
     }

@@ -29,7 +29,8 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 /// Which decoder a fuzz run drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FuzzTarget {
-    /// `xmlrpc::decode_call` vs its DOM oracle, `xmlrpc::decode_call_dom`.
+    /// The streaming XML-RPC and SOAP call and response decoders vs their
+    /// DOM oracles in `clarens_wire::dom`.
     XmlrpcDivergence,
     /// The clarens-binary frame/CBOR decoders (+ round-trip idempotence).
     BinaryFrame,
@@ -149,11 +150,13 @@ fn seed_corpus(target: FuzzTarget) -> Vec<Vec<u8>> {
         .collect();
     match target {
         FuzzTarget::XmlrpcDivergence => {
-            for call in &calls {
-                corpus.push(clarens_wire::encode_call(Protocol::XmlRpc, call));
-            }
-            for resp in &responses {
-                corpus.push(clarens_wire::encode_response(Protocol::XmlRpc, resp, None));
+            for protocol in [Protocol::XmlRpc, Protocol::Soap] {
+                for call in &calls {
+                    corpus.push(clarens_wire::encode_call(protocol, call));
+                }
+                for resp in &responses {
+                    corpus.push(clarens_wire::encode_response(protocol, resp, None));
+                }
             }
             // Edge-of-grammar snippets the mutator struggles to reach from
             // well-formed documents: constructs no mainstream client emits,
@@ -168,6 +171,13 @@ fn seed_corpus(target: FuzzTarget) -> Vec<Vec<u8>> {
                 &b"<methodCall><junk/><methodName>a</methodName><methodName>b</methodName><params><param><x/><value>1</value><value><i4>x</i4></value></param></params></methodCall>"[..],
                 &b"<methodCall><methodName>m</methodName><params><param><value><struct><member><value><i4>1</i4></value><junk/><name>k</name><name>j</name></member></struct></value></param></params></methodCall>"[..],
                 &b"<methodCall><methodName>m</methodName><params><param><value><array>a<data>b<value>1</value>c<value><string a=\"b\">x</string></value></data></array></value></param></params></methodCall>"[..],
+                // A <fault> after a <params> that does not decode still wins.
+                &b"<methodResponse><params><param/></params><fault><value><struct><member><name>faultCode</name><value><i4>4</i4></value></member></struct></value></fault></methodResponse>"[..],
+                // SOAP's lenient parameters: bare text is a string, empty is nil.
+                &b"<soap:Envelope xmlns:soap=\"urn:s\"><soap:Header/><soap:Body><ns:a_DOT_b xmlns:ns=\"urn:c\"><a>plain</a><b/><c>x<junk/><value><i4>1</i4></value></c></ns:a_DOT_b></soap:Body></soap:Envelope>"[..],
+                &b"<Envelope><Body><r><return>plain</return></r></Body></Envelope>"[..],
+                &b"<Envelope><Body><r><return/></r></Body></Envelope>"[..],
+                &b"<Envelope><Body><Fault><faultstring>a<b/>c</faultstring><faultcode>Client.7</faultcode></Fault></Body></Envelope>"[..],
             ] {
                 corpus.push(snippet.to_vec());
             }

@@ -3,9 +3,10 @@
 //! steady-state `echo.echo` loop under a ceiling per protocol (XML-RPC and
 //! clarens-binary), those of one session admission and of one DN parse
 //! under their own, the pki kernels' (an RSA signature, a sealed and
-//! opened record, the digests) under theirs, and what a server allocates
+//! opened record, the digests) under theirs, what a server allocates
 //! for a request body that arrives in fragments, and for a head that
-//! arrives one byte at a time, under their own.
+//! arrives one byte at a time, under their own, and the client codec's
+//! calls and responses on every text protocol under theirs.
 //!
 //! Everything runs inside ONE `#[test]` so no concurrent test thread
 //! pollutes the process-global counters.
@@ -20,7 +21,7 @@ use clarens_httpd::{parse::read_response, serve_pipe, PeerInfo, Request, Respons
 use clarens_pki::cert::{Certificate, CertificateAuthority, Credential};
 use clarens_pki::dn::DistinguishedName;
 use clarens_pki::{rsa, SecureChannel};
-use clarens_wire::Protocol;
+use clarens_wire::{Protocol, RpcCall, RpcResponse, Value};
 use rand::{rngs::StdRng, SeedableRng};
 
 #[global_allocator]
@@ -170,6 +171,51 @@ fn dripped_head_allocations() {
     assert!(allocs < 5_000, "{allocs} allocations for a dripped head");
 }
 
+/// The client codec streams as the server's does: encoding an echo call
+/// writes one buffer, and decoding a `system.list_methods` response (69
+/// names, the registry's size) allocates the names and the array that
+/// holds them, not a tree. Each ceiling is two above the count measured
+/// (1 / 3 / 1 per call, 76 / 75 / 79 per list, 4 per SOAP call decoded). Through an element tree the parent measured
+/// 18 / 27 / 12 allocations per echo call on XML-RPC / SOAP / JSON-RPC,
+/// 438 / 445 / 149 per list decoded, and 23 per SOAP call the server
+/// decoded.
+fn client_codec_allocations() {
+    let echo = RpcCall::new("echo.echo", vec![Value::from("hello")]);
+    let names = (0..69).map(|i| Value::Str(format!("service{}.method_{i}", i % 12)));
+    let list = RpcResponse::Success(Value::Array(names.collect()));
+    for (name, protocol, encode_ceiling, decode_ceiling) in [
+        ("XML-RPC", Protocol::XmlRpc, 3, 78),
+        ("SOAP", Protocol::Soap, 5, 77),
+        ("JSON-RPC", Protocol::JsonRpc, 3, 81),
+    ] {
+        let encode = allocations_during(|| {
+            std::hint::black_box(clarens_wire::encode_call(protocol, &echo));
+        });
+        let body = clarens_wire::encode_response(protocol, &list, None);
+        let decode = allocations_during(|| {
+            let decoded = clarens_wire::decode_response(protocol, &body).unwrap();
+            std::hint::black_box(decoded);
+        });
+        println!(
+            "allocs/{name} echo encode_call: {encode}; list_methods decode_response: {decode}"
+        );
+        assert!(
+            encode <= encode_ceiling,
+            "{name} encode_call: {encode} > {encode_ceiling}"
+        );
+        assert!(
+            decode <= decode_ceiling,
+            "{name} decode_response: {decode} > {decode_ceiling}"
+        );
+    }
+    let body = clarens_wire::encode_call(Protocol::Soap, &echo);
+    let decode = allocations_during(|| {
+        std::hint::black_box(clarens_wire::decode_call(Protocol::Soap, &body).unwrap());
+    });
+    println!("allocs/SOAP echo decode_call: {decode}");
+    assert!(decode <= 6, "SOAP decode_call: {decode} > 6");
+}
+
 #[test]
 fn counting_allocator_and_steady_state_ceiling() {
     // --- allocator mechanics -------------------------------------------
@@ -240,6 +286,9 @@ fn counting_allocator_and_steady_state_ceiling() {
 
     // --- the pki kernels, measured ----------------------------------------
     pki_kernel_allocations();
+
+    // --- the client codec, measured ----------------------------------------
+    client_codec_allocations();
 
     // --- a body in fragments, measured ------------------------------------
     dripped_body_bytes();

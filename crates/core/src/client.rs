@@ -269,6 +269,14 @@ impl ClarensClient {
         }
     }
 
+    /// A node's client of another node — replication fetches, election
+    /// probes, heartbeats, forwarded calls: it speaks clarens-binary, so a
+    /// WAL chunk crosses as raw bytes, with no XML to write or to parse.
+    /// This is the one place the node-to-node protocol is chosen.
+    pub fn peer(addr: impl Into<String>) -> Self {
+        ClarensClient::new(addr).with_protocol(Protocol::Binary)
+    }
+
     /// Secure-channel client: the TLS identity doubles as the login, so no
     /// explicit `login()` is required.
     pub fn new_tls(

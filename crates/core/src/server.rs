@@ -168,10 +168,11 @@ struct ResolvedIdentity {
 /// "GET requests return a file or an XML-encoded error message to the
 /// client" (paper §2.3) — every GET-side error honours that format.
 fn xml_error(status: u16, message: &str) -> Response {
-    let xml = clarens_wire::xml::Element::new("error")
-        .attr("code", status.to_string())
-        .text(message);
-    Response::new(status, "text/xml", xml.to_document())
+    let message = clarens_wire::xml::escape(message);
+    let document = format!(
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<error code=\"{status}\">{message}</error>"
+    );
+    Response::new(status, "text/xml", document)
 }
 
 impl ClarensHandler {
@@ -542,6 +543,38 @@ impl Handler for ClarensHandler {
                 self.handle_get(request, peer, trace)
             }
             _ => Response::error(405, "use GET for files/portal, POST for RPC"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The error document is byte-for-byte the one the element tree wrote
+    /// for `<error code="…">message</error>`: the message is escaped as
+    /// element text (a `"` stays, a control character becomes a numeric
+    /// reference), and an empty one still gets an end tag.
+    #[test]
+    fn xml_error_document_matches_the_tree_writer() {
+        for (status, message, element) in [
+            (
+                400,
+                "a<b & \"c\"\u{1}d>",
+                "<error code=\"400\">a&lt;b &amp; \"c\"&#1;d&gt;</error>",
+            ),
+            (404, "", "<error code=\"404\"></error>"),
+        ] {
+            let response = xml_error(status, message);
+            assert_eq!(response.status, status);
+            let clarens_httpd::Body::Bytes(body) = response.body else {
+                panic!("an error document is a byte body");
+            };
+            let prolog = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
+            assert_eq!(
+                String::from_utf8(body).unwrap(),
+                format!("{prolog}{element}")
+            );
         }
     }
 }

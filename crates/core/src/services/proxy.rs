@@ -278,7 +278,7 @@ impl ProxyService {
             .ok_or_else(|| Fault::service(format!("unroutable descriptor url {}", best.url)))?;
 
         let mut client =
-            ClarensClient::new(addr).with_header("x-clarens-hops", (ctx.hops + 1).to_string());
+            ClarensClient::peer(addr).with_header("x-clarens-hops", (ctx.hops + 1).to_string());
         if let Some(budget) = ctx.remaining_budget() {
             client = client.with_call_deadline(budget);
         }

@@ -226,7 +226,7 @@ impl FederationNode {
 fn spawn_heartbeat(addr: String) -> Worker {
     let admin = federation_pki().admin.clone();
     Worker::spawn(format!("heartbeat-{addr}"), move |stop| {
-        let mut client = ClarensClient::new(addr)
+        let mut client = ClarensClient::peer(addr)
             .with_credential(admin)
             .with_retries(0)
             .with_call_deadline(Duration::from_secs(2));

@@ -497,7 +497,7 @@ fn apply(core: &ClarensCore, addr: &str, effect: Effect) {
 /// `system.health` of a peer: `(addr, is_leader, applied)`, or None if
 /// the peer is unreachable (a dead node cannot be more caught-up).
 fn health(peer: String) -> Option<(String, bool, u64)> {
-    let client = ClarensClient::new(&peer).with_retries(0);
+    let client = ClarensClient::peer(&peer).with_retries(0);
     let mut client = client.with_call_deadline(Duration::from_millis(250));
     let h = client.call("system.health", vec![]).ok()?;
     let leads = h.get("role").and_then(Value::as_str) == Some("leader");

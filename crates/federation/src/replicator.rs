@@ -224,7 +224,7 @@ fn run(
         for effect in machine.step(now, input) {
             match effect {
                 Effect::Login(leader) => {
-                    let c = ClarensClient::new(&leader).with_credential(admin.clone());
+                    let c = ClarensClient::peer(&leader).with_credential(admin.clone());
                     let c = c.with_retries(1).with_call_deadline(Duration::from_secs(5));
                     inputs.push_back(Input::LoggedIn(client.insert(c).login().is_ok()));
                 }

@@ -144,6 +144,48 @@ fn an_idle_federation_leaves_the_shipped_log_alone() {
     cluster.cleanup();
 }
 
+/// Node-to-node calls speak clarens-binary: once an elected cluster is
+/// idle and caught up, what still crosses between nodes (heartbeats,
+/// replication polls) moves every node's binary count and leaves its
+/// XML-RPC count alone.
+#[test]
+fn node_to_node_calls_speak_binary() {
+    let cluster = FederationCluster::start_elections(3, 500);
+    let leader = cluster.leader();
+    let caught_up = || {
+        let end = leader.core().store.wal_offset();
+        (cluster.nodes.iter()).all(|n| n.is_leader() || n.core().federation.applied() >= end)
+    };
+    assert!(
+        wait_until(Duration::from_secs(15), caught_up),
+        "followers did not catch up with the leader's log"
+    );
+    let counts = || -> Vec<(u64, u64)> {
+        let count = |snapshot: &[(&str, u64, u64)], name| {
+            snapshot
+                .iter()
+                .find(|(n, ..)| *n == name)
+                .map(|(_, requests, _)| *requests)
+        };
+        (cluster.nodes.iter())
+            .map(|node| {
+                let snapshot = node.core().telemetry.protocols_snapshot();
+                (
+                    count(&snapshot, "xmlrpc").unwrap(),
+                    count(&snapshot, "binary").unwrap(),
+                )
+            })
+            .collect()
+    };
+    let before = counts();
+    std::thread::sleep(Duration::from_secs(2));
+    for (i, (before, after)) in before.iter().zip(counts()).enumerate() {
+        assert_eq!(after.0, before.0, "node {i}'s XML-RPC count moved");
+        assert!(after.1 > before.1, "node {i}'s binary count did not move");
+    }
+    cluster.cleanup();
+}
+
 #[test]
 fn proxy_call_routes_to_module_owner() {
     let cluster = FederationCluster::start(2);

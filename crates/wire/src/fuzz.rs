@@ -11,34 +11,42 @@
 //! 3. `crates/bench/tests/fuzz_smoke.rs` — a short bounded pass of that
 //!    harness inside `cargo test` so the entries can never bit-rot.
 //!
-//! Beyond "don't crash", the entries assert semantic properties: the
-//! streaming XML-RPC call decoder against its DOM oracle (the two must be
-//! indistinguishable), and re-encode/re-decode idempotence for the binary
-//! frame codec.
+//! Beyond "don't crash", the entries assert semantic properties: each
+//! streaming XML decoder against its tree oracle in [`crate::dom`] (the
+//! two must be indistinguishable), and re-encode/re-decode idempotence for
+//! the binary frame codec.
 
-use crate::{binary, xmlrpc};
+use std::fmt::Debug;
 
-/// Fuzz the streaming XML-RPC call decoder against the DOM oracle.
+use crate::{binary, dom, soap, xmlrpc, WireError};
+
+/// Fuzz the streaming XML decoders against their DOM oracles.
 ///
-/// `xmlrpc::decode_call` reads the XML reader's events with the rules
-/// `xmlrpc::decode_call_dom` applies to the tree, so for every input the
-/// two must agree on success/failure and on the decoded call. A divergence
-/// here means the decoder accepted something the DOM rejects, rejected
+/// `xmlrpc::decode_call`, `xmlrpc::decode_response`, `soap::decode_call`
+/// and `soap::decode_response` read the XML reader's events with the rules
+/// their twins in [`crate::dom`] apply to the tree, so for every input each
+/// pair must agree on success/failure and on the decoded value. A
+/// divergence means a decoder accepted something the DOM rejects, rejected
 /// something it accepts, or decoded it differently.
 pub fn xmlrpc_divergence(data: &[u8]) {
     let Ok(text) = std::str::from_utf8(data) else {
         return;
     };
-    let streamed = xmlrpc::decode_call(text);
-    let dom = xmlrpc::decode_call_dom(text);
-    match (&streamed, &dom) {
-        (Ok(a), Ok(b)) => assert_eq!(a, b, "decoder/DOM decoded calls diverge"),
-        (Ok(call), Err(e)) => panic!("decoder accepted what DOM rejects: {call:?} vs {e}"),
-        (Err(e), Ok(call)) => panic!("decoder rejected what DOM accepts: {e} vs {call:?}"),
-        (Err(_), Err(_)) => {}
-    }
-    // The response decoder has one (DOM) path but must still never panic.
-    let _ = xmlrpc::decode_response(text);
+    agree(xmlrpc::decode_call, dom::xmlrpc::decode_call, text);
+    agree(xmlrpc::decode_response, dom::xmlrpc::decode_response, text);
+    agree(soap::decode_call, dom::soap::decode_call, text);
+    agree(soap::decode_response, dom::soap::decode_response, text);
+}
+
+type Decoder<T> = fn(&str) -> Result<T, WireError>;
+
+/// Both reject `text`, or both accept it as the same value. A
+/// `<double>NaN</double>` decodes unequal to itself, so equal `Debug`
+/// forms count as equal.
+fn agree<T: PartialEq + Debug>(streamed: Decoder<T>, dom: Decoder<T>, text: &str) {
+    let (streamed, dom) = (streamed(text).ok(), dom(text).ok());
+    let same = streamed == dom || format!("{streamed:?}") == format!("{dom:?}");
+    assert!(same, "decoder and DOM diverge: {streamed:?} vs {dom:?}");
 }
 
 /// Fuzz the binary (CBOR) frame decoders.
@@ -80,7 +88,15 @@ mod tests {
     #[test]
     fn entries_accept_valid_seeds() {
         let call = RpcCall::new("echo.echo", vec![Value::Int(1), Value::from("x")]);
-        xmlrpc_divergence(&crate::encode_call(Protocol::XmlRpc, &call));
+        for protocol in [Protocol::XmlRpc, Protocol::Soap] {
+            xmlrpc_divergence(&crate::encode_call(protocol, &call));
+            for response in [
+                crate::RpcResponse::Success(Value::from("ok")),
+                crate::RpcResponse::Fault(crate::Fault::new(4, "no")),
+            ] {
+                xmlrpc_divergence(&crate::encode_response(protocol, &response, None));
+            }
+        }
         binary_frame(&crate::encode_call(Protocol::Binary, &call));
         binary_frame(&crate::encode_response(
             Protocol::Binary,
@@ -104,6 +120,20 @@ mod tests {
             &crate::RpcResponse::Success(Value::Double(-f64::NAN)),
             None,
         ));
+    }
+
+    /// A `<double>NaN</double>` decodes to a NaN on each side of a
+    /// comparison, which the property must not count as a divergence.
+    #[test]
+    fn nan_double_decodes_alike() {
+        let value = "<value><double>NaN</double></value>";
+        xmlrpc_divergence(
+            format!("<methodResponse><params><param>{value}</param></params></methodResponse>")
+                .as_bytes(),
+        );
+        xmlrpc_divergence(
+            format!("<Envelope><Body><m><p>{value}</p></m></Body></Envelope>").as_bytes(),
+        );
     }
 
     #[test]

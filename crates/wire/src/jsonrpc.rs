@@ -5,46 +5,66 @@
 //! shape the 2005-era `jsonrpc` library used (`{"method", "params", "id"}`)
 //! and accept 2.0 requests/responses (`"jsonrpc":"2.0"`, error objects with
 //! `code`/`message`).
+//!
+//! The encoders write into a buffer with no intermediate [`Value`] tree
+//! ([`crate::dom::jsonrpc`]'s are their reference); the decoders move the
+//! members out of the one they parse.
+
+use std::collections::BTreeMap;
 
 use crate::fault::{Fault, WireError};
+use crate::json::{write_into, write_string_into};
 use crate::value::Value;
 use crate::{RpcCall, RpcResponse};
 
 /// Encode a call. If `call.id` is `None`, an id of `1` is used (JSON-RPC 1.0
-/// requires an id for calls that expect a response).
+/// requires an id for calls that expect a response). Members are written
+/// in key order, as a `Value::Struct` renders them.
 pub fn encode_call(call: &RpcCall) -> String {
-    let obj = Value::structure([
-        ("method", Value::Str(call.method.clone())),
-        ("params", Value::Array(call.params.clone())),
-        ("id", call.id.clone().unwrap_or(Value::Int(1))),
-    ]);
-    crate::json::to_string(&obj)
+    let mut out = Vec::with_capacity(128);
+    out.extend_from_slice(b"{\"id\":");
+    write_into(&mut out, call.id.as_ref().unwrap_or(&Value::Int(1)));
+    out.extend_from_slice(b",\"method\":");
+    write_string_into(&mut out, &call.method);
+    out.extend_from_slice(b",\"params\":[");
+    for (i, param) in call.params.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_into(&mut out, param);
+    }
+    out.extend_from_slice(b"]}");
+    crate::utf8(out)
+}
+
+/// The JSON object `text` holds, or what is wrong with it.
+fn object(text: &str, what: &str) -> Result<BTreeMap<String, Value>, WireError> {
+    match crate::json::parse(text)? {
+        Value::Struct(obj) => Ok(obj),
+        _ => Err(WireError::protocol(format!(
+            "JSON-RPC {what} must be an object"
+        ))),
+    }
 }
 
 /// Decode a call (accepts both 1.0 and 2.0 shapes).
 pub fn decode_call(text: &str) -> Result<RpcCall, WireError> {
-    let value = crate::json::parse(text)?;
-    let obj = value
-        .as_struct()
-        .ok_or_else(|| WireError::protocol("JSON-RPC request must be an object"))?;
+    let mut obj = object(text, "request")?;
     if let Some(version) = obj.get("jsonrpc") {
         if version.as_str() != Some("2.0") {
             return Err(WireError::protocol("unsupported jsonrpc version"));
         }
     }
-    let method = obj
-        .get("method")
-        .and_then(Value::as_str)
-        .ok_or_else(|| WireError::protocol("missing method"))?
-        .to_owned();
-    if method.is_empty() {
-        return Err(WireError::protocol("empty method"));
-    }
-    let params = match obj.get("params") {
+    let method = match obj.remove("method") {
+        Some(Value::Str(method)) if !method.is_empty() => method,
+        Some(Value::Str(_)) => return Err(WireError::protocol("empty method")),
+        _ => return Err(WireError::protocol("missing method")),
+    };
+    let params = match obj.remove("params") {
         None => Vec::new(),
-        Some(Value::Array(items)) => items.clone(),
+        Some(Value::Array(items)) => items,
         // 2.0 named params: pass the object through as a single struct param.
-        Some(v @ Value::Struct(_)) => vec![v.clone()],
+        Some(v @ Value::Struct(_)) => vec![v],
         Some(other) => {
             return Err(WireError::protocol(format!(
                 "params must be array or object, found {}",
@@ -52,39 +72,21 @@ pub fn decode_call(text: &str) -> Result<RpcCall, WireError> {
             )))
         }
     };
-    let id = obj.get("id").cloned();
+    let id = obj.remove("id");
     Ok(RpcCall { method, params, id })
 }
 
-/// Encode a response, echoing `id` (defaults to `1` like [`encode_call`]).
-///
-/// The 1.0 shape is emitted: success has `"error": null`, faults have
-/// `"result": null` and an error object.
+/// [`encode_response_into`] a new `String`.
 pub fn encode_response(response: &RpcResponse, id: Option<&Value>) -> String {
-    let id = id.cloned().unwrap_or(Value::Int(1));
-    let obj = match response {
-        RpcResponse::Success(value) => {
-            Value::structure([("result", value.clone()), ("error", Value::Nil), ("id", id)])
-        }
-        RpcResponse::Fault(fault) => Value::structure([
-            ("result", Value::Nil),
-            (
-                "error",
-                Value::structure([
-                    ("code", Value::Int(fault.code)),
-                    ("message", Value::Str(fault.message.clone())),
-                ]),
-            ),
-            ("id", id),
-        ]),
-    };
-    crate::json::to_string(&obj)
+    let mut out = Vec::new();
+    encode_response_into(response, id, &mut out);
+    crate::utf8(out)
 }
 
 /// Encode a response directly into `out` without building the intermediate
 /// response `Value::Struct` (and its clones of the result value).
 ///
-/// Byte-identical to [`encode_response`]`.into_bytes()`: the DOM path
+/// Byte-identical to [`crate::dom::jsonrpc::encode_response`], which
 /// renders a `BTreeMap`, whose iteration order for the three members is
 /// `error` < `id` < `result` (and `code` < `message` inside the error
 /// object) — enforced by property tests in `tests/stream_identity.rs`.
@@ -113,11 +115,7 @@ pub fn encode_response_into(response: &RpcResponse, id: Option<&Value>, out: &mu
 
 /// Decode a response (accepts both 1.0 and 2.0 shapes).
 pub fn decode_response(text: &str) -> Result<RpcResponse, WireError> {
-    let value = crate::json::parse(text)?;
-    let obj = value
-        .as_struct()
-        .ok_or_else(|| WireError::protocol("JSON-RPC response must be an object"))?;
-
+    let mut obj = object(text, "response")?;
     match obj.get("error") {
         Some(err) if !err.is_nil() => {
             // 2.0-style error object, or a bare string (some 1.0 impls).
@@ -137,8 +135,8 @@ pub fn decode_response(text: &str) -> Result<RpcResponse, WireError> {
         }
         _ => {}
     }
-    match obj.get("result") {
-        Some(result) => Ok(RpcResponse::Success(result.clone())),
+    match obj.remove("result") {
+        Some(result) => Ok(RpcResponse::Success(result)),
         None => Err(WireError::protocol("response has neither result nor error")),
     }
 }

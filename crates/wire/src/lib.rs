@@ -6,13 +6,18 @@
 //! ([`Value`]) together with self-contained codecs:
 //!
 //! * [`json`] — a JSON parser and writer (RFC 8259 subset, no external deps),
-//! * [`xml`] — a small XML 1.0 parser/writer (elements, attributes, text,
-//!   CDATA, comments; no DTDs — enough for RPC payloads),
+//! * [`xml`] — a small XML 1.0 pull reader and escaper (elements,
+//!   attributes, text, CDATA, comments; no DTDs — enough for RPC payloads),
 //! * [`xmlrpc`] — XML-RPC `methodCall` / `methodResponse` / `fault`,
 //! * [`soap`] — SOAP 1.1 RPC-style envelopes and `Fault` elements,
 //! * [`jsonrpc`] — JSON-RPC 1.0/2.0 requests and responses,
+//! * [`binary`] — clarens-binary, the protocol nodes speak to each other,
 //! * [`base64`] and [`percent`] — the byte-level codecs the above need,
 //! * [`datetime`] — the ISO 8601 `dateTime.iso8601` flavour XML-RPC uses.
+//!
+//! Each protocol has one codec per direction, client and server alike:
+//! streaming writers, and for XML one pull reader. [`dom`]'s element tree
+//! is kept only for the GT3 baseline and as the tests' reference.
 //!
 //! Everything in this crate is deterministic and allocation-conscious; the
 //! codecs are exercised by unit tests (including round-trip property tests in
@@ -24,6 +29,7 @@
 pub mod base64;
 pub mod binary;
 pub mod datetime;
+pub mod dom;
 pub mod fault;
 pub mod fuzz;
 pub mod json;
@@ -165,16 +171,16 @@ pub fn encode_call(protocol: Protocol, call: &RpcCall) -> Vec<u8> {
 
 /// Decode a call in the given protocol.
 pub fn decode_call(protocol: Protocol, body: &[u8]) -> Result<RpcCall, WireError> {
-    if protocol == Protocol::Binary {
-        return binary::decode_call(body);
-    }
-    let text = std::str::from_utf8(body).map_err(|_| WireError::parse("body is not UTF-8"))?;
     match protocol {
-        Protocol::XmlRpc => xmlrpc::decode_call(text),
-        Protocol::Soap => soap::decode_call(text),
-        Protocol::JsonRpc => jsonrpc::decode_call(text),
-        Protocol::Binary => unreachable!("handled above"),
+        Protocol::XmlRpc => xmlrpc::decode_call(text(body)?),
+        Protocol::Soap => soap::decode_call(text(body)?),
+        Protocol::JsonRpc => jsonrpc::decode_call(text(body)?),
+        Protocol::Binary => binary::decode_call(body),
     }
+}
+
+fn text(body: &[u8]) -> Result<&str, WireError> {
+    std::str::from_utf8(body).map_err(|_| WireError::parse("body is not UTF-8"))
 }
 
 /// Encode a response in the given protocol (`id` is echoed for JSON-RPC)
@@ -187,9 +193,9 @@ pub fn encode_response(protocol: Protocol, response: &RpcResponse, id: Option<&V
 
 /// Encode a response in the given protocol directly into `out`, appending.
 ///
-/// No `Element` tree, no intermediate `String`s, base64 streamed straight
+/// No element tree, no intermediate `String`s, base64 streamed straight
 /// from `Value::Bytes` into the buffer. Output is byte-identical to the
-/// per-protocol DOM encoders (property-tested in
+/// per-protocol encoders of [`dom`] (property-tested in
 /// `tests/stream_identity.rs`); the server passes a recycled buffer to make
 /// the serialize phase allocation-free in steady state.
 pub fn encode_response_into(
@@ -206,17 +212,18 @@ pub fn encode_response_into(
     }
 }
 
+/// A text encoder's output: ASCII markup, and text copied from `str`s.
+fn utf8(out: Vec<u8>) -> String {
+    String::from_utf8(out).expect("the text encoders write UTF-8")
+}
+
 /// Decode a response in the given protocol.
 pub fn decode_response(protocol: Protocol, body: &[u8]) -> Result<RpcResponse, WireError> {
-    if protocol == Protocol::Binary {
-        return binary::decode_response(body);
-    }
-    let text = std::str::from_utf8(body).map_err(|_| WireError::parse("body is not UTF-8"))?;
     match protocol {
-        Protocol::XmlRpc => xmlrpc::decode_response(text),
-        Protocol::Soap => soap::decode_response(text),
-        Protocol::JsonRpc => jsonrpc::decode_response(text),
-        Protocol::Binary => unreachable!("handled above"),
+        Protocol::XmlRpc => xmlrpc::decode_response(text(body)?),
+        Protocol::Soap => soap::decode_response(text(body)?),
+        Protocol::JsonRpc => jsonrpc::decode_response(text(body)?),
+        Protocol::Binary => binary::decode_response(body),
     }
 }
 

@@ -11,66 +11,68 @@
 //! our decoder and carries the full [`Value`] algebra) and the decoder is
 //! additionally lenient about namespace prefixes so that hand-written
 //! envelopes from tests and third-party-style clients parse.
+//!
+//! One codec per direction, sharing [`crate::xmlrpc`]'s value writer and
+//! value reader. [`crate::dom::soap`] is their reference and oracle.
+
+use std::borrow::Cow;
 
 use crate::fault::{Fault, WireError};
 use crate::value::Value;
-use crate::xml::{self, Element};
+use crate::xml::{self, Event, Reader};
+use crate::xmlrpc::{encode_value_into, read_value};
 use crate::{RpcCall, RpcResponse};
 
-const ENVELOPE_NS: &str = "http://schemas.xmlsoap.org/soap/envelope/";
+/// Everything before the body's content, in every envelope.
+const ENVELOPE_OPEN: &[u8] = b"<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n\
+    <SOAP-ENV:Envelope xmlns:SOAP-ENV=\"http://schemas.xmlsoap.org/soap/envelope/\">\
+    <SOAP-ENV:Body>";
+
+/// Everything after the body's content.
+const ENVELOPE_CLOSE: &[u8] = b"</SOAP-ENV:Body></SOAP-ENV:Envelope>";
 
 /// Dots cannot appear in XML element names used for RPC operation names.
-fn mangle_method(method: &str) -> String {
+pub(crate) fn mangle_method(method: &str) -> String {
     method.replace('.', "_DOT_")
 }
 
-fn demangle_method(name: &str) -> String {
+pub(crate) fn demangle_method(name: &str) -> String {
     name.replace("_DOT_", ".")
 }
 
-/// Encode a call as a SOAP envelope.
+/// Encode a call as a SOAP envelope: parameter `i` is `<p{i}>` holding an
+/// XML-RPC `<value>`.
 pub fn encode_call(call: &RpcCall) -> String {
-    let mut op =
-        Element::new(format!("m:{}", mangle_method(&call.method))).attr("xmlns:m", "urn:clarens");
-    for (i, param) in call.params.iter().enumerate() {
-        op = op.child(encode_param(&format!("p{i}"), param));
+    use std::io::Write as _;
+    let mut out = Vec::with_capacity(384);
+    out.extend_from_slice(ENVELOPE_OPEN);
+    let op = mangle_method(&call.method);
+    let _ = write!(out, "<m:{op} xmlns:m=\"urn:clarens\"");
+    if call.params.is_empty() {
+        out.extend_from_slice(b"/>");
+    } else {
+        out.push(b'>');
+        for (i, param) in call.params.iter().enumerate() {
+            let _ = write!(out, "<p{i}>");
+            encode_value_into(param, &mut out);
+            let _ = write!(out, "</p{i}>");
+        }
+        let _ = write!(out, "</m:{op}>");
     }
-    Element::new("SOAP-ENV:Envelope")
-        .attr("xmlns:SOAP-ENV", ENVELOPE_NS)
-        .child(Element::new("SOAP-ENV:Body").child(op))
-        .to_document()
-}
-
-/// Encode a response envelope (the reference for [`encode_response_into`]).
-pub fn encode_response(response: &RpcResponse) -> String {
-    let body_child = match response {
-        RpcResponse::Success(value) => Element::new("m:Response")
-            .attr("xmlns:m", "urn:clarens")
-            .child(encode_param("return", value)),
-        RpcResponse::Fault(fault) => Element::new("SOAP-ENV:Fault")
-            .child(Element::new("faultcode").text(format!("SOAP-ENV:Server.{}", fault.code)))
-            .child(Element::new("faultstring").text(fault.message.clone())),
-    };
-    Element::new("SOAP-ENV:Envelope")
-        .attr("xmlns:SOAP-ENV", ENVELOPE_NS)
-        .child(Element::new("SOAP-ENV:Body").child(body_child))
-        .to_document()
+    out.extend_from_slice(ENVELOPE_CLOSE);
+    crate::utf8(out)
 }
 
 /// Encode a response envelope directly into `out` — byte-identical to
-/// [`encode_response`]`.into_bytes()` (property-tested in
-/// `tests/stream_identity.rs`); the DOM form stays as the reference.
+/// [`crate::dom::soap::encode_response`] (property-tested in
+/// `tests/stream_identity.rs`).
 pub fn encode_response_into(response: &RpcResponse, out: &mut Vec<u8>) {
     use std::io::Write as _;
-    out.extend_from_slice(
-        b"<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n\
-          <SOAP-ENV:Envelope xmlns:SOAP-ENV=\"http://schemas.xmlsoap.org/soap/envelope/\">\
-          <SOAP-ENV:Body>",
-    );
+    out.extend_from_slice(ENVELOPE_OPEN);
     match response {
         RpcResponse::Success(value) => {
             out.extend_from_slice(b"<m:Response xmlns:m=\"urn:clarens\"><return>");
-            crate::xmlrpc::encode_value_into(value, out);
+            encode_value_into(value, out);
             out.extend_from_slice(b"</return></m:Response>");
         }
         RpcResponse::Fault(fault) => {
@@ -83,108 +85,116 @@ pub fn encode_response_into(response: &RpcResponse, out: &mut Vec<u8>) {
             out.extend_from_slice(b"</faultstring></SOAP-ENV:Fault>");
         }
     }
-    out.extend_from_slice(b"</SOAP-ENV:Body></SOAP-ENV:Envelope>");
+    out.extend_from_slice(ENVELOPE_CLOSE);
 }
 
-/// Encode one named parameter. The child structure reuses the XML-RPC value
-/// element lexicon, which keeps the two XML protocols' type systems aligned.
-fn encode_param(name: &str, value: &Value) -> Element {
-    Element::new(name).child(crate::xmlrpc::encode_value(value))
-}
-
-fn decode_param(el: &Element) -> Result<Value, WireError> {
-    match el.find("value") {
-        Some(value_el) => crate::xmlrpc::decode_value(value_el),
-        // Lenient mode: a parameter with bare text is a string; an empty
-        // parameter is nil.
-        None => {
-            if el.elements().next().is_none() {
-                let text = el.text_content();
-                if text.is_empty() {
-                    Ok(Value::Nil)
-                } else {
-                    Ok(Value::Str(text))
-                }
-            } else {
-                Err(WireError::protocol(format!(
-                    "SOAP parameter <{}> has unrecognized content",
-                    el.name
-                )))
-            }
-        }
-    }
-}
-
-fn find_body(root: &Element) -> Result<&Element, WireError> {
-    if root.local_name() != "Envelope" {
+/// Read an envelope up to its first `Body`'s first child element, whose
+/// local name this returns.
+fn open_body<'a>(xml: &mut Reader<'a>) -> Result<&'a str, WireError> {
+    let root = xml.root()?;
+    if root.local != "Envelope" {
         return Err(WireError::protocol(format!(
             "expected SOAP Envelope, found <{}>",
             root.name
         )));
     }
-    root.find("Body")
-        .ok_or_else(|| WireError::protocol("envelope has no Body"))
+    while let Some(name) = xml.child()? {
+        if name == "Body" {
+            return xml
+                .child()?
+                .ok_or_else(|| WireError::protocol("SOAP Body is empty"));
+        }
+        xml.skip()?;
+    }
+    Err(WireError::protocol("envelope has no Body"))
 }
 
-/// Decode a call envelope.
+/// The value of an open parameter element `<name>`: its first `<value>`.
+/// Lenient mode: with no child element at all, its text is a string, or
+/// nil if it has none.
+fn read_param(xml: &mut Reader<'_>, name: &str) -> Result<Value, WireError> {
+    let (mut value, mut text, mut elements) = (None, Cow::Borrowed(""), false);
+    loop {
+        match xml.next()? {
+            Event::Start(tag) if tag.local == "value" && value.is_none() => {
+                value = Some(read_value(xml)?)
+            }
+            Event::Start(_) => {
+                elements = true;
+                xml.skip()?
+            }
+            // With no child element there is one text event at most.
+            Event::Text(more) => text = more,
+            Event::End => break,
+        }
+    }
+    match value {
+        Some(value) => Ok(value),
+        None if elements => Err(WireError::protocol(format!(
+            "SOAP parameter <{name}> has unrecognized content"
+        ))),
+        None if text.is_empty() => Ok(Value::Nil),
+        None => Ok(Value::Str(text.into_owned())),
+    }
+}
+
+/// Decode a call envelope from the XML reader's events, by
+/// [`crate::dom::soap::decode_call`]'s rules: the first `Body`'s first
+/// element is the operation, and each of its child elements a parameter.
 pub fn decode_call(text: &str) -> Result<RpcCall, WireError> {
-    let root = xml::parse(text)?;
-    let body = find_body(&root)?;
-    let op = body
-        .elements()
-        .next()
-        .ok_or_else(|| WireError::protocol("SOAP Body is empty"))?;
-    if op.local_name() == "Fault" {
+    let mut xml = Reader::new(text);
+    let op = open_body(&mut xml)?;
+    if op == "Fault" {
         return Err(WireError::protocol("Fault in request body"));
     }
-    let method = demangle_method(op.local_name());
     let mut params = Vec::new();
-    for param_el in op.elements() {
-        params.push(decode_param(param_el)?);
+    while let Some(name) = xml.child()? {
+        params.push(read_param(&mut xml, name)?);
     }
+    xml.finish()?;
     Ok(RpcCall {
-        method,
+        method: demangle_method(op),
         params,
         id: None,
     })
 }
 
-/// Decode a response envelope.
+/// Decode a response envelope from the XML reader's events, by
+/// [`crate::dom::soap::decode_response`]'s rules.
 pub fn decode_response(text: &str) -> Result<RpcResponse, WireError> {
-    let root = xml::parse(text)?;
-    let body = find_body(&root)?;
-    let first = body
-        .elements()
-        .next()
-        .ok_or_else(|| WireError::protocol("SOAP Body is empty"))?;
-    if first.local_name() == "Fault" {
-        let code_text = first
-            .find("faultcode")
-            .map(|e| e.text_content())
-            .unwrap_or_default();
+    let mut xml = Reader::new(text);
+    let response = if open_body(&mut xml)? == "Fault" {
+        let (mut code, mut message) = (None, None);
+        while let Some(name) = xml.child()? {
+            match name {
+                "faultcode" if code.is_none() => code = Some(xml.text()?),
+                "faultstring" if message.is_none() => message = Some(xml.text()?),
+                _ => xml.skip()?,
+            }
+        }
         // Our encoder writes "SOAP-ENV:Server.<code>"; extract the numeric
         // tail when present, otherwise default to 0.
-        let code = code_text
-            .rsplit('.')
-            .next()
-            .and_then(|tail| tail.parse::<i64>().ok())
-            .unwrap_or(0);
-        let message = first
-            .find("faultstring")
-            .map(|e| e.text_content())
-            .unwrap_or_default();
-        return Ok(RpcResponse::Fault(Fault::new(code, message)));
-    }
-    let ret = first
-        .elements()
-        .next()
-        .ok_or_else(|| WireError::protocol("SOAP response has no return parameter"))?;
-    Ok(RpcResponse::Success(decode_param(ret)?))
+        let code = code.and_then(|text| text.rsplit('.').next()?.parse().ok());
+        let message = message.map(Cow::into_owned).unwrap_or_default();
+        RpcResponse::Fault(Fault::new(code.unwrap_or(0), message))
+    } else {
+        let name = (xml.child()?)
+            .ok_or_else(|| WireError::protocol("SOAP response has no return parameter"))?;
+        RpcResponse::Success(read_param(&mut xml, name)?)
+    };
+    xml.finish()?;
+    Ok(response)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode_response(response: &RpcResponse) -> String {
+        let mut out = Vec::new();
+        encode_response_into(response, &mut out);
+        String::from_utf8(out).unwrap()
+    }
 
     #[test]
     fn call_roundtrip() {
@@ -251,6 +261,64 @@ mod tests {
         assert!(decode_call("<Envelope/>").is_err());
         assert!(decode_call("<Envelope><Body/></Envelope>").is_err());
         assert!(decode_call("<NotEnvelope><Body><m/></Body></NotEnvelope>").is_err());
+    }
+
+    /// Envelopes decode exactly as the DOM reference decodes them, and
+    /// malformed ones are rejected by both.
+    #[test]
+    fn envelopes_decode_as_dom() {
+        use crate::dom::soap as dom;
+        let envelope = |body: &str| format!("<Envelope><Body>{body}</Body></Envelope>");
+        let calls = [
+            envelope("<m><a>plain</a><b/><c><value><i4>1</i4></value></c></m>"),
+            envelope("text<m>x<a><junk/><value><i4>1</i4></value><value><bogus/></value></a>y</m><n/>"),
+            envelope("<m><a>t<!-- c -->u<![CDATA[v]]></a><b>  </b><c>&lt;&amp;</c></m>"),
+            "<s:Envelope xmlns:s=\"urn:s\"><s:Header><x/></s:Header><s:Body><ns:a_DOT_b xmlns:ns=\"urn:c\"/></s:Body><s:Body><Fault/></s:Body></s:Envelope>".to_owned(),
+            "<Envelope><junk>1</junk><Body a=\"1\"><m><p><value><struct><member><name>k</name><value>v</value></member></struct></value></p></m></Body></Envelope>".to_owned(),
+            // The first child named `Body`, not one nested deeper or merely ending so.
+            "<Envelope><Head><Body/></Head><NoBody><m/></NoBody><Body><n/></Body></Envelope>".to_owned(),
+        ];
+        for doc in &calls {
+            let expected =
+                dom::decode_call(doc).unwrap_or_else(|e| panic!("DOM rejects {doc}: {e}"));
+            assert_eq!(decode_call(doc).unwrap(), expected, "{doc}");
+        }
+        let responses = [
+            envelope("<m:Response><return>plain</return></m:Response>"),
+            envelope("<r><x/><y>z</y></r>"),
+            envelope("<r><ret><junk/><value><i4>5</i4></value></ret><ret2><bogus/></ret2></r>"),
+            envelope("<Fault><faultcode>Client</faultcode><faultstring>oops</faultstring></Fault>"),
+            envelope("<Fault><faultstring>a<b/>c</faultstring><faultcode>x.7</faultcode><faultcode>x.8</faultcode></Fault>"),
+            envelope("<SOAP-ENV:Fault/>"),
+        ];
+        for doc in &responses {
+            let expected =
+                dom::decode_response(doc).unwrap_or_else(|e| panic!("DOM rejects {doc}: {e}"));
+            assert_eq!(decode_response(doc).unwrap(), expected, "{doc}");
+        }
+        let malformed = [
+            envelope(""),
+            envelope("text"),
+            envelope("<Fault/>"),
+            envelope("<m><a><b/></a></m>"),
+            envelope("<m><a><value><i4>x</i4></value></a></m>"),
+            "<Envelope><Body><m/></Envelope>".to_owned(),
+            "<Envelope><Head/></Envelope>".to_owned(),
+            "<Other><Body><m/></Body></Other>".to_owned(),
+            format!("{}<junk/>", envelope("<m/>")),
+        ];
+        for doc in &malformed {
+            assert!(dom::decode_call(doc).is_err(), "DOM accepts {doc}");
+            assert!(decode_call(doc).is_err(), "accepted {doc}");
+        }
+        for doc in [
+            envelope(""),
+            envelope("<r/>"),
+            envelope("<r><p><x/></p></r>"),
+        ] {
+            assert!(dom::decode_response(&doc).is_err(), "DOM accepts {doc}");
+            assert!(decode_response(&doc).is_err(), "accepted {doc}");
+        }
     }
 
     #[test]

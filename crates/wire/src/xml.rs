@@ -5,12 +5,12 @@
 //! Out of scope (rejected or skipped): DTDs/doctype internal subsets
 //! (skipped without expansion — no billion-laughs exposure), processing
 //! instructions (skipped). Namespace *syntax* is preserved
-//! (`SOAP-ENV:Envelope` keeps its prefix); [`Element::local_name`] strips
+//! (`SOAP-ENV:Envelope` keeps its prefix); a start tag's local name drops
 //! the prefix, which is all the SOAP subset needs.
 //!
 //! One lexer decides what is well-formed: the pull reader `Reader`, whose
-//! events borrow from the document. [`parse`] builds an [`Element`] tree
-//! from those events; the XML-RPC call decoder reads them directly.
+//! events borrow from the document. The XML-RPC and SOAP decoders read
+//! those events directly; [`crate::dom::parse`] builds its tree from them.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -24,145 +24,7 @@ pub const MAX_DEPTH: usize = 256;
 /// Open elements whose names a reader keeps without allocating.
 const INLINE_DEPTH: usize = 16;
 
-/// An XML element.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Element {
-    /// Tag name as written, possibly namespace-prefixed.
-    pub name: String,
-    /// Attributes in document order.
-    pub attributes: Vec<(String, String)>,
-    /// Child nodes in document order.
-    pub children: Vec<Node>,
-}
-
-/// A node in the parsed tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Node {
-    /// Child element.
-    Element(Element),
-    /// Character data (entities decoded, CDATA merged).
-    Text(String),
-}
-
-impl Element {
-    /// Create an empty element.
-    pub fn new(name: impl Into<String>) -> Self {
-        Element {
-            name: name.into(),
-            attributes: Vec::new(),
-            children: Vec::new(),
-        }
-    }
-
-    /// Builder: add an attribute.
-    pub fn attr(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.attributes.push((name.into(), value.into()));
-        self
-    }
-
-    /// Builder: add a child element.
-    pub fn child(mut self, child: Element) -> Self {
-        self.children.push(Node::Element(child));
-        self
-    }
-
-    /// Builder: add text content.
-    pub fn text(mut self, text: impl Into<String>) -> Self {
-        self.children.push(Node::Text(text.into()));
-        self
-    }
-
-    /// The name with any namespace prefix removed.
-    pub fn local_name(&self) -> &str {
-        self.name.rsplit(':').next().unwrap_or(&self.name)
-    }
-
-    /// Attribute lookup by exact name.
-    pub fn attribute(&self, name: &str) -> Option<&str> {
-        self.attributes
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Iterate over child elements.
-    pub fn elements(&self) -> impl Iterator<Item = &Element> {
-        self.children.iter().filter_map(|n| match n {
-            Node::Element(e) => Some(e),
-            Node::Text(_) => None,
-        })
-    }
-
-    /// First child element with the given *local* name.
-    pub fn find(&self, local: &str) -> Option<&Element> {
-        self.elements().find(|e| e.local_name() == local)
-    }
-
-    /// All child elements with the given local name.
-    pub fn find_all<'a>(&'a self, local: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
-        self.elements().filter(move |e| e.local_name() == local)
-    }
-
-    /// The first *element* child, if any (XML-RPC `<value>` content).
-    pub fn first_element(&self) -> Option<&Element> {
-        self.elements().next()
-    }
-
-    /// Concatenated text content of this element (direct children only).
-    pub fn text_content(&self) -> String {
-        let mut out = String::new();
-        for node in &self.children {
-            if let Node::Text(t) = node {
-                out.push_str(t);
-            }
-        }
-        out
-    }
-
-    /// Serialize this element as a document with an XML declaration.
-    pub fn to_document(&self) -> String {
-        let mut out = String::from("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
-        self.write(&mut out);
-        out
-    }
-
-    /// Serialize this element (no declaration).
-    pub fn write(&self, out: &mut String) {
-        out.push('<');
-        out.push_str(&self.name);
-        for (k, v) in &self.attributes {
-            out.push(' ');
-            out.push_str(k);
-            out.push_str("=\"");
-            escape_into(v, out, true);
-            out.push('"');
-        }
-        if self.children.is_empty() {
-            out.push_str("/>");
-            return;
-        }
-        out.push('>');
-        for child in &self.children {
-            match child {
-                Node::Element(e) => e.write(out),
-                Node::Text(t) => escape_into(t, out, false),
-            }
-        }
-        out.push_str("</");
-        out.push_str(&self.name);
-        out.push('>');
-    }
-}
-
-impl std::fmt::Display for Element {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = String::new();
-        self.write(&mut s);
-        f.write_str(&s)
-    }
-}
-
-/// Escape text for element content (or attribute values when `attr`).
+/// Escape text for element content.
 pub fn escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     escape_into(text, &mut out, false);
@@ -189,7 +51,7 @@ pub fn escape_text_into(text: &str, out: &mut Vec<u8>) {
     }
 }
 
-fn escape_into(text: &str, out: &mut String, attr: bool) {
+pub(crate) fn escape_into(text: &str, out: &mut String, attr: bool) {
     for c in text.chars() {
         match c {
             '<' => out.push_str("&lt;"),
@@ -203,35 +65,6 @@ fn escape_into(text: &str, out: &mut String, attr: bool) {
                 let _ = write!(out, "&#{};", c as u32);
             }
             c => out.push(c),
-        }
-    }
-}
-
-/// Parse an XML document and return the root element.
-pub fn parse(text: &str) -> Result<Element, WireError> {
-    let mut reader = Reader::new(text);
-    let root = reader.root()?;
-    build(&mut reader, root)
-}
-
-/// The element `tag` opened, read up to its end tag.
-fn build(reader: &mut Reader<'_>, tag: Tag<'_>) -> Result<Element, WireError> {
-    let mut attrs = Cursor {
-        text: tag.attrs,
-        pos: 0,
-    };
-    let mut element = Element {
-        name: tag.name.to_owned(),
-        attributes: std::iter::from_fn(|| attrs.attribute().ok().flatten())
-            .map(|(k, v)| (k.to_owned(), v.into_owned()))
-            .collect(),
-        children: Vec::new(),
-    };
-    loop {
-        match reader.next()? {
-            Event::Start(child) => element.children.push(Node::Element(build(reader, child)?)),
-            Event::Text(text) => element.children.push(Node::Text(text.into_owned())),
-            Event::End => return Ok(element),
         }
     }
 }
@@ -254,7 +87,7 @@ pub(crate) struct Tag<'a> {
     /// The name with any namespace prefix removed.
     pub(crate) local: &'a str,
     /// The attribute list as written, already checked by the reader.
-    attrs: &'a str,
+    pub(crate) attrs: &'a str,
 }
 
 /// A pull reader over one document: [`Reader::root`]'s start tag, then
@@ -357,8 +190,16 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    /// Read past the end of the root, and so check the whole document.
+    pub(crate) fn finish(&mut self) -> Result<(), WireError> {
+        while self.depth > 0 {
+            self.skip()?;
+        }
+        Ok(())
+    }
+
     /// The rest of the innermost open element's direct text, child
-    /// elements skipped: what [`Element::text_content`] gives.
+    /// elements skipped: what the tree's `text_content` gives.
     pub(crate) fn text(&mut self) -> Result<Cow<'a, str>, WireError> {
         let mut text = Cow::Borrowed("");
         loop {
@@ -471,9 +312,9 @@ const NAME_BYTES: [bool; 256] = {
 };
 
 /// A position in a document, and the lexing the reader's constructs share.
-struct Cursor<'a> {
-    text: &'a str,
-    pos: usize,
+pub(crate) struct Cursor<'a> {
+    pub(crate) text: &'a str,
+    pub(crate) pos: usize,
 }
 
 impl<'a> Cursor<'a> {
@@ -552,7 +393,7 @@ impl<'a> Cursor<'a> {
 
     /// The next `name="value"` of a start tag, or `None` at the tag's `/`
     /// or `>` or at the end of the text.
-    fn attribute(&mut self) -> Result<Option<(&'a str, Cow<'a, str>)>, WireError> {
+    pub(crate) fn attribute(&mut self) -> Result<Option<(&'a str, Cow<'a, str>)>, WireError> {
         self.skip_ws();
         if matches!(self.peek(), None | Some(b'/' | b'>')) {
             return Ok(None);
@@ -642,131 +483,4 @@ fn decode_entities(text: &str) -> Result<Cow<'_, str>, WireError> {
     }
     out.push_str(rest);
     Ok(Cow::Owned(out))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn basic_document() {
-        let root = parse("<?xml version=\"1.0\"?><a><b x=\"1\">hi</b><c/></a>").unwrap();
-        assert_eq!(root.name, "a");
-        assert_eq!(root.elements().count(), 2);
-        let b = root.find("b").unwrap();
-        assert_eq!(b.attribute("x"), Some("1"));
-        assert_eq!(b.text_content(), "hi");
-        assert!(root.find("c").unwrap().children.is_empty());
-        assert!(root.find("zzz").is_none());
-    }
-
-    #[test]
-    fn entities_decoded() {
-        let root = parse("<a>&lt;&gt;&amp;&apos;&quot;&#65;&#x42;</a>").unwrap();
-        assert_eq!(root.text_content(), "<>&'\"AB");
-    }
-
-    #[test]
-    fn unknown_entity_rejected() {
-        assert!(parse("<a>&nbsp;</a>").is_err());
-        assert!(parse("<a>&unterminated</a>").is_err());
-    }
-
-    #[test]
-    fn cdata() {
-        let root = parse("<a><![CDATA[<raw> & text]]></a>").unwrap();
-        assert_eq!(root.text_content(), "<raw> & text");
-        // CDATA merges with adjacent text.
-        let root = parse("<a>x<![CDATA[y]]>z</a>").unwrap();
-        assert_eq!(root.text_content(), "xyz");
-        assert_eq!(root.children.len(), 1);
-    }
-
-    #[test]
-    fn comments_and_pis_skipped() {
-        let root = parse("<!-- hi --><?pi data?><a><!-- inner --><b/><?x?>text</a>").unwrap();
-        assert_eq!(root.elements().count(), 1);
-        assert_eq!(root.text_content(), "text");
-    }
-
-    #[test]
-    fn doctype_skipped_not_expanded() {
-        let doc = "<!DOCTYPE lolz [<!ENTITY lol \"lol\">]><a>safe</a>";
-        let root = parse(doc).unwrap();
-        assert_eq!(root.text_content(), "safe");
-        // But references to DTD-defined entities still fail (no expansion).
-        assert!(parse("<!DOCTYPE l [<!ENTITY lol \"lol\">]><a>&lol;</a>").is_err());
-    }
-
-    #[test]
-    fn mismatched_tags_rejected() {
-        assert!(parse("<a><b></a></b>").is_err());
-        assert!(parse("<a>").is_err());
-        assert!(parse("<a></a><b></b>").is_err());
-    }
-
-    #[test]
-    fn attributes_with_entities_and_quotes() {
-        let root = parse("<a x=\"&lt;v&gt;\" y='single \"double\"'/>").unwrap();
-        assert_eq!(root.attribute("x"), Some("<v>"));
-        assert_eq!(root.attribute("y"), Some("single \"double\""));
-    }
-
-    #[test]
-    fn namespace_prefixes() {
-        let root = parse("<SOAP-ENV:Envelope xmlns:SOAP-ENV=\"uri\"/>").unwrap();
-        assert_eq!(root.name, "SOAP-ENV:Envelope");
-        assert_eq!(root.local_name(), "Envelope");
-    }
-
-    #[test]
-    fn writer_roundtrip() {
-        let el = Element::new("methodCall")
-            .child(Element::new("methodName").text("file.read"))
-            .child(Element::new("params").child(Element::new("param").child(
-                Element::new("value").child(Element::new("string").text("a<b>&c \"quoted\"")),
-            )));
-        let doc = el.to_document();
-        let reparsed = parse(&doc).unwrap();
-        assert_eq!(reparsed, el);
-    }
-
-    #[test]
-    fn control_chars_roundtrip_via_numeric_refs() {
-        let el = Element::new("a").text("\u{01}ok\u{1f}");
-        let doc = el.to_document();
-        assert!(doc.contains("&#1;"));
-        assert_eq!(parse(&doc).unwrap().text_content(), "\u{01}ok\u{1f}");
-    }
-
-    #[test]
-    fn depth_bounded() {
-        let deep = "<a>".repeat(MAX_DEPTH + 2) + &"</a>".repeat(MAX_DEPTH + 2);
-        assert!(parse(&deep).is_err());
-    }
-
-    #[test]
-    fn whitespace_preserved_in_text() {
-        let root = parse("<a>  spaced  </a>").unwrap();
-        assert_eq!(root.text_content(), "  spaced  ");
-    }
-
-    #[test]
-    fn self_closing_with_space() {
-        let root = parse("<a />").unwrap();
-        assert_eq!(root.name, "a");
-    }
-
-    #[test]
-    fn find_all_filters_by_local_name() {
-        let root = parse("<a><m>1</m><n/><m>2</m></a>").unwrap();
-        let texts: Vec<String> = root.find_all("m").map(|e| e.text_content()).collect();
-        assert_eq!(texts, vec!["1", "2"]);
-    }
-
-    #[test]
-    fn display_matches_write() {
-        let el = Element::new("x").attr("a", "1").text("t");
-        assert_eq!(el.to_string(), "<x a=\"1\">t</x>");
-    }
 }

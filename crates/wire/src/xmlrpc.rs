@@ -6,6 +6,10 @@
 //! (including bare text inside `<value>`), `double`, `dateTime.iso8601`,
 //! `base64`, `struct`, `array`, and the widely-implemented `<nil/>`
 //! extension.
+//!
+//! One codec per direction, client and server alike: streaming writers
+//! that share [`encode_value_into`], and decoders that read the XML
+//! reader's events. [`crate::dom::xmlrpc`] is their reference and oracle.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -13,82 +17,36 @@ use std::collections::BTreeMap;
 use crate::datetime::DateTime;
 use crate::fault::{Fault, WireError};
 use crate::value::Value;
-use crate::xml::{self, Element, Event, Reader};
+use crate::xml::{self, Event, Reader};
 use crate::{RpcCall, RpcResponse};
 
 /// Encode a method call as an XML-RPC `<methodCall>` document.
 pub fn encode_call(call: &RpcCall) -> String {
-    let mut params = Element::new("params");
-    for param in &call.params {
-        params = params.child(Element::new("param").child(encode_value(param)));
+    let mut out = Vec::with_capacity(256);
+    out.extend_from_slice(b"<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<methodCall><methodName>");
+    xml::escape_text_into(&call.method, &mut out);
+    out.extend_from_slice(b"</methodName>");
+    if call.params.is_empty() {
+        out.extend_from_slice(b"<params/>");
+    } else {
+        out.extend_from_slice(b"<params>");
+        for param in &call.params {
+            out.extend_from_slice(b"<param>");
+            encode_value_into(param, &mut out);
+            out.extend_from_slice(b"</param>");
+        }
+        out.extend_from_slice(b"</params>");
     }
-    Element::new("methodCall")
-        .child(Element::new("methodName").text(call.method.clone()))
-        .child(params)
-        .to_document()
+    out.extend_from_slice(b"</methodCall>");
+    crate::utf8(out)
 }
 
-/// Encode a response (`<params>` on success, `<fault>` on failure): the
-/// reference for [`encode_response_into`], which the server runs.
-pub fn encode_response(response: &RpcResponse) -> String {
-    let root = match response {
-        RpcResponse::Success(value) => Element::new("methodResponse")
-            .child(Element::new("params").child(Element::new("param").child(encode_value(value)))),
-        RpcResponse::Fault(fault) => {
-            let detail = Value::structure([
-                ("faultCode", Value::Int(fault.code)),
-                ("faultString", Value::Str(fault.message.clone())),
-            ]);
-            Element::new("methodResponse").child(Element::new("fault").child(encode_value(&detail)))
-        }
-    };
-    root.to_document()
-}
-
-/// Encode one value as a `<value>` element.
-pub fn encode_value(value: &Value) -> Element {
-    let inner = match value {
-        Value::Nil => Element::new("nil"),
-        Value::Bool(b) => Element::new("boolean").text(if *b { "1" } else { "0" }),
-        Value::Int(i) => {
-            if i32::try_from(*i).is_ok() {
-                Element::new("i4").text(i.to_string())
-            } else {
-                Element::new("i8").text(i.to_string())
-            }
-        }
-        Value::Double(d) => Element::new("double").text(format_double(*d)),
-        Value::Str(s) => Element::new("string").text(s.clone()),
-        Value::Bytes(b) => Element::new("base64").text(crate::base64::encode(b)),
-        Value::DateTime(dt) => Element::new("dateTime.iso8601").text(dt.to_string()),
-        Value::Array(items) => {
-            let mut data = Element::new("data");
-            for item in items {
-                data = data.child(encode_value(item));
-            }
-            Element::new("array").child(data)
-        }
-        Value::Struct(map) => {
-            let mut st = Element::new("struct");
-            for (k, v) in map {
-                st = st.child(
-                    Element::new("member")
-                        .child(Element::new("name").text(k.clone()))
-                        .child(encode_value(v)),
-                );
-            }
-            st
-        }
-    };
-    Element::new("value").child(inner)
-}
-
-/// Encode a response directly into `out` with no intermediate `Element`
+/// Encode a response directly into `out` with no intermediate element
 /// tree or per-field `String`s.
 ///
-/// Byte-identical to [`encode_response`]`.into_bytes()` — the DOM encoder
-/// stays as the reference implementation and the equivalence is enforced by
-/// property tests (`tests/stream_identity.rs`).
+/// Byte-identical to [`crate::dom::xmlrpc::encode_response`], the tree
+/// encoder kept as its reference (property-tested in
+/// `tests/stream_identity.rs`).
 pub fn encode_response_into(response: &RpcResponse, out: &mut Vec<u8>) {
     out.extend_from_slice(b"<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
     match response {
@@ -202,28 +160,11 @@ fn format_double_into(d: f64, out: &mut Vec<u8>) {
     }
 }
 
-/// XML-RPC requires a decimal representation for doubles (no exponents).
-fn format_double(d: f64) -> String {
-    if !d.is_finite() {
-        // The spec has no representation for non-finite doubles; emit 0 with
-        // a marker impossible in legit traffic rather than invalid XML.
-        return "0.0".to_string();
-    }
-    let s = format!("{d}");
-    if s.contains('e') || s.contains('E') {
-        // Expand scientific notation into plain decimal.
-        format!("{d:.17}")
-    } else if !s.contains('.') {
-        format!("{s}.0")
-    } else {
-        s
-    }
-}
-
 /// Decode a `<methodCall>` document from the XML reader's events, with no
-/// element tree, by [`decode_call_dom`]'s rules: local names, the first
-/// child of each name, direct text only, a `<value>`'s first child element
-/// as its type; any other child, attribute or text is ignored.
+/// element tree, by [`crate::dom::xmlrpc::decode_call`]'s rules: local
+/// names, the first child of each name, direct text only, a `<value>`'s
+/// first child element as its type; any other child, attribute or text is
+/// ignored.
 pub fn decode_call(text: &str) -> Result<RpcCall, WireError> {
     let mut xml = Reader::new(text);
     let root = xml.root()?;
@@ -263,21 +204,27 @@ fn read_params(xml: &mut Reader<'_>) -> Result<Vec<Value>, WireError> {
             xml.skip()?;
             continue;
         }
-        let mut value = None;
-        while let Some(name) = xml.child()? {
-            match name {
-                "value" if value.is_none() => value = Some(read_value(xml)?),
-                _ => xml.skip()?,
-            }
-        }
+        let value = read_first_value(xml)?;
         params.push(value.ok_or_else(|| WireError::protocol("<param> without <value>"))?);
     }
     Ok(params)
 }
 
+/// The value of the open element's first `<value>`; the rest is skipped.
+fn read_first_value(xml: &mut Reader<'_>) -> Result<Option<Value>, WireError> {
+    let mut value = None;
+    while let Some(name) = xml.child()? {
+        match name {
+            "value" if value.is_none() => value = Some(read_value(xml)?),
+            _ => xml.skip()?,
+        }
+    }
+    Ok(value)
+}
+
 /// The value of an open `<value>`: its first child element is the type
 /// and the rest is ignored; with no child element, its text is a string.
-fn read_value(xml: &mut Reader<'_>) -> Result<Value, WireError> {
+pub(crate) fn read_value(xml: &mut Reader<'_>) -> Result<Value, WireError> {
     let mut bare = Cow::Borrowed("");
     let kind = loop {
         match xml.next()? {
@@ -332,75 +279,34 @@ fn read_value(xml: &mut Reader<'_>) -> Result<Value, WireError> {
     Ok(value)
 }
 
-/// The DOM reference decoder for `<methodCall>` documents: the oracle
-/// [`decode_call`] is tested against (`fuzz::xmlrpc_divergence`, the
-/// property tests).
-pub fn decode_call_dom(text: &str) -> Result<RpcCall, WireError> {
-    let root = xml::parse(text)?;
-    if root.local_name() != "methodCall" {
-        return Err(WireError::protocol(format!(
-            "expected <methodCall>, found <{}>",
-            root.name
-        )));
-    }
-    let method = root
-        .find("methodName")
-        .ok_or_else(|| WireError::protocol("missing <methodName>"))?
-        .text_content()
-        .trim()
-        .to_owned();
-    if method.is_empty() {
-        return Err(WireError::protocol("empty methodName"));
-    }
-    let params = decode_params(&root)?;
-    Ok(RpcCall {
-        method,
-        params,
-        id: None,
-    })
-}
-
-fn decode_params(root: &Element) -> Result<Vec<Value>, WireError> {
-    let mut out = Vec::new();
-    if let Some(params) = root.find("params") {
-        for param in params.find_all("param") {
-            let value = param
-                .find("value")
-                .ok_or_else(|| WireError::protocol("<param> without <value>"))?;
-            out.push(decode_value(value)?);
-        }
-    }
-    Ok(out)
-}
-
-/// Decode a `<methodResponse>` document.
+/// Decode a `<methodResponse>` document from the XML reader's events, by
+/// [`crate::dom::xmlrpc::decode_response`]'s rules: the first `<fault>`
+/// wherever it stands, else the first `<params>`, which holds one value.
 pub fn decode_response(text: &str) -> Result<RpcResponse, WireError> {
-    let root = xml::parse(text)?;
-    if root.local_name() != "methodResponse" {
+    let mut xml = Reader::new(text);
+    let root = xml.root()?;
+    if root.local != "methodResponse" {
         return Err(WireError::protocol(format!(
             "expected <methodResponse>, found <{}>",
             root.name
         )));
     }
-    if let Some(fault) = root.find("fault") {
-        let value = fault
-            .find("value")
-            .ok_or_else(|| WireError::protocol("<fault> without <value>"))?;
-        let detail = decode_value(value)?;
-        let code = detail
-            .get("faultCode")
-            .and_then(Value::as_int)
-            .ok_or_else(|| WireError::protocol("fault missing faultCode"))?;
-        let message = detail
-            .get("faultString")
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_owned();
-        return Ok(RpcResponse::Fault(Fault::new(code, message)));
+    let mut params = None;
+    while let Some(name) = xml.child()? {
+        match name {
+            "fault" => return read_fault(xml),
+            "params" if params.is_none() => match read_params(&mut xml) {
+                Ok(values) => params = Some(values),
+                // A `<fault>` further on would still be the answer, and the
+                // reader stopped at the error: look for one from the start.
+                Err(e) => return first_fault(text)?.ok_or(e),
+            },
+            _ => xml.skip()?,
+        }
     }
-    let params = decode_params(&root)?;
+    let mut params = params.unwrap_or_default();
     match params.len() {
-        1 => Ok(RpcResponse::Success(params.into_iter().next().unwrap())),
+        1 => Ok(RpcResponse::Success(params.remove(0))),
         0 => Err(WireError::protocol(
             "response has no <params> and no <fault>",
         )),
@@ -410,47 +316,38 @@ pub fn decode_response(text: &str) -> Result<RpcResponse, WireError> {
     }
 }
 
-/// Decode one `<value>` element.
-pub fn decode_value(value_el: &Element) -> Result<Value, WireError> {
-    if value_el.local_name() != "value" {
-        return Err(WireError::protocol(format!(
-            "expected <value>, found <{}>",
-            value_el.name
-        )));
-    }
-    let typed = match value_el.first_element() {
-        Some(el) => el,
-        // Bare text inside <value> is a string per the spec.
-        None => return Ok(Value::Str(value_el.text_content())),
-    };
-    match typed.local_name() {
-        "array" => {
-            let data = typed
-                .find("data")
-                .ok_or_else(|| WireError::protocol("<array> without <data>"))?;
-            let items: Result<_, _> = data.find_all("value").map(decode_value).collect();
-            items.map(Value::Array)
+/// The document's first `<fault>`, if it has one.
+fn first_fault(text: &str) -> Result<Option<RpcResponse>, WireError> {
+    let mut xml = Reader::new(text);
+    xml.root()?;
+    while let Some(name) = xml.child()? {
+        if name == "fault" {
+            return read_fault(xml).map(Some);
         }
-        "struct" => {
-            let mut map = BTreeMap::new();
-            for member in typed.find_all("member") {
-                let name = member
-                    .find("name")
-                    .ok_or_else(|| WireError::protocol("<member> without <name>"))?
-                    .text_content();
-                let value = member
-                    .find("value")
-                    .ok_or_else(|| WireError::protocol("<member> without <value>"))?;
-                map.insert(name, decode_value(value)?);
-            }
-            Ok(Value::Struct(map))
-        }
-        kind => scalar(kind, Cow::Owned(typed.text_content())),
+        xml.skip()?;
     }
+    Ok(None)
+}
+
+/// The fault an open `<fault>` holds; the rest of the document is read.
+fn read_fault(mut xml: Reader<'_>) -> Result<RpcResponse, WireError> {
+    let detail = read_first_value(&mut xml)?;
+    xml.finish()?;
+    let detail = detail.ok_or_else(|| WireError::protocol("<fault> without <value>"))?;
+    let code = detail
+        .get("faultCode")
+        .and_then(Value::as_int)
+        .ok_or_else(|| WireError::protocol("fault missing faultCode"))?;
+    let message = detail
+        .get("faultString")
+        .and_then(Value::as_str)
+        .unwrap_or("")
+        .to_owned();
+    Ok(RpcResponse::Fault(Fault::new(code, message)))
 }
 
 /// A scalar of XML-RPC type `kind` from its element's direct text.
-fn scalar(kind: &str, text: Cow<'_, str>) -> Result<Value, WireError> {
+pub(crate) fn scalar(kind: &str, text: Cow<'_, str>) -> Result<Value, WireError> {
     match kind {
         "string" => Ok(Value::Str(text.into_owned())),
         "nil" => Ok(Value::Nil),
@@ -484,12 +381,28 @@ fn scalar(kind: &str, text: Cow<'_, str>) -> Result<Value, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dom::xmlrpc::decode_call as decode_call_dom;
+
+    fn encode_response(response: &RpcResponse) -> String {
+        let mut out = Vec::new();
+        encode_response_into(response, &mut out);
+        String::from_utf8(out).unwrap()
+    }
+
+    /// The `<value>` element the response for `v` carries.
+    fn encode_value(v: &Value) -> String {
+        let doc = encode_response(&RpcResponse::Success(v.clone()));
+        let start = doc.find("<value>").unwrap();
+        doc[start..doc.rfind("</param>").unwrap()].to_owned()
+    }
 
     fn roundtrip_value(v: Value) {
-        let el = encode_value(&v);
-        let doc = el.to_document();
-        let parsed = xml::parse(&doc).unwrap();
-        assert_eq!(decode_value(&parsed).unwrap(), v, "value {v:?}");
+        let doc = encode_response(&RpcResponse::Success(v.clone()));
+        assert_eq!(
+            decode_response(&doc).unwrap(),
+            RpcResponse::Success(v.clone()),
+            "value {v:?}"
+        );
     }
 
     #[test]
@@ -530,18 +443,22 @@ mod tests {
 
     #[test]
     fn i4_vs_i8_selection() {
-        let small = encode_value(&Value::Int(42)).to_document();
+        let small = encode_value(&Value::Int(42));
         assert!(small.contains("<i4>42</i4>"), "{small}");
-        let big = encode_value(&Value::Int(5_000_000_000)).to_document();
+        let big = encode_value(&Value::Int(5_000_000_000));
         assert!(big.contains("<i8>5000000000</i8>"), "{big}");
     }
 
     #[test]
     fn double_has_no_exponent() {
-        let doc = encode_value(&Value::Double(1e-9)).to_document();
+        let doc = encode_value(&Value::Double(1e-9));
         assert!(!doc.contains('e') || !doc.contains("e-"), "{doc}");
-        let parsed = xml::parse(&doc).unwrap();
-        let back = decode_value(&parsed).unwrap().as_double().unwrap();
+        let back = decode_response(&encode_response(&RpcResponse::Success(Value::Double(1e-9))))
+            .unwrap()
+            .into_result()
+            .unwrap()
+            .as_double()
+            .unwrap();
         assert!((back - 1e-9).abs() < 1e-18);
     }
 
@@ -778,6 +695,52 @@ mod tests {
     fn unknown_type_rejected() {
         let doc = "<methodCall><methodName>m</methodName><params><param><value><float>1</float></value></param></params></methodCall>";
         assert!(decode_call(doc).is_err());
+    }
+
+    /// Responses decode exactly as the DOM reference decodes them: the
+    /// first `<fault>` wins wherever it stands, even after a `<params>`
+    /// that does not decode, and malformed documents are rejected by both.
+    #[test]
+    fn responses_decode_as_dom() {
+        use crate::dom::xmlrpc::decode_response as dom;
+        let response = |body: &str| format!("<methodResponse>{body}</methodResponse>");
+        let fault = "<fault><value><struct><member><name>faultCode</name><value><i4>4</i4></value></member><member><name>faultString</name><value>no</value></member></struct></value></fault>";
+        let accepted = [
+            response("<params><param><value>x</value></param></params>"),
+            response(&format!("<params><param><value>x</value></param></params>{fault}")),
+            response(&format!("<params><param/></params>{fault}")),
+            response(&format!("<params><param><value><i4>z</i4></value></param></params>{fault}")),
+            response(&format!("<params><param><value><bogus/></value></param></params><junk/>{fault}")),
+            response(&format!("{fault}<params><param/></params>")),
+            response(&format!("{fault}<fault/>")),
+            response("<fault><junk/><value><struct><member><name>faultCode</name><value><i4>1</i4></value></member></struct></value><value/></fault>"),
+            response("<fault><value><struct><member><name>faultCode</name><value><i4>1</i4></value></member><member><name>faultString</name><value><i4>2</i4></value></member></struct></value></fault>"),
+            response("<params><param><value>x</value></param></params><params/>"),
+            response("<!-- c --><params a=\"1\"><junk/><param><value><![CDATA[x]]></value></param></params>"),
+            "<r:methodResponse xmlns:r=\"urn:r\"><r:params><r:param><r:value><r:i4>1</r:i4></r:value></r:param></r:params></r:methodResponse>".to_owned(),
+        ];
+        for doc in &accepted {
+            let expected = dom(doc).unwrap_or_else(|e| panic!("DOM rejects {doc}: {e}"));
+            assert_eq!(decode_response(doc).unwrap(), expected, "{doc}");
+        }
+        let rejected = [
+            response(""),
+            response("<params/>"),
+            response("<params><param/></params>"),
+            response(
+                "<params><param><value>1</value></param><param><value>2</value></param></params>",
+            ),
+            response("<fault/><params><param><value>x</value></param></params>"),
+            response("<fault><value><i4>1</i4></value></fault>"),
+            response(&format!("<params><param/></params>{fault}<junk>")),
+            response(&format!("{fault}</junk>")),
+            format!("{}<!DOCTYPE x>", response(fault)),
+            "<methodCall><methodName>m</methodName></methodCall>".to_owned(),
+        ];
+        for doc in &rejected {
+            assert!(dom(doc).is_err(), "DOM accepts {doc}");
+            assert!(decode_response(doc).is_err(), "accepted {doc}");
+        }
     }
 
     #[test]

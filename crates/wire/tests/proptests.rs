@@ -79,6 +79,16 @@ fn json_value_strategy() -> impl Strategy<Value = Value> {
     })
 }
 
+/// Successes over the whole algebra, and faults.
+fn response_strategy() -> impl Strategy<Value = RpcResponse> {
+    prop_oneof![
+        value_strategy().prop_map(RpcResponse::Success),
+        (any::<i64>(), wire_string()).prop_map(|(code, message)| RpcResponse::Fault(
+            clarens_wire::Fault::new(code, message)
+        )),
+    ]
+}
+
 fn method_name() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9_]{0,8}(\\.[a-z][a-z0-9_]{0,8}){0,2}"
 }
@@ -173,7 +183,7 @@ proptest! {
         let doc = clarens_wire::xmlrpc::encode_call(&call);
         prop_assert_eq!(
             clarens_wire::xmlrpc::decode_call(&doc).unwrap(),
-            clarens_wire::xmlrpc::decode_call_dom(&doc).unwrap()
+            clarens_wire::dom::xmlrpc::decode_call(&doc).unwrap()
         );
     }
 
@@ -188,14 +198,58 @@ proptest! {
         let call = RpcCall::new(method, params);
         let doc = decorate(&clarens_wire::xmlrpc::encode_call(&call), mask);
         let decoded = clarens_wire::xmlrpc::decode_call(&doc);
-        prop_assert_eq!(&decoded, &clarens_wire::xmlrpc::decode_call_dom(&doc), "{}", doc);
+        prop_assert_eq!(&decoded, &clarens_wire::dom::xmlrpc::decode_call(&doc), "{}", doc);
         prop_assert_eq!(decoded.unwrap(), call);
+    }
+
+    /// The streaming response decoder and the DOM oracle agree on
+    /// canonical responses, successes and faults, decorated the same way
+    /// (the prefix goes on `<methodResponse>`).
+    #[test]
+    fn xmlrpc_decorated_response_decodes_as_dom(
+        resp in response_strategy(),
+        mask in any::<u64>(),
+    ) {
+        let doc = String::from_utf8(clarens_wire::encode_response(Protocol::XmlRpc, &resp, None))
+            .unwrap();
+        let doc = if mask >> 63 == 1 {
+            doc.replace("<methodResponse>", "<p:methodResponse xmlns:p=\"urn:p\">")
+                .replace("</methodResponse>", "</p:methodResponse>")
+        } else {
+            doc
+        };
+        let doc = decorate(&doc, mask);
+        let decoded = clarens_wire::xmlrpc::decode_response(&doc);
+        prop_assert_eq!(&decoded, &clarens_wire::dom::xmlrpc::decode_response(&doc), "{}", doc);
+        prop_assert_eq!(decoded.unwrap(), resp);
+    }
+
+    /// The streaming SOAP decoders and their DOM oracles agree on decorated
+    /// canonical call and response envelopes, which mean what they did.
+    #[test]
+    fn soap_decorated_envelopes_decode_as_dom(
+        method in method_name(),
+        params in proptest::collection::vec(value_strategy(), 0..4),
+        resp in response_strategy(),
+        mask in any::<u64>(),
+    ) {
+        let call = RpcCall::new(method, params);
+        let doc = decorate(&clarens_wire::soap::encode_call(&call), mask);
+        let decoded = clarens_wire::soap::decode_call(&doc);
+        prop_assert_eq!(&decoded, &clarens_wire::dom::soap::decode_call(&doc), "{}", doc);
+        prop_assert_eq!(decoded.unwrap(), call);
+        let doc = String::from_utf8(clarens_wire::encode_response(Protocol::Soap, &resp, None))
+            .unwrap();
+        let doc = decorate(&doc, mask.rotate_left(17));
+        let decoded = clarens_wire::soap::decode_response(&doc);
+        prop_assert_eq!(&decoded, &clarens_wire::dom::soap::decode_response(&doc), "{}", doc);
+        prop_assert_eq!(decoded.unwrap(), resp);
     }
 
     #[test]
     fn xmlrpc_response_roundtrip(v in value_strategy()) {
         let resp = RpcResponse::Success(v);
-        let doc = clarens_wire::xmlrpc::encode_response(&resp);
+        let doc = clarens_wire::dom::xmlrpc::encode_response(&resp);
         prop_assert_eq!(clarens_wire::xmlrpc::decode_response(&doc).unwrap(), resp);
     }
 
@@ -265,8 +319,8 @@ proptest! {
         let resp = RpcResponse::Success(v);
         let bin = clarens_wire::binary::encode_response(&resp);
         let via_binary = clarens_wire::binary::decode_response(&bin).unwrap();
-        let xml = clarens_wire::xmlrpc::encode_response(&resp);
-        let via_dom = clarens_wire::xmlrpc::decode_response(&xml).unwrap();
+        let xml = clarens_wire::dom::xmlrpc::encode_response(&resp);
+        let via_dom = clarens_wire::dom::xmlrpc::decode_response(&xml).unwrap();
         prop_assert_eq!(&via_binary, &via_dom);
         prop_assert_eq!(&via_binary, &resp);
     }
@@ -279,8 +333,8 @@ proptest! {
         let call = RpcCall::new(method, params);
         let via_binary =
             clarens_wire::binary::decode_call(&clarens_wire::binary::encode_call(&call)).unwrap();
-        let via_dom = clarens_wire::xmlrpc::decode_call_dom(
-            &clarens_wire::xmlrpc::encode_call(&call),
+        let via_dom = clarens_wire::dom::xmlrpc::decode_call(
+            &clarens_wire::dom::xmlrpc::encode_call(&call),
         ).unwrap();
         prop_assert_eq!(via_binary, via_dom);
     }
@@ -305,7 +359,7 @@ proptest! {
 
     #[test]
     fn xml_parser_never_panics(s in "\\PC{0,64}") {
-        let _ = clarens_wire::xml::parse(&s);
+        let _ = clarens_wire::dom::parse(&s);
     }
 
     #[test]

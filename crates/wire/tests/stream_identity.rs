@@ -1,7 +1,8 @@
-//! Byte-identity property tests for the streaming response encoders.
+//! Byte-identity property tests for the streaming encoders.
 //!
-//! The allocation-lean `encode_response_into` paths must emit exactly the
-//! bytes the DOM/`to_string` reference encoders emit — same escaping, same
+//! The allocation-lean `encode_response_into` paths and the call encoders
+//! must emit exactly the bytes the DOM/`to_string` reference encoders of
+//! `clarens_wire::dom` emit — same escaping, same
 //! empty-element forms (`<string></string>` vs `<nil/>`), same double
 //! formatting, same JSON key order. Any divergence is a wire-compatibility
 //! bug, so the corpus covers every `Value` variant including nested
@@ -10,7 +11,7 @@
 use proptest::prelude::*;
 
 use clarens_wire::datetime::DateTime;
-use clarens_wire::{Fault, Protocol, RpcResponse, Value};
+use clarens_wire::{Fault, Protocol, RpcCall, RpcResponse, Value};
 
 /// Strings valid in all our codecs (see `proptests.rs`); includes multibyte
 /// UTF-8 (Latin-1 supplement + Cyrillic) and XML-special characters.
@@ -87,12 +88,33 @@ fn id_strategy() -> impl Strategy<Value = Option<Value>> {
     ]
 }
 
+/// Calls with any method text (the SOAP operation name is written raw
+/// by both encoders), any parameters, and every id shape.
+fn call_strategy() -> impl Strategy<Value = RpcCall> {
+    (
+        wire_string(),
+        proptest::collection::vec(value_strategy(), 0..4),
+        id_strategy(),
+    )
+        .prop_map(|(method, params, id)| RpcCall { method, params, id })
+}
+
+/// The per-protocol DOM (or `Value`-tree) call encoder: the reference.
+fn call_reference(protocol: Protocol, call: &RpcCall) -> Vec<u8> {
+    match protocol {
+        Protocol::XmlRpc => clarens_wire::dom::xmlrpc::encode_call(call).into_bytes(),
+        Protocol::Soap => clarens_wire::dom::soap::encode_call(call).into_bytes(),
+        Protocol::JsonRpc => clarens_wire::dom::jsonrpc::encode_call(call).into_bytes(),
+        Protocol::Binary => unreachable!("clarens-binary has one encoder"),
+    }
+}
+
 /// The per-protocol DOM (or `Value`-tree) encoder: the reference.
 fn reference(protocol: Protocol, response: &RpcResponse, id: Option<&Value>) -> Vec<u8> {
     match protocol {
-        Protocol::XmlRpc => clarens_wire::xmlrpc::encode_response(response).into_bytes(),
-        Protocol::Soap => clarens_wire::soap::encode_response(response).into_bytes(),
-        Protocol::JsonRpc => clarens_wire::jsonrpc::encode_response(response, id).into_bytes(),
+        Protocol::XmlRpc => clarens_wire::dom::xmlrpc::encode_response(response).into_bytes(),
+        Protocol::Soap => clarens_wire::dom::soap::encode_response(response).into_bytes(),
+        Protocol::JsonRpc => clarens_wire::dom::jsonrpc::encode_response(response, id).into_bytes(),
         Protocol::Binary => unreachable!("clarens-binary has one encoder"),
     }
 }
@@ -106,19 +128,19 @@ fn streamed(protocol: Protocol, response: &RpcResponse, id: Option<&Value>) -> V
 proptest! {
     #[test]
     fn xmlrpc_stream_matches_dom(resp in response_strategy()) {
-        let dom = clarens_wire::xmlrpc::encode_response(&resp).into_bytes();
+        let dom = clarens_wire::dom::xmlrpc::encode_response(&resp).into_bytes();
         prop_assert_eq!(streamed(Protocol::XmlRpc, &resp, None), dom);
     }
 
     #[test]
     fn soap_stream_matches_dom(resp in response_strategy()) {
-        let dom = clarens_wire::soap::encode_response(&resp).into_bytes();
+        let dom = clarens_wire::dom::soap::encode_response(&resp).into_bytes();
         prop_assert_eq!(streamed(Protocol::Soap, &resp, None), dom);
     }
 
     #[test]
     fn jsonrpc_stream_matches_reference(resp in response_strategy(), id in id_strategy()) {
-        let reference = clarens_wire::jsonrpc::encode_response(&resp, id.as_ref()).into_bytes();
+        let reference = clarens_wire::dom::jsonrpc::encode_response(&resp, id.as_ref()).into_bytes();
         prop_assert_eq!(streamed(Protocol::JsonRpc, &resp, id.as_ref()), reference);
     }
 
@@ -138,8 +160,47 @@ proptest! {
         let mut out = b"PREFIX".to_vec();
         clarens_wire::encode_response_into(Protocol::XmlRpc, &resp, None, &mut out);
         prop_assert_eq!(&out[..6], b"PREFIX");
-        let dom = clarens_wire::xmlrpc::encode_response(&resp).into_bytes();
+        let dom = clarens_wire::dom::xmlrpc::encode_response(&resp).into_bytes();
         prop_assert_eq!(&out[6..], &dom[..]);
+    }
+}
+
+proptest! {
+    #[test]
+    fn call_encoders_match_dom(call in call_strategy()) {
+        for proto in [Protocol::XmlRpc, Protocol::Soap, Protocol::JsonRpc] {
+            prop_assert_eq!(
+                clarens_wire::encode_call(proto, &call),
+                call_reference(proto, &call),
+                "{:?}",
+                proto
+            );
+        }
+    }
+}
+
+/// Calls the strategy may under-sample: no parameters (`<params/>` and a
+/// self-closing SOAP operation), an empty method, escapes in the method.
+#[test]
+fn call_edge_cases_match_dom() {
+    let calls = [
+        RpcCall::new("system.list_methods", vec![]),
+        RpcCall::new("", vec![Value::Str(String::new())]),
+        RpcCall::new("a<b>&c\u{1}", vec![Value::Array(Vec::new())]),
+        RpcCall {
+            method: "echo.echo".into(),
+            params: vec![Value::from("hello")],
+            id: Some(Value::from("q")),
+        },
+    ];
+    for call in &calls {
+        for proto in [Protocol::XmlRpc, Protocol::Soap, Protocol::JsonRpc] {
+            assert_eq!(
+                clarens_wire::encode_call(proto, call),
+                call_reference(proto, call),
+                "{proto:?} {call:?}"
+            );
+        }
     }
 }
 
