@@ -528,8 +528,9 @@ impl Registry {
 /// 9. a replicated write is acknowledged only past the replicated-ack
 ///    barrier (`replicated_ack_barrier`).
 ///
-/// `trace` times the ACL check and the handler; a nested call passes a
-/// disabled one, its time being inside the outer handler's span already.
+/// `trace` names the method and times the ACL check and the handler; a
+/// nested call passes a disabled one, its time being inside the outer
+/// handler's span already.
 pub fn invoke(
     ctx: &CallContext<'_>,
     method: &str,
@@ -543,6 +544,9 @@ pub fn invoke(
             format!("no service exports {method}"),
         ));
     };
+    // Named only once the row is found: per-method statistics are kept for
+    // the methods this node exports, never for a name a caller made up.
+    trace.method = Some(info.name.to_owned());
     if !info.public {
         let Some(identity) = &ctx.identity else {
             return Err(Fault::not_authenticated(format!(

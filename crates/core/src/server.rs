@@ -15,18 +15,15 @@ use clarens_httpd::{
     http_date, resolve_range, serve_pipe, Body, Handler, HttpServer, Method, PeerInfo, Pipe,
     RangeOutcome, Request, RequestContext, Response, Scratch, ServerConfig, TlsConfig,
 };
-use clarens_pki::dn::DistinguishedName;
 use clarens_telemetry::{Phase, RequestTrace};
 use clarens_wire::fault::codes;
 use clarens_wire::{Fault, Protocol, RpcCall, RpcResponse, Value};
 
 use crate::acl::{Acl, FileAccess};
 use crate::core::ClarensCore;
-use crate::paths;
 use crate::portal;
 use crate::registry::{self, CallContext};
 use crate::services;
-use crate::session::Session;
 
 /// A running Clarens server.
 pub struct ClarensServer {
@@ -157,14 +154,6 @@ struct ClarensHandler {
     core: Arc<ClarensCore>,
 }
 
-/// The caller identity resolved for one request. Shared pointers out of
-/// the resolved-session cache — moving these into a [`CallContext`] costs
-/// no string copies.
-struct ResolvedIdentity {
-    identity: Option<Arc<DistinguishedName>>,
-    session: Option<Arc<Session>>,
-}
-
 /// "GET requests return a file or an XML-encoded error message to the
 /// client" (paper §2.3) — every GET-side error honours that format.
 fn xml_error(status: u16, message: &str) -> Response {
@@ -176,40 +165,52 @@ fn xml_error(status: u16, message: &str) -> Response {
 }
 
 impl ClarensHandler {
-    /// Identity resolution: a session id (header `x-clarens-session`, or
-    /// `session` query parameter for GETs) takes precedence; otherwise the
-    /// TLS peer identity is used directly. This is the paper's first
-    /// access check ("whether the client credentials are associated with a
-    /// current session") — answered from the resolved-session cache, with
-    /// the DN already parsed.
-    fn resolve_identity(
+    /// The context every call of one request runs under, an RPC's or a
+    /// page's. Its identity is the paper's first access check: a session id
+    /// (header `x-clarens-session`, or `session` query parameter for GETs)
+    /// takes precedence, answered from the resolved-session cache with the
+    /// DN already parsed (shared pointers: no string is copied); otherwise
+    /// the TLS peer identity is used directly.
+    fn context(
         &self,
         request: &Request,
         peer: Option<&PeerInfo>,
-        now: i64,
-    ) -> ResolvedIdentity {
-        // Borrow the header value when present (the hot path); only the
-        // GET query fallback needs an owned copy.
-        let session_id: Option<Cow<'_, str>> = match request.headers.get("x-clarens-session") {
-            Some(id) => Some(Cow::Borrowed(id)),
-            None => clarens_wire::percent::parse_query(request.query())
-                .into_iter()
-                .find(|(k, _)| k == "session")
-                .map(|(_, v)| Cow::Owned(v)),
-        };
-        if let Some(id) = session_id {
-            if let Some(entry) = self.core.sessions.resolve(&id, now) {
-                return ResolvedIdentity {
-                    identity: entry.identity,
-                    session: Some(entry.session),
-                };
-            }
+        trace: &mut RequestTrace,
+    ) -> CallContext<'_> {
+        let now = self.core.now();
+        let (identity, session) = trace.span(Phase::Auth, || {
+            // Borrow the header value when present (the hot path); only the
+            // GET query fallback needs an owned copy.
+            let session_id: Option<Cow<'_, str>> = match request.headers.get("x-clarens-session") {
+                Some(id) => Some(Cow::Borrowed(id)),
+                None => clarens_wire::percent::parse_query(request.query())
+                    .into_iter()
+                    .find(|(k, _)| k == "session")
+                    .map(|(_, v)| Cow::Owned(v)),
+            };
             // An invalid session falls through to the TLS identity (if
             // any) rather than silently authenticating as nobody.
-        }
-        ResolvedIdentity {
-            identity: peer.map(|p| Arc::new(p.identity.clone())),
-            session: None,
+            match session_id.and_then(|id| self.core.sessions.resolve(&id, now)) {
+                Some(entry) => (entry.identity, Some(entry.session)),
+                None => (peer.map(|p| Arc::new(p.identity.clone())), None),
+            }
+        });
+        let deadline_ms = self.core.config.request_deadline_ms;
+        CallContext {
+            core: &self.core,
+            identity,
+            session,
+            now,
+            deadline: (deadline_ms > 0)
+                .then(|| std::time::Instant::now() + std::time::Duration::from_millis(deadline_ms)),
+            // Forwarding depth travels as a header so the hop budget
+            // survives node boundaries; an absent or unparsable header
+            // means a direct call.
+            hops: request
+                .headers
+                .get("x-clarens-hops")
+                .and_then(|h| h.trim().parse().ok())
+                .unwrap_or(0),
         }
     }
 
@@ -260,7 +261,6 @@ impl ClarensHandler {
                 ),
                 Ok(view) => {
                     let clarens_wire::binary::CallView { method, params, id } = view;
-                    trace.method = Some(method.to_owned());
                     (self.dispatch(&request, peer, method, params, trace), id)
                 }
             }
@@ -275,7 +275,6 @@ impl ClarensHandler {
                 ),
                 Ok(call) => {
                     let RpcCall { method, params, id } = call;
-                    trace.method = Some(method.clone());
                     (self.dispatch(&request, peer, &method, params, trace), id)
                 }
             }
@@ -306,25 +305,7 @@ impl ClarensHandler {
         params: Vec<Value>,
         trace: &mut RequestTrace,
     ) -> RpcResponse {
-        let now = self.core.now();
-        let resolved = trace.span(Phase::Auth, || self.resolve_identity(request, peer, now));
-        let deadline_ms = self.core.config.request_deadline_ms;
-        let ctx = CallContext {
-            core: &self.core,
-            identity: resolved.identity,
-            session: resolved.session,
-            now,
-            deadline: (deadline_ms > 0)
-                .then(|| std::time::Instant::now() + std::time::Duration::from_millis(deadline_ms)),
-            // Forwarding depth travels as a header so the hop budget
-            // survives node boundaries; an absent or unparsable header
-            // means a direct call.
-            hops: request
-                .headers
-                .get("x-clarens-hops")
-                .and_then(|h| h.trim().parse().ok())
-                .unwrap_or(0),
-        };
+        let ctx = self.context(request, peer, trace);
         match registry::invoke(&ctx, method, &params, trace) {
             Ok(value) => RpcResponse::Success(value),
             Err(fault) => {
@@ -346,9 +327,8 @@ impl ClarensHandler {
         peer: Option<&PeerInfo>,
         trace: &mut RequestTrace,
     ) -> Response {
-        let now = self.core.now();
-        let resolved = trace.span(Phase::Auth, || self.resolve_identity(&request, peer, now));
-        let path = request.path().to_owned();
+        let ctx = self.context(&request, peer, trace);
+        let path = request.path();
 
         if path == "/healthz" {
             // Readiness probe: deliberately unauthenticated so load
@@ -357,16 +337,16 @@ impl ClarensHandler {
             return self.serve_healthz();
         }
         if path == "/metrics" {
-            return self.serve_metrics(resolved.identity.as_deref());
+            return self.serve_metrics(&ctx);
         }
         if path == "/" || path == "/index.html" {
-            return portal::index(&self.core, resolved.identity.as_deref());
+            return portal::index(&ctx);
         }
         if let Some(rest) = path.strip_prefix("/file/") {
-            return self.serve_file(&request, rest, resolved.identity.as_deref());
+            return self.serve_file(&ctx, &request, rest);
         }
         if path.starts_with("/portal") {
-            return portal::route(&self.core, &request, resolved.identity.as_deref());
+            return portal::route(&ctx, &request);
         }
         xml_error(404, &format!("no such resource: {path}"))
     }
@@ -404,8 +384,8 @@ impl ClarensHandler {
 
     /// `GET /metrics`: the whole telemetry plane in Prometheus-style
     /// plaintext, gated like `system.stats` — site admins only.
-    fn serve_metrics(&self, identity: Option<&DistinguishedName>) -> Response {
-        let Some(identity) = identity else {
+    fn serve_metrics(&self, ctx: &CallContext<'_>) -> Response {
+        let Some(identity) = ctx.identity.as_deref() else {
             return xml_error(401, "metrics require a session or TLS identity");
         };
         if !self.core.vo.is_site_admin(identity) {
@@ -420,33 +400,25 @@ impl ClarensHandler {
     /// HTTP GET/HEAD file downloads (paper §2.3): whole files and single
     /// `Range: bytes=` slices served straight from the open file handle, so
     /// the transport can hand the copy to `sendfile(2)` on plaintext
-    /// connections. Gated by the read ACL; HEAD answers from `stat` alone.
-    fn serve_file(
-        &self,
-        request: &Request,
-        raw_path: &str,
-        identity: Option<&DistinguishedName>,
-    ) -> Response {
+    /// connections. Gated by the read ACL, through the one function the
+    /// `file.*` methods use; HEAD answers from `stat` alone.
+    fn serve_file(&self, ctx: &CallContext<'_>, request: &Request, raw_path: &str) -> Response {
         let Some(root) = self.core.config.file_root.as_deref() else {
             return xml_error(404, "file service not configured");
         };
         let decoded = clarens_wire::percent::decode_str(raw_path);
-        let Some(identity) = identity else {
-            return xml_error(401, "file downloads require a session or TLS identity");
-        };
-        let Some(canonical) = paths::canonical(&decoded) else {
-            return xml_error(400, "illegal path");
-        };
-        if !self
-            .core
-            .acl
-            .check_file(&canonical, FileAccess::Read, identity, &self.core.vo)
-        {
-            return xml_error(403, &format!("no read access to {canonical}"));
-        }
-        let Some(real) = paths::resolve(root, &decoded) else {
-            return xml_error(400, "illegal path");
-        };
+        let (canonical, real) =
+            match services::file::authorize(ctx, root, &decoded, FileAccess::Read) {
+                Ok(paths) => paths,
+                Err(fault) => {
+                    let status = match fault.code {
+                        codes::NOT_AUTHENTICATED => 401,
+                        codes::BAD_PARAMS => 400,
+                        _ => 403,
+                    };
+                    return xml_error(status, &fault.message);
+                }
+            };
 
         if request.method == Method::Head {
             // Metadata is all a HEAD needs: no read stream is ever opened.

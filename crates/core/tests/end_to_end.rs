@@ -1,8 +1,9 @@
 //! End-to-end integration tests for the Clarens core: real TCP, real
 //! protocols, the complete per-request path (session check → ACL check →
 //! dispatch), exactly the flow the paper's Figure-4 benchmark exercises.
-//! The secure-channel and raw-HTTP cases check only what crosses the wire,
-//! so their grids are served over pipes (`TestGrid::piped`), with no port.
+//! The secure-channel, raw-HTTP and portal-against-gate cases check only
+//! what crosses the wire, so their grids are served over pipes
+//! (`TestGrid::piped`), with no port.
 
 use clarens::acl::{Acl, FileAcl};
 use clarens::testkit::{dn, now, GridOptions, TestGrid};
@@ -557,6 +558,101 @@ fn portal_pages_render() {
 
     let (status, _) = client.get_page("/portal/nonsense").unwrap();
     assert_eq!(status, 404);
+    grid.cleanup();
+}
+
+/// The portal is a client of the gate. On a grid without permissive ACLs,
+/// as `clarens-server` starts by default, every page shows a caller
+/// nothing that the RPC it mirrors refuses them (an authenticated user:
+/// `ACCESS_DENIED`; no session: `NOT_AUTHENTICATED`), and the data once an
+/// admin has granted the `vo`, `acl`, `system` and `file` nodes.
+#[test]
+fn portal_pages_show_only_what_the_gate_admits() {
+    let grid = TestGrid::piped(GridOptions {
+        permissive_acls: false,
+        seed: 0x9047,
+        ..Default::default()
+    });
+    grid.write_file("/data/a.root", b"1234");
+    let core = grid.core();
+    // Readable by anyone as a file: only the `file` method rows stand in
+    // the way of the listing.
+    let everyone = FileAcl {
+        read: Acl::allow_dn("*"),
+        write: Acl::default(),
+    };
+    core.acl.set_file_acl("/", &everyone).unwrap();
+    let admin_dn = grid.admin.certificate.subject.clone();
+    core.vo.create_group(&admin_dn, "physics").unwrap();
+    let member = "/O=cern.ch/OU=People/CN=Secret Member";
+    core.vo.add_member(&admin_dn, "physics", member).unwrap();
+
+    // What each page must not show while its RPC is refused, the RPC
+    // behind it, and what it shows once granted.
+    let pages: [(&str, &str, &[&str]); 5] = [
+        ("/", "system.list_methods", &["Registered modules", "srm"]),
+        ("/portal/files?path=/data", "file.ls", &["a.root"]),
+        (
+            "/portal/vo",
+            "vo.list_groups",
+            &["physics", "Secret Member", "Ada Admin"],
+        ),
+        ("/portal/acl", "acl.list", &["allow,deny", "file (read)"]),
+        (
+            "/portal/methods",
+            "system.list_methods",
+            &["file.read", "vo.create_group"],
+        ),
+    ];
+    let params = |method: &str| match method {
+        "file.ls" => vec![Value::from("/data")],
+        _ => vec![],
+    };
+    let mut user = grid.logged_in_client(&grid.user);
+    let mut anonymous = grid.client(&grid.user);
+    for (caller, code) in [
+        (&mut user, codes::ACCESS_DENIED),
+        (&mut anonymous, codes::NOT_AUTHENTICATED),
+    ] {
+        for (path, method, secrets) in pages {
+            match caller.call(method, params(method)) {
+                Err(ClientError::Fault(f)) => assert_eq!(f.code, code, "{method}"),
+                other => panic!("{method} should be refused, got {other:?}"),
+            }
+            let (status, html) = caller.get_page(path).unwrap();
+            assert_eq!(status, 200, "{path}");
+            for secret in secrets {
+                assert!(!html.contains(secret), "{path} shows {secret:?}: {html}");
+            }
+            if code == codes::NOT_AUTHENTICATED {
+                assert!(html.contains("Authenticate"), "{path}: {html}");
+            }
+        }
+    }
+
+    // The admin needs a grant on `acl` to edit ACLs over RPC at all.
+    core.acl
+        .set_method_acl("acl", &Acl::allow_dn(admin_dn.to_string()))
+        .unwrap();
+    let mut admin = grid.logged_in_client(&grid.admin);
+    let allow_all = Value::structure([("allow_dns", Value::array([Value::from("*")]))]);
+    for node in ["vo", "acl", "system", "file"] {
+        admin
+            .call("acl.set_method", vec![Value::from(node), allow_all.clone()])
+            .unwrap();
+    }
+    for (path, method, secrets) in pages {
+        assert!(user.call(method, params(method)).is_ok(), "{method}");
+        let (status, html) = user.get_page(path).unwrap();
+        assert_eq!(status, 200, "{path}");
+        for secret in secrets {
+            assert!(html.contains(secret), "{path} lacks {secret:?}: {html}");
+        }
+    }
+    // Still nothing without a session.
+    let (_, html) = anonymous.get_page("/portal/methods").unwrap();
+    assert!(!html.contains("file.read"), "{html}");
+    assert!(html.contains("Authenticate"), "{html}");
     grid.cleanup();
 }
 

@@ -226,3 +226,40 @@ fn stats_reports_wal_syncs() {
     grid.cleanup();
     let _ = std::fs::remove_file(&db);
 }
+
+/// Per-method statistics are kept only for exported methods: a caller with
+/// no session naming methods that do not exist adds no row, and a name
+/// written as exposition text forges no `GET /metrics` line.
+#[test]
+fn unknown_method_names_add_no_statistics() {
+    let grid = TestGrid::piped(GridOptions::default());
+    let telemetry = &grid.core().telemetry;
+    let rows = telemetry.methods_snapshot().len();
+    let requests = telemetry.http.requests.get();
+    let forged = "x\"} 1\nclarens_fenced_writes_total 999\n#";
+    let names: Vec<String> = (0..200)
+        .map(|i| format!("nosuch.method{i}"))
+        .chain([forged.to_owned()])
+        .collect();
+    let mut anonymous = grid.client(&grid.user);
+    for name in &names {
+        match anonymous.call(name, vec![]) {
+            Err(ClientError::Fault(f)) => assert_eq!(f.code, codes::NO_SUCH_METHOD, "{name:?}"),
+            other => panic!("{name:?}: expected no such method, got {other:?}"),
+        }
+    }
+    wait_until(|| telemetry.http.requests.get() >= requests + names.len() as u64);
+    assert_eq!(telemetry.methods_snapshot().len(), rows);
+
+    let mut admin = grid.logged_in_client(&grid.admin);
+    let (status, body) = admin.get_page("/metrics").unwrap();
+    assert_eq!(status, 200);
+    assert!(!body.contains("nosuch"), "{body}");
+    assert!(
+        !body
+            .lines()
+            .any(|l| l.starts_with("clarens_fenced_writes_total 999")),
+        "{body}"
+    );
+    grid.cleanup();
+}

@@ -44,8 +44,9 @@ pub struct RequestTrace {
     t0: Option<Instant>,
     /// Accumulated microseconds per phase.
     pub phase_us: [u64; PHASE_COUNT],
-    /// Dispatched `module.method` (RPC) or a synthetic name like
-    /// `http.get`; `None` when the request never reached routing.
+    /// The registered `module.method` the gate found (RPC) or a synthetic
+    /// name like `http.get`; `None` when the request named no exported
+    /// method.
     pub method: Option<String>,
     /// Negotiated protocol name (`xmlrpc`/`soap`/`jsonrpc`/`binary`).
     pub protocol: Option<&'static str>,
