@@ -39,7 +39,7 @@ pub fn run(args: &Args) {
     println!("partitions the leader's election traffic and aims writes straight at it.\n");
 
     // --- Phase 1: leader kill under load ---------------------------------
-    let mut cluster = FederationCluster::start_elections(3, lease_ms);
+    let mut cluster = FederationCluster::start(3, lease_ms);
     let session = cluster.user_session();
     let addrs: Vec<String> = cluster.nodes.iter().map(|n| n.addr.clone()).collect();
     let old_index = cluster.leader_index().expect("initial leader");
@@ -218,7 +218,7 @@ pub fn run(args: &Args) {
     // --- Phase 2: split-brain injection ----------------------------------
     println!("\nsplit-brain injection: partition the leader's election traffic, elect a");
     println!("rival, aim {} writes straight at the deposed leader", 20);
-    let cluster = FederationCluster::start_elections(3, lease_ms);
+    let cluster = FederationCluster::start(3, lease_ms);
     let session = cluster.user_session();
     let stale_index = cluster.leader_index().expect("initial leader");
     let stale_epoch = cluster.nodes[stale_index].core().federation.epoch();

@@ -19,6 +19,9 @@ use clarens_wire::Value;
 use crate::args::Args;
 use crate::header;
 
+/// Leader-lease duration of every cluster this drill starts.
+const LEASE_MS: u64 = 500;
+
 pub fn run(args: &Args) {
     let (quick, seed) = (args.quick, args.seed.unwrap_or(1));
     header(&format!(
@@ -26,9 +29,10 @@ pub fn run(args: &Args) {
     ));
     println!("Every client resolves echo.echo through the station network, steers by the");
     println!("published p95 latency attributes (power-of-two-choices), and re-resolves");
-    println!("with endpoint blacklisting on transport failure. Node 0 leads; followers");
-    println!("replicate its WAL, so the session minted on the leader authenticates");
-    println!("everywhere. A 10 ms read-path delay makes each node latency-bound.\n");
+    println!("with endpoint blacklisting on transport failure. Node 0 is elected the first");
+    println!("leader ({LEASE_MS} ms lease); followers replicate its WAL, so the session minted on");
+    println!("the leader authenticates everywhere. A 10 ms read-path delay makes each node");
+    println!("latency-bound.\n");
 
     const CLIENTS: usize = 32;
     let window = (args.point * 2).clamp(Duration::from_secs(2), Duration::from_secs(30));
@@ -36,7 +40,7 @@ pub fn run(args: &Args) {
     // One timed scaling measurement: `clients` balanced clients hammer an
     // n-node cluster for `window`; returns (calls/sec, wrong answers).
     let measure = |n: usize, clients: usize, window: Duration| -> (f64, u64) {
-        let cluster = FederationCluster::start(n);
+        let cluster = FederationCluster::start(n, LEASE_MS);
         let session = cluster.user_session();
         let stop = Arc::new(AtomicBool::new(false));
         let ok = Arc::new(AtomicU64::new(0));
@@ -126,7 +130,7 @@ pub fn run(args: &Args) {
     // answers.
     let drill_nodes = if quick { 2 } else { 3 };
     println!("\nnode-kill drill: {drill_nodes} nodes, 8 clients, victim killed mid-run");
-    let mut cluster = FederationCluster::start(drill_nodes);
+    let mut cluster = FederationCluster::start(drill_nodes, LEASE_MS);
     let session = cluster.user_session();
     let mut clients: Vec<BalancedClient> = (0..8)
         .map(|i| {
@@ -246,7 +250,7 @@ pub fn run(args: &Args) {
          {calls_per_session} calls each, re-pin every 2 calls"
     );
     let run_policy = |affinity: bool| -> (u64, u64) {
-        let cluster = FederationCluster::start(aff_nodes);
+        let cluster = FederationCluster::start(aff_nodes, LEASE_MS);
         let sessions: Vec<String> = (0..session_count).map(|_| cluster.user_session()).collect();
         let stats = |cluster: &FederationCluster| {
             cluster.nodes.iter().fold((0u64, 0u64), |(h, m), node| {

@@ -17,9 +17,7 @@
 use std::collections::HashMap;
 use std::process::exit;
 
-use clarens::{
-    register_builtin_services, ClarensConfig, ClarensCore, ClarensServer, FederationRole,
-};
+use clarens::{register_builtin_services, ClarensConfig, ClarensCore, ClarensServer};
 use clarens_httpd::TlsConfig;
 use clarens_pki::pem;
 use clarens_telemetry::{error, info, warn};
@@ -101,16 +99,15 @@ fn main() {
         }
         None => ClarensConfig::default(),
     };
-    // A follower is kept current by a replicator thread and elections are
-    // run by an election thread; both live in `clarens-federation`, which
-    // this binary does not link. Started anyway, the node would fence
-    // every replicated write forever and never catch up.
-    if config.federation_role == FederationRole::Follower || config.leader_lease_ms > 0 {
+    // A federation member is kept current by a replicator thread and led
+    // by an election thread; both live in `clarens-federation`, which this
+    // binary does not link. Started anyway, the node would fence every
+    // replicated write forever and never catch up.
+    if config.leader_lease_ms > 0 {
         eprintln!(
-            "clarens-server cannot honour `federation_role: follower` or a non-zero \
-             `leader_lease_ms`: it starts no replicator and no election thread. \
-             Start such a node with clarens_federation::FederationNode; this binary \
-             serves `federation_role: standalone` and a static `leader`."
+            "clarens-server cannot honour a non-zero `leader_lease_ms`: it starts no \
+             replicator and no election thread. Start such a node with \
+             clarens_federation::FederationNode; this binary serves standalone nodes."
         );
         exit(2);
     }

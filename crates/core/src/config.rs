@@ -10,33 +10,6 @@
 
 use std::path::PathBuf;
 
-/// Role a server plays in a multi-node federation (DESIGN.md §11).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum FederationRole {
-    /// Not federated: no replication in either direction (default).
-    #[default]
-    Standalone,
-    /// Serves its WAL to followers via `replication.fetch`.
-    Leader,
-    /// Ships the leader's WAL into its own store continuously.
-    Follower,
-}
-
-impl std::str::FromStr for FederationRole {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "standalone" => Ok(FederationRole::Standalone),
-            "leader" => Ok(FederationRole::Leader),
-            "follower" => Ok(FederationRole::Follower),
-            other => Err(format!(
-                "bad federation_role {other:?} (standalone|leader|follower)"
-            )),
-        }
-    }
-}
-
 /// Configuration for a Clarens server instance.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClarensConfig {
@@ -74,25 +47,17 @@ pub struct ClarensConfig {
     /// expiry the caller gets a `DEADLINE` (504-style) RPC fault instead
     /// of an indefinite wait. `0` disables deadlines.
     pub request_deadline_ms: u64,
-    /// This server's federation role (DESIGN.md §11). Standalone by
-    /// default; `leader` serves its WAL to followers, `follower` ships the
-    /// leader's WAL into its own store.
-    pub federation_role: FederationRole,
-    /// Address (`host:port`) of the leader a follower replicates from.
-    /// Required when `federation_role` is `follower` unless elections are
-    /// on (`leader_lease_ms > 0`), which find the leader themselves;
-    /// ignored otherwise.
-    pub federation_leader: Option<String>,
     /// Maximum `proxy.call` forwarding depth. Each hop increments the
     /// `x-clarens-hops` header; a request arriving at the limit is refused
     /// instead of looping between misconfigured nodes.
     pub proxy_max_hops: u32,
-    /// Leader-lease duration in milliseconds (DESIGN.md §14). A leader
-    /// re-publishes its lease on every election tick and self-fences
-    /// writes once it has failed to renew for this long; followers start
-    /// an election once the last observed renewal is older than this.
-    /// `0` disables elections (statically configured leadership, the
-    /// pre-failover behaviour).
+    /// Leader-lease duration in milliseconds (DESIGN.md §11, §14). `0`
+    /// (the default) runs a standalone node, as the paper's servers ran.
+    /// Any other value makes the node a lease-elected federation member:
+    /// a leader re-publishes its lease on every election tick and
+    /// self-fences writes once it has failed to renew for this long;
+    /// followers start an election once the last observed renewal is
+    /// older than this.
     pub leader_lease_ms: u64,
 }
 
@@ -111,8 +76,6 @@ impl Default for ClarensConfig {
             db_sync: false,
             max_connections: 4096,
             request_deadline_ms: 5_000,
-            federation_role: FederationRole::Standalone,
-            federation_leader: None,
             proxy_max_hops: 2,
             leader_lease_ms: 0,
         }
@@ -158,43 +121,12 @@ impl ClarensConfig {
                 "db_sync" => config.db_sync = field(key, value, lineno)?,
                 "max_connections" => config.max_connections = field(key, value, lineno)?,
                 "request_deadline_ms" => config.request_deadline_ms = field(key, value, lineno)?,
-                "federation_role" => {
-                    config.federation_role = value
-                        .parse()
-                        .map_err(|e| format!("line {}: {e}", lineno + 1))?
-                }
-                "federation_leader" => config.federation_leader = Some(value.to_owned()),
                 "proxy_max_hops" => config.proxy_max_hops = field(key, value, lineno)?,
                 "leader_lease_ms" => config.leader_lease_ms = field(key, value, lineno)?,
                 other => return Err(format!("line {}: unknown key {other:?}", lineno + 1)),
             }
         }
-        config.validate()?;
         Ok(config)
-    }
-
-    /// Reject settings that are each well-formed but cannot work together.
-    /// `parse` and `ClarensCore::new` both call this, so a config built as
-    /// a struct literal is held to the same rules as a config file.
-    pub fn validate(&self) -> Result<(), String> {
-        let leaderless = self
-            .federation_leader
-            .as_deref()
-            .is_none_or(|leader| leader.trim().is_empty());
-        if self.federation_role == FederationRole::Follower
-            && leaderless
-            && self.leader_lease_ms == 0
-        {
-            // With elections on a leaderless follower finds (or becomes)
-            // the leader; without them it would idle forever and fence
-            // every replicated write with a hint that points nowhere.
-            return Err(
-                "federation_role: follower needs federation_leader (or leader_lease_ms > 0, \
-                 so an election can find one)"
-                    .into(),
-            );
-        }
-        Ok(())
     }
 }
 
@@ -322,36 +254,9 @@ db_path: /var/clarens/clarens.db
     #[test]
     fn federation_knobs() {
         let config = ClarensConfig::parse("").unwrap();
-        assert_eq!(config.federation_role, FederationRole::Standalone);
-        assert!(config.federation_leader.is_none());
         assert_eq!(config.proxy_max_hops, 2);
-        let config = ClarensConfig::parse(
-            "federation_role: follower\nfederation_leader: leader.example.edu:8080\n\
-             proxy_max_hops: 4",
-        )
-        .unwrap();
-        assert_eq!(config.federation_role, FederationRole::Follower);
-        assert_eq!(
-            config.federation_leader.as_deref(),
-            Some("leader.example.edu:8080")
-        );
+        let config = ClarensConfig::parse("proxy_max_hops: 4").unwrap();
         assert_eq!(config.proxy_max_hops, 4);
-        assert_eq!(
-            ClarensConfig::parse("federation_role: leader")
-                .unwrap()
-                .federation_role,
-            FederationRole::Leader
-        );
-        // A follower with nobody to follow and no election to find one
-        // would idle forever: rejected. With elections on it is the
-        // legal leaderless-bootstrap shape.
-        let err = ClarensConfig::parse("federation_role: follower").unwrap_err();
-        assert!(err.contains("needs federation_leader"), "{err}");
-        assert!(ClarensConfig::parse("federation_role: follower\nfederation_leader:").is_err());
-        let bootstrap =
-            ClarensConfig::parse("federation_role: follower\nleader_lease_ms: 500").unwrap();
-        assert!(bootstrap.federation_leader.is_none());
-        assert!(ClarensConfig::parse("federation_role: primary").is_err());
         assert!(ClarensConfig::parse("proxy_max_hops: none").is_err());
     }
 
@@ -390,6 +295,8 @@ db_path: /var/clarens/clarens.db
             ("replication_", "poll_ms", "50"),
             ("election_", "jitter_ms", "100"),
             ("slow_trace_", "us", "2500"),
+            ("federation_", "role", "leader"),
+            ("federation_", "leader", "leader.example.org:8080"),
         ] {
             let err = ClarensConfig::parse(&format!("{head}{tail}: {value}")).unwrap_err();
             assert_eq!(err, format!("line 1: unknown key \"{head}{tail}\""));

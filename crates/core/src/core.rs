@@ -11,6 +11,7 @@ use clarens_telemetry::Telemetry;
 
 use crate::acl::AclEngine;
 use crate::config::ClarensConfig;
+use crate::federation::{FederationRole, FederationState};
 use crate::registry::{Registry, Service};
 use crate::session::SessionManager;
 use crate::vo::VoManager;
@@ -48,25 +49,21 @@ pub struct ClarensCore {
     pub replication_lag: Arc<AtomicU64>,
     /// Leader-failover state: live role, leader epoch, believed leader
     /// address, lease, and the replicated-ack follower cursor
-    /// (DESIGN.md §14). Initialized from the configured role; mutated by
-    /// the election manager on promotion/demotion.
-    pub federation: crate::federation::FederationState,
+    /// (DESIGN.md §14). Standalone when `leader_lease_ms` is 0, else a
+    /// follower until the election manager promotes it.
+    pub federation: FederationState,
 }
 
 impl ClarensCore {
     /// Assemble a core. Opens (or creates) the persistent store per the
     /// config, empties its methods bucket (registering services refills
     /// it), repopulates the `admins` VO group, and installs nothing else
-    /// — services are registered separately. A config that fails
-    /// [`ClarensConfig::validate`] is refused with `InvalidInput`.
+    /// — services are registered separately.
     pub fn new(
         config: ClarensConfig,
         roots: Vec<Certificate>,
         credential: Credential,
     ) -> std::io::Result<Arc<ClarensCore>> {
-        config
-            .validate()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         let store = Arc::new(match &config.db_path {
             Some(path) => Store::open_with_sync(path, config.db_sync)?,
             None => Store::in_memory(),
@@ -80,10 +77,10 @@ impl ClarensCore {
         let vo = VoManager::new(Arc::clone(&store), &config.admin_dns);
         let acl = AclEngine::new(Arc::clone(&store));
         let telemetry = Telemetry::enabled();
-        let federation = crate::federation::FederationState::new(
-            config.federation_role,
-            config.federation_leader.as_deref(),
-        );
+        let federation = FederationState::new(match config.leader_lease_ms {
+            0 => FederationRole::Standalone,
+            _ => FederationRole::Follower,
+        });
         let core = Arc::new(ClarensCore {
             config,
             store,
@@ -153,7 +150,7 @@ impl ClarensCore {
         self.telemetry
             .register_gauge("federation.is_leader", move || {
                 weak.upgrade()
-                    .map(|c| (c.federation.role() == crate::config::FederationRole::Leader) as u64)
+                    .map(|c| (c.federation.role() == FederationRole::Leader) as u64)
                     .unwrap_or(0)
             });
         self.telemetry

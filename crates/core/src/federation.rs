@@ -3,22 +3,30 @@
 //! One [`FederationState`] lives inside each [`crate::ClarensCore`]. It is
 //! the single source of truth for the node's current replication role, the
 //! leader epoch it believes in, the address of the node it believes holds
-//! the lease, and — on an election-managed leader — the lease expiry used
-//! for split-brain self-fencing. The dispatcher reads it on every
-//! replicated write (fence check + replicated-ack barrier), the election
-//! manager in `clarens-federation` writes it, and `system.health` /
-//! `GET /healthz` report it.
+//! the lease, and the lease expiry a leader writes under (split-brain
+//! self-fencing). The dispatcher reads it on every replicated write (fence
+//! check + replicated-ack barrier), the election manager in
+//! `clarens-federation` writes it, and `system.health` / `GET /healthz`
+//! report it.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::config::FederationRole;
-
-/// Sentinel meaning "no managed lease": a statically configured leader
-/// (elections disabled) is always writable.
-const LEASE_STATIC: u64 = u64::MAX;
+/// Role a server plays (DESIGN.md §11). A node with `leader_lease_ms: 0`
+/// is `Standalone` for life; any other starts as a `Follower`, and its
+/// election manager moves it between `Follower` and `Leader`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum FederationRole {
+    /// Not federated: no replication in either direction (default).
+    #[default]
+    Standalone,
+    /// Serves its WAL to followers via `replication.fetch`.
+    Leader,
+    /// Ships the leader's WAL into its own store continuously.
+    Follower,
+}
 
 /// Mutable, atomically-readable failover state.
 pub struct FederationState {
@@ -30,9 +38,9 @@ pub struct FederationState {
     /// `host:port` of the believed leader (empty when unknown, e.g. a
     /// standalone node or a follower mid-election).
     leader: Mutex<String>,
-    /// Lease expiry for an election-managed leader, as milliseconds since
-    /// `origin`. [`LEASE_STATIC`] when this node's leadership is not
-    /// lease-managed (standalone, static leader, or any follower).
+    /// Lease expiry, as milliseconds since `origin`: a leader is writable
+    /// only before it. 0 (expired) until the first renewal, and again
+    /// after every role change.
     lease_until_ms: AtomicU64,
     /// Millisecond timebase for `lease_until_ms`.
     origin: Instant,
@@ -51,13 +59,13 @@ pub struct FederationState {
 }
 
 impl FederationState {
-    /// Build from the configured role and leader address.
-    pub fn new(role: FederationRole, leader: Option<&str>) -> FederationState {
+    /// A node in `role`, with no leader known and no lease.
+    pub fn new(role: FederationRole) -> FederationState {
         FederationState {
             role: AtomicU8::new(role as u8),
             epoch: AtomicU64::new(0),
-            leader: Mutex::new(leader.unwrap_or_default().to_owned()),
-            lease_until_ms: AtomicU64::new(LEASE_STATIC),
+            leader: Mutex::new(String::new()),
+            lease_until_ms: AtomicU64::new(0),
             origin: Instant::now(),
             follower_cursor: AtomicU64::new(0),
             follower_seen_ms: AtomicU64::new(0),
@@ -78,8 +86,10 @@ impl FederationState {
         }
     }
 
-    /// Change role (promotion / demotion).
+    /// Change role (promotion / demotion). A lease ends with the role it
+    /// was renewed under: a new leader is writable only once it renews.
     pub fn set_role(&self, role: FederationRole) {
+        self.lease_until_ms.store(0, Ordering::SeqCst);
         self.role.store(role as u8, Ordering::SeqCst);
     }
 
@@ -115,32 +125,13 @@ impl FederationState {
             .store(self.now_ms() + lease_ms, Ordering::SeqCst);
     }
 
-    /// Put the lease under election management immediately expired (a
-    /// freshly promoted leader calls `renew_lease` right after claiming).
-    pub fn manage_lease(&self) {
-        self.lease_until_ms.store(self.now_ms(), Ordering::SeqCst);
-    }
-
-    /// Drop lease management (back to static/always-writable semantics).
-    pub fn unmanage_lease(&self) {
-        self.lease_until_ms.store(LEASE_STATIC, Ordering::SeqCst);
-    }
-
-    /// Is this node's leadership lease-managed (elections enabled)?
-    pub fn lease_managed(&self) -> bool {
-        self.lease_until_ms.load(Ordering::SeqCst) != LEASE_STATIC
-    }
-
-    /// May this node acknowledge replicated writes right now? True for a
-    /// static leader always; for an election-managed leader only while
-    /// its lease is unexpired — a partitioned leader that cannot renew
-    /// stops acking before a rival can be elected (split-brain fence).
+    /// May this node acknowledge replicated writes right now? Only a
+    /// leader inside a lease it has renewed: a partitioned leader that
+    /// cannot renew stops acking before a rival can be elected
+    /// (split-brain fence).
     pub fn is_writable(&self) -> bool {
-        if self.role() != FederationRole::Leader {
-            return false;
-        }
-        let until = self.lease_until_ms.load(Ordering::SeqCst);
-        until == LEASE_STATIC || self.now_ms() < until
+        self.role() == FederationRole::Leader
+            && self.now_ms() < self.lease_until_ms.load(Ordering::SeqCst)
     }
 
     /// Record a follower replication fetch at `cursor` (the offset it has
@@ -190,39 +181,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn static_leader_always_writable() {
-        let state = FederationState::new(FederationRole::Leader, None);
-        assert!(state.is_writable());
-        assert!(!state.lease_managed());
+    fn a_leader_writes_only_inside_a_renewed_lease() {
+        let state = FederationState::new(FederationRole::Leader);
+        // The lease starts expired: not writable until the first renewal.
+        assert!(!state.is_writable());
         assert_eq!(state.epoch(), 0);
+        state.renew_lease(10_000);
+        assert!(state.is_writable());
+        state.renew_lease(0);
+        assert!(!state.is_writable());
     }
 
     #[test]
-    fn follower_never_writable() {
-        let state = FederationState::new(FederationRole::Follower, Some("127.0.0.1:1"));
+    fn a_role_change_ends_the_lease() {
+        let state = FederationState::new(FederationRole::Follower);
+        state.set_leader("127.0.0.1:1");
+        state.renew_lease(10_000);
         assert!(!state.is_writable());
         assert_eq!(state.leader(), "127.0.0.1:1");
         state.set_role(FederationRole::Leader);
-        assert!(state.is_writable());
-    }
-
-    #[test]
-    fn managed_lease_expires_and_renews() {
-        let state = FederationState::new(FederationRole::Leader, None);
-        state.manage_lease();
-        // Lease starts expired: not writable until the first renewal.
         assert!(!state.is_writable());
         state.renew_lease(10_000);
         assert!(state.is_writable());
-        state.manage_lease();
+        state.set_role(FederationRole::Follower);
+        state.set_role(FederationRole::Leader);
         assert!(!state.is_writable());
-        state.unmanage_lease();
-        assert!(state.is_writable());
     }
 
     #[test]
     fn epoch_is_monotonic() {
-        let state = FederationState::new(FederationRole::Follower, None);
+        let state = FederationState::new(FederationRole::Follower);
         state.observe_epoch(5);
         state.observe_epoch(3);
         assert_eq!(state.epoch(), 5);
@@ -230,7 +218,7 @@ mod tests {
 
     #[test]
     fn follower_cursor_tracks_max_and_recency() {
-        let state = FederationState::new(FederationRole::Leader, None);
+        let state = FederationState::new(FederationRole::Leader);
         assert!(!state.follower_active_within(Duration::from_secs(60)));
         state.observe_follower_fetch(100);
         state.observe_follower_fetch(40);

@@ -46,8 +46,8 @@ pub mod vo;
 
 pub use crate::core::ClarensCore;
 pub use client::{ClarensClient, ClientError};
-pub use config::{ClarensConfig, FederationRole};
-pub use federation::FederationState;
+pub use config::ClarensConfig;
+pub use federation::{FederationRole, FederationState};
 pub use server::{install_permissive_acls, register_builtin_services, ClarensServer};
 
 /// Map a store I/O error onto the right RPC fault: a degraded-mode

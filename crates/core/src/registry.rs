@@ -176,9 +176,10 @@ pub struct MethodInfo {
     pub public: bool,
     /// Mutates the *replicated* store (sessions, VO groups, ACLs, stored
     /// proxies, IM mailboxes). On a federated node only the current leader
-    /// runs it — anyone else answers `NOT_LEADER` with a routing hint — and
-    /// an election-managed leader acknowledges it only once a follower has
-    /// fetched past it (DESIGN.md §14).
+    /// runs it, inside a lease it has renewed — anyone else answers
+    /// `NOT_LEADER` with a routing hint — and, while followers fetch, it
+    /// acknowledges it only once a follower has fetched past it
+    /// (DESIGN.md §14).
     pub replicated: bool,
     /// A client may send it again after a transport failure that leaves
     /// the first attempt's fate unknown: running it twice duplicates no
@@ -597,44 +598,36 @@ pub fn invoke(
     Ok(value)
 }
 
-/// Replicated-ack write barrier (DESIGN.md §14). On an election-managed
-/// leader, a replicated write is only acknowledged once a follower's
+/// Replicated-ack write barrier (DESIGN.md §14). A federated node acks a
+/// replicated write only while it leads inside a renewed lease, and, while
+/// some follower has fetched within the last 2 s, only once a follower's
 /// fetch cursor has passed this node's committed WAL length — a fetch at
-/// offset X proves the follower applied every record below X, so an
-/// acknowledged write survives this node's death. Statically-configured
-/// leaders (elections off) and clusters with no actively polling follower
-/// skip the wait: there is nobody to hand leadership to, so leader-local
-/// durability is the best available guarantee.
+/// offset X proves the follower applied every record below X, so the
+/// write survives this node's death. With no follower fetching there is
+/// nobody to hand leadership to, and leader-local durability is the best
+/// available guarantee.
 fn replicated_ack_barrier(ctx: &CallContext<'_>, method: &str) -> Result<(), Fault> {
     let core = ctx.core;
     let fed = &core.federation;
-    if !fed.lease_managed() || !fed.is_writable() {
-        // The handler already ran — the pre-dispatch fence passed and
-        // the lease lapsed during execution. `executed=maybe` keeps
-        // clients from blindly replaying the mutation at the new
-        // leader: the write may survive via replication, and a replay
-        // would double-execute it.
-        if fed.lease_managed() && fed.is_federated() {
-            core.telemetry.federation.fenced_writes.inc();
-            return Err(Fault::not_leader_executed(&fed.leader(), fed.epoch()));
-        }
+    if !fed.is_federated() {
         return Ok(());
     }
-    if !fed.follower_active_within(Duration::from_secs(2)) {
-        return Ok(());
-    }
+    let followed = fed.follower_active_within(Duration::from_secs(2));
     let target = core.store.wal_offset();
     let hard_cap = Instant::now() + Duration::from_millis(core.config.leader_lease_ms.max(100));
     loop {
-        if fed.follower_cursor() >= target {
-            return Ok(());
-        }
         if !fed.is_writable() {
-            // Lease lapsed mid-wait: a rival may already be leader and
-            // this write may not survive — refuse the ack, marked as
-            // post-execution so clients don't replay the mutation.
+            // The handler already ran: the pre-dispatch fence passed and
+            // the lease lapsed during execution or the wait. A rival may
+            // already lead and this write may not survive. `executed=maybe`
+            // keeps clients from blindly replaying the mutation at the new
+            // leader: the write may survive via replication, and a replay
+            // would double-execute it.
             core.telemetry.federation.fenced_writes.inc();
             return Err(Fault::not_leader_executed(&fed.leader(), fed.epoch()));
+        }
+        if !followed || fed.follower_cursor() >= target {
+            return Ok(());
         }
         let now = Instant::now();
         if now >= hard_cap || ctx.deadline.is_some_and(|d| now >= d) {

@@ -128,7 +128,7 @@ pub fn register_builtin_services(
     // Every federated node registers the replication service: only the
     // current leader *serves* fetches (the role check moved inside the
     // service), but a promoted follower must already export the method.
-    if core.config.federation_role != crate::config::FederationRole::Standalone {
+    if core.config.leader_lease_ms > 0 {
         core.register(Arc::new(services::ReplicationService));
     }
     core.register(Arc::new(services::ImService::new()));
@@ -331,10 +331,9 @@ impl ClarensHandler {
         let path = request.path();
 
         if path == "/healthz" {
-            // Readiness probe: deliberately unauthenticated so load
-            // balancers and the bench harness can poll it without a
-            // session. Mirrors the `system.health` RPC.
-            return self.serve_healthz();
+            // Readiness probe: `system.health` is public, so load
+            // balancers and the bench harness poll it without a session.
+            return self.serve_healthz(&ctx);
         }
         if path == "/metrics" {
             return self.serve_metrics(&ctx);
@@ -351,34 +350,19 @@ impl ClarensHandler {
         xml_error(404, &format!("no such resource: {path}"))
     }
 
-    /// `GET /healthz`: the readiness surface (DESIGN.md §14). 200 when
-    /// this node can do its job (a writable leader, a standalone node, or
-    /// a follower that is replicating), 503 when it cannot (degraded
-    /// store, or a fenced/deposed leader mid-election). The body is a
-    /// small JSON object so orchestration can also read role/epoch/lag.
-    fn serve_healthz(&self) -> Response {
-        let fed = &self.core.federation;
-        let role = match fed.role() {
-            crate::config::FederationRole::Leader => "leader",
-            crate::config::FederationRole::Follower => "follower",
-            crate::config::FederationRole::Standalone => "standalone",
-        };
-        let degraded = self.core.store.is_degraded();
-        let lag = self
-            .core
-            .replication_lag
-            .load(std::sync::atomic::Ordering::Relaxed);
-        // A federated leader that cannot currently ack writes (lease
-        // lapsed, or deposed but not yet demoted) is not ready; followers
-        // are ready as long as the store is healthy — reads still work.
-        let ready =
-            !degraded && (fed.role() != crate::config::FederationRole::Leader || fed.is_writable());
-        let body = format!(
-            "{{\"ready\":{ready},\"role\":\"{role}\",\"leader_epoch\":{epoch},\"leader\":\"{leader}\",\"wal_offset\":{offset},\"replication_lag\":{lag},\"degraded\":{degraded}}}\n",
-            epoch = fed.epoch(),
-            leader = fed.leader(),
-            offset = self.core.store.wal_offset(),
-        );
+    /// `GET /healthz`: the readiness surface (DESIGN.md §14), the answer of
+    /// `system.health` as JSON: 200 when it reports the node ready, 503
+    /// when not.
+    fn serve_healthz(&self, ctx: &CallContext<'_>) -> Response {
+        let health =
+            match registry::invoke(ctx, "system.health", &[], &mut RequestTrace::disabled()) {
+                Ok(health) => health,
+                Err(fault) => return Response::error(503, &fault.message),
+            };
+        let ready = health.get("ready").and_then(Value::as_bool) == Some(true);
+        let mut body = Vec::new();
+        clarens_wire::json::write_into(&mut body, &health);
+        body.push(b'\n');
         Response::new(if ready { 200 } else { 503 }, "application/json", body)
     }
 

@@ -23,7 +23,7 @@
 
 use clarens_wire::{Fault, Value};
 
-use crate::config::FederationRole;
+use crate::federation::FederationRole;
 use crate::registry::param::int;
 use crate::registry::{Args, CallContext, Method, Service};
 

@@ -9,7 +9,7 @@ use clarens_pki::cert::{verify_chain, Certificate};
 use clarens_wire::fault::codes;
 use clarens_wire::{Fault, Value};
 
-use crate::config::FederationRole;
+use crate::federation::FederationRole;
 use crate::registry::param::{array, base64, int, string};
 use crate::registry::{Args, CallContext, Method, Service, METHODS_BUCKET};
 

@@ -242,7 +242,7 @@ fn follower_session_cache_converges_across_leader_compaction() {
         ..Default::default()
     });
     // TestGrid runs standalone; export the leader-side WAL stream the way
-    // a `federation_role: leader` server would.
+    // an elected node would.
     leader
         .core()
         .register(std::sync::Arc::new(clarens::services::ReplicationService));
@@ -353,7 +353,7 @@ fn follower_session_cache_converges_across_leader_compaction() {
 fn follower_repoints_and_resyncs_across_promotion() {
     use std::time::Duration;
 
-    use clarens::config::FederationRole;
+    use clarens::federation::FederationRole;
     use clarens::session::SESSIONS_BUCKET;
     use clarens_federation::Replicator;
     use monalisa_sim::station::wait_until;
@@ -440,13 +440,15 @@ fn follower_repoints_and_resyncs_across_promotion() {
         "dead-leader fetches were never counted as errors"
     );
 
-    // Promote A the way `ElectionManager::try_promote` does.
+    // Promote A the way the election manager does, lease renewal
+    // included: B's replication login is a replicated write on A.
     let epoch = a.core().store.fence_epoch() + 1;
     a.core().store.append_fence(epoch).unwrap();
     a.core().store.sync().unwrap();
     a.core().federation.observe_epoch(epoch);
     a.core().federation.set_role(FederationRole::Leader);
     a.core().federation.set_leader(&a.addr());
+    a.core().federation.renew_lease(60_000);
 
     // Re-point B. Its replicator notices on the next cycle, reconnects,
     // and resyncs A's log from the top — including the fence record,

@@ -1096,8 +1096,7 @@ fn ack_barrier_holds_direct_and_proxied_writes_alike() {
     // follower to wait for.
     let mut admin = grid.logged_in_client(&grid.admin);
     let fed = &grid.core().federation;
-    fed.set_role(clarens::config::FederationRole::Leader);
-    fed.manage_lease();
+    fed.set_role(clarens::federation::FederationRole::Leader);
     fed.renew_lease(60_000);
     fed.observe_follower_fetch(0);
     assert!(grid.core().store.wal_offset() > 0);
@@ -1147,6 +1146,38 @@ fn ack_barrier_holds_direct_and_proxied_writes_alike() {
     );
     grid.cleanup();
     let _ = std::fs::remove_file(&db);
+}
+
+/// `GET /healthz` is `system.health` as JSON — escaped, whatever the
+/// leader hint holds — and answers 503 exactly when that reports the node
+/// not ready.
+#[test]
+fn healthz_renders_system_health() {
+    let grid = TestGrid::piped(GridOptions::default());
+    let fed = &grid.core().federation;
+    // Leader hints come from station adverts and NOT_LEADER faults.
+    fed.set_leader("a\"b\\c");
+    let mut client = grid.client(&grid.user);
+    let mut check = |ready: bool| {
+        let response = raw_http(
+            &grid,
+            false,
+            "GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
+        );
+        let body = std::str::from_utf8(&response.body).unwrap();
+        let health = clarens_wire::json::parse(body).unwrap_or_else(|e| panic!("{body}: {e}"));
+        assert_eq!(health, client.call("system.health", vec![]).unwrap());
+        assert_eq!(health.get("leader"), Some(&Value::from("a\"b\\c")));
+        assert_eq!(health.get("ready"), Some(&Value::Bool(ready)));
+        assert_eq!(response.status, if ready { 200 } else { 503 }, "{body}");
+    };
+    check(true);
+    // A leader holding no lease is not ready; one holding a lease is.
+    fed.set_role(clarens::federation::FederationRole::Leader);
+    check(false);
+    fed.renew_lease(60_000);
+    check(true);
+    grid.cleanup();
 }
 
 /// Open a raw byte stream to the grid and send `request` down it: plain,

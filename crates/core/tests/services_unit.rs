@@ -569,40 +569,29 @@ fn md5_streams_large_files_and_honors_deadlines() {
     let _ = std::fs::remove_dir_all(&f.data_dir);
 }
 
-/// A follower with no leader to replicate from and no election to find one
-/// would idle forever, fencing every replicated write with a NOT_LEADER
-/// hint that points nowhere: the core refuses to be built that way, however
-/// the config was assembled.
+/// An elected node named leader acks no replicated write before it has
+/// renewed a lease: until its election thread's first renewal, the gate
+/// fences it like a follower. Once renewed, the same write passes.
 #[test]
-fn follower_without_leader_or_elections_is_refused() {
-    use clarens::config::FederationRole;
-    let f = fixture("leaderless");
-    let build = |config: ClarensConfig| {
-        ClarensCore::new(config, f.core.roots.clone(), f.core.credential.clone())
+fn a_leader_writes_only_once_it_has_renewed_a_lease() {
+    let f = fixture_with("unrenewed-lease", |config| config.leader_lease_ms = 500);
+    let fed = &f.core.federation;
+    fed.set_role(clarens::federation::FederationRole::Leader);
+    let create = |group: &str| {
+        call(
+            &f,
+            Some(&f.admin_dn),
+            "vo.create_group",
+            vec![Value::from(group)],
+        )
     };
-    let err = build(ClarensConfig {
-        federation_role: FederationRole::Follower,
-        ..Default::default()
-    })
-    .err()
-    .expect("leaderless follower must be refused");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    assert!(err.to_string().contains("federation_leader"), "{err}");
+    let fenced = create("early").unwrap_err();
+    assert_eq!(fenced.code, codes::NOT_LEADER, "{fenced:?}");
+    assert!(f.core.vo.group("early").is_none());
 
-    // Leaderless bootstrap under elections stays legal, as does a
-    // statically pointed follower.
-    assert!(build(ClarensConfig {
-        federation_role: FederationRole::Follower,
-        leader_lease_ms: 500,
-        ..Default::default()
-    })
-    .is_ok());
-    assert!(build(ClarensConfig {
-        federation_role: FederationRole::Follower,
-        federation_leader: Some("leader.example.org:8080".into()),
-        ..Default::default()
-    })
-    .is_ok());
+    fed.renew_lease(60_000);
+    create("renewed").unwrap();
+    assert!(f.core.vo.group("renewed").is_some());
     let _ = std::fs::remove_dir_all(&f.data_dir);
 }
 
@@ -611,11 +600,15 @@ fn full_fixture(name: &str) -> Fixture {
     use clarens::services::DiscoveryService;
     use monalisa_sim::DiscoveryAggregator;
     let f = fixture_with(name, |config| {
-        // A static leader registers `replication` and fences nothing.
-        config.federation_role = clarens::config::FederationRole::Leader;
+        // An elected node registers `replication`.
+        config.leader_lease_ms = 500;
         let dir = config.file_root.as_ref().unwrap().parent().unwrap();
         config.db_path = Some(dir.join("store.wal"));
     });
+    // Leading, it serves `replication.fetch`.
+    f.core
+        .federation
+        .set_role(clarens::federation::FederationRole::Leader);
     let aggregator = DiscoveryAggregator::new(vec![]);
     f.core
         .register(Arc::new(DiscoveryService::new(Arc::new(aggregator), None)));

@@ -1,6 +1,6 @@
-//! In-process federation harness: one station network, one leader, N-1
-//! followers — the fixture behind the integration tests and the
-//! `repro federation` / `repro failover` benchmarks.
+//! In-process federation harness: one station network and N lease-elected
+//! nodes, node 0 named the first leader — the fixture behind the
+//! integration tests and the `repro federation` / `repro failover` drills.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -9,8 +9,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use clarens::client::ClarensClient;
-use clarens::config::{ClarensConfig, FederationRole};
+use clarens::config::ClarensConfig;
 use clarens::core::ClarensCore;
+use clarens::federation::FederationRole;
 use clarens::server::{install_permissive_acls, register_builtin_services, ClarensServer};
 use clarens::services::DiscoveryService;
 use monalisa_sim::station::wait_until;
@@ -34,45 +35,28 @@ const AGGREGATOR_TTL_SECS: i64 = 3;
 
 /// Options for one federation node.
 pub struct NodeOptions {
-    /// Node index (selects the per-node server credential/DN).
+    /// Node index (selects the per-node server credential/DN, and seeds
+    /// the election's pre-claim pause).
     pub index: usize,
-    /// Leader or follower (standalone nodes don't need this harness).
-    pub role: FederationRole,
-    /// `host:port` of the leader (followers only).
+    /// `host:port` of the initial leader, or `None` to name this node the
+    /// initial leader: it claims the first epoch once its election thread
+    /// runs, and writes once that thread first renews its lease.
     pub leader: Option<String>,
-    /// Persist the store here (the leader must persist: WAL shipping
-    /// reads the log file; followers usually run in-memory — except
-    /// under elections, where any follower may be promoted and must then
-    /// serve its own log).
-    pub db_path: Option<PathBuf>,
+    /// The node's store. Every node persists: any may be promoted, and a
+    /// leader serves its own log to its followers.
+    pub db_path: PathBuf,
     /// Serve the file module from this root (only nodes that set it
     /// export `file.*` — which is what makes `proxy.call` forwarding
     /// observable).
     pub file_root: Option<PathBuf>,
     /// HTTP worker threads.
     pub workers: usize,
-    /// Leader-lease duration in ms; 0 keeps the pre-failover static
-    /// roles (no election thread, leader always writable).
+    /// Leader-lease duration in ms; must be > 0.
     pub leader_lease_ms: u64,
 }
 
-impl Default for NodeOptions {
-    fn default() -> Self {
-        NodeOptions {
-            index: 0,
-            role: FederationRole::Leader,
-            leader: None,
-            db_path: None,
-            file_root: None,
-            workers: 4,
-            leader_lease_ms: 0,
-        }
-    }
-}
-
-/// One running federation node: server + discovery plumbing + (on
-/// followers) the replication loop + (under elections) the election
-/// manager.
+/// One running federation node: server + discovery plumbing + the
+/// replication loop + the election manager.
 pub struct FederationNode {
     /// The running server (its core is reachable via `server.core`).
     pub server: ClarensServer,
@@ -83,8 +67,8 @@ pub struct FederationNode {
     /// The node's aggregated discovery view (shared with its proxy router).
     pub aggregator: Arc<DiscoveryAggregator>,
     heartbeat: Worker,
-    replicator: Option<Replicator>,
-    election: Option<ElectionManager>,
+    replicator: Replicator,
+    election: ElectionManager,
 }
 
 /// Reserve a free localhost port: bind, read, release. The tiny window
@@ -111,10 +95,8 @@ impl FederationNode {
                 server_url: format!("http://{addr}/clarens"),
                 admin_dns: vec![pki.admin.certificate.subject.to_string()],
                 workers: options.workers,
-                db_path: options.db_path.clone(),
+                db_path: Some(options.db_path.clone()),
                 file_root: options.file_root.clone(),
-                federation_role: options.role,
-                federation_leader: options.leader.clone(),
                 leader_lease_ms: options.leader_lease_ms,
                 ..Default::default()
             };
@@ -123,6 +105,10 @@ impl FederationNode {
                 vec![pki.ca.certificate.clone()],
                 pki.server_credential(options.index),
             )?;
+            match &options.leader {
+                None => core.federation.set_role(FederationRole::Leader),
+                Some(leader) => core.federation.set_leader(leader),
+            }
             let aggregator =
                 Arc::new(DiscoveryAggregator::new(stations.clone()).with_ttl(AGGREGATOR_TTL_SECS));
             let publisher = UdpPublisher::new(stations.iter().map(|s| s.local_addr()).collect())?;
@@ -139,34 +125,22 @@ impl FederationNode {
             };
             let url = server.core.config.server_url.clone();
             let heartbeat = spawn_heartbeat(addr.clone());
-            let elections = options.leader_lease_ms > 0;
-            // Static mode: followers replicate from the configured
-            // leader. Election mode: every node runs the loop — it idles
-            // while the node leads and follows `FederationState` when it
-            // does not, so promotion/demotion needs no thread surgery.
-            let replicator = if elections || options.role == FederationRole::Follower {
-                Some(Replicator::start(
-                    Arc::clone(&server.core),
-                    options.leader.clone().unwrap_or_default(),
-                    pki.admin.clone(),
-                ))
-            } else {
-                None
-            };
-            let election = if elections {
-                Some(
-                    ElectionManager::start(
-                        Arc::clone(&server.core),
-                        addr.clone(),
-                        stations.iter().map(|s| s.local_addr()).collect(),
-                        stations.iter().map(|s| s.query_addr()).collect(),
-                        options.index as u64 + 1,
-                    )
-                    .expect("start election manager"),
-                )
-            } else {
-                None
-            };
+            // Every node runs the replication loop: it idles while the
+            // node leads and follows `FederationState` when it does not, so
+            // promotion/demotion needs no thread surgery.
+            let replicator = Replicator::start(
+                Arc::clone(&server.core),
+                options.leader.clone().unwrap_or_default(),
+                pki.admin.clone(),
+            );
+            let election = ElectionManager::start(
+                Arc::clone(&server.core),
+                addr.clone(),
+                stations.iter().map(|s| s.local_addr()).collect(),
+                stations.iter().map(|s| s.query_addr()).collect(),
+                options.index as u64 + 1,
+            )
+            .expect("start election manager");
             return Ok(FederationNode {
                 server,
                 url,
@@ -192,9 +166,10 @@ impl FederationNode {
         ClarensClient::new(self.addr.clone())
     }
 
-    /// Ops the replication follower loop has applied (0 on leaders).
+    /// Ops the replication follower loop has applied (0 on a node that
+    /// has only led).
     pub fn replication_applied(&self) -> u64 {
-        self.replicator.as_ref().map_or(0, Replicator::applied)
+        self.replicator.applied()
     }
 
     /// Is this node currently the (writable) leader?
@@ -203,11 +178,9 @@ impl FederationNode {
     }
 
     /// Cut (or heal) this node's election traffic — the split-brain
-    /// injection. No-op on nodes without an election manager.
+    /// injection.
     pub fn set_partitioned(&self, on: bool) {
-        if let Some(election) = &self.election {
-            election.set_partitioned(on);
-        }
+        self.election.set_partitioned(on);
     }
 
     /// Kill the node: stop heartbeats, elections, and replication, shut
@@ -252,13 +225,14 @@ fn spawn_heartbeat(addr: String) -> Worker {
     })
 }
 
-/// A whole in-process federation: one station, node 0 the initial leader
-/// (with a persistent store and the file service), the rest followers.
+/// A whole in-process federation: one station and `n` lease-elected
+/// nodes, each with a persistent store; node 0 is named the initial
+/// leader and serves the file module.
 pub struct FederationCluster {
     /// The shared station server (the discovery network).
     pub station: Arc<StationServer>,
     /// Running nodes. Use [`FederationCluster::leader`] to find the
-    /// current leader — under elections it moves.
+    /// current leader — it moves.
     pub nodes: Vec<FederationNode>,
     scratch: PathBuf,
 }
@@ -266,22 +240,11 @@ pub struct FederationCluster {
 static CLUSTER_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl FederationCluster {
-    /// Start an `n`-node federation with static roles (node 0 leads
-    /// forever) and wait for discovery to converge.
-    pub fn start(n: usize) -> FederationCluster {
-        FederationCluster::start_with(n, 0)
-    }
-
-    /// Start an `n`-node federation with lease-based elections: every
-    /// node gets a persistent store (any follower may be promoted and
-    /// must then serve its own WAL) and an election manager.
-    pub fn start_elections(n: usize, lease_ms: u64) -> FederationCluster {
-        assert!(lease_ms > 0, "elections need a non-zero lease");
-        FederationCluster::start_with(n, lease_ms)
-    }
-
-    fn start_with(n: usize, lease_ms: u64) -> FederationCluster {
+    /// Start an `n`-node federation electing leaders under a `lease_ms`
+    /// lease, and wait for discovery to converge.
+    pub fn start(n: usize, lease_ms: u64) -> FederationCluster {
         assert!(n >= 1, "a federation needs at least one node");
+        assert!(lease_ms > 0, "elections need a non-zero lease");
         let station =
             Arc::new(StationServer::spawn("fed-station", "127.0.0.1:0").expect("station"));
         let scratch = std::env::temp_dir().join(format!(
@@ -292,36 +255,20 @@ impl FederationCluster {
         let _ = std::fs::remove_dir_all(&scratch);
         std::fs::create_dir_all(scratch.join("files")).expect("scratch dir");
 
-        let leader = FederationNode::start(
-            NodeOptions {
-                index: 0,
-                role: FederationRole::Leader,
-                db_path: Some(scratch.join("leader.wal")),
-                file_root: Some(scratch.join("files")),
+        let node = |index: usize, leader: Option<String>| {
+            let options = NodeOptions {
+                index,
+                file_root: leader.is_none().then(|| scratch.join("files")),
+                leader,
+                db_path: scratch.join(format!("node{index}.wal")),
+                workers: 4,
                 leader_lease_ms: lease_ms,
-                ..Default::default()
-            },
-            vec![Arc::clone(&station)],
-        )
-        .expect("leader");
-        let leader_addr = leader.addr.clone();
-        let mut nodes = vec![leader];
-        for index in 1..n {
-            nodes.push(
-                FederationNode::start(
-                    NodeOptions {
-                        index,
-                        role: FederationRole::Follower,
-                        leader: Some(leader_addr.clone()),
-                        db_path: (lease_ms > 0).then(|| scratch.join(format!("node{index}.wal"))),
-                        leader_lease_ms: lease_ms,
-                        ..Default::default()
-                    },
-                    vec![Arc::clone(&station)],
-                )
-                .expect("follower"),
-            );
-        }
+            };
+            FederationNode::start(options, vec![Arc::clone(&station)]).expect("federation node")
+        };
+        let mut nodes = vec![node(0, None)];
+        let leader_addr = nodes[0].addr.clone();
+        nodes.extend((1..n).map(|index| node(index, Some(leader_addr.clone()))));
         let cluster = FederationCluster {
             station,
             nodes,

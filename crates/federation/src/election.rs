@@ -19,8 +19,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use clarens::config::FederationRole::{self, Follower, Leader};
 use clarens::core::ClarensCore;
+use clarens::federation::FederationRole::{self, Follower, Leader};
 use clarens::ClarensClient;
 use clarens_wire::Value;
 use monalisa_sim::{Publication, ServiceDescriptor, ServiceQuery, UdpPublisher};
@@ -179,7 +179,7 @@ impl Election {
     }
 
     fn tick(&mut self) {
-        // A configured leader claims the first epoch on startup.
+        // A node named leader at start-up claims the first epoch.
         if self.node.role == Leader && self.node.epoch == 0 {
             self.promote();
         }
@@ -465,19 +465,18 @@ fn apply(core: &ClarensCore, addr: &str, effect: Effect) {
     match effect {
         Effect::Promote(epoch) => {
             // The fence is durable before the node is writable, so a
-            // restart can never reuse the epoch.
+            // restart can never reuse the epoch. The new role holds no
+            // lease: the node writes once its first `Renew` lands.
             let _ = core.store.append_fence(epoch);
             let _ = core.store.sync();
             fed.observe_epoch(epoch);
             fed.set_role(Leader);
             fed.set_leader(addr);
             fed.reset_follower_cursor();
-            fed.manage_lease();
             core.telemetry.federation.elections.inc();
         }
         Effect::Demote(leader, epoch) => {
             fed.set_role(Follower);
-            fed.unmanage_lease();
             // A leader's cursor into its own log is the log's length: one
             // that steps down with no successor ranks by all it holds.
             let own = core.store.wal_offset();

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use clarens::client::{Backoff, ClarensClient, ClientError};
-use clarens::config::FederationRole;
 use clarens::core::ClarensCore;
+use clarens::federation::FederationRole;
 use clarens::registry::NODE_LOCAL_BUCKETS;
 use clarens_db::{decode_stream, LogOp};
 use clarens_pki::cert::Credential;
@@ -175,9 +175,8 @@ impl Replicator {
     /// Start replicating into `core`'s store, authenticating as `admin`
     /// (replication is site-admin gated: the WAL carries session
     /// secrets). `leader` seeds the leader address; thereafter the loop
-    /// follows `core.federation` — pass an empty string to resolve purely
-    /// dynamically (election-managed nodes). Polls every [`POLL_MS`] when
-    /// idle.
+    /// follows `core.federation` — pass an empty string to wait for the
+    /// election to name one. Polls every [`POLL_MS`] when idle.
     pub fn start(core: Arc<ClarensCore>, leader: String, admin: Credential) -> Replicator {
         let counts = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
         let tally = Arc::clone(&counts);

@@ -20,7 +20,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use clarens::config::FederationRole;
+use clarens::federation::FederationRole;
 use clarens_federation::election::{Effect, Election, Input, Node, LEASE_SERVICE};
 use monalisa_sim::{Publication, ServiceQuery, Table};
 use rand::{rngs::StdRng, Rng, SeedableRng};

@@ -44,7 +44,7 @@ fn proxied(method: &str, params: Vec<Value>) -> Vec<Value> {
 
 #[test]
 fn two_node_replication_converges() {
-    let cluster = FederationCluster::start(2);
+    let cluster = FederationCluster::start(2, 500);
     // `user_session` already proves the session record crossed the wire:
     // it waits until the follower authenticates a session minted on the
     // leader.
@@ -121,7 +121,7 @@ fn two_node_replication_converges() {
 /// ships nothing to its followers.
 #[test]
 fn an_idle_federation_leaves_the_shipped_log_alone() {
-    let cluster = FederationCluster::start(3);
+    let cluster = FederationCluster::start(3, 500);
     let leader = cluster.leader();
     let written = || leader.core().store.storage_counters().bytes_written;
     let applied = || cluster.nodes[1..].iter().map(|n| n.replication_applied());
@@ -150,7 +150,7 @@ fn an_idle_federation_leaves_the_shipped_log_alone() {
 /// XML-RPC count alone.
 #[test]
 fn node_to_node_calls_speak_binary() {
-    let cluster = FederationCluster::start_elections(3, 500);
+    let cluster = FederationCluster::start(3, 500);
     let leader = cluster.leader();
     let caught_up = || {
         let end = leader.core().store.wal_offset();
@@ -188,7 +188,7 @@ fn node_to_node_calls_speak_binary() {
 
 #[test]
 fn proxy_call_routes_to_module_owner() {
-    let cluster = FederationCluster::start(2);
+    let cluster = FederationCluster::start(2, 500);
     let session = cluster.user_session();
 
     // Only the leader exports the file module; the follower must forward.
@@ -237,7 +237,7 @@ fn proxy_call_routes_to_module_owner() {
 
 #[test]
 fn balanced_client_fails_over_when_its_node_dies() {
-    let mut cluster = FederationCluster::start(3);
+    let mut cluster = FederationCluster::start(3, 500);
     let session = cluster.user_session();
     let mut client = cluster
         .balanced_client(&session, 0x5EED)
@@ -280,7 +280,7 @@ fn balanced_client_fails_over_when_its_node_dies() {
 
 #[test]
 fn leader_failover_promotes_follower_without_losing_acked_writes() {
-    let mut cluster = FederationCluster::start_elections(3, 500);
+    let mut cluster = FederationCluster::start(3, 500);
     // The session is an acked replicated write: `user_session` returns
     // only after every node authenticates it.
     let session = cluster.user_session();
@@ -377,7 +377,7 @@ fn leader_failover_promotes_follower_without_losing_acked_writes() {
 
 #[test]
 fn split_brain_fences_stale_leader_and_demotes_on_heal() {
-    let cluster = FederationCluster::start_elections(3, 400);
+    let cluster = FederationCluster::start(3, 400);
     let session = cluster.user_session();
     let stale_index = cluster.leader_index().expect("initial leader");
     let old_epoch = cluster.nodes[stale_index].core().federation.epoch();

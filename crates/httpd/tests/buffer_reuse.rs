@@ -1,19 +1,21 @@
 //! Keep-alive isolation tests for the recycled-buffer data path.
 //!
-//! Worker threads recycle request/response buffers across keep-alive
-//! requests (see `scratch`); these tests drive real sockets through the
-//! pooled path and assert that no request ever observes bytes left over
-//! from a previous request on the same connection — including when the
-//! handler itself draws response buffers from the arena, and when bodies
-//! arrive chunked.
+//! Whoever drives a connection recycles request/response buffers across
+//! keep-alive requests (see `scratch`); these tests drive a connection
+//! through the pooled path and assert that no request ever observes bytes
+//! left over from a previous request on the same connection — including
+//! when the handler itself draws response buffers from the arena, and when
+//! bodies arrive chunked. The server is a pipe (`serve_pipe`): one pump
+//! with one scratch arena serves every request of a connection, so the
+//! second request meets the first one's buffers on every run, not only
+//! when the same worker happens to serve both.
 
 use std::io::{BufReader, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use clarens_httpd::parse::read_response;
-use clarens_httpd::{Handler, HttpServer, Request, RequestContext, Response, ServerConfig};
+use clarens_httpd::{serve_pipe, Handler, Pipe, Request, RequestContext, Response, ServerConfig};
 use clarens_telemetry::Telemetry;
 
 /// Echoes the request body back from a buffer taken out of the worker's
@@ -30,13 +32,12 @@ impl Handler for PooledEcho {
     }
 }
 
-fn start_server(telemetry: Arc<Telemetry>) -> HttpServer {
+fn start_server(telemetry: Arc<Telemetry>) -> Pipe {
     let config = ServerConfig {
-        read_timeout: Duration::from_millis(200),
         telemetry,
         ..Default::default()
     };
-    HttpServer::bind("127.0.0.1:0", config, Arc::new(PooledEcho)).unwrap()
+    serve_pipe(config, Arc::new(PooledEcho))
 }
 
 fn post(body: &[u8]) -> Vec<u8> {
@@ -53,7 +54,7 @@ fn post(body: &[u8]) -> Vec<u8> {
 fn second_request_never_sees_first_requests_bytes() {
     let telemetry = Telemetry::enabled();
     let server = start_server(Arc::clone(&telemetry));
-    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+    let mut sock = server.connect().unwrap();
 
     // A large, distinctive first body primes every recycled buffer with
     // poison bytes; the tiny second body must come back exactly, with no
@@ -84,13 +85,12 @@ fn second_request_never_sees_first_requests_bytes() {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(telemetry.http.requests.get(), 2);
-    server.shutdown();
 }
 
 #[test]
 fn pipelined_burst_each_response_isolated() {
     let server = start_server(Telemetry::enabled());
-    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+    let mut sock = server.connect().unwrap();
 
     // Alternate shrinking/odd-sized bodies so any stale-length bug shows.
     let bodies: Vec<Vec<u8>> = (0..8)
@@ -108,13 +108,12 @@ fn pipelined_burst_each_response_isolated() {
         assert_eq!(resp.status, 200);
         assert_eq!(&resp.body, body, "response {i} corrupted by buffer reuse");
     }
-    server.shutdown();
 }
 
 #[test]
 fn chunked_bodies_reassembled_through_pooled_path() {
     let server = start_server(Telemetry::enabled());
-    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+    let mut sock = server.connect().unwrap();
 
     // First chunked request: three uneven chunks.
     sock.write_all(
@@ -137,13 +136,12 @@ fn chunked_bodies_reassembled_through_pooled_path() {
     let second = read_response(&mut reader, usize::MAX).unwrap();
     assert_eq!(second.status, 200);
     assert_eq!(second.body, b"abc", "chunked body bled across keep-alive");
-    server.shutdown();
 }
 
 #[test]
 fn mixed_chunked_and_content_length_keep_alive() {
     let server = start_server(Telemetry::enabled());
-    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+    let mut sock = server.connect().unwrap();
 
     sock.write_all(&post(b"plain-one")).unwrap();
     sock.write_all(
@@ -159,5 +157,4 @@ fn mixed_chunked_and_content_length_keep_alive() {
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, expect);
     }
-    server.shutdown();
 }
