@@ -46,7 +46,8 @@ pub fn run(args: &Args) {
     let old_epoch = cluster.nodes[old_index].core().federation.epoch();
 
     let stop = Arc::new(AtomicBool::new(false));
-    let acked: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    // Each acked session, with how long its login took (ms).
+    let acked: Arc<Mutex<Vec<(String, f64)>>> = Arc::new(Mutex::new(Vec::new()));
     let wrong = Arc::new(AtomicU64::new(0));
     let reads_ok = Arc::new(AtomicU64::new(0));
     let mut threads = Vec::new();
@@ -68,8 +69,10 @@ pub fn run(args: &Args) {
                     .with_credential(user.clone())
                     .with_retries(0)
                     .with_call_deadline(Duration::from_secs(2));
+                let started = Instant::now();
                 if let Ok(id) = client.login() {
-                    acked.lock().unwrap().push(id);
+                    let ms = started.elapsed().as_secs_f64() * 1e3;
+                    acked.lock().unwrap().push((id, ms));
                 }
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -103,11 +106,18 @@ pub fn run(args: &Args) {
     }
 
     // Ramp, then kill the leader mid-run.
-    std::thread::sleep(
-        args.point
-            .clamp(Duration::from_millis(750), Duration::from_secs(3)),
-    );
-    let acked_before_kill = acked.lock().unwrap().len();
+    let ramp = args
+        .point
+        .clamp(Duration::from_millis(750), Duration::from_secs(3));
+    std::thread::sleep(ramp);
+    // The replicated-write numbers: the logins acked before the kill.
+    let mut login_ms: Vec<f64> = acked.lock().unwrap().iter().map(|a| a.1).collect();
+    let acked_before_kill = login_ms.len();
+    login_ms.sort_by(f64::total_cmp);
+    let login_pct = |p: f64| {
+        let last = login_ms.len().saturating_sub(1);
+        (login_ms.get((last as f64 * p).round() as usize)).map_or(f64::NAN, |ms| *ms)
+    };
     let killed_at = Instant::now();
     cluster.kill(old_index);
     // Promotion clock: a follower must claim epoch N+1 within 3 leases.
@@ -148,7 +158,7 @@ pub fn run(args: &Args) {
     // Zero acked-then-lost: every acked session authenticates on the new
     // leader (its log contained the record when it sealed the epoch).
     let mut lost = 0usize;
-    for id in &acked {
+    for (id, _) in &acked {
         let mut probe = ClarensClient::new(new_addr.clone())
             .with_retries(1)
             .with_call_deadline(Duration::from_secs(2));
@@ -180,6 +190,21 @@ pub fn run(args: &Args) {
     println!(
         "{:>40} {:>12}",
         "sessions acked after kill", acked_after_kill
+    );
+    println!(
+        "{:>40} {:>12.2}",
+        "login p50 before kill (ms)",
+        login_pct(0.5)
+    );
+    println!(
+        "{:>40} {:>12.2}",
+        "login p99 before kill (ms)",
+        login_pct(0.99)
+    );
+    println!(
+        "{:>40} {:>12.1}",
+        "acked logins/s before kill",
+        acked_before_kill as f64 / ramp.as_secs_f64()
     );
     println!("{:>40} {:>12}", "acked-then-lost writes", lost);
     println!(

@@ -81,6 +81,8 @@ impl ClarensCore {
             0 => FederationRole::Standalone,
             _ => FederationRole::Follower,
         });
+        let committed = Arc::clone(&federation.committed);
+        store.on_commit(move |at| committed.raise(at));
         let core = Arc::new(ClarensCore {
             config,
             store,

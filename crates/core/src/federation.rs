@@ -10,9 +10,21 @@
 //! report it.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use clarens_httpd::Watermark;
 use parking_lot::Mutex;
+
+/// A position in the WAL: `(epoch, offset)`. A compaction starts a new
+/// epoch, whose offsets restart at 0.
+pub type Cursor = (u64, u64);
+
+/// Does a follower at `cursor` hold everything below `target`? Only within
+/// one WAL epoch: a cursor from another epoch confirms nothing.
+pub fn confirms(cursor: Cursor, target: Cursor) -> bool {
+    cursor.0 == target.0 && cursor.1 >= target.1
+}
 
 /// Role a server plays (DESIGN.md §11). A node with `leader_lease_ms: 0`
 /// is `Standalone` for life; any other starts as a `Follower`, and its
@@ -44,10 +56,14 @@ pub struct FederationState {
     lease_until_ms: AtomicU64,
     /// Millisecond timebase for `lease_until_ms`.
     origin: Instant,
-    /// Highest replication cursor any follower has confirmed by fetching:
-    /// a fetch at offset X proves the follower applied every record below
-    /// X. The replicated-ack write barrier waits on this.
-    follower_cursor: AtomicU64,
+    /// Highest WAL position any follower has confirmed by fetching: a
+    /// fetch at `(epoch, X)` proves the follower applied every record of
+    /// that epoch below X. Held replicated writes wait on it.
+    pub follower_cursor: Watermark<Cursor>,
+    /// The WAL position of the last committed append: raised by the
+    /// store itself on every commit ([`clarens_db::Store::on_commit`]),
+    /// so every write a follower must see wakes the held fetches.
+    pub committed: Arc<Watermark<Cursor>>,
     /// When the last follower fetch arrived (ms since `origin`); the ack
     /// barrier only engages while followers are actually polling.
     follower_seen_ms: AtomicU64,
@@ -67,7 +83,8 @@ impl FederationState {
             leader: Mutex::new(String::new()),
             lease_until_ms: AtomicU64::new(0),
             origin: Instant::now(),
-            follower_cursor: AtomicU64::new(0),
+            follower_cursor: Watermark::new((0, 0)),
+            committed: Arc::new(Watermark::new((0, 0))),
             follower_seen_ms: AtomicU64::new(0),
             applied: AtomicU64::new(0),
         }
@@ -88,9 +105,18 @@ impl FederationState {
 
     /// Change role (promotion / demotion). A lease ends with the role it
     /// was renewed under: a new leader is writable only once it renews.
+    /// Every held reply is woken to answer under the new role.
     pub fn set_role(&self, role: FederationRole) {
         self.lease_until_ms.store(0, Ordering::SeqCst);
         self.role.store(role as u8, Ordering::SeqCst);
+        self.wake_held();
+    }
+
+    /// Wake the held writes and fetches: what they check besides their
+    /// watermark changed.
+    fn wake_held(&self) {
+        self.follower_cursor.wake();
+        self.committed.wake();
     }
 
     /// The leader epoch this node believes in.
@@ -98,9 +124,12 @@ impl FederationState {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Adopt a (higher) leader epoch; monotonic.
+    /// Adopt a (higher) leader epoch; monotonic. A new epoch wakes every
+    /// held reply.
     pub fn observe_epoch(&self, epoch: u64) {
-        self.epoch.fetch_max(epoch, Ordering::SeqCst);
+        if self.epoch.fetch_max(epoch, Ordering::SeqCst) < epoch {
+            self.wake_held();
+        }
     }
 
     /// `host:port` of the believed leader ("" if unknown).
@@ -134,25 +163,20 @@ impl FederationState {
             && self.now_ms() < self.lease_until_ms.load(Ordering::SeqCst)
     }
 
-    /// Record a follower replication fetch at `cursor` (the offset it has
-    /// fully applied). Feeds the replicated-ack barrier.
-    pub fn observe_follower_fetch(&self, cursor: u64) {
-        self.follower_cursor.fetch_max(cursor, Ordering::SeqCst);
+    /// Record a follower replication fetch at `cursor` (the position it
+    /// has fully applied). Feeds the replicated-ack barrier.
+    pub fn observe_follower_fetch(&self, cursor: Cursor) {
+        self.follower_cursor.raise(cursor);
         // 0 means "never seen" — clamp so a fetch in the process's first
         // millisecond still registers.
         self.follower_seen_ms
             .store(self.now_ms().max(1), Ordering::SeqCst);
     }
 
-    /// Highest offset any follower has confirmed applied.
-    pub fn follower_cursor(&self) -> u64 {
-        self.follower_cursor.load(Ordering::SeqCst)
-    }
-
     /// Reset the follower high-water mark (on promotion: the new leader's
     /// log is a different byte stream, so old cursors are meaningless).
     pub fn reset_follower_cursor(&self) {
-        self.follower_cursor.store(0, Ordering::SeqCst);
+        self.follower_cursor.reset((0, 0));
         self.follower_seen_ms.store(0, Ordering::SeqCst);
     }
 
@@ -220,12 +244,18 @@ mod tests {
     fn follower_cursor_tracks_max_and_recency() {
         let state = FederationState::new(FederationRole::Leader);
         assert!(!state.follower_active_within(Duration::from_secs(60)));
-        state.observe_follower_fetch(100);
-        state.observe_follower_fetch(40);
-        assert_eq!(state.follower_cursor(), 100);
+        state.observe_follower_fetch((0, 100));
+        state.observe_follower_fetch((0, 40));
+        assert_eq!(state.follower_cursor.get(), (0, 100));
         assert!(state.follower_active_within(Duration::from_secs(60)));
+        // A later WAL epoch moves it on, and confirms only its own offsets.
+        state.observe_follower_fetch((1, 10));
+        assert_eq!(state.follower_cursor.get(), (1, 10));
+        assert!(confirms((1, 10), (1, 10)));
+        assert!(!confirms((1, 10), (0, 50)));
+        assert!(!confirms((0, 100), (1, 10)));
         state.reset_follower_cursor();
-        assert_eq!(state.follower_cursor(), 0);
+        assert_eq!(state.follower_cursor.get(), (0, 0));
         assert!(!state.follower_active_within(Duration::from_secs(60)));
     }
 }

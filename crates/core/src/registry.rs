@@ -15,6 +15,7 @@
 #![deny(clippy::panic, clippy::unreachable)]
 
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,6 +26,8 @@ use clarens_telemetry::{Phase, RequestTrace};
 use clarens_wire::fault::codes;
 use clarens_wire::{Fault, Value};
 
+use crate::core::ClarensCore;
+use crate::federation::confirms;
 use crate::session::Session;
 
 /// DB bucket mirroring registered method descriptors.
@@ -411,7 +414,7 @@ fn unchecked(i: usize, ty: Type) -> Fault {
 /// not copy any per-request strings.
 pub struct CallContext<'a> {
     /// The server core (config, DB, sessions, VO, ACL, ...).
-    pub core: &'a crate::core::ClarensCore,
+    pub core: &'a Arc<ClarensCore>,
     /// Authenticated caller identity, if any. The gate runs a non-public
     /// method only with one.
     pub identity: Option<Arc<DistinguishedName>>,
@@ -432,6 +435,23 @@ pub struct CallContext<'a> {
     /// module bounce a request a bounded number of times instead of
     /// forever.
     pub hops: u32,
+    /// What the reply must wait for, if anything: recorded by the gate
+    /// (a replicated write's ack) or a handler (a caught-up
+    /// `replication.fetch`, `job.wait`), and held by the server. `None`
+    /// to start with.
+    pub hold: Cell<Option<Hold>>,
+}
+
+/// A reply that waits off the worker, as [`clarens_httpd::Held`] does
+/// (DESIGN.md §4): once `ready` says so or `deadline` passes, `answer`
+/// turns the value the call returned into the reply.
+pub struct Hold {
+    /// When the reply is answered, ready or not.
+    pub deadline: Instant,
+    /// Is the reply ready? Registers the waker with the watermark it reads.
+    pub ready: clarens_httpd::Ready,
+    /// The reply, given the value the call returned.
+    pub answer: Box<dyn FnOnce(Value) -> Result<Value, Fault> + Send>,
 }
 
 impl<'a> CallContext<'a> {
@@ -527,7 +547,8 @@ impl Registry {
 ///    if it eventually produced a value: the caller's own deadline has
 ///    long passed, and reporting success would hide the stall;
 /// 9. a replicated write is acknowledged only past the replicated-ack
-///    barrier (`replicated_ack_barrier`).
+///    barrier (`replicated_ack_barrier`), which holds the reply
+///    ([`CallContext::hold`]) rather than waiting here.
 ///
 /// `trace` names the method and times the ACL check and the handler; a
 /// nested call passes a disabled one, its time being inside the outer
@@ -592,7 +613,7 @@ pub fn invoke(
         )));
     }
     let value = result?;
-    if info.replicated {
+    if info.replicated && fed.is_federated() {
         replicated_ack_barrier(ctx, method)?;
     }
     Ok(value)
@@ -601,42 +622,54 @@ pub fn invoke(
 /// Replicated-ack write barrier (DESIGN.md §14). A federated node acks a
 /// replicated write only while it leads inside a renewed lease, and, while
 /// some follower has fetched within the last 2 s, only once a follower's
-/// fetch cursor has passed this node's committed WAL length — a fetch at
-/// offset X proves the follower applied every record below X, so the
-/// write survives this node's death. With no follower fetching there is
-/// nobody to hand leadership to, and leader-local durability is the best
-/// available guarantee.
+/// fetch cursor has passed the write's WAL position in the same WAL epoch
+/// — a fetch at `(epoch, X)` proves the follower applied every record of
+/// that epoch below X, so the write survives this node's death. With no
+/// follower fetching there is nobody to hand leadership to, and
+/// leader-local durability is the best available guarantee. The wait is a
+/// [`Hold`] on the follower cursor: answered once a follower confirms the
+/// write, the node stops leading (a role or epoch change wakes it), or one
+/// lease (at least 100 ms, and within the request deadline) passes.
 fn replicated_ack_barrier(ctx: &CallContext<'_>, method: &str) -> Result<(), Fault> {
-    let core = ctx.core;
+    let (core, fed) = (Arc::clone(ctx.core), &ctx.core.federation);
+    let target = core.store.wal_position();
+    if !fed.follower_active_within(Duration::from_secs(2)) {
+        return still_leads(&core);
+    }
+    let cap = Instant::now() + Duration::from_millis(core.config.leader_lease_ms.max(100));
+    let (waiting, method) = (Arc::clone(&core), method.to_owned());
+    ctx.hold.set(Some(Hold {
+        deadline: ctx.deadline.map_or(cap, |d| d.min(cap)),
+        ready: Box::new(move |waker| {
+            let fed = &waiting.federation;
+            !fed.is_writable() || (fed.follower_cursor).check(waker, |c| confirms(c, target))
+        }),
+        answer: Box::new(move |value| {
+            still_leads(&core)?;
+            match confirms(core.federation.follower_cursor.get(), target) {
+                true => Ok(value),
+                false => Err(Fault::service(format!(
+                    "{method} applied locally but no follower confirmed replication in time"
+                ))),
+            }
+        }),
+    }));
+    Ok(())
+}
+
+/// `Ok` while this node may ack replicated writes. Otherwise the handler
+/// already ran: the pre-dispatch fence passed and the lease lapsed during
+/// execution or the wait. A rival may already lead and this write may not
+/// survive. `executed=maybe` keeps clients from blindly replaying the
+/// mutation at the new leader: the write may survive via replication, and
+/// a replay would double-execute it.
+fn still_leads(core: &ClarensCore) -> Result<(), Fault> {
     let fed = &core.federation;
-    if !fed.is_federated() {
+    if fed.is_writable() {
         return Ok(());
     }
-    let followed = fed.follower_active_within(Duration::from_secs(2));
-    let target = core.store.wal_offset();
-    let hard_cap = Instant::now() + Duration::from_millis(core.config.leader_lease_ms.max(100));
-    loop {
-        if !fed.is_writable() {
-            // The handler already ran: the pre-dispatch fence passed and
-            // the lease lapsed during execution or the wait. A rival may
-            // already lead and this write may not survive. `executed=maybe`
-            // keeps clients from blindly replaying the mutation at the new
-            // leader: the write may survive via replication, and a replay
-            // would double-execute it.
-            core.telemetry.federation.fenced_writes.inc();
-            return Err(Fault::not_leader_executed(&fed.leader(), fed.epoch()));
-        }
-        if !followed || fed.follower_cursor() >= target {
-            return Ok(());
-        }
-        let now = Instant::now();
-        if now >= hard_cap || ctx.deadline.is_some_and(|d| now >= d) {
-            return Err(Fault::service(format!(
-                "{method} applied locally but no follower confirmed replication in time"
-            )));
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    core.telemetry.federation.fenced_writes.inc();
+    Err(Fault::not_leader_executed(&fed.leader(), fed.epoch()))
 }
 
 #[cfg(test)]

@@ -12,17 +12,17 @@ use std::io;
 use std::sync::Arc;
 
 use clarens_httpd::{
-    http_date, resolve_range, serve_pipe, Body, Handler, HttpServer, Method, PeerInfo, Pipe,
+    http_date, resolve_range, serve_pipe, Body, Handler, Held, HttpServer, Method, PeerInfo, Pipe,
     RangeOutcome, Request, RequestContext, Response, Scratch, ServerConfig, TlsConfig,
 };
 use clarens_telemetry::{Phase, RequestTrace};
 use clarens_wire::fault::codes;
-use clarens_wire::{Fault, Protocol, RpcCall, RpcResponse, Value};
+use clarens_wire::{Fault, Protocol, RpcResponse, Value};
 
 use crate::acl::{Acl, FileAccess};
 use crate::core::ClarensCore;
 use crate::portal;
-use crate::registry::{self, CallContext};
+use crate::registry::{self, CallContext, Hold};
 use crate::services;
 
 /// A running Clarens server.
@@ -211,6 +211,7 @@ impl ClarensHandler {
                 .get("x-clarens-hops")
                 .and_then(|h| h.trim().parse().ok())
                 .unwrap_or(0),
+            hold: Default::default(),
         }
     }
 
@@ -248,55 +249,44 @@ impl ClarensHandler {
             Protocol::Binary => "binary",
         });
 
-        let (response, id) = if protocol == Protocol::Binary {
+        let decoded = trace.span(Phase::Parse, || match protocol {
             // Zero-copy hot path: the decoded view borrows the method name
             // straight out of `request.body` — no owned call, no DOM. The
             // borrow ends before the body buffer is recycled below.
-            match trace.span(Phase::Parse, || {
-                clarens_wire::binary::decode_call_view(&request.body)
-            }) {
-                Err(e) => (
-                    RpcResponse::Fault(Fault::new(codes::PARSE, e.to_string())),
-                    None,
-                ),
-                Ok(view) => {
-                    let clarens_wire::binary::CallView { method, params, id } = view;
-                    (self.dispatch(&request, peer, method, params, trace), id)
-                }
-            }
-        } else {
-            let decoded = trace.span(Phase::Parse, || {
-                clarens_wire::decode_call(protocol, &request.body)
-            });
-            match decoded {
-                Err(e) => (
-                    RpcResponse::Fault(Fault::new(codes::PARSE, e.to_string())),
-                    None,
-                ),
-                Ok(call) => {
-                    let RpcCall { method, params, id } = call;
-                    (self.dispatch(&request, peer, &method, params, trace), id)
-                }
-            }
+            Protocol::Binary => clarens_wire::binary::decode_call_view(&request.body)
+                .map(|view| (Cow::Borrowed(view.method), view.params, view.id)),
+            _ => clarens_wire::decode_call(protocol, &request.body)
+                .map(|call| (Cow::Owned(call.method), call.params, call.id)),
+        });
+        let ((result, hold), id) = match decoded {
+            Err(e) => ((Err(Fault::new(codes::PARSE, e.to_string())), None), None),
+            Ok((method, params, id)) => (self.dispatch(&request, peer, &method, params, trace), id),
         };
-        trace.fault = matches!(response, RpcResponse::Fault(_));
         // The request body is fully decoded; hand its capacity back to the
         // worker's arena so the response (or the next request) can reuse it.
         scratch.recycle(std::mem::take(&mut request.body));
-        let body: Vec<u8> = trace.span(Phase::Serialize, || {
-            // Stream straight into a recycled buffer, no intermediate DOM
-            // tree or String copies. The HTTP layer recycles the buffer
-            // after the vectored write.
-            let mut out = scratch.take();
-            clarens_wire::encode_response_into(protocol, &response, id.as_ref(), &mut out);
-            out
-        });
-        Response::ok(protocol.content_type(), body)
+        match (result, hold) {
+            // The reply waits off the worker; the server answers it once ready.
+            (Ok(value), Some(hold)) => {
+                let core = Arc::clone(&self.core);
+                let answer = move |trace: &mut _, scratch: &mut _| {
+                    respond(&core, protocol, id, (hold.answer)(value), trace, scratch)
+                };
+                let (deadline, ready) = (hold.deadline, hold.ready);
+                Response::held(Held {
+                    deadline,
+                    ready,
+                    answer: Box::new(answer),
+                })
+            }
+            (result, _) => respond(&self.core, protocol, id, result, trace, scratch),
+        }
     }
 
     /// One RPC: resolve who is calling from the request (the paper's first
     /// access check), then hand the call to the gate, [`registry::invoke`],
-    /// which owns every guard from there on.
+    /// which owns every guard from there on. Its result, and what the
+    /// reply must wait for if anything.
     fn dispatch(
         &self,
         request: &Request,
@@ -304,21 +294,10 @@ impl ClarensHandler {
         method: &str,
         params: Vec<Value>,
         trace: &mut RequestTrace,
-    ) -> RpcResponse {
+    ) -> (Result<Value, Fault>, Option<Hold>) {
         let ctx = self.context(request, peer, trace);
-        match registry::invoke(&ctx, method, &params, trace) {
-            Ok(value) => RpcResponse::Success(value),
-            Err(fault) => {
-                // Counted here, once per request: a proxied call passes
-                // the gate twice and would be counted twice there.
-                if fault.code == codes::DEADLINE {
-                    self.core.telemetry.resilience.deadline_exceeded.inc();
-                } else if fault.code == codes::DEGRADED {
-                    self.core.telemetry.resilience.degraded_rejects.inc();
-                }
-                RpcResponse::Fault(fault)
-            }
-        }
+        let result = registry::invoke(&ctx, method, &params, trace);
+        (result, ctx.hold.take())
     }
 
     fn handle_get(
@@ -483,6 +462,39 @@ impl ClarensHandler {
             }
         }
     }
+}
+
+/// The HTTP answer of one RPC: its result encoded in `protocol`, in a
+/// recycled buffer, with no intermediate DOM tree or String copies (the
+/// HTTP layer recycles the buffer after the vectored write). A fault is
+/// counted here, once per request: a proxied call passes the gate twice
+/// and would be counted twice there.
+fn respond(
+    core: &ClarensCore,
+    protocol: Protocol,
+    id: Option<Value>,
+    result: Result<Value, Fault>,
+    trace: &mut RequestTrace,
+    scratch: &mut Scratch,
+) -> Response {
+    let response = match result {
+        Ok(value) => RpcResponse::Success(value),
+        Err(fault) => {
+            if fault.code == codes::DEADLINE {
+                core.telemetry.resilience.deadline_exceeded.inc();
+            } else if fault.code == codes::DEGRADED {
+                core.telemetry.resilience.degraded_rejects.inc();
+            }
+            RpcResponse::Fault(fault)
+        }
+    };
+    trace.fault = matches!(response, RpcResponse::Fault(_));
+    let body: Vec<u8> = trace.span(Phase::Serialize, || {
+        let mut out = scratch.take();
+        clarens_wire::encode_response_into(protocol, &response, id.as_ref(), &mut out);
+        out
+    });
+    Response::ok(protocol.content_type(), body)
 }
 
 impl Handler for ClarensHandler {

@@ -10,14 +10,16 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use clarens_httpd::Watermark;
 use parking_lot::Mutex;
 
 use clarens_wire::{Fault, Value};
 
 use crate::registry::param::{int, string};
-use crate::registry::{Args, CallContext, Method, Service};
+use crate::registry::{Args, CallContext, Hold, Method, Service};
 use crate::services::shell::{self, interp, UserMap};
 
 /// One submitted job.
@@ -28,12 +30,14 @@ struct JobRecord {
     /// Populated when the job finishes.
     outcome: Option<interp::Outcome>,
     handle: Option<std::thread::JoinHandle<interp::Outcome>>,
+    /// Raised by the job's thread as it finishes: what `job.wait` holds on.
+    done: Arc<Watermark<bool>>,
 }
 
 impl JobRecord {
     fn state(&mut self) -> &'static str {
         match self.handle.take() {
-            Some(handle) if !handle.is_finished() => {
+            Some(handle) if !handle.is_finished() && !self.done.get() => {
                 self.handle = Some(handle);
                 "running"
             }
@@ -54,7 +58,7 @@ impl JobRecord {
 pub struct JobService {
     root: PathBuf,
     user_map: UserMap,
-    jobs: Mutex<HashMap<u64, JobRecord>>,
+    jobs: Arc<Mutex<HashMap<u64, JobRecord>>>,
     next_id: AtomicU64,
     /// Maximum live jobs per identity.
     max_per_owner: usize,
@@ -67,7 +71,7 @@ impl JobService {
         JobService {
             root,
             user_map,
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Arc::default(),
             next_id: AtomicU64::new(1),
             max_per_owner: 16,
         }
@@ -146,17 +150,22 @@ impl Service for JobService {
             |svc: &Self, ctx, args| {
                 let (owner, id) = (ctx.require_identity()?.to_string(), args.int(0)? as u64);
                 let timeout_ms = args.int(1)?.clamp(0, 60_000) as u64;
-                let deadline = Instant::now() + Duration::from_millis(timeout_ms);
-                loop {
-                    {
-                        let mut jobs = svc.jobs.lock();
-                        let record = owned(&mut jobs, id, &owner)?;
-                        if record.state() == "done" || Instant::now() >= deadline {
-                            return Ok(Self::job_value(id, record));
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
+                let mut jobs = svc.jobs.lock();
+                let record = owned(&mut jobs, id, &owner)?;
+                let value = Self::job_value(id, record);
+                if record.outcome.is_none() && timeout_ms > 0 {
+                    // Running: the reply is held until the job finishes.
+                    let (done, jobs) = (Arc::clone(&record.done), Arc::clone(&svc.jobs));
+                    ctx.hold.set(Some(Hold {
+                        deadline: Instant::now() + Duration::from_millis(timeout_ms),
+                        ready: Box::new(move |waker| done.check(waker, |done| done)),
+                        answer: Box::new(move |_| {
+                            let mut jobs = jobs.lock();
+                            Ok(Self::job_value(id, owned(&mut jobs, id, &owner)?))
+                        }),
+                    }));
                 }
+                Ok(value)
             },
         ),
         Method::new(
@@ -196,10 +205,15 @@ impl JobService {
             )));
         }
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        let thread_command = command.clone();
+        let (thread_command, done) = (command.clone(), Arc::new(Watermark::new(false)));
+        let finished = Arc::clone(&done);
         let handle = std::thread::Builder::new()
             .name(format!("clarens-job-{id}"))
-            .spawn(move || interp::run(&sandbox, &thread_command))
+            .spawn(move || {
+                let outcome = interp::run(&sandbox, &thread_command);
+                finished.raise(true);
+                outcome
+            })
             .map_err(|e| Fault::service(format!("cannot spawn job: {e}")))?;
         jobs.insert(
             id,
@@ -209,6 +223,7 @@ impl JobService {
                 submitted: ctx.now,
                 outcome: None,
                 handle: Some(handle),
+                done,
             },
         );
         Ok(Value::Int(id as i64))

@@ -1098,7 +1098,8 @@ fn ack_barrier_holds_direct_and_proxied_writes_alike() {
     let fed = &grid.core().federation;
     fed.set_role(clarens::federation::FederationRole::Leader);
     fed.renew_lease(60_000);
-    fed.observe_follower_fetch(0);
+    let epoch = grid.core().store.wal_epoch();
+    fed.observe_follower_fetch((epoch, 0));
     assert!(grid.core().store.wal_offset() > 0);
 
     let mut held = |method: &str, params: Vec<Value>| {
@@ -1129,7 +1130,7 @@ fn ack_barrier_holds_direct_and_proxied_writes_alike() {
     );
 
     // A follower that has caught up releases both.
-    fed.observe_follower_fetch(u64::MAX);
+    fed.observe_follower_fetch((epoch, u64::MAX));
     let member = || vec![Value::from("direct"), Value::from("/O=doesciencegrid.org")];
     assert_eq!(
         admin.call("vo.add_member", member()).unwrap(),
@@ -1144,6 +1145,86 @@ fn ack_barrier_holds_direct_and_proxied_writes_alike() {
             .unwrap(),
         Value::Bool(true)
     );
+    grid.cleanup();
+    let _ = std::fs::remove_file(&db);
+}
+
+/// The ack barrier compares WAL positions within one WAL epoch: once a
+/// compaction restarts the log's offsets, a follower cursor from the old
+/// epoch confirms no write of the new one, however far it reached. Over a
+/// port the event loop holds the reply; over a pipe the client's thread.
+#[test]
+fn ack_barrier_confirms_nothing_across_a_compaction() {
+    for piped in [false, true] {
+        let db =
+            std::env::temp_dir().join(format!("clarens-epochs-{}-{piped}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&db);
+        let options = GridOptions {
+            db_path: Some(db.clone()),
+            ..Default::default()
+        };
+        let grid = match piped {
+            true => TestGrid::piped(options),
+            false => TestGrid::start_with(options),
+        };
+        let mut admin = grid.logged_in_client(&grid.admin);
+        let (store, fed) = (&grid.core().store, &grid.core().federation);
+        for i in 0..2_000 {
+            store.put("overwritten", "k", format!("{i:040}")).unwrap();
+        }
+        fed.set_role(clarens::federation::FederationRole::Leader);
+        fed.renew_lease(60_000);
+        // What a caught-up follower's fetch records, in the log's first epoch.
+        let old = (store.wal_epoch(), store.wal_offset());
+        fed.observe_follower_fetch(old);
+        store.compact().unwrap();
+        assert!(store.wal_epoch() > old.0 && store.wal_offset() < old.1);
+
+        let started = std::time::Instant::now();
+        match admin.call("vo.create_group", vec![Value::from("compacted")]) {
+            Err(ClientError::Fault(f)) => {
+                assert_eq!(f.code, codes::SERVICE, "{f:?}");
+                assert!(f.message.contains("no follower confirmed"), "{f:?}");
+            }
+            other => panic!("acknowledged a write no follower holds: {other:?}"),
+        }
+        assert!(started.elapsed() >= std::time::Duration::from_millis(100));
+        // A fetch in the new epoch confirms the next write.
+        fed.observe_follower_fetch((store.wal_epoch(), u64::MAX));
+        let group = vec![Value::from("confirmed")];
+        assert!(
+            admin.call("vo.create_group", group).is_ok(),
+            "piped {piped}"
+        );
+        grid.cleanup();
+        let _ = std::fs::remove_file(&db);
+    }
+}
+
+/// The WAL announces every commit itself: a write no handler makes (a
+/// session janitor's delete, say) and a compaction's new epoch move the
+/// `committed` watermark that held fetches wait on, as a replicated write
+/// does.
+#[test]
+fn every_wal_commit_moves_the_committed_watermark() {
+    let db = std::env::temp_dir().join(format!("clarens-commits-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&db);
+    let grid = TestGrid::piped(GridOptions {
+        db_path: Some(db.clone()),
+        ..Default::default()
+    });
+    let (store, fed) = (&grid.core().store, &grid.core().federation);
+    let _admin = grid.logged_in_client(&grid.admin);
+    assert_eq!(fed.committed.get(), store.wal_position(), "a login");
+    let before = store.wal_position();
+    store.put("direct", "k", "v").unwrap();
+    assert!(fed.committed.get() > before);
+    assert_eq!(fed.committed.get(), store.wal_position(), "a bare put");
+    store.delete("direct", "k").unwrap();
+    assert_eq!(fed.committed.get(), store.wal_position(), "a bare delete");
+    store.compact().unwrap();
+    assert_eq!(fed.committed.get(), store.wal_position(), "a compaction");
+    assert_eq!(fed.committed.get().0, before.0 + 1);
     grid.cleanup();
     let _ = std::fs::remove_file(&db);
 }

@@ -72,6 +72,7 @@ fn call(
         now: fixture.core.now(),
         deadline: None,
         hops: 0,
+        hold: Default::default(),
     };
     // Through the gate, so a wrong-arity or unknown-name assertion tests
     // what a client would see.
@@ -554,6 +555,7 @@ fn md5_streams_large_files_and_honors_deadlines() {
         now: f.core.now(),
         deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
         hops: 0,
+        hold: Default::default(),
     };
     // Straight at the row's handler: the gate's own overrun check would
     // mask whether the hash loop looks at the clock.

@@ -459,6 +459,22 @@ impl Store {
         self.engine.as_ref().map_or(0, |e| e.epoch())
     }
 
+    /// The WAL's `(epoch, committed length)`, read as one (`(0, 0)` for
+    /// in-memory stores). Two separate reads can pair an old epoch with
+    /// the length a compaction just gave the new one.
+    pub fn wal_position(&self) -> (u64, u64) {
+        self.engine.as_ref().map_or((0, 0), |e| e.position())
+    }
+
+    /// Have `hook` told the WAL's `(epoch, committed length)` after every
+    /// append the log commits and every compaction it swaps in (never, in
+    /// an in-memory store). The first hook stays.
+    pub fn on_commit(&self, hook: impl Fn((u64, u64)) + Send + Sync + 'static) {
+        if let Some(engine) = &self.engine {
+            engine.on_commit(Box::new(hook));
+        }
+    }
+
     /// Append a leader-epoch fence record to the log. The fence carries no
     /// data; it seals every record before it under the previous leadership
     /// and ships through replication so followers observe the epoch change

@@ -44,7 +44,7 @@ use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 // The vendored parking_lot guard is a std guard alias, so std's Condvar
 // composes with it directly.
@@ -123,7 +123,13 @@ pub struct WalEngine {
     compactions: AtomicU64,
     bytes_written: AtomicU64,
     extends: AtomicU64,
+    /// Told the log's position after every append it commits and every
+    /// compaction it swaps in ([`WalEngine::on_commit`]).
+    on_commit: OnceLock<CommitHook>,
 }
+
+/// What a log tells of each commit: its new `(epoch, committed length)`.
+pub type CommitHook = Box<dyn Fn((u64, u64)) + Send + Sync>;
 
 /// The log file as a `Write` at an offset that advances, for `write_framed`.
 struct WriteAt<'a>(&'a File, u64);
@@ -209,6 +215,7 @@ impl WalEngine {
             compactions: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
             extends: AtomicU64::new(0),
+            on_commit: OnceLock::new(),
         };
         Ok((engine, recovery.ops))
     }
@@ -440,10 +447,26 @@ impl WalEngine {
                 .fetch_add(record.len() as u64, Ordering::Relaxed);
             inner.lsn
         };
-        if !self.sync_on_append {
-            return Ok(());
+        if self.sync_on_append {
+            self.commit(lsn)?;
         }
-        self.commit(lsn)
+        self.announce();
+        Ok(())
+    }
+
+    /// Have `hook` told the log's position after every append it commits
+    /// (durable, in durable mode) and every compaction it swaps in: one
+    /// place that sees every write a replica must ship. The first hook
+    /// stays.
+    pub fn on_commit(&self, hook: CommitHook) {
+        let _ = self.on_commit.set(hook);
+    }
+
+    /// Tell the commit hook, if any, where the log is.
+    fn announce(&self) {
+        if let Some(hook) = self.on_commit.get() {
+            hook(self.position());
+        }
     }
 
     /// Fsync the log.
@@ -472,8 +495,9 @@ impl WalEngine {
         }
         let result = self.compact_inner();
         self.compacting.store(false, Ordering::SeqCst);
-        if result.is_err() {
-            let _ = std::fs::remove_file(self.path.with_extension("compact"));
+        match result {
+            Ok(()) => self.announce(),
+            Err(_) => _ = std::fs::remove_file(self.path.with_extension("compact")),
         }
         result
     }
@@ -511,6 +535,13 @@ impl WalEngine {
     /// invalidates previously handed-out offsets.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// The log's `(epoch, committed length)`, read as one: a compaction
+    /// publishes both under the swap lock.
+    pub fn position(&self) -> (u64, u64) {
+        let _swap = self.swap.read();
+        (self.epoch(), self.committed_len())
     }
 
     /// Read a replication chunk (see [`crate::Store::wal_read`]).

@@ -6,8 +6,12 @@
 //! cursor each chunk is served at (a compaction restarts the stream); the
 //! driver applies the operations through the ordinary `put`/`delete` path,
 //! so the epoch-invalidated caches see replicated state as local writes.
-//! An undecodable chunk backs off like a fetch error, a chunk from an
-//! older leader epoch is dropped, a new believed leader resyncs at `(0, 0)`.
+//! After every chunk, empty or not, the machine fetches again at once: the
+//! leader holds a caught-up fetch until its log moves (or for
+//! `clarens::services::replication::FETCH_HOLD`), so a write reaches a
+//! follower in one round trip and no follower polls. An undecodable chunk
+//! backs off like a fetch error, a chunk from an older leader epoch is
+//! dropped, a new believed leader resyncs at `(0, 0)`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -24,10 +28,11 @@ use clarens_wire::Value;
 
 use crate::Worker;
 
-/// How often a caught-up follower polls the leader, in milliseconds: it
-/// lags the leader by about this much on a quiet log.
+/// The base of the fetch-error backoff, and the tick of a node with no
+/// leader to fetch from (it leads, waits for an election, or was refused
+/// a chunk), in milliseconds.
 pub const POLL_MS: u64 = 25;
-/// Fetch budget per poll (matches the leader-side `MAX_FETCH_BYTES` cap).
+/// Fetch budget per call (matches the leader-side `MAX_FETCH_BYTES` cap).
 const FETCH_BYTES: i64 = 1 << 20;
 /// Fetch-error backoff ceiling: no retry storm, a prompt failover.
 const BACKOFF_CAP: Duration = Duration::from_millis(1000);
@@ -82,8 +87,7 @@ pub struct Follower {
 }
 
 impl Follower {
-    /// A follower of `leader` ("" to wait for one) polling every
-    /// [`POLL_MS`].
+    /// A follower of `leader` ("" to wait for one).
     pub fn new(leader: &str) -> Follower {
         let base = Duration::from_millis(POLL_MS);
         Follower {
@@ -148,11 +152,12 @@ impl Follower {
         let lag = int("len").saturating_sub(self.cursor.1);
         let adopt = Effect::Adopt(String::new(), self.fence);
         let progress = Effect::Progress(self.cursor.1, Some(lag));
+        // Fetch again at once: the leader holds the fetch until there is
+        // more, and the fetch confirms what this chunk applied.
+        let next = Effect::Wake(now);
         if ops.is_empty() {
-            return vec![adopt, progress, self.poll(now)];
+            return vec![adopt, progress, next];
         }
-        // More may be waiting: fetch again at once while behind.
-        let next = Effect::Wake(if lag > 0 { now } else { now + POLL_MS });
         vec![adopt, Effect::Apply(ops), progress, next]
     }
 
@@ -176,7 +181,8 @@ impl Replicator {
     /// (replication is site-admin gated: the WAL carries session
     /// secrets). `leader` seeds the leader address; thereafter the loop
     /// follows `core.federation` — pass an empty string to wait for the
-    /// election to name one. Polls every [`POLL_MS`] when idle.
+    /// election to name one. A caught-up follower's fetch waits on the
+    /// leader, which answers it when its log moves.
     pub fn start(core: Arc<ClarensCore>, leader: String, admin: Credential) -> Replicator {
         let counts = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
         let tally = Arc::clone(&counts);

@@ -483,3 +483,105 @@ fn split_brain_fences_stale_leader_and_demotes_on_heal() {
     );
     cluster.cleanup();
 }
+
+/// Replicated writes wait off the workers: twice as many concurrent
+/// `im.send` writers as the leader has workers, each on its own
+/// connection, all get acked, and an `echo.echo` beside them is answered
+/// too. Every acked message is on both followers afterwards, and once the
+/// followers are gone no reply is left held. No latency is asserted: the
+/// counts are the property.
+#[test]
+fn twice_workers_concurrent_writers_never_wedge_the_leader() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    const WRITERS: usize = 8; // 2 × the cluster's 4 workers
+    let cluster = FederationCluster::start(3, 500);
+    let session = cluster.user_session();
+    let leader = cluster.leader();
+    let addr = leader.addr.clone();
+    let client = |session: &str| {
+        let mut client = clarens::client::ClarensClient::new(addr.clone());
+        client.set_session(session.to_owned());
+        client
+    };
+    let done = Arc::new(AtomicBool::new(false));
+    let echo = {
+        let (mut client, done) = (client(&session), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let (mut answered, mut failed) = (0u64, 0u64);
+            while !done.load(Ordering::SeqCst) {
+                match client.call("echo.echo", vec![Value::from("beside")]) {
+                    Ok(_) => answered += 1,
+                    Err(_) => failed += 1,
+                }
+            }
+            (answered, failed)
+        })
+    };
+    let started = Instant::now();
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|t| {
+            let mut client = client(&session);
+            std::thread::spawn(move || {
+                let to = format!("/O=wedge/CN=writer-{t}");
+                let (mut acked, mut failed) = (Vec::new(), Vec::new());
+                // Below the 1 024-message mailbox cap.
+                while started.elapsed() < Duration::from_secs(2) && acked.len() < 1_000 {
+                    let params = vec![Value::from(to.as_str()), Value::from("wedge")];
+                    match client.call("im.send", params) {
+                        Ok(seq) => acked.push(format!("{to}|{:020}", seq.as_int().unwrap())),
+                        Err(e) => failed.push(e.to_string()),
+                    }
+                }
+                (acked, failed)
+            })
+        })
+        .collect();
+    let (mut acked, mut failed) = (Vec::new(), Vec::new());
+    for writer in writers {
+        let (a, f) = writer.join().unwrap();
+        acked.extend(a);
+        failed.extend(f);
+    }
+    done.store(true, Ordering::SeqCst);
+    let (echoes, echo_failures) = echo.join().unwrap();
+    assert!(
+        failed.is_empty(),
+        "{} of {} sends failed, first: {:?}",
+        failed.len(),
+        failed.len() + acked.len(),
+        failed.first()
+    );
+    assert!(
+        acked.len() >= 100,
+        "only {} sends acked in 2 s",
+        acked.len()
+    );
+    assert_eq!(echo_failures, 0, "echo failed beside the writers");
+    assert!(echoes > 0, "echo never answered beside the writers");
+    for node in cluster.nodes.iter().filter(|n| n.addr != addr) {
+        let store = &node.core().store;
+        assert!(
+            wait_until(Duration::from_secs(10), || {
+                acked
+                    .iter()
+                    .all(|key| store.get(clarens::services::im::IM_BUCKET, key).is_some())
+            }),
+            "a follower lacks acked messages"
+        );
+    }
+    // What stays held is the followers' caught-up fetches: with the
+    // followers gone, nothing is.
+    let telemetry = Arc::clone(&leader.core().telemetry);
+    let mut cluster = cluster;
+    while let Some(follower) = cluster.nodes.iter().position(|n| n.addr != addr) {
+        cluster.kill(follower);
+    }
+    let held = || telemetry.http.held_replies.get();
+    assert!(
+        wait_until(Duration::from_secs(5), || held() == 0),
+        "{} replies still held",
+        held()
+    );
+    cluster.cleanup();
+}

@@ -38,11 +38,14 @@
 
 use std::io::{self, IoSlice, Read, Write};
 use std::os::unix::fs::FileExt;
+use std::sync::Arc;
+use std::task::{Wake, Waker};
 use std::time::Instant;
 
 use clarens_pki::SecureChannel;
-use clarens_telemetry::{HttpCounters, Phase};
+use clarens_telemetry::{HttpCounters, Phase, RequestTrace};
 
+use crate::event_loop::Wait;
 use crate::parse::{
     encode_head, truncated, write_response_with, Scan, Scanned, COPY_BUFFER, DEFAULT_MAX_BODY,
 };
@@ -51,7 +54,7 @@ use crate::server::{
     classify_io_error, BudgetGuard, Handler, InFlightGuard, PeerInfo, RequestContext, Serve,
 };
 use crate::stream::Stream;
-use crate::types::{Body, Method, Request, Response};
+use crate::types::{Body, Held, Method, Request, Response};
 
 /// Bytes pulled off the socket per `read` call while filling.
 const READ_CHUNK: usize = 16 * 1024;
@@ -100,11 +103,27 @@ pub(crate) struct Conn {
     pub(crate) deadline: Instant,
     /// The secure channel; `None` on a plaintext server.
     pub(crate) tls: Option<Box<Tls>>,
+    /// A reply its handler held, waiting to be answered.
+    pub(crate) held: Option<Box<HeldReply>>,
+    /// What wakes the event loop for this connection's held replies:
+    /// built at its first, kept for the rest, so what they wait on holds
+    /// one entry per connection however many fall due at their deadlines.
+    pub(crate) waker: Option<Waker>,
     /// Connection-budget slot, released when the connection drops.
     pub(crate) _budget: Option<BudgetGuard>,
 }
 
 impl Conn {
+    /// What the connection parks for, and until when: a write in flight
+    /// goes before a held reply.
+    pub(crate) fn wait(&self) -> (Wait, Instant) {
+        match (&self.pending_write, &self.held) {
+            (Some(_), _) => (Wait::Write, self.deadline),
+            (None, Some(held)) => (Wait::Held, held.held.deadline),
+            (None, None) => (Wait::Read, self.deadline),
+        }
+    }
+
     /// Make the staged batch — sealed, on a TLS connection — the write in
     /// flight, with the in-flight guards of the requests it answers. With
     /// `keep_alive` false the connection closes once the batch is out.
@@ -121,6 +140,51 @@ impl Conn {
         }
         let guards = std::mem::take(guards);
         self.pending_write = Some(WriteState::staged(batch, guards, keep_alive));
+    }
+}
+
+/// A held reply ([`Held`]) riding on its connection while it waits, with
+/// what answering it takes: the request's in-flight guard (a stopping
+/// server drains it), its keep-alive and HEAD flags, and its trace,
+/// finished when the reply is answered so its latency includes the wait.
+pub(crate) struct HeldReply {
+    held: Held,
+    /// Answer it at the next drive: it was seen ready, or its deadline
+    /// passed.
+    pub(crate) due: bool,
+    keep_alive: bool,
+    head_only: bool,
+    trace: RequestTrace,
+    in_flight: InFlightGuard,
+}
+
+impl HeldReply {
+    /// Its readiness check, registering `waker`.
+    pub(crate) fn ready(&mut self, waker: &Waker) -> bool {
+        (self.held.ready)(waker)
+    }
+
+    /// Wait on this thread until it is ready or its deadline passes, then
+    /// mark it due: a pipe's pump, which has no event loop. `waker`
+    /// unparks this thread.
+    pub(crate) fn wait(&mut self, waker: &Waker) {
+        loop {
+            let left = self.held.deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || self.ready(waker) {
+                break;
+            }
+            std::thread::park_timeout(left);
+        }
+        self.due = true;
+    }
+}
+
+/// Wakes the thread a pipe's held reply waits on.
+pub(crate) struct Unpark(pub(crate) std::thread::Thread);
+
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
     }
 }
 
@@ -217,7 +281,7 @@ impl WriteState {
                     PendingBody::None
                 }
                 Body::Bytes(buf) => PendingBody::Bytes { buf, pos: 0 },
-                Body::Sized(_) => {
+                Body::Sized(_) | Body::Held(_) => {
                     scratch.recycle(head);
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidInput,
@@ -518,172 +582,214 @@ pub(crate) fn drive<H: Handler + ?Sized>(
                 }
             }
         }
-        if serve.stop.requested() {
-            // Anything staged still leaves, as the last write.
-            conn.send_staged(&mut outq, &mut guards, false, scratch);
-            continue;
+        // Then a held reply: it waits on the event loop until it is due,
+        // and nothing behind it is read before it is answered.
+        if conn.held.as_ref().is_some_and(|held| !held.due) {
+            return Some(conn);
         }
-        let mut trace = telemetry.begin_request();
         let reuses_before = scratch.reuses();
-        let scanned = trace.span(Phase::Parse, || {
-            conn.scan
-                .scan::<Request>(&conn.inbuf, DEFAULT_MAX_BODY, scratch)
-        });
-        match scanned {
-            Scanned::Need(need) => {
-                debug_assert!(need > conn.inbuf.len(), "a strict prefix");
-                // Not a request yet: the pipeline (if any) has run dry, so
-                // the staged responses must leave before this connection
-                // waits on its peer — which is almost certainly blocked on
-                // exactly those responses. They go as a write in flight:
-                // if the socket pushes back, the remainder (guards
-                // included) parks and the poller waits for writability.
-                if !outq.is_empty() {
-                    conn.send_staged(&mut outq, &mut guards, true, scratch);
+        let (response, keep_alive, head_only, mut trace) = match conn.held.take() {
+            Some(held) => {
+                let HeldReply {
+                    held,
+                    keep_alive,
+                    head_only,
+                    mut trace,
+                    in_flight,
+                    ..
+                } = *held;
+                guards.push(in_flight);
+                let response = (held.answer)(&mut trace, scratch);
+                (response, keep_alive, head_only, trace)
+            }
+            None => {
+                if serve.stop.requested() {
+                    // Anything staged still leaves, as the last write.
+                    conn.send_staged(&mut outq, &mut guards, false, scratch);
                     continue;
                 }
-                // The trace never finishes and records nothing. Pull more
-                // bytes or park.
-                let handshaking = conn.tls.as_ref().is_some_and(|tls| tls.peer.is_none());
-                match fill(&mut conn, scratch) {
-                    Fill::Progress => continue,
-                    Fill::Park => return Some(conn),
-                    Fill::Eof => {
-                        // EOF exactly at a message boundary — of the secure
-                        // channel's frames and of HTTP — is a clean close.
-                        let cut = conn
-                            .tls
-                            .as_ref()
-                            .is_some_and(|tls| !tls.channel.at_frame_boundary());
-                        if cut && handshaking {
-                            http.handshake_failures.inc();
-                        } else if cut || !conn.inbuf.is_empty() {
-                            // Stream cut inside a record, or the peer
-                            // abandoned a half-sent request.
-                            http.peer_resets.inc();
-                        }
-                        return None;
-                    }
-                    Fill::Err(error) if handshaking => {
-                        http.handshake_failures.inc();
-                        clarens_telemetry::debug!("TLS handshake failed: {error}");
-                        return None;
-                    }
-                    Fill::Err(error) => {
-                        classify_io_error(&error, http);
-                        return None;
-                    }
-                }
-            }
-            Scanned::Fail(status, message) => {
-                trace.status = status;
-                telemetry.finish_request(&trace, (serve.now_fn)());
-                // The error leaves behind any earlier pipelined responses,
-                // as the last write.
-                let response = Response::error(status, &message);
-                let _ = write_response_with(&mut outq, response, false, false, scratch);
-                conn.send_staged(&mut outq, &mut guards, false, scratch);
-                continue;
-            }
-            Scanned::Complete(request, consumed) => {
-                conn.inbuf.drain(..consumed);
-                // Parsed and about to be handled: in flight until the
-                // response write finishes (shutdown drains these) — the
-                // guard rides inside the write state across parks.
-                let in_flight = InFlightGuard::enter(&serve.stop);
-                let keep_alive = request.wants_keep_alive() && !serve.stop.requested();
-                let head_only = request.method == Method::Head;
-                if conn.served > 0 {
-                    http.keepalive_reuse.inc();
-                }
-                conn.served += 1;
-
-                let response = serve.handler.handle(
-                    request,
-                    RequestContext {
-                        peer: conn.tls.as_ref().and_then(|tls| tls.peer.as_ref()),
-                        trace: &mut trace,
-                        scratch,
-                    },
-                );
-                trace.status = response.status;
-                // Coalescing fast path: more requests are already buffered
-                // and this response is plain bytes, so stage it and keep
-                // parsing instead of waking the peer per response.
-                if keep_alive
-                    && !head_only
-                    && !conn.inbuf.is_empty()
-                    && outq.len() < MAX_STAGED_BYTES
-                    && matches!(response.body, Body::Bytes(_))
-                {
-                    let staged = trace.span(Phase::Write, || {
-                        clarens_faults::check_io(clarens_faults::sites::HTTPD_WRITE)
-                            .and_then(|()| stage_response(response, &mut outq, scratch))
-                    });
-                    http.buffer_pool_reuse
-                        .add(scratch.reuses().wrapping_sub(reuses_before));
-                    telemetry.finish_request(&trace, (serve.now_fn)());
-                    match staged {
-                        Ok(()) => {
-                            guards.push(in_flight);
+                let mut trace = telemetry.begin_request();
+                let scanned = trace.span(Phase::Parse, || {
+                    conn.scan
+                        .scan::<Request>(&conn.inbuf, DEFAULT_MAX_BODY, scratch)
+                });
+                match scanned {
+                    Scanned::Need(need) => {
+                        debug_assert!(need > conn.inbuf.len(), "a strict prefix");
+                        // Not a request yet: the pipeline (if any) has run
+                        // dry, so the staged responses must leave before
+                        // this connection waits on its peer — which is
+                        // almost certainly blocked on exactly those
+                        // responses. They go as a write in flight: if the
+                        // socket pushes back, the remainder (guards
+                        // included) parks and the poller waits for
+                        // writability.
+                        if !outq.is_empty() {
+                            conn.send_staged(&mut outq, &mut guards, true, scratch);
                             continue;
                         }
-                        Err(error) => {
-                            classify_io_error(&error, http);
-                            return None;
+                        // The trace never finishes and records nothing.
+                        // Pull more bytes or park.
+                        let handshaking = conn.tls.as_ref().is_some_and(|tls| tls.peer.is_none());
+                        match fill(&mut conn, scratch) {
+                            Fill::Progress => continue,
+                            Fill::Park => return Some(conn),
+                            Fill::Eof => {
+                                // EOF exactly at a message boundary — of the
+                                // secure channel's frames and of HTTP — is a
+                                // clean close.
+                                let cut = conn
+                                    .tls
+                                    .as_ref()
+                                    .is_some_and(|tls| !tls.channel.at_frame_boundary());
+                                if cut && handshaking {
+                                    http.handshake_failures.inc();
+                                } else if cut || !conn.inbuf.is_empty() {
+                                    // Stream cut inside a record, or the peer
+                                    // abandoned a half-sent request.
+                                    http.peer_resets.inc();
+                                }
+                                return None;
+                            }
+                            Fill::Err(error) if handshaking => {
+                                http.handshake_failures.inc();
+                                clarens_telemetry::debug!("TLS handshake failed: {error}");
+                                return None;
+                            }
+                            Fill::Err(error) => {
+                                classify_io_error(&error, http);
+                                return None;
+                            }
                         }
                     }
-                }
-                // Not coalescible (file body, HEAD, close, or the
-                // staging cap): the response leaves behind anything staged,
-                // in one write in flight.
-                guards.push(in_flight);
-                let progress = trace.span(Phase::Write, || {
-                    match clarens_faults::check_io(clarens_faults::sites::HTTPD_WRITE).and_then(
-                        |()| {
-                            WriteState::new(
-                                response,
-                                keep_alive,
-                                head_only,
-                                &mut outq,
-                                &mut guards,
-                                scratch,
-                                conn.tls.as_mut().map(|tls| &mut tls.channel),
-                            )
-                        },
-                    ) {
-                        Ok(state) => advance_pending(&mut conn, state, scratch),
-                        Err(error) => WriteProgress::Failed(error),
-                    }
-                });
-                if let WriteProgress::Done(state) = &progress {
-                    state.count(http);
-                }
-                http.buffer_pool_reuse
-                    .add(scratch.reuses().wrapping_sub(reuses_before));
-                telemetry.finish_request(&trace, (serve.now_fn)());
-                match progress {
-                    WriteProgress::Done(state) => {
-                        state.recycle_into(scratch);
-                    }
-                    WriteProgress::Parked => {
-                        // Socket full mid-response: the state (cursor and
-                        // sendfile offset included) is saved on the
-                        // connection; the poller waits for EPOLLOUT.
-                        return Some(conn);
-                    }
-                    WriteProgress::Failed(error) => {
-                        // A response that cannot be sent still lets the
-                        // batch staged before it out, as the last write.
-                        classify_io_error(&error, http);
+                    Scanned::Fail(status, message) => {
+                        trace.status = status;
+                        telemetry.finish_request(&trace, (serve.now_fn)());
+                        // The error leaves behind any earlier pipelined
+                        // responses, as the last write.
+                        let response = Response::error(status, &message);
+                        let _ = write_response_with(&mut outq, response, false, false, scratch);
                         conn.send_staged(&mut outq, &mut guards, false, scratch);
                         continue;
                     }
-                }
-                if !keep_alive {
-                    return None;
+                    Scanned::Complete(request, consumed) => {
+                        conn.inbuf.drain(..consumed);
+                        // Parsed and about to be handled: in flight until
+                        // the response write finishes (shutdown drains
+                        // these) — the guard rides inside the write state,
+                        // or the held reply, across parks.
+                        let in_flight = InFlightGuard::enter(&serve.stop);
+                        let keep_alive = request.wants_keep_alive() && !serve.stop.requested();
+                        let head_only = request.method == Method::Head;
+                        if conn.served > 0 {
+                            http.keepalive_reuse.inc();
+                        }
+                        conn.served += 1;
+
+                        let response = serve.handler.handle(
+                            request,
+                            RequestContext {
+                                peer: conn.tls.as_ref().and_then(|tls| tls.peer.as_ref()),
+                                trace: &mut trace,
+                                scratch,
+                            },
+                        );
+                        if let Body::Held(held) = response.body {
+                            // What is staged leaves first; the reply waits.
+                            if !outq.is_empty() {
+                                conn.send_staged(&mut outq, &mut guards, true, scratch);
+                            }
+                            conn.held = Some(Box::new(HeldReply {
+                                held,
+                                due: false,
+                                keep_alive,
+                                head_only,
+                                trace,
+                                in_flight,
+                            }));
+                            continue;
+                        }
+                        trace.status = response.status;
+                        // Coalescing fast path: more requests are already
+                        // buffered and this response is plain bytes, so
+                        // stage it and keep parsing instead of waking the
+                        // peer per response.
+                        if keep_alive
+                            && !head_only
+                            && !conn.inbuf.is_empty()
+                            && outq.len() < MAX_STAGED_BYTES
+                            && matches!(response.body, Body::Bytes(_))
+                        {
+                            let staged = trace.span(Phase::Write, || {
+                                clarens_faults::check_io(clarens_faults::sites::HTTPD_WRITE)
+                                    .and_then(|()| stage_response(response, &mut outq, scratch))
+                            });
+                            http.buffer_pool_reuse
+                                .add(scratch.reuses().wrapping_sub(reuses_before));
+                            telemetry.finish_request(&trace, (serve.now_fn)());
+                            match staged {
+                                Ok(()) => {
+                                    guards.push(in_flight);
+                                    continue;
+                                }
+                                Err(error) => {
+                                    classify_io_error(&error, http);
+                                    return None;
+                                }
+                            }
+                        }
+                        guards.push(in_flight);
+                        (response, keep_alive, head_only, trace)
+                    }
                 }
             }
+        };
+        trace.status = response.status;
+        // Not coalescible (file body, HEAD, close, the staging cap, or a
+        // held reply's answer): the response leaves behind anything
+        // staged, in one write in flight.
+        let progress = trace.span(Phase::Write, || {
+            match clarens_faults::check_io(clarens_faults::sites::HTTPD_WRITE).and_then(|()| {
+                WriteState::new(
+                    response,
+                    keep_alive,
+                    head_only,
+                    &mut outq,
+                    &mut guards,
+                    scratch,
+                    conn.tls.as_mut().map(|tls| &mut tls.channel),
+                )
+            }) {
+                Ok(state) => advance_pending(&mut conn, state, scratch),
+                Err(error) => WriteProgress::Failed(error),
+            }
+        });
+        if let WriteProgress::Done(state) = &progress {
+            state.count(http);
+        }
+        http.buffer_pool_reuse
+            .add(scratch.reuses().wrapping_sub(reuses_before));
+        telemetry.finish_request(&trace, (serve.now_fn)());
+        match progress {
+            WriteProgress::Done(state) => {
+                state.recycle_into(scratch);
+            }
+            WriteProgress::Parked => {
+                // Socket full mid-response: the state (cursor and
+                // sendfile offset included) is saved on the connection;
+                // the poller waits for EPOLLOUT.
+                return Some(conn);
+            }
+            WriteProgress::Failed(error) => {
+                // A response that cannot be sent still lets the batch
+                // staged before it out, as the last write.
+                classify_io_error(&error, http);
+                conn.send_staged(&mut outq, &mut guards, false, scratch);
+                continue;
+            }
+        }
+        if !keep_alive {
+            return None;
         }
     }
 }

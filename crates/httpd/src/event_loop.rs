@@ -1,11 +1,15 @@
 //! The server's event loop as a step machine (DESIGN.md §4): every
 //! decision it makes, with no descriptor, clock, channel, thread or
 //! connection in it. `server::run_loop` owns those and only translates:
-//! readiness, new connections and parks become [`Input`]s, and each
-//! [`Effect`] a system call or a counter. One ordered set holds every
-//! deadline: each parked connection's, the listener's back-off, a retry
-//! after a failed `wait` and, once stopping, the drain's. A loop with
-//! nothing ready waits exactly until the first of them.
+//! readiness, new connections, parks and wakes become [`Input`]s, and each
+//! [`Effect`] a system call, a readiness check or a counter. A connection
+//! parks waiting to read, to write, or for a held reply
+//! (`crate::types::Held`) to be ready; a held reply is checked when it is
+//! parked and on every wake, and its deadline dispatches it to be answered
+//! rather than closing it. One ordered set holds every deadline: each
+//! parked connection's, the listener's back-off, a retry after a failed
+//! `wait` and, once stopping, the drain's. A loop with nothing ready waits
+//! exactly until the first of them.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
@@ -46,19 +50,32 @@ pub(crate) enum Accept {
     Other,
 }
 
+/// What a parked connection waits for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Wait {
+    /// Its next request's bytes.
+    Read,
+    /// Room to write the rest of a response.
+    Write,
+    /// Its held reply to be ready.
+    Held,
+}
+
 /// What the driver feeds the machine; each wake-up's inputs end in a tick.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Input {
     /// The stop flag is set.
     Stop,
     ListenerReady,
-    /// A parked connection's socket is ready (or hung up).
+    /// A parked connection's socket is ready (or hung up), or its held
+    /// reply passed [`Effect::Check`].
     Ready(u64),
     /// The answer to [`Effect::Accept`].
     Accepted(Accept),
-    /// A worker parked connection `.0`, waiting to read or (`.1`, a
-    /// writer) to write the rest of a response, until `.2`.
-    Parked(u64, bool, Instant),
+    /// A worker parked connection `.0`, waiting for `.1` until `.2`.
+    Parked(u64, Wait, Instant),
+    /// What a held reply waits on moved.
+    Woken(u64),
     WaitFailed,
     /// The wake-up's other inputs are in; how many requests are in flight.
     Tick(usize),
@@ -85,6 +102,9 @@ pub(crate) enum Effect {
     Listener(Listener),
     /// Hand a parked connection to the worker queue.
     Dispatch(u64),
+    /// Run a held reply's readiness check, registering its waker;
+    /// answered by [`Input::Ready`] if it is ready.
+    Check(u64),
     Close(u64, Why),
     /// Wait for readiness or a wake, until the instant if there is one.
     Wait(Option<Instant>),
@@ -97,8 +117,8 @@ pub(crate) struct Loop {
     budget: usize,
     listener: Listener,
     next_token: u64,
-    /// Each parked connection's deadline, and whether it waits to write.
-    parked: BTreeMap<u64, (Instant, bool)>,
+    /// Each parked connection's deadline, and what it waits for.
+    parked: BTreeMap<u64, (Instant, Wait)>,
     deadlines: BTreeSet<(Instant, u64)>,
 }
 
@@ -135,12 +155,19 @@ impl Loop {
                     out.push(Effect::Dispatch(token));
                 }
             }
-            Input::Parked(token, false, _) if stopping => {
+            Input::Parked(token, Wait::Read, _) if stopping => {
                 out.push(Effect::Close(token, Why::Stopping))
             }
-            Input::Parked(token, writer, at) => {
-                self.parked.insert(token, (at, writer));
+            Input::Parked(token, wait, at) => {
+                self.parked.insert(token, (at, wait));
                 self.deadlines.insert((at, token));
+                // It may have become ready before this park was taken.
+                if wait == Wait::Held {
+                    out.push(Effect::Check(token));
+                }
+            }
+            Input::Woken(token) if self.parked.get(&token).is_some_and(|p| p.1 == Wait::Held) => {
+                out.push(Effect::Check(token));
             }
             Input::WaitFailed => {
                 self.deadlines.insert((now + WAIT_RETRY, RETRY));
@@ -161,8 +188,10 @@ impl Loop {
                 }
                 // Peers still not reading what is parked for them.
                 (DRAINED, _) => return self.exit(Why::Stalled, out),
-                (_, Some((_, true))) => out.push(Effect::Close(token, Why::Stalled)),
-                (_, Some((_, false))) => out.push(Effect::Close(token, Why::Idle)),
+                // A held reply is answered at its deadline.
+                (_, Some((_, Wait::Held))) => out.push(Effect::Dispatch(token)),
+                (_, Some((_, Wait::Write))) => out.push(Effect::Close(token, Why::Stalled)),
+                (_, Some((_, Wait::Read))) => out.push(Effect::Close(token, Why::Idle)),
                 (_, None) => {} // a retry
             }
         }
@@ -172,19 +201,19 @@ impl Loop {
         }
     }
 
-    /// Refuse new connections and close idle ones; parked writers drain
-    /// until [`DRAIN_TIMEOUT`].
+    /// Refuse new connections and close idle ones; parked writers and held
+    /// replies, requests in flight, drain until [`DRAIN_TIMEOUT`].
     fn stop(&mut self, now: Instant, out: &mut Vec<Effect>) {
         self.listener = Listener::Closed;
         out.push(Effect::Listener(Listener::Closed));
         let deadlines = &mut self.deadlines;
         deadlines.retain(|&(_, token)| token != LISTENER);
-        self.parked.retain(|&token, &mut (at, writer)| {
-            if !writer {
+        self.parked.retain(|&token, &mut (at, wait)| {
+            if wait == Wait::Read {
                 deadlines.remove(&(at, token));
                 out.push(Effect::Close(token, Why::Stopping));
             }
-            writer
+            wait != Wait::Read
         });
         deadlines.insert((now + DRAIN_TIMEOUT, DRAINED));
     }
@@ -226,11 +255,13 @@ impl Loop {
 
 /// A seeded search over [`Loop`]: one single-threaded scheduler drives the
 /// machine by calling `step` directly, with no socket, thread or clock.
-/// It plays the driver (a modelled epoll set, listen backlog and park
-/// channel) and 1–4 workers, the sink of every dispatch. Connections are
-/// scripted from a small alphabet: requests that arrive after a pause,
-/// each answered by a response that parks as a writer k times (or whose
-/// peer never reads), then a hang-up or silence. Schedules add
+/// It plays the driver (a modelled epoll set, listen backlog, park and
+/// waker channels, and the readiness check of a held reply) and 1–4
+/// workers, the sink of every dispatch. Connections are scripted from a
+/// small alphabet: requests that arrive after a pause, each answered by a
+/// response that may first be held (what it waits on moves k µs later,
+/// before its park reaches the loop, or never), then parks as a writer k
+/// times (or its peer never reads), then a hang-up or silence. Schedules add
 /// descriptor-exhaustion bursts, runs of failed waits, workers that keep
 /// an idle connection and hand it back late, and a stop at a random time.
 /// Every step is checked against the properties in `Sim::apply`; a
@@ -264,13 +295,27 @@ mod tests {
     }
 
     /// One scripted request: its bytes arrive `after` µs past the previous
-    /// response (or the connect), and its response parks as a writer
-    /// `parks` times, the peer draining each after `drain` µs.
+    /// response (or the connect); its response may be held until `.1` µs
+    /// after its handler returned, then parks as a writer `parks` times,
+    /// the peer draining each after `drain` µs.
     #[derive(Clone, Copy, Debug)]
     struct Request {
         after: u64,
+        hold: Option<(Hold, u64)>,
         parks: u32,
         drain: u64,
+    }
+
+    /// When what a held reply waits on moves.
+    #[derive(Clone, Copy, Debug)]
+    enum Hold {
+        /// This long after its handler held it.
+        After(u64),
+        /// At once: before its park reaches the loop, so before any check
+        /// registered a waker.
+        Early,
+        /// Never: it is answered at its deadline.
+        Never,
     }
 
     /// One client: when it connects, what it asks, and whether it hangs up
@@ -313,6 +358,15 @@ mod tests {
                     true => pick(rng, read_timeout, 2 * read_timeout),
                     false => pick(rng, 0, read_timeout / 2),
                 },
+                hold: chance(rng, 30).then(|| {
+                    let until = pick(rng, 1, 1_000) * MS;
+                    let hold = match pick(rng, 0, 2) {
+                        0 => Hold::After(pick(rng, 0, until * 3 / 2)),
+                        1 => Hold::Early,
+                        _ => Hold::Never,
+                    };
+                    (hold, until)
+                }),
                 parks: match pick(rng, 0, 9) {
                     0 => NEVER,
                     n @ 1..=3 => n as u32,
@@ -398,9 +452,17 @@ mod tests {
         /// writer parks still to come.
         responding: bool,
         parks_left: u32,
+        /// The response is still to be held, or held and not yet answered;
+        /// and the loop dispatched it to be answered.
+        holding: bool,
+        due: bool,
+        /// When what the held reply waits on moved, and whether a check
+        /// registered a waker since.
+        ready_at: Option<u64>,
+        registered: bool,
         /// The peer drained what the last writer park left.
         writable: bool,
-        writer: bool,
+        wait: Wait,
         deadline: u64,
         keeps: u64,
     }
@@ -412,6 +474,8 @@ mod tests {
         Drained(usize),
         /// Worker `.0` is done driving peer `.1`.
         Done(usize, usize),
+        /// What peer `.0`'s held reply to request `.1` waits on moves.
+        Moved(usize, usize),
         HandBack(usize, u64),
         Stop,
         Burst(u64),
@@ -446,6 +510,8 @@ mod tests {
         workers: Vec<bool>,
         queue: VecDeque<usize>,
         channel: VecDeque<usize>,
+        /// The waker channel: tokens of held replies woken.
+        wakes: VecDeque<u64>,
         woken: bool,
         in_flight: usize,
         live: usize,
@@ -482,6 +548,7 @@ mod tests {
                 workers: vec![false; plan.workers],
                 queue: VecDeque::new(),
                 channel: VecDeque::new(),
+                wakes: VecDeque::new(),
                 woken: false,
                 in_flight: 0,
                 live: 0,
@@ -510,8 +577,12 @@ mod tests {
                     bytes: false,
                     responding: false,
                     parks_left: 0,
+                    holding: false,
+                    due: false,
+                    ready_at: None,
+                    registered: false,
                     writable: false,
-                    writer: false,
+                    wait: Wait::Read,
                     deadline: 0,
                     keeps: 0,
                 });
@@ -596,7 +667,8 @@ mod tests {
                     self.apply(input, effect)?;
                 }
                 if self.stopped.is_some() {
-                    if let Some(p) = self.peers.iter().find(|p| p.at == At::Parked && !p.writer) {
+                    let idle = |p: &&Peer| p.at == At::Parked && p.wait == Wait::Read;
+                    if let Some(p) = self.peers.iter().find(idle) {
                         return Err(format!("idle {:?} still parked after stop", p.token));
                     }
                 }
@@ -691,26 +763,52 @@ mod tests {
                 }
                 Effect::Dispatch(token) => {
                     let p = self.parked(token)?;
-                    if input != Input::Ready(token) {
-                        return Err(format!("dispatched {token} on {input:?}"));
+                    let peer = &mut self.peers[p];
+                    let (held, due) = (peer.wait == Wait::Held, peer.deadline <= self.now);
+                    match input {
+                        Input::Ready(t) if t == token => {}
+                        // A held reply is answered at its deadline, but
+                        // one whose wait ended earlier lost its wake.
+                        Input::Tick(_) if held && due => {
+                            if let Some(t) = peer.ready_at.filter(|&t| t < peer.deadline) {
+                                return Err(format!("lost wake: {token} ready at {t}"));
+                            }
+                        }
+                        _ => return Err(format!("dispatched {token} on {input:?}")),
                     }
+                    peer.due = held;
                     self.enqueue(p);
+                }
+                Effect::Check(token) => {
+                    let p = self.parked(token)?;
+                    let peer = &mut self.peers[p];
+                    if peer.wait != Wait::Held {
+                        return Err(format!("checked {token}, which holds no reply"));
+                    }
+                    match peer.ready_at {
+                        Some(_) => self.inputs.push_front(Input::Ready(token)),
+                        None => peer.registered = true,
+                    }
                 }
                 Effect::Close(token, why) => {
                     let p = self.parked(token)?;
-                    let (writer, due) = (self.peers[p].writer, self.peers[p].deadline <= self.now);
+                    let (wait, due) = (self.peers[p].wait, self.peers[p].deadline <= self.now);
                     let drained = self
                         .stopped
                         .is_some_and(|t| self.now >= t + micros(DRAIN_TIMEOUT));
+                    // A held reply closes only when the drain gives up.
                     let legal = match why {
-                        Why::Idle => !writer && due,
-                        Why::Stalled => writer && (due || drained),
-                        // A parked writer here always holds a request in
-                        // flight, so only idle ones may close for the stop.
-                        Why::Stopping => !writer && stopped,
+                        Why::Idle => wait == Wait::Read && due,
+                        Why::Stalled => {
+                            wait != Wait::Read && (drained || (due && wait == Wait::Write))
+                        }
+                        // A parked writer or held reply always holds a
+                        // request in flight, so only idle connections may
+                        // close for the stop.
+                        Why::Stopping => wait == Wait::Read && stopped,
                     };
                     if !legal {
-                        return Err(format!("closed {token} ({why:?}), writer {writer}"));
+                        return Err(format!("closed {token} ({why:?}), waiting {wait:?}"));
                     }
                     self.gone(p);
                 }
@@ -777,7 +875,12 @@ mod tests {
         }
 
         fn ready_peer(&self, p: &Peer) -> bool {
-            p.at == At::Parked && if p.writer { p.writable } else { p.bytes }
+            p.at == At::Parked
+                && match p.wait {
+                    Wait::Read => p.bytes,
+                    Wait::Write => p.writable,
+                    Wait::Held => false,
+                }
         }
 
         /// Wait as the driver does, running the world until something is
@@ -824,8 +927,9 @@ mod tests {
                 let peer = &self.peers[p];
                 let deadline = self.instant(peer.deadline);
                 self.inputs
-                    .push_back(Input::Parked(peer.token.unwrap(), peer.writer, deadline));
+                    .push_back(Input::Parked(peer.token.unwrap(), peer.wait, deadline));
             }
+            self.inputs.extend(self.wakes.drain(..).map(Input::Woken));
             self.inputs.push_back(Input::Tick(self.in_flight));
             Ok(())
         }
@@ -848,10 +952,21 @@ mod tests {
                 }
                 Event::Drained(p) => self.peers[p].writable = true,
                 Event::Done(w, p) => self.done(w, p),
+                Event::Moved(p, request) => {
+                    let peer = &mut self.peers[p];
+                    if peer.holding && peer.served == request && peer.ready_at.is_none() {
+                        peer.ready_at = Some(self.now);
+                        // Only a check that found it not ready left a waker.
+                        if std::mem::take(&mut peer.registered) {
+                            self.wakes.push_back(peer.token.unwrap());
+                            self.woken = true;
+                        }
+                    }
+                }
                 Event::HandBack(p, keep) if self.peers[p].at == At::Kept(keep) => {
                     match self.now >= self.peers[p].deadline {
                         true => self.gone(p), // the keeper's own idle timeout
-                        false => self.park(p, false, self.peers[p].deadline),
+                        false => self.park(p, Wait::Read, self.peers[p].deadline),
                     }
                 }
                 Event::HandBack(..) => {}
@@ -879,7 +994,10 @@ mod tests {
             if !peer.responding && !self.stop_flag && peer.bytes && asks {
                 peer.bytes = false;
                 peer.responding = true;
-                peer.parks_left = peer.script.requests[peer.served].parks;
+                let request = peer.script.requests[peer.served];
+                peer.parks_left = request.parks;
+                (peer.holding, peer.due) = (request.hold.is_some(), false);
+                (peer.ready_at, peer.registered) = (None, false);
                 self.in_flight += 1;
             }
             let took = pick(&mut self.rng, 10, 2 * MS);
@@ -891,15 +1009,26 @@ mod tests {
             let now = self.now;
             let peer = &mut self.peers[p];
             let request = peer.script.requests.get(peer.served).copied();
-            if peer.responding && peer.parks_left > 0 {
+            if peer.responding && peer.holding && !peer.due {
+                // The handler held its reply.
+                let (hold, until) = request.unwrap().hold.unwrap();
+                let served = peer.served;
+                match hold {
+                    Hold::After(after) => self.at(now + after, Event::Moved(p, served)),
+                    Hold::Early => self.peers[p].ready_at = Some(now),
+                    Hold::Never => {}
+                }
+                self.park(p, Wait::Held, now + until);
+            } else if peer.responding && peer.parks_left > 0 {
+                peer.holding = false; // answered, if it was held
                 if peer.parks_left != NEVER {
                     peer.parks_left -= 1;
                     self.at(now + request.unwrap().drain, Event::Drained(p));
                 }
                 self.peers[p].writable = false;
-                self.park(p, true, now + self.plan.read_timeout);
+                self.park(p, Wait::Write, now + self.plan.read_timeout);
             } else if peer.responding {
-                peer.responding = false;
+                (peer.responding, peer.holding) = (false, false);
                 peer.served += 1;
                 let next = match peer.script.requests.get(peer.served) {
                     Some(r) => Some(r.after),
@@ -928,7 +1057,7 @@ mod tests {
         fn idle(&mut self, p: usize) {
             let deadline = self.now + self.plan.read_timeout;
             if !self.queue.is_empty() || !chance(&mut self.rng, self.plan.keep) {
-                return self.park(p, false, deadline);
+                return self.park(p, Wait::Read, deadline);
             }
             let peer = &mut self.peers[p];
             peer.keeps += 1;
@@ -940,9 +1069,9 @@ mod tests {
             self.at(back.min(deadline), Event::HandBack(p, self.peers[p].keeps));
         }
 
-        fn park(&mut self, p: usize, writer: bool, deadline: u64) {
+        fn park(&mut self, p: usize, wait: Wait, deadline: u64) {
             let peer = &mut self.peers[p];
-            (peer.at, peer.writer, peer.deadline) = (At::Channel, writer, deadline);
+            (peer.at, peer.wait, peer.deadline) = (At::Channel, wait, deadline);
             self.channel.push_back(p);
             self.woken = true;
         }
@@ -1077,6 +1206,41 @@ mod tests {
         assert_eq!(sim.time(deadline), at + 30_000 * MS);
     }
 
+    /// A held reply whose wait ended before its park reached the loop (no
+    /// waker was registered yet) is dispatched at the park's own check,
+    /// not at its deadline; one never woken is dispatched, not closed, at
+    /// its deadline. Both are answered.
+    #[test]
+    fn a_held_reply_is_answered_at_its_park_check_or_its_deadline() {
+        let held = |hold| Script {
+            connect: 0,
+            requests: vec![Request {
+                after: 0,
+                hold: Some((hold, 500 * MS)),
+                parks: 0,
+                drain: 0,
+            }],
+            hang_up: Some(10 * MS),
+        };
+        for (hold, at_deadline) in [(Hold::Early, false), (Hold::Never, true)] {
+            let sim = Sim::new(4, Plan::one(held(hold), 60_000 * MS))
+                .check(4)
+                .unwrap_or_else(|e| panic!("{e}"));
+            let (parked, deadline) = (sim.timeline.iter())
+                .find_map(|line| match *line {
+                    Line::In(t, Input::Parked(0, Wait::Held, at)) => Some((t, sim.time(at))),
+                    _ => None,
+                })
+                .expect("never held");
+            let dispatched = sim
+                .effects()
+                .find(|&(t, e)| t >= parked && e == Effect::Dispatch(0))
+                .expect("never dispatched");
+            assert_eq!(dispatched.0, if at_deadline { deadline } else { parked });
+            assert_eq!(sim.peers[0].served, 1, "{hold:?}: not answered");
+        }
+    }
+
     /// A stop while an 8 MiB response is parked mid-write keeps
     /// dispatching it as the peer drains, until nothing is in flight, and
     /// exits long before `DRAIN_TIMEOUT`.
@@ -1086,6 +1250,7 @@ mod tests {
             connect: 0,
             requests: vec![Request {
                 after: 0,
+                hold: None,
                 parks: 32,
                 drain: 10 * MS,
             }],

@@ -63,4 +63,4 @@ pub use server::{
     serve_pipe, Handler, HttpServer, PeerInfo, Pipe, RequestContext, ServerConfig, TlsConfig,
 };
 pub use stream::Stream;
-pub use types::{http_date, Body, Headers, Method, Request, Response};
+pub use types::{http_date, Body, Headers, Held, Method, Ready, Request, Response, Watermark};

@@ -10,8 +10,10 @@
 //! One thread runs the event loop: `crate::event_loop::Loop` decides, and
 //! `run_loop` here drives it over one epoll set (`crate::poller`). It
 //! accepts into the queue, holds each idle or mid-write connection
-//! *parked* until its socket is ready or its deadline passes, and is how a
-//! server stops. An idle connection costs a few hundred bytes instead of a
+//! *parked* until its socket is ready or its deadline passes, holds each
+//! connection whose handler held its reply (`crate::types::Held`) until
+//! what the reply waits on wakes it or its deadline answers it, and is how
+//! a server stops. An idle connection costs a few hundred bytes instead of a
 //! blocked worker, so concurrency is capped by `max_connections`, not
 //! `workers` (the Apache prefork shape Figure 4 tops out on). The one
 //! shortcut: a worker with nothing queued keeps the connection it just
@@ -27,6 +29,8 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::task::{Wake, Waker};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use clarens_telemetry::{Gauge, HttpCounters, RequestTrace, Telemetry};
@@ -37,8 +41,8 @@ use clarens_pki::dn::DistinguishedName;
 use clarens_pki::keystream::SecretRng;
 use clarens_pki::SecureChannel;
 
-use crate::conn::{self, Conn, Tls};
-use crate::event_loop::{Accept, Effect, Input, Listener, Loop, Why, LISTENER};
+use crate::conn::{self, Conn, Tls, Unpark};
+use crate::event_loop::{Accept, Effect, Input, Listener, Loop, Wait, Why, LISTENER};
 use crate::parse::Scan;
 use crate::poller::{self, Poller, WakePipe};
 use crate::scratch::Scratch;
@@ -363,6 +367,7 @@ impl HttpServer {
         listener.set_nonblocking(true)?;
         conn_poller.add(listener.as_raw_fd(), LISTENER)?;
         let (park_tx, park_rx) = mpsc::channel();
+        let wakes = mpsc::channel();
         let serve = Serve::new(&config, handler, Some(Arc::clone(&conn_poller)));
         let stop = Arc::clone(&serve.stop);
 
@@ -393,7 +398,7 @@ impl HttpServer {
             let tls = server_tls(config.tls);
             std::thread::Builder::new()
                 .name("clarens-poller".into())
-                .spawn(move || run_loop(shared, listener, park_rx, max_connections, tls))
+                .spawn(move || run_loop(shared, listener, park_rx, wakes, max_connections, tls))
                 .expect("spawn poller")
         };
 
@@ -520,6 +525,7 @@ impl Pipe {
             pipe: self.clone(),
             conn: Some(conn),
             scratch: Scratch::new(),
+            unpark: None,
         }));
         Ok(client)
     }
@@ -531,13 +537,35 @@ pub(crate) struct Pump {
     /// `None` once it closed.
     conn: Option<Box<Conn>>,
     scratch: Scratch,
+    /// What unparks the thread that waits out a held reply, built once
+    /// per thread, so what the reply waits on holds one entry for it.
+    unpark: Option<(ThreadId, Waker)>,
 }
 
 impl Pump {
-    /// Drive the connection until it waits on its client, or closes.
+    /// Drive the connection until it waits on its client, or closes. A
+    /// held reply is waited out here, on the client's thread.
     pub(crate) fn drive(&mut self) {
-        let (serve, conn) = (&self.pipe.0.serve, self.conn.take());
-        self.conn = conn.and_then(|conn| conn::drive(conn, serve, &mut self.scratch));
+        let serve = &self.pipe.0.serve;
+        let mut conn = self.conn.take();
+        loop {
+            conn = conn.and_then(|conn| conn::drive(conn, serve, &mut self.scratch));
+            let held = conn.as_mut().filter(|c| c.wait().0 == Wait::Held);
+            let Some(held) = held.and_then(|c| c.held.as_mut()) else {
+                break;
+            };
+            let me = std::thread::current();
+            let waker = match &mut self.unpark {
+                Some((id, waker)) if *id == me.id() => waker,
+                unpark => {
+                    &unpark
+                        .insert((me.id(), Waker::from(Arc::new(Unpark(me)))))
+                        .1
+                }
+            };
+            held.wait(waker);
+        }
+        self.conn = conn;
     }
 }
 
@@ -555,14 +583,27 @@ fn shed(sock: Option<Stream>, telemetry: &Telemetry) {
     let _ = sock.write(&answer);
 }
 
+/// Wakes held reply `.0`: its token down the waker channel, and the loop.
+struct TokenWaker(u64, Sender<u64>, Arc<Poller>);
+
+impl Wake for TokenWaker {
+    fn wake(self: Arc<Self>) {
+        if self.1.send(self.0).is_ok() {
+            self.2.wake();
+        }
+    }
+}
+
 /// The server's one event loop. `event_loop::Loop` makes every decision;
 /// this owns the epoll set, the listener, the parked connections, the park
-/// channel and the clock, and only translates: readiness, `accept` results
-/// and parks become inputs, and effects become system calls and counters.
+/// and waker channels and the clock, and only translates: readiness,
+/// `accept` results, parks and wakes become inputs, and effects become
+/// system calls, readiness checks and counters.
 fn run_loop<H: Handler>(
     shared: Arc<WorkerShared<H>>,
     listener: TcpListener,
     park_rx: Receiver<Box<Conn>>,
+    (wake_tx, wake_rx): (Sender<u64>, Receiver<u64>),
     max_connections: usize,
     tls: ServerTls,
 ) {
@@ -596,6 +637,18 @@ fn run_loop<H: Handler>(
                         unparked(conn, effect, &shared);
                     }
                 }
+                Effect::Check(token) => {
+                    let Some(conn) = parked.get_mut(&token) else {
+                        continue;
+                    };
+                    let waker = conn.waker.get_or_insert_with(|| {
+                        let waker = TokenWaker(token, wake_tx.clone(), Arc::clone(poller));
+                        Waker::from(Arc::new(waker))
+                    });
+                    if conn.held.as_mut().is_some_and(|held| held.ready(waker)) {
+                        inputs.push_front(Input::Ready(token));
+                    }
+                }
                 Effect::Wait(until) => {
                     let timeout = until.map(|at| at.saturating_duration_since(Instant::now()));
                     if poller.wait(timeout, &mut events).is_err() {
@@ -610,6 +663,7 @@ fn run_loop<H: Handler>(
                     }));
                     let parks = park_rx.try_iter();
                     inputs.extend(parks.filter_map(|conn| watch(conn, &mut parked, &shared)));
+                    inputs.extend(wake_rx.try_iter().map(Input::Woken));
                     // After the flag: either this read sees the last request
                     // end, or that request's end wakes the loop.
                     inputs.push_back(Input::Tick(stop.in_flight.load(Ordering::SeqCst)));
@@ -699,38 +753,47 @@ fn open(
         pending_write: None,
         deadline: Instant::now(),
         tls,
+        held: None,
+        waker: None,
         _budget: budget,
     })
 }
 
-/// Arm a connection a worker parked, one-shot for what it waits on, and
-/// hold it: its input, or `None` if it cannot be watched (it could never
-/// wake, so it closes here).
+/// Arm a connection a worker parked, one-shot for the bytes or the room it
+/// waits on (a held reply waits on no descriptor), and hold it: its input,
+/// or `None` if it cannot be watched (it could never wake, so it closes
+/// here).
 fn watch<H: Handler>(
     mut conn: Box<Conn>,
     parked: &mut HashMap<u64, Box<Conn>>,
     shared: &WorkerShared<H>,
 ) -> Option<Input> {
-    let (token, writer, deadline) = (conn.id, conn.pending_write.is_some(), conn.deadline);
-    let fd = conn.stream.as_raw_fd();
-    (shared.parker.poller)
-        .arm(fd, token, writer, conn.registered)
-        .ok()?;
-    conn.registered = true;
-    parked_gauge(&shared.serve.telemetry.http, writer).inc();
+    let (token, (wait, deadline)) = (conn.id, conn.wait());
+    if wait != Wait::Held {
+        let fd = conn.stream.as_raw_fd();
+        (shared.parker.poller)
+            .arm(fd, token, wait == Wait::Write, conn.registered)
+            .ok()?;
+        conn.registered = true;
+    }
+    parked_gauge(&shared.serve.telemetry.http, wait).inc();
     parked.insert(token, conn);
-    Some(Input::Parked(token, writer, deadline))
+    Some(Input::Parked(token, wait, deadline))
 }
 
 /// A connection leaves the event loop's parked set: counted (before a
 /// close drops it, so a peer that sees EOF sees the count), and queued for
-/// a worker if dispatched.
-fn unparked<H: Handler>(conn: Box<Conn>, effect: Effect, shared: &WorkerShared<H>) {
+/// a worker if dispatched — a held reply to be answered.
+fn unparked<H: Handler>(mut conn: Box<Conn>, effect: Effect, shared: &WorkerShared<H>) {
     let http = &shared.serve.telemetry.http;
-    parked_gauge(http, conn.pending_write.is_some()).dec();
+    let wait = conn.wait().0;
+    parked_gauge(http, wait).dec();
     match effect {
         Effect::Dispatch(_) => {
-            http.poll_wakeups.inc();
+            match conn.held.as_mut().filter(|_| wait == Wait::Held) {
+                Some(held) => held.due = true,
+                None => http.poll_wakeups.inc(),
+            }
             http.queue_depth.inc();
             shared.queue.push(conn);
         }
@@ -741,20 +804,21 @@ fn unparked<H: Handler>(conn: Box<Conn>, effect: Effect, shared: &WorkerShared<H
 }
 
 /// The gauge a connection parked on the event loop counts in:
-/// `parked_writers`, or `parked`, which workers keeping an idle connection
-/// count in too.
-fn parked_gauge(http: &HttpCounters, writer: bool) -> &Gauge {
-    match writer {
-        true => &http.parked_writers,
-        false => &http.parked,
+/// `parked_writers`, `held_replies`, or `parked`, which workers keeping an
+/// idle connection count in too.
+fn parked_gauge(http: &HttpCounters, wait: Wait) -> &Gauge {
+    match wait {
+        Wait::Write => &http.parked_writers,
+        Wait::Held => &http.held_replies,
+        Wait::Read => &http.parked,
     }
 }
 
 /// One worker: drive connections from the queue, or the one it kept,
 /// until shutdown closes the queue. Once the server is stopping it starts
 /// no request: a connection with no write in flight closes unserved, and
-/// one with a response on its way gets it finished while the event loop
-/// drains.
+/// one with a response on its way (or a held reply due) gets it finished
+/// while the event loop drains.
 fn worker_loop<H: Handler>(me: usize, shared: Arc<WorkerShared<H>>) {
     // The worker's scratch arena lives as long as the thread: buffers
     // recycle across requests *and* connections.
@@ -791,7 +855,8 @@ fn worker_loop<H: Handler>(me: usize, shared: Arc<WorkerShared<H>>) {
                 None => return,
             },
         };
-        if shared.serve.stop.requested() && conn.pending_write.is_none() {
+        let idle = |conn: &Conn| conn.pending_write.is_none() && conn.held.is_none();
+        if shared.serve.stop.requested() && idle(&conn) {
             // Stopping: a connection with no write in flight closes
             // unserved; one with a response on its way finishes it.
             continue;
@@ -799,8 +864,9 @@ fn worker_loop<H: Handler>(me: usize, shared: Arc<WorkerShared<H>>) {
         if let Some(mut conn) = conn::drive(conn, &shared.serve, &mut scratch) {
             conn.deadline = Instant::now() + shared.read_timeout;
             // An idle connection stays with this worker unless work is
-            // queued; one with a write in flight waits on the poller.
-            if conn.pending_write.is_none() {
+            // queued; one with a write in flight or a held reply waits on
+            // the poller.
+            if idle(&conn) {
                 kept = Some(conn);
             } else {
                 shared.parker.park(conn);

@@ -5,6 +5,13 @@
 //! by the server and client halves of this crate.
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard};
+use std::task::Waker;
+use std::time::Instant;
+
+use clarens_telemetry::RequestTrace;
+
+use crate::scratch::Scratch;
 
 /// Request method. Clarens uses GET (file/portal) and POST (RPC); the rest
 /// are parsed so the server can answer 405 rather than 400.
@@ -177,6 +184,103 @@ pub enum Body {
     /// from `stat()` metadata alone. Writing one with a body is a framing
     /// bug and fails rather than under-delivering.
     Sized(u64),
+    /// A reply that waits off the worker: the connection parks on the
+    /// event loop until the reply is ready or its deadline passes, and is
+    /// then answered. The status and headers beside it are not sent.
+    Held(Held),
+}
+
+/// A reply that waits (DESIGN.md §4 "Held replies"): a deadline, a cheap
+/// readiness check and the code that produces the answer. The worker that
+/// ran the handler returns at once; the event loop runs `ready` when it
+/// takes the park and again on every wake, and dispatches the connection
+/// once `ready` says so or `deadline` passes, whereupon a worker calls
+/// `answer`. Whatever `ready` waits on must wake the waker it is given
+/// when it changes ([`Watermark`]), so a wake is never lost and a
+/// spurious one costs one more check.
+pub struct Held {
+    /// When the reply is answered, ready or not.
+    pub deadline: Instant,
+    /// Is the reply ready? Registers the waker with what it waits on.
+    pub ready: Ready,
+    /// The answer, given the request's trace (its latency includes the
+    /// wait) and the worker's scratch arena.
+    pub answer: Answer,
+}
+
+/// A [`Held`] reply's readiness check.
+pub type Ready = Box<dyn FnMut(&Waker) -> bool + Send>;
+
+/// What produces a [`Held`] reply's answer.
+pub type Answer = Box<dyn FnOnce(&mut RequestTrace, &mut Scratch) -> Response + Send>;
+
+/// A value that moves on, and the wakers of the held replies waiting for
+/// it to: the one thing a [`Held`] reply waits on. A waker that waits
+/// again before a move is kept once ([`Waker::will_wake`]), so a
+/// connection whose held replies keep falling due at their deadlines
+/// holds one entry: the list is bounded by the connections that waited
+/// since the value last moved.
+pub struct Watermark<T> {
+    state: Mutex<(T, Vec<Waker>)>,
+}
+
+impl<T: Copy + Ord> Watermark<T> {
+    /// A watermark at `value`, with nobody waiting.
+    pub fn new(value: T) -> Watermark<T> {
+        Watermark {
+            state: Mutex::new((value, Vec::new())),
+        }
+    }
+
+    /// The state, unpoisoned: no critical section panics midway.
+    fn lock(&self) -> MutexGuard<'_, (T, Vec<Waker>)> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The current value.
+    pub fn get(&self) -> T {
+        self.lock().0
+    }
+
+    /// `passed(value)`, registering `waker` (once) to be woken at the next
+    /// move when it is false. Under the lock, so a move cannot fall
+    /// between the test and the registration.
+    pub fn check(&self, waker: &Waker, passed: impl FnOnce(T) -> bool) -> bool {
+        let mut state = self.lock();
+        let ready = passed(state.0);
+        if !ready && !state.1.iter().any(|w| w.will_wake(waker)) {
+            state.1.push(waker.clone());
+        }
+        ready
+    }
+
+    /// How many wakers wait on it.
+    pub fn waiters(&self) -> usize {
+        self.lock().1.len()
+    }
+
+    /// Raise the value to `value`, waking every waiter, if that is higher.
+    pub fn raise(&self, value: T) {
+        let mut state = self.lock();
+        if value > state.0 {
+            state.0 = value;
+            drop(state);
+            self.wake();
+        }
+    }
+
+    /// Set the value, even lower, and wake every waiter.
+    pub fn reset(&self, value: T) {
+        self.lock().0 = value;
+        self.wake();
+    }
+
+    /// Wake every waiter, the value unmoved: what their checks read
+    /// besides it changed.
+    pub fn wake(&self) {
+        let waiters = std::mem::take(&mut self.lock().1);
+        waiters.into_iter().for_each(Waker::wake);
+    }
 }
 
 impl std::fmt::Debug for Body {
@@ -187,6 +291,7 @@ impl std::fmt::Debug for Body {
                 write!(f, "Body::File({len} bytes @ {offset})")
             }
             Body::Sized(len) => write!(f, "Body::Sized({len} bytes)"),
+            Body::Held(held) => write!(f, "Body::Held(until {:?})", held.deadline),
         }
     }
 }
@@ -198,6 +303,7 @@ impl Body {
             Body::Bytes(b) => b.len() as u64,
             Body::File { len, .. } => *len,
             Body::Sized(len) => *len,
+            Body::Held(_) => 0,
         }
     }
 
@@ -242,6 +348,15 @@ impl Response {
             "text/plain",
             format!("{status} {}\n{message}\n", reason(status)),
         )
+    }
+
+    /// A held reply ([`Held`]).
+    pub fn held(held: Held) -> Self {
+        Response {
+            status: 200,
+            headers: Headers::new(),
+            body: Body::Held(held),
+        }
     }
 
     /// A response serving `[offset, offset + len)` of an open file —
@@ -412,6 +527,45 @@ mod tests {
         // Leap-day handling across a century boundary divisible by 400.
         assert_eq!(http_date(951_782_400), "Tue, 29 Feb 2000 00:00:00 GMT");
         assert_eq!(http_date(1_754_352_000), "Tue, 05 Aug 2025 00:00:00 GMT");
+    }
+
+    /// A check that fails registers its waker, once however often it
+    /// fails; a rise wakes it once, a
+    /// value that does not rise wakes nobody, and a reset or a bare wake
+    /// wakes every waiter.
+    #[test]
+    fn a_watermark_wakes_its_waiters_when_it_moves() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        use std::task::Wake;
+        struct Count(AtomicUsize);
+        impl Wake for Count {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let count = Arc::new(Count(AtomicUsize::new(0)));
+        let waker = Waker::from(Arc::clone(&count));
+        let woken = || count.0.load(Ordering::SeqCst);
+        let mark = Watermark::new((0, 5));
+        assert!(!mark.check(&waker, |v| v > (0, 5)));
+        assert!(!mark.check(&waker.clone(), |v| v > (0, 5)));
+        assert_eq!(mark.waiters(), 1, "a waker that waits again is kept once");
+        mark.raise((0, 3));
+        assert_eq!((mark.get(), woken()), ((0, 5), 0), "a lower value moved it");
+        mark.raise((1, 0));
+        assert_eq!((mark.get(), woken()), ((1, 0), 1));
+        mark.raise((2, 0));
+        assert_eq!(woken(), 1, "a waker is woken once per registration");
+        assert!(mark.check(&waker, |v| v > (0, 5)));
+        mark.raise((3, 0));
+        assert_eq!(woken(), 1, "a passed check registers nothing");
+        assert!(!mark.check(&waker, |v| v > (9, 9)));
+        mark.reset((0, 0));
+        assert_eq!((mark.get(), woken()), ((0, 0), 2));
+        assert!(!mark.check(&waker, |v| v > (9, 9)));
+        mark.wake();
+        assert_eq!((mark.get(), woken()), ((0, 0), 3));
     }
 
     #[test]

@@ -714,3 +714,59 @@ fn pipeline_that_stops_reading_cannot_pin_the_single_worker() {
         server.shutdown();
     }
 }
+
+/// A held reply that falls due at its deadline leaves its waker on the
+/// watermark it waited on, and the next held reply of the same connection
+/// waits there again: a quiet watermark must hold one entry per
+/// connection, not one per reply, whether the event loop or a pipe's
+/// pump waits. A move wakes each once and empties it.
+#[test]
+fn held_replies_answered_at_their_deadlines_leave_one_waiter_per_connection() {
+    use clarens_httpd::{serve_pipe, Held, Watermark};
+    const REPLIES: usize = 30;
+    let mark = Arc::new(Watermark::new(0u64));
+    let handler = {
+        let mark = Arc::clone(&mark);
+        Arc::new(move |_: Request, _: Option<&PeerInfo>| {
+            let mark = Arc::clone(&mark);
+            Response::held(Held {
+                deadline: Instant::now() + Duration::from_millis(2),
+                ready: Box::new(move |waker| mark.check(waker, |v| v > 0)),
+                answer: Box::new(|_, _| Response::ok("text/plain", "due")),
+            })
+        })
+    };
+    let roundtrips = |wire: Box<dyn Wire>| {
+        let mut client = Client(BufReader::new(wire));
+        for _ in 0..REPLIES {
+            let (status, body, keep_alive) =
+                client.roundtrip("GET /held HTTP/1.1\r\nHost: x\r\n\r\n");
+            assert_eq!((status, &body[..], keep_alive), (200, &b"due"[..], true));
+        }
+        client
+    };
+    for mode in BOTH_MODES {
+        let server = HttpServer::bind(
+            "127.0.0.1:0",
+            mode.server_config(ServerConfig {
+                workers: 2,
+                ..config()
+            }),
+            handler.clone(),
+        )
+        .unwrap();
+        let _open = [0, 1].map(|_| roundtrips(mode.connect(server.local_addr()).unwrap()));
+        assert_eq!(
+            mark.waiters(),
+            2,
+            "{mode:?}: two connections, one entry each"
+        );
+        server.shutdown();
+
+        let pipe = serve_pipe(mode.server_config(ServerConfig::default()), handler.clone());
+        let _open = roundtrips(mode.over(pipe.connect().unwrap()).unwrap());
+        assert_eq!(mark.waiters(), 3, "{mode:?}: a pipe's pump keeps one entry");
+        mark.reset(0);
+        assert_eq!(mark.waiters(), 0, "{mode:?}: a move empties it");
+    }
+}

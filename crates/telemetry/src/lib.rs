@@ -57,6 +57,10 @@ pub struct HttpCounters {
     /// filled: the write cursor is saved and the poller re-arms for
     /// writability instead of a worker spinning on the socket.
     pub parked_writers: Gauge,
+    /// Connections whose handler held its reply (a replicated write waiting
+    /// for a follower, a caught-up replication fetch, `job.wait`): parked
+    /// on the event loop until the reply is ready or due.
+    pub held_replies: Gauge,
     /// Parked writers expired at their deadline because the peer never
     /// drained its receive window in time (slow-consumer eviction).
     pub write_stalls: Counter,
@@ -89,7 +93,7 @@ impl HttpCounters {
     /// /metrics` order: the one table `render_prometheus` and
     /// `system.metrics` both read.
     #[rustfmt::skip]
-    pub fn rows(&self) -> [(&'static str, &'static str, u64); 18] {
+    pub fn rows(&self) -> [(&'static str, &'static str, u64); 19] {
         [
             ("clarens_http_connections_total", "connections", self.connections.get()),
             ("clarens_requests_total", "requests", self.requests.get()),
@@ -103,6 +107,7 @@ impl HttpCounters {
             ("clarens_buffer_pool_reuse_total", "buffer_pool_reuse", self.buffer_pool_reuse.get()),
             ("clarens_http_parked_connections", "parked", self.parked.get()),
             ("clarens_http_parked_writers", "parked_writers", self.parked_writers.get()),
+            ("clarens_http_held_replies", "held_replies", self.held_replies.get()),
             ("clarens_http_write_stalls_total", "write_stalls", self.write_stalls.get()),
             ("clarens_http_stream_truncations_total", "stream_truncations", self.stream_truncations.get()),
             ("clarens_http_queue_depth", "queue_depth", self.queue_depth.get()),
