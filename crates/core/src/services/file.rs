@@ -94,7 +94,6 @@ pub(crate) fn read(
     }
     let (_, real) = authorize(ctx, root, name, FileAccess::Read)?;
     let io = |e| io_fault(name, e);
-    clarens_faults::check_io(clarens_faults::sites::FILE_OPEN).map_err(io)?;
     let mut file = std::fs::File::open(&real).map_err(io)?;
     // Clamp the buffer to what the file can actually yield from this
     // offset: a short tail read of a 16 MiB-chunked pull must not allocate
@@ -108,7 +107,6 @@ pub(crate) fn read(
         // A stalled disk must not hold the worker past the request
         // budget: check the deadline between chunks.
         ctx.check_deadline()?;
-        clarens_faults::check_io(clarens_faults::sites::FILE_READ).map_err(io)?;
         match file.read(rest).map_err(io)? {
             0 => break,
             n => filled += n,

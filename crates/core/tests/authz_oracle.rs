@@ -22,6 +22,7 @@ use clarens::session::{SessionManager, SESSIONS_BUCKET};
 use clarens::vo::{self, VoError, VoManager, VO_BUCKET};
 use clarens_db::Store;
 use clarens_pki::dn::DistinguishedName;
+use clarens_search::Rng;
 
 use model::{Acl, Authz, Dn, Edit, Entry, Group, Rdn, Record, Refusal, Session, Sessions};
 
@@ -30,35 +31,6 @@ use model::{Acl, Authz, Dn, Edit, Entry, Group, Rdn, Record, Refusal, Session, S
 const STEPS: usize = 100_000;
 /// Session lifetime, in the model's clock units.
 const TTL: i64 = 500;
-
-/// SplitMix64: small, seedable, and the same on every platform.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn one_in(&mut self, n: usize) -> bool {
-        self.below(n) == 0
-    }
-
-    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.below(items.len())]
-    }
-
-    fn word(&mut self, words: &[&'static str]) -> &'static str {
-        words[self.below(words.len())]
-    }
-}
 
 const ORGS: &[&str] = &["grid", "cern.ch", "a/b", "x\\y", "k=v"];
 const UNITS: &[&str] = &["People", "Services", "=", "hosts/www"];
@@ -226,7 +198,7 @@ struct Search {
 
 impl Search {
     fn new(seed: u64) -> Search {
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         let dns = population();
         let admin_entries = vec![
             Entry::Dn(dns[0][..2].to_vec()),
@@ -286,9 +258,9 @@ impl Search {
         let len = 1 + self.rng.below(self.dns[who].len());
         let mut prefix = self.dns[who][..len].to_vec();
         for rdn in &mut prefix {
-            if self.rng.one_in(4) {
+            if self.rng.chance(25) {
                 if let Some((_, others)) = SPELLINGS.iter().find(|(tag, _)| *tag == rdn.tag) {
-                    rdn.tag = self.rng.pick(others).to_string();
+                    rdn.tag = self.rng.choose(others).to_string();
                 }
             }
         }
@@ -298,7 +270,7 @@ impl Search {
     fn entry(&mut self) -> Entry {
         match self.rng.below(24) {
             0 => Entry::Star,
-            1 | 2 => Entry::Junk(self.rng.word(JUNK_DNS)),
+            1 | 2 => Entry::Junk(self.rng.choose::<&str>(JUNK_DNS)),
             3 => Entry::Dn(vec![
                 Rdn {
                     tag: "O".into(),
@@ -306,7 +278,7 @@ impl Search {
                 },
                 Rdn {
                     tag: "CN".into(),
-                    value: self.rng.pick(NAMES).to_string(),
+                    value: self.rng.choose(NAMES).to_string(),
                 },
             ]),
             _ => Entry::Dn(self.prefix_entry()),
@@ -319,20 +291,20 @@ impl Search {
     }
 
     fn group_name(&mut self) -> String {
-        if self.rng.one_in(20) {
-            return self.rng.pick(BAD_GROUPS).to_string();
+        if self.rng.chance(5) {
+            return self.rng.choose(BAD_GROUPS).to_string();
         }
-        self.rng.pick(&self.groups).clone()
+        self.rng.choose(&self.groups).clone()
     }
 
     fn group_refs(&mut self) -> Vec<String> {
-        let n = self.rng.below(2) + usize::from(self.rng.one_in(4));
+        let n = self.rng.below(2) + usize::from(self.rng.chance(25));
         (0..n).map(|_| self.group_name()).collect()
     }
 
     fn acl(&mut self) -> Acl {
         Acl {
-            deny_first: self.rng.one_in(2),
+            deny_first: self.rng.chance(50),
             allow_dns: self.entries(2),
             allow_groups: self.group_refs(),
             deny_dns: self.entries(2),
@@ -365,7 +337,7 @@ impl Search {
         }
         // Half the time one of the newest, so cached entries are re-read.
         let n = self.ids.len();
-        let pick = match self.rng.one_in(2) {
+        let pick = match self.rng.chance(50) {
             true => n - 1 - self.rng.below(n.min(4)),
             false => self.rng.below(n),
         };
@@ -375,7 +347,7 @@ impl Search {
     // --- queries -----------------------------------------------------
 
     fn ask_method(&mut self, method: String, who: usize) {
-        let real = if self.rng.one_in(2) {
+        let real = if self.rng.chance(50) {
             self.acl.check_method(&method, &self.reals[who], &self.vo)
         } else {
             self.acl
@@ -389,7 +361,7 @@ impl Search {
             self.at(),
             self.rendered[who]
         );
-        if self.rng.one_in(4) && self.authz.double_match(&method, &self.dns[who]) {
+        if self.rng.chance(25) && self.authz.double_match(&method, &self.dns[who]) {
             self.coverage.double_matches += 1;
         }
         self.asked.insert((method, who));
@@ -398,10 +370,10 @@ impl Search {
     fn ask_file(&mut self) {
         let depth = self.rng.below(5);
         let mut path = path_at(&mut self.rng, depth);
-        if self.rng.one_in(8) && path.len() > 1 {
+        if self.rng.chance(12) && path.len() > 1 {
             path.remove(0);
         }
-        let write = self.rng.one_in(2);
+        let write = self.rng.chance(50);
         let who = self.caller();
         let access = if write {
             FileAccess::Write
@@ -423,8 +395,8 @@ impl Search {
 
     fn ask_membership(&mut self) {
         let group = self.group_name();
-        let who = if self.rng.one_in(4) && !self.site_admins.is_empty() {
-            *self.rng.pick(&self.site_admins)
+        let who = if self.rng.chance(25) && !self.site_admins.is_empty() {
+            *self.rng.choose(&self.site_admins)
         } else {
             self.caller()
         };
@@ -451,7 +423,7 @@ impl Search {
     /// Read a record back through its manager.
     fn ask_record(&mut self) {
         let at = self.at();
-        if self.rng.one_in(2) {
+        if self.rng.chance(50) {
             let node = self.method_node();
             let expected = self.authz.methods.get(&node).and_then(Record::valid);
             assert_eq!(
@@ -507,7 +479,7 @@ impl Search {
         let record = self.model_sessions.records.get(id).and_then(Record::valid);
         let at_expiry = record.is_some_and(|s| s.expires == now);
         self.coverage.resolves_at_expiry += usize::from(at_expiry);
-        if self.rng.one_in(3) {
+        if self.rng.chance(33) {
             let fields = |s: Session| (s.dn, s.created, s.expires, s.proxy);
             let real = self.sessions.validate(id, now);
             let real = real.map(|s| (s.dn, s.created, s.expires, s.proxy));
@@ -560,7 +532,7 @@ impl Search {
             5..=12 => {
                 if let Some(id) = self.live_id() {
                     self.resolve(&id);
-                    if self.rng.one_in(2) {
+                    if self.rng.chance(50) {
                         self.resolve(&id);
                     }
                 }
@@ -621,7 +593,7 @@ impl Search {
                 self.authz.files.insert(node, Record::Valid([read, write]));
             }
             _ => {
-                if self.rng.one_in(2) {
+                if self.rng.chance(50) {
                     let node = self.method_node();
                     self.acl.clear_method_acl(&node).unwrap();
                     self.authz.methods.remove(&node);
@@ -636,8 +608,8 @@ impl Search {
 
     fn vo_op(&mut self) {
         let actor = match self.rng.below(3) {
-            0 if !self.site_admins.is_empty() => *self.rng.pick(&self.site_admins),
-            1 => *self.rng.pick(&self.hot_dns),
+            0 if !self.site_admins.is_empty() => *self.rng.choose(&self.site_admins),
+            1 => *self.rng.choose(&self.hot_dns),
             _ => self.caller(),
         };
         let (dn, real) = (self.dns[actor].clone(), self.reals[actor].clone());
@@ -645,7 +617,7 @@ impl Search {
         let existing: Vec<&String> = self.authz.groups.keys().collect();
         let name = match self.rng.below(3) {
             0 => self.group_name(),
-            _ => self.rng.pick(&existing).to_string(),
+            _ => self.rng.choose(&existing).to_string(),
         };
         let (real, expected, what) = match self.rng.below(10) {
             0..=2 => (
@@ -659,10 +631,10 @@ impl Search {
                 "delete",
             ),
             op => {
-                let entry = if self.rng.one_in(3) {
+                let entry = if self.rng.chance(33) {
                     // Often the actor's own DN or a prefix of a hot
                     // caller: edits that flip cached decisions.
-                    let who = *self.rng.pick(&self.hot_dns);
+                    let who = *self.rng.choose(&self.hot_dns);
                     let len = 1 + self.rng.below(self.dns[who].len());
                     Entry::Dn(self.dns[who][..len].to_vec())
                 } else {
@@ -701,8 +673,8 @@ impl Search {
     /// A replicated write: record bytes put (or a key deleted) straight
     /// into the store, as a follower applies its leader's log.
     fn raw_op(&mut self) {
-        let junk = self.rng.one_in(5);
-        let junk_text = self.rng.word(JUNK_RECORDS);
+        let junk = self.rng.chance(20);
+        let junk_text = *self.rng.choose(JUNK_RECORDS);
         match self.rng.below(12) {
             0..=2 => {
                 let node = self.method_node();
@@ -733,16 +705,19 @@ impl Search {
             5..=7 => {
                 // The leader's `admins` carries its configured admins and
                 // maybe more; any other group may be junk.
-                let (name, record) = match self.rng.one_in(25) {
+                let (name, record) = match self.rng.chance(4) {
                     true => {
                         let mut group = self.group();
                         group.members.extend(self.admin_entries.iter().cloned());
                         group.admins.extend(self.admin_entries.iter().cloned());
                         (model::ADMINS.to_owned(), Record::Valid(group))
                     }
-                    false if junk => (self.rng.pick(&self.groups).clone(), Record::Junk(junk_text)),
+                    false if junk => (
+                        self.rng.choose(&self.groups).clone(),
+                        Record::Junk(junk_text),
+                    ),
                     false => (
-                        self.rng.pick(&self.groups).clone(),
+                        self.rng.choose(&self.groups).clone(),
                         Record::Valid(self.group()),
                     ),
                 };
@@ -755,7 +730,7 @@ impl Search {
             }
             8 | 9 => {
                 let id = match self.live_id() {
-                    Some(id) if self.rng.one_in(2) => id,
+                    Some(id) if self.rng.chance(50) => id,
                     _ => format!("replica-{}", self.step),
                 };
                 let record = match junk {
@@ -783,7 +758,7 @@ impl Search {
                         (FILE_ACL_BUCKET, node, existed)
                     }
                     2 => {
-                        let name = self.rng.pick(&self.groups).clone();
+                        let name = self.rng.choose(&self.groups).clone();
                         let existed = self.authz.groups.remove(&name).is_some();
                         (VO_BUCKET, name, existed)
                     }
@@ -806,14 +781,14 @@ impl Search {
     fn replicated_session(&mut self) -> Session {
         let who = self.caller();
         let (dn, identity) = match self.rng.below(6) {
-            0 => (self.rng.pick(JUNK_DNS).to_string(), None),
+            0 => (self.rng.choose(JUNK_DNS).to_string(), None),
             1 => {
                 // The same identity with other type spellings.
                 let mut spelled = self.dns[who].clone();
                 for rdn in &mut spelled {
                     if let Some((_, others)) = SPELLINGS.iter().find(|(tag, _)| *tag == rdn.tag) {
                         if rdn.tag != "UID" {
-                            rdn.tag = self.rng.pick(others).to_string();
+                            rdn.tag = self.rng.choose(others).to_string();
                         }
                     }
                 }
@@ -822,7 +797,7 @@ impl Search {
             _ => (self.rendered[who].clone(), Some(self.dns[who].clone())),
         };
         let expires = self.now + self.rng.below(2 * TTL as usize) as i64 - TTL / 2;
-        let proxy = self.rng.one_in(3).then(|| format!("p\u{1}{}", self.step));
+        let proxy = self.rng.chance(33).then(|| format!("p\u{1}{}", self.step));
         Session {
             dn,
             identity,
@@ -848,7 +823,7 @@ impl Search {
                     .filter(|&expires| expires > now)
                     .collect();
                 if !live.is_empty() {
-                    self.now = *self.rng.pick(&live);
+                    self.now = *self.rng.choose(&live);
                 }
             }
             4..=8 => self.now += self.rng.below(100) as i64,
@@ -860,7 +835,7 @@ impl Search {
         self.step += 1;
         match self.rng.below(1000) {
             0..=749 => {
-                let depth = if self.rng.one_in(10) {
+                let depth = if self.rng.chance(10) {
                     1 + self.rng.below(3)
                 } else {
                     4
@@ -870,8 +845,8 @@ impl Search {
                 self.ask_method(method, who);
             }
             750..=849 => {
-                let method = self.rng.pick(&self.hot_methods).clone();
-                let who = *self.rng.pick(&self.hot_dns);
+                let method = self.rng.choose(&self.hot_methods).clone();
+                let who = *self.rng.choose(&self.hot_dns);
                 self.ask_method(method, who);
             }
             850..=889 => self.ask_file(),
@@ -899,10 +874,10 @@ impl Search {
 
 /// A method name of `depth` dotted levels.
 fn method_at(rng: &mut Rng, depth: usize) -> String {
-    let mut name = rng.pick(TOP).to_string();
+    let mut name = rng.choose(TOP).to_string();
     for level in [SUB, LEAF, TIP].iter().take(depth - 1) {
         name.push('.');
-        name.push_str(rng.word(level));
+        name.push_str(rng.choose::<&str>(level));
     }
     name
 }
@@ -914,36 +889,30 @@ fn path_at(rng: &mut Rng, depth: usize) -> String {
     }
     DIRS.iter()
         .take(depth)
-        .map(|level| format!("/{}", rng.pick(level)))
+        .map(|level| format!("/{}", rng.choose(level)))
         .collect()
 }
 
-fn search(seed: u64) {
-    let coverage = Search::new(seed).run(STEPS);
-    println!("seed {seed:#x}: {coverage:?}");
-    // More distinct questions than the decision cache has slots: by
-    // pigeonhole one shard fills and clears.
-    assert!(coverage.distinct_method_questions >= 70_000, "{coverage:?}");
-    assert!(coverage.method_decision_hits > 1000, "{coverage:?}");
-    assert!(coverage.session_hits > 50, "{coverage:?}");
-    assert!(coverage.resolves_at_expiry > 10, "{coverage:?}");
-    assert!(coverage.double_matches > 100, "{coverage:?}");
-    assert!(
-        coverage.vo_mutations_accepted > 100 && coverage.vo_mutations_refused > 100,
-        "{coverage:?}"
-    );
-}
-
-// Two seeds, one test each, so they search in parallel.
-
+/// Two seeds, searched side by side.
 #[test]
-fn cached_authorization_answers_as_the_model_does_seed_1() {
-    search(0x0c1a_2e45);
-}
-
-#[test]
-fn cached_authorization_answers_as_the_model_does_seed_2() {
-    search(0x5eed_0002);
+fn cached_authorization_answers_as_the_model_does() {
+    let seeds = [0x0c1a_2e45, 0x5eed_0002];
+    clarens_search::search("clarens --test authz_oracle", seeds, |seed| {
+        let coverage = Search::new(seed).run(STEPS);
+        println!("seed {seed:#x}: {coverage:?}");
+        // More distinct questions than the decision cache has slots: by
+        // pigeonhole one shard fills and clears.
+        assert!(coverage.distinct_method_questions >= 70_000, "{coverage:?}");
+        assert!(coverage.method_decision_hits > 1000, "{coverage:?}");
+        assert!(coverage.session_hits > 50, "{coverage:?}");
+        assert!(coverage.resolves_at_expiry > 10, "{coverage:?}");
+        assert!(coverage.double_matches > 100, "{coverage:?}");
+        assert!(
+            coverage.vo_mutations_accepted > 100 && coverage.vo_mutations_refused > 100,
+            "{coverage:?}"
+        );
+        Ok(())
+    });
 }
 
 /// The model's own pieces, pinned on the paper's examples so the oracle

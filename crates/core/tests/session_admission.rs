@@ -11,11 +11,11 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use clarens::session::{Session, SessionManager, SESSIONS_BUCKET};
 use clarens_db::Store;
 use clarens_pki::dn::{Attribute, AttributeType, DistinguishedName};
+use clarens_search::Rng;
 use clarens_wire::{json, Value};
 
 /// The record as every writer outside `SessionManager` builds it (a
@@ -176,7 +176,7 @@ fn ids_are_64_lowercase_hex_and_never_repeat() {
 /// One seeded walk: the manager and the model see the same history, and
 /// every answer the manager gives is the model's.
 struct Walk {
-    rng: StdRng,
+    rng: Rng,
     store: Arc<Store>,
     manager: SessionManager,
     model: model::Sessions,
@@ -200,7 +200,7 @@ impl Walk {
         };
         let store = Arc::new(Store::in_memory());
         Walk {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::new(seed),
             manager: SessionManager::new(Arc::clone(&store), TTL),
             store,
             model: model::Sessions::default(),
@@ -219,12 +219,8 @@ impl Walk {
         }
     }
 
-    fn below(&mut self, n: usize) -> usize {
-        (self.rng.next_u64() % n as u64) as usize
-    }
-
     fn create(&mut self) {
-        let which = self.below(self.dns.len());
+        let which = self.rng.below(self.dns.len());
         let dn = &self.dns[which];
         let created = self.manager.create(&model::to_real(dn), self.now);
         assert!(is_session_id(&created.id), "step {}: id", self.steps);
@@ -274,14 +270,14 @@ impl Walk {
             return self.create();
         }
         // Bias towards recent sessions so cache hits happen at all.
-        let pick = if self.below(2) == 0 {
-            self.ids.len() - 1 - self.below(self.ids.len().min(8))
+        let pick = if self.rng.below(2) == 0 {
+            self.ids.len() - 1 - self.rng.below(self.ids.len().min(8))
         } else {
-            self.below(self.ids.len())
+            self.rng.below(self.ids.len())
         };
         let id = self.ids[pick].clone();
         let now = self.now;
-        match self.below(100) {
+        match self.rng.below(100) {
             0..=14 => self.create(),
             15..=49 => self.resolve(pick),
             50..=59 => {
@@ -310,9 +306,9 @@ impl Walk {
             74..=79 => {
                 // The replication path: another node's write lands in the
                 // bucket behind the manager's back, re-binding the id.
-                let which = self.below(self.dns.len());
+                let which = self.rng.below(self.dns.len());
                 let dn = self.dns[which].clone();
-                let expires = now + self.below(2 * TTL as usize) as i64 - TTL / 2;
+                let expires = now + self.rng.below(2 * TTL as usize) as i64 - TTL / 2;
                 let text = model::render_dn(&dn);
                 let record = reference_record(&text, now, expires, None);
                 self.store.put(SESSIONS_BUCKET, &id, record).unwrap();
@@ -339,7 +335,7 @@ impl Walk {
                     None
                 );
             }
-            86..=93 => self.now += self.below(TTL as usize / 4) as i64,
+            86..=93 => self.now += self.rng.below(TTL as usize / 4) as i64,
             94..=97 => {
                 // Onto exactly the expiry of a recent session.
                 let recent = self.ids.iter().rev().take(8);
@@ -349,7 +345,7 @@ impl Walk {
                     .filter(|&expires| expires > now)
                     .collect();
                 if !live.is_empty() {
-                    self.now = live[self.below(live.len())];
+                    self.now = *self.rng.choose(&live);
                 }
             }
             _ => self.now += TTL + 1,
@@ -410,7 +406,7 @@ fn walk_against_the_model(seed: u64, overflow: bool) {
     // and one sweep empties the store.
     walk.now += 3 * TTL;
     for _ in 0..200 {
-        let pick = walk.below(walk.ids.len());
+        let pick = walk.rng.below(walk.ids.len());
         walk.resolve(pick);
     }
     walk.sweep();
@@ -419,16 +415,9 @@ fn walk_against_the_model(seed: u64, overflow: bool) {
 }
 
 #[test]
-fn the_manager_answers_exactly_as_the_session_model_does_seed_1() {
-    walk_against_the_model(1, true);
-}
-
-#[test]
-fn the_manager_answers_exactly_as_the_session_model_does_seed_2() {
-    walk_against_the_model(2, false);
-}
-
-#[test]
-fn the_manager_answers_exactly_as_the_session_model_does_seed_3() {
-    walk_against_the_model(3, false);
+fn the_manager_answers_exactly_as_the_session_model_does() {
+    clarens_search::search("clarens --test session_admission", 1..=3, |seed| {
+        walk_against_the_model(seed, seed == 1);
+        Ok(())
+    });
 }

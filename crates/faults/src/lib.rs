@@ -388,10 +388,6 @@ pub mod sites {
     pub const DISCOVERY_UDP_SEND: &str = "discovery.udp.send";
     /// Discovery UDP station receive.
     pub const DISCOVERY_UDP_RECV: &str = "discovery.udp.recv";
-    /// File-service open.
-    pub const FILE_OPEN: &str = "file.open";
-    /// File-service read.
-    pub const FILE_READ: &str = "file.read";
     /// Session persistence write.
     pub const SESSION_PERSIST: &str = "session.persist";
 }

@@ -15,15 +15,16 @@
 //! 2. a newly promoted leader holds every acked write;
 //! 3. liveness: after the faults stop, some node is writable.
 //!
-//! A violation panics with the seed and the timeline that led to it.
+//! A violation fails its seed with the timeline that led to it; the
+//! search reports the lowest failing seed of 10 000, and
+//! `SEARCH_SEED=<n>` replays one (DESIGN.md §7).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::HashSet;
 
 use clarens::federation::FederationRole;
 use clarens_federation::election::{Effect, Election, Input, Node, LEASE_SERVICE};
+use clarens_search::{Agenda, Rng};
 use monalisa_sim::{Publication, ServiceQuery, Table};
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const LEASE: u64 = 400;
 const JITTER: u64 = 100;
@@ -37,7 +38,7 @@ const CHAOS: u64 = 12 * LEASE;
 const CALM: u64 = 8 * LEASE;
 
 /// A reply in flight to one node.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug)]
 enum Reply {
     Published(bool),
     /// A query for this service; `false` if it never reached the station.
@@ -45,7 +46,7 @@ enum Reply {
     Health(Vec<String>),
 }
 
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug)]
 enum Event {
     Tick(usize, u64),
     Deliver(usize, u64, Reply),
@@ -59,7 +60,7 @@ enum Event {
 
 /// How much of a node's election traffic is cut: none, its publications
 /// only (outbound datagrams blocked, queries still answered), or all.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Cut {
     No,
     Mute,
@@ -91,6 +92,9 @@ struct Member {
     lease_until: Option<u64>,
     /// Distinct entries in log order: write ids and fences. Survives a crash.
     log: Vec<u64>,
+    /// The entries of `log`, and the epoch of its newest fence.
+    held: HashSet<u64>,
+    fence: u64,
     /// The replicator's leader, failure count, and (serving) the highest
     /// cursor a follower has confirmed.
     source: String,
@@ -102,12 +106,11 @@ struct Member {
 
 impl Member {
     fn node(&self) -> Node {
-        let fence = self.log.iter().filter(|e| **e >= FENCE).max();
         Node {
             role: self.role,
             epoch: self.epoch,
             applied: self.applied,
-            fence: fence.map_or(0, |e| e - FENCE),
+            fence: self.fence,
         }
     }
 
@@ -117,8 +120,9 @@ impl Member {
     }
 
     fn append(&mut self, entry: u64) {
-        if !self.log.contains(&entry) {
+        if self.held.insert(entry) {
             self.log.push(entry);
+            self.fence = self.fence.max(entry.saturating_sub(FENCE));
         }
     }
 }
@@ -137,10 +141,9 @@ struct Faults {
 type Pending = (usize, u64, usize, u64, u64);
 
 struct Sim {
-    rng: StdRng,
+    rng: Rng,
     t: u64,
-    seq: u64,
-    events: BinaryHeap<Reverse<(u64, u64, Event)>>,
+    events: Agenda<Event>,
     nodes: Vec<Member>,
     station: Table,
     faults: Faults,
@@ -156,15 +159,12 @@ struct Sim {
 impl Sim {
     /// `n` nodes, `leader` the one configured to lead at startup.
     fn new(seed: u64, n: usize, leader: Option<usize>, faults: Faults, skew: bool) -> Sim {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let nodes = (0..n)
             .map(|i| {
                 let addr = format!("10.0.0.{}:8080", i + 1);
                 let (offset, ppm) = if skew {
-                    (
-                        pick(&mut rng, 0, 19_999),
-                        pick(&mut rng, 950_000, 1_050_000),
-                    )
+                    (rng.pick(0, 19_999), rng.pick(950_000, 1_050_000))
                 } else {
                     (0, 1_000_000)
                 };
@@ -190,6 +190,8 @@ impl Sim {
                     applied: 0,
                     lease_until: None,
                     log: Vec::new(),
+                    held: HashSet::new(),
+                    fence: 0,
                     source: String::new(),
                     failures: 0,
                     confirmed: 0,
@@ -200,8 +202,7 @@ impl Sim {
         let mut sim = Sim {
             rng,
             t: 0,
-            seq: 0,
-            events: BinaryHeap::new(),
+            events: Agenda::default(),
             nodes,
             station: Table::default(),
             faults,
@@ -212,7 +213,7 @@ impl Sim {
             station_down_until: 0,
         };
         for i in 0..n {
-            let at = pick(&mut sim.rng, 0, 49);
+            let at = sim.rng.pick(0, 49);
             sim.schedule_tick(i, at);
             sim.at(at, Event::Replicate(i, 0));
         }
@@ -223,44 +224,32 @@ impl Sim {
     /// A schedule drawn from `seed`: 3–5 nodes, skewed clocks, and a
     /// random mix of latency, drops, partitions, crashes and wipes.
     fn random(seed: u64) -> Sim {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let mut rng = Rng::new(seed ^ 0x5EED);
         let faults = Faults {
-            latency: pick(&mut rng, 0, 30),
-            drop_pct: [0, 5, 20][pick(&mut rng, 0, 2) as usize],
-            crashes: pick(&mut rng, 0, 2),
-            cuts: pick(&mut rng, 0, 3),
-            wipes: pick(&mut rng, 0, 1),
+            latency: rng.pick(0, 30),
+            drop_pct: [0, 5, 20][rng.pick(0, 2) as usize],
+            crashes: rng.pick(0, 2),
+            cuts: rng.pick(0, 3),
+            wipes: rng.pick(0, 1),
         };
-        let n = pick(&mut rng, 3, 5) as usize;
-        let mut sim = Sim::new(
-            seed,
-            n,
-            (pick(&mut rng, 0, 1) == 1).then_some(0),
-            faults,
-            true,
-        );
+        let n = rng.pick(3, 5) as usize;
+        let mut sim = Sim::new(seed, n, (rng.pick(0, 1) == 1).then_some(0), faults, true);
         for _ in 0..faults.crashes {
             let (i, at) = (
-                pick(&mut rng, 0, n as u64 - 1) as usize,
-                pick(&mut rng, LEASE, CHAOS - 1),
+                rng.pick(0, n as u64 - 1) as usize,
+                rng.pick(LEASE, CHAOS - 1),
             );
             sim.at(at, Event::Crash(i));
-            sim.at(at + pick(&mut rng, 0, 3 * LEASE - 1), Event::Restart(i));
+            sim.at(at + rng.pick(0, 3 * LEASE - 1), Event::Restart(i));
         }
         for _ in 0..faults.cuts {
-            let (i, at) = (
-                pick(&mut rng, 0, n as u64 - 1) as usize,
-                pick(&mut rng, 0, CHAOS - 1),
-            );
-            let cut = [Cut::Mute, Cut::Full][pick(&mut rng, 0, 1) as usize];
+            let (i, at) = (rng.pick(0, n as u64 - 1) as usize, rng.pick(0, CHAOS - 1));
+            let cut = [Cut::Mute, Cut::Full][rng.pick(0, 1) as usize];
             sim.at(at, Event::Cut(i, cut));
-            sim.at(
-                at + pick(&mut rng, 0, 4 * LEASE - 1),
-                Event::Cut(i, Cut::No),
-            );
+            sim.at(at + rng.pick(0, 4 * LEASE - 1), Event::Cut(i, Cut::No));
         }
         for _ in 0..faults.wipes {
-            sim.at(pick(&mut rng, 0, CHAOS - 1), Event::Wipe);
+            sim.at(rng.pick(0, CHAOS - 1), Event::Wipe);
         }
         // The calm tail: everyone up, nothing cut.
         for i in 0..n {
@@ -271,8 +260,7 @@ impl Sim {
     }
 
     fn at(&mut self, t: u64, event: Event) {
-        self.seq += 1;
-        self.events.push(Reverse((t, self.seq, event)));
+        self.events.push(t, event);
     }
 
     /// Node `i`'s clock at global time `t`.
@@ -306,12 +294,11 @@ impl Sim {
     }
 
     fn faulty(&mut self) -> bool {
-        self.t < self.station_down_until
-            || self.t < CHAOS && pick(&mut self.rng, 0, 99) < self.faults.drop_pct
+        self.t < self.station_down_until || self.t < CHAOS && self.rng.chance(self.faults.drop_pct)
     }
 
     fn reply(&mut self, i: usize, reply: Reply) {
-        let latency = pick(&mut self.rng, 0, self.faults.latency);
+        let latency = self.rng.pick(0, self.faults.latency);
         let at = (self.t + latency).max(self.nodes[i].last_reply);
         self.nodes[i].last_reply = at;
         self.nodes[i].busy += 1;
@@ -321,13 +308,7 @@ impl Sim {
 
     /// Run until global time `until`, checking the properties as it goes.
     fn run_until(&mut self, until: u64) -> Result<(), String> {
-        while let Some(Reverse((t, _, _))) = self.events.peek() {
-            if *t > until {
-                break;
-            }
-            let Some(Reverse((t, _, event))) = self.events.pop() else {
-                break;
-            };
+        while let Some((t, event)) = self.events.pop_until(until) {
             self.t = t;
             self.handle(event)?;
         }
@@ -387,7 +368,7 @@ impl Sim {
                     );
                     self.pending.push(entry);
                 }
-                let gap = pick(&mut self.rng, 10, 59);
+                let gap = self.rng.pick(10, 59);
                 self.at(self.t + gap, Event::Write);
             }
             Event::Crash(i) if self.nodes[i].alive => {
@@ -426,7 +407,7 @@ impl Sim {
                 self.timeline
                     .push(format!("t={:>5} station restarts", self.t));
                 self.station = Table::default();
-                self.station_down_until = self.t + pick(&mut self.rng, LEASE / 4, LEASE);
+                self.station_down_until = self.t + self.rng.pick(LEASE / 4, LEASE);
             }
         }
         Ok(())
@@ -547,7 +528,7 @@ impl Sim {
             let m = &mut self.nodes[i];
             m.failures += 1;
             let cap = (POLL << m.failures.min(8)).min(BACKOFF_CAP);
-            return cap - pick(&mut self.rng, 0, cap / 2);
+            return cap - self.rng.pick(0, cap / 2);
         };
         self.nodes[i].failures = 0;
         let (role, epoch, hint) = (
@@ -571,7 +552,7 @@ impl Sim {
         if applied > self.nodes[l].log.len() {
             applied = 0;
         }
-        let upto = (applied + pick(&mut self.rng, 0, 4) as usize).min(self.nodes[l].log.len());
+        let upto = (applied + self.rng.pick(0, 4) as usize).min(self.nodes[l].log.len());
         let chunk = self.nodes[l].log[applied..upto].to_vec();
         let m = &mut self.nodes[i];
         m.epoch = m.epoch.max(epoch);
@@ -609,53 +590,23 @@ impl Sim {
         self.acked.extend(acked);
     }
 
-    /// Run the whole schedule; `Err` carries the seed and the timeline.
-    fn check(mut self, seed: u64) -> Result<(), String> {
+    /// Run the whole schedule; a failure carries the timeline.
+    fn check(mut self) -> Result<(), String> {
         let end = CHAOS + CALM;
         let outcome = self.run_until(end).and_then(|()| {
             let live = (0..self.nodes.len()).any(|i| self.writable(i, end));
             live.then_some(())
                 .ok_or_else(|| "property 3: no writable leader after the calm tail".into())
         });
-        outcome.map_err(|why| {
-            let tail = self.timeline.len().saturating_sub(40);
-            format!("seed {seed}: {why}\n{}", self.timeline[tail..].join("\n"))
-        })
+        outcome.map_err(|why| format!("{why}\n{}", self.timeline.join("\n")))
     }
 }
 
-/// A draw from `lo..=hi`.
-fn pick(rng: &mut StdRng, lo: u64, hi: u64) -> u64 {
-    lo + rng.next_u64() % (hi - lo + 1)
-}
-
-/// `count` schedules from `first`, each a fresh seeded search.
-fn search(first: u64, count: u64) {
-    for seed in first..first + count {
-        if let Err(report) = Sim::random(seed).check(seed) {
-            panic!("{report}");
-        }
-    }
-}
+const NAME: &str = "clarens-federation --test election_sim";
 
 #[test]
-fn schedules_0_to_2499() {
-    search(0, 2500);
-}
-
-#[test]
-fn schedules_2500_to_4999() {
-    search(2500, 2500);
-}
-
-#[test]
-fn schedules_5000_to_7499() {
-    search(5000, 2500);
-}
-
-#[test]
-fn schedules_7500_to_9999() {
-    search(7500, 2500);
+fn schedules() {
+    clarens_search::search(NAME, 0..10_000, |seed| Sim::random(seed).check());
 }
 
 const CALM_FAULTS: Faults = Faults {
@@ -723,8 +674,5 @@ fn leaderless_station_network_still_elects() {
 #[test]
 #[ignore = "open schedule: an acked write lost to a failover inside a resync"]
 fn failover_inside_a_resync_window() {
-    let seed = 15_497;
-    Sim::random(seed)
-        .check(seed)
-        .unwrap_or_else(|report| panic!("{report}"));
+    clarens_search::replay(NAME, 15_497, |seed| Sim::random(seed).check());
 }

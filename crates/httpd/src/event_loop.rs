@@ -265,14 +265,14 @@ impl Loop {
 /// descriptor-exhaustion bursts, runs of failed waits, workers that keep
 /// an idle connection and hand it back late, and a stop at a random time.
 /// Every step is checked against the properties in `Sim::apply`; a
-/// violation panics with the seed and the end of the timeline.
+/// violation fails its seed with the plan and the timeline, and
+/// `SEARCH_SEED=<n>` replays one (DESIGN.md §7).
 #[cfg(test)]
 mod tests {
     use super::Listener::{Backoff, Closed, Open};
     use super::*;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-    use std::cmp::Reverse;
-    use std::collections::{BinaryHeap, VecDeque};
+    use clarens_search::{Agenda, Rng};
+    use std::collections::VecDeque;
 
     /// Microseconds per millisecond: the simulated clock counts µs.
     const MS: u64 = 1_000;
@@ -283,15 +283,6 @@ mod tests {
 
     fn micros(d: Duration) -> u64 {
         d.as_micros() as u64
-    }
-
-    /// A draw from `lo..=hi`.
-    fn pick(rng: &mut StdRng, lo: u64, hi: u64) -> u64 {
-        lo + rng.next_u64() % (hi - lo + 1)
-    }
-
-    fn chance(rng: &mut StdRng, percent: u64) -> bool {
-        rng.next_u64() % 100 < percent
     }
 
     /// One scripted request: its bytes arrive `after` µs past the previous
@@ -345,69 +336,68 @@ mod tests {
 
     impl Plan {
         fn random(seed: u64) -> Plan {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let rng = &mut rng;
+            let rng = &mut Rng::new(seed);
             // Some outlast the drain, as the 30 s default does.
-            let read_timeout = match chance(rng, 20) {
-                true => pick(rng, 5_000, 60_000) * MS,
-                false => pick(rng, 20, 2_000) * MS,
+            let read_timeout = match rng.chance(20) {
+                true => rng.pick(5_000, 60_000) * MS,
+                false => rng.pick(20, 2_000) * MS,
             };
             let horizon = 3_000 * MS;
-            let request = |rng: &mut StdRng| Request {
-                after: match chance(rng, 20) {
-                    true => pick(rng, read_timeout, 2 * read_timeout),
-                    false => pick(rng, 0, read_timeout / 2),
+            let request = |rng: &mut Rng| Request {
+                after: match rng.chance(20) {
+                    true => rng.pick(read_timeout, 2 * read_timeout),
+                    false => rng.pick(0, read_timeout / 2),
                 },
-                hold: chance(rng, 30).then(|| {
-                    let until = pick(rng, 1, 1_000) * MS;
-                    let hold = match pick(rng, 0, 2) {
-                        0 => Hold::After(pick(rng, 0, until * 3 / 2)),
+                hold: rng.chance(30).then(|| {
+                    let until = rng.pick(1, 1_000) * MS;
+                    let hold = match rng.pick(0, 2) {
+                        0 => Hold::After(rng.pick(0, until * 3 / 2)),
                         1 => Hold::Early,
                         _ => Hold::Never,
                     };
                     (hold, until)
                 }),
-                parks: match pick(rng, 0, 9) {
+                parks: match rng.pick(0, 9) {
                     0 => NEVER,
                     n @ 1..=3 => n as u32,
                     _ => 0,
                 },
-                drain: match chance(rng, 10) {
-                    true => pick(rng, read_timeout, 2 * read_timeout),
-                    false => pick(rng, 0, read_timeout / 4),
+                drain: match rng.chance(10) {
+                    true => rng.pick(read_timeout, 2 * read_timeout),
+                    false => rng.pick(0, read_timeout / 4),
                 },
             };
-            let scripts = (0..pick(rng, 1, 10))
+            let scripts = (0..rng.pick(1, 10))
                 .map(|_| Script {
-                    connect: pick(rng, 0, horizon),
-                    requests: (0..pick(rng, 0, 3)).map(|_| request(rng)).collect(),
-                    hang_up: chance(rng, 60).then(|| pick(rng, 0, read_timeout * 3 / 2)),
+                    connect: rng.pick(0, horizon),
+                    requests: (0..rng.pick(0, 3)).map(|_| request(rng)).collect(),
+                    hang_up: rng.chance(60).then(|| rng.pick(0, read_timeout * 3 / 2)),
                 })
                 .collect();
-            let bursts = (0..pick(rng, 0, 2))
+            let bursts = (0..rng.pick(0, 2))
                 .map(|_| {
-                    let from = pick(rng, 0, horizon);
-                    (from, from + pick(rng, 10, 400) * MS)
+                    let from = rng.pick(0, horizon);
+                    (from, from + rng.pick(10, 400) * MS)
                 })
                 .collect();
-            let errors = (0..pick(rng, 0, 2))
+            let errors = (0..rng.pick(0, 2))
                 .map(|_| {
-                    let count = match chance(rng, 20) {
-                        true => pick(rng, 100, 8_000),
-                        false => pick(rng, 1, 20),
+                    let count = match rng.chance(20) {
+                        true => rng.pick(100, 8_000),
+                        false => rng.pick(1, 20),
                     };
-                    (pick(rng, 0, horizon), count as u32)
+                    (rng.pick(0, horizon), count as u32)
                 })
                 .collect();
             Plan {
-                workers: pick(rng, 1, 4) as usize,
-                budget: pick(rng, 1, 8) as usize,
+                workers: rng.pick(1, 4) as usize,
+                budget: rng.pick(1, 8) as usize,
                 read_timeout,
-                keep: [0, 50, 100][pick(rng, 0, 2) as usize],
+                keep: [0, 50, 100][rng.pick(0, 2) as usize],
                 scripts,
                 bursts,
                 errors,
-                stop: pick(rng, 0, horizon + 1_000 * MS),
+                stop: rng.pick(0, horizon + 1_000 * MS),
             }
         }
 
@@ -467,7 +457,6 @@ mod tests {
         keeps: u64,
     }
 
-    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
     enum Event {
         Connect(usize),
         Bytes(usize),
@@ -491,13 +480,12 @@ mod tests {
 
     struct Sim {
         plan: Plan,
-        rng: StdRng,
+        rng: Rng,
         base: Instant,
         now: u64,
         machine: Loop,
         inputs: VecDeque<Input>,
-        events: BinaryHeap<Reverse<(u64, u64, Event)>>,
-        seq: u64,
+        events: Agenda<Event>,
         peers: Vec<Peer>,
         tokens: BTreeMap<u64, usize>,
         backlog: VecDeque<usize>,
@@ -529,13 +517,12 @@ mod tests {
     impl Sim {
         fn new(seed: u64, plan: Plan) -> Sim {
             let mut sim = Sim {
-                rng: StdRng::seed_from_u64(seed ^ 0x5eed),
+                rng: Rng::new(seed ^ 0x5eed),
                 base: Instant::now(),
                 now: 0,
                 machine: Loop::new(plan.budget),
                 inputs: VecDeque::new(),
-                events: BinaryHeap::new(),
-                seq: 0,
+                events: Agenda::default(),
                 peers: Vec::new(),
                 tokens: BTreeMap::new(),
                 backlog: VecDeque::new(),
@@ -592,8 +579,7 @@ mod tests {
         }
 
         fn at(&mut self, t: u64, event: Event) {
-            self.seq += 1;
-            self.events.push(Reverse((t, self.seq, event)));
+            self.events.push(t, event);
         }
 
         fn instant(&self, t: u64) -> Instant {
@@ -604,29 +590,19 @@ mod tests {
             micros(at - self.base)
         }
 
-        /// Run the schedule to the machine's exit; `Err` carries the seed
-        /// and the end of the timeline.
-        fn check(mut self, seed: u64) -> Result<Sim, String> {
-            match self.run() {
-                Ok(()) => Ok(self),
-                Err(why) => {
-                    let tail = self.timeline.len().saturating_sub(60);
-                    let lines: Vec<String> = self.timeline[tail..]
-                        .iter()
-                        .map(|line| match line {
-                            Line::In(t, input) => {
-                                format!("{:>12.3} ms  {input:?}", *t as f64 / 1e3)
-                            }
-                            Line::Out(_, effect) => format!("{:>12}  -> {effect:?}", ""),
-                        })
-                        .collect();
-                    Err(format!(
-                        "seed {seed}: {why}\n{:?}\n{}",
-                        self.plan,
-                        lines.join("\n")
-                    ))
-                }
-            }
+        /// Run the schedule to the machine's exit; a failure carries the
+        /// plan and the timeline.
+        fn check(mut self) -> Result<Sim, String> {
+            let Err(why) = self.run() else {
+                return Ok(self);
+            };
+            let lines: String = (self.timeline.iter())
+                .map(|line| match line {
+                    Line::In(t, input) => format!("\n{:>12.3} ms  {input:?}", *t as f64 / 1e3),
+                    Line::Out(_, effect) => format!("\n{:>12}  -> {effect:?}", ""),
+                })
+                .collect();
+            Err(format!("{why}; {:?}{lines}", self.plan))
         }
 
         fn run(&mut self) -> Result<(), String> {
@@ -704,7 +680,7 @@ mod tests {
                     let answer = match self.backlog.front() {
                         None => Accept::WouldBlock,
                         Some(_) if self.now < self.exhausted_until => Accept::Exhausted,
-                        Some(_) if chance(&mut self.rng, 2) => {
+                        Some(_) if self.rng.chance(2) => {
                             let p = self.backlog.pop_front().unwrap();
                             self.peers[p].at = At::Gone;
                             self.progress = true;
@@ -894,14 +870,13 @@ mod tests {
                 // A failed wait lasts its timeout on the wake pipe alone,
                 // and with none it returns at once.
                 let limit = until.unwrap_or(if failed { self.now } else { u64::MAX });
-                match self.events.peek() {
-                    Some(&Reverse((t, _, event))) if t <= limit => {
-                        self.events.pop();
+                match self.events.pop_until(limit) {
+                    Some((t, event)) => {
                         self.now = self.now.max(t);
                         self.handle(event);
                     }
-                    _ if limit == u64::MAX => return Err("waits forever".into()),
-                    _ => {
+                    None if limit == u64::MAX => return Err("waits forever".into()),
+                    None => {
                         self.now = self.now.max(limit);
                         break;
                     }
@@ -1000,7 +975,7 @@ mod tests {
                 (peer.ready_at, peer.registered) = (None, false);
                 self.in_flight += 1;
             }
-            let took = pick(&mut self.rng, 10, 2 * MS);
+            let took = self.rng.pick(10, 2 * MS);
             self.at(self.now + took, Event::Done(w, p));
         }
 
@@ -1056,7 +1031,7 @@ mod tests {
         /// later, or expires it) or parks it on the loop.
         fn idle(&mut self, p: usize) {
             let deadline = self.now + self.plan.read_timeout;
-            if !self.queue.is_empty() || !chance(&mut self.rng, self.plan.keep) {
+            if !self.queue.is_empty() || !self.rng.chance(self.plan.keep) {
                 return self.park(p, Wait::Read, deadline);
             }
             let peer = &mut self.peers[p];
@@ -1065,7 +1040,7 @@ mod tests {
             if peer.bytes {
                 return self.enqueue(p);
             }
-            let back = self.now + pick(&mut self.rng, 0, self.plan.read_timeout * 3 / 2);
+            let back = self.now + self.rng.pick(0, self.plan.read_timeout * 3 / 2);
             self.at(back.min(deadline), Event::HandBack(p, self.peers[p].keeps));
         }
 
@@ -1107,33 +1082,11 @@ mod tests {
         }
     }
 
-    /// `count` schedules from `first`.
-    fn search(first: u64, count: u64) {
-        for seed in first..first + count {
-            if let Err(report) = Sim::new(seed, Plan::random(seed)).check(seed) {
-                panic!("{report}");
-            }
-        }
-    }
-
     #[test]
-    fn schedules_0_to_2499() {
-        search(0, 2_500);
-    }
-
-    #[test]
-    fn schedules_2500_to_4999() {
-        search(2_500, 2_500);
-    }
-
-    #[test]
-    fn schedules_5000_to_7499() {
-        search(5_000, 2_500);
-    }
-
-    #[test]
-    fn schedules_7500_to_9999() {
-        search(7_500, 2_500);
+    fn schedules() {
+        clarens_search::search("clarens-httpd --lib event_loop", 0..10_000, |seed| {
+            Sim::new(seed, Plan::random(seed)).check().map(drop)
+        });
     }
 
     /// An `EMFILE` burst takes the listener out of the set for
@@ -1148,7 +1101,7 @@ mod tests {
         };
         let mut plan = Plan::one(client, 1_000 * MS);
         plan.bursts.push((0, 250 * MS));
-        let sim = Sim::new(1, plan).check(1).unwrap_or_else(|e| panic!("{e}"));
+        let sim = Sim::new(1, plan).check().unwrap_or_else(|e| panic!("{e}"));
         let moves: Vec<(u64, Effect)> = sim
             .effects()
             .filter(|(_, e)| matches!(e, Effect::Listener(_) | Effect::Admit(_)))
@@ -1178,7 +1131,7 @@ mod tests {
             hang_up: None,
         };
         let sim = Sim::new(2, Plan::one(silent, 60_000 * MS))
-            .check(2)
+            .check()
             .unwrap_or_else(|e| panic!("{e}"));
         let parked = sim
             .timeline
@@ -1224,7 +1177,7 @@ mod tests {
         };
         for (hold, at_deadline) in [(Hold::Early, false), (Hold::Never, true)] {
             let sim = Sim::new(4, Plan::one(held(hold), 60_000 * MS))
-                .check(4)
+                .check()
                 .unwrap_or_else(|e| panic!("{e}"));
             let (parked, deadline) = (sim.timeline.iter())
                 .find_map(|line| match *line {
@@ -1257,7 +1210,7 @@ mod tests {
             hang_up: None,
         };
         let sim = Sim::new(3, Plan::one(reader, 50 * MS))
-            .check(3)
+            .check()
             .unwrap_or_else(|e| panic!("{e}"));
         let stop = sim.stopped.unwrap();
         let writes = sim
