@@ -15,13 +15,18 @@
 //!      (`clarens_fenced_writes_total` > 0), none leak into the
 //!      replicated store, and on healing the old leader demotes and
 //!      resyncs (`clarens_demotions_total` >= 1).
+//!
+//! Each phase ends with every live node's logged buckets digested beside
+//! the leader's; the run prints both phases' digests on one line and fails
+//! unless every node holds what its leader holds.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use clarens::ClarensClient;
-use clarens_federation::{federation_pki, FederationCluster};
+use clarens_federation::{federation_pki, FederationCluster, FederationNode};
+use clarens_pki::md5::Md5;
 use clarens_wire::fault::codes;
 use clarens_wire::Value;
 
@@ -238,6 +243,7 @@ pub fn run(args: &Args) {
         0,
         "readers saw wrong answers"
     );
+    let after_kill = converged(&cluster);
     cluster.cleanup();
 
     // --- Phase 2: split-brain injection ----------------------------------
@@ -354,10 +360,61 @@ pub fn run(args: &Args) {
     assert!(fenced_total > 0, "clarens_fenced_writes_total never ticked");
     assert_eq!(leaked, Value::Int(0), "stale writes leaked into the store");
     assert!(demotions >= 1, "healing must demote the deposed leader");
+    let after_heal = converged(&cluster);
     cluster.cleanup();
+
+    let line = |(leader, rest): &(String, Vec<String>)| format!("{leader} | {}", rest.join(" "));
+    println!(
+        "\nlogged state, leader | followers: after the kill {}; after the heal {}",
+        line(&after_kill),
+        line(&after_heal)
+    );
+    for (leader, rest) in [&after_kill, &after_heal] {
+        assert!(
+            rest.iter().all(|d| d == leader),
+            "a follower's logged state differs from its leader's"
+        );
+    }
 
     println!(
         "\nfailover run passed (seed {seed}): promotion within 3 leases, 0 acked-then-lost, \
-         0 wrong answers, split-brain 100% fenced, demotion on heal"
+         0 wrong answers, split-brain 100% fenced, demotion on heal, followers converged"
     );
+}
+
+/// The leader's logged-state digest and every other node's, once they
+/// agree or after 5 s.
+fn converged(cluster: &FederationCluster) -> (String, Vec<String>) {
+    let leader = cluster.leader_index().expect("a leader");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let lead = logged_digest(&cluster.nodes[leader]);
+        let others = cluster
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != leader);
+        let rest: Vec<String> = others.map(|(_, node)| logged_digest(node)).collect();
+        if rest.iter().all(|d| *d == lead) || Instant::now() > deadline {
+            return (lead, rest);
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+/// The first 8 hex digits of an MD5 over a node's logged buckets: every
+/// bucket, key and value in order, each length-prefixed.
+fn logged_digest(node: &FederationNode) -> String {
+    let store = &node.core().store;
+    let mut md5 = Md5::new();
+    let logged = store.bucket_names().into_iter();
+    for bucket in logged.filter(|b| !clarens_db::is_node_local(b)) {
+        for (key, value) in store.scan_prefix(&bucket, "") {
+            for part in [bucket.as_bytes(), key.as_bytes(), &value] {
+                md5.update(&(part.len() as u64).to_le_bytes());
+                md5.update(part);
+            }
+        }
+    }
+    clarens_pki::sha256::to_hex(&md5.finalize())[..8].to_owned()
 }

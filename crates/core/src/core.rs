@@ -11,7 +11,7 @@ use clarens_telemetry::Telemetry;
 
 use crate::acl::AclEngine;
 use crate::config::ClarensConfig;
-use crate::federation::{FederationRole, FederationState};
+use crate::federation::{FederationRole, FederationState, Position};
 use crate::registry::{Registry, Service};
 use crate::session::SessionManager;
 use crate::vo::VoManager;
@@ -56,9 +56,9 @@ pub struct ClarensCore {
 
 impl ClarensCore {
     /// Assemble a core. Opens (or creates) the persistent store per the
-    /// config, empties its methods bucket (registering services refills
-    /// it), repopulates the `admins` VO group, and installs nothing else
-    /// — services are registered separately.
+    /// config (its node-local methods bucket starts empty; registering
+    /// services fills it), repopulates the `admins` VO group, and installs
+    /// nothing else — services are registered separately.
     pub fn new(
         config: ClarensConfig,
         roots: Vec<Certificate>,
@@ -68,11 +68,6 @@ impl ClarensCore {
             Some(path) => Store::open_with_sync(path, config.db_sync)?,
             None => Store::in_memory(),
         });
-        // The methods bucket mirrors this run's registry: a row an earlier
-        // run registered would advertise a method nothing serves. Best
-        // effort, like the registry's puts: a store that cannot write
-        // still serves reads.
-        let _ = store.clear_bucket(crate::registry::METHODS_BUCKET);
         let sessions = SessionManager::new(Arc::clone(&store), config.session_ttl);
         let vo = VoManager::new(Arc::clone(&store), &config.admin_dns);
         let acl = AclEngine::new(Arc::clone(&store));
@@ -189,6 +184,15 @@ impl ClarensCore {
                 .register_gauge(format!("{name}.misses"), move || {
                     weak.upgrade().map(|core| read(&core).1).unwrap_or(0)
                 });
+        }
+    }
+
+    /// The position of the data this node holds (DESIGN.md §14): a
+    /// leader's is its own log's end, any other node's what it recorded.
+    pub fn position(&self) -> Position {
+        match self.federation.role() {
+            FederationRole::Leader => (self.store.fence_epoch(), self.store.wal_position()),
+            _ => self.federation.applied(),
         }
     }
 

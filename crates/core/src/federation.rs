@@ -20,6 +20,12 @@ use parking_lot::Mutex;
 /// epoch, whose offsets restart at 0.
 pub type Cursor = (u64, u64);
 
+/// The position of the data a node holds (DESIGN.md §14): the epoch of
+/// the newest leader fence it applied, and how far into the log of that
+/// epoch's leader it holds. Ordered as a tuple, it is Raft's up-to-date
+/// rule: the node that ranks higher holds every write the other holds.
+pub type Position = (u64, Cursor);
+
 /// Does a follower at `cursor` hold everything below `target`? Only within
 /// one WAL epoch: a cursor from another epoch confirms nothing.
 pub fn confirms(cursor: Cursor, target: Cursor) -> bool {
@@ -67,11 +73,10 @@ pub struct FederationState {
     /// When the last follower fetch arrived (ms since `origin`); the ack
     /// barrier only engages while followers are actually polling.
     follower_seen_ms: AtomicU64,
-    /// On a follower: the offset in the *leader's* log this node has
-    /// fully applied (maintained by the replicator). This — not the local
-    /// `wal_offset`, which counts this node's own re-written log — is the
-    /// cursor elections rank candidates by.
-    applied: AtomicU64,
+    /// Off the lead: the position of the data this node holds, kept by
+    /// the replicator and set by a demotion. A leader's own is its log's
+    /// end ([`crate::core::ClarensCore::position`]).
+    applied: Mutex<Position>,
 }
 
 impl FederationState {
@@ -86,7 +91,7 @@ impl FederationState {
             follower_cursor: Watermark::new((0, 0)),
             committed: Arc::new(Watermark::new((0, 0))),
             follower_seen_ms: AtomicU64::new(0),
-            applied: AtomicU64::new(0),
+            applied: Mutex::new((0, (0, 0))),
         }
     }
 
@@ -180,15 +185,14 @@ impl FederationState {
         self.follower_seen_ms.store(0, Ordering::SeqCst);
     }
 
-    /// Record the leader-log offset this follower has fully applied.
-    pub fn set_applied(&self, cursor: u64) {
-        self.applied.store(cursor, Ordering::SeqCst);
+    /// Record the position of the data this node holds.
+    pub fn set_applied(&self, position: Position) {
+        *self.applied.lock() = position;
     }
 
-    /// The leader-log offset this follower has fully applied (0 on a
-    /// node that has never replicated).
-    pub fn applied(&self) -> u64 {
-        self.applied.load(Ordering::SeqCst)
+    /// The position of the data this node holds, as last recorded.
+    pub fn applied(&self) -> Position {
+        *self.applied.lock()
     }
 
     /// Has any follower fetched within `window`? The ack barrier degrades

@@ -30,14 +30,11 @@ use crate::core::ClarensCore;
 use crate::federation::confirms;
 use crate::session::Session;
 
-/// DB bucket mirroring registered method descriptors.
-pub const METHODS_BUCKET: &str = "methods";
-
-/// Buckets that describe this node rather than the federation's shared
-/// state: a follower never applies its leader's writes to them. The method
-/// table lists what this node exports; a stage request belongs to the node
-/// that holds the file.
-pub const NODE_LOCAL_BUCKETS: &[&str] = &[METHODS_BUCKET, crate::services::srm::SRM_BUCKET];
+/// DB bucket mirroring registered method descriptors. It lists what this
+/// process exports, so it is node-local ([`clarens_db::NODE_LOCAL`]): a
+/// persistent store neither logs nor recovers it, every start begins with
+/// it empty, and no follower ever receives its leader's table.
+pub const METHODS_BUCKET: &str = "local.methods";
 
 /// Most parameters a row may declare: a handler cannot read past them.
 const MAX_PARAMS: usize = 3;

@@ -26,8 +26,11 @@ use crate::registry::param::{int, string};
 use crate::registry::{Args, CallContext, Method, Service};
 use crate::services::file;
 
-/// DB bucket for stage requests (token → request record).
-pub const SRM_BUCKET: &str = "srm.requests";
+/// DB bucket for stage requests (token → request record). A request
+/// belongs to the process that staged the file, so the bucket is node-local
+/// ([`clarens_db::NODE_LOCAL`]): a token lives as long as that process, as
+/// the method table does, and never ships to a follower.
+pub const SRM_BUCKET: &str = "local.srm.requests";
 
 /// The `srm` service.
 pub struct SrmService {
@@ -89,11 +92,7 @@ fn state_of(request: &Value, now: i64) -> &'static str {
 
 impl Service for SrmService {
     // None is `replicated`: a stage request belongs to the node that holds
-    // the file, so any node runs them. `srm.stage` and `srm.release` put
-    // into `SRM_BUCKET`, which the staging node's own log records and, on a
-    // leader, ships; but it is one of `registry::NODE_LOCAL_BUCKETS`, so a
-    // follower never applies its leader's stage requests — each node's
-    // bucket holds only the requests made to it.
+    // the file, so any node runs them, and `SRM_BUCKET` is node-local.
     const METHODS: &'static [Method<Self>] = &[
         Method::new(
             "srm.stage",

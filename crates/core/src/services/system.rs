@@ -200,6 +200,9 @@ impl SystemService {
             .replication_lag
             .load(std::sync::atomic::Ordering::Relaxed);
         let ready = !degraded && (fed.role() != FederationRole::Leader || fed.is_writable());
+        let (fence, (epoch, offset)) = ctx.core.position();
+        // `[fence epoch, leader WAL epoch, offset]`: elections rank by it.
+        let applied = Value::array([fence, epoch, offset].map(|n| Value::Int(n as i64)));
         Ok(Value::structure([
             ("ready", Value::Bool(ready)),
             ("role", Value::from(role)),
@@ -207,9 +210,7 @@ impl SystemService {
             ("leader", Value::from(fed.leader())),
             ("wal_offset", Value::Int(store.wal_offset() as i64)),
             ("fence_epoch", Value::Int(store.fence_epoch() as i64)),
-            // Leader-log offset a follower has applied; elections rank
-            // promotion candidates by this, not wal_offset.
-            ("applied", Value::Int(fed.applied() as i64)),
+            ("applied", applied),
             ("replication_lag", Value::Int(lag as i64)),
             ("degraded", Value::Bool(degraded)),
         ]))

@@ -24,4 +24,6 @@ pub mod wal_engine;
 
 pub use log::{decode_stream, frame_prefix, LogOp};
 pub use storage::StorageCounters;
-pub use store::{is_degraded_error, Store, StoreStats, WalChunk, DEGRADED_MSG};
+pub use store::{
+    is_degraded_error, is_node_local, Store, StoreStats, WalChunk, DEGRADED_MSG, NODE_LOCAL,
+};

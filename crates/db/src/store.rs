@@ -18,7 +18,9 @@
 //!   request like the paper describes,
 //! * per-bucket generation counters, so read-through caches layered above
 //!   the store can validate an entry with a single atomic load instead of a
-//!   lookup plus deserialization.
+//!   lookup plus deserialization,
+//! * node-local buckets, named with [`NODE_LOCAL`]: kept in memory only,
+//!   whatever the store, so they never enter the log.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -64,6 +66,17 @@ fn prefixed<'a>(
 ) -> impl Iterator<Item = (&'a Key, &'a Vec<u8>)> {
     map.range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
         .take_while(move |(k, _)| k.text.starts_with(prefix))
+}
+
+/// The mark of a node-local bucket's name. Such a bucket describes this
+/// process, not the state a federation shares, so every store writes it the
+/// way an in-memory store writes: it is never logged, and so never shipped,
+/// compacted or recovered, and it is not counted in `live_bytes`.
+pub const NODE_LOCAL: &str = "local.";
+
+/// Is `bucket` node-local (named with [`NODE_LOCAL`])?
+pub fn is_node_local(bucket: &str) -> bool {
+    bucket.starts_with(NODE_LOCAL)
 }
 
 /// Store statistics (monotonic counters).
@@ -262,6 +275,9 @@ impl Store {
         let added = put_record_size(bucket, &key, value.len());
         let removed = put_record_size(bucket, &key, 0);
         let old = self.write(bucket, |map| map.insert(Key::new(key), value));
+        if is_node_local(bucket) {
+            return;
+        }
         self.live_bytes.fetch_add(added, Ordering::Relaxed);
         if let Some(old) = old {
             self.live_sub(removed + old.len() as u64);
@@ -272,7 +288,7 @@ impl Store {
     /// `delete` and of the replay at open. Returns whether the key existed.
     fn remove(&self, bucket: &str, key: &str) -> bool {
         let old = self.write(bucket, |map| map.remove(key));
-        if let Some(old) = &old {
+        if let Some(old) = old.as_ref().filter(|_| !is_node_local(bucket)) {
             self.live_sub(put_record_size(bucket, key, old.len()));
         }
         old.is_some()
@@ -321,11 +337,11 @@ impl Store {
     pub fn put(&self, bucket: &str, key: &str, value: impl Into<Vec<u8>>) -> io::Result<()> {
         let value = value.into();
         self.writes.fetch_add(1, Ordering::Relaxed);
-        // Without an engine there is nothing to append to (and nothing that
-        // could have degraded), so no `LogOp` is built just to be dropped.
-        // With one, the key is still allocated once: the logged copy moves
-        // into the map.
-        if self.engine.is_none() {
+        // Without an engine, or for a node-local bucket, there is nothing to
+        // append to (and nothing that could have degraded), so no `LogOp` is
+        // built just to be dropped. Otherwise the key is still allocated
+        // once: the logged copy moves into the map.
+        if self.engine.is_none() || is_node_local(bucket) {
             self.insert(bucket, key.to_owned(), value);
             return Ok(());
         }
@@ -359,7 +375,7 @@ impl Store {
     /// Delete a key. Returns whether it existed.
     pub fn delete(&self, bucket: &str, key: &str) -> io::Result<bool> {
         self.writes.fetch_add(1, Ordering::Relaxed);
-        if self.engine.is_some() {
+        if self.engine.is_some() && !is_node_local(bucket) {
             self.wal_append(&LogOp::Delete {
                 bucket: bucket.to_owned(),
                 key: key.to_owned(),
@@ -424,15 +440,6 @@ impl Store {
         let buckets = self.buckets.read();
         let held = buckets.iter().filter(|(_, b)| !b.map.read().is_empty());
         held.map(|(name, _)| name.clone()).collect()
-    }
-
-    /// Remove every key in a bucket.
-    pub fn clear_bucket(&self, bucket: &str) -> io::Result<()> {
-        let keys = self.keys(bucket);
-        for key in keys {
-            self.delete(bucket, &key)?;
-        }
-        Ok(())
     }
 
     /// Rewrite the persistent image as a minimal snapshot of current state
@@ -649,9 +656,14 @@ mod tests {
         {
             let store = Store::open(&path).unwrap();
             assert_eq!(store.fence_epoch(), 3);
-            // Compaction rewrites the log but keeps the newest fence.
+            // Compaction rewrites the log but keeps the newest fence, after
+            // the state it seals.
             store.compact().unwrap();
             assert_eq!(store.fence_epoch(), 3);
+            let snapshot = store.wal_read(1, 0, 1 << 20).unwrap();
+            let ops = crate::log::decode_stream(&snapshot.data).unwrap();
+            assert_eq!(ops.len(), 3);
+            assert_eq!(ops.last(), Some(&LogOp::EpochFence { epoch: 3 }));
         }
         let store = Store::open(&path).unwrap();
         assert_eq!(store.fence_epoch(), 3);
@@ -874,17 +886,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_bucket() {
-        let store = Store::in_memory();
-        store.put("b", "k1", b"1".to_vec()).unwrap();
-        store.put("b", "k2", b"2".to_vec()).unwrap();
-        store.put("other", "k", b"3".to_vec()).unwrap();
-        store.clear_bucket("b").unwrap();
-        assert!(store.is_empty("b"));
-        assert_eq!(store.len("other"), 1);
-    }
-
-    #[test]
     fn stats_counters() {
         let store = Store::in_memory();
         store.put("b", "k", b"v".to_vec()).unwrap();
@@ -896,6 +897,45 @@ mod tests {
         assert_eq!(stats.lookups, 2);
         assert_eq!(stats.scans, 1);
         assert_eq!(stats.writes, 2);
+    }
+
+    /// A node-local bucket is written as an in-memory store writes: its
+    /// puts and deletes leave the log's length and the live-byte count
+    /// alone, so no replication read, compaction or reopen ever sees it.
+    #[test]
+    fn a_node_local_bucket_never_enters_the_log() {
+        let path = temp_path("node-local");
+        let local = format!("{NODE_LOCAL}methods");
+        let logged = |store: &Store| {
+            let chunk = store.wal_read(store.wal_epoch(), 0, 1 << 20).unwrap();
+            let ops = crate::log::decode_stream(&chunk.data).unwrap();
+            let bucket = |op: &LogOp| match op {
+                LogOp::Put { bucket, .. } | LogOp::Delete { bucket, .. } => bucket.clone(),
+                LogOp::EpochFence { .. } => String::new(),
+            };
+            ops.iter().map(bucket).collect::<Vec<_>>()
+        };
+        {
+            let store = Store::open(&path).unwrap();
+            store.put("shared", "k", b"v".to_vec()).unwrap();
+            let before = (store.wal_offset(), store.live_bytes());
+            store.put(&local, "a", b"1".to_vec()).unwrap();
+            store.put(&local, "b", b"2".to_vec()).unwrap();
+            store.put(&local, "b", b"3".to_vec()).unwrap();
+            assert!(store.delete(&local, "a").unwrap());
+            assert_eq!((store.wal_offset(), store.live_bytes()), before);
+            assert_eq!(store.get(&local, "b").unwrap(), b"3");
+            assert_eq!(logged(&store), ["shared"]);
+            store.compact().unwrap();
+            assert_eq!(store.wal_epoch(), 1);
+            assert_eq!(logged(&store), ["shared"]);
+            assert_eq!(store.get(&local, "b").unwrap(), b"3");
+        }
+        let store = Store::open(&path).unwrap();
+        assert!(store.is_empty(&local));
+        assert_eq!(store.get("shared", "k").unwrap(), b"v");
+        drop(store);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -954,16 +994,6 @@ mod tests {
         assert_eq!(handle.load(Ordering::SeqCst), 1);
         // The handle is shared, not a snapshot.
         assert!(Arc::ptr_eq(&handle, &store.generation_handle("b")));
-    }
-
-    #[test]
-    fn clear_bucket_moves_generation() {
-        let store = Store::in_memory();
-        store.put("b", "k1", b"1".to_vec()).unwrap();
-        store.put("b", "k2", b"2".to_vec()).unwrap();
-        let before = store.generation("b");
-        store.clear_bucket("b").unwrap();
-        assert!(store.generation("b") > before);
     }
 
     #[test]

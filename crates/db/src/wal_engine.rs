@@ -316,16 +316,12 @@ impl WalEngine {
                 }
             }
         }
-        // The snapshot keeps only the newest leader fence, first, so a
-        // follower replaying a compacted log still learns the epoch
-        // in-band before any data record.
-        Ok(fence
-            .map(|epoch| LogOp::EpochFence { epoch })
-            .into_iter()
-            .chain(
-                live.into_iter()
-                    .map(|((bucket, key), value)| LogOp::Put { bucket, key, value }),
-            )
+        // The snapshot keeps only the newest leader fence, last: a follower
+        // that has read past it holds all the state it seals.
+        let puts = live.into_iter();
+        Ok(puts
+            .map(|((bucket, key), value)| LogOp::Put { bucket, key, value })
+            .chain(fence.map(|epoch| LogOp::EpochFence { epoch }))
             .collect())
     }
 

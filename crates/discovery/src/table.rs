@@ -26,7 +26,8 @@ use crate::schema::{MonitorSample, Publication, ServiceDescriptor, ServiceQuery}
 /// samples by [`MonitorSample::key_path`], newest per key, in key order.
 #[derive(Debug, Default)]
 pub struct Table {
-    services: BTreeMap<String, ServiceDescriptor>,
+    /// Each descriptor beside its freshness, read once when it was taken.
+    services: BTreeMap<String, ((i64, u64), ServiceDescriptor)>,
     samples: BTreeMap<String, MonitorSample>,
     updates: u64,
 }
@@ -34,23 +35,6 @@ pub struct Table {
 /// Whether a record stamped `timestamp` has outlived `ttl_secs` at `now`.
 pub(crate) fn expired(timestamp: i64, now: i64, ttl_secs: i64) -> bool {
     now - timestamp > ttl_secs
-}
-
-/// Put `value` under `key` unless the entry there is fresher.
-fn keep_newest<T: Clone, F: Ord>(
-    map: &mut BTreeMap<String, T>,
-    key: String,
-    value: &T,
-    freshness: impl Fn(&T) -> F,
-) -> bool {
-    if map
-        .get(&key)
-        .is_some_and(|old| freshness(old) > freshness(value))
-    {
-        return false;
-    }
-    map.insert(key, value.clone());
-    true
 }
 
 fn renewed(d: &ServiceDescriptor) -> (i64, u64) {
@@ -64,9 +48,13 @@ impl Table {
     pub fn offer(&mut self, publication: &Publication) -> bool {
         let taken = match publication {
             Publication::Service(d) => {
-                let taken = keep_newest(&mut self.services, d.key(), d, renewed);
+                let (key, fresh) = (d.key(), renewed(d));
+                let taken = self.services.get(&key).is_none_or(|(old, _)| *old <= fresh);
+                if taken {
+                    self.services.insert(key, (fresh, d.clone()));
+                }
                 if taken && !d.server_dn.is_empty() {
-                    self.services.retain(|_, old| {
+                    self.services.retain(|_, (_, old)| {
                         old.server_dn != d.server_dn
                             || old.service != d.service
                             || old.url == d.url
@@ -76,7 +64,12 @@ impl Table {
                 taken
             }
             Publication::Sample(s) => {
-                keep_newest(&mut self.samples, s.key_path(), s, |s| s.timestamp)
+                let key = s.key_path();
+                let taken = (self.samples.get(&key)).is_none_or(|old| old.timestamp <= s.timestamp);
+                if taken {
+                    self.samples.insert(key, s.clone());
+                }
+                taken
             }
         };
         self.updates += u64::from(taken);
@@ -85,7 +78,7 @@ impl Table {
 
     /// Offer every record of `other` (a late subscriber's replay).
     pub(crate) fn merge(&mut self, other: &Table) {
-        let services = other.services.values().cloned().map(Publication::Service);
+        let services = (other.services.values()).map(|(_, d)| Publication::Service(d.clone()));
         let samples = other.samples.values().cloned().map(Publication::Sample);
         for publication in services.chain(samples) {
             self.offer(&publication);
@@ -101,13 +94,13 @@ impl Table {
         for d in descriptors {
             table.offer(&Publication::Service(d));
         }
-        table.services.into_values().collect()
+        table.services.into_values().map(|(_, d)| d).collect()
     }
 
     /// Drop every record that has expired at `now`.
     pub fn expire(&mut self, now: i64, ttl_secs: i64) {
         self.services
-            .retain(|_, d| !expired(d.timestamp, now, ttl_secs));
+            .retain(|_, (_, d)| !expired(d.timestamp, now, ttl_secs));
         self.samples
             .retain(|_, s| !expired(s.timestamp, now, ttl_secs));
     }
@@ -117,7 +110,10 @@ impl Table {
         &'a self,
         query: &'a ServiceQuery,
     ) -> impl Iterator<Item = &'a ServiceDescriptor> + 'a {
-        self.services.values().filter(|d| query.matches(d))
+        self.services
+            .values()
+            .map(|(_, d)| d)
+            .filter(|d| query.matches(d))
     }
 
     /// The sample at `farm/node/key`, if any.

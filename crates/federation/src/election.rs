@@ -9,8 +9,9 @@
 //! lapse (1.5 leases); a higher epoch, or an equal one at a lower address,
 //! demotes it. A lease lapsed, or none seen for a lapse from a reachable
 //! station, starts an election: pause, recheck, rank the live members by
-//! `system.health`. Stamps are aged on the observer's clock from when they
-//! changed, never subtracted from it.
+//! the position of the data each holds, read from `system.health`. Stamps
+//! are aged on the observer's clock from when they changed, never
+//! subtracted from it.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -21,6 +22,7 @@ use std::time::Duration;
 
 use clarens::core::ClarensCore;
 use clarens::federation::FederationRole::{self, Follower, Leader};
+use clarens::federation::Position;
 use clarens::ClarensClient;
 use clarens_wire::Value;
 use monalisa_sim::{Publication, ServiceDescriptor, ServiceQuery, UdpPublisher};
@@ -40,8 +42,8 @@ pub struct Node {
     pub role: FederationRole,
     /// Leader epoch the node believes in.
     pub epoch: u64,
-    /// Leader-log offset applied: the election rank.
-    pub applied: u64,
+    /// The position of the data the node holds: the election rank.
+    pub applied: Position,
     /// Highest `EpochFence` in the node's log.
     pub fence: u64,
 }
@@ -58,7 +60,7 @@ pub enum Input {
     Found(Vec<ServiceDescriptor>, bool),
     /// Answer to [`Effect::Probe`]: per peer that answered, `(addr,
     /// is_leader, applied)`.
-    Health(Vec<(String, bool, u64)>),
+    Health(Vec<(String, bool, Position)>),
 }
 
 /// What the machine asks the driver to do.
@@ -162,10 +164,10 @@ impl Election {
             }
             (Input::Found(members, up), Phase::Members) => self.members(&members, up),
             (Input::Health(replies), Phase::Ranking) => {
-                // Defer to a leader, a longer cursor, or an equal one at a
-                // lower address.
+                // Defer to a leader, a higher position, or an equal one at
+                // a lower address.
                 let mine = (self.node.applied, Reverse(self.addr.as_str()));
-                let ahead = |(peer, leads, theirs): &(String, bool, u64)| {
+                let ahead = |(peer, leads, theirs): &(String, bool, Position)| {
                     *leads || (*theirs, Reverse(peer.as_str())) > mine
                 };
                 match replies.iter().any(ahead) {
@@ -190,7 +192,7 @@ impl Election {
             self.follow("", self.node.epoch);
         }
         self.published = true;
-        self.publish(MEMBER_SERVICE, "applied", self.node.applied);
+        self.publish(MEMBER_SERVICE, None);
         self.publish_lease();
     }
 
@@ -198,7 +200,7 @@ impl Election {
     fn publish_lease(&mut self) {
         let at = (self.node.role == Leader).then_some(self.now);
         if at.is_some() {
-            self.publish(LEASE_SERVICE, "leader_epoch", self.node.epoch);
+            self.publish(LEASE_SERVICE, Some(("leader_epoch", self.node.epoch)));
         }
         self.query(Phase::Observe(at), LEASE_SERVICE);
     }
@@ -262,8 +264,9 @@ impl Election {
     fn members(&mut self, members: &[ServiceDescriptor], up: bool) {
         // Blind — no station answered, or one that lost its state (this
         // node's own advert is missing): a promotion could claim over a
-        // better-placed peer it cannot see.
-        if !up || !members.iter().any(|d| addr_of(d) == self.addr) {
+        // better-placed peer it cannot see. Mute — its own publications
+        // fail: no peer would see its lease, and its epoch would strand it.
+        if !up || !self.published || !members.iter().any(|d| addr_of(d) == self.addr) {
             return self.idle();
         }
         // A member advert unrenewed for two leases is presumed dead.
@@ -285,7 +288,8 @@ impl Election {
     }
 
     fn promote(&mut self) {
-        (self.node.epoch, self.node.role) = (self.epoch() + 1, Leader);
+        // A new lease has yet to land: it gets a whole lapse to.
+        (self.node.epoch, self.node.role, self.landed) = (self.epoch() + 1, Leader, None);
         self.out.push(Effect::Promote(self.node.epoch));
     }
 
@@ -322,10 +326,12 @@ impl Election {
         self.out.push(Effect::Query(service));
     }
 
-    /// Publish this node's `service` descriptor, stamped now.
-    fn publish(&mut self, service: &str, key: &str, value: u64) {
-        let stamp = [("renewed_ms", self.now), (key, value)];
-        let mut attributes: BTreeMap<_, _> = stamp.map(|(k, v)| (k.into(), v.to_string())).into();
+    /// Publish this node's `service` descriptor, stamped now, with one
+    /// more attribute if given.
+    fn publish(&mut self, service: &str, extra: Option<(&str, u64)>) {
+        let stamps = std::iter::once(("renewed_ms", self.now)).chain(extra);
+        let mut attributes: BTreeMap<_, _> =
+            stamps.map(|(k, v)| (k.into(), v.to_string())).collect();
         attributes.insert("addr".into(), self.addr.clone());
         self.out.push(Effect::Publish(ServiceDescriptor {
             url: format!("http://{}/clarens", self.addr),
@@ -434,7 +440,7 @@ fn run(core: &ClarensCore, addr: &str, mut machine: Election, io: &Io, stop: &At
         let node = Node {
             role: fed.role(),
             epoch: fed.epoch(),
-            applied: fed.applied(),
+            applied: core.position(),
             fence: core.store.fence_epoch(),
         };
         let input = inputs.pop_front().unwrap_or(Input::Tick(node));
@@ -476,11 +482,9 @@ fn apply(core: &ClarensCore, addr: &str, effect: Effect) {
             core.telemetry.federation.elections.inc();
         }
         Effect::Demote(leader, epoch) => {
+            // It holds its own log until the next leader's stream moves it.
+            fed.set_applied(core.position());
             fed.set_role(Follower);
-            // A leader's cursor into its own log is the log's length: one
-            // that steps down with no successor ranks by all it holds.
-            let own = core.store.wal_offset();
-            fed.set_applied(if leader.is_empty() { own } else { 0 });
             core.telemetry.federation.demotions.inc();
             apply(core, addr, Effect::Follow(leader, epoch));
         }
@@ -494,12 +498,19 @@ fn apply(core: &ClarensCore, addr: &str, effect: Effect) {
 }
 
 /// `system.health` of a peer: `(addr, is_leader, applied)`, or None if
-/// the peer is unreachable (a dead node cannot be more caught-up).
-fn health(peer: String) -> Option<(String, bool, u64)> {
+/// the peer is unreachable (a dead node cannot be more caught-up). A
+/// position that does not read as three integers (a peer of another
+/// version) is unknown, and ranks above every other: defer to that peer.
+fn health(peer: String) -> Option<(String, bool, Position)> {
     let client = ClarensClient::peer(&peer).with_retries(0);
     let mut client = client.with_call_deadline(Duration::from_millis(250));
     let h = client.call("system.health", vec![]).ok()?;
     let leads = h.get("role").and_then(Value::as_str) == Some("leader");
-    let applied = h.get("applied").and_then(Value::as_int).unwrap_or(0) as u64;
+    let int = |v: &Value| v.as_int().map(|n| n as u64);
+    let applied = match h.get("applied").and_then(Value::as_array) {
+        Some([f, e, o]) => int(f).zip(int(e)).zip(int(o)),
+        _ => None,
+    };
+    let applied = applied.map_or((u64::MAX, (u64::MAX, u64::MAX)), |((f, e), o)| (f, (e, o)));
     Some((peer, leads, applied))
 }

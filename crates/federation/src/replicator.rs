@@ -3,26 +3,27 @@
 //! The policy is the [`Follower`] step machine — no clock, socket or
 //! thread in it; the [`Replicator`] thread is its driver. The machine asks
 //! for the leader's log at an `(epoch, offset)` cursor and adopts the
-//! cursor each chunk is served at (a compaction restarts the stream); the
-//! driver applies the operations through the ordinary `put`/`delete` path,
-//! so the epoch-invalidated caches see replicated state as local writes.
-//! After every chunk, empty or not, the machine fetches again at once: the
-//! leader holds a caught-up fetch until its log moves (or for
+//! cursor each chunk is served at; the driver applies the operations
+//! through the ordinary `put`/`delete` path, so the epoch-invalidated
+//! caches see replicated state as local writes. After every chunk, empty
+//! or not, the machine fetches again at once: the leader holds a caught-up
+//! fetch until its log moves (or for
 //! `clarens::services::replication::FETCH_HOLD`), so a write reaches a
 //! follower in one round trip and no follower polls. An undecodable chunk
 //! backs off like a fetch error, a chunk from an older leader epoch is
-//! dropped, a new believed leader resyncs at `(0, 0)`.
+//! dropped. A stream read anew (a new leader, or one the leader restarts)
+//! installs the leader's state: once the cursor reaches the first chunk's
+//! `len`, every logged key it did not write goes (DESIGN.md §11).
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use clarens::client::{Backoff, ClarensClient, ClientError};
 use clarens::core::ClarensCore;
-use clarens::federation::FederationRole;
-use clarens::registry::NODE_LOCAL_BUCKETS;
-use clarens_db::{decode_stream, LogOp};
+use clarens::federation::{Cursor, FederationRole, Position};
+use clarens_db::{decode_stream, is_node_local, LogOp};
 use clarens_pki::cert::Credential;
 use clarens_wire::Value;
 
@@ -63,10 +64,15 @@ pub enum Effect {
     Fetch(u64, u64),
     /// Apply these operations to the store, in order.
     Apply(Vec<LogOp>),
+    /// An install is complete: delete every logged key but these, the
+    /// `(bucket, key)`s it wrote.
+    Prune(BTreeSet<(String, String)>),
     /// Adopt this epoch, and this leader unless it is empty.
     Adopt(String, u64),
-    /// The applied offset in the leader's log, and the lag when known.
-    Progress(u64, Option<u64>),
+    /// The lag behind the leader's log, in bytes.
+    Lag(u64),
+    /// The node now holds this position (see [`Follower`]).
+    Reached(Position),
     /// A login or fetch failed (`replication_fetch_errors`).
     FetchError,
     /// A deposed leader's chunk was dropped (`fenced_writes`).
@@ -75,15 +81,23 @@ pub enum Effect {
     Wake(u64),
 }
 
-/// The follower policy of one node (see the module docs).
+/// The follower policy of one node (see the module docs). Its position
+/// follows the stream once the stream has carried its leader's own fence,
+/// which a compacted log holds after the state it seals.
 pub struct Follower {
     backoff: Backoff,
     failures: u32,
     leader: String,
     logged_in: bool,
-    cursor: (u64, u64),
+    cursor: Cursor,
     /// The newest leader epoch seen: older chunks are fenced.
     fence: u64,
+    /// The newest fence the stream has carried since it was last read anew.
+    stream_fence: u64,
+    /// While the stream installs the leader's state (a node starts so):
+    /// the `(bucket, key)`s it has put, and the first chunk's `len`.
+    written: Option<BTreeSet<(String, String)>>,
+    mark: Option<u64>,
 }
 
 impl Follower {
@@ -97,7 +111,16 @@ impl Follower {
             logged_in: false,
             cursor: (0, 0),
             fence: 0,
+            stream_fence: 0,
+            written: Some(BTreeSet::new()),
+            mark: None,
         }
+    }
+
+    /// Read the stream anew from `cursor`, installing what it serves.
+    fn restart(&mut self, cursor: Cursor) {
+        (self.cursor, self.stream_fence, self.mark) = (cursor, 0, None);
+        self.written = Some(BTreeSet::new());
     }
 
     /// Advance the machine by one input at local time `now` (ms).
@@ -110,12 +133,9 @@ impl Follower {
                 vec![self.poll(now)]
             }
             Input::Tick(_, leader) if !leader.is_empty() && leader != self.leader => {
-                (self.logged_in, self.cursor, self.failures) = (false, (0, 0), 0);
-                self.leader = leader;
-                vec![
-                    Effect::Progress(0, None),
-                    Effect::Login(self.leader.clone()),
-                ]
+                (self.logged_in, self.leader, self.failures) = (false, leader, 0);
+                self.restart((0, 0));
+                vec![Effect::Login(self.leader.clone())]
             }
             Input::Tick(..) if self.leader.is_empty() => vec![self.poll(now)],
             Input::Tick(..) if self.logged_in => vec![fetch],
@@ -143,22 +163,43 @@ impl Follower {
         }
         let data = chunk.get("data").and_then(Value::coerce_bytes);
         let data = data.unwrap_or_default();
+        let served = (int("epoch"), int("offset"));
         let Some(ops) = decode_stream(&data) else {
-            self.cursor = (int("epoch"), 0);
+            self.restart((served.0, 0));
             return self.fail(now);
         };
+        // A stream served from elsewhere than asked restarted: install it.
+        if served != self.cursor {
+            self.restart(served);
+        }
         (self.fence, self.failures) = (int("leader_epoch"), 0);
-        self.cursor = (int("epoch"), int("offset") + data.len() as u64);
-        let lag = int("len").saturating_sub(self.cursor.1);
-        let adopt = Effect::Adopt(String::new(), self.fence);
-        let progress = Effect::Progress(self.cursor.1, Some(lag));
+        self.cursor.1 += data.len() as u64;
+        for op in &ops {
+            if let (LogOp::Put { bucket, key, .. }, Some(written)) = (op, &mut self.written) {
+                written.insert((bucket.clone(), key.clone()));
+            } else if let LogOp::EpochFence { epoch } = op {
+                self.stream_fence = self.stream_fence.max(*epoch);
+            }
+        }
+        let mut effects = vec![Effect::Adopt(String::new(), self.fence)];
+        if !ops.is_empty() {
+            effects.push(Effect::Apply(ops));
+        }
+        let len = int("len");
+        let mark = *self.mark.get_or_insert(len);
+        if let Some(written) = self.written.take_if(|_| self.cursor.1 >= mark) {
+            effects.push(Effect::Prune(written));
+        }
+        effects.push(Effect::Lag(len.saturating_sub(self.cursor.1)));
+        // Past its leader's own fence, the cursor is a position in that
+        // leader's epoch.
+        if self.stream_fence == self.fence {
+            effects.push(Effect::Reached((self.fence, self.cursor)));
+        }
         // Fetch again at once: the leader holds the fetch until there is
         // more, and the fetch confirms what this chunk applied.
-        let next = Effect::Wake(now);
-        if ops.is_empty() {
-            return vec![adopt, progress, next];
-        }
-        vec![adopt, Effect::Apply(ops), progress, next]
+        effects.push(Effect::Wake(now));
+        effects
     }
 
     fn fail(&mut self, now: u64) -> Vec<Effect> {
@@ -251,13 +292,6 @@ fn apply(core: &ClarensCore, effect: Effect, counts: &[AtomicU64; 2]) {
             counts[1].fetch_add(1, Ordering::Relaxed);
             for op in ops {
                 let result = match op {
-                    // The leader's method table and stage requests are
-                    // not this node's.
-                    LogOp::Put { bucket, .. } | LogOp::Delete { bucket, .. }
-                        if NODE_LOCAL_BUCKETS.contains(&bucket.as_str()) =>
-                    {
-                        continue
-                    }
                     LogOp::Put { bucket, key, value } => core.store.put(&bucket, &key, value),
                     LogOp::Delete { bucket, key } => core.store.delete(&bucket, &key).map(drop),
                     // Persisted: a later promotion of this node continues the
@@ -276,12 +310,22 @@ fn apply(core: &ClarensCore, effect: Effect, counts: &[AtomicU64; 2]) {
                 fed.set_leader(&leader);
             }
         }
-        Effect::Progress(applied, lag) => {
-            fed.set_applied(applied);
-            if let Some(lag) = lag {
-                core.replication_lag.store(lag, Ordering::Relaxed);
+        Effect::Prune(written) => {
+            for bucket in core
+                .store
+                .bucket_names()
+                .into_iter()
+                .filter(|b| !is_node_local(b))
+            {
+                for key in core.store.keys(&bucket) {
+                    if !written.contains(&(bucket.clone(), key.clone())) {
+                        let _ = core.store.delete(&bucket, &key);
+                    }
+                }
             }
         }
+        Effect::Reached(position) => fed.set_applied(position),
+        Effect::Lag(lag) => core.replication_lag.store(lag, Ordering::Relaxed),
         Effect::FetchError => telemetry.replication_fetch_errors.inc(),
         Effect::Fenced => telemetry.fenced_writes.inc(),
         Effect::Login(_) | Effect::Fetch(..) | Effect::Wake(_) => {}
@@ -328,14 +372,19 @@ mod tests {
         ])
     }
 
+    /// `chunk` as if cut when the leader's log was `len` bytes long.
+    fn cut_at(mut chunk: Value, len: u64) -> Value {
+        if let Value::Struct(fields) = &mut chunk {
+            fields.insert("len".into(), Value::Int(len as i64));
+        }
+        chunk
+    }
+
     /// A follower of `leader`, logged in and about to fetch at `(0, 0)`.
     fn following(leader: &str) -> Follower {
         let mut f = Follower::new("");
         let tick = f.step(0, Input::Tick(FOLLOWER, leader.into()));
-        assert_eq!(
-            tick,
-            [Effect::Progress(0, None), Effect::Login(leader.into())]
-        );
+        assert_eq!(tick, [Effect::Login(leader.into())]);
         assert_eq!(f.step(0, Input::LoggedIn(true)), [Effect::Fetch(0, 0)]);
         f
     }
@@ -414,19 +463,19 @@ mod tests {
         // The applier records the hint as the believed leader; the next
         // tick follows it with a fresh session.
         let tick = next_fetch(&mut f, 40, "new");
-        assert_eq!(
-            tick,
-            [Effect::Progress(0, None), Effect::Login("new".into())]
-        );
+        assert_eq!(tick, [Effect::Login("new".into())]);
     }
 
+    /// A re-point restarts the cursor and reports no progress: the node
+    /// holds what it held until the new leader's stream moves it.
     #[test]
-    fn a_repoint_resets_the_cursor_and_applied_to_zero() {
+    fn a_repoint_restarts_the_cursor_and_keeps_the_position() {
         let mut f = following("A");
-        let effects = f.step(10, Input::Chunk(1, served(1, 5, 0, &[put("a")])));
-        assert!(matches!(effects[2], Effect::Progress(applied, Some(0)) if applied > 0));
+        let ops = [LogOp::EpochFence { epoch: 1 }, put("a")];
+        let effects = f.step(10, Input::Chunk(1, served(1, 5, 0, &ops)));
+        assert_eq!(reached(effects), Some((1, (5, offset(&ops)))));
         let tick = next_fetch(&mut f, 40, "B");
-        assert_eq!(tick, [Effect::Progress(0, None), Effect::Login("B".into())]);
+        assert_eq!(tick, [Effect::Login("B".into())]);
         assert_eq!(f.step(41, Input::LoggedIn(true)), [Effect::Fetch(0, 0)]);
     }
 
@@ -447,65 +496,156 @@ mod tests {
         assert_eq!(stale[0], Effect::Fenced);
     }
 
-    /// A leader's chunk puts into its method table and its stage requests
-    /// beside shared state: the follower applies only the shared state.
+    /// The position a step's effects report the stream reached, if any.
+    fn reached(effects: Vec<Effect>) -> Option<Position> {
+        effects.into_iter().find_map(|effect| match effect {
+            Effect::Reached(position) => Some(position),
+            _ => None,
+        })
+    }
+
+    /// The length of `ops` framed.
+    fn offset(ops: &[LogOp]) -> u64 {
+        ops.iter().map(|op| encode_record(op).len() as u64).sum()
+    }
+
+    /// A stream's cursor is a position once the stream has carried its
+    /// leader's own fence; an older fence from the leader's history is not
+    /// that fence.
     #[test]
-    fn a_follower_skips_its_leaders_node_local_buckets() {
+    fn the_position_starts_at_the_leaders_own_fence() {
+        let mut f = following("L");
+        let history = [LogOp::EpochFence { epoch: 2 }, put("a")];
+        let effects = f.step(10, Input::Chunk(3, served(3, 0, 0, &history)));
+        assert_eq!(reached(effects), None);
+        let own = [LogOp::EpochFence { epoch: 3 }];
+        let next = served(3, 0, offset(&history), &own);
+        let end = offset(&history) + offset(&own);
+        assert_eq!(
+            reached(f.step(20, Input::Chunk(3, next))),
+            Some((3, (0, end)))
+        );
+    }
+
+    /// A compaction restarts the stream at the snapshot, whose fence comes
+    /// after the state it seals: the position holds until the stream has
+    /// carried the whole snapshot.
+    #[test]
+    fn a_compaction_holds_the_position_until_the_snapshot_is_whole() {
+        let mut f = following("L");
+        let log = [LogOp::EpochFence { epoch: 1 }, put("a")];
+        let effects = f.step(10, Input::Chunk(1, served(1, 0, 0, &log)));
+        assert_eq!(reached(effects), Some((1, (0, offset(&log)))));
+        next_fetch(&mut f, 20, "L");
+        let snapshot = [put("a"), put("b"), LogOp::EpochFence { epoch: 1 }];
+        let (head, tail) = snapshot.split_at(2);
+        let part = cut_at(served(1, 1, 0, head), offset(&snapshot));
+        assert_eq!(reached(f.step(30, Input::Chunk(1, part))), None);
+        let rest = served(1, 1, offset(head), tail);
+        let effects = f.step(40, Input::Chunk(1, rest));
+        assert_eq!(reached(effects), Some((1, (1, offset(&snapshot)))));
+    }
+
+    /// A re-point to a leader that has compacted reads its snapshot from
+    /// its current WAL epoch: the position moves to the new leader's epoch
+    /// at the chunk that carries its fence, before the install completes.
+    #[test]
+    fn a_repoint_to_a_compacted_leader_moves_the_position_at_its_fence() {
+        let mut f = following("A");
+        let log = [LogOp::EpochFence { epoch: 1 }, put("a")];
+        let effects = f.step(10, Input::Chunk(1, served(1, 0, 0, &log)));
+        assert_eq!(reached(effects), Some((1, (0, offset(&log)))));
+        assert_eq!(next_fetch(&mut f, 20, "B"), [Effect::Login("B".into())]);
+        assert_eq!(f.step(21, Input::LoggedIn(true)), [Effect::Fetch(0, 0)]);
+        // B's WAL epoch is 3; its log is the snapshot, then a write the
+        // first chunk was cut after.
+        let snapshot = [put("a"), put("b"), LogOp::EpochFence { epoch: 2 }];
+        let whole = offset(&snapshot) + offset(&[put("c")]);
+        let (head, fence) = snapshot.split_at(2);
+        let first = cut_at(served(2, 3, 0, head), whole);
+        assert_eq!(reached(f.step(30, Input::Chunk(2, first))), None);
+        let second = cut_at(served(2, 3, offset(head), fence), whole);
+        let effects = f.step(40, Input::Chunk(2, second));
+        assert!(!effects.iter().any(|e| matches!(e, Effect::Prune(_))));
+        assert_eq!(reached(effects), Some((2, (3, offset(&snapshot)))));
+    }
+
+    /// Applies the effects' operations and prunes to a model store of
+    /// keys (one bucket), as the driver applies them to the real one.
+    fn record(store: &mut BTreeSet<String>, effects: Vec<Effect>) {
+        for effect in effects {
+            match effect {
+                Effect::Apply(ops) => ops.into_iter().for_each(|op| match op {
+                    LogOp::Put { key, .. } => drop(store.insert(key)),
+                    LogOp::Delete { key, .. } => drop(store.remove(&key)),
+                    LogOp::EpochFence { .. } => {}
+                }),
+                Effect::Prune(written) => {
+                    store.retain(|key| written.contains(&("b".to_owned(), key.clone())));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// A leader's method table and stage requests never enter its log, so
+    /// its follower receives only the shared state.
+    #[test]
+    fn a_leaders_node_local_buckets_never_reach_its_follower() {
         use clarens::registry::METHODS_BUCKET;
         use clarens::services::srm::SRM_BUCKET;
-        let pki = clarens::testkit::grid_pki();
-        let roots = vec![pki.ca.certificate.clone()];
-        let core = ClarensCore::new(Default::default(), roots, pki.server.clone()).unwrap();
-        let op = |bucket: &str| LogOp::Put {
-            bucket: bucket.into(),
+        let path = std::env::temp_dir().join(format!("clarens-repl-local-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let leader = clarens_db::Store::open(&path).unwrap();
+        for bucket in [SRM_BUCKET, METHODS_BUCKET, "b"] {
+            leader.put(bucket, "k", b"leader".to_vec()).unwrap();
+        }
+        let chunk = leader.wal_read(0, 0, 1 << 20).unwrap();
+        let ops = decode_stream(&chunk.data).unwrap();
+        let mut f = following("L");
+        let mut store = BTreeSet::new();
+        record(
+            &mut store,
+            f.step(10, Input::Chunk(1, served(1, 0, 0, &ops))),
+        );
+        let shared = LogOp::Put {
+            bucket: "b".into(),
             key: "k".into(),
             value: b"leader".to_vec(),
         };
-        let ops = [op(SRM_BUCKET), op(METHODS_BUCKET), op("shared")];
-        let mut f = following("L");
-        let counts = Default::default();
-        for effect in f.step(10, Input::Chunk(1, served(1, 0, 0, &ops))) {
-            if matches!(effect, Effect::Apply(_)) {
-                apply(&core, effect, &counts);
-            }
-        }
-        assert!(core.store.get(SRM_BUCKET, "k").is_none());
-        assert!(core.store.get(METHODS_BUCKET, "k").is_none());
-        assert!(core.store.get("shared", "k").is_some());
+        assert_eq!(ops, [shared]);
+        assert_eq!(store, BTreeSet::from(["k".to_owned()]));
+        drop(leader);
+        let _ = std::fs::remove_file(&path);
     }
 
-    /// Open schedule (ROADMAP item 8): a resync from `(0, 0)` replays the
-    /// new leader's puts but deletes nothing, so a key a deposed leader's
-    /// tail left on this follower outlives the resync although the new
-    /// leader's log never had it. Not reachable for an *acked* write, but
-    /// the follower's store no longer converges to the leader's.
+    /// A resync installs: a key a deposed leader's tail left on this
+    /// follower, which the new leader's log never had, is gone once the
+    /// follower's cursor reaches the new leader's length at the first
+    /// chunk, and not before.
     #[test]
-    fn a_deposed_leaders_tail_survives_a_resync() {
-        let mut store = std::collections::BTreeSet::new();
-        let mut record = |effects: Vec<Effect>| {
-            for effect in effects {
-                if let Effect::Apply(ops) = effect {
-                    for op in ops {
-                        match op {
-                            LogOp::Put { key, .. } => drop(store.insert(key)),
-                            LogOp::Delete { key, .. } => drop(store.remove(&key)),
-                            LogOp::EpochFence { .. } => {}
-                        }
-                    }
-                }
-            }
-        };
+    fn a_deposed_leaders_tail_is_gone_once_the_install_completes() {
+        let mut store = BTreeSet::new();
         let mut f = following("deposed");
-        record(f.step(
-            10,
-            Input::Chunk(1, served(1, 0, 0, &[put("k"), put("tail")])),
-        ));
-        record(next_fetch(&mut f, 40, "winner"));
-        record(f.step(41, Input::LoggedIn(true)));
-        record(f.step(42, Input::Chunk(2, served(2, 0, 0, &[put("k")]))));
-        assert!(
-            store.contains("tail"),
-            "the resync deleted the tail after all"
+        let ops = [put("k"), put("tail")];
+        record(
+            &mut store,
+            f.step(10, Input::Chunk(1, served(1, 0, 0, &ops))),
         );
+        record(&mut store, next_fetch(&mut f, 40, "winner"));
+        record(&mut store, f.step(41, Input::LoggedIn(true)));
+        // The winner's log holds `k` and then `j`; the first chunk carries
+        // `k` alone, cut when the log was both records long.
+        let k = encode_record(&put("k")).len() as u64;
+        let whole = k + encode_record(&put("j")).len() as u64;
+        let first = cut_at(served(2, 0, 0, &[put("k")]), whole);
+        let effects = f.step(42, Input::Chunk(2, first));
+        assert!(effects.contains(&Effect::Lag(whole - k)));
+        record(&mut store, effects);
+        assert!(store.contains("tail"), "pruned before the mark");
+        let rest = served(2, 0, k, &[put("j")]);
+        record(&mut store, f.step(43, Input::Chunk(2, rest)));
+        let held: Vec<_> = store.iter().map(String::as_str).collect();
+        assert_eq!(held, ["j", "k"]);
     }
 }

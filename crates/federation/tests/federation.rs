@@ -129,10 +129,10 @@ fn an_idle_federation_leaves_the_shipped_log_alone() {
     // first: sample only once every follower has applied the leader's
     // whole log.
     let caught_up = || {
-        let end = leader.core().store.wal_offset();
+        let end = leader.core().position();
         cluster.nodes[1..]
             .iter()
-            .all(|n| n.core().federation.applied() >= end)
+            .all(|n| n.core().position() >= end)
     };
     assert!(
         wait_until(Duration::from_secs(15), caught_up),
@@ -153,8 +153,8 @@ fn node_to_node_calls_speak_binary() {
     let cluster = FederationCluster::start(3, 500);
     let leader = cluster.leader();
     let caught_up = || {
-        let end = leader.core().store.wal_offset();
-        (cluster.nodes.iter()).all(|n| n.is_leader() || n.core().federation.applied() >= end)
+        let end = leader.core().position();
+        (cluster.nodes.iter()).all(|n| n.is_leader() || n.core().position() >= end)
     };
     assert!(
         wait_until(Duration::from_secs(15), caught_up),
