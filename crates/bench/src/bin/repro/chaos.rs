@@ -2,17 +2,84 @@
 //! schedule. The correctness gate for the resilience work: a fault may
 //! cost a retry or surface as a clean error, but every response a client
 //! actually decodes must be the right answer.
+//!
+//! The faults are real: each client reaches the server through its own
+//! loopback edge, which cuts requests and responses off midway on a
+//! schedule drawn from the seed, so the server sees real resets and
+//! closes; the WAL failure is a write the grid's disk double fails.
 
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use clarens::testkit::{GridOptions, TestGrid};
 use clarens_bench::bench_session;
-use clarens_faults::sites;
+use clarens_db::{Call, Fault};
 use clarens_wire::fault::codes;
 use clarens_wire::Value;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// One chunk in this many that an edge carries is cut off midway.
+const FAULT_ONE_IN: u64 = 12;
+/// One request chunk in this many waits this long first: the ambient
+/// latency of every schedule.
+const DELAY_ONE_IN: u64 = 20;
+const DELAY: Duration = Duration::from_millis(1);
+
+/// A client's edge: a loopback proxy to `server` that, with odds drawn
+/// from `rng`, forwards half of a chunk and then closes both sides (a
+/// request or a response cut off midway), counting each in `injected`.
+fn edge(server: SocketAddr, rng: StdRng, injected: Arc<AtomicU64>) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("edge listener");
+    let addr = listener.local_addr().expect("edge address");
+    let rng = Arc::new(Mutex::new(rng));
+    std::thread::spawn(move || {
+        for client in listener.incoming() {
+            let (Ok(client), Ok(upstream)) = (client, TcpStream::connect(server)) else {
+                continue;
+            };
+            let pair = (client.try_clone(), upstream.try_clone());
+            let (Ok(client_in), Ok(upstream_in)) = pair else {
+                continue;
+            };
+            for (from, to, request) in [(client_in, upstream, true), (upstream_in, client, false)] {
+                let (rng, injected) = (Arc::clone(&rng), Arc::clone(&injected));
+                std::thread::spawn(move || pump(from, to, request, &rng, &injected));
+            }
+        }
+    });
+    addr
+}
+
+/// Carry `from`'s bytes to `to` until either side ends or a fault cuts
+/// them; then close both, which ends the pump of the other direction.
+fn pump(
+    mut from: TcpStream,
+    mut to: TcpStream,
+    request: bool,
+    rng: &Mutex<StdRng>,
+    injected: &AtomicU64,
+) {
+    let mut buf = [0u8; 16 * 1024];
+    while let Ok(n @ 1..) = from.read(&mut buf) {
+        let roll = rng.lock().unwrap_or_else(|e| e.into_inner()).next_u64();
+        if request && roll.is_multiple_of(DELAY_ONE_IN) {
+            std::thread::sleep(DELAY);
+        }
+        if (roll >> 8).is_multiple_of(FAULT_ONE_IN) {
+            injected.fetch_add(1, Ordering::Relaxed);
+            let _ = to.write_all(&buf[..n / 2]);
+            break;
+        }
+        if to.write_all(&buf[..n]).is_err() {
+            break;
+        }
+    }
+    let _ = from.shutdown(Shutdown::Both);
+    let _ = to.shutdown(Shutdown::Both);
+}
 
 use crate::args::Args;
 use crate::header;
@@ -22,12 +89,12 @@ pub fn run(args: &Args) {
     header(&format!(
         "Chaos — Figure-4 workload under a randomized fault schedule (seed {seed})"
     ));
-    println!("Eight resilient clients loop echo.echo and system.list_methods while a");
-    println!("seeded scheduler arms and clears probabilistic failpoints on the server's");
-    println!("accept/read/write paths (plus whatever $CLARENS_FAULTS adds). Mid-run, one");
-    println!("injected WAL write failure degrades the store to read-only. Gates: zero");
-    println!("wrong answers, reads keep flowing while degraded, and client retries");
-    println!("absorb >= 95% of the injected transient errors.\n");
+    println!("Eight resilient clients loop echo.echo and system.list_methods, each through");
+    println!("its own seeded edge that cuts about one chunk in {FAULT_ONE_IN} off midway (a");
+    println!("request reset, a response closed) and delays one request in {DELAY_ONE_IN} by 1 ms.");
+    println!("Mid-run, the grid's disk fails one WAL write, which degrades the store to");
+    println!("read-only. Gates: zero wrong answers, reads keep flowing while degraded, and");
+    println!("client retries absorb >= 95% of the injected transient errors.\n");
 
     let window = (args.point * 3).clamp(Duration::from_secs(2), Duration::from_secs(60));
     // A persistent store, so the WAL degraded-mode drill is end-to-end.
@@ -42,7 +109,8 @@ pub fn run(args: &Args) {
     let session = bench_session(&grid);
     // Logged in before any fault is armed, for the degraded-mode drill.
     let mut admin = grid.logged_in_client(&grid.admin).with_retries(6);
-    let injected_before = clarens_faults::injected_total();
+    let server: SocketAddr = grid.addr().parse().expect("grid address");
+    let injected = Arc::new(AtomicU64::new(0));
 
     const CLIENTS: usize = 8;
     let stop = Arc::new(AtomicBool::new(false));
@@ -52,7 +120,8 @@ pub fn run(args: &Args) {
     let retries = Arc::new(AtomicU64::new(0));
     let mut clients = Vec::new();
     for i in 0..CLIENTS {
-        let addr = grid.addr();
+        let faults = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(i as u64));
+        let addr = edge(server, faults, Arc::clone(&injected)).to_string();
         let session = session.clone();
         let stop = Arc::clone(&stop);
         let ok = Arc::clone(&ok);
@@ -106,49 +175,28 @@ pub fn run(args: &Args) {
         }));
     }
 
-    // The fault scheduler: arm one network-edge site at a time with a
-    // 5-20% probabilistic error (sometimes plus a small delay), dwell,
-    // clear, pause — all derived from the seed so a run replays exactly.
-    let sched_stop = Arc::clone(&stop);
-    let scheduler = std::thread::spawn(move || {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let edges = [sites::HTTPD_ACCEPT, sites::HTTPD_READ, sites::HTTPD_WRITE];
-        while !sched_stop.load(Ordering::Relaxed) {
-            let site = edges[(rng.next_u64() % edges.len() as u64) as usize];
-            let p = 0.05 + (rng.next_u64() % 16) as f64 / 100.0;
-            let spec = if rng.next_u64() % 4 == 0 {
-                format!("delay:2ms|err|p={p:.2}")
-            } else {
-                format!("err|p={p:.2}")
-            };
-            clarens_faults::configure(site, &spec).expect("chaos spec");
-            std::thread::sleep(Duration::from_millis(30 + rng.next_u64() % 60));
-            clarens_faults::clear(site);
-            std::thread::sleep(Duration::from_millis(10 + rng.next_u64() % 40));
-        }
-    });
-
-    // Mid-run degraded-mode drill: arm one WAL append failure, then drive
-    // durable writes (each login persists its session through the WAL)
-    // until one trips it and poisons the store read-only. The login layer
-    // rides out persistence failure, so only the store flips state.
+    // Mid-run degraded-mode drill: the disk fails the next WAL write,
+    // then durable writes (each login persists its session through the
+    // WAL) run until one trips it and poisons the store read-only. The
+    // login layer rides out persistence failure, so only the store flips
+    // state.
     std::thread::sleep(window / 2);
-    {
-        let _guard = clarens_faults::with(sites::DB_WAL_APPEND, "err|times=1");
-        let degraded_by = Instant::now() + Duration::from_secs(5);
-        while !grid.core().store.is_degraded() && Instant::now() < degraded_by {
-            let mut fresh = grid.client(&grid.admin);
-            let _ = fresh.login();
-            std::thread::sleep(Duration::from_millis(10));
-        }
+    grid.disk().arm(Call::Write, Fault::Fail, 1);
+    let degraded_by = Instant::now() + Duration::from_secs(5);
+    while !grid.core().store.is_degraded() && Instant::now() < degraded_by {
+        let mut fresh = grid.client(&grid.admin);
+        let _ = fresh.login();
+        std::thread::sleep(Duration::from_millis(10));
     }
     assert!(
         grid.core().store.is_degraded(),
         "the injected WAL write failure must degrade the store"
     );
     // Degraded means read-only, not down: the full RPC read path still
-    // answers (under retries, since the edge faults are still armed)...
-    let mut probe = clarens::ClarensClient::new(grid.addr()).with_retries(6);
+    // answers (through an edge of its own, under retries)...
+    let faults = StdRng::seed_from_u64(!seed);
+    let probe_edge = edge(server, faults, Arc::clone(&injected)).to_string();
+    let mut probe = clarens::ClarensClient::new(probe_edge).with_retries(6);
     probe.set_session(session.clone());
     probe
         .call("system.list_methods", vec![])
@@ -164,20 +212,12 @@ pub fn run(args: &Args) {
         "refusal must carry the documented degraded error: {refusal}"
     );
     // ...and so are RPC mutations: an admin's ACL edit answers the DEGRADED
-    // fault (code 9) and leaves the node as it was. An edge fault can eat
-    // the answer to a call that is not resent, so ask until one arrives.
+    // fault (code 9) and leaves the node as it was.
     let acl_before = grid.core().acl.method_acl("echo");
     let eve = Value::from(grid.user.certificate.subject.to_string());
     let deny = Value::structure([("deny_dns", Value::Array(vec![eve]))]);
-    let answer = (0..20).find_map(|_| {
-        match admin.call("acl.set_method", vec![Value::from("echo"), deny.clone()]) {
-            Err(clarens::ClientError::Fault(fault)) => Some(Err(fault)),
-            Err(_) => None,
-            Ok(value) => Some(Ok(value)),
-        }
-    });
-    match answer {
-        Some(Err(fault)) => assert_eq!(fault.code, codes::DEGRADED, "{fault:?}"),
+    match admin.call("acl.set_method", vec![Value::from("echo"), deny]) {
+        Err(clarens::ClientError::Fault(fault)) => assert_eq!(fault.code, codes::DEGRADED),
         other => panic!("acl.set_method on a degraded store answered {other:?}"),
     }
     assert_eq!(
@@ -188,7 +228,6 @@ pub fn run(args: &Args) {
 
     std::thread::sleep(window / 2);
     stop.store(true, Ordering::Relaxed);
-    scheduler.join().expect("fault scheduler");
     for client in clients {
         client.join().expect("chaos client");
     }
@@ -199,7 +238,7 @@ pub fn run(args: &Args) {
         surfaced.load(Ordering::Relaxed),
     );
     let recovered = retries.load(Ordering::Relaxed);
-    let injected = clarens_faults::injected_total() - injected_before;
+    let injected = injected.load(Ordering::Relaxed);
     let transients = recovered + surfaced;
     let recovery = recovered as f64 / transients.max(1) as f64;
     println!("{:>36} {:>12}", "metric", "value");

@@ -2,17 +2,19 @@
 //! at 1, 2 and 4 nodes, then a mid-run node-kill drill and a
 //! session-affinity comparison.
 //!
-//! The scaling phase is deliberately latency-bound: a process-wide 10 ms
-//! delay on the server read path makes each node's capacity
-//! `workers / delay` rather than a share of this machine's CPU, so adding
-//! nodes adds capacity exactly as adding hosts would in the paper's grid
-//! deployment, and single-machine CI can still observe the scaling.
+//! The scaling phase is deliberately latency-bound: its clients call a
+//! method the drill registers on every node, which answers after 10 ms on
+//! the worker that runs it, so each node's capacity is `workers / 10 ms`
+//! rather than a share of this machine's CPU. Adding nodes adds capacity
+//! exactly as adding hosts would in the paper's grid deployment, and
+//! single-machine CI can still observe the scaling.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use clarens_faults::sites;
+use clarens::registry::param::any;
+use clarens::registry::{Method, Service};
 use clarens_federation::{BalancedClient, FederationCluster};
 use clarens_wire::Value;
 
@@ -22,17 +24,32 @@ use crate::header;
 /// Leader-lease duration of every cluster this drill starts.
 const LEASE_MS: u64 = 500;
 
+/// The scaling phase's method (see the module docs).
+struct SlowEcho;
+
+impl Service for SlowEcho {
+    const METHODS: &'static [Method<Self>] = &[Method::new(
+        "echo.slow",
+        "Return the argument unchanged, 10 ms later",
+        &[any("value")],
+        |_, _, args| {
+            std::thread::sleep(Duration::from_millis(10));
+            Ok(args.value(0)?.clone())
+        },
+    )];
+}
+
 pub fn run(args: &Args) {
     let (quick, seed) = (args.quick, args.seed.unwrap_or(1));
     header(&format!(
         "Federation — aggregate throughput vs node count, plus a node-kill drill (seed {seed})"
     ));
-    println!("Every client resolves echo.echo through the station network, steers by the");
+    println!("Every client resolves its method through the station network, steers by the");
     println!("published p95 latency attributes (power-of-two-choices), and re-resolves");
     println!("with endpoint blacklisting on transport failure. Node 0 is elected the first");
     println!("leader ({LEASE_MS} ms lease); followers replicate its WAL, so the session minted on");
-    println!("the leader authenticates everywhere. A 10 ms read-path delay makes each node");
-    println!("latency-bound.\n");
+    println!("the leader authenticates everywhere. The clients call echo.slow, an echo");
+    println!("that answers 10 ms later, so each node is latency-bound.\n");
 
     const CLIENTS: usize = 32;
     let window = (args.point * 2).clamp(Duration::from_secs(2), Duration::from_secs(30));
@@ -41,11 +58,13 @@ pub fn run(args: &Args) {
     // n-node cluster for `window`; returns (calls/sec, wrong answers).
     let measure = |n: usize, clients: usize, window: Duration| -> (f64, u64) {
         let cluster = FederationCluster::start(n, LEASE_MS);
+        for node in &cluster.nodes {
+            node.core().register(Arc::new(SlowEcho));
+        }
         let session = cluster.user_session();
         let stop = Arc::new(AtomicBool::new(false));
         let ok = Arc::new(AtomicU64::new(0));
         let wrong = Arc::new(AtomicU64::new(0));
-        let _delay = clarens_faults::with(sites::HTTPD_READ, "delay:10ms");
         let mut threads = Vec::new();
         for i in 0..clients {
             let mut client = cluster
@@ -59,7 +78,7 @@ pub fn run(args: &Args) {
                 let mut n = 0i64;
                 while !stop.load(Ordering::Relaxed) {
                     n += 1;
-                    match client.call("echo.echo", vec![Value::Int(n)]) {
+                    match client.call("echo.slow", vec![Value::Int(n)]) {
                         Ok(v) if v == Value::Int(n) => {
                             ok.fetch_add(1, Ordering::Relaxed);
                         }

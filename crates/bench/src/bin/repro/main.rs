@@ -13,7 +13,8 @@
 //!   discovery  local-DB vs station fan-out query latency
 //!   all        the three above
 //!   chaos      Figure-4 workload under a seeded randomized fault schedule
-//!              (`--seed N`, plus whatever $CLARENS_FAULTS arms): asserts
+//!              (`--seed N`: client edges that reset requests and close
+//!              responses midway, and a failed WAL write): asserts
 //!              zero wrong answers, reads survive a degraded (read-only)
 //!              store, and client retries absorb >= 95% of transients
 //!   federation Multi-node federation: aggregate echo.echo throughput at

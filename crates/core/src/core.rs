@@ -55,19 +55,31 @@ pub struct ClarensCore {
 }
 
 impl ClarensCore {
-    /// Assemble a core. Opens (or creates) the persistent store per the
-    /// config (its node-local methods bucket starts empty; registering
-    /// services fills it), repopulates the `admins` VO group, and installs
-    /// nothing else — services are registered separately.
+    /// Assemble a core over the store the config names: opened (or
+    /// created) at `db_path`, or in memory (see [`ClarensCore::with_store`]).
     pub fn new(
         config: ClarensConfig,
         roots: Vec<Certificate>,
         credential: Credential,
     ) -> std::io::Result<Arc<ClarensCore>> {
-        let store = Arc::new(match &config.db_path {
+        let store = match &config.db_path {
             Some(path) => Store::open_with_sync(path, config.db_sync)?,
             None => Store::in_memory(),
-        });
+        };
+        Ok(ClarensCore::with_store(config, store, roots, credential))
+    }
+
+    /// Assemble a core over `store` (`config.db_path` and `db_sync` are
+    /// not read). Its node-local methods bucket starts empty (registering
+    /// services fills it); the `admins` VO group is repopulated, and
+    /// nothing else is installed — services are registered separately.
+    pub fn with_store(
+        config: ClarensConfig,
+        store: Store,
+        roots: Vec<Certificate>,
+        credential: Credential,
+    ) -> Arc<ClarensCore> {
+        let store = Arc::new(store);
         let sessions = SessionManager::new(Arc::clone(&store), config.session_ttl);
         let vo = VoManager::new(Arc::clone(&store), &config.admin_dns);
         let acl = AclEngine::new(Arc::clone(&store));
@@ -98,7 +110,7 @@ impl ClarensCore {
             federation,
         });
         core.register_gauges();
-        Ok(core)
+        core
     }
 
     /// Expose DB and auth-cache counters as named telemetry gauges, so
@@ -150,8 +162,6 @@ impl ClarensCore {
                     .map(|c| (c.federation.role() == FederationRole::Leader) as u64)
                     .unwrap_or(0)
             });
-        self.telemetry
-            .register_gauge("faults.injected", clarens_faults::injected_total);
         // Cache gauges capture a weak handle: the telemetry plane lives
         // inside the core, so a strong Arc here would leak it.
         type CacheReader = fn(&ClarensCore) -> (u64, u64);

@@ -171,8 +171,7 @@ impl SessionManager {
             64 + session.dn.len() + session.proxy.as_ref().map_or(0, String::len),
         );
         session.write_record(&mut record);
-        let persisted = clarens_faults::check_io(clarens_faults::sites::SESSION_PERSIST)
-            .and_then(|()| self.store.put(SESSIONS_BUCKET, &session.id, record));
+        let persisted = self.store.put(SESSIONS_BUCKET, &session.id, record);
         let Err(e) = persisted else {
             return;
         };
@@ -417,15 +416,20 @@ mod tests {
 
     #[test]
     fn a_refused_persist_is_served_from_the_cache() {
-        let store = Arc::new(Store::in_memory());
+        let path = std::env::temp_dir().join(format!(
+            "clarens-session-refused-{}.wal",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let disk = clarens_db::FaultyDisk::new();
+        let store = Arc::new(Store::open_on(&disk, &path, false).unwrap());
         let mgr = SessionManager::new(Arc::clone(&store), 3600);
-        let refused = || clarens_faults::with_thread(clarens_faults::sites::SESSION_PERSIST, "err");
 
-        // The store refuses the record: the cache holds the only copy.
-        let orphan = {
-            let _fault = refused();
-            mgr.create(&dn(), 1000)
-        };
+        // The disk fails the record's write, and the store refuses every
+        // write after it: the cache holds the only copy.
+        disk.arm(clarens_db::Call::Write, clarens_db::Fault::Fail, 1);
+        let orphan = mgr.create(&dn(), 1000);
+        assert!(store.is_degraded());
         assert_eq!(mgr.count(), 0);
         let lookups = store.stats().lookups;
         let entry = mgr
@@ -433,13 +437,12 @@ mod tests {
             .expect("served from the cache");
         assert_eq!(*entry.session, orphan);
         assert_eq!(entry.identity.as_deref(), Some(&dn()));
-        let attached = {
-            let _fault = refused();
-            mgr.attach_proxy(&orphan.id, "PROXY", 2000).unwrap()
-        };
+        let attached = mgr.attach_proxy(&orphan.id, "PROXY", 2000).unwrap();
         assert_eq!(attached.proxy.as_deref(), Some("PROXY"));
         assert_eq!(mgr.validate(&orphan.id, 2500), Some(attached));
         assert_eq!(store.stats().lookups, lookups);
+        drop((mgr, store));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use clarens_db::{FaultyDisk, Store};
 use clarens_httpd::{Pipe, Stream, TlsConfig};
 use clarens_pki::cert::{Certificate, CertificateAuthority, Credential};
 use clarens_pki::dn::DistinguishedName;
@@ -120,6 +121,8 @@ pub struct TestGrid {
     pub user: Credential,
     /// The core the server serves.
     core: Arc<ClarensCore>,
+    /// The disk under a persistent store.
+    disk: FaultyDisk,
     server: Served,
     /// Scratch directory backing the file/shell services.
     pub data_dir: PathBuf,
@@ -145,7 +148,8 @@ pub struct GridOptions {
     pub permissive_acls: bool,
     /// HTTP worker threads.
     pub workers: usize,
-    /// Persist the DB at this path (None = in-memory).
+    /// Persist the DB at this path, on the grid's [`TestGrid::disk`]
+    /// (None = in-memory).
     pub db_path: Option<PathBuf>,
     /// Cap on simultaneously live HTTP connections (beyond it: 503 shed).
     pub max_connections: usize,
@@ -225,12 +229,13 @@ impl TestGrid {
             ..Default::default()
         };
 
-        let core = ClarensCore::new(
-            config,
-            vec![ca.certificate.clone()],
-            server_credential.clone(),
-        )
-        .expect("core");
+        let disk = FaultyDisk::new();
+        let store = match &config.db_path {
+            Some(path) => Store::open_on(&disk, path, config.db_sync).expect("store"),
+            None => Store::in_memory(),
+        };
+        let roots = vec![ca.certificate.clone()];
+        let core = ClarensCore::with_store(config, store, roots, server_credential.clone());
         register_builtin_services(&core, None);
         if options.permissive_acls {
             install_permissive_acls(&core);
@@ -254,6 +259,7 @@ impl TestGrid {
             admin,
             user,
             core,
+            disk,
             server,
             data_dir,
         }
@@ -316,6 +322,12 @@ impl TestGrid {
     /// The shared core of the running server.
     pub fn core(&self) -> &Arc<ClarensCore> {
         &self.core
+    }
+
+    /// The disk under the grid's persistent store (`db_path`): arm a
+    /// fault on it to fail the store's writes or syncs.
+    pub fn disk(&self) -> &FaultyDisk {
+        &self.disk
     }
 
     /// Write a file under the file-service root; returns its virtual path.

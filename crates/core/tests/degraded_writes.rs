@@ -2,12 +2,10 @@
 //! read-only, every mutation answers the `DEGRADED` fault (code 9) and
 //! changes nothing. An ACL or VO edit that answered `true` here would be
 //! an administrator's revocation silently not happening.
-//!
-//! The failpoint is armed process-wide, so this file is its own test
-//! binary with one test.
 
 use clarens::testkit::{GridOptions, TestGrid};
 use clarens::{ClarensClient, ClientError};
+use clarens_db::{Call, Fault};
 use clarens_wire::fault::codes;
 use clarens_wire::Value;
 
@@ -45,10 +43,8 @@ fn mutations_on_a_degraded_store_answer_degraded_and_change_nothing() {
         .call("acl.get_method", vec![Value::from("echo")])
         .unwrap();
 
-    {
-        let _fault = clarens_faults::with(clarens_faults::sites::DB_WAL_APPEND, "err|times=1");
-        assert!(grid.core().store.put("probe", "k", b"v".to_vec()).is_err());
-    }
+    grid.disk().arm(Call::Write, Fault::Fail, 1);
+    assert!(grid.core().store.put("probe", "k", b"v".to_vec()).is_err());
     assert!(grid.core().store.is_degraded());
 
     // VO: the revocation is refused, and eve is still a member.

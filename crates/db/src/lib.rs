@@ -16,12 +16,14 @@
 #![forbid(unsafe_code)]
 
 pub mod crc32;
+mod disk;
 pub mod fuzz;
 pub mod log;
 pub mod storage;
 pub mod store;
 pub mod wal_engine;
 
+pub use disk::{Call, Fault, FaultyDisk};
 pub use log::{decode_stream, frame_prefix, LogOp};
 pub use storage::StorageCounters;
 pub use store::{

@@ -18,9 +18,7 @@
 //! corrupting the store, which is what lets Clarens sessions "survive
 //! server failures or restarts transparently" (paper §2).
 
-use std::fs::File;
-use std::io::{self, BufReader, Read, Write};
-use std::path::Path;
+use std::io::{self, Read};
 
 use crate::crc32::crc32;
 
@@ -180,37 +178,6 @@ pub fn put_record_size(bucket: &str, key: &str, value_len: usize) -> u64 {
     frame_size(1 + 2 + bucket.len() + 2 + key.len() + 4 + value_len) as u64
 }
 
-/// Write one framed record to completion. `write` may consume fewer bytes
-/// than offered (the `db.wal.append` failpoint simulates exactly that);
-/// treating a short write as success would frame-shift every record that
-/// follows, so we loop until the record is fully queued.
-pub fn write_framed(writer: &mut dyn Write, record: &[u8]) -> io::Result<()> {
-    let mut written = 0;
-    while written < record.len() {
-        let rest = &record[written..];
-        let n = match clarens_faults::eval(clarens_faults::sites::DB_WAL_APPEND) {
-            Some(clarens_faults::Injected::Err) => {
-                return Err(clarens_faults::injected_error(
-                    clarens_faults::sites::DB_WAL_APPEND,
-                ))
-            }
-            Some(clarens_faults::Injected::ShortWrite(cap)) => {
-                writer.write(&rest[..cap.min(rest.len())])?
-            }
-            _ => match writer.write(rest) {
-                Ok(n) => n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            },
-        };
-        if n == 0 {
-            return Err(io::ErrorKind::WriteZero.into());
-        }
-        written += n;
-    }
-    Ok(())
-}
-
 /// What [`read_frame`] found at the reader's position.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Frame {
@@ -294,18 +261,13 @@ pub struct Recovery {
     pub valid_len: u64,
 }
 
-/// Replay a log file, streaming it frame by frame (the whole log is never
-/// held in memory beside the decoded ops). Missing file ⇒ empty recovery.
-pub fn recover(path: &Path) -> io::Result<Recovery> {
+/// Replay a log, streaming it frame by frame (the whole log is never held
+/// in memory beside the decoded ops).
+pub fn recover(mut reader: impl Read) -> io::Result<Recovery> {
     let mut recovery = Recovery {
         ops: Vec::new(),
         torn_tail: false,
         valid_len: 0,
-    };
-    let mut reader = match File::open(path) {
-        Ok(f) => BufReader::new(f),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(recovery),
-        Err(e) => return Err(e),
     };
     let mut payload = Vec::new();
     loop {
@@ -328,16 +290,22 @@ pub fn recover(path: &Path) -> io::Result<Recovery> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
+    use std::path::Path;
 
     /// Append `ops` to the log at `path` the way the engine does: one
-    /// framed record each, through [`write_framed`].
+    /// framed record each.
     fn append_all(path: &Path, ops: &[LogOp]) -> io::Result<()> {
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)?;
         ops.iter()
-            .try_for_each(|op| write_framed(&mut file, &encode_record(op)))
+            .try_for_each(|op| file.write_all(&encode_record(op)))
+    }
+
+    fn recover_file(path: &Path) -> Recovery {
+        recover(io::BufReader::new(std::fs::File::open(path).unwrap())).unwrap()
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -433,7 +401,7 @@ mod tests {
         append_all(&path, &ops[..2]).unwrap();
         // A reopened log picks up where the file left off.
         append_all(&path, &ops[2..]).unwrap();
-        let recovery = recover(&path).unwrap();
+        let recovery = recover_file(&path);
         assert!(!recovery.torn_tail);
         assert_eq!(recovery.ops, ops);
         assert_eq!(
@@ -445,8 +413,8 @@ mod tests {
     }
 
     #[test]
-    fn missing_file_is_empty() {
-        let recovery = recover(Path::new("/nonexistent/definitely/not/here.wal")).unwrap();
+    fn empty_log_is_empty() {
+        let recovery = recover(&[][..]).unwrap();
         assert!(recovery.ops.is_empty());
         assert!(!recovery.torn_tail);
     }
@@ -460,7 +428,7 @@ mod tests {
         let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         file.set_len(len - 3).unwrap();
 
-        let recovery = recover(&path).unwrap();
+        let recovery = recover_file(&path);
         assert!(recovery.torn_tail);
         assert_eq!(recovery.ops, [put("s", "k1", b"v1")]);
         assert_eq!(
@@ -484,43 +452,9 @@ mod tests {
         bytes[8] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
 
-        let recovery = recover(&path).unwrap();
+        let recovery = recover_file(&path);
         assert!(recovery.torn_tail);
         assert!(recovery.ops.is_empty());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn short_writes_loop_to_completion() {
-        // Every underlying write is capped at 3 bytes: the append loop
-        // must keep going until the whole record is framed on disk.
-        let path = temp_path("short-write");
-        let ops = [
-            put("sessions", "key", b"value-that-needs-many-writes"),
-            put("sessions", "key2", b"second"),
-        ];
-        {
-            let _g = clarens_faults::with_thread(clarens_faults::sites::DB_WAL_APPEND, "short:3");
-            append_all(&path, &ops).unwrap();
-        }
-        let recovery = recover(&path).unwrap();
-        assert!(!recovery.torn_tail);
-        assert_eq!(recovery.ops, ops);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn injected_append_error_surfaces() {
-        let path = temp_path("inject-append");
-        {
-            let _g =
-                clarens_faults::with_thread(clarens_faults::sites::DB_WAL_APPEND, "err|times=1");
-            let err = append_all(&path, &[put("b", "k", b"v")]).unwrap_err();
-            assert!(clarens_faults::is_injected(&err), "{err}");
-        }
-        // After the transient fault clears, the log still works.
-        append_all(&path, &[put("b", "k", b"v")]).unwrap();
-        assert_eq!(recover(&path).unwrap().ops, [put("b", "k", b"v")]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -555,7 +489,7 @@ mod tests {
     fn huge_length_field_treated_as_torn() {
         let path = temp_path("hugelen");
         std::fs::write(&path, (u32::MAX).to_le_bytes()).unwrap();
-        let recovery = recover(&path).unwrap();
+        let recovery = recover_file(&path);
         assert!(recovery.torn_tail);
         assert!(recovery.ops.is_empty());
         std::fs::remove_file(&path).unwrap();

@@ -32,6 +32,7 @@ use std::thread::JoinHandle;
 
 use parking_lot::{Mutex, RwLock};
 
+use crate::disk::{Disk, FaultyDisk, Files};
 use crate::log::{put_record_size, LogOp};
 use crate::storage::StorageCounters;
 use crate::wal_engine::{WalEngine, COMPACT_MIN_BYTES};
@@ -189,7 +190,17 @@ impl Store {
     /// durable before it is acknowledged, concurrent appenders sharing
     /// each fsync.
     pub fn open_with_sync(path: impl Into<PathBuf>, sync: bool) -> io::Result<Self> {
-        let (engine, ops) = WalEngine::open(path.into(), sync)?;
+        Self::open_disk(Arc::new(Files), path.into(), sync)
+    }
+
+    /// Like [`Store::open_with_sync`], on `disk`: the file system, but
+    /// with the faults a test arms on it.
+    pub fn open_on(disk: &FaultyDisk, path: impl Into<PathBuf>, sync: bool) -> io::Result<Self> {
+        Self::open_disk(Arc::new(disk.clone()), path.into(), sync)
+    }
+
+    fn open_disk(disk: Arc<dyn Disk>, path: PathBuf, sync: bool) -> io::Result<Self> {
+        let (engine, ops) = WalEngine::open(disk, path, sync)?;
         Ok(Self::assemble(Some(Arc::new(engine)), ops))
     }
 
@@ -597,6 +608,7 @@ mod tests {
     use std::time::{Duration, Instant};
 
     use super::*;
+    use crate::disk::{Call, Fault};
 
     fn temp_path(name: &str) -> PathBuf {
         let path = std::env::temp_dir().join(format!(
@@ -1090,17 +1102,15 @@ mod tests {
     #[test]
     fn fsync_failure_degrades_to_read_only() {
         let path = temp_path("degraded");
-        let store = Store::open_with_sync(&path, true).unwrap();
+        let disk = FaultyDisk::new();
+        let store = Store::open_on(&disk, &path, true).unwrap();
         store.put("sessions", "s1", b"alice".to_vec()).unwrap();
         assert!(!store.is_degraded());
 
         // One fsync failure poisons the writer...
-        {
-            let _g =
-                clarens_faults::with_thread(clarens_faults::sites::DB_WAL_FSYNC, "err|times=1");
-            let err = store.put("sessions", "s2", b"bob".to_vec()).unwrap_err();
-            assert!(clarens_faults::is_injected(&err), "{err}");
-        }
+        disk.arm(Call::Sync, Fault::Fail, 1);
+        let err = store.put("sessions", "s2", b"bob".to_vec()).unwrap_err();
+        assert!(FaultyDisk::is_fault(&err), "{err}");
         assert!(store.is_degraded());
 
         // ...writes now fail fast with the documented degraded error,
@@ -1120,21 +1130,57 @@ mod tests {
     #[test]
     fn append_failure_degrades_without_mutating_memory() {
         let path = temp_path("degraded-append");
-        let store = Store::open(&path).unwrap();
-        let _g = clarens_faults::with_thread(clarens_faults::sites::DB_WAL_APPEND, "err|times=1");
-        assert!(store.put("b", "k", b"v".to_vec()).is_err());
+        let disk = FaultyDisk::new();
+        let store = Store::open_on(&disk, &path, false).unwrap();
+        store.put("b", "before", b"v".to_vec()).unwrap();
+        disk.arm(Call::Write, Fault::Fail, 1);
+        let err = store.put("b", "k", b"v".to_vec()).unwrap_err();
+        assert!(FaultyDisk::is_fault(&err), "{err}");
         assert!(store.is_degraded());
-        // WAL-first ordering: the failed write never reached memory.
+        // WAL-first ordering: the failed write never reached memory...
         assert_eq!(store.get("b", "k"), None);
+        // ...nor the log: reopened, it holds what was acknowledged.
+        drop(store);
+        let store = Store::open(&path).unwrap();
+        assert_eq!(store.get("b", "before").unwrap(), b"v");
+        assert_eq!(store.get("b", "k"), None);
+        drop(store);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn in_memory_store_never_degrades() {
         let store = Store::in_memory();
-        let _g = clarens_faults::with_thread(clarens_faults::sites::DB_WAL_FSYNC, "err");
         store.put("b", "k", b"v".to_vec()).unwrap();
         assert!(!store.is_degraded());
+        assert!(store.sync().is_ok());
+    }
+
+    /// A write the disk takes a few bytes at a time is still one whole
+    /// frame: every later record recovers.
+    #[test]
+    fn short_writes_loop_to_completion() {
+        let path = temp_path("short-write");
+        let disk = FaultyDisk::new();
+        let store = Store::open_on(&disk, &path, false).unwrap();
+        disk.arm(Call::Write, Fault::Short(3), u64::MAX);
+        store
+            .put("sessions", "key", b"value-that-needs-many-writes".to_vec())
+            .unwrap();
+        store.put("sessions", "key2", b"second".to_vec()).unwrap();
+        drop(store);
+        let store = Store::open(&path).unwrap();
+        assert_eq!(
+            store.get("sessions", "key").unwrap(),
+            b"value-that-needs-many-writes"
+        );
+        assert_eq!(store.get("sessions", "key2").unwrap(), b"second");
+        assert!(
+            disk.hits(Call::Write) > 20,
+            "the disk wrote no short writes"
+        );
+        drop(store);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

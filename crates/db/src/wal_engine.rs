@@ -38,11 +38,13 @@
 //! at `file_len`, into space extended `EXTEND_STEP` bytes ahead, so a
 //! durable ack's `fdatasync` commits no size change. Readers stop at
 //! `file_len`; `Drop` truncates to it; a file lock keeps other engines out.
+//!
+//! **One seam.** Every call the engine makes on its files and their
+//! directory goes through a `Disk` (`crate::disk`): the file system, or
+//! the test double [`crate::FaultyDisk`].
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
-use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -52,9 +54,9 @@ use std::sync::Condvar;
 
 use parking_lot::{Mutex, RwLock};
 
+use crate::disk::{At, Disk, DiskFile, Handle};
 use crate::log::{
-    decode_op, encode_record, frame_payload, frame_prefix, read_frame, recover, write_framed,
-    Frame, LogOp,
+    decode_op, encode_record, frame_payload, frame_prefix, read_frame, recover, Frame, LogOp,
 };
 use crate::storage::StorageCounters;
 use crate::store::WalChunk;
@@ -79,7 +81,7 @@ const EXTEND_STEP: u64 = 1024 * 1024;
 struct WalInner {
     /// Shared handle so fsync (and compaction) can run on a clone of the
     /// `Arc` without holding the append lock.
-    file: Arc<File>,
+    file: Handle,
     /// Length of the log: the bytes of whole records in the current file.
     file_len: u64,
     /// Size of the file: `file_len` rounded up to an `EXTEND_STEP`.
@@ -97,6 +99,7 @@ struct GroupState {
 
 /// Append-only WAL engine (see module docs).
 pub struct WalEngine {
+    disk: Arc<dyn Disk>,
     path: PathBuf,
     inner: Mutex<WalInner>,
     group: Mutex<GroupState>,
@@ -131,55 +134,25 @@ pub struct WalEngine {
 /// What a log tells of each commit: its new `(epoch, committed length)`.
 pub type CommitHook = Box<dyn Fn((u64, u64)) + Send + Sync>;
 
-/// The log file as a `Write` at an offset that advances, for `write_framed`.
-struct WriteAt<'a>(&'a File, u64);
-
-impl Write for WriteAt<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.0.write_at(buf, self.1)?;
-        self.1 += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Take the one-writer lock on a log file (see module docs).
-fn lock_writer(file: &File, path: &Path) -> io::Result<()> {
-    let held = |e| io::Error::other(format!("{} already open: {e}", path.display()));
-    file.try_lock().map_err(held)
-}
-
-/// Fsync the directory holding `path`: what makes a file's creation or
-/// renaming there durable (Pillai et al., OSDI 2014).
-fn sync_dir(path: &Path) -> io::Result<()> {
-    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
-}
-
 impl WalEngine {
-    /// Open (creating if needed) the log at `path`, repairing a torn tail
-    /// in place, and return the engine plus the recovered operations in
-    /// append order. With `sync`, every append is durable before it is
-    /// acknowledged, concurrent appenders sharing each fsync. Fails if
-    /// another engine holds the file.
-    pub fn open(path: PathBuf, sync: bool) -> io::Result<(WalEngine, Vec<LogOp>)> {
-        let created = !path.try_exists()?;
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(&path)?;
-        lock_writer(&file, &path)?;
+    /// Open (creating if needed) the log at `path` on `disk`, repairing a
+    /// torn tail in place, and return the engine plus the recovered
+    /// operations in append order. With `sync`, every append is durable
+    /// before it is acknowledged, concurrent appenders sharing each fsync.
+    /// Fails if another engine holds the file.
+    pub(crate) fn open(
+        disk: Arc<dyn Disk>,
+        path: PathBuf,
+        sync: bool,
+    ) -> io::Result<(WalEngine, Vec<LogOp>)> {
+        let (file, created) = disk.open(&path, false)?;
         if created && sync {
             // Without it a power cut may take the new log's name, and
             // with it every append acknowledged as durable. Not counted in
             // `fsyncs`, which counts the log's own syncs per append.
-            sync_dir(&path)?;
+            disk.sync_dir(&path)?;
         }
-        let recovery = recover(&path)?;
+        let recovery = recover(BufReader::new(At(&*file, 0)))?;
         let mut startup_fsyncs = 0;
         if recovery.torn_tail {
             // A crash tore the last record or left an extension's zeros
@@ -194,9 +167,10 @@ impl WalEngine {
         }
         let file_len = recovery.valid_len;
         let engine = WalEngine {
+            disk,
             path,
             inner: Mutex::new(WalInner {
-                file: Arc::new(file),
+                file,
                 file_len,
                 file_size: file_len,
                 lsn: 0,
@@ -262,8 +236,7 @@ impl WalEngine {
                 let inner = self.inner.lock();
                 (inner.lsn, Arc::clone(&inner.file))
             };
-            let result = clarens_faults::check_io(clarens_faults::sites::DB_WAL_FSYNC)
-                .and_then(|()| file.sync_data());
+            let result = file.sync_data();
             state = self.group.lock();
             state.leader = false;
             match result {
@@ -291,8 +264,8 @@ impl WalEngine {
     /// state map. Every frame below the committed length must be intact;
     /// a torn one here means the file is corrupt, and compaction aborts
     /// leaving the original untouched.
-    fn replay_prefix(path: &Path, mark: u64) -> io::Result<Vec<LogOp>> {
-        let mut reader = BufReader::new(File::open(path)?).take(mark);
+    fn replay_prefix(file: &dyn DiskFile, mark: u64) -> io::Result<Vec<LogOp>> {
+        let mut reader = BufReader::new(At(file, 0)).take(mark);
         let mut live: std::collections::BTreeMap<(String, String), Vec<u8>> =
             std::collections::BTreeMap::new();
         let mut fence: Option<u64> = None;
@@ -328,13 +301,12 @@ impl WalEngine {
     /// Copy `[*mark, end)` of `src` into `dst`, advancing `*mark`.
     fn copy_tail(
         &self,
-        src: &mut File,
-        dst: &mut BufWriter<File>,
+        src: &dyn DiskFile,
+        dst: &mut BufWriter<At>,
         mark: &mut u64,
         end: u64,
     ) -> io::Result<()> {
-        src.seek(SeekFrom::Start(*mark))?;
-        let copied = io::copy(&mut src.take(end - *mark), dst)?;
+        let copied = io::copy(&mut At(src, *mark).take(end - *mark), dst)?;
         self.bytes_written.fetch_add(copied, Ordering::Relaxed);
         if copied < end - *mark {
             return Err(io::ErrorKind::UnexpectedEof.into());
@@ -345,15 +317,19 @@ impl WalEngine {
 
     fn compact_inner(&self) -> io::Result<()> {
         let tmp = self.path.with_extension("compact");
-        let mut mark = self.inner.lock().file_len;
+        // The log's handle is this compaction's to replace: it cannot
+        // change until the swap below.
+        let (src, mut mark) = {
+            let inner = self.inner.lock();
+            (Arc::clone(&inner.file), inner.file_len)
+        };
 
         // Phase 1: snapshot the committed prefix (no locks held — the
         // bytes below `mark` are immutable while the file lives).
-        let live = Self::replay_prefix(&self.path, mark)?;
+        let live = Self::replay_prefix(&*src, mark)?;
         // Locked before the rename makes it the log: never seen unlocked.
-        let snapshot = File::create(&tmp)?;
-        lock_writer(&snapshot, &tmp)?;
-        let mut writer = BufWriter::new(snapshot);
+        let (snapshot, _) = self.disk.open(&tmp, true)?;
+        let mut writer = BufWriter::new(At(&*snapshot, 0));
         for op in &live {
             let record = encode_record(op);
             writer.write_all(&record)?;
@@ -363,16 +339,15 @@ impl WalEngine {
 
         // Phase 2: chase the tail without blocking appenders until the
         // gap is small; then pay the one big fsync off the append path.
-        let mut src = File::open(&self.path)?;
         loop {
             let end = self.inner.lock().file_len;
             if end - mark <= FINAL_TAIL_MAX {
                 break;
             }
-            self.copy_tail(&mut src, &mut writer, &mut mark, end)?;
+            self.copy_tail(&*src, &mut writer, &mut mark, end)?;
         }
         writer.flush()?;
-        writer.get_ref().sync_data()?;
+        snapshot.sync_data()?;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
 
         // Phase 3: the only stop-the-world window — copy the final tail
@@ -381,20 +356,16 @@ impl WalEngine {
         let _swap = self.swap.write();
         let mut inner = self.inner.lock();
         let end = inner.file_len;
-        self.copy_tail(&mut src, &mut writer, &mut mark, end)?;
+        self.copy_tail(&*src, &mut writer, &mut mark, end)?;
         writer.flush()?;
-        writer.get_ref().sync_data()?;
+        snapshot.sync_data()?;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        // Failpoint: hold the swap window open (or fail it) on demand.
-        clarens_faults::check_io(clarens_faults::sites::DB_COMPACT_SWAP)?;
-        let file = writer
-            .into_inner()
-            .map_err(io::IntoInnerError::into_error)?;
-        let len = file.metadata()?.len();
-        std::fs::rename(&tmp, &self.path)?;
+        let len = writer.get_ref().1;
+        drop(writer);
+        self.disk.rename(&tmp, &self.path)?;
         // The snapshot's handle is the log's now, at its exact length.
         (inner.file_len, inner.file_size) = (len, len);
-        inner.file = Arc::new(file);
+        inner.file = snapshot;
         self.committed.store(inner.file_len, Ordering::Release);
         self.epoch.fetch_add(1, Ordering::SeqCst);
         self.compactions.fetch_add(1, Ordering::Relaxed);
@@ -402,7 +373,7 @@ impl WalEngine {
         // back, without whatever is acknowledged from the new one; so
         // appenders stay blocked, and a failure releases no waiter.
         let lsn = inner.lsn;
-        let dir_synced = sync_dir(&self.path);
+        let dir_synced = self.disk.sync_dir(&self.path);
         drop(inner);
         if let Err(e) = dir_synced {
             self.poison();
@@ -434,7 +405,10 @@ impl WalEngine {
                 inner.file_size = size;
                 self.extends.fetch_add(1, Ordering::Relaxed);
             }
-            write_framed(&mut WriteAt(&inner.file, inner.file_len), &record)
+            // `write_all` takes a short write as progress, never as the
+            // record: a frame written in part would shift every later one.
+            At(&*inner.file, inner.file_len)
+                .write_all(&record)
                 .inspect_err(|_| self.poison())?;
             inner.file_len = end;
             inner.lsn += 1;
@@ -471,9 +445,7 @@ impl WalEngine {
             let inner = self.inner.lock();
             (inner.lsn, Arc::clone(&inner.file))
         };
-        clarens_faults::check_io(clarens_faults::sites::DB_WAL_FSYNC)
-            .and_then(|()| file.sync_data())
-            .inspect_err(|_| self.poison())?;
+        file.sync_data().inspect_err(|_| self.poison())?;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         if self.sync_on_append {
             let _state = self.group.lock();
@@ -493,7 +465,7 @@ impl WalEngine {
         self.compacting.store(false, Ordering::SeqCst);
         match result {
             Ok(()) => self.announce(),
-            Err(_) => _ = std::fs::remove_file(self.path.with_extension("compact")),
+            Err(_) => _ = self.disk.remove(&self.path.with_extension("compact")),
         }
         result
     }
@@ -548,6 +520,7 @@ impl WalEngine {
         let _swap = self.swap.read();
         let cur_epoch = self.epoch.load(Ordering::SeqCst);
         let committed = self.committed.load(Ordering::Acquire);
+        let file = Arc::clone(&self.inner.lock().file);
         let start = if epoch != cur_epoch || offset > committed {
             0
         } else {
@@ -555,20 +528,17 @@ impl WalEngine {
         };
         let mut data = Vec::new();
         if start < committed {
-            let mut file = File::open(&self.path)?;
-            file.seek(SeekFrom::Start(start))?;
             let budget = (committed - start).min(max_bytes as u64);
             data.reserve_exact(budget as usize);
-            (&file).take(budget).read_to_end(&mut data)?;
+            At(&*file, start).take(budget).read_to_end(&mut data)?;
             data.truncate(frame_prefix(&data));
             if data.is_empty() {
                 // The frame at `start` is longer than the budget. A
                 // follower reads an empty chunk as "caught up" and would
                 // ask for this offset forever, so ship that one frame
                 // whole instead.
-                file.seek(SeekFrom::Start(start))?;
                 let mut payload = Vec::new();
-                let mut rest = (&file).take(committed - start);
+                let mut rest = At(&*file, start).take(committed - start);
                 if read_frame(&mut rest, &mut payload)? == Frame::Payload {
                     data = frame_payload(&payload);
                 }

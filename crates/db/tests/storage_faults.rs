@@ -1,25 +1,23 @@
-//! Failure-mode regressions for the storage engine, driven through the
-//! `clarens-faults` failpoints:
+//! Failure-mode regressions for the storage engine, each on a store of
+//! its own over a [`FaultyDisk`] (so they run in parallel):
 //!
 //! * a leader's fsync failure must poison every member of its group-commit
 //!   batch — no follower may report success for an append the failed sync
 //!   was supposed to cover, and the store must degrade to read-only;
 //! * a replication read racing a background compaction must never observe
 //!   the rename window (new file bytes labeled with the old epoch, or a
-//!   torn view of either file).
-//!
-//! Global (`with`) arming is safe here: `db.wal.fsync` only fires for the
-//! durable store in the poison test (the race test's store never fsyncs on
-//! the append path), and `db.compact.swap` only fires inside compaction,
-//! which the poison test never runs.
+//!   torn view of either file);
+//! * a failed compaction swap leaves the log as it was, and a failing
+//!   automatic compaction is retried only after the log has grown.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use clarens_db::log::decode_stream;
-use clarens_db::{is_degraded_error, LogOp, Store};
+use clarens_db::{is_degraded_error, Call, Fault, FaultyDisk, LogOp, Store};
 
 fn temp_path(name: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!(
@@ -38,13 +36,14 @@ fn temp_path(name: &str) -> PathBuf {
 #[test]
 fn group_commit_fsync_failure_poisons_whole_batch() {
     let path = temp_path("poison");
-    let store = Arc::new(Store::open_with_sync(&path, true).unwrap());
+    let disk = FaultyDisk::new();
+    let store = Arc::new(Store::open_on(&disk, &path, true).unwrap());
     // Prove the store works before the fault.
     store.put("b", "pre", b"ok".to_vec()).unwrap();
     assert_eq!(store.stats().syncs, 1);
 
     // Every fsync from here on fails, whichever thread leads the batch.
-    let guard = clarens_faults::with(clarens_faults::sites::DB_WAL_FSYNC, "err");
+    disk.arm(Call::Sync, Fault::Fail, u64::MAX);
 
     let writers = 8;
     let barrier = Arc::new(Barrier::new(writers));
@@ -61,7 +60,7 @@ fn group_commit_fsync_failure_poisons_whole_batch() {
                 Err(e) => {
                     let msg = e.to_string();
                     assert!(
-                        clarens_faults::is_injected(&e)
+                        FaultyDisk::is_fault(&e)
                             || msg.contains("poisoned")
                             || is_degraded_error(&e),
                         "writer {t}: unexpected error {msg}"
@@ -74,7 +73,7 @@ fn group_commit_fsync_failure_poisons_whole_batch() {
     for h in handles {
         h.join().unwrap();
     }
-    drop(guard);
+    disk.clear();
 
     assert_eq!(failures.load(Ordering::Relaxed), writers as u64);
     assert!(store.is_degraded());
@@ -92,15 +91,16 @@ fn group_commit_fsync_failure_poisons_whole_batch() {
 }
 
 /// Satellite regression: `wal_read` racing an in-flight background
-/// compaction. The `db.compact.swap` delay failpoint holds the
-/// rename→reopen→epoch-bump window open while a follower-style reader
+/// compaction. A delayed rename holds the rename→handle-swap→epoch-bump
+/// window open while a follower-style reader
 /// hammers the log. Every chunk must decode cleanly (whole CRC-valid
 /// frames only) and carry a self-consistent epoch, so the shadow replica
 /// resyncs exactly once and converges on the store's state.
 #[test]
 fn wal_read_never_straddles_compaction_swap() {
     let path = temp_path("swap-race");
-    let store = Arc::new(Store::open(&path).unwrap());
+    let disk = FaultyDisk::new();
+    let store = Arc::new(Store::open_on(&disk, &path, false).unwrap());
     for i in 0..300 {
         store.put("b", "hot", format!("v{i}").into_bytes()).unwrap();
     }
@@ -128,6 +128,15 @@ fn wal_read_never_straddles_compaction_swap() {
                 }
                 let ops = decode_stream(&chunk.data)
                     .expect("replication chunk with torn or corrupt frames");
+                // An empty chunk reads as "caught up": below the committed
+                // length one must carry at least one frame.
+                assert!(
+                    !chunk.data.is_empty() || chunk.offset >= chunk.len,
+                    "empty chunk at {} of {} (epoch {})",
+                    chunk.offset,
+                    chunk.len,
+                    chunk.epoch
+                );
                 for op in ops {
                     match op {
                         LogOp::Put { bucket, key, value } => {
@@ -144,8 +153,11 @@ fn wal_read_never_straddles_compaction_swap() {
                 if stop.load(Ordering::SeqCst) && drained {
                     return (shadow, resyncs);
                 }
-                if chunk.data.is_empty() {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
+                if offset >= chunk.len {
+                    // Caught up: read the log again from the top, as a new
+                    // follower would, so reads keep landing in the window.
+                    shadow.clear();
+                    offset = 0;
                 }
             }
         })
@@ -153,9 +165,9 @@ fn wal_read_never_straddles_compaction_swap() {
 
     // Hold the swap window open (50ms) while the reader hammers it, then
     // compact in the background-janitor's position.
-    let guard = clarens_faults::with(clarens_faults::sites::DB_COMPACT_SWAP, "delay:50ms");
+    disk.arm(Call::Rename, Fault::Delay(Duration::from_millis(50)), 1);
     store.compact().unwrap();
-    drop(guard);
+    assert_eq!(disk.hits(Call::Rename), 1);
     assert_eq!(store.wal_epoch(), 1);
     stop.store(true, Ordering::SeqCst);
 
@@ -181,22 +193,21 @@ fn wal_read_never_straddles_compaction_swap() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// The delay variant above keeps the swap alive; the `err` variant aborts
+/// The delayed rename above keeps the swap alive; a failed one aborts
 /// it. An aborted swap must leave the original log intact, the epoch
 /// unbumped, and the store fully writable (compaction is best-effort).
 #[test]
 fn failed_swap_leaves_log_intact() {
     let path = temp_path("swap-abort");
-    let store = Store::open(&path).unwrap();
+    let disk = FaultyDisk::new();
+    let store = Store::open_on(&disk, &path, false).unwrap();
     for i in 0..100 {
         store.put("b", "hot", format!("v{i}").into_bytes()).unwrap();
     }
     let before = store.wal_offset();
-    {
-        let _g = clarens_faults::with(clarens_faults::sites::DB_COMPACT_SWAP, "err");
-        let err = store.compact().unwrap_err();
-        assert!(clarens_faults::is_injected(&err), "{err}");
-    }
+    disk.arm(Call::Rename, Fault::Fail, 1);
+    let err = store.compact().unwrap_err();
+    assert!(FaultyDisk::is_fault(&err), "{err}");
     assert_eq!(store.wal_epoch(), 0);
     assert_eq!(store.wal_offset(), before);
     assert!(!store.is_degraded());
@@ -210,6 +221,60 @@ fn failed_swap_leaves_log_intact() {
     assert_eq!(store.wal_epoch(), 1);
     assert_eq!(store.get("b", "post").unwrap(), b"x");
     assert_eq!(store.get("b", "hot").unwrap(), b"v99");
+    drop(store);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// `wal_engine.rs`'s floor below which no log is compacted.
+const COMPACT_MIN_BYTES: usize = 256 * 1024;
+
+/// A failing automatic compaction backs off: with every swap failing,
+/// 2 MiB of overwrites start at most one compaction per
+/// `COMPACT_MIN_BYTES` of log growth (plus the first), never one per
+/// write; every write still lands, and once the disk renames again the
+/// store compacts.
+#[test]
+fn a_failing_compaction_is_retried_only_after_the_log_grows() {
+    let path = temp_path("retry");
+    // Synced writes: slow enough that attempts retried back to back, as
+    // soon as each fails, would outnumber the bound.
+    let disk = FaultyDisk::new();
+    let store = Store::open_on(&disk, &path, true).unwrap();
+    let value = vec![7u8; 1024];
+    let overwrite = |bytes: usize| {
+        for _ in 0..bytes / value.len() {
+            store.put("b", "hot", value.clone()).unwrap();
+        }
+    };
+
+    disk.arm(Call::Rename, Fault::Fail, u64::MAX);
+    overwrite(2 << 20);
+    disk.clear();
+    let attempts = disk.hits(Call::Rename);
+    let bound = (2usize << 20).div_ceil(COMPACT_MIN_BYTES) as u64 + 1;
+    assert!(
+        (1..=bound).contains(&attempts),
+        "{attempts} compaction attempts over 2 MiB of overwrites (bound {bound})"
+    );
+    assert!(!store.is_degraded());
+    assert_eq!(store.wal_epoch(), 0, "no attempt may have swapped the log");
+
+    // Disarmed, the next compaction the log's growth allows succeeds.
+    overwrite(2 * COMPACT_MIN_BYTES);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while store.stats().compactions == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(
+        store.stats().compactions >= 1,
+        "no compaction after the disk recovered (wal={}, live={})",
+        store.wal_offset(),
+        store.live_bytes()
+    );
+    assert_eq!(store.get("b", "hot").unwrap(), value);
+    drop(store);
+    let store = Store::open(&path).unwrap();
+    assert_eq!(store.get("b", "hot").unwrap(), value);
     drop(store);
     std::fs::remove_file(&path).unwrap();
 }

@@ -71,17 +71,6 @@ impl StationServer {
                     if thread_stop.load(Ordering::SeqCst) {
                         break;
                     }
-                    // Fault injection: simulate datagram loss on the
-                    // receive side (real UDP loss is silent, so a dropped
-                    // datagram is neither received nor rejected — it just
-                    // never happened).
-                    if matches!(
-                        clarens_faults::eval(clarens_faults::sites::DISCOVERY_UDP_RECV),
-                        Some(clarens_faults::Injected::Err)
-                            | Some(clarens_faults::Injected::ShortWrite(_))
-                    ) {
-                        continue;
-                    }
                     match Publication::from_datagram(&buf[..len]) {
                         Ok(publication) => {
                             thread_state.received.fetch_add(1, Ordering::Relaxed);
@@ -303,7 +292,6 @@ impl UdpPublisher {
     pub fn publish(&self, publication: &Publication) -> std::io::Result<()> {
         let datagram = publication.to_datagram();
         for station in &self.stations {
-            clarens_faults::check_io(clarens_faults::sites::DISCOVERY_UDP_SEND)?;
             self.socket.send_to(&datagram, station)?;
         }
         Ok(())
@@ -484,24 +472,19 @@ mod tests {
         assert_eq!(ServiceQuery::from_value(&v).unwrap(), q);
     }
 
+    /// A datagram larger than UDP carries is refused at the send: the
+    /// error surfaces, and the publisher's next datagram goes through.
     #[test]
-    fn injected_send_error_surfaces_and_clears() {
+    fn an_oversized_datagram_fails_its_send_and_the_next_goes_through() {
         let station = StationServer::spawn("s1", "127.0.0.1:0").unwrap();
         let publisher = UdpPublisher::new(vec![station.local_addr()]).unwrap();
-        {
-            let _guard = clarens_faults::with_thread(
-                clarens_faults::sites::DISCOVERY_UDP_SEND,
-                "err|times=1",
-            );
-            let err = publisher
-                .publish(&Publication::Service(descriptor("file", 1)))
-                .unwrap_err();
-            assert!(clarens_faults::is_injected(&err));
-            // Budget exhausted: the next attempt goes through.
-            publisher
-                .publish(&Publication::Service(descriptor("file", 2)))
-                .unwrap();
-        }
+        let mut huge = descriptor("huge", 1);
+        huge.attributes.insert("pad".into(), "x".repeat(70_000));
+        let err = publisher.publish(&Publication::Service(huge)).unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(90), "EMSGSIZE, got {err}");
+        publisher
+            .publish(&Publication::Service(descriptor("file", 2)))
+            .unwrap();
         assert!(wait_until(Duration::from_secs(2), || station
             .service_count()
             == 1));

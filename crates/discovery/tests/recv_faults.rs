@@ -1,14 +1,15 @@
-//! Receive-side fault injection for the station UDP ingest path.
-//!
-//! The `discovery.udp.recv` failpoint fires on the station's ingest
-//! thread, so it must be armed globally (not thread-scoped). This test
-//! lives in its own integration-test binary — and therefore its own
-//! process — so the global arming cannot interfere with the crate's
-//! parallel unit tests.
+//! Datagram loss on a station's receive side, made by the kernel: while
+//! the ingest thread is held up, datagrams overflow the socket's receive
+//! buffer and are dropped. A lost datagram is neither received nor
+//! rejected, and the station takes the next one that arrives.
+
+use std::sync::Arc;
+use std::time::Duration;
 
 use monalisa_sim::station::wait_until;
-use monalisa_sim::{Publication, ServiceDescriptor, ServiceQuery, StationServer, UdpPublisher};
-use std::time::Duration;
+use monalisa_sim::UdpPublisher;
+use monalisa_sim::{Publication, ServiceDescriptor, ServiceQuery, StationServer, Table};
+use parking_lot::RwLock;
 
 fn descriptor(service: &str, ts: i64) -> ServiceDescriptor {
     ServiceDescriptor {
@@ -22,32 +23,46 @@ fn descriptor(service: &str, ts: i64) -> ServiceDescriptor {
 }
 
 #[test]
-fn injected_recv_loss_drops_datagram_silently() {
+fn datagrams_lost_to_a_full_receive_buffer_are_neither_received_nor_rejected() {
     let station = StationServer::spawn("s1", "127.0.0.1:0").unwrap();
     let publisher = UdpPublisher::new(vec![station.local_addr()]).unwrap();
-    {
-        let _guard = clarens_faults::with(clarens_faults::sites::DISCOVERY_UDP_RECV, "err|times=1");
-        publisher
-            .publish(&Publication::Service(descriptor("lost", 1)))
-            .unwrap();
-        // The first datagram is consumed by the failpoint before parsing.
-        assert!(wait_until(Duration::from_secs(2), || {
-            clarens_faults::hits(clarens_faults::sites::DISCOVERY_UDP_RECV) == 1
-        }));
-        // Budget exhausted: the follow-up datagram lands.
-        publisher
-            .publish(&Publication::Service(descriptor("kept", 2)))
-            .unwrap();
-        assert!(wait_until(Duration::from_secs(2), || station
-            .service_count()
-            == 1));
+    // The ingest thread offers every publication it takes to this
+    // subscriber, whose table the test holds: it stops at the first.
+    let subscriber = Arc::new(RwLock::new(Table::default()));
+    station.subscribe(&subscriber);
+    let held = subscriber.write();
+    let first = Publication::Service(descriptor("first", 1));
+    publisher.publish(&first).unwrap();
+    assert!(wait_until(Duration::from_secs(2), || station.stats().0 == 1));
+
+    // About 60 KB each: a few fill the receive buffer, the rest are lost.
+    const SENT: u64 = 64;
+    for i in 0..SENT {
+        let mut padded = descriptor(&format!("padded-{i}"), 1);
+        padded.attributes.insert("pad".into(), "x".repeat(60_000));
+        publisher.publish(&Publication::Service(padded)).unwrap();
     }
-    assert_eq!(station.query(&ServiceQuery::by_service("kept")).len(), 1);
+    drop(held);
+    // Settled: nothing more taken for 300 ms.
+    let mut taken = station.stats();
+    while wait_until(Duration::from_millis(300), || station.stats() != taken) {
+        taken = station.stats();
+    }
     let (received, rejected) = station.stats();
-    assert_eq!(
-        (received, rejected),
-        (1, 0),
-        "a dropped datagram is neither received nor rejected"
+    assert_eq!(rejected, 0, "a lost datagram is never rejected");
+    assert!(
+        (2..=SENT).contains(&received),
+        "{received} of {} datagrams received: none was lost, or none buffered",
+        SENT + 1
     );
+
+    publisher
+        .publish(&Publication::Service(descriptor("kept", 2)))
+        .unwrap();
+    assert!(wait_until(Duration::from_secs(2), || station
+        .query(&ServiceQuery::by_service("kept"))
+        .len()
+        == 1));
+    assert_eq!(station.stats(), (received + 1, 0));
     station.shutdown();
 }

@@ -7,7 +7,9 @@
 //! leads, its `cluster-leader` lease, then reads the leases back. A leader
 //! renews only after its publish lands and no rival lease moved within a
 //! lapse (1.5 leases); a higher epoch, or an equal one at a lower address,
-//! demotes it. A lease lapsed, or none seen for a lapse from a reachable
+//! demotes it. A member advert carries its node's epoch, and a leader that
+//! reads one above its own (a claim no lease ever showed) claims above it,
+//! since that node can follow no lower epoch. A lease lapsed, or none seen for a lapse from a reachable
 //! station, starts an election: pause, recheck, rank the live members by
 //! the position of the data each holds, read from `system.health`. Stamps
 //! are aged on the observer's clock from when they changed, never
@@ -94,6 +96,8 @@ enum Phase {
     Recheck,
     Members,
     Ranking,
+    /// A leader, awaiting the member adverts.
+    Outranked,
 }
 
 /// The election policy of one node (see the module docs).
@@ -163,6 +167,20 @@ impl Election {
                 }
             }
             (Input::Found(members, up), Phase::Members) => self.members(&members, up),
+            (Input::Found(members, _), Phase::Outranked) => {
+                // A member holds an epoch above this leader's: a claim of
+                // its that no one saw. It can follow no lower epoch, so
+                // claim above it.
+                let me = self.addr.clone();
+                let others = members.iter().filter(|d| addr_of(d) != me);
+                match others.map(|d| attr(d, "epoch")).max() {
+                    Some(top) if top > self.epoch() => {
+                        self.node.epoch = top;
+                        self.win();
+                    }
+                    _ => self.idle(),
+                }
+            }
             (Input::Health(replies), Phase::Ranking) => {
                 // Defer to a leader, a higher position, or an equal one at
                 // a lower address.
@@ -192,7 +210,7 @@ impl Election {
             self.follow("", self.node.epoch);
         }
         self.published = true;
-        self.publish(MEMBER_SERVICE, None);
+        self.publish(MEMBER_SERVICE, Some(("epoch", self.epoch())));
         self.publish_lease();
     }
 
@@ -222,7 +240,10 @@ impl Election {
             };
             match (rival, at) {
                 (Some((epoch, leader)), _) => self.follow(leader, epoch),
-                (None, Some(at)) => self.renew(leases, up, at),
+                (None, Some(at)) => {
+                    self.renew(leases, up, at);
+                    return self.query(Phase::Outranked, MEMBER_SERVICE);
+                }
                 (None, None) => {}
             }
             return self.idle();

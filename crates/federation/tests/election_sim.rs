@@ -818,3 +818,14 @@ fn leaderless_station_network_still_elects() {
 fn failover_inside_a_resync_window() {
     clarens_search::replay(NAME, 1_655, |seed| Sim::random(seed).check());
 }
+
+/// A claim that never landed strands no one. A node cut off from the
+/// stations claims epoch 2 and steps down without a lease; a peer that saw
+/// neither of its claims is then elected at epoch 1, below the fence the
+/// first node sealed, which can follow no lower epoch. The leader reads
+/// the higher epoch from that node's member advert and claims above it, so
+/// the node follows it and converges.
+#[test]
+fn a_claim_that_never_landed_strands_no_one() {
+    clarens_search::replay(NAME, 93_307, |seed| Sim::random(seed).check());
+}

@@ -721,8 +721,7 @@ pub(crate) fn drive<H: Handler + ?Sized>(
                             && matches!(response.body, Body::Bytes(_))
                         {
                             let staged = trace.span(Phase::Write, || {
-                                clarens_faults::check_io(clarens_faults::sites::HTTPD_WRITE)
-                                    .and_then(|()| stage_response(response, &mut outq, scratch))
+                                stage_response(response, &mut outq, scratch)
                             });
                             http.buffer_pool_reuse
                                 .add(scratch.reuses().wrapping_sub(reuses_before));
@@ -749,17 +748,15 @@ pub(crate) fn drive<H: Handler + ?Sized>(
         // held reply's answer): the response leaves behind anything
         // staged, in one write in flight.
         let progress = trace.span(Phase::Write, || {
-            match clarens_faults::check_io(clarens_faults::sites::HTTPD_WRITE).and_then(|()| {
-                WriteState::new(
-                    response,
-                    keep_alive,
-                    head_only,
-                    &mut outq,
-                    &mut guards,
-                    scratch,
-                    conn.tls.as_mut().map(|tls| &mut tls.channel),
-                )
-            }) {
+            match WriteState::new(
+                response,
+                keep_alive,
+                head_only,
+                &mut outq,
+                &mut guards,
+                scratch,
+                conn.tls.as_mut().map(|tls| &mut tls.channel),
+            ) {
                 Ok(state) => advance_pending(&mut conn, state, scratch),
                 Err(error) => WriteProgress::Failed(error),
             }
@@ -798,9 +795,6 @@ pub(crate) fn drive<H: Handler + ?Sized>(
 /// channel on a TLS connection, whose handshake replies are left in
 /// `pending_write` for the caller's next turn of the loop.
 fn fill(conn: &mut Conn, scratch: &mut Scratch) -> Fill {
-    if let Err(e) = clarens_faults::check_io(clarens_faults::sites::HTTPD_READ) {
-        return Fill::Err(e);
-    }
     let chunk = scratch.read_buffer(READ_CHUNK);
     let mut appended = 0usize;
     let outcome = loop {

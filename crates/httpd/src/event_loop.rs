@@ -273,6 +273,7 @@ mod tests {
     use super::*;
     use clarens_search::{Agenda, Rng};
     use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Microseconds per millisecond: the simulated clock counts µs.
     const MS: u64 = 1_000;
@@ -1084,9 +1085,27 @@ mod tests {
 
     #[test]
     fn schedules() {
+        // A failed accept has no test but this search: it must draw both.
+        let failures = [Accept::Exhausted, Accept::Other];
+        let drawn = failures.map(|_| AtomicUsize::new(0));
         clarens_search::search("clarens-httpd --lib event_loop", 0..10_000, |seed| {
-            Sim::new(seed, Plan::random(seed)).check().map(drop)
+            let sim = Sim::new(seed, Plan::random(seed)).check()?;
+            for (answer, count) in failures.iter().zip(&drawn) {
+                let fed =
+                    |line: &Line| matches!(line, Line::In(_, Input::Accepted(a)) if a == answer);
+                if sim.timeline.iter().any(fed) {
+                    count.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            Ok(())
         });
+        if std::env::var_os("SEARCH_SEED").is_none() {
+            let drawn = drawn.map(|count| count.into_inner());
+            assert!(
+                drawn.iter().all(|&n| n > 0),
+                "schedules fed {failures:?}: {drawn:?}"
+            );
+        }
     }
 
     /// An `EMFILE` burst takes the listener out of the set for

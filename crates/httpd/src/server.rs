@@ -35,7 +35,6 @@ use std::time::{Duration, Instant};
 
 use clarens_telemetry::{Gauge, HttpCounters, RequestTrace, Telemetry};
 
-use clarens_faults::Injected;
 use clarens_pki::cert::{Certificate, Credential};
 use clarens_pki::dn::DistinguishedName;
 use clarens_pki::keystream::SecretRng;
@@ -684,12 +683,6 @@ fn accept<H: Handler>(
 ) -> Accept {
     match accepted {
         Some(Ok((accepted, _))) => {
-            // Fault injection: a failed accept behaves like ECONNABORTED,
-            // the connection dropped before any accounting sees it.
-            let fault = clarens_faults::eval(clarens_faults::sites::HTTPD_ACCEPT);
-            if matches!(fault, Some(Injected::Err | Injected::ShortWrite(_))) {
-                return Accept::Other;
-            }
             shared.serve.telemetry.http.connections.inc();
             // A socket that cannot be driven without blocking is dropped.
             if accepted.set_nonblocking(true).is_err() {
