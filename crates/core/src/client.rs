@@ -270,7 +270,7 @@ impl ClarensClient {
     }
 
     /// A node's client of another node — replication fetches, election
-    /// probes, heartbeats, forwarded calls: it speaks clarens-binary, so a
+    /// probes, forwarded calls: it speaks clarens-binary, so a
     /// WAL chunk crosses as raw bytes, with no XML to write or to parse.
     /// This is the one place the node-to-node protocol is chosen.
     pub fn peer(addr: impl Into<String>) -> Self {

@@ -7,6 +7,7 @@
 //! database (the fast path Figure 3 motivates); `discovery.find_remote`
 //! exposes the fan-out path so the two can be compared.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use monalisa_sim::{
@@ -15,6 +16,7 @@ use monalisa_sim::{
 
 use clarens_wire::{Fault, Value};
 
+use crate::core::ClarensCore;
 use crate::registry::param::any;
 use crate::registry::{Args, CallContext, Method, Service, METHODS_BUCKET};
 
@@ -128,45 +130,46 @@ impl DiscoveryService {
             .publisher
             .as_ref()
             .ok_or_else(|| Fault::service("this server has no publisher configured"))?;
-        // One descriptor per registered module, methods from the DB.
-        // Descriptors carry live load/latency attributes so the station
-        // network can steer clients toward lightly-loaded servers (the
-        // paper's MonALISA monitoring integration).
-        let telemetry = &ctx.core.telemetry;
-        let latency = telemetry.total_snapshot();
-        let load_attributes = [
-            ("requests_total", telemetry.http.requests.get()),
-            ("errors_total", telemetry.http.responses_5xx.get()),
-            ("p50_us", latency.p50()),
-            ("p95_us", latency.p95()),
-            ("p99_us", latency.p99()),
-        ]
-        .map(|(name, value)| (name.to_owned(), value.to_string()));
-        let modules = ctx.core.registry.read().modules();
-        let mut published = 0i64;
-        for module in modules {
-            let methods: Vec<String> = ctx
-                .core
-                .store
-                .scan_prefix(METHODS_BUCKET, &format!("{module}."))
-                .into_iter()
-                .map(|(name, _)| name)
-                .collect();
-            let descriptor = ServiceDescriptor {
-                url: ctx.core.config.server_url.clone(),
-                server_dn: ctx.core.credential.certificate.subject.to_string(),
-                service: module.to_owned(),
-                methods,
-                attributes: load_attributes.iter().cloned().collect(),
-                timestamp: ctx.now,
-            };
+        let descriptors = module_descriptors(ctx.core, ctx.now);
+        let published = descriptors.len() as i64;
+        for descriptor in descriptors {
             // Sent once: a lost datagram is made good by the next publish
             // (stations keep the newest timestamp per key).
             publisher
                 .publish(&Publication::Service(descriptor))
                 .map_err(|e| Fault::service(format!("publish failed: {e}")))?;
-            published += 1;
         }
         Ok(Value::Int(published))
     }
+}
+
+/// The descriptors `core` advertises, stamped `now` (Unix seconds): one
+/// per registered module, its methods from the node's method table, each
+/// with the live load/latency attributes the station network steers
+/// clients by. `discovery.publish` sends them, as a federation node's
+/// election tick does.
+pub fn module_descriptors(core: &ClarensCore, now: i64) -> Vec<ServiceDescriptor> {
+    let telemetry = &core.telemetry;
+    let latency = telemetry.total_snapshot();
+    let attributes: BTreeMap<_, _> = [
+        ("requests_total", telemetry.http.requests.get()),
+        ("errors_total", telemetry.http.responses_5xx.get()),
+        ("p50_us", latency.p50()),
+        ("p95_us", latency.p95()),
+        ("p99_us", latency.p99()),
+    ]
+    .map(|(name, value)| (name.to_owned(), value.to_string()))
+    .into();
+    let (modules, store) = (core.registry.read().modules(), &core.store);
+    let methods = |module| store.scan_prefix(METHODS_BUCKET, &format!("{module}."));
+    (modules.into_iter())
+        .map(|module| ServiceDescriptor {
+            url: core.config.server_url.clone(),
+            server_dn: core.credential.certificate.subject.to_string(),
+            service: module.to_owned(),
+            methods: methods(module).into_iter().map(|(name, _)| name).collect(),
+            attributes: attributes.clone(),
+            timestamp: now,
+        })
+        .collect()
 }

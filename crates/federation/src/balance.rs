@@ -4,14 +4,14 @@
 //! the method it is about to call through the station network (the same
 //! TCP query path `discovery.find_remote` uses — deliberately independent
 //! of any single Clarens node, so resolution survives node death), steers
-//! by the live load attributes servers publish with their heartbeats, and
+//! by the live load attributes servers publish on every election tick, and
 //! fails over by blacklisting a dead endpoint and re-resolving.
 //!
 //! Selection is power-of-two-choices on the published `p95_us` latency
 //! attribute: pick two random candidates, use the less-loaded one. That
 //! spreads a fleet of clients across the federation without the herding
 //! a strict pick-the-minimum rule causes when attributes refresh only on
-//! heartbeat.
+//! a tick.
 //!
 //! [`with_session_affinity`](BalancedClient::with_session_affinity) swaps
 //! the placement policy for rendezvous (highest-random-weight) hashing of
@@ -237,7 +237,7 @@ impl Router {
     /// uniformly at random: the published latency attributes are
     /// cumulative and therefore stale under shifting load, and steering a
     /// whole fleet by a stale signal herds it onto whichever node looked
-    /// best at the last heartbeat. Random rotation keeps the time-averaged
+    /// best at the last advert. Random rotation keeps the time-averaged
     /// spread even no matter how stale the attributes are, while the p2c
     /// steering below still handles initial placement and failover, where
     /// a persistently slow or dying node is exactly what the attributes

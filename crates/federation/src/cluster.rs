@@ -21,16 +21,13 @@ use crate::balance::BalancedClient;
 use crate::election::ElectionManager;
 use crate::pki::federation_pki;
 use crate::replicator::Replicator;
-use crate::Worker;
 
-/// How often a node re-publishes its descriptors (with fresh load
-/// attributes) to the station network.
-const HEARTBEAT: Duration = Duration::from_millis(100);
-
-/// Descriptor TTL in each node's aggregated discovery view: a node that
-/// misses this many seconds of heartbeats stops being routable via
-/// `proxy.call` (balanced clients go through the stations directly and
-/// handle death by blacklisting instead).
+/// Descriptor TTL in each node's aggregated discovery view: a node whose
+/// descriptors have not been renewed for this many seconds stops being
+/// routable via `proxy.call` (balanced clients go through the stations
+/// directly and handle death by blacklisting instead). A node renews them
+/// every election tick (lease/4); under a lease above 1.5 s the TTL is two
+/// leases instead, so it always spans eight ticks.
 const AGGREGATOR_TTL_SECS: i64 = 3;
 
 /// Options for one federation node.
@@ -56,7 +53,8 @@ pub struct NodeOptions {
 }
 
 /// One running federation node: server + discovery plumbing + the
-/// replication loop + the election manager.
+/// replication loop + the election manager (which also advertises the
+/// node's modules).
 pub struct FederationNode {
     /// The running server (its core is reachable via `server.core`).
     pub server: ClarensServer,
@@ -66,13 +64,13 @@ pub struct FederationNode {
     pub addr: String,
     /// The node's aggregated discovery view (shared with its proxy router).
     pub aggregator: Arc<DiscoveryAggregator>,
-    heartbeat: Worker,
     replicator: Replicator,
     election: ElectionManager,
 }
 
 /// Reserve a free localhost port: bind, read, release. The tiny window
-/// between release and the server's own bind is why `start` retries.
+/// between release and the server's own bind is why `start` tries up to
+/// five ports.
 fn reserve_port() -> std::io::Result<u16> {
     Ok(TcpListener::bind("127.0.0.1:0")?.local_addr()?.port())
 }
@@ -84,8 +82,8 @@ impl FederationNode {
         stations: Vec<Arc<StationServer>>,
     ) -> std::io::Result<FederationNode> {
         let pki = federation_pki();
-        let mut last_err = None;
-        for _ in 0..5 {
+        let mut tries = 0;
+        let (server, addr, aggregator) = loop {
             // The server url must be final before services register (the
             // discovery descriptors and the proxy's own-url filter both
             // read it), so reserve a port first and bind to exactly it.
@@ -109,51 +107,43 @@ impl FederationNode {
                 None => core.federation.set_role(FederationRole::Leader),
                 Some(leader) => core.federation.set_leader(leader),
             }
-            let aggregator =
-                Arc::new(DiscoveryAggregator::new(stations.clone()).with_ttl(AGGREGATOR_TTL_SECS));
+            let ttl = AGGREGATOR_TTL_SECS.max(options.leader_lease_ms.div_ceil(500) as i64);
+            let aggregator = Arc::new(DiscoveryAggregator::new(stations.clone()).with_ttl(ttl));
             let publisher = UdpPublisher::new(stations.iter().map(|s| s.local_addr()).collect())?;
             let discovery = DiscoveryService::new(Arc::clone(&aggregator), Some(publisher));
             register_builtin_services(&core, Some(discovery));
             install_permissive_acls(&core);
-            let server = match ClarensServer::start(core, &addr, None) {
-                Ok(server) => server,
-                Err(e) => {
-                    // Lost the port race: reserve a fresh one.
-                    last_err = Some(e);
-                    continue;
-                }
-            };
-            let url = server.core.config.server_url.clone();
-            let heartbeat = spawn_heartbeat(addr.clone());
-            // Every node runs the replication loop: it idles while the
-            // node leads and follows `FederationState` when it does not, so
-            // promotion/demotion needs no thread surgery.
-            let replicator = Replicator::start(
-                Arc::clone(&server.core),
-                options.leader.clone().unwrap_or_default(),
-                pki.admin.clone(),
-            );
-            let election = ElectionManager::start(
-                Arc::clone(&server.core),
-                addr.clone(),
-                stations.iter().map(|s| s.local_addr()).collect(),
-                stations.iter().map(|s| s.query_addr()).collect(),
-                options.index as u64 + 1,
-            )
-            .expect("start election manager");
-            return Ok(FederationNode {
-                server,
-                url,
-                addr,
-                aggregator,
-                heartbeat,
-                replicator,
-                election,
-            });
-        }
-        Err(last_err.unwrap_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::AddrInUse, "no reservable port")
-        }))
+            match ClarensServer::start(core, &addr, None) {
+                Ok(server) => break (server, addr, aggregator),
+                // Lost the port race: reserve a fresh one.
+                Err(_) if tries < 4 => tries += 1,
+                Err(e) => return Err(e),
+            }
+        };
+        let url = server.core.config.server_url.clone();
+        // Every node runs the replication loop: it idles while the node
+        // leads and follows `FederationState` when it does not, so
+        // promotion/demotion needs no thread surgery.
+        let replicator = Replicator::start(
+            Arc::clone(&server.core),
+            options.leader.clone().unwrap_or_default(),
+            pki.admin.clone(),
+        );
+        let election = ElectionManager::start(
+            Arc::clone(&server.core),
+            addr.clone(),
+            stations.iter().map(|s| s.local_addr()).collect(),
+            stations.iter().map(|s| s.query_addr()).collect(),
+            options.index as u64 + 1,
+        )?;
+        Ok(FederationNode {
+            server,
+            url,
+            addr,
+            aggregator,
+            replicator,
+            election,
+        })
     }
 
     /// The node's shared core.
@@ -183,46 +173,15 @@ impl FederationNode {
         self.election.set_partitioned(on);
     }
 
-    /// Kill the node: stop heartbeats, elections, and replication, shut
-    /// the server down. New connections are refused and idle ones close
-    /// at once; requests already in flight are answered first (within
-    /// `clarens_httpd::server::DRAIN_TIMEOUT`), as on a clean stop.
+    /// Kill the node: stop elections (and with them its adverts) and
+    /// replication, shut the server down. New connections are refused and
+    /// idle ones close at once; requests already in flight are answered
+    /// first (within `clarens_httpd::server::DRAIN_TIMEOUT`), as on a
+    /// clean stop.
     pub fn kill(self) {
-        drop((self.heartbeat, self.election, self.replicator));
+        drop((self.election, self.replicator));
         self.server.shutdown();
     }
-}
-
-/// Re-publish this node's descriptors (with fresh load attributes) every
-/// heartbeat, through the node's own RPC surface — the same
-/// `discovery.publish` an operator's cron job would call.
-fn spawn_heartbeat(addr: String) -> Worker {
-    let admin = federation_pki().admin.clone();
-    Worker::spawn(format!("heartbeat-{addr}"), move |stop| {
-        let mut client = ClarensClient::peer(addr)
-            .with_credential(admin)
-            .with_retries(0)
-            .with_call_deadline(Duration::from_secs(2));
-        let mut logged_in = false;
-        let mut misses = 0;
-        while !stop.load(Ordering::SeqCst) {
-            if !logged_in {
-                // On a follower, `system.auth` is fenced and the client
-                // chases the NOT_LEADER hint to the leader; the minted
-                // session replicates back within a poll or two.
-                logged_in = client.login().is_ok();
-                misses = 0;
-            }
-            if logged_in && client.call("discovery.publish", vec![]).is_err() {
-                // A fresh session has usually not replicated back yet
-                // on the first beat: minting another one each time
-                // would lose that race forever. Give it a beat.
-                misses += 1;
-                logged_in = misses < 2;
-            }
-            std::thread::sleep(HEARTBEAT);
-        }
-    })
 }
 
 /// A whole in-process federation: one station and `n` lease-elected
@@ -275,7 +234,8 @@ impl FederationCluster {
             scratch,
         };
         // Convergence: every node's aggregated view lists every node's
-        // echo service (i.e., heartbeats flowed station -> all mirrors).
+        // echo service (i.e., election ticks' adverts flowed station -> all
+        // mirrors).
         let want = n;
         assert!(
             wait_until(Duration::from_secs(15), || {

@@ -4,7 +4,8 @@
 //! The policy is the [`Election`] step machine — no clock, socket or
 //! thread in it; the [`ElectionManager`] thread is its driver. Each tick
 //! (lease/4) a node publishes its `cluster` member advert and, while it
-//! leads, its `cluster-leader` lease, then reads the leases back. A leader
+//! leads, its `cluster-leader` lease, then reads the leases back; the
+//! driver sends the node's module descriptors with every tick. A leader
 //! renews only after its publish lands and no rival lease moved within a
 //! lapse (1.5 leases); a higher epoch, or an equal one at a lower address,
 //! demotes it. A member advert carries its node's epoch, and a leader that
@@ -25,6 +26,7 @@ use std::time::Duration;
 use clarens::core::ClarensCore;
 use clarens::federation::FederationRole::{self, Follower, Leader};
 use clarens::federation::Position;
+use clarens::services::discovery::module_descriptors;
 use clarens::ClarensClient;
 use clarens_wire::Value;
 use monalisa_sim::{Publication, ServiceDescriptor, ServiceQuery, UdpPublisher};
@@ -406,11 +408,11 @@ pub struct ElectionManager {
 
 impl ElectionManager {
     /// Start managing elections for `core`, which serves RPC on `addr`.
-    /// `udp_stations` receive lease/member publications; `query_stations`
-    /// are the TCP query addresses of the same stations. The lease is
-    /// `core.config.leader_lease_ms` (must be > 0); the random pre-claim
-    /// pause is bounded by a fifth of it and seeded by `jitter_seed`
-    /// (deterministic drills).
+    /// `udp_stations` receive lease/member publications and the node's
+    /// module descriptors; `query_stations` are the TCP query addresses of
+    /// the same stations. The lease is `core.config.leader_lease_ms` (must
+    /// be > 0); the random pre-claim pause is bounded by a fifth of it and
+    /// seeded by `jitter_seed` (deterministic drills).
     pub fn start(
         core: Arc<ClarensCore>,
         addr: String,
@@ -457,14 +459,8 @@ fn run(core: &ClarensCore, addr: &str, mut machine: Election, io: &Io, stop: &At
             std::thread::sleep(Duration::from_millis(wake - now));
             continue;
         }
-        let (fed, cut) = (&core.federation, cut.load(Ordering::SeqCst));
-        let node = Node {
-            role: fed.role(),
-            epoch: fed.epoch(),
-            applied: core.position(),
-            fence: core.store.fence_epoch(),
-        };
-        let input = inputs.pop_front().unwrap_or(Input::Tick(node));
+        let (input, cut) = (inputs.pop_front(), cut.load(Ordering::SeqCst));
+        let input = input.unwrap_or_else(|| tick(core, publisher, now));
         for effect in machine.step(now, input) {
             match effect {
                 Effect::Publish(d) => {
@@ -484,6 +480,22 @@ fn run(core: &ClarensCore, addr: &str, mut machine: Election, io: &Io, stop: &At
             }
         }
     }
+}
+
+/// A tick: advertise the node's modules (a lost datagram is made good by
+/// the next tick), then read its state for the machine. The modules go out
+/// while the election traffic is cut: the RPC plane stays up.
+fn tick(core: &ClarensCore, publisher: &UdpPublisher, now: u64) -> Input {
+    for descriptor in module_descriptors(core, (now / 1000) as i64) {
+        let _ = publisher.publish(&Publication::Service(descriptor));
+    }
+    let fed = &core.federation;
+    Input::Tick(Node {
+        role: fed.role(),
+        epoch: fed.epoch(),
+        applied: core.position(),
+        fence: core.store.fence_epoch(),
+    })
 }
 
 /// The one applier of each state-changing effect.
@@ -534,4 +546,42 @@ fn health(peer: String) -> Option<(String, bool, Position)> {
     };
     let applied = applied.map_or((u64::MAX, (u64::MAX, u64::MAX)), |((f, e), o)| (f, (e, o)));
     Some((peer, leads, applied))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A leader renews its lease only once the lease itself reached the
+    /// stations: its member advert landing is not enough.
+    #[test]
+    fn a_lease_publish_that_failed_renews_nothing() {
+        let mut machine = Election::new("127.0.0.1:1", 400, 80, 1);
+        let node = Node {
+            role: Leader,
+            epoch: 1,
+            fence: 1,
+            ..Node::default()
+        };
+        let renews = |effects: &[Effect]| effects.iter().any(|e| matches!(e, Effect::Renew(_)));
+        // A round whose publishes both land renews.
+        let effects = machine.step(1_000, Input::Tick(node));
+        let lease = effects.iter().find_map(|e| match e {
+            Effect::Publish(d) if d.service == LEASE_SERVICE => Some(d.clone()),
+            _ => None,
+        });
+        let lease = lease.expect("a leader publishes its lease");
+        assert_eq!(effects.last(), Some(&Effect::Query(LEASE_SERVICE)));
+        machine.step(1_000, Input::Published(true));
+        machine.step(1_000, Input::Published(true));
+        let effects = machine.step(1_000, Input::Found(vec![lease.clone()], true));
+        assert!(renews(&effects), "{effects:?}");
+        machine.step(1_000, Input::Found(Vec::new(), true));
+        // The next round's member advert lands and its lease does not.
+        machine.step(1_100, Input::Tick(node));
+        machine.step(1_100, Input::Published(true));
+        machine.step(1_100, Input::Published(false));
+        let effects = machine.step(1_100, Input::Found(vec![lease], true));
+        assert!(!renews(&effects), "{effects:?}");
+    }
 }

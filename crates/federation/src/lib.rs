@@ -14,16 +14,18 @@
 //!   forwarded one hop to the discovery-resolved owner, with an
 //!   `x-clarens-hops` header bounding pathological bouncing.
 //! * **WAL-shipping replication** — [`Replicator`] runs on follower nodes,
-//!   polling the leader's `replication.fetch` cursor stream and applying
+//!   reading the leader's `replication.fetch` cursor stream and applying
 //!   the decoded operations to the local store, so VO membership, ACLs,
 //!   sessions, and stored proxies converge and *any* node can authenticate
 //!   any user.
 //! * **Leader failover** — [`ElectionManager`] runs lease-based elections
 //!   over the discovery network: the leader renews an epoch-stamped lease
-//!   with every heartbeat, a lapsed lease promotes the most-caught-up
+//!   on every election tick, a lapsed lease promotes the most-caught-up
 //!   follower under epoch N+1, and the dispatch-layer fence plus epoch
 //!   checks everywhere keep a deposed leader from acknowledging (or
-//!   shipping) writes the cluster will never see (DESIGN.md §14).
+//!   shipping) writes the cluster will never see (DESIGN.md §14). The
+//!   same tick advertises the node's modules, with their live load
+//!   attributes, to the station network.
 //!
 //! [`FederationCluster`] assembles an in-process federation (shared PKI,
 //! one station network, one leader + N-1 followers) for the integration

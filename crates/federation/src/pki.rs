@@ -1,6 +1,6 @@
 //! The federation's shared PKI: the committed grid PKI of
 //! [`clarens::testkit::grid_pki`] — its CA trusted by every node, its
-//! admin as the site admin (the replication/heartbeat credential), its
+//! admin as the site admin (the replication credential), its
 //! user as the regular user — plus one server certificate per node over
 //! the grid's committed server key. No process searches for a key.
 //!
@@ -25,7 +25,7 @@ pub struct FederationPki {
     /// certificate). Node certificates are issued by the grid's own, so
     /// serials under this key come from one counter.
     pub ca: CertificateAuthority,
-    /// Site admin on every node (`admin_dns`): heartbeats, replication.
+    /// Site admin on every node (`admin_dns`): replication.
     pub admin: Credential,
     /// A regular grid user.
     pub user: Credential,

@@ -213,9 +213,9 @@ impl Follower {
     }
 }
 
-/// A running replication follower loop: its counts of operations applied
-/// and of non-empty chunks received, and its thread.
-pub struct Replicator(Arc<[AtomicU64; 2]>, Worker);
+/// A running replication follower loop: its count of operations applied,
+/// and its thread.
+pub struct Replicator(Arc<AtomicU64>, Worker);
 
 impl Replicator {
     /// Start replicating into `core`'s store, authenticating as `admin`
@@ -223,23 +223,21 @@ impl Replicator {
     /// secrets). `leader` seeds the leader address; thereafter the loop
     /// follows `core.federation` — pass an empty string to wait for the
     /// election to name one. A caught-up follower's fetch waits on the
-    /// leader, which answers it when its log moves.
+    /// leader, which answers it when its log moves. The thread is named
+    /// after the `host:port` of `core`'s own url.
     pub fn start(core: Arc<ClarensCore>, leader: String, admin: Credential) -> Replicator {
-        let counts = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
-        let tally = Arc::clone(&counts);
+        let url = &core.config.server_url;
+        let name = format!("replicator-{}", url.split('/').nth(2).unwrap_or(url));
+        let applied = Arc::new(AtomicU64::new(0));
+        let tally = Arc::clone(&applied);
         let machine = Follower::new(&leader);
         let body = move |stop: &AtomicBool| run(&core, machine, &admin, stop, &tally);
-        Replicator(counts, Worker::spawn(format!("replicator-{leader}"), body))
+        Replicator(applied, Worker::spawn(name, body))
     }
 
     /// Operations applied so far.
     pub fn applied(&self) -> u64 {
-        self.0[0].load(Ordering::Relaxed)
-    }
-
-    /// Non-empty chunks received so far.
-    pub fn chunks(&self) -> u64 {
-        self.0[1].load(Ordering::Relaxed)
+        self.0.load(Ordering::Relaxed)
     }
 
     /// Stop the loop and join the thread.
@@ -254,7 +252,7 @@ fn run(
     mut machine: Follower,
     admin: &Credential,
     stop: &AtomicBool,
-    counts: &[AtomicU64; 2],
+    applied: &AtomicU64,
 ) {
     let started = std::time::Instant::now();
     let mut client = None;
@@ -278,18 +276,17 @@ fn run(
                     inputs.push_back(fetch(core, client.as_mut(), epoch, offset))
                 }
                 Effect::Wake(at) => wake = at,
-                effect => apply(core, effect, counts),
+                effect => apply(core, effect, applied),
             }
         }
     }
 }
 
 /// The one applier of each state-changing effect.
-fn apply(core: &ClarensCore, effect: Effect, counts: &[AtomicU64; 2]) {
+fn apply(core: &ClarensCore, effect: Effect, applied: &AtomicU64) {
     let (fed, telemetry) = (&core.federation, &core.telemetry.federation);
     match effect {
         Effect::Apply(ops) => {
-            counts[1].fetch_add(1, Ordering::Relaxed);
             for op in ops {
                 let result = match op {
                     LogOp::Put { bucket, key, value } => core.store.put(&bucket, &key, value),
@@ -301,7 +298,7 @@ fn apply(core: &ClarensCore, effect: Effect, counts: &[AtomicU64; 2]) {
                         core.store.append_fence(epoch)
                     }
                 };
-                counts[0].fetch_add(result.is_ok() as u64, Ordering::Relaxed);
+                applied.fetch_add(result.is_ok() as u64, Ordering::Relaxed);
             }
         }
         Effect::Adopt(leader, epoch) => {

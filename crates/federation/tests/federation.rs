@@ -116,7 +116,7 @@ fn two_node_replication_converges() {
     cluster.cleanup();
 }
 
-/// Discovery is node-local: heartbeats refresh every node's aggregated
+/// Discovery is node-local: election ticks refresh every node's aggregated
 /// view, but an idle federation writes nothing to the shipped log and
 /// ships nothing to its followers.
 #[test]
@@ -145,9 +145,11 @@ fn an_idle_federation_leaves_the_shipped_log_alone() {
 }
 
 /// Node-to-node calls speak clarens-binary: once an elected cluster is
-/// idle and caught up, what still crosses between nodes (heartbeats,
-/// replication polls) moves every node's binary count and leaves its
-/// XML-RPC count alone.
+/// idle and caught up, what still crosses between nodes (the followers'
+/// held replication fetches) moves the leader's binary count and leaves
+/// every node's XML-RPC count alone. A node advertises its modules on its
+/// election tick, not through its own RPC surface: no node serves
+/// `discovery.publish` or `system.auth` while idle.
 #[test]
 fn node_to_node_calls_speak_binary() {
     let cluster = FederationCluster::start(3, 500);
@@ -160,29 +162,45 @@ fn node_to_node_calls_speak_binary() {
         wait_until(Duration::from_secs(15), caught_up),
         "followers did not catch up with the leader's log"
     );
-    let counts = || -> Vec<(u64, u64)> {
-        let count = |snapshot: &[(&str, u64, u64)], name| {
-            snapshot
-                .iter()
-                .find(|(n, ..)| *n == name)
-                .map(|(_, requests, _)| *requests)
-        };
+    let counts = || -> Vec<[u64; 4]> {
         (cluster.nodes.iter())
             .map(|node| {
-                let snapshot = node.core().telemetry.protocols_snapshot();
-                (
-                    count(&snapshot, "xmlrpc").unwrap(),
-                    count(&snapshot, "binary").unwrap(),
-                )
+                let telemetry = &node.core().telemetry;
+                let protocols = telemetry.protocols_snapshot();
+                let protocol = |name| {
+                    let row = protocols.iter().find(|(n, ..)| *n == name);
+                    row.map(|(_, requests, _)| *requests).unwrap()
+                };
+                let methods = telemetry.methods_snapshot();
+                let method = |name| {
+                    let row = methods.iter().find(|(n, _)| n == name);
+                    row.map_or(0, |(_, stats)| stats.calls.get())
+                };
+                [
+                    protocol("xmlrpc"),
+                    protocol("binary"),
+                    method("discovery.publish"),
+                    method("system.auth"),
+                ]
             })
             .collect()
     };
     let before = counts();
     std::thread::sleep(Duration::from_secs(2));
-    for (i, (before, after)) in before.iter().zip(counts()).enumerate() {
-        assert_eq!(after.0, before.0, "node {i}'s XML-RPC count moved");
-        assert!(after.1 > before.1, "node {i}'s binary count did not move");
+    let after = counts();
+    for (i, (before, after)) in before.iter().zip(&after).enumerate() {
+        assert_eq!(after[0], before[0], "node {i}'s XML-RPC count moved");
+        assert_eq!(
+            after[2..],
+            before[2..],
+            "node {i} served discovery.publish or system.auth (calls of each)"
+        );
     }
+    let leader = cluster.leader_index().expect("a leader");
+    assert!(
+        after[leader][1] > before[leader][1],
+        "the leader's binary count did not move"
+    );
     cluster.cleanup();
 }
 
