@@ -90,12 +90,7 @@ impl Gt3Server {
             config,
             roots,
             calls: Arc::clone(&calls),
-            now_fn: Arc::new(|| {
-                std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map(|d| d.as_secs() as i64)
-                    .unwrap_or(0)
-            }),
+            now_fn: Arc::new(clarens_pki::cert::unix_now),
         });
         let http = HttpServer::bind(
             addr,
@@ -279,10 +274,7 @@ impl Gt3Client {
 /// Build a deterministic test credential set (CA + one user) for the
 /// baseline benchmarks.
 pub fn test_credentials(seed: u64) -> (Certificate, Credential) {
-    let now = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs() as i64)
-        .unwrap_or(0);
+    let now = clarens_pki::cert::unix_now();
     let mut rng = StdRng::seed_from_u64(seed);
     let ca = clarens_pki::CertificateAuthority::new(
         &mut rng,

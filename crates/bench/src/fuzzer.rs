@@ -9,7 +9,7 @@
 //! driving the shared entries in `clarens_wire::fuzz`,
 //! `clarens_httpd::fuzz`, `clarens_db::fuzz` and `clarens_pki::fuzz`.
 //!
-//! The corpus seeds mirror the proptest strategies: every protocol's
+//! The corpus seeds mirror the property-test generators: every protocol's
 //! encoder output over a spread of [`Value`] shapes, plus hand-picked
 //! valid/malformed HTTP requests, a short write-ahead log and one complete
 //! secure-channel handshake. Mutations
@@ -99,7 +99,7 @@ pub struct FuzzReport {
     pub elapsed: Duration,
 }
 
-/// A spread of `Value` shapes matching the proptest generators: every
+/// A spread of `Value` shapes matching the property-test generators: every
 /// scalar variant at boundary points, nesting, and the struct-heavy
 /// `file.ls`-style entry the binproto ablation uses.
 fn seed_values() -> Vec<Value> {

@@ -15,17 +15,10 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-use clarens_pki::cert::{CertificateAuthority, Credential};
+use clarens_pki::cert::{unix_now, CertificateAuthority, Credential};
 use clarens_pki::dn::DistinguishedName;
 use clarens_pki::keystream::SecretRng;
 use clarens_pki::{pem, rsa};
-
-fn now() -> i64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs() as i64)
-        .unwrap_or(0)
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -135,7 +128,7 @@ fn main() {
                 .map(|d| d.parse().unwrap_or(3650))
                 .unwrap_or(3650);
             eprintln!("generating CA key pair...");
-            let ca = CertificateAuthority::new(&mut SecretRng, dn, now() - 300, days);
+            let ca = CertificateAuthority::new(&mut SecretRng, dn, unix_now() - 300, days);
             let credential = Credential {
                 certificate: ca.certificate.clone(),
                 key: ca.key.clone(),
@@ -167,7 +160,7 @@ fn main() {
             let ca = load_ca(&ca_dir);
             eprintln!("generating subject key pair...");
             let kp = rsa::generate(&mut SecretRng, rsa::DEFAULT_KEY_BITS);
-            let cert = ca.issue(dn, &kp.public, now() - 300, days);
+            let cert = ca.issue(dn, &kp.public, unix_now() - 300, days);
             save_serial(&ca_dir, &ca);
             let credential = Credential {
                 certificate: cert,
@@ -193,7 +186,7 @@ fn main() {
                 exit(1);
             });
             eprintln!("generating proxy key pair...");
-            let proxy = credential.delegate_proxy(&mut SecretRng, now() - 60, hours * 3600);
+            let proxy = credential.delegate_proxy(&mut SecretRng, unix_now() - 60, hours * 3600);
             write(&out, &pem::encode_credential(&proxy));
             println!(
                 "proxy for {} valid {}h: {}",

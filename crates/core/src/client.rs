@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use clarens_httpd::{ClientError as HttpError, ClientTls, HttpClient, Method, Pipe, Request};
-use clarens_pki::cert::{Certificate, Credential};
+use clarens_pki::cert::{unix_now, Certificate, Credential};
 use clarens_pki::keystream::SecretRng;
 use clarens_wire::{Fault, Protocol, RpcCall, Value};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -238,13 +238,6 @@ pub struct ClarensClient {
     /// writes aim at it first instead of bouncing off a follower; it is
     /// forgotten when it stops answering.
     leader: Option<(String, u64)>,
-}
-
-fn system_now() -> i64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs() as i64)
-        .unwrap_or(0)
 }
 
 impl ClarensClient {
@@ -510,7 +503,7 @@ impl ClarensClient {
                 (Some(credential), Some(roots)) => Some(ClientTls {
                     credential: credential.clone(),
                     roots: roots.clone(),
-                    now_fn: Box::new(system_now),
+                    now_fn: Box::new(unix_now),
                 }),
                 _ => None,
             };
@@ -569,7 +562,7 @@ impl ClarensClient {
             .credential
             .clone()
             .ok_or_else(|| ClientError::Protocol("no credential attached".into()))?;
-        let now = system_now();
+        let now = unix_now();
         let signature = credential.key.sign(auth_challenge(now).as_bytes());
         let mut chain_texts = vec![Value::from(credential.certificate.to_text())];
         for link in &credential.chain {

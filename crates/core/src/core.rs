@@ -6,7 +6,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use clarens_db::Store;
-use clarens_pki::cert::{Certificate, Credential};
+use clarens_pki::cert::{unix_now, Certificate, Credential};
 use clarens_telemetry::Telemetry;
 
 use crate::acl::AclEngine;
@@ -100,12 +100,7 @@ impl ClarensCore {
             credential,
             registry: RwLock::new(Registry::default()),
             telemetry,
-            now_fn: Arc::new(|| {
-                std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map(|d| d.as_secs() as i64)
-                    .unwrap_or(0)
-            }),
+            now_fn: Arc::new(unix_now),
             replication_lag: Arc::new(AtomicU64::new(0)),
             federation,
         });

@@ -28,12 +28,9 @@ use crate::config::ClarensConfig;
 use crate::core::ClarensCore;
 use crate::server::{install_permissive_acls, register_builtin_services, ClarensServer};
 
-/// Current wall-clock seconds.
+/// Current wall-clock seconds ([`clarens_pki::cert::unix_now`]).
 pub fn now() -> i64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs() as i64)
-        .unwrap_or(0)
+    clarens_pki::cert::unix_now()
 }
 
 /// Parse a DN, panicking on error (test helper).

@@ -9,7 +9,6 @@
 //! The model shares no code with what it checks (see its module docs), so
 //! a fault in a DN parser, prefix test, level walk, record decoder or
 //! cache tag shows here as a divergence, reported with its seed and step.
-//! The step count is fixed here, not by `PROPTEST_CASES`.
 
 #[path = "authz_oracle/model.rs"]
 mod model;

@@ -10,8 +10,6 @@ mod model;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use proptest::prelude::*;
-
 use clarens::session::{Session, SessionManager, SESSIONS_BUCKET};
 use clarens_db::Store;
 use clarens_pki::dn::{Attribute, AttributeType, DistinguishedName};
@@ -33,20 +31,22 @@ fn reference_record(dn: &str, created: i64, expires: i64, proxy: Option<&str>) -
 
 /// Strings that exercise every branch of the JSON string writer: quotes,
 /// backslashes, control characters, DEL, multi-byte and astral characters,
-/// and the empty string.
-fn awkward_string() -> impl Strategy<Value = String> {
-    proptest::collection::vec(
-        prop_oneof![
-            proptest::char::range('\u{0}', '\u{7f}'),
-            proptest::char::range('\u{80}', '\u{2fff}'),
-            proptest::char::range('\u{10000}', '\u{10fff}'),
-            Just('"'),
-            Just('\\'),
-            Just('/'),
-        ],
-        0..24,
-    )
-    .prop_map(|chars| chars.into_iter().collect())
+/// and the empty string. Each char is from one of six blocks, drawn evenly.
+fn awkward_string(rng: &mut Rng) -> String {
+    let blocks = [
+        '\u{0}'..='\u{7f}',
+        '\u{80}'..='\u{2fff}',
+        '\u{10000}'..='\u{10fff}',
+        '"'..='"',
+        '\\'..='\\',
+        '/'..='/',
+    ];
+    (0..rng.below(24))
+        .map(|_| {
+            let block = rng.choose(&blocks).clone();
+            rng.char(&[block])
+        })
+        .collect()
 }
 
 fn dn_of(values: Vec<String>) -> DistinguishedName {
@@ -61,39 +61,39 @@ fn dn_of(values: Vec<String>) -> DistinguishedName {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// What `create` and `attach_proxy` store is byte for byte the
-    /// reference record of the session they return, and loads back.
-    #[test]
-    fn stored_record_is_the_reference_bytes(
-        values in proptest::collection::vec(awkward_string(), 0..4),
-        proxy in awkward_string(),
-        now in -4_000_000_000i64..4_000_000_000i64,
-        ttl in 1i64..100_000,
-    ) {
+/// What `create` and `attach_proxy` store is byte for byte the
+/// reference record of the session they return, and loads back.
+#[test]
+fn stored_record_is_the_reference_bytes() {
+    let name = "clarens --test session_admission -- --exact stored_record_is_the_reference_bytes";
+    clarens_search::search(name, 0..256, |seed| {
+        let rng = &mut Rng::new(seed);
+        let values = (0..rng.below(4)).map(|_| awkward_string(rng)).collect();
+        let proxy = awkward_string(rng);
+        let now = rng.below(8_000_000_000) as i64 - 4_000_000_000;
+        let ttl = rng.pick(1, 99_999) as i64;
         let store = Arc::new(Store::in_memory());
         let mgr = SessionManager::new(Arc::clone(&store), ttl);
         let dn = dn_of(values);
 
         let created = mgr.create(&dn, now);
-        prop_assert_eq!(&created.dn, &dn.to_string());
-        prop_assert_eq!(
+        assert_eq!(&created.dn, &dn.to_string());
+        assert_eq!(
             store.get(SESSIONS_BUCKET, &created.id).unwrap(),
             reference_record(&created.dn, now, now + ttl, None)
         );
 
         let attached = mgr.attach_proxy(&created.id, &proxy, now).unwrap();
-        prop_assert_eq!(
+        assert_eq!(
             store.get(SESSIONS_BUCKET, &created.id).unwrap(),
             reference_record(&created.dn, now, now + ttl, Some(&proxy))
         );
 
         // A second manager has an empty cache: this is the store read path.
         let reader = SessionManager::new(store, ttl);
-        prop_assert_eq!(reader.validate(&created.id, now), Some(attached));
-    }
+        assert_eq!(reader.validate(&created.id, now), Some(attached));
+        Ok(())
+    });
 }
 
 #[test]

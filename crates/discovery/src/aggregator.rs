@@ -21,7 +21,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::schema::{ServiceDescriptor, ServiceQuery};
-use crate::station::{query_station, StationServer};
+use crate::station::{query_stations, StationServer};
 use crate::table::{expired, Table};
 
 /// A discovery server aggregating one or more stations.
@@ -79,8 +79,7 @@ impl DiscoveryAggregator {
     /// connection per station per query — what a cache-less discovery
     /// service must do per lookup) and merge the answers.
     pub fn query_remote(&self, query: &ServiceQuery) -> Vec<ServiceDescriptor> {
-        let ask = |station: &Arc<StationServer>| query_station(station.query_addr(), query);
-        Table::newest(self.stations.iter().flat_map(ask).flatten())
+        query_stations(self.stations.iter().map(|s| s.query_addr()), query).0
     }
 
     /// Number of publications the table has taken so far.

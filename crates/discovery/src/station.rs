@@ -257,6 +257,21 @@ pub fn query_station(
     Ok(hits)
 }
 
+/// Ask every station `query`: the newest descriptor per key, merged by
+/// [`Table::newest`], and whether any station answered (none is blind; an
+/// empty answer means "none exists").
+pub fn query_stations(
+    stations: impl IntoIterator<Item = SocketAddr>,
+    query: &ServiceQuery,
+) -> (Vec<ServiceDescriptor>, bool) {
+    let answers: Vec<_> = stations
+        .into_iter()
+        .flat_map(|station| query_station(station, query))
+        .collect();
+    let answered = !answers.is_empty();
+    (Table::newest(answers.into_iter().flatten()), answered)
+}
+
 /// Take `publication` into the station's table and, if it was taken, into
 /// every live subscriber's, pruning the dropped ones — all under the
 /// station's lock, which [`StationServer::subscribe`] holds too.

@@ -30,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use clarens::client::{Backoff, ClarensClient, ClientError};
 use clarens_wire::{Protocol, Value};
+use monalisa_sim::station::query_stations;
 use monalisa_sim::{ServiceDescriptor, ServiceQuery};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -243,7 +244,10 @@ impl Router {
     /// a persistently slow or dying node is exactly what the attributes
     /// do capture.
     fn resolve(&mut self, method: &str, voluntary: bool) -> Result<ServiceDescriptor, ClientError> {
-        let (mut candidates, _) = crate::discover(&self.stations, &ServiceQuery::by_method(method));
+        let (mut candidates, _) = query_stations(
+            self.stations.iter().copied(),
+            &ServiceQuery::by_method(method),
+        );
         let now = Instant::now();
         self.blacklist
             .retain(|_, failed_at| now.duration_since(*failed_at) < BLACKLIST_COOLDOWN);

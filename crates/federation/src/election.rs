@@ -29,6 +29,7 @@ use clarens::federation::Position;
 use clarens::services::discovery::module_descriptors;
 use clarens::ClarensClient;
 use clarens_wire::Value;
+use monalisa_sim::station::query_stations;
 use monalisa_sim::{Publication, ServiceDescriptor, ServiceQuery, UdpPublisher};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -469,7 +470,8 @@ fn run(core: &ClarensCore, addr: &str, mut machine: Election, io: &Io, stop: &At
                 }
                 Effect::Query(service) => {
                     let reached = if cut { &[][..] } else { &stations[..] };
-                    let (hits, up) = crate::discover(reached, &ServiceQuery::by_service(service));
+                    let (hits, up) =
+                        query_stations(reached.iter().copied(), &ServiceQuery::by_service(service));
                     inputs.push_back(Input::Found(hits, up));
                 }
                 Effect::Probe(peers) => inputs.push_back(Input::Health(

@@ -45,22 +45,8 @@ pub use election::ElectionManager;
 pub use pki::{federation_pki, FederationPki};
 pub use replicator::Replicator;
 
-use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-use monalisa_sim::station::query_station;
-use monalisa_sim::{ServiceDescriptor, ServiceQuery, Table};
-
-/// Ask every station `query`: the newest descriptor per key, merged by
-/// [`Table::newest`], and whether any station answered (none is blind; an
-/// empty answer means "none exists").
-fn discover(stations: &[SocketAddr], query: &ServiceQuery) -> (Vec<ServiceDescriptor>, bool) {
-    let ask = |station: &SocketAddr| query_station(*station, query);
-    let answers: Vec<_> = stations.iter().flat_map(ask).collect();
-    let answered = !answers.is_empty();
-    (Table::newest(answers.into_iter().flatten()), answered)
-}
 
 /// A named background thread, told to stop and joined when dropped.
 struct Worker(Arc<AtomicBool>, Option<std::thread::JoinHandle<()>>);

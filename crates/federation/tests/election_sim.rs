@@ -819,6 +819,51 @@ fn failover_inside_a_resync_window() {
     clarens_search::replay(NAME, 1_655, |seed| Sim::random(seed).check());
 }
 
+/// A failover inside the first chunk after a re-point. Node 1 is down
+/// while node 0 leads and acks writes, so it lacks them. Node 0 crashes;
+/// of nodes 2 and 3, the one elected leads and the other re-points to it
+/// and reads its log anew. The new leader crashes as that follower asks
+/// for its second chunk, short of the new leader's fence, and node 1
+/// comes back. The follower keeps the position of the data it holds, so
+/// it outranks node 1 and is elected. Had the re-point reset its
+/// position, node 1 would win the tie on its lower address and be
+/// promoted without the acked writes.
+#[test]
+fn failover_inside_the_first_chunk_after_a_re_point() {
+    let mut sim = Sim::new(5, 4, Some(0), CALM_FAULTS, false);
+    sim.at(LEASE, Event::Crash(1));
+    sim.at(4 * LEASE, Event::Crash(0));
+    let step = |sim: &mut Sim| {
+        if let Err(why) = sim.run_until(sim.t + 1) {
+            panic!("{why}\n{}", sim.timeline.join("\n"));
+        }
+    };
+    let asked_twice = |sim: &Sim, l: usize| {
+        sim.nodes[l].role == FederationRole::Leader && sim.nodes[l].confirmed > (0, 0)
+    };
+    while !(asked_twice(&sim, 2) || asked_twice(&sim, 3)) {
+        step(&mut sim);
+    }
+    let leader = if asked_twice(&sim, 2) { 2 } else { 3 };
+    let m = &sim.nodes[leader];
+    let fence = m.log.iter().position(|&e| e == FENCE + m.fence).unwrap();
+    assert!(
+        m.confirmed.1 < m.ends[fence],
+        "the stream has passed the fence"
+    );
+    sim.at(sim.t, Event::Crash(leader));
+    sim.at(sim.t, Event::Restart(1));
+    for i in [0, leader] {
+        sim.at(CHAOS, Event::Restart(i));
+    }
+    let follower = 5 - leader;
+    while !sim.writable(follower, sim.t) {
+        assert!(sim.t < CHAOS, "{}", sim.timeline.join("\n"));
+        step(&mut sim);
+    }
+    sim.check().unwrap_or_else(|failure| panic!("{failure}"));
+}
+
 /// A claim that never landed strands no one. A node cut off from the
 /// stations claims epoch 2 and steps down without a lease; a peer that saw
 /// neither of its claims is then elected at epoch 1, below the fence the

@@ -750,7 +750,7 @@ pub fn read_response<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use clarens_search::Rng;
     use std::io::BufReader;
 
     fn parse(text: &[u8]) -> Result<Request, ParseError> {
@@ -1137,17 +1137,13 @@ mod tests {
     /// generated often.
     const SPLIT_MAX_BODY: usize = 48;
 
-    fn pick<'a>(rng: &mut TestRng, options: &[&'a str]) -> &'a str {
-        options[rng.below(options.len() as u64) as usize]
-    }
-
     /// One generated request: well formed, or refused for one reason.
     /// Lines end in CRLF or LF alone; bodies are `Content-Length` or
     /// `chunked` (with extensions and trailers); header names repeat.
-    fn generated_request(rng: &mut TestRng) -> Vec<u8> {
-        let eol = |rng: &mut TestRng| pick(rng, &["\r\n", "\r\n", "\n"]);
-        let method = pick(rng, &["GET", "POST", "POST", "PUT", "HEAD", "BREW"]);
-        let version = pick(rng, &["HTTP/1.1", "HTTP/1.1", "HTTP/1.0", "HTTP/2.0"]);
+    fn generated_request(rng: &mut Rng) -> Vec<u8> {
+        let eol = |rng: &mut Rng| *rng.choose(&["\r\n", "\r\n", "\n"]);
+        let method = *rng.choose(&["GET", "POST", "POST", "PUT", "HEAD", "BREW"]);
+        let version = *rng.choose(&["HTTP/1.1", "HTTP/1.1", "HTTP/1.0", "HTTP/2.0"]);
         let mut wire = match rng.below(24) {
             0 => format!("{method} {version}"),
             1 => format!("{method} /{} {version}", "t".repeat(MAX_REQUEST_LINE)),
@@ -1155,8 +1151,8 @@ mod tests {
         };
         wire += eol(rng);
         for _ in 0..rng.below(5) {
-            let name = pick(rng, &["host", "accept", "Accept", "x-a", "bad name", ""]);
-            let value = pick(rng, &["v", " spaced ", "a,b", ""]);
+            let name = *rng.choose(&["host", "accept", "Accept", "x-a", "bad name", ""]);
+            let value = *rng.choose(&["v", " spaced ", "a,b", ""]);
             wire += &format!("{name}:{value}");
             wire += eol(rng);
         }
@@ -1169,33 +1165,30 @@ mod tests {
         match rng.below(5) {
             0 => {}
             1 | 2 => {
-                let len = rng.below(SPLIT_MAX_BODY as u64 + 8) as usize;
-                let len = pick(rng, &["", "", "", "+", "x"]).to_owned() + &len.to_string();
+                let len = rng.below(SPLIT_MAX_BODY + 8);
+                let len = rng.choose(&["", "", "", "+", "x"]).to_string() + &len.to_string();
                 wire += &format!("Content-Length: {len}");
                 wire += eol(rng);
-                body.resize(rng.below(SPLIT_MAX_BODY as u64 + 8) as usize, b'\n');
+                body.resize(rng.below(SPLIT_MAX_BODY + 8), b'\n');
             }
             _ => {
-                let te = pick(
-                    rng,
-                    &[
-                        "chunked",
-                        "Chunked",
-                        "gzip, chunked",
-                        "chunked, gzip",
-                        "gzip",
-                    ],
-                );
+                let te = *rng.choose(&[
+                    "chunked",
+                    "Chunked",
+                    "gzip, chunked",
+                    "chunked, gzip",
+                    "gzip",
+                ]);
                 wire += &format!("Transfer-Encoding: {te}");
                 wire += eol(rng);
                 for _ in 0..rng.below(4) {
-                    let size = 1 + rng.below(20) as usize;
-                    let sign = pick(rng, &["", "", "", "", "+"]);
-                    let ext = pick(rng, &["", "", ";ext=1", " ;x"]);
+                    let size = 1 + rng.below(20);
+                    let sign = *rng.choose(&["", "", "", "", "+"]);
+                    let ext = *rng.choose(&["", "", ";ext=1", " ;x"]);
                     body.extend(format!("{sign}{size:x}{ext}").bytes());
                     body.extend(eol(rng).bytes());
                     body.extend((0..size).map(|i| b"ab\r\nc"[i % 5]));
-                    body.extend(pick(rng, &["\r\n", "\r\n", "\n", "X\r\n"]).bytes());
+                    body.extend(rng.choose(&["\r\n", "\r\n", "\n", "X\r\n"]).bytes());
                 }
                 body.extend(format!("0{}", eol(rng)).bytes());
                 for _ in 0..rng.below(3) {
@@ -1211,18 +1204,12 @@ mod tests {
     }
 
     /// A generated request, or a pipelined pair of them.
-    struct Wire;
-
-    impl Strategy for Wire {
-        type Value = Vec<u8>;
-
-        fn generate(&self, rng: &mut TestRng) -> Vec<u8> {
-            let mut wire = generated_request(rng);
-            if rng.below(2) == 0 {
-                wire.extend(generated_request(rng));
-            }
-            wire
+    fn generated_wire(rng: &mut Rng) -> Vec<u8> {
+        let mut wire = generated_request(rng);
+        if rng.below(2) == 0 {
+            wire.extend(generated_request(rng));
         }
+        wire
     }
 
     /// What a server's connection makes of `wire` arriving in pieces cut
@@ -1276,31 +1263,38 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        /// Split delivery is whole delivery: scanned in pieces, scanned
-        /// whole and read by `read_request`, a stream reads the same.
-        #[test]
-        fn split_delivery_reads_as_whole_delivery(
-            wire in Wire,
-            cuts in proptest::collection::vec(any::<usize>(), 0..8),
-        ) {
-            let mut cuts: Vec<usize> = cuts.iter().map(|cut| cut % (wire.len() + 1)).collect();
+    /// Split delivery is whole delivery: scanned in pieces, scanned
+    /// whole and read by `read_request`, a stream reads the same.
+    #[test]
+    fn split_delivery_reads_as_whole_delivery() {
+        let name =
+            "clarens-httpd --lib -- --exact parse::tests::split_delivery_reads_as_whole_delivery";
+        clarens_search::search(name, 0..512, |seed| {
+            let mut rng = Rng::new(seed);
+            let wire = generated_wire(&mut rng);
+            let mut cuts: Vec<usize> = (0..rng.below(8))
+                .map(|_| rng.next_u64() as usize % (wire.len() + 1))
+                .collect();
             cuts.sort_unstable();
             let whole = scanned_in_pieces(&wire, &[]);
-            prop_assert_eq!(&scanned_in_pieces(&wire, &cuts), &whole, "cut at {:?}", cuts);
-            prop_assert_eq!(&read_all(&wire), &whole);
-        }
+            assert_eq!(
+                &scanned_in_pieces(&wire, &cuts),
+                &whole,
+                "cut at {:?}",
+                cuts
+            );
+            assert_eq!(&read_all(&wire), &whole);
+            Ok(())
+        });
     }
 
     /// The generator reaches every answer the scanner gives.
     #[test]
     fn generated_requests_reach_every_refusal() {
-        let mut rng = TestRng::seed(41);
+        let mut rng = Rng::new(41);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..2000 {
-            let wire = Wire.generate(&mut rng);
+            let wire = generated_wire(&mut rng);
             for outcome in scanned_in_pieces(&wire, &[]) {
                 seen.insert(outcome.split(' ').next().unwrap().to_owned());
             }

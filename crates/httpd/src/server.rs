@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use clarens_telemetry::{Gauge, HttpCounters, RequestTrace, Telemetry};
 
-use clarens_pki::cert::{Certificate, Credential};
+use clarens_pki::cert::{unix_now, Certificate, Credential};
 use clarens_pki::dn::DistinguishedName;
 use clarens_pki::keystream::SecretRng;
 use clarens_pki::SecureChannel;
@@ -125,12 +125,7 @@ impl Default for ServerConfig {
             workers: 16,
             read_timeout: Duration::from_secs(30),
             tls: None,
-            now_fn: Arc::new(|| {
-                std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map(|d| d.as_secs() as i64)
-                    .unwrap_or(0)
-            }),
+            now_fn: Arc::new(unix_now),
             telemetry: Telemetry::enabled(),
             max_connections: 4096,
         }

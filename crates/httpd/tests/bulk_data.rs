@@ -27,9 +27,8 @@ use clarens_httpd::{
 };
 use clarens_telemetry::Telemetry;
 
+use clarens_search::{search, Rng};
 use common::{send, Mode, BOTH_MODES};
-
-use proptest::prelude::*;
 
 /// Largest single allocation made by a thread that raised [`WATCHED`]: how
 /// the staging test sees what a server worker holds in memory.
@@ -441,50 +440,88 @@ fn tls_body_is_sealed_in_chunks_never_whole() {
     );
 }
 
-proptest! {
-    /// The Range parser never panics, and every Partial it produces is a
-    /// well-formed, in-bounds, non-empty slice.
-    #[test]
-    fn range_parser_is_total_and_in_bounds(header in ".{0,40}", len in 0u64..1 << 40) {
+/// Check property `test` of this file on seeds `0..64`; seed `n` is its
+/// case `n`, replayed alone by `SEARCH_SEED=<n>`.
+fn property(test: &str, check: impl Fn(&mut Rng) + Sync) {
+    let name = format!("clarens-httpd --test bulk_data -- --exact {test}");
+    search(&name, 0..64, |seed| {
+        check(&mut Rng::new(seed));
+        Ok(())
+    });
+}
+
+/// Up to `max` non-control chars: 16 in 20 printable ASCII, then Latin-1,
+/// Cyrillic and wider ones.
+fn printable(rng: &mut Rng, max: u64) -> String {
+    (0..rng.pick(0, max))
+        .map(|_| match rng.below(20) {
+            0..=15 => rng.char(&[' '..='~']),
+            16 | 17 => rng.char(&['¡'..='ÿ']),
+            18 => rng.char(&['А'..='я']),
+            _ => *rng.choose(&['§', '€', '→', '中', '𝒳']),
+        })
+        .collect()
+}
+
+/// The Range parser never panics, and every Partial it produces is a
+/// well-formed, in-bounds, non-empty slice.
+#[test]
+fn range_parser_is_total_and_in_bounds() {
+    property("range_parser_is_total_and_in_bounds", |rng| {
+        let (header, len) = (printable(rng, 40), rng.below(1 << 40) as u64);
         match resolve_range(Some(&header), len) {
             RangeOutcome::Partial { start, end } => {
-                prop_assert!(start <= end);
-                prop_assert!(end < len);
+                assert!(start <= end);
+                assert!(end < len);
             }
             RangeOutcome::Whole | RangeOutcome::Unsatisfiable => {}
         }
-    }
+    });
+}
 
-    /// Well-formed closed ranges resolve exactly; inverted ones are
-    /// ignored (200), and starts beyond the entity are unsatisfiable.
-    #[test]
-    fn closed_ranges_resolve_exactly(a in 0u64..10_000, b in 0u64..10_000, len in 1u64..20_000) {
+/// Well-formed closed ranges resolve exactly; inverted ones are
+/// ignored (200), and starts beyond the entity are unsatisfiable.
+#[test]
+fn closed_ranges_resolve_exactly() {
+    property("closed_ranges_resolve_exactly", |rng| {
+        let (a, b, len) = (rng.pick(0, 9_999), rng.pick(0, 9_999), rng.pick(1, 19_999));
         let header = format!("bytes={a}-{b}");
         let got = resolve_range(Some(&header), len);
         if a > b {
-            prop_assert_eq!(got, RangeOutcome::Whole);
+            assert_eq!(got, RangeOutcome::Whole);
         } else if a >= len {
-            prop_assert_eq!(got, RangeOutcome::Unsatisfiable);
+            assert_eq!(got, RangeOutcome::Unsatisfiable);
         } else {
-            prop_assert_eq!(got, RangeOutcome::Partial { start: a, end: b.min(len - 1) });
-        }
-    }
-
-    /// Suffix ranges take the final N bytes (clamped), and `-0` addresses
-    /// nothing.
-    #[test]
-    fn suffix_ranges_take_the_tail(n in 0u64..20_000, len in 1u64..10_000) {
-        let got = resolve_range(Some(&format!("bytes=-{n}")), len);
-        if n == 0 {
-            prop_assert_eq!(got, RangeOutcome::Unsatisfiable);
-        } else {
-            prop_assert_eq!(
+            assert_eq!(
                 got,
-                RangeOutcome::Partial { start: len.saturating_sub(n), end: len - 1 }
+                RangeOutcome::Partial {
+                    start: a,
+                    end: b.min(len - 1)
+                }
             );
         }
-    }
+    });
+}
 
+/// Suffix ranges take the final N bytes (clamped), and `-0` addresses
+/// nothing.
+#[test]
+fn suffix_ranges_take_the_tail() {
+    property("suffix_ranges_take_the_tail", |rng| {
+        let (n, len) = (rng.pick(0, 19_999), rng.pick(1, 9_999));
+        let got = resolve_range(Some(&format!("bytes=-{n}")), len);
+        if n == 0 {
+            assert_eq!(got, RangeOutcome::Unsatisfiable);
+        } else {
+            assert_eq!(
+                got,
+                RangeOutcome::Partial {
+                    start: len.saturating_sub(n),
+                    end: len - 1
+                }
+            );
+        }
+    });
 }
 
 /// Multi-range and other unparseable specs fall back to serving the whole

@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use clarens_httpd::{ClientTls, ServerConfig, TlsConfig};
-use clarens_pki::cert::{Certificate, CertificateAuthority, Credential};
+use clarens_pki::cert::{unix_now, Certificate, CertificateAuthority, Credential};
 use clarens_pki::dn::DistinguishedName;
 use clarens_pki::{rsa, SecureStream};
 use rand::{rngs::StdRng, SeedableRng};
@@ -46,19 +46,12 @@ struct Pki {
     client: Credential,
 }
 
-fn now() -> i64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap()
-        .as_secs() as i64
-}
-
 /// One CA and credential pair per test process: key generation dominates
 /// the fixture's cost.
 fn pki() -> &'static Pki {
     static PKI: OnceLock<Pki> = OnceLock::new();
     PKI.get_or_init(|| {
-        let t = now();
+        let t = unix_now();
         let mut rng = StdRng::seed_from_u64(0x7157);
         let dn = |text: &str| DistinguishedName::parse(text).unwrap();
         let ca = CertificateAuthority::new(&mut rng, dn("/O=grid/CN=CA"), t - 1000, 3650);
@@ -83,7 +76,7 @@ pub fn client_tls() -> ClientTls {
     ClientTls {
         credential: pki().client.clone(),
         roots: vec![pki().root.clone()],
-        now_fn: Box::new(now),
+        now_fn: Box::new(unix_now),
     }
 }
 
@@ -126,7 +119,7 @@ impl Mode {
                     sock,
                     &pki.client,
                     std::slice::from_ref(&pki.root),
-                    now(),
+                    unix_now(),
                     &mut StdRng::seed_from_u64(0xC11E),
                 )
                 .map_err(|e| io::Error::other(e.to_string()))?;

@@ -23,6 +23,15 @@ use crate::rsa::{self, KeyPair, PrivateKey, PublicKey, RsaError};
 /// Seconds per day, for validity helpers.
 pub const DAY: i64 = 86_400;
 
+/// Wall-clock seconds since the Unix epoch (0 before it): the clock that
+/// validity windows are issued from and checked against.
+pub fn unix_now() -> i64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs() as i64)
+        .unwrap_or(0)
+}
+
 /// Certificate kind: affects what the subject key may sign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CertKind {

@@ -394,26 +394,65 @@ mod tests {
         assert!("garbage".parse::<DistinguishedName>().is_err());
     }
 
-    proptest::proptest! {
-        /// A DN reads back from its own text. Values hold `/`, `\`, `=`,
-        /// interior spaces and multi-byte characters (the parser trims the
-        /// line, so not edge spaces); types are known, lower-case, unknown,
-        /// or hold `/` and `\` themselves.
-        #[test]
-        fn text_round_trips(components in proptest::collection::vec(
-            (
-                "(C|ST|L|O|OU|CN|DC|Email|e|cn|UID|x/y|a\\\\b)",
-                "([a-z/\\\\=é€中]([a-z/\\\\= é€中]{0,8}[a-z/\\\\=é€中])?)?",
-            ),
-            1..5,
-        )) {
+    /// A DN reads back from its own text. Values hold `/`, `\`, `=`,
+    /// interior spaces and multi-byte characters (the parser trims the
+    /// line, so not edge spaces); types are known, lower-case, unknown,
+    /// or hold `/` and `\` themselves.
+    #[test]
+    fn text_round_trips() {
+        let name = "clarens-pki --lib -- --exact dn::tests::text_round_trips";
+        clarens_search::search(name, 0..64, |seed| {
+            let mut rng = clarens_search::Rng::new(seed);
+            let tags = [
+                "C", "ST", "L", "O", "OU", "CN", "DC", "Email", "e", "cn", "UID", "x/y", "a\\b",
+            ];
+            let edge = [
+                'a'..='z',
+                '/'..='/',
+                '\\'..='\\',
+                '='..='=',
+                'é'..='é',
+                '€'..='€',
+                '中'..='中',
+            ];
+            let inner = [&edge[..], &[' '..=' ']].concat();
             let dn = DistinguishedName {
-                attributes: components
-                    .into_iter()
-                    .map(|(tag, value)| Attribute { kind: AttributeType::from_tag(&tag), value })
+                attributes: (0..rng.pick(1, 4))
+                    .map(|_| {
+                        let tag = *rng.choose(&tags);
+                        let kind = AttributeType::from_tag(tag);
+                        let mut value = String::new();
+                        if rng.chance(50) {
+                            value.push(rng.char(&edge));
+                            if rng.chance(50) {
+                                value += &rng.string(&inner, 0..9);
+                                value.push(rng.char(&edge));
+                            }
+                        }
+                        Attribute { kind, value }
+                    })
                     .collect(),
             };
-            proptest::prop_assert_eq!(DistinguishedName::parse(&dn.to_string()), Ok(dn));
-        }
+            assert_eq!(DistinguishedName::parse(&dn.to_string()), Ok(dn));
+            Ok(())
+        });
+    }
+
+    /// A value of edge spaces alone reads back empty: the parser trims the
+    /// line, so `/C= ` is not its own text. (Once a recorded failure of
+    /// `tests/properties.rs`'s `dn_roundtrip`, whose values avoid edge
+    /// spaces since.)
+    #[test]
+    fn edge_spaces_do_not_round_trip() {
+        let dn = DistinguishedName::parse("/C= ").unwrap();
+        assert_eq!(
+            dn.attributes,
+            [Attribute {
+                kind: AttributeType::Country,
+                value: String::new()
+            }]
+        );
+        assert_ne!(dn.to_string(), "/C= ");
+        assert_eq!(dn.to_string(), "/C=");
     }
 }

@@ -9,6 +9,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::ops::{Range, RangeInclusive};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
@@ -187,6 +188,33 @@ impl Rng {
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.below(items.len())]
     }
+
+    /// A length drawn from `len`, then that many bytes.
+    pub fn bytes(&mut self, len: Range<usize>) -> Vec<u8> {
+        let n = self.pick(len.start as u64, len.end as u64 - 1);
+        (0..n).map(|_| self.next_u64() as u8).collect()
+    }
+
+    /// A char drawn uniformly from the union of `alphabet`'s ranges, as a
+    /// regex class draws one: `[a-z_]` is `&['a'..='z', '_'..='_']`.
+    pub fn char(&mut self, alphabet: &[RangeInclusive<char>]) -> char {
+        let width = |range: &RangeInclusive<char>| *range.end() as u64 - *range.start() as u64 + 1;
+        let mut at = self.next_u64() % alphabet.iter().map(width).sum::<u64>();
+        for range in alphabet {
+            if at < width(range) {
+                let code = *range.start() as u32 + at as u32;
+                return char::from_u32(code).expect("an alphabet holds no surrogate");
+            }
+            at -= width(range);
+        }
+        unreachable!("the draw is inside the union")
+    }
+
+    /// A length drawn from `len`, then that many chars of `alphabet`.
+    pub fn string(&mut self, alphabet: &[RangeInclusive<char>], len: Range<usize>) -> String {
+        let n = self.pick(len.start as u64, len.end as u64 - 1);
+        (0..n).map(|_| self.char(alphabet)).collect()
+    }
 }
 
 #[cfg(test)]
@@ -273,5 +301,20 @@ mod tests {
             assert_eq!(rng.below(7), (raw.next_u64() % 7) as usize);
             assert_eq!(rng.chance(30), raw.next_u64() % 100 < 30);
         }
+    }
+
+    #[test]
+    fn bytes_and_strings_keep_to_their_lengths_and_alphabets() {
+        let mut rng = Rng::new(5);
+        let alphabet = ['a'..='c', '_'..='_', 'А'..='Б', '𝒳'..='𝒳'];
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..1000 {
+            assert!((2..6).contains(&rng.bytes(2..6).len()));
+            let text = rng.string(&alphabet, 0..4);
+            assert!(text.chars().count() < 4);
+            seen.extend(text.chars());
+        }
+        assert_eq!(seen.into_iter().collect::<String>(), "_abcАБ𝒳");
+        assert!(rng.string(&alphabet, 0..1).is_empty() && rng.bytes(0..1).is_empty());
     }
 }

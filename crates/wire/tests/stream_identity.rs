@@ -8,95 +8,63 @@
 //! bug, so the corpus covers every `Value` variant including nested
 //! structs/arrays, non-ASCII strings, and the degenerate empties.
 
-use proptest::prelude::*;
+mod common;
 
-use clarens_wire::datetime::DateTime;
+use clarens_search::{search, Rng};
+
 use clarens_wire::{Fault, Protocol, RpcCall, RpcResponse, Value};
+use common::{response, uniform, value, wire_string};
 
-/// Strings valid in all our codecs (see `proptests.rs`); includes multibyte
-/// UTF-8 (Latin-1 supplement + Cyrillic) and XML-special characters.
-fn wire_string() -> impl Strategy<Value = String> {
-    proptest::collection::vec(
-        prop_oneof![
-            proptest::char::range(' ', '~'),
-            Just('\n'),
-            Just('\t'),
-            proptest::char::range('¡', 'ÿ'),
-            proptest::char::range('А', 'я'),
-        ],
-        0..24,
-    )
-    .prop_map(|chars| chars.into_iter().collect())
-}
-
-fn datetime_strategy() -> impl Strategy<Value = DateTime> {
-    (1970i32..2100, 1u8..=12, 1u8..=28, 0u8..24, 0u8..60, 0u8..60)
-        .prop_map(|(y, mo, d, h, mi, s)| DateTime::new(y, mo, d, h, mi, s).unwrap())
+/// Check property `test` of this file on seeds `0..64`; seed `n` is its
+/// case `n`, replayed alone by `SEARCH_SEED=<n>`.
+fn property(test: &str, check: impl Fn(&mut Rng) + Sync) {
+    let name = format!("clarens-wire --test stream_identity -- --exact {test}");
+    search(&name, 0..64, |seed| {
+        check(&mut Rng::new(seed));
+        Ok(())
+    });
 }
 
 /// Doubles for identity testing: unlike the round-trip tests this may
 /// include values whose text form is ugly — we only compare encoder output
 /// against encoder output, so anything finite goes, plus the non-finite
 /// specials both paths must map to the same placeholder.
-fn identity_double() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        (-1e300f64..1e300).prop_filter("finite", |d| d.is_finite()),
-        (-1e12f64..1e12).prop_filter("finite", |d| d.is_finite()),
-        (-1.0f64..1.0).prop_map(|d| d * 1e-12),
-        Just(f64::NAN),
-        Just(f64::INFINITY),
-        Just(f64::NEG_INFINITY),
-        Just(0.0),
-        Just(-0.0),
-        Just(1.0e-9),
-        Just(3.0),
-    ]
+fn identity_double(rng: &mut Rng) -> f64 {
+    match rng.below(10) {
+        0 => uniform(rng, -1e300, 1e300),
+        1 => uniform(rng, -1e12, 1e12),
+        2 => uniform(rng, -1.0, 1.0) * 1e-12,
+        3 => f64::NAN,
+        4 => f64::INFINITY,
+        5 => f64::NEG_INFINITY,
+        6 => 0.0,
+        7 => -0.0,
+        8 => 1.0e-9,
+        _ => 3.0,
+    }
 }
 
-fn value_strategy() -> impl Strategy<Value = Value> {
-    let leaf = prop_oneof![
-        Just(Value::Nil),
-        any::<bool>().prop_map(Value::Bool),
-        any::<i64>().prop_map(Value::Int),
-        identity_double().prop_map(Value::Double),
-        wire_string().prop_map(Value::Str),
-        proptest::collection::vec(any::<u8>(), 0..32).prop_map(Value::Bytes),
-        datetime_strategy().prop_map(Value::DateTime),
-    ];
-    leaf.prop_recursive(3, 24, 4, |inner| {
-        prop_oneof![
-            proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
-            proptest::collection::btree_map(wire_string(), inner, 0..4).prop_map(Value::Struct),
-        ]
-    })
-}
-
-fn response_strategy() -> impl Strategy<Value = RpcResponse> {
-    prop_oneof![
-        value_strategy().prop_map(RpcResponse::Success),
-        (any::<i64>(), wire_string())
-            .prop_map(|(code, msg)| RpcResponse::Fault(Fault::new(code, msg))),
-    ]
-}
-
-fn id_strategy() -> impl Strategy<Value = Option<Value>> {
-    prop_oneof![
-        Just(None),
-        any::<i64>().prop_map(|i| Some(Value::Int(i))),
-        wire_string().prop_map(|s| Some(Value::Str(s))),
-        Just(Some(Value::Nil)),
-    ]
+fn id(rng: &mut Rng) -> Option<Value> {
+    match rng.below(4) {
+        0 => None,
+        1 => Some(Value::Int(rng.next_u64() as i64)),
+        2 => Some(Value::Str(wire_string(rng))),
+        _ => Some(Value::Nil),
+    }
 }
 
 /// Calls with any method text (the SOAP operation name is written raw
 /// by both encoders), any parameters, and every id shape.
-fn call_strategy() -> impl Strategy<Value = RpcCall> {
-    (
-        wire_string(),
-        proptest::collection::vec(value_strategy(), 0..4),
-        id_strategy(),
-    )
-        .prop_map(|(method, params, id)| RpcCall { method, params, id })
+fn call(rng: &mut Rng) -> RpcCall {
+    let method = wire_string(rng);
+    let params = (0..rng.below(4))
+        .map(|_| value(rng, identity_double, 7))
+        .collect();
+    RpcCall {
+        method,
+        params,
+        id: id(rng),
+    }
 }
 
 /// The per-protocol DOM (or `Value`-tree) call encoder: the reference.
@@ -125,58 +93,72 @@ fn streamed(protocol: Protocol, response: &RpcResponse, id: Option<&Value>) -> V
     out
 }
 
-proptest! {
-    #[test]
-    fn xmlrpc_stream_matches_dom(resp in response_strategy()) {
+#[test]
+fn xmlrpc_stream_matches_dom() {
+    property("xmlrpc_stream_matches_dom", |rng| {
+        let resp = response(rng, identity_double);
         let dom = clarens_wire::dom::xmlrpc::encode_response(&resp).into_bytes();
-        prop_assert_eq!(streamed(Protocol::XmlRpc, &resp, None), dom);
-    }
-
-    #[test]
-    fn soap_stream_matches_dom(resp in response_strategy()) {
-        let dom = clarens_wire::dom::soap::encode_response(&resp).into_bytes();
-        prop_assert_eq!(streamed(Protocol::Soap, &resp, None), dom);
-    }
-
-    #[test]
-    fn jsonrpc_stream_matches_reference(resp in response_strategy(), id in id_strategy()) {
-        let reference = clarens_wire::dom::jsonrpc::encode_response(&resp, id.as_ref()).into_bytes();
-        prop_assert_eq!(streamed(Protocol::JsonRpc, &resp, id.as_ref()), reference);
-    }
-
-    #[test]
-    fn dispatcher_matches_dom_for_all_protocols(resp in response_strategy()) {
-        for proto in [Protocol::XmlRpc, Protocol::Soap, Protocol::JsonRpc] {
-            let dispatched = clarens_wire::encode_response(proto, &resp, None);
-            prop_assert_eq!(dispatched, reference(proto, &resp, None));
-        }
-    }
-
-    #[test]
-    fn streaming_appends_after_existing_bytes(v in value_strategy()) {
-        // Recycled buffers arrive cleared but the contract is "append":
-        // pre-existing content must be preserved untouched.
-        let resp = RpcResponse::Success(v);
-        let mut out = b"PREFIX".to_vec();
-        clarens_wire::encode_response_into(Protocol::XmlRpc, &resp, None, &mut out);
-        prop_assert_eq!(&out[..6], b"PREFIX");
-        let dom = clarens_wire::dom::xmlrpc::encode_response(&resp).into_bytes();
-        prop_assert_eq!(&out[6..], &dom[..]);
-    }
+        assert_eq!(streamed(Protocol::XmlRpc, &resp, None), dom);
+    });
 }
 
-proptest! {
-    #[test]
-    fn call_encoders_match_dom(call in call_strategy()) {
+#[test]
+fn soap_stream_matches_dom() {
+    property("soap_stream_matches_dom", |rng| {
+        let resp = response(rng, identity_double);
+        let dom = clarens_wire::dom::soap::encode_response(&resp).into_bytes();
+        assert_eq!(streamed(Protocol::Soap, &resp, None), dom);
+    });
+}
+
+#[test]
+fn jsonrpc_stream_matches_reference() {
+    property("jsonrpc_stream_matches_reference", |rng| {
+        let (resp, id) = (response(rng, identity_double), id(rng));
+        let reference =
+            clarens_wire::dom::jsonrpc::encode_response(&resp, id.as_ref()).into_bytes();
+        assert_eq!(streamed(Protocol::JsonRpc, &resp, id.as_ref()), reference);
+    });
+}
+
+#[test]
+fn dispatcher_matches_dom_for_all_protocols() {
+    property("dispatcher_matches_dom_for_all_protocols", |rng| {
+        let resp = response(rng, identity_double);
         for proto in [Protocol::XmlRpc, Protocol::Soap, Protocol::JsonRpc] {
-            prop_assert_eq!(
+            let dispatched = clarens_wire::encode_response(proto, &resp, None);
+            assert_eq!(dispatched, reference(proto, &resp, None));
+        }
+    });
+}
+
+#[test]
+fn streaming_appends_after_existing_bytes() {
+    property("streaming_appends_after_existing_bytes", |rng| {
+        // Recycled buffers arrive cleared but the contract is "append":
+        // pre-existing content must be preserved untouched.
+        let resp = RpcResponse::Success(value(rng, identity_double, 7));
+        let mut out = b"PREFIX".to_vec();
+        clarens_wire::encode_response_into(Protocol::XmlRpc, &resp, None, &mut out);
+        assert_eq!(&out[..6], b"PREFIX");
+        let dom = clarens_wire::dom::xmlrpc::encode_response(&resp).into_bytes();
+        assert_eq!(&out[6..], &dom[..]);
+    });
+}
+
+#[test]
+fn call_encoders_match_dom() {
+    property("call_encoders_match_dom", |rng| {
+        let call = call(rng);
+        for proto in [Protocol::XmlRpc, Protocol::Soap, Protocol::JsonRpc] {
+            assert_eq!(
                 clarens_wire::encode_call(proto, &call),
                 call_reference(proto, &call),
                 "{:?}",
                 proto
             );
         }
-    }
+    });
 }
 
 /// Calls the strategy may under-sample: no parameters (`<params/>` and a

@@ -11,18 +11,12 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use clarens_pki::cert::unix_now;
 use monalisa_sim::station::wait_until;
 use monalisa_sim::{
     DiscoveryAggregator, MonitorSample, Publication, ServiceDescriptor, ServiceQuery,
     StationServer, UdpPublisher,
 };
-
-fn now() -> i64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap()
-        .as_secs() as i64
-}
 
 fn main() {
     // Three station servers (real UDP sockets on localhost).
@@ -38,7 +32,7 @@ fn main() {
     // the MonALISA deployment the paper describes monitored "more than 90
     // sites"; we scale to 30 here for a quick run.
     let publisher = UdpPublisher::new(stations.iter().map(|s| s.local_addr()).collect()).unwrap();
-    let t = now();
+    let t = unix_now();
     let mut published = 0;
     for site in 0..30 {
         for service in ["file", "proof", "runjob"] {
@@ -93,7 +87,7 @@ fn main() {
 
     // Query both ways and compare.
     let query = ServiceQuery::by_service("proof").with_attribute("experiment", "cms");
-    let local_hits = aggregator.query_local(&query, now());
+    let local_hits = aggregator.query_local(&query, unix_now());
     let remote_hits = aggregator.query_remote(&query);
     println!(
         "\nQuery: proof services of experiment=cms -> {} hits (local) / {} (remote fan-out)",
@@ -108,7 +102,7 @@ fn main() {
     const N: usize = 300;
     let t0 = Instant::now();
     for _ in 0..N {
-        let _ = aggregator.query_local(&query, now());
+        let _ = aggregator.query_local(&query, unix_now());
     }
     let local_time = t0.elapsed();
     let t0 = Instant::now();
