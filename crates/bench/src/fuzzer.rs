@@ -40,8 +40,8 @@ pub enum FuzzTarget {
     WalFrames,
     /// The secure channel's handshake and record machine.
     SecureRecords,
-    /// Montgomery `modpow`, block-wise ChaCha20 and DN parsing against
-    /// their references.
+    /// Montgomery `modpow`, block-wise ChaCha20, MD5 and DN parsing
+    /// against their references.
     PkiKernels,
 }
 
@@ -251,7 +251,8 @@ fn seed_corpus(target: FuzzTarget) -> Vec<Vec<u8>> {
         }
         FuzzTarget::PkiKernels => {
             // Layout: three length bytes, base, exponent, modulus, then
-            // key, nonce, counter and plaintext (see the entry). An
+            // key, nonce, counter and plaintext (ciphered and hashed; see
+            // the entry). An
             // RSA-half-sized odd modulus under a full-window exponent and a
             // double-width base; an even modulus; a 17-limb one under a
             // short exponent; and a block counter that wraps mid-message.

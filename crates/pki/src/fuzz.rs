@@ -18,6 +18,7 @@ use crate::cert::{Certificate, CertificateAuthority, Credential};
 use crate::chacha20::{ChaCha20, KEY_LEN, NONCE_LEN};
 use crate::channel::{ChannelError, SecureChannel};
 use crate::dn::{Attribute, AttributeType, DistinguishedName, DnError};
+use crate::md5::{self, Md5};
 use crate::rsa;
 
 const NOW: i64 = 1_118_836_800;
@@ -232,6 +233,53 @@ pub(crate) fn reference_chacha20(
     }
 }
 
+/// MD5 as RFC 1321 §3.4's pseudocode reads: a 64-iteration loop choosing
+/// the round function and message index per step, the addends computed
+/// from the sine, over a message padded up front. The reference the
+/// unrolled [`Md5`] and its two-write padding are held to, here, in its
+/// unit tests and in the property tests.
+pub fn reference_md5(message: &[u8]) -> [u8; md5::DIGEST_LEN] {
+    const S: [u32; 16] = [7, 12, 17, 22, 5, 9, 14, 20, 4, 11, 16, 23, 6, 10, 15, 21];
+    let mut padded = message.to_vec();
+    padded.push(0x80);
+    while padded.len() % md5::BLOCK_LEN != 56 {
+        padded.push(0);
+    }
+    padded.extend_from_slice(&(message.len() as u64).wrapping_mul(8).to_le_bytes());
+    let mut state = [0x67452301u32, 0xefcdab89, 0x98badcfe, 0x10325476];
+    for block in padded.chunks_exact(md5::BLOCK_LEN) {
+        let m: Vec<u32> = block
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().expect("four bytes")))
+            .collect();
+        let [mut a, mut b, mut c, mut d] = state;
+        for i in 0..64 {
+            let (f, g) = match i / 16 {
+                0 => ((b & c) | (!b & d), i),
+                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
+                2 => (b ^ c ^ d, (3 * i + 5) % 16),
+                _ => (c ^ (b | !d), (7 * i) % 16),
+            };
+            // K[i] = floor(2^32 · |sin(i + 1)|)
+            let k = ((i as f64 + 1.0).sin().abs() * 4_294_967_296.0) as u32;
+            let rotated = a
+                .wrapping_add(f)
+                .wrapping_add(k)
+                .wrapping_add(m[g])
+                .rotate_left(S[i / 16 * 4 + i % 4]);
+            (a, d, c, b) = (d, c, b, b.wrapping_add(rotated));
+        }
+        for (word, add) in state.iter_mut().zip([a, b, c, d]) {
+            *word = word.wrapping_add(add);
+        }
+    }
+    let mut out = [0u8; md5::DIGEST_LEN];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_le_bytes());
+    }
+    out
+}
+
 /// DN parsing as a character loop that unescapes the whole line into owned
 /// components first, then splits each at its first `=` and upper-cases the
 /// type to name it: the reference [`DistinguishedName::parse`] is held to,
@@ -333,7 +381,8 @@ fn take_array<const N: usize>(data: &mut &[u8]) -> [u8; N] {
 ///   division-based ladder and `mulmod`;
 /// * then key, nonce, block counter, and the rest as the plaintext, whose own
 ///   bytes cut it into `apply` calls of 1..=200 bytes: [`ChaCha20`] ≡
-///   `reference_chacha20`;
+///   `reference_chacha20`, and the same pieces fed to [`Md5::update`] give
+///   [`reference_md5`]'s digest;
 /// * and the whole input's valid UTF-8 prefix as DN text:
 ///   [`DistinguishedName::parse`] ≡ `reference_parse`, and what parses
 ///   survives `parse(to_string())`.
@@ -371,15 +420,23 @@ pub fn pki_kernels(mut data: &[u8]) {
     reference_chacha20(&key, &nonce, counter, &mut expected);
     let mut got = data.to_vec();
     let mut cipher = ChaCha20::new(&key, &nonce, counter);
+    let mut digest = Md5::new();
     let mut rest = &mut got[..];
     while let Some(&first) = rest.first() {
         let (piece, after) = rest.split_at_mut((1 + first as usize % 200).min(rest.len()));
+        digest.update(piece);
         cipher.apply(piece);
         rest = after;
     }
     assert_eq!(
         got, expected,
         "key {key:?} nonce {nonce:?} counter {counter}"
+    );
+    assert_eq!(
+        digest.finalize(),
+        reference_md5(data),
+        "md5 of {} bytes",
+        data.len()
     );
 }
 

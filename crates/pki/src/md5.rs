@@ -5,6 +5,8 @@
 //! is cryptographically broken and is used here only for the integrity
 //! checksum the historical interface specified — signatures use SHA-256.
 
+use std::hint::black_box;
+
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 16;
 /// Block size in bytes.
@@ -80,78 +82,95 @@ impl Md5 {
     }
 }
 
+/// The sine-derived addends of RFC 1321 §3.4, `K[i] = floor(2^32 · |sin(i + 1)|)`,
+/// one per step, sixteen per round.
+#[rustfmt::skip]
+const K: [u32; 64] = [
+    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501,
+    0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be, 0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821,
+    0xf61e2562, 0xc040b340, 0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
+    0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8, 0x676f02d9, 0x8d2a4c8a,
+    0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c, 0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70,
+    0x289b7ec6, 0xeaa127fa, 0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665,
+    0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92, 0xffeff47d, 0x85845dd1,
+    0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391,
+];
+
 /// One step of RFC 1321 §3.4: `a = b + ((a + f(b,c,d) + m + k) <<< s)`. The
-/// `b` is the value the previous step produced, so what is written here is
-/// what keeps it off the critical path longest: `F = d ^ (b & (c ^ d))` for
-/// `(b & c) | (!b & d)`, and `G = (d & b) + (!d & c)` — the two terms share
-/// no bit, so the `|` may be an addition, and `!d & c` then folds into the
-/// sum that does not wait for `b`.
+/// `b` is the value the previous step produced, and `a`, `m` and `k` were
+/// known steps earlier, so the sum `a + m + k` is formed first and the
+/// round function joins it last: the chain from one step's `b` to the next
+/// is the round function, one addition, the rotation and the addition of
+/// `b`. The round functions are written to keep `b` out of as many of
+/// their operations as they can: `F = d ^ (b & (c ^ d))` for
+/// `(b & c) | (!b & d)`, `H = b ^ (c ^ d)`, and `G = (d & b) + (!d & c)` —
+/// the two terms share no bit, so the `|` may be an addition, and `!d & c`
+/// then joins the sum that does not wait for `b`.
 macro_rules! step {
-    (F, $b:ident, $c:ident, $d:ident) => {
-        $d ^ ($b & ($c ^ $d))
+    (F, $sum:expr, $b:ident, $c:ident, $d:ident) => {
+        $sum.wrapping_add($d ^ ($b & ($c ^ $d)))
     };
-    (G, $b:ident, $c:ident, $d:ident) => {
-        ($d & $b).wrapping_add(!$d & $c)
+    (G, $sum:expr, $b:ident, $c:ident, $d:ident) => {
+        $sum.wrapping_add(!$d & $c).wrapping_add($d & $b)
     };
-    (H, $b:ident, $c:ident, $d:ident) => {
-        $b ^ $c ^ $d
+    (H, $sum:expr, $b:ident, $c:ident, $d:ident) => {
+        $sum.wrapping_add($b ^ ($c ^ $d))
     };
-    (I, $b:ident, $c:ident, $d:ident) => {
-        $c ^ ($b | !$d)
+    (I, $sum:expr, $b:ident, $c:ident, $d:ident) => {
+        $sum.wrapping_add($c ^ ($b | !$d))
     };
-    ($f:ident, $a:ident, $b:ident, $c:ident, $d:ident, $m:expr, $s:expr, $k:expr) => {
+    ($f:ident, $a:ident, $b:ident, $c:ident, $d:ident, $m:expr, $k:expr, $s:expr) => {
         $a = $b.wrapping_add(
-            $a.wrapping_add(step!($f, $b, $c, $d))
-                .wrapping_add($m)
-                .wrapping_add($k)
-                .rotate_left($s),
+            step!($f, $a.wrapping_add($m).wrapping_add($k), $b, $c, $d).rotate_left($s),
         )
     };
 }
 
-/// Four steps: the working variables rotate one place per step, so after
-/// four they are back where they started.
+/// Four steps from step `$i`: the working variables rotate one place per
+/// step, so after four they are back where they started.
 macro_rules! steps {
-    ($f:ident, $a:ident, $b:ident, $c:ident, $d:ident, $m:ident,
-     [$i0:expr, $i1:expr, $i2:expr, $i3:expr], [$s0:expr, $s1:expr, $s2:expr, $s3:expr],
-     [$k0:expr, $k1:expr, $k2:expr, $k3:expr]) => {
-        step!($f, $a, $b, $c, $d, $m[$i0], $s0, $k0);
-        step!($f, $d, $a, $b, $c, $m[$i1], $s1, $k1);
-        step!($f, $c, $d, $a, $b, $m[$i2], $s2, $k2);
-        step!($f, $b, $c, $d, $a, $m[$i3], $s3, $k3);
+    ($f:ident, $a:ident, $b:ident, $c:ident, $d:ident, $m:ident, $k:ident, $i:expr,
+     [$m0:expr, $m1:expr, $m2:expr, $m3:expr], [$s0:expr, $s1:expr, $s2:expr, $s3:expr]) => {
+        step!($f, $a, $b, $c, $d, $m[$m0], $k[$i], $s0);
+        step!($f, $d, $a, $b, $c, $m[$m1], $k[$i + 1], $s1);
+        step!($f, $c, $d, $a, $b, $m[$m2], $k[$i + 2], $s2);
+        step!($f, $b, $c, $d, $a, $m[$m3], $k[$i + 3], $s3);
     };
 }
 
 /// The compression function over one block, borrowed from wherever it lies:
-/// all 64 steps written out, message words indexed by constants, the
-/// sine-derived addends (RFC 1321 §3.4) inline.
+/// all 64 steps written out, message words and addends indexed by
+/// constants. The addends are read through [`black_box`]: as immediates,
+/// LLVM moves each to the end of its step's sum, after the round function,
+/// which puts one more addition on every step's chain.
 #[rustfmt::skip]
 fn compress(state: &mut [u32; 4], block: &[u8; BLOCK_LEN]) {
     let mut m = [0u32; 16];
     for (word, bytes) in m.iter_mut().zip(block.as_chunks::<4>().0) {
         *word = u32::from_le_bytes(*bytes);
     }
+    let k = black_box(&K);
     let [mut a, mut b, mut c, mut d] = *state;
 
-    steps!(F, a, b, c, d, m, [0, 1, 2, 3], [7, 12, 17, 22], [0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee]);
-    steps!(F, a, b, c, d, m, [4, 5, 6, 7], [7, 12, 17, 22], [0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501]);
-    steps!(F, a, b, c, d, m, [8, 9, 10, 11], [7, 12, 17, 22], [0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be]);
-    steps!(F, a, b, c, d, m, [12, 13, 14, 15], [7, 12, 17, 22], [0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821]);
+    steps!(F, a, b, c, d, m, k, 0, [0, 1, 2, 3], [7, 12, 17, 22]);
+    steps!(F, a, b, c, d, m, k, 4, [4, 5, 6, 7], [7, 12, 17, 22]);
+    steps!(F, a, b, c, d, m, k, 8, [8, 9, 10, 11], [7, 12, 17, 22]);
+    steps!(F, a, b, c, d, m, k, 12, [12, 13, 14, 15], [7, 12, 17, 22]);
 
-    steps!(G, a, b, c, d, m, [1, 6, 11, 0], [5, 9, 14, 20], [0xf61e2562, 0xc040b340, 0x265e5a51, 0xe9b6c7aa]);
-    steps!(G, a, b, c, d, m, [5, 10, 15, 4], [5, 9, 14, 20], [0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8]);
-    steps!(G, a, b, c, d, m, [9, 14, 3, 8], [5, 9, 14, 20], [0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed]);
-    steps!(G, a, b, c, d, m, [13, 2, 7, 12], [5, 9, 14, 20], [0xa9e3e905, 0xfcefa3f8, 0x676f02d9, 0x8d2a4c8a]);
+    steps!(G, a, b, c, d, m, k, 16, [1, 6, 11, 0], [5, 9, 14, 20]);
+    steps!(G, a, b, c, d, m, k, 20, [5, 10, 15, 4], [5, 9, 14, 20]);
+    steps!(G, a, b, c, d, m, k, 24, [9, 14, 3, 8], [5, 9, 14, 20]);
+    steps!(G, a, b, c, d, m, k, 28, [13, 2, 7, 12], [5, 9, 14, 20]);
 
-    steps!(H, a, b, c, d, m, [5, 8, 11, 14], [4, 11, 16, 23], [0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c]);
-    steps!(H, a, b, c, d, m, [1, 4, 7, 10], [4, 11, 16, 23], [0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70]);
-    steps!(H, a, b, c, d, m, [13, 0, 3, 6], [4, 11, 16, 23], [0x289b7ec6, 0xeaa127fa, 0xd4ef3085, 0x04881d05]);
-    steps!(H, a, b, c, d, m, [9, 12, 15, 2], [4, 11, 16, 23], [0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665]);
+    steps!(H, a, b, c, d, m, k, 32, [5, 8, 11, 14], [4, 11, 16, 23]);
+    steps!(H, a, b, c, d, m, k, 36, [1, 4, 7, 10], [4, 11, 16, 23]);
+    steps!(H, a, b, c, d, m, k, 40, [13, 0, 3, 6], [4, 11, 16, 23]);
+    steps!(H, a, b, c, d, m, k, 44, [9, 12, 15, 2], [4, 11, 16, 23]);
 
-    steps!(I, a, b, c, d, m, [0, 7, 14, 5], [6, 10, 15, 21], [0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039]);
-    steps!(I, a, b, c, d, m, [12, 3, 10, 1], [6, 10, 15, 21], [0x655b59c3, 0x8f0ccc92, 0xffeff47d, 0x85845dd1]);
-    steps!(I, a, b, c, d, m, [8, 15, 6, 13], [6, 10, 15, 21], [0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1]);
-    steps!(I, a, b, c, d, m, [4, 11, 2, 9], [6, 10, 15, 21], [0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391]);
+    steps!(I, a, b, c, d, m, k, 48, [0, 7, 14, 5], [6, 10, 15, 21]);
+    steps!(I, a, b, c, d, m, k, 52, [12, 3, 10, 1], [6, 10, 15, 21]);
+    steps!(I, a, b, c, d, m, k, 56, [8, 15, 6, 13], [6, 10, 15, 21]);
+    steps!(I, a, b, c, d, m, k, 60, [4, 11, 2, 9], [6, 10, 15, 21]);
 
     state[0] = state[0].wrapping_add(a);
     state[1] = state[1].wrapping_add(b);
@@ -174,6 +193,7 @@ pub fn md5_hex(data: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::reference_md5;
 
     /// RFC 1321 appendix A.5 test suite.
     #[test]
@@ -199,52 +219,6 @@ mod tests {
         for (input, expect) in cases {
             assert_eq!(md5_hex(input), *expect);
         }
-    }
-
-    /// RFC 1321 as its §3.4 pseudocode reads: a 64-iteration loop choosing
-    /// the round function and message index per step, over a message padded
-    /// up front. What the unrolled [`compress`] and the two-write padding of
-    /// [`Md5::finalize`] are held to.
-    fn reference_md5(message: &[u8]) -> [u8; DIGEST_LEN] {
-        const S: [u32; 16] = [7, 12, 17, 22, 5, 9, 14, 20, 4, 11, 16, 23, 6, 10, 15, 21];
-        let mut padded = message.to_vec();
-        padded.push(0x80);
-        while padded.len() % BLOCK_LEN != 56 {
-            padded.push(0);
-        }
-        padded.extend_from_slice(&(message.len() as u64).wrapping_mul(8).to_le_bytes());
-        let mut state = [0x67452301u32, 0xefcdab89, 0x98badcfe, 0x10325476];
-        for block in padded.chunks_exact(BLOCK_LEN) {
-            let m: Vec<u32> = block
-                .chunks_exact(4)
-                .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
-                .collect();
-            let [mut a, mut b, mut c, mut d] = state;
-            for i in 0..64 {
-                let (f, g) = match i / 16 {
-                    0 => ((b & c) | (!b & d), i),
-                    1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                    2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                    _ => (c ^ (b | !d), (7 * i) % 16),
-                };
-                // K[i] = floor(2^32 · |sin(i + 1)|)
-                let k = ((i as f64 + 1.0).sin().abs() * 4_294_967_296.0) as u32;
-                let rotated = a
-                    .wrapping_add(f)
-                    .wrapping_add(k)
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i / 16 * 4 + i % 4]);
-                (a, d, c, b) = (d, c, b, b.wrapping_add(rotated));
-            }
-            for (word, add) in state.iter_mut().zip([a, b, c, d]) {
-                *word = word.wrapping_add(add);
-            }
-        }
-        let mut out = [0u8; DIGEST_LEN];
-        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
-            bytes.copy_from_slice(&word.to_le_bytes());
-        }
-        out
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! of its journal and the command that replays it. With `SEARCH_SEED=<n>`
 //! set, a search runs seed `n` alone, in its set or not ([`replay`]).
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::ops::{Range, RangeInclusive};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::Mutex;
+use std::sync::{Mutex, Once};
 
 use rand::{rngs::StdRng, Rng as _, SeedableRng};
 
@@ -73,6 +74,33 @@ fn attempt(schedule: &impl Fn(u64) -> Result<(), String>, seed: u64) -> Result<(
     })
 }
 
+thread_local! {
+    /// Set while this thread runs a seed of a search, whose panic is only
+    /// its failure: the report says what it was.
+    static SEARCHING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// [`attempt`], with the panic hook silent on this thread meanwhile: a
+/// search that fails at many seeds prints the report of the lowest, not a
+/// panic message (and backtrace) for every failing seed a thread ran. The
+/// hook is installed once and hands every other panic to the one it
+/// replaced.
+fn quiet_attempt(schedule: &impl Fn(u64) -> Result<(), String>, seed: u64) -> Result<(), String> {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !SEARCHING.try_with(Cell::get).unwrap_or(false) {
+                previous(info)
+            }
+        }));
+    });
+    SEARCHING.set(true);
+    let outcome = attempt(schedule, seed);
+    SEARCHING.set(false);
+    outcome
+}
+
 /// Run the sorted `seeds` on `threads` threads. Each takes the next seed
 /// in order and none takes one past a failure already found, so every seed
 /// below the lowest failing one has run when they finish.
@@ -89,7 +117,7 @@ where
                 if i >= seeds.len() || i > lowest.load(Relaxed) {
                     break;
                 }
-                if let Err(failure) = attempt(schedule, seeds[i]) {
+                if let Err(failure) = quiet_attempt(schedule, seeds[i]) {
                     lowest.fetch_min(i, Relaxed);
                     failures.lock().unwrap().insert(seeds[i], failure);
                 }
