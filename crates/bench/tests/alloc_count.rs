@@ -2,8 +2,9 @@
 //! this test process and holds the server-side allocations of a
 //! steady-state `echo.echo` loop under a ceiling per protocol (XML-RPC and
 //! clarens-binary), those of one session admission and of one DN parse
-//! under their own, the pki kernels' (an RSA signature, a sealed and
-//! opened record, the digests) under theirs, what a server allocates
+//! under their own, a memoized method or file authorization at none, the
+//! pki kernels' (an RSA signature, a sealed and opened record, the
+//! digests) under theirs, what a server allocates
 //! for a request body that arrives in fragments, and for a head that
 //! arrives one byte at a time, under their own, and the client codec's
 //! calls and responses on every text protocol under theirs.
@@ -14,7 +15,9 @@
 use std::io::{BufReader, Write};
 use std::sync::Arc;
 
+use clarens::acl::{Acl, AclEngine, FileAccess, FileAcl};
 use clarens::session::SessionManager;
+use clarens::vo::VoManager;
 use clarens_bench::{alloc_count, bench_grid_workers, bench_session, measure_allocs_per_request};
 use clarens_db::Store;
 use clarens_httpd::{parse::read_response, serve_pipe, PeerInfo, Request, Response, ServerConfig};
@@ -283,6 +286,32 @@ fn counting_allocator_and_steady_state_ceiling() {
     });
     println!("allocs/DN parse (3 attributes): {per_parse}");
     assert!(per_parse <= 4, "allocations per DN parse: {per_parse} > 4");
+
+    // --- memoized authorization, measured ----------------------------------
+    // A repeated method or file question is answered from the decision
+    // memo, whose key is built in a per-thread buffer: no allocation.
+    let store = Arc::new(Store::in_memory());
+    let vo = VoManager::new(Arc::clone(&store), &[]);
+    let acl = AclEngine::new(store);
+    acl.set_method_acl("file", &Acl::allow_dn("/O=grid"))
+        .unwrap();
+    let read_only = FileAcl {
+        read: Acl::allow_dn("/O=grid"),
+        write: Acl::default(),
+    };
+    acl.set_file_acl("/data", &read_only).unwrap();
+    let ask_method = || assert!(acl.check_method("file.read", &dn, &vo));
+    let ask_file = || {
+        assert!(acl.check_file("/data/run1/f", FileAccess::Read, &dn, &vo));
+        assert!(!acl.check_file("/data/run1/f", FileAccess::Write, &dn, &vo));
+    };
+    ask_method();
+    ask_file();
+    let per_method = allocations_during(|| (0..100).for_each(|_| ask_method()));
+    let per_file = allocations_during(|| (0..50).for_each(|_| ask_file()));
+    println!("allocs/100 memoized method checks: {per_method}; /100 file checks: {per_file}");
+    assert_eq!(per_method, 0, "memoized method checks allocated");
+    assert_eq!(per_file, 0, "memoized file checks allocated");
 
     // --- the pki kernels, measured ----------------------------------------
     pki_kernel_allocations();

@@ -13,26 +13,26 @@
 //! File ACLs extend method ACLs "with two extra fields: read and write" —
 //! [`FileAcl`] carries an [`Acl`] per access kind.
 //!
-//! The engine layers epoch-invalidated caches over the store (see
-//! [`crate::cache`]): stored ACL records are *compiled* once — DN-prefix
-//! entries parsed into [`DistinguishedName`]s — and memoized per node
-//! tagged with the ACL bucket's generation, and full authorization
-//! decisions are memoized per `(node, DN)` tagged with the ACL *and* VO
-//! bucket generations, so a grant or revocation anywhere in either tree is
-//! visible on the very next check.
+//! Both hierarchies are one `Tree`, and one walk (`Tree::decide`) answers
+//! methods and files alike. A tree reads its nodes through a
+//! `crate::cache::Records` — stored ACLs *compiled* once per bucket
+//! generation, DN-prefix entries parsed into [`DistinguishedName`]s — and
+//! memoizes decisions per `(list, node, DN)` tagged with its own and the
+//! VO bucket's generations, so a grant or revocation anywhere in either
+//! tree is visible on the very next check.
 
 use std::borrow::Cow;
-use std::fmt::Write as _;
+use std::cell::RefCell;
+use std::fmt::{Display, Write as _};
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use clarens_db::Store;
 use clarens_pki::dn::DistinguishedName;
 use clarens_wire::{json, Value};
 
-use crate::cache::{CacheStats, Sharded};
-use crate::vo::{VoManager, VO_BUCKET};
+use crate::cache::{CacheStats, Records, Sharded};
+use crate::vo::VoManager;
 
 /// DB bucket for method ACLs.
 pub const METHOD_ACL_BUCKET: &str = "acl.methods";
@@ -225,13 +225,6 @@ impl CompiledAcl {
     }
 }
 
-/// A compiled [`FileAcl`].
-#[derive(Debug, Clone)]
-struct CompiledFileAcl {
-    read: CompiledAcl,
-    write: CompiledAcl,
-}
-
 /// A file ACL: separate lists per access kind (paper §2.3).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FileAcl {
@@ -241,13 +234,14 @@ pub struct FileAcl {
     pub write: Acl,
 }
 
-/// The kind of file access being checked.
+/// The kind of file access being checked; it indexes a compiled file
+/// ACL's lists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileAccess {
     /// Read-type access.
-    Read,
+    Read = 0,
     /// Write-type access.
-    Write,
+    Write = 1,
 }
 
 impl FileAcl {
@@ -266,12 +260,22 @@ impl FileAcl {
     }
 }
 
-/// Walk a method name's hierarchy, most specific first:
-/// `module.submodule.method` → `module.submodule.method`,
-/// `module.submodule`, `module`. Borrows from the input — no per-request
-/// allocation.
-fn method_levels(method: &str) -> impl Iterator<Item = &str> {
-    std::iter::successors(Some(method), |m| m.rfind('.').map(|pos| &m[..pos]))
+/// The level above a dotted name (`a.b.c` → `a.b` → `a` → none): a
+/// method's module, or a VO group's parent.
+pub(crate) fn dotted_parent(name: &str) -> Option<&str> {
+    name.rfind('.').map(|pos| &name[..pos])
+}
+
+/// The level above a rooted path (`/a/b` → `/a` → `/` → none).
+fn path_parent(path: &str) -> Option<&str> {
+    let pos = path.rfind('/')?;
+    (path != "/").then(|| &path[..pos.max(1)])
+}
+
+/// `node` and every level above it, lowest first. Borrows from the input
+/// — no per-request allocation.
+pub(crate) fn levels(node: &str, parent: fn(&str) -> Option<&str>) -> impl Iterator<Item = &str> {
+    std::iter::successors(Some(node), move |level| parent(level))
 }
 
 /// Ensure a file path starts with `/`, borrowing when it already does
@@ -284,66 +288,118 @@ fn rooted(path: &str) -> Cow<'_, str> {
     }
 }
 
-/// Walk a rooted file path's hierarchy, most specific first:
-/// `/a/b/c` → `/a/b/c`, `/a/b`, `/a`, `/`. Borrows from the input; the
-/// path must start with `/` (see [`rooted`]).
-fn path_levels(path: &str) -> impl Iterator<Item = &str> {
-    debug_assert!(path.starts_with('/'));
-    std::iter::successors(Some(path), |p| match p.rfind('/') {
-        Some(0) => (*p != "/").then_some("/"),
-        Some(pos) => Some(&p[..pos]),
-        None => None,
-    })
+/// One ACL hierarchy whose nodes carry `N` lists each (a method node one,
+/// a file node one per [`FileAccess`]): its compiled records, how to climb
+/// it, and its decision memo, tagged with the hierarchy's and the VO's
+/// generations.
+struct Tree<const N: usize> {
+    records: Records<[CompiledAcl; N]>,
+    parent: fn(&str) -> Option<&str>,
+    decisions: Sharded<String, bool, (u64, u64)>,
+}
+
+impl<const N: usize> Tree<N> {
+    fn new(
+        store: Arc<Store>,
+        bucket: &'static str,
+        compile: fn(&Value) -> Option<[CompiledAcl; N]>,
+        parent: fn(&str) -> Option<&str>,
+    ) -> Self {
+        Tree {
+            records: Records::new(store, bucket, compile),
+            parent,
+            decisions: Sharded::new(),
+        }
+    }
+
+    /// The one authorization walk (paper §2.2–2.3): list `side` of each
+    /// level of `node`, lowest first; the first level that is not silent
+    /// decides; no decision anywhere ⇒ deny. The answer is memoized under
+    /// `(side, node, dn_key)`, its key built in a per-thread buffer, so a
+    /// memoized answer allocates nothing; only a miss clones the key.
+    fn decide(
+        &self,
+        node: &str,
+        side: usize,
+        dn: &DistinguishedName,
+        dn_key: impl Display,
+        vo: &VoManager,
+    ) -> bool {
+        thread_local! {
+            static KEY: RefCell<String> = const { RefCell::new(String::new()) };
+        }
+        KEY.with(|key| {
+            let mut key = key.borrow_mut();
+            key.clear();
+            // Length-prefixed, so no crafted node collides with another
+            // caller's entry.
+            let _ = write!(key, "{side}\u{1f}{}\u{1f}{node}\u{1f}{dn_key}", node.len());
+            // Both generations are loaded before any record is read, so
+            // the answer is at worst tagged with a superseded epoch (a
+            // spurious miss next time), never a stale grant.
+            let tag = (self.records.generation(), vo.generation());
+            if let Some(decision) = self.decisions.get(key.as_str(), tag) {
+                return decision;
+            }
+            let decision = levels(node, self.parent)
+                .filter_map(|level| self.records.get(level, tag.0))
+                .map(|acls| acls[side].evaluate(dn, vo))
+                .find(|level| *level != LevelDecision::Silent)
+                == Some(LevelDecision::Allow);
+            self.decisions.insert(key.clone(), tag, decision);
+            decision
+        })
+    }
 }
 
 /// The ACL engine: stores ACLs in the DB and answers access questions.
 ///
-/// The engine keeps two layers of epoch-invalidated state: compiled
-/// per-node records tagged with the ACL bucket generation, and
-/// `(node, DN) → bool` decisions tagged with the ACL and VO bucket
-/// generations. Any `put`/`delete` to either bucket moves the
-/// corresponding generation, so no stale grant can survive a revocation.
+/// Each hierarchy keeps two layers of epoch-invalidated state: compiled
+/// per-node records tagged with its bucket's generation, and
+/// `(node, DN) → bool` decisions tagged with that generation and the VO
+/// bucket's. Any `put`/`delete` to either bucket moves the corresponding
+/// generation, so no stale grant can survive a revocation.
 pub struct AclEngine {
     store: Arc<Store>,
-    method_gen: Arc<AtomicU64>,
-    file_gen: Arc<AtomicU64>,
-    vo_gen: Arc<AtomicU64>,
-    compiled_methods: Sharded<String, Option<Arc<CompiledAcl>>>,
-    compiled_files: Sharded<String, Option<Arc<CompiledFileAcl>>>,
-    method_decisions: Sharded<String, bool, (u64, u64)>,
-    file_decisions: Sharded<String, bool, (u64, u64)>,
+    methods: Tree<1>,
+    files: Tree<2>,
 }
 
 impl AclEngine {
     /// Create an engine over the shared store.
     pub fn new(store: Arc<Store>) -> Self {
-        let method_gen = store.generation_handle(METHOD_ACL_BUCKET);
-        let file_gen = store.generation_handle(FILE_ACL_BUCKET);
-        let vo_gen = store.generation_handle(VO_BUCKET);
+        let methods = Tree::new(
+            Arc::clone(&store),
+            METHOD_ACL_BUCKET,
+            |value| Some([CompiledAcl::compile(&Acl::from_value(value)?)]),
+            dotted_parent,
+        );
+        let files = Tree::new(
+            Arc::clone(&store),
+            FILE_ACL_BUCKET,
+            |value| {
+                let acl = FileAcl::from_value(value)?;
+                Some([&acl.read, &acl.write].map(CompiledAcl::compile))
+            },
+            path_parent,
+        );
         AclEngine {
             store,
-            method_gen,
-            file_gen,
-            vo_gen,
-            compiled_methods: Sharded::new(),
-            compiled_files: Sharded::new(),
-            method_decisions: Sharded::new(),
-            file_decisions: Sharded::new(),
+            methods,
+            files,
         }
     }
 
     /// Hit/miss counters of the compiled-node caches (method + file).
     pub fn node_cache_stats(&self) -> CacheStats {
-        self.compiled_methods
-            .stats()
-            .merged(self.compiled_files.stats())
+        let files = self.files.records.stats();
+        self.methods.records.stats().merged(files)
     }
 
     /// Hit/miss counters of the decision caches (method + file).
     pub fn decision_cache_stats(&self) -> CacheStats {
-        self.method_decisions
-            .stats()
-            .merged(self.file_decisions.stats())
+        let files = self.files.decisions.stats();
+        self.methods.decisions.stats().merged(files)
     }
 
     /// Attach an ACL to a method-hierarchy node. Fails, changing nothing,
@@ -363,8 +419,7 @@ impl AclEngine {
 
     /// Read back a method ACL node.
     pub fn method_acl(&self, node: &str) -> Option<Acl> {
-        let bytes = self.store.get(METHOD_ACL_BUCKET, node)?;
-        Acl::from_value(&json::parse(std::str::from_utf8(&bytes).ok()?).ok()?)
+        Acl::from_value(&self.methods.records.read(node)?)
     }
 
     /// List all method ACL nodes.
@@ -389,8 +444,7 @@ impl AclEngine {
 
     /// Read back a file ACL node.
     pub fn file_acl(&self, node: &str) -> Option<FileAcl> {
-        let bytes = self.store.get(FILE_ACL_BUCKET, node)?;
-        FileAcl::from_value(&json::parse(std::str::from_utf8(&bytes).ok()?).ok()?)
+        FileAcl::from_value(&self.files.records.read(node)?)
     }
 
     /// May `dn` invoke `method`? Evaluated lowest level first; the first
@@ -399,7 +453,7 @@ impl AclEngine {
     /// paper's two per-request checks ("whether the client has access to
     /// the particular method being called").
     pub fn check_method(&self, method: &str, dn: &DistinguishedName, vo: &VoManager) -> bool {
-        self.decide_method(method, dn, dn, vo)
+        self.methods.decide(method, 0, dn, dn, vo)
     }
 
     /// Same as [`AclEngine::check_method`], but with the caller supplying
@@ -410,77 +464,14 @@ impl AclEngine {
         &self,
         method: &str,
         dn: &DistinguishedName,
-        dn_key: &str,
+        dn_key: impl Display,
         vo: &VoManager,
     ) -> bool {
-        self.decide_method(method, dn, dn_key, vo)
+        self.methods.decide(method, 0, dn, dn_key, vo)
     }
 
-    fn decide_method(
-        &self,
-        method: &str,
-        dn: &DistinguishedName,
-        dn_key: impl std::fmt::Display,
-        vo: &VoManager,
-    ) -> bool {
-        // The decision key is built in a per-thread reusable buffer: on the
-        // steady-state hit path the probe allocates nothing; only a miss
-        // clones the key for insertion.
-        thread_local! {
-            static KEY_BUF: std::cell::RefCell<String> = const { std::cell::RefCell::new(String::new()) };
-        }
-        KEY_BUF.with(|buf| {
-            let mut key = buf.borrow_mut();
-            key.clear();
-            let _ = write!(key, "{}\u{1f}{method}\u{1f}{dn_key}", method.len());
-            // Generations are loaded BEFORE any record is read: a
-            // concurrent write bumps its generation inside the store's
-            // write-lock scope, so the decision cached below can at worst
-            // be tagged with a superseded epoch (a spurious miss next
-            // time), never be a stale grant under a current one.
-            let tag = (
-                self.method_gen.load(Ordering::SeqCst),
-                self.vo_gen.load(Ordering::SeqCst),
-            );
-            if let Some(decision) = self.method_decisions.get(key.as_str(), tag) {
-                return decision;
-            }
-            let gen = tag.0;
-            let mut decision = false;
-            for level in method_levels(method) {
-                if let Some(acl) = self.compiled_method_acl(level, gen) {
-                    match acl.evaluate(dn, vo) {
-                        LevelDecision::Allow => {
-                            decision = true;
-                            break;
-                        }
-                        LevelDecision::Deny => break,
-                        LevelDecision::Silent => continue,
-                    }
-                }
-            }
-            self.method_decisions.insert(key.clone(), tag, decision);
-            decision
-        })
-    }
-
-    /// Compiled record for one method node, read through the node cache.
-    /// `None` (the absence of an ACL) is cached too — most hierarchy
-    /// levels have no ACL attached.
-    fn compiled_method_acl(&self, node: &str, gen: u64) -> Option<Arc<CompiledAcl>> {
-        if let Some(cached) = self.compiled_methods.get(node, gen) {
-            return cached;
-        }
-        let compiled = self
-            .method_acl(node)
-            .map(|acl| Arc::new(CompiledAcl::compile(&acl)));
-        self.compiled_methods
-            .insert(node.to_owned(), gen, compiled.clone());
-        compiled
-    }
-
-    /// May `dn` access `path` for `access`? Same lowest-first evaluation
-    /// over the path hierarchy.
+    /// May `dn` access `path` for `access`? The same walk over the path
+    /// hierarchy, reading each level's list for `access`.
     pub fn check_file(
         &self,
         path: &str,
@@ -488,68 +479,9 @@ impl AclEngine {
         dn: &DistinguishedName,
         vo: &VoManager,
     ) -> bool {
-        let path = rooted(path);
-        let tag = (
-            self.file_gen.load(Ordering::SeqCst),
-            self.vo_gen.load(Ordering::SeqCst),
-        );
-        let access_mark = match access {
-            FileAccess::Read => "r",
-            FileAccess::Write => "w",
-        };
-        let mut key = decision_key(&path, dn);
-        key.push('\u{1f}');
-        key.push_str(access_mark);
-        if let Some(decision) = self.file_decisions.get(&key, tag) {
-            return decision;
-        }
-        let gen = tag.0;
-        let mut decision = false;
-        for level in path_levels(&path) {
-            if let Some(file_acl) = self.compiled_file_acl(level, gen) {
-                let acl = match access {
-                    FileAccess::Read => &file_acl.read,
-                    FileAccess::Write => &file_acl.write,
-                };
-                match acl.evaluate(dn, vo) {
-                    LevelDecision::Allow => {
-                        decision = true;
-                        break;
-                    }
-                    LevelDecision::Deny => break,
-                    LevelDecision::Silent => continue,
-                }
-            }
-        }
-        self.file_decisions.insert(key, tag, decision);
-        decision
+        self.files
+            .decide(&rooted(path), access as usize, dn, dn, vo)
     }
-
-    /// Compiled record for one file node, read through the node cache.
-    fn compiled_file_acl(&self, node: &str, gen: u64) -> Option<Arc<CompiledFileAcl>> {
-        if let Some(cached) = self.compiled_files.get(node, gen) {
-            return cached;
-        }
-        let compiled = self.file_acl(node).map(|file_acl| {
-            Arc::new(CompiledFileAcl {
-                read: CompiledAcl::compile(&file_acl.read),
-                write: CompiledAcl::compile(&file_acl.write),
-            })
-        });
-        self.compiled_files
-            .insert(node.to_owned(), gen, compiled.clone());
-        compiled
-    }
-}
-
-/// Decision-cache key for `(node, DN)`, used by the file-decision cache
-/// (method decisions build the same shape into a reusable buffer, see
-/// `decide_method`). Length-prefixed so no crafted method or path
-/// string can collide with another caller's entry.
-fn decision_key(node: &str, dn: impl std::fmt::Display) -> String {
-    let mut key = String::with_capacity(node.len() + 48);
-    let _ = write!(key, "{}\u{1f}{node}\u{1f}{dn}", node.len());
-    key
 }
 
 #[cfg(test)]
@@ -569,26 +501,22 @@ mod tests {
 
     #[test]
     fn method_level_splitting() {
+        let method_levels = |m| levels(m, dotted_parent).collect::<Vec<_>>();
         assert_eq!(
-            method_levels("module.submodule.method").collect::<Vec<_>>(),
+            method_levels("module.submodule.method"),
             vec!["module.submodule.method", "module.submodule", "module"]
         );
-        assert_eq!(method_levels("echo").collect::<Vec<_>>(), vec!["echo"]);
+        assert_eq!(method_levels("echo"), vec!["echo"]);
     }
 
     #[test]
     fn path_level_splitting() {
-        assert_eq!(
-            path_levels("/a/b/c").collect::<Vec<_>>(),
-            vec!["/a/b/c", "/a/b", "/a", "/"]
-        );
-        assert_eq!(path_levels("/").collect::<Vec<_>>(), vec!["/"]);
+        let path_levels = |p| levels(p, path_parent).collect::<Vec<_>>();
+        assert_eq!(path_levels("/a/b/c"), vec!["/a/b/c", "/a/b", "/a", "/"]);
+        assert_eq!(path_levels("/"), vec!["/"]);
         // Unrooted paths are normalized first (allocating only then).
         assert_eq!(rooted("a"), "/a");
-        assert_eq!(
-            path_levels(&rooted("a")).collect::<Vec<_>>(),
-            vec!["/a", "/"]
-        );
+        assert_eq!(path_levels(&rooted("a")), vec!["/a", "/"]);
         assert!(matches!(rooted("/already"), Cow::Borrowed(_)));
     }
 

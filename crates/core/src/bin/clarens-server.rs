@@ -20,7 +20,6 @@ use std::process::exit;
 use clarens::{register_builtin_services, ClarensConfig, ClarensCore, ClarensServer};
 use clarens_httpd::TlsConfig;
 use clarens_pki::pem;
-use clarens_telemetry::{error, info, warn};
 
 fn usage() -> ! {
     eprintln!(
@@ -31,9 +30,6 @@ fn usage() -> ! {
 }
 
 fn main() {
-    // Daemon default: lifecycle and error records visible unless
-    // CLARENS_LOG says otherwise.
-    clarens_telemetry::log::init_from_env_or(clarens_telemetry::log::Level::Info);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut flags: HashMap<String, String> = HashMap::new();
     let mut switches: Vec<String> = Vec::new();
@@ -69,31 +65,31 @@ fn main() {
 
     let credential =
         pem::decode_credential(&std::fs::read_to_string(cred_path).unwrap_or_else(|e| {
-            error!("cannot read {cred_path}: {e}");
+            eprintln!("cannot read {cred_path}: {e}");
             exit(1);
         }))
         .unwrap_or_else(|e| {
-            error!("bad server credential: {e}");
+            eprintln!("bad server credential: {e}");
             exit(1);
         });
     let roots =
         pem::decode_certificates(&std::fs::read_to_string(roots_path).unwrap_or_else(|e| {
-            error!("cannot read {roots_path}: {e}");
+            eprintln!("cannot read {roots_path}: {e}");
             exit(1);
         }))
         .unwrap_or_else(|e| {
-            error!("bad trust roots: {e}");
+            eprintln!("bad trust roots: {e}");
             exit(1);
         });
 
     let config = match flags.get("config") {
         Some(path) => {
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                error!("cannot read {path}: {e}");
+                eprintln!("cannot read {path}: {e}");
                 exit(1);
             });
             ClarensConfig::parse(&text).unwrap_or_else(|e| {
-                error!("bad config: {e}");
+                eprintln!("bad config: {e}");
                 exit(1);
             })
         }
@@ -113,13 +109,13 @@ fn main() {
     }
 
     let core = ClarensCore::new(config, roots.clone(), credential.clone()).unwrap_or_else(|e| {
-        error!("cannot open store: {e}");
+        eprintln!("cannot open store: {e}");
         exit(1);
     });
     register_builtin_services(&core, None);
     if switches.iter().any(|s| s == "permissive-acls") {
         clarens::install_permissive_acls(&core);
-        warn!("permissive ACLs installed (every authenticated DN may call everything)");
+        eprintln!("permissive ACLs installed (every authenticated DN may call everything)");
     }
 
     let tls = switches.iter().any(|s| s == "tls").then(|| TlsConfig {
@@ -128,10 +124,10 @@ fn main() {
     });
     let secure = tls.is_some();
     let server = ClarensServer::start(core, listen, tls).unwrap_or_else(|e| {
-        error!("cannot bind {listen}: {e}");
+        eprintln!("cannot bind {listen}: {e}");
         exit(1);
     });
-    info!(
+    eprintln!(
         "{} listening on {}{} ({} methods registered)",
         credential.certificate.subject,
         server.local_addr(),

@@ -16,12 +16,19 @@
 //! a *spurious miss* (an entry tagged with a superseded generation), never
 //! a stale hit. There is no TTL and no background invalidation thread —
 //! correctness comes entirely from the epoch comparison.
+//!
+//! `Records` is the one reader that follows that rule for stored records:
+//! VO groups, method ACLs and file ACLs are each one `Records` over their
+//! bucket, compiled once per generation.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
+use clarens_db::Store;
+use clarens_wire::{json, Value};
 use parking_lot::Mutex;
 
 /// Number of independent shards (bounds lock contention).
@@ -147,6 +154,67 @@ impl<K: Hash + Eq, V: Clone, T: Copy + Eq> Sharded<K, V, T> {
 impl<K: Hash + Eq, V: Clone, T: Copy + Eq> Default for Sharded<K, V, T> {
     fn default() -> Self {
         Sharded::new()
+    }
+}
+
+/// The compiled records of one store bucket. A reader loads
+/// [`Records::generation`] once, *before* it reads any record, and passes
+/// it to every [`Records::get`] of one answer, so every record it uses is
+/// tagged with that generation. An absent or undecodable record is cached
+/// too: most hierarchy levels have none.
+pub(crate) struct Records<V> {
+    store: Arc<Store>,
+    bucket: &'static str,
+    generation: Arc<AtomicU64>,
+    compiled: Sharded<String, Option<Arc<V>>>,
+    compile: fn(&Value) -> Option<V>,
+}
+
+impl<V> Records<V> {
+    /// The records of `bucket`, each compiled from its JSON by `compile`.
+    pub(crate) fn new(
+        store: Arc<Store>,
+        bucket: &'static str,
+        compile: fn(&Value) -> Option<V>,
+    ) -> Self {
+        Records {
+            generation: store.generation_handle(bucket),
+            store,
+            bucket,
+            compiled: Sharded::new(),
+            compile,
+        }
+    }
+
+    /// The bucket's generation now.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation.load(Ordering::SeqCst)
+    }
+
+    /// The stored record at `key`, decoded as JSON.
+    pub(crate) fn read(&self, key: &str) -> Option<Value> {
+        let bytes = self.store.get(self.bucket, key)?;
+        json::parse(std::str::from_utf8(&bytes).ok()?).ok()
+    }
+
+    /// The compiled record at `key`, read through the cache under
+    /// `generation` (loaded before this call).
+    pub(crate) fn get(&self, key: &str, generation: u64) -> Option<Arc<V>> {
+        if let Some(cached) = self.compiled.get(key, generation) {
+            return cached;
+        }
+        let compiled = self
+            .read(key)
+            .and_then(|v| (self.compile)(&v))
+            .map(Arc::new);
+        self.compiled
+            .insert(key.to_owned(), generation, compiled.clone());
+        compiled
+    }
+
+    /// Hit/miss counters of the compiled records.
+    pub(crate) fn stats(&self) -> CacheStats {
+        self.compiled.stats()
     }
 }
 

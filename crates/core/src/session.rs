@@ -171,15 +171,13 @@ impl SessionManager {
             64 + session.dn.len() + session.proxy.as_ref().map_or(0, String::len),
         );
         session.write_record(&mut record);
-        let persisted = self.store.put(SESSIONS_BUCKET, &session.id, record);
-        let Err(e) = persisted else {
+        if self.store.put(SESSIONS_BUCKET, &session.id, record).is_ok() {
             return;
-        };
+        }
         // The session stays valid in memory (the cache entry below serves
-        // it); it just won't survive a restart. Degrade loudly instead of
-        // silently: the paper sells restart-surviving sessions, so a lost
-        // persist is worth an operator's attention.
-        clarens_telemetry::warn!("session {} not persisted: {e}", session.id);
+        // it); it just won't survive a restart. The refusal is not silent:
+        // a logged bucket's write fails only on a poisoned log or by
+        // poisoning it, and `db.degraded` reports exactly that.
         let generation = self.generation.load(Ordering::SeqCst);
         let entry = ResolvedSession::parse(session.clone());
         self.cache.insert(session.id.clone(), generation, entry);

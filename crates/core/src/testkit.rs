@@ -108,8 +108,8 @@ pub fn grid_pki() -> &'static GridPki {
 
 /// A self-contained PKI + server + users fixture.
 pub struct TestGrid {
-    /// The root CA.
-    pub ca: CertificateAuthority,
+    /// The root CA: this process's [`grid_pki`] CA.
+    pub ca: &'static CertificateAuthority,
     /// The server's credential.
     pub server_credential: Credential,
     /// An administrator user (in the configured `admins` group).
@@ -188,15 +188,7 @@ impl TestGrid {
 
     fn build(options: GridOptions, port: bool) -> TestGrid {
         let pki = grid_pki();
-        let ca = CertificateAuthority::with_keypair(
-            rsa::KeyPair {
-                public: pki.ca.key.public.clone(),
-                private: pki.ca.key.clone(),
-            },
-            pki.ca.certificate.subject.clone(),
-            pki.ca.certificate.not_before,
-            (pki.ca.certificate.not_after - pki.ca.certificate.not_before) / 86_400,
-        );
+        let ca = &pki.ca;
         let server_credential = pki.server.clone();
         let admin = pki.admin.clone();
         let user = pki.user.clone();

@@ -17,22 +17,22 @@
 //!   admits every individual under that CA branch.
 //!
 //! Membership checks sit on the per-request authorization path (every
-//! group-based ACL consults them), so the manager keeps an
-//! epoch-invalidated cache of *compiled* group records — entries parsed
-//! into [`DistinguishedName`] prefixes once at load instead of on every
-//! check. Entries are tagged with the `vo.groups` bucket generation;
-//! any group write makes every cached record stale on its next lookup,
-//! so revocations are visible on the very next check.
+//! group-based ACL consults them), so the manager reads its groups through
+//! a `crate::cache::Records`: records *compiled* once — entries parsed
+//! into [`DistinguishedName`] prefixes at load instead of on every check —
+//! and tagged with the `vo.groups` bucket generation. Any group write makes
+//! every cached record stale on its next lookup, so revocations are
+//! visible on the very next check.
 
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use clarens_db::Store;
 use clarens_pki::dn::DistinguishedName;
 use clarens_wire::{json, Value};
 
-use crate::cache::{CacheStats, Sharded};
+use crate::acl::{dotted_parent, levels};
+use crate::cache::{CacheStats, Records};
 
 /// DB bucket for group records.
 pub const VO_BUCKET: &str = "vo.groups";
@@ -138,11 +138,9 @@ fn compiled_matches(dn: &DistinguishedName, prefixes: &[DistinguishedName]) -> b
     prefixes.iter().any(|prefix| dn.has_prefix(prefix))
 }
 
-/// A group name followed by its ancestors, nearest first:
-/// `A.1.x` → `A.1.x`, `A.1`, `A`. Borrows from the input — no per-check
-/// allocation.
-fn self_and_ancestors(name: &str) -> impl Iterator<Item = &str> {
-    std::iter::successors(Some(name), |n| n.rfind('.').map(|pos| &n[..pos]))
+/// Admins count as members.
+fn admits(group: &CompiledGroup, dn: &DistinguishedName) -> bool {
+    compiled_matches(dn, &group.members) || compiled_matches(dn, &group.admins)
 }
 
 fn valid_group_name(name: &str) -> bool {
@@ -159,23 +157,18 @@ fn valid_group_name(name: &str) -> bool {
 /// The VO manager.
 pub struct VoManager {
     store: Arc<Store>,
-    /// Generation handle of [`VO_BUCKET`]; every group write bumps it.
-    generation: Arc<AtomicU64>,
-    /// Compiled group records tagged with the bucket generation. The inner
-    /// `Option` caches "group does not exist" too.
-    compiled: Sharded<String, Option<Arc<CompiledGroup>>>,
+    /// Compiled group records of [`VO_BUCKET`].
+    groups: Records<CompiledGroup>,
 }
 
 impl VoManager {
     /// Create the manager and (re)populate the root `admins` group from the
     /// configured DNs — "populated statically ... on each server restart".
     pub fn new(store: Arc<Store>, admin_dns: &[String]) -> Self {
-        let generation = store.generation_handle(VO_BUCKET);
-        let manager = VoManager {
-            store,
-            generation,
-            compiled: Sharded::new(),
-        };
+        let groups = Records::new(Arc::clone(&store), VO_BUCKET, |value| {
+            Some(CompiledGroup::compile(&Group::from_value(value)?))
+        });
+        let manager = VoManager { store, groups };
         let root = Group {
             members: admin_dns.to_vec(),
             admins: admin_dns.to_vec(),
@@ -188,22 +181,20 @@ impl VoManager {
 
     /// Hit/miss counters of the compiled-group cache.
     pub fn cache_stats(&self) -> CacheStats {
-        self.compiled.stats()
+        self.groups.stats()
     }
 
-    /// Load a compiled group through the cache. `generation` must have
-    /// been read from the bucket *before* this call so a concurrent write
-    /// can only cause a spurious miss, never a stale hit.
-    fn compiled(&self, name: &str, generation: u64) -> Option<Arc<CompiledGroup>> {
-        if let Some(cached) = self.compiled.get(name, generation) {
-            return cached;
-        }
-        let loaded = self
-            .group(name)
-            .map(|group| Arc::new(CompiledGroup::compile(&group)));
-        self.compiled
-            .insert(name.to_owned(), generation, loaded.clone());
-        loaded
+    /// The generation of [`VO_BUCKET`]: every group write moves it, so
+    /// every answer that read a group is tagged with it.
+    pub(crate) fn generation(&self) -> u64 {
+        self.groups.generation()
+    }
+
+    /// Does `test` hold for `group_name` or one of its ancestors?
+    fn up_from(&self, group_name: &str, test: impl Fn(&CompiledGroup) -> bool) -> bool {
+        let generation = self.groups.generation();
+        levels(group_name, dotted_parent)
+            .any(|name| self.groups.get(name, generation).is_some_and(|g| test(&g)))
     }
 
     fn save(&self, name: &str, group: &Group) -> io::Result<()> {
@@ -216,9 +207,7 @@ impl VoManager {
 
     /// Load a group record.
     pub fn group(&self, name: &str) -> Option<Group> {
-        let bytes = self.store.get(VO_BUCKET, name)?;
-        let text = String::from_utf8(bytes).ok()?;
-        Group::from_value(&json::parse(&text).ok()?)
+        Group::from_value(&self.groups.read(name)?)
     }
 
     /// All group names (sorted).
@@ -226,39 +215,23 @@ impl VoManager {
         self.store.keys(VO_BUCKET)
     }
 
-    /// Is `dn` a site administrator (member of the root `admins` group)?
+    /// Is `dn` a site administrator (member of the root `admins` group,
+    /// which has no ancestors)?
     pub fn is_site_admin(&self, dn: &DistinguishedName) -> bool {
-        let generation = self.generation.load(Ordering::SeqCst);
-        self.compiled(ADMINS_GROUP, generation)
-            .is_some_and(|g| compiled_matches(dn, &g.members) || compiled_matches(dn, &g.admins))
+        self.up_from(ADMINS_GROUP, |g| admits(g, dn))
     }
 
     /// Is `dn` an administrator of `group` (directly, via an ancestor
     /// group, or as a site admin)?
     pub fn is_admin(&self, group_name: &str, dn: &DistinguishedName) -> bool {
-        if self.is_site_admin(dn) {
-            return true;
-        }
-        let generation = self.generation.load(Ordering::SeqCst);
-        self_and_ancestors(group_name).any(|name| {
-            self.compiled(name, generation)
-                .is_some_and(|g| compiled_matches(dn, &g.admins))
-        })
+        self.is_site_admin(dn) || self.up_from(group_name, |g| compiled_matches(dn, &g.admins))
     }
 
     /// Is `dn` a member of `group`? Membership is inherited downward from
     /// ancestor groups, admins count as members, and site admins are
     /// members of everything.
     pub fn is_member(&self, group_name: &str, dn: &DistinguishedName) -> bool {
-        if self.is_site_admin(dn) {
-            return true;
-        }
-        let generation = self.generation.load(Ordering::SeqCst);
-        self_and_ancestors(group_name).any(|name| {
-            self.compiled(name, generation).is_some_and(|g| {
-                compiled_matches(dn, &g.members) || compiled_matches(dn, &g.admins)
-            })
-        })
+        self.is_site_admin(dn) || self.up_from(group_name, |g| admits(g, dn))
     }
 
     /// Create a group. Top-level groups require site admin; subgroups

@@ -163,6 +163,8 @@ struct Coverage {
     resolves_at_expiry: usize,
     /// Questions decided by a level that both allowed and denied.
     double_matches: usize,
+    /// Hot file questions whose read and write answers differ.
+    read_write_splits: usize,
     vo_mutations_accepted: usize,
     vo_mutations_refused: usize,
 }
@@ -189,6 +191,9 @@ struct Search {
     /// decisions are re-read after the writes that should retire them.
     hot_methods: Vec<String>,
     hot_dns: Vec<usize>,
+    /// A few paths asked about again and again by the hot callers, for
+    /// both access kinds, so a memoized read answer is asked as a write.
+    hot_paths: Vec<String>,
     asked: HashSet<(String, usize)>,
     /// Every session id ever seen, live or not; most recent last.
     ids: Vec<String>,
@@ -216,6 +221,12 @@ impl Search {
             hot_methods.push(method_at(&mut rng, depth));
         }
         let hot_dns = (0..6).map(|_| rng.below(dns.len())).collect();
+        let hot_paths = (0..3)
+            .map(|_| {
+                let depth = 1 + rng.below(4);
+                path_at(&mut rng, depth)
+            })
+            .collect();
         Search {
             seed,
             step: 0,
@@ -235,6 +246,7 @@ impl Search {
             groups: group_names(),
             hot_methods,
             hot_dns,
+            hot_paths,
             asked: HashSet::new(),
             ids: Vec::new(),
             coverage: Coverage::default(),
@@ -374,6 +386,19 @@ impl Search {
         }
         let write = self.rng.chance(50);
         let who = self.caller();
+        self.ask_file_about(&path, write, who);
+    }
+
+    /// A hot path and caller, asked for both access kinds in either order.
+    fn ask_hot_file(&mut self) {
+        let path = self.rng.choose(&self.hot_paths).clone();
+        let who = *self.rng.choose(&self.hot_dns);
+        let first = self.rng.chance(50);
+        let answers = [first, !first].map(|write| self.ask_file_about(&path, write, who));
+        self.coverage.read_write_splits += usize::from(answers[0] != answers[1]);
+    }
+
+    fn ask_file_about(&mut self, path: &str, write: bool, who: usize) -> bool {
         let access = if write {
             FileAccess::Write
         } else {
@@ -381,8 +406,8 @@ impl Search {
         };
         let real = self
             .acl
-            .check_file(&path, access, &self.reals[who], &self.vo);
-        let expected = self.authz.may_access(&path, write, &self.dns[who]);
+            .check_file(path, access, &self.reals[who], &self.vo);
+        let expected = self.authz.may_access(path, write, &self.dns[who]);
         assert_eq!(
             real,
             expected,
@@ -390,6 +415,7 @@ impl Search {
             self.at(),
             self.rendered[who]
         );
+        expected
     }
 
     fn ask_membership(&mut self) {
@@ -848,7 +874,8 @@ impl Search {
                 let who = *self.rng.choose(&self.hot_dns);
                 self.ask_method(method, who);
             }
-            850..=889 => self.ask_file(),
+            850..=869 => self.ask_file(),
+            870..=889 => self.ask_hot_file(),
             890..=904 => self.ask_membership(),
             905..=909 => self.ask_record(),
             910..=939 => self.session_op(),
@@ -906,6 +933,7 @@ fn cached_authorization_answers_as_the_model_does() {
         assert!(coverage.session_hits > 50, "{coverage:?}");
         assert!(coverage.resolves_at_expiry > 10, "{coverage:?}");
         assert!(coverage.double_matches > 100, "{coverage:?}");
+        assert!(coverage.read_write_splits > 100, "{coverage:?}");
         assert!(
             coverage.vo_mutations_accepted > 100 && coverage.vo_mutations_refused > 100,
             "{coverage:?}"

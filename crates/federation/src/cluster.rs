@@ -14,6 +14,7 @@ use clarens::core::ClarensCore;
 use clarens::federation::FederationRole;
 use clarens::server::{install_permissive_acls, register_builtin_services, ClarensServer};
 use clarens::services::DiscoveryService;
+use clarens::testkit::grid_pki;
 use monalisa_sim::station::wait_until;
 use monalisa_sim::{DiscoveryAggregator, ServiceQuery, StationServer, UdpPublisher};
 
@@ -100,7 +101,7 @@ impl FederationNode {
             };
             let core = ClarensCore::new(
                 config,
-                vec![pki.ca.certificate.clone()],
+                vec![grid_pki().ca.certificate.clone()],
                 pki.server_credential(options.index),
             )?;
             match &options.leader {

@@ -15,16 +15,12 @@
 use std::sync::{Mutex, OnceLock};
 
 use clarens::testkit::grid_pki;
-use clarens_pki::cert::{CertificateAuthority, Credential, DAY};
+use clarens_pki::cert::{Credential, DAY};
 use clarens_pki::dn::DistinguishedName;
-use clarens_pki::rsa::KeyPair;
 
-/// The process-wide federation PKI, built once from the grid PKI.
+/// The process-wide federation PKI, built once from the grid PKI. Every
+/// node trusts the grid's CA, which issues the node certificates too.
 pub struct FederationPki {
-    /// The root CA every node trusts: a copy of the grid CA (its key and
-    /// certificate). Node certificates are issued by the grid's own, so
-    /// serials under this key come from one counter.
-    pub ca: CertificateAuthority,
     /// Site admin on every node (`admin_dns`): replication.
     pub admin: Credential,
     /// A regular grid user.
@@ -65,20 +61,7 @@ pub fn federation_pki() -> &'static FederationPki {
     static PKI: OnceLock<FederationPki> = OnceLock::new();
     PKI.get_or_init(|| {
         let grid = grid_pki();
-        // The same key, name and validity re-sign the same certificate.
-        let root = &grid.ca.certificate;
-        let ca = CertificateAuthority::with_keypair(
-            KeyPair {
-                public: grid.ca.key.public.clone(),
-                private: grid.ca.key.clone(),
-            },
-            root.subject.clone(),
-            root.not_before,
-            (root.not_after - root.not_before) / DAY,
-        );
-        debug_assert_eq!(ca.certificate, *root);
         FederationPki {
-            ca,
             admin: grid.admin.clone(),
             user: grid.user.clone(),
             servers: Mutex::new(Vec::new()),

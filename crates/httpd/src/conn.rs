@@ -651,9 +651,8 @@ pub(crate) fn drive<H: Handler + ?Sized>(
                                 }
                                 return None;
                             }
-                            Fill::Err(error) if handshaking => {
+                            Fill::Err(_) if handshaking => {
                                 http.handshake_failures.inc();
-                                clarens_telemetry::debug!("TLS handshake failed: {error}");
                                 return None;
                             }
                             Fill::Err(error) => {

@@ -871,7 +871,6 @@ pub(crate) fn classify_io_error(error: &io::Error, http: &HttpCounters) {
         // The body source under-delivered against its declared
         // Content-Length — a server-side framing hazard, not peer churn.
         http.stream_truncations.inc();
-        clarens_telemetry::debug!("response body truncated: {error}");
         return;
     }
     let idle = matches!(
@@ -882,7 +881,6 @@ pub(crate) fn classify_io_error(error: &io::Error, http: &HttpCounters) {
         http.idle_timeouts.inc();
     } else {
         http.peer_resets.inc();
-        clarens_telemetry::debug!("connection reset by peer: {error}");
     }
 }
 

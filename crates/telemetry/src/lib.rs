@@ -11,15 +11,12 @@
 //! * [`mod@trace`] — request-scoped spans over the paper's pipeline (accept →
 //!   parse → session check → ACL walk → dispatch → serialize → write) and
 //!   a fixed ring of slow-request traces;
-//! * [`log`] — a tiny leveled logger (env-controlled, off by default so
-//!   benches stay clean);
 //! * [`Telemetry`] — the per-server facade the HTTP layer, the core, and
 //!   the export surfaces (`GET /metrics`, `system.metrics`,
 //!   `system.trace_tail`) share.
 
 #![forbid(unsafe_code)]
 
-pub mod log;
 pub mod metrics;
 pub mod trace;
 
